@@ -36,9 +36,7 @@ fn bench_mapreduce_engine(c: &mut Criterion) {
 /// Merge-heavy configurations: tiny sort buffers force many spills (so the
 /// map side merges hundreds of sorted runs per partition) and tiny blocks
 /// force many map tasks (so each reducer merges one segment per mapper).
-/// These are the configurations the heap k-way merge is built for; the
-/// speedup over the pre-overhaul linear-scan merge is recorded in
-/// `BENCH_engine.json` at the repo root.
+/// These are the configurations the heap k-way merge is built for.
 ///
 /// Input is generated *outside* the timed loop — unlike the functional
 /// group above, these benches time the engine alone, not the data

@@ -33,11 +33,9 @@ pub use hhsim_hdfs::LocalityTier;
 use hhsim_hdfs::{NodeId as HdfsNodeId, Topology};
 use hhsim_sched::{paper_schedule, CostTable, JobClass};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
-use std::rc::Rc;
 
 /// A batch of identically-shaped tasks to schedule on the cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -419,12 +417,8 @@ pub struct FreeSlots {
 }
 
 impl FreeSlots {
-    /// All nodes alive and usable (the fault-free engine).
-    fn new(cluster: &Cluster) -> Self {
-        Self::with_dead(cluster, None)
-    }
-
-    /// `dead[n]` nodes start dead: zero free slots, never usable.
+    /// `dead[n]` nodes start dead: zero free slots, never usable; `None`
+    /// (the fault-free engine) starts every node alive.
     fn with_dead(cluster: &Cluster, dead: Option<&[bool]>) -> Self {
         let n = cluster.nodes.len();
         let mut fs = FreeSlots {
@@ -883,16 +877,102 @@ pub struct PhaseRun {
     pub faults: FaultStats,
 }
 
-/// Mutable state shared between the completion events of one run.
+impl PhaseRun {
+    /// The run of a phase without tasks on `capacity` slots.
+    fn idle(capacity: usize) -> Self {
+        PhaseRun {
+            makespan_s: 0.0,
+            spans: Vec::new(),
+            slots: SlotStats {
+                capacity,
+                ..SlotStats::default()
+            },
+            wasted: Vec::new(),
+            recovered: Vec::new(),
+            annotations: Vec::new(),
+            faults: FaultStats::default(),
+        }
+    }
+}
+
+/// Slot bookkeeping of one engine run, shared by the fault-free and the
+/// fault-aware engine: which slots are free, which wave each is on, who
+/// is waiting (`Q` is the engine's queue entry), and the admission
+/// counters. `slots` also carries node health: dead and blacklisted
+/// nodes are unusable.
 #[derive(Debug)]
-struct EngineState {
+struct SlotBook<Q> {
     slots: FreeSlots,
     slot_table: SlotTable,
     slot_waves: Vec<Vec<usize>>,
-    queue: VecDeque<usize>,
+    queue: VecDeque<Q>,
     in_use: usize,
     max_finish: SimTime,
     stats: SlotStats,
+}
+
+impl<Q> SlotBook<Q> {
+    /// Every slot of `cluster` free (none on `dead` nodes), `queue` waiting.
+    fn new(cluster: &Cluster, dead: Option<&[bool]>, queue: VecDeque<Q>) -> Self {
+        SlotBook {
+            slots: FreeSlots::with_dead(cluster, dead),
+            slot_table: SlotTable::new(cluster),
+            slot_waves: cluster.nodes.iter().map(|n| vec![0; n.slots]).collect(),
+            queue,
+            in_use: 0,
+            max_finish: SimTime::ZERO,
+            stats: SlotStats {
+                capacity: cluster.total_slots(),
+                ..SlotStats::default()
+            },
+        }
+    }
+
+    /// Marks the first idle slot on `node` busy; returns `(slot, wave)`.
+    fn claim_slot(&mut self, node: usize) -> (usize, usize) {
+        self.slots.claim(node);
+        self.in_use += 1;
+        self.stats.peak_in_use = self.stats.peak_in_use.max(self.in_use);
+        let slot = self.slot_table.claim_first(node);
+        match self.slot_waves.get_mut(node).and_then(|w| w.get_mut(slot)) {
+            Some(w) => {
+                *w += 1;
+                (slot, *w)
+            }
+            None => (slot, 0), // unreachable: slot ids come from the table
+        }
+    }
+
+    /// Returns an attempt's slot to the pool (no-op free count on a node
+    /// that has since crashed: its pool is already zeroed forever).
+    fn release_slot(&mut self, node: usize, slot: usize) {
+        self.slots.release(node);
+        self.in_use -= 1;
+        self.slot_table.release(node, slot);
+    }
+
+    /// Counts a launch that spent `wait` in the queue.
+    fn note_wait(&mut self, wait: SimTime) {
+        if !wait.is_zero() {
+            self.stats.tasks_queued += 1;
+            self.stats.total_wait_s += wait.as_secs_f64();
+        }
+    }
+
+    /// Extends the makespan to a completion at `now`.
+    fn note_finish(&mut self, now: SimTime) {
+        if now > self.max_finish {
+            self.max_finish = now;
+        }
+    }
+}
+
+/// The fault-free engine's only calendar event: the task on `slot` of
+/// `node` completed.
+#[derive(Debug, Clone, Copy)]
+struct Done {
+    node: usize,
+    slot: usize,
 }
 
 /// Drains `load` over `cluster` under `placement`, recording a span per
@@ -912,81 +992,34 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
         cluster.nodes.len(),
         "one timing entry per node"
     );
-    let mut stats = SlotStats {
-        capacity,
-        ..SlotStats::default()
-    };
     if load.tasks == 0 {
-        return PhaseRun {
-            makespan_s: 0.0,
-            spans: Vec::new(),
-            slots: stats,
-            wasted: Vec::new(),
-            recovered: Vec::new(),
-            annotations: Vec::new(),
-            faults: FaultStats::default(),
-        };
+        return PhaseRun::idle(capacity);
     }
 
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::default();
     let mut spans: Vec<Option<TaskSpan>> = vec![None; load.tasks];
-    stats.max_queue_len = load.tasks.saturating_sub(capacity);
-    let state = Rc::new(RefCell::new(EngineState {
-        slots: FreeSlots::new(cluster),
-        slot_table: SlotTable::new(cluster),
-        slot_waves: cluster.nodes.iter().map(|n| vec![0; n.slots]).collect(),
-        queue: (0..load.tasks).collect(),
-        in_use: 0,
-        max_finish: SimTime::ZERO,
-        stats,
-    }));
-
-    // Launches queued tasks while slots are free. Runs synchronously at
-    // phase start and again after every completion event, so grant order
-    // is FIFO at identical virtual times — exactly the slot-pool
-    // semantics of the flat model this engine replaced.
-    let dispatch = |sim: &mut Simulation,
-                    state: &Rc<RefCell<EngineState>>,
-                    placement: &mut dyn Placement,
-                    spans: &mut Vec<Option<TaskSpan>>| {
-        loop {
-            let task = {
-                let st = state.borrow();
-                if st.queue.is_empty() || st.slots.total_free() == 0 {
-                    break;
-                }
-                *st.queue.front().expect("non-empty queue")
+    let mut book = SlotBook::new(cluster, None, (0..load.tasks).collect());
+    book.stats.max_queue_len = load.tasks.saturating_sub(capacity);
+    loop {
+        // Launch queued tasks while slots are free: at phase start and
+        // again after every completion, so grant order is FIFO at
+        // identical virtual times — exactly the slot-pool semantics of
+        // the flat model this engine replaced.
+        while book.slots.total_free() > 0 {
+            let Some(&task) = book.queue.front() else {
+                break;
             };
             let (node, tier) =
-                placement.place_local(task, cluster, &state.borrow().slots, load.locality.as_ref());
+                placement.place_local(task, cluster, &book.slots, load.locality.as_ref());
+            assert!(book.slots.free(node) > 0, "placement chose a busy node");
+            book.queue.pop_front();
             let now = sim.now();
-            let (slot, wave, dur) = {
-                let mut st = state.borrow_mut();
-                assert!(st.slots.free(node) > 0, "placement chose a busy node");
-                st.queue.pop_front();
-                st.slots.claim(node);
-                st.in_use += 1;
-                let in_use = st.in_use;
-                st.stats.peak_in_use = st.stats.peak_in_use.max(in_use);
-                let slot = st.slot_table.claim_first(node);
-                let wave = match st.slot_waves.get_mut(node).and_then(|w| w.get_mut(slot)) {
-                    Some(w) => {
-                        *w += 1;
-                        *w
-                    }
-                    None => 0, // unreachable: slot ids come from the slot table
-                };
-                if !now.is_zero() {
-                    st.stats.tasks_queued += 1;
-                    st.stats.total_wait_s += now.as_secs_f64();
-                }
-                let t = &load.timing[node];
-                let dur = SimTime::from_secs_f64(
-                    t.task_seconds * jitter(task) + t.overhead_seconds + load.extra_for(task, tier),
-                );
-                (slot, wave, dur)
-            };
-            let finish = now + dur;
+            let (slot, wave) = book.claim_slot(node);
+            book.note_wait(now);
+            let t = &load.timing[node];
+            let dur = SimTime::from_secs_f64(
+                t.task_seconds * jitter(task) + t.overhead_seconds + load.extra_for(task, tier),
+            );
             spans[task] = Some(TaskSpan {
                 phase: String::new(),
                 task,
@@ -995,42 +1028,26 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
                 wave,
                 queued_s: 0.0,
                 launched_s: now.as_secs_f64(),
-                finished_s: finish.as_secs_f64(),
+                finished_s: (now + dur).as_secs_f64(),
                 attempt: 1,
                 outcome: AttemptOutcome::Success,
                 tier,
             });
-            let state = state.clone();
-            sim.schedule_in(dur, move |sim| {
-                let mut st = state.borrow_mut();
-                st.slots.release(node);
-                st.in_use -= 1;
-                st.slot_table.release(node, slot);
-                if sim.now() > st.max_finish {
-                    st.max_finish = sim.now();
-                }
-            });
+            sim.push_in(dur, Done { node, slot });
         }
-    };
-
-    dispatch(&mut sim, &state, placement, &mut spans);
-    // Drive the calendar one event at a time so the placement policy
-    // (a &mut borrow that cannot move into event closures) runs between
-    // events; `Simulation::run()`'s final clock is the last completion.
-    while sim.step() {
-        dispatch(&mut sim, &state, placement, &mut spans);
+        let Some(Done { node, slot }) = sim.pop() else {
+            break;
+        };
+        book.release_slot(node, slot);
+        book.note_finish(sim.now());
     }
-
-    let st = Rc::try_unwrap(state)
-        .expect("all completion events have run")
-        .into_inner();
     PhaseRun {
-        makespan_s: st.max_finish.as_secs_f64(),
+        makespan_s: book.max_finish.as_secs_f64(),
         spans: spans
             .into_iter()
             .map(|s| s.expect("every task was launched"))
             .collect(),
-        slots: st.stats,
+        slots: book.stats,
         wasted: Vec::new(),
         recovered: Vec::new(),
         annotations: Vec::new(),
@@ -1130,18 +1147,32 @@ struct FetchCtx {
     gated: Vec<QueueEntry>,
 }
 
-/// Shared state of one fault-aware engine run.
+/// Calendar events of the fault-aware engine. Payloads are ids only; the
+/// handlers look everything else up in [`FaultState`].
+#[derive(Debug, Clone, Copy)]
+enum FaultEvent {
+    /// Attempt `attempt` of `task` ran to completion.
+    AttemptDone { task: usize, attempt: u32 },
+    /// Attempt `attempt` of `task` hit its injected failure.
+    AttemptFailed { task: usize, attempt: u32 },
+    /// `task`'s backoff is over; it re-enters the queue.
+    Requeue { task: usize },
+    /// Re-execution `attempt` of the lost map with engine id `id` landed.
+    ReexecDone { id: usize, attempt: u32 },
+    /// Re-execution `attempt` of engine id `id` hit its injected failure.
+    ReexecFailed { id: usize, attempt: u32 },
+    /// Lost map `map`'s backoff is over; it re-enters the recovery queue.
+    ReexecRequeue { map: usize },
+    /// Marker for a whole-rack outage, ahead of the member nodes' crashes.
+    RackCrash { rack: usize },
+    /// `node` dies, and with it the map outputs it held.
+    NodeCrash { node: usize },
+}
+
+/// State of one fault-aware engine run.
 #[derive(Debug)]
 struct FaultState {
-    // Slot bookkeeping (mirrors the fault-free `EngineState`). `slots`
-    // also carries node health: dead and blacklisted nodes are unusable.
-    slots: FreeSlots,
-    slot_table: SlotTable,
-    slot_waves: Vec<Vec<usize>>,
-    queue: VecDeque<QueueEntry>,
-    in_use: usize,
-    max_finish: SimTime,
-    stats: SlotStats,
+    book: SlotBook<QueueEntry>,
     node_failures: Vec<u32>,
     // Per-task recovery state.
     running: Vec<Vec<RunningAttempt>>,
@@ -1187,30 +1218,6 @@ struct FaultState {
 const NOT_RUNNING: usize = usize::MAX;
 
 impl FaultState {
-    /// Marks the first idle slot on `node` busy; returns `(slot, wave)`.
-    fn claim_slot(&mut self, node: usize) -> (usize, usize) {
-        self.slots.claim(node);
-        self.in_use += 1;
-        let in_use = self.in_use;
-        self.stats.peak_in_use = self.stats.peak_in_use.max(in_use);
-        let slot = self.slot_table.claim_first(node);
-        match self.slot_waves.get_mut(node).and_then(|w| w.get_mut(slot)) {
-            Some(w) => {
-                *w += 1;
-                (slot, *w)
-            }
-            None => (slot, 0), // unreachable: slot ids come from the table
-        }
-    }
-
-    /// Returns an attempt's slot to the pool (no-op free count on a node
-    /// that has since crashed: its pool is already zeroed forever).
-    fn release_slot(&mut self, node: usize, slot: usize) {
-        self.slots.release(node);
-        self.in_use -= 1;
-        self.slot_table.release(node, slot);
-    }
-
     /// Adds `task` to the in-flight set (idempotent).
     fn note_running(&mut self, task: usize) {
         if self.running_pos.get(task).copied() != Some(NOT_RUNNING) {
@@ -1271,10 +1278,10 @@ impl FaultState {
         let fails = self.node_failures.get(node).copied().unwrap_or(0);
         if limit > 0
             && fails >= limit
-            && self.slots.usable(node)
-            && self.slots.usable_other_than(node)
+            && self.book.slots.usable(node)
+            && self.book.slots.usable_other_than(node)
         {
-            self.slots.set_unusable(node);
+            self.book.slots.set_unusable(node);
             self.fstats.blacklisted_nodes += 1;
             self.maybe_blacklist_rack(node, now);
         }
@@ -1302,13 +1309,13 @@ impl FaultState {
             return;
         }
         let nodes = self.node_failures.len();
-        let usable_elsewhere = (0..nodes).any(|n| n % racks != rack && self.slots.usable(n));
+        let usable_elsewhere = (0..nodes).any(|n| n % racks != rack && self.book.slots.usable(n));
         if !usable_elsewhere {
             return;
         }
         for n in (rack..nodes).step_by(racks) {
-            if self.slots.usable(n) {
-                self.slots.set_unusable(n);
+            if self.book.slots.usable(n) {
+                self.book.slots.set_unusable(n);
             }
         }
         if let Some(b) = self.rack_blacklisted.get_mut(rack) {
@@ -1348,8 +1355,8 @@ impl FaultState {
 /// its failure or completion event per the fault plan.
 #[allow(clippy::too_many_arguments)]
 fn launch_attempt(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
+    sim: &mut Simulation<FaultEvent>,
+    st: &mut FaultState,
     load: &PhaseLoad,
     faults: &PhaseFaults,
     task: usize,
@@ -1358,16 +1365,11 @@ fn launch_attempt(
     speculative: bool,
 ) {
     let now = sim.now();
-    let mut st = state.borrow_mut();
     let attempt = st.next_attempt[task];
     st.next_attempt[task] += 1;
     st.waiting[task] = false;
-    let (slot, wave) = st.claim_slot(node);
-    let wait = now.saturating_sub(queued);
-    if !wait.is_zero() {
-        st.stats.tasks_queued += 1;
-        st.stats.total_wait_s += wait.as_secs_f64();
-    }
+    let (slot, wave) = st.book.claim_slot(node);
+    st.book.note_wait(now.saturating_sub(queued));
     let tier = load.tier_for(task, node);
     let t = &load.timing[node];
     // A degraded rack uplink multiplies only the network-borne extras
@@ -1390,18 +1392,11 @@ fn launch_attempt(
         st.fstats.speculative_launched += 1;
     }
     let event = match faults.plan.attempt_failure(task, attempt) {
-        Some(frac) => {
-            let st = state.clone();
-            sim.schedule_in(SimTime::from_secs_f64(dur_s * frac), move |sim| {
-                attempt_failed(sim, &st, task, attempt);
-            })
-        }
-        None => {
-            let st = state.clone();
-            sim.schedule_in(dur, move |sim| {
-                attempt_completed(sim, &st, task, attempt);
-            })
-        }
+        Some(frac) => sim.push_in(
+            SimTime::from_secs_f64(dur_s * frac),
+            FaultEvent::AttemptFailed { task, attempt },
+        ),
+        None => sim.push_in(dur, FaultEvent::AttemptDone { task, attempt }),
     };
     if let Some(list) = st.running.get_mut(task) {
         list.push(RunningAttempt {
@@ -1424,17 +1419,16 @@ fn launch_attempt(
 /// Completion event: the first finisher wins its task; any rival attempt
 /// is cancelled (Hadoop kills the loser of a speculative race).
 fn attempt_completed(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
+    sim: &mut Simulation<FaultEvent>,
+    st: &mut FaultState,
     task: usize,
     attempt: u32,
 ) {
-    let mut st = state.borrow_mut();
     let now = sim.now();
     let Some(r) = st.take_running(task, attempt) else {
         return;
     };
-    st.release_slot(r.node, r.slot);
+    st.book.release_slot(r.node, r.slot);
     if st.error.is_some() {
         // Phase already failed; just drain the calendar.
         return;
@@ -1458,12 +1452,10 @@ fn attempt_completed(
         outcome: AttemptOutcome::Success,
         tier: r.tier,
     });
-    if now > st.max_finish {
-        st.max_finish = now;
-    }
+    st.book.note_finish(now);
     while let Some(rival) = st.running.get_mut(task).and_then(|l| l.pop()) {
         sim.cancel(rival.event);
-        st.release_slot(rival.node, rival.slot);
+        st.book.release_slot(rival.node, rival.slot);
         st.record_wasted(task, &rival, now, AttemptOutcome::Cancelled);
         st.fstats.cancelled_attempts += 1;
     }
@@ -1474,17 +1466,16 @@ fn attempt_completed(
 /// and re-queue the task after exponential backoff — or fail the phase
 /// once `max_attempts` is exhausted.
 fn attempt_failed(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
+    sim: &mut Simulation<FaultEvent>,
+    st: &mut FaultState,
     task: usize,
     attempt: u32,
 ) {
-    let mut st = state.borrow_mut();
     let now = sim.now();
     let Some(r) = st.take_running(task, attempt) else {
         return;
     };
-    st.release_slot(r.node, r.slot);
+    st.book.release_slot(r.node, r.slot);
     if st.error.is_some() {
         return;
     }
@@ -1507,29 +1498,21 @@ fn attempt_failed(
     }
     let delay = SimTime::from_secs_f64(st.policy.backoff_s(st.failed[task]));
     st.waiting[task] = true;
-    let stc = state.clone();
-    sim.schedule_in(delay, move |sim| {
-        let mut st = stc.borrow_mut();
-        if st.error.is_none() {
-            let queued = sim.now();
-            st.queue.push_back(QueueEntry { task, queued });
-        }
-    });
+    sim.push_in(delay, FaultEvent::Requeue { task });
 }
 
 /// Node-crash event: the node's slots disappear for the rest of the run
 /// and every in-flight attempt on it is killed. Killed attempts do not
 /// count against `max_attempts` (Hadoop's KILLED vs FAILED distinction)
 /// and re-queue immediately.
-fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize) {
-    let mut st = state.borrow_mut();
-    if st.error.is_some() || st.pending == 0 || !st.slots.alive(node) {
+fn crash_node(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: usize) {
+    if st.error.is_some() || st.pending == 0 || !st.book.slots.alive(node) {
         // The phase is already over (the crash belongs to a later phase,
         // handled there via `dead_at_start`) or has failed.
         return;
     }
     let now = sim.now();
-    st.slots.kill(node);
+    st.book.slots.kill(node);
     st.fstats.node_crashes += 1;
     // Only the in-flight set can have attempts on the dead node; sort it
     // so victims are processed in ascending task order, exactly as the
@@ -1561,8 +1544,7 @@ fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize
                 break;
             };
             sim.cancel(r.event);
-            st.in_use -= 1;
-            st.slot_table.release(node, r.slot);
+            st.book.release_slot(node, r.slot);
             st.record_wasted(task, &r, now, AttemptOutcome::Killed);
             st.fstats.killed_attempts += 1;
             let idle = st.running.get(task).is_some_and(|l| l.is_empty());
@@ -1586,7 +1568,7 @@ fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize
                         });
                     }
                 } else {
-                    st.queue.push_back(QueueEntry { task, queued: now });
+                    st.book.queue.push_back(QueueEntry { task, queued: now });
                 }
             }
         }
@@ -1599,15 +1581,14 @@ fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize
 /// nodes' own crash events at the same instant, so "some node of the
 /// rack was still alive" distinguishes a real rack outage from racks
 /// that had already bled out node by node.
-fn rack_crashed(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, rack: usize, racks: usize) {
-    let mut st = state.borrow_mut();
+fn rack_crashed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, rack: usize) {
     if st.error.is_some() || st.pending == 0 {
         return;
     }
     let nodes = st.node_failures.len();
     let any_alive = (rack..nodes)
-        .step_by(racks.max(1))
-        .any(|n| st.slots.alive(n));
+        .step_by(st.racks.max(1))
+        .any(|n| st.book.slots.alive(n));
     if !any_alive {
         return;
     }
@@ -1623,8 +1604,7 @@ fn rack_crashed(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, rack: usi
 /// until the lost maps have been re-executed on surviving nodes. A map
 /// whose every input replica is also gone fails the phase with
 /// [`PhaseError::DataLost`].
-fn fetch_on_crash(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize) {
-    let mut st = state.borrow_mut();
+fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: usize) {
     if st.fetch.is_none() || st.error.is_some() || st.pending == 0 {
         return;
     }
@@ -1645,7 +1625,7 @@ fn fetch_on_crash(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: u
         return;
     }
     let nodes = st.node_failures.len();
-    let alive: Vec<bool> = (0..nodes).map(|n| st.slots.alive(n)).collect();
+    let alive: Vec<bool> = (0..nodes).map(|n| st.book.slots.alive(n)).collect();
     for m in lost {
         let all_replicas_gone = st.fetch.as_ref().map_or(true, |f| {
             f.replicas.get(m).map_or(true, |reps| {
@@ -1704,7 +1684,7 @@ fn fetch_on_crash(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: u
     for task in victims {
         while let Some(r) = st.running.get_mut(task).and_then(|l| l.pop()) {
             sim.cancel(r.event);
-            st.release_slot(r.node, r.slot);
+            st.book.release_slot(r.node, r.slot);
             st.record_wasted(task, &r, now, AttemptOutcome::FetchFailed);
             st.fstats.fetch_failures += 1;
         }
@@ -1748,9 +1728,9 @@ fn choose_reexec_node(st: &FaultState, map: usize) -> ReexecChoice {
         .map(|v| v.iter().map(|&r| HdfsNodeId(r)).collect())
         .unwrap_or_default();
     let nodes = st.node_failures.len();
-    let alive: Vec<bool> = (0..nodes).map(|n| st.slots.alive(n)).collect();
+    let alive: Vec<bool> = (0..nodes).map(|n| st.book.slots.alive(n)).collect();
     let mut best: Option<(LocalityTier, usize)> = None;
-    for n in st.slots.free_nodes() {
+    for n in st.book.slots.free_nodes() {
         let Some(tier) = f.topology.surviving_tier(HdfsNodeId(n), &reps, &alive) else {
             return ReexecChoice::DataLost;
         };
@@ -1778,8 +1758,8 @@ fn choose_reexec_node(st: &FaultState, map: usize) -> ReexecChoice {
 /// tier's read cost, and the same injected-failure draws as any other
 /// attempt — re-executions can fail, be killed or be blacklisted too.
 fn launch_reexec(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
+    sim: &mut Simulation<FaultEvent>,
+    st: &mut FaultState,
     faults: &PhaseFaults,
     map: usize,
     queued: SimTime,
@@ -1787,7 +1767,6 @@ fn launch_reexec(
     tier: LocalityTier,
 ) {
     let now = sim.now();
-    let mut st = state.borrow_mut();
     let Some(id) = st
         .fetch
         .as_ref()
@@ -1803,12 +1782,8 @@ fn launch_reexec(
     if let Some(w) = st.waiting.get_mut(id) {
         *w = false;
     }
-    let (slot, wave) = st.claim_slot(node);
-    let wait = now.saturating_sub(queued);
-    if !wait.is_zero() {
-        st.stats.tasks_queued += 1;
-        st.stats.total_wait_s += wait.as_secs_f64();
-    }
+    let (slot, wave) = st.book.claim_slot(node);
+    st.book.note_wait(now.saturating_sub(queued));
     let (task_s, over_s) = st
         .fetch
         .as_ref()
@@ -1831,18 +1806,11 @@ fn launch_reexec(
     st.rate_sum += rate;
     st.rate_count += 1;
     let event = match faults.plan.attempt_failure(id, attempt) {
-        Some(frac) => {
-            let stc = state.clone();
-            sim.schedule_in(SimTime::from_secs_f64(dur_s * frac), move |sim| {
-                reexec_failed(sim, &stc, id, attempt);
-            })
-        }
-        None => {
-            let stc = state.clone();
-            sim.schedule_in(dur, move |sim| {
-                reexec_completed(sim, &stc, id, attempt);
-            })
-        }
+        Some(frac) => sim.push_in(
+            SimTime::from_secs_f64(dur_s * frac),
+            FaultEvent::ReexecFailed { id, attempt },
+        ),
+        None => sim.push_in(dur, FaultEvent::ReexecDone { id, attempt }),
     };
     if let Some(list) = st.running.get_mut(id) {
         list.push(RunningAttempt {
@@ -1866,17 +1834,16 @@ fn launch_reexec(
 /// to the new holder, and — once no re-execution is outstanding —
 /// release the gated reduces back into the queue.
 fn reexec_completed(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
+    sim: &mut Simulation<FaultEvent>,
+    st: &mut FaultState,
     id: usize,
     attempt: u32,
 ) {
-    let mut st = state.borrow_mut();
     let now = sim.now();
     let Some(r) = st.take_running(id, attempt) else {
         return;
     };
-    st.release_slot(r.node, r.slot);
+    st.book.release_slot(r.node, r.slot);
     if st.error.is_some() {
         return;
     }
@@ -1901,9 +1868,7 @@ fn reexec_completed(
         tier: r.tier,
     });
     st.fstats.reexecuted_maps += 1;
-    if now > st.max_finish {
-        st.max_finish = now;
-    }
+    st.book.note_finish(now);
     let released = match st.fetch.as_mut() {
         Some(f) => {
             if let Some(h) = f.holders.get_mut(map) {
@@ -1922,20 +1887,19 @@ fn reexec_completed(
         None => Vec::new(),
     };
     for e in released {
-        st.queue.push_back(e);
+        st.book.queue.push_back(e);
     }
 }
 
 /// A re-execution attempt hit an injected failure: same accounting as
 /// [`attempt_failed`] (wasted span, node failure, blacklisting, backoff
 /// re-queue, attempt exhaustion) against the *map* task.
-fn reexec_failed(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, id: usize, attempt: u32) {
-    let mut st = state.borrow_mut();
+fn reexec_failed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, id: usize, attempt: u32) {
     let now = sim.now();
     let Some(r) = st.take_running(id, attempt) else {
         return;
     };
-    st.release_slot(r.node, r.slot);
+    st.book.release_slot(r.node, r.slot);
     if st.error.is_some() {
         return;
     }
@@ -1964,16 +1928,7 @@ fn reexec_failed(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, id: usiz
     if let Some(w) = st.waiting.get_mut(id) {
         *w = true;
     }
-    let stc = state.clone();
-    sim.schedule_in(delay, move |sim| {
-        let mut st = stc.borrow_mut();
-        if st.error.is_none() {
-            let queued = sim.now();
-            if let Some(f) = st.fetch.as_mut() {
-                f.queue.push_back(QueueEntry { task: map, queued });
-            }
-        }
-    });
+    sim.push_in(delay, FaultEvent::ReexecRequeue { map });
 }
 
 /// LATE speculation: among tasks with a single running attempt that has
@@ -2025,7 +1980,7 @@ fn choose_speculation(
     let primary = *st.running.get(task)?.first()?;
     let aj = attempt_jitter(task, st.next_attempt.get(task).copied()?);
     let mut best: Option<(f64, usize)> = None;
-    for node in st.slots.free_nodes() {
+    for node in st.book.slots.free_nodes() {
         if node == primary.node {
             continue;
         }
@@ -2097,36 +2052,22 @@ pub fn run_phase_faulty_fetch(
         nodes,
         "one liveness entry per node"
     );
-    let stats = SlotStats {
-        capacity,
-        ..SlotStats::default()
-    };
     if load.tasks == 0 {
-        return Ok(PhaseRun {
-            makespan_s: 0.0,
-            spans: Vec::new(),
-            slots: stats,
-            wasted: Vec::new(),
-            recovered: Vec::new(),
-            annotations: Vec::new(),
-            faults: FaultStats::default(),
-        });
+        return Ok(PhaseRun::idle(capacity));
     }
 
-    let mut sim = Simulation::new();
-    let state = Rc::new(RefCell::new(FaultState {
-        slots: FreeSlots::with_dead(cluster, Some(&faults.dead_at_start)),
-        slot_table: SlotTable::new(cluster),
-        slot_waves: cluster.nodes.iter().map(|n| vec![0; n.slots]).collect(),
-        queue: (0..load.tasks)
-            .map(|task| QueueEntry {
-                task,
-                queued: SimTime::ZERO,
-            })
-            .collect(),
-        in_use: 0,
-        max_finish: SimTime::ZERO,
-        stats,
+    let mut sim = Simulation::default();
+    let mut st = FaultState {
+        book: SlotBook::new(
+            cluster,
+            Some(&faults.dead_at_start),
+            (0..load.tasks)
+                .map(|task| QueueEntry {
+                    task,
+                    queued: SimTime::ZERO,
+                })
+                .collect(),
+        ),
         node_failures: vec![0; nodes],
         running: vec![Vec::new(); load.tasks],
         running_tasks: Vec::new(),
@@ -2163,14 +2104,14 @@ pub fn run_phase_faulty_fetch(
             outstanding: 0,
             gated: Vec::new(),
         }),
-    }));
+    };
 
     // Map outputs on nodes that died between the phases are lost before
     // the first reduce even launches.
     if fetch.is_some() {
         for (node, &dead) in faults.dead_at_start.iter().enumerate() {
             if dead {
-                fetch_on_crash(&mut sim, &state, node);
+                fetch_on_crash(&mut sim, &mut st, node);
             }
         }
     }
@@ -2179,55 +2120,45 @@ pub fn run_phase_faulty_fetch(
     // own crash events, so at an identical timestamp the marker still
     // sees the rack alive.
     if faults.domains.racks > 0 {
-        let racks = faults.domains.racks;
         for (rack, crash) in faults.domains.rack_crash_at_s.iter().enumerate() {
             if let Some(t) = crash {
-                let st = state.clone();
-                sim.schedule_at(SimTime::from_secs_f64(*t), move |sim| {
-                    rack_crashed(sim, &st, rack, racks);
-                });
+                sim.push_at(SimTime::from_secs_f64(*t), FaultEvent::RackCrash { rack });
             }
         }
     }
 
     for (node, crash) in faults.crash_at_s.iter().enumerate() {
         if let Some(t) = crash {
-            let st = state.clone();
-            sim.schedule_at(SimTime::from_secs_f64(*t), move |sim| {
-                crash_node(sim, &st, node);
-                fetch_on_crash(sim, &st, node);
-            });
+            sim.push_at(SimTime::from_secs_f64(*t), FaultEvent::NodeCrash { node });
         }
     }
 
-    // Same grant discipline as the fault-free engine — FIFO queue,
-    // placement picks the node — plus a speculation pass once the queue
-    // is empty.
-    let dispatch = |sim: &mut Simulation, placement: &mut dyn Placement| {
-        loop {
-            {
-                let st = state.borrow();
-                if st.error.is_some() || st.slots.total_free() == 0 {
-                    break;
-                }
-            }
+    loop {
+        // Same grant discipline as the fault-free engine — FIFO queue,
+        // placement picks the node, at phase start and after every event
+        // — plus a speculation pass once the queue is empty.
+        while st.error.is_none() && st.book.slots.total_free() > 0 {
             // Fetch-failure recovery runs ahead of everything else.
-            let reexec = {
-                let st = state.borrow();
-                st.fetch.as_ref().and_then(|f| f.queue.front().copied())
-            };
+            let reexec = st.fetch.as_ref().and_then(|f| f.queue.front().copied());
             if let Some(entry) = reexec {
-                let choice = choose_reexec_node(&state.borrow(), entry.task);
-                match choice {
+                match choose_reexec_node(&st, entry.task) {
                     ReexecChoice::Run(node, tier) => {
-                        if let Some(f) = state.borrow_mut().fetch.as_mut() {
+                        if let Some(f) = st.fetch.as_mut() {
                             f.queue.pop_front();
                         }
-                        launch_reexec(sim, &state, faults, entry.task, entry.queued, node, tier);
+                        launch_reexec(
+                            &mut sim,
+                            &mut st,
+                            faults,
+                            entry.task,
+                            entry.queued,
+                            node,
+                            tier,
+                        );
                         continue;
                     }
                     ReexecChoice::DataLost => {
-                        state.borrow_mut().error = Some(PhaseError::DataLost { task: entry.task });
+                        st.error = Some(PhaseError::DataLost { task: entry.task });
                         break;
                     }
                     ReexecChoice::NoSlot => break,
@@ -2235,34 +2166,24 @@ pub fn run_phase_faulty_fetch(
             }
             // Reduces stall on the shuffle barrier while lost map
             // outputs are being re-executed.
-            if state
-                .borrow()
-                .fetch
-                .as_ref()
-                .is_some_and(|f| f.outstanding > 0)
-            {
+            if st.fetch.as_ref().is_some_and(|f| f.outstanding > 0) {
                 break;
             }
-            let front = state.borrow().queue.front().copied();
-            if let Some(entry) = front {
-                let node = {
-                    let st = state.borrow();
-                    let (node, _tier) = placement.place_local(
-                        entry.task,
-                        cluster,
-                        &st.slots,
-                        load.locality.as_ref(),
-                    );
-                    assert!(
-                        st.slots.free(node) > 0 && st.slots.usable(node),
-                        "placement chose an unusable node"
-                    );
-                    node
-                };
-                state.borrow_mut().queue.pop_front();
+            if let Some(entry) = st.book.queue.front().copied() {
+                let (node, _tier) = placement.place_local(
+                    entry.task,
+                    cluster,
+                    &st.book.slots,
+                    load.locality.as_ref(),
+                );
+                assert!(
+                    st.book.slots.free(node) > 0 && st.book.slots.usable(node),
+                    "placement chose an unusable node"
+                );
+                st.book.queue.pop_front();
                 launch_attempt(
-                    sim,
-                    &state,
+                    &mut sim,
+                    &mut st,
                     load,
                     faults,
                     entry.task,
@@ -2275,29 +2196,53 @@ pub fn run_phase_faulty_fetch(
             if !faults.policy.speculation {
                 break;
             }
-            let pick = {
-                let st = state.borrow();
-                choose_speculation(&st, load, faults, sim.now())
-            };
-            let Some((task, node)) = pick else {
+            let now = sim.now();
+            let Some((task, node)) = choose_speculation(&st, load, faults, now) else {
                 break;
             };
-            let now = sim.now();
-            launch_attempt(sim, &state, load, faults, task, node, now, true);
+            launch_attempt(&mut sim, &mut st, load, faults, task, node, now, true);
         }
-        let mut st = state.borrow_mut();
-        let backlog = st.queue.len();
-        st.stats.max_queue_len = st.stats.max_queue_len.max(backlog);
-    };
+        let backlog = st.book.queue.len();
+        st.book.stats.max_queue_len = st.book.stats.max_queue_len.max(backlog);
 
-    dispatch(&mut sim, placement);
-    while sim.step() {
-        dispatch(&mut sim, placement);
+        let Some(event) = sim.pop() else {
+            break;
+        };
+        match event {
+            FaultEvent::AttemptDone { task, attempt } => {
+                attempt_completed(&mut sim, &mut st, task, attempt);
+            }
+            FaultEvent::AttemptFailed { task, attempt } => {
+                attempt_failed(&mut sim, &mut st, task, attempt);
+            }
+            FaultEvent::Requeue { task } => {
+                if st.error.is_none() {
+                    let queued = sim.now();
+                    st.book.queue.push_back(QueueEntry { task, queued });
+                }
+            }
+            FaultEvent::ReexecDone { id, attempt } => {
+                reexec_completed(&mut sim, &mut st, id, attempt);
+            }
+            FaultEvent::ReexecFailed { id, attempt } => {
+                reexec_failed(&mut sim, &mut st, id, attempt);
+            }
+            FaultEvent::ReexecRequeue { map } => {
+                if st.error.is_none() {
+                    let queued = sim.now();
+                    if let Some(f) = st.fetch.as_mut() {
+                        f.queue.push_back(QueueEntry { task: map, queued });
+                    }
+                }
+            }
+            FaultEvent::RackCrash { rack } => rack_crashed(&mut sim, &mut st, rack),
+            FaultEvent::NodeCrash { node } => {
+                crash_node(&mut sim, &mut st, node);
+                fetch_on_crash(&mut sim, &mut st, node);
+            }
+        }
     }
 
-    let st = Rc::try_unwrap(state)
-        .expect("all calendar events have drained")
-        .into_inner();
     if let Some(e) = st.error {
         return Err(e);
     }
@@ -2309,9 +2254,9 @@ pub fn run_phase_faulty_fetch(
     let spans: Vec<TaskSpan> = st.spans.into_iter().flatten().collect();
     debug_assert_eq!(spans.len(), load.tasks, "one winning span per task");
     Ok(PhaseRun {
-        makespan_s: st.max_finish.as_secs_f64(),
+        makespan_s: st.book.max_finish.as_secs_f64(),
         spans,
-        slots: st.stats,
+        slots: st.book.stats,
         wasted: st.wasted,
         recovered: st.recovered,
         annotations: st.annotations,
@@ -2780,6 +2725,15 @@ impl ClusterTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fails to compile if shared ownership (`Rc`, boxed event closures)
+    /// ever comes back into the engines' state.
+    #[test]
+    fn engine_state_is_send() {
+        fn is_send<T: Send>() {}
+        is_send::<(FaultState, Simulation<FaultEvent>)>();
+        is_send::<(SlotBook<usize>, Simulation<Done>)>();
+    }
 
     fn set(tasks: usize, secs: f64) -> TaskSet {
         TaskSet {

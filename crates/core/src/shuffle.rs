@@ -21,8 +21,6 @@
 
 use hhsim_des::{SimTime, Simulation};
 use hhsim_hdfs::Topology;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// One shuffle transfer: `bytes` moving from node `src` to node `dst`.
 /// Same-node transfers (`src == dst`) never touch the network and
@@ -148,7 +146,17 @@ fn fair_rates(paths: &[Vec<usize>], active: &[bool], links: &Links) -> Vec<f64> 
     rate
 }
 
-/// Fluid-flow state shared between completion events.
+/// Calendar events of the fluid-flow integration.
+#[derive(Debug, Clone, Copy)]
+enum FlowEvent {
+    /// `node` dies: every flow it is still sourcing is cancelled.
+    Crash(usize),
+    /// The earliest finisher at the rates of the last recomputation
+    /// runs dry.
+    Completion,
+}
+
+/// Fluid-flow state between completion events.
 struct FlowState {
     remaining: Vec<f64>,
     active: Vec<bool>,
@@ -189,6 +197,29 @@ impl FlowState {
                 }
                 self.live -= 1;
             }
+        }
+    }
+
+    /// Drops every flow `node` is still sourcing at `now`: the fluid
+    /// system settles at the rates that were valid until then, and the
+    /// next recomputation hands the released bandwidth to the survivors.
+    fn crash(&mut self, node: usize, flows: &[Flow], now: SimTime) {
+        self.settle(now);
+        let now_s = now.as_secs_f64();
+        for (i, f) in flows.iter().enumerate() {
+            if f.src != node || !self.active.get(i).copied().unwrap_or(false) {
+                continue;
+            }
+            if let Some(a) = self.active.get_mut(i) {
+                *a = false;
+            }
+            if let Some(c) = self.cancelled.get_mut(i) {
+                *c = true;
+            }
+            if let Some(f) = self.finish_s.get_mut(i) {
+                *f = now_s;
+            }
+            self.live -= 1;
         }
     }
 
@@ -245,7 +276,6 @@ pub fn flow_finish_times_with_crashes(
 ) -> FlowOutcomes {
     let links = Links::new(topology, nodes.max(1));
     let paths: Vec<Vec<usize>> = flows.iter().map(|f| links.path(f)).collect();
-    let srcs: Vec<usize> = flows.iter().map(|f| f.src).collect();
     let mut active: Vec<bool> = Vec::with_capacity(flows.len());
     let mut live = 0usize;
     for f in flows {
@@ -253,7 +283,7 @@ pub fn flow_finish_times_with_crashes(
         active.push(a);
         live += usize::from(a);
     }
-    let state = Rc::new(RefCell::new(FlowState {
+    let mut st = FlowState {
         remaining: flows.iter().map(|f| f.bytes).collect(),
         rates: vec![0.0; flows.len()],
         finish_s: vec![0.0; flows.len()],
@@ -261,84 +291,37 @@ pub fn flow_finish_times_with_crashes(
         active,
         last_t: SimTime::ZERO,
         live,
-    }));
+    };
 
-    let mut sim = Simulation::new();
-    // Crash events go on the calendar up front: settle the fluid system
-    // at the crash instant with the rates that were valid until then,
-    // then drop every flow the dead node was still sourcing. The main
-    // loop below re-settles fair shares right after, so survivors pick
-    // up the released bandwidth from the crash onward.
+    let mut sim = Simulation::default();
+    // Crash events go on the calendar up front.
     for &(node, at_s) in crashes {
         if at_s < 0.0 {
             continue;
         }
-        let st2 = state.clone();
-        let srcs2 = srcs.clone();
-        sim.schedule_in(SimTime::from_secs_f64(at_s), move |sim| {
-            let mut st = st2.borrow_mut();
-            st.settle(sim.now());
-            let now_s = sim.now().as_secs_f64();
-            for (i, &src) in srcs2.iter().enumerate() {
-                if src != node || !st.active.get(i).copied().unwrap_or(false) {
-                    continue;
-                }
-                if let Some(a) = st.active.get_mut(i) {
-                    *a = false;
-                }
-                if let Some(c) = st.cancelled.get_mut(i) {
-                    *c = true;
-                }
-                if let Some(f) = st.finish_s.get_mut(i) {
-                    *f = now_s;
-                }
-                st.live -= 1;
-            }
-        });
+        sim.push_in(SimTime::from_secs_f64(at_s), FlowEvent::Crash(node));
     }
-
     // One completion event in flight at a time: recompute fair shares,
     // schedule the earliest finisher, settle when it fires, repeat.
     // Crash events may land before a scheduled completion; the stale
     // completion event then just settles (a no-op drain at the already-
     // recomputed rates) and the loop schedules the true next finisher.
-    let schedule_next = |sim: &mut Simulation, state: &Rc<RefCell<FlowState>>| {
-        let mut st = state.borrow_mut();
-        if st.live == 0 {
-            return;
+    loop {
+        if st.live > 0 {
+            st.rates = fair_rates(&paths, &st.active, &links);
+            if let Some(dt) = st.next_completion_s() {
+                sim.push_in(SimTime::from_secs_f64(dt), FlowEvent::Completion);
+            }
         }
-        st.rates = fair_rates(&paths, &st.active, &links);
-        let Some(dt) = st.next_completion_s() else {
-            return;
-        };
-        let st2 = state.clone();
-        sim.schedule_in(SimTime::from_secs_f64(dt), move |sim| {
-            st2.borrow_mut().settle(sim.now());
-        });
-    };
-
-    schedule_next(&mut sim, &state);
-    while sim.step() {
-        schedule_next(&mut sim, &state);
+        match sim.pop() {
+            Some(FlowEvent::Crash(node)) => st.crash(node, flows, sim.now()),
+            Some(FlowEvent::Completion) => st.settle(sim.now()),
+            None => break,
+        }
     }
-
-    match Rc::try_unwrap(state) {
-        Ok(cell) => {
-            let st = cell.into_inner();
-            FlowOutcomes {
-                finish_s: st.finish_s,
-                cancelled: st.cancelled,
-            }
-        }
-        // Unreachable: the calendar has drained, so no event closure
-        // still holds a clone.
-        Err(rc) => {
-            let st = rc.borrow();
-            FlowOutcomes {
-                finish_s: st.finish_s.clone(),
-                cancelled: st.cancelled.clone(),
-            }
-        }
+    FlowOutcomes {
+        finish_s: st.finish_s,
+        cancelled: st.cancelled,
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Two implementations stand behind [`crate::Simulation`]:
 //!
-//! * **Heap** — the reference `BinaryHeap<Reverse<Scheduled>>`. Simple,
+//! * **Heap** — the reference `BinaryHeap<Reverse<Scheduled<E>>>`. Simple,
 //!   obviously correct, `O(log n)` per operation with a constant factor
 //!   that grows with the pending-event count.
 //! * **Ladder** — a bucketed calendar queue for dense runs (10k-node /
@@ -20,7 +20,6 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::sim::{EventFn, EventId};
 use crate::SimTime;
 
 /// Calendar position of an event. The *derived* lexicographic order —
@@ -34,24 +33,24 @@ pub(crate) struct CalendarKey {
     pub(crate) seq: u64,
 }
 
-pub(crate) struct Scheduled {
+/// One pending event: an opaque payload ordered by its calendar key alone.
+pub(crate) struct Scheduled<E> {
     pub(crate) key: CalendarKey,
-    pub(crate) id: EventId,
-    pub(crate) action: Option<EventFn>,
+    pub(crate) event: E,
 }
 
-impl PartialEq for Scheduled {
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.key.cmp(&other.key)
     }
@@ -63,10 +62,8 @@ impl Ord for Scheduled {
 /// migrates to the ladder once the pending-event count crosses
 /// [`AUTO_LADDER_THRESHOLD`] — small interactive simulations never pay
 /// the ladder's bucket bookkeeping, dense cluster runs never pay
-/// `O(log n)` heap churn. The `HHSIM_CALENDAR` environment variable
-/// (`heap` / `ladder` / `auto`, read once per process) overrides the
-/// default for [`crate::Simulation::new`], which is how CI regenerates
-/// every artifact under each backend explicitly.
+/// `O(log n)` heap churn. Pinning a backend is for the differential oracle
+/// and for benchmarks that measure one backend alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CalendarKind {
     /// Heap first, ladder beyond [`AUTO_LADDER_THRESHOLD`] pending events.
@@ -85,12 +82,12 @@ pub const AUTO_LADDER_THRESHOLD: usize = 4096;
 /// Bucket count targeted when the ladder re-buckets its overflow.
 const TARGET_RUNGS: u64 = 64;
 
-pub(crate) enum Calendar {
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-    Ladder(Ladder),
+pub(crate) enum Calendar<E> {
+    Heap(BinaryHeap<Reverse<Scheduled<E>>>),
+    Ladder(Ladder<E>),
 }
 
-impl Calendar {
+impl<E> Calendar<E> {
     pub(crate) fn new(kind: CalendarKind) -> Self {
         match kind {
             CalendarKind::Auto | CalendarKind::Heap => Calendar::Heap(BinaryHeap::new()),
@@ -105,18 +102,14 @@ impl Calendar {
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub(crate) fn push(&mut self, ev: Scheduled) {
+    pub(crate) fn push(&mut self, ev: Scheduled<E>) {
         match self {
             Calendar::Heap(h) => h.push(Reverse(ev)),
             Calendar::Ladder(l) => l.push(ev),
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Scheduled> {
+    pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
         match self {
             Calendar::Heap(h) => h.pop().map(|Reverse(ev)| ev),
             Calendar::Ladder(l) => l.pop(),
@@ -136,7 +129,7 @@ impl Calendar {
     /// Rebuilds the pending events into a ladder (no-op if already one).
     pub(crate) fn migrate_to_ladder(&mut self) {
         if let Calendar::Heap(heap) = self {
-            let events: Vec<Scheduled> = std::mem::take(heap)
+            let events: Vec<Scheduled<E>> = std::mem::take(heap)
                 .into_iter()
                 .map(|Reverse(ev)| ev)
                 .collect();
@@ -173,18 +166,18 @@ impl Calendar {
 /// timestamps always sit in the same zone relative to any boundary and
 /// their FIFO `seq` tie-break is decided by the active heap — never by
 /// bucket order.
-pub(crate) struct Ladder {
-    active: BinaryHeap<Reverse<Scheduled>>,
+pub(crate) struct Ladder<E> {
+    active: BinaryHeap<Reverse<Scheduled<E>>>,
     /// Exclusive upper time bound of `active`, nanoseconds.
     active_end_ns: u64,
-    buckets: VecDeque<Vec<Scheduled>>,
+    buckets: VecDeque<Vec<Scheduled<E>>>,
     /// Width of one bucket, nanoseconds (always >= 1).
     width_ns: u64,
-    overflow: Vec<Scheduled>,
+    overflow: Vec<Scheduled<E>>,
     len: usize,
 }
 
-impl Ladder {
+impl<E> Ladder<E> {
     pub(crate) fn new() -> Self {
         Ladder {
             active: BinaryHeap::new(),
@@ -198,7 +191,7 @@ impl Ladder {
 
     /// Builds a ladder holding `events` (a heap migration): everything
     /// starts in overflow and is spread into buckets on the first pop.
-    pub(crate) fn from_events(events: Vec<Scheduled>) -> Self {
+    pub(crate) fn from_events(events: Vec<Scheduled<E>>) -> Self {
         let mut l = Ladder::new();
         l.active_end_ns = events
             .iter()
@@ -210,7 +203,7 @@ impl Ladder {
         l
     }
 
-    pub(crate) fn push(&mut self, ev: Scheduled) {
+    pub(crate) fn push(&mut self, ev: Scheduled<E>) {
         self.len += 1;
         let at = ev.key.at.as_nanos();
         if at < self.active_end_ns {
@@ -227,7 +220,7 @@ impl Ladder {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Scheduled> {
+    pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
         self.advance();
         let ev = self.active.pop().map(|Reverse(ev)| ev);
         if ev.is_some() {
@@ -297,18 +290,17 @@ impl Ladder {
 mod tests {
     use super::*;
 
-    fn ev(at_ns: u64, seq: u64) -> Scheduled {
+    fn ev(at_ns: u64, seq: u64) -> Scheduled<()> {
         Scheduled {
             key: CalendarKey {
                 at: SimTime::from_nanos(at_ns),
                 seq,
             },
-            id: EventId(seq),
-            action: Some(Box::new(|_| {})),
+            event: (),
         }
     }
 
-    fn drain(l: &mut Ladder) -> Vec<(u64, u64)> {
+    fn drain(l: &mut Ladder<()>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(e) = l.pop() {
             out.push((e.key.at.as_nanos(), e.key.seq));

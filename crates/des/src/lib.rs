@@ -1,10 +1,23 @@
 //! Discrete-event simulation kernel for `hhsim`.
 //!
 //! This crate provides the minimal machinery the rest of the simulator is
-//! built on: a virtual clock ([`SimTime`]), an event calendar
-//! ([`Simulation`]) that executes scheduled closures in timestamp order, and
-//! a counted resource with a FIFO wait queue ([`SlotPool`]) used to model
-//! map/reduce task slots, disks and network links.
+//! built on: a virtual clock ([`SimTime`]) and an event calendar
+//! ([`Simulation`]) that hands events back in timestamp order.
+//!
+//! **Events are values, state is owned.** `Simulation<E>` stores payloads
+//! of the caller's event type `E` — in this workspace a small `Copy` enum
+//! per engine — and [`Simulation::pop`] returns them one at a time. The
+//! engine keeps its state in a plain struct, matches on the popped event
+//! with `&mut` access to it, and pushes follow-up events: no allocation
+//! per event, no shared ownership, and whatever else needs `&mut` (a
+//! placement policy, say) simply runs between two pops.
+//!
+//! **The closure form is one instantiation.** `E` defaults to [`Closure`],
+//! a boxed `FnOnce(&mut Simulation)`; `schedule_at` / `step` / `run` are a
+//! thin layer over `push_at` / `pop` on the same kernel. It remains for
+//! callers whose events really are heterogeneous actions: [`SlotPool`], the
+//! FIFO counted resource the cluster engine's parity test uses as its
+//! reference, and benchmarks that time the calendar alone.
 //!
 //! Determinism is a hard requirement — the whole paper reproduction depends
 //! on re-running an experiment and getting bit-identical timings — so ties in
@@ -18,12 +31,20 @@
 //! ```
 //! use hhsim_des::{SimTime, Simulation};
 //!
-//! let mut sim = Simulation::new();
-//! sim.schedule_in(SimTime::from_secs_f64(2.0), |sim| {
-//!     assert_eq!(sim.now().as_secs_f64(), 2.0);
-//! });
-//! let end = sim.run();
-//! assert_eq!(end, SimTime::from_secs_f64(2.0));
+//! // A two-slot machine draining five one-second jobs.
+//! struct Done;
+//! let (mut queued, mut free) = (5, 2);
+//! let mut sim = Simulation::default();
+//! loop {
+//!     while queued > 0 && free > 0 {
+//!         (queued, free) = (queued - 1, free - 1);
+//!         sim.push_in(SimTime::from_secs(1), Done);
+//!     }
+//!     let Some(Done) = sim.pop() else { break };
+//!     free += 1;
+//! }
+//! assert_eq!(sim.now(), SimTime::from_secs(3));
+//! assert_eq!(sim.executed_events(), 5);
 //! ```
 
 mod calendar;
@@ -33,5 +54,5 @@ mod time;
 
 pub use calendar::{CalendarKind, AUTO_LADDER_THRESHOLD};
 pub use resource::{PoolStats, SharedSlotPool, SlotGuard, SlotPool};
-pub use sim::{EventId, Simulation};
+pub use sim::{Closure, EventId, Simulation};
 pub use time::SimTime;

@@ -1,27 +1,17 @@
 //! The event calendar and execution loop.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::calendar::{Calendar, CalendarKey, CalendarKind, Scheduled, AUTO_LADDER_THRESHOLD};
 use crate::SimTime;
 
 /// Identifier of a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId(u64);
 
-pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulation)>;
-
-/// Backend for [`Simulation::new`]: `HHSIM_CALENDAR` (`heap` / `ladder`
-/// / anything else = auto), read once per process.
-fn env_calendar_kind() -> CalendarKind {
-    static KIND: OnceLock<CalendarKind> = OnceLock::new();
-    *KIND.get_or_init(|| match std::env::var("HHSIM_CALENDAR").as_deref() {
-        Ok("heap") => CalendarKind::Heap,
-        Ok("ladder") => CalendarKind::Ladder,
-        _ => CalendarKind::Auto,
-    })
-}
+/// Event payload of the closure instantiation: a boxed action run against
+/// the simulation that popped it. See [`Simulation::schedule_at`].
+pub struct Closure(Box<dyn FnOnce(&mut Simulation)>);
 
 /// Dense bitmap over event sequence numbers; allocated lazily so runs
 /// that never cancel pay nothing.
@@ -54,22 +44,21 @@ impl SeqSet {
             .get(w)
             .is_some_and(|word| word & (1u64 << (seq % 64)) != 0)
     }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
-    }
 }
 
 /// A deterministic discrete-event simulation.
 ///
-/// Events are closures scheduled at absolute or relative virtual times and
-/// executed in `(time, insertion order)` order. The closure receives the
-/// simulation itself so it can schedule follow-up events.
+/// Events are values of type `E`, pushed at absolute or relative virtual
+/// times and popped in `(time, insertion order)` order; the caller owns
+/// its state and matches on each popped event. `E` defaults to
+/// [`Closure`], the instantiation whose events are boxed actions that
+/// receive the simulation itself (`schedule_at` / `step` / `run`).
 ///
 /// Two calendar backends implement that contract (see [`CalendarKind`]):
 /// the reference binary heap and a bucketed ladder for dense runs. They
-/// pop byte-identical sequences; [`Simulation::new`] picks automatically
-/// by event density, [`Simulation::with_calendar`] pins one explicitly.
+/// pop byte-identical sequences; [`Simulation::default`] picks
+/// automatically by event density, [`Simulation::typed`] pins one
+/// explicitly.
 ///
 /// # Examples
 ///
@@ -82,9 +71,9 @@ impl SeqSet {
 /// });
 /// assert_eq!(sim.run(), SimTime::from_secs(2));
 /// ```
-pub struct Simulation {
+pub struct Simulation<E = Closure> {
     now: SimTime,
-    calendar: Calendar,
+    calendar: Calendar<E>,
     /// True while [`CalendarKind::Auto`] may still migrate to the ladder.
     auto: bool,
     next_seq: u64,
@@ -92,7 +81,7 @@ pub struct Simulation {
     cancelled: SeqSet,
 }
 
-impl fmt::Debug for Simulation {
+impl<E> fmt::Debug for Simulation<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("now", &self.now)
@@ -103,21 +92,17 @@ impl fmt::Debug for Simulation {
     }
 }
 
-impl Default for Simulation {
+impl<E> Default for Simulation<E> {
+    /// An empty simulation at time zero on [`CalendarKind::Auto`].
     fn default() -> Self {
-        Self::new()
+        Self::typed(CalendarKind::Auto)
     }
 }
 
-impl Simulation {
-    /// Creates an empty simulation at time zero, on the calendar backend
-    /// selected by `HHSIM_CALENDAR` (default: density-based auto).
-    pub fn new() -> Self {
-        Self::with_calendar(env_calendar_kind())
-    }
-
-    /// Creates an empty simulation on an explicit calendar backend.
-    pub fn with_calendar(kind: CalendarKind) -> Self {
+impl<E> Simulation<E> {
+    /// Creates an empty simulation at time zero on an explicit calendar
+    /// backend, for any event type.
+    pub fn typed(kind: CalendarKind) -> Self {
         Simulation {
             now: SimTime::ZERO,
             calendar: Calendar::new(kind),
@@ -133,7 +118,7 @@ impl Simulation {
         self.now
     }
 
-    /// Number of events executed so far.
+    /// Number of live events delivered so far (cancelled ones never count).
     pub fn executed_events(&self) -> u64 {
         self.executed
     }
@@ -150,45 +135,35 @@ impl Simulation {
         self.calendar.backend()
     }
 
-    /// Schedules `action` at absolute time `at`.
+    /// Puts `event` on the calendar at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time: scheduling into the
     /// past would silently reorder causality.
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut Simulation) + 'static,
-    {
+    pub fn push_at(&mut self, at: SimTime, event: E) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={} at={}",
             self.now,
             at
         );
-        let id = EventId(self.next_seq);
+        let seq = self.next_seq;
         self.calendar.push(Scheduled {
-            key: CalendarKey {
-                at,
-                seq: self.next_seq,
-            },
-            id,
-            action: Some(Box::new(action)),
+            key: CalendarKey { at, seq },
+            event,
         });
         self.next_seq += 1;
         if self.auto && self.calendar.len() > AUTO_LADDER_THRESHOLD {
             self.calendar.migrate_to_ladder();
             self.auto = false;
         }
-        id
+        EventId(seq)
     }
 
-    /// Schedules `action` after a relative delay.
-    pub fn schedule_in<F>(&mut self, delay: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut Simulation) + 'static,
-    {
-        self.schedule_at(self.now + delay, action)
+    /// Puts `event` on the calendar after a relative delay.
+    pub fn push_in(&mut self, delay: SimTime, event: E) -> EventId {
+        self.push_at(self.now + delay, event)
     }
 
     /// Cancels a previously scheduled event. Cancelling an already-
@@ -203,44 +178,88 @@ impl Simulation {
         self.cancelled.insert(id.0)
     }
 
+    /// Takes the next live event off the calendar, advancing the clock to
+    /// its time. Returns `None` when the calendar is empty.
+    pub fn pop(&mut self) -> Option<E> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// [`pop`](Self::pop) restricted to events with `time <= until`. When
+    /// only later events remain, the clock advances to `until` (never
+    /// past it) and `None` is returned.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<E> {
+        while let Some(key) = self.calendar.peek_key() {
+            if key.at > until {
+                self.now = self.now.max(until);
+                break;
+            }
+            let ev = self.calendar.pop()?;
+            if self.cancelled.contains(key.seq) {
+                continue;
+            }
+            debug_assert!(key.at >= self.now);
+            self.now = key.at;
+            self.executed += 1;
+            return Some(ev.event);
+        }
+        None
+    }
+}
+
+impl Simulation {
+    /// Creates an empty closure simulation at time zero on
+    /// [`CalendarKind::Auto`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates an empty closure simulation on an explicit calendar backend.
+    pub fn with_calendar(kind: CalendarKind) -> Self {
+        Self::typed(kind)
+    }
+
+    /// Schedules `action` at absolute time `at`; see [`Simulation::push_at`].
+    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
+    where
+        F: FnOnce(&mut Simulation) + 'static,
+    {
+        self.push_at(at, Closure(Box::new(action)))
+    }
+
+    /// Schedules `action` after a relative delay.
+    pub fn schedule_in<F>(&mut self, delay: SimTime, action: F) -> EventId
+    where
+        F: FnOnce(&mut Simulation) + 'static,
+    {
+        self.push_in(delay, Closure(Box::new(action)))
+    }
+
     /// Executes the next pending event, advancing the clock. Returns `false`
     /// when the calendar is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(mut ev) = self.calendar.pop() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(ev.id.0) {
-                continue;
-            }
-            debug_assert!(ev.key.at >= self.now);
-            self.now = ev.key.at;
-            let action = ev.action.take().expect("event executed twice");
-            action(self);
-            self.executed += 1;
-            return true;
-        }
-        false
+        self.run_next(SimTime::MAX)
     }
 
     /// Runs until the calendar drains; returns the final virtual time.
     pub fn run(&mut self) -> SimTime {
-        while self.step() {}
-        self.now
+        self.run_until(SimTime::MAX)
     }
 
     /// Runs while events exist with `time <= until`; the clock never passes
     /// `until`. Returns the final virtual time.
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
-        loop {
-            match self.calendar.peek_key() {
-                Some(key) if key.at <= until => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if self.now < until && !self.calendar.is_empty() {
-            self.now = until;
-        }
+        while self.run_next(until) {}
         self.now
+    }
+
+    fn run_next(&mut self, until: SimTime) -> bool {
+        match self.pop_until(until) {
+            Some(Closure(action)) => {
+                action(self);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -312,21 +331,51 @@ mod tests {
             sim.run();
             assert!(!*fired.borrow());
             assert_eq!(sim.executed_events(), 0);
+
+            let mut typed: Simulation<u64> = Simulation::typed(kind);
+            let id = typed.push_in(SimTime::from_secs(1), 7);
+            assert!(!typed.cancel(EventId(1)), "unknown id reports false");
+            assert!(typed.cancel(id));
+            assert!(!typed.cancel(id), "double-cancel reports false");
+            assert_eq!(typed.pop(), None);
+            assert_eq!(typed.executed_events(), 0, "tombstones do not count");
         }
     }
 
     #[test]
     fn run_until_stops_at_boundary() {
+        let secs = SimTime::from_secs;
         for kind in [CalendarKind::Heap, CalendarKind::Ladder] {
             let mut sim = Simulation::with_calendar(kind);
-            sim.schedule_at(SimTime::from_secs(1), |_| {});
-            sim.schedule_at(SimTime::from_secs(10), |_| {});
-            sim.run_until(SimTime::from_secs(5));
-            assert_eq!(sim.now(), SimTime::from_secs(5));
+            sim.schedule_at(secs(1), |_| {});
+            sim.schedule_at(secs(10), |_| {});
+            sim.run_until(secs(5));
+            assert_eq!(sim.now(), secs(5));
             assert_eq!(sim.executed_events(), 1);
             sim.run();
-            assert_eq!(sim.now(), SimTime::from_secs(10));
+            assert_eq!(sim.now(), secs(10));
+
+            // Typed twin, plus a tombstone inside the bound: skipping it
+            // must not deliver the live event beyond the bound.
+            let mut typed: Simulation<u64> = Simulation::typed(kind);
+            typed.push_at(secs(1), 1);
+            let dead = typed.push_at(secs(2), 2);
+            typed.push_at(secs(10), 10);
+            typed.cancel(dead);
+            assert_eq!(typed.pop_until(secs(5)), Some(1));
+            assert_eq!(typed.pop_until(secs(5)), None);
+            assert_eq!((typed.now(), typed.executed_events()), (secs(5), 1));
+            assert_eq!(typed.pop(), Some(10));
+            assert_eq!((typed.now(), typed.executed_events()), (secs(10), 2));
         }
+    }
+
+    /// Fails to compile if `Rc` or a boxed non-`Send` closure ever comes
+    /// back into the typed kernel.
+    #[test]
+    fn typed_kernel_is_send() {
+        fn is_send<T: Send>() {}
+        is_send::<Simulation<u64>>();
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! forced timestamp ties, follow-up events scheduled mid-execution
 //! (which land *below* the ladder's active boundary), and cancellations
 //! both before and during the run — on a heap-backed and a
-//! ladder-backed [`Simulation`], then asserts the execution logs are
-//! identical. On failure `hhsim_testkit::check` prints the reproducing
-//! case seed.
+//! ladder-backed [`Simulation`], in the closure form and in the typed
+//! form (payload `u64`), then asserts the execution logs are identical.
+//! On failure `hhsim_testkit::check` prints the reproducing case seed.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -66,12 +66,46 @@ fn run_program(kind: CalendarKind, specs: &[Spec], pre_cancel: &[usize]) -> Vec<
     std::mem::take(&mut *log)
 }
 
+/// [`run_program`] on the typed kernel: the payload is the event's tag,
+/// and the loop that pops it does what the closure did.
+fn run_typed(kind: CalendarKind, specs: &[Spec], pre_cancel: &[usize]) -> Vec<(u64, u64)> {
+    let mut sim: Simulation<u64> = Simulation::typed(kind);
+    let ids: Vec<EventId> = (0u64..)
+        .zip(specs)
+        .map(|(tag, spec)| sim.push_at(SimTime::from_nanos(spec.at_ns), tag))
+        .collect();
+    for &idx in pre_cancel {
+        if let Some(&victim) = ids.get(idx) {
+            sim.cancel(victim);
+        }
+    }
+    let mut log = Vec::new();
+    while let Some(tag) = sim.pop() {
+        log.push((sim.now().as_nanos(), tag));
+        let Some(spec) = specs.get(tag as usize) else {
+            continue; // a child event
+        };
+        for &idx in &spec.cancels {
+            if let Some(&victim) = ids.get(idx) {
+                sim.cancel(victim);
+            }
+        }
+        for (k, &delay) in spec.children.iter().enumerate() {
+            sim.push_in(SimTime::from_nanos(delay), 10_000 + tag * 100 + k as u64);
+        }
+    }
+    log.push((sim.now().as_nanos(), u64::MAX));
+    log
+}
+
 fn assert_backends_agree(specs: &[Spec], pre_cancel: &[usize]) {
     let heap = run_program(CalendarKind::Heap, specs, pre_cancel);
-    let ladder = run_program(CalendarKind::Ladder, specs, pre_cancel);
-    assert_eq!(heap, ladder, "ladder diverged from the heap reference");
-    let auto = run_program(CalendarKind::Auto, specs, pre_cancel);
-    assert_eq!(heap, auto, "auto backend diverged from the heap reference");
+    for kind in [CalendarKind::Heap, CalendarKind::Ladder, CalendarKind::Auto] {
+        let closure = run_program(kind, specs, pre_cancel);
+        assert_eq!(heap, closure, "{kind:?} diverged from the heap reference");
+        let typed = run_typed(kind, specs, pre_cancel);
+        assert_eq!(heap, typed, "typed {kind:?} diverged from the closure form");
+    }
 }
 
 /// Seeded grid: every pair of small timestamps, saturating the
@@ -143,6 +177,8 @@ fn auto_migration_is_order_invisible() {
         let heap = run_program(CalendarKind::Heap, &specs, &[]);
         let auto = run_program(CalendarKind::Auto, &specs, &[]);
         assert_eq!(heap, auto, "migration changed the pop order");
+        let typed = run_typed(CalendarKind::Auto, &specs, &[]);
+        assert_eq!(heap, typed, "typed migration changed the pop order");
     });
 }
 

@@ -9,9 +9,6 @@
 //! reports makespan, energy and total cost — the provider-vs-user
 //! trade-off made measurable.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use hhsim_arch::CoreKind;
 use hhsim_des::{SimTime, Simulation};
 use hhsim_energy::MetricKind;
@@ -131,69 +128,48 @@ struct Pending {
     energy: f64,
 }
 
-/// Mutable queue state shared between DES event closures.
+/// Calendar events of the queue simulation; jobs are indices into the
+/// resolved `Pending` list.
+#[derive(Debug, Clone, Copy)]
+enum QueueEvent {
+    /// The job is submitted and joins the FIFO queue.
+    Arrive(usize),
+    /// The job, admitted at `start`, completes and frees its cores.
+    Finish { job: usize, start: SimTime },
+}
+
+/// Mutable state of one queue run.
 struct QueueState {
     free_big: usize,
     free_little: usize,
-    queue: Vec<usize>, // indices into `Ctx::pending`, FIFO
+    queue: Vec<usize>, // indices into `pending`, FIFO
     completions: Vec<JobCompletion>,
 }
 
-struct Ctx {
-    pending: Vec<Pending>,
-    state: RefCell<QueueState>,
-}
+impl QueueState {
+    fn free_mut(&mut self, kind: CoreKind) -> &mut usize {
+        match kind {
+            CoreKind::Big => &mut self.free_big,
+            CoreKind::Little => &mut self.free_little,
+        }
+    }
 
-/// Admits jobs from the head of the queue while resources allow,
-/// scheduling each admitted job's completion event. Called from every
-/// arrival and completion event, so admission interleaves with the event
-/// stream exactly as a live JobTracker's would.
-fn admit(sim: &mut Simulation, ctx: &Rc<Ctx>) {
-    loop {
-        let (qidx, alloc) = {
-            let st = ctx.state.borrow();
-            let Some(&qidx) = st.queue.first() else {
-                return;
-            };
-            let p = &ctx.pending[qidx];
-            let free = match p.alloc.kind {
-                CoreKind::Big => st.free_big,
-                CoreKind::Little => st.free_little,
-            };
-            if p.alloc.cores > free {
+    /// Admits jobs from the head of the queue while resources allow,
+    /// scheduling each admitted job's completion event. Called after
+    /// every arrival and completion event, so admission interleaves with
+    /// the event stream exactly as a live JobTracker's would.
+    fn admit(&mut self, sim: &mut Simulation<QueueEvent>, pending: &[Pending]) {
+        while let Some(&job) = self.queue.first() {
+            let p = &pending[job];
+            let free = self.free_mut(p.alloc.kind);
+            if p.alloc.cores > *free {
                 return; // head-of-line blocking: later jobs wait too
             }
-            (qidx, p.alloc)
-        };
-        {
-            let mut st = ctx.state.borrow_mut();
-            st.queue.remove(0);
-            match alloc.kind {
-                CoreKind::Big => st.free_big -= alloc.cores,
-                CoreKind::Little => st.free_little -= alloc.cores,
-            }
+            *free -= p.alloc.cores;
+            self.queue.remove(0);
+            let start = sim.now();
+            sim.push_at(start + p.duration, QueueEvent::Finish { job, start });
         }
-        let start = sim.now();
-        let finish = start + ctx.pending[qidx].duration;
-        let c = Rc::clone(ctx);
-        sim.schedule_at(finish, move |sim| {
-            let p = &c.pending[qidx];
-            {
-                let mut st = c.state.borrow_mut();
-                match p.alloc.kind {
-                    CoreKind::Big => st.free_big += p.alloc.cores,
-                    CoreKind::Little => st.free_little += p.alloc.cores,
-                }
-                st.completions.push(JobCompletion {
-                    name: p.name.clone(),
-                    allocation: p.alloc,
-                    start_s: start.as_secs_f64(),
-                    finish_s: sim.now().as_secs_f64(),
-                    energy_j: p.energy,
-                });
-            }
-            admit(sim, &c);
-        });
     }
 }
 
@@ -237,33 +213,39 @@ pub fn run_queue(pool: PoolConfig, jobs: &[JobRequest], policy: Policy) -> Queue
         })
         .collect();
 
-    let ctx = Rc::new(Ctx {
-        pending,
-        state: RefCell::new(QueueState {
-            free_big: pool.big_cores,
-            free_little: pool.little_cores,
-            queue: Vec::new(),
-            completions: Vec::new(),
-        }),
-    });
-
-    let mut sim = Simulation::new();
+    let mut state = QueueState {
+        free_big: pool.big_cores,
+        free_little: pool.little_cores,
+        queue: Vec::new(),
+        completions: Vec::new(),
+    };
+    let mut sim = Simulation::default();
     // Arrivals are scheduled up front, in submission order: the kernel's
     // sequence-number tie-break then sorts an arrival before any
     // completion landing on the same timestamp.
-    for (idx, j) in jobs.iter().enumerate() {
-        let c = Rc::clone(&ctx);
-        sim.schedule_at(SimTime::from_secs_f64(j.arrival_s), move |sim| {
-            c.state.borrow_mut().queue.push(idx);
-            admit(sim, &c);
-        });
+    for (job, j) in jobs.iter().enumerate() {
+        sim.push_at(SimTime::from_secs_f64(j.arrival_s), QueueEvent::Arrive(job));
+    }
+    while let Some(event) = sim.pop() {
+        match event {
+            QueueEvent::Arrive(job) => state.queue.push(job),
+            QueueEvent::Finish { job, start } => {
+                let p = &pending[job];
+                *state.free_mut(p.alloc.kind) += p.alloc.cores;
+                state.completions.push(JobCompletion {
+                    name: p.name.clone(),
+                    allocation: p.alloc,
+                    start_s: start.as_secs_f64(),
+                    finish_s: sim.now().as_secs_f64(),
+                    energy_j: p.energy,
+                });
+            }
+        }
+        state.admit(&mut sim, &pending);
     }
     // The final clock is the last completion — the makespan.
-    let makespan_s = sim.run().as_secs_f64();
+    let makespan_s = sim.now().as_secs_f64();
 
-    let ctx =
-        Rc::try_unwrap(ctx).unwrap_or_else(|_| panic!("event closures still alive after run"));
-    let state = ctx.state.into_inner();
     debug_assert!(state.queue.is_empty(), "all admitted");
     debug_assert_eq!(state.completions.len(), jobs.len(), "all completed");
     let total_energy_j = state.completions.iter().map(|c| c.energy_j).sum();
