@@ -1,11 +1,9 @@
-//! Benchmark and figure-regeneration harness for `hhsim`.
+//! Figure-regeneration harness for `hhsim`.
 //!
-//! * `cargo run -p hhsim-bench --bin figures` — regenerates **every** table
-//!   and figure of the paper as CSV under `results/`, plus the
-//!   paper-vs-measured calibration report;
-//! * `cargo bench -p hhsim-bench` — Criterion benchmarks of the figure
-//!   generators, the functional MapReduce engine and the model's ablation
-//!   knobs.
+//! `cargo run -p hhsim-bench --bin figures` regenerates **every** table
+//! and figure of the paper as CSV under `results/`, plus the
+//! paper-vs-measured calibration report. Speed is measured from outside,
+//! by the `perf/` package behind `BENCHMARK.json`.
 
 use hhsim_core::arch::presets;
 use hhsim_core::energy::MetricKind;

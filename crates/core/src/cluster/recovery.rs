@@ -1,0 +1,982 @@
+//! The fault-aware phase engine: injected task failures, node and rack
+//! crashes, LATE speculation, blacklisting, and fetch-failure recovery of
+//! lost map outputs.
+//!
+//! Every attempt has one lifecycle, whatever it runs: a [`TaskRow`] asks
+//! for a slot, [`launch_attempt`] puts a [`RunningAttempt`] in it, and the
+//! attempt leaves through [`attempt_completed`], [`attempt_failed`] or a
+//! crash. A re-executed map is an ordinary row behind the phase's own
+//! tasks; it differs only in where its timing, read cost, jitter key and
+//! reported task id come from, and in what its completion unblocks.
+
+use hhsim_des::{EventId, SimTime, Simulation};
+use hhsim_faults::{AttemptOutcome, FaultStats, PhaseError, PhaseFaults, RecoveryPolicy};
+use hhsim_hdfs::{NodeId as HdfsNodeId, Topology};
+use std::collections::VecDeque;
+
+use super::slots::SlotBook;
+use super::{
+    attempt_jitter, run_phase, Cluster, LocalityTier, NodeTiming, PhaseLoad, PhaseRun, Placement,
+    TaskSpan,
+};
+
+/// A row waiting for a slot, remembering when it (re-)entered the queue.
+#[derive(Debug, Clone, Copy)]
+struct QueueEntry {
+    row: usize,
+    queued: SimTime,
+}
+
+/// What a row's attempts run.
+#[derive(Debug, Clone, Copy)]
+enum RowKind {
+    /// The phase task whose id is the row's index.
+    Task,
+    /// Completed map `map`, run again because its output died with its
+    /// holder.
+    Reexec { map: usize },
+}
+
+/// Recovery state of one unit of work. Rows `0..load.tasks` are the
+/// phase's tasks in task order; re-executed maps are pushed behind them
+/// as their outputs are lost.
+///
+/// A row is always in exactly one place: waiting (in a queue, a backoff
+/// window or behind the shuffle barrier), in flight, or finished. Only a
+/// row with nothing in flight is ever queued, so an attempt that dies with
+/// a crash can put its idle row straight back in line without asking
+/// whether it is there already.
+#[derive(Debug)]
+struct TaskRow {
+    kind: RowKind,
+    /// Attempts that hit an injected failure (the `max_attempts` count).
+    failed: u32,
+    /// 1-based number of the next attempt to launch.
+    next_attempt: u32,
+    /// A LATE backup has been launched; a row gets at most one, ever.
+    speculated: bool,
+    /// Global slot of the oldest attempt in flight.
+    primary: Option<usize>,
+    /// Global slot of a second attempt in flight: the LATE backup, until
+    /// it outlives the primary and takes its place.
+    backup: Option<usize>,
+}
+
+impl TaskRow {
+    fn task() -> Self {
+        TaskRow {
+            kind: RowKind::Task,
+            failed: 0,
+            next_attempt: 1,
+            speculated: false,
+            primary: None,
+            backup: None,
+        }
+    }
+
+    /// A lost map: re-executions are attempt ≥ 2 of the original map
+    /// task, and LATE never duplicates them (they are born speculated).
+    fn reexec(map: usize) -> Self {
+        TaskRow {
+            kind: RowKind::Reexec { map },
+            next_attempt: 2,
+            speculated: true,
+            ..TaskRow::task()
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        self.primary.is_none()
+    }
+
+    /// The most recently launched attempt still in flight.
+    fn youngest(&self) -> Option<usize> {
+        self.backup.or(self.primary)
+    }
+
+    fn attach(&mut self, slot: usize) {
+        debug_assert!(self.backup.is_none(), "more than two live attempts");
+        if self.primary.is_none() {
+            self.primary = Some(slot);
+        } else {
+            self.backup = Some(slot);
+        }
+    }
+
+    fn detach(&mut self, slot: usize) {
+        if self.primary == Some(slot) {
+            self.primary = self.backup.take();
+        } else if self.backup == Some(slot) {
+            self.backup = None;
+        }
+    }
+}
+
+/// An attempt occupying a slot.
+#[derive(Debug, Clone, Copy)]
+struct RunningAttempt {
+    row: usize,
+    kind: RowKind,
+    attempt: u32,
+    node: usize,
+    slot: usize,
+    wave: usize,
+    queued: SimTime,
+    launched: SimTime,
+    /// Full would-be runtime on its node (failure truncates it).
+    duration: SimTime,
+    /// Progress rate estimate: 1 / full runtime in seconds.
+    rate: f64,
+    /// The pending failure-or-completion calendar event.
+    event: EventId,
+    speculative: bool,
+    /// Input locality of this attempt's landing node.
+    tier: LocalityTier,
+}
+
+impl RunningAttempt {
+    /// The task id this attempt reports under: the phase task's own, or
+    /// the *map* task's for a re-execution.
+    fn task(&self) -> usize {
+        match self.kind {
+            RowKind::Task => self.row,
+            RowKind::Reexec { map } => map,
+        }
+    }
+
+    /// This attempt's span, ended at `now` as `outcome`.
+    fn span(&self, now: SimTime, outcome: AttemptOutcome) -> TaskSpan {
+        TaskSpan {
+            phase: String::new(),
+            task: self.task(),
+            node: self.node,
+            slot: self.slot,
+            wave: self.wave,
+            queued_s: self.queued.as_secs_f64(),
+            launched_s: self.launched.as_secs_f64(),
+            finished_s: now.as_secs_f64(),
+            attempt: self.attempt,
+            outcome,
+            tier: self.tier,
+        }
+    }
+}
+
+/// Map-output availability context for a reduce phase, enabling
+/// Hadoop's fetch-failure semantics: when a node dies after its map
+/// tasks completed, those outputs are lost, in-flight reduce attempts
+/// register fetch failures, and the engine re-executes the lost maps on
+/// surviving nodes — re-querying the surviving replica set (via
+/// [`Topology::surviving_tier`]) so the re-run is priced at the correct
+/// locality tier. A map whose every input replica is gone fails the
+/// phase with [`PhaseError::DataLost`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct FetchPlan {
+    /// Node that holds each completed map task's output (indexed by map
+    /// task), i.e. the map phase's winning span nodes.
+    pub holders: Vec<usize>,
+    /// Input-block replica holders per map task — the NameNode's answer
+    /// a re-execution consults after filtering to surviving nodes.
+    pub map_replicas: Vec<Vec<usize>>,
+    /// The fabric replicas were placed against, answering
+    /// surviving-replica locality queries for re-executed maps.
+    pub topology: Topology,
+    /// Extra input-read seconds by tier for a re-executed map, indexed
+    /// `[node-local, rack-local, off-rack]`.
+    pub read_seconds: [f64; 3],
+    /// Per-node map-task timing (a re-executed map runs at map speed,
+    /// not the surrounding reduce phase's).
+    pub map_timing: Vec<NodeTiming>,
+}
+
+/// Where one completed map's output is now.
+#[derive(Debug, Clone, Copy)]
+struct MapOutput {
+    /// The node holding it; `None` while the map is being re-executed.
+    holder: Option<usize>,
+    /// The map's re-execution row, once it has been lost.
+    row: Option<usize>,
+}
+
+/// Live fetch-failure recovery state inside one engine run.
+#[derive(Debug)]
+struct FetchCtx<'a> {
+    plan: &'a FetchPlan,
+    /// Indexed by map task; holders move as re-runs land.
+    outputs: Vec<MapOutput>,
+    /// Rows of lost maps awaiting a slot.
+    queue: VecDeque<QueueEntry>,
+    /// Lost-map re-executions not yet landed; reduces are gated while
+    /// this is non-zero (the shuffle barrier stalls on missing inputs).
+    outstanding: usize,
+    /// Fetch-failed reduce tasks parked until recovery completes.
+    gated: Vec<QueueEntry>,
+}
+
+/// Calendar events of the fault-aware engine. Payloads are ids only; the
+/// handlers look everything else up in [`FaultState`].
+#[derive(Debug, Clone, Copy)]
+pub(super) enum FaultEvent {
+    /// The attempt in global slot `slot` ran to completion.
+    AttemptDone { slot: usize },
+    /// The attempt in global slot `slot` hit its injected failure.
+    AttemptFailed { slot: usize },
+    /// `row`'s backoff is over; it re-enters its queue.
+    Requeue { row: usize },
+    /// Marker for a whole-rack outage, ahead of the member nodes' crashes.
+    RackCrash { rack: usize },
+    /// `node` dies, and with it the map outputs it held.
+    NodeCrash { node: usize },
+}
+
+/// State of one fault-aware engine run.
+#[derive(Debug)]
+pub(super) struct FaultState<'a> {
+    book: SlotBook<QueueEntry>,
+    node_failures: Vec<u32>,
+    rows: Vec<TaskRow>,
+    /// In-flight attempts by global slot id (`slot_base[node] + slot`).
+    /// An attempt *is* what occupies a slot, so this table is the running
+    /// set: bounded by cluster capacity, whatever the task count.
+    attempts: Vec<Option<RunningAttempt>>,
+    /// Global id of each node's slot 0, plus the total as a last entry.
+    slot_base: Vec<usize>,
+    /// Phase tasks not yet won.
+    pending: usize,
+    // LATE progress-rate statistics over every attempt launched so far.
+    rate_sum: f64,
+    rate_count: u64,
+    // Outputs.
+    spans: Vec<Option<TaskSpan>>,
+    wasted: Vec<TaskSpan>,
+    recovered: Vec<TaskSpan>,
+    annotations: Vec<(f64, String)>,
+    fstats: FaultStats,
+    policy: RecoveryPolicy,
+    error: Option<PhaseError>,
+    // Failure-domain state (inert when `racks == 0`).
+    /// Rack count of the failure-domain config (0 = no domains).
+    racks: usize,
+    /// Individually-blacklisted nodes per rack, driving the escalation
+    /// to rack-granularity blacklisting.
+    rack_blacklist_count: Vec<u32>,
+    rack_blacklisted: Vec<bool>,
+    fetch: Option<FetchCtx<'a>>,
+}
+
+impl FaultState<'_> {
+    /// Empties global slot `slot`: its attempt leaves its row and the
+    /// slot returns to the pool.
+    fn vacate(&mut self, slot: usize) -> Option<RunningAttempt> {
+        let r = self.attempts.get_mut(slot)?.take()?;
+        self.rows[r.row].detach(slot);
+        self.book.release_slot(r.node, r.slot);
+        Some(r)
+    }
+
+    /// Puts `row` in line for a slot. Lost maps queue for recovery,
+    /// which is served ahead of the phase's own tasks.
+    fn enqueue(&mut self, row: usize, queued: SimTime) {
+        let entry = QueueEntry { row, queued };
+        match (self.rows[row].kind, self.fetch.as_mut()) {
+            (RowKind::Reexec { .. }, Some(f)) => f.queue.push_back(entry),
+            _ => self.book.queue.push_back(entry),
+        }
+    }
+
+    /// Counts a failed attempt against `node`, blacklisting it — and,
+    /// with an active rack domain, possibly its whole rack — once the
+    /// policy thresholds are crossed. Blacklisting never strands the
+    /// job: the last usable node, and the last rack with a usable node,
+    /// stay schedulable.
+    fn note_attempt_failure(&mut self, node: usize, now: SimTime) {
+        if let Some(f) = self.node_failures.get_mut(node) {
+            *f += 1;
+        }
+        let limit = self.policy.blacklist_after;
+        let fails = self.node_failures.get(node).copied().unwrap_or(0);
+        if limit > 0
+            && fails >= limit
+            && self.book.slots.usable(node)
+            && self.book.slots.usable_other_than(node)
+        {
+            self.book.slots.set_unusable(node);
+            self.fstats.blacklisted_nodes += 1;
+            self.maybe_blacklist_rack(node, now);
+        }
+    }
+
+    /// Escalates node blacklisting to rack granularity: once
+    /// `rack_blacklist_after` nodes of one rack have been individually
+    /// blacklisted, the whole rack (a bad ToR switch, in Hadoop terms)
+    /// stops receiving attempts — unless it is the last rack with any
+    /// usable node, which must stay schedulable.
+    fn maybe_blacklist_rack(&mut self, node: usize, now: SimTime) {
+        let racks = self.racks;
+        let after = self.policy.rack_blacklist_after;
+        if racks == 0 || after == 0 {
+            return;
+        }
+        let rack = node % racks;
+        if self.rack_blacklisted.get(rack).copied().unwrap_or(true) {
+            return;
+        }
+        if let Some(c) = self.rack_blacklist_count.get_mut(rack) {
+            *c += 1;
+        }
+        if self.rack_blacklist_count.get(rack).copied().unwrap_or(0) < after {
+            return;
+        }
+        let nodes = self.node_failures.len();
+        let usable_elsewhere = (0..nodes).any(|n| n % racks != rack && self.book.slots.usable(n));
+        if !usable_elsewhere {
+            return;
+        }
+        for n in (rack..nodes).step_by(racks) {
+            if self.book.slots.usable(n) {
+                self.book.slots.set_unusable(n);
+            }
+        }
+        if let Some(b) = self.rack_blacklisted.get_mut(rack) {
+            *b = true;
+        }
+        self.fstats.racks_blacklisted += 1;
+        self.annotations
+            .push((now.as_secs_f64(), format!("rack-blacklisted:{rack}")));
+    }
+
+    /// Records a losing attempt's span and its wasted slot-seconds.
+    fn record_wasted(&mut self, r: &RunningAttempt, now: SimTime, outcome: AttemptOutcome) {
+        self.fstats.wasted_slot_s += now.saturating_sub(r.launched).as_secs_f64();
+        self.wasted.push(r.span(now, outcome));
+    }
+}
+
+/// Starts the next attempt of `entry.row` on `node`, scheduling its
+/// failure or completion event per the fault plan. A phase task runs at
+/// the phase's timing and pays `load`'s extras at `tier`; a re-executed
+/// map runs at map speed (not the surrounding reduce phase's) and pays
+/// the surviving-replica tier's read. The slot, the jitter and slowdown,
+/// link degradation, the injected-failure draw and the LATE statistics
+/// are the same for both — re-executions can fail, be killed or get
+/// their node blacklisted like any other attempt.
+#[allow(clippy::too_many_arguments)]
+fn launch_attempt(
+    sim: &mut Simulation<FaultEvent>,
+    st: &mut FaultState,
+    load: &PhaseLoad,
+    faults: &PhaseFaults,
+    entry: QueueEntry,
+    node: usize,
+    tier: LocalityTier,
+    speculative: bool,
+) {
+    let now = sim.now();
+    let QueueEntry { row, queued } = entry;
+    let (slot, wave) = st.book.claim_slot(node);
+    st.book.note_wait(now.saturating_sub(queued));
+    let global = st.slot_base[node] + slot;
+    let r = &mut st.rows[row];
+    let (kind, attempt) = (r.kind, r.next_attempt);
+    r.next_attempt += 1;
+    r.attach(global);
+    if speculative {
+        r.speculated = true;
+        st.fstats.speculative_launched += 1;
+    }
+    let (jitter_key, t, extra) = match (kind, st.fetch.as_ref()) {
+        (RowKind::Reexec { map }, Some(f)) => (
+            map,
+            f.plan.map_timing.get(node).copied().unwrap_or(NodeTiming {
+                task_seconds: 0.0,
+                overhead_seconds: 0.0,
+            }),
+            f.plan.read_seconds.get(tier.idx()).copied().unwrap_or(0.0),
+        ),
+        _ => (row, load.timing[node], load.extra_for(row, tier)),
+    };
+    // A degraded rack uplink multiplies only the network-borne extras
+    // (remote reads, shuffle fetch); ×1.0 on healthy links keeps the
+    // legacy duration bitwise identical.
+    let link = faults.domains.link_factor_at(node, now.as_secs_f64());
+    if link > 1.0 && extra > 0.0 {
+        st.fstats.link_degraded_attempts += 1;
+    }
+    let dur_s = t.task_seconds * attempt_jitter(jitter_key, attempt) * faults.slowdown[node]
+        + t.overhead_seconds
+        + extra * link;
+    let dur = SimTime::from_secs_f64(dur_s);
+    let rate = 1.0 / dur_s.max(1e-12);
+    st.rate_sum += rate;
+    st.rate_count += 1;
+    let event = match faults.plan.attempt_failure(row, attempt) {
+        Some(frac) => sim.push_in(
+            SimTime::from_secs_f64(dur_s * frac),
+            FaultEvent::AttemptFailed { slot: global },
+        ),
+        None => sim.push_in(dur, FaultEvent::AttemptDone { slot: global }),
+    };
+    st.attempts[global] = Some(RunningAttempt {
+        row,
+        kind,
+        attempt,
+        node,
+        slot,
+        wave,
+        queued,
+        launched: now,
+        duration: dur,
+        rate,
+        event,
+        speculative,
+        tier,
+    });
+}
+
+/// Completion event. A phase task's first finisher wins it and any rival
+/// attempt is cancelled (Hadoop kills the loser of a speculative race).
+/// A re-executed map that lands moves its output to the new holder and —
+/// once no re-execution is outstanding — releases the gated reduces back
+/// into the queue.
+fn attempt_completed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, slot: usize) {
+    let now = sim.now();
+    let Some(r) = st.vacate(slot) else {
+        return;
+    };
+    if st.error.is_some() {
+        // Phase already failed; just drain the calendar.
+        return;
+    }
+    st.book.note_finish(now);
+    match r.kind {
+        RowKind::Task => {
+            st.pending -= 1;
+            if r.speculative {
+                st.fstats.speculative_wins += 1;
+            }
+            let won = st.spans[r.row].replace(r.span(now, AttemptOutcome::Success));
+            debug_assert!(won.is_none(), "two winners for task {}", r.row);
+            // With the winner gone, a rival is the row's only attempt.
+            if let Some(rival) = st.rows[r.row].primary.and_then(|s| st.vacate(s)) {
+                sim.cancel(rival.event);
+                st.record_wasted(&rival, now, AttemptOutcome::Cancelled);
+                st.fstats.cancelled_attempts += 1;
+            }
+        }
+        RowKind::Reexec { map } => {
+            st.recovered.push(r.span(now, AttemptOutcome::Recovered));
+            st.fstats.reexecuted_maps += 1;
+            let Some(f) = st.fetch.as_mut() else {
+                return;
+            };
+            if let Some(out) = f.outputs.get_mut(map) {
+                out.holder = Some(r.node);
+            }
+            f.outstanding = f.outstanding.saturating_sub(1);
+            if f.outstanding == 0 {
+                st.book.queue.extend(f.gated.drain(..));
+            }
+        }
+    }
+}
+
+/// Injected-failure event: count the failure, maybe blacklist the node,
+/// and re-queue the row after exponential backoff — or fail the phase
+/// once `max_attempts` is exhausted.
+fn attempt_failed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, slot: usize) {
+    let now = sim.now();
+    let Some(r) = st.vacate(slot) else {
+        return;
+    };
+    if st.error.is_some() {
+        return;
+    }
+    st.record_wasted(&r, now, AttemptOutcome::Failed);
+    st.fstats.failed_attempts += 1;
+    let row = &mut st.rows[r.row];
+    row.failed += 1;
+    let (fails, idle) = (row.failed, row.is_idle());
+    // Hadoop never blacklists its way to an empty cluster (it caps the
+    // blacklisted fraction); we keep the last usable node schedulable.
+    st.note_attempt_failure(r.node, now);
+    if fails >= st.policy.max_attempts {
+        st.error = Some(PhaseError::AttemptsExhausted {
+            task: r.task(),
+            attempts: fails,
+        });
+        return;
+    }
+    if !idle {
+        // A speculative rival is still in flight and may yet win.
+        return;
+    }
+    let delay = SimTime::from_secs_f64(st.policy.backoff_s(fails));
+    sim.push_in(delay, FaultEvent::Requeue { row: r.row });
+}
+
+/// Node-crash event: the node's slots disappear for the rest of the run
+/// and every in-flight attempt on it is killed. Killed attempts do not
+/// count against `max_attempts` (Hadoop's KILLED vs FAILED distinction)
+/// and re-queue immediately.
+fn crash_node(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: usize) {
+    if st.error.is_some() || st.pending == 0 || !st.book.slots.alive(node) {
+        // The phase is already over (the crash belongs to a later phase,
+        // handled there via `dead_at_start`) or has failed.
+        return;
+    }
+    let now = sim.now();
+    st.book.slots.kill(node);
+    st.fstats.node_crashes += 1;
+    // The node's stretch of the slot table holds exactly its victims;
+    // they are processed in ascending row order.
+    let (Some(&lo), Some(&hi)) = (st.slot_base.get(node), st.slot_base.get(node + 1)) else {
+        return;
+    };
+    let mut victims: Vec<(usize, usize)> = (lo..hi)
+        .filter_map(|slot| Some((st.attempts.get(slot)?.as_ref()?.row, slot)))
+        .collect();
+    victims.sort_unstable();
+    for (row, slot) in victims {
+        let Some(r) = st.vacate(slot) else {
+            continue;
+        };
+        sim.cancel(r.event);
+        st.record_wasted(&r, now, AttemptOutcome::Killed);
+        st.fstats.killed_attempts += 1;
+        if st.rows[row].is_idle() {
+            st.enqueue(row, now);
+        }
+    }
+}
+
+/// Rack-crash marker event: counts and annotates a whole-rack (ToR
+/// switch or correlated-domain) outage. Scheduled *before* the member
+/// nodes' own crash events at the same instant, so "some node of the
+/// rack was still alive" distinguishes a real rack outage from racks
+/// that had already bled out node by node.
+fn rack_crashed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, rack: usize) {
+    if st.error.is_some() || st.pending == 0 {
+        return;
+    }
+    let nodes = st.node_failures.len();
+    let any_alive = (rack..nodes)
+        .step_by(st.racks.max(1))
+        .any(|n| st.book.slots.alive(n));
+    if !any_alive {
+        return;
+    }
+    st.fstats.rack_crashes += 1;
+    st.annotations
+        .push((sim.now().as_secs_f64(), format!("rack-crash:{rack}")));
+}
+
+/// Fetch-failure handler, run right after [`crash_node`] for the same
+/// node: any completed map whose output lived on the dead node is lost,
+/// every in-flight reduce attempt registers a fetch failure (its shuffle
+/// flow from that output is cancelled on the calendar) and is parked
+/// until the lost maps have been re-executed on surviving nodes. A map
+/// whose every input replica is also gone fails the phase with
+/// [`PhaseError::DataLost`].
+fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: usize) {
+    if st.error.is_some() || st.pending == 0 {
+        return;
+    }
+    let Some(f) = st.fetch.as_ref() else {
+        return;
+    };
+    let now = sim.now();
+    let lost: Vec<usize> = f
+        .outputs
+        .iter()
+        .enumerate()
+        .filter(|(_, out)| out.holder == Some(node))
+        .map(|(map, _)| map)
+        .collect();
+    if lost.is_empty() {
+        return;
+    }
+    for map in lost {
+        let Some(f) = st.fetch.as_mut() else {
+            return;
+        };
+        let all_replicas_gone = f
+            .plan
+            .map_replicas
+            .get(map)
+            .map_or(true, |reps| reps.iter().all(|&r| !st.book.slots.alive(r)));
+        if all_replicas_gone {
+            st.error = Some(PhaseError::DataLost { task: map });
+            return;
+        }
+        let Some(out) = f.outputs.get_mut(map) else {
+            continue;
+        };
+        out.holder = None;
+        f.outstanding += 1;
+        // First loss of this map: it gets a row. Re-losses (the re-run's
+        // holder crashed too) reuse it so attempt counters carry on.
+        let row = match out.row {
+            Some(row) => row,
+            None => {
+                st.rows.push(TaskRow::reexec(map));
+                *out.row.insert(st.rows.len() - 1)
+            }
+        };
+        st.enqueue(row, now);
+    }
+    // The shuffle is all-to-all: every in-flight reduce was fetching
+    // from the lost outputs. Cancel their flows on the calendar and gate
+    // them behind the re-executions, in ascending task order. (Attempts
+    // on the dead node itself were already killed by `crash_node`.)
+    let mut victims: Vec<usize> = st
+        .attempts
+        .iter()
+        .flatten()
+        .filter(|r| matches!(r.kind, RowKind::Task))
+        .map(|r| r.row)
+        .collect();
+    victims.sort_unstable();
+    victims.dedup();
+    for row in victims {
+        while let Some(r) = st.rows[row].youngest().and_then(|s| st.vacate(s)) {
+            sim.cancel(r.event);
+            st.record_wasted(&r, now, AttemptOutcome::FetchFailed);
+            st.fstats.fetch_failures += 1;
+        }
+        if let Some(f) = st.fetch.as_mut() {
+            f.gated.push(QueueEntry { row, queued: now });
+        }
+    }
+}
+
+/// Picks the node and locality tier for the re-execution of the lost
+/// map in `row`, `None` while no slot is free: the NameNode is re-queried
+/// for the *surviving* replica set ([`Topology::surviving_tier`]), and
+/// among free usable nodes the best locality tier wins (lowest node id
+/// breaks ties) — a surviving replica holder if possible, then a node in
+/// a surviving replica's rack, then anywhere (pricing the off-rack read).
+/// With every input replica gone the job cannot recover.
+fn choose_reexec_node(
+    st: &FaultState,
+    row: usize,
+) -> Result<Option<(usize, LocalityTier)>, PhaseError> {
+    let (Some(f), Some(RowKind::Reexec { map })) =
+        (st.fetch.as_ref(), st.rows.get(row).map(|r| r.kind))
+    else {
+        return Ok(None);
+    };
+    let reps: Vec<HdfsNodeId> = f
+        .plan
+        .map_replicas
+        .get(map)
+        .map(|v| v.iter().map(|&r| HdfsNodeId(r)).collect())
+        .unwrap_or_default();
+    let alive = st.book.slots.alive_mask();
+    let lost = PhaseError::DataLost { task: map };
+    let mut best: Option<(LocalityTier, usize)> = None;
+    for n in st.book.slots.free_nodes() {
+        let Some(tier) = f.plan.topology.surviving_tier(HdfsNodeId(n), &reps, alive) else {
+            return Err(lost);
+        };
+        if best.map_or(true, |(bt, bn)| (tier, n) < (bt, bn)) {
+            best = Some((tier, n));
+        }
+    }
+    match best {
+        Some((tier, n)) => Ok(Some((n, tier))),
+        None if reps.iter().any(|r| st.book.slots.alive(r.0)) => Ok(None),
+        None => Err(lost),
+    }
+}
+
+/// LATE speculation: among tasks with a single running attempt that has
+/// run at least `spec_min_runtime_s` and progresses below
+/// `spec_rate_threshold` × the mean rate of all launched attempts, pick
+/// the slowest and duplicate it on the fastest usable node that is not
+/// the primary's — but only if the backup is expected to finish first.
+fn choose_speculation(
+    st: &FaultState,
+    load: &PhaseLoad,
+    faults: &PhaseFaults,
+    now: SimTime,
+) -> Option<(usize, usize)> {
+    if st.rate_count == 0 {
+        return None;
+    }
+    let mean = st.rate_sum / st.rate_count as f64;
+    // Only in-flight attempts can be candidates, and one whose row is
+    // not yet speculated is that row's only attempt. Pick the
+    // lexicographic minimum of (rate, task).
+    let mut primary: Option<&RunningAttempt> = None;
+    for r in st.attempts.iter().flatten() {
+        if st.rows.get(r.row).map_or(true, |row| row.speculated) {
+            continue;
+        }
+        if now.saturating_sub(r.launched).as_secs_f64() < st.policy.spec_min_runtime_s {
+            continue;
+        }
+        if r.rate >= st.policy.spec_rate_threshold * mean {
+            continue;
+        }
+        if primary.map_or(true, |best| {
+            r.rate < best.rate || (r.rate == best.rate && r.row < best.row)
+        }) {
+            primary = Some(r);
+        }
+    }
+    let primary = primary?;
+    let task = primary.row;
+    let aj = attempt_jitter(task, st.rows.get(task)?.next_attempt);
+    let mut best: Option<(f64, usize)> = None;
+    for node in st.book.slots.free_nodes() {
+        if node == primary.node {
+            continue;
+        }
+        let t = load.timing.get(node)?;
+        let d = t.task_seconds * aj * faults.slowdown.get(node)? + t.overhead_seconds;
+        if best.map_or(true, |(bd, _)| d < bd) {
+            best = Some((d, node));
+        }
+    }
+    let (backup_s, node) = best?;
+    if now + SimTime::from_secs_f64(backup_s) >= primary.launched + primary.duration {
+        return None;
+    }
+    Some((task, node))
+}
+
+/// [`run_phase`] with optional fault injection: `None` (or an inert
+/// [`PhaseFaults`]) reproduces the fault-free engine exactly; with
+/// faults, tasks are re-executed per the plan's failures, node crashes
+/// and the policy's speculation/blacklisting, and the run either
+/// completes with attempt-level spans (wasted work included) or errors
+/// cleanly.
+///
+/// # Panics
+///
+/// Panics if the cluster has no slots, or `load.timing`/the fault
+/// vectors do not match the cluster's node count.
+pub fn run_phase_faulty(
+    cluster: &Cluster,
+    load: &PhaseLoad,
+    placement: &mut dyn Placement,
+    faults: Option<&PhaseFaults>,
+) -> Result<PhaseRun, PhaseError> {
+    run_phase_faulty_fetch(cluster, load, placement, faults, None)
+}
+
+/// [`run_phase_faulty`] with Hadoop fetch-failure semantics for a reduce
+/// phase: `fetch` says which node holds each completed map's output and
+/// where the map input replicas live. When a holder dies mid-phase (or
+/// died between the phases), its outputs are lost — in-flight reduce
+/// attempts' shuffle flows are cancelled on the calendar as fetch
+/// failures, reduces stall on the shuffle barrier, and the lost maps are
+/// re-executed on surviving nodes at the surviving-replica locality tier
+/// before the reduces resume. A map whose every input replica is gone
+/// fails cleanly with [`PhaseError::DataLost`]. `fetch = None` is
+/// exactly [`run_phase_faulty`].
+///
+/// # Panics
+///
+/// Same contract as [`run_phase_faulty`].
+pub fn run_phase_faulty_fetch(
+    cluster: &Cluster,
+    load: &PhaseLoad,
+    placement: &mut dyn Placement,
+    faults: Option<&PhaseFaults>,
+    fetch: Option<&FetchPlan>,
+) -> Result<PhaseRun, PhaseError> {
+    let Some(faults) = faults else {
+        return Ok(run_phase(cluster, load, placement));
+    };
+    let nodes = cluster.nodes.len();
+    let capacity = cluster.total_slots();
+    assert!(capacity > 0, "need at least one slot");
+    assert_eq!(load.timing.len(), nodes, "one timing entry per node");
+    assert_eq!(faults.slowdown.len(), nodes, "one slowdown entry per node");
+    assert_eq!(faults.crash_at_s.len(), nodes, "one crash entry per node");
+    assert_eq!(
+        faults.dead_at_start.len(),
+        nodes,
+        "one liveness entry per node"
+    );
+    if load.tasks == 0 {
+        return Ok(PhaseRun::idle(capacity));
+    }
+
+    let mut sim = Simulation::default();
+    let mut slot_base = Vec::with_capacity(nodes + 1);
+    let mut total = 0;
+    slot_base.push(total);
+    for n in &cluster.nodes {
+        total += n.slots;
+        slot_base.push(total);
+    }
+    let mut st = FaultState {
+        book: SlotBook::new(
+            cluster,
+            Some(&faults.dead_at_start),
+            (0..load.tasks)
+                .map(|row| QueueEntry {
+                    row,
+                    queued: SimTime::ZERO,
+                })
+                .collect(),
+        ),
+        node_failures: vec![0; nodes],
+        rows: (0..load.tasks).map(|_| TaskRow::task()).collect(),
+        attempts: vec![None; capacity],
+        slot_base,
+        pending: load.tasks,
+        rate_sum: 0.0,
+        rate_count: 0,
+        spans: vec![None; load.tasks],
+        wasted: Vec::new(),
+        recovered: Vec::new(),
+        annotations: Vec::new(),
+        fstats: FaultStats::default(),
+        policy: faults.policy,
+        error: None,
+        racks: faults.domains.racks,
+        rack_blacklist_count: vec![0; faults.domains.racks],
+        rack_blacklisted: vec![false; faults.domains.racks],
+        fetch: fetch.map(|plan| FetchCtx {
+            plan,
+            outputs: plan
+                .holders
+                .iter()
+                .map(|&h| MapOutput {
+                    holder: Some(h),
+                    row: None,
+                })
+                .collect(),
+            queue: VecDeque::new(),
+            outstanding: 0,
+            gated: Vec::new(),
+        }),
+    };
+
+    // Map outputs on nodes that died between the phases are lost before
+    // the first reduce even launches.
+    if fetch.is_some() {
+        for (node, &dead) in faults.dead_at_start.iter().enumerate() {
+            if dead {
+                fetch_on_crash(&mut sim, &mut st, node);
+            }
+        }
+    }
+
+    // Rack-outage markers go on the calendar before the member nodes'
+    // own crash events, so at an identical timestamp the marker still
+    // sees the rack alive.
+    if faults.domains.racks > 0 {
+        for (rack, crash) in faults.domains.rack_crash_at_s.iter().enumerate() {
+            if let Some(t) = crash {
+                sim.push_at(SimTime::from_secs_f64(*t), FaultEvent::RackCrash { rack });
+            }
+        }
+    }
+
+    for (node, crash) in faults.crash_at_s.iter().enumerate() {
+        if let Some(t) = crash {
+            sim.push_at(SimTime::from_secs_f64(*t), FaultEvent::NodeCrash { node });
+        }
+    }
+
+    loop {
+        // Same grant discipline as the fault-free engine — FIFO queue,
+        // placement picks the node, at phase start and after every event
+        // — plus a speculation pass once the queue is empty.
+        while st.error.is_none() && st.book.slots.total_free() > 0 {
+            // Fetch-failure recovery runs ahead of everything else.
+            let lost = st.fetch.as_ref().and_then(|f| f.queue.front().copied());
+            if let Some(entry) = lost {
+                match choose_reexec_node(&st, entry.row) {
+                    Ok(Some((node, tier))) => {
+                        if let Some(f) = st.fetch.as_mut() {
+                            f.queue.pop_front();
+                        }
+                        launch_attempt(&mut sim, &mut st, load, faults, entry, node, tier, false);
+                        continue;
+                    }
+                    Ok(None) => break,
+                    Err(lost) => {
+                        st.error = Some(lost);
+                        break;
+                    }
+                }
+            }
+            // Reduces stall on the shuffle barrier while lost map
+            // outputs are being re-executed.
+            if st.fetch.as_ref().is_some_and(|f| f.outstanding > 0) {
+                break;
+            }
+            if let Some(entry) = st.book.queue.front().copied() {
+                let (node, _tier) = placement.place_local(
+                    entry.row,
+                    cluster,
+                    &st.book.slots,
+                    load.locality.as_ref(),
+                );
+                assert!(
+                    st.book.slots.free(node) > 0 && st.book.slots.usable(node),
+                    "placement chose an unusable node"
+                );
+                st.book.queue.pop_front();
+                let tier = load.tier_for(entry.row, node);
+                launch_attempt(&mut sim, &mut st, load, faults, entry, node, tier, false);
+                continue;
+            }
+            if !faults.policy.speculation {
+                break;
+            }
+            let now = sim.now();
+            let Some((row, node)) = choose_speculation(&st, load, faults, now) else {
+                break;
+            };
+            let entry = QueueEntry { row, queued: now };
+            let tier = load.tier_for(row, node);
+            launch_attempt(&mut sim, &mut st, load, faults, entry, node, tier, true);
+        }
+        let backlog = st.book.queue.len();
+        st.book.stats.max_queue_len = st.book.stats.max_queue_len.max(backlog);
+
+        let Some(event) = sim.pop() else {
+            break;
+        };
+        match event {
+            FaultEvent::AttemptDone { slot } => attempt_completed(&mut sim, &mut st, slot),
+            FaultEvent::AttemptFailed { slot } => attempt_failed(&mut sim, &mut st, slot),
+            FaultEvent::Requeue { row } => {
+                if st.error.is_none() {
+                    st.enqueue(row, sim.now());
+                }
+            }
+            FaultEvent::RackCrash { rack } => rack_crashed(&mut sim, &mut st, rack),
+            FaultEvent::NodeCrash { node } => {
+                crash_node(&mut sim, &mut st, node);
+                fetch_on_crash(&mut sim, &mut st, node);
+            }
+        }
+    }
+
+    if let Some(e) = st.error {
+        return Err(e);
+    }
+    if st.pending > 0 {
+        return Err(PhaseError::NoUsableSlots {
+            pending: st.pending,
+        });
+    }
+    let spans: Vec<TaskSpan> = st.spans.into_iter().flatten().collect();
+    debug_assert_eq!(spans.len(), load.tasks, "one winning span per task");
+    Ok(PhaseRun {
+        makespan_s: st.book.max_finish.as_secs_f64(),
+        spans,
+        slots: st.book.stats,
+        wasted: st.wasted,
+        recovered: st.recovered,
+        annotations: st.annotations,
+        faults: st.fstats,
+    })
+}

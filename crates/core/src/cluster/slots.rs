@@ -1,0 +1,468 @@
+//! Slot bookkeeping shared by both phase engines: the ready-node bitmaps
+//! placement queries, the per-node slot-occupancy bitmap, and the
+//! [`SlotBook`] that ties them to a wait queue and the admission counters.
+//!
+//! The per-event accessors here are `#[inline]`: their callers — the two
+//! engines and `Placement::place_local` — live in sibling modules, and
+//! without the hint they compile into another codegen unit as calls
+//! (`engine-clean`'s locality run lost a quarter of its events/s).
+
+use hhsim_arch::CoreKind;
+use hhsim_des::SimTime;
+use std::collections::VecDeque;
+
+use super::{Cluster, SlotStats};
+
+thread_local! {
+    /// Bitmap words examined by [`FreeSlots`] placement queries on this
+    /// thread. Pure diagnostics for the scale regression tests — never
+    /// feeds simulation state.
+    static PLACEMENT_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bitmap words examined by placement queries on this thread since the
+/// last [`reset_placement_probes`]. The scale regression tests use this
+/// to pin the engine's amortized-O(1) node lookup: a 10k-node run must
+/// not degrade to per-event linear scans when nodes die or get
+/// blacklisted.
+pub fn placement_probes() -> u64 {
+    PLACEMENT_PROBES.with(|p| p.get())
+}
+
+/// Zeroes this thread's [`placement_probes`] counter.
+pub fn reset_placement_probes() {
+    PLACEMENT_PROBES.with(|p| p.set(0));
+}
+
+#[inline]
+fn count_probes(words: u64) {
+    PLACEMENT_PROBES.with(|p| p.set(p.get() + words));
+}
+
+/// Two-level bitmap over node ids: `words` holds one bit per node,
+/// `summary` one bit per (non-zero) word. Find-first-set is two word
+/// scans — amortized O(1) at 10k nodes — and always returns the *lowest*
+/// set index, which is what keeps placement decisions byte-identical to
+/// the linear scans this structure replaced.
+#[derive(Debug, Clone, Default)]
+struct NodeBitmap {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl NodeBitmap {
+    fn new(nodes: usize) -> Self {
+        let nw = nodes.div_ceil(64);
+        NodeBitmap {
+            words: vec![0; nw],
+            summary: vec![0; nw.div_ceil(64)],
+        }
+    }
+
+    fn set(&mut self, i: usize) {
+        let w = i / 64;
+        if let Some(word) = self.words.get_mut(w) {
+            *word |= 1u64 << (i % 64);
+        }
+        if let Some(s) = self.summary.get_mut(w / 64) {
+            *s |= 1u64 << (w % 64);
+        }
+    }
+
+    fn clear(&mut self, i: usize) {
+        let w = i / 64;
+        let Some(word) = self.words.get_mut(w) else {
+            return;
+        };
+        *word &= !(1u64 << (i % 64));
+        if *word == 0 {
+            if let Some(s) = self.summary.get_mut(w / 64) {
+                *s &= !(1u64 << (w % 64));
+            }
+        }
+    }
+
+    /// Lowest set index, if any.
+    #[inline]
+    fn first(&self) -> Option<usize> {
+        for (si, &s) in self.summary.iter().enumerate() {
+            count_probes(1);
+            if s == 0 {
+                continue;
+            }
+            let w = si * 64 + s.trailing_zeros() as usize;
+            count_probes(1);
+            let word = self.words.get(w).copied().unwrap_or(0);
+            if word == 0 {
+                return None; // unreachable: summary bit implies a set word
+            }
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+        None
+    }
+
+    /// Ascending iterator over set indices.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        count_probes(self.words.len() as u64);
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(w * 64 + b)
+            })
+        })
+    }
+}
+
+/// Amortized-O(1) free-slot index over the cluster's nodes: per-node
+/// free counts plus ready-node bitmaps (overall and per core kind) that
+/// track exactly the nodes placement may choose — usable (alive, not
+/// blacklisted) with at least one free slot.
+///
+/// Placement policies query this instead of scanning a free-count slice;
+/// every query returns the same node the old linear scan returned (the
+/// lowest-id match), so spans and artifacts stay byte-identical while a
+/// 10k-node dispatch drops from O(nodes) to O(1) per event.
+#[derive(Debug, Clone)]
+pub struct FreeSlots {
+    free: Vec<usize>,
+    alive: Vec<bool>,
+    usable: Vec<bool>,
+    any: NodeBitmap,
+    big: NodeBitmap,
+    little: NodeBitmap,
+    kind_of: Vec<CoreKind>,
+    /// Free slots summed over usable nodes.
+    free_total: usize,
+    /// Nodes currently usable.
+    usable_nodes: usize,
+}
+
+impl FreeSlots {
+    /// `dead[n]` nodes start dead: zero free slots, never usable; `None`
+    /// (the fault-free engine) starts every node alive.
+    fn with_dead(cluster: &Cluster, dead: Option<&[bool]>) -> Self {
+        let n = cluster.nodes.len();
+        let mut fs = FreeSlots {
+            free: vec![0; n],
+            alive: vec![true; n],
+            usable: vec![true; n],
+            any: NodeBitmap::new(n),
+            big: NodeBitmap::new(n),
+            little: NodeBitmap::new(n),
+            kind_of: cluster.nodes.iter().map(|nd| nd.kind).collect(),
+            free_total: 0,
+            usable_nodes: n,
+        };
+        for (i, nd) in cluster.nodes.iter().enumerate() {
+            if dead.and_then(|d| d.get(i)).copied().unwrap_or(false) {
+                if let Some(a) = fs.alive.get_mut(i) {
+                    *a = false;
+                }
+                if let Some(u) = fs.usable.get_mut(i) {
+                    *u = false;
+                }
+                fs.usable_nodes -= 1;
+                continue;
+            }
+            if let Some(f) = fs.free.get_mut(i) {
+                *f = nd.slots;
+            }
+            fs.free_total += nd.slots;
+            if nd.slots > 0 {
+                fs.set_ready(i);
+            }
+        }
+        fs
+    }
+
+    fn set_ready(&mut self, node: usize) {
+        self.any.set(node);
+        match self.kind_of.get(node) {
+            Some(CoreKind::Big) => self.big.set(node),
+            Some(CoreKind::Little) => self.little.set(node),
+            None => {}
+        }
+    }
+
+    fn clear_ready(&mut self, node: usize) {
+        self.any.clear(node);
+        match self.kind_of.get(node) {
+            Some(CoreKind::Big) => self.big.clear(node),
+            Some(CoreKind::Little) => self.little.clear(node),
+            None => {}
+        }
+    }
+
+    /// Number of nodes in the cluster.
+    pub fn nodes(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Free slots on `node` (0 for dead nodes).
+    #[inline]
+    pub fn free(&self, node: usize) -> usize {
+        self.free.get(node).copied().unwrap_or(0)
+    }
+
+    /// True if `node` may receive new attempts (alive, not blacklisted).
+    #[inline]
+    pub fn usable(&self, node: usize) -> bool {
+        self.usable.get(node).copied().unwrap_or(false)
+    }
+
+    /// Free slots summed over usable nodes; zero means dispatch must wait.
+    #[inline]
+    pub fn total_free(&self) -> usize {
+        self.free_total
+    }
+
+    /// Lowest-id usable node with a free slot.
+    #[inline]
+    pub fn first_free(&self) -> Option<usize> {
+        self.any.first()
+    }
+
+    /// Lowest-id usable node of `kind` with a free slot.
+    #[inline]
+    pub fn first_free_of(&self, kind: CoreKind) -> Option<usize> {
+        match kind {
+            CoreKind::Big => self.big.first(),
+            CoreKind::Little => self.little.first(),
+        }
+    }
+
+    /// Ascending iterator over usable nodes with a free slot.
+    pub fn free_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.any.iter()
+    }
+
+    /// True if any node other than `node` can still accept attempts.
+    pub(super) fn usable_other_than(&self, node: usize) -> bool {
+        self.usable_nodes > 1 || (self.usable_nodes == 1 && !self.usable(node))
+    }
+
+    #[inline]
+    pub(super) fn alive(&self, node: usize) -> bool {
+        self.alive.get(node).copied().unwrap_or(false)
+    }
+
+    /// Liveness of every node, indexed by node id.
+    pub(super) fn alive_mask(&self) -> &[bool] {
+        &self.alive
+    }
+
+    /// Takes one free slot on a usable `node`.
+    #[inline]
+    fn claim(&mut self, node: usize) {
+        let Some(f) = self.free.get_mut(node) else {
+            return;
+        };
+        *f -= 1;
+        self.free_total -= 1;
+        if *f == 0 {
+            self.clear_ready(node);
+        }
+    }
+
+    /// Returns a slot to `node`'s pool (no-op on a crashed node: its
+    /// pool is zeroed forever).
+    #[inline]
+    fn release(&mut self, node: usize) {
+        if !self.alive(node) {
+            return;
+        }
+        let Some(f) = self.free.get_mut(node) else {
+            return;
+        };
+        *f += 1;
+        let became_ready = *f == 1;
+        if self.usable(node) {
+            self.free_total += 1;
+            if became_ready {
+                self.set_ready(node);
+            }
+        }
+    }
+
+    /// Masks `node` from placement (blacklisting): its free slots stay
+    /// physically free but stop counting or matching.
+    pub(super) fn set_unusable(&mut self, node: usize) {
+        if !self.usable(node) {
+            return;
+        }
+        if let Some(u) = self.usable.get_mut(node) {
+            *u = false;
+        }
+        self.usable_nodes -= 1;
+        self.free_total -= self.free(node);
+        self.clear_ready(node);
+    }
+
+    /// Kills `node` (crash): unusable and zero slots for the rest of the
+    /// run.
+    pub(super) fn kill(&mut self, node: usize) {
+        self.set_unusable(node);
+        if let Some(a) = self.alive.get_mut(node) {
+            *a = false;
+        }
+        if let Some(f) = self.free.get_mut(node) {
+            *f = 0;
+        }
+    }
+}
+
+/// Per-node slot-occupancy bitmaps (bit set = slot free), flattened into
+/// one word array. Claiming always takes the lowest free slot — the same
+/// slot the old per-slot boolean scan picked — in O(1) for clusters with
+/// up to 64 slots per node.
+#[derive(Debug, Clone)]
+struct SlotTable {
+    words: Vec<u64>,
+    /// Word range of node `n` is `offset[n]..offset[n + 1]`.
+    offset: Vec<usize>,
+}
+
+impl SlotTable {
+    fn new(cluster: &Cluster) -> Self {
+        let mut offset = Vec::with_capacity(cluster.nodes.len() + 1);
+        offset.push(0);
+        let mut total = 0usize;
+        for n in &cluster.nodes {
+            total += n.slots.div_ceil(64);
+            offset.push(total);
+        }
+        let mut words = vec![0u64; total];
+        for (i, n) in cluster.nodes.iter().enumerate() {
+            let base = offset.get(i).copied().unwrap_or(0);
+            let mut left = n.slots;
+            let mut w = base;
+            while left > 0 {
+                let bits = left.min(64);
+                if let Some(word) = words.get_mut(w) {
+                    *word = if bits == 64 {
+                        u64::MAX
+                    } else {
+                        (1u64 << bits) - 1
+                    };
+                }
+                left -= bits;
+                w += 1;
+            }
+        }
+        SlotTable { words, offset }
+    }
+
+    /// Claims the lowest free slot on `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no free slot (engine invariant: callers
+    /// check the free count first).
+    #[inline]
+    fn claim_first(&mut self, node: usize) -> usize {
+        let lo = self.offset.get(node).copied().unwrap_or(0);
+        let hi = self.offset.get(node + 1).copied().unwrap_or(lo);
+        for w in lo..hi {
+            let Some(word) = self.words.get_mut(w) else {
+                break;
+            };
+            if *word == 0 {
+                continue;
+            }
+            let bit = word.trailing_zeros() as usize;
+            *word &= !(1u64 << bit);
+            return (w - lo) * 64 + bit;
+        }
+        unreachable!("free slot exists on chosen node");
+    }
+
+    /// Marks `slot` on `node` free again.
+    #[inline]
+    fn release(&mut self, node: usize, slot: usize) {
+        let lo = self.offset.get(node).copied().unwrap_or(0);
+        if let Some(word) = self.words.get_mut(lo + slot / 64) {
+            *word |= 1u64 << (slot % 64);
+        }
+    }
+}
+
+/// Slot bookkeeping of one engine run, shared by the fault-free and the
+/// fault-aware engine: which slots are free, which wave each is on, who
+/// is waiting (`Q` is the engine's queue entry), and the admission
+/// counters. `slots` also carries node health: dead and blacklisted
+/// nodes are unusable.
+#[derive(Debug)]
+pub(super) struct SlotBook<Q> {
+    pub(super) slots: FreeSlots,
+    slot_table: SlotTable,
+    slot_waves: Vec<Vec<usize>>,
+    pub(super) queue: VecDeque<Q>,
+    in_use: usize,
+    pub(super) max_finish: SimTime,
+    pub(super) stats: SlotStats,
+}
+
+impl<Q> SlotBook<Q> {
+    /// Every slot of `cluster` free (none on `dead` nodes), `queue` waiting.
+    pub(super) fn new(cluster: &Cluster, dead: Option<&[bool]>, queue: VecDeque<Q>) -> Self {
+        SlotBook {
+            slots: FreeSlots::with_dead(cluster, dead),
+            slot_table: SlotTable::new(cluster),
+            slot_waves: cluster.nodes.iter().map(|n| vec![0; n.slots]).collect(),
+            queue,
+            in_use: 0,
+            max_finish: SimTime::ZERO,
+            stats: SlotStats {
+                capacity: cluster.total_slots(),
+                ..SlotStats::default()
+            },
+        }
+    }
+
+    /// Marks the first idle slot on `node` busy; returns `(slot, wave)`.
+    #[inline]
+    pub(super) fn claim_slot(&mut self, node: usize) -> (usize, usize) {
+        self.slots.claim(node);
+        self.in_use += 1;
+        self.stats.peak_in_use = self.stats.peak_in_use.max(self.in_use);
+        let slot = self.slot_table.claim_first(node);
+        match self.slot_waves.get_mut(node).and_then(|w| w.get_mut(slot)) {
+            Some(w) => {
+                *w += 1;
+                (slot, *w)
+            }
+            None => (slot, 0), // unreachable: slot ids come from the table
+        }
+    }
+
+    /// Returns an attempt's slot to the pool (no-op free count on a node
+    /// that has since crashed: its pool is already zeroed forever).
+    #[inline]
+    pub(super) fn release_slot(&mut self, node: usize, slot: usize) {
+        self.slots.release(node);
+        self.in_use -= 1;
+        self.slot_table.release(node, slot);
+    }
+
+    /// Counts a launch that spent `wait` in the queue.
+    #[inline]
+    pub(super) fn note_wait(&mut self, wait: SimTime) {
+        if !wait.is_zero() {
+            self.stats.tasks_queued += 1;
+            self.stats.total_wait_s += wait.as_secs_f64();
+        }
+    }
+
+    /// Extends the makespan to a completion at `now`.
+    #[inline]
+    pub(super) fn note_finish(&mut self, now: SimTime) {
+        if now > self.max_finish {
+            self.max_finish = now;
+        }
+    }
+}

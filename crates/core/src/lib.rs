@@ -48,10 +48,9 @@ pub mod shuffle;
 pub mod simcache;
 
 pub use cluster::{
-    attempt_jitter, homogeneous_makespan, placement_probes, reset_placement_probes, run_phase,
-    run_phase_faulty, run_phase_faulty_fetch, Cluster, ClusterTimeline, FetchPlan, FifoAnySlot,
-    FreeSlots, KindPreferring, Node, NodeTiming, PhaseLoad, PhaseRun, Placement, SlotStats,
-    TaskSet, TaskSpan,
+    attempt_jitter, placement_probes, reset_placement_probes, run_phase, run_phase_faulty,
+    run_phase_faulty_fetch, Cluster, ClusterTimeline, FetchPlan, FifoAnySlot, FreeSlots,
+    KindPreferring, Node, NodeTiming, PhaseLoad, PhaseRun, Placement, SlotStats, TaskSet, TaskSpan,
 };
 pub use harness::{
     run_grid, run_grid_with, set_jobs, Aggregate, HarnessSnapshot, ReplicationPlan,

@@ -757,7 +757,7 @@ pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
     trace.push(breakdown.map_s, p_map.total());
     trace.push(breakdown.reduce_s, p_red.total());
     trace.push(breakdown.others_s, p_oth.total());
-    let reading = PowerMeter::default().measure(&trace);
+    let reading = PowerMeter.measure(&trace);
     let idle = m.power.node_idle_w;
 
     let map_cost_detail = PhaseCost {
@@ -847,7 +847,6 @@ fn build_placement(kind: PlacementKind, app: AppId) -> Box<dyn Placement> {
 /// the [`StreamingMeter`] instead of a per-node `PowerTrace` + full
 /// re-sampling pass.
 fn charge_phase(
-    cluster: &Cluster,
     run: &PhaseRun,
     machines: &[&MachineModel],
     f: Frequency,
@@ -855,11 +854,7 @@ fn charge_phase(
     io_frac: &[f64],
     meters: &mut [StreamingMeter],
 ) -> f64 {
-    let mut ph = ClusterTimeline::new(cluster);
-    ph.extend("phase", 0.0, run);
-    // One pass over the span columns for every node's step function —
-    // the per-node `active_steps(i)` loop was O(nodes × spans).
-    let mut steps = ph.active_steps_all();
+    let mut steps = run.active_steps_all(machines.len());
     let mut dynamic_j = 0.0;
     for (i, (m, meter)) in machines.iter().zip(meters.iter_mut()).enumerate() {
         let op = m.operating_point(f);
@@ -1440,7 +1435,6 @@ impl ClusterPrep {
             offset += map_run.makespan_s;
             map_wall += map_run.makespan_s;
             map_dyn_j += charge_phase(
-                cluster,
                 &map_run,
                 &machines,
                 f,
@@ -1515,7 +1509,6 @@ impl ClusterPrep {
                 offset += red_run.makespan_s;
                 reduce_wall += red_run.makespan_s;
                 red_dyn_j += charge_phase(
-                    cluster,
                     &red_run,
                     &machines,
                     f,

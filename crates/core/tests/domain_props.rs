@@ -154,6 +154,21 @@ fn domain_invariants_hold_under_the_full_fault_mix() {
                         "recovered map ran on a node that outlived it"
                     );
                 }
+                // Every reported id is real — a reduce task for the
+                // phase's own attempts, a map for a re-execution — never
+                // an engine-internal row number.
+                for w in &run.wasted {
+                    let bound = match w.outcome {
+                        AttemptOutcome::FetchFailed | AttemptOutcome::Cancelled => s.tasks,
+                        _ => s.tasks.max(maps),
+                    };
+                    assert!(
+                        w.task < bound,
+                        "wasted {:?} attempt names task {} of {bound}",
+                        w.outcome,
+                        w.task
+                    );
+                }
                 // Fetch failures only exist when a fetch plan was given.
                 if plan.is_none() {
                     assert_eq!(run.faults.fetch_failures, 0);
@@ -186,6 +201,59 @@ fn domain_invariants_hold_under_the_full_fault_mix() {
             }
         }
     });
+}
+
+/// A map whose re-execution's holder dies too is lost a second time: it
+/// goes back through its existing row, so the second re-execution is
+/// attempt 3 of the map — not a fresh attempt 2 — and both land under the
+/// map's own id.
+#[test]
+fn relost_map_reuses_its_row_and_keeps_counting_attempts() {
+    let cluster = Cluster::homogeneous(CoreKind::Big, 4, 1);
+    let load = PhaseLoad::uniform(
+        &hhsim_core::TaskSet {
+            tasks: 4,
+            task_seconds: 10.0,
+            overhead_seconds: 0.0,
+        },
+        &cluster,
+    );
+    // One map output, on node 0; its input block has a replica on every
+    // node, so each re-execution is node-local wherever it lands.
+    let plan = FetchPlan {
+        holders: vec![0],
+        map_replicas: vec![vec![0, 1, 2, 3]],
+        topology: Topology::racked(2, 1.0),
+        read_seconds: [0.0, 2.0, 6.0],
+        map_timing: vec![
+            NodeTiming {
+                task_seconds: 3.0,
+                overhead_seconds: 0.1,
+            };
+            4
+        ],
+    };
+    let mut faults = hhsim_core::faults::PhaseFaults::inert(4);
+    // Node 0 dies mid-shuffle; the re-run lands on node 1 (lowest free
+    // id) and finishes around t = 8; node 1 dies at t = 12.
+    faults.crash_at_s[0] = Some(5.0);
+    faults.crash_at_s[1] = Some(12.0);
+    let run = run_phase_faulty_fetch(
+        &cluster,
+        &load,
+        &mut FifoAnySlot,
+        Some(&faults),
+        Some(&plan),
+    )
+    .expect("two replica holders survive");
+    let reruns: Vec<(usize, usize, u32)> = run
+        .recovered
+        .iter()
+        .map(|r| (r.task, r.node, r.attempt))
+        .collect();
+    assert_eq!(reruns, vec![(0, 1, 2), (0, 2, 3)]);
+    assert_eq!(run.faults.reexecuted_maps, 2);
+    assert_eq!(run.spans.len(), 4);
 }
 
 /// The end-to-end availability story, pinned: on the fig. 22 Atom

@@ -49,7 +49,7 @@ fn exact_integral_matches_segment_sum_and_meter_view_is_bitwise() {
             "seed {seed}: exact integral"
         );
         // The streamed 1 Hz view is the meter, bit for bit.
-        let reference = PowerMeter::default().measure(&trace);
+        let reference = PowerMeter.measure(&trace);
         assert_eq!(er.meter, reference, "seed {seed}: 1 Hz view");
     }
 }

@@ -12,8 +12,7 @@
 
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
-    homogeneous_makespan, jitter, run_phase, Cluster, FifoAnySlot, KindPreferring, NodeTiming,
-    PhaseLoad, TaskSet,
+    jitter, run_phase, Cluster, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad, TaskSet,
 };
 use hhsim_core::des::{SimTime, Simulation, SlotPool};
 
@@ -35,6 +34,17 @@ fn legacy_flat_makespan(set: &TaskSet, slots: usize) -> f64 {
     // The last event is the last task's release: the final clock is the
     // makespan — no completion-tracking cell needed.
     sim.run().as_secs_f64()
+}
+
+/// The engine's makespan for `set` on `nodes` identical `kind` nodes.
+fn homogeneous_makespan(set: &TaskSet, nodes: usize, slots: usize, kind: CoreKind) -> f64 {
+    let cluster = Cluster::homogeneous(kind, nodes, slots);
+    run_phase(
+        &cluster,
+        &PhaseLoad::uniform(set, &cluster),
+        &mut FifoAnySlot,
+    )
+    .makespan_s
 }
 
 fn set(tasks: usize, task_seconds: f64, overhead_seconds: f64) -> TaskSet {

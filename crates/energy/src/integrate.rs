@@ -1,6 +1,6 @@
 //! Event-driven energy integration with a streamed 1 Hz meter view.
 //!
-//! The batch pipeline (`UtilizationTimeline::to_power_trace` +
+//! The batch pipeline (a [`PowerTrace`] per node +
 //! [`PowerMeter::measure`]) materializes every power segment and then
 //! walks the whole trace once per 1 Hz sample — O(samples × segments)
 //! time and O(segments) memory per node. [`StreamingMeter`] replaces
@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{MeterReading, PowerTrace};
+use crate::{MeterReading, PowerTrace, SAMPLE_INTERVAL_S};
 
 /// Result of one streamed metering pass: the legacy 1 Hz reading plus
 /// the exact piecewise energy integral over the same segments.
@@ -76,14 +76,12 @@ impl EnergyReading {
 ///     meter.push(d, w);
 /// }
 /// let streamed = meter.finish();
-/// let batch = PowerMeter::default().measure(&trace);
+/// let batch = PowerMeter.measure(&trace);
 /// assert_eq!(streamed.meter, batch);
 /// assert_eq!(streamed.exact_energy_j, trace.exact_energy_j());
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingMeter {
-    /// Sampling interval, seconds (1 Hz by default, like the Wattsup).
-    interval_s: f64,
     /// Running duration: the same left fold as [`PowerTrace::duration_s`].
     acc_s: f64,
     /// Exact integral so far: the same fold as
@@ -108,24 +106,9 @@ impl Default for StreamingMeter {
 }
 
 impl StreamingMeter {
-    /// A 1 Hz streaming meter (the Wattsup PRO cadence the paper's
-    /// §1.1 methodology samples at).
+    /// An empty meter sampling every [`SAMPLE_INTERVAL_S`].
     pub fn new() -> Self {
-        StreamingMeter::with_interval(1.0)
-    }
-
-    /// A streaming meter sampling every `interval_s` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is not finite and positive.
-    pub fn with_interval(interval_s: f64) -> Self {
-        assert!(
-            interval_s.is_finite() && interval_s > 0.0,
-            "bad sample interval {interval_s}"
-        );
         StreamingMeter {
-            interval_s,
             // -0.0 is the identity of IEEE addition and the seed of
             // std's f64 `Sum`, so even empty-trace folds are
             // bit-identical to `PowerTrace::duration_s`/`exact_energy_j`.
@@ -180,8 +163,8 @@ impl StreamingMeter {
     }
 
     /// Midpoint time of sample `i`.
-    fn sample_time(&self, i: u64) -> f64 {
-        (i as f64 + 0.5) * self.interval_s
+    fn sample_time(i: u64) -> f64 {
+        (i as f64 + 0.5) * SAMPLE_INTERVAL_S
     }
 
     /// Resolves pending samples whose value can no longer change:
@@ -193,8 +176,8 @@ impl StreamingMeter {
     fn resolve_safe_samples(&mut self) {
         loop {
             let i = self.next_sample;
-            let complete = (self.acc_s / self.interval_s).floor() >= (i as f64) + 1.0;
-            let t = self.sample_time(i);
+            let complete = (self.acc_s / SAMPLE_INTERVAL_S).floor() >= (i as f64) + 1.0;
+            let t = Self::sample_time(i);
             if !(complete && t < 0.999_999 * self.acc_s) {
                 break;
             }
@@ -223,9 +206,7 @@ impl StreamingMeter {
     /// `min(t_next, 0.999_999 * acc)` — later pushes only grow both
     /// bounds — so segments ending at or before that are dead.
     fn trim_tail(&mut self) {
-        let bound = self
-            .sample_time(self.next_sample)
-            .min(0.999_999 * self.acc_s);
+        let bound = Self::sample_time(self.next_sample).min(0.999_999 * self.acc_s);
         while self.tail.len() > 1 {
             match self.tail.front() {
                 Some(&(end, _)) if end <= bound => {
@@ -254,11 +235,11 @@ impl StreamingMeter {
                 segments: self.segments,
             };
         }
-        let n = (duration / self.interval_s).floor().max(1.0) as u64;
+        let n = (duration / SAMPLE_INTERVAL_S).floor().max(1.0) as u64;
         let mut sum = self.sample_sum_w;
         let last_w = self.tail.back().map(|&(_, w)| w).unwrap_or(0.0);
         for i in self.next_sample..n {
-            let t = self.sample_time(i).min(duration * 0.999_999);
+            let t = Self::sample_time(i).min(duration * 0.999_999);
             let mut w = last_w;
             for &(end, seg_w) in &self.tail {
                 if t < end {
@@ -355,7 +336,7 @@ mod tests {
                 meter.push(d, w);
             }
             let streamed = meter.finish();
-            let batch = PowerMeter::default().measure(&trace);
+            let batch = PowerMeter.measure(&trace);
             assert_bitwise_eq(&streamed, &batch, &format!("seed {seed}"));
             assert_eq!(
                 streamed.exact_energy_j.to_bits(),
@@ -363,26 +344,6 @@ mod tests {
                 "seed {seed}: exact integral"
             );
             assert_eq!(streamed.segments as usize, trace.segments().len());
-        }
-    }
-
-    #[test]
-    fn non_unit_intervals_stay_bitwise_identical() {
-        for &h in &[0.25, 0.5, 2.0, 7.3] {
-            for seed in 1000..1050u64 {
-                let mut trace = PowerTrace::new();
-                let mut meter = StreamingMeter::with_interval(h);
-                for (d, w) in random_trace(seed) {
-                    trace.push(d, w);
-                    meter.push(d, w);
-                }
-                let streamed = meter.finish();
-                let batch = PowerMeter {
-                    sample_interval_s: h,
-                }
-                .measure(&trace);
-                assert_bitwise_eq(&streamed, &batch, &format!("h {h} seed {seed}"));
-            }
         }
     }
 
@@ -403,7 +364,7 @@ mod tests {
             meter.push(d, w);
         }
         let streamed = meter.finish();
-        let batch = PowerMeter::default().measure(&trace);
+        let batch = PowerMeter.measure(&trace);
         assert_bitwise_eq(&streamed, &batch, "long trace");
     }
 
@@ -491,7 +452,7 @@ mod tests {
         trace.push(10.0, 150.0);
         trace.push(5.0, 90.0);
         let r = measure_trace(&trace);
-        let batch = PowerMeter::default().measure(&trace);
+        let batch = PowerMeter.measure(&trace);
         assert_bitwise_eq(&r, &batch, "measure_trace");
         assert_eq!(r.exact_energy_j, 10.0 * 150.0 + 5.0 * 90.0);
     }
@@ -509,11 +470,5 @@ mod tests {
     #[should_panic(expected = "bad power")]
     fn negative_power_rejected() {
         StreamingMeter::new().push(1.0, -5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad sample interval")]
-    fn zero_interval_rejected() {
-        let _ = StreamingMeter::with_interval(0.0);
     }
 }

@@ -18,7 +18,7 @@
 //! let mut trace = PowerTrace::new();
 //! trace.push(10.0, 150.0); // 10 s at 150 W
 //! trace.push(5.0, 90.0);   // 5 s at 90 W
-//! let reading = PowerMeter::default().measure(&trace);
+//! let reading = PowerMeter.measure(&trace);
 //! assert!((reading.average_watts - 130.0).abs() < 1.0);
 //!
 //! let m = CostMetrics::new(1000.0, 20.0, 216.0);
@@ -32,6 +32,6 @@ mod metrics;
 mod timeline;
 
 pub use integrate::{measure_trace, EnergyReading, StreamingMeter};
-pub use meter::{MeterReading, PowerMeter, PowerTrace};
+pub use meter::{MeterReading, PowerMeter, PowerTrace, SAMPLE_INTERVAL_S};
 pub use metrics::{CostMetrics, MetricKind};
 pub use timeline::UtilizationTimeline;

@@ -91,20 +91,13 @@ impl MeterReading {
     }
 }
 
-/// A Wattsup-style sampling power meter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerMeter {
-    /// Sampling interval in seconds (Wattsup PRO: 1.0).
-    pub sample_interval_s: f64,
-}
+/// Sampling interval of both meters, seconds: the Wattsup PRO's 1 Hz, the
+/// cadence the paper's §1.1 methodology samples at.
+pub const SAMPLE_INTERVAL_S: f64 = 1.0;
 
-impl Default for PowerMeter {
-    fn default() -> Self {
-        PowerMeter {
-            sample_interval_s: 1.0,
-        }
-    }
-}
+/// A Wattsup-style sampling power meter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerMeter;
 
 impl PowerMeter {
     /// Samples the trace at the meter cadence (midpoint convention) and
@@ -119,10 +112,10 @@ impl PowerMeter {
                 duration_s: 0.0,
             };
         }
-        let n = (duration / self.sample_interval_s).floor().max(1.0) as u64;
+        let n = (duration / SAMPLE_INTERVAL_S).floor().max(1.0) as u64;
         let mut sum = 0.0;
         for i in 0..n {
-            let t = (i as f64 + 0.5) * self.sample_interval_s;
+            let t = (i as f64 + 0.5) * SAMPLE_INTERVAL_S;
             sum += trace.power_at(t.min(duration * 0.999_999));
         }
         MeterReading {
@@ -141,7 +134,7 @@ mod tests {
     fn constant_trace_measures_exactly() {
         let mut t = PowerTrace::new();
         t.push(60.0, 120.0);
-        let r = PowerMeter::default().measure(&t);
+        let r = PowerMeter.measure(&t);
         assert_eq!(r.samples, 60);
         assert_eq!(r.average_watts, 120.0);
         assert_eq!(r.energy_j(), 7200.0);
@@ -153,7 +146,7 @@ mod tests {
         t.push(33.3, 150.0);
         t.push(12.2, 80.0);
         t.push(7.5, 200.0);
-        let r = PowerMeter::default().measure(&t);
+        let r = PowerMeter.measure(&t);
         let exact = t.exact_energy_j();
         let est = r.energy_j();
         assert!(
@@ -166,7 +159,7 @@ mod tests {
     fn idle_subtraction() {
         let mut t = PowerTrace::new();
         t.push(10.0, 130.0);
-        let r = PowerMeter::default().measure(&t);
+        let r = PowerMeter.measure(&t);
         assert_eq!(r.dynamic_watts(92.0), 38.0);
         assert_eq!(r.dynamic_energy_j(92.0), 380.0);
         // Below-idle readings clamp rather than going negative.
@@ -177,14 +170,14 @@ mod tests {
     fn short_trace_gets_one_sample() {
         let mut t = PowerTrace::new();
         t.push(0.3, 77.0);
-        let r = PowerMeter::default().measure(&t);
+        let r = PowerMeter.measure(&t);
         assert_eq!(r.samples, 1);
         assert_eq!(r.average_watts, 77.0);
     }
 
     #[test]
     fn empty_trace_reads_zero() {
-        let r = PowerMeter::default().measure(&PowerTrace::new());
+        let r = PowerMeter.measure(&PowerTrace::new());
         assert_eq!(r.samples, 0);
         assert_eq!(r.average_watts, 0.0);
         assert_eq!(r.energy_j(), 0.0);

@@ -1,16 +1,14 @@
 //! Time-resolved utilization → power conversion.
 //!
 //! The cluster engine emits, per node, a step function of how many task
-//! slots are busy at every instant. [`UtilizationTimeline`] turns that
-//! step function into a [`PowerTrace`] through a caller-supplied
-//! `active slots → watts` map (the arch crate's `node_power`), so the
-//! 1 Hz meter samples *time-resolved* utilization — waves filling and
-//! draining, stragglers trailing — instead of a single phase-average
+//! slots are busy at every instant. [`UtilizationTimeline`] walks that
+//! step function as `(duration, active slots)` pieces the caller prices
+//! through an `active slots → watts` map (the arch crate's `node_power`),
+//! so the 1 Hz meter samples *time-resolved* utilization — waves filling
+//! and draining, stragglers trailing — instead of a single phase-average
 //! power level.
 
 use serde::{Deserialize, Serialize};
-
-use crate::PowerTrace;
 
 /// A step function of busy slots over one node's phase: change points
 /// `(time_s, active)` sorted by time, starting at `t = 0`.
@@ -97,25 +95,6 @@ impl UtilizationTimeline {
             .zip(ends)
             .map(|(&(t, a), next)| (next - t, a))
     }
-
-    /// Renders the timeline as a power trace, pricing each piece with
-    /// `power_of(active_slots)` (watts — typically the arch model's
-    /// `node_power(...).total()`).
-    pub fn to_power_trace(&self, mut power_of: impl FnMut(usize) -> f64) -> PowerTrace {
-        let mut trace = PowerTrace::new();
-        for (dur, active) in self.pieces() {
-            trace.push(dur, power_of(active));
-        }
-        trace
-    }
-
-    /// Appends this timeline's pieces onto an existing trace (phases of a
-    /// chained job concatenate on one meter).
-    pub fn append_to(&self, trace: &mut PowerTrace, mut power_of: impl FnMut(usize) -> f64) {
-        for (dur, active) in self.pieces() {
-            trace.push(dur, power_of(active));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,8 +125,10 @@ mod tests {
 
     #[test]
     fn power_trace_prices_each_piece() {
-        let tl = ramp();
-        let trace = tl.to_power_trace(|a| 100.0 + 50.0 * a as f64);
+        let mut trace = crate::PowerTrace::new();
+        for (dur, active) in ramp().pieces() {
+            trace.push(dur, 100.0 + 50.0 * active as f64);
+        }
         assert_eq!(trace.segments().len(), 3);
         assert!((trace.duration_s() - 4.0).abs() < 1e-12);
         // 1 s @ 200 W + 2 s @ 150 W + 1 s @ 100 W.
@@ -155,19 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn append_concatenates_phases() {
-        let mut trace = PowerTrace::new();
-        ramp().append_to(&mut trace, |a| 10.0 * a as f64 + 1.0);
-        ramp().append_to(&mut trace, |_| 5.0);
-        assert!((trace.duration_s() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_timeline_is_harmless() {
         let tl = UtilizationTimeline::new(Vec::new(), 0.0);
         assert_eq!(tl.peak(), 0);
         assert_eq!(tl.mean_active(), 0.0);
-        assert_eq!(tl.to_power_trace(|_| 1.0).segments().len(), 0);
+        assert_eq!(tl.pieces().count(), 0);
     }
 
     #[test]
