@@ -7,15 +7,17 @@ fn main() {
             ComputeProfile::parsec_average(),
             ComputeProfile::hadoop_average(),
         ] {
+            // One trace simulation per row; IPC and CPI derive from it.
             let (oc, dn) = m.stall_split(&p);
+            let cpi = m.cpi_with_stalls(&p, f, oc, dn);
             println!(
                 "{:<22} {:<12} ipc={:.3} on_chip={:.2}cyc dram={:.2}ns cpi={:.3}",
                 m.name,
                 p.name,
-                m.effective_ipc(&p, f),
+                1.0 / cpi,
                 oc,
                 dn,
-                m.cpi(&p, f)
+                cpi
             );
         }
     }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// deterministic pseudo-random policy exist for ablation studies of how
 /// much the miss rates — and therefore Fig. 1's IPC — depend on the
 /// replacement choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Replacement {
     /// Evict the least-recently-used way.
     #[default]
@@ -135,18 +135,31 @@ pub struct Cache {
     stamps: Vec<u64>,
     clock: u64,
     stats: LevelStats,
+    /// Geometry derived once in [`Cache::new`] so [`Cache::access`] does
+    /// no division on the (usual) power-of-two set counts: `log2` of the
+    /// line size, the set count, and `log2` of the set count when it is
+    /// a power of two.
+    line_shift: u32,
+    num_sets: u64,
+    set_shift: Option<u32>,
 }
 
 impl Cache {
     /// Builds an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let slots = config.num_sets() * config.associativity;
+        let num_sets = config.num_sets();
+        let slots = num_sets * config.associativity;
         Cache {
-            config,
             tags: vec![u64::MAX; slots],
             stamps: vec![0; slots],
             clock: 0,
             stats: LevelStats::default(),
+            line_shift: config.line_bytes.trailing_zeros(),
+            num_sets: num_sets as u64,
+            set_shift: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
+            config,
         }
     }
 
@@ -163,6 +176,53 @@ impl Cache {
     /// Looks up (and on miss, fills) the line containing `addr`.
     /// Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        self.stats.accesses += 1;
+        let line = addr >> self.line_shift;
+        let (set, tag) = match self.set_shift {
+            Some(shift) => (line & (self.num_sets - 1), line >> shift),
+            None => (line % self.num_sets, line / self.num_sets),
+        };
+        let ways = self.config.associativity;
+        let base = set as usize * ways;
+
+        // Hits dominate: scan the set's tags alone, and look at the
+        // stamps only when a victim is needed.
+        if let Some(way) = self.tags[base..base + ways].iter().position(|&t| t == tag) {
+            if self.config.replacement == Replacement::Lru {
+                self.stamps[base + way] = self.clock;
+            }
+            self.stats.hits += 1;
+            return true;
+        }
+        let way = match self.config.replacement {
+            // The first way holding the smallest stamp. Under FIFO,
+            // stamps are only written on fill, so that is the
+            // oldest-filled way — same scan, different maintenance.
+            Replacement::Lru | Replacement::Fifo => {
+                let stamps = self.stamps[base..base + ways].iter().enumerate();
+                // `min_by_key` keeps the first of equal minima.
+                stamps.min_by_key(|&(_, &s)| s).map_or(0, |(w, _)| w)
+            }
+            Replacement::Random => {
+                // xorshift64* over the access counter: deterministic.
+                let mut x = self.clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                x as usize % ways
+            }
+        };
+        self.tags[base + way] = tag;
+        self.stamps[base + way] = self.clock;
+        false
+    }
+
+    /// The kernel [`Cache::access`] replaced, kept as the oracle it must
+    /// match access for access: geometry recomputed per call, tags and
+    /// stamps scanned in one loop.
+    #[cfg(test)]
+    fn access_reference(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let line = addr / self.config.line_bytes as u64;
@@ -187,14 +247,9 @@ impl Cache {
                 victim = slot;
             }
         }
-        // Miss: pick the victim per policy and fill.
         let victim = match self.config.replacement {
-            // Under FIFO, stamps are only written on fill, so the minimum
-            // stamp is the oldest-filled way — same scan, different
-            // maintenance.
             Replacement::Lru | Replacement::Fifo => victim,
             Replacement::Random => {
-                // xorshift64* over the access counter: deterministic.
                 let mut x = self.clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
                 x ^= x >> 12;
                 x ^= x << 25;
@@ -483,6 +538,82 @@ mod tests {
         c.reset();
         assert_eq!(c.stats().accesses, 0);
         assert!(!c.access(0), "line gone after reset");
+    }
+
+    /// [`CacheHierarchy::access`] over the reference kernel.
+    fn hierarchy_access_reference(h: &mut CacheHierarchy, addr: u64) -> Option<usize> {
+        h.total_accesses += 1;
+        for (i, level) in h.levels.iter_mut().enumerate() {
+            if level.access_reference(addr) {
+                return Some(i);
+            }
+        }
+        h.memory_accesses += 1;
+        None
+    }
+
+    #[test]
+    fn kernel_matches_reference_access_for_access() {
+        use crate::profile::ComputeProfile;
+        use crate::trace::TraceGenerator;
+
+        const ACCESSES: usize = 120_000;
+        // Power-of-two sets (64), the Xeon L3's 12 288 sets, and the
+        // Atom's 6-way L1 (64 sets, non-power-of-two ways).
+        let geometries = [
+            ("L1d", 32 * 1024, 8),
+            ("L3", 15 * 1024 * 1024, 20),
+            ("L1d6", 24 * 1024, 6),
+        ];
+        let profiles = [
+            ComputeProfile::hadoop_average(),
+            ComputeProfile::spec_average(),
+        ];
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            for (name, size, ways) in geometries {
+                for (seed, profile) in profiles.iter().enumerate() {
+                    let cfg = CacheConfig::new(name, size, ways, 64, 1.0).with_replacement(policy);
+                    let mut fast = Cache::new(cfg.clone());
+                    let mut slow = Cache::new(cfg);
+                    let mut gen = TraceGenerator::new(profile.mem, seed as u64 + 7);
+                    for i in 0..ACCESSES {
+                        let addr = gen.next_address();
+                        assert_eq!(
+                            fast.access(addr),
+                            slow.access_reference(addr),
+                            "{policy:?} {name} {} access {i} (addr {addr:#x})",
+                            profile.name
+                        );
+                    }
+                    assert_eq!(fast.stats(), slow.stats());
+                    assert_eq!(fast.tags, slow.tags, "{policy:?} {name}: same residents");
+                    assert_eq!(fast.stamps, slow.stamps, "{policy:?} {name}: same ages");
+                }
+            }
+            // Whole hierarchies, so fills at one level see the misses of
+            // the level before: both presets under every policy.
+            for machine in crate::presets::both() {
+                let levels: Vec<CacheConfig> = machine
+                    .cache_levels
+                    .iter()
+                    .map(|c| c.clone().with_replacement(policy))
+                    .collect();
+                let mut fast = CacheHierarchy::new(levels.clone(), machine.mem_latency_ns);
+                let mut slow = CacheHierarchy::new(levels, machine.mem_latency_ns);
+                let mut gen = TraceGenerator::new(profiles[0].mem, 11);
+                for i in 0..ACCESSES {
+                    let addr = gen.next_address();
+                    assert_eq!(
+                        fast.access(addr),
+                        hierarchy_access_reference(&mut slow, addr),
+                        "{policy:?} {} access {i}",
+                        machine.name
+                    );
+                }
+                assert_eq!(fast.stats(), slow.stats());
+                assert_eq!(fast.stall_split_per_access(), slow.stall_split_per_access());
+            }
+        }
     }
 
     #[test]

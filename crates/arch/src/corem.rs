@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheConfig, CacheHierarchy};
+use crate::cache::{CacheConfig, CacheHierarchy, Replacement};
 use crate::dvfs::{Frequency, OperatingPoint, VoltageCurve};
 use crate::power::ChipPowerModel;
 use crate::profile::ComputeProfile;
@@ -110,6 +110,25 @@ pub struct MachineModel {
     pub memory_gb: f64,
 }
 
+/// Everything [`MachineModel::stall_split`] reads and nothing it does
+/// not, as a hashable value: two (machine, profile) pairs with equal keys
+/// have equal splits, whatever they are called.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub struct StallKey {
+    /// Per cache level: size, associativity, line bytes, latency bits,
+    /// replacement policy.
+    levels: Vec<(usize, usize, usize, u64, Replacement)>,
+    /// DRAM latency bits.
+    mem_latency_ns: u64,
+    /// The [`MemoryProfile`](crate::MemoryProfile): accesses per
+    /// instruction bits, working set, hot set, hot and streaming fraction
+    /// bits.
+    mem: [u64; 5],
+    /// Seed of the synthetic trace — all the simulation reads of the
+    /// profile's name.
+    trace_seed: u64,
+}
+
 /// Number of addresses simulated when deriving stall behaviour; large
 /// enough to warm the biggest L3 working sets while staying fast.
 const TRACE_LEN: usize = 400_000;
@@ -144,7 +163,42 @@ impl MachineModel {
         h.stall_split_per_access()
     }
 
+    /// The identity of [`MachineModel::stall_split`]`(profile)` for
+    /// memoization. Keep the two in step: a field the simulation starts
+    /// to read belongs in [`StallKey`].
+    pub fn stall_key(&self, profile: &ComputeProfile) -> StallKey {
+        let level = |c: &CacheConfig| {
+            let latency = c.latency_cycles.to_bits();
+            (
+                c.size_bytes,
+                c.associativity,
+                c.line_bytes,
+                latency,
+                c.replacement,
+            )
+        };
+        let mem = &profile.mem;
+        StallKey {
+            levels: self.cache_levels.iter().map(level).collect(),
+            mem_latency_ns: self.mem_latency_ns.to_bits(),
+            mem: [
+                mem.accesses_per_instr.to_bits(),
+                mem.working_set_bytes,
+                mem.hot_set_bytes,
+                mem.hot_fraction.to_bits(),
+                mem.streaming_fraction.to_bits(),
+            ],
+            trace_seed: trace_seed(&profile.name),
+        }
+    }
+
     /// Cycles per instruction for `profile` at frequency `f`.
+    ///
+    /// Uncached: every call replays the 400 k-access trace through
+    /// [`MachineModel::stall_split`] (as do [`MachineModel::effective_ipc`]
+    /// and [`MachineModel::compute_seconds`], which call this). A loop
+    /// over frequencies or derived quantities should take the stall split
+    /// once and call [`MachineModel::cpi_with_stalls`].
     pub fn cpi(&self, profile: &ComputeProfile, f: Frequency) -> f64 {
         let (on_chip, dram_ns) = self.stall_split(profile);
         self.cpi_with_stalls(profile, f, on_chip, dram_ns)
@@ -165,13 +219,15 @@ impl MachineModel {
         base + stall
     }
 
-    /// Effective instructions per cycle for `profile` at `f`.
+    /// Effective instructions per cycle for `profile` at `f`. Uncached:
+    /// one trace simulation per call, see [`MachineModel::cpi`].
     pub fn effective_ipc(&self, profile: &ComputeProfile, f: Frequency) -> f64 {
         1.0 / self.cpi(profile, f)
     }
 
     /// Wall-clock seconds to execute `instructions` of `profile` at `f` on
-    /// one core.
+    /// one core. Uncached: one trace simulation per call, see
+    /// [`MachineModel::cpi`].
     pub fn compute_seconds(
         &self,
         instructions: f64,
@@ -252,6 +308,34 @@ mod tests {
         let xeon = presets::xeon_e5_2420();
         let p = ComputeProfile::hadoop_average();
         assert_eq!(xeon.stall_split(&p), xeon.stall_split(&p));
+    }
+
+    #[test]
+    fn stall_key_follows_the_inputs_not_the_names() {
+        let atom = presets::atom_c2758();
+        let p = ComputeProfile::hadoop_average();
+        let key = atom.stall_key(&p);
+        assert_eq!(key, presets::atom_c2758().stall_key(&p));
+        assert_ne!(key, presets::xeon_e5_2420().stall_key(&p));
+
+        let mut renamed = atom.clone();
+        renamed.name = "relabelled".into();
+        renamed.num_cores = 2;
+        assert_eq!(key, renamed.stall_key(&p), "neither is read");
+
+        let mut edited = atom.clone();
+        edited.cache_levels[1].latency_cycles += 1.0;
+        assert_ne!(key, edited.stall_key(&p));
+        let mut slower_dram = atom.clone();
+        slower_dram.mem_latency_ns += 1.0;
+        assert_ne!(key, slower_dram.stall_key(&p));
+
+        let mut streaming = p.clone();
+        streaming.mem.streaming_fraction += 0.01;
+        assert_ne!(key, atom.stall_key(&streaming));
+        let mut reseeded = p.clone();
+        reseeded.name.push('2');
+        assert_ne!(key, atom.stall_key(&reseeded), "the name seeds the trace");
     }
 
     #[test]

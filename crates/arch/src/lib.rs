@@ -47,7 +47,7 @@ pub mod profile;
 pub mod trace;
 
 pub use cache::{Cache, CacheConfig, CacheHierarchy, HierarchyStats, LevelStats, Replacement};
-pub use corem::{CoreKind, CoreModel, MachineModel};
+pub use corem::{CoreKind, CoreModel, MachineModel, StallKey};
 pub use dvfs::{Frequency, OperatingPoint, VoltageCurve};
 pub use power::{ChipPowerModel, PowerBreakdown};
 pub use profile::{ComputeProfile, MemoryProfile};

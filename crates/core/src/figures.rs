@@ -24,6 +24,7 @@ use hhsim_faults::{DomainConfig, FaultConfig, PhaseError, RecoveryPolicy};
 use crate::harness::{ReplicationPlan, Sweep};
 use crate::model::{try_simulate_cluster, Measurement, NodeMix, PlacementKind, SimConfig};
 use crate::report::FigureData;
+use crate::simcache::SimCache;
 
 /// Per-node data size used for micro-benchmarks (1 GB, §3).
 pub const MICRO_DATA: u64 = 1 << 30;
@@ -96,17 +97,29 @@ pub fn table2() -> FigureData {
     f
 }
 
-/// Fig. 1: IPC of SPEC, PARSEC and Hadoop suite averages on both cores.
-pub fn fig1() -> FigureData {
-    let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
-    let suites = [
+/// The three suite-average profiles Figs. 1 and 2 compare.
+fn suites() -> [(&'static str, ComputeProfile); 3] {
+    [
         ("Avg_Spec", ComputeProfile::spec_average()),
         ("Avg_Parsec", ComputeProfile::parsec_average()),
         ("Avg_Hadoop", ComputeProfile::hadoop_average()),
-    ];
+    ]
+}
+
+/// CPI of `p` on `m` at `f`, the trace simulation behind it taken from
+/// the process-wide memo: Figs. 1 and 2 and the calibration report ask
+/// for the same six (machine, suite) pairs.
+fn suite_cpi(m: &MachineModel, p: &ComputeProfile, f: Frequency) -> f64 {
+    let (on_chip, dram_ns) = SimCache::global().stall_split(m, p);
+    m.cpi_with_stalls(p, f, on_chip, dram_ns)
+}
+
+/// Fig. 1: IPC of SPEC, PARSEC and Hadoop suite averages on both cores.
+pub fn fig1() -> FigureData {
+    let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
     for m in machines() {
-        for (name, p) in &suites {
-            f.push(label(&m), *name, m.effective_ipc(p, Frequency::GHZ_1_8));
+        for (name, p) in &suites() {
+            f.push(label(&m), *name, 1.0 / suite_cpi(&m, p, Frequency::GHZ_1_8));
         }
     }
     f
@@ -121,17 +134,12 @@ pub fn fig2() -> FigureData {
         "ratio",
     );
     let [xeon, atom] = machines();
-    let suites = [
-        ("Avg_Spec", ComputeProfile::spec_average()),
-        ("Avg_Parsec", ComputeProfile::parsec_average()),
-        ("Avg_Hadoop", ComputeProfile::hadoop_average()),
-    ];
     let freq = Frequency::GHZ_1_8;
     // Fixed-work suite model: N instructions on one core of each machine.
     let n_instr = 2.0e11;
-    for (name, p) in &suites {
-        let t_x = xeon.compute_seconds(n_instr, p, freq);
-        let t_a = atom.compute_seconds(n_instr, p, freq);
+    for (name, p) in &suites() {
+        let t_x = n_instr * suite_cpi(&xeon, p, freq) / freq.hz();
+        let t_a = n_instr * suite_cpi(&atom, p, freq) / freq.hz();
         let p_x = xeon
             .power
             .node_power(xeon.operating_point(freq), 1, 1, p.activity, 0.4, 0.0)

@@ -11,6 +11,14 @@
 //! [`SimCache::global`](crate::SimCache::global), whose per-key
 //! once-cells guarantee all workers observe identical values.
 //!
+//! A grid runs in two stages on the same pool: the **fill stage**
+//! enumerates the distinct expensive memo entries the grid will look up
+//! and work-steals the ones not yet computed, then the **point stage**
+//! prices every point against a full memo. Neighbouring points share
+//! entries, so workers that discover them lazily queue on each other's
+//! once-cells; workers handed distinct entries do not (DESIGN.md,
+//! "Parallel memoized sweep harness").
+//!
 //! The worker count defaults to the machine's available parallelism and
 //! is set process-wide with [`set_jobs`] (the `figures` binary's
 //! `--jobs N` flag). Cumulative counters — points evaluated, grids run,
@@ -20,10 +28,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use hhsim_arch::{presets, ComputeProfile, MachineModel};
 use hhsim_faults::{FaultConfig, FaultStats};
+use hhsim_workloads::AppId;
 
-use crate::model::{simulate, ClusterPrep, Measurement, SimConfig};
-use crate::simcache::SimCache;
+use crate::model::{simulate_with, ClusterPrep, Measurement, SimConfig};
+use crate::ratios::AppRatios;
+use crate::simcache::{MemoKey, SimCache};
 
 /// Requested worker count; 0 means "auto" (available parallelism).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -85,6 +96,95 @@ pub fn snapshot() -> HarnessSnapshot {
     }
 }
 
+/// Evaluates `eval` over `items` on up to `workers` scoped threads and
+/// returns the results in item order. Workers claim `batch` contiguous
+/// items per grab from a shared cursor and land each result in its own
+/// slot, so neither the worker count nor the interleaving can reorder or
+/// alias output. One worker (or one item) runs inline, in order.
+fn pool<I: Sync, T: Send + Sync>(
+    items: &[I],
+    workers: usize,
+    batch: usize,
+    eval: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
+    let n = items.len();
+    if workers <= 1 || n <= 1 {
+        return items.iter().map(eval).collect();
+    }
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(n.div_ceil(batch)) {
+            scope.spawn(|| loop {
+                let start = next.fetch_add(batch, Ordering::Relaxed);
+                let end = (start + batch).min(n);
+                let (Some(claimed), Some(out)) = (items.get(start..end), slots.get(start..end))
+                else {
+                    break;
+                };
+                if claimed.is_empty() {
+                    break;
+                }
+                for (item, slot) in claimed.iter().zip(out) {
+                    // A claimed index belongs to this worker alone.
+                    let _ = slot.set(eval(item));
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("worker pool covered every item"))
+        .collect()
+}
+
+/// The distinct expensive memo entries pricing `configs` looks up. Must
+/// name exactly what [`simulate_with`] and `ClusterPrep::new` ask the
+/// cache for: an entry missing here is computed lazily by the first
+/// point that needs it (slower, never wrong), one nobody asks for is
+/// wasted work. `fill_stage_covers_every_lookup` pins both.
+fn memo_keys<'a>(
+    configs: &'a [SimConfig],
+    xeon: &'a MachineModel,
+    atom: &'a MachineModel,
+) -> Vec<MemoKey<'a>> {
+    // Profiles own their names: build them once per distinct (machine,
+    // app) pair, not once per point.
+    let mut priced: Vec<(&MachineModel, AppId)> = Vec::new();
+    let mut keys = Vec::new();
+    for cfg in configs {
+        let (first, other_kind) = cfg.priced_machines(xeon, atom);
+        for m in std::iter::once(first).chain(other_kind) {
+            if priced.iter().any(|&(pm, pa)| pa == cfg.app && pm == m) {
+                continue;
+            }
+            priced.push((m, cfg.app));
+            let of_pair = [
+                MemoKey::Run(cfg.app, AppRatios::reference_config()),
+                MemoKey::Run(cfg.app, AppRatios::small_config()),
+                MemoKey::Stall(m, cfg.app.map_profile()),
+                MemoKey::Stall(m, cfg.app.reduce_profile()),
+                MemoKey::Stall(m, ComputeProfile::hadoop_average()),
+            ];
+            for key in of_pair {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+        }
+    }
+    keys
+}
+
+/// The fill stage: computes, across the pool, every entry of
+/// [`memo_keys`] the cache does not hold yet.
+fn fill_stage(configs: &[SimConfig], workers: usize, cache: &SimCache) {
+    let (xeon, atom) = (presets::xeon_e5_2420(), presets::atom_c2758());
+    let mut todo = memo_keys(configs, &xeon, &atom);
+    todo.retain(|key| !cache.holds(key));
+    pool(&todo, workers, 1, |key| cache.fill(key));
+}
+
 /// Evaluates a flat grid of points with the configured worker count.
 /// Results are returned in input order regardless of which worker
 /// computed each point.
@@ -94,37 +194,20 @@ pub fn run_grid(configs: &[SimConfig]) -> Vec<Measurement> {
 
 /// [`run_grid`] with an explicit worker count (tests and benches).
 pub fn run_grid_with(configs: &[SimConfig], workers: usize) -> Vec<Measurement> {
+    run_grid_on(configs, workers, SimCache::global())
+}
+
+/// [`run_grid_with`] against an explicit cache (tests): the fill stage,
+/// then the point stage, on `workers` threads.
+pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> Vec<Measurement> {
     // Operator telemetry only (wall-clock spent sweeping); never feeds a
     // simulated quantity. Mirrors the `wall-clock-in-sim` allow for this
     // file in analysis.toml.
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
-    let n = configs.len();
-    let out: Vec<Measurement> = if workers <= 1 || n <= 1 {
-        configs.iter().map(simulate).collect()
-    } else {
-        // Work-stealing over a shared index; each point's result lands in
-        // its own slot, so output order equals input order by construction.
-        let slots: Vec<OnceLock<Measurement>> = (0..n).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let m = simulate(&configs[i]);
-                    slots[i].set(m).expect("each slot is filled exactly once");
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("worker pool covered every point"))
-            .collect()
-    };
-    POINTS.fetch_add(n as u64, Ordering::Relaxed);
+    fill_stage(configs, workers, cache);
+    let out = pool(configs, workers, 1, |cfg| simulate_with(cfg, cache));
+    POINTS.fetch_add(configs.len() as u64, Ordering::Relaxed);
     GRIDS.fetch_add(1, Ordering::Relaxed);
     BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     out
@@ -274,10 +357,10 @@ pub struct ReplicationSummary {
 /// pricing, launch overheads, protocol time) is prepared **once** and
 /// shared by every worker; each seed then only re-runs the fault
 /// sampling, the wave scheduler and the event-driven energy
-/// integration. Workers claim contiguous batches of seed indices from a
-/// shared cursor and land each result in its own slot, and the final
-/// reduction folds slots serially in seed order — so the summary is
-/// bit-identical whatever the worker count or batch size.
+/// integration. Workers claim contiguous batches of seeds from the same
+/// pool the grids run on, and the final reduction folds the results
+/// serially in seed order — so the summary is bit-identical whatever
+/// the worker count or batch size.
 ///
 /// Seeds replace the seed of the config's own [`FaultConfig`]; a plan
 /// over a fault-free config runs the same deterministic point once per
@@ -356,37 +439,7 @@ impl ReplicationPlan {
         };
 
         let n = self.seeds.len();
-        let points: Vec<Option<RepPoint>> = if workers <= 1 || n <= 1 {
-            self.seeds.iter().map(|&s| eval(s)).collect()
-        } else {
-            // Batched work stealing: each grab claims `batch` contiguous
-            // seed indices; each result lands in its own slot, so the
-            // reduction below sees seed order regardless of scheduling.
-            let slots: Vec<OnceLock<Option<RepPoint>>> = (0..n).map(|_| OnceLock::new()).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(n) {
-                    scope.spawn(|| loop {
-                        let start = next.fetch_add(self.batch, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + self.batch).min(n);
-                        for i in start..end {
-                            let seed = self.seeds.get(i).copied();
-                            let point = seed.and_then(&eval);
-                            if let Some(slot) = slots.get(i) {
-                                let _ = slot.set(point);
-                            }
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().flatten())
-                .collect()
-        };
+        let points = pool(&self.seeds, workers, self.batch, |&seed| eval(seed));
 
         let ok: Vec<&RepPoint> = points.iter().flatten().collect();
         let mut faults = FaultStats::default();
@@ -412,8 +465,8 @@ impl ReplicationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hhsim_arch::{presets, Frequency};
-    use hhsim_workloads::AppId;
+    use crate::simcache::CacheStats;
+    use hhsim_arch::Frequency;
 
     fn grid() -> Vec<SimConfig> {
         let mut v = Vec::new();
@@ -433,6 +486,96 @@ mod tests {
         let serial = run_grid_with(&g, 1);
         let par = run_grid_with(&g, 4);
         assert_eq!(serial, par, "worker count must not affect results");
+    }
+
+    /// One config of each shape the figures price: homogeneous big and
+    /// little on the node model, then the three ways onto the cluster
+    /// engine (a mix, faults, an active topology).
+    fn shapes() -> Vec<SimConfig> {
+        let mix = crate::NodeMix {
+            big: 1,
+            little: 2,
+            placement: crate::PlacementKind::PreferBig,
+        };
+        let mut racked = SimConfig::new(AppId::TeraSort, presets::xeon_e5_2420())
+            .topology(hhsim_hdfs::Topology::racked(4, 4.0));
+        racked.nodes = 12;
+        vec![
+            SimConfig::new(AppId::WordCount, presets::xeon_e5_2420()),
+            SimConfig::new(AppId::Sort, presets::atom_c2758()),
+            SimConfig::new(AppId::Grep, presets::xeon_e5_2420()).mix(mix),
+            faulty_cfg(),
+            racked,
+        ]
+    }
+
+    #[test]
+    fn fill_stage_covers_every_lookup() {
+        for cfg in shapes() {
+            let shape = format!("{}/{}", cfg.app.short_name(), cfg.machine.name);
+            let grid = [cfg];
+            let cache = SimCache::new();
+            fill_stage(&grid, 2, &cache);
+            let filled = cache.stats();
+            assert_eq!(
+                filled.misses as usize,
+                filled.stall_entries + filled.run_entries,
+                "{shape}: the fill stage computes its keys and nothing else"
+            );
+            assert_eq!(filled.hits, 0, "{shape}: distinct keys only");
+            let staged = run_grid_on(&grid, 2, &cache);
+            let after = cache.stats();
+            assert_eq!(
+                (after.stall_entries, after.run_entries),
+                (filled.stall_entries, filled.run_entries),
+                "{shape}: pricing looked up an entry the fill stage did not name"
+            );
+            // ... and named none that pricing does not look up.
+            let lazy_cache = SimCache::new();
+            let lazy = simulate_with(&grid[0], &lazy_cache);
+            let reference = lazy_cache.stats();
+            assert_eq!(
+                CacheStats {
+                    hits: 0,
+                    ..reference
+                },
+                CacheStats { hits: 0, ..after },
+                "{shape}"
+            );
+            assert_eq!(staged, [lazy], "{shape}");
+        }
+    }
+
+    #[test]
+    fn each_memo_entry_is_computed_once_at_any_worker_count() {
+        let g = grid();
+        let lazy_cache = SimCache::new();
+        let lazy: Vec<Measurement> = g.iter().map(|c| simulate_with(c, &lazy_cache)).collect();
+        for workers in [1, 2, 4] {
+            let cache = SimCache::new();
+            let meas = run_grid_on(&g, workers, &cache);
+            let s = cache.stats();
+            // 2 machines x (3 apps x {map, reduce} + the Hadoop average),
+            // 3 apps x 2 functional runs, 3 ratio sets.
+            assert_eq!(
+                (s.stall_entries, s.run_entries, s.ratio_entries),
+                (14, 6, 3),
+                "workers={workers}"
+            );
+            assert_eq!(s.misses, 14 + 6 + 3, "workers={workers}");
+            assert_eq!(meas, lazy, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn warm_grid_has_nothing_to_fill() {
+        let g = grid();
+        let cache = SimCache::new();
+        let cold = run_grid_on(&g, 2, &cache);
+        let before = cache.stats();
+        fill_stage(&g, 2, &cache);
+        assert_eq!(cache.stats(), before, "a held key is neither hit nor miss");
+        assert_eq!(run_grid_on(&g, 2, &cache), cold);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use cluster::{
     KindPreferring, Node, NodeTiming, PhaseLoad, PhaseRun, Placement, SlotStats, TaskSet, TaskSpan,
 };
 pub use harness::{
-    run_grid, run_grid_with, set_jobs, Aggregate, HarnessSnapshot, ReplicationPlan,
+    run_grid, run_grid_on, run_grid_with, set_jobs, Aggregate, HarnessSnapshot, ReplicationPlan,
     ReplicationSummary, Sweep,
 };
 pub use model::{

@@ -233,6 +233,36 @@ impl SimConfig {
         self.topology.filter(Topology::active)
     }
 
+    /// Whether this point is priced by the cluster engine
+    /// ([`ClusterPrep`]) rather than the homogeneous node model.
+    fn on_cluster_engine(&self) -> bool {
+        self.node_mix.is_some()
+            || self.active_faults().is_some()
+            || self.active_topology().is_some()
+    }
+
+    /// The machine models whose stall splits pricing this point looks
+    /// up, given the two presets: the configured machine on the
+    /// node-model path; on the cluster-engine path one per kind, because
+    /// [`ClusterPrep::new`] prices launch overhead and tasks on both
+    /// kinds even when one has no nodes — the presets under a
+    /// [`NodeMix`], else the configured machine and the other kind's
+    /// preset.
+    pub(crate) fn priced_machines<'a>(
+        &'a self,
+        xeon: &'a MachineModel,
+        atom: &'a MachineModel,
+    ) -> (&'a MachineModel, Option<&'a MachineModel>) {
+        if !self.on_cluster_engine() {
+            return (&self.machine, None);
+        }
+        match (self.node_mix, self.machine.core.kind) {
+            (Some(_), _) => (xeon, Some(atom)),
+            (None, CoreKind::Big) => (&self.machine, Some(atom)),
+            (None, CoreKind::Little) => (&self.machine, Some(xeon)),
+        }
+    }
+
     fn slots_per_node(&self) -> usize {
         self.mappers_per_node
             .unwrap_or(self.machine.num_cores)
@@ -569,7 +599,7 @@ pub fn simulate(cfg: &SimConfig) -> Measurement {
 /// [`SimCache::new`] gives a fully uncached evaluation — the reference
 /// the cache-consistency property tests compare against.
 pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
-    if cfg.node_mix.is_some() || cfg.active_faults().is_some() || cfg.active_topology().is_some() {
+    if cfg.on_cluster_engine() {
         return simulate_cluster_with(cfg, cache).0;
     }
     assert!(cfg.nodes > 0, "need at least one node");

@@ -26,7 +26,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use hhsim_arch::{ComputeProfile, MachineModel};
+use hhsim_arch::{ComputeProfile, MachineModel, StallKey};
 use hhsim_faults::{FaultConfig, PhaseError};
 use hhsim_hdfs::Topology;
 use hhsim_workloads::{AppId, FunctionalConfig, FunctionalRun};
@@ -35,11 +35,20 @@ use parking_lot::Mutex;
 use crate::cluster::{PhaseLocality, PhaseRun};
 use crate::ratios::AppRatios;
 
-/// (machine name, profile name): stall splits depend on nothing else.
-type StallKey = (String, String);
-/// Every field of [`FunctionalConfig`] plus the app: functional runs are
-/// deterministic functions of exactly this tuple.
-type RunKey = (AppId, u64, u64, u64, usize, u64);
+/// The app plus its [`FunctionalConfig`]: functional runs are
+/// deterministic functions of exactly this pair.
+type RunKey = (AppId, FunctionalConfig);
+
+/// One of the two expensive memo entries, named before anything asks for
+/// its value: what the sweep harness's fill stage enumerates and
+/// distributes (see [`crate::harness`]).
+#[derive(Debug, PartialEq)]
+pub(crate) enum MemoKey<'a> {
+    /// A functional MapReduce run.
+    Run(AppId, FunctionalConfig),
+    /// A trace-driven stall split.
+    Stall(&'a MachineModel, ComputeProfile),
+}
 
 /// One memoization table. Values sit behind per-key `OnceLock` cells so
 /// a miss computes outside the map lock (no convoying) and concurrent
@@ -263,7 +272,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compute (or wait for) a fresh entry.
     pub misses: u64,
-    /// Distinct (machine, profile) stall splits held.
+    /// Distinct (cache hierarchy, memory profile) stall splits held.
     pub stall_entries: usize,
     /// Distinct functional runs held.
     pub run_entries: usize,
@@ -349,14 +358,13 @@ impl SimCache {
     }
 
     /// Memoized trace-driven stall split: the cache simulation replays
-    /// hundreds of thousands of accesses but depends only on (machine,
-    /// profile), never on frequency or data size.
+    /// hundreds of thousands of accesses but depends only on what
+    /// [`MachineModel::stall_key`] names — the cache hierarchy and the
+    /// profile's memory behaviour, never a name, frequency or data size.
     pub fn stall_split(&self, machine: &MachineModel, profile: &ComputeProfile) -> (f64, f64) {
-        self.memo(
-            &self.stalls,
-            (machine.name.clone(), profile.name.clone()),
-            || machine.stall_split(profile),
-        )
+        self.memo(&self.stalls, machine.stall_key(profile), || {
+            machine.stall_split(profile)
+        })
     }
 
     /// Memoized functional MapReduce run of `app` under `cfg`. The run
@@ -364,15 +372,30 @@ impl SimCache {
     /// expensive cacheable unit; [`JobStats`](hhsim_mapreduce::JobStats)
     /// land behind an `Arc` to keep hits allocation-free.
     pub fn functional_run(&self, app: AppId, cfg: &FunctionalConfig) -> Arc<FunctionalRun> {
-        let key = (
-            app,
-            cfg.input_bytes,
-            cfg.block_bytes,
-            cfg.sort_buffer_bytes,
-            cfg.num_reducers,
-            cfg.seed,
-        );
-        self.memo(&self.runs, key, || Arc::new(app.run_functional(cfg)))
+        self.memo(&self.runs, (app, *cfg), || {
+            Arc::new(app.run_functional(cfg))
+        })
+    }
+
+    /// Whether `key`'s value is already computed. A peek: it creates no
+    /// entry and counts neither hit nor miss.
+    pub(crate) fn holds(&self, key: &MemoKey<'_>) -> bool {
+        fn ready<K: Eq + Hash, V>(table: &Table<K, V>, key: &K) -> bool {
+            table.lock().get(key).is_some_and(|c| c.get().is_some())
+        }
+        match key {
+            MemoKey::Run(app, cfg) => ready(&self.runs, &(*app, *cfg)),
+            MemoKey::Stall(m, p) => ready(&self.stalls, &m.stall_key(p)),
+        }
+    }
+
+    /// Computes (or waits for) `key`'s value through the ordinary
+    /// memoized lookup and drops it.
+    pub(crate) fn fill(&self, key: &MemoKey<'_>) {
+        match key {
+            MemoKey::Run(app, cfg) => drop(self.functional_run(*app, cfg)),
+            MemoKey::Stall(m, p) => drop(self.stall_split(m, p)),
+        }
     }
 
     /// Memoized dataflow ratios of `app`, built from the two reference
@@ -456,6 +479,56 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.stall_entries), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stall_key_is_what_the_simulation_reads() {
+        let c = SimCache::new();
+        let p = ComputeProfile::hadoop_average();
+        let stock = presets::atom_c2758();
+        let a = c.stall_split(&stock, &p);
+
+        // Same name, smaller L2: a different hierarchy, a different split.
+        let mut small_l2 = stock.clone();
+        small_l2.cache_levels[1].size_bytes /= 4;
+        let b = c.stall_split(&small_l2, &p);
+        assert_ne!(a, b, "an edited hierarchy must not get the stale split");
+        assert_eq!(b, small_l2.stall_split(&p), "cached == uncached");
+
+        // Same profile name, different memory behaviour.
+        let mut wide = p.clone();
+        wide.mem.hot_fraction = 0.5;
+        assert_eq!(c.stall_split(&stock, &wide), stock.stall_split(&wide));
+        assert_eq!(c.stats().stall_entries, 3);
+
+        // A renamed machine reads nothing new; a renamed profile reseeds
+        // the trace.
+        let mut renamed = stock.clone();
+        renamed.name = "Atom (relabelled)".into();
+        assert_eq!(c.stall_split(&renamed, &p), a);
+        assert_eq!(c.stats().stall_entries, 3);
+        let mut reseeded = p.clone();
+        reseeded.name = "Hadoop-avg (reseeded)".into();
+        c.stall_split(&stock, &reseeded);
+        assert_eq!(c.stats().stall_entries, 4);
+    }
+
+    #[test]
+    fn holds_is_a_peek() {
+        let c = SimCache::new();
+        let m = presets::atom_c2758();
+        let stall = MemoKey::Stall(&m, ComputeProfile::hadoop_average());
+        let run = MemoKey::Run(AppId::Sort, AppRatios::small_config());
+        assert!(!c.holds(&stall) && !c.holds(&run));
+        assert_eq!(c.stats(), CacheStats::default(), "no entry, no count");
+        c.fill(&stall);
+        c.fill(&run);
+        assert!(c.holds(&stall) && c.holds(&run));
+        let s = c.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.stall_entries, s.run_entries),
+            (0, 2, 1, 1)
+        );
     }
 
     #[test]

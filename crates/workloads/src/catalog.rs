@@ -195,7 +195,7 @@ impl std::fmt::Display for AppId {
 }
 
 /// Configuration of a functional (MB-scale) execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FunctionalConfig {
     /// Input size to generate, bytes.
     pub input_bytes: u64,
