@@ -501,6 +501,11 @@ fn parse_fn(
             body_open = Some(k);
             break;
         }
+        if toks[k].is_punct('[') {
+            // An array type (`-> [T; N]`): its `;` ends nothing.
+            k = matching(toks, k, '[', ']')? + 1;
+            continue;
+        }
         if toks[k].is_punct(';') {
             return None; // bodyless declaration
         }
@@ -873,6 +878,27 @@ mod tests {
         assert!(fn_named(&idx, "model::fallible").returns_result);
         assert!(!fn_named(&idx, "model::infallible").returns_result);
         assert!(!fn_named(&idx, "model::generic_ok").returns_result);
+    }
+
+    #[test]
+    fn array_return_type_is_not_a_bodyless_declaration() {
+        // The `;` of `[T; N]` used to read as the end of a trait-method
+        // signature: the fn vanished from the index, and with it every
+        // call edge through it.
+        let (_, idx) = parse_all(&[(
+            "crates/core/src/model.rs",
+            "pub fn pair<const N: usize>(x: [&u32; N]) -> [Vec<u32>; N] { inner() }\n\
+             fn inner() -> [Vec<u32>; 2] { [vec![], vec![]] }\n\
+             trait T { fn declared(&self) -> [u8; 2]; }\n",
+        )]);
+        let pair = fn_named(&idx, "model::pair").id;
+        let inner = fn_named(&idx, "model::inner").id;
+        assert!(idx
+            .calls
+            .iter()
+            .zip(&idx.resolved)
+            .any(|(c, callees)| c.caller == pair && callees.contains(&inner)));
+        assert!(idx.fns.iter().all(|f| f.qual != "T::declared"));
     }
 
     #[test]

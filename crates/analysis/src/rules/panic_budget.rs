@@ -25,6 +25,17 @@ use super::{inline_allow, FinalizeCtx, InlineAllow, Rule, RuleCtx};
 /// Panic-family macro names counted by the budget.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
+/// Keywords that can stand directly before a `[` which opens a slice
+/// type, a slice pattern or an array literal: `&mut [T]`, `*const [T]`,
+/// `dyn`/`as`/`for`/`where` before a type, `let [a, b] = ..`,
+/// `for x in [a, b]`, `return [..]`. The lexer hands keywords over as
+/// identifiers, and none of these can end an expression, so a `[` after
+/// one is never an index. (`self` can, and stays countable.)
+const NON_EXPR_KEYWORDS: &[&str] = &[
+    "as", "break", "const", "dyn", "else", "for", "if", "in", "let", "match", "move", "mut",
+    "return", "where", "while",
+];
+
 /// See module docs.
 #[derive(Default)]
 pub struct PanicBudget {
@@ -74,13 +85,15 @@ impl Rule for PanicBudget {
                 // significant token ends an expression. Array types/literals
                 // (`[u8; 4]`, `= [1, 2]`), attributes (`#[..]`) and macro
                 // brackets (`vec![..]`) are preceded by punctuation that
-                // cannot end an expression, so they are skipped.
+                // cannot end an expression, so they are skipped — as are
+                // the ones behind a keyword (`&mut [T]`, `in [a, b]`).
                 TokenKind::Punct('[') => {
                     i > 0
-                        && matches!(
-                            &toks[i - 1].kind,
-                            TokenKind::Ident(_) | TokenKind::Punct(')') | TokenKind::Punct(']')
-                        )
+                        && match &toks[i - 1].kind {
+                            TokenKind::Ident(name) => !NON_EXPR_KEYWORDS.contains(&name.as_str()),
+                            TokenKind::Punct(c) => matches!(c, ')' | ']'),
+                            _ => false,
+                        }
                 }
                 _ => false,
             };
@@ -239,6 +252,32 @@ mod tests {
         );
         // But chained/real indexing counts.
         assert_eq!(count("fn f() { a[0]; b()[1]; c[0][1]; }"), 4);
+    }
+
+    #[test]
+    fn slice_types_patterns_and_literals_behind_a_keyword_are_not_indexing() {
+        assert_eq!(
+            count(
+                "fn f(rate: &mut [f64], p: *const [u8], d: &dyn [u8]) -> [u8; 2] {\n\
+                 for x in [1, 2] { g(x); }\n\
+                 let [a, b] = pair();\n\
+                 if let [first, ..] = rate { g(*first); }\n\
+                 match [a, b] { [0, _] => {} _ => {} }\n\
+                 if [a, b] == [b, a] { return [a, b]; }\n\
+                 let t = x as [u8; 2];\n\
+                 loop { break [b, a]; }\n\
+                 }\n\
+                 impl<T> Tr for [T] where [T]: Sized {}\n\
+                 fn h<'a>(s: &'a [u8], m: &'a mut [u8]) {}"
+            ),
+            0
+        );
+        // Identifiers that merely start like a keyword, `self`, and a
+        // keyword-led expression that is then indexed, all still count.
+        assert_eq!(
+            count("fn f(&self) { mutable[0]; input[1]; self[2]; self.rows[3]; (if c { a } else { b })[4]; }"),
+            5
+        );
     }
 
     #[test]

@@ -18,3 +18,19 @@ mod tests {
         v.first().unwrap();
     }
 }
+
+/// Slice types, slice patterns and array literals that follow a keyword
+/// are not index expressions.
+pub fn keyword_led_brackets(rates: &mut [f64], pair: [u64; 2]) -> [u64; 2] {
+    for scale in [0.5, 2.0] {
+        if let [first, ..] = rates {
+            *first *= scale;
+        }
+    }
+    let [a, b] = pair;
+    match [a, b] {
+        [0, _] => return [b, a],
+        _ => {}
+    }
+    [a, b]
+}

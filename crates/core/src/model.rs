@@ -1206,14 +1206,8 @@ impl ClusterPrep {
                     ],
                 });
                 if tb.n_red > 0 {
-                    let contended = shuffle::reduce_fetch_seconds(
-                        topo,
-                        nodes_total,
-                        tb.n_red,
-                        tb.red_input_bytes,
-                    );
-                    let baseline = shuffle::reduce_fetch_seconds(
-                        &flat_fabric,
+                    let [contended, baseline] = shuffle::reduce_fetch_seconds_on(
+                        [topo, &flat_fabric],
                         nodes_total,
                         tb.n_red,
                         tb.red_input_bytes,

@@ -1,6 +1,7 @@
 //! Scale property suite: invariants of the cluster engine on
-//! 1k-node / 100k-task configurations, plus the 10k-node regression
-//! pinning the amortized-O(1) placement path.
+//! 1k-node / 100k-task configurations, the 10k-node regression pinning
+//! the amortized-O(1) placement path, and the shuffle flow solver on a
+//! 300-node fabric.
 //!
 //! These are the lock on the engine's hot-path rewrite: whatever the
 //! free-slot index does internally, a big run must still produce exactly
@@ -14,6 +15,8 @@ use hhsim_core::cluster::{
     FifoAnySlot, PhaseLoad, PhaseRun, TaskSet,
 };
 use hhsim_core::faults::{AttemptOutcome, FaultPlan, PhaseFaults, RecoveryPolicy};
+use hhsim_core::hdfs::{NodeId, Topology};
+use hhsim_core::shuffle::{flow_finish_times, flow_finish_times_with_crashes, Flow};
 
 const NODES: usize = 1_000;
 const SLOTS: usize = 4;
@@ -174,4 +177,80 @@ fn blacklisting_at_10k_nodes_stays_sublinear() {
         probes < launches * 16,
         "placement degraded to linear scans: {probes} probes for {launches} launches"
     );
+}
+
+/// The flow solver at a size its predecessor could not reach (its cost
+/// grew with the fourth power of the node count): a 300-node all-to-all
+/// over 30 racks at 8× oversubscription, two sources dying mid-transfer.
+#[test]
+fn shuffle_at_300_nodes_respects_every_link() {
+    const FABRIC_NODES: usize = 300;
+    const RACKS: usize = 30;
+    const LEVELS: usize = 8;
+    let t = Topology::racked(RACKS, 8.0);
+    let mut flows = Vec::with_capacity(FABRIC_NODES * (FABRIC_NODES - 1));
+    for dst in 0..FABRIC_NODES {
+        let bytes = 4.0e6 * (1 + dst * 7 % LEVELS) as f64;
+        for src in (0..FABRIC_NODES).filter(|&src| src != dst) {
+            flows.push(Flow { src, dst, bytes });
+        }
+    }
+    assert_eq!(flows.len(), 89_700);
+    let lasts_s = flow_finish_times(&t, FABRIC_NODES, &flows)
+        .into_iter()
+        .fold(0.0, f64::max);
+    let crashes = [(17, 0.3 * lasts_s), (204, 0.55 * lasts_s)];
+    let out = flow_finish_times_with_crashes(&t, FABRIC_NODES, &flows, &crashes);
+    let again = flow_finish_times_with_crashes(&t, FABRIC_NODES, &flows, &crashes);
+    assert_eq!(out, again, "same input, same outcome, bit for bit");
+
+    // Bytes each link has delivered for completed flows, and when the
+    // last of them finished: node up, node down, rack up, rack down.
+    let uplink = t.uplink_bytes_per_s();
+    let mut links = vec![(0.0f64, 0.0f64); 2 * FABRIC_NODES + 2 * RACKS];
+    let mut cancelled = 0;
+    for (i, f) in flows.iter().enumerate() {
+        let cross = !t.same_rack(NodeId(f.src), NodeId(f.dst));
+        let died = crashes.iter().find(|c| c.0 == f.src).map(|c| c.1);
+        if out.cancelled[i] {
+            cancelled += 1;
+            let at = died.expect("only a crashed source's flows are cancelled");
+            assert!(
+                (out.finish_s[i] - at).abs() < 1e-6,
+                "flow {i} left at the crash"
+            );
+            continue;
+        }
+        let narrowest = if cross {
+            uplink.min(t.node_bytes_per_s)
+        } else {
+            t.node_bytes_per_s
+        };
+        assert!(
+            out.finish_s[i] >= f.bytes / narrowest * (1.0 - 1e-9),
+            "flow {i} beat its uncontended time"
+        );
+        assert!(died.map_or(true, |at| out.finish_s[i] <= at + 1e-6));
+        let mut path = vec![f.src, FABRIC_NODES + f.dst];
+        if cross {
+            path.push(2 * FABRIC_NODES + t.rack_of(NodeId(f.src)));
+            path.push(2 * FABRIC_NODES + RACKS + t.rack_of(NodeId(f.dst)));
+        }
+        for l in path {
+            links[l].0 += f.bytes;
+            links[l].1 = links[l].1.max(out.finish_s[i]);
+        }
+    }
+    assert!(cancelled > 0, "both crashes land mid-transfer");
+    for (l, &(bytes, by_s)) in links.iter().enumerate() {
+        let cap = if l < 2 * FABRIC_NODES {
+            t.node_bytes_per_s
+        } else {
+            uplink
+        };
+        assert!(
+            bytes <= cap * by_s * (1.0 + 1e-6),
+            "link {l} carried {bytes} bytes in {by_s} s at {cap} bytes/s"
+        );
+    }
 }
