@@ -38,7 +38,7 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
 
     let mut sim = Simulation::default();
     let mut spans: Vec<Option<TaskSpan>> = vec![None; load.tasks];
-    let mut book = SlotBook::new(cluster, None, (0..load.tasks).collect());
+    let mut book = SlotBook::new(cluster, None, 0..load.tasks);
     book.stats.max_queue_len = load.tasks.saturating_sub(capacity);
     loop {
         // Launch queued tasks while slots are free: at phase start and

@@ -47,7 +47,9 @@ mod timeline;
 pub use engine::run_phase;
 pub use placement::{FifoAnySlot, KindPreferring, Placement};
 pub use recovery::{run_phase_faulty, run_phase_faulty_fetch, FetchPlan};
+pub(crate) use recovery::{run_phase_fetching, EngineScratch, FetchView};
 pub use slots::{placement_probes, reset_placement_probes, FreeSlots};
+pub(crate) use timeline::StepBuffers;
 pub use timeline::{ClusterTimeline, NodeMeta};
 
 /// A batch of identically-shaped tasks to schedule on the cluster.

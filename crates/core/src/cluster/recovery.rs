@@ -14,7 +14,7 @@ use hhsim_faults::{AttemptOutcome, FaultStats, PhaseError, PhaseFaults, Recovery
 use hhsim_hdfs::{NodeId as HdfsNodeId, Topology};
 use std::collections::VecDeque;
 
-use super::slots::SlotBook;
+use super::slots::{refill, SlotBook};
 use super::{
     attempt_jitter, run_phase, Cluster, LocalityTier, NodeTiming, PhaseLoad, PhaseRun, Placement,
     TaskSpan,
@@ -189,6 +189,31 @@ pub struct FetchPlan {
     pub map_timing: Vec<NodeTiming>,
 }
 
+/// A [`FetchPlan`] by borrow, field for field — the form the engine
+/// reads. A seeded run owns only its `holders`; the replica layout and
+/// the map timing are slices into whatever holds them across seeds
+/// (`ClusterPrep`'s map [`PhaseLoad`]), so nothing is cloned per run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FetchView<'a> {
+    pub holders: &'a [usize],
+    pub map_replicas: &'a [Vec<usize>],
+    pub topology: Topology,
+    pub read_seconds: [f64; 3],
+    pub map_timing: &'a [NodeTiming],
+}
+
+impl FetchPlan {
+    pub(crate) fn view(&self) -> FetchView<'_> {
+        FetchView {
+            holders: &self.holders,
+            map_replicas: &self.map_replicas,
+            topology: self.topology,
+            read_seconds: self.read_seconds,
+            map_timing: &self.map_timing,
+        }
+    }
+}
+
 /// Where one completed map's output is now.
 #[derive(Debug, Clone, Copy)]
 struct MapOutput {
@@ -201,15 +226,35 @@ struct MapOutput {
 /// Live fetch-failure recovery state inside one engine run.
 #[derive(Debug)]
 struct FetchCtx<'a> {
-    plan: &'a FetchPlan,
+    plan: FetchView<'a>,
     /// Indexed by map task; holders move as re-runs land.
-    outputs: Vec<MapOutput>,
+    outputs: &'a mut Vec<MapOutput>,
     /// Rows of lost maps awaiting a slot.
-    queue: VecDeque<QueueEntry>,
+    queue: &'a mut VecDeque<QueueEntry>,
     /// Lost-map re-executions not yet landed; reduces are gated while
     /// this is non-zero (the shuffle barrier stalls on missing inputs).
     outstanding: usize,
     /// Fetch-failed reduce tasks parked until recovery completes.
+    gated: &'a mut Vec<QueueEntry>,
+}
+
+/// The engine's working state between runs: every table a run sizes by
+/// the cluster or the task count and is done with when it returns. A
+/// caller that runs many phases hands the same one to each, and a run
+/// starts by resetting what it uses, so nothing of the last run is read.
+#[derive(Debug, Default)]
+pub(crate) struct EngineScratch {
+    sim: Simulation<FaultEvent>,
+    book: SlotBook<QueueEntry>,
+    node_failures: Vec<u32>,
+    rows: Vec<TaskRow>,
+    attempts: Vec<Option<RunningAttempt>>,
+    slot_base: Vec<usize>,
+    spans: Vec<Option<TaskSpan>>,
+    rack_blacklist_count: Vec<u32>,
+    rack_blacklisted: Vec<bool>,
+    outputs: Vec<MapOutput>,
+    fetch_queue: VecDeque<QueueEntry>,
     gated: Vec<QueueEntry>,
 }
 
@@ -232,22 +277,22 @@ pub(super) enum FaultEvent {
 /// State of one fault-aware engine run.
 #[derive(Debug)]
 pub(super) struct FaultState<'a> {
-    book: SlotBook<QueueEntry>,
-    node_failures: Vec<u32>,
-    rows: Vec<TaskRow>,
+    book: &'a mut SlotBook<QueueEntry>,
+    node_failures: &'a mut Vec<u32>,
+    rows: &'a mut Vec<TaskRow>,
     /// In-flight attempts by global slot id (`slot_base[node] + slot`).
     /// An attempt *is* what occupies a slot, so this table is the running
     /// set: bounded by cluster capacity, whatever the task count.
-    attempts: Vec<Option<RunningAttempt>>,
+    attempts: &'a mut Vec<Option<RunningAttempt>>,
     /// Global id of each node's slot 0, plus the total as a last entry.
-    slot_base: Vec<usize>,
+    slot_base: &'a mut Vec<usize>,
     /// Phase tasks not yet won.
     pending: usize,
     // LATE progress-rate statistics over every attempt launched so far.
     rate_sum: f64,
     rate_count: u64,
     // Outputs.
-    spans: Vec<Option<TaskSpan>>,
+    spans: &'a mut Vec<Option<TaskSpan>>,
     wasted: Vec<TaskSpan>,
     recovered: Vec<TaskSpan>,
     annotations: Vec<(f64, String)>,
@@ -259,8 +304,8 @@ pub(super) struct FaultState<'a> {
     racks: usize,
     /// Individually-blacklisted nodes per rack, driving the escalation
     /// to rack-granularity blacklisting.
-    rack_blacklist_count: Vec<u32>,
-    rack_blacklisted: Vec<bool>,
+    rack_blacklist_count: &'a mut Vec<u32>,
+    rack_blacklisted: &'a mut Vec<bool>,
     fetch: Option<FetchCtx<'a>>,
 }
 
@@ -786,6 +831,26 @@ pub fn run_phase_faulty_fetch(
     faults: Option<&PhaseFaults>,
     fetch: Option<&FetchPlan>,
 ) -> Result<PhaseRun, PhaseError> {
+    let scratch = &mut EngineScratch::default();
+    run_phase_fetching(
+        cluster,
+        load,
+        placement,
+        faults,
+        fetch.map(FetchPlan::view),
+        scratch,
+    )
+}
+
+/// [`run_phase_faulty_fetch`] over the borrowed plan: the engine itself.
+pub(crate) fn run_phase_fetching(
+    cluster: &Cluster,
+    load: &PhaseLoad,
+    placement: &mut dyn Placement,
+    faults: Option<&PhaseFaults>,
+    fetch: Option<FetchView<'_>>,
+    scratch: &mut EngineScratch,
+) -> Result<PhaseRun, PhaseError> {
     let Some(faults) = faults else {
         return Ok(run_phase(cluster, load, placement));
     };
@@ -804,33 +869,54 @@ pub fn run_phase_faulty_fetch(
         return Ok(PhaseRun::idle(capacity));
     }
 
-    let mut sim = Simulation::default();
-    let mut slot_base = Vec::with_capacity(nodes + 1);
+    let EngineScratch {
+        sim,
+        book,
+        node_failures,
+        rows,
+        attempts,
+        slot_base,
+        spans,
+        rack_blacklist_count,
+        rack_blacklisted,
+        outputs,
+        fetch_queue,
+        gated,
+    } = scratch;
+    sim.reset();
+    book.reset(
+        cluster,
+        Some(&faults.dead_at_start),
+        (0..load.tasks).map(|row| QueueEntry {
+            row,
+            queued: SimTime::ZERO,
+        }),
+    );
+    refill(node_failures, nodes, 0);
+    rows.clear();
+    rows.extend((0..load.tasks).map(|_| TaskRow::task()));
+    refill(attempts, capacity, None);
+    slot_base.clear();
+    slot_base.reserve_exact(nodes + 1);
     let mut total = 0;
     slot_base.push(total);
     for n in &cluster.nodes {
         total += n.slots;
         slot_base.push(total);
     }
+    refill(spans, load.tasks, None);
+    refill(rack_blacklist_count, faults.domains.racks, 0);
+    refill(rack_blacklisted, faults.domains.racks, false);
     let mut st = FaultState {
-        book: SlotBook::new(
-            cluster,
-            Some(&faults.dead_at_start),
-            (0..load.tasks)
-                .map(|row| QueueEntry {
-                    row,
-                    queued: SimTime::ZERO,
-                })
-                .collect(),
-        ),
-        node_failures: vec![0; nodes],
-        rows: (0..load.tasks).map(|_| TaskRow::task()).collect(),
-        attempts: vec![None; capacity],
+        book,
+        node_failures,
+        rows,
+        attempts,
         slot_base,
         pending: load.tasks,
         rate_sum: 0.0,
         rate_count: 0,
-        spans: vec![None; load.tasks],
+        spans,
         wasted: Vec::new(),
         recovered: Vec::new(),
         annotations: Vec::new(),
@@ -838,21 +924,23 @@ pub fn run_phase_faulty_fetch(
         policy: faults.policy,
         error: None,
         racks: faults.domains.racks,
-        rack_blacklist_count: vec![0; faults.domains.racks],
-        rack_blacklisted: vec![false; faults.domains.racks],
-        fetch: fetch.map(|plan| FetchCtx {
-            plan,
-            outputs: plan
-                .holders
-                .iter()
-                .map(|&h| MapOutput {
-                    holder: Some(h),
-                    row: None,
-                })
-                .collect(),
-            queue: VecDeque::new(),
-            outstanding: 0,
-            gated: Vec::new(),
+        rack_blacklist_count,
+        rack_blacklisted,
+        fetch: fetch.map(|plan| {
+            outputs.clear();
+            outputs.extend(plan.holders.iter().map(|&h| MapOutput {
+                holder: Some(h),
+                row: None,
+            }));
+            fetch_queue.clear();
+            gated.clear();
+            FetchCtx {
+                plan,
+                outputs,
+                queue: fetch_queue,
+                outstanding: 0,
+                gated,
+            }
         }),
     };
 
@@ -861,7 +949,7 @@ pub fn run_phase_faulty_fetch(
     if fetch.is_some() {
         for (node, &dead) in faults.dead_at_start.iter().enumerate() {
             if dead {
-                fetch_on_crash(&mut sim, &mut st, node);
+                fetch_on_crash(sim, &mut st, node);
             }
         }
     }
@@ -896,7 +984,7 @@ pub fn run_phase_faulty_fetch(
                         if let Some(f) = st.fetch.as_mut() {
                             f.queue.pop_front();
                         }
-                        launch_attempt(&mut sim, &mut st, load, faults, entry, node, tier, false);
+                        launch_attempt(sim, &mut st, load, faults, entry, node, tier, false);
                         continue;
                     }
                     Ok(None) => break,
@@ -924,7 +1012,7 @@ pub fn run_phase_faulty_fetch(
                 );
                 st.book.queue.pop_front();
                 let tier = load.tier_for(entry.row, node);
-                launch_attempt(&mut sim, &mut st, load, faults, entry, node, tier, false);
+                launch_attempt(sim, &mut st, load, faults, entry, node, tier, false);
                 continue;
             }
             if !faults.policy.speculation {
@@ -936,7 +1024,7 @@ pub fn run_phase_faulty_fetch(
             };
             let entry = QueueEntry { row, queued: now };
             let tier = load.tier_for(row, node);
-            launch_attempt(&mut sim, &mut st, load, faults, entry, node, tier, true);
+            launch_attempt(sim, &mut st, load, faults, entry, node, tier, true);
         }
         let backlog = st.book.queue.len();
         st.book.stats.max_queue_len = st.book.stats.max_queue_len.max(backlog);
@@ -945,17 +1033,17 @@ pub fn run_phase_faulty_fetch(
             break;
         };
         match event {
-            FaultEvent::AttemptDone { slot } => attempt_completed(&mut sim, &mut st, slot),
-            FaultEvent::AttemptFailed { slot } => attempt_failed(&mut sim, &mut st, slot),
+            FaultEvent::AttemptDone { slot } => attempt_completed(sim, &mut st, slot),
+            FaultEvent::AttemptFailed { slot } => attempt_failed(sim, &mut st, slot),
             FaultEvent::Requeue { row } => {
                 if st.error.is_none() {
                     st.enqueue(row, sim.now());
                 }
             }
-            FaultEvent::RackCrash { rack } => rack_crashed(&mut sim, &mut st, rack),
+            FaultEvent::RackCrash { rack } => rack_crashed(sim, &mut st, rack),
             FaultEvent::NodeCrash { node } => {
-                crash_node(&mut sim, &mut st, node);
-                fetch_on_crash(&mut sim, &mut st, node);
+                crash_node(sim, &mut st, node);
+                fetch_on_crash(sim, &mut st, node);
             }
         }
     }
@@ -968,7 +1056,7 @@ pub fn run_phase_faulty_fetch(
             pending: st.pending,
         });
     }
-    let spans: Vec<TaskSpan> = st.spans.into_iter().flatten().collect();
+    let spans: Vec<TaskSpan> = st.spans.drain(..).flatten().collect();
     debug_assert_eq!(spans.len(), load.tasks, "one winning span per task");
     Ok(PhaseRun {
         makespan_s: st.book.max_finish.as_secs_f64(),

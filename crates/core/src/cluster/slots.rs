@@ -50,13 +50,20 @@ struct NodeBitmap {
     summary: Vec<u64>,
 }
 
+/// `v` as `n` copies of `value`, in the allocation it already has; a
+/// table that has none yet gets exactly what `vec![value; n]` would.
+pub(super) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.reserve_exact(n);
+    v.resize(n, value);
+}
+
 impl NodeBitmap {
-    fn new(nodes: usize) -> Self {
+    /// Every bit of a `nodes`-wide bitmap clear.
+    fn reset(&mut self, nodes: usize) {
         let nw = nodes.div_ceil(64);
-        NodeBitmap {
-            words: vec![0; nw],
-            summary: vec![0; nw.div_ceil(64)],
-        }
+        refill(&mut self.words, nw, 0);
+        refill(&mut self.summary, nw.div_ceil(64), 0);
     }
 
     fn set(&mut self, i: usize) {
@@ -127,7 +134,7 @@ impl NodeBitmap {
 /// every query returns the same node the old linear scan returned (the
 /// lowest-id match), so spans and artifacts stay byte-identical while a
 /// 10k-node dispatch drops from O(nodes) to O(1) per event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FreeSlots {
     free: Vec<usize>,
     alive: Vec<bool>,
@@ -143,41 +150,40 @@ pub struct FreeSlots {
 }
 
 impl FreeSlots {
-    /// `dead[n]` nodes start dead: zero free slots, never usable; `None`
-    /// (the fault-free engine) starts every node alive.
-    fn with_dead(cluster: &Cluster, dead: Option<&[bool]>) -> Self {
+    /// Every slot of `cluster` free. `dead[n]` nodes start dead: zero
+    /// free slots, never usable; `None` (the fault-free engine) starts
+    /// every node alive.
+    fn reset(&mut self, cluster: &Cluster, dead: Option<&[bool]>) {
         let n = cluster.nodes.len();
-        let mut fs = FreeSlots {
-            free: vec![0; n],
-            alive: vec![true; n],
-            usable: vec![true; n],
-            any: NodeBitmap::new(n),
-            big: NodeBitmap::new(n),
-            little: NodeBitmap::new(n),
-            kind_of: cluster.nodes.iter().map(|nd| nd.kind).collect(),
-            free_total: 0,
-            usable_nodes: n,
-        };
+        refill(&mut self.free, n, 0);
+        refill(&mut self.alive, n, true);
+        refill(&mut self.usable, n, true);
+        self.any.reset(n);
+        self.big.reset(n);
+        self.little.reset(n);
+        self.kind_of.clear();
+        self.kind_of.extend(cluster.nodes.iter().map(|nd| nd.kind));
+        self.free_total = 0;
+        self.usable_nodes = n;
         for (i, nd) in cluster.nodes.iter().enumerate() {
             if dead.and_then(|d| d.get(i)).copied().unwrap_or(false) {
-                if let Some(a) = fs.alive.get_mut(i) {
+                if let Some(a) = self.alive.get_mut(i) {
                     *a = false;
                 }
-                if let Some(u) = fs.usable.get_mut(i) {
+                if let Some(u) = self.usable.get_mut(i) {
                     *u = false;
                 }
-                fs.usable_nodes -= 1;
+                self.usable_nodes -= 1;
                 continue;
             }
-            if let Some(f) = fs.free.get_mut(i) {
+            if let Some(f) = self.free.get_mut(i) {
                 *f = nd.slots;
             }
-            fs.free_total += nd.slots;
+            self.free_total += nd.slots;
             if nd.slots > 0 {
-                fs.set_ready(i);
+                self.set_ready(i);
             }
         }
-        fs
     }
 
     fn set_ready(&mut self, node: usize) {
@@ -320,7 +326,7 @@ impl FreeSlots {
 /// one word array. Claiming always takes the lowest free slot — the same
 /// slot the old per-slot boolean scan picked — in O(1) for clusters with
 /// up to 64 slots per node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SlotTable {
     words: Vec<u64>,
     /// Word range of node `n` is `offset[n]..offset[n + 1]`.
@@ -328,22 +334,24 @@ struct SlotTable {
 }
 
 impl SlotTable {
-    fn new(cluster: &Cluster) -> Self {
-        let mut offset = Vec::with_capacity(cluster.nodes.len() + 1);
-        offset.push(0);
+    /// Every slot of `cluster` free.
+    fn reset(&mut self, cluster: &Cluster) {
+        self.offset.clear();
+        self.offset.reserve_exact(cluster.nodes.len() + 1);
+        self.offset.push(0);
         let mut total = 0usize;
         for n in &cluster.nodes {
             total += n.slots.div_ceil(64);
-            offset.push(total);
+            self.offset.push(total);
         }
-        let mut words = vec![0u64; total];
+        refill(&mut self.words, total, 0);
         for (i, n) in cluster.nodes.iter().enumerate() {
-            let base = offset.get(i).copied().unwrap_or(0);
+            let base = self.offset.get(i).copied().unwrap_or(0);
             let mut left = n.slots;
             let mut w = base;
             while left > 0 {
                 let bits = left.min(64);
-                if let Some(word) = words.get_mut(w) {
+                if let Some(word) = self.words.get_mut(w) {
                     *word = if bits == 64 {
                         u64::MAX
                     } else {
@@ -354,7 +362,6 @@ impl SlotTable {
                 w += 1;
             }
         }
-        SlotTable { words, offset }
     }
 
     /// Claims the lowest free slot on `node`.
@@ -407,21 +414,55 @@ pub(super) struct SlotBook<Q> {
     pub(super) stats: SlotStats,
 }
 
-impl<Q> SlotBook<Q> {
-    /// Every slot of `cluster` free (none on `dead` nodes), `queue` waiting.
-    pub(super) fn new(cluster: &Cluster, dead: Option<&[bool]>, queue: VecDeque<Q>) -> Self {
+impl<Q> Default for SlotBook<Q> {
+    /// The book of a cluster without nodes; [`SlotBook::reset`] opens it
+    /// on a real one.
+    fn default() -> Self {
         SlotBook {
-            slots: FreeSlots::with_dead(cluster, dead),
-            slot_table: SlotTable::new(cluster),
-            slot_waves: cluster.nodes.iter().map(|n| vec![0; n.slots]).collect(),
-            queue,
+            slots: FreeSlots::default(),
+            slot_table: SlotTable::default(),
+            slot_waves: Vec::new(),
+            queue: VecDeque::new(),
             in_use: 0,
             max_finish: SimTime::ZERO,
-            stats: SlotStats {
-                capacity: cluster.total_slots(),
-                ..SlotStats::default()
-            },
+            stats: SlotStats::default(),
         }
+    }
+}
+
+impl<Q> SlotBook<Q> {
+    /// Every slot of `cluster` free (none on `dead` nodes), `queue` waiting.
+    pub(super) fn new(
+        cluster: &Cluster,
+        dead: Option<&[bool]>,
+        queue: impl Iterator<Item = Q>,
+    ) -> Self {
+        let mut book = SlotBook::default();
+        book.reset(cluster, dead, queue);
+        book
+    }
+
+    /// [`SlotBook::new`] in place, in the allocations the last run left.
+    pub(super) fn reset(
+        &mut self,
+        cluster: &Cluster,
+        dead: Option<&[bool]>,
+        queue: impl Iterator<Item = Q>,
+    ) {
+        self.slots.reset(cluster, dead);
+        self.slot_table.reset(cluster);
+        self.slot_waves.resize_with(cluster.nodes.len(), Vec::new);
+        for (waves, n) in self.slot_waves.iter_mut().zip(&cluster.nodes) {
+            refill(waves, n.slots, 0);
+        }
+        self.queue.clear();
+        self.queue.extend(queue);
+        self.in_use = 0;
+        self.max_finish = SimTime::ZERO;
+        self.stats = SlotStats {
+            capacity: cluster.total_slots(),
+            ..SlotStats::default()
+        };
     }
 
     /// Marks the first idle slot on `node` busy; returns `(slot, wave)`.

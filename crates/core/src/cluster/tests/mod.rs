@@ -5,7 +5,7 @@ use hhsim_hdfs::Topology;
 use hhsim_sched::JobClass;
 
 use super::engine::Done;
-use super::recovery::{FaultEvent, FaultState};
+use super::recovery::{run_phase_fetching, EngineScratch, FaultEvent, FaultState};
 use super::slots::SlotBook;
 use super::*;
 
@@ -14,7 +14,7 @@ use super::*;
 #[test]
 fn engine_state_is_send() {
     fn is_send<T: Send>() {}
-    is_send::<(FaultState, Simulation<FaultEvent>)>();
+    is_send::<(FaultState, Simulation<FaultEvent>, EngineScratch)>();
     is_send::<(SlotBook<usize>, Simulation<Done>)>();
 }
 
@@ -739,6 +739,54 @@ fn holder_dead_between_phases_recovers_before_reduces_launch() {
             "every reduce waits out the recovery"
         );
     }
+}
+
+/// One `EngineScratch` through runs of different shapes — a recovery
+/// that appends re-execution rows, a run that dies with its tables
+/// dirty, a smaller cluster with a speculative backup, a failure-ridden
+/// mixed one — twice around: every run equals the run on fresh tables.
+#[test]
+fn engine_scratch_carries_nothing_between_runs() {
+    let (c4, reduce, plan) = fetch_scenario();
+    let mut holder_dies = PhaseFaults::inert(4);
+    holder_dies.crash_at_s[0] = Some(5.0);
+    let mut rack_dies = holder_dies.clone();
+    rack_dies.crash_at_s[2] = Some(5.0);
+    let c2 = Cluster::homogeneous(CoreKind::Big, 2, 2);
+    let mut straggler = PhaseFaults::inert(2);
+    straggler.slowdown[1] = 4.0;
+    let mixed = mixed_cluster();
+    type Scenario<'a> = (&'a Cluster, PhaseLoad, PhaseFaults, Option<&'a FetchPlan>);
+    let scenarios: [Scenario; 4] = [
+        (&c4, reduce.clone(), holder_dies, Some(&plan)),
+        (&c4, reduce, rack_dies, Some(&plan)),
+        (&c2, PhaseLoad::uniform(&set(4, 10.0), &c2), straggler, None),
+        (
+            &mixed,
+            hetero_load(40, &mixed),
+            failure_faults(3, 0.3, 7),
+            None,
+        ),
+    ];
+    let scratch = &mut EngineScratch::default();
+    let mut errors = 0;
+    for _ in 0..2 {
+        for (cluster, load, faults, plan) in &scenarios {
+            let fresh =
+                run_phase_faulty_fetch(cluster, load, &mut FifoAnySlot, Some(faults), *plan);
+            let reused = run_phase_fetching(
+                cluster,
+                load,
+                &mut FifoAnySlot,
+                Some(faults),
+                plan.map(FetchPlan::view),
+                scratch,
+            );
+            assert_eq!(reused, fresh);
+            errors += usize::from(fresh.is_err());
+        }
+    }
+    assert_eq!(errors, 2, "the rack crash loses map 0's every replica");
 }
 
 #[test]

@@ -67,10 +67,12 @@ fn narrow(v: usize) -> u32 {
 }
 
 /// Folds a `(time, ±1)` event list (already grouped per node, in
-/// span-append order) into the active-slot step function.
-fn steps_from_events(events: &mut [(f64, i64)]) -> Vec<(f64, usize)> {
+/// span-append order) into the active-slot step function, written over
+/// whatever `steps` held.
+fn fold_steps(events: &mut [(f64, i64)], steps: &mut Vec<(f64, usize)>) {
     events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut steps = vec![(0.0, 0usize)];
+    steps.clear();
+    steps.push((0.0, 0usize));
     let mut active = 0i64;
     let mut i = 0;
     while i < events.len() {
@@ -86,28 +88,54 @@ fn steps_from_events(events: &mut [(f64, i64)]) -> Vec<(f64, usize)> {
             steps.push((t, a));
         }
     }
+}
+
+/// [`fold_steps`] into a fresh vector.
+fn steps_from_events(events: &mut [(f64, i64)]) -> Vec<(f64, usize)> {
+    let mut steps = Vec::new();
+    fold_steps(events, &mut steps);
     steps
+}
+
+/// The buffers [`PhaseRun::node_steps`] builds step functions in. Their
+/// capacity outlives a call, so whoever owns one — a harness worker, or a
+/// single `simulate` call — prices every node of every phase of every
+/// seed it runs in the same few allocations.
+#[derive(Debug, Default)]
+pub(crate) struct StepBuffers {
+    /// Per node: the phase's `(time, ±1)` slot events.
+    events: Vec<Vec<(f64, i64)>>,
+    /// The step function of the node being visited.
+    steps: Vec<(f64, usize)>,
 }
 
 impl PhaseRun {
     /// Step function of busy slots per node over this phase, `nodes`
-    /// nodes wide: `(time, active)` points at every change, starting at
-    /// `(0, 0)`, on the phase's own clock. Winning, wasted and recovered
-    /// attempts all count — exactly what [`ClusterTimeline::extend`]
-    /// followed by [`ClusterTimeline::active_steps_all`] yields, without
-    /// the timeline in between.
-    pub fn active_steps_all(&self, nodes: usize) -> Vec<Vec<(f64, usize)>> {
-        let mut events: Vec<Vec<(f64, i64)>> = vec![Vec::new(); nodes];
+    /// nodes wide, one node at a time in node order: `(time, active)`
+    /// points at every change, starting at `(0, 0)`, on the phase's own
+    /// clock. Winning, wasted and recovered attempts all count — exactly
+    /// what [`ClusterTimeline::extend`] followed by
+    /// [`ClusterTimeline::active_steps_all`] yields, without the timeline
+    /// in between. `visit` may take the vector (an owning consumer such
+    /// as `UtilizationTimeline::new`) as long as it puts one back.
+    pub(crate) fn node_steps(
+        &self,
+        nodes: usize,
+        buf: &mut StepBuffers,
+        mut visit: impl FnMut(usize, &mut Vec<(f64, usize)>),
+    ) {
+        buf.events.resize_with(nodes, Vec::new);
+        buf.events.iter_mut().for_each(Vec::clear);
         for s in self.spans.iter().chain(&self.wasted).chain(&self.recovered) {
-            if let Some(ev) = events.get_mut(s.node) {
+            if let Some(ev) = buf.events.get_mut(s.node) {
                 ev.push((s.launched_s, 1));
                 ev.push((s.finished_s, -1));
             }
         }
-        events
-            .iter_mut()
-            .map(|ev| steps_from_events(ev.as_mut_slice()))
-            .collect()
+        for (node, ev) in buf.events.iter_mut().enumerate() {
+            fold_steps(ev, &mut buf.steps);
+            visit(node, &mut buf.steps);
+        }
     }
 }
 

@@ -22,7 +22,7 @@ use hhsim_workloads::AppId;
 use hhsim_faults::{DomainConfig, FaultConfig, PhaseError, RecoveryPolicy};
 
 use crate::harness::{ReplicationPlan, Sweep};
-use crate::model::{try_simulate_cluster, Measurement, NodeMix, PlacementKind, SimConfig};
+use crate::model::{try_measure_cluster, Measurement, NodeMix, PlacementKind, SimConfig};
 use crate::report::FigureData;
 use crate::simcache::SimCache;
 
@@ -790,12 +790,12 @@ pub fn fig19() -> Result<FigureData, PhaseError> {
     );
     for app in [AppId::WordCount, AppId::TeraSort] {
         for (who, m, mix) in clusters {
-            let clean = try_simulate_cluster(&point(app, m, mix))?.0;
+            let clean = try_measure_cluster(&point(app, m, mix), SimCache::global())?;
             for speculation in [true, false] {
                 let mode = if speculation { "spec" } else { "nospec" };
                 for rate in FAULT_RATES {
                     let c = point(app, m, mix).faults(fig19_faults(rate, speculation));
-                    let meas = try_simulate_cluster(&c)?.0;
+                    let meas = try_measure_cluster(&c, SimCache::global())?;
                     let x = format!("{rate:.2}");
                     f.push(
                         format!("T/{who}/{}/{mode}", app.short_name()),
@@ -862,7 +862,7 @@ pub fn fig20() -> Result<FigureData, PhaseError> {
     );
     for app in [AppId::WordCount, AppId::TeraSort] {
         for (who, m, mix) in clusters {
-            let clean = try_simulate_cluster(&point(app, m, mix))?.0;
+            let clean = try_measure_cluster(&point(app, m, mix), SimCache::global())?;
             let clean_t = clean.breakdown.total();
             let clean_edp = clean.exact_energy_j * clean_t;
             for rate in FAULT_RATES {
@@ -1057,7 +1057,7 @@ pub fn fig22() -> Result<FigureData, PhaseError> {
             // then shows the straggler background, like Fig. 19/20.
             let mut clean_cfg = point(m, mix, 0.0, speculation);
             clean_cfg.faults = None;
-            let clean = try_simulate_cluster(&clean_cfg)?.0;
+            let clean = try_measure_cluster(&clean_cfg, SimCache::global())?;
             let clean_t = clean.breakdown.total();
             let clean_edp = clean.exact_energy_j * clean_t;
             for rate in FIG22_RATES {

@@ -32,7 +32,7 @@ use hhsim_arch::{presets, ComputeProfile, MachineModel};
 use hhsim_faults::{FaultConfig, FaultStats};
 use hhsim_workloads::AppId;
 
-use crate::model::{simulate_with, ClusterPrep, Measurement, SimConfig};
+use crate::model::{simulate_with, ClusterPrep, Measurement, RunScratch, SimConfig};
 use crate::ratios::AppRatios;
 use crate::simcache::{MemoKey, SimCache};
 
@@ -101,33 +101,42 @@ pub fn snapshot() -> HarnessSnapshot {
 /// items per grab from a shared cursor and land each result in its own
 /// slot, so neither the worker count nor the interleaving can reorder or
 /// alias output. One worker (or one item) runs inline, in order.
-fn pool<I: Sync, T: Send + Sync>(
+///
+/// Every worker owns one `S` from its first item to its last — scratch
+/// `eval` may reuse between items and must not read results out of (`()`
+/// when there is nothing to reuse). It is born and dropped with the
+/// worker, so it outlives no call.
+fn pool<I: Sync, S: Default, T: Send + Sync>(
     items: &[I],
     workers: usize,
     batch: usize,
-    eval: impl Fn(&I) -> T + Sync,
+    eval: impl Fn(&mut S, &I) -> T + Sync,
 ) -> Vec<T> {
     let n = items.len();
     if workers <= 1 || n <= 1 {
-        return items.iter().map(eval).collect();
+        let mut state = S::default();
+        return items.iter().map(|item| eval(&mut state, item)).collect();
     }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers.min(n.div_ceil(batch)) {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(batch, Ordering::Relaxed);
-                let end = (start + batch).min(n);
-                let (Some(claimed), Some(out)) = (items.get(start..end), slots.get(start..end))
-                else {
-                    break;
-                };
-                if claimed.is_empty() {
-                    break;
-                }
-                for (item, slot) in claimed.iter().zip(out) {
-                    // A claimed index belongs to this worker alone.
-                    let _ = slot.set(eval(item));
+            scope.spawn(|| {
+                let mut state = S::default();
+                loop {
+                    let start = next.fetch_add(batch, Ordering::Relaxed);
+                    let end = (start + batch).min(n);
+                    let (Some(claimed), Some(out)) = (items.get(start..end), slots.get(start..end))
+                    else {
+                        break;
+                    };
+                    if claimed.is_empty() {
+                        break;
+                    }
+                    for (item, slot) in claimed.iter().zip(out) {
+                        // A claimed index belongs to this worker alone.
+                        let _ = slot.set(eval(&mut state, item));
+                    }
                 }
             });
         }
@@ -182,7 +191,7 @@ fn fill_stage(configs: &[SimConfig], workers: usize, cache: &SimCache) {
     let (xeon, atom) = (presets::xeon_e5_2420(), presets::atom_c2758());
     let mut todo = memo_keys(configs, &xeon, &atom);
     todo.retain(|key| !cache.holds(key));
-    pool(&todo, workers, 1, |key| cache.fill(key));
+    pool(&todo, workers, 1, |(), key| cache.fill(key));
 }
 
 /// Evaluates a flat grid of points with the configured worker count.
@@ -206,7 +215,7 @@ pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> V
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
     fill_stage(configs, workers, cache);
-    let out = pool(configs, workers, 1, |cfg| simulate_with(cfg, cache));
+    let out = pool(configs, workers, 1, |(), cfg| simulate_with(cfg, cache));
     POINTS.fetch_add(configs.len() as u64, Ordering::Relaxed);
     GRIDS.fetch_add(1, Ordering::Relaxed);
     BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -316,9 +325,11 @@ impl Aggregate {
     }
 }
 
-/// The scalars one replication contributes to the reduction. Timelines
-/// and 1 Hz meter views are dropped as soon as the run finishes, so the
-/// plan's memory stays O(replications), not O(replications · trace).
+/// The scalars one replication contributes to the reduction. A
+/// replication builds no timeline at all (the plan passes
+/// `ClusterPrep::run_seeded` no sink) and its 1 Hz meter views end with
+/// the run, so what the plan itself holds is O(replications), not
+/// O(replications · trace).
 #[derive(Debug, Clone)]
 struct RepPoint {
     makespan_s: f64,
@@ -353,14 +364,15 @@ pub struct ReplicationSummary {
 /// Batched Monte Carlo replication of one [`SimConfig`] across fault
 /// seeds.
 ///
-/// The seed-independent half of the cluster run (node roster, task
-/// pricing, launch overheads, protocol time) is prepared **once** and
-/// shared by every worker; each seed then only re-runs the fault
-/// sampling, the wave scheduler and the event-driven energy
-/// integration. Workers claim contiguous batches of seeds from the same
-/// pool the grids run on, and the final reduction folds the results
-/// serially in seed order — so the summary is bit-identical whatever
-/// the worker count or batch size.
+/// The seed-independent half of the cluster run (node roster, phase
+/// loads with their replica layout and shuffle extras, memo keys, launch
+/// overheads, protocol time) is prepared **once** and borrowed by every
+/// worker; each seed then only re-runs the fault sampling, the wave
+/// scheduler and the event-driven energy integration, in buffers its
+/// worker keeps from seed to seed. Workers claim contiguous batches of
+/// seeds from the same pool the grids run on, and the final reduction
+/// folds the results serially in seed order — so the summary is
+/// bit-identical whatever the worker count or batch size.
 ///
 /// Seeds replace the seed of the config's own [`FaultConfig`]; a plan
 /// over a fault-free config runs the same deterministic point once per
@@ -425,9 +437,11 @@ impl ReplicationPlan {
         let started = Instant::now();
         let prep = ClusterPrep::new(&self.cfg, cache);
         let base = self.cfg.faults.filter(FaultConfig::active);
-        let eval = |seed: u64| -> Option<RepPoint> {
+        let eval = |scratch: &mut RunScratch, &seed: &u64| -> Option<RepPoint> {
             let seeded = base.map(|f| f.seed(seed));
-            let (m, _timeline) = prep.run_seeded(seeded.as_ref(), cache).ok()?;
+            let m = prep
+                .run_seeded(seeded.as_ref(), cache, scratch, None)
+                .ok()?;
             let makespan_s = m.breakdown.total();
             Some(RepPoint {
                 makespan_s,
@@ -439,7 +453,7 @@ impl ReplicationPlan {
         };
 
         let n = self.seeds.len();
-        let points = pool(&self.seeds, workers, self.batch, |&seed| eval(seed));
+        let points = pool(&self.seeds, workers, self.batch, eval);
 
         let ok: Vec<&RepPoint> = points.iter().flatten().collect();
         let mut faults = FaultStats::default();

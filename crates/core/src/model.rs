@@ -50,13 +50,15 @@ use serde::{Deserialize, Serialize};
 use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
 
 use crate::cluster::{
-    run_phase, run_phase_faulty, run_phase_faulty_fetch, Cluster, ClusterTimeline, FetchPlan,
-    FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad, PhaseLocality, PhaseRun, Placement,
-    SlotStats, TaskSet,
+    run_phase, run_phase_fetching, Cluster, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot,
+    KindPreferring, NodeTiming, PhaseLoad, PhaseLocality, PhaseRun, Placement, SlotStats,
+    StepBuffers, TaskSet,
 };
 use crate::ratios::JobRatios;
 use crate::shuffle;
-use crate::simcache::{fetch_digest, PhaseFaultKey, PhaseKey, PhaseNetKey, SimCache};
+use crate::simcache::{
+    fetch_digest, fetch_layout_digest, PhaseFaultKey, PhaseKey, PhaseNetKey, SimCache,
+};
 
 /// Framework instructions charged per task launch (JVM spin-up, split
 /// bookkeeping, heartbeats).
@@ -600,7 +602,7 @@ pub fn simulate(cfg: &SimConfig) -> Measurement {
 /// the cache-consistency property tests compare against.
 pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
     if cfg.on_cluster_engine() {
-        return simulate_cluster_with(cfg, cache).0;
+        return recovered(try_measure_cluster(cfg, cache));
     }
     assert!(cfg.nodes > 0, "need at least one node");
     assert!(cfg.data_per_node_bytes > 0, "need input data");
@@ -852,69 +854,18 @@ fn mem_intensity(p: &ComputeProfile) -> f64 {
     ((1.0 - p.mem.hot_fraction) * 1.8 + 0.15).clamp(0.0, 1.0)
 }
 
-/// The placement policy object a [`PlacementKind`] names for `app`.
-fn build_placement(kind: PlacementKind, app: AppId) -> Box<dyn Placement> {
-    match kind {
-        PlacementKind::FifoAny => Box::new(FifoAnySlot),
-        PlacementKind::PaperClass(goal) => {
-            Box::new(KindPreferring::for_class(job_class(app), goal))
-        }
-        PlacementKind::PreferBig => Box::new(KindPreferring {
-            preferred: CoreKind::Big,
-        }),
-        PlacementKind::PreferLittle => Box::new(KindPreferring {
-            preferred: CoreKind::Little,
-        }),
-    }
-}
-
-/// Streams one phase run's per-node power into the node meters, pricing
-/// the engine's time-resolved slot occupancy through each node's power
-/// model, and returns the phase's exact dynamic energy over all nodes.
-///
-/// Each utilization piece is priced once and integrated exactly —
-/// O(transitions) per node, with the 1 Hz metered view resolving inside
-/// the [`StreamingMeter`] instead of a per-node `PowerTrace` + full
-/// re-sampling pass.
-fn charge_phase(
-    run: &PhaseRun,
-    machines: &[&MachineModel],
-    f: Frequency,
-    prof: &ComputeProfile,
-    io_frac: &[f64],
-    meters: &mut [StreamingMeter],
-) -> f64 {
-    let mut steps = run.active_steps_all(machines.len());
-    let mut dynamic_j = 0.0;
-    for (i, (m, meter)) in machines.iter().zip(meters.iter_mut()).enumerate() {
-        let op = m.operating_point(f);
-        let node_steps = steps.get_mut(i).map(std::mem::take).unwrap_or_default();
-        let util = UtilizationTimeline::new(node_steps, run.makespan_s);
-        let node_io = io_frac.get(i).copied().unwrap_or(0.0);
-        // -0.0 seeds the same fold as `PowerTrace::exact_energy_j`, so
-        // this phase's exact energy is bit-identical to the retired
-        // per-node trace's.
-        let mut node_j = -0.0;
-        for (dur, active) in util.pieces() {
-            // A node with no running task draws only its idle floor —
-            // DRAM/disk activity follows the tasks, not the cluster.
-            let (activity, mem, io) = if active > 0 {
-                (prof.activity, mem_intensity(prof), node_io)
-            } else {
-                (0.0, 0.0, 0.0)
-            };
-            let w = m
-                .power
-                .node_power(op, active, m.num_cores, activity, mem, io)
-                .total();
-            if dur > 0.0 {
-                node_j += dur * w;
-            }
-            meter.push(dur, w);
-        }
-        dynamic_j += node_j - m.power.node_idle_w * run.makespan_s;
-    }
-    dynamic_j
+/// Buffers one seeded cluster run fills and the next reuses: owned by a
+/// harness worker across its seeds, or by a single call, and freed with
+/// it. Nothing a run leaves here is read by the next (each user clears
+/// before it fills).
+#[derive(Debug, Default)]
+pub(crate) struct RunScratch {
+    /// Per-node step functions of the phase being charged.
+    steps: StepBuffers,
+    /// Map-output holders of the reduce phase's fetch plan.
+    holders: Vec<usize>,
+    /// The fault engine's tables.
+    engine: EngineScratch,
 }
 
 /// Simulates `cfg` on the event-driven cluster engine and returns the
@@ -946,7 +897,12 @@ pub fn simulate_cluster(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
 /// (a task exhausting `max_attempts`, or crashes leaving no usable
 /// slots); use [`try_simulate_cluster_with`] to handle that as an error.
 pub fn simulate_cluster_with(cfg: &SimConfig, cache: &SimCache) -> (Measurement, ClusterTimeline) {
-    match try_simulate_cluster_with(cfg, cache) {
+    recovered(try_simulate_cluster_with(cfg, cache))
+}
+
+/// What the infallible facades make of a run's outcome.
+fn recovered<T>(outcome: Result<T, PhaseError>) -> T {
+    match outcome {
         Ok(r) => r,
         // hhsim: allow(panic-in-engine): infallible facade for legacy callers; fault-aware callers use try_simulate_cluster_with
         Err(e) => panic!("cluster run failed under fault injection: {e}"),
@@ -982,45 +938,68 @@ pub fn try_simulate_cluster_with(
     cache: &SimCache,
 ) -> Result<(Measurement, ClusterTimeline), PhaseError> {
     let prep = ClusterPrep::new(cfg, cache);
-    prep.run_seeded(cfg.active_faults().as_ref(), cache)
+    let mut timeline = ClusterTimeline::new(&prep.cluster);
+    let faults = cfg.active_faults();
+    let scratch = &mut RunScratch::default();
+    let m = prep.run_seeded(faults.as_ref(), cache, scratch, Some(&mut timeline))?;
+    Ok((m, timeline))
+}
+
+/// The measurement of [`try_simulate_cluster_with`] alone: the same run
+/// with no timeline to fill.
+pub(crate) fn try_measure_cluster(
+    cfg: &SimConfig,
+    cache: &SimCache,
+) -> Result<Measurement, PhaseError> {
+    let faults = cfg.active_faults();
+    let scratch = &mut RunScratch::default();
+    ClusterPrep::new(cfg, cache).run_seeded(faults.as_ref(), cache, scratch, None)
+}
+
+/// One phase of one chained job, as far as a fault seed cannot change it.
+struct PhasePrep {
+    /// Timeline label: "map" / "reduce", suffixed with the job index
+    /// when jobs chain.
+    label: String,
+    /// What the engine drains, locality layout or shuffle extras inside.
+    load: PhaseLoad,
+    /// Memo key of the phase run fault-free; a seeded run fills in
+    /// `faults` and `fetch`.
+    key: PhaseKey,
+    /// Per node: I/O share of a task's time, the disk-power knob.
+    io_frac: Vec<f64>,
+}
+
+/// One chained job's phases.
+struct JobPrep {
+    map: PhasePrep,
+    /// `None` for a map-only job.
+    reduce: Option<PhasePrep>,
+    /// [`fetch_layout_digest`] of the reduce phase's fetch plan, when the
+    /// map phase has a replica layout to recover lost outputs from.
+    fetch_layout: Option<u64>,
 }
 
 /// Seed-independent preparation of one cluster-engine run: node roster,
-/// placement, per-job task pricing, launch overheads, protocol time —
-/// everything [`ClusterPrep::run_seeded`] shares across fault
+/// placement, per-job phase loads (replica layout and shuffle extras
+/// inside), their memo keys, I/O fractions and labels, protocol time —
+/// everything [`ClusterPrep::run_seeded`] borrows across fault
 /// replications. The replication engine builds this once per
-/// [`SimConfig`] and fans seeds out over it behind an `Arc`, instead of
-/// re-deriving the whole stack per seed.
+/// [`SimConfig`] and fans seeds out over it, instead of re-deriving the
+/// whole stack per seed.
 pub(crate) struct ClusterPrep {
     app: AppId,
     f: Frequency,
     big_m: MachineModel,
     little_m: MachineModel,
-    n_big: usize,
-    n_little: usize,
-    big_slots: usize,
-    little_slots: usize,
-    placement_kind: PlacementKind,
-    /// Resolved placement behavior code for phase memo keys.
-    placement_code: u8,
+    /// The node kind placement prefers; `None` is first-free-slot FIFO.
+    preferred: Option<CoreKind>,
     cluster: Cluster,
-    big_overhead: f64,
-    little_overhead: f64,
     map_prof: ComputeProfile,
     red_prof: ComputeProfile,
-    /// Per chained job: (big-node timing, little-node timing).
-    jobs: Vec<(JobTiming, JobTiming)>,
+    jobs: Vec<JobPrep>,
     /// Active rack fabric, when the run models the network topology.
     topology: Option<Topology>,
-    /// Per chained job: the map phase's block layout (HDFS-default
-    /// placement) and per-tier read penalties. `None` entries (always,
-    /// without an active topology) leave the legacy node-local path.
-    map_locality: Vec<Option<PhaseLocality>>,
-    /// Per chained job: per-reduce-task contended-shuffle penalty
-    /// seconds beyond the flat model's uncontended transfer (empty
-    /// without an active topology).
-    red_extra: Vec<Vec<f64>>,
-    multi_job: bool,
     others_wall: f64,
     /// Per node: (total W, dynamic W) during the others window.
     oth_power: Vec<(f64, f64)>,
@@ -1028,6 +1007,33 @@ pub(crate) struct ClusterPrep {
     area: f64,
     map_ipc: f64,
     dom: JobTiming,
+}
+
+impl PhasePrep {
+    /// The plan a reduce phase recovers this map phase's outputs with
+    /// while `holders` have them; `None` without a replica layout.
+    fn fetch_view<'a>(
+        &'a self,
+        topology: Option<Topology>,
+        holders: &'a [usize],
+    ) -> Option<FetchView<'a>> {
+        let layout = self.load.locality.as_ref()?;
+        Some(FetchView {
+            holders,
+            map_replicas: &layout.replicas,
+            topology: topology?,
+            read_seconds: layout.read_seconds,
+            map_timing: &self.load.timing,
+        })
+    }
+}
+
+/// `big` or `little`, whichever `kind` names.
+fn of_kind<T>(kind: CoreKind, big: T, little: T) -> T {
+    match kind {
+        CoreKind::Big => big,
+        CoreKind::Little => little,
+    }
 }
 
 impl ClusterPrep {
@@ -1114,7 +1120,7 @@ impl ClusterPrep {
             nodes: nodes_total,
         };
 
-        let mut jobs: Vec<(JobTiming, JobTiming)> = Vec::with_capacity(ratios.jobs.len());
+        let mut timings: Vec<(JobTiming, JobTiming)> = Vec::with_capacity(ratios.jobs.len());
         let mut n_map_total = 0usize;
         let mut n_red_total = 0usize;
         for job in ratios.jobs.iter() {
@@ -1148,30 +1154,84 @@ impl ClusterPrep {
             debug_assert_eq!(tb.n_red, tl.n_red, "task counts are machine-independent");
             n_map_total += tb.n_map;
             n_red_total += tb.n_red;
-            jobs.push((tb, tl));
+            timings.push((tb, tl));
         }
+        let preferred = match placement_kind {
+            PlacementKind::FifoAny => None,
+            PlacementKind::PreferBig => Some(CoreKind::Big),
+            PlacementKind::PreferLittle => Some(CoreKind::Little),
+            PlacementKind::PaperClass(goal) => {
+                Some(KindPreferring::for_class(job_class(cfg.app), goal).preferred)
+            }
+        };
+        // One phase's load, fault-free memo key and per-node I/O share,
+        // from its (task seconds, I/O seconds) on either node kind.
+        let multi_job = ratios.jobs.len() > 1;
+        let phase = |base: &str, ji: usize, tasks: usize, big: (f64, f64), little: (f64, f64)| {
+            let timing = |(task_seconds, _), overhead_seconds| NodeTiming {
+                task_seconds,
+                overhead_seconds,
+            };
+            let io_frac = |(task_s, io_s): (f64, f64)| {
+                if task_s > 0.0 {
+                    (io_s / task_s).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                }
+            };
+            let (big_io, little_io) = (io_frac(big), io_frac(little));
+            PhasePrep {
+                label: if multi_job {
+                    format!("{base}{ji}")
+                } else {
+                    base.to_string()
+                },
+                load: PhaseLoad::by_kind(
+                    tasks,
+                    timing(big, big_overhead),
+                    timing(little, little_overhead),
+                    &cluster,
+                ),
+                key: PhaseKey {
+                    // The placement objects are stateless, so the
+                    // preference *is* the behavior.
+                    placement: preferred.map_or(0, |kind| of_kind(kind, 1, 2)),
+                    roster: (n_big, big_slots, n_little, little_slots),
+                    tasks,
+                    timing: [
+                        big.0.to_bits(),
+                        big_overhead.to_bits(),
+                        little.0.to_bits(),
+                        little_overhead.to_bits(),
+                    ],
+                    faults: None,
+                    net: None,
+                    fetch: None,
+                },
+                io_frac: (cluster.nodes.iter())
+                    .map(|n| of_kind(n.kind, big_io, little_io))
+                    .collect(),
+            }
+        };
+
         // Rack-fabric pricing: lay the input out with the HDFS default
         // policy, price each map task's locality tier, and price the
         // reduce shuffle on the contended fabric. All gated on an
         // *active* topology, so flat runs never see any of this.
         let topology = cfg.active_topology();
-        let mut map_locality: Vec<Option<PhaseLocality>> = vec![None; jobs.len()];
-        let mut red_extra: Vec<Vec<f64>> = vec![Vec::new(); jobs.len()];
-        if let Some(topo) = &topology {
-            // The same fabric with full bisection and one rack: the
-            // baseline the contention penalty is measured against, so
-            // the flat model's uncontended transfer (already inside
-            // `red_task_s`) is never double-charged.
-            let flat_fabric = Topology {
-                racks: 1,
-                oversubscription: 1.0,
-                ..*topo
-            };
-            for (ji, ((tb, _tl), (loc_slot, extra_slot))) in jobs
-                .iter()
-                .zip(map_locality.iter_mut().zip(red_extra.iter_mut()))
-                .enumerate()
-            {
+        let mut jobs: Vec<JobPrep> = Vec::with_capacity(timings.len());
+        for (ji, (tb, tl)) in timings.iter().enumerate() {
+            let (big, little) = (
+                (tb.map_task_s, tb.map_io_task),
+                (tl.map_task_s, tl.map_io_task),
+            );
+            let mut map = phase("map", ji, tb.n_map, big, little);
+            let (big, little) = (
+                (tb.red_task_s, tb.red_io_task),
+                (tl.red_task_s, tl.red_io_task),
+            );
+            let mut reduce = (tb.n_red > 0).then(|| phase("reduce", ji, tb.n_red, big, little));
+            if let Some(topo) = &topology {
                 // Each node ingests its own share of the input (block t
                 // is written by node t mod N, like the paper's per-node
                 // data load); the HDFS default policy then spreads the
@@ -1196,7 +1256,7 @@ impl ClusterPrep {
                     })
                     .collect();
                 let bytes = tb.map_task_bytes.max(0.0) as u64;
-                *loc_slot = Some(PhaseLocality {
+                let locality = PhaseLocality {
                     replicas,
                     racks: topo.racks,
                     read_seconds: [
@@ -1204,32 +1264,50 @@ impl ClusterPrep {
                         topo.read_seconds(bytes, LocalityTier::RackLocal),
                         topo.read_seconds(bytes, LocalityTier::OffRack),
                     ],
-                });
-                if tb.n_red > 0 {
+                };
+                map.key.net = Some(PhaseNetKey::for_map(topo, &locality));
+                map.load.locality = Some(locality);
+                if let Some(red) = &mut reduce {
+                    // The same fabric with full bisection and one rack:
+                    // the baseline the contention penalty is measured
+                    // against, so the flat model's uncontended transfer
+                    // (already inside `red_task_s`) is never
+                    // double-charged.
+                    let flat_fabric = Topology {
+                        racks: 1,
+                        oversubscription: 1.0,
+                        ..*topo
+                    };
                     let [contended, baseline] = shuffle::reduce_fetch_seconds_on(
                         [topo, &flat_fabric],
                         nodes_total,
                         tb.n_red,
                         tb.red_input_bytes,
                     );
-                    *extra_slot = contended
-                        .iter()
-                        .zip(&baseline)
+                    red.load.extra_seconds = (contended.iter().zip(&baseline))
                         .map(|(c, b)| (c - b).max(0.0))
                         .collect();
+                    red.key.net = Some(PhaseNetKey::for_extras(topo, &red.load.extra_seconds));
                 }
             }
+            // Hadoop fetch-failure semantics need an active topology
+            // (replicas and locality tiers exist) and, per seed, faults
+            // (a holder can die); either alone keeps the legacy reduce
+            // path bitwise intact.
+            let fetch_layout = (reduce.as_ref())
+                .and(map.fetch_view(topology, &[]))
+                .map(|plan| fetch_layout_digest(&plan));
+            jobs.push(JobPrep {
+                map,
+                reduce,
+                fetch_layout,
+            });
         }
 
-        let (dom_big, dom_little) = *jobs.first().expect("at least one job");
+        let (dom_big, dom_little) = *timings.first().expect("at least one job");
         let dom = if n_big > 0 { dom_big } else { dom_little };
 
-        let machine_of = |kind: CoreKind| -> &MachineModel {
-            match kind {
-                CoreKind::Big => &big_m,
-                CoreKind::Little => &little_m,
-            }
-        };
+        let machine_of = |kind: CoreKind| of_kind(kind, &big_m, &little_m);
 
         // Others: setup/cleanup protocol time plus serial master
         // bookkeeping, run by the first node's machine.
@@ -1274,39 +1352,17 @@ impl ClusterPrep {
         let ipc_stalls = cache.stall_split(ipc_m, &map_prof);
         let map_ipc = 1.0 / ipc_m.cpi_with_stalls(&map_prof, f, ipc_stalls.0, ipc_stalls.1);
 
-        let placement_code = match placement_kind {
-            PlacementKind::FifoAny => 0,
-            PlacementKind::PreferBig => 1,
-            PlacementKind::PreferLittle => 2,
-            PlacementKind::PaperClass(goal) => {
-                match KindPreferring::for_class(job_class(cfg.app), goal).preferred {
-                    CoreKind::Big => 1,
-                    CoreKind::Little => 2,
-                }
-            }
-        };
-
         ClusterPrep {
             app: cfg.app,
             f,
             big_m,
             little_m,
-            n_big,
-            n_little,
-            big_slots,
-            little_slots,
-            placement_kind,
-            placement_code,
+            preferred,
             cluster,
-            big_overhead,
-            little_overhead,
             map_prof,
             red_prof,
             jobs,
             topology,
-            map_locality,
-            red_extra,
-            multi_job: ratios.jobs.len() > 1,
             others_wall,
             oth_power,
             machine_name,
@@ -1316,37 +1372,69 @@ impl ClusterPrep {
         }
     }
 
-    /// The phase memo key of one phase under this prep's roster.
-    fn phase_key(
+    /// Streams one phase run's per-node power into the node meters,
+    /// pricing the engine's time-resolved slot occupancy through each
+    /// node's power model, and returns the phase's exact dynamic energy
+    /// over all nodes.
+    ///
+    /// Each utilization piece is priced once and integrated exactly —
+    /// O(transitions) per node, with the 1 Hz metered view resolving
+    /// inside the [`StreamingMeter`] instead of a per-node `PowerTrace` +
+    /// full re-sampling pass. The step functions are built in `steps`,
+    /// one node at a time.
+    fn charge_phase(
         &self,
-        tasks: usize,
-        big_task_s: f64,
-        little_task_s: f64,
-        faults: Option<PhaseFaultKey>,
-        net: Option<PhaseNetKey>,
-        fetch: Option<u64>,
-    ) -> PhaseKey {
-        PhaseKey {
-            placement: self.placement_code,
-            roster: (self.n_big, self.big_slots, self.n_little, self.little_slots),
-            tasks,
-            timing: [
-                big_task_s.to_bits(),
-                self.big_overhead.to_bits(),
-                little_task_s.to_bits(),
-                self.little_overhead.to_bits(),
-            ],
-            faults,
-            net,
-            fetch,
-        }
+        run: &PhaseRun,
+        prof: &ComputeProfile,
+        io_frac: &[f64],
+        meters: &mut [StreamingMeter],
+        steps: &mut StepBuffers,
+    ) -> f64 {
+        let mut dynamic_j = 0.0;
+        run.node_steps(self.cluster.nodes.len(), steps, |i, node_steps| {
+            let (Some(node), Some(meter)) = (self.cluster.nodes.get(i), meters.get_mut(i)) else {
+                return;
+            };
+            let m = of_kind(node.kind, &self.big_m, &self.little_m);
+            let op = m.operating_point(self.f);
+            let util = UtilizationTimeline::new(std::mem::take(node_steps), run.makespan_s);
+            let node_io = io_frac.get(i).copied().unwrap_or(0.0);
+            // -0.0 seeds the same fold as `PowerTrace::exact_energy_j`, so
+            // this phase's exact energy is bit-identical to the retired
+            // per-node trace's.
+            let mut node_j = -0.0;
+            for (dur, active) in util.pieces() {
+                // A node with no running task draws only its idle floor —
+                // DRAM/disk activity follows the tasks, not the cluster.
+                let (activity, mem, io) = if active > 0 {
+                    (prof.activity, mem_intensity(prof), node_io)
+                } else {
+                    (0.0, 0.0, 0.0)
+                };
+                let w = m
+                    .power
+                    .node_power(op, active, m.num_cores, activity, mem, io)
+                    .total();
+                if dur > 0.0 {
+                    node_j += dur * w;
+                }
+                meter.push(dur, w);
+            }
+            dynamic_j += node_j - m.power.node_idle_w * run.makespan_s;
+            *node_steps = util.into_steps();
+        });
+        dynamic_j
     }
 
     /// Runs the prepared cluster under one fault configuration (or none)
-    /// and assembles the measurement. Every fault-seed-dependent piece
-    /// of the simulation lives here; the phase engine runs route through
-    /// the cache's phase memo, so sweeps and replications that share a
-    /// phase's exact inputs reuse its `PhaseRun`.
+    /// and assembles the measurement. Only what the fault seed decides
+    /// happens here — node fates, the phases' fault plans, the engine
+    /// runs, metering — on loads, keys and labels borrowed from the prep
+    /// and in buffers borrowed from `scratch`. The phase engine runs route
+    /// through the cache's phase memo, so sweeps and replications that
+    /// share a phase's exact inputs reuse its `PhaseRun`. `timeline`, when
+    /// there is one to fill, receives every phase's spans on the run's
+    /// clock; the measurement does not depend on it.
     ///
     /// # Errors
     ///
@@ -1355,18 +1443,11 @@ impl ClusterPrep {
         &self,
         faults: Option<&FaultConfig>,
         cache: &SimCache,
-    ) -> Result<(Measurement, ClusterTimeline), PhaseError> {
-        let f = self.f;
+        scratch: &mut RunScratch,
+        mut timeline: Option<&mut ClusterTimeline>,
+    ) -> Result<Measurement, PhaseError> {
         let cluster = &self.cluster;
-        let nodes_total = self.n_big + self.n_little;
-        let machines: Vec<&MachineModel> = cluster
-            .nodes
-            .iter()
-            .map(|n| match n.kind {
-                CoreKind::Big => &self.big_m,
-                CoreKind::Little => &self.little_m,
-            })
-            .collect();
+        let nodes_total = cluster.nodes.len();
 
         // Node fate (crash times, stragglers) is sampled once per run,
         // so a node that dies in one phase stays dead for every later
@@ -1375,7 +1456,6 @@ impl ClusterPrep {
         let mut fault_stats = FaultStats::default();
         let mut phase_idx: u64 = 0;
 
-        let mut timeline = ClusterTimeline::new(cluster);
         let mut meters: Vec<StreamingMeter> = vec![StreamingMeter::new(); nodes_total];
         let mut map_slots_stats = SlotStats::default();
         let mut reduce_slots_stats = SlotStats::default();
@@ -1385,164 +1465,76 @@ impl ClusterPrep {
         let mut red_dyn_j = 0.0;
         let mut offset = 0.0;
         let mut locality_tiers = [0u64; 3];
+        let (mut fifo, mut by_kind) = (
+            FifoAnySlot,
+            self.preferred.map(|preferred| KindPreferring { preferred }),
+        );
+        let placement: &mut dyn Placement = match by_kind.as_mut() {
+            Some(kind_preferring) => kind_preferring,
+            None => &mut fifo,
+        };
+        let RunScratch {
+            steps,
+            holders,
+            engine,
+        } = scratch;
 
-        for (ji, &(tb, tl)) in self.jobs.iter().enumerate() {
-            let io_frac = |task_s: f64, io_s: f64| {
-                if task_s > 0.0 {
-                    (io_s / task_s).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                }
+        // One phase under the seed: its fault plan, the memoized engine
+        // run, the timeline sink and the meters. Returns the run and its
+        // exact dynamic energy.
+        let mut run = |phase: &PhasePrep, reduce: bool, fetch: Option<(FetchView<'_>, u64)>| {
+            let prof = if reduce {
+                &self.red_prof
+            } else {
+                &self.map_prof
             };
-            let per_node_io = |big: f64, little: f64| -> Vec<f64> {
-                cluster
-                    .nodes
-                    .iter()
-                    .map(|n| match n.kind {
-                        CoreKind::Big => big,
-                        CoreKind::Little => little,
-                    })
-                    .collect()
+            let seeded = faults.map(|fc| (fc, fc.phase_rate(reduce)));
+            let phase_faults = (seeded.zip(node_faults.as_ref()))
+                .map(|((fc, rate), nf)| nf.phase(fc, phase_idx, rate, offset));
+            let key = PhaseKey {
+                faults: seeded.map(|(fc, rate)| PhaseFaultKey::new(fc, phase_idx, rate, offset)),
+                fetch: fetch.map(|(_, digest)| digest),
+                ..phase.key.clone()
             };
-
-            // Map phase.
-            let label = |base: &str| {
-                if self.multi_job {
-                    format!("{base}{ji}")
-                } else {
-                    base.to_string()
-                }
-            };
-            let mut placement = build_placement(self.placement_kind, self.app);
-            let map_locality = self.map_locality.get(ji).and_then(Option::as_ref);
-            let mut map_load = PhaseLoad::by_kind(
-                tb.n_map,
-                NodeTiming {
-                    task_seconds: tb.map_task_s,
-                    overhead_seconds: self.big_overhead,
-                },
-                NodeTiming {
-                    task_seconds: tl.map_task_s,
-                    overhead_seconds: self.little_overhead,
-                },
-                cluster,
-            );
-            if let Some(loc) = map_locality {
-                map_load = map_load.with_locality(loc.clone());
-            }
-            let map_faults = faults
-                .zip(node_faults.as_ref())
-                .map(|(fc, nf)| nf.phase(fc, phase_idx, fc.phase_rate(false), offset));
-            let map_key = self.phase_key(
-                tb.n_map,
-                tb.map_task_s,
-                tl.map_task_s,
-                faults.map(|fc| PhaseFaultKey::new(fc, phase_idx, fc.phase_rate(false), offset)),
-                self.topology
-                    .as_ref()
-                    .zip(map_locality)
-                    .map(|(t, l)| PhaseNetKey::for_map(t, l)),
-                None,
-            );
             phase_idx += 1;
-            let map_run = cache.phase_run(map_key, || {
-                run_phase_faulty(cluster, &map_load, placement.as_mut(), map_faults.as_ref())
+            let plan = fetch.map(|(plan, _)| plan);
+            let run = cache.phase_run(key, || {
+                let faults = phase_faults.as_ref();
+                run_phase_fetching(cluster, &phase.load, placement, faults, plan, engine)
             })?;
+            fault_stats.absorb(&run.faults);
+            if let Some(timeline) = timeline.as_deref_mut() {
+                timeline.extend(&phase.label, offset, &run);
+            }
+            offset += run.makespan_s;
+            let dyn_j = self.charge_phase(&run, prof, &phase.io_frac, &mut meters, steps);
+            Ok((run, dyn_j))
+        };
+
+        for job in &self.jobs {
+            let (map_run, dyn_j) = run(&job.map, false, None)?;
             map_slots_stats.absorb(&map_run.slots);
-            fault_stats.absorb(&map_run.faults);
             for s in &map_run.spans {
                 if let Some(c) = locality_tiers.get_mut(s.tier.idx()) {
                     *c += 1;
                 }
             }
-            timeline.extend(&label("map"), offset, &map_run);
-            offset += map_run.makespan_s;
             map_wall += map_run.makespan_s;
-            map_dyn_j += charge_phase(
-                &map_run,
-                &machines,
-                f,
-                &self.map_prof,
-                &per_node_io(
-                    io_frac(tb.map_task_s, tb.map_io_task),
-                    io_frac(tl.map_task_s, tl.map_io_task),
-                ),
-                &mut meters,
-            );
+            map_dyn_j += dyn_j;
 
-            // Reduce phase.
-            if tb.n_red > 0 {
-                // Hadoop fetch-failure semantics need both faults (a
-                // holder can die) and an active topology (replicas and
-                // locality tiers exist); either alone keeps the legacy
-                // reduce path bitwise intact.
-                let fetch_plan =
-                    faults
-                        .and(map_locality)
-                        .zip(self.topology.as_ref())
-                        .map(|(loc, topo)| FetchPlan {
-                            holders: map_run.spans.iter().map(|s| s.node).collect(),
-                            map_replicas: loc.replicas.clone(),
-                            topology: *topo,
-                            read_seconds: loc.read_seconds,
-                            map_timing: map_load.timing.clone(),
-                        });
-                let red_extra = self.red_extra.get(ji).filter(|e| !e.is_empty());
-                let mut red_load = PhaseLoad::by_kind(
-                    tb.n_red,
-                    NodeTiming {
-                        task_seconds: tb.red_task_s,
-                        overhead_seconds: self.big_overhead,
-                    },
-                    NodeTiming {
-                        task_seconds: tl.red_task_s,
-                        overhead_seconds: self.little_overhead,
-                    },
-                    cluster,
-                );
-                if let Some(extra) = red_extra {
-                    red_load = red_load.with_extra_seconds(extra.clone());
-                }
-                let red_faults = faults
-                    .zip(node_faults.as_ref())
-                    .map(|(fc, nf)| nf.phase(fc, phase_idx, fc.phase_rate(true), offset));
-                let red_key = self.phase_key(
-                    tb.n_red,
-                    tb.red_task_s,
-                    tl.red_task_s,
-                    faults.map(|fc| PhaseFaultKey::new(fc, phase_idx, fc.phase_rate(true), offset)),
-                    self.topology
-                        .as_ref()
-                        .zip(red_extra)
-                        .map(|(t, e)| PhaseNetKey::for_extras(t, e)),
-                    fetch_plan.as_ref().map(fetch_digest),
-                );
-                phase_idx += 1;
-                let red_run = cache.phase_run(red_key, || {
-                    run_phase_faulty_fetch(
-                        cluster,
-                        &red_load,
-                        placement.as_mut(),
-                        red_faults.as_ref(),
-                        fetch_plan.as_ref(),
-                    )
-                })?;
+            if let Some(reduce) = &job.reduce {
+                // The fetch plan: the prep's layout, held where this
+                // seed's map attempts won.
+                let fetch = faults.and(job.fetch_layout).and_then(|layout| {
+                    holders.clear();
+                    holders.extend(map_run.spans.iter().map(|s| s.node));
+                    let plan = job.map.fetch_view(self.topology, holders)?;
+                    Some((plan, fetch_digest(layout, holders)))
+                });
+                let (red_run, dyn_j) = run(reduce, true, fetch)?;
                 reduce_slots_stats.absorb(&red_run.slots);
-                fault_stats.absorb(&red_run.faults);
-                timeline.extend(&label("reduce"), offset, &red_run);
-                offset += red_run.makespan_s;
                 reduce_wall += red_run.makespan_s;
-                red_dyn_j += charge_phase(
-                    &red_run,
-                    &machines,
-                    f,
-                    &self.red_prof,
-                    &per_node_io(
-                        io_frac(tb.red_task_s, tb.red_io_task),
-                        io_frac(tl.red_task_s, tl.red_io_task),
-                    ),
-                    &mut meters,
-                );
+                red_dyn_j += dyn_j;
             }
         }
 
@@ -1561,7 +1553,8 @@ impl ClusterPrep {
             average_watts: 0.0,
             duration_s: 0.0,
         };
-        for (i, (meter, m)) in meters.into_iter().zip(&machines).enumerate() {
+        for (i, (meter, node)) in meters.into_iter().zip(&cluster.nodes).enumerate() {
+            let m = of_kind(node.kind, &self.big_m, &self.little_m);
             let er = meter.finish();
             energy_j += er.meter.dynamic_energy_j(m.power.node_idle_w);
             exact_energy_j += er.exact_dynamic_energy_j(m.power.node_idle_w);
@@ -1604,7 +1597,7 @@ impl ClusterPrep {
         let map_cost = CostMetrics::new(map_dyn_j, breakdown.map_s.max(1e-9), self.area);
         let reduce_cost = CostMetrics::new(red_dyn_j, breakdown.reduce_s.max(1e-9), self.area);
 
-        let measurement = Measurement {
+        Ok(Measurement {
             app: self.app,
             machine_name: self.machine_name.clone(),
             breakdown,
@@ -1622,8 +1615,7 @@ impl ClusterPrep {
             map_cost,
             reduce_cost,
             map_ipc: self.map_ipc,
-        };
-        Ok((measurement, timeline))
+        })
     }
 }
 
@@ -1930,6 +1922,108 @@ mod tests {
             Err(PhaseError::NoUsableSlots { pending }) => assert!(pending > 0),
             other => panic!("expected NoUsableSlots, got {other:?}"),
         }
+    }
+
+    /// The fig22 rack shape: 4 Xeon + 8 Atom on 4 racks.
+    fn racked(faults: Option<FaultConfig>) -> SimConfig {
+        use crate::figures::{FIG22_OVERSUB, MICRO_DATA, TOPO_RACKS};
+        let cfg = base(AppId::TeraSort, presets::xeon_e5_2420())
+            .data_per_node(MICRO_DATA)
+            .block_size(BlockSize::MB_256)
+            .topology(Topology::racked(TOPO_RACKS, FIG22_OVERSUB))
+            .mix(NodeMix {
+                big: 4,
+                little: 8,
+                placement: PlacementKind::PaperClass(MetricKind::Edp),
+            });
+        match faults {
+            Some(f) => cfg.faults(f),
+            None => cfg,
+        }
+    }
+
+    #[test]
+    fn measurement_does_not_depend_on_the_timeline_sink() {
+        let app = AppId::TeraSort;
+        let mix = NodeMix {
+            big: 1,
+            little: 2,
+            placement: PlacementKind::PreferBig,
+        };
+        let shapes = [
+            (
+                "homogeneous on the engine",
+                base(app, presets::atom_c2758()),
+            ),
+            ("mix", base(app, presets::xeon_e5_2420()).mix(mix)),
+            (
+                "faults only",
+                base(app, presets::atom_c2758()).faults(crate::figures::fig19_faults(0.08, true)),
+            ),
+            ("racked only", racked(None)),
+            (
+                "racked + faults + domains",
+                racked(Some(crate::figures::fig22_faults(4.0, true))),
+            ),
+            (
+                "a seed that fails",
+                base(app, presets::xeon_e5_2420())
+                    .faults(FaultConfig::none().seed(7).node_mttf(1e-3)),
+            ),
+        ];
+        let pricing = SimCache::new();
+        for (shape, cfg) in shapes {
+            let prep = ClusterPrep::new(&cfg, &pricing);
+            let faults = cfg.active_faults();
+            // A cold phase table on either side: both run the engines.
+            let blind = prep.run_seeded(
+                faults.as_ref(),
+                &SimCache::new(),
+                &mut RunScratch::default(),
+                None,
+            );
+            let mut sink = ClusterTimeline::new(&prep.cluster);
+            let seen = prep.run_seeded(
+                faults.as_ref(),
+                &SimCache::new(),
+                &mut RunScratch::default(),
+                Some(&mut sink),
+            );
+            assert_eq!(blind, seen, "{shape}");
+            assert_eq!(blind, try_measure_cluster(&cfg, &pricing), "{shape}");
+            match try_simulate_cluster_with(&cfg, &pricing) {
+                Ok((m, timeline)) => {
+                    assert_eq!(Ok(m), seen, "{shape}");
+                    assert_eq!(timeline, sink, "{shape}");
+                    assert!(!timeline.is_empty(), "{shape}");
+                }
+                Err(e) => {
+                    assert_eq!(shape, "a seed that fails");
+                    assert_eq!(Err(e), seen, "{shape}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prep_is_reusable_across_seeds() {
+        let fc = crate::figures::fig22_faults(4.0, true);
+        let prep = ClusterPrep::new(&racked(Some(fc)), &SimCache::new());
+        let scratch = &mut RunScratch::default();
+        let cache = SimCache::new();
+        let mut run = |seed: u64, cache: &SimCache| {
+            prep.run_seeded(Some(&fc.seed(seed)), cache, scratch, None)
+        };
+        // Seed 5 loses a rack mid-shuffle and recovers; seed 3 loses every
+        // replica of a block and dies in the reduce phase.
+        let first = run(5, &cache);
+        let recovered = first.as_ref().expect("seed 5 recovers").faults;
+        assert!(recovered.fetch_failures > 0 && recovered.reexecuted_maps > 0);
+        assert!(matches!(run(3, &cache), Err(PhaseError::DataLost { .. })));
+        // Seed 5 again through the same prep and buffers: answered by the
+        // memo, then recomputed from a cold one.
+        assert_eq!(run(5, &cache), first);
+        assert_eq!(run(5, &SimCache::new()), first);
     }
 
     #[test]

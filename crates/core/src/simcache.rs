@@ -32,7 +32,7 @@ use hhsim_hdfs::Topology;
 use hhsim_workloads::{AppId, FunctionalConfig, FunctionalRun};
 use parking_lot::Mutex;
 
-use crate::cluster::{PhaseLocality, PhaseRun};
+use crate::cluster::{FetchView, PhaseLocality, PhaseRun};
 use crate::ratios::AppRatios;
 
 /// The app plus its [`FunctionalConfig`]: functional runs are
@@ -85,16 +85,14 @@ pub(crate) struct PhaseKey {
     pub fetch: Option<u64>,
 }
 
-/// FNV-1a digest of every field of a [`FetchPlan`](crate::FetchPlan):
-/// map-output holders, input replica sets, fabric parameters, per-tier
-/// read penalties and per-node map timing. Same collision argument as
+/// FNV-1a digest of every field of a fetch plan but its holders: input
+/// replica sets, fabric parameters, per-tier read penalties and per-node
+/// map timing. None of it depends on the fault seed, so `ClusterPrep`
+/// folds it once per chained job. Same collision argument as
 /// [`PhaseNetKey::digest`].
-pub(crate) fn fetch_digest(plan: &crate::FetchPlan) -> u64 {
+pub(crate) fn fetch_layout_digest(plan: &FetchView<'_>) -> u64 {
     let mut d = FNV_OFFSET;
-    for &h in &plan.holders {
-        d = fnv(d, h as u64);
-    }
-    for reps in &plan.map_replicas {
+    for reps in plan.map_replicas {
         // Replica-set delimiter: distinguishes [[1],[2]] from [[1,2]].
         d = fnv(d, u64::MAX);
         for &r in reps {
@@ -108,11 +106,19 @@ pub(crate) fn fetch_digest(plan: &crate::FetchPlan) -> u64 {
     for s in plan.read_seconds {
         d = fnv(d, s.to_bits());
     }
-    for t in &plan.map_timing {
+    for t in plan.map_timing {
         d = fnv(d, t.task_seconds.to_bits());
         d = fnv(d, t.overhead_seconds.to_bits());
     }
     d
+}
+
+/// [`PhaseKey::fetch`] of a whole fetch plan: the seed's map-output
+/// `holders` folded onto the plan's [`fetch_layout_digest`]. Every FNV
+/// step is a bijection of the accumulator, so two plans that differ in
+/// any field still start or continue apart.
+pub(crate) fn fetch_digest(layout: u64, holders: &[usize]) -> u64 {
+    holders.iter().fold(layout, |d, &h| fnv(d, h as u64))
 }
 
 /// Identity of a phase's network inputs under an active [`Topology`]:
@@ -511,6 +517,61 @@ mod tests {
         reseeded.name = "Hadoop-avg (reseeded)".into();
         c.stall_split(&stock, &reseeded);
         assert_eq!(c.stats().stall_entries, 4);
+    }
+
+    #[test]
+    fn fetch_digest_separates_holders_layout_and_timing() {
+        use crate::cluster::{FetchPlan, NodeTiming};
+
+        let timing = |task_seconds| NodeTiming {
+            task_seconds,
+            overhead_seconds: 0.5,
+        };
+        let base = FetchPlan {
+            holders: vec![0, 1],
+            map_replicas: vec![vec![1], vec![2]],
+            topology: Topology::racked(2, 4.0),
+            read_seconds: [0.0, 0.1, 0.2],
+            map_timing: vec![timing(3.0), timing(4.0), timing(4.0)],
+        };
+        let digest = |plan: &FetchView<'_>| fetch_digest(fetch_layout_digest(plan), plan.holders);
+
+        let mut holder_moved = base.clone();
+        holder_moved.holders = vec![0, 2];
+        let mut replica_moved = base.clone();
+        replica_moved.map_replicas = vec![vec![1], vec![0]];
+        let mut sets_merged = base.clone();
+        sets_merged.map_replicas = vec![vec![1, 2]];
+        let mut timing_flipped = base.clone();
+        timing_flipped.map_timing[2] = timing(f64::from_bits(4.0f64.to_bits() ^ 1));
+        let plans = [
+            &base,
+            &holder_moved,
+            &replica_moved,
+            &sets_merged,
+            &timing_flipped,
+        ];
+        let mut keys: Vec<u64> = plans.iter().map(|p| digest(&p.view())).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), plans.len(), "every perturbation is a new key");
+
+        // The holders are the only seeded field: the part `ClusterPrep`
+        // folds once does not read them.
+        assert_eq!(
+            fetch_layout_digest(&base.view()),
+            fetch_layout_digest(&holder_moved.view())
+        );
+        // An owned plan and the same plan borrowed piecewise key alike.
+        let (replicas, timings) = (base.map_replicas.clone(), base.map_timing.clone());
+        let borrowed = FetchView {
+            holders: &[0, 1],
+            map_replicas: &replicas,
+            topology: base.topology,
+            read_seconds: base.read_seconds,
+            map_timing: &timings,
+        };
+        assert_eq!(digest(&borrowed), digest(&base.view()));
     }
 
     #[test]

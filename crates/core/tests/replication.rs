@@ -1,15 +1,23 @@
 //! Integration tests for the batched Monte Carlo replication engine.
 //!
-//! Three pins: the fig20 artifact is byte-identical to the checked-in
+//! Four pins: the fig20 artifact is byte-identical to the checked-in
 //! CSV for any worker count (`--jobs 1` vs `--jobs 4`); replication
 //! summaries are invariant to batch size and worker count down to the
-//! last bit; and the per-phase memo split means a reduce-only parameter
-//! sweep computes the shared map phase exactly once.
+//! last bit; the per-phase memo split means a reduce-only parameter
+//! sweep computes the shared map phase exactly once; and a plan — one
+//! prep, reused buffers, no timeline — reports what one-at-a-time runs
+//! that build everything afresh report, failed seeds included.
 
 use hhsim_core::arch::presets;
-use hhsim_core::hdfs::BlockSize;
+use hhsim_core::energy::MetricKind;
+use hhsim_core::faults::FaultStats;
+use hhsim_core::harness::Aggregate;
+use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{figures, set_jobs, ReplicationPlan, SimCache, SimConfig};
+use hhsim_core::{
+    figures, set_jobs, try_simulate_cluster_with, NodeMix, PlacementKind, ReplicationPlan,
+    SimCache, SimConfig,
+};
 
 fn faulty_cfg(map_rate: f64, reduce_rate: f64) -> SimConfig {
     // 64 MB blocks (the fig19/fig20 fault-study block size) keep tasks
@@ -164,4 +172,78 @@ fn plan_matches_sequential_simulation() {
     let max = makespans.iter().copied().fold(0.0f64, f64::max);
     assert_eq!(summary.makespan_s.min, min);
     assert_eq!(summary.makespan_s.max, max);
+}
+
+/// The fig22 rack configuration — 4 Xeon + 8 Atom on 4 racks at 4x
+/// oversubscription, 4 switch crashes per rack-hour — takes the
+/// `FetchPlan` path and kills some seeds outright (`DataLost`). The plan
+/// must agree with one-at-a-time `try_simulate_cluster_with` calls, which
+/// build prep, buffers and timeline per seed, on which seeds die and, to
+/// the bit, on everything the survivors report.
+#[test]
+fn rack_plan_matches_sequential_runs_bit_for_bit() {
+    let cfg = SimConfig::new(AppId::TeraSort, presets::xeon_e5_2420())
+        .data_per_node(figures::MICRO_DATA)
+        .block_size(BlockSize::MB_256)
+        .topology(Topology::racked(
+            figures::TOPO_RACKS,
+            figures::FIG22_OVERSUB,
+        ))
+        .faults(figures::fig22_faults(4.0, true))
+        .mix(NodeMix {
+            big: 4,
+            little: 8,
+            placement: PlacementKind::PaperClass(MetricKind::Edp),
+        });
+    let seeds = 0..64u64;
+
+    let cache = SimCache::new();
+    let mut survivors = Vec::new();
+    let mut failed_runs = 0;
+    let mut faults = FaultStats::default();
+    for seed in seeds.clone() {
+        let fc = cfg.faults.expect("faulty cfg").seed(seed);
+        match try_simulate_cluster_with(&cfg.clone().faults(fc), &cache) {
+            Ok((m, timeline)) => {
+                assert!(!timeline.is_empty());
+                faults.absorb(&m.faults);
+                survivors.push(m);
+            }
+            Err(_) => failed_runs += 1,
+        }
+    }
+    assert!(
+        failed_runs > 0,
+        "no failing seed: the error path is untested"
+    );
+    assert!(faults.fetch_failures > 0 && faults.reexecuted_maps > 0);
+
+    let extremes = |of: fn(&hhsim_core::Measurement) -> f64| {
+        let values = survivors.iter().map(of);
+        let min = values.clone().fold(f64::INFINITY, f64::min);
+        let max = values.fold(f64::NEG_INFINITY, f64::max);
+        (survivors.len() as u64, min.to_bits(), max.to_bits())
+    };
+    let pin = |a: &Aggregate| (a.n, a.min.to_bits(), a.max.to_bits());
+    for workers in [1, 2] {
+        let plan = ReplicationPlan::new(cfg.clone(), seeds.clone());
+        let summary = plan.run_with(workers, &SimCache::new());
+        assert_eq!(summary.failed_runs, failed_runs, "workers={workers}");
+        assert_eq!(
+            pin(&summary.makespan_s),
+            extremes(|m| m.breakdown.total()),
+            "workers={workers}"
+        );
+        assert_eq!(
+            pin(&summary.energy_j),
+            extremes(|m| m.energy_j),
+            "workers={workers}"
+        );
+        assert_eq!(
+            pin(&summary.exact_energy_j),
+            extremes(|m| m.exact_energy_j),
+            "workers={workers}"
+        );
+        assert_eq!(summary.faults, faults, "workers={workers}");
+    }
 }

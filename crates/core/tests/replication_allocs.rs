@@ -1,0 +1,132 @@
+//! Allocation ratchet for the seeded replication hot path.
+//!
+//! Its own test binary so it may install a counting `#[global_allocator]`:
+//! 64 seeds of the fig22 rack configuration and 64 of the fig20 3-node
+//! one through `ReplicationPlan::run_with` at one worker, on a private
+//! memo whose ratio and stall tables are warm. At one worker the process
+//! runs the plan on this thread alone, so the count repeats exactly —
+//! which is why a count can be a gate here.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+
+use hhsim_core::arch::presets;
+use hhsim_core::energy::MetricKind;
+use hhsim_core::figures::{
+    fig19_faults, fig22_faults, FAULT_BLOCK, FIG22_OVERSUB, MICRO_DATA, TOPO_RACKS,
+};
+use hhsim_core::hdfs::{BlockSize, Topology};
+use hhsim_core::workloads::AppId;
+use hhsim_core::{NodeMix, PlacementKind, ReplicationPlan, SimCache, SimConfig};
+
+struct Counting;
+
+static ON: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter never touches
+// the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ON.load(SeqCst) {
+            ALLOCS.fetch_add(1, SeqCst);
+        }
+        // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if ON.load(SeqCst) {
+            ALLOCS.fetch_add(1, SeqCst);
+        }
+        // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if ON.load(SeqCst) {
+            ALLOCS.fetch_add(1, SeqCst);
+        }
+        // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const APP: AppId = AppId::TeraSort;
+const SEEDS: u64 = 64;
+
+/// The fig22 rack configuration: 4 Xeon + 8 Atom, 4 racks, 4x
+/// oversubscription, 4 switch crashes per rack-hour.
+fn rack_config() -> SimConfig {
+    SimConfig::new(APP, presets::xeon_e5_2420())
+        .data_per_node(MICRO_DATA)
+        .block_size(BlockSize::MB_256)
+        .topology(Topology::racked(TOPO_RACKS, FIG22_OVERSUB))
+        .faults(fig22_faults(4.0, true))
+        .mix(NodeMix {
+            big: 4,
+            little: 8,
+            placement: PlacementKind::PaperClass(MetricKind::Edp),
+        })
+}
+
+/// The fig20 3-node configuration at a 6 % attempt-failure rate.
+fn small_config() -> SimConfig {
+    SimConfig::new(APP, presets::atom_c2758())
+        .data_per_node(MICRO_DATA)
+        .block_size(FAULT_BLOCK)
+        .faults(fig19_faults(0.06, true))
+}
+
+/// Allocator calls of `plan` at one worker, per seed.
+fn allocs_per_seed(plan: &ReplicationPlan, cache: &SimCache) -> u64 {
+    ALLOCS.store(0, SeqCst);
+    ON.store(true, SeqCst);
+    let summary = plan.run_with(1, cache);
+    ON.store(false, SeqCst);
+    assert_eq!(summary.replications, SEEDS);
+    ALLOCS.load(SeqCst) / SEEDS
+}
+
+/// What the parent commit (PR 16) allocated per seed on the same two
+/// plans, measured with this file: the change must stay below half.
+const PARENT_RACK: u64 = 485;
+const PARENT_SMALL: u64 = 203;
+/// What this commit measures; the gate allows 10 % on top.
+const MEASURED_RACK: u64 = 72;
+const MEASURED_SMALL: u64 = 30;
+
+#[test]
+fn seeded_runs_allocate_within_the_ratchet() {
+    let cache = SimCache::new();
+    cache.ratios(APP);
+    for m in presets::both() {
+        cache.stall_split(&m, &APP.map_profile());
+        cache.stall_split(&m, &APP.reduce_profile());
+    }
+    let rack = allocs_per_seed(&ReplicationPlan::new(rack_config(), 0..SEEDS), &cache);
+    let small = allocs_per_seed(&ReplicationPlan::new(small_config(), 0..SEEDS), &cache);
+    println!("allocations per seed: rack {rack}, small {small}");
+    for (name, got, measured, parent) in [
+        ("rack", rack, MEASURED_RACK, PARENT_RACK),
+        ("small", small, MEASURED_SMALL, PARENT_SMALL),
+    ] {
+        assert!(
+            got <= measured + measured / 10,
+            "{name}: {got} allocations per seed, ratchet is {measured} + 10 %"
+        );
+        assert!(
+            2 * got < parent,
+            "{name}: {got} allocations per seed is not below half of the parent's {parent}"
+        );
+    }
+}

@@ -102,6 +102,15 @@ impl<E> Calendar<E> {
         }
     }
 
+    /// The empty calendar [`Calendar::new`]`(kind)` builds, in the heap's
+    /// allocation when there is one to keep (a ladder is rebuilt).
+    pub(crate) fn reset(&mut self, kind: CalendarKind) {
+        match (&mut *self, kind) {
+            (Calendar::Heap(h), CalendarKind::Auto | CalendarKind::Heap) => h.clear(),
+            _ => *self = Calendar::new(kind),
+        }
+    }
+
     pub(crate) fn push(&mut self, ev: Scheduled<E>) {
         match self {
             Calendar::Heap(h) => h.push(Reverse(ev)),

@@ -74,6 +74,8 @@ impl SeqSet {
 pub struct Simulation<E = Closure> {
     now: SimTime,
     calendar: Calendar<E>,
+    /// The backend choice this simulation was built with.
+    kind: CalendarKind,
     /// True while [`CalendarKind::Auto`] may still migrate to the ladder.
     auto: bool,
     next_seq: u64,
@@ -106,11 +108,26 @@ impl<E> Simulation<E> {
         Simulation {
             now: SimTime::ZERO,
             calendar: Calendar::new(kind),
+            kind,
             auto: kind == CalendarKind::Auto,
             next_seq: 0,
             executed: 0,
             cancelled: SeqSet::default(),
         }
+    }
+
+    /// Back to the empty simulation at time zero that
+    /// [`Simulation::typed`] built, on the same backend choice, keeping
+    /// the heap's and the cancellation bitmap's allocations — for a
+    /// caller that runs many short simulations one after another. Event
+    /// ids start over: ids of the run before must not be cancelled after.
+    pub fn reset(&mut self) {
+        self.now = SimTime::ZERO;
+        self.calendar.reset(self.kind);
+        self.auto = self.kind == CalendarKind::Auto;
+        self.next_seq = 0;
+        self.executed = 0;
+        self.cancelled.words.clear();
     }
 
     /// Current virtual time.
@@ -427,5 +444,34 @@ mod tests {
             sim.schedule_at(SimTime::from_nanos(i), |_| {});
         }
         assert_eq!(sim.calendar_backend(), "heap");
+    }
+
+    #[test]
+    fn reset_replays_like_a_fresh_simulation() {
+        // Pending events, a cancelled id and a migration to the ladder,
+        // then reset: each backend choice must come back as built.
+        for kind in [CalendarKind::Auto, CalendarKind::Heap, CalendarKind::Ladder] {
+            let mut sim: Simulation<u32> = Simulation::typed(kind);
+            let first = sim.push_at(SimTime::from_secs(9), 0);
+            sim.cancel(first);
+            for i in 0..(AUTO_LADDER_THRESHOLD as u32 + 8) {
+                sim.push_at(SimTime::from_secs(10), i);
+            }
+            assert_eq!(sim.pop(), Some(0));
+            let migrated = sim.calendar_backend();
+            sim.reset();
+            let fresh: Simulation<u32> = Simulation::typed(kind);
+            assert_eq!(sim.calendar_backend(), fresh.calendar_backend());
+            assert_eq!(migrated == "ladder", kind != CalendarKind::Heap);
+            assert_eq!((sim.now(), sim.pending_events()), (SimTime::ZERO, 0));
+            assert_eq!(sim.executed_events(), 0);
+            // Ids start over, and the old run's tombstone is gone: the
+            // new event 0 is live, and earlier than the old clock allows.
+            let again = sim.push_at(SimTime::from_secs(1), 7);
+            assert_eq!(again, first);
+            assert_eq!(sim.pop(), Some(7));
+            assert_eq!(sim.now(), SimTime::from_secs(1));
+            assert_eq!(sim.pop(), None);
+        }
     }
 }

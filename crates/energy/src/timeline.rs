@@ -48,6 +48,12 @@ impl UtilizationTimeline {
         self.end_s
     }
 
+    /// Hands the change points back, so a caller that prices many
+    /// timelines can refill one buffer instead of allocating per node.
+    pub fn into_steps(self) -> Vec<(f64, usize)> {
+        self.steps
+    }
+
     /// Busy slots at time `t` (0 outside the covered range).
     pub fn active_at(&self, t: f64) -> usize {
         if t < 0.0 || t >= self.end_s {
