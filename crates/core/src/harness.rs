@@ -28,11 +28,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use hhsim_arch::{presets, ComputeProfile, MachineModel};
+use hhsim_arch::{ComputeProfile, MachineModel};
 use hhsim_faults::{FaultConfig, FaultStats};
 use hhsim_workloads::AppId;
 
-use crate::model::{simulate_with, ClusterPrep, Measurement, RunScratch, SimConfig};
+use crate::model::{simulate_with, ClusterPrep, Measurement, Meter, RunScratch, SimConfig};
 use crate::ratios::AppRatios;
 use crate::simcache::{MemoKey, SimCache};
 
@@ -147,23 +147,20 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
         .collect()
 }
 
-/// The distinct expensive memo entries pricing `configs` looks up. Must
-/// name exactly what [`simulate_with`] and `ClusterPrep::new` ask the
-/// cache for: an entry missing here is computed lazily by the first
-/// point that needs it (slower, never wrong), one nobody asks for is
-/// wasted work. `fill_stage_covers_every_lookup` pins both.
-fn memo_keys<'a>(
-    configs: &'a [SimConfig],
-    xeon: &'a MachineModel,
-    atom: &'a MachineModel,
-) -> Vec<MemoKey<'a>> {
+/// The distinct expensive memo entries pricing `configs` looks up: per
+/// point, those of every machine on its roster — the roster
+/// `ClusterPrep::new` prices, from the same call. An entry missing here
+/// would be computed lazily by the first point that needs it (slower,
+/// never wrong), one nobody asks for is wasted work;
+/// `fill_stage_covers_every_lookup` pins both.
+fn memo_keys(configs: &[SimConfig]) -> Vec<MemoKey<'_>> {
     // Profiles own their names: build them once per distinct (machine,
     // app) pair, not once per point.
     let mut priced: Vec<(&MachineModel, AppId)> = Vec::new();
     let mut keys = Vec::new();
     for cfg in configs {
-        let (first, other_kind) = cfg.priced_machines(xeon, atom);
-        for m in std::iter::once(first).chain(other_kind) {
+        let roster = cfg.roster();
+        for (m, _) in std::iter::once(roster.lead).chain(roster.other) {
             if priced.iter().any(|&(pm, pa)| pa == cfg.app && pm == m) {
                 continue;
             }
@@ -188,8 +185,7 @@ fn memo_keys<'a>(
 /// The fill stage: computes, across the pool, every entry of
 /// [`memo_keys`] the cache does not hold yet.
 fn fill_stage(configs: &[SimConfig], workers: usize, cache: &SimCache) {
-    let (xeon, atom) = (presets::xeon_e5_2420(), presets::atom_c2758());
-    let mut todo = memo_keys(configs, &xeon, &atom);
+    let mut todo = memo_keys(configs);
     todo.retain(|key| !cache.holds(key));
     pool(&todo, workers, 1, |(), key| cache.fill(key));
 }
@@ -327,7 +323,7 @@ impl Aggregate {
 
 /// The scalars one replication contributes to the reduction. A
 /// replication builds no timeline at all (the plan passes
-/// `ClusterPrep::run_seeded` no sink) and its 1 Hz meter views end with
+/// `ClusterPrep::run` no sink) and its 1 Hz meter views end with
 /// the run, so what the plan itself holds is O(replications), not
 /// O(replications · trace).
 #[derive(Debug, Clone)]
@@ -440,7 +436,7 @@ impl ReplicationPlan {
         let eval = |scratch: &mut RunScratch, &seed: &u64| -> Option<RepPoint> {
             let seeded = base.map(|f| f.seed(seed));
             let m = prep
-                .run_seeded(seeded.as_ref(), cache, scratch, None)
+                .run(Meter::PerNode, seeded.as_ref(), cache, scratch, None)
                 .ok()?;
             let makespan_s = m.breakdown.total();
             Some(RepPoint {
@@ -480,7 +476,7 @@ impl ReplicationPlan {
 mod tests {
     use super::*;
     use crate::simcache::CacheStats;
-    use hhsim_arch::Frequency;
+    use hhsim_arch::{presets, Frequency};
 
     fn grid() -> Vec<SimConfig> {
         let mut v = Vec::new();
@@ -502,30 +498,38 @@ mod tests {
         assert_eq!(serial, par, "worker count must not affect results");
     }
 
-    /// One config of each shape the figures price: homogeneous big and
-    /// little on the node model, then the three ways onto the cluster
-    /// engine (a mix, faults, an active topology).
-    fn shapes() -> Vec<SimConfig> {
-        let mix = crate::NodeMix {
-            big: 1,
-            little: 2,
+    /// One config of each shape the figures price, with the number of
+    /// machines on its roster: homogeneous big and little read by the
+    /// phase-average meter, then the ways onto the per-node one (a mix,
+    /// a mix with a zero side, faults, an active topology).
+    fn shapes() -> Vec<(SimConfig, usize)> {
+        let mix = |big, little| crate::NodeMix {
+            big,
+            little,
             placement: crate::PlacementKind::PreferBig,
         };
         let mut racked = SimConfig::new(AppId::TeraSort, presets::xeon_e5_2420())
             .topology(hhsim_hdfs::Topology::racked(4, 4.0));
         racked.nodes = 12;
         vec![
-            SimConfig::new(AppId::WordCount, presets::xeon_e5_2420()),
-            SimConfig::new(AppId::Sort, presets::atom_c2758()),
-            SimConfig::new(AppId::Grep, presets::xeon_e5_2420()).mix(mix),
-            faulty_cfg(),
-            racked,
+            (SimConfig::new(AppId::WordCount, presets::xeon_e5_2420()), 1),
+            (SimConfig::new(AppId::Sort, presets::atom_c2758()), 1),
+            (
+                SimConfig::new(AppId::Grep, presets::xeon_e5_2420()).mix(mix(1, 2)),
+                2,
+            ),
+            (
+                SimConfig::new(AppId::Grep, presets::xeon_e5_2420()).mix(mix(0, 3)),
+                1,
+            ),
+            (faulty_cfg(), 1),
+            (racked, 1),
         ]
     }
 
     #[test]
     fn fill_stage_covers_every_lookup() {
-        for cfg in shapes() {
+        for (cfg, machines) in shapes() {
             let shape = format!("{}/{}", cfg.app.short_name(), cfg.machine.name);
             let grid = [cfg];
             let cache = SimCache::new();
@@ -537,6 +541,9 @@ mod tests {
                 "{shape}: the fill stage computes its keys and nothing else"
             );
             assert_eq!(filled.hits, 0, "{shape}: distinct keys only");
+            // Map, reduce and Hadoop-average splits per machine the roster
+            // has; a kind without nodes is not priced.
+            assert_eq!(filled.stall_entries, 3 * machines, "{shape}");
             let staged = run_grid_on(&grid, 2, &cache);
             let after = cache.stats();
             assert_eq!(

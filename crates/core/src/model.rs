@@ -21,16 +21,34 @@
 //!   bookkeeping (what makes 32 MB blocks slow), and per-job
 //!   setup/cleanup (what makes Grep's "others" phase big).
 //!
-//! Wall-clock phase times come from the event-driven cluster engine
-//! ([`crate::cluster`]): tasks are placed on first-class nodes and drain
-//! in waves, and every task leaves a trace span. A homogeneous
-//! [`SimConfig`] reproduces the paper's 3-node single-ISA cluster; a
-//! [`NodeMix`] runs the §3.5 heterogeneous study with big and little
-//! nodes side by side under a pluggable placement policy
-//! ([`simulate_cluster`]). Power comes from the machine's CV²f model
-//! sampled by the simulated Wattsup meter with idle subtraction — on
-//! mixed clusters the meter samples the engine's *time-resolved*
-//! per-node slot occupancy instead of phase averages.
+//! Every run goes through one pipeline. A [`SimConfig`] resolves to a
+//! node roster — the paper's 3-node single-ISA cluster is the roster with
+//! one kind absent, a [`NodeMix`] the §3.5 study with big and little
+//! nodes side by side; `ClusterPrep` prices the tasks once per kind the
+//! roster has; the event-driven cluster engine ([`crate::cluster`]) places
+//! them on first-class nodes, where they drain in waves and every task
+//! leaves a trace span; and a meter turns the phase runs into power and
+//! energy. Only the meter differs between entry points:
+//!
+//! * the **phase-average** meter reads one power level per phase (the
+//!   slots the waves fill on average) on the one machine model and
+//!   multiplies by the node count — one node's Wattsup trace standing for
+//!   the cluster, as the paper reports its homogeneous runs. [`simulate`]
+//!   and the sweep harness read every plain homogeneous point with it, so
+//!   the paper's tables and Figs. 1–17 are built on it; it alone models
+//!   the §3.4 accelerator offload;
+//! * the **per-node** meter samples each node's *time-resolved* slot
+//!   occupancy through that node's own power model: an idle node draws
+//!   idle power, a straggling wave shows. [`simulate_cluster`], the
+//!   replication engine and every point with a [`NodeMix`], active faults
+//!   or an active topology read it — there a phase has no one power level.
+//!
+//! Both read the same run (equal phase breakdown, slot counters and IPC)
+//! and disagree on its energy — the per-node meter reads a homogeneous
+//! run 8–33 % lower in EDP — so a comparison must keep to one of them.
+
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, ComputeProfile, CoreKind, Frequency, MachineModel};
@@ -50,11 +68,11 @@ use serde::{Deserialize, Serialize};
 use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
 
 use crate::cluster::{
-    run_phase, run_phase_fetching, Cluster, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot,
-    KindPreferring, NodeTiming, PhaseLoad, PhaseLocality, PhaseRun, Placement, SlotStats,
-    StepBuffers, TaskSet,
+    run_phase_fetching, Cluster, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot,
+    KindPreferring, Node, NodeTiming, PhaseLoad, PhaseLocality, PhaseRun, Placement, SlotStats,
+    StepBuffers,
 };
-use crate::ratios::JobRatios;
+use crate::ratios::{AppRatios, JobRatios};
 use crate::shuffle;
 use crate::simcache::{
     fetch_digest, fetch_layout_digest, PhaseFaultKey, PhaseKey, PhaseNetKey, SimCache,
@@ -235,41 +253,79 @@ impl SimConfig {
         self.topology.filter(Topology::active)
     }
 
-    /// Whether this point is priced by the cluster engine
-    /// ([`ClusterPrep`]) rather than the homogeneous node model.
-    fn on_cluster_engine(&self) -> bool {
-        self.node_mix.is_some()
+    /// The meter [`simulate`] and the sweep harness read this point with:
+    /// per node as soon as a phase has no single power level (a mix,
+    /// faults or a rack fabric), else the paper's phase average.
+    fn meter(&self) -> Meter {
+        if self.node_mix.is_some()
             || self.active_faults().is_some()
             || self.active_topology().is_some()
-    }
-
-    /// The machine models whose stall splits pricing this point looks
-    /// up, given the two presets: the configured machine on the
-    /// node-model path; on the cluster-engine path one per kind, because
-    /// [`ClusterPrep::new`] prices launch overhead and tasks on both
-    /// kinds even when one has no nodes — the presets under a
-    /// [`NodeMix`], else the configured machine and the other kind's
-    /// preset.
-    pub(crate) fn priced_machines<'a>(
-        &'a self,
-        xeon: &'a MachineModel,
-        atom: &'a MachineModel,
-    ) -> (&'a MachineModel, Option<&'a MachineModel>) {
-        if !self.on_cluster_engine() {
-            return (&self.machine, None);
-        }
-        match (self.node_mix, self.machine.core.kind) {
-            (Some(_), _) => (xeon, Some(atom)),
-            (None, CoreKind::Big) => (&self.machine, Some(atom)),
-            (None, CoreKind::Little) => (&self.machine, Some(xeon)),
+        {
+            Meter::PerNode
+        } else {
+            Meter::PhaseAverage
         }
     }
 
-    fn slots_per_node(&self) -> usize {
-        self.mappers_per_node
-            .unwrap_or(self.machine.num_cores)
-            .max(1)
+    /// The nodes this point runs on. Pricing looks up stall splits for
+    /// exactly these machines, and the harness's fill stage enumerates
+    /// its memo keys from the same call.
+    pub(crate) fn roster(&self) -> Roster<'_> {
+        let Some(mix) = self.node_mix else {
+            return Roster {
+                lead: (&self.machine, self.nodes),
+                other: None,
+                placement: PlacementKind::FifoAny,
+            };
+        };
+        let [xeon, atom] = mix_presets();
+        let (lead, other) = if mix.big > 0 {
+            (
+                (xeon, mix.big),
+                (mix.little > 0).then_some((atom, mix.little)),
+            )
+        } else {
+            ((atom, mix.little), None)
+        };
+        Roster {
+            lead,
+            other,
+            placement: mix.placement,
+        }
     }
+}
+
+/// The machines and node counts a [`SimConfig`] resolves to. A kind
+/// without nodes — the other kind of a homogeneous cluster, the zero side
+/// of a [`NodeMix`] — is not in it, so nothing builds, clones or prices a
+/// machine model for it.
+pub(crate) struct Roster<'a> {
+    /// Machine and count of the first nodes in node order: the big ones
+    /// when there are any. The master runs on one of them.
+    pub lead: (&'a MachineModel, usize),
+    /// The little nodes behind the big ones, on a roster with both.
+    pub other: Option<(&'a MachineModel, usize)>,
+    /// How tasks pick nodes.
+    pub placement: PlacementKind,
+}
+
+/// The Xeon and Atom presets every [`NodeMix`] is made of, big first.
+fn mix_presets() -> &'static [MachineModel; 2] {
+    static PRESETS: OnceLock<[MachineModel; 2]> = OnceLock::new();
+    PRESETS.get_or_init(presets::both)
+}
+
+/// How a run's power and energy are read off its phase runs. The paper
+/// has one Wattsup meter; the model has two readings of it, chosen by
+/// entry point and config shape (module docs), never by a setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Meter {
+    /// One power level per phase on the one machine model, times the node
+    /// count.
+    PhaseAverage,
+    /// Every node's time-resolved slot occupancy through its own power
+    /// model.
+    PerNode,
 }
 
 /// Time and power of one phase on one node.
@@ -319,9 +375,9 @@ pub struct Measurement {
     #[serde(default)]
     pub faults: FaultStats,
     /// Map tasks per locality tier `[node-local, rack-local, off-rack]`
-    /// over all jobs. Without an active topology every map read is
-    /// node-local, so this stays `[n_map, 0, 0]`-shaped only on the
-    /// cluster-engine path and `[0, 0, 0]` on the analytic path.
+    /// over all jobs, counted by the per-node meter. Without an active
+    /// topology every map read is node-local, so it reads
+    /// `[n_map, 0, 0]`; the phase-average meter leaves `[0, 0, 0]`.
     #[serde(default)]
     pub map_locality_tiers: [u64; 3],
     /// Simulated Wattsup reading over the whole run (one node).
@@ -422,17 +478,16 @@ struct JobTiming {
 #[allow(clippy::too_many_arguments)]
 fn job_timing(
     m: &MachineModel,
-    f: Frequency,
+    cfg: &SimConfig,
     cache: &SimCache,
     disk: &DiskModel,
     job: &JobRatios,
-    jobcfg: &JobConfig,
     shape: ClusterShape,
-    data_per_node_bytes: u64,
-    block: u64,
     map_prof: &ComputeProfile,
     red_prof: &ComputeProfile,
 ) -> JobTiming {
+    let (f, jobcfg, data_per_node_bytes) = (cfg.frequency, &cfg.job, cfg.data_per_node_bytes);
+    let block = cfg.block_size.bytes();
     let data_total = data_per_node_bytes * shape.nodes as u64;
     let slots = shape.slots;
     let total_slots = shape.total_slots;
@@ -573,401 +628,27 @@ fn job_timing(
     }
 }
 
-/// Per-job intermediate totals used to assemble the measurement.
-struct JobPhases {
-    map_wall: f64,
-    reduce_wall: f64,
-    map_cpu_task: f64,
-    map_io_task: f64,
-    red_cpu_task: f64,
-    red_io_task: f64,
-    map_task_s: f64,
-    red_task_s: f64,
-    n_map: usize,
-    n_red: usize,
-}
-
-/// Runs the full model for one experiment point, memoizing shared state
-/// (stall splits, functional runs) in the process-wide [`SimCache`].
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate (zero nodes or zero data).
-pub fn simulate(cfg: &SimConfig) -> Measurement {
-    simulate_with(cfg, SimCache::global())
-}
-
-/// [`simulate`] against an explicit cache. Passing a fresh
-/// [`SimCache::new`] gives a fully uncached evaluation — the reference
-/// the cache-consistency property tests compare against.
-pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
-    if cfg.on_cluster_engine() {
-        return recovered(try_measure_cluster(cfg, cache));
-    }
-    assert!(cfg.nodes > 0, "need at least one node");
-    assert!(cfg.data_per_node_bytes > 0, "need input data");
-    let m = &cfg.machine;
-    let f = cfg.frequency;
-    let ratios = cache.ratios(cfg.app);
-    let disk = DiskModel::sata_7200();
-    let slots = cfg.slots_per_node();
-    let total_slots = slots * cfg.nodes;
-    let block = cfg.block_size.bytes();
-    let shape = ClusterShape {
-        slots,
-        total_slots,
-        nodes: cfg.nodes,
-    };
-
-    // Stall splits are frequency-independent: compute once per profile.
-    let map_prof = cfg.app.map_profile();
-    let red_prof = cfg.app.reduce_profile();
-    let map_stalls = cache.stall_split(m, &map_prof);
-    let hadoop_avg = ComputeProfile::hadoop_average();
-    let hadoop_stalls = cache.stall_split(m, &hadoop_avg);
-    // Task launch (JVM spin-up) penalizes the little core beyond its CPI
-    // gap: cold-start code is branchy, serial and cache-hostile.
-    let overhead_factor = match m.core.kind {
-        CoreKind::Big => 1.0,
-        CoreKind::Little => 1.8,
-    };
-    let t_task_overhead =
-        cpu_seconds(m, &hadoop_avg, hadoop_stalls, f, TASK_OVERHEAD_INSTR) * overhead_factor;
-
-    // The wave scheduler: every node identical, first-free-slot placement.
-    let cluster = Cluster::homogeneous(m.core.kind, cfg.nodes, slots);
-    let mut map_slots_stats = SlotStats::default();
-    let mut reduce_slots_stats = SlotStats::default();
-
-    let mut phases: Vec<JobPhases> = Vec::with_capacity(ratios.jobs.len());
-    for job in &ratios.jobs {
-        let t = job_timing(
-            m,
-            f,
-            cache,
-            &disk,
-            job,
-            &cfg.job,
-            shape,
-            cfg.data_per_node_bytes,
-            block,
-            &map_prof,
-            &red_prof,
-        );
-        let map_run = run_phase(
-            &cluster,
-            &PhaseLoad::uniform(
-                &TaskSet {
-                    tasks: t.n_map,
-                    task_seconds: t.map_task_s,
-                    overhead_seconds: t_task_overhead,
-                },
-                &cluster,
-            ),
-            &mut FifoAnySlot,
-        );
-        map_slots_stats.absorb(&map_run.slots);
-        let reduce_wall = if t.n_red > 0 {
-            let red_run = run_phase(
-                &cluster,
-                &PhaseLoad::uniform(
-                    &TaskSet {
-                        tasks: t.n_red,
-                        task_seconds: t.red_task_s,
-                        overhead_seconds: t_task_overhead,
-                    },
-                    &cluster,
-                ),
-                &mut FifoAnySlot,
-            );
-            reduce_slots_stats.absorb(&red_run.slots);
-            red_run.makespan_s
-        } else {
-            0.0
-        };
-
-        phases.push(JobPhases {
-            map_wall: map_run.makespan_s,
-            reduce_wall,
-            map_cpu_task: t.map_cpu_task,
-            map_io_task: t.map_io_task,
-            red_cpu_task: t.red_cpu_task,
-            red_io_task: t.red_io_task,
-            map_task_s: t.map_task_s,
-            red_task_s: t.red_task_s,
-            n_map: t.n_map,
-            n_red: t.n_red,
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Aggregate phases across chained jobs.
-    // ------------------------------------------------------------------
-    let map_wall: f64 = phases.iter().map(|p| p.map_wall).sum();
-    let reduce_wall: f64 = phases.iter().map(|p| p.reduce_wall).sum();
-    let n_map_total: usize = phases.iter().map(|p| p.n_map).sum();
-    let n_red_total: usize = phases.iter().map(|p| p.n_red).sum();
-
-    // Others: per-job setup/cleanup (fixed protocol time) + serial master
-    // bookkeeping (scales with task count and core speed).
-    let others_wall = ratios.jobs.len() as f64 * (JOB_SETUP_S + JOB_CLEANUP_S)
-        + cpu_seconds(
-            m,
-            &hadoop_avg,
-            hadoop_stalls,
-            f,
-            MASTER_INSTR_PER_TASK * (n_map_total + n_red_total) as f64 / cfg.nodes as f64,
-        );
-
-    // ------------------------------------------------------------------
-    // Optional map-phase acceleration (§3.4): only the hotspot map (the
-    // chained job with the largest map wall) is offloaded — the paper
-    // profiles for the hotspot region and assumes *those* map tasks move
-    // to the FPGA; auxiliary jobs' maps stay on the CPU.
-    // ------------------------------------------------------------------
-    let mut breakdown = PhaseBreakdown::new(map_wall, reduce_wall, others_wall);
-    if let Some(acc) = &cfg.accel {
-        let hotspot = phases.iter().map(|p| p.map_wall).fold(0.0f64, f64::max);
-        let rest_map = map_wall - hotspot;
-        let primary = ratios.primary();
-        let transfer = (cfg.data_per_node_bytes as f64
-            * cfg.nodes as f64
-            * (1.0 + primary.map_selectivity.min(1.5)))
-            / cfg.nodes as f64
-            / slots as f64;
-        let hot_accel = hhsim_accel::accelerate(
-            &PhaseBreakdown::new(hotspot, 0.0, 0.0),
-            transfer as u64,
-            acc,
-        );
-        breakdown = PhaseBreakdown::new(hot_accel.map_s + rest_map, reduce_wall, others_wall);
-    }
-
-    // ------------------------------------------------------------------
-    // Power and energy. Phase power uses the dominant (first) job's task
-    // mix; utilization reflects how many slots the waves actually fill.
-    // ------------------------------------------------------------------
-    let op = m.operating_point(f);
-    let dominant = &phases[0];
-    let map_util = (n_map_total as f64 / total_slots as f64).min(1.0);
-    let active_map = ((slots as f64 * map_util).round() as usize).max(1);
-    let io_frac_map = (dominant.map_io_task / dominant.map_task_s.max(1e-9)).clamp(0.0, 1.0);
-    let p_map = m.power.node_power(
-        op,
-        active_map,
-        m.num_cores,
-        map_prof.activity,
-        mem_intensity(&map_prof),
-        io_frac_map,
-    );
-
-    let red_util = if n_red_total > 0 {
-        (n_red_total as f64 / total_slots as f64).min(1.0)
-    } else {
-        0.0
-    };
-    let active_red =
-        ((slots as f64 * red_util).round() as usize).max(if n_red_total > 0 { 1 } else { 0 });
-    let red_task_s: f64 = phases.iter().map(|p| p.red_task_s).sum();
-    let red_io_task: f64 = phases.iter().map(|p| p.red_io_task).sum();
-    let io_frac_red = if red_task_s > 0.0 {
-        (red_io_task / red_task_s).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let p_red = m.power.node_power(
-        op,
-        active_red,
-        m.num_cores,
-        red_prof.activity,
-        mem_intensity(&red_prof),
-        io_frac_red,
-    );
-    let p_oth = m.power.node_power(op, 1, m.num_cores, 0.35, 0.2, 0.1);
-
-    let mut trace = PowerTrace::new();
-    trace.push(breakdown.map_s, p_map.total());
-    trace.push(breakdown.reduce_s, p_red.total());
-    trace.push(breakdown.others_s, p_oth.total());
-    let reading = PowerMeter.measure(&trace);
-    let idle = m.power.node_idle_w;
-
-    let map_cost_detail = PhaseCost {
-        seconds: breakdown.map_s,
-        dynamic_watts: p_map.dynamic(),
-        cpu_seconds_per_task: dominant.map_cpu_task,
-        io_seconds_per_task: dominant.map_io_task,
-    };
-    let red_cost_detail = PhaseCost {
-        seconds: breakdown.reduce_s,
-        dynamic_watts: p_red.dynamic(),
-        cpu_seconds_per_task: phases.iter().map(|p| p.red_cpu_task).sum(),
-        io_seconds_per_task: red_io_task,
-    };
-    let oth_cost_detail = PhaseCost {
-        seconds: breakdown.others_s,
-        dynamic_watts: p_oth.dynamic(),
-        cpu_seconds_per_task: 0.0,
-        io_seconds_per_task: 0.0,
-    };
-
-    let energy_j = reading.dynamic_energy_j(idle) * cfg.nodes as f64;
-    let exact_energy_j =
-        (trace.exact_energy_j() - idle * trace.duration_s()).max(0.0) * cfg.nodes as f64;
-    let area = slots as f64 * m.area_mm2;
-    let cost = CostMetrics::new(energy_j, breakdown.total(), area);
-    let map_cost = CostMetrics::new(
-        map_cost_detail.energy_j(cfg.nodes),
-        breakdown.map_s.max(1e-9),
-        area,
-    );
-    let reduce_cost = CostMetrics::new(
-        red_cost_detail.energy_j(cfg.nodes),
-        breakdown.reduce_s.max(1e-9),
-        area,
-    );
-
-    Measurement {
-        app: cfg.app,
-        machine_name: m.name.clone(),
-        breakdown,
-        map: map_cost_detail,
-        reduce: red_cost_detail,
-        others: oth_cost_detail,
-        map_slots: map_slots_stats,
-        reduce_slots: reduce_slots_stats,
-        faults: FaultStats::default(),
-        map_locality_tiers: [0, 0, 0],
-        reading,
-        energy_j,
-        exact_energy_j,
-        cost,
-        map_cost,
-        reduce_cost,
-        map_ipc: 1.0 / m.cpi_with_stalls(&map_prof, f, map_stalls.0, map_stalls.1),
-    }
-}
-
 /// DRAM-intensity knob for the power model, derived from the profile's
 /// non-resident access fractions.
 fn mem_intensity(p: &ComputeProfile) -> f64 {
     ((1.0 - p.mem.hot_fraction) * 1.8 + 0.15).clamp(0.0, 1.0)
 }
 
-/// Buffers one seeded cluster run fills and the next reuses: owned by a
-/// harness worker across its seeds, or by a single call, and freed with
-/// it. Nothing a run leaves here is read by the next (each user clears
-/// before it fills).
-#[derive(Debug, Default)]
-pub(crate) struct RunScratch {
-    /// Per-node step functions of the phase being charged.
-    steps: StepBuffers,
-    /// Map-output holders of the reduce phase's fetch plan.
-    holders: Vec<usize>,
-    /// The fault engine's tables.
-    engine: EngineScratch,
-}
-
-/// Simulates `cfg` on the event-driven cluster engine and returns the
-/// measurement together with the per-task trace timeline.
-///
-/// With a [`NodeMix`] this is the §3.5 heterogeneous study: Xeon and Atom
-/// preset nodes run side by side at `cfg.frequency`, tasks are placed by
-/// the mix's policy, each task's duration comes from the node it lands
-/// on, and every node's power is metered over its *time-resolved* slot
-/// occupancy (`cfg.machine`/`cfg.nodes` are ignored). Without a mix the
-/// same machinery runs the homogeneous cluster of `cfg.machine` — useful
-/// for exporting a trace of a baseline run. Note the homogeneous
-/// *measurement* of record stays [`simulate`], whose phase-average meter
-/// reproduces the paper's published tables bit-for-bit.
-///
-/// # Panics
-///
-/// Panics on a degenerate configuration (no nodes, no data) or if an
-/// accelerator is configured (offload is not modeled per-node).
-pub fn simulate_cluster(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
-    simulate_cluster_with(cfg, SimCache::global())
-}
-
-/// [`simulate_cluster`] against an explicit cache.
-///
-/// # Panics
-///
-/// Additionally panics if fault injection makes the run unrecoverable
-/// (a task exhausting `max_attempts`, or crashes leaving no usable
-/// slots); use [`try_simulate_cluster_with`] to handle that as an error.
-pub fn simulate_cluster_with(cfg: &SimConfig, cache: &SimCache) -> (Measurement, ClusterTimeline) {
-    recovered(try_simulate_cluster_with(cfg, cache))
-}
-
-/// What the infallible facades make of a run's outcome.
-fn recovered<T>(outcome: Result<T, PhaseError>) -> T {
-    match outcome {
-        Ok(r) => r,
-        // hhsim: allow(panic-in-engine): infallible facade for legacy callers; fault-aware callers use try_simulate_cluster_with
-        Err(e) => panic!("cluster run failed under fault injection: {e}"),
-    }
-}
-
-/// [`try_simulate_cluster_with`] against the process-wide cache.
-///
-/// # Errors
-///
-/// Returns the [`PhaseError`] of the first phase fault injection makes
-/// unrecoverable.
-pub fn try_simulate_cluster(cfg: &SimConfig) -> Result<(Measurement, ClusterTimeline), PhaseError> {
-    try_simulate_cluster_with(cfg, SimCache::global())
-}
-
-/// Fallible [`simulate_cluster`]: with an active [`FaultConfig`] the run
-/// injects the plan's task failures, node crashes and stragglers, and
-/// recovers per the configured policy; an unrecoverable run (a task out
-/// of attempts, or no usable slots left) surfaces as `Err` — Hadoop's
-/// "job failed" — instead of a panic.
-///
-/// # Errors
-///
-/// Returns the [`PhaseError`] of the first unrecoverable phase.
-///
-/// # Panics
-///
-/// Panics on a degenerate configuration (no nodes, no data) or if an
-/// accelerator is configured (offload is not modeled per-node).
-pub fn try_simulate_cluster_with(
-    cfg: &SimConfig,
-    cache: &SimCache,
-) -> Result<(Measurement, ClusterTimeline), PhaseError> {
-    let prep = ClusterPrep::new(cfg, cache);
-    let mut timeline = ClusterTimeline::new(&prep.cluster);
-    let faults = cfg.active_faults();
-    let scratch = &mut RunScratch::default();
-    let m = prep.run_seeded(faults.as_ref(), cache, scratch, Some(&mut timeline))?;
-    Ok((m, timeline))
-}
-
-/// The measurement of [`try_simulate_cluster_with`] alone: the same run
-/// with no timeline to fill.
-pub(crate) fn try_measure_cluster(
-    cfg: &SimConfig,
-    cache: &SimCache,
-) -> Result<Measurement, PhaseError> {
-    let faults = cfg.active_faults();
-    let scratch = &mut RunScratch::default();
-    ClusterPrep::new(cfg, cache).run_seeded(faults.as_ref(), cache, scratch, None)
-}
-
 /// One phase of one chained job, as far as a fault seed cannot change it.
 struct PhasePrep {
-    /// Timeline label: "map" / "reduce", suffixed with the job index
-    /// when jobs chain.
-    label: String,
+    /// Timeline label: "map" / "reduce", and the job index when jobs
+    /// chain. Put together only for a timeline.
+    label: (&'static str, Option<usize>),
     /// What the engine drains, locality layout or shuffle extras inside.
     load: PhaseLoad,
-    /// Memo key of the phase run fault-free; a seeded run fills in
-    /// `faults` and `fetch`.
-    key: PhaseKey,
-    /// Per node: I/O share of a task's time, the disk-power knob.
-    io_frac: Vec<f64>,
+    /// [`PhaseKey::timing`]: bit patterns of (big task_s, big overhead_s,
+    /// little task_s, little overhead_s), zero for a kind without nodes.
+    timing: [u64; 4],
+    /// [`PhaseKey::net`], on an active rack fabric.
+    net: Option<PhaseNetKey>,
+    /// Per kind `[big, little]`: I/O share of a task's time, the
+    /// disk-power knob.
+    io_frac: [f64; 2],
 }
 
 /// One chained job's phases.
@@ -978,35 +659,57 @@ struct JobPrep {
     /// [`fetch_layout_digest`] of the reduce phase's fetch plan, when the
     /// map phase has a replica layout to recover lost outputs from.
     fetch_layout: Option<u64>,
+    /// The job's tasks priced on the roster's lead kind: what the meters
+    /// report per task and count utilization from.
+    timing: JobTiming,
 }
 
-/// Seed-independent preparation of one cluster-engine run: node roster,
-/// placement, per-job phase loads (replica layout and shuffle extras
-/// inside), their memo keys, I/O fractions and labels, protocol time —
-/// everything [`ClusterPrep::run_seeded`] borrows across fault
-/// replications. The replication engine builds this once per
-/// [`SimConfig`] and fans seeds out over it, instead of re-deriving the
-/// whole stack per seed.
-pub(crate) struct ClusterPrep {
-    app: AppId,
-    f: Frequency,
-    big_m: MachineModel,
-    little_m: MachineModel,
+/// What pricing keeps of one node kind the roster has.
+#[derive(Clone, Copy)]
+struct KindPrep<'a> {
+    m: &'a MachineModel,
+    nodes: usize,
+    /// Task slots per node.
+    slots: usize,
+    /// Per-task launch overhead, seconds.
+    overhead: f64,
+}
+
+/// Seed-independent preparation of one run — the only pricing of it: node
+/// roster, placement, per-job phase loads (replica layout and shuffle
+/// extras inside), what their memo keys are made of, I/O fractions,
+/// labels, protocol time — everything [`ClusterPrep::run`] borrows,
+/// whichever meter reads the run and across fault replications. The
+/// replication engine builds this once per [`SimConfig`] and fans seeds
+/// out over it, instead of re-deriving the whole stack per seed.
+pub(crate) struct ClusterPrep<'a> {
+    cfg: &'a SimConfig,
+    ratios: AppRatios,
+    /// The kinds the roster has, `[big, little]`.
+    kinds: [Option<KindPrep<'a>>; 2],
+    /// The kind of the first node, which runs the master; the only kind
+    /// of a homogeneous cluster.
+    lead: KindPrep<'a>,
+    /// [`PhaseKey::roster`].
+    roster: (usize, usize, usize, usize),
     /// The node kind placement prefers; `None` is first-free-slot FIFO.
     preferred: Option<CoreKind>,
     cluster: Cluster,
     map_prof: ComputeProfile,
     red_prof: ComputeProfile,
-    jobs: Vec<JobPrep>,
+    /// The first job; phase power and the per-task details follow its
+    /// task mix.
+    dominant: JobPrep,
+    /// The jobs chained behind it (Grep's sort, FP-Growth's mining).
+    chained: Vec<JobPrep>,
     /// Active rack fabric, when the run models the network topology.
     topology: Option<Topology>,
     others_wall: f64,
-    /// Per node: (total W, dynamic W) during the others window.
-    oth_power: Vec<(f64, f64)>,
-    machine_name: String,
-    area: f64,
+    /// Per kind `[big, little]`: (total W, dynamic W) of a node during the
+    /// others window.
+    oth_power: [(f64, f64); 2],
+    machine_name: Cow<'a, str>,
     map_ipc: f64,
-    dom: JobTiming,
 }
 
 impl PhasePrep {
@@ -1036,127 +739,64 @@ fn of_kind<T>(kind: CoreKind, big: T, little: T) -> T {
     }
 }
 
-impl ClusterPrep {
-    /// Derives everything about `cfg`'s cluster run that does not depend
-    /// on the fault seed.
+/// `[big, little]` from the value on the roster's lead kind and on the
+/// other one, `absent` standing in for a kind without nodes.
+fn by_kind<T: Copy>(lead_kind: CoreKind, lead: T, other: Option<T>, absent: T) -> [T; 2] {
+    let other = other.unwrap_or(absent);
+    of_kind(lead_kind, [lead, other], [other, lead])
+}
+
+impl<'a> ClusterPrep<'a> {
+    /// Derives everything about `cfg`'s run that depends neither on the
+    /// fault seed nor on the meter.
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (no nodes, no data) or if an
-    /// accelerator is configured (offload is not modeled per-node).
-    pub(crate) fn new(cfg: &SimConfig, cache: &SimCache) -> Self {
+    /// Panics on a degenerate configuration (no nodes, no data).
+    pub(crate) fn new(cfg: &'a SimConfig, cache: &SimCache) -> Self {
         assert!(cfg.data_per_node_bytes > 0, "need input data");
-        assert!(
-            cfg.accel.is_none(),
-            "accelerator offload is not modeled on the cluster-engine path"
-        );
         let f = cfg.frequency;
         let ratios = cache.ratios(cfg.app);
         let disk = DiskModel::sata_7200();
-        let block = cfg.block_size.bytes();
-
-        // Resolve the node roster: machine model per kind plus counts.
-        let (big_m, little_m, n_big, n_little, placement_kind) = match cfg.node_mix {
-            Some(mix) => {
-                assert!(mix.big + mix.little > 0, "need at least one node");
-                (
-                    presets::xeon_e5_2420(),
-                    presets::atom_c2758(),
-                    mix.big,
-                    mix.little,
-                    mix.placement,
-                )
-            }
-            None => {
-                assert!(cfg.nodes > 0, "need at least one node");
-                match cfg.machine.core.kind {
-                    CoreKind::Big => (
-                        cfg.machine.clone(),
-                        presets::atom_c2758(),
-                        cfg.nodes,
-                        0,
-                        PlacementKind::FifoAny,
-                    ),
-                    CoreKind::Little => (
-                        presets::xeon_e5_2420(),
-                        cfg.machine.clone(),
-                        0,
-                        cfg.nodes,
-                        PlacementKind::FifoAny,
-                    ),
-                }
-            }
-        };
-        let big_slots = cfg.mappers_per_node.unwrap_or(big_m.num_cores).max(1);
-        let little_slots = cfg.mappers_per_node.unwrap_or(little_m.num_cores).max(1);
-        let cluster = Cluster::mixed(n_big, big_slots, n_little, little_slots);
-        let nodes_total = n_big + n_little;
-        let total_slots = cluster.total_slots();
-
         let map_prof = cfg.app.map_profile();
         let red_prof = cfg.app.reduce_profile();
         let hadoop_avg = ComputeProfile::hadoop_average();
 
-        // Per-kind task-launch overhead.
-        let overhead_of = |m: &MachineModel| {
-            let factor = match m.core.kind {
-                CoreKind::Big => 1.0,
-                CoreKind::Little => 1.8,
-            };
-            cpu_seconds(
+        // The kinds the roster has: slots per node and task-launch
+        // overhead. The Hadoop-average stall split is frequency-independent
+        // and, on the lead kind, shared with the master's bookkeeping.
+        let Roster {
+            lead,
+            other,
+            placement,
+        } = cfg.roster();
+        let kind_prep = |(m, nodes): (&'a MachineModel, usize)| {
+            let stalls = cache.stall_split(m, &hadoop_avg);
+            // Task launch (JVM spin-up) penalizes the little core beyond
+            // its CPI gap: cold-start code is branchy, serial and
+            // cache-hostile.
+            let overhead = cpu_seconds(m, &hadoop_avg, stalls, f, TASK_OVERHEAD_INSTR)
+                * of_kind(m.core.kind, 1.0, 1.8);
+            let kind = KindPrep {
                 m,
-                &hadoop_avg,
-                cache.stall_split(m, &hadoop_avg),
-                f,
-                TASK_OVERHEAD_INSTR,
-            ) * factor
+                nodes,
+                slots: cfg.mappers_per_node.unwrap_or(m.num_cores).max(1),
+                overhead,
+            };
+            (kind, stalls)
         };
-        let big_overhead = overhead_of(&big_m);
-        let little_overhead = overhead_of(&little_m);
+        let (lead, lead_stalls) = kind_prep(lead);
+        let other = other.map(|o| kind_prep(o).0);
+        let lead_kind = lead.m.core.kind;
+        let kinds = by_kind(lead_kind, Some(lead), other.map(Some), None);
+        let [(n_big, big_slots, big_overhead), (n_little, little_slots, little_overhead)] =
+            kinds.map(|k| k.map_or((0, 0, 0.0), |k| (k.nodes, k.slots, k.overhead)));
+        let nodes_total = n_big + n_little;
+        assert!(nodes_total > 0, "need at least one node");
+        let cluster = Cluster::mixed(n_big, big_slots, n_little, little_slots);
+        let total_slots = cluster.total_slots();
 
-        let shape_of = |slots: usize| ClusterShape {
-            slots,
-            total_slots,
-            nodes: nodes_total,
-        };
-
-        let mut timings: Vec<(JobTiming, JobTiming)> = Vec::with_capacity(ratios.jobs.len());
-        let mut n_map_total = 0usize;
-        let mut n_red_total = 0usize;
-        for job in ratios.jobs.iter() {
-            let tb = job_timing(
-                &big_m,
-                f,
-                cache,
-                &disk,
-                job,
-                &cfg.job,
-                shape_of(big_slots),
-                cfg.data_per_node_bytes,
-                block,
-                &map_prof,
-                &red_prof,
-            );
-            let tl = job_timing(
-                &little_m,
-                f,
-                cache,
-                &disk,
-                job,
-                &cfg.job,
-                shape_of(little_slots),
-                cfg.data_per_node_bytes,
-                block,
-                &map_prof,
-                &red_prof,
-            );
-            debug_assert_eq!(tb.n_map, tl.n_map, "task counts are machine-independent");
-            debug_assert_eq!(tb.n_red, tl.n_red, "task counts are machine-independent");
-            n_map_total += tb.n_map;
-            n_red_total += tb.n_red;
-            timings.push((tb, tl));
-        }
-        let preferred = match placement_kind {
+        let preferred = match placement {
             PlacementKind::FifoAny => None,
             PlacementKind::PreferBig => Some(CoreKind::Big),
             PlacementKind::PreferLittle => Some(CoreKind::Little),
@@ -1164,10 +804,11 @@ impl ClusterPrep {
                 Some(KindPreferring::for_class(job_class(cfg.app), goal).preferred)
             }
         };
-        // One phase's load, fault-free memo key and per-node I/O share,
-        // from its (task seconds, I/O seconds) on either node kind.
+        // One phase's load, what its memo key says of its timing and its
+        // per-kind I/O share, from its (task seconds, I/O seconds) on
+        // either node kind.
         let multi_job = ratios.jobs.len() > 1;
-        let phase = |base: &str, ji: usize, tasks: usize, big: (f64, f64), little: (f64, f64)| {
+        let phase = |base, ji, tasks, [big, little]: [(f64, f64); 2]| {
             let timing = |(task_seconds, _), overhead_seconds| NodeTiming {
                 task_seconds,
                 overhead_seconds,
@@ -1179,38 +820,22 @@ impl ClusterPrep {
                     0.0
                 }
             };
-            let (big_io, little_io) = (io_frac(big), io_frac(little));
             PhasePrep {
-                label: if multi_job {
-                    format!("{base}{ji}")
-                } else {
-                    base.to_string()
-                },
+                label: (base, multi_job.then_some(ji)),
                 load: PhaseLoad::by_kind(
                     tasks,
                     timing(big, big_overhead),
                     timing(little, little_overhead),
                     &cluster,
                 ),
-                key: PhaseKey {
-                    // The placement objects are stateless, so the
-                    // preference *is* the behavior.
-                    placement: preferred.map_or(0, |kind| of_kind(kind, 1, 2)),
-                    roster: (n_big, big_slots, n_little, little_slots),
-                    tasks,
-                    timing: [
-                        big.0.to_bits(),
-                        big_overhead.to_bits(),
-                        little.0.to_bits(),
-                        little_overhead.to_bits(),
-                    ],
-                    faults: None,
-                    net: None,
-                    fetch: None,
-                },
-                io_frac: (cluster.nodes.iter())
-                    .map(|n| of_kind(n.kind, big_io, little_io))
-                    .collect(),
+                timing: [
+                    big.0.to_bits(),
+                    big_overhead.to_bits(),
+                    little.0.to_bits(),
+                    little_overhead.to_bits(),
+                ],
+                net: None,
+                io_frac: [io_frac(big), io_frac(little)],
             }
         };
 
@@ -1219,18 +844,30 @@ impl ClusterPrep {
         // reduce shuffle on the contended fabric. All gated on an
         // *active* topology, so flat runs never see any of this.
         let topology = cfg.active_topology();
-        let mut jobs: Vec<JobPrep> = Vec::with_capacity(timings.len());
-        for (ji, (tb, tl)) in timings.iter().enumerate() {
-            let (big, little) = (
-                (tb.map_task_s, tb.map_io_task),
-                (tl.map_task_s, tl.map_io_task),
-            );
-            let mut map = phase("map", ji, tb.n_map, big, little);
-            let (big, little) = (
-                (tb.red_task_s, tb.red_io_task),
-                (tl.red_task_s, tl.red_io_task),
-            );
-            let mut reduce = (tb.n_red > 0).then(|| phase("reduce", ji, tb.n_red, big, little));
+        // One chained job's tasks on one kind. Task counts depend only on
+        // data volume and cluster shape, never on the machine.
+        let price = |k: KindPrep<'_>, job: &JobRatios| {
+            let shape = ClusterShape {
+                slots: k.slots,
+                total_slots,
+                nodes: nodes_total,
+            };
+            job_timing(k.m, cfg, cache, &disk, job, shape, &map_prof, &red_prof)
+        };
+        let job_prep = |(ji, job): (usize, &JobRatios)| {
+            let t = price(lead, job);
+            let on_other = other.map(|o| price(o, job));
+            if let Some(o) = &on_other {
+                debug_assert_eq!(t.n_map, o.n_map, "task counts are machine-independent");
+                debug_assert_eq!(t.n_red, o.n_red, "task counts are machine-independent");
+            }
+            let per_kind = |of: fn(&JobTiming) -> (f64, f64)| {
+                by_kind(lead_kind, of(&t), on_other.as_ref().map(of), (0.0, 0.0))
+            };
+            let seconds = per_kind(|t| (t.map_task_s, t.map_io_task));
+            let mut map = phase("map", ji, t.n_map, seconds);
+            let seconds = per_kind(|t| (t.red_task_s, t.red_io_task));
+            let mut reduce = (t.n_red > 0).then(|| phase("reduce", ji, t.n_red, seconds));
             if let Some(topo) = &topology {
                 // Each node ingests its own share of the input (block t
                 // is written by node t mod N, like the paper's per-node
@@ -1238,13 +875,13 @@ impl ClusterPrep {
                 // replicas across racks.
                 let mut policy = HdfsDefault::new(TOPOLOGY_LAYOUT_SEED ^ ji as u64);
                 let replication = HDFS_REPLICATION.min(nodes_total);
-                let replicas: Vec<Vec<usize>> = (0..tb.n_map)
-                    .map(|t| {
+                let replicas: Vec<Vec<usize>> = (0..t.n_map)
+                    .map(|task| {
                         policy
                             .place(
                                 &PlacementRequest {
-                                    block: BlockId(t as u64),
-                                    writer: Some(NodeId(t % nodes_total)),
+                                    block: BlockId(task as u64),
+                                    writer: Some(NodeId(task % nodes_total)),
                                     replication,
                                     num_nodes: nodes_total,
                                 },
@@ -1255,7 +892,7 @@ impl ClusterPrep {
                             .collect()
                     })
                     .collect();
-                let bytes = tb.map_task_bytes.max(0.0) as u64;
+                let bytes = t.map_task_bytes.max(0.0) as u64;
                 let locality = PhaseLocality {
                     replicas,
                     racks: topo.racks,
@@ -1265,7 +902,7 @@ impl ClusterPrep {
                         topo.read_seconds(bytes, LocalityTier::OffRack),
                     ],
                 };
-                map.key.net = Some(PhaseNetKey::for_map(topo, &locality));
+                map.net = Some(PhaseNetKey::for_map(topo, &locality));
                 map.load.locality = Some(locality);
                 if let Some(red) = &mut reduce {
                     // The same fabric with full bisection and one rack:
@@ -1281,13 +918,13 @@ impl ClusterPrep {
                     let [contended, baseline] = shuffle::reduce_fetch_seconds_on(
                         [topo, &flat_fabric],
                         nodes_total,
-                        tb.n_red,
-                        tb.red_input_bytes,
+                        t.n_red,
+                        t.red_input_bytes,
                     );
                     red.load.extra_seconds = (contended.iter().zip(&baseline))
                         .map(|(c, b)| (c - b).max(0.0))
                         .collect();
-                    red.key.net = Some(PhaseNetKey::for_extras(topo, &red.load.extra_seconds));
+                    red.net = Some(PhaseNetKey::for_extras(topo, &red.load.extra_seconds));
                 }
             }
             // Hadoop fetch-failure semantics need an active topology
@@ -1297,79 +934,77 @@ impl ClusterPrep {
             let fetch_layout = (reduce.as_ref())
                 .and(map.fetch_view(topology, &[]))
                 .map(|plan| fetch_layout_digest(&plan));
-            jobs.push(JobPrep {
+            JobPrep {
                 map,
                 reduce,
                 fetch_layout,
-            });
-        }
-
-        let (dom_big, dom_little) = *timings.first().expect("at least one job");
-        let dom = if n_big > 0 { dom_big } else { dom_little };
-
-        let machine_of = |kind: CoreKind| of_kind(kind, &big_m, &little_m);
+                timing: t,
+            }
+        };
+        let dominant = job_prep((0, ratios.primary()));
+        let chained: Vec<JobPrep> = (ratios.jobs.iter().enumerate().skip(1))
+            .map(&job_prep)
+            .collect();
 
         // Others: setup/cleanup protocol time plus serial master
-        // bookkeeping, run by the first node's machine.
-        let master = cluster
-            .nodes
-            .first()
-            .map(|n| machine_of(n.kind))
-            .unwrap_or(&big_m);
+        // bookkeeping (scales with task count and core speed), run by the
+        // first node's machine.
+        let tasks: usize = (std::iter::once(&dominant).chain(&chained))
+            .map(|j| j.timing.n_map + j.timing.n_red)
+            .sum();
         let others_wall = ratios.jobs.len() as f64 * (JOB_SETUP_S + JOB_CLEANUP_S)
             + cpu_seconds(
-                master,
+                lead.m,
                 &hadoop_avg,
-                cache.stall_split(master, &hadoop_avg),
+                lead_stalls,
                 f,
-                MASTER_INSTR_PER_TASK * (n_map_total + n_red_total) as f64 / nodes_total as f64,
+                MASTER_INSTR_PER_TASK * tasks as f64 / nodes_total as f64,
             );
-        let oth_power: Vec<(f64, f64)> = cluster
-            .nodes
-            .iter()
-            .map(|n| {
-                let m = machine_of(n.kind);
+        let oth_power = kinds.map(|k| {
+            k.map_or((0.0, 0.0), |KindPrep { m, .. }| {
                 let op = m.operating_point(f);
                 let p_oth = m.power.node_power(op, 1, m.num_cores, 0.35, 0.2, 0.1);
                 (p_oth.total(), p_oth.dynamic())
             })
-            .collect();
-
-        // Engaged area: average per-node slots × chip area, comparable
-        // to the homogeneous path's `slots * area`.
-        let area = cluster
-            .nodes
-            .iter()
-            .map(|n| n.slots as f64 * machine_of(n.kind).area_mm2)
-            .sum::<f64>()
-            / nodes_total as f64;
+        });
 
         let machine_name = match cfg.node_mix {
-            Some(_) => format!("Mixed({n_big}xXeon+{n_little}xAtom)"),
-            None => cfg.machine.name.clone(),
+            Some(_) => Cow::Owned(format!("Mixed({n_big}xXeon+{n_little}xAtom)")),
+            None => Cow::Borrowed(cfg.machine.name.as_str()),
         };
-        let ipc_m = if n_big > 0 { &big_m } else { &little_m };
-        let ipc_stalls = cache.stall_split(ipc_m, &map_prof);
-        let map_ipc = 1.0 / ipc_m.cpi_with_stalls(&map_prof, f, ipc_stalls.0, ipc_stalls.1);
+        let ipc_stalls = cache.stall_split(lead.m, &map_prof);
+        let map_ipc = 1.0 / (lead.m).cpi_with_stalls(&map_prof, f, ipc_stalls.0, ipc_stalls.1);
 
         ClusterPrep {
-            app: cfg.app,
-            f,
-            big_m,
-            little_m,
+            cfg,
+            ratios,
+            kinds,
+            lead,
+            roster: (n_big, big_slots, n_little, little_slots),
             preferred,
             cluster,
             map_prof,
             red_prof,
-            jobs,
+            dominant,
+            chained,
             topology,
             others_wall,
             oth_power,
             machine_name,
-            area,
             map_ipc,
-            dom,
         }
+    }
+
+    /// The jobs in execution order.
+    fn jobs(&self) -> impl Iterator<Item = &JobPrep> {
+        std::iter::once(&self.dominant).chain(&self.chained)
+    }
+
+    /// Node `i` and the machine model it runs.
+    fn node(&self, i: usize) -> Option<(&Node, &'a MachineModel)> {
+        let node = self.cluster.nodes.get(i)?;
+        let [big, little] = self.kinds;
+        Some((node, of_kind(node.kind, big, little)?.m))
     }
 
     /// Streams one phase run's per-node power into the node meters,
@@ -1386,19 +1021,18 @@ impl ClusterPrep {
         &self,
         run: &PhaseRun,
         prof: &ComputeProfile,
-        io_frac: &[f64],
+        [big_io, little_io]: [f64; 2],
         meters: &mut [StreamingMeter],
         steps: &mut StepBuffers,
     ) -> f64 {
         let mut dynamic_j = 0.0;
         run.node_steps(self.cluster.nodes.len(), steps, |i, node_steps| {
-            let (Some(node), Some(meter)) = (self.cluster.nodes.get(i), meters.get_mut(i)) else {
+            let (Some((node, m)), Some(meter)) = (self.node(i), meters.get_mut(i)) else {
                 return;
             };
-            let m = of_kind(node.kind, &self.big_m, &self.little_m);
-            let op = m.operating_point(self.f);
+            let op = m.operating_point(self.cfg.frequency);
             let util = UtilizationTimeline::new(std::mem::take(node_steps), run.makespan_s);
-            let node_io = io_frac.get(i).copied().unwrap_or(0.0);
+            let node_io = of_kind(node.kind, big_io, little_io);
             // -0.0 seeds the same fold as `PowerTrace::exact_energy_j`, so
             // this phase's exact energy is bit-identical to the retired
             // per-node trace's.
@@ -1427,20 +1061,27 @@ impl ClusterPrep {
     }
 
     /// Runs the prepared cluster under one fault configuration (or none)
-    /// and assembles the measurement. Only what the fault seed decides
-    /// happens here — node fates, the phases' fault plans, the engine
-    /// runs, metering — on loads, keys and labels borrowed from the prep
-    /// and in buffers borrowed from `scratch`. The phase engine runs route
-    /// through the cache's phase memo, so sweeps and replications that
-    /// share a phase's exact inputs reuse its `PhaseRun`. `timeline`, when
-    /// there is one to fill, receives every phase's spans on the run's
-    /// clock; the measurement does not depend on it.
+    /// and has `meter` read the measurement off it. Only what the fault
+    /// seed decides happens here — node fates, the phases' fault plans,
+    /// the engine runs, metering — on loads and labels borrowed from the
+    /// prep and in buffers borrowed from `scratch`. Under the per-node
+    /// meter the engine runs route through the cache's phase memo, so
+    /// sweeps and replications that share a phase's exact inputs reuse its
+    /// `PhaseRun`; a phase-average point keeps its runs to itself.
+    /// `timeline`, when there is one to fill, receives every phase's spans
+    /// on the run's clock; the measurement does not depend on it.
     ///
     /// # Errors
     ///
     /// Returns the [`PhaseError`] of the first unrecoverable phase.
-    pub(crate) fn run_seeded(
+    ///
+    /// # Panics
+    ///
+    /// Panics if the per-node meter is asked to read an accelerated run
+    /// (offload is not modeled per node).
+    pub(crate) fn run(
         &self,
+        meter: Meter,
         faults: Option<&FaultConfig>,
         cache: &SimCache,
         scratch: &mut RunScratch,
@@ -1456,15 +1097,25 @@ impl ClusterPrep {
         let mut fault_stats = FaultStats::default();
         let mut phase_idx: u64 = 0;
 
-        let mut meters: Vec<StreamingMeter> = vec![StreamingMeter::new(); nodes_total];
-        let mut map_slots_stats = SlotStats::default();
-        let mut reduce_slots_stats = SlotStats::default();
+        let mut node_meters = match meter {
+            Meter::PhaseAverage => Vec::new(),
+            Meter::PerNode => {
+                assert!(
+                    self.cfg.accel.is_none(),
+                    "accelerator offload is not modeled by the per-node meter"
+                );
+                vec![StreamingMeter::new(); nodes_total]
+            }
+        };
+        let mut map_slots = SlotStats::default();
+        let mut reduce_slots = SlotStats::default();
         let mut map_wall = 0.0;
         let mut reduce_wall = 0.0;
+        let mut hotspot_wall = 0.0f64;
         let mut map_dyn_j = 0.0;
         let mut red_dyn_j = 0.0;
         let mut offset = 0.0;
-        let mut locality_tiers = [0u64; 3];
+        let mut map_locality_tiers = [0u64; 3];
         let (mut fifo, mut by_kind) = (
             FifoAnySlot,
             self.preferred.map(|preferred| KindPreferring { preferred }),
@@ -1479,9 +1130,9 @@ impl ClusterPrep {
             engine,
         } = scratch;
 
-        // One phase under the seed: its fault plan, the memoized engine
-        // run, the timeline sink and the meters. Returns the run and its
-        // exact dynamic energy.
+        // One phase under the seed: its fault plan, the engine run (the
+        // memo's, under the per-node meter), the timeline sink and the
+        // node meters. Returns the run and its exact dynamic energy.
         let mut run = |phase: &PhasePrep, reduce: bool, fetch: Option<(FetchView<'_>, u64)>| {
             let prof = if reduce {
                 &self.red_prof
@@ -1491,11 +1142,18 @@ impl ClusterPrep {
             let seeded = faults.map(|fc| (fc, fc.phase_rate(reduce)));
             let phase_faults = (seeded.zip(node_faults.as_ref()))
                 .map(|((fc, rate), nf)| nf.phase(fc, phase_idx, rate, offset));
-            let key = PhaseKey {
+            // The memo key names every input the engine sees; the
+            // placement objects are stateless, so the preference *is* the
+            // behavior.
+            let key = (meter == Meter::PerNode).then(|| PhaseKey {
+                placement: self.preferred.map_or(0, |kind| of_kind(kind, 1, 2)),
+                roster: self.roster,
+                tasks: phase.load.tasks,
+                timing: phase.timing,
                 faults: seeded.map(|(fc, rate)| PhaseFaultKey::new(fc, phase_idx, rate, offset)),
+                net: phase.net.clone(),
                 fetch: fetch.map(|(_, digest)| digest),
-                ..phase.key.clone()
-            };
+            });
             phase_idx += 1;
             let plan = fetch.map(|(plan, _)| plan);
             let run = cache.phase_run(key, || {
@@ -1504,22 +1162,33 @@ impl ClusterPrep {
             })?;
             fault_stats.absorb(&run.faults);
             if let Some(timeline) = timeline.as_deref_mut() {
-                timeline.extend(&phase.label, offset, &run);
+                match phase.label {
+                    (base, Some(ji)) => timeline.extend(&format!("{base}{ji}"), offset, &run),
+                    (base, None) => timeline.extend(base, offset, &run),
+                }
             }
             offset += run.makespan_s;
-            let dyn_j = self.charge_phase(&run, prof, &phase.io_frac, &mut meters, steps);
+            let dyn_j = match meter {
+                Meter::PhaseAverage => 0.0,
+                Meter::PerNode => {
+                    self.charge_phase(&run, prof, phase.io_frac, &mut node_meters, steps)
+                }
+            };
             Ok((run, dyn_j))
         };
 
-        for job in &self.jobs {
+        for job in self.jobs() {
             let (map_run, dyn_j) = run(&job.map, false, None)?;
-            map_slots_stats.absorb(&map_run.slots);
-            for s in &map_run.spans {
-                if let Some(c) = locality_tiers.get_mut(s.tier.idx()) {
-                    *c += 1;
+            map_slots.absorb(&map_run.slots);
+            if meter == Meter::PerNode {
+                for s in &map_run.spans {
+                    if let Some(c) = map_locality_tiers.get_mut(s.tier.idx()) {
+                        *c += 1;
+                    }
                 }
             }
             map_wall += map_run.makespan_s;
+            hotspot_wall = hotspot_wall.max(map_run.makespan_s);
             map_dyn_j += dyn_j;
 
             if let Some(reduce) = &job.reduce {
@@ -1532,91 +1201,340 @@ impl ClusterPrep {
                     Some((plan, fetch_digest(layout, holders)))
                 });
                 let (red_run, dyn_j) = run(reduce, true, fetch)?;
-                reduce_slots_stats.absorb(&red_run.slots);
+                reduce_slots.absorb(&red_run.slots);
                 reduce_wall += red_run.makespan_s;
                 red_dyn_j += dyn_j;
             }
         }
 
+        let walls = PhaseBreakdown::new(map_wall, reduce_wall, self.others_wall);
+        let read = match meter {
+            Meter::PhaseAverage => self.phase_average(walls, hotspot_wall),
+            Meter::PerNode => self.per_node(walls, node_meters, map_dyn_j, red_dyn_j),
+        };
+        let (breakdown, area) = (read.breakdown, read.area);
+        let [map_w, reduce_w, others_w] = read.dynamic_watts;
+        let (map_j, reduce_j) = read.phase_energy_j;
+        let dominant = &self.dominant.timing;
+        Ok(Measurement {
+            app: self.cfg.app,
+            machine_name: self.machine_name.to_string(),
+            breakdown,
+            map: PhaseCost {
+                seconds: breakdown.map_s,
+                dynamic_watts: map_w,
+                cpu_seconds_per_task: dominant.map_cpu_task,
+                io_seconds_per_task: dominant.map_io_task,
+            },
+            reduce: PhaseCost {
+                seconds: breakdown.reduce_s,
+                dynamic_watts: reduce_w,
+                cpu_seconds_per_task: read.reduce_task_s.0,
+                io_seconds_per_task: read.reduce_task_s.1,
+            },
+            others: PhaseCost {
+                seconds: breakdown.others_s,
+                dynamic_watts: others_w,
+                cpu_seconds_per_task: 0.0,
+                io_seconds_per_task: 0.0,
+            },
+            map_slots,
+            reduce_slots,
+            faults: fault_stats,
+            map_locality_tiers,
+            reading: read.reading,
+            energy_j: read.energy_j,
+            exact_energy_j: read.exact_energy_j,
+            cost: CostMetrics::new(read.energy_j, breakdown.total(), area),
+            map_cost: CostMetrics::new(map_j, breakdown.map_s.max(1e-9), area),
+            reduce_cost: CostMetrics::new(reduce_j, breakdown.reduce_s.max(1e-9), area),
+            map_ipc: self.map_ipc,
+        })
+    }
+
+    /// The phase-average meter: one power level per phase from the
+    /// dominant job's task mix and the share of the slots the waves fill,
+    /// on the roster's one machine model, times the node count. Also the
+    /// only reader of an accelerated run (§3.4): just the hotspot map (the
+    /// chained job with the largest map wall) is offloaded — the paper
+    /// profiles for the hotspot region and assumes *those* map tasks move
+    /// to the FPGA; auxiliary jobs' maps stay on the CPU.
+    fn phase_average(&self, walls: PhaseBreakdown, hotspot_wall: f64) -> Metered {
+        let KindPrep { m, slots, .. } = self.lead;
+        let nodes = self.cluster.nodes.len();
+        let total_slots = slots * nodes;
+        let mut breakdown = walls;
+        if let Some(acc) = &self.cfg.accel {
+            let rest_map = walls.map_s - hotspot_wall;
+            let primary = self.ratios.primary();
+            let transfer = (self.cfg.data_per_node_bytes as f64
+                * nodes as f64
+                * (1.0 + primary.map_selectivity.min(1.5)))
+                / nodes as f64
+                / slots as f64;
+            let hot_accel = hhsim_accel::accelerate(
+                &PhaseBreakdown::new(hotspot_wall, 0.0, 0.0),
+                transfer as u64,
+                acc,
+            );
+            breakdown =
+                PhaseBreakdown::new(hot_accel.map_s + rest_map, walls.reduce_s, walls.others_s);
+        }
+
+        // One power level per phase: the task mix of the phase's profile on
+        // as many slots as its waves fill on average.
+        let op = m.operating_point(self.cfg.frequency);
+        let power = |tasks: usize, prof: &ComputeProfile, io_frac| {
+            let util = (tasks as f64 / total_slots as f64).min(1.0);
+            let active = ((slots as f64 * util).round() as usize).max(usize::from(tasks > 0));
+            let mem = mem_intensity(prof);
+            (m.power).node_power(op, active, m.num_cores, prof.activity, mem, io_frac)
+        };
+        let dominant = &self.dominant.timing;
+        let io_frac_map = (dominant.map_io_task / dominant.map_task_s.max(1e-9)).clamp(0.0, 1.0);
+        let n_map_total = self.jobs().map(|j| j.timing.n_map).sum();
+        let p_map = power(n_map_total, &self.map_prof, io_frac_map);
+        let red_task_s: f64 = self.jobs().map(|j| j.timing.red_task_s).sum();
+        let red_io_task: f64 = self.jobs().map(|j| j.timing.red_io_task).sum();
+        let io_frac_red = if red_task_s > 0.0 {
+            (red_io_task / red_task_s).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let n_red_total = self.jobs().map(|j| j.timing.n_red).sum();
+        let p_red = power(n_red_total, &self.red_prof, io_frac_red);
+        let [big_oth, little_oth] = self.oth_power;
+        let (oth_w, oth_dyn_w) = of_kind(m.core.kind, big_oth, little_oth);
+
+        let mut trace = PowerTrace::new();
+        trace.push(breakdown.map_s, p_map.total());
+        trace.push(breakdown.reduce_s, p_red.total());
+        trace.push(breakdown.others_s, oth_w);
+        let reading = PowerMeter.measure(&trace);
+        let idle = m.power.node_idle_w;
+
+        // `× nodes` last, as `PhaseCost::energy_j` has it.
+        let phase_j = |seconds: f64, dynamic_w: f64| seconds * dynamic_w * nodes as f64;
+        Metered {
+            breakdown,
+            dynamic_watts: [p_map.dynamic(), p_red.dynamic(), oth_dyn_w],
+            reduce_task_s: (
+                self.jobs().map(|j| j.timing.red_cpu_task).sum(),
+                red_io_task,
+            ),
+            phase_energy_j: (
+                phase_j(breakdown.map_s, p_map.dynamic()),
+                phase_j(breakdown.reduce_s, p_red.dynamic()),
+            ),
+            reading,
+            energy_j: reading.dynamic_energy_j(idle) * nodes as f64,
+            exact_energy_j: (trace.exact_energy_j() - idle * trace.duration_s()).max(0.0)
+                * nodes as f64,
+            area: slots as f64 * m.area_mm2,
+        }
+    }
+
+    /// The per-node meter: closes the node meters `charge_phase` streamed
+    /// every phase into with the others window, and sums them.
+    fn per_node(
+        &self,
+        breakdown: PhaseBreakdown,
+        mut node_meters: Vec<StreamingMeter>,
+        map_dyn_j: f64,
+        red_dyn_j: f64,
+    ) -> Metered {
+        let nodes = &self.cluster.nodes;
+        let nodes_total = nodes.len() as f64;
+        let [big_oth, little_oth] = self.oth_power;
         let mut oth_dyn_w_sum = 0.0;
-        for (meter, &(total_w, dyn_w)) in meters.iter_mut().zip(&self.oth_power) {
+        for (meter, node) in node_meters.iter_mut().zip(nodes) {
+            let (total_w, dyn_w) = of_kind(node.kind, big_oth, little_oth);
             meter.push(self.others_wall, total_w);
             oth_dyn_w_sum += dyn_w;
         }
 
         // Finish every node's streamed 1 Hz view (bit-identical to the
-        // retired per-node trace metering) and exact integral.
+        // retired per-node trace metering) and exact integral. Engaged
+        // area: average per-node slots × chip area, comparable to the
+        // phase-average meter's `slots * area`.
         let mut energy_j = 0.0;
         let mut exact_energy_j = 0.0;
+        let mut area_sum = 0.0;
         let mut reading = MeterReading {
             samples: 0,
             average_watts: 0.0,
             duration_s: 0.0,
         };
-        for (i, (meter, node)) in meters.into_iter().zip(&cluster.nodes).enumerate() {
-            let m = of_kind(node.kind, &self.big_m, &self.little_m);
+        for (i, meter) in node_meters.into_iter().enumerate() {
+            let Some((node, m)) = self.node(i) else {
+                continue;
+            };
             let er = meter.finish();
             energy_j += er.meter.dynamic_energy_j(m.power.node_idle_w);
             exact_energy_j += er.exact_dynamic_energy_j(m.power.node_idle_w);
+            area_sum += node.slots as f64 * m.area_mm2;
             if i == 0 {
                 reading = er.meter;
             }
         }
 
-        let breakdown = PhaseBreakdown::new(map_wall, reduce_wall, self.others_wall);
-        let dom = self.dom;
-
-        let map_cost_detail = PhaseCost {
-            seconds: breakdown.map_s,
-            dynamic_watts: if breakdown.map_s > 0.0 {
-                map_dyn_j / breakdown.map_s / nodes_total as f64
+        let per_node_watts = |dyn_j: f64, seconds: f64| {
+            if seconds > 0.0 {
+                dyn_j / seconds / nodes_total
             } else {
                 0.0
-            },
-            cpu_seconds_per_task: dom.map_cpu_task,
-            io_seconds_per_task: dom.map_io_task,
+            }
         };
-        let red_cost_detail = PhaseCost {
-            seconds: breakdown.reduce_s,
-            dynamic_watts: if breakdown.reduce_s > 0.0 {
-                red_dyn_j / breakdown.reduce_s / nodes_total as f64
-            } else {
-                0.0
-            },
-            cpu_seconds_per_task: dom.red_cpu_task,
-            io_seconds_per_task: dom.red_io_task,
-        };
-        let oth_cost_detail = PhaseCost {
-            seconds: breakdown.others_s,
-            dynamic_watts: oth_dyn_w_sum / nodes_total as f64,
-            cpu_seconds_per_task: 0.0,
-            io_seconds_per_task: 0.0,
-        };
-
-        let cost = CostMetrics::new(energy_j, breakdown.total(), self.area);
-        let map_cost = CostMetrics::new(map_dyn_j, breakdown.map_s.max(1e-9), self.area);
-        let reduce_cost = CostMetrics::new(red_dyn_j, breakdown.reduce_s.max(1e-9), self.area);
-
-        Ok(Measurement {
-            app: self.app,
-            machine_name: self.machine_name.clone(),
+        let dom = &self.dominant.timing;
+        Metered {
             breakdown,
-            map: map_cost_detail,
-            reduce: red_cost_detail,
-            others: oth_cost_detail,
-            map_slots: map_slots_stats,
-            reduce_slots: reduce_slots_stats,
-            faults: fault_stats,
-            map_locality_tiers: locality_tiers,
+            dynamic_watts: [
+                per_node_watts(map_dyn_j, breakdown.map_s),
+                per_node_watts(red_dyn_j, breakdown.reduce_s),
+                oth_dyn_w_sum / nodes_total,
+            ],
+            reduce_task_s: (dom.red_cpu_task, dom.red_io_task),
+            phase_energy_j: (map_dyn_j, red_dyn_j),
             reading,
             energy_j,
             exact_energy_j,
-            cost,
-            map_cost,
-            reduce_cost,
-            map_ipc: self.map_ipc,
-        })
+            area: area_sum / nodes_total,
+        }
     }
+}
+
+/// What a meter makes of a run: what the [`Measurement`] fields that
+/// depend on the meter are put together from.
+struct Metered {
+    breakdown: PhaseBreakdown,
+    /// Dynamic (above idle) power of a node during the map, reduce and
+    /// others windows, watts.
+    dynamic_watts: [f64; 3],
+    /// (CPU, raw I/O) seconds of one reduce task.
+    reduce_task_s: (f64, f64),
+    /// Dynamic energy of the (map, reduce) phases over all nodes, joules.
+    phase_energy_j: (f64, f64),
+    reading: MeterReading,
+    energy_j: f64,
+    exact_energy_j: f64,
+    area: f64,
+}
+
+/// Buffers one seeded cluster run fills and the next reuses: owned by a
+/// harness worker across its seeds, or by a single call, and freed with
+/// it. Nothing a run leaves here is read by the next (each user clears
+/// before it fills).
+#[derive(Debug, Default)]
+pub(crate) struct RunScratch {
+    /// Per-node step functions of the phase being charged.
+    steps: StepBuffers,
+    /// Map-output holders of the reduce phase's fetch plan.
+    holders: Vec<usize>,
+    /// The fault engine's tables.
+    engine: EngineScratch,
+}
+
+/// Runs the full model for one experiment point, memoizing shared state
+/// (stall splits, functional runs) in the process-wide [`SimCache`]. A
+/// plain homogeneous point is read by the phase-average meter the paper's
+/// tables are built on; a [`NodeMix`], active faults or an active topology
+/// by the per-node one ([`simulate_cluster`]'s).
+///
+/// # Panics
+///
+/// Panics if the configuration is degenerate (zero nodes or zero data), or
+/// if fault injection makes the run unrecoverable.
+pub fn simulate(cfg: &SimConfig) -> Measurement {
+    simulate_with(cfg, SimCache::global())
+}
+
+/// [`simulate`] against an explicit cache. Passing a fresh
+/// [`SimCache::new`] gives a fully uncached evaluation — the reference
+/// the cache-consistency property tests compare against.
+pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
+    recovered(measure(cfg, cfg.meter(), cache))
+}
+
+/// Prices `cfg`, runs it under its own faults and has `meter` read it; no
+/// timeline to fill.
+fn measure(cfg: &SimConfig, meter: Meter, cache: &SimCache) -> Result<Measurement, PhaseError> {
+    let faults = cfg.active_faults();
+    let scratch = &mut RunScratch::default();
+    ClusterPrep::new(cfg, cache).run(meter, faults.as_ref(), cache, scratch, None)
+}
+
+/// Simulates `cfg`, reads it with the per-node meter and returns the
+/// measurement together with the per-task trace timeline.
+///
+/// With a [`NodeMix`] this is the §3.5 heterogeneous study: Xeon and Atom
+/// preset nodes run side by side at `cfg.frequency`, tasks are placed by
+/// the mix's policy, each task's duration comes from the node it lands
+/// on, and every node's power is metered over its *time-resolved* slot
+/// occupancy (`cfg.machine`/`cfg.nodes` are ignored). Without a mix the
+/// same run is the homogeneous cluster of `cfg.machine` — the one
+/// [`simulate`] prices, with equal phase times, read by the other meter:
+/// the baseline to set against a mix, and the way to export a trace of a
+/// plain run.
+///
+/// # Panics
+///
+/// Panics on a degenerate configuration (no nodes, no data), if an
+/// accelerator is configured (offload is not modeled per node) or if
+/// fault injection makes the run unrecoverable (a task exhausting
+/// `max_attempts`, or crashes leaving no usable slots); use
+/// [`try_simulate_cluster_with`] to handle that as an error.
+pub fn simulate_cluster(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
+    recovered(try_simulate_cluster_with(cfg, SimCache::global()))
+}
+
+/// What the infallible facades make of a run's outcome.
+fn recovered<T>(outcome: Result<T, PhaseError>) -> T {
+    match outcome {
+        Ok(r) => r,
+        // hhsim: allow(panic-in-engine): infallible facade for legacy callers; fault-aware callers use try_simulate_cluster_with
+        Err(e) => panic!("cluster run failed under fault injection: {e}"),
+    }
+}
+
+/// Fallible [`simulate_cluster`] against an explicit cache: with an
+/// active [`FaultConfig`] the run injects the plan's task failures, node
+/// crashes and stragglers, and recovers per the configured policy; an
+/// unrecoverable run (a task out of attempts, or no usable slots left)
+/// surfaces as `Err` — Hadoop's "job failed" — instead of a panic.
+///
+/// # Errors
+///
+/// Returns the [`PhaseError`] of the first unrecoverable phase.
+///
+/// # Panics
+///
+/// Panics on a degenerate configuration (no nodes, no data) or if an
+/// accelerator is configured (offload is not modeled per node).
+pub fn try_simulate_cluster_with(
+    cfg: &SimConfig,
+    cache: &SimCache,
+) -> Result<(Measurement, ClusterTimeline), PhaseError> {
+    let prep = ClusterPrep::new(cfg, cache);
+    let mut timeline = ClusterTimeline::new(&prep.cluster);
+    let faults = cfg.active_faults();
+    let scratch = &mut RunScratch::default();
+    let m = prep.run(
+        Meter::PerNode,
+        faults.as_ref(),
+        cache,
+        scratch,
+        Some(&mut timeline),
+    )?;
+    Ok((m, timeline))
+}
+
+/// The measurement of [`try_simulate_cluster_with`] alone: the same run
+/// with no timeline to fill.
+pub(crate) fn try_measure_cluster(
+    cfg: &SimConfig,
+    cache: &SimCache,
+) -> Result<Measurement, PhaseError> {
+    measure(cfg, Meter::PerNode, cache)
 }
 
 #[cfg(test)]
@@ -1783,7 +1701,7 @@ mod tests {
     #[test]
     fn none_faults_config_is_bitwise_identical_to_no_faults() {
         // A present-but-inactive FaultConfig must not perturb a single bit
-        // of either the analytic path or the cluster engine.
+        // under either meter.
         let plain = base(AppId::WordCount, presets::xeon_e5_2420());
         let with_none = plain.clone().faults(FaultConfig::none());
         assert_eq!(simulate(&plain), simulate(&with_none));
@@ -1804,7 +1722,7 @@ mod tests {
     #[test]
     fn flat_topology_config_is_bitwise_identical_to_no_topology() {
         // A present-but-inactive Topology must not perturb a single bit
-        // of either the analytic path or the cluster engine.
+        // under either meter.
         let plain = base(AppId::WordCount, presets::xeon_e5_2420());
         let with_flat = plain.clone().topology(Topology::flat());
         assert_eq!(simulate(&plain), simulate(&with_flat));
@@ -1918,7 +1836,7 @@ mod tests {
         // finish; the fallible API reports it instead of hanging or panicking.
         let cfg = base(AppId::WordCount, presets::xeon_e5_2420())
             .faults(FaultConfig::none().seed(7).node_mttf(1e-3));
-        match try_simulate_cluster(&cfg) {
+        match try_simulate_cluster_with(&cfg, SimCache::global()) {
             Err(PhaseError::NoUsableSlots { pending }) => assert!(pending > 0),
             other => panic!("expected NoUsableSlots, got {other:?}"),
         }
@@ -1976,14 +1894,16 @@ mod tests {
             let prep = ClusterPrep::new(&cfg, &pricing);
             let faults = cfg.active_faults();
             // A cold phase table on either side: both run the engines.
-            let blind = prep.run_seeded(
+            let blind = prep.run(
+                Meter::PerNode,
                 faults.as_ref(),
                 &SimCache::new(),
                 &mut RunScratch::default(),
                 None,
             );
             let mut sink = ClusterTimeline::new(&prep.cluster);
-            let seen = prep.run_seeded(
+            let seen = prep.run(
+                Meter::PerNode,
                 faults.as_ref(),
                 &SimCache::new(),
                 &mut RunScratch::default(),
@@ -2008,11 +1928,12 @@ mod tests {
     #[test]
     fn prep_is_reusable_across_seeds() {
         let fc = crate::figures::fig22_faults(4.0, true);
-        let prep = ClusterPrep::new(&racked(Some(fc)), &SimCache::new());
+        let cfg = racked(Some(fc));
+        let prep = ClusterPrep::new(&cfg, &SimCache::new());
         let scratch = &mut RunScratch::default();
         let cache = SimCache::new();
         let mut run = |seed: u64, cache: &SimCache| {
-            prep.run_seeded(Some(&fc.seed(seed)), cache, scratch, None)
+            prep.run(Meter::PerNode, Some(&fc.seed(seed)), cache, scratch, None)
         };
         // Seed 5 loses a rack mid-shuffle and recovers; seed 3 loses every
         // replica of a block and dies in the reduce phase.
@@ -2035,5 +1956,60 @@ mod tests {
         // Grep chains two jobs: phase labels carry the job index.
         assert!(tl.iter().any(|s| s.phase == "map0"));
         assert!(tl.iter().any(|s| s.phase == "map1"));
+    }
+
+    #[test]
+    fn both_meters_read_the_same_run() {
+        let mut energy_differs = false;
+        for app in AppId::ALL {
+            for m in presets::both() {
+                for f in [Frequency::GHZ_1_2, Frequency::GHZ_1_8] {
+                    for block in [BlockSize::MB_32, BlockSize::MB_512] {
+                        for mappers in [None, Some(2), Some(8)] {
+                            let mut cfg = base(app, m.clone()).frequency(f).block_size(block);
+                            cfg.mappers_per_node = mappers;
+                            let point = format!("{app}/{}/{f:?}/{block:?}/{mappers:?}", m.name);
+                            let averaged = simulate(&cfg);
+                            let (per_node, _) = simulate_cluster(&cfg);
+                            assert_eq!(averaged.breakdown, per_node.breakdown, "{point}");
+                            assert_eq!(averaged.map_slots, per_node.map_slots, "{point}");
+                            assert_eq!(averaged.reduce_slots, per_node.reduce_slots, "{point}");
+                            assert_eq!(averaged.map_ipc, per_node.map_ipc, "{point}");
+                            assert_eq!(averaged.machine_name, per_node.machine_name, "{point}");
+                            energy_differs |= averaged.energy_j != per_node.energy_j;
+                        }
+                    }
+                }
+            }
+        }
+        // The meters differ on purpose; if they stop differing, one of
+        // them is dead code.
+        assert!(energy_differs);
+    }
+
+    #[test]
+    fn zero_sided_mix_is_the_homogeneous_cluster() {
+        for app in AppId::ALL {
+            for (m, big, little) in [
+                (presets::xeon_e5_2420(), 3, 0),
+                (presets::atom_c2758(), 0, 3),
+            ] {
+                let plain = base(app, m);
+                let mix = plain.clone().mix(NodeMix {
+                    big,
+                    little,
+                    placement: PlacementKind::FifoAny,
+                });
+                let (homogeneous, plain_timeline) = simulate_cluster(&plain);
+                let (mut mixed, mix_timeline) = simulate_cluster(&mix);
+                assert_eq!(
+                    mixed.machine_name,
+                    format!("Mixed({big}xXeon+{little}xAtom)")
+                );
+                mixed.machine_name.clone_from(&homogeneous.machine_name);
+                assert_eq!(mixed, homogeneous, "{app} {big}+{little}");
+                assert_eq!(mix_timeline, plain_timeline, "{app} {big}+{little}");
+            }
+        }
     }
 }

@@ -266,6 +266,28 @@ impl PhaseFaultKey {
     }
 }
 
+/// A value a memo hands out: its shared copy, or the caller's own when the
+/// memo was skipped (no `Arc` to pay for that).
+#[derive(Debug)]
+pub(crate) enum MaybeShared<T> {
+    /// The memo's copy.
+    Shared(Arc<T>),
+    /// Computed for this caller alone.
+    Own(T),
+}
+
+impl<T> std::ops::Deref for MaybeShared<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match self {
+            MaybeShared::Shared(v) => v,
+            MaybeShared::Own(v) => v,
+        }
+    }
+}
+
 /// Largest phase (in tasks) the phase table memoizes. A `PhaseRun`
 /// retains one span per attempt, so million-task scale runs bypass the
 /// cache rather than pinning hundreds of MB.
@@ -420,18 +442,24 @@ impl SimCache {
     /// Identical keys always compute identical runs (the engine is a
     /// pure function of the key), so a lost publish race costs a
     /// duplicated computation, never a different value.
+    ///
+    /// `None` skips the table, as an oversized phase does: the run is
+    /// computed, counted as neither hit nor miss, and handed over as the
+    /// caller's own. That is a plain sweep point's case — a render's
+    /// 1,238 of them run 3,065 phases with 106,759 task spans that no
+    /// later point asks for again.
     pub(crate) fn phase_run(
         &self,
-        key: PhaseKey,
+        key: Option<PhaseKey>,
         compute: impl FnOnce() -> Result<PhaseRun, PhaseError>,
-    ) -> Result<Arc<PhaseRun>, PhaseError> {
-        if key.tasks > PHASE_MEMO_MAX_TASKS {
-            return compute().map(Arc::new);
-        }
+    ) -> Result<MaybeShared<PhaseRun>, PhaseError> {
+        let Some(key) = key.filter(|key| key.tasks <= PHASE_MEMO_MAX_TASKS) else {
+            return compute().map(MaybeShared::Own);
+        };
         let cell = Arc::clone(self.phases.lock().entry(key).or_default());
         if let Some(v) = cell.get() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(v));
+            return Ok(MaybeShared::Shared(Arc::clone(v)));
         }
         let run = Arc::new(compute()?);
         match cell.set(Arc::clone(&run)) {
@@ -442,7 +470,7 @@ impl SimCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(cell.get().cloned().unwrap_or(run))
+        Ok(MaybeShared::Shared(cell.get().cloned().unwrap_or(run)))
     }
 
     /// Current counters and per-table entry counts.

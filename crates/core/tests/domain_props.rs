@@ -13,7 +13,7 @@ use hhsim_core::faults::{
 use hhsim_core::figures::{fig22_faults, FIG22_OVERSUB, MICRO_DATA, TOPO_NODES, TOPO_RACKS};
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{simulate_cluster, try_simulate_cluster, SimConfig};
+use hhsim_core::{simulate_cluster, try_simulate_cluster_with, SimCache, SimConfig};
 use hhsim_testkit::{check, Gen};
 
 struct Scenario {
@@ -268,7 +268,8 @@ fn all_replicas_lost_surfaces_data_lost_end_to_end() {
         .topology(Topology::racked(TOPO_RACKS, FIG22_OVERSUB))
         .faults(fig22_faults(4.0, true));
     c.nodes = TOPO_NODES;
-    let err = try_simulate_cluster(&c).expect_err("both replica racks die under this seed");
+    let err = try_simulate_cluster_with(&c, SimCache::global())
+        .expect_err("both replica racks die under this seed");
     assert!(
         matches!(err, PhaseError::DataLost { .. }),
         "expected DataLost, got: {err}"

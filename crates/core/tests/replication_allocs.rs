@@ -1,11 +1,14 @@
-//! Allocation ratchet for the seeded replication hot path.
+//! Allocation ratchet for the seeded replication hot path and for one
+//! warm point through the pricing pipeline.
 //!
 //! Its own test binary so it may install a counting `#[global_allocator]`:
 //! 64 seeds of the fig22 rack configuration and 64 of the fig20 3-node
-//! one through `ReplicationPlan::run_with` at one worker, on a private
-//! memo whose ratio and stall tables are warm. At one worker the process
-//! runs the plan on this thread alone, so the count repeats exactly —
-//! which is why a count can be a gate here.
+//! one through `ReplicationPlan::run_with` at one worker, then three plain
+//! points through `simulate_with` and one of them through
+//! `try_simulate_cluster_with`, all on a private memo that already holds
+//! everything the point looks up. At one worker the process runs on this
+//! thread alone, so the counts repeat exactly — which is why a count can
+//! be a gate here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -17,29 +20,37 @@ use hhsim_core::figures::{
 };
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{NodeMix, PlacementKind, ReplicationPlan, SimCache, SimConfig};
+use hhsim_core::{
+    simulate_with, try_simulate_cluster_with, NodeMix, PlacementKind, ReplicationPlan, SimCache,
+    SimConfig,
+};
 
 struct Counting;
 
 static ON: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// One allocator call asking for `size` bytes.
+fn note(size: usize) {
+    if ON.load(SeqCst) {
+        ALLOCS.fetch_add(1, SeqCst);
+        BYTES.fetch_add(size as u64, SeqCst);
+    }
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter never touches
 // the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ON.load(SeqCst) {
-            ALLOCS.fetch_add(1, SeqCst);
-        }
+        note(layout.size());
         // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ON.load(SeqCst) {
-            ALLOCS.fetch_add(1, SeqCst);
-        }
+        note(layout.size());
         // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -50,9 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ON.load(SeqCst) {
-            ALLOCS.fetch_add(1, SeqCst);
-        }
+        note(new_size);
         // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -87,14 +96,22 @@ fn small_config() -> SimConfig {
         .faults(fig19_faults(0.06, true))
 }
 
+/// Allocator calls and requested bytes of `work`, which runs on this
+/// thread alone.
+fn counted<T>(work: impl FnOnce() -> T) -> (T, u64, u64) {
+    ALLOCS.store(0, SeqCst);
+    BYTES.store(0, SeqCst);
+    ON.store(true, SeqCst);
+    let out = work();
+    ON.store(false, SeqCst);
+    (out, ALLOCS.load(SeqCst), BYTES.load(SeqCst))
+}
+
 /// Allocator calls of `plan` at one worker, per seed.
 fn allocs_per_seed(plan: &ReplicationPlan, cache: &SimCache) -> u64 {
-    ALLOCS.store(0, SeqCst);
-    ON.store(true, SeqCst);
-    let summary = plan.run_with(1, cache);
-    ON.store(false, SeqCst);
+    let (summary, calls, _) = counted(|| plan.run_with(1, cache));
     assert_eq!(summary.replications, SEEDS);
-    ALLOCS.load(SeqCst) / SEEDS
+    calls / SEEDS
 }
 
 /// What the parent commit (PR 16) allocated per seed on the same two
@@ -103,7 +120,46 @@ const PARENT_RACK: u64 = 485;
 const PARENT_SMALL: u64 = 203;
 /// What this commit measures; the gate allows 10 % on top.
 const MEASURED_RACK: u64 = 72;
-const MEASURED_SMALL: u64 = 30;
+const MEASURED_SMALL: u64 = 29;
+
+/// Three plain points (Atom preset, 512 MB blocks, 1.8 GHz) priced warm
+/// through `simulate_with`: the app, then (allocator calls, requested
+/// bytes) at the parent commit (PR 17), which priced them in
+/// `simulate_with` itself, without a `ClusterPrep`. The one pipeline may
+/// cost a plain point one call and 450 bytes more than that, no further:
+/// `figures-warm`'s 1 % bounds leave 1.7 calls and 314 bytes per plain
+/// point.
+const PARENT_PLAIN: [(AppId, u64, u64); 3] = [
+    (AppId::WordCount, 59, 4_702),
+    (AppId::Grep, 103, 8_266),
+    (AppId::Sort, 37, 2_176),
+];
+/// The WordCount point once more on the engine path (phase memo hit,
+/// timeline built): 101 calls at the parent.
+const ENGINE_POINT_MAX: u64 = 85;
+
+/// The warm-point half of the ratchet.
+fn warm_points_allocate_within_the_ratchet() {
+    let cache = SimCache::new();
+    let plain = |app| SimConfig::new(app, presets::atom_c2758());
+    for (app, parent_calls, parent_bytes) in PARENT_PLAIN {
+        let cfg = plain(app);
+        let cold = simulate_with(&cfg, &cache);
+        let (warm, calls, bytes) = counted(|| simulate_with(&cfg, &cache));
+        assert_eq!(warm, cold);
+        println!("warm plain point {app}: {calls} calls, {bytes} bytes");
+        assert!(
+            calls <= parent_calls + 1 && bytes <= parent_bytes + 450,
+            "{app}: {calls} calls / {bytes} bytes, parent {parent_calls} / {parent_bytes}"
+        );
+    }
+    let cfg = plain(AppId::WordCount);
+    let cold = try_simulate_cluster_with(&cfg, &cache);
+    let (warm, calls, bytes) = counted(|| try_simulate_cluster_with(&cfg, &cache));
+    assert_eq!(warm, cold);
+    println!("warm engine-path point with a timeline: {calls} calls, {bytes} bytes");
+    assert!(calls <= ENGINE_POINT_MAX, "{calls} calls");
+}
 
 #[test]
 fn seeded_runs_allocate_within_the_ratchet() {
@@ -129,4 +185,6 @@ fn seeded_runs_allocate_within_the_ratchet() {
             "{name}: {got} allocations per seed is not below half of the parent's {parent}"
         );
     }
+    // Same test, so that nothing else counts while a plan runs.
+    warm_points_allocate_within_the_ratchet();
 }
