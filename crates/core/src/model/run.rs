@@ -1,0 +1,567 @@
+//! Running a priced cluster and reading it: the one job/phase loop, both
+//! meters, and the entry points that choose between them.
+
+use hhsim_arch::ComputeProfile;
+use hhsim_energy::{
+    CostMetrics, MeterReading, PowerMeter, PowerTrace, StreamingMeter, UtilizationTimeline,
+};
+use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
+use hhsim_mapreduce::PhaseBreakdown;
+
+use super::config::{Measurement, PhaseCost, SimConfig};
+use super::prep::{of_kind, ClusterPrep, KindPrep, PhasePrep};
+use crate::cluster::{
+    run_phase_fetching, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot, KindPreferring,
+    PhaseRun, Placement, SlotStats, StepBuffers,
+};
+use crate::simcache::{fetch_digest, PhaseFaultKey, PhaseKey, SimCache};
+
+/// How a run's power and energy are read off its phase runs. The paper
+/// has one Wattsup meter; the model has two readings of it, chosen by
+/// entry point and config shape (module docs), never by a setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Meter {
+    /// One power level per phase on the one machine model, times the node
+    /// count.
+    PhaseAverage,
+    /// Every node's time-resolved slot occupancy through its own power
+    /// model.
+    PerNode,
+}
+
+/// DRAM-intensity knob for the power model, derived from the profile's
+/// non-resident access fractions.
+fn mem_intensity(p: &ComputeProfile) -> f64 {
+    ((1.0 - p.mem.hot_fraction) * 1.8 + 0.15).clamp(0.0, 1.0)
+}
+
+impl ClusterPrep<'_> {
+    /// Streams one phase run's per-node power into the node meters,
+    /// pricing the engine's time-resolved slot occupancy through each
+    /// node's power model, and returns the phase's exact dynamic energy
+    /// over all nodes.
+    ///
+    /// Each utilization piece is priced once and integrated exactly —
+    /// O(transitions) per node, with the 1 Hz metered view resolving
+    /// inside the [`StreamingMeter`] instead of a per-node `PowerTrace` +
+    /// full re-sampling pass. The step functions are built in `steps`,
+    /// one node at a time.
+    fn charge_phase(
+        &self,
+        run: &PhaseRun,
+        prof: &ComputeProfile,
+        [big_io, little_io]: [f64; 2],
+        meters: &mut [StreamingMeter],
+        steps: &mut StepBuffers,
+    ) -> f64 {
+        let mut dynamic_j = 0.0;
+        run.node_steps(self.cluster.nodes.len(), steps, |i, node_steps| {
+            let (Some((node, m)), Some(meter)) = (self.node(i), meters.get_mut(i)) else {
+                return;
+            };
+            let op = m.operating_point(self.cfg.frequency);
+            let util = UtilizationTimeline::new(std::mem::take(node_steps), run.makespan_s);
+            let node_io = of_kind(node.kind, big_io, little_io);
+            // -0.0 seeds the same fold as `PowerTrace::exact_energy_j`, so
+            // this phase's exact energy is bit-identical to the retired
+            // per-node trace's.
+            let mut node_j = -0.0;
+            for (dur, active) in util.pieces() {
+                // A node with no running task draws only its idle floor —
+                // DRAM/disk activity follows the tasks, not the cluster.
+                let (activity, mem, io) = if active > 0 {
+                    (prof.activity, mem_intensity(prof), node_io)
+                } else {
+                    (0.0, 0.0, 0.0)
+                };
+                let w = m
+                    .power
+                    .node_power(op, active, m.num_cores, activity, mem, io)
+                    .total();
+                if dur > 0.0 {
+                    node_j += dur * w;
+                }
+                meter.push(dur, w);
+            }
+            dynamic_j += node_j - m.power.node_idle_w * run.makespan_s;
+            *node_steps = util.into_steps();
+        });
+        dynamic_j
+    }
+
+    /// Runs the prepared cluster under one fault configuration (or none)
+    /// and has `meter` read the measurement off it. Only what the fault
+    /// seed decides happens here — node fates, the phases' fault plans,
+    /// the engine runs, metering — on loads and labels borrowed from the
+    /// prep and in buffers borrowed from `scratch`. Under the per-node
+    /// meter the engine runs route through the cache's phase memo, so
+    /// sweeps and replications that share a phase's exact inputs reuse its
+    /// `PhaseRun`; a phase-average point keeps its runs to itself.
+    /// `timeline`, when there is one to fill, receives every phase's spans
+    /// on the run's clock; the measurement does not depend on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PhaseError`] of the first unrecoverable phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the per-node meter is asked to read an accelerated run
+    /// (offload is not modeled per node).
+    pub(crate) fn run(
+        &self,
+        meter: Meter,
+        faults: Option<&FaultConfig>,
+        cache: &SimCache,
+        scratch: &mut RunScratch,
+        mut timeline: Option<&mut ClusterTimeline>,
+    ) -> Result<Measurement, PhaseError> {
+        let cluster = &self.cluster;
+        let nodes_total = cluster.nodes.len();
+
+        // Node fate (crash times, stragglers) is sampled once per run,
+        // so a node that dies in one phase stays dead for every later
+        // phase.
+        let node_faults = faults.map(|fc| NodeFaults::sample(fc, nodes_total));
+        let mut fault_stats = FaultStats::default();
+        let mut phase_idx: u64 = 0;
+
+        let mut node_meters = match meter {
+            Meter::PhaseAverage => Vec::new(),
+            Meter::PerNode => {
+                assert!(
+                    self.cfg.accel.is_none(),
+                    "accelerator offload is not modeled by the per-node meter"
+                );
+                vec![StreamingMeter::new(); nodes_total]
+            }
+        };
+        let mut map_slots = SlotStats::default();
+        let mut reduce_slots = SlotStats::default();
+        let mut map_wall = 0.0;
+        let mut reduce_wall = 0.0;
+        let mut hotspot_wall = 0.0f64;
+        let mut map_dyn_j = 0.0;
+        let mut red_dyn_j = 0.0;
+        let mut offset = 0.0;
+        let mut map_locality_tiers = [0u64; 3];
+        let (mut fifo, mut by_kind) = (
+            FifoAnySlot,
+            self.preferred.map(|preferred| KindPreferring { preferred }),
+        );
+        let placement: &mut dyn Placement = match by_kind.as_mut() {
+            Some(kind_preferring) => kind_preferring,
+            None => &mut fifo,
+        };
+        let RunScratch {
+            steps,
+            holders,
+            engine,
+        } = scratch;
+
+        // One phase under the seed: its fault plan, the engine run (the
+        // memo's, under the per-node meter), the timeline sink and the
+        // node meters. Returns the run and its exact dynamic energy.
+        let mut run = |phase: &PhasePrep, reduce: bool, fetch: Option<(FetchView<'_>, u64)>| {
+            let prof = if reduce {
+                &self.red_prof
+            } else {
+                &self.map_prof
+            };
+            let seeded = faults.map(|fc| (fc, fc.phase_rate(reduce)));
+            let phase_faults = (seeded.zip(node_faults.as_ref()))
+                .map(|((fc, rate), nf)| nf.phase(fc, phase_idx, rate, offset));
+            // The memo key names every input the engine sees; the
+            // placement objects are stateless, so the preference *is* the
+            // behavior.
+            let key = (meter == Meter::PerNode).then(|| PhaseKey {
+                placement: self.preferred.map_or(0, |kind| of_kind(kind, 1, 2)),
+                roster: self.roster,
+                tasks: phase.load.tasks,
+                timing: phase.timing,
+                faults: seeded.map(|(fc, rate)| PhaseFaultKey::new(fc, phase_idx, rate, offset)),
+                net: phase.net.clone(),
+                fetch: fetch.map(|(_, digest)| digest),
+            });
+            phase_idx += 1;
+            let plan = fetch.map(|(plan, _)| plan);
+            let run = cache.phase_run(key, || {
+                let faults = phase_faults.as_ref();
+                run_phase_fetching(cluster, &phase.load, placement, faults, plan, engine)
+            })?;
+            fault_stats.absorb(&run.faults);
+            if let Some(timeline) = timeline.as_deref_mut() {
+                match phase.label {
+                    (base, Some(ji)) => timeline.extend(&format!("{base}{ji}"), offset, &run),
+                    (base, None) => timeline.extend(base, offset, &run),
+                }
+            }
+            offset += run.makespan_s;
+            let dyn_j = match meter {
+                Meter::PhaseAverage => 0.0,
+                Meter::PerNode => {
+                    self.charge_phase(&run, prof, phase.io_frac, &mut node_meters, steps)
+                }
+            };
+            Ok((run, dyn_j))
+        };
+
+        for job in self.jobs() {
+            let (map_run, dyn_j) = run(&job.map, false, None)?;
+            map_slots.absorb(&map_run.slots);
+            if meter == Meter::PerNode {
+                for s in &map_run.spans {
+                    if let Some(c) = map_locality_tiers.get_mut(s.tier.idx()) {
+                        *c += 1;
+                    }
+                }
+            }
+            map_wall += map_run.makespan_s;
+            hotspot_wall = hotspot_wall.max(map_run.makespan_s);
+            map_dyn_j += dyn_j;
+
+            if let Some(reduce) = &job.reduce {
+                // The fetch plan: the prep's layout, held where this
+                // seed's map attempts won.
+                let fetch = faults.and(job.fetch_layout).and_then(|layout| {
+                    holders.clear();
+                    holders.extend(map_run.spans.iter().map(|s| s.node));
+                    let plan = job.map.fetch_view(self.topology, holders)?;
+                    Some((plan, fetch_digest(layout, holders)))
+                });
+                let (red_run, dyn_j) = run(reduce, true, fetch)?;
+                reduce_slots.absorb(&red_run.slots);
+                reduce_wall += red_run.makespan_s;
+                red_dyn_j += dyn_j;
+            }
+        }
+
+        let walls = PhaseBreakdown::new(map_wall, reduce_wall, self.others_wall);
+        let read = match meter {
+            Meter::PhaseAverage => self.phase_average(walls, hotspot_wall),
+            Meter::PerNode => self.per_node(walls, node_meters, map_dyn_j, red_dyn_j),
+        };
+        let (breakdown, area) = (read.breakdown, read.area);
+        let [map_w, reduce_w, others_w] = read.dynamic_watts;
+        let (map_j, reduce_j) = read.phase_energy_j;
+        let dominant = &self.dominant.timing;
+        Ok(Measurement {
+            app: self.cfg.app,
+            machine_name: self.machine_name.to_string(),
+            breakdown,
+            map: PhaseCost {
+                seconds: breakdown.map_s,
+                dynamic_watts: map_w,
+                cpu_seconds_per_task: dominant.map_cpu_task,
+                io_seconds_per_task: dominant.map_io_task,
+            },
+            reduce: PhaseCost {
+                seconds: breakdown.reduce_s,
+                dynamic_watts: reduce_w,
+                cpu_seconds_per_task: read.reduce_task_s.0,
+                io_seconds_per_task: read.reduce_task_s.1,
+            },
+            others: PhaseCost {
+                seconds: breakdown.others_s,
+                dynamic_watts: others_w,
+                cpu_seconds_per_task: 0.0,
+                io_seconds_per_task: 0.0,
+            },
+            map_slots,
+            reduce_slots,
+            faults: fault_stats,
+            map_locality_tiers,
+            reading: read.reading,
+            energy_j: read.energy_j,
+            exact_energy_j: read.exact_energy_j,
+            cost: CostMetrics::new(read.energy_j, breakdown.total(), area),
+            map_cost: CostMetrics::new(map_j, breakdown.map_s.max(1e-9), area),
+            reduce_cost: CostMetrics::new(reduce_j, breakdown.reduce_s.max(1e-9), area),
+            map_ipc: self.map_ipc,
+        })
+    }
+
+    /// The phase-average meter: one power level per phase from the
+    /// dominant job's task mix and the share of the slots the waves fill,
+    /// on the roster's one machine model, times the node count. Also the
+    /// only reader of an accelerated run (§3.4): just the hotspot map (the
+    /// chained job with the largest map wall) is offloaded — the paper
+    /// profiles for the hotspot region and assumes *those* map tasks move
+    /// to the FPGA; auxiliary jobs' maps stay on the CPU.
+    fn phase_average(&self, walls: PhaseBreakdown, hotspot_wall: f64) -> Metered {
+        let KindPrep { m, slots, .. } = self.lead;
+        let nodes = self.cluster.nodes.len();
+        let total_slots = slots * nodes;
+        let mut breakdown = walls;
+        if let Some(acc) = &self.cfg.accel {
+            let rest_map = walls.map_s - hotspot_wall;
+            let primary = self.ratios.primary();
+            let transfer = (self.cfg.data_per_node_bytes as f64
+                * nodes as f64
+                * (1.0 + primary.map_selectivity.min(1.5)))
+                / nodes as f64
+                / slots as f64;
+            let hot_accel = hhsim_accel::accelerate(
+                &PhaseBreakdown::new(hotspot_wall, 0.0, 0.0),
+                transfer as u64,
+                acc,
+            );
+            breakdown =
+                PhaseBreakdown::new(hot_accel.map_s + rest_map, walls.reduce_s, walls.others_s);
+        }
+
+        // One power level per phase: the task mix of the phase's profile on
+        // as many slots as its waves fill on average.
+        let op = m.operating_point(self.cfg.frequency);
+        let power = |tasks: usize, prof: &ComputeProfile, io_frac| {
+            let util = (tasks as f64 / total_slots as f64).min(1.0);
+            let active = ((slots as f64 * util).round() as usize).max(usize::from(tasks > 0));
+            let mem = mem_intensity(prof);
+            (m.power).node_power(op, active, m.num_cores, prof.activity, mem, io_frac)
+        };
+        let dominant = &self.dominant.timing;
+        let io_frac_map = (dominant.map_io_task / dominant.map_task_s.max(1e-9)).clamp(0.0, 1.0);
+        let n_map_total = self.jobs().map(|j| j.timing.n_map).sum();
+        let p_map = power(n_map_total, &self.map_prof, io_frac_map);
+        let red_task_s: f64 = self.jobs().map(|j| j.timing.red_task_s).sum();
+        let red_io_task: f64 = self.jobs().map(|j| j.timing.red_io_task).sum();
+        let io_frac_red = if red_task_s > 0.0 {
+            (red_io_task / red_task_s).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let n_red_total = self.jobs().map(|j| j.timing.n_red).sum();
+        let p_red = power(n_red_total, &self.red_prof, io_frac_red);
+        let [big_oth, little_oth] = self.oth_power;
+        let (oth_w, oth_dyn_w) = of_kind(m.core.kind, big_oth, little_oth);
+
+        let mut trace = PowerTrace::new();
+        trace.push(breakdown.map_s, p_map.total());
+        trace.push(breakdown.reduce_s, p_red.total());
+        trace.push(breakdown.others_s, oth_w);
+        let reading = PowerMeter.measure(&trace);
+        let idle = m.power.node_idle_w;
+
+        // `× nodes` last, as `PhaseCost::energy_j` has it.
+        let phase_j = |seconds: f64, dynamic_w: f64| seconds * dynamic_w * nodes as f64;
+        Metered {
+            breakdown,
+            dynamic_watts: [p_map.dynamic(), p_red.dynamic(), oth_dyn_w],
+            reduce_task_s: (
+                self.jobs().map(|j| j.timing.red_cpu_task).sum(),
+                red_io_task,
+            ),
+            phase_energy_j: (
+                phase_j(breakdown.map_s, p_map.dynamic()),
+                phase_j(breakdown.reduce_s, p_red.dynamic()),
+            ),
+            reading,
+            energy_j: reading.dynamic_energy_j(idle) * nodes as f64,
+            exact_energy_j: (trace.exact_energy_j() - idle * trace.duration_s()).max(0.0)
+                * nodes as f64,
+            area: slots as f64 * m.area_mm2,
+        }
+    }
+
+    /// The per-node meter: closes the node meters `charge_phase` streamed
+    /// every phase into with the others window, and sums them.
+    fn per_node(
+        &self,
+        breakdown: PhaseBreakdown,
+        mut node_meters: Vec<StreamingMeter>,
+        map_dyn_j: f64,
+        red_dyn_j: f64,
+    ) -> Metered {
+        let nodes = &self.cluster.nodes;
+        let nodes_total = nodes.len() as f64;
+        let [big_oth, little_oth] = self.oth_power;
+        let mut oth_dyn_w_sum = 0.0;
+        for (meter, node) in node_meters.iter_mut().zip(nodes) {
+            let (total_w, dyn_w) = of_kind(node.kind, big_oth, little_oth);
+            meter.push(self.others_wall, total_w);
+            oth_dyn_w_sum += dyn_w;
+        }
+
+        // Finish every node's streamed 1 Hz view (bit-identical to the
+        // retired per-node trace metering) and exact integral. Engaged
+        // area: average per-node slots × chip area, comparable to the
+        // phase-average meter's `slots * area`.
+        let mut energy_j = 0.0;
+        let mut exact_energy_j = 0.0;
+        let mut area_sum = 0.0;
+        let mut reading = MeterReading {
+            samples: 0,
+            average_watts: 0.0,
+            duration_s: 0.0,
+        };
+        for (i, meter) in node_meters.into_iter().enumerate() {
+            let Some((node, m)) = self.node(i) else {
+                continue;
+            };
+            let er = meter.finish();
+            energy_j += er.meter.dynamic_energy_j(m.power.node_idle_w);
+            exact_energy_j += er.exact_dynamic_energy_j(m.power.node_idle_w);
+            area_sum += node.slots as f64 * m.area_mm2;
+            if i == 0 {
+                reading = er.meter;
+            }
+        }
+
+        let per_node_watts = |dyn_j: f64, seconds: f64| {
+            if seconds > 0.0 {
+                dyn_j / seconds / nodes_total
+            } else {
+                0.0
+            }
+        };
+        let dom = &self.dominant.timing;
+        Metered {
+            breakdown,
+            dynamic_watts: [
+                per_node_watts(map_dyn_j, breakdown.map_s),
+                per_node_watts(red_dyn_j, breakdown.reduce_s),
+                oth_dyn_w_sum / nodes_total,
+            ],
+            reduce_task_s: (dom.red_cpu_task, dom.red_io_task),
+            phase_energy_j: (map_dyn_j, red_dyn_j),
+            reading,
+            energy_j,
+            exact_energy_j,
+            area: area_sum / nodes_total,
+        }
+    }
+}
+
+/// What a meter makes of a run: what the [`Measurement`] fields that
+/// depend on the meter are put together from.
+struct Metered {
+    breakdown: PhaseBreakdown,
+    /// Dynamic (above idle) power of a node during the map, reduce and
+    /// others windows, watts.
+    dynamic_watts: [f64; 3],
+    /// (CPU, raw I/O) seconds of one reduce task.
+    reduce_task_s: (f64, f64),
+    /// Dynamic energy of the (map, reduce) phases over all nodes, joules.
+    phase_energy_j: (f64, f64),
+    reading: MeterReading,
+    energy_j: f64,
+    exact_energy_j: f64,
+    area: f64,
+}
+
+/// Buffers one seeded cluster run fills and the next reuses: owned by a
+/// harness worker across its seeds, or by a single call, and freed with
+/// it. Nothing a run leaves here is read by the next (each user clears
+/// before it fills).
+#[derive(Debug, Default)]
+pub(crate) struct RunScratch {
+    /// Per-node step functions of the phase being charged.
+    steps: StepBuffers,
+    /// Map-output holders of the reduce phase's fetch plan.
+    holders: Vec<usize>,
+    /// The fault engine's tables.
+    engine: EngineScratch,
+}
+
+/// Runs the full model for one experiment point, memoizing shared state
+/// (stall splits, functional runs) in the process-wide [`SimCache`]. A
+/// plain homogeneous point is read by the phase-average meter the paper's
+/// tables are built on; a [`NodeMix`], active faults or an active topology
+/// by the per-node one ([`simulate_cluster`]'s).
+///
+/// # Panics
+///
+/// Panics if the configuration is degenerate (zero nodes or zero data), or
+/// if fault injection makes the run unrecoverable.
+pub fn simulate(cfg: &SimConfig) -> Measurement {
+    simulate_with(cfg, SimCache::global())
+}
+
+/// [`simulate`] against an explicit cache. Passing a fresh
+/// [`SimCache::new`] gives a fully uncached evaluation — the reference
+/// the cache-consistency property tests compare against.
+pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
+    recovered(measure(cfg, cfg.meter(), cache))
+}
+
+/// Prices `cfg`, runs it under its own faults and has `meter` read it; no
+/// timeline to fill.
+fn measure(cfg: &SimConfig, meter: Meter, cache: &SimCache) -> Result<Measurement, PhaseError> {
+    let faults = cfg.active_faults();
+    let scratch = &mut RunScratch::default();
+    ClusterPrep::new(cfg, cache).run(meter, faults.as_ref(), cache, scratch, None)
+}
+
+/// Simulates `cfg`, reads it with the per-node meter and returns the
+/// measurement together with the per-task trace timeline.
+///
+/// With a [`NodeMix`] this is the §3.5 heterogeneous study: Xeon and Atom
+/// preset nodes run side by side at `cfg.frequency`, tasks are placed by
+/// the mix's policy, each task's duration comes from the node it lands
+/// on, and every node's power is metered over its *time-resolved* slot
+/// occupancy (`cfg.machine`/`cfg.nodes` are ignored). Without a mix the
+/// same run is the homogeneous cluster of `cfg.machine` — the one
+/// [`simulate`] prices, with equal phase times, read by the other meter:
+/// the baseline to set against a mix, and the way to export a trace of a
+/// plain run.
+///
+/// # Panics
+///
+/// Panics on a degenerate configuration (no nodes, no data), if an
+/// accelerator is configured (offload is not modeled per node) or if
+/// fault injection makes the run unrecoverable (a task exhausting
+/// `max_attempts`, or crashes leaving no usable slots); use
+/// [`try_simulate_cluster_with`] to handle that as an error.
+pub fn simulate_cluster(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
+    recovered(try_simulate_cluster_with(cfg, SimCache::global()))
+}
+
+/// What the infallible facades make of a run's outcome.
+fn recovered<T>(outcome: Result<T, PhaseError>) -> T {
+    match outcome {
+        Ok(r) => r,
+        // hhsim: allow(panic-in-engine): infallible facade for legacy callers; fault-aware callers use try_simulate_cluster_with
+        Err(e) => panic!("cluster run failed under fault injection: {e}"),
+    }
+}
+
+/// Fallible [`simulate_cluster`] against an explicit cache: with an
+/// active [`FaultConfig`] the run injects the plan's task failures, node
+/// crashes and stragglers, and recovers per the configured policy; an
+/// unrecoverable run (a task out of attempts, or no usable slots left)
+/// surfaces as `Err` — Hadoop's "job failed" — instead of a panic.
+///
+/// # Errors
+///
+/// Returns the [`PhaseError`] of the first unrecoverable phase.
+///
+/// # Panics
+///
+/// Panics on a degenerate configuration (no nodes, no data) or if an
+/// accelerator is configured (offload is not modeled per node).
+pub fn try_simulate_cluster_with(
+    cfg: &SimConfig,
+    cache: &SimCache,
+) -> Result<(Measurement, ClusterTimeline), PhaseError> {
+    let prep = ClusterPrep::new(cfg, cache);
+    let mut timeline = ClusterTimeline::new(&prep.cluster);
+    let faults = cfg.active_faults();
+    let scratch = &mut RunScratch::default();
+    let m = prep.run(
+        Meter::PerNode,
+        faults.as_ref(),
+        cache,
+        scratch,
+        Some(&mut timeline),
+    )?;
+    Ok((m, timeline))
+}
+
+/// The measurement of [`try_simulate_cluster_with`] alone: the same run
+/// with no timeline to fill.
+pub(crate) fn try_measure_cluster(
+    cfg: &SimConfig,
+    cache: &SimCache,
+) -> Result<Measurement, PhaseError> {
+    measure(cfg, Meter::PerNode, cache)
+}
