@@ -696,7 +696,8 @@ pub const MIX_SWEEP: [(usize, usize); 2] = [(1, 2), (2, 1)];
 /// baselines on Sort only; the Atom cluster has the lowest EDP on the
 /// other five applications.
 pub fn fig18() -> FigureData {
-    let [xeon, _] = machines();
+    // A mix ignores the configured machine; any preset will do.
+    let xeon = presets::xeon_e5_2420();
     // Nothing to prefer on a roster of one kind: first free slot.
     let baselines = [(3, 0), (0, 3)].map(|roster| (roster, PlacementKind::FifoAny));
     let mixes = MIX_SWEEP.map(|roster| (roster, PlacementKind::PaperClass(MetricKind::Edp)));
@@ -715,8 +716,8 @@ pub fn fig18() -> FigureData {
                     }),
             );
             let series = match (big, little) {
-                (_, 0) => "Xeon3".to_string(),
-                (0, _) => "Atom3".to_string(),
+                (_, 0) => format!("Xeon{big}"),
+                (0, _) => format!("Atom{little}"),
                 _ => format!("Mix{big}X{little}A"),
             };
             rows.push((series, app, p));

@@ -22,7 +22,7 @@ pub enum PlacementKind {
     /// First free slot in node order — the baseline scheduler.
     FifoAny,
     /// The paper's §3.5 class-driven procedure optimizing the given goal
-    /// ([`hhsim_sched::paper_schedule`] via [`KindPreferring`]).
+    /// ([`hhsim_sched::paper_schedule`] via [`KindPreferring`](crate::cluster::KindPreferring)).
     PaperClass(MetricKind),
     /// Pin the preference to big nodes.
     PreferBig,
@@ -30,7 +30,7 @@ pub enum PlacementKind {
     PreferLittle,
 }
 
-/// An explicit heterogeneous cluster composition for [`simulate_cluster`]:
+/// An explicit heterogeneous cluster composition for [`simulate_cluster`](super::simulate_cluster):
 /// `big` Xeon nodes plus `little` Atom nodes (presets at the config's
 /// DVFS point). When set, it replaces `SimConfig::nodes`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -171,7 +171,7 @@ impl SimConfig {
         self.topology.filter(Topology::active)
     }
 
-    /// The meter [`simulate`] and the sweep harness read this point with:
+    /// The meter [`simulate`](super::simulate) and the sweep harness read this point with:
     /// per node as soon as a phase has no single power level (a mix,
     /// faults or a rack fabric), else the paper's phase average.
     pub(super) fn meter(&self) -> Meter {

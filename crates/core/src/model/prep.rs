@@ -41,10 +41,10 @@ pub(super) struct PhasePrep {
     pub(super) label: (&'static str, Option<usize>),
     /// What the engine drains, locality layout or shuffle extras inside.
     pub(super) load: PhaseLoad,
-    /// [`PhaseKey::timing`]: bit patterns of (big task_s, big overhead_s,
+    /// [`PhaseKey::timing`](crate::simcache::PhaseKey::timing): bit patterns of (big task_s, big overhead_s,
     /// little task_s, little overhead_s), zero for a kind without nodes.
     pub(super) timing: [u64; 4],
-    /// [`PhaseKey::net`], on an active rack fabric.
+    /// [`PhaseKey::net`](crate::simcache::PhaseKey::net), on an active rack fabric.
     pub(super) net: Option<PhaseNetKey>,
     /// Per kind `[big, little]`: I/O share of a task's time, the
     /// disk-power knob.
@@ -90,7 +90,7 @@ pub(crate) struct ClusterPrep<'a> {
     /// The kind of the first node, which runs the master; the only kind
     /// of a homogeneous cluster.
     pub(super) lead: KindPrep<'a>,
-    /// [`PhaseKey::roster`].
+    /// [`PhaseKey::roster`](crate::simcache::PhaseKey::roster).
     pub(super) roster: (usize, usize, usize, usize),
     /// The node kind placement prefers; `None` is first-free-slot FIFO.
     pub(super) preferred: Option<CoreKind>,
@@ -374,7 +374,10 @@ impl<'a> ClusterPrep<'a> {
             None => Cow::Borrowed(cfg.machine.name.as_str()),
         };
         let ipc_stalls = cache.stall_split(lead.m, &map_prof);
-        let map_ipc = 1.0 / (lead.m).cpi_with_stalls(&map_prof, f, ipc_stalls.0, ipc_stalls.1);
+        let map_ipc = 1.0
+            / lead
+                .m
+                .cpi_with_stalls(&map_prof, f, ipc_stalls.0, ipc_stalls.1);
 
         ClusterPrep {
             cfg,

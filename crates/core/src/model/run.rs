@@ -317,7 +317,8 @@ impl ClusterPrep<'_> {
             let util = (tasks as f64 / total_slots as f64).min(1.0);
             let active = ((slots as f64 * util).round() as usize).max(usize::from(tasks > 0));
             let mem = mem_intensity(prof);
-            (m.power).node_power(op, active, m.num_cores, prof.activity, mem, io_frac)
+            m.power
+                .node_power(op, active, m.num_cores, prof.activity, mem, io_frac)
         };
         let dominant = &self.dominant.timing;
         let io_frac_map = (dominant.map_io_task / dominant.map_task_s.max(1e-9)).clamp(0.0, 1.0);
@@ -466,7 +467,7 @@ pub(crate) struct RunScratch {
 /// Runs the full model for one experiment point, memoizing shared state
 /// (stall splits, functional runs) in the process-wide [`SimCache`]. A
 /// plain homogeneous point is read by the phase-average meter the paper's
-/// tables are built on; a [`NodeMix`], active faults or an active topology
+/// tables are built on; a [`NodeMix`](super::NodeMix), active faults or an active topology
 /// by the per-node one ([`simulate_cluster`]'s).
 ///
 /// # Panics
@@ -495,7 +496,7 @@ fn measure(cfg: &SimConfig, meter: Meter, cache: &SimCache) -> Result<Measuremen
 /// Simulates `cfg`, reads it with the per-node meter and returns the
 /// measurement together with the per-task trace timeline.
 ///
-/// With a [`NodeMix`] this is the §3.5 heterogeneous study: Xeon and Atom
+/// With a [`NodeMix`](super::NodeMix) this is the §3.5 heterogeneous study: Xeon and Atom
 /// preset nodes run side by side at `cfg.frequency`, tasks are placed by
 /// the mix's policy, each task's duration comes from the node it lands
 /// on, and every node's power is metered over its *time-resolved* slot

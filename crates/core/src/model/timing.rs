@@ -71,8 +71,8 @@ pub(super) struct JobTiming {
 }
 
 /// Prices one chained job's map and reduce tasks on `m` — the analytic
-/// half of the model. Wave scheduling of the resulting [`TaskSet`]s is
-/// the cluster engine's job. Task counts (`n_map`, `n_red`) depend only
+/// half of the model. Wave scheduling of the resulting tasks is the
+/// cluster engine's job. Task counts (`n_map`, `n_red`) depend only
 /// on data volume and cluster shape, never on `m`, so heterogeneous
 /// clusters can price the same task list per node kind.
 #[allow(clippy::too_many_arguments)]
