@@ -688,13 +688,11 @@ pub const MIX_SWEEP: [(usize, usize); 2] = [(1, 2), (2, 1)];
 /// Fig. 18 (model extension): whole-application EDP on heterogeneous
 /// big+little clusters driven by the §3.5 class-aware placement, against
 /// the homogeneous 3-node Xeon and Atom baselines (256 MB @ 1.8 GHz).
-/// Every series is a 3-node roster read by the per-node meter — the
-/// baselines are the rosters with a zero side, which is the homogeneous
-/// cluster on that meter — so the ratios isolate the cluster's
-/// composition, not the 8–33 % by which the two meters disagree on one
-/// homogeneous run. On one meter the 1×Xeon+2×Atom mix beats both
-/// baselines on Sort only; the Atom cluster has the lowest EDP on the
-/// other five applications.
+/// Every series is a 3-node roster read by the per-node meter (a roster
+/// with a zero side is the homogeneous cluster), so the ratios isolate the
+/// cluster's composition, not the 8–33 % the two meters disagree by. On
+/// one meter the 1×Xeon+2×Atom mix beats both baselines on Sort only; the
+/// Atom cluster has the lowest EDP on the other five applications.
 pub fn fig18() -> FigureData {
     // A mix ignores the configured machine; any preset will do.
     let xeon = presets::xeon_e5_2420();

@@ -10,7 +10,7 @@ use hhsim_hdfs::{
 };
 
 use super::config::{job_class, PlacementKind, Roster, SimConfig};
-use super::timing::{cpu_seconds, job_timing, ClusterShape, JobTiming};
+use super::timing::{cpu_seconds, job_timing, JobTiming};
 use crate::cluster::{
     Cluster, FetchView, KindPreferring, Node, NodeTiming, PhaseLoad, PhaseLocality,
 };
@@ -195,7 +195,6 @@ impl<'a> ClusterPrep<'a> {
         let nodes_total = n_big + n_little;
         assert!(nodes_total > 0, "need at least one node");
         let cluster = Cluster::mixed(n_big, big_slots, n_little, little_slots);
-        let total_slots = cluster.total_slots();
 
         let preferred = match placement {
             PlacementKind::FifoAny => None,
@@ -248,12 +247,9 @@ impl<'a> ClusterPrep<'a> {
         // One chained job's tasks on one kind. Task counts depend only on
         // data volume and cluster shape, never on the machine.
         let price = |k: KindPrep<'_>, job: &JobRatios| {
-            let shape = ClusterShape {
-                slots: k.slots,
-                total_slots,
-                nodes: nodes_total,
-            };
-            job_timing(k.m, cfg, cache, &disk, job, shape, &map_prof, &red_prof)
+            job_timing(
+                k.m, k.slots, &cluster, cfg, cache, &disk, job, &map_prof, &red_prof,
+            )
         };
         let job_prep = |(ji, job): (usize, &JobRatios)| {
             let t = price(lead, job);

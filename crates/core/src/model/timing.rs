@@ -5,6 +5,7 @@ use hhsim_arch::{ComputeProfile, CoreKind, Frequency, MachineModel};
 use hhsim_hdfs::DiskModel;
 
 use super::config::SimConfig;
+use crate::cluster::Cluster;
 use crate::ratios::JobRatios;
 use crate::simcache::SimCache;
 
@@ -39,18 +40,6 @@ pub(super) fn cpu_seconds(
     instructions * machine.cpi_with_stalls(profile, f, stalls.0, stalls.1) / f.hz()
 }
 
-/// Cluster-independent shape of one machine's view of the cluster, fed
-/// to [`job_timing`].
-#[derive(Debug, Clone, Copy)]
-pub(super) struct ClusterShape {
-    /// Task slots on the node being priced.
-    pub(super) slots: usize,
-    /// Task slots across the whole cluster.
-    pub(super) total_slots: usize,
-    /// Number of nodes in the cluster.
-    pub(super) nodes: usize,
-}
-
 /// Per-task timing of one chained job's phases on one machine model.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct JobTiming {
@@ -74,23 +63,24 @@ pub(super) struct JobTiming {
 /// half of the model. Wave scheduling of the resulting tasks is the
 /// cluster engine's job. Task counts (`n_map`, `n_red`) depend only
 /// on data volume and cluster shape, never on `m`, so heterogeneous
-/// clusters can price the same task list per node kind.
+/// clusters can price the same task list per node kind. `slots` are the
+/// task slots of a node of the kind being priced.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn job_timing(
     m: &MachineModel,
+    slots: usize,
+    cluster: &Cluster,
     cfg: &SimConfig,
     cache: &SimCache,
     disk: &DiskModel,
     job: &JobRatios,
-    shape: ClusterShape,
     map_prof: &ComputeProfile,
     red_prof: &ComputeProfile,
 ) -> JobTiming {
     let (f, jobcfg, data_per_node_bytes) = (cfg.frequency, &cfg.job, cfg.data_per_node_bytes);
     let block = cfg.block_size.bytes();
-    let data_total = data_per_node_bytes * shape.nodes as u64;
-    let slots = shape.slots;
-    let total_slots = shape.total_slots;
+    let (nodes, total_slots) = (cluster.nodes.len(), cluster.total_slots());
+    let data_total = data_per_node_bytes * nodes as u64;
     let map_stalls = cache.stall_split(m, map_prof);
     let red_stalls = cache.stall_split(m, red_prof);
 
@@ -132,7 +122,7 @@ pub(super) fn job_timing(
         task_input * map_prof.instr_per_byte,
     ) + m.core.io_path_seconds(map_io_bytes, f);
 
-    let map_concurrency = slots.min(n_map.div_ceil(shape.nodes)).max(1) as f64;
+    let map_concurrency = slots.min(n_map.div_ceil(nodes)).max(1) as f64;
     // Concurrent task streams interleave on the node disk: the
     // effective sequential chunk shrinks with concurrency — why small
     // blocks hurt I/O-bound jobs most (§3.1.1).
@@ -178,9 +168,9 @@ pub(super) fn job_timing(
     };
     let (red_task_s, t_cpu_red, t_io_red_raw, red_input_bytes) = if n_red > 0 {
         let red_input = shuffle_total / n_red as f64 * job.reduce_skew.min(1.5);
-        let red_concurrency = slots.min(n_red.div_ceil(shape.nodes)).max(1) as f64;
+        let red_concurrency = slots.min(n_red.div_ceil(nodes)).max(1) as f64;
         // Cross-node shuffle transfer (the local share stays on-node).
-        let cross = red_input * (shape.nodes as f64 - 1.0) / shape.nodes as f64;
+        let cross = red_input * (nodes as f64 - 1.0) / nodes as f64;
         let t_net = cross / NET_BYTES_PER_S * red_concurrency;
         // Reduce-side merge passes over n_map segments.
         let passes = {

@@ -266,20 +266,16 @@ impl PhaseFaultKey {
     }
 }
 
-/// A value a memo hands out: its shared copy, or the caller's own when the
-/// memo was skipped (no `Arc` to pay for that).
-#[derive(Debug)]
+/// A memo's shared copy of a value, or the caller's own when the memo was
+/// skipped (no `Arc` to pay for that).
 pub(crate) enum MaybeShared<T> {
-    /// The memo's copy.
     Shared(Arc<T>),
-    /// Computed for this caller alone.
     Own(T),
 }
 
 impl<T> std::ops::Deref for MaybeShared<T> {
     type Target = T;
 
-    #[inline]
     fn deref(&self) -> &T {
         match self {
             MaybeShared::Shared(v) => v,
@@ -443,11 +439,9 @@ impl SimCache {
     /// pure function of the key), so a lost publish race costs a
     /// duplicated computation, never a different value.
     ///
-    /// `None` skips the table, as an oversized phase does: the run is
-    /// computed, counted as neither hit nor miss, and handed over as the
-    /// caller's own. That is a plain sweep point's case — a render's
-    /// 1,238 of them run 3,065 phases with 106,759 task spans that no
-    /// later point asks for again.
+    /// `None` skips the table, as an oversized phase does: no entry, no
+    /// hit or miss, the run is the caller's own. A render's 1,238 plain
+    /// points run 3,065 phases no later point asks for again.
     pub(crate) fn phase_run(
         &self,
         key: Option<PhaseKey>,
