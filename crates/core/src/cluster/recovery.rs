@@ -256,6 +256,17 @@ pub(crate) struct EngineScratch {
     outputs: Vec<MapOutput>,
     fetch_queue: VecDeque<QueueEntry>,
     gated: Vec<QueueEntry>,
+    /// The result vectors of a run its caller is done with
+    /// ([`EngineScratch::recycle`]), for the next run to fill.
+    done: Option<PhaseRun>,
+}
+
+impl EngineScratch {
+    /// Takes back a run nobody reads any more: the next run writes its
+    /// result into this one's vectors.
+    pub(crate) fn recycle(&mut self, run: PhaseRun) {
+        self.done = Some(run);
+    }
 }
 
 /// Calendar events of the fault-aware engine. Payloads are ids only; the
@@ -882,7 +893,13 @@ pub(crate) fn run_phase_fetching(
         outputs,
         fetch_queue,
         gated,
+        done,
     } = scratch;
+    let mut out = done.take().unwrap_or_else(|| PhaseRun::idle(capacity));
+    out.spans.clear();
+    out.wasted.clear();
+    out.recovered.clear();
+    out.annotations.clear();
     sim.reset();
     book.reset(
         cluster,
@@ -917,9 +934,9 @@ pub(crate) fn run_phase_fetching(
         rate_sum: 0.0,
         rate_count: 0,
         spans,
-        wasted: Vec::new(),
-        recovered: Vec::new(),
-        annotations: Vec::new(),
+        wasted: out.wasted,
+        recovered: out.recovered,
+        annotations: out.annotations,
         fstats: FaultStats::default(),
         policy: faults.policy,
         error: None,
@@ -1056,7 +1073,8 @@ pub(crate) fn run_phase_fetching(
             pending: st.pending,
         });
     }
-    let spans: Vec<TaskSpan> = st.spans.drain(..).flatten().collect();
+    let mut spans = out.spans;
+    spans.extend(st.spans.drain(..).flatten());
     debug_assert_eq!(spans.len(), load.tasks, "one winning span per task");
     Ok(PhaseRun {
         makespan_s: st.book.max_finish.as_secs_f64(),

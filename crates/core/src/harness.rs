@@ -322,10 +322,10 @@ impl Aggregate {
 }
 
 /// The scalars one replication contributes to the reduction. A
-/// replication builds no timeline at all (the plan passes
-/// `ClusterPrep::run` no sink) and its 1 Hz meter views end with
-/// the run, so what the plan itself holds is O(replications), not
-/// O(replications · trace).
+/// replication builds no timeline and keeps no phase run (the plan passes
+/// `ClusterPrep::run` neither a sink nor a phase memo) and its 1 Hz meter
+/// views end with the run, so what the plan holds while it runs is
+/// O(replications), not O(replications · trace).
 #[derive(Debug, Clone)]
 struct RepPoint {
     makespan_s: f64,
@@ -368,7 +368,13 @@ pub struct ReplicationSummary {
 /// worker keeps from seed to seed. Workers claim contiguous batches of
 /// seeds from the same pool the grids run on, and the final reduction
 /// folds the results serially in seed order — so the summary is
-/// bit-identical whatever the worker count or batch size.
+/// bit-identical whatever the worker count.
+///
+/// A plan is memoised whole: the cache keeps its [`ReplicationSummary`]
+/// under the plan's config and seed list (full equality, order included),
+/// so a re-render of the same plan prices and runs nothing. A seed's
+/// phase runs are kept nowhere — they would repeat only if the whole plan
+/// did — so what a plan leaves behind does not grow with its seeds.
 ///
 /// Seeds replace the seed of the config's own [`FaultConfig`]; a plan
 /// over a fault-free config runs the same deterministic point once per
@@ -389,8 +395,10 @@ pub struct ReplicationSummary {
 pub struct ReplicationPlan {
     cfg: SimConfig,
     seeds: Vec<u64>,
-    batch: usize,
 }
+
+/// Seeds a worker claims per grab from a plan.
+const SEED_BATCH: usize = 8;
 
 impl ReplicationPlan {
     /// A plan replicating `cfg` once per seed.
@@ -398,15 +406,7 @@ impl ReplicationPlan {
         ReplicationPlan {
             cfg,
             seeds: seeds.into_iter().collect(),
-            batch: 8,
         }
-    }
-
-    /// Sets how many seeds a worker claims per grab (default 8; clamped
-    /// to at least 1). Purely a scheduling knob — results are invariant.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 
     /// Number of replications the plan will run.
@@ -426,17 +426,30 @@ impl ReplicationPlan {
     }
 
     /// [`ReplicationPlan::run`] with an explicit worker count and cache
-    /// (tests and benches).
+    /// (tests and benches). The cache is asked for the whole plan before
+    /// anything is priced; only a plan it has not run runs its seeds.
     pub fn run_with(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
         // Operator telemetry only — see the note in `run_grid_with`.
         #[allow(clippy::disallowed_methods)]
         let started = Instant::now();
+        let summary = cache.plan_summary(&self.cfg, &self.seeds, || self.replicate(workers, cache));
+        POINTS.fetch_add(self.seeds.len() as u64, Ordering::Relaxed);
+        GRIDS.fetch_add(1, Ordering::Relaxed);
+        BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        summary
+    }
+
+    /// Runs every seed and folds the summary. `workers` decides who runs
+    /// a seed, never what it reports: it is not in the plan memo's key.
+    fn replicate(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
         let prep = ClusterPrep::new(&self.cfg, cache);
         let base = self.cfg.faults.filter(FaultConfig::active);
         let eval = |scratch: &mut RunScratch, &seed: &u64| -> Option<RepPoint> {
             let seeded = base.map(|f| f.seed(seed));
+            // No phase memo: a seed's phase runs repeat only when the whole
+            // plan does.
             let m = prep
-                .run(Meter::PerNode, seeded.as_ref(), cache, scratch, None)
+                .run(Meter::PerNode, seeded.as_ref(), None, scratch, None)
                 .ok()?;
             let makespan_s = m.breakdown.total();
             Some(RepPoint {
@@ -449,14 +462,14 @@ impl ReplicationPlan {
         };
 
         let n = self.seeds.len();
-        let points = pool(&self.seeds, workers, self.batch, eval);
+        let points = pool(&self.seeds, workers, SEED_BATCH, eval);
 
         let ok: Vec<&RepPoint> = points.iter().flatten().collect();
         let mut faults = FaultStats::default();
         for p in &ok {
             faults.absorb(&p.faults);
         }
-        let summary = ReplicationSummary {
+        ReplicationSummary {
             replications: n as u64,
             failed_runs: (n - ok.len()) as u64,
             makespan_s: Aggregate::fold(ok.iter().map(|p| p.makespan_s)),
@@ -464,11 +477,7 @@ impl ReplicationPlan {
             exact_energy_j: Aggregate::fold(ok.iter().map(|p| p.exact_energy_j)),
             edp: Aggregate::fold(ok.iter().map(|p| p.edp)),
             faults,
-        };
-        POINTS.fetch_add(n as u64, Ordering::Relaxed);
-        GRIDS.fetch_add(1, Ordering::Relaxed);
-        BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        summary
+        }
     }
 }
 
@@ -657,14 +666,15 @@ mod tests {
 
     #[test]
     fn replication_invariant_to_workers_and_batch() {
-        let cache = SimCache::new();
         let plan = ReplicationPlan::new(faulty_cfg(), 0..12);
-        let serial = plan.run_with(1, &cache);
-        for (workers, batch) in [(4, 1), (4, 8), (2, 3), (3, 64)] {
-            let par = ReplicationPlan::new(faulty_cfg(), 0..12)
-                .batch(batch)
-                .run_with(workers, &cache);
-            assert_eq!(serial, par, "workers={workers} batch={batch}");
+        let serial = plan.run_with(1, &SimCache::new());
+        // A fresh memo per worker count: against a shared one every run
+        // after the first would be the plan memo's copy of the first.
+        for workers in [2, 3, 4, 7] {
+            let cache = SimCache::new();
+            assert_eq!(serial, plan.run_with(workers, &cache), "workers={workers}");
+            let s = cache.stats();
+            assert_eq!((s.plan_entries, s.phase_entries), (1, 0));
         }
         assert_eq!(serial.replications, 12);
         assert!(serial.makespan_s.n + serial.failed_runs == 12);

@@ -14,7 +14,7 @@ use crate::cluster::{
     run_phase_fetching, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot, KindPreferring,
     PhaseRun, Placement, SlotStats, StepBuffers,
 };
-use crate::simcache::{fetch_digest, PhaseFaultKey, PhaseKey, SimCache};
+use crate::simcache::{fetch_digest, MaybeShared, PhaseFaultKey, PhaseKey, SimCache};
 
 /// How a run's power and energy are read off its phase runs. The paper
 /// has one Wattsup meter; the model has two readings of it, chosen by
@@ -93,10 +93,11 @@ impl ClusterPrep<'_> {
     /// and has `meter` read the measurement off it. Only what the fault
     /// seed decides happens here — node fates, the phases' fault plans,
     /// the engine runs, metering — on loads and labels borrowed from the
-    /// prep and in buffers borrowed from `scratch`. Under the per-node
-    /// meter the engine runs route through the cache's phase memo, so
-    /// sweeps and replications that share a phase's exact inputs reuse its
-    /// `PhaseRun`; a phase-average point keeps its runs to itself.
+    /// prep and in buffers borrowed from `scratch`. With a phase memo
+    /// (`phases`) the engine runs route through it, so direct runs that
+    /// share a phase's exact inputs reuse its `PhaseRun`; without one —
+    /// a seed of a replication plan, a phase-average point — every run is
+    /// this call's own and dies with it, because no later run asks for it.
     /// `timeline`, when there is one to fill, receives every phase's spans
     /// on the run's clock; the measurement does not depend on it.
     ///
@@ -112,7 +113,7 @@ impl ClusterPrep<'_> {
         &self,
         meter: Meter,
         faults: Option<&FaultConfig>,
-        cache: &SimCache,
+        phases: Option<&SimCache>,
         scratch: &mut RunScratch,
         mut timeline: Option<&mut ClusterTimeline>,
     ) -> Result<Measurement, PhaseError> {
@@ -158,11 +159,22 @@ impl ClusterPrep<'_> {
             holders,
             engine,
         } = scratch;
+        // A run that is this call's own goes back to the engine once it
+        // is read, for the next phase to write its result into.
+        let recycle = |engine: &mut EngineScratch, run| {
+            if let MaybeShared::Own(run) = run {
+                engine.recycle(run);
+            }
+        };
 
         // One phase under the seed: its fault plan, the engine run (the
-        // memo's, under the per-node meter), the timeline sink and the
-        // node meters. Returns the run and its exact dynamic energy.
-        let mut run = |phase: &PhasePrep, reduce: bool, fetch: Option<(FetchView<'_>, u64)>| {
+        // memo's, when there is one), the timeline sink and the node
+        // meters. `fetch` is the reduce phase's recovery plan and its
+        // layout digest. Returns the run and its exact dynamic energy.
+        let mut run = |phase: &PhasePrep,
+                       reduce: bool,
+                       fetch: Option<(FetchView<'_>, u64)>,
+                       engine: &mut EngineScratch| {
             let prof = if reduce {
                 &self.red_prof
             } else {
@@ -171,24 +183,31 @@ impl ClusterPrep<'_> {
             let seeded = faults.map(|fc| (fc, fc.phase_rate(reduce)));
             let phase_faults = (seeded.zip(node_faults.as_ref()))
                 .map(|((fc, rate), nf)| nf.phase(fc, phase_idx, rate, offset));
-            // The memo key names every input the engine sees; the
-            // placement objects are stateless, so the preference *is* the
-            // behavior.
-            let key = (meter == Meter::PerNode).then(|| PhaseKey {
-                placement: self.preferred.map_or(0, |kind| of_kind(kind, 1, 2)),
-                roster: self.roster,
-                tasks: phase.load.tasks,
-                timing: phase.timing,
-                faults: seeded.map(|(fc, rate)| PhaseFaultKey::new(fc, phase_idx, rate, offset)),
-                net: phase.net.clone(),
-                fetch: fetch.map(|(_, digest)| digest),
-            });
-            phase_idx += 1;
             let plan = fetch.map(|(plan, _)| plan);
-            let run = cache.phase_run(key, || {
+            let mut engine_run = || {
                 let faults = phase_faults.as_ref();
                 run_phase_fetching(cluster, &phase.load, placement, faults, plan, engine)
-            })?;
+            };
+            let run = match phases {
+                None => MaybeShared::Own(engine_run()?),
+                // The memo key names every input the engine sees; the
+                // placement objects are stateless, so the preference *is*
+                // the behavior.
+                Some(memo) => {
+                    let key = PhaseKey {
+                        placement: self.preferred.map_or(0, |kind| of_kind(kind, 1, 2)),
+                        roster: self.roster,
+                        tasks: phase.load.tasks,
+                        timing: phase.timing,
+                        faults: seeded
+                            .map(|(fc, rate)| PhaseFaultKey::new(fc, phase_idx, rate, offset)),
+                        net: phase.net.clone(),
+                        fetch: fetch.map(|(plan, layout)| fetch_digest(layout, plan.holders)),
+                    };
+                    memo.phase_run(key, engine_run)?
+                }
+            };
+            phase_idx += 1;
             fault_stats.absorb(&run.faults);
             if let Some(timeline) = timeline.as_deref_mut() {
                 match phase.label {
@@ -207,7 +226,7 @@ impl ClusterPrep<'_> {
         };
 
         for job in self.jobs() {
-            let (map_run, dyn_j) = run(&job.map, false, None)?;
+            let (map_run, dyn_j) = run(&job.map, false, None, engine)?;
             map_slots.absorb(&map_run.slots);
             if meter == Meter::PerNode {
                 for s in &map_run.spans {
@@ -220,20 +239,23 @@ impl ClusterPrep<'_> {
             hotspot_wall = hotspot_wall.max(map_run.makespan_s);
             map_dyn_j += dyn_j;
 
-            if let Some(reduce) = &job.reduce {
-                // The fetch plan: the prep's layout, held where this
-                // seed's map attempts won.
-                let fetch = faults.and(job.fetch_layout).and_then(|layout| {
-                    holders.clear();
-                    holders.extend(map_run.spans.iter().map(|s| s.node));
-                    let plan = job.map.fetch_view(self.topology, holders)?;
-                    Some((plan, fetch_digest(layout, holders)))
-                });
-                let (red_run, dyn_j) = run(reduce, true, fetch)?;
-                reduce_slots.absorb(&red_run.slots);
-                reduce_wall += red_run.makespan_s;
-                red_dyn_j += dyn_j;
-            }
+            let Some(reduce) = &job.reduce else {
+                recycle(engine, map_run);
+                continue;
+            };
+            // The fetch plan: the prep's layout, held where this seed's
+            // map attempts won.
+            let fetch = faults.and(job.fetch_layout).and_then(|layout| {
+                holders.clear();
+                holders.extend(map_run.spans.iter().map(|s| s.node));
+                Some((job.map.fetch_view(self.topology, holders)?, layout))
+            });
+            recycle(engine, map_run);
+            let (red_run, dyn_j) = run(reduce, true, fetch, engine)?;
+            reduce_slots.absorb(&red_run.slots);
+            reduce_wall += red_run.makespan_s;
+            red_dyn_j += dyn_j;
+            recycle(engine, red_run);
         }
 
         let walls = PhaseBreakdown::new(map_wall, reduce_wall, self.others_wall);
@@ -490,7 +512,12 @@ pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
 fn measure(cfg: &SimConfig, meter: Meter, cache: &SimCache) -> Result<Measurement, PhaseError> {
     let faults = cfg.active_faults();
     let scratch = &mut RunScratch::default();
-    ClusterPrep::new(cfg, cache).run(meter, faults.as_ref(), cache, scratch, None)
+    // No later point asks for a phase-average point's phase runs again.
+    let phases = match meter {
+        Meter::PhaseAverage => None,
+        Meter::PerNode => Some(cache),
+    };
+    ClusterPrep::new(cfg, cache).run(meter, faults.as_ref(), phases, scratch, None)
 }
 
 /// Simulates `cfg`, reads it with the per-node meter and returns the
@@ -551,7 +578,7 @@ pub fn try_simulate_cluster_with(
     let m = prep.run(
         Meter::PerNode,
         faults.as_ref(),
-        cache,
+        Some(cache),
         scratch,
         Some(&mut timeline),
     )?;

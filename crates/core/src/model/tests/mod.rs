@@ -362,7 +362,7 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
         let blind = prep.run(
             Meter::PerNode,
             faults.as_ref(),
-            &SimCache::new(),
+            Some(&SimCache::new()),
             &mut RunScratch::default(),
             None,
         );
@@ -370,7 +370,7 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
         let seen = prep.run(
             Meter::PerNode,
             faults.as_ref(),
-            &SimCache::new(),
+            Some(&SimCache::new()),
             &mut RunScratch::default(),
             Some(&mut sink),
         );
@@ -397,19 +397,50 @@ fn prep_is_reusable_across_seeds() {
     let prep = ClusterPrep::new(&cfg, &SimCache::new());
     let scratch = &mut RunScratch::default();
     let cache = SimCache::new();
-    let mut run = |seed: u64, cache: &SimCache| {
-        prep.run(Meter::PerNode, Some(&fc.seed(seed)), cache, scratch, None)
+    let mut run = |seed: u64, phases: Option<&SimCache>| {
+        prep.run(Meter::PerNode, Some(&fc.seed(seed)), phases, scratch, None)
     };
     // Seed 5 loses a rack mid-shuffle and recovers; seed 3 loses every
     // replica of a block and dies in the reduce phase.
-    let first = run(5, &cache);
+    let first = run(5, Some(&cache));
     let recovered = first.as_ref().expect("seed 5 recovers").faults;
     assert!(recovered.fetch_failures > 0 && recovered.reexecuted_maps > 0);
-    assert!(matches!(run(3, &cache), Err(PhaseError::DataLost { .. })));
+    assert!(matches!(
+        run(3, Some(&cache)),
+        Err(PhaseError::DataLost { .. })
+    ));
     // Seed 5 again through the same prep and buffers: answered by the
-    // memo, then recomputed from a cold one.
-    assert_eq!(run(5, &cache), first);
-    assert_eq!(run(5, &SimCache::new()), first);
+    // memo, recomputed from a cold one, and run with no memo at all as a
+    // plan runs it.
+    assert_eq!(run(5, Some(&cache)), first);
+    assert_eq!(run(5, Some(&SimCache::new())), first);
+    assert_eq!(run(5, None), first);
+}
+
+#[test]
+fn failed_run_leaves_no_phase_entry() {
+    let fc = crate::figures::fig22_faults(4.0, true);
+    let cache = SimCache::new();
+    let entries = || cache.stats().phase_entries;
+    // A run that dies in its first phase leaves the table where it was.
+    let doomed = base(AppId::TeraSort, presets::xeon_e5_2420())
+        .faults(FaultConfig::none().seed(7).node_mttf(1e-3));
+    assert!(try_measure_cluster(&doomed, &cache).is_err());
+    assert_eq!(entries(), 0);
+    // Seed 3 of the fig22 rack loses every replica of a block in the
+    // reduce phase: the map run it completed is held, the phase that
+    // failed is not, however often it fails.
+    let dying = racked(Some(fc.seed(3)));
+    for _ in 0..2 {
+        assert!(matches!(
+            try_measure_cluster(&dying, &cache),
+            Err(PhaseError::DataLost { .. })
+        ));
+        assert_eq!(entries(), 1);
+    }
+    // The same config at a seed that survives adds both of its phases.
+    assert!(try_measure_cluster(&racked(Some(fc.seed(5))), &cache).is_ok());
+    assert_eq!(entries(), 3);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Unified memoization for the expensive, reusable pieces of a
 //! simulation: trace-driven stall splits and functional MapReduce runs
-//! (plus the dataflow ratios derived from them).
+//! (plus the dataflow ratios derived from them), the cluster-engine phase
+//! runs of direct cluster runs, and whole replication plans.
 //!
 //! The figure generators sweep thousands of [`crate::SimConfig`] points,
 //! but only a handful of distinct (machine, profile) stall splits and
@@ -21,8 +22,9 @@
 // `nondet-iteration` allow for this file in analysis.toml.
 #![allow(clippy::disallowed_types)]
 
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -33,6 +35,8 @@ use hhsim_workloads::{AppId, FunctionalConfig, FunctionalRun};
 use parking_lot::Mutex;
 
 use crate::cluster::{FetchView, PhaseLocality, PhaseRun};
+use crate::harness::ReplicationSummary;
+use crate::model::SimConfig;
 use crate::ratios::AppRatios;
 
 /// The app plus its [`FunctionalConfig`]: functional runs are
@@ -54,6 +58,26 @@ pub(crate) enum MemoKey<'a> {
 /// a miss computes outside the map lock (no convoying) and concurrent
 /// misses on one key deduplicate into a single computation.
 type Table<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// One replication plan that has run: the config and the seed list it
+/// ran over, in full, and what they summed to.
+struct PlanEntry {
+    /// [`plan_tag`] of `cfg` and `seeds`.
+    tag: u64,
+    cfg: SimConfig,
+    seeds: Vec<u64>,
+    summary: ReplicationSummary,
+}
+
+/// A hash of a few cheap fields of a plan, compared before anything else,
+/// so a lookup compares a handful of configs in full rather than every
+/// plan held. The key proper is the entry's `(SimConfig, seeds)` equality.
+fn plan_tag(cfg: &SimConfig, seeds: &[u64]) -> u64 {
+    let mut h = DefaultHasher::new();
+    let mix = cfg.node_mix.map(|mix| (mix.big, mix.little));
+    (cfg.app, &cfg.machine.name, mix, seeds.len(), seeds.first()).hash(&mut h);
+    h.finish()
+}
 
 /// Structural identity of one cluster-engine phase run — every input
 /// `run_phase_faulty` sees, field by field (full equality, no lossy
@@ -304,6 +328,8 @@ pub struct CacheStats {
     pub ratio_entries: usize,
     /// Distinct cluster-engine phase runs held.
     pub phase_entries: usize,
+    /// Distinct replication plans held.
+    pub plan_entries: usize,
 }
 
 impl CacheStats {
@@ -332,13 +358,18 @@ impl CacheStats {
     }
 }
 
-/// Thread-safe memo of stall splits, functional runs and app ratios.
+/// Thread-safe memo, one table per level at which work repeats: stall
+/// splits, functional runs and app ratios (asked by every pricing), the
+/// engine phase runs of direct cluster runs, and whole replication plans.
+/// A seed of a plan asks the phase table nothing — its phase runs repeat
+/// only when the whole plan does, and then the plan table answers.
 #[derive(Default)]
 pub struct SimCache {
     stalls: Table<StallKey, (f64, f64)>,
     runs: Table<RunKey, Arc<FunctionalRun>>,
     ratios: Table<AppId, AppRatios>,
-    phases: Table<PhaseKey, Arc<PhaseRun>>,
+    phases: Mutex<HashMap<PhaseKey, Arc<PhaseRun>>>,
+    plans: Mutex<Vec<PlanEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -434,37 +465,73 @@ impl SimCache {
 
     /// Memoized cluster-engine phase run. Unlike [`SimCache::memo`]'s
     /// `OnceLock` path the computation is fallible, so a miss computes
-    /// first and publishes on success; errors are never cached.
-    /// Identical keys always compute identical runs (the engine is a
-    /// pure function of the key), so a lost publish race costs a
+    /// first and publishes on success; a failed run leaves nothing
+    /// behind. Identical keys always compute identical runs (the engine
+    /// is a pure function of the key), so a lost publish race costs a
     /// duplicated computation, never a different value.
     ///
-    /// `None` skips the table, as an oversized phase does: no entry, no
-    /// hit or miss, the run is the caller's own. A render's 1,238 plain
-    /// points run 3,065 phases no later point asks for again.
+    /// An oversized phase skips the table: no entry, no hit or miss, the
+    /// run is the caller's own — as is every run of a caller that asks no
+    /// memo at all (`ClusterPrep::run` without one).
     pub(crate) fn phase_run(
         &self,
-        key: Option<PhaseKey>,
+        key: PhaseKey,
         compute: impl FnOnce() -> Result<PhaseRun, PhaseError>,
     ) -> Result<MaybeShared<PhaseRun>, PhaseError> {
-        let Some(key) = key.filter(|key| key.tasks <= PHASE_MEMO_MAX_TASKS) else {
+        if key.tasks > PHASE_MEMO_MAX_TASKS {
             return compute().map(MaybeShared::Own);
-        };
-        let cell = Arc::clone(self.phases.lock().entry(key).or_default());
-        if let Some(v) = cell.get() {
+        }
+        if let Some(held) = self.phases.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(MaybeShared::Shared(Arc::clone(v)));
+            return Ok(MaybeShared::Shared(Arc::clone(held)));
         }
         let run = Arc::new(compute()?);
-        match cell.set(Arc::clone(&run)) {
-            Ok(()) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
+        let run = match self.phases.lock().entry(key) {
+            Entry::Occupied(first) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(first.get())
             }
+            Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(slot.insert(run))
+            }
+        };
+        Ok(MaybeShared::Shared(run))
+    }
+
+    /// Memoized summary of a whole replication plan, keyed by full
+    /// equality of the config and the seed list (order included): what a
+    /// re-render of the plan gets back without pricing, sampling or
+    /// charging anything. Computed outside the lock and published after,
+    /// as [`SimCache::phase_run`] does: the summary is a pure function of
+    /// the key, so a lost race is a duplicated computation, published once.
+    pub(crate) fn plan_summary(
+        &self,
+        cfg: &SimConfig,
+        seeds: &[u64],
+        compute: impl FnOnce() -> ReplicationSummary,
+    ) -> ReplicationSummary {
+        let tag = plan_tag(cfg, seeds);
+        let find = |held: &[PlanEntry]| {
+            let same = |e: &&PlanEntry| e.tag == tag && e.cfg == *cfg && e.seeds == seeds;
+            held.iter().find(same).map(|e| e.summary.clone())
+        };
+        if let Some(summary) = find(&self.plans.lock()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return summary;
         }
-        Ok(MaybeShared::Shared(cell.get().cloned().unwrap_or(run)))
+        let summary = compute();
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut held = self.plans.lock();
+        if find(&held).is_none() {
+            held.push(PlanEntry {
+                tag,
+                cfg: cfg.clone(),
+                seeds: seeds.to_vec(),
+                summary: summary.clone(),
+            });
+        }
+        summary
     }
 
     /// Current counters and per-table entry counts.
@@ -476,6 +543,7 @@ impl SimCache {
             run_entries: self.runs.lock().len(),
             ratio_entries: self.ratios.lock().len(),
             phase_entries: self.phases.lock().len(),
+            plan_entries: self.plans.lock().len(),
         }
     }
 
@@ -486,6 +554,7 @@ impl SimCache {
         self.runs.lock().clear();
         self.ratios.lock().clear();
         self.phases.lock().clear();
+        self.plans.lock().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }

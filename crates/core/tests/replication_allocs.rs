@@ -3,7 +3,9 @@
 //!
 //! Its own test binary so it may install a counting `#[global_allocator]`:
 //! 64 seeds of the fig22 rack configuration and 64 of the fig20 3-node
-//! one through `ReplicationPlan::run_with` at one worker, then three plain
+//! one through `ReplicationPlan::run_with` at one worker, 512 rack seeds
+//! more to see that what a plan leaves behind does not grow with what it
+//! ran, then three plain
 //! points through `simulate_with` and one of them through
 //! `try_simulate_cluster_with`, all on a private memo that already holds
 //! everything the point looks up. At one worker the process runs on this
@@ -11,7 +13,7 @@
 //! be a gate here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::SeqCst};
 
 use hhsim_core::arch::presets;
 use hhsim_core::energy::MetricKind;
@@ -30,9 +32,12 @@ struct Counting;
 static ON: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, whether or not a count is on.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
-/// One allocator call asking for `size` bytes.
-fn note(size: usize) {
+/// One allocator call asking for `size` bytes in place of `freed`.
+fn note(size: usize, freed: usize) {
+    LIVE.fetch_add(size as i64 - freed as i64, SeqCst);
     if ON.load(SeqCst) {
         ALLOCS.fetch_add(1, SeqCst);
         BYTES.fetch_add(size as u64, SeqCst);
@@ -44,24 +49,25 @@ fn note(size: usize) {
 // the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), 0);
         // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), 0);
         // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, SeqCst);
         // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, layout.size());
         // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -72,6 +78,11 @@ static GLOBAL: Counting = Counting;
 
 const APP: AppId = AppId::TeraSort;
 const SEEDS: u64 = 64;
+/// The longer rack plan of the left-behind check.
+const LONG_SEEDS: u64 = 512;
+/// Bytes the longer rack plan may leave behind on top of the shorter one's
+/// and its own longer seed list.
+const LEFT_SLACK: i64 = 256;
 
 /// The fig22 rack configuration: 4 Xeon + 8 Atom, 4 racks, 4x
 /// oversubscription, 4 switch crashes per rack-hour.
@@ -107,11 +118,14 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, u64, u64) {
     (out, ALLOCS.load(SeqCst), BYTES.load(SeqCst))
 }
 
-/// Allocator calls of `plan` at one worker, per seed.
-fn allocs_per_seed(plan: &ReplicationPlan, cache: &SimCache) -> u64 {
+/// Allocator calls per seed of `plan` at one worker, and the live bytes
+/// the run leaves behind.
+fn allocs_per_seed(plan: &ReplicationPlan, cache: &SimCache) -> (u64, i64) {
+    let before = LIVE.load(SeqCst);
     let (summary, calls, _) = counted(|| plan.run_with(1, cache));
-    assert_eq!(summary.replications, SEEDS);
-    calls / SEEDS
+    let left = LIVE.load(SeqCst) - before;
+    assert_eq!(summary.replications, plan.len() as u64);
+    (calls / summary.replications, left)
 }
 
 /// What the parent commit (PR 16) allocated per seed on the same two
@@ -119,8 +133,8 @@ fn allocs_per_seed(plan: &ReplicationPlan, cache: &SimCache) -> u64 {
 const PARENT_RACK: u64 = 485;
 const PARENT_SMALL: u64 = 203;
 /// What this commit measures; the gate allows 10 % on top.
-const MEASURED_RACK: u64 = 72;
-const MEASURED_SMALL: u64 = 29;
+const MEASURED_RACK: u64 = 54;
+const MEASURED_SMALL: u64 = 14;
 
 /// Three plain points (Atom preset, 512 MB blocks, 1.8 GHz) priced warm
 /// through `simulate_with`: the app, then (allocator calls, requested
@@ -169,9 +183,25 @@ fn seeded_runs_allocate_within_the_ratchet() {
         cache.stall_split(&m, &APP.map_profile());
         cache.stall_split(&m, &APP.reduce_profile());
     }
-    let rack = allocs_per_seed(&ReplicationPlan::new(rack_config(), 0..SEEDS), &cache);
-    let small = allocs_per_seed(&ReplicationPlan::new(small_config(), 0..SEEDS), &cache);
+    let (rack, left) = allocs_per_seed(&ReplicationPlan::new(rack_config(), 0..SEEDS), &cache);
+    let (small, _) = allocs_per_seed(&ReplicationPlan::new(small_config(), 0..SEEDS), &cache);
     println!("allocations per seed: rack {rack}, small {small}");
+    // What a plan leaves in the memo does not scale with what it ran:
+    // eight times the seeds leave the longer seed list and nothing else.
+    let (rack_long, left_long) =
+        allocs_per_seed(&ReplicationPlan::new(rack_config(), 0..LONG_SEEDS), &cache);
+    println!(
+        "live bytes left by a rack plan: {left} at {SEEDS} seeds, {left_long} at {LONG_SEEDS}"
+    );
+    assert!(
+        rack_long <= rack,
+        "{rack_long} calls per seed at {LONG_SEEDS} seeds"
+    );
+    let seed_list = 8 * (LONG_SEEDS - SEEDS) as i64;
+    assert!(
+        left_long - left <= seed_list + LEFT_SLACK,
+        "a plan left {left} bytes at {SEEDS} seeds and {left_long} at {LONG_SEEDS}"
+    );
     for (name, got, measured, parent) in [
         ("rack", rack, MEASURED_RACK, PARENT_RACK),
         ("small", small, MEASURED_SMALL, PARENT_SMALL),
