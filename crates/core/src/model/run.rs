@@ -160,9 +160,10 @@ impl ClusterPrep<'_> {
             engine,
         } = scratch;
         // A run that is this call's own goes back to the engine once it
-        // is read, for the next phase to write its result into.
+        // is read, for the next phase to write its result into. Only the
+        // fault engine takes one; a fault-free run would just hold it.
         let recycle = |engine: &mut EngineScratch, run| {
-            if let MaybeShared::Own(run) = run {
+            if let (Some(_), MaybeShared::Own(run)) = (faults, run) {
                 engine.recycle(run);
             }
         };
