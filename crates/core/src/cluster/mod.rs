@@ -37,6 +37,7 @@ pub use hhsim_hdfs::LocalityTier;
 use serde::{Deserialize, Serialize};
 
 mod engine;
+mod late;
 mod placement;
 mod recovery;
 mod slots;

@@ -11,10 +11,11 @@
 
 use hhsim_des::{EventId, SimTime, Simulation};
 use hhsim_faults::{AttemptOutcome, FaultStats, PhaseError, PhaseFaults, RecoveryPolicy};
-use hhsim_hdfs::{NodeId as HdfsNodeId, Topology};
+use hhsim_hdfs::Topology;
 use std::collections::VecDeque;
 
-use super::slots::{refill, SlotBook};
+use super::late::LateIndex;
+use super::slots::{count_probes, refill, SlotBook};
 use super::{
     attempt_jitter, run_phase, Cluster, LocalityTier, NodeTiming, PhaseLoad, PhaseRun, Placement,
     TaskSpan,
@@ -125,7 +126,11 @@ struct RunningAttempt {
     launched: SimTime,
     /// Full would-be runtime on its node (failure truncates it).
     duration: SimTime,
-    /// Progress rate estimate: 1 / full runtime in seconds.
+    /// Progress rate estimate: 1 / full runtime in seconds — finite and
+    /// never negative, so rates order by their bits. While the attempt's
+    /// row has no backup, the [`LateIndex`] holds this slot: in its
+    /// launch-ordered list until the attempt has run for
+    /// `spec_min_runtime_s`, then in its heap under `(rate, row)`.
     rate: f64,
     /// The pending failure-or-completion calendar event.
     event: EventId,
@@ -166,10 +171,9 @@ impl RunningAttempt {
 /// Hadoop's fetch-failure semantics: when a node dies after its map
 /// tasks completed, those outputs are lost, in-flight reduce attempts
 /// register fetch failures, and the engine re-executes the lost maps on
-/// surviving nodes — re-querying the surviving replica set (via
-/// [`Topology::surviving_tier`]) so the re-run is priced at the correct
-/// locality tier. A map whose every input replica is gone fails the
-/// phase with [`PhaseError::DataLost`].
+/// surviving nodes — re-querying the surviving replica set so the re-run
+/// is priced at the correct locality tier. A map whose every input
+/// replica is gone fails the phase with [`PhaseError::DataLost`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchPlan {
     /// Node that holds each completed map task's output (indexed by map
@@ -256,6 +260,9 @@ pub(crate) struct EngineScratch {
     outputs: Vec<MapOutput>,
     fetch_queue: VecDeque<QueueEntry>,
     gated: Vec<QueueEntry>,
+    late: LateIndex,
+    /// `(row, slot)` of the attempts a crash takes down.
+    victims: Vec<(usize, usize)>,
     /// The result vectors of a run its caller is done with
     /// ([`EngineScratch::recycle`]), for the next run to fill.
     done: Option<PhaseRun>,
@@ -318,6 +325,10 @@ pub(super) struct FaultState<'a> {
     rack_blacklist_count: &'a mut Vec<u32>,
     rack_blacklisted: &'a mut Vec<bool>,
     fetch: Option<FetchCtx<'a>>,
+    /// The attempts LATE may still duplicate: every in-flight attempt of
+    /// a row without a backup, and nothing else.
+    late: &'a mut LateIndex,
+    victims: &'a mut Vec<(usize, usize)>,
 }
 
 impl FaultState<'_> {
@@ -325,9 +336,28 @@ impl FaultState<'_> {
     /// slot returns to the pool.
     fn vacate(&mut self, slot: usize) -> Option<RunningAttempt> {
         let r = self.attempts.get_mut(slot)?.take()?;
+        self.late.remove(slot);
         self.rows[r.row].detach(slot);
         self.book.release_slot(r.node, r.slot);
         Some(r)
+    }
+
+    /// `(row, slot)` of the in-flight attempts in global slots `slots`
+    /// that `hit` selects, ascending, in the scratch's vector — which the
+    /// caller hands back to `self.victims` when done with it.
+    fn victims_in(
+        &mut self,
+        slots: std::ops::Range<usize>,
+        hit: impl Fn(&RunningAttempt) -> bool,
+    ) -> Vec<(usize, usize)> {
+        let mut victims = std::mem::take(self.victims);
+        victims.clear();
+        victims.extend(slots.filter_map(|slot| {
+            let r = self.attempts.get(slot)?.as_ref()?;
+            hit(r).then_some((r.row, slot))
+        }));
+        victims.sort_unstable();
+        victims
     }
 
     /// Puts `row` in line for a slot. Lost maps queue for recovery,
@@ -439,6 +469,12 @@ fn launch_attempt(
     if speculative {
         r.speculated = true;
         st.fstats.speculative_launched += 1;
+        // With its backup in flight the primary is no candidate any more.
+        if let Some(primary) = r.primary {
+            st.late.remove(primary);
+        }
+    } else if !r.speculated {
+        st.late.launched(global);
     }
     let (jitter_key, t, extra) = match (kind, st.fetch.as_ref()) {
         (RowKind::Reexec { map }, Some(f)) => (
@@ -588,21 +624,19 @@ fn crash_node(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: usize
     let (Some(&lo), Some(&hi)) = (st.slot_base.get(node), st.slot_base.get(node + 1)) else {
         return;
     };
-    let mut victims: Vec<(usize, usize)> = (lo..hi)
-        .filter_map(|slot| Some((st.attempts.get(slot)?.as_ref()?.row, slot)))
-        .collect();
-    victims.sort_unstable();
-    for (row, slot) in victims {
+    let victims = st.victims_in(lo..hi, |_| true);
+    for &(row, slot) in &victims {
         let Some(r) = st.vacate(slot) else {
             continue;
         };
         sim.cancel(r.event);
         st.record_wasted(&r, now, AttemptOutcome::Killed);
         st.fstats.killed_attempts += 1;
-        if st.rows[row].is_idle() {
+        if st.rows.get(row).is_some_and(TaskRow::is_idle) {
             st.enqueue(row, now);
         }
     }
+    *st.victims = victims;
 }
 
 /// Rack-crash marker event: counts and annotates a whole-rack (ToR
@@ -637,23 +671,21 @@ fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: u
     if st.error.is_some() || st.pending == 0 {
         return;
     }
-    let Some(f) = st.fetch.as_ref() else {
+    let Some(maps) = st.fetch.as_ref().map(|f| f.outputs.len()) else {
         return;
     };
     let now = sim.now();
-    let lost: Vec<usize> = f
-        .outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, out)| out.holder == Some(node))
-        .map(|(map, _)| map)
-        .collect();
-    if lost.is_empty() {
-        return;
-    }
-    for map in lost {
+    let mut any_lost = false;
+    for map in 0..maps {
         let Some(f) = st.fetch.as_mut() else {
             return;
+        };
+        let Some(out) = f
+            .outputs
+            .get_mut(map)
+            .filter(|out| out.holder == Some(node))
+        else {
+            continue;
         };
         let all_replicas_gone = f
             .plan
@@ -664,9 +696,7 @@ fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: u
             st.error = Some(PhaseError::DataLost { task: map });
             return;
         }
-        let Some(out) = f.outputs.get_mut(map) else {
-            continue;
-        };
+        any_lost = true;
         out.holder = None;
         f.outstanding += 1;
         // First loss of this map: it gets a row. Re-losses (the re-run's
@@ -680,21 +710,20 @@ fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: u
         };
         st.enqueue(row, now);
     }
+    if !any_lost {
+        return;
+    }
     // The shuffle is all-to-all: every in-flight reduce was fetching
     // from the lost outputs. Cancel their flows on the calendar and gate
     // them behind the re-executions, in ascending task order. (Attempts
     // on the dead node itself were already killed by `crash_node`.)
-    let mut victims: Vec<usize> = st
-        .attempts
-        .iter()
-        .flatten()
-        .filter(|r| matches!(r.kind, RowKind::Task))
-        .map(|r| r.row)
-        .collect();
-    victims.sort_unstable();
-    victims.dedup();
-    for row in victims {
-        while let Some(r) = st.rows[row].youngest().and_then(|s| st.vacate(s)) {
+    let mut victims = st.victims_in(0..st.attempts.len(), |r| matches!(r.kind, RowKind::Task));
+    victims.dedup_by_key(|&mut (row, _)| row);
+    for &(row, _) in &victims {
+        while let Some(r) = (st.rows.get(row))
+            .and_then(TaskRow::youngest)
+            .and_then(|s| st.vacate(s))
+        {
             sim.cancel(r.event);
             st.record_wasted(&r, now, AttemptOutcome::FetchFailed);
             st.fstats.fetch_failures += 1;
@@ -703,15 +732,18 @@ fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: u
             f.gated.push(QueueEntry { row, queued: now });
         }
     }
+    *st.victims = victims;
 }
 
 /// Picks the node and locality tier for the re-execution of the lost
-/// map in `row`, `None` while no slot is free: the NameNode is re-queried
-/// for the *surviving* replica set ([`Topology::surviving_tier`]), and
-/// among free usable nodes the best locality tier wins (lowest node id
-/// breaks ties) — a surviving replica holder if possible, then a node in
-/// a surviving replica's rack, then anywhere (pricing the off-rack read).
-/// With every input replica gone the job cannot recover.
+/// map in `row`, `None` while no slot is free. The NameNode is re-queried
+/// for the *surviving* replica set, and among free usable nodes the best
+/// locality tier wins, the lowest node id within it — which the replicas
+/// name without a look at any other node: the lowest surviving holder
+/// with a free slot; else, per rack that holds a surviving replica, that
+/// rack's first free node, the lowest of them; else the cluster's first
+/// free node, pricing the off-rack read. With every input replica gone
+/// the job cannot recover.
 fn choose_reexec_node(
     st: &FaultState,
     row: usize,
@@ -721,37 +753,63 @@ fn choose_reexec_node(
     else {
         return Ok(None);
     };
-    let reps: Vec<HdfsNodeId> = f
+    let slots = &st.book.slots;
+    let reps = f
         .plan
         .map_replicas
         .get(map)
-        .map(|v| v.iter().map(|&r| HdfsNodeId(r)).collect())
+        .map(Vec::as_slice)
         .unwrap_or_default();
-    let alive = st.book.slots.alive_mask();
-    let lost = PhaseError::DataLost { task: map };
-    let mut best: Option<(LocalityTier, usize)> = None;
-    for n in st.book.slots.free_nodes() {
-        let Some(tier) = f.plan.topology.surviving_tier(HdfsNodeId(n), &reps, alive) else {
-            return Err(lost);
+    count_probes(reps.len() as u64);
+    let survivors = || reps.iter().copied().filter(move |&r| slots.alive(r));
+    let pick = if survivors().next().is_none() {
+        Err(PhaseError::DataLost { task: map })
+    } else if let Some(n) = survivors()
+        .filter(|&r| slots.usable(r) && slots.free(r) > 0)
+        .min()
+    {
+        Ok(Some((n, LocalityTier::NodeLocal)))
+    } else {
+        let racks = f.plan.topology.racks.max(1);
+        let in_a_survivors_rack = if racks == 1 {
+            slots.first_free()
+        } else {
+            // Replicas are few, so a rack two of them share is searched
+            // twice rather than remembered.
+            survivors()
+                .filter_map(|r| slots.first_free_in_rack(r % racks, racks))
+                .min()
         };
-        if best.map_or(true, |(bt, bn)| (tier, n) < (bt, bn)) {
-            best = Some((tier, n));
-        }
-    }
-    match best {
-        Some((tier, n)) => Ok(Some((n, tier))),
-        None if reps.iter().any(|r| st.book.slots.alive(r.0)) => Ok(None),
-        None => Err(lost),
-    }
+        Ok(match in_a_survivors_rack {
+            Some(n) => Some((n, LocalityTier::RackLocal)),
+            None => slots.first_free().map(|n| (n, LocalityTier::OffRack)),
+        })
+    };
+    #[cfg(any(test, debug_assertions))]
+    assert_eq!(
+        pick,
+        oracle::reexec_node(st, map),
+        "re-execution of map {map}"
+    );
+    pick
 }
 
 /// LATE speculation: among tasks with a single running attempt that has
 /// run at least `spec_min_runtime_s` and progresses below
 /// `spec_rate_threshold` × the mean rate of all launched attempts, pick
-/// the slowest and duplicate it on the fastest usable node that is not
-/// the primary's — but only if the backup is expected to finish first.
+/// the slowest — the least `(rate, row)` — and duplicate it on the
+/// fastest usable node that is not the primary's, but only if the backup
+/// is expected to finish first.
+///
+/// The laggard is read off the [`LateIndex`], which holds exactly the
+/// attempts of rows without a backup. The clock never runs backwards, so
+/// launch order is age order and the attempts that have run long enough
+/// are a prefix of it: the index keeps the too-young in launch order,
+/// this moves the head of that list into a heap on `(rate, row)` while it
+/// is old enough, and the heap's top is the laggard — if even the slowest
+/// is not slow enough, nothing is.
 fn choose_speculation(
-    st: &FaultState,
+    st: &mut FaultState,
     load: &PhaseLoad,
     faults: &PhaseFaults,
     now: SimTime,
@@ -760,26 +818,23 @@ fn choose_speculation(
         return None;
     }
     let mean = st.rate_sum / st.rate_count as f64;
-    // Only in-flight attempts can be candidates, and one whose row is
-    // not yet speculated is that row's only attempt. Pick the
-    // lexicographic minimum of (rate, task).
-    let mut primary: Option<&RunningAttempt> = None;
-    for r in st.attempts.iter().flatten() {
-        if st.rows.get(r.row).map_or(true, |row| row.speculated) {
-            continue;
-        }
+    let running = |slot: usize| st.attempts.get(slot).and_then(Option::as_ref);
+    while let Some(slot) = st.late.oldest_young() {
+        let r = running(slot)?;
         if now.saturating_sub(r.launched).as_secs_f64() < st.policy.spec_min_runtime_s {
-            continue;
+            break;
         }
-        if r.rate >= st.policy.spec_rate_threshold * mean {
-            continue;
-        }
-        if primary.map_or(true, |best| {
-            r.rate < best.rate || (r.rate == best.rate && r.row < best.row)
-        }) {
-            primary = Some(r);
-        }
+        st.late.promote(slot, r.rate, r.row);
     }
+    // The test as the policy words it: a NaN threshold keeps nobody out.
+    let keeps_up = |r: &RunningAttempt| r.rate >= st.policy.spec_rate_threshold * mean;
+    let primary = st.late.slowest().and_then(running).filter(|r| !keeps_up(r));
+    #[cfg(any(test, debug_assertions))]
+    assert_eq!(
+        primary.map(|r| r.row),
+        oracle::laggard(st, now, mean),
+        "LATE primary at {now:?}"
+    );
     let primary = primary?;
     let task = primary.row;
     let aj = attempt_jitter(task, st.rows.get(task)?.next_attempt);
@@ -799,6 +854,103 @@ fn choose_speculation(
         return None;
     }
     Some((task, node))
+}
+
+/// The two indexed decisions made the exhaustive way, over every slot
+/// and every free node: debug and test builds hold each pick against
+/// these, release builds do not carry them.
+#[cfg(any(test, debug_assertions))]
+pub(super) mod oracle {
+    use hhsim_hdfs::NodeId;
+    use std::cell::Cell;
+
+    use super::{FaultState, LocalityTier, PhaseError, SimTime};
+
+    thread_local! {
+        /// Entries the searches below examined on this thread: what every
+        /// decision would cost made their way.
+        static PROBES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count_oracle_probes(entries: u64) {
+        PROBES.with(|p| p.set(p.get() + entries));
+    }
+
+    /// Returns this thread's count of examined entries and zeroes it.
+    #[cfg(test)]
+    pub(in crate::cluster) fn take_probes() -> u64 {
+        PROBES.with(|p| p.replace(0))
+    }
+
+    /// Row of the attempt LATE would duplicate, by a walk over every slot.
+    pub(super) fn laggard(st: &FaultState, now: SimTime, mean: f64) -> Option<usize> {
+        count_oracle_probes(st.attempts.len() as u64);
+        let mut primary: Option<&super::RunningAttempt> = None;
+        for r in st.attempts.iter().flatten() {
+            if st.rows.get(r.row).map_or(true, |row| row.speculated) {
+                continue;
+            }
+            if now.saturating_sub(r.launched).as_secs_f64() < st.policy.spec_min_runtime_s {
+                continue;
+            }
+            if r.rate >= st.policy.spec_rate_threshold * mean {
+                continue;
+            }
+            if primary.map_or(true, |best| {
+                r.rate < best.rate || (r.rate == best.rate && r.row < best.row)
+            }) {
+                primary = Some(r);
+            }
+        }
+        primary.map(|r| r.row)
+    }
+
+    /// Where lost map `map` re-executes, by [`Topology::surviving_tier`]
+    /// of every free node — asked one replica at a time, so that the
+    /// oracle allocates nothing and a debug build's allocation counts are
+    /// a release build's.
+    ///
+    /// [`Topology::surviving_tier`]: hhsim_hdfs::Topology::surviving_tier
+    pub(super) fn reexec_node(
+        st: &FaultState,
+        map: usize,
+    ) -> Result<Option<(usize, LocalityTier)>, PhaseError> {
+        let Some(f) = st.fetch.as_ref() else {
+            return Ok(None);
+        };
+        let slots = &st.book.slots;
+        let reps = f
+            .plan
+            .map_replicas
+            .get(map)
+            .map(Vec::as_slice)
+            .unwrap_or_default();
+        let alive = slots.alive_mask();
+        let lost = PhaseError::DataLost { task: map };
+        let mut best: Option<(LocalityTier, usize)> = None;
+        for n in (0..slots.nodes()).filter(|&n| slots.usable(n) && slots.free(n) > 0) {
+            count_oracle_probes(reps.len() as u64);
+            let tier = reps
+                .iter()
+                .filter_map(|&r| {
+                    f.plan
+                        .topology
+                        .surviving_tier(NodeId(n), &[NodeId(r)], alive)
+                })
+                .min();
+            let Some(tier) = tier else {
+                return Err(lost);
+            };
+            if best.map_or(true, |(bt, bn)| (tier, n) < (bt, bn)) {
+                best = Some((tier, n));
+            }
+        }
+        match best {
+            Some((tier, n)) => Ok(Some((n, tier))),
+            None if reps.iter().any(|&r| slots.alive(r)) => Ok(None),
+            None => Err(lost),
+        }
+    }
 }
 
 /// [`run_phase`] with optional fault injection: `None` (or an inert
@@ -893,6 +1045,8 @@ pub(crate) fn run_phase_fetching(
         outputs,
         fetch_queue,
         gated,
+        late,
+        victims,
         done,
     } = scratch;
     let mut out = done.take().unwrap_or_else(|| PhaseRun::idle(capacity));
@@ -924,6 +1078,7 @@ pub(crate) fn run_phase_fetching(
     refill(spans, load.tasks, None);
     refill(rack_blacklist_count, faults.domains.racks, 0);
     refill(rack_blacklisted, faults.domains.racks, false);
+    late.reset(capacity);
     let mut st = FaultState {
         book,
         node_failures,
@@ -959,6 +1114,8 @@ pub(crate) fn run_phase_fetching(
                 gated,
             }
         }),
+        late,
+        victims,
     };
 
     // Map outputs on nodes that died between the phases are lost before
@@ -1036,7 +1193,7 @@ pub(crate) fn run_phase_fetching(
                 break;
             }
             let now = sim.now();
-            let Some((row, node)) = choose_speculation(&st, load, faults, now) else {
+            let Some((row, node)) = choose_speculation(&mut st, load, faults, now) else {
                 break;
             };
             let entry = QueueEntry { row, queued: now };

@@ -15,16 +15,20 @@ use super::{Cluster, SlotStats};
 
 thread_local! {
     /// Bitmap words examined by [`FreeSlots`] placement queries on this
-    /// thread. Pure diagnostics for the scale regression tests — never
+    /// thread, plus the entries (list, heap and attempt entries, replicas,
+    /// nodes) the fault engine's speculation and re-execution decisions
+    /// look at. Pure diagnostics for the scale regression tests — never
     /// feeds simulation state.
     static PLACEMENT_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Bitmap words examined by placement queries on this thread since the
-/// last [`reset_placement_probes`]. The scale regression tests use this
-/// to pin the engine's amortized-O(1) node lookup: a 10k-node run must
-/// not degrade to per-event linear scans when nodes die or get
-/// blacklisted.
+/// last [`reset_placement_probes`], plus one per entry the fault engine's
+/// speculation and re-execution decisions examined. The scale regression
+/// tests use this to pin the engine's amortized-O(1) lookups: a 10k-node
+/// run must not degrade to per-event linear scans when nodes die or get
+/// blacklisted, nor a speculating one to a walk over every slot per
+/// event.
 pub fn placement_probes() -> u64 {
     PLACEMENT_PROBES.with(|p| p.get())
 }
@@ -35,7 +39,7 @@ pub fn reset_placement_probes() {
 }
 
 #[inline]
-fn count_probes(words: u64) {
+pub(super) fn count_probes(words: u64) {
     PLACEMENT_PROBES.with(|p| p.set(p.get() + words));
 }
 
@@ -247,6 +251,16 @@ impl FreeSlots {
         self.any.iter()
     }
 
+    /// Lowest-id usable node with a free slot among those of `rack` when
+    /// nodes are dealt to `racks` racks round-robin (`rack`, `rack +
+    /// racks`, ..).
+    pub(super) fn first_free_in_rack(&self, rack: usize, racks: usize) -> Option<usize> {
+        (rack..self.nodes()).step_by(racks.max(1)).find(|&n| {
+            count_probes(1);
+            self.usable(n) && self.free(n) > 0
+        })
+    }
+
     /// True if any node other than `node` can still accept attempts.
     pub(super) fn usable_other_than(&self, node: usize) -> bool {
         self.usable_nodes > 1 || (self.usable_nodes == 1 && !self.usable(node))
@@ -257,7 +271,9 @@ impl FreeSlots {
         self.alive.get(node).copied().unwrap_or(false)
     }
 
-    /// Liveness of every node, indexed by node id.
+    /// Liveness of every node, indexed by node id, for the fault engine's
+    /// debug oracle.
+    #[cfg(any(test, debug_assertions))]
     pub(super) fn alive_mask(&self) -> &[bool] {
         &self.alive
     }

@@ -5,7 +5,7 @@ use hhsim_hdfs::Topology;
 use hhsim_sched::JobClass;
 
 use super::engine::Done;
-use super::recovery::{run_phase_fetching, EngineScratch, FaultEvent, FaultState};
+use super::recovery::{oracle, run_phase_fetching, EngineScratch, FaultEvent, FaultState};
 use super::slots::SlotBook;
 use super::*;
 
@@ -787,6 +787,41 @@ fn engine_scratch_carries_nothing_between_runs() {
         }
     }
     assert_eq!(errors, 2, "the rack crash loses map 0's every replica");
+}
+
+/// What the per-decision oracle is for, in numbers: on a 200 × 4 cluster
+/// with stragglers and a holder crash it examines — as the searches it
+/// preserves did at every decision — over ten times the entries the LATE
+/// index and the replica walk look at, placement queries included.
+#[test]
+fn indexed_decisions_examine_a_fraction_of_the_searches() {
+    const NODES: usize = 200;
+    let c = Cluster::homogeneous(CoreKind::Big, NODES, 4);
+    let load = PhaseLoad::uniform(&set(4_000, 5.0), &c);
+    let mut faults = failure_faults(NODES, 0.02, 5);
+    for n in (3..NODES).step_by(10) {
+        faults.slowdown[n] = 3.0;
+    }
+    faults.crash_at_s[0] = Some(12.0);
+    let plan = FetchPlan {
+        holders: (0..4_000).map(|m| m % NODES).collect(),
+        map_replicas: (0..4_000)
+            .map(|m| vec![m % NODES, (m + 1) % NODES, (m + 11) % NODES])
+            .collect(),
+        topology: Topology::racked(10, 1.0),
+        read_seconds: [0.0, 0.5, 2.0],
+        map_timing: load.timing.clone(),
+    };
+    reset_placement_probes();
+    oracle::take_probes();
+    let run = run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+        .expect("two replicas of every lost map survive");
+    let (probes, searched) = (placement_probes(), oracle::take_probes());
+    assert!(run.faults.speculative_launched > 0 && run.faults.reexecuted_maps > 0);
+    assert!(
+        10 * probes < searched,
+        "{probes} entries examined against the searches' {searched}"
+    );
 }
 
 #[test]

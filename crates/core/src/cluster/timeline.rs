@@ -59,7 +59,7 @@ pub struct ClusterTimeline {
 }
 
 /// Narrows an engine-side index (task/node/slot/wave) to its column type.
-fn narrow(v: usize) -> u32 {
+pub(super) fn narrow(v: usize) -> u32 {
     // An index beyond u32 means the arena invariant is already broken;
     // wrapping would silently corrupt the timeline, so fail loudly.
     // hhsim: allow(panic-in-engine): invariant breach must not wrap into a valid-looking column value

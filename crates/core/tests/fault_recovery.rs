@@ -9,11 +9,14 @@
 
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
-    run_phase_faulty, Cluster, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad,
+    run_phase_faulty, run_phase_faulty_fetch, Cluster, FetchPlan, FifoAnySlot, KindPreferring,
+    NodeTiming, PhaseLoad, TaskSpan,
 };
 use hhsim_core::faults::{
-    AttemptOutcome, FaultConfig, FaultPlan, NodeFaults, PhaseError, PhaseFaults, RecoveryPolicy,
+    AttemptOutcome, FaultConfig, FaultPlan, NodeFaults, PhaseDomains, PhaseError, PhaseFaults,
+    RecoveryPolicy,
 };
+use hhsim_core::hdfs::Topology;
 use hhsim_testkit::{check, Gen};
 
 struct Scenario {
@@ -211,4 +214,164 @@ fn blacklisted_nodes_receive_no_new_attempts() {
             );
         }
     });
+}
+
+/// A small cluster under everything at once, with the speculation policy
+/// in its corners, for [`indexed_decisions_agree_with_the_exhaustive_searches`].
+fn hostile(g: &mut Gen) -> (Cluster, PhaseLoad, PhaseFaults, Option<FetchPlan>) {
+    let nodes = g.usize(2..13);
+    let slots = g.usize(1..5);
+    let racks = *g.pick(&[1, 1, 2, 3, 4]);
+    let cluster = Cluster::homogeneous(CoreKind::Big, nodes, slots);
+    // Without a task time there is no jitter: every attempt on a node
+    // progresses at the same rate, and only the row breaks the tie.
+    let tied_rates = g.bool(0.4);
+    let node_timing = |g: &mut Gen, base: f64| {
+        if tied_rates {
+            NodeTiming {
+                task_seconds: 0.0,
+                overhead_seconds: base * *g.pick(&[1.0, 1.0, 1.0, 4.0, 12.0]),
+            }
+        } else {
+            NodeTiming {
+                task_seconds: base * (1.0 + g.f64()),
+                overhead_seconds: 0.25,
+            }
+        }
+    };
+    let load = PhaseLoad {
+        tasks: g.usize(1..3 * nodes * slots + 2),
+        timing: (0..nodes).map(|_| node_timing(g, 3.0)).collect(),
+        locality: None,
+        extra_seconds: Vec::new(),
+    };
+
+    let policy = RecoveryPolicy {
+        speculation: g.bool(0.9),
+        // Nobody is too young, everybody is for the whole phase, and the
+        // usual case in between.
+        spec_min_runtime_s: *g.pick(&[0.0, -1.0, f64::NAN, 1.0e6, 2.0, 5.0]),
+        // Nobody is slow enough, the mean itself, everybody (twice), and
+        // the default.
+        spec_rate_threshold: *g.pick(&[0.0, 1.0, f64::NAN, f64::INFINITY, 0.8, 0.8]),
+        blacklist_after: *g.pick(&[1, 1, 0, 3]),
+        rack_blacklist_after: *g.pick(&[0, 1, 2]),
+        ..RecoveryPolicy::hadoop()
+    };
+    let rate = if g.bool(0.3) { 0.0 } else { g.f64() * 0.3 };
+    let mut faults = PhaseFaults {
+        plan: FaultPlan::new(g.u64(0..u64::MAX), 0, rate),
+        crash_at_s: (0..nodes)
+            .map(|_| g.bool(0.12).then(|| g.f64() * 40.0))
+            .collect(),
+        dead_at_start: (0..nodes).map(|_| g.bool(0.05)).collect(),
+        slowdown: (0..nodes)
+            .map(|_| {
+                if g.bool(0.3) {
+                    1.5 + 3.0 * g.f64()
+                } else {
+                    1.0
+                }
+            })
+            .collect(),
+        policy,
+        domains: PhaseDomains::default(),
+    };
+    if racks > 1 {
+        faults.domains = PhaseDomains {
+            racks,
+            rack_crash_at_s: (0..racks)
+                .map(|_| g.bool(0.2).then(|| g.f64() * 40.0))
+                .collect(),
+            link_degraded: vec![None; racks],
+        };
+        for n in 0..nodes {
+            if let Some(t) = faults.domains.rack_crash_at_s[n % racks] {
+                faults.crash_at_s[n] = Some(t);
+            }
+        }
+    }
+
+    // A reduce phase: completed maps with holders and input replicas —
+    // the holder first, one to three more anywhere (twice the same node
+    // included).
+    let fetch = g.bool(0.6).then(|| {
+        let maps = g.usize(1..3 * nodes);
+        let holders: Vec<usize> = (0..maps).map(|_| g.usize(0..nodes)).collect();
+        FetchPlan {
+            map_replicas: holders
+                .iter()
+                .map(|&h| {
+                    std::iter::once(h)
+                        .chain(g.vec(1..4, |g| g.usize(0..nodes)))
+                        .collect()
+                })
+                .collect(),
+            holders,
+            topology: Topology::racked(racks, 1.0),
+            read_seconds: [0.0, 1.5, 4.0],
+            map_timing: (0..nodes).map(|_| node_timing(g, 2.0)).collect(),
+        }
+    });
+    (cluster, load, faults, fetch)
+}
+
+/// The LATE index and the replica-driven re-execution choice against
+/// exhaustive search. In a debug build the engine also makes both
+/// decisions the slow way — every slot, every free node — each time and
+/// asserts the same pick, so a run that returns at all has passed; this
+/// sweep aims that oracle at what the rest of the suite does not reach —
+/// 2–12 nodes of 1–4 slots, flat and racked, failures, stragglers, node
+/// and rack crashes before and during a phase with lost map outputs,
+/// blacklisting at the first failure, and a speculation policy that is
+/// zero, negative, NaN, infinite or longer than the phase — and checks
+/// that the same run twice is the same run, and that the sweep does reach
+/// the events it is for.
+#[test]
+fn indexed_decisions_agree_with_the_exhaustive_searches() {
+    const CASES: u64 = 320;
+    // Cases with: a backup launched; one launched in a run that also lost
+    // attempts to failures or crashes; a lost map re-executed; a lost map
+    // on its third attempt (the re-run died, or landed and was lost
+    // again); every replica of a lost map gone. 97 / 56 / 42 / 10 / 45
+    // when written.
+    let mut reached = [0u32; 5];
+    check(CASES, |g| {
+        let (cluster, load, faults, fetch) = hostile(g);
+        let run = || {
+            run_phase_faulty_fetch(
+                &cluster,
+                &load,
+                &mut FifoAnySlot,
+                Some(&faults),
+                fetch.as_ref(),
+            )
+        };
+        let result = run();
+        assert_eq!(result, run(), "same plan, same run, bit for bit");
+        let run = match result {
+            Ok(run) => run,
+            Err(e) => {
+                reached[4] += u32::from(matches!(e, PhaseError::DataLost { .. }));
+                return;
+            }
+        };
+        assert_eq!(run.spans.len(), load.tasks, "one winner per task");
+        let died =
+            |w: &TaskSpan| matches!(w.outcome, AttemptOutcome::Failed | AttemptOutcome::Killed);
+        let backed_up = run.faults.speculative_launched > 0;
+        reached[0] += u32::from(backed_up);
+        reached[1] += u32::from(backed_up && run.wasted.iter().any(died));
+        reached[2] += u32::from(run.faults.reexecuted_maps > 0);
+        reached[3] += u32::from(run.recovered.iter().any(|r| r.attempt >= 3));
+    });
+    let [backups, backups_with_losses, reexecutions, third_attempts, data_lost] = reached;
+    assert!(
+        backups >= 40
+            && backups_with_losses >= 25
+            && reexecutions >= 25
+            && third_attempts >= 5
+            && data_lost >= 20,
+        "the sweep no longer reaches what it is for: {reached:?} of {CASES} cases"
+    );
 }

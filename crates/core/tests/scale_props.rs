@@ -11,10 +11,10 @@
 
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
-    jitter, placement_probes, reset_placement_probes, run_phase, run_phase_faulty, Cluster,
-    FifoAnySlot, PhaseLoad, PhaseRun, TaskSet,
+    jitter, placement_probes, reset_placement_probes, run_phase, run_phase_faulty,
+    run_phase_faulty_fetch, Cluster, FetchPlan, FifoAnySlot, PhaseLoad, PhaseRun, TaskSet,
 };
-use hhsim_core::faults::{AttemptOutcome, FaultPlan, PhaseFaults, RecoveryPolicy};
+use hhsim_core::faults::{AttemptOutcome, FaultPlan, PhaseDomains, PhaseFaults, RecoveryPolicy};
 use hhsim_core::hdfs::{NodeId, Topology};
 use hhsim_core::shuffle::{flow_finish_times, flow_finish_times_with_crashes, Flow};
 
@@ -176,6 +176,97 @@ fn blacklisting_at_10k_nodes_stays_sublinear() {
     assert!(
         probes < launches * 16,
         "placement degraded to linear scans: {probes} probes for {launches} launches"
+    );
+}
+
+/// The same regression for the two decisions of the fault engine that
+/// used to search the cluster, with speculation **on**: LATE's choice of
+/// a laggard (made after every event once the queue is empty) and the
+/// choice of a node for a lost map's re-execution. 2 000 nodes of 4
+/// slots, 40 k tasks, one node in twenty a 3× straggler, 2 % failures;
+/// then a reduce twin over the map phase's outputs that loses a rack.
+/// Entries either decision examines — attempts, heap and list entries,
+/// replicas, nodes — go through the placement-probe counter, next to the
+/// placement queries'.
+///
+/// The exhaustive searches (all 8 000 slots per decision; every free
+/// node × every replica per lost map) are the debug build's per-decision
+/// oracle, which counted what it examined on this very run:
+/// 64 600 000 entries in the map phase against 397 214 probes here (40 804
+/// launches, 41 596 events), 65 627 986 in the reduce twin against 482 875
+/// (50 127 launches, 51 003 events, 1 039 maps re-executed) — 4.8 probes
+/// per launch and event either way, and the bound below is 80 times under
+/// the oracle's count.
+#[test]
+fn speculation_and_recovery_at_scale_examine_what_they_decide() {
+    const WIDE: usize = 2_000;
+    const RACKS: usize = 40;
+    const WORK: usize = 40_000;
+    let c = big_cluster(WIDE, SLOTS);
+    let l = load(WORK, &c);
+    let mut faults = failure_faults(WIDE, 0.02, 11);
+    for n in (7..WIDE).step_by(20) {
+        faults.slowdown[n] = 3.0;
+    }
+
+    reset_placement_probes();
+    let map = run_phase_faulty(&c, &l, &mut FifoAnySlot, Some(&faults))
+        .expect("2% failures over 2k nodes must recover");
+    let probes = placement_probes();
+    assert_run_invariants(&map, WORK);
+    assert!(
+        map.faults.speculative_launched >= 10 && map.faults.speculative_wins >= 10,
+        "the stragglers' tasks get backups: {:?}",
+        map.faults
+    );
+    assert_decisions_stay_local(probes, &map);
+
+    // HDFS's default layout: a replica where the map ran, one in the
+    // next rack, one more in that rack.
+    let plan = FetchPlan {
+        holders: map.spans.iter().map(|s| s.node).collect(),
+        map_replicas: map
+            .spans
+            .iter()
+            .map(|s| vec![s.node, (s.node + 1) % WIDE, (s.node + 1 + RACKS) % WIDE])
+            .collect(),
+        topology: Topology::racked(RACKS, 4.0),
+        read_seconds: [0.0, 0.5, 2.0],
+        map_timing: l.timing.clone(),
+    };
+    const DOOMED: usize = 13;
+    faults.domains = PhaseDomains {
+        racks: RACKS,
+        rack_crash_at_s: (0..RACKS).map(|r| (r == DOOMED).then_some(12.0)).collect(),
+        link_degraded: vec![None; RACKS],
+    };
+    for n in (DOOMED..WIDE).step_by(RACKS) {
+        faults.crash_at_s[n] = Some(12.0);
+    }
+    reset_placement_probes();
+    let reduce = run_phase_faulty_fetch(&c, &l, &mut FifoAnySlot, Some(&faults), Some(&plan))
+        .expect("every lost map has two replicas in the next rack");
+    let probes = placement_probes();
+    assert_eq!(reduce.spans.len(), WORK, "one winning span per reduce");
+    assert_eq!(reduce.faults.rack_crashes, 1);
+    assert!(
+        reduce.faults.fetch_failures >= 1_000 && reduce.faults.reexecuted_maps >= 500,
+        "the rack takes map outputs with it mid-shuffle: {:?}",
+        reduce.faults
+    );
+    assert!(reduce.faults.speculative_launched >= 10);
+    assert_decisions_stay_local(probes, &reduce);
+}
+
+/// At most 8 probes per launch and event of `run`. Every attempt leaves
+/// one span; it ends in one event unless it was cancelled, and a failure
+/// schedules a requeue.
+fn assert_decisions_stay_local(probes: u64, run: &PhaseRun) {
+    let launches = (run.spans.len() + run.wasted.len() + run.recovered.len()) as u64;
+    let events = launches + run.faults.failed_attempts;
+    assert!(
+        probes < (launches + events) * 8,
+        "decisions degraded to cluster scans: {probes} probes for {launches} launches and {events} events"
     );
 }
 
