@@ -6,7 +6,7 @@
 //! * root-level `key = value` pairs (strings, booleans, single-line string
 //!   arrays),
 //! * `[[allow]]` / `[[exclude]]` array-of-table sections,
-//! * `[rules.<name>]` tables for per-rule severity overrides,
+//! * the `[reachability]` table,
 //! * `#` comments.
 //!
 //! Every `[[allow]]` and `[[exclude]]` entry must carry a non-empty
@@ -16,13 +16,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::diag::Severity;
-
-/// Where a rule fires. The legacy crate allowlist (`sim_crates`) and the
-/// call-graph reachability engine (entry points in `[reachability]`) can be
-/// combined per rule; when no entry points are configured the reachability
-/// predicate is unavailable, and every mode degrades to the crate
-/// allowlist so fixture runs and pre-migration configs keep their meaning.
+/// Where a rule fires ([`crate::rules::Rule::default_scope`]). The crate
+/// allowlist (`sim_crates`) and the call-graph reachability engine (entry
+/// points in `[reachability]`) combine in five ways; when no entry points
+/// are configured the reachability predicate is unavailable, and every
+/// mode degrades to the crate allowlist so fixture runs keep their meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Every non-excluded file.
@@ -40,7 +38,7 @@ pub enum Scope {
 }
 
 impl Scope {
-    /// Lowercase name as used in `[rules.<name>] scope = "..."`.
+    /// Lowercase name as printed by `--list-rules`.
     pub fn as_str(self) -> &'static str {
         match self {
             Scope::All => "all",
@@ -48,18 +46,6 @@ impl Scope {
             Scope::Reachable => "reachable",
             Scope::SimOrReachable => "sim-or-reachable",
             Scope::SimAndReachable => "sim-and-reachable",
-        }
-    }
-
-    /// Parses a config-file scope name.
-    pub fn parse(s: &str) -> Option<Scope> {
-        match s {
-            "all" => Some(Scope::All),
-            "sim-crates" => Some(Scope::SimCrates),
-            "reachable" => Some(Scope::Reachable),
-            "sim-or-reachable" => Some(Scope::SimOrReachable),
-            "sim-and-reachable" => Some(Scope::SimAndReachable),
-            _ => None,
         }
     }
 }
@@ -73,13 +59,6 @@ pub struct Allow {
     pub path: String,
     /// Mandatory written justification.
     pub reason: String,
-}
-
-impl Allow {
-    /// True when this allow covers `path`.
-    pub fn matches(&self, path: &str) -> bool {
-        path_matches(path, &self.path)
-    }
 }
 
 /// A path subtree excluded from analysis entirely.
@@ -105,10 +84,6 @@ pub struct Config {
     pub excludes: Vec<Exclude>,
     /// Per-rule path suppressions.
     pub allows: Vec<Allow>,
-    /// Per-rule severity overrides from `[rules.<name>]` tables.
-    pub severity_overrides: BTreeMap<String, Severity>,
-    /// Per-rule scope overrides from `[rules.<name>] scope = "..."`.
-    pub scope_overrides: BTreeMap<String, Scope>,
     /// Simulation entry points from `[reachability] entry_points = [...]`:
     /// `name` or `Owner::name` specs resolved against the symbol index.
     /// Empty means reachability is off and scoped rules degrade to the
@@ -147,7 +122,6 @@ pub fn parse(src: &str) -> Result<Config, String> {
         Root,
         Allow,
         Exclude,
-        Rule(String),
         Reachability,
     }
 
@@ -212,11 +186,9 @@ pub fn parse(src: &str) -> Result<Config, String> {
         }
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             flush(&section, &mut entry, &mut cfg, lineno)?;
-            let name = name.trim();
-            section = match name.strip_prefix("rules.") {
-                Some(rule) => Section::Rule(rule.trim_matches('"').to_string()),
-                None if name == "reachability" => Section::Reachability,
-                None => return Err(format!("line {lineno}: unknown table [{name}]")),
+            section = match name.trim() {
+                "reachability" => Section::Reachability,
+                other => return Err(format!("line {lineno}: unknown table [{other}]")),
             };
             continue;
         }
@@ -235,26 +207,6 @@ pub fn parse(src: &str) -> Result<Config, String> {
             Section::Allow | Section::Exclude => {
                 entry.insert(key.to_string(), parse_string(value, lineno)?);
             }
-            Section::Rule(rule) => match key {
-                "severity" => {
-                    let s = parse_string(value, lineno)?;
-                    let sev = Severity::parse(&s)
-                        .ok_or(format!("line {lineno}: unknown severity `{s}`"))?;
-                    cfg.severity_overrides.insert(rule.clone(), sev);
-                }
-                "scope" => {
-                    let s = parse_string(value, lineno)?;
-                    let scope = Scope::parse(&s).ok_or(format!(
-                        "line {lineno}: unknown scope `{s}` (known: all, sim-crates, reachable, sim-or-reachable, sim-and-reachable)"
-                    ))?;
-                    cfg.scope_overrides.insert(rule.clone(), scope);
-                }
-                other => {
-                    return Err(format!(
-                        "line {lineno}: unknown key `{other}` in [rules.{rule}]"
-                    ))
-                }
-            },
             Section::Reachability => match key {
                 "entry_points" => cfg.entry_points = parse_string_array(value, lineno)?,
                 other => {
@@ -355,9 +307,6 @@ reason = "vendored stand-ins"
 rule = "nondet-iteration"
 path = "crates/core/src/simcache.rs"
 reason = "keyed lookup only, never iterated"
-
-[rules.panic-in-engine]
-severity = "warning"
 "#;
 
     #[test]
@@ -373,10 +322,6 @@ severity = "warning"
         assert!(cfg
             .allow_for("nondet-iteration", "crates/core/src/model.rs")
             .is_none());
-        assert_eq!(
-            cfg.severity_overrides.get("panic-in-engine"),
-            Some(&Severity::Warning)
-        );
     }
 
     #[test]
@@ -403,33 +348,16 @@ severity = "warning"
     }
 
     #[test]
-    fn reachability_and_scope_sections_parse() {
+    fn reachability_section_parses() {
         let cfg = parse(
             "[reachability]\n\
-             entry_points = [\"simulate_cluster\", \"Simulation::run\"]\n\
-             [rules.nondet-iteration]\n\
-             scope = \"sim-or-reachable\"\n",
+             entry_points = [\"simulate_cluster\", \"Simulation::run\"]\n",
         )
         .expect("valid");
         assert_eq!(
             cfg.entry_points,
             vec!["simulate_cluster", "Simulation::run"]
         );
-        assert_eq!(
-            cfg.scope_overrides.get("nondet-iteration"),
-            Some(&Scope::SimOrReachable)
-        );
-        // Scope names round-trip.
-        for s in [
-            Scope::All,
-            Scope::SimCrates,
-            Scope::Reachable,
-            Scope::SimOrReachable,
-            Scope::SimAndReachable,
-        ] {
-            assert_eq!(Scope::parse(s.as_str()), Some(s));
-        }
-        assert!(parse("[rules.x]\nscope = \"everything\"\n").is_err());
         assert!(parse("[reachability]\ntypo = [\"a\"]\n").is_err());
     }
 

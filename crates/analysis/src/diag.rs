@@ -1,4 +1,4 @@
-//! Findings, severities and report rendering (human and JSON).
+//! Findings, severities and report rendering.
 
 use std::fmt;
 
@@ -16,22 +16,12 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lowercase name as used in config files and JSON output.
+    /// Lowercase name as printed in the report.
     pub fn as_str(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
             Severity::Error => "error",
-        }
-    }
-
-    /// Parses a config-file severity name.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "info" => Some(Severity::Info),
-            "warning" | "warn" => Some(Severity::Warning),
-            "error" | "deny" => Some(Severity::Error),
-            _ => None,
         }
     }
 }
@@ -42,25 +32,12 @@ impl fmt::Display for Severity {
     }
 }
 
-/// A machine-applicable rewrite attached to a finding: replace the byte
-/// range `start..end` of the file with `replacement`. Ranges come straight
-/// from token offsets, so applying a fix never touches surrounding text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fix {
-    /// Byte offset of the first replaced byte.
-    pub start: usize,
-    /// Byte offset one past the last replaced byte.
-    pub end: usize,
-    /// Replacement text.
-    pub replacement: String,
-}
-
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule name, e.g. `float-total-order`.
     pub rule: &'static str,
-    /// Severity after config overrides.
+    /// Severity.
     pub severity: Severity,
     /// Workspace-relative file path.
     pub file: String,
@@ -72,8 +49,6 @@ pub struct Finding {
     pub message: String,
     /// Source line the finding points at, for the human snippet.
     pub snippet: Option<String>,
-    /// Machine-applicable rewrite, when the rule can produce one.
-    pub fix: Option<Fix>,
 }
 
 /// A finished analysis run: findings plus counters for the summary line.
@@ -134,40 +109,6 @@ impl Report {
         ));
         out
     }
-
-    /// Renders the machine-readable JSON report (stable key order).
-    pub fn render_json(&self) -> String {
-        use crate::json::escape;
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}",
-                escape(f.rule),
-                f.severity,
-                escape(&f.file),
-                f.line,
-                f.col,
-                escape(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"summary\": {{\"files_scanned\": {}, \"errors\": {}, \"warnings\": {}, \"suppressed\": {}}}\n}}\n",
-            self.files_scanned,
-            self.error_count(),
-            self.findings
-                .iter()
-                .filter(|f| f.severity == Severity::Warning)
-                .count(),
-            self.suppressed
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +124,6 @@ mod tests {
             col: 22,
             message: "partial_cmp().expect() on floats".into(),
             snippet: Some("            .min_by(|x, y| x.1.partial_cmp(&y.1))".into()),
-            fix: None,
         }
     }
 
@@ -197,35 +137,5 @@ mod tests {
         assert!(text.contains("crates/sched/src/lib.rs:138:22"));
         assert!(text.contains("^"));
         assert!(text.contains("1 error(s)"));
-    }
-
-    #[test]
-    fn json_report_is_parseable_and_complete() {
-        let mut r = Report::default();
-        r.findings.push(finding());
-        r.files_scanned = 3;
-        r.suppressed = 2;
-        let text = r.render_json();
-        let v = crate::json::parse(&text).expect("valid json");
-        let findings = v.get("findings").and_then(|f| f.as_array()).expect("array");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(
-            findings[0].get("rule").and_then(|r| r.as_str()),
-            Some("float-total-order")
-        );
-        let summary = v.get("summary").expect("summary");
-        assert_eq!(
-            summary.get("files_scanned").and_then(|n| n.as_u64()),
-            Some(3)
-        );
-        assert_eq!(summary.get("suppressed").and_then(|n| n.as_u64()), Some(2));
-    }
-
-    #[test]
-    fn severity_parse_roundtrip() {
-        for s in [Severity::Info, Severity::Warning, Severity::Error] {
-            assert_eq!(Severity::parse(s.as_str()), Some(s));
-        }
-        assert_eq!(Severity::parse("fatal"), None);
     }
 }

@@ -37,7 +37,8 @@ pub struct Token {
     /// Byte offset of the token's first character in the source text.
     pub offset: usize,
     /// Byte offset one past the token's last character (`offset..end` is
-    /// the token's exact source slice — what `--fix` rewrites).
+    /// the token's exact source slice; rules compare offsets to tell
+    /// adjacent tokens from separated ones).
     pub end: usize,
 }
 

@@ -1,10 +1,9 @@
 //! `hhsim-analysis` — workspace determinism & invariant linter.
 //!
 //! The reproduction's entire value rests on deterministic simulation: the
-//! figure sweep promises byte-identical CSVs across `--jobs`, the engine
-//! promises bit-identical parallel-vs-sequential output, and golden traces
-//! pin the cluster engine. Nothing *static* kept the next PR from iterating
-//! a `HashMap` in a sim path, comparing floats through
+//! figure sweep promises byte-identical CSVs across `--jobs`, and golden
+//! traces pin the cluster engine. Nothing *static* kept the next PR from
+//! iterating a `HashMap` in a sim path, comparing floats through
 //! `partial_cmp().expect(..)`, or reading the wall clock inside the DES —
 //! the exact hazards that silently break reproducibility. This crate closes
 //! that gap: a token-level linter (the offline build has no `syn`; see
@@ -16,7 +15,7 @@
 //! Run it as:
 //!
 //! ```text
-//! cargo run -p hhsim-analysis -- --workspace [--format json] [--update-baseline]
+//! cargo run -p hhsim-analysis -- --workspace [--changed <git-ref>] [--update-baseline]
 //! ```
 //!
 //! The mechanical subset of the rules is mirrored in `clippy.toml`
@@ -26,12 +25,10 @@
 
 pub mod config;
 pub mod diag;
-pub mod fix;
 pub mod index;
 pub mod json;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 
 use std::collections::BTreeMap;
@@ -40,7 +37,7 @@ use std::path::{Path, PathBuf};
 use config::Config;
 use diag::{Finding, Report, Severity};
 use index::{Reachability, SymbolIndex};
-use rules::{all_rules, inline_allow, FinalizeCtx, InlineAllow, Rule, RuleCtx};
+use rules::{all_rules, inline_allow, FinalizeCtx, InlineAllow, RuleCtx};
 use source::SourceFile;
 
 /// Baseline file contents: `rule name -> crate root -> budget`.
@@ -53,14 +50,9 @@ pub struct Analysis {
     pub report: Report,
     /// Counters to persist with `--update-baseline`.
     pub counters: Baseline,
-    /// Per-config-allow suppression hit counts, aligned with
-    /// `Config::allows` — the migration report uses this to name allows
-    /// that no longer suppress anything under reachability scoping.
-    pub allow_hits: Vec<usize>,
 }
 
-/// The semantic layers built during a run, exposed for `--dump-graph`
-/// and the migration report.
+/// The semantic layers built during a run, exposed for `--dump-graph`.
 #[derive(Debug)]
 pub struct Semantics {
     /// Workspace symbol index + call graph.
@@ -137,14 +129,6 @@ pub fn validate_config(cfg: &Config) -> Result<(), String> {
             ));
         }
     }
-    for r in cfg.severity_overrides.keys() {
-        if !known.contains(&r.as_str()) {
-            return Err(format!(
-                "analysis.toml: [rules.{r}] references an unknown rule (known: {})",
-                known.join(", ")
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -175,7 +159,6 @@ pub fn analyze_full(
 ) -> Result<(Analysis, Semantics), String> {
     validate_config(cfg)?;
     let rules = all_rules();
-    let overrides = &cfg.severity_overrides;
 
     // Pass 1: parse and build the semantic layers.
     let parsed: Vec<SourceFile> = files
@@ -199,15 +182,13 @@ pub fn analyze_full(
     // Pass 2: run the rules.
     let mut report = Report::default();
     let mut findings: Vec<Finding> = Vec::new();
-    let mut allow_hits = vec![0usize; cfg.allows.len()];
 
     for file in &parsed {
         report.files_scanned += 1;
         for rule in &rules {
             let mut raw = Vec::new();
             rule.check(file, &ctx, &mut raw);
-            for mut f in raw {
-                apply_override(&mut f, rule.as_ref(), overrides);
+            for f in raw {
                 match inline_allow(file, f.rule, f.line) {
                     InlineAllow::Justified => {
                         report.suppressed += 1;
@@ -224,12 +205,7 @@ pub fn analyze_full(
                         });
                     }
                     InlineAllow::None => {
-                        if let Some(i) = cfg
-                            .allows
-                            .iter()
-                            .position(|a| a.rule == f.rule && a.matches(&file.path))
-                        {
-                            allow_hits[i] += 1;
+                        if cfg.allow_for(f.rule, &file.path).is_some() {
                             report.suppressed += 1;
                         } else {
                             findings.push(f);
@@ -243,12 +219,7 @@ pub fn analyze_full(
     let fctx = FinalizeCtx { baseline };
     let mut counters: Baseline = BTreeMap::new();
     for rule in &rules {
-        let mut raw = Vec::new();
-        rule.finalize(&fctx, &mut raw);
-        for mut f in raw {
-            apply_override(&mut f, rule.as_ref(), overrides);
-            findings.push(f);
-        }
+        rule.finalize(&fctx, &mut findings);
         if let Some(c) = rule.counters() {
             counters.insert(rule.name().to_string(), c);
         }
@@ -259,103 +230,12 @@ pub fn analyze_full(
     });
     report.findings = findings;
     Ok((
-        Analysis {
-            report,
-            counters,
-            allow_hits,
-        },
+        Analysis { report, counters },
         Semantics {
             index: symbol_index,
             reach,
         },
     ))
-}
-
-/// Renders the migration report: how each rule's finding count changes
-/// between legacy crate-allowlist scoping and the configured reachability
-/// scoping, and which config allows no longer suppress anything. Read it
-/// before deleting allows — an allow with zero hits under reachability is
-/// dead weight, but only once the entry-point list is trusted.
-pub fn migration_report(
-    files: &[(String, String)],
-    cfg: &Config,
-    baseline: Option<&Baseline>,
-) -> Result<String, String> {
-    if cfg.entry_points.is_empty() {
-        return Err(
-            "migration report needs [reachability] entry_points in analysis.toml; without them \
-             every scope already degrades to the crate allowlist"
-                .to_string(),
-        );
-    }
-    let mut legacy_cfg = cfg.clone();
-    legacy_cfg.entry_points.clear();
-    let legacy = analyze(files, &legacy_cfg, baseline)?;
-    let (current, sem) = analyze_full(files, cfg, baseline)?;
-
-    let count_by_rule = |a: &Analysis| -> BTreeMap<&'static str, usize> {
-        let mut m = BTreeMap::new();
-        for f in &a.report.findings {
-            *m.entry(f.rule).or_insert(0) += 1;
-        }
-        m
-    };
-    let before = count_by_rule(&legacy);
-    let after = count_by_rule(&current);
-
-    let mut out =
-        String::from("migration report: crate-allowlist scoping -> reachability scoping\n\n");
-    out.push_str(&format!(
-        "entry points: {} declared, {} functions reachable of {} indexed\n\n",
-        cfg.entry_points.len(),
-        sem.reach.as_ref().map_or(0, |r| r.reachable.len()),
-        sem.index.fns.len(),
-    ));
-    out.push_str("findings per rule (legacy -> reachability):\n");
-    let mut rules: Vec<&&str> = before.keys().chain(after.keys()).collect::<Vec<_>>();
-    rules.sort();
-    rules.dedup();
-    if rules.is_empty() {
-        out.push_str("  (no findings under either scoping)\n");
-    }
-    for rule in rules {
-        let b = before.get(*rule).copied().unwrap_or(0);
-        let a = after.get(*rule).copied().unwrap_or(0);
-        let note = match a.cmp(&b) {
-            std::cmp::Ordering::Less => "  (reachability narrows)",
-            std::cmp::Ordering::Greater => "  (reachability widens)",
-            std::cmp::Ordering::Equal => "",
-        };
-        out.push_str(&format!("  {rule:<28} {b:>4} -> {a:<4}{note}\n"));
-    }
-    out.push_str("\nconfig allows by suppression hits under reachability scoping:\n");
-    if cfg.allows.is_empty() {
-        out.push_str("  (none configured)\n");
-    }
-    for (i, allow) in cfg.allows.iter().enumerate() {
-        let hits = current.allow_hits.get(i).copied().unwrap_or(0);
-        let verdict = if hits == 0 {
-            "UNNECESSARY: suppresses nothing; candidate for removal"
-        } else {
-            "still load-bearing"
-        };
-        out.push_str(&format!(
-            "  {} @ {}: {} hit(s) — {}\n",
-            allow.rule, allow.path, hits, verdict
-        ));
-    }
-    Ok(out)
-}
-
-/// Applies a `[rules.<name>] severity` override, but only to findings still
-/// at the rule's default severity — a demotion must not touch the
-/// info-level ratchet hints a budget rule emits alongside its errors.
-fn apply_override(f: &mut Finding, rule: &dyn Rule, overrides: &BTreeMap<String, Severity>) {
-    if f.severity == rule.default_severity() {
-        if let Some(&sev) = overrides.get(f.rule) {
-            f.severity = sev;
-        }
-    }
 }
 
 /// Parses `analysis-baseline.json`.
@@ -494,22 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn severity_override_demotes_default_only() {
-        let cfg = config::parse(
-            "sim_crates = [\"crates/des\"]\n[rules.nondet-iteration]\nseverity = \"warning\"\n",
-        )
-        .expect("valid");
-        let files = [file(
-            "crates/des/src/x.rs",
-            "use std::collections::HashMap;",
-        )];
-        let a = analyze(&files, &cfg, None).expect("runs");
-        let f = &a.report.findings[0];
-        assert_eq!(f.severity, Severity::Warning);
-        assert_eq!(a.report.error_count(), 0);
-    }
-
-    #[test]
     fn baseline_roundtrip() {
         let mut b = Baseline::new();
         b.insert(
@@ -547,6 +411,6 @@ mod tests {
             .map(|f| (f.file.clone(), f.line))
             .collect();
         assert!(order.windows(2).all(|w| w[0] <= w[1]), "{order:?}");
-        assert_eq!(a1.report.render_json(), a2.report.render_json());
+        assert_eq!(a1.report.render_human(), a2.report.render_human());
     }
 }

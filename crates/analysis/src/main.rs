@@ -7,17 +7,12 @@
 //!   --root <dir>            workspace root (default: walk up from cwd)
 //!   --config <file>         allowlist/config (default: <root>/analysis.toml)
 //!   --baseline <file>       budgets (default: <root>/analysis-baseline.json)
-//!   --format human|json|sarif
-//!                           report format (default: human)
 //!   --changed <git-ref>     report site findings only for files changed
 //!                           vs <git-ref> (the index and reachability are
 //!                           still built over the whole workspace, so the
 //!                           per-file verdicts agree with a full run;
 //!                           crate-level budget findings are omitted)
-//!   --fix                   apply machine-applicable fixes, then re-lint
 //!   --dump-graph            print the symbol index/call graph as JSON
-//!   --migration-report      compare legacy crate-allowlist scoping with
-//!                           reachability scoping; list dead allows
 //!   --update-baseline       write current budget counters to the baseline
 //!   --list-rules            print the rule catalogue and exit
 //! ```
@@ -28,34 +23,23 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hhsim_analysis::{
-    analyze_full, collect_sources, config, find_workspace_root, fix, index, migration_report,
-    parse_baseline, render_baseline, rules::all_rules, sarif, Baseline,
+    analyze_full, collect_sources, config, find_workspace_root, index, parse_baseline,
+    render_baseline, rules::all_rules, Baseline,
 };
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
 
 struct Options {
     root: Option<PathBuf>,
     config: Option<PathBuf>,
     baseline: Option<PathBuf>,
-    format: Format,
     changed: Option<String>,
-    fix: bool,
     dump_graph: bool,
-    migration: bool,
     update_baseline: bool,
     list_rules: bool,
 }
 
 fn usage() -> &'static str {
     "usage: hhsim-analysis --workspace [--root DIR] [--config FILE] [--baseline FILE] \
-     [--format human|json|sarif] [--changed GIT_REF] [--fix] [--dump-graph] \
-     [--migration-report] [--update-baseline] [--list-rules]"
+     [--changed GIT_REF] [--dump-graph] [--update-baseline] [--list-rules]"
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -63,11 +47,8 @@ fn parse_args() -> Result<Options, String> {
         root: None,
         config: None,
         baseline: None,
-        format: Format::Human,
         changed: None,
-        fix: false,
         dump_graph: false,
-        migration: false,
         update_baseline: false,
         list_rules: false,
     };
@@ -78,19 +59,8 @@ fn parse_args() -> Result<Options, String> {
             "--root" => opts.root = Some(next_path(&mut args, "--root")?),
             "--config" => opts.config = Some(next_path(&mut args, "--config")?),
             "--baseline" => opts.baseline = Some(next_path(&mut args, "--baseline")?),
-            "--format" => {
-                let f = args.next().ok_or("--format needs a value")?;
-                opts.format = match f.as_str() {
-                    "human" => Format::Human,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}`")),
-                };
-            }
             "--changed" => opts.changed = Some(args.next().ok_or("--changed needs a git ref")?),
-            "--fix" => opts.fix = true,
             "--dump-graph" => opts.dump_graph = true,
-            "--migration-report" => opts.migration = true,
             "--update-baseline" => opts.update_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "-h" | "--help" => {
@@ -185,13 +155,7 @@ fn run() -> Result<ExitCode, String> {
         Err(e) => return Err(format!("{}: {e}", baseline_path.display())),
     };
 
-    let mut files =
-        collect_sources(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-
-    if opts.migration {
-        print!("{}", migration_report(&files, &cfg, baseline.as_ref())?);
-        return Ok(ExitCode::SUCCESS);
-    }
+    let files = collect_sources(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
 
     let (mut analysis, semantics) = analyze_full(&files, &cfg, baseline.as_ref())?;
 
@@ -201,38 +165,6 @@ fn run() -> Result<ExitCode, String> {
             index::dump_graph(&semantics.index, semantics.reach.as_ref())
         );
         return Ok(ExitCode::SUCCESS);
-    }
-
-    if opts.fix {
-        let plan = fix::plan_fixes(&analysis.report.findings);
-        let mut applied = 0usize;
-        let mut touched = 0usize;
-        for file_fixes in &plan {
-            if file_fixes.fixes.is_empty() {
-                continue;
-            }
-            let disk = root.join(&file_fixes.path);
-            let text = std::fs::read_to_string(&disk)
-                .map_err(|e| format!("reading {}: {e}", disk.display()))?;
-            let fixed = fix::apply_fixes(&text, &file_fixes.fixes);
-            if fixed != text {
-                std::fs::write(&disk, &fixed)
-                    .map_err(|e| format!("writing {}: {e}", disk.display()))?;
-                applied += file_fixes.fixes.len();
-                touched += 1;
-            }
-            if file_fixes.dropped > 0 {
-                eprintln!(
-                    "note: {} overlapping fix(es) in {} deferred to a second --fix run",
-                    file_fixes.dropped, file_fixes.path
-                );
-            }
-        }
-        eprintln!("applied {applied} fix(es) across {touched} file(s)");
-        // Re-lint the post-fix tree so the report and exit code describe
-        // the state the repo is now in.
-        files = collect_sources(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-        analysis = analyze_full(&files, &cfg, baseline.as_ref())?.0;
     }
 
     if opts.update_baseline {
@@ -264,11 +196,7 @@ fn run() -> Result<ExitCode, String> {
         );
     }
 
-    match opts.format {
-        Format::Json => print!("{}", analysis.report.render_json()),
-        Format::Sarif => print!("{}", sarif::render(&analysis.report)),
-        Format::Human => print!("{}", analysis.report.render_human()),
-    }
+    print!("{}", analysis.report.render_human());
     eprintln!(
         "analysis completed in {:.1} ms",
         started.elapsed().as_secs_f64() * 1e3

@@ -7,7 +7,7 @@
 //! `Ord::cmp`. Applies everywhere, including tests: a flaky tie-break in a
 //! test invalidates golden files just as surely as one in the engine.
 
-use crate::diag::{Finding, Fix};
+use crate::diag::Finding;
 use crate::source::{matching, SourceFile};
 
 use super::{finding_at, Rule, RuleCtx};
@@ -44,34 +44,14 @@ impl Rule for FloatTotalOrder {
                     .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"));
             if escalates {
                 let t = &toks[i];
-                let mut f = finding_at(
+                out.push(finding_at(
                     self.name(),
                     self.default_severity(),
                     file,
                     t.line,
                     t.col,
                     "`partial_cmp(..)` followed by `unwrap`/`expect` imposes a partial order and panics on NaN; use `f64::total_cmp` for floats or `Ord::cmp` for totally ordered types".to_string(),
-                );
-                // Rewrite `partial_cmp(<args>).unwrap()` / `.expect(..)` to
-                // `total_cmp(<args>)` — byte-exact, keeping the argument
-                // text verbatim. Sound for float receivers (the dominant
-                // case by construction: a total order on an `Ord` type
-                // should call `Ord::cmp` instead, which needs a human).
-                if let Some(open_unwrap) = toks
-                    .get(close + 3)
-                    .filter(|t| t.is_punct('('))
-                    .map(|_| close + 3)
-                {
-                    if let Some(close_unwrap) = matching(toks, open_unwrap, '(', ')') {
-                        let args = &file.text[toks[i + 1].offset..toks[close].end];
-                        f.fix = Some(Fix {
-                            start: t.offset,
-                            end: toks[close_unwrap].end,
-                            replacement: format!("total_cmp{args}"),
-                        });
-                    }
-                }
-                out.push(f);
+                ));
             }
         }
     }
@@ -88,21 +68,6 @@ mod tests {
         let mut out = Vec::new();
         FloatTotalOrder.check(&file, &RuleCtx::bare(&cfg), &mut out);
         out
-    }
-
-    #[test]
-    fn fix_rewrites_to_total_cmp() {
-        let src = "fn f(a: f64, b: f64) { let _ = a.partial_cmp(&b).expect(\"finite\"); }";
-        let file = SourceFile::parse("crates/des/src/x.rs", src);
-        let cfg = Config::default();
-        let mut out = Vec::new();
-        FloatTotalOrder.check(&file, &RuleCtx::bare(&cfg), &mut out);
-        let fix = out[0].fix.as_ref().expect("mechanical fix");
-        assert_eq!(
-            &src[fix.start..fix.end],
-            "partial_cmp(&b).expect(\"finite\")"
-        );
-        assert_eq!(fix.replacement, "total_cmp(&b)");
     }
 
     #[test]

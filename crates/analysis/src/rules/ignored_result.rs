@@ -47,7 +47,7 @@ impl Rule for IgnoredResult {
 
     fn check(&self, file: &SourceFile, ctx: &RuleCtx, out: &mut Vec<Finding>) {
         let Some(index) = ctx.index else { return };
-        let scope = ctx.scope_for(self.name(), self.default_scope());
+        let scope = self.default_scope();
         if !ctx.file_in_scope(scope, file) {
             return;
         }

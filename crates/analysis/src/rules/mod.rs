@@ -42,16 +42,6 @@ impl<'a> RuleCtx<'a> {
         }
     }
 
-    /// The effective scope for a rule: the config override if present,
-    /// otherwise the rule's default.
-    pub fn scope_for(&self, rule_name: &str, default: Scope) -> Scope {
-        self.config
-            .scope_overrides
-            .get(rule_name)
-            .copied()
-            .unwrap_or(default)
-    }
-
     /// True when token `idx` of `file` is inside `scope`. With no
     /// reachability computed (no entry points configured), reachability
     /// predicates degrade to the crate allowlist, so legacy configs and
@@ -107,12 +97,11 @@ pub trait Rule {
     fn name(&self) -> &'static str;
     /// One-line description for `--list-rules`.
     fn description(&self) -> &'static str;
-    /// Default severity before `[rules.<name>]` overrides.
+    /// Severity of this rule's site findings.
     fn default_severity(&self) -> Severity {
         Severity::Error
     }
-    /// Default scope before `[rules.<name>] scope = "..."` overrides.
-    /// Rules resolve the effective scope with [`RuleCtx::scope_for`].
+    /// Where this rule fires.
     fn default_scope(&self) -> Scope {
         Scope::All
     }
@@ -209,7 +198,6 @@ pub fn finding_at(
         col,
         message,
         snippet: file.line_text(line).map(str::to_string),
-        fix: None,
     }
 }
 

@@ -11,14 +11,14 @@
 //! `BTreeMap`/`BTreeSet`/`Vec`. Test-only code is exempt — a test that
 //! hashes into a set to count buckets cannot perturb simulation output.
 //!
-//! Scope: `sim-or-reachable` by default — the legacy crate allowlist
-//! *widened* by the call graph, so a hash collection used inside a
-//! function the engine can reach flags even when its crate is not listed
-//! in `sim_crates`. Tokens outside any function body (struct fields, use
-//! declarations) are only covered by the crate-allowlist half.
+//! Scope: `sim-or-reachable` — the crate allowlist *widened* by the call
+//! graph, so a hash collection used inside a function the engine can
+//! reach flags even when its crate is not listed in `sim_crates`. Tokens
+//! outside any function body (struct fields, use declarations) are only
+//! covered by the crate-allowlist half.
 
 use crate::config::Scope;
-use crate::diag::{Finding, Fix};
+use crate::diag::Finding;
 use crate::source::SourceFile;
 
 use super::{finding_at, Rule, RuleCtx};
@@ -40,7 +40,7 @@ impl Rule for NondetIteration {
     }
 
     fn check(&self, file: &SourceFile, ctx: &RuleCtx, out: &mut Vec<Finding>) {
-        let scope = ctx.scope_for(self.name(), self.default_scope());
+        let scope = self.default_scope();
         if !ctx.file_in_scope(scope, file) {
             return;
         }
@@ -57,7 +57,7 @@ impl Rule for NondetIteration {
             } else {
                 "BTreeSet"
             };
-            let mut f = finding_at(
+            out.push(finding_at(
                 self.name(),
                 self.default_severity(),
                 file,
@@ -67,15 +67,7 @@ impl Rule for NondetIteration {
                     "`{name}` reachable from simulation code (crate `{}`): iteration order is randomized per process; use `{ordered}`/`Vec`, or allowlist keyed-lookup-only uses with a rationale",
                     file.crate_root
                 ),
-            );
-            // The rename is mechanical; API differences (`with_capacity`)
-            // surface at compile time for the rare sites that use them.
-            f.fix = Some(Fix {
-                start: t.offset,
-                end: t.end,
-                replacement: ordered.to_string(),
-            });
-            out.push(f);
+            ));
         }
     }
 }
@@ -153,10 +145,6 @@ mod tests {
         // and export_csv (unreachable) stay silent.
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().all(|f| f.line == 2), "{out:?}");
-        // And the mechanical fix targets exactly the type name.
-        let fix = out[0].fix.as_ref().expect("rename fix");
-        assert_eq!(&src[fix.start..fix.end], "HashMap");
-        assert_eq!(fix.replacement, "BTreeMap");
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl Rule for PanicBudget {
     }
 
     fn check(&self, file: &SourceFile, ctx: &RuleCtx, _out: &mut Vec<Finding>) {
-        if !ctx.file_in_scope(ctx.scope_for(self.name(), self.default_scope()), file) {
+        if !ctx.file_in_scope(self.default_scope(), file) {
             return;
         }
         if ctx.config.allow_for(self.name(), &file.path).is_some() {
@@ -130,7 +130,6 @@ impl Rule for PanicBudget {
                     render_counts(&counts)
                 ),
                 snippet: None,
-                fix: None,
             });
             return;
         };
@@ -147,7 +146,6 @@ impl Rule for PanicBudget {
                         "panic budget exceeded: {count} unwrap/expect/panic!/indexing sites vs budget {budget}; remove sites, justify them with `// hhsim: allow(panic-in-engine): ...`, or (for a genuinely new subsystem) re-baseline with --update-baseline"
                     ),
                     snippet: None,
-                    fix: None,
                 });
             } else if count < budget {
                 out.push(Finding {
@@ -160,7 +158,6 @@ impl Rule for PanicBudget {
                         "panic budget shrank: {count} sites vs budget {budget}; ratchet the baseline down with --update-baseline"
                     ),
                     snippet: None,
-                    fix: None,
                 });
             }
         }
@@ -177,7 +174,6 @@ impl Rule for PanicBudget {
                         "panic budget shrank: 0 sites vs budget {budget}; ratchet the baseline down with --update-baseline"
                     ),
                     snippet: None,
-                    fix: None,
                 });
             }
         }

@@ -40,7 +40,7 @@ impl Rule for RelaxedAtomicInResults {
     }
 
     fn check(&self, file: &SourceFile, ctx: &RuleCtx, out: &mut Vec<Finding>) {
-        let scope = ctx.scope_for(self.name(), self.default_scope());
+        let scope = self.default_scope();
         if !ctx.file_in_scope(scope, file) {
             return;
         }

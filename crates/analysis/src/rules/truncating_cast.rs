@@ -56,7 +56,7 @@ impl Rule for TruncatingCast {
     }
 
     fn check(&self, file: &SourceFile, ctx: &RuleCtx, _out: &mut Vec<Finding>) {
-        let scope = ctx.scope_for(self.name(), self.default_scope());
+        let scope = self.default_scope();
         if !ctx.file_in_scope(scope, file) {
             return;
         }
@@ -163,7 +163,6 @@ fn budget_finding(rule: &'static str, severity: Severity, file: &str, message: S
         col: 0,
         message,
         snippet: None,
-        fix: None,
     }
 }
 

@@ -14,9 +14,6 @@ pub struct SourceFile {
     /// Workspace-relative crate root, e.g. `crates/des` (empty if the file
     /// lives outside any crate directory, e.g. root `examples/`).
     pub crate_root: String,
-    /// The raw source text; token byte offsets index into this, which is
-    /// what lets rules build byte-exact `--fix` rewrites.
-    pub text: String,
     /// Source lines, for diagnostics snippets.
     pub lines: Vec<String>,
     /// Token stream.
@@ -48,7 +45,6 @@ impl SourceFile {
         SourceFile {
             path: path.to_string(),
             crate_root: crate_root_of(path),
-            text: text.to_string(),
             lines: text.lines().map(str::to_string).collect(),
             tokens: lexed.tokens,
             comments: lexed.comments,

@@ -1,5 +1,5 @@
-//! End-to-end CLI checks: exit codes, JSON output, and the baseline
-//! ratchet, exercised through the real binary over scratch workspaces in
+//! End-to-end CLI checks: exit codes, the report's finding lines, and the
+//! baseline ratchet, exercised through the real binary over scratch workspaces in
 //! `target/tmp` (each test owns a uniquely named one, so they can run in
 //! parallel).
 
@@ -49,6 +49,29 @@ fn run(root: &Path, extra: &[&str]) -> Output {
         .expect("linter binary runs")
 }
 
+/// One finding of the human report: `(severity, rule, file, line, col)`,
+/// read off the `severity[rule]: message` header and the `  --> location`
+/// line under it (crate-level findings carry no `:line:col`, reported as 0).
+type ReportedFinding = (String, String, String, u64, u64);
+
+fn findings(out: &Output) -> Vec<ReportedFinding> {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    lines
+        .windows(2)
+        .filter_map(|pair| {
+            let loc = pair[1].strip_prefix("  --> ")?;
+            let (severity, rest) = pair[0].split_once('[')?;
+            let (rule, _message) = rest.split_once("]: ")?;
+            let mut parts = loc.splitn(3, ':');
+            let file = parts.next()?.to_string();
+            let line = parts.next().and_then(|l| l.parse().ok()).unwrap_or(0);
+            let col = parts.next().and_then(|c| c.parse().ok()).unwrap_or(0);
+            Some((severity.to_string(), rule.to_string(), file, line, col))
+        })
+        .collect()
+}
+
 #[test]
 fn clean_workspace_exits_zero() {
     let root = scratch("cli-clean", &fixture("wall_clock_in_sim", "negative"));
@@ -62,39 +85,28 @@ fn clean_workspace_exits_zero() {
 }
 
 #[test]
-fn violations_exit_one_with_parseable_json() {
+fn violations_exit_one_with_parseable_report() {
     let root = scratch("cli-dirty", &fixture("float_total_order", "positive"));
-    let out = run(&root, &["--format", "json"]);
+    let out = run(&root, &[]);
     assert_eq!(out.status.code(), Some(1), "error findings must exit 1");
 
-    let v = hhsim_analysis::json::parse(&String::from_utf8_lossy(&out.stdout))
-        .expect("stdout is valid JSON");
     // The fixture's unwrap/expect sites also feed the (un-baselined) panic
     // budget, which reports a warning — so filter to error findings.
-    let errors: Vec<_> = v
-        .get("findings")
-        .and_then(|f| f.as_array())
-        .expect("findings array")
-        .iter()
-        .filter(|f| f.get("severity").and_then(|s| s.as_str()) == Some("error"))
+    let errors: Vec<_> = findings(&out)
+        .into_iter()
+        .filter(|(severity, ..)| severity == "error")
         .collect();
     assert!(!errors.is_empty());
-    for f in &errors {
-        assert_eq!(
-            f.get("rule").and_then(|r| r.as_str()),
-            Some("float-total-order")
-        );
-        assert_eq!(
-            f.get("file").and_then(|p| p.as_str()),
-            Some("crates/des/src/lib.rs")
-        );
-        assert!(f.get("line").and_then(|l| l.as_u64()).unwrap_or(0) > 0);
+    for (_, rule, file, line, _) in &errors {
+        assert_eq!(rule, "float-total-order");
+        assert_eq!(file, "crates/des/src/lib.rs");
+        assert!(*line > 0);
     }
-    let summary_errors = v
-        .get("summary")
-        .and_then(|s| s.get("errors"))
-        .and_then(|e| e.as_u64());
-    assert_eq!(summary_errors, Some(errors.len() as u64));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("{} error(s)", errors.len())),
+        "summary line counts the error findings: {stdout}"
+    );
 }
 
 #[test]
@@ -105,6 +117,83 @@ fn usage_errors_exit_two() {
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("usage:"),
         "stderr explains usage"
+    );
+}
+
+fn assert_rejected_with_usage(scratch_name: &str, args: &[&str]) {
+    let root = scratch(scratch_name, &fixture("float_total_order", "positive"));
+    let out = run(&root, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} is gone: {stderr}");
+    assert!(
+        stderr.contains(&format!("unknown argument `{}`", args[0])),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report is printed");
+}
+
+#[test]
+fn removed_fix_flag_is_rejected() {
+    assert_rejected_with_usage("cli-no-fix", &["--fix"]);
+}
+
+#[test]
+fn removed_format_flag_is_rejected() {
+    assert_rejected_with_usage("cli-no-format", &["--format", "json"]);
+}
+
+#[test]
+fn removed_migration_flag_is_rejected() {
+    assert_rejected_with_usage("cli-no-migration", &["--migration-report"]);
+}
+
+/// A `[rules.<name>]` table used to override a rule's severity or scope.
+/// A config that still carries one must fail loudly, not lint as if the
+/// override were in force.
+#[test]
+fn stale_per_rule_table_is_a_config_error_naming_the_line() {
+    let root = scratch("cli-stale-rules", &fixture("float_total_order", "positive"));
+    let stale = root.join("stale.toml");
+    fs::write(
+        &stale,
+        "sim_crates = [\"crates/des\"]\n[rules.float-total-order]\nseverity = \"warning\"\n",
+    )
+    .expect("stale config");
+    let out = run(&root, &["--config", stale.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("stale.toml: line 2"), "{stderr}");
+    assert!(stderr.contains("[rules.float-total-order]"), "{stderr}");
+}
+
+#[test]
+fn list_rules_prints_the_nine_rules_with_their_scopes() {
+    let root = scratch("cli-list-rules", "");
+    let out = run(&root, &["--list-rules"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<(&str, &str)> = stdout
+        .lines()
+        .map(|l| {
+            let (name, rest) = l.split_once('[').expect("name [scope] description");
+            let (scope, _description) = rest.split_once(']').expect("closing bracket");
+            (name.trim(), scope.trim())
+        })
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            ("nondet-iteration", "sim-or-reachable"),
+            ("float-total-order", "all"),
+            ("wall-clock-in-sim", "all"),
+            ("panic-in-engine", "sim-crates"),
+            ("unseeded-randomness", "all"),
+            ("float-accumulation-order", "sim-or-reachable"),
+            ("truncating-cast", "sim-and-reachable"),
+            ("ignored-result", "reachable"),
+            ("relaxed-atomic-in-results", "reachable"),
+        ]
     );
 }
 
@@ -152,30 +241,43 @@ fn out_code(out: &Output) -> Option<i32> {
 }
 
 #[test]
-fn sarif_output_is_valid_and_carries_findings() {
-    let root = scratch("cli-sarif", &fixture("float_total_order", "positive"));
-    let out = run(&root, &["--format", "sarif"]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "errors still gate the exit code"
-    );
-
-    let v = hhsim_analysis::json::parse(&String::from_utf8_lossy(&out.stdout))
-        .expect("stdout is valid SARIF JSON");
-    assert_eq!(v.get("version").and_then(|s| s.as_str()), Some("2.1.0"));
-    let run0 = &v.get("runs").and_then(|r| r.as_array()).expect("runs")[0];
-    let results = run0
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("results");
+fn explicit_baseline_path_is_the_budget_that_gates() {
+    let root = scratch("cli-baseline-path", &fixture("panic_in_engine", "positive"));
+    let tight = root.join("tight.json");
+    fs::write(
+        &tight,
+        "{\n  \"panic-in-engine\": {\n    \"crates/des\": 2\n  }\n}\n",
+    )
+    .expect("tight budget");
+    let over = run(&root, &["--baseline", tight.to_str().expect("utf-8 path")]);
+    assert_eq!(out_code(&over), Some(1));
     assert!(
-        results.iter().any(|r| {
-            r.get("ruleId").and_then(|s| s.as_str()) == Some("float-total-order")
-                && r.get("level").and_then(|s| s.as_str()) == Some("error")
-        }),
-        "the fixture's finding shows up as a SARIF result"
+        String::from_utf8_lossy(&over.stdout).contains("panic budget exceeded"),
+        "stdout: {}",
+        String::from_utf8_lossy(&over.stdout)
     );
+}
+
+/// Every flag the usage line advertises is passed to the binary by some
+/// test in this file, so a mode nobody exercises cannot be added quietly.
+#[test]
+fn every_flag_in_the_usage_line_is_exercised_here() {
+    let root = scratch("cli-usage-walk", "");
+    let help = run(&root, &["--help"]);
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+    let flags: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    assert!(flags.len() >= 8, "usage lists the flags: {usage}");
+    let this_file = include_str!("cli_test.rs");
+    for flag in flags {
+        assert!(
+            this_file.contains(&format!("\"{flag}\"")),
+            "{flag} is in the usage line but no CLI test passes it"
+        );
+    }
 }
 
 #[test]
@@ -283,30 +385,12 @@ fn changed_mode_agrees_with_the_full_run_on_changed_files() {
     text.push_str("\npub fn appended() {}\n");
     fs::write(&lib, text).expect("modify lib");
 
-    let full = run(&root, &["--format", "json"]);
-    let diff = run(&root, &["--format", "json", "--changed", "HEAD"]);
-
-    let findings = |out: &Output| -> Vec<(String, u64, u64, String)> {
-        hhsim_analysis::json::parse(&String::from_utf8_lossy(&out.stdout))
-            .expect("valid JSON")
-            .get("findings")
-            .and_then(|f| f.as_array())
-            .expect("findings array")
-            .iter()
-            .map(|f| {
-                (
-                    f.get("rule").and_then(|s| s.as_str()).unwrap().to_string(),
-                    f.get("line").and_then(|n| n.as_u64()).unwrap(),
-                    f.get("col").and_then(|n| n.as_u64()).unwrap(),
-                    f.get("file").and_then(|s| s.as_str()).unwrap().to_string(),
-                )
-            })
-            .collect()
-    };
+    let full = run(&root, &[]);
+    let diff = run(&root, &["--changed", "HEAD"]);
 
     let full_on_lib: Vec<_> = findings(&full)
         .into_iter()
-        .filter(|(_, line, _, file)| file == "crates/des/src/lib.rs" && *line > 0)
+        .filter(|(_, _, file, line, _)| file == "crates/des/src/lib.rs" && *line > 0)
         .collect();
     let diff_findings = findings(&diff);
     assert!(!full_on_lib.is_empty(), "the changed file has findings");
@@ -317,7 +401,7 @@ fn changed_mode_agrees_with_the_full_run_on_changed_files() {
     assert!(
         !diff_findings
             .iter()
-            .any(|(_, _, _, file)| file == "crates/des/src/other.rs"),
+            .any(|(_, _, file, ..)| file == "crates/des/src/other.rs"),
         "unchanged files are not re-reported"
     );
 }

@@ -311,7 +311,7 @@ impl PhaseLoad {
 }
 
 /// Slot admission counters of one engine run (the cluster-level analogue
-/// of [`hhsim_des::PoolStats`]), surfaced through `Measurement` so
+/// of `hhsim_testkit::PoolStats`), surfaced through `Measurement` so
 /// figures can report slot utilization and queueing delay per phase.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SlotStats {

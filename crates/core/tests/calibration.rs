@@ -23,3 +23,32 @@ fn all_paper_claims_hold() {
             .join("\n")
     );
 }
+
+/// The committed claim table is the one the code renders: `figures
+/// calibration` is not part of any gate, so without this the file — and the
+/// copy of it in EXPERIMENTS.md — can drift from the model unnoticed.
+#[test]
+fn committed_claim_table_is_the_rendered_report() {
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| {
+        std::fs::read_to_string(format!("{root}/{rel}")).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    let committed = read("results/calibration.txt");
+    assert_eq!(
+        report(&check_all()),
+        committed,
+        "results/calibration.txt is stale: regenerate it with `figures calibration`"
+    );
+
+    let experiments = read("EXPERIMENTS.md");
+    let fenced = experiments
+        .split_once("## Headline claim table")
+        .and_then(|(_, rest)| rest.split_once("```\n"))
+        .and_then(|(_, rest)| rest.split_once("```\n"))
+        .map(|(block, _)| block)
+        .expect("EXPERIMENTS.md has a fenced block under 'Headline claim table'");
+    assert_eq!(
+        fenced, committed,
+        "EXPERIMENTS.md's claim table is not results/calibration.txt"
+    );
+}

@@ -14,7 +14,8 @@ use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
     jitter, run_phase, Cluster, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad, TaskSet,
 };
-use hhsim_core::des::{SimTime, Simulation, SlotPool};
+use hhsim_core::des::{SimTime, Simulation};
+use hhsim_testkit::SlotPool;
 
 /// The pre-refactor cluster model: one flat FIFO slot pool, every task
 /// identical, makespan read off the final simulation clock.

@@ -15,9 +15,9 @@
 //! **The closure form is one instantiation.** `E` defaults to [`Closure`],
 //! a boxed `FnOnce(&mut Simulation)`; `schedule_at` / `step` / `run` are a
 //! thin layer over `push_at` / `pop` on the same kernel. It remains for
-//! callers whose events really are heterogeneous actions: [`SlotPool`], the
-//! FIFO counted resource the cluster engine's parity test uses as its
-//! reference, and benchmarks that time the calendar alone.
+//! callers whose events really are heterogeneous actions: `SlotPool` in
+//! `hhsim-testkit`, the FIFO counted resource the cluster engine's parity
+//! test uses as its reference, and benchmarks that time the calendar alone.
 //!
 //! Determinism is a hard requirement — the whole paper reproduction depends
 //! on re-running an experiment and getting bit-identical timings — so ties in
@@ -48,11 +48,9 @@
 //! ```
 
 mod calendar;
-mod resource;
 mod sim;
 mod time;
 
 pub use calendar::{CalendarKind, AUTO_LADDER_THRESHOLD};
-pub use resource::{PoolStats, SharedSlotPool, SlotGuard, SlotPool};
 pub use sim::{Closure, EventId, Simulation};
 pub use time::SimTime;

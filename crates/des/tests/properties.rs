@@ -4,8 +4,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hhsim_des::{SimTime, Simulation, SlotPool};
-use hhsim_testkit::check;
+use hhsim_des::{SimTime, Simulation};
+use hhsim_testkit::{check, SlotPool};
 
 /// Events always execute in non-decreasing time order, whatever order
 /// they were scheduled in.

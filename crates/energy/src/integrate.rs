@@ -157,11 +157,6 @@ impl StreamingMeter {
         self.exact_j
     }
 
-    /// Retained (positive-duration) segments pushed so far.
-    pub fn segments_pushed(&self) -> u64 {
-        self.segments
-    }
-
     /// Midpoint time of sample `i`.
     fn sample_time(i: u64) -> f64 {
         (i as f64 + 0.5) * SAMPLE_INTERVAL_S

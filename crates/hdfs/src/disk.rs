@@ -5,7 +5,6 @@
 //! therefore amortizes seeks — the mechanism behind the paper's observation
 //! that larger HDFS blocks improve I/O-bound workloads (§3.1.1).
 
-use hhsim_des::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Seek + bandwidth disk model.
@@ -68,16 +67,6 @@ impl DiskModel {
         }
         let seeks = bytes.div_ceil(chunk_bytes) as f64;
         seeks * self.seek_ms / 1e3 + bytes as f64 / MB / self.write_mbps
-    }
-
-    /// [`Self::read_seconds`] as a [`SimTime`] span.
-    pub fn read_time(&self, bytes: u64, chunk_bytes: u64) -> SimTime {
-        SimTime::from_secs_f64(self.read_seconds(bytes, chunk_bytes))
-    }
-
-    /// [`Self::write_seconds`] as a [`SimTime`] span.
-    pub fn write_time(&self, bytes: u64, chunk_bytes: u64) -> SimTime {
-        SimTime::from_secs_f64(self.write_seconds(bytes, chunk_bytes))
     }
 }
 

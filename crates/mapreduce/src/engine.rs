@@ -99,44 +99,13 @@ pub struct JobResult<K, V> {
 }
 
 /// Sorted output of one map task: one columnar run per partition.
-pub(crate) struct MapOutput<K, V> {
-    pub(crate) partitions: Vec<Run<K, V>>,
+struct MapOutput<K, V> {
+    partitions: Vec<Run<K, V>>,
 }
 
-/// Crate-internal alias used by the parallel runner.
-pub(crate) type MapTaskOutput<K, V> = MapOutput<K, V>;
-
-/// Crate-internal entry point for the parallel runner: executes one map
-/// task, accumulating into `stats`.
-pub(crate) fn run_map_task_public<M, R>(
-    job: &JobSpec<M, R>,
-    split: Vec<(M::KIn, M::VIn)>,
-    stats: &mut JobStats,
-) -> MapOutput<M::KOut, M::VOut>
-where
-    M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-{
-    run_map_task(job, split, stats)
-}
-
-/// Crate-internal entry point for the parallel runner: executes one reduce
-/// task over its shuffled segments, appending to `output`.
-pub(crate) fn run_reduce_task_public<M, R>(
-    job: &JobSpec<M, R>,
-    segments: Vec<Run<M::KOut, M::VOut>>,
-    stats: &mut JobStats,
-    output: &mut Vec<(R::KOut, R::VOut)>,
-) where
-    M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-{
-    run_reduce_task(job, segments, stats, output)
-}
-
-/// Crate-internal: groups map-output partitions by reducer, accounting
-/// shuffle bytes. Returns one segment list per reduce task.
-pub(crate) fn shuffle_map_outputs<K: Datum, V: Datum>(
+/// Groups map-output partitions by reducer, accounting shuffle bytes.
+/// Returns one segment list per reduce task.
+fn shuffle_map_outputs<K: Datum, V: Datum>(
     map_outputs: Vec<MapOutput<K, V>>,
     nred: usize,
     stats: &mut JobStats,
@@ -153,25 +122,6 @@ pub(crate) fn shuffle_map_outputs<K: Datum, V: Datum>(
         }
     }
     reduce_inputs
-}
-
-/// Crate-internal: shuffle + reduce over already-computed map outputs.
-pub(crate) fn finish_job<M, R>(
-    job: &JobSpec<M, R>,
-    map_outputs: Vec<MapOutput<M::KOut, M::VOut>>,
-    mut stats: JobStats,
-) -> JobResult<R::KOut, R::VOut>
-where
-    M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-{
-    let nred = job.config.num_reducers;
-    let reduce_inputs = shuffle_map_outputs(map_outputs, nred, &mut stats);
-    let mut output = Vec::new();
-    for segments in reduce_inputs {
-        run_reduce_task(job, segments, &mut stats, &mut output);
-    }
-    JobResult { output, stats }
 }
 
 /// Runs `job` over `splits` (one inner `Vec` per map task) and returns the
@@ -207,8 +157,12 @@ where
         map_outputs.push(out);
     }
 
-    // Shuffle + reduce.
-    finish_job(job, map_outputs, stats)
+    let reduce_inputs = shuffle_map_outputs(map_outputs, nred, &mut stats);
+    let mut output = Vec::new();
+    for segments in reduce_inputs {
+        run_reduce_task(job, segments, &mut stats, &mut output);
+    }
+    JobResult { output, stats }
 }
 
 /// Runs a map-only job (`num_reducers` is ignored): map outputs, sorted
@@ -230,26 +184,15 @@ where
     let mut output = Vec::new();
     for split in splits {
         let mo = run_map_task(job, split, &mut stats);
-        append_map_only_output(mo, &mut stats, &mut output);
-    }
-    JobResult { output, stats }
-}
-
-/// Crate-internal: appends one map task's output to a map-only job's
-/// result, accounting output records/bytes. Shared with the parallel
-/// runner so both assemble results identically.
-pub(crate) fn append_map_only_output<K: Datum, V: Datum>(
-    mo: MapOutput<K, V>,
-    stats: &mut JobStats,
-    output: &mut Vec<(K, V)>,
-) {
-    for part in mo.partitions {
-        for (k, v) in part.into_pairs() {
-            stats.output_records += 1;
-            stats.output_bytes += (k.size_bytes() + v.size_bytes()) as u64;
-            output.push((k, v));
+        for part in mo.partitions {
+            for (k, v) in part.into_pairs() {
+                stats.output_records += 1;
+                stats.output_bytes += (k.size_bytes() + v.size_bytes()) as u64;
+                output.push((k, v));
+            }
         }
     }
+    JobResult { output, stats }
 }
 
 fn run_map_task<M, R>(

@@ -8,12 +8,12 @@
 //! merge passes, shuffle bytes, reduce input distribution) falls out of the
 //! execution and is reported in [`JobStats`].
 //!
-//! The engine is deterministic by construction: the sequential runner and
-//! the worker-pool runner ([`run_job_parallel`], selectable via
-//! [`Execution`]) produce bit-identical output and statistics. *Simulated*
-//! wall-clock parallelism is the job of the discrete-event cluster
-//! simulator layered above, which replays these statistics against a
-//! machine model; the thread pool here only makes real runs finish sooner.
+//! There is one runner, [`run_job`] (and [`run_map_only_job`] for jobs
+//! without a reduce phase): tasks execute one after another on the calling
+//! thread, so output and statistics are deterministic by construction.
+//! *Simulated* wall-clock parallelism is the job of the discrete-event
+//! cluster simulator layered above, which replays these statistics
+//! against a machine model.
 //!
 //! # Examples
 //!
@@ -64,7 +64,6 @@ mod engine;
 mod input;
 mod kv;
 mod merge;
-mod parallel;
 mod partition;
 mod phase;
 mod stats;
@@ -75,7 +74,6 @@ pub use emit::Emitter;
 pub use engine::{run_job, run_map_only_job, JobResult, JobSpec};
 pub use input::{text_splits, text_splits_from_bytes};
 pub use kv::Datum;
-pub use parallel::{run_job_parallel, run_map_only_job_parallel, Execution};
 pub use partition::{hash_partition, range_partition, Partitioner};
 pub use phase::{Phase, PhaseBreakdown};
 pub use stats::{JobStats, TaskIo};

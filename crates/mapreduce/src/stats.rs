@@ -123,32 +123,6 @@ impl JobStats {
     }
 }
 
-/// Adds every counter of `src` into `dst` (task I/O vectors are
-/// concatenated in order). Used to merge per-task and per-job statistics.
-pub fn merge_into(dst: &mut JobStats, src: JobStats) {
-    dst.map_input_bytes += src.map_input_bytes;
-    dst.map_input_records += src.map_input_records;
-    dst.map_output_records += src.map_output_records;
-    dst.map_output_bytes += src.map_output_bytes;
-    dst.map_materialized_records += src.map_materialized_records;
-    dst.map_materialized_bytes += src.map_materialized_bytes;
-    dst.combine_input_records += src.combine_input_records;
-    dst.combine_output_records += src.combine_output_records;
-    dst.spills += src.spills;
-    dst.spill_write_bytes += src.spill_write_bytes;
-    dst.map_merge_bytes += src.map_merge_bytes;
-    dst.map_merge_passes += src.map_merge_passes;
-    dst.shuffle_bytes += src.shuffle_bytes;
-    dst.reduce_merge_bytes += src.reduce_merge_bytes;
-    dst.reduce_merge_passes += src.reduce_merge_passes;
-    dst.reduce_input_groups += src.reduce_input_groups;
-    dst.reduce_input_records += src.reduce_input_records;
-    dst.output_records += src.output_records;
-    dst.output_bytes += src.output_bytes;
-    dst.map_task_io.extend(src.map_task_io);
-    dst.reduce_task_io.extend(src.reduce_task_io);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

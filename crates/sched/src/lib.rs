@@ -26,8 +26,6 @@
 //! assert_eq!(alloc.cores, 8);
 //! ```
 
-pub mod queue;
-
 use hhsim_arch::CoreKind;
 use hhsim_energy::{CostMetrics, MetricKind};
 use serde::{Deserialize, Serialize};

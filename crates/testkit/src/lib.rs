@@ -9,6 +9,11 @@
 //! There is no shrinking — cases are small by construction, and the
 //! printed seed pins the exact failing input.
 //!
+//! The kit also keeps [`SlotPool`], the closure-driven FIFO counted
+//! resource that `engine_parity.rs` holds the cluster engine's `run_phase`
+//! against: a reference implementation, so it lives with the test tooling
+//! rather than in the `hhsim-des` kernel.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,10 +24,14 @@
 //! });
 //! ```
 
+mod resource;
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+pub use resource::{PoolStats, SharedSlotPool, SlotGuard, SlotPool};
 
 /// A deterministic random-input generator for one test case.
 #[derive(Debug, Clone)]

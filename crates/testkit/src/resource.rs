@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::{SimTime, Simulation};
+use hhsim_des::{SimTime, Simulation};
 
 /// A pool of identical slots (task slots, disk channels, network lanes).
 ///
@@ -15,7 +15,8 @@ use crate::{SimTime, Simulation};
 /// # Examples
 ///
 /// ```
-/// use hhsim_des::{SharedSlotPool, SimTime, Simulation, SlotPool};
+/// use hhsim_des::{SimTime, Simulation};
+/// use hhsim_testkit::SlotPool;
 ///
 /// let mut sim = Simulation::new();
 /// let pool = SlotPool::shared("slots", 1);

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use hhsim_arch::ComputeProfile;
-use hhsim_mapreduce::{Execution, JobConfig, JobStats};
+use hhsim_mapreduce::{run_map_only_job, JobConfig, JobStats};
 use serde::{Deserialize, Serialize};
 
 use crate::{datagen, fp_growth, grep, naive_bayes, profiles, sort, terasort, wordcount};
@@ -134,22 +134,13 @@ impl AppId {
     /// Executes the application functionally over generated data and
     /// returns merged dataflow statistics (chained jobs are summed).
     pub fn run_functional(self, cfg: &FunctionalConfig) -> FunctionalRun {
-        self.run_functional_with(cfg, Execution::Sequential)
-    }
-
-    /// Like [`AppId::run_functional`] but with an explicit [`Execution`]
-    /// mode: `Execution::Threads(n)` fans each job's map and reduce tasks
-    /// out across `n` workers while producing bit-identical statistics to
-    /// the sequential run (asserted for every app in
-    /// `tests/parallel_consistency.rs`).
-    pub fn run_functional_with(self, cfg: &FunctionalConfig, exec: Execution) -> FunctionalRun {
         let input = self.generate_input(cfg.input_bytes, cfg.seed);
         let job_cfg = JobConfig::default()
             .num_reducers(cfg.num_reducers)
             .sort_buffer_bytes(cfg.sort_buffer_bytes);
         match self {
             AppId::WordCount => {
-                let res = wordcount::run_with(&input, cfg.block_bytes, job_cfg, exec);
+                let res = wordcount::run(&input, cfg.block_bytes, job_cfg);
                 FunctionalRun::single(res.stats)
             }
             AppId::Sort => {
@@ -157,30 +148,29 @@ impl AppId {
                 // the statistics carry no reduce/shuffle component.
                 let job = sort::job(job_cfg);
                 let splits = hhsim_mapreduce::text_splits_from_bytes(&input, cfg.block_bytes);
-                let res = exec.run_map_only_job(&job, splits);
+                let res = run_map_only_job(&job, splits);
                 FunctionalRun::single(res.stats)
             }
             AppId::Grep => {
-                let res = grep::run_with(&input, "the", cfg.block_bytes, job_cfg, exec);
+                let res = grep::run(&input, "the", cfg.block_bytes, job_cfg);
                 FunctionalRun::chained(vec![res.search_stats, res.sort_stats])
             }
             AppId::TeraSort => {
-                let res = terasort::run_with(&input, cfg.block_bytes, job_cfg, exec);
+                let res = terasort::run(&input, cfg.block_bytes, job_cfg);
                 FunctionalRun::single(res.stats)
             }
             AppId::NaiveBayes => {
-                let res = naive_bayes::train_with(&input, cfg.block_bytes, job_cfg, exec);
+                let res = naive_bayes::train(&input, cfg.block_bytes, job_cfg);
                 FunctionalRun::single(res.result.stats)
             }
             AppId::FpGrowth => {
                 let min_support = (cfg.input_bytes / 1200).max(3);
-                let res = fp_growth::run_with(
+                let res = fp_growth::run(
                     &input,
                     min_support,
                     cfg.num_reducers.max(1) as u32,
                     cfg.block_bytes,
                     job_cfg,
-                    exec,
                 );
                 FunctionalRun::chained(vec![res.count_stats, res.mine_stats])
             }

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    text_splits_from_bytes, Emitter, Execution, JobConfig, JobResult, JobSpec, JobStats, Mapper,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Mapper,
     Reducer,
 };
 
@@ -192,30 +192,6 @@ pub fn run(
     block_bytes: u64,
     cfg: JobConfig,
 ) -> FpGrowthResult {
-    run_with(
-        input,
-        min_support,
-        groups,
-        block_bytes,
-        cfg,
-        Execution::Sequential,
-    )
-}
-
-/// Like [`run`] but with an explicit [`Execution`] mode applied to both
-/// chained jobs; patterns and statistics are bit-identical across modes.
-///
-/// # Panics
-///
-/// Panics if `min_support` is zero or `groups` is zero.
-pub fn run_with(
-    input: &Bytes,
-    min_support: u64,
-    groups: u32,
-    block_bytes: u64,
-    cfg: JobConfig,
-    exec: Execution,
-) -> FpGrowthResult {
     assert!(min_support > 0, "min_support must be positive");
     assert!(groups > 0, "need at least one group");
     let splits = text_splits_from_bytes(input, block_bytes);
@@ -224,7 +200,7 @@ pub fn run_with(
     let count_job = JobSpec::new(ItemCountMapper, ItemSumReducer)
         .config(cfg)
         .combiner(|k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
-    let count_res: JobResult<String, u64> = exec.run_job(&count_job, splits.clone());
+    let count_res: JobResult<String, u64> = run_job(&count_job, splits.clone());
     let flist = FList::new(&count_res.output, min_support);
 
     // Job 2: group-dependent mining.
@@ -239,7 +215,7 @@ pub fn run_with(
         },
     )
     .config(cfg);
-    let mine_res = exec.run_job(&mine_job, splits);
+    let mine_res = run_job(&mine_job, splits);
 
     let patterns = mine_res
         .output

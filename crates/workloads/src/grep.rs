@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    text_splits_from_bytes, Emitter, Execution, JobConfig, JobResult, JobSpec, JobStats, Mapper,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Mapper,
     Reducer,
 };
 
@@ -90,18 +90,6 @@ pub struct GrepResult {
 
 /// Runs both grep jobs over `input` with the given pattern.
 pub fn run(input: &Bytes, pattern: &str, block_bytes: u64, cfg: JobConfig) -> GrepResult {
-    run_with(input, pattern, block_bytes, cfg, Execution::Sequential)
-}
-
-/// Like [`run`] but with an explicit [`Execution`] mode applied to both
-/// chained jobs; output and statistics are bit-identical across modes.
-pub fn run_with(
-    input: &Bytes,
-    pattern: &str,
-    block_bytes: u64,
-    cfg: JobConfig,
-    exec: Execution,
-) -> GrepResult {
     let splits = text_splits_from_bytes(input, block_bytes);
     let search = JobSpec::new(
         MatchMapper {
@@ -111,12 +99,12 @@ pub fn run_with(
     )
     .config(cfg)
     .combiner(|k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
-    let search_res: JobResult<String, u64> = exec.run_job(&search, splits);
+    let search_res: JobResult<String, u64> = run_job(&search, splits);
 
     // Second job: single reducer over the (small) match table, one split.
     let sort_cfg = cfg.num_reducers(1);
     let sort_job = JobSpec::new(InvertMapper, EmitSortedReducer).config(sort_cfg);
-    let sort_res = exec.run_job(&sort_job, vec![search_res.output]);
+    let sort_res = run_job(&sort_job, vec![search_res.output]);
 
     GrepResult {
         output: sort_res.output,

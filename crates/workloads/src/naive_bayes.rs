@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    text_splits_from_bytes, Emitter, Execution, JobConfig, JobResult, JobSpec, Mapper, Reducer,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer,
 };
 
 /// Counter key: either a (class, term) pair or a per-class document count
@@ -133,17 +133,11 @@ pub struct TrainResult {
 
 /// Trains Naive Bayes over labeled documents ("label\tword word ...").
 pub fn train(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> TrainResult {
-    train_with(input, block_bytes, cfg, Execution::Sequential)
-}
-
-/// Like [`train`] but with an explicit [`Execution`] mode; the trained
-/// model and statistics are bit-identical across modes.
-pub fn train_with(input: &Bytes, block_bytes: u64, cfg: JobConfig, exec: Execution) -> TrainResult {
     let splits = text_splits_from_bytes(input, block_bytes);
     let job = JobSpec::new(TrainMapper, CountSumReducer)
         .config(cfg)
         .combiner(|k: &CountKey, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
-    let result = exec.run_job(&job, splits);
+    let result = run_job(&job, splits);
     let model = NaiveBayesModel::from_counts(&result.output);
     TrainResult { model, result }
 }

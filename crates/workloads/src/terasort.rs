@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    range_partition, text_splits_from_bytes, Emitter, Execution, JobConfig, JobResult, JobSpec,
+    range_partition, run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec,
     Mapper, Reducer,
 };
 
@@ -79,24 +79,12 @@ pub fn sample_cut_points(
 
 /// Runs TeraSort (sampling + total-order sort) over `input`.
 pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<String, String> {
-    run_with(input, block_bytes, cfg, Execution::Sequential)
-}
-
-/// Like [`run`] but with an explicit [`Execution`] mode; output and
-/// statistics are bit-identical across modes (sampling happens on the
-/// calling thread either way).
-pub fn run_with(
-    input: &Bytes,
-    block_bytes: u64,
-    cfg: JobConfig,
-    exec: Execution,
-) -> JobResult<String, String> {
     let splits = text_splits_from_bytes(input, block_bytes);
     let cuts = sample_cut_points(&splits, cfg.num_reducers, 32);
     let job = JobSpec::new(TeraKeyMapper, TeraReducer)
         .config(cfg)
         .partitioner(range_partition(cuts));
-    exec.run_job(&job, splits)
+    run_job(&job, splits)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    text_splits_from_bytes, Emitter, Execution, JobConfig, JobResult, JobSpec, Mapper, Reducer,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer,
 };
 
 /// Tokenizes lines into `(word, 1)` pairs.
@@ -46,19 +46,8 @@ pub fn job(cfg: JobConfig) -> JobSpec<TokenizeMapper, SumReducer> {
 
 /// Runs WordCount over `input` split into `block_bytes` blocks.
 pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<String, u64> {
-    run_with(input, block_bytes, cfg, Execution::Sequential)
-}
-
-/// Like [`run`] but with an explicit [`Execution`] mode; output and
-/// statistics are bit-identical across modes.
-pub fn run_with(
-    input: &Bytes,
-    block_bytes: u64,
-    cfg: JobConfig,
-    exec: Execution,
-) -> JobResult<String, u64> {
     let splits = text_splits_from_bytes(input, block_bytes);
-    exec.run_job(&job(cfg), splits)
+    run_job(&job(cfg), splits)
 }
 
 #[cfg(test)]

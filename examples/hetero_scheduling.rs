@@ -10,7 +10,6 @@
 use hhsim_core::arch::{presets, CoreKind};
 use hhsim_core::energy::MetricKind;
 use hhsim_core::figures::SCHED_BLOCK;
-use hhsim_core::sched::queue::{run_queue, JobRequest, Policy, PoolConfig};
 use hhsim_core::sched::{paper_schedule, CoreAllocation, CostTable, JobClass, CORE_COUNTS};
 use hhsim_core::workloads::{AppClass, AppId};
 use hhsim_core::{simulate, SimConfig};
@@ -21,27 +20,6 @@ fn job_class(app: AppId) -> JobClass {
         AppClass::Io => JobClass::Io,
         AppClass::Hybrid => JobClass::Hybrid,
     }
-}
-
-fn characterize(app: AppId) -> CostTable {
-    let mut table = CostTable::new();
-    for m in presets::both() {
-        for cores in CORE_COUNTS {
-            let meas = simulate(
-                &SimConfig::new(app, m.clone())
-                    .block_size(SCHED_BLOCK)
-                    .mappers(cores),
-            );
-            table.insert(
-                CoreAllocation {
-                    kind: m.core.kind,
-                    cores,
-                },
-                meas.cost,
-            );
-        }
-    }
-    table
 }
 
 fn main() {
@@ -92,37 +70,6 @@ fn main() {
          fraction of the max-performance baseline's operational cost.\n"
     );
 
-    // ------------------------------------------------------------------
-    // Multi-job case study: a mixed queue on a shared 8+8 pool.
-    // ------------------------------------------------------------------
-    println!("Mixed queue of all six applications on an 8-Xeon + 8-Atom pool:");
-    let pool = PoolConfig {
-        big_cores: 8,
-        little_cores: 8,
-    };
-    let jobs: Vec<JobRequest> = AppId::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, app)| JobRequest {
-            name: app.full_name().to_string(),
-            class: job_class(*app),
-            arrival_s: i as f64 * 5.0,
-            table: characterize(*app),
-        })
-        .collect();
-    for policy in [
-        Policy::PaperClassDriven(MetricKind::Edp),
-        Policy::ExhaustiveOptimal(MetricKind::Edp),
-        Policy::MaxPerformance,
-    ] {
-        let out = run_queue(pool, &jobs, policy);
-        println!(
-            "  {:<34} makespan {:>8.1}s  energy {:>10.0} J",
-            format!("{policy:?}"),
-            out.makespan_s,
-            out.total_energy_j
-        );
-    }
     // Sanity: show the paper's hybrid/ED2AP special case.
     let hybrid = paper_schedule(JobClass::Hybrid, MetricKind::Ed2ap);
     assert_eq!(hybrid.kind, CoreKind::Big);
