@@ -30,10 +30,9 @@
 //! ```
 
 use hhsim_mapreduce::PhaseBreakdown;
-use serde::{Deserialize, Serialize};
 
 /// Accelerator and link parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelConfig {
     /// Acceleration rate of the offloaded kernel (time_fpga =
     /// offloaded_time / rate). The paper sweeps 1–100×.

@@ -1,8 +1,7 @@
 //! A minimal JSON reader/writer.
 //!
-//! The workspace's `serde` shim has no JSON backend (it only derives the
-//! traits), so the linter carries its own ~150-line recursive-descent
-//! parser. It supports the full JSON value grammar; the linter only ever
+//! The offline workspace has no JSON crate, so the linter carries its own
+//! ~150-line recursive-descent parser. It supports the full JSON value grammar; the linter only ever
 //! feeds it its own baseline files and reports, both of which it also
 //! writes.
 

@@ -7,15 +7,13 @@
 //! instruction and average stall latencies are derived for the analytical
 //! core model.
 
-use serde::{Deserialize, Serialize};
-
 /// Replacement policy of a cache level.
 ///
 /// True LRU is the default (and what the machine presets use); FIFO and a
 /// deterministic pseudo-random policy exist for ablation studies of how
 /// much the miss rates — and therefore Fig. 1's IPC — depend on the
 /// replacement choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Replacement {
     /// Evict the least-recently-used way.
     #[default]
@@ -37,7 +35,7 @@ pub enum Replacement {
 /// let l1 = CacheConfig::new("L1d", 32 * 1024, 8, 64, 1.0);
 /// assert_eq!(l1.num_sets(), 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Human-readable level name ("L1d", "L2", "L3").
     pub name: String,
@@ -101,7 +99,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters for one level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Accesses that reached this level.
     pub accesses: u64,
@@ -272,7 +270,7 @@ impl Cache {
 }
 
 /// Per-level and memory statistics of a hierarchy run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HierarchyStats {
     /// Statistics per level, outermost last.
     pub levels: Vec<(String, LevelStats)>,

@@ -14,8 +14,6 @@
 //! on both machines, and the big core sustains ≈1.4× the little core's IPC
 //! on Hadoop code.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{CacheConfig, CacheHierarchy, Replacement};
 use crate::dvfs::{Frequency, OperatingPoint, VoltageCurve};
 use crate::power::ChipPowerModel;
@@ -23,7 +21,7 @@ use crate::profile::ComputeProfile;
 use crate::trace::TraceGenerator;
 
 /// Which side of the big/little divide a machine is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// High-performance out-of-order server core (Xeon).
     Big,
@@ -41,7 +39,7 @@ impl std::fmt::Display for CoreKind {
 }
 
 /// Pipeline-level parameters of one core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreModel {
     /// Big or little.
     pub kind: CoreKind,
@@ -88,7 +86,7 @@ impl CoreModel {
 /// let t = xeon.compute_seconds(1e9, &ComputeProfile::spec_average(), Frequency::GHZ_1_8);
 /// assert!(t > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineModel {
     /// Marketing name ("Intel Xeon E5-2420").
     pub name: String,

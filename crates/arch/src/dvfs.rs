@@ -4,11 +4,10 @@
 //! Voltage follows an affine voltage/frequency curve per machine, giving the
 //! CV²f dynamic-power scaling the EDP analysis depends on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A core clock frequency in GHz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency(f64);
 
 impl Frequency {
@@ -62,7 +61,7 @@ impl fmt::Display for Frequency {
 }
 
 /// Affine voltage/frequency relationship `V(f) = v0 + slope · f`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageCurve {
     /// Voltage intercept at 0 GHz (the retention floor), volts.
     pub v0: f64,
@@ -78,7 +77,7 @@ impl VoltageCurve {
 }
 
 /// A (frequency, voltage) pair — the unit of DVFS control.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Clock frequency.
     pub frequency: Frequency,

@@ -8,12 +8,10 @@
 //! Units conspire nicely: effective capacitance in nanofarads × V² ×
 //! frequency in GHz yields watts directly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dvfs::OperatingPoint;
 
 /// Power parameters of one chip plus its node-level adders.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipPowerModel {
     /// Effective switched capacitance per core, nanofarads.
     pub cdyn_core_nf: f64,
@@ -33,7 +31,7 @@ pub struct ChipPowerModel {
 }
 
 /// Instantaneous node power split into its sources, watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerBreakdown {
     /// Whole-node idle floor.
     pub idle: f64,

@@ -6,15 +6,13 @@
 //! is reproduced by giving Hadoop phases low-ILP, large-working-set profiles
 //! and traditional SPEC/PARSEC workloads high-ILP, cache-resident ones.
 
-use serde::{Deserialize, Serialize};
-
 /// Memory-access behaviour driving the synthetic trace generator.
 ///
 /// The generator mixes three streams: sequential strided accesses (scan-like
 /// record processing), a hot set that usually stays cache-resident
 /// (hash tables, stacks), and uniform random accesses over the full working
 /// set (pointer chasing, large joins).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryProfile {
     /// Memory operations per instruction (loads + stores).
     pub accesses_per_instr: f64,
@@ -71,7 +69,7 @@ impl MemoryProfile {
 /// assert!(p.mem.validate().is_ok());
 /// assert!(p.ilp < ComputeProfile::spec_average().ilp);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeProfile {
     /// Label for reports.
     pub name: String,

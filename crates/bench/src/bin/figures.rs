@@ -7,7 +7,9 @@
 //! cargo run --release -p hhsim-bench --bin figures -- calibration
 //! ```
 //!
-//! CSVs land in `results/`; the calibration report prints to stdout.
+//! Everything lands in `results/`: a CSV per table and figure, the trace
+//! and utilization pair of the four traced figures, and the
+//! paper-vs-measured report `calibration.txt` (artifact id `calibration`).
 //! `--jobs N` sets the sweep harness's worker count (default: all
 //! available cores; `--jobs 1` forces serial execution — the output CSVs
 //! are byte-identical either way). Each artifact line reports the grid
@@ -24,21 +26,21 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
 
-use hhsim_core::{harness, SimCache};
+use hhsim_core::{harness, SimCache, SimConfig};
 
-/// Streams a trace JSON + utilization CSV pair to disk through buffered
-/// writers, keeping memory flat however many spans the timeline holds.
-fn stream_trace(
-    trace_path: &Path,
-    util_path: &Path,
-    render: impl FnOnce(&mut BufWriter<File>, &mut BufWriter<File>) -> io::Result<()>,
-) -> io::Result<()> {
+/// Streams the trace JSON + utilization CSV pair of `cfg`'s run to disk
+/// through buffered writers, keeping memory flat however many spans the
+/// timeline holds.
+fn stream_trace(cfg: &SimConfig, trace_path: &Path, util_path: &Path) -> io::Result<()> {
     let mut trace = BufWriter::new(File::create(trace_path)?);
     let mut util = BufWriter::new(File::create(util_path)?);
-    render(&mut trace, &mut util)?;
+    hhsim_bench::write_trace(cfg, &mut trace, &mut util)?;
     trace.flush()?;
     util.flush()
 }
+
+/// Artifact id of the paper-vs-measured report, `results/calibration.txt`.
+const CALIBRATION: &str = "calibration";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,19 +72,10 @@ fn main() {
     let out_dir = Path::new("results");
     fs::create_dir_all(out_dir).expect("create results/");
 
-    if args.iter().any(|a| a == "calibration") {
-        let targets = hhsim_core::calibration::check_all();
-        let report = hhsim_core::calibration::report(&targets);
-        println!("{report}");
-        fs::write(out_dir.join("calibration.txt"), &report).expect("write calibration");
-        return;
-    }
-
-    let wanted: Vec<&str> = if args.is_empty() {
-        hhsim_bench::artifact_ids()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
+    let mut known = hhsim_bench::artifact_ids();
+    known.push(CALIBRATION);
+    let named: Vec<&str> = args.iter().map(String::as_str).collect();
+    let wanted = if named.is_empty() { &known } else { &named };
 
     println!(
         "sweep harness: {} worker(s) ({} cores available)",
@@ -93,7 +86,20 @@ fn main() {
     let cache_start = SimCache::global().stats();
     let harness_start = harness::snapshot();
 
-    for id in wanted {
+    for &id in wanted {
+        if id == CALIBRATION {
+            let targets = hhsim_core::calibration::check_all();
+            let path = out_dir.join("calibration.txt");
+            fs::write(&path, hhsim_core::calibration::report(&targets))
+                .expect("write calibration report");
+            println!(
+                "wrote {} ({}/{} claims hold)",
+                path.display(),
+                targets.iter().filter(|t| t.holds).count(),
+                targets.len()
+            );
+            continue;
+        }
         let fig_started = Instant::now();
         let cache_before = SimCache::global().stats();
         let harness_before = harness::snapshot();
@@ -107,43 +113,13 @@ fn main() {
             Some(Ok((id, csv))) => {
                 let path = out_dir.join(format!("{id}.csv"));
                 fs::write(&path, &csv).expect("write figure CSV");
-                if id == "fig18" {
-                    // Fig. 18 ships its representative cluster trace: a
-                    // Chrome-trace timeline plus per-node utilization
-                    // steps, streamed straight to disk.
-                    let tp = out_dir.join("fig18_trace.json");
-                    let up = out_dir.join("fig18_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig18_trace)
-                        .expect("write fig18 trace artifacts");
-                    println!("wrote {} and {}", tp.display(), up.display());
-                }
-                if id == "fig19" {
-                    // Fig. 19 ships its representative fault-injection
-                    // trace: re-executed, killed and speculated attempts.
-                    let tp = out_dir.join("fig19_trace.json");
-                    let up = out_dir.join("fig19_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig19_trace)
-                        .expect("write fig19 trace artifacts");
-                    println!("wrote {} and {}", tp.display(), up.display());
-                }
-                if id == "fig21" {
-                    // Fig. 21 ships its representative rack-fabric trace:
-                    // spans tagged with their locality tier plus the
-                    // tiered per-node utilization columns.
-                    let tp = out_dir.join("fig21_trace.json");
-                    let up = out_dir.join("fig21_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig21_trace)
-                        .expect("write fig21 trace artifacts");
-                    println!("wrote {} and {}", tp.display(), up.display());
-                }
-                if id == "fig22" {
-                    // Fig. 22 ships its representative correlated-failure
-                    // trace: a rack crash, cancelled fetches, re-executed
-                    // maps on surviving replicas and a rack blacklist.
-                    let tp = out_dir.join("fig22_trace.json");
-                    let up = out_dir.join("fig22_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig22_trace)
-                        .expect("write fig22 trace artifacts");
+                if let Some((_, cfg)) = hhsim_bench::TRACES.iter().find(|(tid, _)| *tid == id) {
+                    // A traced figure ships its representative run beside
+                    // the CSV: a Chrome-trace timeline plus per-node
+                    // utilization steps, streamed straight to disk.
+                    let tp = out_dir.join(format!("{id}_trace.json"));
+                    let up = out_dir.join(format!("{id}_util.csv"));
+                    stream_trace(&cfg(), &tp, &up).expect("write trace artifacts");
                     println!("wrote {} and {}", tp.display(), up.display());
                 }
                 let cache = SimCache::global().stats().since(&cache_before);
@@ -160,10 +136,7 @@ fn main() {
                 );
             }
             None => {
-                eprintln!(
-                    "unknown artifact `{id}`; known: {:?}",
-                    hhsim_bench::artifact_ids()
-                );
+                eprintln!("unknown artifact `{id}`; known: {known:?}");
                 std::process::exit(2);
             }
         }

@@ -5,6 +5,8 @@
 //! paper-vs-measured calibration report. Speed is measured from outside,
 //! by the `perf/` package behind `BENCHMARK.json`.
 
+use std::io;
+
 use hhsim_core::arch::presets;
 use hhsim_core::energy::MetricKind;
 use hhsim_core::faults::{PhaseError, RecoveryPolicy};
@@ -12,7 +14,6 @@ use hhsim_core::figures::{
     fig19_faults, fig22_faults, FIG22_OVERSUB, MICRO_DATA, SCHED_BLOCK, TOPO_RACKS,
 };
 use hhsim_core::hdfs::{BlockSize, Topology};
-use hhsim_core::report::FigureData;
 use hhsim_core::workloads::AppId;
 use hhsim_core::{simulate_cluster, NodeMix, PlacementKind, SimConfig};
 
@@ -49,27 +50,6 @@ pub fn fig18_trace_config() -> SimConfig {
         })
 }
 
-/// Renders the fig. 18 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig18_trace`].
-pub fn fig18_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig18_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
-}
-
-/// Streams the fig. 18 trace artifacts — byte-identical to
-/// [`fig18_trace`] but written incrementally, so the export stays flat
-/// in memory at any span count.
-pub fn write_fig18_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig18_trace_config());
-    timeline.write_chrome_trace(trace)?;
-    timeline.write_utilization_csv(util)
-}
-
 /// The representative fault-injection run whose trace ships next to
 /// `fig19.csv`: WordCount on the 1 Xeon + 2 Atom mix under the Fig. 19
 /// fault model at a 6% failure rate, plus a node MTTF tuned so exactly one
@@ -101,26 +81,6 @@ pub const FIG19_TRACE_MTTF_S: f64 = 300.0;
 /// backups with cancelled rivals, and one blacklisted node.
 pub const FIG19_TRACE_SEED: u64 = 6;
 
-/// Renders the fig. 19 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig19_trace`].
-pub fn fig19_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig19_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
-}
-
-/// Streams the fig. 19 trace artifacts — byte-identical to
-/// [`fig19_trace`] but written incrementally.
-pub fn write_fig19_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig19_trace_config());
-    timeline.write_chrome_trace(trace)?;
-    timeline.write_utilization_csv(util)
-}
-
 /// The representative rack-fabric run whose trace ships next to
 /// `fig21.csv`: TeraSort on the 4 Xeon + 8 Atom mix over 4 racks with a
 /// 16x-oversubscribed ToR uplink, at 64 MB blocks so map tasks outnumber
@@ -137,26 +97,6 @@ pub fn fig21_trace_config() -> SimConfig {
             little: 8,
             placement: PlacementKind::PaperClass(MetricKind::Edp),
         })
-}
-
-/// Renders the fig. 21 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig21_trace`].
-pub fn fig21_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig21_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
-}
-
-/// Streams the fig. 21 trace artifacts — byte-identical to
-/// [`fig21_trace`] but written incrementally.
-pub fn write_fig21_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig21_trace_config());
-    timeline.write_chrome_trace(trace)?;
-    timeline.write_utilization_csv(util)
 }
 
 /// Per-rack switch-failure rate (crashes/hour) for the fig. 22 trace:
@@ -197,37 +137,82 @@ pub fn fig22_trace_config() -> SimConfig {
         .faults(faults)
 }
 
-/// Renders the fig. 22 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig22_trace`].
-pub fn fig22_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig22_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
-}
+/// The artifacts that ship a representative run's trace beside their
+/// CSV (`<id>_trace.json`, `<id>_util.csv`), with that run's
+/// configuration.
+// A four-row table of (id, constructor); an alias would only add a name.
+#[allow(clippy::type_complexity)]
+pub const TRACES: [(&str, fn() -> SimConfig); 4] = [
+    ("fig18", fig18_trace_config),
+    ("fig19", fig19_trace_config),
+    ("fig21", fig21_trace_config),
+    ("fig22", fig22_trace_config),
+];
 
-/// Streams the fig. 22 trace artifacts — byte-identical to
-/// [`fig22_trace`] but written incrementally.
-pub fn write_fig22_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig22_trace_config());
+/// Runs `cfg` on the cluster engine and streams its timeline out: the
+/// Chrome trace into `trace`, the per-node utilization steps into `util`.
+/// Written incrementally, so the export stays flat in memory at any span
+/// count (wrap files in a `BufWriter`).
+pub fn write_trace(
+    cfg: &SimConfig,
+    trace: &mut impl io::Write,
+    util: &mut impl io::Write,
+) -> io::Result<()> {
+    let (_, timeline) = simulate_cluster(cfg);
     timeline.write_chrome_trace(trace)?;
     timeline.write_utilization_csv(util)
 }
 
-/// Renders every artifact; fault-sweep figures carry their typed error.
-pub fn render_all() -> Vec<(String, Result<FigureData, PhaseError>)> {
-    hhsim_core::figures::all()
-        .into_iter()
-        .map(|(id, f)| (id.to_string(), f()))
-        .collect()
+/// [`write_trace`] of [`fig18_trace_config`].
+pub fn write_fig18_trace(trace: &mut impl io::Write, util: &mut impl io::Write) -> io::Result<()> {
+    write_trace(&fig18_trace_config(), trace, util)
+}
+
+/// [`write_trace`] of [`fig19_trace_config`].
+pub fn write_fig19_trace(trace: &mut impl io::Write, util: &mut impl io::Write) -> io::Result<()> {
+    write_trace(&fig19_trace_config(), trace, util)
+}
+
+/// [`write_trace`] of [`fig21_trace_config`].
+pub fn write_fig21_trace(trace: &mut impl io::Write, util: &mut impl io::Write) -> io::Result<()> {
+    write_trace(&fig21_trace_config(), trace, util)
+}
+
+/// [`write_trace`] of [`fig22_trace_config`].
+pub fn write_fig22_trace(trace: &mut impl io::Write, util: &mut impl io::Write) -> io::Result<()> {
+    write_trace(&fig22_trace_config(), trace, util)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(chrome_trace_json, util_csv)` of a [`TRACES`] entry.
+    fn trace_of(id: &str) -> (String, String) {
+        let (_, cfg) = TRACES
+            .iter()
+            .find(|(tid, _)| *tid == id)
+            .expect("a traced artifact");
+        let (mut json, mut util) = (Vec::new(), Vec::new());
+        write_trace(&cfg(), &mut json, &mut util).expect("write into a Vec");
+        (
+            String::from_utf8(json).expect("utf-8 trace"),
+            String::from_utf8(util).expect("utf-8 csv"),
+        )
+    }
+
+    /// The shipped `results/<id>_trace.json` / `<id>_util.csv` are what
+    /// the writer produces today.
+    fn assert_checked_in_trace_is_current(id: &str) {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let (json, util) = trace_of(id);
+        let disk_json = std::fs::read_to_string(format!("{root}/results/{id}_trace.json"))
+            .expect("trace JSON is checked in");
+        let disk_util = std::fs::read_to_string(format!("{root}/results/{id}_util.csv"))
+            .expect("utilization CSV is checked in");
+        assert_eq!(json, disk_json, "regenerate with the figures binary");
+        assert_eq!(util, disk_util, "regenerate with the figures binary");
+    }
 
     #[test]
     fn render_known_and_unknown() {
@@ -250,8 +235,8 @@ mod tests {
 
     #[test]
     fn fig18_trace_is_deterministic_and_well_formed() {
-        let (json, csv) = fig18_trace();
-        let (json2, csv2) = fig18_trace();
+        let (json, csv) = trace_of("fig18");
+        let (json2, csv2) = trace_of("fig18");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
@@ -270,8 +255,8 @@ mod tests {
         );
         assert!(m.faults.speculative_wins > 0, "some backups must win");
         assert_eq!(m.faults.blacklisted_nodes, 1, "one node gets blacklisted");
-        let (json, csv) = fig19_trace();
-        let (json2, csv2) = fig19_trace();
+        let (json, csv) = trace_of("fig19");
+        let (json2, csv2) = trace_of("fig19");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.contains("\"outcome\":\"killed\""));
@@ -289,8 +274,8 @@ mod tests {
             "64 MB blocks must push some reads off-node: {:?}",
             m.map_locality_tiers
         );
-        let (json, csv) = fig21_trace();
-        let (json2, csv2) = fig21_trace();
+        let (json, csv) = trace_of("fig21");
+        let (json2, csv2) = trace_of("fig21");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.contains("\"tier\":\"rack-local\"") || json.contains("\"tier\":\"off-rack\""));
@@ -302,38 +287,17 @@ mod tests {
 
     #[test]
     fn checked_in_fig21_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig21_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig21_trace.json"))
-            .expect("results/fig21_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig21_util.csv"))
-            .expect("results/fig21_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig21");
     }
 
     #[test]
     fn checked_in_fig18_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig18_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig18_trace.json"))
-            .expect("results/fig18_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig18_util.csv"))
-            .expect("results/fig18_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig18");
     }
 
     #[test]
     fn checked_in_fig19_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig19_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig19_trace.json"))
-            .expect("results/fig19_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig19_util.csv"))
-            .expect("results/fig19_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig19");
     }
 
     #[test]
@@ -353,8 +317,8 @@ mod tests {
             f.racks_blacklisted >= 1,
             "attempt failures must escalate to a rack blacklist"
         );
-        let (json, csv) = fig22_trace();
-        let (json2, csv2) = fig22_trace();
+        let (json, csv) = trace_of("fig22");
+        let (json2, csv2) = trace_of("fig22");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         // The correlated-failure vocabulary is all visible in one trace…
@@ -363,7 +327,11 @@ mod tests {
         assert!(json.contains("\"name\":\"rack-crash:"));
         assert!(json.contains("\"name\":\"rack-blacklisted:"));
         // …and in none of the clean traces (golden-vocabulary negative).
-        for clean in [fig18_trace().0, fig19_trace().0, fig21_trace().0] {
+        for clean in [
+            trace_of("fig18").0,
+            trace_of("fig19").0,
+            trace_of("fig21").0,
+        ] {
             assert!(!clean.contains("fetch-failed"));
             assert!(!clean.contains("\"outcome\":\"recovered\""));
             assert!(!clean.contains("rack-crash"));
@@ -373,13 +341,6 @@ mod tests {
 
     #[test]
     fn checked_in_fig22_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig22_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig22_trace.json"))
-            .expect("results/fig22_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig22_util.csv"))
-            .expect("results/fig22_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig22");
     }
 }

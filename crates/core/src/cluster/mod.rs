@@ -34,7 +34,6 @@
 use hhsim_arch::CoreKind;
 use hhsim_faults::{AttemptOutcome, FaultStats};
 pub use hhsim_hdfs::LocalityTier;
-use serde::{Deserialize, Serialize};
 
 mod engine;
 mod late;
@@ -94,7 +93,7 @@ pub fn attempt_jitter(task_index: usize, attempt: u32) -> f64 {
 }
 
 /// One machine of the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Display name ("xeon0", "atom1", ...).
     pub name: String,
@@ -105,7 +104,7 @@ pub struct Node {
 }
 
 /// A set of first-class nodes tasks are placed on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// The nodes, in placement-preference order (node id = index).
     pub nodes: Vec<Node>,
@@ -173,7 +172,7 @@ impl Cluster {
 }
 
 /// Nominal per-task timing on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeTiming {
     /// Nominal duration of one task on this node, seconds.
     pub task_seconds: f64,
@@ -313,7 +312,7 @@ impl PhaseLoad {
 /// Slot admission counters of one engine run (the cluster-level analogue
 /// of `hhsim_testkit::PoolStats`), surfaced through `Measurement` so
 /// figures can report slot utilization and queueing delay per phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SlotStats {
     /// Total slots across the cluster.
     pub capacity: usize,
@@ -348,7 +347,7 @@ impl SlotStats {
 }
 
 /// One task's structured trace record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpan {
     /// Phase label ("map", "reduce", possibly suffixed per chained job).
     pub phase: String,
@@ -368,16 +367,13 @@ pub struct TaskSpan {
     pub finished_s: f64,
     /// 1-based attempt number (> 1 only for re-executions and
     /// speculative backups under fault injection).
-    #[serde(default)]
     pub attempt: u32,
     /// How this attempt ended. Spans in [`PhaseRun::spans`] are always
     /// [`AttemptOutcome::Success`]; wasted attempts live in
     /// [`PhaseRun::wasted`].
-    #[serde(default)]
     pub outcome: AttemptOutcome,
     /// Input locality of this attempt's landing node
     /// ([`LocalityTier::NodeLocal`] on phases without locality context).
-    #[serde(default)]
     pub tier: LocalityTier,
 }
 

@@ -3,6 +3,7 @@ use hhsim_energy::MetricKind;
 use hhsim_faults::{AttemptOutcome, PhaseError, PhaseFaults, RecoveryPolicy};
 use hhsim_hdfs::Topology;
 use hhsim_sched::JobClass;
+use hhsim_testkit::streamed;
 
 use super::engine::Done;
 use super::recovery::{oracle, run_phase_fetching, EngineScratch, FaultEvent, FaultState};
@@ -399,8 +400,7 @@ fn slot_stats_stay_consistent_under_cancellation() {
     let c = Cluster::homogeneous(CoreKind::Big, 2, 2);
     let mut tl = ClusterTimeline::new(&c);
     tl.extend("map", 0.0, &spec);
-    for node in 0..2 {
-        let steps = tl.active_steps(node);
+    for steps in tl.active_steps_all() {
         assert_eq!(steps.last().expect("steps end").1, 0, "all slots drain");
     }
 
@@ -458,7 +458,7 @@ fn faulty_trace_labels_attempts_and_outcomes() {
     let run = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults)).expect("node0 survives");
     let mut tl = ClusterTimeline::new(&c);
     tl.extend("map", 0.0, &run);
-    let json = tl.to_chrome_trace_json();
+    let json = streamed(|w| tl.write_chrome_trace(w));
     assert!(
         json.contains("\"outcome\":\""),
         "wasted attempts are labelled in the trace"
@@ -471,7 +471,7 @@ fn faulty_trace_labels_attempts_and_outcomes() {
     let clean = run_phase(&c, &load, &mut FifoAnySlot);
     let mut tl = ClusterTimeline::new(&c);
     tl.extend("map", 0.0, &clean);
-    let json = tl.to_chrome_trace_json();
+    let json = streamed(|w| tl.write_chrome_trace(w));
     assert!(!json.contains("\"outcome\""));
     assert!(!json.contains("\"attempt\""));
 }
@@ -571,13 +571,13 @@ fn rack_crash_markers_count_and_annotate() {
     // event; clean runs carry none.
     let mut tl = ClusterTimeline::new(&c);
     tl.extend("map", 0.0, &run);
-    let json = tl.to_chrome_trace_json();
+    let json = streamed(|w| tl.write_chrome_trace(w));
     assert!(json.contains("\"name\":\"rack-crash:1\""));
     assert!(json.contains("\"ph\":\"i\""));
     let clean = run_phase(&c, &load, &mut FifoAnySlot);
     let mut tl = ClusterTimeline::new(&c);
     tl.extend("map", 0.0, &clean);
-    assert!(!tl.to_chrome_trace_json().contains("\"ph\":\"i\""));
+    assert!(!streamed(|w| tl.write_chrome_trace(w)).contains("\"ph\":\"i\""));
 }
 
 #[test]
@@ -676,7 +676,7 @@ fn fetch_failure_reexecutes_lost_maps_on_surviving_replicas() {
     // The trace vocabulary carries the new outcomes.
     let mut tl = ClusterTimeline::new(&c);
     tl.extend("reduce", 0.0, &run);
-    let json = tl.to_chrome_trace_json();
+    let json = streamed(|w| tl.write_chrome_trace(w));
     assert!(json.contains("\"outcome\":\"fetch-failed\""));
     assert!(json.contains("\"outcome\":\"recovered\""));
     // Determinism: same plan, same bytes.
@@ -888,17 +888,18 @@ fn timeline_composes_phases_and_exports() {
     assert_eq!(tl.len(), 7);
     assert!((tl.end_s() - (map.makespan_s + red.makespan_s)).abs() < 1e-9);
 
-    let json = tl.to_chrome_trace_json();
+    let json = streamed(|w| tl.write_chrome_trace(w));
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains("\"cat\":\"map\""));
     assert!(json.contains("\"cat\":\"reduce\""));
     assert!(json.contains("process_name"));
     assert!(!json.contains(",\n]"), "no trailing comma before array end");
 
-    let csv = tl.utilization_csv();
+    let csv = streamed(|w| tl.write_utilization_csv(w));
     assert!(csv.starts_with("node,name,time_s,active_slots"));
-    for i in 0..c.nodes.len() {
-        let steps = tl.active_steps(i);
+    let all_steps = tl.active_steps_all();
+    assert_eq!(all_steps.len(), c.nodes.len());
+    for steps in all_steps {
         assert_eq!(steps.last().expect("steps end").1, 0, "all slots drain");
         for w in steps.windows(2) {
             assert!(w[1].0 > w[0].0, "strictly increasing change points");

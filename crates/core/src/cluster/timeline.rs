@@ -1,14 +1,13 @@
 //! A whole run's spans on one absolute clock, and its exports.
 
 use hhsim_faults::AttemptOutcome;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io;
 
-use super::{Cluster, LocalityTier, PhaseRun, TaskSpan};
+use super::{Cluster, LocalityTier, PhaseRun};
 
 /// Node metadata echoed into exports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeMeta {
     /// Node display name.
     pub name: String,
@@ -25,11 +24,8 @@ pub struct NodeMeta {
 /// phase labels interned once per phase instead of cloned per span. At a
 /// million tasks this is a single arena of primitive columns — no
 /// per-span `String`, no per-span allocation — and iteration for export
-/// is a linear column walk. [`ClusterTimeline::get`] /
-/// [`ClusterTimeline::iter`]
-/// materialize [`TaskSpan`] views on demand for the few consumers that
-/// want the row form.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// is a linear column walk.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterTimeline {
     /// The cluster's nodes (index = `TaskSpan::node`).
     pub nodes: Vec<NodeMeta>,
@@ -46,15 +42,12 @@ pub struct ClusterTimeline {
     finished_s: Vec<f64>,
     attempt: Vec<u32>,
     outcome: Vec<AttemptOutcome>,
-    #[serde(default)]
     tier: Vec<LocalityTier>,
     /// Absolute-time domain-event annotations (`"rack-crash:<r>"`,
     /// `"rack-blacklisted:<r>"`), exported as instant events. Empty —
     /// and bitwise invisible in every export — without active failure
     /// domains.
-    #[serde(default)]
     ann_time_s: Vec<f64>,
-    #[serde(default)]
     ann_label: Vec<String>,
 }
 
@@ -88,13 +81,6 @@ fn fold_steps(events: &mut [(f64, i64)], steps: &mut Vec<(f64, usize)>) {
             steps.push((t, a));
         }
     }
-}
-
-/// [`fold_steps`] into a fresh vector.
-fn steps_from_events(events: &mut [(f64, i64)]) -> Vec<(f64, usize)> {
-    let mut steps = Vec::new();
-    fold_steps(events, &mut steps);
-    steps
 }
 
 /// The buffers [`PhaseRun::node_steps`] builds step functions in. Their
@@ -203,46 +189,9 @@ impl ClusterTimeline {
         self.phase_ix.is_empty()
     }
 
-    /// Materializes span `i` as a row, if in bounds.
-    pub fn get(&self, i: usize) -> Option<TaskSpan> {
-        let pix = *self.phase_ix.get(i)? as usize;
-        Some(TaskSpan {
-            phase: self.phases.get(pix).cloned().unwrap_or_default(),
-            task: *self.task.get(i)? as usize,
-            node: *self.node.get(i)? as usize,
-            slot: *self.slot.get(i)? as usize,
-            wave: *self.wave.get(i)? as usize,
-            queued_s: *self.queued_s.get(i)?,
-            launched_s: *self.launched_s.get(i)?,
-            finished_s: *self.finished_s.get(i)?,
-            attempt: *self.attempt.get(i)?,
-            outcome: *self.outcome.get(i)?,
-            tier: self.tier.get(i).copied().unwrap_or_default(),
-        })
-    }
-
-    /// Materializing iterator over all spans in append order.
-    pub fn iter(&self) -> impl Iterator<Item = TaskSpan> + '_ {
-        (0..self.len()).filter_map(|i| self.get(i))
-    }
-
     /// Latest task completion, seconds.
     pub fn end_s(&self) -> f64 {
         self.finished_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Step function of busy slots on `node`: `(time, active)` points at
-    /// every change, starting at `(0, 0)`. Feeds the utilization-driven
-    /// power model.
-    pub fn active_steps(&self, node: usize) -> Vec<(f64, usize)> {
-        let mut events: Vec<(f64, i64)> = Vec::new();
-        for i in 0..self.len() {
-            if self.node.get(i).copied() == Some(narrow(node)) {
-                events.push((self.launched_s.get(i).copied().unwrap_or(0.0), 1));
-                events.push((self.finished_s.get(i).copied().unwrap_or(0.0), -1));
-            }
-        }
-        steps_from_events(&mut events)
     }
 
     /// True if any span ran off its input's node — the trigger for the
@@ -252,7 +201,7 @@ impl ClusterTimeline {
         self.tier.iter().any(|&t| t != LocalityTier::NodeLocal)
     }
 
-    /// Tier-aware analogue of [`steps_from_events`]:
+    /// Tier-aware analogue of [`fold_steps`]:
     /// folds `(time, ±1, ±1-per-tier)` events into
     /// `(time, active, active-per-tier)` steps with identical time
     /// merging.
@@ -308,10 +257,9 @@ impl ClusterTimeline {
             .collect()
     }
 
-    /// [`active_steps`](Self::active_steps) for every node in one linear
-    /// pass over the span columns — O(spans + nodes) instead of the
-    /// O(nodes × spans) of calling the per-node form in a loop. The
-    /// per-node step functions are identical to the per-node form's.
+    /// Step function of busy slots per node (index = node): `(time,
+    /// active)` points at every change, starting at `(0, 0)`, in one
+    /// linear pass over the span columns — O(spans + nodes).
     pub fn active_steps_all(&self) -> Vec<Vec<(f64, usize)>> {
         let mut events: Vec<Vec<(f64, i64)>> = vec![Vec::new(); self.nodes.len()];
         for i in 0..self.len() {
@@ -323,7 +271,11 @@ impl ClusterTimeline {
         }
         events
             .iter_mut()
-            .map(|ev| steps_from_events(ev.as_mut_slice()))
+            .map(|ev| {
+                let mut steps = Vec::new();
+                fold_steps(ev, &mut steps);
+                steps
+            })
             .collect()
     }
 
@@ -331,66 +283,9 @@ impl ClusterTimeline {
     /// event per task span, `pid` = node, `tid` = slot, timestamps in
     /// microseconds, plus process-name metadata per node. Output is
     /// deterministic: spans are emitted in append order with fixed
-    /// 3-decimal microsecond formatting.
-    ///
-    /// This buffered form is the *reference* for the streaming
-    /// [`write_chrome_trace`](Self::write_chrome_trace); the equality
-    /// tests diff the two byte-for-byte.
-    pub fn to_chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (pid, n) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{} ({} x{})\"}}}},",
-                n.name, n.kind, n.slots
-            );
-        }
-        for s in self.iter() {
-            let ts = s.launched_s * 1e6;
-            let dur = (s.finished_s - s.launched_s) * 1e6;
-            let wait = (s.launched_s - s.queued_s) * 1e6;
-            // Attempt/outcome/tier args only when non-default, so
-            // fault-free node-local traces stay byte-identical to the
-            // earlier formats.
-            let mut extra = String::new();
-            if s.attempt > 1 {
-                let _ = write!(extra, ",\"attempt\":{}", s.attempt);
-            }
-            if s.outcome != AttemptOutcome::Success {
-                let _ = write!(extra, ",\"outcome\":\"{}\"", s.outcome.as_str());
-            }
-            if s.tier != LocalityTier::NodeLocal {
-                let _ = write!(extra, ",\"tier\":\"{}\"", s.tier.as_str());
-            }
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{ts:.3},\"dur\":{dur:.3},\
-                 \"name\":\"{}-{}\",\"cat\":\"{}\",\
-                 \"args\":{{\"task\":{},\"wave\":{},\"wait_us\":{wait:.3}{extra}}}}},",
-                s.node, s.slot, s.phase, s.task, s.phase, s.task, s.wave
-            );
-        }
-        // Domain events (rack crashes, rack blacklists) as global
-        // instant events; absent without active failure domains, keeping
-        // legacy traces byte-identical.
-        for (t, label) in self.ann_time_s.iter().zip(&self.ann_label) {
-            let ts = t * 1e6;
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{label}\",\"s\":\"g\"}},"
-            );
-        }
-        // Trailing comma is invalid JSON; close with a sentinel metadata
-        // event instead of tracking "first".
-        out.push_str("{\"ph\":\"M\",\"pid\":0,\"name\":\"trace_end\",\"args\":{}}\n]}\n");
-        out
-    }
-
-    /// Streaming form of [`to_chrome_trace_json`](Self::to_chrome_trace_json):
-    /// writes the identical bytes incrementally to `w` (wrap files in a
-    /// `BufWriter`), so exporting a million-span trace needs no
-    /// trace-sized `String`. Memory stays flat in the span count.
+    /// 3-decimal microsecond formatting. Written incrementally to `w`
+    /// (wrap files in a `BufWriter`), so exporting a million-span trace
+    /// needs no trace-sized `String`.
     pub fn write_chrome_trace<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
         for (pid, n) in self.nodes.iter().enumerate() {
@@ -412,6 +307,8 @@ impl ClusterTimeline {
             let attempt = self.attempt.get(i).copied().unwrap_or(1);
             let outcome = self.outcome.get(i).copied().unwrap_or_default();
             let tier = self.tier.get(i).copied().unwrap_or_default();
+            // Attempt/outcome/tier args only when non-default, so
+            // fault-free node-local traces keep their bytes.
             extra.clear();
             if attempt > 1 {
                 let _ = write!(extra, ",\"attempt\":{attempt}");
@@ -440,6 +337,8 @@ impl ClusterTimeline {
                 self.wave.get(i).copied().unwrap_or(0),
             )?;
         }
+        // Domain events (rack crashes, rack blacklists) as global
+        // instant events; absent without active failure domains.
         for (t, label) in self.ann_time_s.iter().zip(&self.ann_label) {
             let ts = t * 1e6;
             writeln!(
@@ -447,6 +346,8 @@ impl ClusterTimeline {
                 "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{label}\",\"s\":\"g\"}},"
             )?;
         }
+        // Trailing comma is invalid JSON; close with a sentinel metadata
+        // event instead of tracking "first".
         w.write_all(b"{\"ph\":\"M\",\"pid\":0,\"name\":\"trace_end\",\"args\":{}}\n]}\n")
     }
 
@@ -454,33 +355,9 @@ impl ClusterTimeline {
     /// rows (one per change point). When any span ran rack-local or
     /// off-rack, three per-tier active-slot columns
     /// (`node_local,rack_local,off_rack`) follow, so the export carries
-    /// the locality mix; flat (all node-local) runs keep the legacy
-    /// four-column format byte-for-byte.
-    ///
-    /// This buffered form is the *reference* for the streaming
-    /// [`write_utilization_csv`](Self::write_utilization_csv); the
-    /// equality tests diff the two byte-for-byte.
-    pub fn utilization_csv(&self) -> String {
-        if self.has_remote_tiers() {
-            let mut buf = Vec::new();
-            // Writes to a Vec cannot fail.
-            let _ = self.write_utilization_csv(&mut buf);
-            return String::from_utf8(buf).unwrap_or_default();
-        }
-        let mut out = String::from("node,name,time_s,active_slots\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            for (t, a) in self.active_steps(i) {
-                let _ = writeln!(out, "{i},{},{t:.6},{a}", n.name);
-            }
-        }
-        out
-    }
-
-    /// Streaming form of [`utilization_csv`](Self::utilization_csv):
-    /// identical bytes, written incrementally, with the per-node step
-    /// functions computed in one pass over the span columns
-    /// ([`active_steps_all`](Self::active_steps_all)) instead of one
-    /// full-timeline scan per node.
+    /// the locality mix; flat (all node-local) runs keep the four-column
+    /// format byte-for-byte. Written incrementally, with the per-node step
+    /// functions computed in one pass over the span columns.
     pub fn write_utilization_csv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         if self.has_remote_tiers() {
             w.write_all(b"node,name,time_s,active_slots,node_local,rack_local,off_rack\n")?;

@@ -11,13 +11,12 @@ use hhsim_hdfs::{BlockSize, Topology};
 use hhsim_mapreduce::{JobConfig, PhaseBreakdown};
 use hhsim_sched::JobClass;
 use hhsim_workloads::{AppClass, AppId};
-use serde::{Deserialize, Serialize};
 
 use super::run::Meter;
 use crate::cluster::SlotStats;
 
 /// Placement policy selector for a mixed-cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementKind {
     /// First free slot in node order — the baseline scheduler.
     FifoAny,
@@ -33,7 +32,7 @@ pub enum PlacementKind {
 /// An explicit heterogeneous cluster composition for [`simulate_cluster`](super::simulate_cluster):
 /// `big` Xeon nodes plus `little` Atom nodes (presets at the config's
 /// DVFS point). When set, it replaces `SimConfig::nodes`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeMix {
     /// Number of big (Xeon) nodes.
     pub big: usize,
@@ -44,7 +43,7 @@ pub struct NodeMix {
 }
 
 /// One experiment point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Application under test.
     pub app: AppId,
@@ -68,20 +67,17 @@ pub struct SimConfig {
     pub accel: Option<AccelConfig>,
     /// Optional heterogeneous node mix (§3.5). `None` = homogeneous
     /// cluster of `machine`.
-    #[serde(default)]
     pub node_mix: Option<NodeMix>,
     /// Optional deterministic fault injection. `None` or an inactive
     /// config ([`FaultConfig::none`]) leaves every fault-free result
     /// bit-identical; an active config routes the run through the
     /// fault-aware cluster engine.
-    #[serde(default)]
     pub faults: Option<FaultConfig>,
     /// Optional two-tier rack fabric (node → ToR → core). `None` or an
     /// inactive topology ([`Topology::flat`]) leaves every result
     /// bit-identical to the flat network; an active topology routes the
     /// run through the cluster engine with HDFS-default map placement
     /// (locality tiers priced per task) and flow-fair contended shuffle.
-    #[serde(default)]
     pub topology: Option<Topology>,
 }
 
@@ -234,7 +230,7 @@ fn mix_presets() -> &'static [MachineModel; 2] {
 }
 
 /// Time and power of one phase on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseCost {
     /// Wall-clock seconds of the phase.
     pub seconds: f64,
@@ -254,7 +250,7 @@ impl PhaseCost {
 }
 
 /// Everything measured for one experiment point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Configuration echo (app/machine identifiers for reports).
     pub app: AppId,
@@ -270,20 +266,16 @@ pub struct Measurement {
     pub others: PhaseCost,
     /// Map-phase slot admission counters from the cluster engine
     /// (queueing delay, peak occupancy), summed over chained jobs.
-    #[serde(default)]
     pub map_slots: SlotStats,
     /// Reduce-phase slot admission counters.
-    #[serde(default)]
     pub reduce_slots: SlotStats,
     /// Fault and recovery counters over all phases (all zero without
     /// fault injection).
-    #[serde(default)]
     pub faults: FaultStats,
     /// Map tasks per locality tier `[node-local, rack-local, off-rack]`
     /// over all jobs, counted by the per-node meter. Without an active
     /// topology every map read is node-local, so it reads
     /// `[n_map, 0, 0]`; the phase-average meter leaves `[0, 0, 0]`.
-    #[serde(default)]
     pub map_locality_tiers: [u64; 3],
     /// Simulated Wattsup reading over the whole run (one node).
     pub reading: MeterReading,
@@ -296,7 +288,6 @@ pub struct Measurement {
     /// 1 Hz sampling error. New analyses (fig. 20, the replication
     /// engine) consume this; `energy_j` stays the metered view for
     /// golden-artifact stability.
-    #[serde(default)]
     pub exact_energy_j: f64,
     /// Whole-application cost metrics (energy, delay, engaged area).
     pub cost: CostMetrics,

@@ -2,9 +2,7 @@
 //! meters, and the entry points that choose between them.
 
 use hhsim_arch::ComputeProfile;
-use hhsim_energy::{
-    CostMetrics, MeterReading, PowerMeter, PowerTrace, StreamingMeter, UtilizationTimeline,
-};
+use hhsim_energy::{CostMetrics, MeterReading, StreamingMeter, UtilizationTimeline};
 use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
 use hhsim_mapreduce::PhaseBreakdown;
 
@@ -43,9 +41,8 @@ impl ClusterPrep<'_> {
     ///
     /// Each utilization piece is priced once and integrated exactly —
     /// O(transitions) per node, with the 1 Hz metered view resolving
-    /// inside the [`StreamingMeter`] instead of a per-node `PowerTrace` +
-    /// full re-sampling pass. The step functions are built in `steps`,
-    /// one node at a time.
+    /// inside the [`StreamingMeter`]. The step functions are built in
+    /// `steps`, one node at a time.
     fn charge_phase(
         &self,
         run: &PhaseRun,
@@ -62,9 +59,9 @@ impl ClusterPrep<'_> {
             let op = m.operating_point(self.cfg.frequency);
             let util = UtilizationTimeline::new(std::mem::take(node_steps), run.makespan_s);
             let node_io = of_kind(node.kind, big_io, little_io);
-            // -0.0 seeds the same fold as `PowerTrace::exact_energy_j`, so
-            // this phase's exact energy is bit-identical to the retired
-            // per-node trace's.
+            // -0.0 seeds the same fold as `StreamingMeter::exact_energy_j`
+            // (and an iterator `sum()`), so this phase's exact energy is
+            // bit-identical to the meter's own integral.
             let mut node_j = -0.0;
             for (dur, active) in util.pieces() {
                 // A node with no running task draws only its idle floor —
@@ -359,12 +356,13 @@ impl ClusterPrep<'_> {
         let [big_oth, little_oth] = self.oth_power;
         let (oth_w, oth_dyn_w) = of_kind(m.core.kind, big_oth, little_oth);
 
-        let mut trace = PowerTrace::new();
-        trace.push(breakdown.map_s, p_map.total());
-        trace.push(breakdown.reduce_s, p_red.total());
-        trace.push(breakdown.others_s, oth_w);
-        let reading = PowerMeter.measure(&trace);
+        let mut meter = StreamingMeter::new();
+        meter.push(breakdown.map_s, p_map.total());
+        meter.push(breakdown.reduce_s, p_red.total());
+        meter.push(breakdown.others_s, oth_w);
         let idle = m.power.node_idle_w;
+        let exact_dynamic_j = (meter.exact_energy_j() - idle * meter.duration_s()).max(0.0);
+        let reading = meter.finish().meter;
 
         // `× nodes` last, as `PhaseCost::energy_j` has it.
         let phase_j = |seconds: f64, dynamic_w: f64| seconds * dynamic_w * nodes as f64;
@@ -381,8 +379,7 @@ impl ClusterPrep<'_> {
             ),
             reading,
             energy_j: reading.dynamic_energy_j(idle) * nodes as f64,
-            exact_energy_j: (trace.exact_energy_j() - idle * trace.duration_s()).max(0.0)
-                * nodes as f64,
+            exact_energy_j: exact_dynamic_j * nodes as f64,
             area: slots as f64 * m.area_mm2,
         }
     }
@@ -406,8 +403,7 @@ impl ClusterPrep<'_> {
             oth_dyn_w_sum += dyn_w;
         }
 
-        // Finish every node's streamed 1 Hz view (bit-identical to the
-        // retired per-node trace metering) and exact integral. Engaged
+        // Finish every node's streamed 1 Hz view and exact integral. Engaged
         // area: average per-node slots × chip area, comparable to the
         // phase-average meter's `slots * area`.
         let mut energy_j = 0.0;

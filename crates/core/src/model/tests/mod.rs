@@ -3,6 +3,7 @@ use hhsim_arch::{presets, Frequency, MachineModel};
 use hhsim_energy::MetricKind;
 use hhsim_faults::{FaultConfig, FaultStats, PhaseError};
 use hhsim_hdfs::{BlockSize, Topology};
+use hhsim_testkit::streamed;
 use hhsim_workloads::AppId;
 
 use super::*;
@@ -161,7 +162,10 @@ fn mixed_cluster_is_deterministic() {
     let (m2, t2) = simulate_cluster(&cfg);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
-    assert_eq!(t1.to_chrome_trace_json(), t2.to_chrome_trace_json());
+    assert_eq!(
+        streamed(|w| t1.write_chrome_trace(w)),
+        streamed(|w| t2.write_chrome_trace(w))
+    );
 }
 
 #[test]
@@ -182,7 +186,10 @@ fn none_faults_config_is_bitwise_identical_to_no_faults() {
     let (m2, t2) = simulate_cluster(&mixed_none);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
-    assert_eq!(t1.to_chrome_trace_json(), t2.to_chrome_trace_json());
+    assert_eq!(
+        streamed(|w| t1.write_chrome_trace(w)),
+        streamed(|w| t2.write_chrome_trace(w))
+    );
 }
 
 #[test]
@@ -203,8 +210,14 @@ fn flat_topology_config_is_bitwise_identical_to_no_topology() {
     let (m2, t2) = simulate_cluster(&mixed_flat);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
-    assert_eq!(t1.to_chrome_trace_json(), t2.to_chrome_trace_json());
-    assert_eq!(t1.utilization_csv(), t2.utilization_csv());
+    assert_eq!(
+        streamed(|w| t1.write_chrome_trace(w)),
+        streamed(|w| t2.write_chrome_trace(w))
+    );
+    assert_eq!(
+        streamed(|w| t1.write_utilization_csv(w)),
+        streamed(|w| t2.write_utilization_csv(w))
+    );
 }
 
 #[test]
@@ -229,7 +242,7 @@ fn active_topology_routes_through_the_cluster_engine() {
         m.map_locality_tiers
     );
     // The trace carries the locality-tier vocabulary end to end.
-    let json = tl.to_chrome_trace_json();
+    let json = streamed(|w| tl.write_chrome_trace(w));
     assert!(m.breakdown.total() > 0.0);
     let _ = json;
 }
@@ -450,8 +463,9 @@ fn homogeneous_trace_covers_cluster() {
     assert_eq!(tl.nodes.len(), 3);
     assert_eq!(m.machine_name, cfg.machine.name);
     // Grep chains two jobs: phase labels carry the job index.
-    assert!(tl.iter().any(|s| s.phase == "map0"));
-    assert!(tl.iter().any(|s| s.phase == "map1"));
+    let json = streamed(|w| tl.write_chrome_trace(w));
+    assert!(json.contains("\"cat\":\"map0\""));
+    assert!(json.contains("\"cat\":\"map1\""));
 }
 
 #[test]

@@ -15,7 +15,6 @@
 
 use hhsim_mapreduce::JobStats;
 use hhsim_workloads::{AppId, FunctionalConfig, FunctionalRun};
-use serde::{Deserialize, Serialize};
 
 /// Reference functional scale: large enough for stable ratios, small
 /// enough to execute in milliseconds.
@@ -28,7 +27,7 @@ const REF_SEED: u64 = 0x5eed;
 const SMALL_INPUT_BYTES: u64 = 192 << 10;
 
 /// Per-byte dataflow ratios of one MapReduce job within an application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRatios {
     /// This job's input bytes relative to the application input (job 0 is
     /// 1.0; Grep's sort job is tiny, FP-Growth's mining job ≈ 1.0).
@@ -113,7 +112,7 @@ fn distinct_keys(s: &JobStats) -> u64 {
 }
 
 /// All ratios of one application: one entry per chained job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppRatios {
     /// Per-job ratios in execution order.
     pub jobs: Vec<JobRatios>,

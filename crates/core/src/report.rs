@@ -1,9 +1,7 @@
 //! Tabular figure data and CSV emission.
 
-use serde::{Deserialize, Serialize};
-
 /// One data point of a figure: a named series, an x label and a value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Series name (e.g. "Atom/WC" or "Xeon EDP").
     pub series: String,
@@ -14,7 +12,7 @@ pub struct Row {
 }
 
 /// A figure or table as an ordered list of rows, ready for CSV.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FigureData {
     /// Identifier ("fig3", "table3", ...).
     pub id: String,

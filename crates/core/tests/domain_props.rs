@@ -14,7 +14,7 @@ use hhsim_core::figures::{fig22_faults, FIG22_OVERSUB, MICRO_DATA, TOPO_NODES, T
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
 use hhsim_core::{simulate_cluster, try_simulate_cluster_with, SimCache, SimConfig};
-use hhsim_testkit::{check, Gen};
+use hhsim_testkit::{check, streamed, Gen};
 
 struct Scenario {
     cluster: Cluster,
@@ -307,8 +307,8 @@ fn inactive_domains_are_bitwise_invisible_at_model_level() {
         let (m, t) = simulate_cluster(&cfg);
         assert_eq!(m0, m, "inactive domains changed the measurement");
         assert_eq!(
-            t0.to_chrome_trace_json(),
-            t.to_chrome_trace_json(),
+            streamed(|w| t0.write_chrome_trace(w)),
+            streamed(|w| t.write_chrome_trace(w)),
             "inactive domains changed the trace bytes"
         );
     }

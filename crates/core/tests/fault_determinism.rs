@@ -8,6 +8,7 @@ use hhsim_core::energy::MetricKind;
 use hhsim_core::faults::FaultConfig;
 use hhsim_core::workloads::AppId;
 use hhsim_core::{figures, harness, simulate_cluster, NodeMix, PlacementKind, SimConfig};
+use hhsim_testkit::streamed;
 
 /// A small grid of fault-injected points spanning both phases' failure
 /// rates, stragglers, speculation on/off and homogeneous vs mixed
@@ -69,7 +70,10 @@ fn fault_outputs_are_identical_across_jobs() {
     let (m2, t2) = simulate_cluster(cfg);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
-    assert_eq!(t1.to_chrome_trace_json(), t2.to_chrome_trace_json());
+    assert_eq!(
+        streamed(|w| t1.write_chrome_trace(w)),
+        streamed(|w| t2.write_chrome_trace(w))
+    );
 
     // An inactive FaultConfig is invisible: same bytes as no config.
     let clean = SimConfig::new(AppId::Sort, presets::xeon_e5_2420()).mix(NodeMix {
@@ -81,5 +85,8 @@ fn fault_outputs_are_identical_across_jobs() {
     let (ma, ta) = simulate_cluster(&clean);
     let (mb, tb) = simulate_cluster(&with_none);
     assert_eq!(ma, mb);
-    assert_eq!(ta.to_chrome_trace_json(), tb.to_chrome_trace_json());
+    assert_eq!(
+        streamed(|w| ta.write_chrome_trace(w)),
+        streamed(|w| tb.write_chrome_trace(w))
+    );
 }

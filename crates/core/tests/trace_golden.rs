@@ -14,6 +14,7 @@ use hhsim_core::cluster::{
     PhaseLoad, PhaseLocality,
 };
 use hhsim_core::faults::{FaultPlan, PhaseFaults, RecoveryPolicy};
+use hhsim_testkit::streamed;
 
 const GOLDEN_JSON: &str = include_str!("golden/cluster_trace.json");
 const GOLDEN_CSV: &str = include_str!("golden/cluster_util.csv");
@@ -129,7 +130,7 @@ fn bless(rel: &str, content: &str) {
 
 #[test]
 fn chrome_trace_json_matches_golden() {
-    let json = timeline().to_chrome_trace_json();
+    let json = streamed(|w| timeline().write_chrome_trace(w));
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         bless("golden/cluster_trace.json", &json);
         return;
@@ -142,7 +143,7 @@ fn chrome_trace_json_matches_golden() {
 
 #[test]
 fn utilization_csv_matches_golden() {
-    let csv = timeline().utilization_csv();
+    let csv = streamed(|w| timeline().write_utilization_csv(w));
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         bless("golden/cluster_util.csv", &csv);
         return;
@@ -155,7 +156,7 @@ fn utilization_csv_matches_golden() {
 
 #[test]
 fn faulty_chrome_trace_json_matches_golden() {
-    let json = faulty_timeline().to_chrome_trace_json();
+    let json = streamed(|w| faulty_timeline().write_chrome_trace(w));
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         bless("golden/faulty_trace.json", &json);
         return;
@@ -180,7 +181,7 @@ fn faulty_golden_shows_recovery_vocabulary() {
 
 #[test]
 fn tiered_chrome_trace_json_matches_golden() {
-    let json = tiered_timeline().to_chrome_trace_json();
+    let json = streamed(|w| tiered_timeline().write_chrome_trace(w));
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         bless("golden/tiered_trace.json", &json);
         return;
@@ -193,7 +194,7 @@ fn tiered_chrome_trace_json_matches_golden() {
 
 #[test]
 fn tiered_utilization_csv_matches_golden() {
-    let csv = tiered_timeline().utilization_csv();
+    let csv = streamed(|w| tiered_timeline().write_utilization_csv(w));
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         bless("golden/tiered_util.csv", &csv);
         return;
@@ -222,8 +223,14 @@ fn tiered_golden_shows_locality_vocabulary() {
 fn exports_are_deterministic_across_runs() {
     let a = timeline();
     let b = timeline();
-    assert_eq!(a.to_chrome_trace_json(), b.to_chrome_trace_json());
-    assert_eq!(a.utilization_csv(), b.utilization_csv());
+    assert_eq!(
+        streamed(|w| a.write_chrome_trace(w)),
+        streamed(|w| b.write_chrome_trace(w))
+    );
+    assert_eq!(
+        streamed(|w| a.write_utilization_csv(w)),
+        streamed(|w| b.write_utilization_csv(w))
+    );
 }
 
 #[test]

@@ -141,7 +141,8 @@ impl<E> Simulation<E> {
     }
 
     /// Number of events still pending (including cancelled tombstones).
-    pub fn pending_events(&self) -> usize {
+    #[cfg(test)]
+    fn pending_events(&self) -> usize {
         self.calendar.len()
     }
 

@@ -76,11 +76,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
-    }
-
     /// True if this is the zero instant.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -1,51 +1,50 @@
 //! Event-driven energy integration with a streamed 1 Hz meter view.
 //!
-//! The batch pipeline (a [`PowerTrace`] per node +
-//! [`PowerMeter::measure`]) materializes every power segment and then
-//! walks the whole trace once per 1 Hz sample — O(samples × segments)
-//! time and O(segments) memory per node. [`StreamingMeter`] replaces
-//! both passes: segments are pushed once in execution order, the exact
-//! piecewise integral `Σ duration × watts` accumulates per push, and
-//! the legacy 1 Hz midpoint samples are resolved *online* against a
-//! tiny retained tail of segments — O(samples + segments) time, O(1)
-//! memory in the trace length.
+//! [`StreamingMeter`] is the repo's one wall-power meter: segments are
+//! pushed once in execution order, the exact piecewise integral
+//! `Σ duration × watts` accumulates per push, and the Wattsup-style 1 Hz
+//! midpoint samples are resolved *online* against a tiny retained tail of
+//! segments — O(samples + segments) time, O(1) memory in the trace
+//! length.
 //!
-//! The metered view is **bit-for-bit identical** to
-//! [`PowerMeter::measure`] on the equivalent [`PowerTrace`]:
+//! The sampling rule: a trace of duration `D` gets
+//! `max(1, floor(D / interval))` samples (a sub-interval trace latches one
+//! reading, like a real meter); sample `i` reads the power of the first
+//! segment whose end prefix-sum exceeds `min(t, 0.999_999 × D)` with
+//! `t = (i + 0.5) × interval`, falling through to the last segment; the
+//! reading is their mean. A materialize-then-walk sampler that states the
+//! rule directly (`reference`, test-only) is the oracle, and the
+//! streamed view is **bit-for-bit identical** to it:
 //!
-//! * the running duration is the same left-to-right `f64` sum over the
-//!   same retained segments (`duration_s <= 0` pushes are skipped with
-//!   the exact filter [`PowerTrace::push`] uses);
-//! * sample `i` (midpoint `t = (i + 0.5) × interval`) is resolved early
-//!   only when both `floor(acc / interval) >= i + 1` — which proves
-//!   `i < samples` for every possible final duration `D >= acc` — and
-//!   `t < 0.999_999 × acc`, which proves the end-of-trace clamp
-//!   `min(t, 0.999_999 × D)` returns `t` itself. Under those guards the
-//!   selected segment (first with `t <` its end prefix-sum) and the
-//!   order of the sample-sum additions match the batch meter exactly;
+//! * the running duration is a left-to-right `f64` sum over the retained
+//!   segments (`duration_s <= 0` pushes are skipped);
+//! * sample `i` is resolved early only when both
+//!   `floor(acc / interval) >= i + 1` — which proves `i < samples` for
+//!   every possible final duration `D >= acc` — and
+//!   `t < 0.999_999 × acc`, which proves the end-of-trace clamp returns
+//!   `t` itself. Under those guards the selected segment and the order of
+//!   the sample-sum additions match the rule exactly;
 //! * samples still pending at [`StreamingMeter::finish`] (a sub-interval
 //!   trace, or midpoints inside the final `1e-6` relative clamp window)
-//!   are resolved there with the batch meter's own clamp expression
-//!   against the retained tail, including the past-the-end fall-through
-//!   to the last segment's power.
+//!   are resolved there with the clamp expression itself against the
+//!   retained tail, including the past-the-end fall-through to the last
+//!   segment's power.
 //!
 //! The guarantee is exercised by randomized bit-equality tests below and
 //! by the golden-artifact regeneration gates in CI.
 
 use std::collections::VecDeque;
 
-use crate::{MeterReading, PowerTrace, SAMPLE_INTERVAL_S};
+use crate::{MeterReading, SAMPLE_INTERVAL_S};
 
-/// Result of one streamed metering pass: the legacy 1 Hz reading plus
-/// the exact piecewise energy integral over the same segments.
+/// Result of one metering pass: the 1 Hz reading plus the exact
+/// piecewise energy integral over the same segments.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReading {
-    /// The 1 Hz sampled view — bit-identical to
-    /// [`PowerMeter::measure`](crate::PowerMeter::measure) on the
-    /// equivalent [`PowerTrace`].
+    /// The 1 Hz sampled view.
     pub meter: MeterReading,
     /// Exact energy under the step function, joules: `Σ duration × watts`
-    /// in push order (the same fold as [`PowerTrace::exact_energy_j`]).
+    /// in push order.
     pub exact_energy_j: f64,
     /// Number of retained (positive-duration) segments integrated.
     pub segments: u64,
@@ -67,25 +66,23 @@ impl EnergyReading {
 /// # Examples
 ///
 /// ```
-/// use hhsim_energy::{PowerMeter, PowerTrace, StreamingMeter};
+/// use hhsim_energy::StreamingMeter;
 ///
-/// let mut trace = PowerTrace::new();
 /// let mut meter = StreamingMeter::new();
 /// for (d, w) in [(33.3, 150.0), (12.2, 80.0), (7.5, 200.0)] {
-///     trace.push(d, w);
 ///     meter.push(d, w);
 /// }
-/// let streamed = meter.finish();
-/// let batch = PowerMeter.measure(&trace);
-/// assert_eq!(streamed.meter, batch);
-/// assert_eq!(streamed.exact_energy_j, trace.exact_energy_j());
+/// let r = meter.finish();
+/// assert_eq!(r.meter.samples, 53);
+/// assert_eq!(r.exact_energy_j, 33.3 * 150.0 + 12.2 * 80.0 + 7.5 * 200.0);
+/// // 1 Hz sampling lands within a few percent of the exact integral.
+/// assert!((r.meter.energy_j() - r.exact_energy_j).abs() / r.exact_energy_j < 0.05);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingMeter {
-    /// Running duration: the same left fold as [`PowerTrace::duration_s`].
+    /// Running duration: a left fold over the retained segments.
     acc_s: f64,
-    /// Exact integral so far: the same fold as
-    /// [`PowerTrace::exact_energy_j`].
+    /// Exact integral so far, folded in push order.
     exact_j: f64,
     /// Sum of resolved sample watts, added strictly in sample order.
     sample_sum_w: f64,
@@ -111,7 +108,7 @@ impl StreamingMeter {
         StreamingMeter {
             // -0.0 is the identity of IEEE addition and the seed of
             // std's f64 `Sum`, so even empty-trace folds are
-            // bit-identical to `PowerTrace::duration_s`/`exact_energy_j`.
+            // bit-identical to an iterator `sum()` over the segments.
             acc_s: -0.0,
             exact_j: -0.0,
             sample_sum_w: 0.0,
@@ -126,9 +123,8 @@ impl StreamingMeter {
     ///
     /// # Panics
     ///
-    /// Panics on negative/non-finite duration or negative power — the
-    /// same contract as [`PowerTrace::push`]; zero-duration segments
-    /// are likewise skipped.
+    /// Panics on negative/non-finite duration or negative power.
+    /// Zero-duration segments are skipped.
     pub fn push(&mut self, duration_s: f64, watts: f64) {
         assert!(
             duration_s.is_finite() && duration_s >= 0.0,
@@ -146,8 +142,7 @@ impl StreamingMeter {
         self.trim_tail();
     }
 
-    /// Duration pushed so far, seconds (the running
-    /// [`PowerTrace::duration_s`] fold).
+    /// Duration pushed so far, seconds.
     pub fn duration_s(&self) -> f64 {
         self.acc_s
     }
@@ -165,9 +160,8 @@ impl StreamingMeter {
     /// Resolves pending samples whose value can no longer change:
     /// sample `i` is safe once (a) `floor(acc / interval) >= i + 1`, so
     /// the final sample count includes it whatever else is pushed, and
-    /// (b) `t < 0.999_999 * acc`, so the batch meter's end-of-trace
-    /// clamp provably returns `t` unchanged for any final duration
-    /// `>= acc`.
+    /// (b) `t < 0.999_999 * acc`, so the end-of-trace clamp provably
+    /// returns `t` unchanged for any final duration `>= acc`.
     fn resolve_safe_samples(&mut self) {
         loop {
             let i = self.next_sample;
@@ -177,8 +171,8 @@ impl StreamingMeter {
                 break;
             }
             // Segments ending at or before `t` can never satisfy the
-            // batch meter's strict `t < end` test for this or any later
-            // sample; drop them.
+            // strict `t < end` test for this or any later sample; drop
+            // them.
             while let Some(&(end, _)) = self.tail.front() {
                 if end <= t {
                     self.tail.pop_front();
@@ -215,8 +209,8 @@ impl StreamingMeter {
     /// Resolves the remaining samples against the final duration and
     /// returns the reading. Deferred samples (sub-interval traces, or
     /// midpoints inside the final `1e-6` relative clamp window) use the
-    /// batch meter's own clamp `min(t, 0.999_999 × duration)` and its
-    /// past-the-end fall-through to the last segment's power.
+    /// clamp `min(t, 0.999_999 × duration)` and the past-the-end
+    /// fall-through to the last segment's power.
     pub fn finish(self) -> EnergyReading {
         let duration = self.acc_s;
         if duration == 0.0 {
@@ -256,21 +250,76 @@ impl StreamingMeter {
     }
 }
 
-/// Streams an existing trace through a 1 Hz [`StreamingMeter`] —
-/// the drop-in exact+metered replacement for
-/// [`PowerMeter::measure`](crate::PowerMeter::measure).
-pub fn measure_trace(trace: &PowerTrace) -> EnergyReading {
-    let mut meter = StreamingMeter::new();
-    for &(d, w) in trace.segments() {
-        meter.push(d, w);
+/// The batch sampler [`StreamingMeter`] replaced, kept as the oracle of
+/// the bit-equality tests: it materializes every segment and walks the
+/// whole list once per 1 Hz sample.
+#[cfg(test)]
+mod reference {
+    use crate::{MeterReading, SAMPLE_INTERVAL_S};
+
+    /// Piecewise-constant power: `(duration s, watts)` segments in
+    /// execution order.
+    #[derive(Default)]
+    pub struct PowerTrace {
+        pub segments: Vec<(f64, f64)>,
     }
-    meter.finish()
+
+    impl PowerTrace {
+        pub fn push(&mut self, duration_s: f64, watts: f64) {
+            if duration_s > 0.0 {
+                self.segments.push((duration_s, watts));
+            }
+        }
+
+        pub fn duration_s(&self) -> f64 {
+            self.segments.iter().map(|(d, _)| d).sum()
+        }
+
+        pub fn exact_energy_j(&self) -> f64 {
+            self.segments.iter().map(|(d, w)| d * w).sum()
+        }
+
+        /// Power at time `t`; the last segment's power past the end.
+        fn power_at(&self, t: f64) -> f64 {
+            let mut acc = 0.0;
+            for (d, w) in &self.segments {
+                acc += d;
+                if t < acc {
+                    return *w;
+                }
+            }
+            self.segments.last().map(|(_, w)| *w).unwrap_or(0.0)
+        }
+
+        /// Midpoint samples at the meter cadence, averaged.
+        pub fn measure(&self) -> MeterReading {
+            let duration = self.duration_s();
+            if duration == 0.0 {
+                return MeterReading {
+                    samples: 0,
+                    average_watts: 0.0,
+                    duration_s: 0.0,
+                };
+            }
+            let n = (duration / SAMPLE_INTERVAL_S).floor().max(1.0) as u64;
+            let mut sum = 0.0;
+            for i in 0..n {
+                let t = (i as f64 + 0.5) * SAMPLE_INTERVAL_S;
+                sum += self.power_at(t.min(duration * 0.999_999));
+            }
+            MeterReading {
+                samples: n,
+                average_watts: sum / n as f64,
+                duration_s: duration,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::PowerTrace;
     use super::*;
-    use crate::PowerMeter;
 
     fn splitmix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -305,7 +354,46 @@ mod tests {
             .collect()
     }
 
-    fn assert_bitwise_eq(streamed: &EnergyReading, batch: &MeterReading, what: &str) {
+    /// The three segments `ClusterPrep::phase_average` pushes (map,
+    /// reduce, others), in the shapes that meet the meter's edges: a
+    /// map-only job's zero-duration reduce segment, a sub-second total
+    /// (one sample, deferred to `finish`), and a total long enough that
+    /// the last midpoint falls inside the final `1e-6` clamp window.
+    fn phase_average_shapes(seed: u64) -> [Vec<(f64, f64)>; 3] {
+        let r = |tag| unit(seed, tag);
+        let w = |tag| 90.0 + r(tag) * 300.0;
+        [
+            vec![(r(1) * 200.0, w(2)), (0.0, w(3)), (r(4) * 30.0, w(5))],
+            vec![(r(6) * 0.3, w(7)), (r(8) * 0.3, w(9)), (r(10) * 0.3, w(11))],
+            vec![
+                (400_000.0 + r(12) * 1e5, w(13)),
+                (300_000.0 + r(14) * 1e5, w(15)),
+                (r(16) * 2.0, w(17)),
+            ],
+        ]
+    }
+
+    /// Pushes `segments` into both meters and compares every value a
+    /// caller can read, bit for bit.
+    fn assert_matches_batch(segments: &[(f64, f64)], what: &str) {
+        let mut trace = PowerTrace::default();
+        let mut meter = StreamingMeter::new();
+        for &(d, w) in segments {
+            trace.push(d, w);
+            meter.push(d, w);
+        }
+        assert_eq!(
+            meter.duration_s().to_bits(),
+            trace.duration_s().to_bits(),
+            "{what}: running duration"
+        );
+        assert_eq!(
+            meter.exact_energy_j().to_bits(),
+            trace.exact_energy_j().to_bits(),
+            "{what}: running integral"
+        );
+        let streamed = meter.finish();
+        let batch = trace.measure();
         assert_eq!(streamed.meter.samples, batch.samples, "{what}: samples");
         assert_eq!(
             streamed.meter.average_watts.to_bits(),
@@ -319,26 +407,22 @@ mod tests {
             batch.duration_s.to_bits(),
             "{what}: duration_s"
         );
+        assert_eq!(
+            streamed.exact_energy_j.to_bits(),
+            trace.exact_energy_j().to_bits(),
+            "{what}: exact integral"
+        );
+        assert_eq!(streamed.segments as usize, trace.segments.len());
     }
 
     #[test]
     fn streamed_view_is_bitwise_identical_to_batch_meter() {
         for seed in 0..300u64 {
-            let mut trace = PowerTrace::new();
-            let mut meter = StreamingMeter::new();
-            for (d, w) in random_trace(seed) {
-                trace.push(d, w);
-                meter.push(d, w);
+            assert_matches_batch(&random_trace(seed), &format!("seed {seed}"));
+            for (shape, segments) in phase_average_shapes(seed).iter().enumerate() {
+                assert_eq!(segments.len(), 3);
+                assert_matches_batch(segments, &format!("seed {seed}, phase shape {shape}"));
             }
-            let streamed = meter.finish();
-            let batch = PowerMeter.measure(&trace);
-            assert_bitwise_eq(&streamed, &batch, &format!("seed {seed}"));
-            assert_eq!(
-                streamed.exact_energy_j.to_bits(),
-                trace.exact_energy_j().to_bits(),
-                "seed {seed}: exact integral"
-            );
-            assert_eq!(streamed.segments as usize, trace.segments().len());
         }
     }
 
@@ -347,20 +431,15 @@ mod tests {
         // Past ~500k seconds the relative end clamp (1e-6) exceeds half
         // a sample interval, so the final midpoints defer to finish();
         // the resolved values must still match the batch meter exactly.
-        let mut trace = PowerTrace::new();
-        let mut meter = StreamingMeter::new();
-        for (d, w) in [
-            (400_000.0, 130.0),
-            (399_999.25, 95.0),
-            (0.75, 240.0),
-            (0.4, 310.0),
-        ] {
-            trace.push(d, w);
-            meter.push(d, w);
-        }
-        let streamed = meter.finish();
-        let batch = PowerMeter.measure(&trace);
-        assert_bitwise_eq(&streamed, &batch, "long trace");
+        assert_matches_batch(
+            &[
+                (400_000.0, 130.0),
+                (399_999.25, 95.0),
+                (0.75, 240.0),
+                (0.4, 310.0),
+            ],
+            "long trace",
+        );
     }
 
     #[test]
@@ -421,35 +500,25 @@ mod tests {
         // contributes < h·w_max, and extrapolating the sample mean over
         // the full duration adds ≤ h·w_max more.
         for seed in 0..200u64 {
-            let mut trace = PowerTrace::new();
-            for (d, w) in random_trace(seed) {
-                trace.push(d, w);
+            let segments = random_trace(seed);
+            let mut meter = StreamingMeter::new();
+            for &(d, w) in &segments {
+                meter.push(d, w);
             }
-            let k = trace.segments().len() as f64;
-            let w_max = trace
-                .segments()
+            let r = meter.finish();
+            let k = r.segments as f64;
+            let w_max = segments
                 .iter()
+                .filter(|&&(d, _)| d > 0.0)
                 .map(|&(_, w)| w)
                 .fold(0.0_f64, f64::max);
-            let r = measure_trace(&trace);
             let err = (r.meter.energy_j() - r.exact_energy_j).abs();
-            let bound = (k + 2.0) * 1.0 * w_max;
+            let bound = (k + 2.0) * SAMPLE_INTERVAL_S * w_max;
             assert!(
                 err <= bound + 1e-9,
                 "seed {seed}: Riemann gap {err} exceeds analytic bound {bound}"
             );
         }
-    }
-
-    #[test]
-    fn measure_trace_matches_manual_streaming() {
-        let mut trace = PowerTrace::new();
-        trace.push(10.0, 150.0);
-        trace.push(5.0, 90.0);
-        let r = measure_trace(&trace);
-        let batch = PowerMeter.measure(&trace);
-        assert_bitwise_eq(&r, &batch, "measure_trace");
-        assert_eq!(r.exact_energy_j, 10.0 * 150.0 + 5.0 * 90.0);
     }
 
     #[test]

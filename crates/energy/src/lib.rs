@@ -2,9 +2,11 @@
 //!
 //! Reproduces the paper's §1.1/§1.2 methodology:
 //!
-//! * a simulated **Wattsup PRO** meter ([`PowerMeter`]) samples whole-system
-//!   power once per (virtual) second over a [`PowerTrace`] and reports the
-//!   average; the idle floor is subtracted to isolate dynamic dissipation;
+//! * a simulated **Wattsup PRO** meter ([`StreamingMeter`]) samples
+//!   whole-system power once per (virtual) second over the `(duration,
+//!   watts)` segments pushed into it and reports the average
+//!   ([`MeterReading`]) beside the exact integral; the idle floor is
+//!   subtracted to isolate dynamic dissipation;
 //! * **operational cost** is measured by Energy-Delay^X products (EDP,
 //!   ED²P, ED³P) and **capital cost** by Energy-Delay^X-Area products
 //!   (EDAP, ED²AP), with chip areas from Intel datasheets (Atom 160 mm²,
@@ -13,12 +15,12 @@
 //! # Examples
 //!
 //! ```
-//! use hhsim_energy::{CostMetrics, PowerMeter, PowerTrace};
+//! use hhsim_energy::{CostMetrics, StreamingMeter};
 //!
-//! let mut trace = PowerTrace::new();
-//! trace.push(10.0, 150.0); // 10 s at 150 W
-//! trace.push(5.0, 90.0);   // 5 s at 90 W
-//! let reading = PowerMeter.measure(&trace);
+//! let mut meter = StreamingMeter::new();
+//! meter.push(10.0, 150.0); // 10 s at 150 W
+//! meter.push(5.0, 90.0);   // 5 s at 90 W
+//! let reading = meter.finish().meter;
 //! assert!((reading.average_watts - 130.0).abs() < 1.0);
 //!
 //! let m = CostMetrics::new(1000.0, 20.0, 216.0);
@@ -31,7 +33,7 @@ mod meter;
 mod metrics;
 mod timeline;
 
-pub use integrate::{measure_trace, EnergyReading, StreamingMeter};
-pub use meter::{MeterReading, PowerMeter, PowerTrace, SAMPLE_INTERVAL_S};
+pub use integrate::{EnergyReading, StreamingMeter};
+pub use meter::{MeterReading, SAMPLE_INTERVAL_S};
 pub use metrics::{CostMetrics, MetricKind};
 pub use timeline::UtilizationTimeline;

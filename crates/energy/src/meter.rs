@@ -1,68 +1,7 @@
-//! The simulated wall-power meter.
-
-use serde::{Deserialize, Serialize};
-
-/// Piecewise-constant whole-system power over a run: `(duration s, watts)`
-/// segments in execution order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PowerTrace {
-    segments: Vec<(f64, f64)>,
-}
-
-impl PowerTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        PowerTrace::default()
-    }
-
-    /// Appends a segment of `duration_s` seconds at `watts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the duration is negative/non-finite or power is negative.
-    pub fn push(&mut self, duration_s: f64, watts: f64) {
-        assert!(
-            duration_s.is_finite() && duration_s >= 0.0,
-            "bad duration {duration_s}"
-        );
-        assert!(watts.is_finite() && watts >= 0.0, "bad power {watts}");
-        if duration_s > 0.0 {
-            self.segments.push((duration_s, watts));
-        }
-    }
-
-    /// Total trace duration in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.segments.iter().map(|(d, _)| d).sum()
-    }
-
-    /// Exact energy under the trace, joules (ground truth the sampled meter
-    /// approximates).
-    pub fn exact_energy_j(&self) -> f64 {
-        self.segments.iter().map(|(d, w)| d * w).sum()
-    }
-
-    /// Instantaneous power at time `t` (seconds from trace start); the last
-    /// segment's power past the end, 0 for an empty trace.
-    pub fn power_at(&self, t: f64) -> f64 {
-        let mut acc = 0.0;
-        for (d, w) in &self.segments {
-            acc += d;
-            if t < acc {
-                return *w;
-            }
-        }
-        self.segments.last().map(|(_, w)| *w).unwrap_or(0.0)
-    }
-
-    /// The segments, in order.
-    pub fn segments(&self) -> &[(f64, f64)] {
-        &self.segments
-    }
-}
+//! The reading a simulated wall-power meter reports.
 
 /// Result of a metered run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeterReading {
     /// Number of 1 Hz samples taken.
     pub samples: u64,
@@ -91,50 +30,26 @@ impl MeterReading {
     }
 }
 
-/// Sampling interval of both meters, seconds: the Wattsup PRO's 1 Hz, the
+/// Sampling interval of the meter, seconds: the Wattsup PRO's 1 Hz, the
 /// cadence the paper's §1.1 methodology samples at.
 pub const SAMPLE_INTERVAL_S: f64 = 1.0;
-
-/// A Wattsup-style sampling power meter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerMeter;
-
-impl PowerMeter {
-    /// Samples the trace at the meter cadence (midpoint convention) and
-    /// averages. Short traces (< one interval) get a single midpoint
-    /// sample, like a real meter latching at least one reading.
-    pub fn measure(&self, trace: &PowerTrace) -> MeterReading {
-        let duration = trace.duration_s();
-        if duration == 0.0 {
-            return MeterReading {
-                samples: 0,
-                average_watts: 0.0,
-                duration_s: 0.0,
-            };
-        }
-        let n = (duration / SAMPLE_INTERVAL_S).floor().max(1.0) as u64;
-        let mut sum = 0.0;
-        for i in 0..n {
-            let t = (i as f64 + 0.5) * SAMPLE_INTERVAL_S;
-            sum += trace.power_at(t.min(duration * 0.999_999));
-        }
-        MeterReading {
-            samples: n,
-            average_watts: sum / n as f64,
-            duration_s: duration,
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamingMeter;
+
+    fn measure(segments: &[(f64, f64)]) -> MeterReading {
+        let mut meter = StreamingMeter::new();
+        for &(d, w) in segments {
+            meter.push(d, w);
+        }
+        meter.finish().meter
+    }
 
     #[test]
     fn constant_trace_measures_exactly() {
-        let mut t = PowerTrace::new();
-        t.push(60.0, 120.0);
-        let r = PowerMeter.measure(&t);
+        let r = measure(&[(60.0, 120.0)]);
         assert_eq!(r.samples, 60);
         assert_eq!(r.average_watts, 120.0);
         assert_eq!(r.energy_j(), 7200.0);
@@ -142,13 +57,9 @@ mod tests {
 
     #[test]
     fn sampled_average_approximates_exact_energy() {
-        let mut t = PowerTrace::new();
-        t.push(33.3, 150.0);
-        t.push(12.2, 80.0);
-        t.push(7.5, 200.0);
-        let r = PowerMeter.measure(&t);
-        let exact = t.exact_energy_j();
-        let est = r.energy_j();
+        let segments = [(33.3, 150.0), (12.2, 80.0), (7.5, 200.0)];
+        let exact: f64 = segments.iter().map(|(d, w)| d * w).sum();
+        let est = measure(&segments).energy_j();
         assert!(
             (est - exact).abs() / exact < 0.05,
             "1 Hz sampling error too large: {est} vs {exact}"
@@ -157,9 +68,7 @@ mod tests {
 
     #[test]
     fn idle_subtraction() {
-        let mut t = PowerTrace::new();
-        t.push(10.0, 130.0);
-        let r = PowerMeter.measure(&t);
+        let r = measure(&[(10.0, 130.0)]);
         assert_eq!(r.dynamic_watts(92.0), 38.0);
         assert_eq!(r.dynamic_energy_j(92.0), 380.0);
         // Below-idle readings clamp rather than going negative.
@@ -168,16 +77,15 @@ mod tests {
 
     #[test]
     fn short_trace_gets_one_sample() {
-        let mut t = PowerTrace::new();
-        t.push(0.3, 77.0);
-        let r = PowerMeter.measure(&t);
+        // Like a real meter latching at least one reading.
+        let r = measure(&[(0.3, 77.0)]);
         assert_eq!(r.samples, 1);
         assert_eq!(r.average_watts, 77.0);
     }
 
     #[test]
     fn empty_trace_reads_zero() {
-        let r = PowerMeter.measure(&PowerTrace::new());
+        let r = measure(&[]);
         assert_eq!(r.samples, 0);
         assert_eq!(r.average_watts, 0.0);
         assert_eq!(r.energy_j(), 0.0);
@@ -185,25 +93,22 @@ mod tests {
 
     #[test]
     fn power_at_walks_segments() {
-        let mut t = PowerTrace::new();
-        t.push(2.0, 10.0);
-        t.push(3.0, 20.0);
-        assert_eq!(t.power_at(1.0), 10.0);
-        assert_eq!(t.power_at(2.5), 20.0);
-        assert_eq!(t.power_at(99.0), 20.0);
+        // Midpoints 0.5 and 1.5 read the first segment, 2.5–4.5 the second.
+        let r = measure(&[(2.0, 10.0), (3.0, 20.0)]);
+        assert_eq!(r.samples, 5);
+        assert_eq!(r.average_watts, (2.0 * 10.0 + 3.0 * 20.0) / 5.0);
     }
 
     #[test]
     fn zero_duration_segments_ignored() {
-        let mut t = PowerTrace::new();
-        t.push(0.0, 500.0);
-        assert_eq!(t.duration_s(), 0.0);
-        assert!(t.segments().is_empty());
+        let r = measure(&[(0.0, 500.0)]);
+        assert_eq!(r.duration_s, 0.0);
+        assert_eq!(r.samples, 0);
     }
 
     #[test]
     #[should_panic(expected = "bad power")]
     fn negative_power_rejected() {
-        PowerTrace::new().push(1.0, -5.0);
+        measure(&[(1.0, -5.0)]);
     }
 }

@@ -1,10 +1,8 @@
 //! Operational (ED^xP) and capital (ED^xAP) cost metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// Which cost figure a report row refers to (the four corners of the
 /// paper's Fig. 17 spider charts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Energy-Delay Product (J·s) — energy efficiency.
     Edp,
@@ -52,7 +50,7 @@ impl std::fmt::Display for MetricKind {
 /// assert_eq!(m.edap(), 800_000.0);
 /// assert_eq!(m.ed2ap(), 8_000_000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostMetrics {
     /// Dynamic energy of the run, joules.
     pub energy_j: f64,

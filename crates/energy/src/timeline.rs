@@ -8,11 +8,9 @@
 //! and draining, stragglers trailing — instead of a single phase-average
 //! power level.
 
-use serde::{Deserialize, Serialize};
-
 /// A step function of busy slots over one node's phase: change points
 /// `(time_s, active)` sorted by time, starting at `t = 0`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UtilizationTimeline {
     steps: Vec<(f64, usize)>,
     end_s: f64,
@@ -43,47 +41,10 @@ impl UtilizationTimeline {
         UtilizationTimeline { steps, end_s }
     }
 
-    /// Total covered time, seconds.
-    pub fn end_s(&self) -> f64 {
-        self.end_s
-    }
-
     /// Hands the change points back, so a caller that prices many
     /// timelines can refill one buffer instead of allocating per node.
     pub fn into_steps(self) -> Vec<(f64, usize)> {
         self.steps
-    }
-
-    /// Busy slots at time `t` (0 outside the covered range).
-    pub fn active_at(&self, t: f64) -> usize {
-        if t < 0.0 || t >= self.end_s {
-            return 0;
-        }
-        self.steps
-            .iter()
-            .take_while(|&&(start, _)| start <= t)
-            .last()
-            .map(|&(_, a)| a)
-            .unwrap_or(0)
-    }
-
-    /// Largest number of simultaneously busy slots.
-    pub fn peak(&self) -> usize {
-        self.steps.iter().map(|&(_, a)| a).max().unwrap_or(0)
-    }
-
-    /// Integral of the step function: busy slot-seconds.
-    pub fn busy_slot_seconds(&self) -> f64 {
-        self.pieces().map(|(dur, active)| dur * active as f64).sum()
-    }
-
-    /// Mean busy slots over the covered time (0 for an empty timeline).
-    pub fn mean_active(&self) -> f64 {
-        if self.end_s > 0.0 {
-            self.busy_slot_seconds() / self.end_s
-        } else {
-            0.0
-        }
     }
 
     /// `(duration_s, active)` pieces in time order, covering `[0, end_s)`
@@ -113,39 +74,27 @@ mod tests {
     }
 
     #[test]
-    fn active_lookup_walks_steps() {
-        let tl = ramp();
-        assert_eq!(tl.active_at(0.5), 2);
-        assert_eq!(tl.active_at(2.0), 1);
-        assert_eq!(tl.active_at(3.5), 0);
-        assert_eq!(tl.active_at(99.0), 0);
-        assert_eq!(tl.peak(), 2);
-    }
-
-    #[test]
     fn integral_counts_slot_seconds() {
-        let tl = ramp();
-        assert!((tl.busy_slot_seconds() - 4.0).abs() < 1e-12);
-        assert!((tl.mean_active() - 1.0).abs() < 1e-12);
+        let slot_s: f64 = ramp().pieces().map(|(dur, a)| dur * a as f64).sum();
+        assert!((slot_s - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn power_trace_prices_each_piece() {
-        let mut trace = crate::PowerTrace::new();
+        let mut meter = crate::StreamingMeter::new();
         for (dur, active) in ramp().pieces() {
-            trace.push(dur, 100.0 + 50.0 * active as f64);
+            meter.push(dur, 100.0 + 50.0 * active as f64);
         }
-        assert_eq!(trace.segments().len(), 3);
-        assert!((trace.duration_s() - 4.0).abs() < 1e-12);
+        let r = meter.finish();
+        assert_eq!(r.segments, 3);
+        assert!((r.meter.duration_s - 4.0).abs() < 1e-12);
         // 1 s @ 200 W + 2 s @ 150 W + 1 s @ 100 W.
-        assert!((trace.exact_energy_j() - 600.0).abs() < 1e-9);
+        assert!((r.exact_energy_j - 600.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_timeline_is_harmless() {
         let tl = UtilizationTimeline::new(Vec::new(), 0.0);
-        assert_eq!(tl.peak(), 0);
-        assert_eq!(tl.mean_active(), 0.0);
         assert_eq!(tl.pieces().count(), 0);
     }
 

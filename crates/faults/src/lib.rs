@@ -25,8 +25,6 @@
 //! repeated failures, and the KILLED / FAILED distinction (attempts lost
 //! to a node crash do not count against `max_attempts`).
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -57,7 +55,7 @@ const TAG_LINK: u64 = 0x4c49_4e4b; // "LINK"
 
 /// Hadoop-style recovery knobs applied by the cluster engine when a
 /// [`FaultConfig`] is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Failed attempts allowed per task before the whole phase errors
     /// (Hadoop's `mapred.map.max.attempts`, default 4). Killed attempts
@@ -84,7 +82,6 @@ pub struct RecoveryPolicy {
     /// takes effect when the fault layer carries a rack structure
     /// ([`PhaseDomains::racks`] > 0), and never strands the cluster:
     /// the last rack with a usable node stays schedulable.
-    #[serde(default)]
     pub rack_blacklist_after: u32,
 }
 
@@ -125,7 +122,7 @@ impl Default for RecoveryPolicy {
 ///
 /// Rack membership follows the fabric convention used everywhere else
 /// in the workspace: node `n` lives in rack `n % racks`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainConfig {
     /// Number of failure domains (racks). 0 disables every domain
     /// fault regardless of the MTTF knobs below.
@@ -207,7 +204,7 @@ impl Default for DomainConfig {
 }
 
 /// A seeded, fully deterministic fault model for one cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Root seed; every fault decision hashes off it.
     pub seed: u64,
@@ -226,7 +223,6 @@ pub struct FaultConfig {
     pub recovery: RecoveryPolicy,
     /// Correlated failure domains (rack/switch/link faults). The
     /// default ([`DomainConfig::none`]) injects nothing.
-    #[serde(default)]
     pub domains: DomainConfig,
 }
 
@@ -308,7 +304,7 @@ impl FaultConfig {
 
 /// Per-attempt failure schedule of one phase: a pure function of
 /// `(seed, phase id, task, attempt)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     phase_seed: u64,
     failure_rate: f64,
@@ -340,7 +336,7 @@ impl FaultPlan {
 }
 
 /// One rack-uplink degradation window, phase- or run-relative.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkWindow {
     /// Window start, seconds.
     pub start_s: f64,
@@ -358,7 +354,7 @@ impl LinkWindow {
 }
 
 /// Run-level failure-domain fate: one entry per rack.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeDomains {
     /// Number of racks (0 = no domain structure; node `n` is in rack
     /// `n % racks` otherwise).
@@ -373,7 +369,7 @@ pub struct NodeDomains {
 /// Run-level node fate: absolute crash times and straggler slowdowns,
 /// sampled once per run so a node crashed in the map phase stays dead in
 /// the reduce phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeFaults {
     /// Absolute crash time per node, seconds from run start (`None` =
     /// never crashes). May exceed the run's makespan, in which case the
@@ -384,7 +380,6 @@ pub struct NodeFaults {
     /// Whole-run duration multiplier per node (1.0 = healthy).
     pub slowdown: Vec<f64>,
     /// Rack-level fate (empty / zero racks without active domains).
-    #[serde(default)]
     pub domains: NodeDomains,
 }
 
@@ -555,7 +550,7 @@ impl NodeFaults {
 /// One phase's view of the failure domains: phase-relative rack crash
 /// times and link-degradation windows. The default (zero racks) carries
 /// no domain structure at all.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseDomains {
     /// Number of racks (0 = no domain structure).
     pub racks: usize,
@@ -592,7 +587,7 @@ impl PhaseDomains {
 }
 
 /// Everything the engine needs to run one phase under faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseFaults {
     /// Which task attempts fail, and where in their runtime.
     pub plan: FaultPlan,
@@ -605,7 +600,6 @@ pub struct PhaseFaults {
     /// Recovery semantics.
     pub policy: RecoveryPolicy,
     /// Phase-projected failure domains (rack crashes, link windows).
-    #[serde(default)]
     pub domains: PhaseDomains,
 }
 
@@ -625,7 +619,7 @@ impl PhaseFaults {
 }
 
 /// How one task attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AttemptOutcome {
     /// Ran to completion and won its task.
     #[default]
@@ -661,7 +655,7 @@ impl AttemptOutcome {
 }
 
 /// Fault and recovery counters of one phase (or, absorbed, one run).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultStats {
     /// Attempts that died to an injected task failure.
     pub failed_attempts: u64,
@@ -679,22 +673,17 @@ pub struct FaultStats {
     pub blacklisted_nodes: u64,
     /// Whole-rack failure events (ToR-switch crash or correlated rack
     /// event) that fired mid-phase.
-    #[serde(default)]
     pub rack_crashes: u64,
     /// Racks blacklisted after too many of their nodes went bad.
-    #[serde(default)]
     pub racks_blacklisted: u64,
     /// In-flight reduce attempts cancelled because a map output they
     /// were fetching was lost to a crash.
-    #[serde(default)]
     pub fetch_failures: u64,
     /// Completed map tasks re-executed on surviving nodes after fetch
     /// failures.
-    #[serde(default)]
     pub reexecuted_maps: u64,
     /// Attempts whose remote reads were priced through a degraded rack
     /// uplink.
-    #[serde(default)]
     pub link_degraded_attempts: u64,
     /// Slot-seconds spent on attempts that did not win (failed, killed
     /// or cancelled) — work the energy model still has to charge.

@@ -1,6 +1,5 @@
 //! Block-level types: sizes, identifiers and placement metadata.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::topology::{LocalityTier, Topology};
@@ -17,7 +16,7 @@ use crate::topology::{LocalityTier, Topology};
 /// // Number of map tasks = ceil(input / block size) — §3.1.1.
 /// assert_eq!(BlockSize::MB_128.blocks_for(300 << 20), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockSize(u64);
 
 impl BlockSize {
@@ -84,11 +83,11 @@ impl fmt::Display for BlockSize {
 }
 
 /// Identifier of one stored block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u64);
 
 /// Identifier of a datanode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -104,7 +103,7 @@ impl fmt::Display for NodeId {
 /// sorted index so membership tests are a binary search instead of a
 /// linear scan. Construction goes through [`BlockMeta::new`] so the two
 /// views can never drift apart.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Block identifier.
     pub id: BlockId,

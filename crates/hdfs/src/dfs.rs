@@ -4,14 +4,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockId, BlockMeta, BlockSize, NodeId};
 use crate::placement::{PlacementRequest, ReplicaPlacement, RoundRobin};
 use crate::topology::{LocalityTier, Topology};
 
 /// DFS-wide configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DfsConfig {
     /// Block size for newly created files.
     pub block_size: BlockSize,
@@ -73,7 +72,7 @@ impl fmt::Display for DfsError {
 impl std::error::Error for DfsError {}
 
 /// Per-file metadata held by the namenode.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMeta {
     /// Total file length in bytes.
     pub len: u64,
@@ -178,23 +177,6 @@ impl NameNode {
     /// locality-driven scheduler asks per map task.
     pub fn tier(&self, block: &BlockMeta, reader: NodeId) -> LocalityTier {
         block.locality_tier(reader, &self.topology)
-    }
-
-    /// Per-tier block counts of `path` as seen from `reader`:
-    /// `[node-local, rack-local, off-rack]`.
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::NotFound`] if the path does not exist.
-    pub fn tier_counts(&self, path: &str, reader: NodeId) -> Result<[usize; 3], DfsError> {
-        let meta = self.lookup(path)?;
-        let mut counts = [0usize; 3];
-        for b in &meta.blocks {
-            if let Some(c) = counts.get_mut(self.tier(b, reader) as usize) {
-                *c += 1;
-            }
-        }
-        Ok(counts)
     }
 }
 
@@ -406,11 +388,6 @@ impl Dfs {
             .count();
         Ok(near as f64 / blocks.len() as f64)
     }
-
-    /// Total bytes stored across all blocks.
-    pub fn used_bytes(&self) -> u64 {
-        self.store.values().map(|b| b.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -443,7 +420,6 @@ mod tests {
         assert_eq!(blocks[0].len, 10);
         assert_eq!(blocks[1].len, 10);
         assert_eq!(blocks[2].len, 5, "tail block is short");
-        assert_eq!(dfs.used_bytes(), 25);
     }
 
     #[test]
@@ -554,9 +530,6 @@ mod tests {
             assert!(!topo.same_rack(b.replicas()[1], NodeId(2)));
             assert!(topo.same_rack(b.replicas()[1], b.replicas()[2]));
         }
-        // The writer sees every block node-local; tier counts agree.
-        let counts = nn.tier_counts("/f", NodeId(2)).unwrap();
-        assert_eq!(counts, [4, 0, 0]);
         assert_eq!(dfs.rack_locality("/f", NodeId(2)).unwrap(), 1.0);
         // Every block keeps a replica in each rack, so no reader is ever
         // fully off-rack.

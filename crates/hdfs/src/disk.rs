@@ -5,8 +5,6 @@
 //! therefore amortizes seeks — the mechanism behind the paper's observation
 //! that larger HDFS blocks improve I/O-bound workloads (§3.1.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Seek + bandwidth disk model.
 ///
 /// # Examples
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let large = disk.read_seconds(512 << 20, 512 << 20);
 /// assert!(large < small, "bigger sequential chunks amortize seeks");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Average seek + rotational latency per repositioning, milliseconds.
     pub seek_ms: f64,

@@ -13,16 +13,13 @@
 //! oversubscription; it is [`inactive`](Topology::active) and consumers
 //! must treat it exactly like having no topology at all.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::block::NodeId;
 
 /// How close a reader is to the nearest replica of a block — HDFS's
 /// three-level locality vocabulary.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum LocalityTier {
     /// A replica lives on the reading node: no network traffic.
     #[default]
@@ -66,7 +63,7 @@ impl fmt::Display for LocalityTier {
 /// effective ToR uplink is `core_bytes_per_s / oversubscription`: an
 /// oversubscription of 4 means the rack's shared exit is provisioned at
 /// a quarter of the nominal core link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
     /// Number of top-of-rack switches; nodes are assigned round-robin.
     pub racks: usize,

@@ -1,7 +1,5 @@
 //! Job configuration: the Hadoop knobs the paper's experiments exercise.
 
-use serde::{Deserialize, Serialize};
-
 /// Engine configuration, named after the Hadoop properties it mirrors.
 ///
 /// # Examples
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///     .merge_factor(10);
 /// assert_eq!(cfg.num_reducers, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobConfig {
     /// Number of reduce tasks (`mapreduce.job.reduces`); 0 = map-only job.
     pub num_reducers: usize,

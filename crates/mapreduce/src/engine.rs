@@ -81,11 +81,6 @@ where
         self.partitioner = p;
         self
     }
-
-    /// Current configuration.
-    pub fn job_config(&self) -> JobConfig {
-        self.config
-    }
 }
 
 /// Everything a finished job produces: final records plus statistics.

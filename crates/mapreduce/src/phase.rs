@@ -6,10 +6,8 @@
 //! phase. [`PhaseBreakdown`] is the common currency between the cluster
 //! simulator, the energy meter and the accelerator model.
 
-use serde::{Deserialize, Serialize};
-
 /// One of the paper's three phase buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Map-task execution (the usual hotspot, §3.4).
     Map,
@@ -46,7 +44,7 @@ impl std::fmt::Display for Phase {
 /// assert_eq!(b.total(), 100.0);
 /// assert!((b.fraction(hhsim_mapreduce::Phase::Map) - 0.6).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBreakdown {
     /// Seconds in the map phase.
     pub map_s: f64,

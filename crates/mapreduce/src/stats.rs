@@ -1,10 +1,8 @@
 //! Job- and task-level dataflow statistics (Hadoop counter equivalents).
 
-use serde::{Deserialize, Serialize};
-
 /// Input/output volume of one task — the per-task skew feeds straggler
 /// modelling in the cluster simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskIo {
     /// Bytes consumed by the task.
     pub input_bytes: u64,
@@ -20,7 +18,7 @@ pub struct TaskIo {
 ///
 /// Field names follow Hadoop's job counters; all byte counts use the
 /// [`crate::Datum::size_bytes`] serialization model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobStats {
     /// Number of map tasks (= input splits).
     pub map_tasks: usize,

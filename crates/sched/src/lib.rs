@@ -28,11 +28,10 @@
 
 use hhsim_arch::CoreKind;
 use hhsim_energy::{CostMetrics, MetricKind};
-use serde::{Deserialize, Serialize};
 
 /// Workload class as used by the scheduling pseudo-code: compute bound
 /// (C), I/O bound (I) or hybrid (H).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
     /// Compute bound.
     Compute,
@@ -43,7 +42,7 @@ pub enum JobClass {
 }
 
 /// A homogeneous allocation out of the heterogeneous pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoreAllocation {
     /// Which core type runs the job.
     pub kind: CoreKind,
@@ -94,7 +93,7 @@ pub fn paper_schedule(class: JobClass, goal: MetricKind) -> CoreAllocation {
 }
 
 /// Characterized costs of one application over every studied allocation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostTable {
     entries: Vec<(CoreAllocation, CostMetrics)>,
 }
@@ -265,8 +264,7 @@ mod tests {
     /// `total_cmp` makes the search total: a NaN cost loses to every real
     /// cost instead of panicking, and -0.0 orders below +0.0.
     /// (`CostMetrics::new` validates finiteness, but the fields are public
-    /// and `Deserialize` bypasses the check — the search must stay total
-    /// even then.)
+    /// — the search must stay total even then.)
     #[test]
     fn optimal_is_total_over_nan_and_signed_zero() {
         let mut t = CostTable::new();

@@ -126,6 +126,21 @@ pub fn check(cases: u64, mut property: impl FnMut(&mut Gen)) {
     }
 }
 
+/// Runs a streaming exporter into memory and returns its text, so tests
+/// compare an export as one `String`:
+/// `streamed(|w| timeline.write_chrome_trace(w))`. Generic over the
+/// closure because this crate sits below `hhsim-core` and cannot name its
+/// timeline.
+///
+/// # Panics
+///
+/// Panics if the writer fails or emits bytes that are not UTF-8.
+pub fn streamed(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> String {
+    let mut buf = Vec::new();
+    write(&mut buf).expect("writing into a Vec cannot fail");
+    String::from_utf8(buf).expect("exports are UTF-8")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

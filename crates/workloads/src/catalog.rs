@@ -4,13 +4,12 @@
 use bytes::Bytes;
 use hhsim_arch::ComputeProfile;
 use hhsim_mapreduce::{run_map_only_job, JobConfig, JobStats};
-use serde::{Deserialize, Serialize};
 
 use crate::{datagen, fp_growth, grep, naive_bayes, profiles, sort, terasort, wordcount};
 
 /// Application class per the paper's scheduling pseudo-code (§3.5):
 /// compute bound (C), I/O bound (I) or hybrid (H).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppClass {
     /// Compute bound — favours many little cores.
     Compute,
@@ -21,7 +20,7 @@ pub enum AppClass {
 }
 
 /// The six studied applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppId {
     /// WordCount (WC) — CPU-intensive micro-benchmark.
     WordCount,
@@ -185,7 +184,7 @@ impl std::fmt::Display for AppId {
 }
 
 /// Configuration of a functional (MB-scale) execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FunctionalConfig {
     /// Input size to generate, bytes.
     pub input_bytes: u64,
@@ -203,7 +202,7 @@ pub struct FunctionalConfig {
 /// Outcome of a functional run: merged statistics over all chained jobs,
 /// plus the per-job statistics (Grep and FP-Growth chain two jobs whose
 /// dataflow shapes differ radically).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionalRun {
     /// Summed dataflow statistics.
     pub stats: JobStats,
