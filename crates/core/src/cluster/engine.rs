@@ -37,22 +37,23 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
     }
 
     let mut sim = Simulation::default();
-    let mut spans: Vec<Option<TaskSpan>> = vec![None; load.tasks];
-    let mut book = SlotBook::new(cluster, None, 0..load.tasks);
+    // The queue is `0..tasks`, served from the front and never re-entered:
+    // the task at its head is the number of tasks launched so far, and
+    // launch order is task order. So the queue is not built, and a span is
+    // written once, at the end of `spans`, where its task index puts it.
+    let mut spans: Vec<TaskSpan> = Vec::with_capacity(load.tasks);
+    let mut book: SlotBook<usize> = SlotBook::new(cluster, None, std::iter::empty());
     book.stats.max_queue_len = load.tasks.saturating_sub(capacity);
     loop {
         // Launch queued tasks while slots are free: at phase start and
         // again after every completion, so grant order is FIFO at
         // identical virtual times — exactly the slot-pool semantics of
         // the flat model this engine replaced.
-        while book.slots.total_free() > 0 {
-            let Some(&task) = book.queue.front() else {
-                break;
-            };
+        while book.slots.total_free() > 0 && spans.len() < load.tasks {
+            let task = spans.len();
             let (node, tier) =
                 placement.place_local(task, cluster, &book.slots, load.locality.as_ref());
             assert!(book.slots.free(node) > 0, "placement chose a busy node");
-            book.queue.pop_front();
             let now = sim.now();
             let (slot, wave) = book.claim_slot(node);
             book.note_wait(now);
@@ -60,8 +61,7 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
             let dur = SimTime::from_secs_f64(
                 t.task_seconds * jitter(task) + t.overhead_seconds + load.extra_for(task, tier),
             );
-            spans[task] = Some(TaskSpan {
-                phase: String::new(),
+            spans.push(TaskSpan {
                 task,
                 node,
                 slot,
@@ -83,10 +83,7 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
     }
     PhaseRun {
         makespan_s: book.max_finish.as_secs_f64(),
-        spans: spans
-            .into_iter()
-            .map(|s| s.expect("every task was launched"))
-            .collect(),
+        spans,
         slots: book.stats,
         wasted: Vec::new(),
         recovered: Vec::new(),

@@ -346,11 +346,11 @@ impl SlotStats {
     }
 }
 
-/// One task's structured trace record.
-#[derive(Debug, Clone, PartialEq)]
+/// One task attempt's structured trace record: plain numbers on its
+/// phase's own clock. Which phase that is, only the caller knows — it
+/// says so when it hands the run to [`ClusterTimeline::extend`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpan {
-    /// Phase label ("map", "reduce", possibly suffixed per chained job).
-    pub phase: String,
     /// Task index within its phase.
     pub task: usize,
     /// Node the task ran on.
@@ -382,9 +382,8 @@ pub struct TaskSpan {
 pub struct PhaseRun {
     /// Wall-clock seconds from phase start to last task completion.
     pub makespan_s: f64,
-    /// Per-task spans, in task order, with phase-relative times and an
-    /// empty phase label (filled in by [`ClusterTimeline::extend`]).
-    /// One winning attempt per task.
+    /// Per-task spans, in task order (`spans[i].task == i`), with
+    /// phase-relative times. One winning attempt per task.
     pub spans: Vec<TaskSpan>,
     /// Slot admission counters.
     pub slots: SlotStats,

@@ -46,13 +46,12 @@ pub trait Placement {
             // round-robin (node % racks), so a rack is a stride range.
             let racks = loc.racks.max(1);
             if racks > 1 {
-                let mut seen: Vec<usize> = Vec::with_capacity(reps.len());
-                for &r in reps {
+                for (i, &r) in reps.iter().enumerate() {
                     let rack = r % racks;
-                    if seen.contains(&rack) {
+                    // A rack an earlier replica shares has been searched.
+                    if reps.iter().take(i).any(|&e| e % racks == rack) {
                         continue;
                     }
-                    seen.push(rack);
                     for n in (rack..nodes).step_by(racks) {
                         if free.usable(n) && free.free(n) > 0 {
                             return (n, LocalityTier::RackLocal);

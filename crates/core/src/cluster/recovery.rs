@@ -152,7 +152,6 @@ impl RunningAttempt {
     /// This attempt's span, ended at `now` as `outcome`.
     fn span(&self, now: SimTime, outcome: AttemptOutcome) -> TaskSpan {
         TaskSpan {
-            phase: String::new(),
             task: self.task(),
             node: self.node,
             slot: self.slot,
@@ -253,7 +252,6 @@ pub(crate) struct EngineScratch {
     node_failures: Vec<u32>,
     rows: Vec<TaskRow>,
     attempts: Vec<Option<RunningAttempt>>,
-    slot_base: Vec<usize>,
     spans: Vec<Option<TaskSpan>>,
     rack_blacklist_count: Vec<u32>,
     rack_blacklisted: Vec<bool>,
@@ -298,12 +296,10 @@ pub(super) struct FaultState<'a> {
     book: &'a mut SlotBook<QueueEntry>,
     node_failures: &'a mut Vec<u32>,
     rows: &'a mut Vec<TaskRow>,
-    /// In-flight attempts by global slot id (`slot_base[node] + slot`).
+    /// In-flight attempts by global slot id ([`SlotBook::global_slots`]).
     /// An attempt *is* what occupies a slot, so this table is the running
     /// set: bounded by cluster capacity, whatever the task count.
     attempts: &'a mut Vec<Option<RunningAttempt>>,
-    /// Global id of each node's slot 0, plus the total as a last entry.
-    slot_base: &'a mut Vec<usize>,
     /// Phase tasks not yet won.
     pending: usize,
     // LATE progress-rate statistics over every attempt launched so far.
@@ -461,7 +457,7 @@ fn launch_attempt(
     let QueueEntry { row, queued } = entry;
     let (slot, wave) = st.book.claim_slot(node);
     st.book.note_wait(now.saturating_sub(queued));
-    let global = st.slot_base[node] + slot;
+    let global = st.book.global_slots(node).start + slot;
     let r = &mut st.rows[row];
     let (kind, attempt) = (r.kind, r.next_attempt);
     r.next_attempt += 1;
@@ -621,10 +617,7 @@ fn crash_node(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: usize
     st.fstats.node_crashes += 1;
     // The node's stretch of the slot table holds exactly its victims;
     // they are processed in ascending row order.
-    let (Some(&lo), Some(&hi)) = (st.slot_base.get(node), st.slot_base.get(node + 1)) else {
-        return;
-    };
-    let victims = st.victims_in(lo..hi, |_| true);
+    let victims = st.victims_in(st.book.global_slots(node), |_| true);
     for &(row, slot) in &victims {
         let Some(r) = st.vacate(slot) else {
             continue;
@@ -1038,7 +1031,6 @@ pub(crate) fn run_phase_fetching(
         node_failures,
         rows,
         attempts,
-        slot_base,
         spans,
         rack_blacklist_count,
         rack_blacklisted,
@@ -1067,14 +1059,6 @@ pub(crate) fn run_phase_fetching(
     rows.clear();
     rows.extend((0..load.tasks).map(|_| TaskRow::task()));
     refill(attempts, capacity, None);
-    slot_base.clear();
-    slot_base.reserve_exact(nodes + 1);
-    let mut total = 0;
-    slot_base.push(total);
-    for n in &cluster.nodes {
-        total += n.slots;
-        slot_base.push(total);
-    }
     refill(spans, load.tasks, None);
     refill(rack_blacklist_count, faults.domains.racks, 0);
     refill(rack_blacklisted, faults.domains.racks, false);
@@ -1084,7 +1068,6 @@ pub(crate) fn run_phase_fetching(
         node_failures,
         rows,
         attempts,
-        slot_base,
         pending: load.tasks,
         rate_sum: 0.0,
         rate_count: 0,

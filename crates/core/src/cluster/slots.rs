@@ -419,11 +419,19 @@ impl SlotTable {
 /// is waiting (`Q` is the engine's queue entry), and the admission
 /// counters. `slots` also carries node health: dead and blacklisted
 /// nodes are unusable.
+///
+/// The cluster's slots are numbered node by node: slot `s` of node `n`
+/// has *global* id `slot_base[n] + s`, which is what per-slot columns —
+/// the wave counters here, the fault engine's attempt table — are
+/// indexed by.
 #[derive(Debug)]
 pub(super) struct SlotBook<Q> {
     pub(super) slots: FreeSlots,
     slot_table: SlotTable,
-    slot_waves: Vec<Vec<usize>>,
+    /// Global id of each node's slot 0, plus the total as a last entry.
+    slot_base: Vec<usize>,
+    /// Tasks each slot has been given so far, by global slot id.
+    slot_waves: Vec<usize>,
     pub(super) queue: VecDeque<Q>,
     in_use: usize,
     pub(super) max_finish: SimTime,
@@ -437,6 +445,7 @@ impl<Q> Default for SlotBook<Q> {
         SlotBook {
             slots: FreeSlots::default(),
             slot_table: SlotTable::default(),
+            slot_base: Vec::new(),
             slot_waves: Vec::new(),
             queue: VecDeque::new(),
             in_use: 0,
@@ -467,18 +476,30 @@ impl<Q> SlotBook<Q> {
     ) {
         self.slots.reset(cluster, dead);
         self.slot_table.reset(cluster);
-        self.slot_waves.resize_with(cluster.nodes.len(), Vec::new);
-        for (waves, n) in self.slot_waves.iter_mut().zip(&cluster.nodes) {
-            refill(waves, n.slots, 0);
+        self.slot_base.clear();
+        self.slot_base.reserve_exact(cluster.nodes.len() + 1);
+        let mut total = 0;
+        self.slot_base.push(total);
+        for n in &cluster.nodes {
+            total += n.slots;
+            self.slot_base.push(total);
         }
+        refill(&mut self.slot_waves, total, 0);
         self.queue.clear();
         self.queue.extend(queue);
         self.in_use = 0;
         self.max_finish = SimTime::ZERO;
         self.stats = SlotStats {
-            capacity: cluster.total_slots(),
+            capacity: total,
             ..SlotStats::default()
         };
+    }
+
+    /// Global ids of `node`'s slots (empty for a node the cluster lacks).
+    #[inline]
+    pub(super) fn global_slots(&self, node: usize) -> std::ops::Range<usize> {
+        let lo = self.slot_base.get(node).copied().unwrap_or(0);
+        lo..self.slot_base.get(node + 1).copied().unwrap_or(lo)
     }
 
     /// Marks the first idle slot on `node` busy; returns `(slot, wave)`.
@@ -488,7 +509,8 @@ impl<Q> SlotBook<Q> {
         self.in_use += 1;
         self.stats.peak_in_use = self.stats.peak_in_use.max(self.in_use);
         let slot = self.slot_table.claim_first(node);
-        match self.slot_waves.get_mut(node).and_then(|w| w.get_mut(slot)) {
+        let global = self.global_slots(node).start + slot;
+        match self.slot_waves.get_mut(global) {
             Some(w) => {
                 *w += 1;
                 (slot, *w)

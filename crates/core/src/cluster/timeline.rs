@@ -1,7 +1,6 @@
 //! A whole run's spans on one absolute clock, and its exports.
 
 use hhsim_faults::AttemptOutcome;
-use std::fmt::Write as _;
 use std::io;
 
 use super::{Cluster, LocalityTier, PhaseRun};
@@ -57,6 +56,151 @@ pub(super) fn narrow(v: usize) -> u32 {
     // wrapping would silently corrupt the timeline, so fail loudly.
     // hhsim: allow(panic-in-engine): invariant breach must not wrap into a valid-looking column value
     u32::try_from(v).expect("index exceeds u32 column")
+}
+
+/// Appends `v` in decimal, zero-padded on the left to `width` digits
+/// (`width >= 1`; a `u64` has at most 20).
+fn push_padded(out: &mut Vec<u8>, mut v: u64, width: usize) {
+    let mut buf = [b'0'; 20];
+    let mut used = 0;
+    for digit in buf.iter_mut().rev() {
+        if v == 0 && used >= width {
+            break;
+        }
+        *digit = b'0' + u8::try_from(v % 10).unwrap_or(0);
+        v /= 10;
+        used += 1;
+    }
+    out.extend_from_slice(buf.get(buf.len() - used..).unwrap_or_default());
+}
+
+/// Appends `v` in decimal: what `{v}` prints.
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    push_padded(out, v, 1);
+}
+
+/// Appends a column index or count.
+fn push_usize(out: &mut Vec<u8>, v: usize) {
+    push_u64(out, u64::try_from(v).unwrap_or(u64::MAX));
+}
+
+/// Appends `v` with `decimals` digits after the point: what
+/// `{v:.decimals$}` prints, digit for digit (the `reference` oracle and
+/// `push_fixed_matches_format` hold it to that).
+///
+/// A double is `m × 2^-shift` with `m` a 53-bit integer, so
+/// `v × 10^decimals` is the exact integer ratio `m × 10^decimals / 2^shift`
+/// — 73 bits at most for `decimals <= 6`. Its quotient, rounded half to
+/// even on the exact remainder, is the digit string; no `fmt` machinery,
+/// no intermediate rounding. The quotient fits a `u64` for `|v| < 2^43`;
+/// anything larger, non-finite values and other precisions take the
+/// `format!` the rest is measured against.
+fn push_fixed(out: &mut Vec<u8>, v: f64, decimals: u32) {
+    const EXP_BIAS: u64 = 1023;
+    const FRAC_BITS: u64 = 52;
+    let bits = v.to_bits();
+    let biased = (bits >> FRAC_BITS) & 0x7ff;
+    let pow = 10u64.pow(decimals.min(6));
+    if decimals > 6 || biased >= EXP_BIAS + 43 {
+        let width = usize::try_from(decimals).unwrap_or(0);
+        out.extend_from_slice(format!("{v:.width$}").as_bytes());
+        return;
+    }
+    let frac = bits & ((1 << FRAC_BITS) - 1);
+    // Subnormals have no implicit leading bit and share the least exponent.
+    let (m, shift) = match biased {
+        0 => (frac, EXP_BIAS + FRAC_BITS - 1),
+        _ => (frac | (1 << FRAC_BITS), EXP_BIAS + FRAC_BITS - biased),
+    };
+    let scaled = u128::from(m) * u128::from(pow);
+    // `scaled < 2^73`: past a shift of 74 it is below half a unit.
+    let q = if shift > 74 {
+        0
+    } else {
+        let q = scaled >> shift;
+        let rem = scaled & ((1u128 << shift) - 1);
+        let half = 1u128 << (shift - 1);
+        let up = rem > half || (rem == half && q & 1 == 1);
+        u64::try_from(q).unwrap_or(u64::MAX) + u64::from(up)
+    };
+    if bits >> 63 == 1 {
+        out.push(b'-');
+    }
+    push_u64(out, q / pow);
+    if decimals > 0 {
+        out.push(b'.');
+        push_padded(out, q % pow, usize::try_from(decimals).unwrap_or(0));
+    }
+}
+
+/// Appends `s` as the inside of a JSON string literal: `"`, `\` and
+/// control characters escaped, everything else as it is.
+fn push_json_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for &b in s.as_bytes() {
+        match b {
+            b'"' | b'\\' => out.extend_from_slice(&[b'\\', b]),
+            0..=0x1f => {
+                out.extend_from_slice(b"\\u00");
+                for nibble in [b >> 4, b & 0xf] {
+                    out.push(HEX.get(usize::from(nibble)).copied().unwrap_or(b'0'));
+                }
+            }
+            _ => out.push(b),
+        }
+    }
+}
+
+/// Appends `s` as one CSV field: as it is unless it holds a separator, a
+/// quote or a line break, in which case it is quoted and its quotes
+/// doubled (RFC 4180).
+fn push_csv_field(out: &mut Vec<u8>, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+        out.extend_from_slice(s.as_bytes());
+        return;
+    }
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        if b == b'"' {
+            out.push(b'"');
+        }
+        out.push(b);
+    }
+    out.push(b'"');
+}
+
+/// One slot-occupancy change on a node: `(time, ±1, tier of the span)`.
+type TierEvent = (f64, i64, LocalityTier);
+/// `(time, active slots, active slots per tier)` from that time on.
+type TierStep = (f64, usize, [usize; 3]);
+
+/// [`fold_steps`] with the locality mix: folds one node's events into its
+/// `(time, active, active-per-tier)` step function, with the same time
+/// merging and the same `(0, ·)` first step, written over whatever
+/// `steps` held. Events that compare equal differ at most in their tier
+/// and fold into the same step, so the unstable sort cannot show.
+fn fold_tier_steps(events: &mut [TierEvent], steps: &mut Vec<TierStep>) {
+    events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    steps.clear();
+    steps.push((0.0, 0, [0; 3]));
+    let mut active = 0i64;
+    let mut per = [0i64; 3];
+    let mut it = events.iter().peekable();
+    while let Some(&(t, delta, tier)) = it.next() {
+        active += delta;
+        if let Some(p) = per.get_mut(tier.idx()) {
+            *p += delta;
+        }
+        if it.peek().is_some_and(|&&(next, ..)| next == t) {
+            continue;
+        }
+        let held = |v: i64| usize::try_from(v).unwrap_or(0);
+        let step = (t, held(active), per.map(held));
+        match steps.first_mut() {
+            Some(first) if t == 0.0 => *first = (0.0, step.1, step.2),
+            _ => steps.push(step),
+        }
+    }
 }
 
 /// Folds a `(time, ±1)` event list (already grouped per node, in
@@ -201,62 +345,6 @@ impl ClusterTimeline {
         self.tier.iter().any(|&t| t != LocalityTier::NodeLocal)
     }
 
-    /// Tier-aware analogue of [`fold_steps`]:
-    /// folds `(time, ±1, ±1-per-tier)` events into
-    /// `(time, active, active-per-tier)` steps with identical time
-    /// merging.
-    fn tier_steps_from_events(
-        // hhsim: allow(panic-in-engine): slice type in a signature, not indexing
-        events: &mut [(f64, i64, [i64; 3])],
-    ) -> Vec<(f64, usize, [usize; 3])> {
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut steps = vec![(0.0, 0usize, [0usize; 3])];
-        let mut active = 0i64;
-        let mut per = [0i64; 3];
-        let mut it = events.iter().peekable();
-        while let Some(&(t, d, dp)) = it.next() {
-            active += d;
-            for (acc, delta) in per.iter_mut().zip(dp) {
-                *acc += delta;
-            }
-            if it.peek().is_some_and(|&&(t2, _, _)| t2 == t) {
-                continue;
-            }
-            let a = active.max(0) as usize;
-            let p = per.map(|v| v.max(0) as usize);
-            if t == 0.0 {
-                if let Some(first) = steps.first_mut() {
-                    *first = (0.0, a, p);
-                }
-            } else {
-                steps.push((t, a, p));
-            }
-        }
-        steps
-    }
-
-    /// Per-node `(time, active, active-per-tier)` step functions in one
-    /// linear pass over the span columns.
-    fn tier_steps_all(&self) -> Vec<Vec<(f64, usize, [usize; 3])>> {
-        let mut events: Vec<Vec<(f64, i64, [i64; 3])>> = vec![Vec::new(); self.nodes.len()];
-        for i in 0..self.len() {
-            let n = self.node.get(i).copied().unwrap_or(0) as usize;
-            let tier = self.tier.get(i).copied().unwrap_or_default() as usize;
-            if let Some(ev) = events.get_mut(n) {
-                let mut up = [0i64; 3];
-                up[tier] = 1; // hhsim: allow(panic-in-engine): tier = LocalityTier as usize <= 2 into a [_; 3]
-                let mut down = [0i64; 3];
-                down[tier] = -1; // hhsim: allow(panic-in-engine): tier = LocalityTier as usize <= 2 into a [_; 3]
-                ev.push((self.launched_s.get(i).copied().unwrap_or(0.0), 1, up));
-                ev.push((self.finished_s.get(i).copied().unwrap_or(0.0), -1, down));
-            }
-        }
-        events
-            .iter_mut()
-            .map(|ev| Self::tier_steps_from_events(ev.as_mut_slice()))
-            .collect()
-    }
-
     /// Step function of busy slots per node (index = node): `(time,
     /// active)` points at every change, starting at `(0, 0)`, in one
     /// linear pass over the span columns — O(spans + nodes).
@@ -279,72 +367,130 @@ impl ClusterTimeline {
             .collect()
     }
 
+    /// Span ids grouped by node, append order kept within a node: node
+    /// `n`'s are `ids[start[n]..start[n + 1]]`. A counting sort over the
+    /// `node` column; spans on a node the cluster lacks are left out.
+    fn spans_by_node(&self) -> (Vec<usize>, Vec<usize>) {
+        let known = |n: u32| usize::try_from(n).ok().filter(|&n| n < self.nodes.len());
+        let mut start = vec![0usize; self.nodes.len() + 1];
+        for n in self.node.iter().filter_map(|&n| known(n)) {
+            if let Some(count) = start.get_mut(n + 1) {
+                *count += 1;
+            }
+        }
+        let mut total = 0;
+        for s in &mut start {
+            total += *s;
+            *s = total;
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0usize; total];
+        for (id, n) in self.node.iter().enumerate() {
+            let Some(cursor) = known(*n).and_then(|n| next.get_mut(n)) else {
+                continue;
+            };
+            if let Some(place) = ids.get_mut(*cursor) {
+                *place = id;
+            }
+            *cursor += 1;
+        }
+        (start, ids)
+    }
+
     /// Chrome-trace-viewer JSON (`chrome://tracing`, Perfetto): one `X`
     /// event per task span, `pid` = node, `tid` = slot, timestamps in
     /// microseconds, plus process-name metadata per node. Output is
     /// deterministic: spans are emitted in append order with fixed
-    /// 3-decimal microsecond formatting. Written incrementally to `w`
-    /// (wrap files in a `BufWriter`), so exporting a million-span trace
-    /// needs no trace-sized `String`.
+    /// 3-decimal microsecond formatting. Written incrementally to `w`, one
+    /// `write_all` per event (wrap files in a `BufWriter`), so exporting a
+    /// million-span trace needs no trace-sized `String`. Node names, phase
+    /// labels and annotation labels are escaped as JSON strings.
     pub fn write_chrome_trace<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
+        let mut row: Vec<u8> = Vec::new();
         for (pid, n) in self.nodes.iter().enumerate() {
-            writeln!(
-                w,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{} ({} x{})\"}}}},",
-                n.name, n.kind, n.slots
-            )?;
+            row.clear();
+            row.extend_from_slice(b"{\"ph\":\"M\",\"pid\":");
+            push_usize(&mut row, pid);
+            row.extend_from_slice(b",\"name\":\"process_name\",\"args\":{\"name\":\"");
+            push_json_escaped(&mut row, &n.name);
+            row.extend_from_slice(b" (");
+            push_json_escaped(&mut row, &n.kind);
+            row.extend_from_slice(b" x");
+            push_usize(&mut row, n.slots);
+            row.extend_from_slice(b")\"}},\n");
+            w.write_all(&row)?;
         }
-        let mut extra = String::new();
+        // A label is escaped once, not once per span.
+        let phases: Vec<Vec<u8>> = (self.phases.iter())
+            .map(|p| {
+                let mut label = Vec::new();
+                push_json_escaped(&mut label, p);
+                label
+            })
+            .collect();
         for i in 0..self.len() {
             let launched = self.launched_s.get(i).copied().unwrap_or(0.0);
             let finished = self.finished_s.get(i).copied().unwrap_or(0.0);
             let queued = self.queued_s.get(i).copied().unwrap_or(0.0);
-            let ts = launched * 1e6;
-            let dur = (finished - launched) * 1e6;
-            let wait = (launched - queued) * 1e6;
             let attempt = self.attempt.get(i).copied().unwrap_or(1);
             let outcome = self.outcome.get(i).copied().unwrap_or_default();
             let tier = self.tier.get(i).copied().unwrap_or_default();
+            let task = u64::from(self.task.get(i).copied().unwrap_or(0));
+            let phase = (self.phase_ix.get(i))
+                .and_then(|&p| phases.get(usize::try_from(p).ok()?))
+                .map(Vec::as_slice)
+                .unwrap_or_default();
+            row.clear();
+            row.extend_from_slice(b"{\"ph\":\"X\",\"pid\":");
+            push_u64(&mut row, u64::from(self.node.get(i).copied().unwrap_or(0)));
+            row.extend_from_slice(b",\"tid\":");
+            push_u64(&mut row, u64::from(self.slot.get(i).copied().unwrap_or(0)));
+            row.extend_from_slice(b",\"ts\":");
+            push_fixed(&mut row, launched * 1e6, 3);
+            row.extend_from_slice(b",\"dur\":");
+            push_fixed(&mut row, (finished - launched) * 1e6, 3);
+            row.extend_from_slice(b",\"name\":\"");
+            row.extend_from_slice(phase);
+            row.push(b'-');
+            push_u64(&mut row, task);
+            row.extend_from_slice(b"\",\"cat\":\"");
+            row.extend_from_slice(phase);
+            row.extend_from_slice(b"\",\"args\":{\"task\":");
+            push_u64(&mut row, task);
+            row.extend_from_slice(b",\"wave\":");
+            push_u64(&mut row, u64::from(self.wave.get(i).copied().unwrap_or(0)));
+            row.extend_from_slice(b",\"wait_us\":");
+            push_fixed(&mut row, (launched - queued) * 1e6, 3);
             // Attempt/outcome/tier args only when non-default, so
             // fault-free node-local traces keep their bytes.
-            extra.clear();
             if attempt > 1 {
-                let _ = write!(extra, ",\"attempt\":{attempt}");
+                row.extend_from_slice(b",\"attempt\":");
+                push_u64(&mut row, u64::from(attempt));
             }
             if outcome != AttemptOutcome::Success {
-                let _ = write!(extra, ",\"outcome\":\"{}\"", outcome.as_str());
+                row.extend_from_slice(b",\"outcome\":\"");
+                row.extend_from_slice(outcome.as_str().as_bytes());
+                row.push(b'"');
             }
             if tier != LocalityTier::NodeLocal {
-                let _ = write!(extra, ",\"tier\":\"{}\"", tier.as_str());
+                row.extend_from_slice(b",\"tier\":\"");
+                row.extend_from_slice(tier.as_str().as_bytes());
+                row.push(b'"');
             }
-            let phase = self
-                .phase_ix
-                .get(i)
-                .and_then(|&p| self.phases.get(p as usize))
-                .map(String::as_str)
-                .unwrap_or("");
-            writeln!(
-                w,
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{ts:.3},\"dur\":{dur:.3},\
-                 \"name\":\"{phase}-{}\",\"cat\":\"{phase}\",\
-                 \"args\":{{\"task\":{},\"wave\":{},\"wait_us\":{wait:.3}{extra}}}}},",
-                self.node.get(i).copied().unwrap_or(0),
-                self.slot.get(i).copied().unwrap_or(0),
-                self.task.get(i).copied().unwrap_or(0),
-                self.task.get(i).copied().unwrap_or(0),
-                self.wave.get(i).copied().unwrap_or(0),
-            )?;
+            row.extend_from_slice(b"}},\n");
+            w.write_all(&row)?;
         }
         // Domain events (rack crashes, rack blacklists) as global
         // instant events; absent without active failure domains.
         for (t, label) in self.ann_time_s.iter().zip(&self.ann_label) {
-            let ts = t * 1e6;
-            writeln!(
-                w,
-                "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{label}\",\"s\":\"g\"}},"
-            )?;
+            row.clear();
+            row.extend_from_slice(b"{\"ph\":\"i\",\"pid\":0,\"ts\":");
+            push_fixed(&mut row, t * 1e6, 3);
+            row.extend_from_slice(b",\"name\":\"");
+            push_json_escaped(&mut row, label);
+            row.extend_from_slice(b"\",\"s\":\"g\"},\n");
+            w.write_all(&row)?;
         }
         // Trailing comma is invalid JSON; close with a sentinel metadata
         // event instead of tracking "first".
@@ -356,26 +502,662 @@ impl ClusterTimeline {
     /// off-rack, three per-tier active-slot columns
     /// (`node_local,rack_local,off_rack`) follow, so the export carries
     /// the locality mix; flat (all node-local) runs keep the four-column
-    /// format byte-for-byte. Written incrementally, with the per-node step
-    /// functions computed in one pass over the span columns.
+    /// format byte-for-byte. The two are one fold whose last three columns
+    /// are printed or not. Streamed node by node — one node's events and
+    /// steps are all that is held, one `write_all` per row. A node name
+    /// that would break a row is quoted.
     pub fn write_utilization_csv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        if self.has_remote_tiers() {
+        let tiered = self.has_remote_tiers();
+        w.write_all(b"node,name,time_s,active_slots")?;
+        if tiered {
+            w.write_all(b",node_local,rack_local,off_rack")?;
+        }
+        w.write_all(b"\n")?;
+        let (start, ids) = self.spans_by_node();
+        let mut events: Vec<TierEvent> = Vec::new();
+        let mut steps: Vec<TierStep> = Vec::new();
+        let mut row: Vec<u8> = Vec::new();
+        let ranges = start.iter().zip(start.iter().skip(1));
+        for (node, (n, (&lo, &hi))) in self.nodes.iter().zip(ranges).enumerate() {
+            events.clear();
+            for &id in ids.get(lo..hi).unwrap_or_default() {
+                let tier = self.tier.get(id).copied().unwrap_or_default();
+                events.push((self.launched_s.get(id).copied().unwrap_or(0.0), 1, tier));
+                events.push((self.finished_s.get(id).copied().unwrap_or(0.0), -1, tier));
+            }
+            fold_tier_steps(&mut events, &mut steps);
+            row.clear();
+            push_usize(&mut row, node);
+            row.push(b',');
+            push_csv_field(&mut row, &n.name);
+            row.push(b',');
+            let prefix = row.len();
+            for &(t, active, per_tier) in &steps {
+                row.truncate(prefix);
+                push_fixed(&mut row, t, 6);
+                row.push(b',');
+                push_usize(&mut row, active);
+                if tiered {
+                    for held in per_tier {
+                        row.push(b',');
+                        push_usize(&mut row, held);
+                    }
+                }
+                row.push(b'\n');
+                w.write_all(&row)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The `fmt`-driven exporters the row builders above replaced, kept as
+/// their oracle: `{:.3}` / `{:.6}` through `write!`, one step-function
+/// table per format, every node's steps held at once. Names are printed
+/// raw, as they were — the oracle is for timelines whose names need no
+/// escaping.
+#[cfg(test)]
+mod reference {
+    use std::fmt::Write as _;
+    use std::io::{self, Write};
+
+    use super::{AttemptOutcome, ClusterTimeline, LocalityTier};
+
+    pub(super) fn write_chrome_trace<W: Write>(tl: &ClusterTimeline, w: &mut W) -> io::Result<()> {
+        w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
+        for (pid, n) in tl.nodes.iter().enumerate() {
+            writeln!(
+                w,
+                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
+                 \"args\":{{\"name\":\"{} ({} x{})\"}}}},",
+                n.name, n.kind, n.slots
+            )?;
+        }
+        let mut extra = String::new();
+        for i in 0..tl.len() {
+            let (launched, finished, queued) = (tl.launched_s[i], tl.finished_s[i], tl.queued_s[i]);
+            let ts = launched * 1e6;
+            let dur = (finished - launched) * 1e6;
+            let wait = (launched - queued) * 1e6;
+            extra.clear();
+            if tl.attempt[i] > 1 {
+                let _ = write!(extra, ",\"attempt\":{}", tl.attempt[i]);
+            }
+            if tl.outcome[i] != AttemptOutcome::Success {
+                let _ = write!(extra, ",\"outcome\":\"{}\"", tl.outcome[i].as_str());
+            }
+            if tl.tier[i] != LocalityTier::NodeLocal {
+                let _ = write!(extra, ",\"tier\":\"{}\"", tl.tier[i].as_str());
+            }
+            let phase = &tl.phases[tl.phase_ix[i] as usize];
+            writeln!(
+                w,
+                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{ts:.3},\"dur\":{dur:.3},\
+                 \"name\":\"{phase}-{}\",\"cat\":\"{phase}\",\
+                 \"args\":{{\"task\":{},\"wave\":{},\"wait_us\":{wait:.3}{extra}}}}},",
+                tl.node[i], tl.slot[i], tl.task[i], tl.task[i], tl.wave[i],
+            )?;
+        }
+        for (t, label) in tl.ann_time_s.iter().zip(&tl.ann_label) {
+            let ts = t * 1e6;
+            writeln!(
+                w,
+                "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{label}\",\"s\":\"g\"}},"
+            )?;
+        }
+        w.write_all(b"{\"ph\":\"M\",\"pid\":0,\"name\":\"trace_end\",\"args\":{}}\n]}\n")
+    }
+
+    /// Per-node `(time, active, active-per-tier)` steps: every node's
+    /// events gathered in one pass over the spans, stable-sorted, folded.
+    fn steps_by_node(tl: &ClusterTimeline) -> Vec<Vec<(f64, usize, [usize; 3])>> {
+        let mut events: Vec<Vec<(f64, i64, [i64; 3])>> = vec![Vec::new(); tl.nodes.len()];
+        for i in 0..tl.len() {
+            if let Some(ev) = events.get_mut(tl.node[i] as usize) {
+                let mut up = [0i64; 3];
+                up[tl.tier[i] as usize] = 1;
+                ev.push((tl.launched_s[i], 1, up));
+                ev.push((tl.finished_s[i], -1, up.map(|d| -d)));
+            }
+        }
+        let fold = |ev: &mut Vec<(f64, i64, [i64; 3])>| {
+            ev.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut steps = vec![(0.0, 0usize, [0usize; 3])];
+            let mut active = 0i64;
+            let mut per = [0i64; 3];
+            let mut it = ev.iter().peekable();
+            while let Some(&(t, d, dp)) = it.next() {
+                active += d;
+                for (acc, delta) in per.iter_mut().zip(dp) {
+                    *acc += delta;
+                }
+                if it.peek().is_some_and(|&&(t2, _, _)| t2 == t) {
+                    continue;
+                }
+                let step = (t, active.max(0) as usize, per.map(|v| v.max(0) as usize));
+                if t == 0.0 {
+                    steps[0] = (0.0, step.1, step.2);
+                } else {
+                    steps.push(step);
+                }
+            }
+            steps
+        };
+        events.iter_mut().map(fold).collect()
+    }
+
+    pub(super) fn write_utilization_csv<W: Write>(
+        tl: &ClusterTimeline,
+        w: &mut W,
+    ) -> io::Result<()> {
+        if tl.has_remote_tiers() {
             w.write_all(b"node,name,time_s,active_slots,node_local,rack_local,off_rack\n")?;
-            let steps = self.tier_steps_all();
-            for (i, n) in self.nodes.iter().enumerate() {
-                for &(t, a, [nl, rl, of]) in steps.get(i).map(Vec::as_slice).unwrap_or_default() {
+            for (i, (n, steps)) in tl.nodes.iter().zip(steps_by_node(tl)).enumerate() {
+                for (t, a, [nl, rl, of]) in steps {
                     writeln!(w, "{i},{},{t:.6},{a},{nl},{rl},{of}", n.name)?;
                 }
             }
             return Ok(());
         }
         w.write_all(b"node,name,time_s,active_slots\n")?;
-        let steps = self.active_steps_all();
-        for (i, n) in self.nodes.iter().enumerate() {
-            for (t, a) in steps.get(i).map_or(&[][..], Vec::as_slice) {
+        for (i, (n, steps)) in tl.nodes.iter().zip(tl.active_steps_all()).enumerate() {
+            for (t, a) in steps {
                 writeln!(w, "{i},{},{t:.6},{a}", n.name)?;
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hhsim_arch::CoreKind;
+    use hhsim_faults::FaultStats;
+    use hhsim_testkit::{check, streamed, Gen};
+
+    use super::super::{Node, SlotStats, TaskSpan};
+    use super::*;
+
+    /// Values per class and precision: a million in the release-mode CI
+    /// step, which is also where the integer paths run without overflow
+    /// checks; a debug `cargo test` samples the same generators.
+    const PER_CLASS: u64 = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        1_000_000
+    };
+
+    fn assert_prints_like_format(v: f64) {
+        for decimals in [0u32, 3, 6] {
+            let mut ours = Vec::new();
+            push_fixed(&mut ours, v, decimals);
+            let width = decimals as usize;
+            assert_eq!(
+                String::from_utf8_lossy(&ours),
+                format!("{v:.width$}"),
+                "{v:e} (bits {:#018x}) at {decimals} decimals",
+                v.to_bits()
+            );
+        }
+    }
+
+    fn signed(g: &mut Gen, v: f64) -> f64 {
+        if g.bool(0.25) {
+            -v
+        } else {
+            v
+        }
+    }
+
+    /// `push_fixed` against `format!` over each class of value an export
+    /// can meet (and the ones it cannot); `check` prints the failing seed.
+    #[test]
+    fn push_fixed_matches_format() {
+        for v in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.0625,
+            0.1875,
+            0.0005,
+            0.0078125,
+            0.9999995,
+            999.9995,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::EPSILON,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            (1u64 << 43) as f64,
+            f64::from_bits(((1u64 << 43) as f64).to_bits() - 1),
+            (1u64 << 53) as f64,
+        ] {
+            assert_prints_like_format(v);
+            assert_prints_like_format(-v);
+        }
+        let batch = 1_000;
+        check(PER_CLASS / batch, |g| {
+            for _ in 0..batch {
+                // Any bit pattern: every exponent, NaNs and infinities.
+                assert_prints_like_format(f64::from_bits(g.u64(0..u64::MAX)));
+                // Simulated clocks: whole nanoseconds as seconds, their
+                // differences, and the microseconds the trace prints.
+                let (a, b) = (g.u64(0..10_000_000_000_000), g.u64(0..100_000_000_000));
+                let (a_s, b_s) = (a as f64 / 1e9, (a + b) as f64 / 1e9);
+                for s in [a_s, b_s, b_s - a_s, a_s + 1234.5] {
+                    assert_prints_like_format(signed(g, s));
+                    assert_prints_like_format(signed(g, s * 1e6));
+                }
+                // Dyadic rationals: exact ties at every precision.
+                let tie = g.u64(0..1 << 40) as f64 / (1u64 << g.u64(1..13)) as f64;
+                assert_prints_like_format(signed(g, tie));
+                // Subnormals.
+                let subnormal = f64::from_bits(g.u64(0..1 << 52));
+                assert_prints_like_format(signed(g, subnormal));
+                // Either side of the 2^43 hand-over to `format!`.
+                let big = ((1u64 << 42) + g.u64(0..3 << 42)) as f64 + g.f64();
+                assert_prints_like_format(signed(g, big));
+            }
+        });
+    }
+
+    fn nodes(names: &[&str]) -> Cluster {
+        Cluster {
+            nodes: (names
+                .iter()
+                .zip([CoreKind::Big, CoreKind::Little].iter().cycle()))
+            .map(|(name, &kind)| Node {
+                name: (*name).to_string(),
+                kind,
+                slots: 4,
+            })
+            .collect(),
+        }
+    }
+
+    fn run_of(spans: Vec<TaskSpan>) -> PhaseRun {
+        PhaseRun {
+            makespan_s: 0.0,
+            spans,
+            slots: SlotStats::default(),
+            wasted: Vec::new(),
+            recovered: Vec::new(),
+            annotations: Vec::new(),
+            faults: FaultStats::default(),
+        }
+    }
+
+    /// A span as an engine could have written it — or not: times are
+    /// whole nanoseconds or small integers (so launches and finishes
+    /// collide, at zero too), node ids may lie outside the cluster.
+    fn span(g: &mut Gen, nodes: usize, tiered: bool, faulty: bool) -> TaskSpan {
+        let time = |g: &mut Gen| match g.usize(0..3) {
+            0 => g.u64(0..4) as f64,
+            1 => g.u64(0..50) as f64 * 0.25,
+            _ => g.u64(0..400_000_000_000) as f64 / 1e9,
+        };
+        let queued_s = time(g);
+        let launched_s = queued_s + time(g);
+        let tiers = [
+            LocalityTier::NodeLocal,
+            LocalityTier::RackLocal,
+            LocalityTier::OffRack,
+        ];
+        let outcomes = [
+            AttemptOutcome::Success,
+            AttemptOutcome::Failed,
+            AttemptOutcome::Killed,
+            AttemptOutcome::Cancelled,
+            AttemptOutcome::FetchFailed,
+            AttemptOutcome::Recovered,
+        ];
+        TaskSpan {
+            task: g.usize(0..5_000),
+            node: g.usize(0..nodes + 1),
+            slot: g.usize(0..4),
+            wave: g.usize(1..300),
+            queued_s,
+            launched_s,
+            finished_s: launched_s + time(g),
+            attempt: if faulty { g.u64(1..5) as u32 } else { 1 },
+            outcome: if faulty {
+                *g.pick(&outcomes)
+            } else {
+                AttemptOutcome::Success
+            },
+            tier: if tiered {
+                *g.pick(&tiers)
+            } else {
+                LocalityTier::NodeLocal
+            },
+        }
+    }
+
+    /// Clean, tiered, faulty (wasted and recovered spans, later attempts)
+    /// and annotated timelines, several phases each, through the row
+    /// builders and through the `write!` exporters they replaced.
+    #[test]
+    fn row_builders_match_the_reference_writers() {
+        check(120, |g| {
+            let (tiered, faulty, annotated) = (g.bool(0.5), g.bool(0.5), g.bool(0.5));
+            let cluster = nodes(&["xeon0", "atom0", "atom1", "xeon1", "idle"][..g.usize(1..6)]);
+            let n = cluster.nodes.len();
+            let mut tl = ClusterTimeline::new(&cluster);
+            for phase in ["map", "reduce", "map#2", "map"].iter().take(g.usize(0..5)) {
+                let mut run = run_of(g.vec(0..60, |g| span(g, n, tiered, false)));
+                if faulty {
+                    run.wasted = g.vec(0..20, |g| span(g, n, tiered, true));
+                    run.recovered = g.vec(0..10, |g| span(g, n, tiered, true));
+                }
+                if annotated {
+                    run.annotations = g.vec(0..3, |g| {
+                        (g.u64(0..90_000_000_000) as f64 / 1e9, "rack-crash:1".into())
+                    });
+                }
+                tl.extend(phase, g.u64(0..3) as f64 * 101.125, &run);
+            }
+            assert_eq!(
+                streamed(|w| tl.write_chrome_trace(w)),
+                streamed(|w| reference::write_chrome_trace(&tl, w))
+            );
+            assert_eq!(
+                streamed(|w| tl.write_utilization_csv(w)),
+                streamed(|w| reference::write_utilization_csv(&tl, w))
+            );
+        });
+    }
+
+    /// A JSON value, as far as a trace needs one.
+    #[derive(Debug, PartialEq)]
+    enum Json {
+        Null,
+        Bool(bool),
+        Number(f64),
+        String(String),
+        Array(Vec<Json>),
+        Object(Vec<(String, Json)>),
+    }
+
+    impl Json {
+        fn get(&self, key: &str) -> Option<&Json> {
+            match self {
+                Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        fn str(&self) -> Option<&str> {
+            match self {
+                Json::String(s) => Some(s),
+                _ => None,
+            }
+        }
+    }
+
+    /// A strict recursive-descent JSON reader (RFC 8259): raw control
+    /// characters and unknown escapes are errors, as they are to Perfetto.
+    struct JsonReader<'a> {
+        text: &'a [u8],
+        at: usize,
+    }
+
+    impl JsonReader<'_> {
+        fn parse(text: &str) -> Result<Json, String> {
+            let mut r = JsonReader {
+                text: text.as_bytes(),
+                at: 0,
+            };
+            let v = r.value()?;
+            r.space();
+            match r.at == r.text.len() {
+                true => Ok(v),
+                false => Err(format!("trailing bytes at {}", r.at)),
+            }
+        }
+
+        fn space(&mut self) {
+            while matches!(self.text.get(self.at), Some(b' ' | b'\n' | b'\t' | b'\r')) {
+                self.at += 1;
+            }
+        }
+
+        fn eat(&mut self, byte: u8) -> Result<(), String> {
+            self.space();
+            match self.text.get(self.at) {
+                Some(&b) if b == byte => {
+                    self.at += 1;
+                    Ok(())
+                }
+                other => Err(format!(
+                    "expected {:?} at {}, found {other:?}",
+                    byte as char, self.at
+                )),
+            }
+        }
+
+        fn value(&mut self) -> Result<Json, String> {
+            self.space();
+            match self.text.get(self.at).copied() {
+                Some(b'{') => {
+                    self.at += 1;
+                    let mut fields = Vec::new();
+                    self.space();
+                    if self.text.get(self.at) == Some(&b'}') {
+                        self.at += 1;
+                        return Ok(Json::Object(fields));
+                    }
+                    loop {
+                        self.space();
+                        let key = self.string()?;
+                        self.eat(b':')?;
+                        fields.push((key, self.value()?));
+                        self.space();
+                        if self.eat(b',').is_err() {
+                            self.eat(b'}')?;
+                            return Ok(Json::Object(fields));
+                        }
+                    }
+                }
+                Some(b'[') => {
+                    self.at += 1;
+                    let mut items = Vec::new();
+                    self.space();
+                    if self.text.get(self.at) == Some(&b']') {
+                        self.at += 1;
+                        return Ok(Json::Array(items));
+                    }
+                    loop {
+                        items.push(self.value()?);
+                        if self.eat(b',').is_err() {
+                            self.eat(b']')?;
+                            return Ok(Json::Array(items));
+                        }
+                    }
+                }
+                Some(b'"') => self.string().map(Json::String),
+                Some(b't') => self.word("true", Json::Bool(true)),
+                Some(b'f') => self.word("false", Json::Bool(false)),
+                Some(b'n') => self.word("null", Json::Null),
+                _ => {
+                    let start = self.at;
+                    while matches!(
+                        self.text.get(self.at),
+                        Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                    ) {
+                        self.at += 1;
+                    }
+                    std::str::from_utf8(&self.text[start..self.at])
+                        .ok()
+                        .and_then(|s| s.parse().ok())
+                        .map(Json::Number)
+                        .ok_or_else(|| format!("no value at {start}"))
+                }
+            }
+        }
+
+        fn word(&mut self, word: &str, v: Json) -> Result<Json, String> {
+            if self.text[self.at..].starts_with(word.as_bytes()) {
+                self.at += word.len();
+                Ok(v)
+            } else {
+                Err(format!("bad literal at {}", self.at))
+            }
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            self.eat(b'"')?;
+            let mut out = Vec::new();
+            loop {
+                let b = *(self.text.get(self.at)).ok_or("unterminated string")?;
+                self.at += 1;
+                match b {
+                    b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                    0..=0x1f => return Err(format!("raw control byte at {}", self.at - 1)),
+                    b'\\' => {
+                        let e = *(self.text.get(self.at)).ok_or("unterminated escape")?;
+                        self.at += 1;
+                        match e {
+                            b'"' | b'\\' | b'/' => out.push(e),
+                            b'n' => out.push(b'\n'),
+                            b't' => out.push(b'\t'),
+                            b'r' => out.push(b'\r'),
+                            b'b' => out.push(8),
+                            b'f' => out.push(12),
+                            b'u' => {
+                                let hex = (self.text.get(self.at..self.at + 4))
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .and_then(char::from_u32)
+                                    .ok_or_else(|| format!("bad \\u at {}", self.at))?;
+                                self.at += 4;
+                                out.extend_from_slice(hex.encode_utf8(&mut [0; 4]).as_bytes());
+                            }
+                            _ => return Err(format!("unknown escape at {}", self.at - 1)),
+                        }
+                    }
+                    _ => out.push(b),
+                }
+            }
+        }
+    }
+
+    /// Splits CSV text into records of fields (RFC 4180 quoting).
+    fn csv_records(text: &str) -> Vec<Vec<String>> {
+        let mut records = vec![vec![String::new()]];
+        let mut quoted = false;
+        let mut chars = text.chars().peekable();
+        while let Some(c) = chars.next() {
+            let record = records.last_mut().expect("one record is open");
+            let field = record.last_mut().expect("one field is open");
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => record.push(String::new()),
+                '\n' if !quoted => records.push(vec![String::new()]),
+                _ => field.push(c),
+            }
+        }
+        records.pop(); // the text ends in a line break
+        records
+    }
+
+    /// What a name must survive: the two JSON metacharacters, the CSV
+    /// ones, control characters and non-ASCII text.
+    const HOSTILE: &str = "rack \"7\"\\node,a\n\tb\u{1}\u{1f} é–✓ 'x'";
+
+    fn one_task_run() -> PhaseRun {
+        run_of(vec![TaskSpan {
+            task: 0,
+            node: 0,
+            slot: 0,
+            wave: 1,
+            queued_s: 0.0,
+            launched_s: 0.5,
+            finished_s: 2.0,
+            attempt: 1,
+            outcome: AttemptOutcome::Success,
+            tier: LocalityTier::NodeLocal,
+        }])
+    }
+
+    fn trace_events(tl: &ClusterTimeline) -> Vec<Json> {
+        let text = streamed(|w| tl.write_chrome_trace(w));
+        let trace = JsonReader::parse(&text).unwrap_or_else(|e| panic!("{e} in {text}"));
+        match trace {
+            Json::Object(mut fields) => match fields.pop() {
+                Some((key, Json::Array(events))) if key == "traceEvents" => events,
+                other => panic!("no traceEvents array: {other:?}"),
+            },
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_node_name_stays_a_json_string() {
+        let mut tl = ClusterTimeline::new(&nodes(&[HOSTILE, "atom0"]));
+        tl.extend("map", 0.0, &one_task_run());
+        let events = trace_events(&tl);
+        let name = events[0].get("args").and_then(|a| a.get("name"));
+        assert_eq!(
+            name.and_then(Json::str),
+            Some(format!("{HOSTILE} (Xeon x4)").as_str())
+        );
+    }
+
+    #[test]
+    fn hostile_phase_label_stays_a_json_string() {
+        let mut tl = ClusterTimeline::new(&nodes(&["xeon0"]));
+        tl.extend(HOSTILE, 0.0, &one_task_run());
+        let events = trace_events(&tl);
+        let span = &events[1];
+        assert_eq!(span.get("cat").and_then(Json::str), Some(HOSTILE));
+        assert_eq!(
+            span.get("name").and_then(Json::str),
+            Some(format!("{HOSTILE}-0").as_str())
+        );
+        assert_eq!(span.get("ts"), Some(&Json::Number(500_000.0)));
+    }
+
+    #[test]
+    fn hostile_annotation_label_stays_a_json_string() {
+        let mut tl = ClusterTimeline::new(&nodes(&["xeon0"]));
+        let mut run = one_task_run();
+        run.annotations.push((1.25, HOSTILE.to_string()));
+        tl.extend("map", 0.0, &run);
+        let events = trace_events(&tl);
+        let instant = &events[2];
+        assert_eq!(instant.get("ph").and_then(Json::str), Some("i"));
+        assert_eq!(instant.get("name").and_then(Json::str), Some(HOSTILE));
+    }
+
+    #[test]
+    fn hostile_node_name_stays_one_csv_field() {
+        for tier in [LocalityTier::NodeLocal, LocalityTier::OffRack] {
+            let mut tl = ClusterTimeline::new(&nodes(&[HOSTILE, "atom0"]));
+            let mut run = one_task_run();
+            run.spans[0].tier = tier;
+            tl.extend("map", 0.0, &run);
+            let records = csv_records(&streamed(|w| tl.write_utilization_csv(w)));
+            let columns = records[0].len();
+            assert_eq!(
+                columns,
+                if tier == LocalityTier::NodeLocal {
+                    4
+                } else {
+                    7
+                }
+            );
+            assert!(records.iter().all(|r| r.len() == columns), "{records:?}");
+            // Header, node 0's (0, 0) / launch / finish steps, node 1's (0, 0).
+            assert_eq!(records.len(), 5);
+            assert_eq!(records[2][..4], ["0", HOSTILE, "0.500000", "1"]);
+            assert_eq!(records[4][..2], ["1", "atom0"]);
+        }
     }
 }

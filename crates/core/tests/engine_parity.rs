@@ -9,13 +9,19 @@
 //!   engine's makespan is reproduced from its own trace spans by exact
 //!   recomputation and lower-bounded by brute-force search over all
 //!   task→node assignments.
+//! * **The two engines as a differential pair**: over a seeded sweep of
+//!   cluster shapes, placements, replica layouts and extras, the fault
+//!   engine given nothing to inject returns the very `PhaseRun` the
+//!   fault-free loop returns.
 
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
-    jitter, run_phase, Cluster, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad, TaskSet,
+    jitter, run_phase, run_phase_faulty, Cluster, FifoAnySlot, KindPreferring, Node, NodeTiming,
+    PhaseLoad, PhaseLocality, Placement, TaskSet,
 };
 use hhsim_core::des::{SimTime, Simulation};
-use hhsim_testkit::SlotPool;
+use hhsim_core::faults::PhaseFaults;
+use hhsim_testkit::{Gen, SlotPool};
 
 /// The pre-refactor cluster model: one flat FIFO slot pool, every task
 /// identical, makespan read off the final simulation clock.
@@ -234,4 +240,112 @@ fn tiny_instances_match_trace_recomputation_and_brute_force_bound() {
             }
         }
     }
+}
+
+/// 1–40 nodes of either kind with 0–4 slots each (uneven, some with
+/// none), at least one slot in all.
+fn any_cluster(g: &mut Gen) -> Cluster {
+    let mut nodes: Vec<Node> = (0..g.usize(1..41))
+        .map(|i| Node {
+            name: format!("n{i}"),
+            kind: *g.pick(&[CoreKind::Big, CoreKind::Little]),
+            slots: g.usize(0..5),
+        })
+        .collect();
+    if nodes.iter().all(|n| n.slots == 0) {
+        nodes[0].slots = 1;
+    }
+    Cluster { nodes }
+}
+
+/// A replica layout no namenode would hand out but the engines must
+/// agree on anyway: 0–4 holders per task, duplicates, two holders in one
+/// rack, node ids the cluster does not have, and (often) fewer rows than
+/// tasks.
+fn any_locality(g: &mut Gen, tasks: usize, nodes: usize, scale: f64) -> PhaseLocality {
+    let racks = *g.pick(&[1usize, 3, 7]);
+    let rows = if g.bool(0.5) {
+        tasks
+    } else {
+        g.usize(0..tasks + 1)
+    };
+    let replicas = (0..rows)
+        .map(|_| {
+            let mut reps: Vec<usize> = Vec::new();
+            for _ in 0..g.usize(0..5) {
+                let r = match (reps.last().copied(), g.usize(0..4)) {
+                    (Some(prev), 0) => prev,         // the same holder twice
+                    (Some(prev), 1) => prev + racks, // its rack neighbour
+                    _ => g.usize(0..nodes + 3),      // anywhere, or nowhere
+                };
+                reps.push(r);
+            }
+            reps
+        })
+        .collect();
+    PhaseLocality {
+        replicas,
+        racks,
+        read_seconds: [0.0, scale * 0.1 * g.f64(), scale * 0.3 * g.f64()],
+    }
+}
+
+/// ROADMAP item 4: the fault-free loop and the fault engine stay two
+/// engines, so they owe being one differential pair. With nothing to
+/// inject — and nothing for LATE to duplicate: either speculation is off,
+/// or no attempt lives to `spec_min_runtime_s` — the second engine must
+/// return the first one's `PhaseRun`, every span and every counter.
+#[test]
+fn fault_engine_with_nothing_to_inject_is_the_fault_free_engine() {
+    hhsim_testkit::check(400, |g: &mut Gen| {
+        let cluster = any_cluster(g);
+        let n = cluster.nodes.len();
+        let tasks = g.usize(0..601);
+        let mut faults = PhaseFaults::inert(n);
+        faults.policy.speculation = g.bool(0.5);
+        // Every duration below stays under a second per unit of `scale`.
+        let scale = if faults.policy.speculation {
+            faults.policy.spec_min_runtime_s / 2.0
+        } else {
+            40.0
+        };
+        let timing = |g: &mut Gen| NodeTiming {
+            task_seconds: scale * (0.05 + 0.3 * g.f64()),
+            overhead_seconds: scale * 0.05 * g.f64(),
+        };
+        let mut load = PhaseLoad::by_kind(tasks, timing(g), timing(g), &cluster);
+        if g.bool(0.5) {
+            load.timing = (0..n).map(|_| timing(g)).collect();
+        }
+        if g.bool(0.6) {
+            load = load.with_locality(any_locality(g, tasks, n, scale));
+        }
+        if g.bool(0.5) {
+            // Shorter than the task list: the tasks past its end pay none.
+            let extras = (0..g.usize(0..tasks + 1)).map(|_| scale * 0.2 * g.f64());
+            load = load.with_extra_seconds(extras.collect());
+        }
+        let placements: [fn() -> Box<dyn Placement>; 3] = [
+            || Box::new(FifoAnySlot),
+            || {
+                Box::new(KindPreferring {
+                    preferred: CoreKind::Big,
+                })
+            },
+            || {
+                Box::new(KindPreferring {
+                    preferred: CoreKind::Little,
+                })
+            },
+        ];
+        for placement in placements {
+            let clean = run_phase(&cluster, &load, placement().as_mut());
+            let inert = run_phase_faulty(&cluster, &load, placement().as_mut(), Some(&faults))
+                .expect("nothing was injected");
+            assert_eq!(clean, inert, "the engines drifted apart");
+            assert_eq!(clean.spans.len(), tasks);
+            assert!(clean.spans.iter().enumerate().all(|(i, s)| s.task == i));
+            assert!(clean.wasted.is_empty() && clean.recovered.is_empty());
+        }
+    });
 }

@@ -1,5 +1,5 @@
-//! Allocation ratchet for the seeded replication hot path and for one
-//! warm point through the pricing pipeline.
+//! Allocation ratchet for the seeded replication hot path, for one warm
+//! point through the pricing pipeline and for the fault-free engine.
 //!
 //! Its own test binary so it may install a counting `#[global_allocator]`:
 //! 64 seeds of the fig22 rack configuration and 64 of the fig20 3-node
@@ -8,14 +8,17 @@
 //! ran, then three plain
 //! points through `simulate_with` and one of them through
 //! `try_simulate_cluster_with`, all on a private memo that already holds
-//! everything the point looks up. At one worker the process runs on this
+//! everything the point looks up; last, `run_phase` with locality on
+//! 2 000 nodes at two task counts, which must cost the same number of
+//! calls. At one worker the process runs on this
 //! thread alone, so the counts repeat exactly — which is why a count can
 //! be a gate here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::SeqCst};
 
-use hhsim_core::arch::presets;
+use hhsim_core::arch::{presets, CoreKind};
+use hhsim_core::cluster::{run_phase, Cluster, FifoAnySlot, PhaseLoad, PhaseLocality, TaskSet};
 use hhsim_core::energy::MetricKind;
 use hhsim_core::figures::{
     fig19_faults, fig22_faults, FAULT_BLOCK, FIG22_OVERSUB, MICRO_DATA, TOPO_RACKS,
@@ -175,6 +178,37 @@ fn warm_points_allocate_within_the_ratchet() {
     assert!(calls <= ENGINE_POINT_MAX, "{calls} calls");
 }
 
+/// The fault-free engine's half: `engine-clean`'s locality run (2 000
+/// nodes x 4 slots, 40 racks, three replicas a task) allocates per *run*
+/// — the span vector once, the slot book, the calendar's buckets, which
+/// are refilled and not reallocated — and nothing per task: twice the
+/// tasks, the same number of allocator calls.
+fn clean_engine_allocates_nothing_per_task() {
+    const NODES: usize = 2_000;
+    let cluster = Cluster::homogeneous(CoreKind::Big, NODES, 4);
+    let calls_at = |tasks: usize| {
+        let set = TaskSet {
+            tasks,
+            task_seconds: 5.0,
+            overhead_seconds: 0.1,
+        };
+        let load = PhaseLoad::uniform(&set, &cluster).with_locality(PhaseLocality {
+            replicas: (0..tasks)
+                .map(|t| vec![t % NODES, (t * 7919) % NODES, (t * 104_729 + 13) % NODES])
+                .collect(),
+            racks: 40,
+            read_seconds: [0.0, 0.8, 2.4],
+        });
+        let (run, calls, bytes) = counted(|| run_phase(&cluster, &load, &mut FifoAnySlot));
+        assert_eq!(run.spans.len(), tasks);
+        println!("run_phase, {tasks} tasks with locality: {calls} calls, {bytes} bytes");
+        calls
+    };
+    // The first few rounds of the calendar still grow its buckets to the
+    // size this cluster fills them to; by 100 k tasks that is over.
+    assert_eq!(calls_at(100_000), calls_at(200_000));
+}
+
 #[test]
 fn seeded_runs_allocate_within_the_ratchet() {
     let cache = SimCache::new();
@@ -217,4 +251,5 @@ fn seeded_runs_allocate_within_the_ratchet() {
     }
     // Same test, so that nothing else counts while a plan runs.
     warm_points_allocate_within_the_ratchet();
+    clean_engine_allocates_nothing_per_task();
 }

@@ -6,12 +6,15 @@
 //!   obviously correct, `O(log n)` per operation with a constant factor
 //!   that grows with the pending-event count.
 //! * **Ladder** — a bucketed calendar queue for dense runs (10k-node /
-//!   million-task cluster simulations): near-term events live in a small
-//!   sorted *active* heap, mid-term events in fixed-width FIFO buckets,
-//!   far-future events in an unsorted overflow that is re-bucketed when
-//!   the buckets drain. Push and pop are amortized `O(1)` in the event
-//!   count; only the handful of events inside one bucket width ever pay
-//!   a heap comparison.
+//!   million-task cluster simulations): mid-term events live in
+//!   fixed-width unsorted buckets, far-future events in an unsorted
+//!   overflow that is re-bucketed when the buckets drain, and the front
+//!   bucket is rotated in as one *sorted run* that pops off its end. Only
+//!   an event pushed below the rotated-in range after the rotation — a
+//!   delay shorter than a bucket width — goes through a (small) side
+//!   heap. Push and pop are amortized `O(1)` in the event count: an
+//!   event is bucketed once and sorted once, among one bucket's worth of
+//!   neighbours, and emptied buckets are refilled rather than reallocated.
 //!
 //! Both backends pop events in exactly the same `(time, seq)` order —
 //! the differential oracle in `tests/calendar_oracle.rs` fuzzes that
@@ -126,7 +129,7 @@ impl<E> Calendar<E> {
     }
 
     /// Key of the next event to pop. `&mut` because the ladder may need
-    /// to rotate buckets into its active heap to expose the minimum;
+    /// to rotate buckets into its active zone to expose the minimum;
     /// rotation never changes the pop order.
     pub(crate) fn peek_key(&mut self) -> Option<CalendarKey> {
         match self {
@@ -158,42 +161,54 @@ impl<E> Calendar<E> {
 ///
 /// Time is split into three zones, nearest first:
 ///
-/// 1. `active`: a binary heap of every pending event with
-///    `at < active_end_ns`. All pops come from here, so pop order within
-///    the zone is exact `(time, seq)`.
+/// 1. The active zone, every pending event with `at < active_end_ns`, in
+///    two parts: `run`, the bucket last rotated in, sorted latest first so
+///    that the next event is its last element; and `active`, a binary heap
+///    of the events pushed into the zone *after* that rotation. All pops
+///    come from here — the lesser key of the run's end and the heap's top
+///    — so pop order within the zone is exact `(time, seq)`.
 /// 2. `buckets`: `buckets[b]` is an *unsorted* list of events with
 ///    `at ∈ [active_end_ns + b·width_ns, active_end_ns + (b+1)·width_ns)`.
-///    When `active` drains, the front bucket rotates into it (heapifying
-///    only one bucket's worth of events) and `active_end_ns` advances by
-///    one width.
+///    When the active zone drains, the front bucket is sorted (one
+///    bucket's worth of events, once) and becomes the run, and
+///    `active_end_ns` advances by one width.
 /// 3. `overflow`: unsorted events at or beyond the bucket range. When
-///    both `active` and `buckets` drain, the overflow is re-bucketed
+///    the active zone and `buckets` drain, the overflow is re-bucketed
 ///    over its own `[min, max]` span with a fresh width targeting
-///    [`TARGET_RUNGS`] buckets.
+///    [`TARGET_RUNGS`] buckets, into the vectors the last round emptied
+///    (`spare`).
 ///
 /// Zone boundaries are strict on `at`, so two events with equal
 /// timestamps always sit in the same zone relative to any boundary and
-/// their FIFO `seq` tie-break is decided by the active heap — never by
-/// bucket order.
+/// their FIFO `seq` tie-break is decided by key comparison inside the
+/// active zone — never by bucket order. Keys are unique (`seq` is), so
+/// the order is total and the unstable sort deterministic.
 pub(crate) struct Ladder<E> {
+    /// The rotated-in bucket, sorted by key, latest first.
+    run: Vec<Scheduled<E>>,
+    /// Events pushed below `active_end_ns` since the last rotation.
     active: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// Exclusive upper time bound of `active`, nanoseconds.
+    /// Exclusive upper time bound of the active zone, nanoseconds.
     active_end_ns: u64,
     buckets: VecDeque<Vec<Scheduled<E>>>,
     /// Width of one bucket, nanoseconds (always >= 1).
     width_ns: u64,
     overflow: Vec<Scheduled<E>>,
+    /// Emptied bucket vectors, kept for the next re-bucketing.
+    spare: Vec<Vec<Scheduled<E>>>,
     len: usize,
 }
 
 impl<E> Ladder<E> {
     pub(crate) fn new() -> Self {
         Ladder {
+            run: Vec::new(),
             active: BinaryHeap::new(),
             active_end_ns: 0,
             buckets: VecDeque::new(),
             width_ns: 1,
             overflow: Vec::new(),
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -212,6 +227,12 @@ impl<E> Ladder<E> {
         l
     }
 
+    // `push`, `pop` and `peek_key` are kept out of line: inlined into
+    // [`Calendar`]'s arms they grow the function the heap backend's pops
+    // go through too, and simulations that never leave the heap pay for
+    // ladder code they never run (measured on the heap probe and on
+    // `replicate`; a call costs a ladder event about a nanosecond).
+    #[inline(never)]
     pub(crate) fn push(&mut self, ev: Scheduled<E>) {
         self.len += 1;
         let at = ev.key.at.as_nanos();
@@ -229,34 +250,55 @@ impl<E> Ladder<E> {
         }
     }
 
+    /// True if the next event is the run's last rather than the side
+    /// heap's top. Keys are unique, so the two never compare equal.
+    fn next_is_in_run(&self) -> bool {
+        match (self.run.last(), self.active.peek()) {
+            (Some(r), Some(Reverse(h))) => r.key < h.key,
+            (r, _) => r.is_some(),
+        }
+    }
+
+    #[inline(never)]
     pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
         self.advance();
-        let ev = self.active.pop().map(|Reverse(ev)| ev);
+        let ev = if self.next_is_in_run() {
+            self.run.pop()
+        } else {
+            self.active.pop().map(|Reverse(ev)| ev)
+        };
         if ev.is_some() {
             self.len -= 1;
         }
         ev
     }
 
+    #[inline(never)]
     pub(crate) fn peek_key(&mut self) -> Option<CalendarKey> {
         self.advance();
-        self.active.peek().map(|Reverse(ev)| ev.key)
+        if self.next_is_in_run() {
+            self.run.last().map(|ev| ev.key)
+        } else {
+            self.active.peek().map(|Reverse(ev)| ev.key)
+        }
     }
 
     /// Rotates buckets (and, when they drain, the overflow) into the
-    /// active heap until it holds the global minimum or the ladder is
+    /// active zone until it holds the global minimum or the ladder is
     /// empty.
     fn advance(&mut self) {
-        while self.active.is_empty() {
-            if let Some(bucket) = self.buckets.pop_front() {
+        while self.run.is_empty() && self.active.is_empty() {
+            if let Some(mut bucket) = self.buckets.pop_front() {
                 // The popped bucket covered [active_end, active_end+width);
                 // afterwards every remaining bucket index still matches
                 // its time range and the bucket-range end is unchanged.
                 self.active_end_ns = self.active_end_ns.saturating_add(self.width_ns);
-                for ev in bucket {
-                    self.active.push(Reverse(ev));
-                }
-                continue; // the bucket may have been empty
+                bucket.sort_unstable_by_key(|ev| Reverse(ev.key));
+                // The run it replaces is empty: its allocation waits for
+                // the next re-bucketing. (An empty bucket becomes an empty
+                // run, and the loop rotates again.)
+                self.spare.push(std::mem::replace(&mut self.run, bucket));
+                continue;
             }
             if self.overflow.is_empty() {
                 return;
@@ -266,10 +308,11 @@ impl<E> Ladder<E> {
     }
 
     /// Re-buckets the overflow over its own time span. Only called with
-    /// `active` and `buckets` empty, so jumping `active_end_ns` forward
-    /// to the overflow minimum is safe: no pending event is earlier.
+    /// the active zone and `buckets` empty, so jumping `active_end_ns`
+    /// forward to the overflow minimum is safe: no pending event is
+    /// earlier.
     fn spread_overflow(&mut self) {
-        let events = std::mem::take(&mut self.overflow);
+        let mut events = std::mem::take(&mut self.overflow);
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         for ev in &events {
@@ -280,8 +323,10 @@ impl<E> Ladder<E> {
         self.active_end_ns = lo;
         self.width_ns = ((hi - lo) / TARGET_RUNGS).max(1);
         let last = (hi - lo) / self.width_ns;
-        self.buckets = (0..=last).map(|_| Vec::new()).collect();
-        for ev in events {
+        let spare = &mut self.spare;
+        self.buckets
+            .extend((0..=last).map(|_| spare.pop().unwrap_or_default()));
+        for ev in events.drain(..) {
             let idx =
                 usize::try_from((ev.key.at.as_nanos() - lo) / self.width_ns).unwrap_or(usize::MAX);
             match self.buckets.get_mut(idx) {
@@ -291,6 +336,9 @@ impl<E> Ladder<E> {
                 // asserting in the engine's hot path.
                 None => self.overflow.push(ev),
             }
+        }
+        if self.overflow.is_empty() {
+            self.overflow = events;
         }
     }
 }

@@ -8,6 +8,13 @@
 //! ladder-backed [`Simulation`], in the closure form and in the typed
 //! form (payload `u64`), then asserts the execution logs are identical.
 //! On failure `hhsim_testkit::check` prints the reproducing case seed.
+//!
+//! The ladder pops a rotated-in bucket as a sorted run and keeps later
+//! arrivals below the rotation boundary in a side heap; the dense
+//! programs further down aim at the seam between the two — pushes into a
+//! partly consumed run, equal timestamps on both sides of it,
+//! cancellations of events already sorted into the run — and at `reset`
+//! after the heap has migrated.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -69,7 +76,15 @@ fn run_program(kind: CalendarKind, specs: &[Spec], pre_cancel: &[usize]) -> Vec<
 /// [`run_program`] on the typed kernel: the payload is the event's tag,
 /// and the loop that pops it does what the closure did.
 fn run_typed(kind: CalendarKind, specs: &[Spec], pre_cancel: &[usize]) -> Vec<(u64, u64)> {
-    let mut sim: Simulation<u64> = Simulation::typed(kind);
+    run_typed_on(&mut Simulation::typed(kind), specs, pre_cancel)
+}
+
+/// [`run_typed`] on a simulation the caller built — or has `reset`.
+fn run_typed_on(
+    sim: &mut Simulation<u64>,
+    specs: &[Spec],
+    pre_cancel: &[usize],
+) -> Vec<(u64, u64)> {
     let ids: Vec<EventId> = (0u64..)
         .zip(specs)
         .map(|(tag, spec)| sim.push_at(SimTime::from_nanos(spec.at_ns), tag))
@@ -203,5 +218,94 @@ fn run_until_agrees_across_backends() {
             results.push((log.borrow().clone(), mid, end));
         }
         assert_eq!(results.first(), results.last());
+    });
+}
+
+/// Programs dense enough that a rotated-in bucket holds many events,
+/// whose events then (a) schedule followers into the part of the active
+/// zone the run has not reached yet — at the very timestamp the rest of
+/// the run still holds (delay 0: FIFO by `seq` across run and side heap),
+/// a fraction of a bucket ahead, or a bucket or two further — and
+/// (b) cancel events that are a fraction of a bucket ahead, so already
+/// sorted into the run that is being popped.
+#[test]
+fn dense_runs_take_pushes_ties_and_cancels_mid_run() {
+    hhsim_testkit::check(40, |g: &mut Gen| {
+        let n = g.usize(150..500);
+        let span = g.u64(10_000..2_000_000);
+        // What the ladder will pick over this span (TARGET_RUNGS = 64).
+        let width = (span / 64).max(1);
+        let mut times: Vec<u64> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let at = match times.last() {
+                Some(&prev) if g.bool(0.3) => prev, // run-internal tie
+                _ => g.u64(0..span),
+            };
+            times.push(at);
+        }
+        let specs: Vec<Spec> = (times.iter())
+            .map(|&at_ns| {
+                let children = g.vec(0..3, |g| match g.usize(0..4) {
+                    0 => 0,
+                    1 => g.u64(0..width / 4 + 1),
+                    2 => g.u64(0..width),
+                    _ => g.u64(width..3 * width),
+                });
+                let ahead = |t: u64| t > at_ns && t - at_ns <= width / 2;
+                let near: Vec<usize> = (0..n).filter(|&j| ahead(times[j])).collect();
+                let cancels = match near.is_empty() {
+                    true => Vec::new(),
+                    false => g.vec(0..3, |g| *g.pick(&near)),
+                };
+                Spec {
+                    at_ns,
+                    children,
+                    cancels,
+                }
+            })
+            .collect();
+        assert_backends_agree(&specs, &[]);
+    });
+}
+
+/// `reset` after the heap has migrated to the ladder and a run is partly
+/// consumed: the next program must run as on a new simulation — nothing
+/// of the old run, side heap, buckets or tombstones may be left.
+#[test]
+fn reset_after_migration_runs_the_next_program_like_new() {
+    hhsim_testkit::check(8, |g: &mut Gen| {
+        let dense = |g: &mut Gen, n: usize| -> Vec<Spec> {
+            (0..n)
+                .map(|_| Spec {
+                    at_ns: g.u64(0..1_000_000),
+                    children: g.vec(0..2, |g| g.u64(0..20_000)),
+                    cancels: vec![],
+                })
+                .collect()
+        };
+        for kind in [CalendarKind::Auto, CalendarKind::Ladder] {
+            let mut sim: Simulation<u64> = Simulation::typed(kind);
+            let past_threshold = hhsim_des::AUTO_LADDER_THRESHOLD + g.usize(1..64);
+            let first = dense(g, past_threshold);
+            let ids: Vec<EventId> = (0u64..)
+                .zip(&first)
+                .map(|(tag, spec)| sim.push_at(SimTime::from_nanos(spec.at_ns), tag))
+                .collect();
+            assert_eq!(sim.calendar_backend(), "ladder");
+            for _ in 0..g.usize(1..2_000) {
+                let tag = sim.pop().expect("thousands are pending");
+                sim.push_in(SimTime::from_nanos(g.u64(0..5_000)), 1_000_000 + tag);
+            }
+            sim.cancel(*g.pick(&ids));
+            sim.reset();
+            let few = g.usize(1..300);
+            let second = dense(g, few);
+            let pre_cancel = [g.usize(0..second.len())];
+            assert_eq!(
+                run_typed_on(&mut sim, &second, &pre_cancel),
+                run_typed(CalendarKind::Heap, &second, &pre_cancel),
+                "{kind:?} after reset"
+            );
+        }
     });
 }
