@@ -29,18 +29,8 @@
 //! Columns are `u32` (28 bytes per slot against 48 in `usize`): a fresh
 //! engine allocates them per phase, and the benchmark counts those bytes.
 
-use super::slots::{count_probes, refill};
+use super::slots::{count_probes, refill, wide, NIL};
 use super::timeline::narrow;
-
-/// "No entry" in a `u32` column. Never a slot id: [`LateIndex::reset`]
-/// rejects a cluster that large.
-const NIL: u32 = u32::MAX;
-
-/// Widens a column value to an index; lossless on every target wider than
-/// 16 bits, and out of every table's range on the others.
-fn wide(v: u32) -> usize {
-    usize::try_from(v).unwrap_or(usize::MAX)
-}
 
 fn at(column: &[u32], i: u32) -> u32 {
     column.get(wide(i)).copied().unwrap_or(NIL)

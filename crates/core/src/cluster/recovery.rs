@@ -15,7 +15,8 @@ use hhsim_hdfs::Topology;
 use std::collections::VecDeque;
 
 use super::late::LateIndex;
-use super::slots::{count_probes, refill, SlotBook};
+use super::slots::{count_probes, refill, wide, SlotBook, NIL};
+use super::timeline::narrow;
 use super::{
     attempt_jitter, run_phase, Cluster, LocalityTier, NodeTiming, PhaseLoad, PhaseRun, Placement,
     TaskSpan,
@@ -178,8 +179,9 @@ pub struct FetchPlan {
     /// Node that holds each completed map task's output (indexed by map
     /// task), i.e. the map phase's winning span nodes.
     pub holders: Vec<usize>,
-    /// Input-block replica holders per map task — the NameNode's answer
-    /// a re-execution consults after filtering to surviving nodes.
+    /// Input-block replica holders per map task, one list per holder —
+    /// the NameNode's answer a re-execution consults after filtering to
+    /// surviving nodes.
     pub map_replicas: Vec<Vec<usize>>,
     /// The fabric replicas were placed against, answering
     /// surviving-replica locality queries for re-executed maps.
@@ -187,8 +189,8 @@ pub struct FetchPlan {
     /// Extra input-read seconds by tier for a re-executed map, indexed
     /// `[node-local, rack-local, off-rack]`.
     pub read_seconds: [f64; 3],
-    /// Per-node map-task timing (a re-executed map runs at map speed,
-    /// not the surrounding reduce phase's).
+    /// Per-node map-task timing, one entry per node (a re-executed map
+    /// runs at map speed, not the surrounding reduce phase's).
     pub map_timing: Vec<NodeTiming>,
 }
 
@@ -217,21 +219,160 @@ impl FetchPlan {
     }
 }
 
-/// Where one completed map's output is now.
+/// Where one completed map's output is now: two `u32` columns, [`NIL`]
+/// for none.
 #[derive(Debug, Clone, Copy)]
 struct MapOutput {
-    /// The node holding it; `None` while the map is being re-executed.
-    holder: Option<usize>,
+    /// The node holding it; none while the map is being re-executed.
+    holder: u32,
     /// The map's re-execution row, once it has been lost.
-    row: Option<usize>,
+    row: u32,
+}
+
+impl MapOutput {
+    fn held_by(&self, node: usize) -> bool {
+        self.holder != NIL && wide(self.holder) == node
+    }
+}
+
+/// A re-executed map that landed on a node, in that node's chain of
+/// landings.
+#[derive(Debug, Clone, Copy)]
+struct Landing {
+    map: u32,
+    /// The node's landing before this one, [`NIL`] for none.
+    before: u32,
+}
+
+/// Where each completed map's output is, indexed both ways: by map, and
+/// by the node that holds it — so that a crash looks at the outputs its
+/// node has held and not at every output of the phase.
+///
+/// Outputs only ever leave a node by its crash, and a dead node receives
+/// nothing, so the maps a node holds are among the ones it held when the
+/// phase began (grouped by holder, one column) and the re-executions that
+/// landed on it since (a chain per node through one list); whether one is
+/// still there, `outputs` says.
+#[derive(Debug, Default)]
+struct MapOutputs {
+    /// Indexed by map task; holders move as re-runs land.
+    outputs: Vec<MapOutput>,
+    /// The initial holders' maps, grouped by holder and ascending within
+    /// a node: node `n`'s are `initial[start[n]..start[n + 1]]`.
+    start: Vec<u32>,
+    initial: Vec<u32>,
+    /// Newest entry of each node's chain of `landings`.
+    last_landing: Vec<u32>,
+    landings: Vec<Landing>,
+}
+
+impl MapOutputs {
+    /// Outputs on `holders` (one per map; each a node below `nodes`),
+    /// none lost yet, in the tables the last run left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if map ids do not fit the `u32` columns.
+    fn reset(&mut self, holders: &[usize], nodes: usize) {
+        assert!(
+            narrow(holders.len()) != NIL,
+            "map ids must stay below the NIL column value"
+        );
+        self.outputs.clear();
+        self.outputs.reserve_exact(holders.len());
+        self.outputs.extend(holders.iter().map(|&h| MapOutput {
+            holder: narrow(h),
+            row: NIL,
+        }));
+        // A counting sort by holder, stable, so each node's maps ascend:
+        // counts, then where each node's run begins, then each map placed
+        // at its node's cursor — which leaves every cursor where the next
+        // node's run begins: `start`, shifted one node to the left.
+        refill(&mut self.start, nodes + 1, 0);
+        for &h in holders {
+            if let Some(count) = self.start.get_mut(h + 1) {
+                *count += 1;
+            }
+        }
+        let mut begins = 0;
+        for cell in &mut self.start {
+            begins += *cell;
+            *cell = begins;
+        }
+        refill(&mut self.initial, holders.len(), 0);
+        for (map, &h) in holders.iter().enumerate() {
+            if let Some(cursor) = self.start.get_mut(h) {
+                if let Some(cell) = self.initial.get_mut(wide(*cursor)) {
+                    *cell = narrow(map);
+                }
+                *cursor += 1;
+            }
+        }
+        self.start.copy_within(0..nodes, 1);
+        if let Some(first) = self.start.first_mut() {
+            *first = 0;
+        }
+        refill(&mut self.last_landing, nodes, NIL);
+        self.landings.clear();
+    }
+
+    /// Map `map`'s output as it stands now.
+    fn get(&self, map: usize) -> Option<MapOutput> {
+        self.outputs.get(map).copied()
+    }
+
+    /// `map`'s output is gone; the map re-executes in `row`.
+    fn lose(&mut self, map: usize, row: usize) {
+        if let Some(out) = self.outputs.get_mut(map) {
+            out.holder = NIL;
+            out.row = narrow(row);
+        }
+    }
+
+    /// `map`'s re-execution landed on `node`, which holds its output now.
+    fn land(&mut self, map: usize, node: usize) {
+        let Some(out) = self.outputs.get_mut(map) else {
+            return;
+        };
+        out.holder = narrow(node);
+        let Some(last) = self.last_landing.get_mut(node) else {
+            return;
+        };
+        self.landings.push(Landing {
+            map: narrow(map),
+            before: *last,
+        });
+        *last = narrow(self.landings.len() - 1);
+    }
+
+    /// The maps whose output `node` holds, ascending, into `maps` — one
+    /// probe per entry of its initial run and its chain of landings.
+    fn held_by(&self, node: usize, maps: &mut Vec<u32>) {
+        maps.clear();
+        let at = |i: usize| self.start.get(i).copied().map_or(0, wide);
+        let initial = self.initial.get(at(node)..at(node + 1)).unwrap_or_default();
+        let holds = |map: u32| self.outputs.get(wide(map)).is_some_and(|o| o.held_by(node));
+        count_probes(initial.len() as u64);
+        maps.extend(initial.iter().copied().filter(|&map| holds(map)));
+        let mut next = self.last_landing.get(node).copied().unwrap_or(NIL);
+        while let Some(landing) = self.landings.get(wide(next)) {
+            count_probes(1);
+            if holds(landing.map) {
+                maps.push(landing.map);
+            }
+            next = landing.before;
+        }
+        maps.sort_unstable();
+    }
 }
 
 /// Live fetch-failure recovery state inside one engine run.
 #[derive(Debug)]
 struct FetchCtx<'a> {
     plan: FetchView<'a>,
-    /// Indexed by map task; holders move as re-runs land.
-    outputs: &'a mut Vec<MapOutput>,
+    outputs: &'a mut MapOutputs,
+    /// The maps a crash takes down, ascending.
+    lost: &'a mut Vec<u32>,
     /// Rows of lost maps awaiting a slot.
     queue: &'a mut VecDeque<QueueEntry>,
     /// Lost-map re-executions not yet landed; reduces are gated while
@@ -255,7 +396,8 @@ pub(crate) struct EngineScratch {
     spans: Vec<Option<TaskSpan>>,
     rack_blacklist_count: Vec<u32>,
     rack_blacklisted: Vec<bool>,
-    outputs: Vec<MapOutput>,
+    outputs: MapOutputs,
+    lost: Vec<u32>,
     fetch_queue: VecDeque<QueueEntry>,
     gated: Vec<QueueEntry>,
     late: LateIndex,
@@ -472,17 +614,15 @@ fn launch_attempt(
     } else if !r.speculated {
         st.late.launched(global);
     }
-    let (jitter_key, t, extra) = match (kind, st.fetch.as_ref()) {
+    let (jitter_key, timing, extra) = match (kind, st.fetch.as_ref()) {
         (RowKind::Reexec { map }, Some(f)) => (
             map,
-            f.plan.map_timing.get(node).copied().unwrap_or(NodeTiming {
-                task_seconds: 0.0,
-                overhead_seconds: 0.0,
-            }),
+            f.plan.map_timing,
             f.plan.read_seconds.get(tier.idx()).copied().unwrap_or(0.0),
         ),
-        _ => (row, load.timing[node], load.extra_for(row, tier)),
+        _ => (row, load.timing.as_slice(), load.extra_for(row, tier)),
     };
+    let t = timing[node];
     // A degraded rack uplink multiplies only the network-borne extras
     // (remote reads, shuffle fetch); ×1.0 on healthy links keeps the
     // legacy duration bitwise identical.
@@ -557,9 +697,7 @@ fn attempt_completed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, slot
             let Some(f) = st.fetch.as_mut() else {
                 return;
             };
-            if let Some(out) = f.outputs.get_mut(map) {
-                out.holder = Some(r.node);
-            }
+            f.outputs.land(map, r.node);
             f.outstanding = f.outstanding.saturating_sub(1);
             if f.outstanding == 0 {
                 st.book.queue.extend(f.gated.drain(..));
@@ -660,25 +798,30 @@ fn rack_crashed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, rack: usi
 /// until the lost maps have been re-executed on surviving nodes. A map
 /// whose every input replica is also gone fails the phase with
 /// [`PhaseError::DataLost`].
+///
+/// The lost maps are handled in ascending map order, which is what the
+/// holder index hands over: the same rows, queue entries and first
+/// unrecoverable map as a walk over every output.
 fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: usize) {
     if st.error.is_some() || st.pending == 0 {
         return;
     }
-    let Some(maps) = st.fetch.as_ref().map(|f| f.outputs.len()) else {
+    let Some(f) = st.fetch.as_mut() else {
         return;
     };
+    let mut lost = std::mem::take(f.lost);
+    f.outputs.held_by(node, &mut lost);
+    #[cfg(any(test, debug_assertions))]
+    assert!(
+        lost.iter()
+            .map(|&map| wide(map))
+            .eq(oracle::lost_outputs(f.outputs, node)),
+        "outputs lost with node {node}"
+    );
     let now = sim.now();
-    let mut any_lost = false;
-    for map in 0..maps {
+    for map in lost.iter().map(|&map| wide(map)) {
         let Some(f) = st.fetch.as_mut() else {
-            return;
-        };
-        let Some(out) = f
-            .outputs
-            .get_mut(map)
-            .filter(|out| out.holder == Some(node))
-        else {
-            continue;
+            break;
         };
         let all_replicas_gone = f
             .plan
@@ -687,21 +830,24 @@ fn fetch_on_crash(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, node: u
             .map_or(true, |reps| reps.iter().all(|&r| !st.book.slots.alive(r)));
         if all_replicas_gone {
             st.error = Some(PhaseError::DataLost { task: map });
-            return;
+            break;
         }
-        any_lost = true;
-        out.holder = None;
         f.outstanding += 1;
         // First loss of this map: it gets a row. Re-losses (the re-run's
         // holder crashed too) reuse it so attempt counters carry on.
-        let row = match out.row {
-            Some(row) => row,
-            None => {
+        let row = match f.outputs.get(map).map(|out| out.row) {
+            Some(row) if row != NIL => wide(row),
+            _ => {
                 st.rows.push(TaskRow::reexec(map));
-                *out.row.insert(st.rows.len() - 1)
+                st.rows.len() - 1
             }
         };
+        f.outputs.lose(map, row);
         st.enqueue(row, now);
+    }
+    let any_lost = st.error.is_none() && !lost.is_empty();
+    if let Some(f) = st.fetch.as_mut() {
+        *f.lost = lost;
     }
     if !any_lost {
         return;
@@ -801,6 +947,13 @@ fn choose_reexec_node(
 /// this moves the head of that list into a heap on `(rate, row)` while it
 /// is old enough, and the heap's top is the laggard — if even the slowest
 /// is not slow enough, nothing is.
+///
+/// The backup node is read off the speed classes installed at run start.
+/// A backup's duration depends on the node only through the bits of its
+/// timing and slowdown, which is what a class shares, so the node a walk
+/// over every free node settles on — the first of the least duration,
+/// unless the lowest free node's is NaN: nothing compares below a NaN —
+/// is some class's lowest free node.
 fn choose_speculation(
     st: &mut FaultState,
     load: &PhaseLoad,
@@ -831,17 +984,33 @@ fn choose_speculation(
     let primary = primary?;
     let task = primary.row;
     let aj = attempt_jitter(task, st.rows.get(task)?.next_attempt);
-    let mut best: Option<(f64, usize)> = None;
-    for node in st.book.slots.free_nodes() {
-        if node == primary.node {
-            continue;
-        }
+    let backup_s = |node: usize| {
         let t = load.timing.get(node)?;
-        let d = t.task_seconds * aj * faults.slowdown.get(node)? + t.overhead_seconds;
-        if best.map_or(true, |(bd, _)| d < bd) {
-            best = Some((d, node));
+        Some(t.task_seconds * aj * faults.slowdown.get(node)? + t.overhead_seconds)
+    };
+    // The lowest candidate, and the least `(duration, node)` of the
+    // candidates whose duration is a number.
+    let mut lowest: Option<(usize, f64)> = None;
+    let mut least: Option<(f64, usize)> = None;
+    for node in st.book.slots.class_leaders(primary.node) {
+        let d = backup_s(node)?;
+        if lowest.map_or(true, |(n, _)| node < n) {
+            lowest = Some((node, d));
+        }
+        if !d.is_nan() && least.map_or(true, |(ld, ln)| d < ld || (d == ld && node < ln)) {
+            least = Some((d, node));
         }
     }
+    let best = match lowest {
+        Some((node, d)) if d.is_nan() => Some((d, node)),
+        _ => least,
+    };
+    #[cfg(any(test, debug_assertions))]
+    assert_eq!(
+        best.map(|(_, node)| node),
+        oracle::backup_node(st, primary.node, backup_s),
+        "LATE backup of row {task} at {now:?}"
+    );
     let (backup_s, node) = best?;
     if now + SimTime::from_secs_f64(backup_s) >= primary.launched + primary.duration {
         return None;
@@ -849,15 +1018,15 @@ fn choose_speculation(
     Some((task, node))
 }
 
-/// The two indexed decisions made the exhaustive way, over every slot
-/// and every free node: debug and test builds hold each pick against
-/// these, release builds do not carry them.
+/// The indexed decisions made the exhaustive way, over every slot, every
+/// free node and every map output: debug and test builds hold each pick
+/// against these, release builds do not carry them.
 #[cfg(any(test, debug_assertions))]
 pub(super) mod oracle {
     use hhsim_hdfs::NodeId;
     use std::cell::Cell;
 
-    use super::{FaultState, LocalityTier, PhaseError, SimTime};
+    use super::{FaultState, LocalityTier, MapOutputs, PhaseError, SimTime};
 
     thread_local! {
         /// Entries the searches below examined on this thread: what every
@@ -896,6 +1065,41 @@ pub(super) mod oracle {
             }
         }
         primary.map(|r| r.row)
+    }
+
+    /// Node LATE would put the backup of an attempt on `primary` on, by a
+    /// walk over every free usable node in id order: the first of the
+    /// least `duration`, where nothing replaces a NaN.
+    pub(super) fn backup_node(
+        st: &FaultState,
+        primary: usize,
+        duration: impl Fn(usize) -> Option<f64>,
+    ) -> Option<usize> {
+        let slots = &st.book.slots;
+        count_oracle_probes(slots.nodes() as u64);
+        let mut best: Option<(f64, usize)> = None;
+        for node in (0..slots.nodes()).filter(|&n| slots.usable(n) && slots.free(n) > 0) {
+            if node == primary {
+                continue;
+            }
+            let d = duration(node)?;
+            if best.map_or(true, |(bd, _)| d < bd) {
+                best = Some((d, node));
+            }
+        }
+        best.map(|(_, node)| node)
+    }
+
+    /// Maps whose output a crash of `node` takes, by a walk over every
+    /// output, in map order.
+    pub(super) fn lost_outputs(
+        outputs: &MapOutputs,
+        node: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        count_oracle_probes(outputs.outputs.len() as u64);
+        (outputs.outputs.iter().enumerate())
+            .filter(move |(_, out)| out.held_by(node))
+            .map(|(map, _)| map)
     }
 
     /// Where lost map `map` re-executes, by [`Topology::surviving_tier`]
@@ -979,7 +1183,9 @@ pub fn run_phase_faulty(
 ///
 /// # Panics
 ///
-/// Same contract as [`run_phase_faulty`].
+/// Same contract as [`run_phase_faulty`]; with faults, also if the plan
+/// does not have one `map_timing` entry per node, one `map_replicas` list
+/// per holder, or holders that are nodes of the cluster.
 pub fn run_phase_faulty_fetch(
     cluster: &Cluster,
     load: &PhaseLoad,
@@ -1021,6 +1227,22 @@ pub(crate) fn run_phase_fetching(
         nodes,
         "one liveness entry per node"
     );
+    if let Some(plan) = fetch {
+        assert_eq!(
+            plan.map_timing.len(),
+            nodes,
+            "one map timing entry per node"
+        );
+        assert_eq!(
+            plan.map_replicas.len(),
+            plan.holders.len(),
+            "one replica list per map output"
+        );
+        assert!(
+            plan.holders.iter().all(|&h| h < nodes),
+            "every map output held by a node of the cluster"
+        );
+    }
     if load.tasks == 0 {
         return Ok(PhaseRun::idle(capacity));
     }
@@ -1035,6 +1257,7 @@ pub(crate) fn run_phase_fetching(
         rack_blacklist_count,
         rack_blacklisted,
         outputs,
+        lost,
         fetch_queue,
         gated,
         late,
@@ -1055,6 +1278,12 @@ pub(crate) fn run_phase_fetching(
             queued: SimTime::ZERO,
         }),
     );
+    // A backup's duration on a node is a function of these bits alone.
+    book.slots.install_classes(|n| {
+        let t = load.timing.get(n);
+        let t = t.map(|t| (t.task_seconds.to_bits(), t.overhead_seconds.to_bits()));
+        (t, faults.slowdown.get(n).map(|s| s.to_bits()))
+    });
     refill(node_failures, nodes, 0);
     rows.clear();
     rows.extend((0..load.tasks).map(|_| TaskRow::task()));
@@ -1082,16 +1311,13 @@ pub(crate) fn run_phase_fetching(
         rack_blacklist_count,
         rack_blacklisted,
         fetch: fetch.map(|plan| {
-            outputs.clear();
-            outputs.extend(plan.holders.iter().map(|&h| MapOutput {
-                holder: Some(h),
-                row: None,
-            }));
+            outputs.reset(plan.holders, nodes);
             fetch_queue.clear();
             gated.clear();
             FetchCtx {
                 plan,
                 outputs,
+                lost,
                 queue: fetch_queue,
                 outstanding: 0,
                 gated,
@@ -1214,6 +1440,9 @@ pub(crate) fn run_phase_fetching(
         });
     }
     let mut spans = out.spans;
+    // Sized once: grown by doubling, the winners' column would peak at
+    // its last copy, beside the table it is copied from.
+    spans.reserve_exact(load.tasks);
     spans.extend(st.spans.drain(..).flatten());
     debug_assert_eq!(spans.len(), load.tasks, "one winning span per task");
     Ok(PhaseRun {

@@ -16,19 +16,21 @@ use super::{Cluster, SlotStats};
 thread_local! {
     /// Bitmap words examined by [`FreeSlots`] placement queries on this
     /// thread, plus the entries (list, heap and attempt entries, replicas,
-    /// nodes) the fault engine's speculation and re-execution decisions
-    /// look at. Pure diagnostics for the scale regression tests — never
-    /// feeds simulation state.
+    /// nodes, speed-class range queries, map outputs) the fault engine's
+    /// speculation, re-execution and crash handling look at. Pure
+    /// diagnostics for the scale regression tests — never feeds
+    /// simulation state.
     static PLACEMENT_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Bitmap words examined by placement queries on this thread since the
 /// last [`reset_placement_probes`], plus one per entry the fault engine's
-/// speculation and re-execution decisions examined. The scale regression
-/// tests use this to pin the engine's amortized-O(1) lookups: a 10k-node
-/// run must not degrade to per-event linear scans when nodes die or get
-/// blacklisted, nor a speculating one to a walk over every slot per
-/// event.
+/// speculation, re-execution and crash handling examined (one per speed
+/// class range query, one per map output a crash looks at). The scale
+/// regression tests use this to pin the engine's amortized-O(1) lookups:
+/// a 10k-node run must not degrade to per-event linear scans when nodes
+/// die or get blacklisted, nor a speculating one to a walk over every
+/// slot or node per event, nor a crash to a walk over every map output.
 pub fn placement_probes() -> u64 {
     PLACEMENT_PROBES.with(|p| p.get())
 }
@@ -60,6 +62,21 @@ pub(super) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
     v.clear();
     v.reserve_exact(n);
     v.resize(n, value);
+}
+
+/// "No entry" in a `u32` column. Tables whose ids could reach it reject
+/// the run that would need them.
+pub(super) const NIL: u32 = u32::MAX;
+
+/// Widens a `u32` column value to an index; lossless on every target
+/// wider than 16 bits, and out of every table's range on the others.
+pub(super) fn wide(v: u32) -> usize {
+    usize::try_from(v).unwrap_or(usize::MAX)
+}
+
+/// Index of the lowest set bit of a non-zero `word`.
+fn lowest_bit(word: u64) -> usize {
+    usize::try_from(word.trailing_zeros()).unwrap_or(64)
 }
 
 impl NodeBitmap {
@@ -112,27 +129,31 @@ impl NodeBitmap {
         None
     }
 
-    /// Ascending iterator over set indices.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        count_probes(self.words.len() as u64);
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let b = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(w * 64 + b)
-            })
-        })
+    /// Lowest set index at or above `from`, if any: the word of `from`,
+    /// then the summary from the next word on. Counts no probes — the
+    /// caller counts the query.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let w = from / 64;
+        let word = self.words.get(w)? & (u64::MAX << (from % 64));
+        if word != 0 {
+            return Some(w * 64 + lowest_bit(word));
+        }
+        let mut si = (w + 1) / 64;
+        let mut s = self.summary.get(si)? & (u64::MAX << ((w + 1) % 64));
+        while s == 0 {
+            si += 1;
+            s = *self.summary.get(si)?;
+        }
+        let w = si * 64 + lowest_bit(s);
+        Some(w * 64 + lowest_bit(*self.words.get(w)?))
     }
 }
 
 /// Amortized-O(1) free-slot index over the cluster's nodes: per-node
-/// free counts plus ready-node bitmaps (overall and per core kind) that
-/// track exactly the nodes placement may choose — usable (alive, not
-/// blacklisted) with at least one free slot.
+/// free counts plus ready-node bitmaps (overall, per core kind and, once
+/// the fault engine installs them, per speed class) that track exactly
+/// the nodes placement may choose — usable (alive, not blacklisted) with
+/// at least one free slot.
 ///
 /// Placement policies query this instead of scanning a free-count slice;
 /// every query returns the same node the old linear scan returned (the
@@ -151,14 +172,26 @@ pub struct FreeSlots {
     free_total: usize,
     /// Nodes currently usable.
     usable_nodes: usize,
+    /// Node ids class-major — by class key, then by id — while speed
+    /// classes are installed ([`FreeSlots::install_classes`]).
+    class_order: Vec<usize>,
+    /// Position of each node in `class_order`; empty while no classes
+    /// are installed, which is all a ready-set update then asks.
+    class_pos: Vec<usize>,
+    /// End of each class's range of `class_order`, ascending.
+    class_ends: Vec<usize>,
+    /// Ready nodes by their position in `class_order`.
+    by_class: NodeBitmap,
 }
 
 impl FreeSlots {
     /// Every slot of `cluster` free. `dead[n]` nodes start dead: zero
     /// free slots, never usable; `None` (the fault-free engine) starts
-    /// every node alive.
+    /// every node alive. No speed classes are installed.
     fn reset(&mut self, cluster: &Cluster, dead: Option<&[bool]>) {
         let n = cluster.nodes.len();
+        self.class_pos.clear();
+        self.class_ends.clear();
         refill(&mut self.free, n, 0);
         refill(&mut self.alive, n, true);
         refill(&mut self.usable, n, true);
@@ -197,6 +230,9 @@ impl FreeSlots {
             Some(CoreKind::Little) => self.little.set(node),
             None => {}
         }
+        if let Some(&pos) = self.class_pos.get(node) {
+            self.by_class.set(pos);
+        }
     }
 
     fn clear_ready(&mut self, node: usize) {
@@ -206,6 +242,71 @@ impl FreeSlots {
             Some(CoreKind::Little) => self.little.clear(node),
             None => {}
         }
+        if let Some(&pos) = self.class_pos.get(node) {
+            self.by_class.clear(pos);
+        }
+    }
+
+    /// Groups the nodes into speed classes — nodes of equal `key` — and
+    /// indexes the ready ones by class from here to the next reset, for
+    /// [`FreeSlots::class_leaders`]. Sorts in the tables the last run
+    /// left: nothing is allocated once they have reached the cluster's
+    /// size.
+    pub(super) fn install_classes<K: Ord>(&mut self, key: impl Fn(usize) -> K) {
+        let n = self.nodes();
+        self.class_order.clear();
+        self.class_order.reserve_exact(n);
+        self.class_order.extend(0..n);
+        self.class_order
+            .sort_unstable_by(|&a, &b| key(a).cmp(&key(b)).then(a.cmp(&b)));
+        refill(&mut self.class_pos, n, 0);
+        for (pos, &node) in self.class_order.iter().enumerate() {
+            if let Some(p) = self.class_pos.get_mut(node) {
+                *p = pos;
+            }
+        }
+        let order = &self.class_order;
+        let pairs = order.iter().zip(order.iter().skip(1)).enumerate();
+        let boundaries = pairs
+            .filter(|(_, (&a, &b))| key(a) != key(b))
+            .map(|(pos, _)| pos + 1);
+        self.class_ends.clear();
+        self.class_ends
+            .extend(boundaries.chain((n > 0).then_some(n)));
+        self.by_class.reset(n);
+        for node in 0..n {
+            if self.usable(node) && self.free(node) > 0 {
+                if let Some(&pos) = self.class_pos.get(node) {
+                    self.by_class.set(pos);
+                }
+            }
+        }
+    }
+
+    /// The lowest-id ready node of each installed speed class, leaving
+    /// out `except`: the only node of its class a search for the least
+    /// of anything that depends on the class alone can settle on. One
+    /// range query per class, two for the class of `except` when it is
+    /// that class's lowest; each counts one probe.
+    pub(super) fn class_leaders(&self, except: usize) -> impl Iterator<Item = usize> + '_ {
+        let starts = std::iter::once(0).chain(self.class_ends.iter().copied());
+        starts
+            .zip(self.class_ends.iter().copied())
+            .filter_map(move |(start, end)| {
+                let lowest = self.first_ready_in_class(start, end)?;
+                if lowest != except {
+                    return Some(lowest);
+                }
+                let after = self.class_pos.get(except)? + 1;
+                self.first_ready_in_class(after, end)
+            })
+    }
+
+    /// Lowest-id ready node at positions `from..end` of `class_order`.
+    fn first_ready_in_class(&self, from: usize, end: usize) -> Option<usize> {
+        count_probes(1);
+        let pos = self.by_class.first_from(from).filter(|&pos| pos < end)?;
+        self.class_order.get(pos).copied()
     }
 
     /// Number of nodes in the cluster.
@@ -244,11 +345,6 @@ impl FreeSlots {
             CoreKind::Big => self.big.first(),
             CoreKind::Little => self.little.first(),
         }
-    }
-
-    /// Ascending iterator over usable nodes with a free slot.
-    pub fn free_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.any.iter()
     }
 
     /// Lowest-id usable node with a free slot among those of `rack` when
@@ -543,5 +639,82 @@ impl<Q> SlotBook<Q> {
         if now > self.max_finish {
             self.max_finish = now;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{FreeSlots, NodeBitmap};
+    use crate::cluster::Cluster;
+    use hhsim_arch::CoreKind;
+    use hhsim_testkit::{check, Gen};
+
+    /// `first_from` against a scan of the bits, on bitmaps that end on
+    /// either side of a word and of a summary word, sparse and dense.
+    #[test]
+    fn first_from_is_the_next_set_bit() {
+        check(48, |g: &mut Gen| {
+            let n = *g.pick(&[1, 63, 64, 65, 4095, 4096, 4097, 9000]);
+            let density = *g.pick(&[0.0005, 0.02, 0.5]);
+            let mut bits = NodeBitmap::default();
+            bits.reset(n);
+            let mut set = vec![false; n];
+            for (i, s) in set.iter_mut().enumerate() {
+                if g.bool(density) {
+                    bits.set(i);
+                    *s = true;
+                }
+            }
+            for _ in 0..n / 4 {
+                let i = g.usize(0..n);
+                bits.clear(i);
+                set[i] = false;
+            }
+            let probes = (0..200).map(|_| g.usize(0..n + 2));
+            for from in probes.chain([0, 63, 64, 4095, 4096, n - 1, n]) {
+                let next = (from..n).find(|&i| set[i]);
+                assert_eq!(bits.first_from(from), next, "from {from} of {n}");
+            }
+        });
+    }
+
+    /// Each class's lowest ready node but `except`, against a scan of the
+    /// nodes, while slots are claimed and released and nodes are
+    /// blacklisted or killed — one class up to one class per node.
+    #[test]
+    fn class_leaders_are_each_class_lowest_ready_node() {
+        check(32, |g: &mut Gen| {
+            let nodes = *g.pick(&[1, 5, 70, 300]);
+            let cluster = Cluster::homogeneous(CoreKind::Big, nodes, 2);
+            let dead: Vec<bool> = (0..nodes).map(|_| g.bool(0.1)).collect();
+            let mut slots = FreeSlots::default();
+            slots.reset(&cluster, Some(&dead));
+            let classes = g.usize(1..nodes + 1);
+            let class: Vec<usize> = (0..nodes).map(|_| g.usize(0..classes)).collect();
+            slots.install_classes(|n| class[n]);
+            let mut claimed = vec![0; nodes];
+            for _ in 0..4 * nodes {
+                let n = g.usize(0..nodes);
+                match g.usize(0..8) {
+                    0..=3 if slots.usable(n) && slots.free(n) > 0 => {
+                        slots.claim(n);
+                        claimed[n] += 1;
+                    }
+                    4 | 5 if claimed[n] > 0 => {
+                        slots.release(n);
+                        claimed[n] -= 1;
+                    }
+                    6 => slots.set_unusable(n),
+                    7 => slots.kill(n),
+                    _ => {}
+                }
+                let except = g.usize(0..nodes);
+                let ready = |n: usize| n != except && slots.usable(n) && slots.free(n) > 0;
+                let lowest = (0..classes)
+                    .filter_map(|c| (0..nodes).find(|&n| class[n] == c && ready(n)))
+                    .collect::<Vec<_>>();
+                assert_eq!(slots.class_leaders(except).collect::<Vec<_>>(), lowest);
+            }
+        });
     }
 }

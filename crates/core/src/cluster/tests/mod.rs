@@ -719,6 +719,39 @@ fn all_replicas_gone_is_a_clean_data_lost_error() {
     assert!(err.to_string().contains("lost every replica"));
 }
 
+/// Runs the fetch scenario, node 0 dying mid-shuffle, with its plan
+/// reshaped by `reshape`.
+fn run_fetch_scenario_with(reshape: impl FnOnce(&mut FetchPlan)) {
+    let (c, load, mut plan) = fetch_scenario();
+    reshape(&mut plan);
+    let mut faults = PhaseFaults::inert(4);
+    faults.crash_at_s[0] = Some(5.0);
+    let _ = run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan));
+}
+
+/// A node past the plan's map timing would price a re-execution there at
+/// zero seconds.
+#[test]
+#[should_panic(expected = "one map timing entry per node")]
+fn fetch_plan_without_map_timing_for_every_node_is_refused() {
+    run_fetch_scenario_with(|plan| plan.map_timing.truncate(2));
+}
+
+/// A map past the replica lists would report its data lost at the first
+/// loss of its output.
+#[test]
+#[should_panic(expected = "one replica list per map output")]
+fn fetch_plan_without_replicas_for_every_map_is_refused() {
+    run_fetch_scenario_with(|plan| plan.map_replicas.truncate(3));
+}
+
+/// A holder that is no node of the cluster would never lose its output.
+#[test]
+#[should_panic(expected = "every map output held by a node of the cluster")]
+fn fetch_plan_holder_outside_the_cluster_is_refused() {
+    run_fetch_scenario_with(|plan| plan.holders[3] = 4);
+}
+
 #[test]
 fn holder_dead_between_phases_recovers_before_reduces_launch() {
     let (c, load, plan) = fetch_scenario();

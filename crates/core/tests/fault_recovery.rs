@@ -10,7 +10,7 @@
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
     run_phase_faulty, run_phase_faulty_fetch, Cluster, FetchPlan, FifoAnySlot, KindPreferring,
-    NodeTiming, PhaseLoad, TaskSpan,
+    NodeTiming, PhaseLoad, PhaseRun, TaskSpan,
 };
 use hhsim_core::faults::{
     AttemptOutcome, FaultConfig, FaultPlan, NodeFaults, PhaseDomains, PhaseError, PhaseFaults,
@@ -222,9 +222,12 @@ fn hostile(g: &mut Gen) -> (Cluster, PhaseLoad, PhaseFaults, Option<FetchPlan>) 
     let nodes = g.usize(2..13);
     let slots = g.usize(1..5);
     let racks = *g.pick(&[1, 1, 2, 3, 4]);
-    let cluster = Cluster::homogeneous(CoreKind::Big, nodes, slots);
+    let big = g.usize(0..nodes + 1);
+    let cluster = Cluster::mixed(big, slots, nodes - big, slots);
     // Without a task time there is no jitter: every attempt on a node
-    // progresses at the same rate, and only the row breaks the tie.
+    // progresses at the same rate, and only the row breaks the tie — and
+    // nodes of different slowdowns tie on a backup's duration, which only
+    // the lowest id breaks.
     let tied_rates = g.bool(0.4);
     let node_timing = |g: &mut Gen, base: f64| {
         if tied_rates {
@@ -239,12 +242,31 @@ fn hostile(g: &mut Gen) -> (Cluster, PhaseLoad, PhaseFaults, Option<FetchPlan>) 
             }
         }
     };
+    // Outputs kept on nodes that crash one after another, early in a
+    // phase of several waves: re-executions land on nodes that die later,
+    // and a crash takes outputs its node held from the start with ones
+    // that landed on it since.
+    let chained_losses = g.bool(0.3);
+    let (tasks, crash_odds, crash_window) = if chained_losses {
+        (nodes * slots..6 * nodes * slots, 0.5, 12.0)
+    } else {
+        (1..3 * nodes * slots + 2, 0.12, 40.0)
+    };
+    // Two timings dealt to nodes regardless of their kind, so that speed
+    // classes cross the big/little divide.
+    let timings = [node_timing(g, 3.0), node_timing(g, 3.0)];
     let load = PhaseLoad {
-        tasks: g.usize(1..3 * nodes * slots + 2),
-        timing: (0..nodes).map(|_| node_timing(g, 3.0)).collect(),
+        tasks: g.usize(tasks),
+        timing: (0..nodes).map(|_| *g.pick(&timings)).collect(),
         locality: None,
         extra_seconds: Vec::new(),
     };
+    // Few speed classes with many members each — the shape of real mixes
+    // — or one class per node. A slowdown that is not a number prices
+    // every attempt on its node at NaN seconds, which no duration
+    // compares below.
+    let palette = [1.0, 1.5 + 3.0 * g.f64(), *g.pick(&[1.0, 3.0, f64::NAN])];
+    let few_classes = g.bool(0.5);
 
     let policy = RecoveryPolicy {
         speculation: g.bool(0.9),
@@ -262,15 +284,15 @@ fn hostile(g: &mut Gen) -> (Cluster, PhaseLoad, PhaseFaults, Option<FetchPlan>) 
     let mut faults = PhaseFaults {
         plan: FaultPlan::new(g.u64(0..u64::MAX), 0, rate),
         crash_at_s: (0..nodes)
-            .map(|_| g.bool(0.12).then(|| g.f64() * 40.0))
+            .map(|_| g.bool(crash_odds).then(|| g.f64() * crash_window))
             .collect(),
         dead_at_start: (0..nodes).map(|_| g.bool(0.05)).collect(),
         slowdown: (0..nodes)
             .map(|_| {
-                if g.bool(0.3) {
-                    1.5 + 3.0 * g.f64()
+                if few_classes {
+                    *g.pick(&palette)
                 } else {
-                    1.0
+                    1.0 + 3.0 * g.f64()
                 }
             })
             .collect(),
@@ -293,18 +315,33 @@ fn hostile(g: &mut Gen) -> (Cluster, PhaseLoad, PhaseFaults, Option<FetchPlan>) 
     }
 
     // A reduce phase: completed maps with holders and input replicas —
-    // the holder first, one to three more anywhere (twice the same node
-    // included).
-    let fetch = g.bool(0.6).then(|| {
+    // the holder first, one to three more (twice the same node included)
+    // — anywhere, or mostly on the nodes that crash.
+    let (doomed, spared): (Vec<usize>, Vec<usize>) =
+        (0..nodes).partition(|&n| faults.crash_at_s[n].is_some());
+    let on_doomed = chained_losses && !doomed.is_empty();
+    let holder = |g: &mut Gen| {
+        if on_doomed && g.bool(0.8) {
+            *g.pick(&doomed)
+        } else {
+            g.usize(0..nodes)
+        }
+    };
+    let fetch = (chained_losses || g.bool(0.6)).then(|| {
         let maps = g.usize(1..3 * nodes);
-        let holders: Vec<usize> = (0..maps).map(|_| g.usize(0..nodes)).collect();
+        let holders: Vec<usize> = (0..maps).map(|_| holder(g)).collect();
         FetchPlan {
+            // Outputs kept on the doomed keep a replica on a node that
+            // is spared, so that their loss is rarely the data's.
             map_replicas: holders
                 .iter()
                 .map(|&h| {
-                    std::iter::once(h)
-                        .chain(g.vec(1..4, |g| g.usize(0..nodes)))
-                        .collect()
+                    let mut reps: Vec<usize> =
+                        std::iter::once(h).chain(g.vec(1..4, holder)).collect();
+                    if on_doomed && !spared.is_empty() {
+                        reps.push(*g.pick(&spared));
+                    }
+                    reps
                 })
                 .collect(),
             holders,
@@ -316,26 +353,90 @@ fn hostile(g: &mut Gen) -> (Cluster, PhaseLoad, PhaseFaults, Option<FetchPlan>) 
     (cluster, load, faults, fetch)
 }
 
-/// The LATE index and the replica-driven re-execution choice against
-/// exhaustive search. In a debug build the engine also makes both
-/// decisions the slow way — every slot, every free node — each time and
-/// asserts the same pick, so a run that returns at all has passed; this
-/// sweep aims that oracle at what the rest of the suite does not reach —
-/// 2–12 nodes of 1–4 slots, flat and racked, failures, stragglers, node
-/// and rack crashes before and during a phase with lost map outputs,
-/// blacklisting at the first failure, and a speculation policy that is
-/// zero, negative, NaN, infinite or longer than the phase — and checks
-/// that the same run twice is the same run, and that the sweep does reach
-/// the events it is for.
+/// Spans are on the engine's nanosecond clock, crash times are not: an
+/// instant within this of a crash is taken as the crash's.
+const CLOCK_S: f64 = 1e-6;
+
+/// Whether a speculative backup of `run` went past a lower-id node with a
+/// free slot — a node that was alive, not the primary's, and ran fewer
+/// attempts than it has slots at the backup's launch even counting the
+/// attempts that started or ended at that very instant. A backup is the
+/// later-launched side of a race whose loser was cancelled. Only asked of
+/// runs that blacklisted nothing.
+fn a_backup_passed_a_free_node(run: &PhaseRun, cluster: &Cluster, faults: &PhaseFaults) -> bool {
+    let attempts = || run.spans.iter().chain(&run.wasted).chain(&run.recovered);
+    let free_at = |node: usize, t: f64| {
+        let alive = !faults.dead_at_start[node]
+            && faults.crash_at_s[node].map_or(true, |c| c > t + CLOCK_S);
+        let busy = attempts()
+            .filter(|a| a.node == node && a.launched_s <= t && t <= a.finished_s)
+            .count();
+        alive && busy < cluster.nodes[node].slots
+    };
+    run.wasted
+        .iter()
+        .filter(|w| w.outcome == AttemptOutcome::Cancelled)
+        .any(|loser| {
+            let winner = &run.spans[loser.task];
+            let (primary, backup) = if winner.launched_s < loser.launched_s {
+                (winner, loser)
+            } else {
+                (loser, winner)
+            };
+            primary.launched_s < backup.launched_s
+                && (0..backup.node).any(|n| n != primary.node && free_at(n, backup.launched_s))
+        })
+}
+
+/// Whether one crash of `run` took both an output its node held from the
+/// start of the phase and one a re-execution had landed on it since:
+/// maps of both kinds re-executed after it.
+fn a_crash_lost_original_and_relanded(
+    run: &PhaseRun,
+    faults: &PhaseFaults,
+    plan: &FetchPlan,
+) -> bool {
+    let rerun_after = |map: usize, t: f64| {
+        run.recovered
+            .iter()
+            .any(|r| r.task == map && r.launched_s > t - CLOCK_S)
+    };
+    (0..faults.crash_at_s.len()).any(|node| {
+        let Some(t) = faults.crash_at_s[node].filter(|_| !faults.dead_at_start[node]) else {
+            return false;
+        };
+        let original =
+            (plan.holders.iter().enumerate()).any(|(m, &h)| h == node && rerun_after(m, t));
+        let relanded = (run.recovered.iter())
+            .any(|r| r.node == node && r.finished_s < t - CLOCK_S && rerun_after(r.task, t));
+        original && relanded
+    })
+}
+
+/// The LATE index, the speed-class index of backup nodes, the
+/// replica-driven re-execution choice and the holder index of lost
+/// outputs against exhaustive search. In a debug build the engine also
+/// makes every decision the slow way — every slot, every free node, every
+/// map output — each time and asserts the same pick, so a run that
+/// returns at all has passed; this sweep aims that oracle at what the
+/// rest of the suite does not reach — 2–12 nodes of 1–4 slots, big and
+/// little, flat and racked, a few speed classes or one per node,
+/// failures, stragglers, node and rack crashes before and during a phase
+/// with lost map outputs (outputs re-landed on nodes that crash later
+/// included), blacklisting at the first failure, and a speculation policy
+/// that is zero, negative, NaN, infinite or longer than the phase — and
+/// checks that the same run twice is the same run, and that the sweep
+/// does reach the events it is for.
 #[test]
 fn indexed_decisions_agree_with_the_exhaustive_searches() {
     const CASES: u64 = 320;
     // Cases with: a backup launched; one launched in a run that also lost
     // attempts to failures or crashes; a lost map re-executed; a lost map
     // on its third attempt (the re-run died, or landed and was lost
-    // again); every replica of a lost map gone. 97 / 56 / 42 / 10 / 45
-    // when written.
-    let mut reached = [0u32; 5];
+    // again); every replica of a lost map gone; a backup that went past a
+    // lower free node; a crash that lost an original and a re-landed
+    // output. 81 / 49 / 95 / 56 / 44 / 17 / 21 when written.
+    let mut reached = [0u32; 7];
     check(CASES, |g| {
         let (cluster, load, faults, fetch) = hostile(g);
         let run = || {
@@ -364,14 +465,25 @@ fn indexed_decisions_agree_with_the_exhaustive_searches() {
         reached[1] += u32::from(backed_up && run.wasted.iter().any(died));
         reached[2] += u32::from(run.faults.reexecuted_maps > 0);
         reached[3] += u32::from(run.recovered.iter().any(|r| r.attempt >= 3));
+        let blacklisted = run.faults.blacklisted_nodes + run.faults.racks_blacklisted > 0;
+        reached[5] +=
+            u32::from(!blacklisted && a_backup_passed_a_free_node(&run, &cluster, &faults));
+        reached[6] += u32::from(
+            fetch
+                .as_ref()
+                .is_some_and(|plan| a_crash_lost_original_and_relanded(&run, &faults, plan)),
+        );
     });
-    let [backups, backups_with_losses, reexecutions, third_attempts, data_lost] = reached;
+    let [backups, backups_with_losses, reexecutions, third_attempts, data_lost, passed_free, lost_both] =
+        reached;
     assert!(
         backups >= 40
             && backups_with_losses >= 25
             && reexecutions >= 25
             && third_attempts >= 5
-            && data_lost >= 20,
+            && data_lost >= 20
+            && passed_free >= 8
+            && lost_both >= 10,
         "the sweep no longer reaches what it is for: {reached:?} of {CASES} cases"
     );
 }
