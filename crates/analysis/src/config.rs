@@ -351,13 +351,10 @@ reason = "keyed lookup only, never iterated"
     fn reachability_section_parses() {
         let cfg = parse(
             "[reachability]\n\
-             entry_points = [\"simulate_cluster\", \"Simulation::run\"]\n",
+             entry_points = [\"simulate\", \"Simulation::run\"]\n",
         )
         .expect("valid");
-        assert_eq!(
-            cfg.entry_points,
-            vec!["simulate_cluster", "Simulation::run"]
-        );
+        assert_eq!(cfg.entry_points, vec!["simulate", "Simulation::run"]);
         assert!(parse("[reachability]\ntypo = [\"a\"]\n").is_err());
     }
 

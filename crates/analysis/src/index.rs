@@ -758,7 +758,7 @@ mod tests {
         let (_, idx) = parse_all(&[
             (
                 "crates/core/src/model.rs",
-                "pub fn simulate_cluster() { cluster::run_phase(); helper(); }\n\
+                "pub fn simulate() { cluster::run_phase(); helper(); }\n\
                  fn helper() {}\n",
             ),
             (
@@ -766,11 +766,11 @@ mod tests {
                 "pub fn run_phase() { settle(); }\nfn settle() {}\n",
             ),
         ]);
-        let entry = idx.resolve_entry("simulate_cluster");
+        let entry = idx.resolve_entry("simulate");
         assert_eq!(entry.len(), 1);
-        let r = Reachability::compute(&idx, &["simulate_cluster".to_string()]).expect("resolves");
+        let r = Reachability::compute(&idx, &["simulate".to_string()]).expect("resolves");
         for q in [
-            "model::simulate_cluster",
+            "model::simulate",
             "cluster::run_phase",
             "cluster::settle",
             "model::helper",

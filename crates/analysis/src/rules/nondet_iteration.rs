@@ -127,12 +127,11 @@ mod tests {
         let file = SourceFile::parse("crates/workloads/src/x.rs", src);
         let entry = SourceFile::parse(
             "crates/core/src/model.rs",
-            "pub fn simulate_cluster() { gen_sizes(); }\n",
+            "pub fn simulate() { gen_sizes(); }\n",
         );
         let parsed = vec![entry, file];
         let idx = SymbolIndex::build(&parsed);
-        let reach =
-            Reachability::compute(&idx, &["simulate_cluster".to_string()]).expect("resolves");
+        let reach = Reachability::compute(&idx, &["simulate".to_string()]).expect("resolves");
         let cfg = cfg();
         let ctx = RuleCtx {
             config: &cfg,

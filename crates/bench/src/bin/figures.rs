@@ -105,9 +105,10 @@ fn main() {
         let harness_before = harness::snapshot();
         match hhsim_bench::render(id) {
             Some(Err(e)) => {
-                // Typed diagnosis instead of a panic: a fault sweep lost a
-                // job unrecoverably (e.g. every replica of a block died).
-                eprintln!("{id}: job failed: {e}");
+                // Typed diagnosis instead of a panic: an invalid config, or
+                // a fault sweep lost a job unrecoverably (e.g. every
+                // replica of a block died).
+                eprintln!("{id}: {e}");
                 std::process::exit(1);
             }
             Some(Ok((id, csv))) => {
@@ -119,7 +120,10 @@ fn main() {
                     // utilization steps, streamed straight to disk.
                     let tp = out_dir.join(format!("{id}_trace.json"));
                     let up = out_dir.join(format!("{id}_util.csv"));
-                    stream_trace(&cfg(), &tp, &up).expect("write trace artifacts");
+                    if let Err(e) = stream_trace(&cfg(), &tp, &up) {
+                        eprintln!("{id}: trace: {e}");
+                        std::process::exit(1);
+                    }
                     println!("wrote {} and {}", tp.display(), up.display());
                 }
                 let cache = SimCache::global().stats().since(&cache_before);

@@ -9,19 +9,19 @@ use std::io;
 
 use hhsim_core::arch::presets;
 use hhsim_core::energy::MetricKind;
-use hhsim_core::faults::{PhaseError, RecoveryPolicy};
+use hhsim_core::faults::RecoveryPolicy;
 use hhsim_core::figures::{
     fig19_faults, fig22_faults, FIG22_OVERSUB, MICRO_DATA, SCHED_BLOCK, TOPO_RACKS,
 };
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{simulate_cluster, NodeMix, PlacementKind, SimConfig};
+use hhsim_core::{NodeMix, PlacementKind, Reading, SimCache, SimConfig, SimError};
 
-/// Renders one figure, returning `(id, csv)` — or the typed
-/// [`PhaseError`] when a fault sweep loses a job unrecoverably (every
-/// replica of a block gone, every node dead), so callers can print a
-/// one-line diagnosis instead of unwinding.
-pub fn render(id: &str) -> Option<Result<(String, String), PhaseError>> {
+/// Renders one figure, returning `(id, csv)` — or the typed [`SimError`]
+/// when a point breaks the config contract or a fault sweep loses a job
+/// unrecoverably (every replica of a block gone, every node dead), so
+/// callers can print a one-line diagnosis instead of unwinding.
+pub fn render(id: &str) -> Option<Result<(String, String), SimError>> {
     hhsim_core::figures::all()
         .into_iter()
         .find(|(fid, _)| *fid == id)
@@ -153,12 +153,20 @@ pub const TRACES: [(&str, fn() -> SimConfig); 4] = [
 /// Chrome trace into `trace`, the per-node utilization steps into `util`.
 /// Written incrementally, so the export stays flat in memory at any span
 /// count (wrap files in a `BufWriter`).
+///
+/// # Errors
+///
+/// The writers' I/O errors, and the run's [`SimError`] (an invalid config,
+/// an unrecoverable run) as [`io::Error::other`].
 pub fn write_trace(
     cfg: &SimConfig,
     trace: &mut impl io::Write,
     util: &mut impl io::Write,
 ) -> io::Result<()> {
-    let (_, timeline) = simulate_cluster(cfg);
+    let (_, timeline) = cfg
+        .run(SimCache::global(), Reading::Traced)
+        .map_err(io::Error::other)?;
+    let timeline = timeline.ok_or_else(|| io::Error::other("a traced run fills a timeline"))?;
     timeline.write_chrome_trace(trace)?;
     timeline.write_utilization_csv(util)
 }
@@ -186,6 +194,14 @@ pub fn write_fig22_trace(trace: &mut impl io::Write, util: &mut impl io::Write) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhsim_core::Measurement;
+
+    /// The measurement of `cfg`, read as the trace writer reads it.
+    fn measured(cfg: &SimConfig) -> Measurement {
+        cfg.run(SimCache::global(), Reading::Traced)
+            .expect("a traced config runs")
+            .0
+    }
 
     /// `(chrome_trace_json, util_csv)` of a [`TRACES`] entry.
     fn trace_of(id: &str) -> (String, String) {
@@ -212,6 +228,15 @@ mod tests {
             .expect("utilization CSV is checked in");
         assert_eq!(json, disk_json, "regenerate with the figures binary");
         assert_eq!(util, disk_util, "regenerate with the figures binary");
+    }
+
+    #[test]
+    fn write_trace_returns_a_broken_config_as_an_error() {
+        let mut cfg = fig18_trace_config();
+        cfg.data_per_node_bytes = 0;
+        let err = write_trace(&cfg, &mut Vec::new(), &mut Vec::new())
+            .expect_err("a config without data does not run");
+        assert_eq!(err.to_string(), "invalid config: there is no input data");
     }
 
     #[test]
@@ -246,7 +271,7 @@ mod tests {
 
     #[test]
     fn fig19_trace_shows_recovery_in_action() {
-        let (m, _) = simulate_cluster(&fig19_trace_config());
+        let m = measured(&fig19_trace_config());
         assert_eq!(m.faults.node_crashes, 1, "exactly one node dies mid-run");
         assert!(m.faults.failed_attempts > 0, "12% rate must fail attempts");
         assert!(
@@ -266,7 +291,7 @@ mod tests {
 
     #[test]
     fn fig21_trace_carries_locality_tiers() {
-        let (m, _) = simulate_cluster(&fig21_trace_config());
+        let m = measured(&fig21_trace_config());
         let [nl, rl, of] = m.map_locality_tiers;
         assert!(nl > 0, "writer-local replicas keep most reads on-node");
         assert!(
@@ -302,7 +327,7 @@ mod tests {
 
     #[test]
     fn fig22_trace_shows_correlated_failure_recovery() {
-        let (m, _) = simulate_cluster(&fig22_trace_config());
+        let m = measured(&fig22_trace_config());
         let f = &m.faults;
         assert!(f.rack_crashes >= 1, "a ToR switch must die mid-run");
         assert!(

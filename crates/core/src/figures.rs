@@ -19,10 +19,10 @@ use hhsim_energy::MetricKind;
 use hhsim_hdfs::{BlockSize, Topology};
 use hhsim_workloads::AppId;
 
-use hhsim_faults::{DomainConfig, FaultConfig, PhaseError, RecoveryPolicy};
+use hhsim_faults::{DomainConfig, FaultConfig, RecoveryPolicy};
 
 use crate::harness::{ReplicationPlan, Sweep};
-use crate::model::{try_measure_cluster, Measurement, NodeMix, PlacementKind, SimConfig};
+use crate::model::{Measurement, NodeMix, PlacementKind, Reading, SimConfig, SimError};
 use crate::report::FigureData;
 use crate::simcache::SimCache;
 
@@ -769,9 +769,9 @@ pub fn fig19_faults(rate: f64, speculation: bool) -> FaultConfig {
 ///
 /// # Errors
 ///
-/// Returns the first [`PhaseError`] of an unrecoverable point (a typed
-/// "job failed" instead of a panic).
-pub fn fig19() -> Result<FigureData, PhaseError> {
+/// Returns the first [`SimError`] of a point: an unrecoverable one is a
+/// typed "job failed" instead of a panic.
+pub fn fig19() -> Result<FigureData, SimError> {
     let [xeon, atom] = machines();
     type ClusterSpec<'a> = (&'a str, &'a MachineModel, Option<(usize, usize)>);
     let clusters: [ClusterSpec; 3] = [
@@ -799,12 +799,14 @@ pub fn fig19() -> Result<FigureData, PhaseError> {
     );
     for app in [AppId::WordCount, AppId::TeraSort] {
         for (who, m, mix) in clusters {
-            let clean = try_measure_cluster(&point(app, m, mix), SimCache::global())?;
+            let clean = point(app, m, mix)
+                .run(SimCache::global(), Reading::PerNode)?
+                .0;
             for speculation in [true, false] {
                 let mode = if speculation { "spec" } else { "nospec" };
                 for rate in FAULT_RATES {
                     let c = point(app, m, mix).faults(fig19_faults(rate, speculation));
-                    let meas = try_measure_cluster(&c, SimCache::global())?;
+                    let meas = c.run(SimCache::global(), Reading::PerNode)?.0;
                     let x = format!("{rate:.2}");
                     f.push(
                         format!("T/{who}/{}/{mode}", app.short_name()),
@@ -841,9 +843,9 @@ pub const FIG20_SEED: u64 = 0x00F2_05EE_D000;
 ///
 /// # Errors
 ///
-/// Returns the [`PhaseError`] of an unrecoverable baseline run (the
+/// Returns the [`SimError`] of an unrecoverable baseline run (the
 /// replicated points themselves absorb failed seeds as `failed_runs`).
-pub fn fig20() -> Result<FigureData, PhaseError> {
+pub fn fig20() -> Result<FigureData, SimError> {
     let [xeon, atom] = machines();
     type ClusterSpec<'a> = (&'a str, &'a MachineModel, Option<(usize, usize)>);
     let clusters: [ClusterSpec; 3] = [
@@ -871,7 +873,9 @@ pub fn fig20() -> Result<FigureData, PhaseError> {
     );
     for app in [AppId::WordCount, AppId::TeraSort] {
         for (who, m, mix) in clusters {
-            let clean = try_measure_cluster(&point(app, m, mix), SimCache::global())?;
+            let clean = point(app, m, mix)
+                .run(SimCache::global(), Reading::PerNode)?
+                .0;
             let clean_t = clean.breakdown.total();
             let clean_edp = clean.exact_energy_j * clean_t;
             for rate in FAULT_RATES {
@@ -1023,10 +1027,10 @@ pub fn fig22_faults(per_hour: f64, speculation: bool) -> FaultConfig {
 ///
 /// # Errors
 ///
-/// Returns the [`PhaseError`] of an unrecoverable baseline run (the
+/// Returns the [`SimError`] of an unrecoverable baseline run (the
 /// replicated points themselves absorb failed seeds as `failed_runs`,
 /// surfaced through the `Pfail` series).
-pub fn fig22() -> Result<FigureData, PhaseError> {
+pub fn fig22() -> Result<FigureData, SimError> {
     // hhsim: allow(panic-in-engine): irrefutable [_; 2] destructure, not indexing
     let [xeon, atom] = machines();
     type ClusterSpec<'a> = (&'a str, &'a MachineModel, Option<(usize, usize)>);
@@ -1066,7 +1070,7 @@ pub fn fig22() -> Result<FigureData, PhaseError> {
             // then shows the straggler background, like Fig. 19/20.
             let mut clean_cfg = point(m, mix, 0.0, speculation);
             clean_cfg.faults = None;
-            let clean = try_measure_cluster(&clean_cfg, SimCache::global())?;
+            let clean = clean_cfg.run(SimCache::global(), Reading::PerNode)?.0;
             let clean_t = clean.breakdown.total();
             let clean_edp = clean.exact_energy_j * clean_t;
             for rate in FIG22_RATES {
@@ -1085,9 +1089,10 @@ pub fn fig22() -> Result<FigureData, PhaseError> {
 }
 
 /// A figure/table generator: produces one artifact's data from scratch,
-/// or a typed [`PhaseError`] when an unrecoverable fault configuration
-/// fails the job ("job failed" diagnosis instead of a panic).
-pub type Generator = fn() -> Result<FigureData, PhaseError>;
+/// or the typed [`SimError`] of a point it runs directly — an invalid
+/// config, or a fault configuration that fails the job ("job failed"
+/// diagnosis instead of a panic).
+pub type Generator = fn() -> Result<FigureData, SimError>;
 
 /// Every generator keyed by id, for the CLI harness.
 pub fn all() -> Vec<(&'static str, Generator)> {
@@ -1208,8 +1213,8 @@ mod tests {
                 let plain = cfg(app, m)
                     .data_per_node(data_for(app))
                     .block_size(SCHED_BLOCK);
-                let per_node = try_measure_cluster(&plain, SimCache::global())
-                    .expect("a fault-free run completes");
+                let (per_node, _) = (plain.run(SimCache::global(), Reading::PerNode))
+                    .expect("a valid fault-free run completes");
                 assert_eq!(
                     f.value(series, app.short_name()),
                     Some(per_node.cost.edp()),

@@ -32,7 +32,7 @@ use hhsim_arch::{ComputeProfile, MachineModel};
 use hhsim_faults::{FaultConfig, FaultStats};
 use hhsim_workloads::AppId;
 
-use crate::model::{simulate_with, ClusterPrep, Measurement, Meter, RunScratch, SimConfig};
+use crate::model::{recovered, ClusterPrep, Measurement, Reading, RunScratch, SimConfig, SimError};
 use crate::ratios::AppRatios;
 use crate::simcache::{MemoKey, SimCache};
 
@@ -203,7 +203,13 @@ pub fn run_grid_with(configs: &[SimConfig], workers: usize) -> Vec<Measurement> 
 }
 
 /// [`run_grid_with`] against an explicit cache (tests): the fill stage,
-/// then the point stage, on `workers` threads.
+/// then the point stage, on `workers` threads. Every point goes through
+/// [`SimConfig::run`] with [`Reading::Auto`].
+///
+/// # Panics
+///
+/// Panics with the [`SimError`] of a point that breaks the config contract
+/// or fails unrecoverably, as [`simulate`](crate::simulate) does.
 pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> Vec<Measurement> {
     // Operator telemetry only (wall-clock spent sweeping); never feeds a
     // simulated quantity. Mirrors the `wall-clock-in-sim` allow for this
@@ -211,7 +217,9 @@ pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> V
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
     fill_stage(configs, workers, cache);
-    let out = pool(configs, workers, 1, |(), cfg| simulate_with(cfg, cache));
+    let out = pool(configs, workers, 1, |(), cfg| {
+        recovered(cfg.run(cache, Reading::Auto)).0
+    });
     POINTS.fetch_add(configs.len() as u64, Ordering::Relaxed);
     GRIDS.fetch_add(1, Ordering::Relaxed);
     BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -441,16 +449,20 @@ impl ReplicationPlan {
 
     /// Runs every seed and folds the summary. `workers` decides who runs
     /// a seed, never what it reports: it is not in the plan memo's key.
+    /// The config is validated once, for the per-node meter every seed
+    /// is read with; an invalid one panics as [`run_grid_on`] does.
     fn replicate(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
-        let prep = ClusterPrep::new(&self.cfg, cache);
+        let valid = self
+            .cfg
+            .validate(Reading::PerNode)
+            .map_err(SimError::Config);
+        let prep = ClusterPrep::new(recovered(valid), cache);
         let base = self.cfg.faults.filter(FaultConfig::active);
         let eval = |scratch: &mut RunScratch, &seed: &u64| -> Option<RepPoint> {
             let seeded = base.map(|f| f.seed(seed));
             // No phase memo: a seed's phase runs repeat only when the whole
             // plan does.
-            let m = prep
-                .run(Meter::PerNode, seeded.as_ref(), None, scratch, None)
-                .ok()?;
+            let m = prep.run(seeded.as_ref(), None, scratch, None).ok()?;
             let makespan_s = m.breakdown.total();
             Some(RepPoint {
                 makespan_s,
@@ -486,6 +498,11 @@ mod tests {
     use super::*;
     use crate::simcache::CacheStats;
     use hhsim_arch::{presets, Frequency};
+
+    /// One point through the door on `cache`, read by its own meter.
+    fn simulate_on(cfg: &SimConfig, cache: &SimCache) -> Measurement {
+        cfg.run(cache, Reading::Auto).expect("a valid point").0
+    }
 
     fn grid() -> Vec<SimConfig> {
         let mut v = Vec::new();
@@ -562,7 +579,7 @@ mod tests {
             );
             // ... and named none that pricing does not look up.
             let lazy_cache = SimCache::new();
-            let lazy = simulate_with(&grid[0], &lazy_cache);
+            let lazy = simulate_on(&grid[0], &lazy_cache);
             let reference = lazy_cache.stats();
             assert_eq!(
                 CacheStats {
@@ -580,7 +597,7 @@ mod tests {
     fn each_memo_entry_is_computed_once_at_any_worker_count() {
         let g = grid();
         let lazy_cache = SimCache::new();
-        let lazy: Vec<Measurement> = g.iter().map(|c| simulate_with(c, &lazy_cache)).collect();
+        let lazy: Vec<Measurement> = g.iter().map(|c| simulate_on(c, &lazy_cache)).collect();
         for workers in [1, 2, 4] {
             let cache = SimCache::new();
             let meas = run_grid_on(&g, workers, &cache);

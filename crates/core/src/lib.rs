@@ -57,8 +57,8 @@ pub use harness::{
     ReplicationSummary, Sweep,
 };
 pub use model::{
-    job_class, simulate, simulate_cluster, simulate_with, try_simulate_cluster_with, Measurement,
-    NodeMix, PhaseCost, PlacementKind, SimConfig,
+    job_class, simulate, ConfigError, Measurement, NodeMix, PhaseCost, PlacementKind, Reading,
+    SimConfig, SimError,
 };
 pub use ratios::AppRatios;
 pub use report::{FigureData, Row};

@@ -29,9 +29,9 @@ pub enum PlacementKind {
     PreferLittle,
 }
 
-/// An explicit heterogeneous cluster composition for [`simulate_cluster`](super::simulate_cluster):
-/// `big` Xeon nodes plus `little` Atom nodes (presets at the config's
-/// DVFS point). When set, it replaces `SimConfig::nodes`.
+/// An explicit heterogeneous cluster composition: `big` Xeon nodes plus
+/// `little` Atom nodes (presets at the config's DVFS point). When set, it
+/// replaces `SimConfig::nodes`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeMix {
     /// Number of big (Xeon) nodes.
@@ -167,7 +167,7 @@ impl SimConfig {
         self.topology.filter(Topology::active)
     }
 
-    /// The meter [`simulate`](super::simulate) and the sweep harness read this point with:
+    /// The meter [`Reading::Auto`](super::Reading::Auto) reads this point with:
     /// per node as soon as a phase has no single power level (a mix,
     /// faults or a rack fabric), else the paper's phase average.
     pub(super) fn meter(&self) -> Meter {

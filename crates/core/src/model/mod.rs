@@ -28,26 +28,30 @@
 //! roster has; the event-driven cluster engine ([`crate::cluster`]) places
 //! them on first-class nodes, where they drain in waves and every task
 //! leaves a trace span; and a meter turns the phase runs into power and
-//! energy. Only the meter differs between entry points:
+//! energy. There is one door into it, [`SimConfig::run`]: it checks the
+//! config against the contract ([`ConfigError`]) before anything is
+//! priced, and its [`Reading`] picks the meter:
 //!
 //! * the **phase-average** meter reads one power level per phase (the
 //!   slots the waves fill on average) on the one machine model and
 //!   multiplies by the node count — one node's Wattsup trace standing for
-//!   the cluster, as the paper reports its homogeneous runs. [`simulate`]
-//!   and the sweep harness read every plain homogeneous point with it, so
-//!   the paper's tables and Figs. 1–17 are built on it; it alone models
-//!   the §3.4 accelerator offload;
+//!   the cluster, as the paper reports its homogeneous runs.
+//!   [`Reading::Auto`] ([`simulate`], the sweep harness) reads every plain
+//!   homogeneous point with it, so the paper's tables and Figs. 1–17 are
+//!   built on it; it alone models the §3.4 accelerator offload;
 //! * the **per-node** meter samples each node's *time-resolved* slot
 //!   occupancy through that node's own power model: an idle node draws
-//!   idle power, a straggling wave shows. [`simulate_cluster`], the
-//!   replication engine and every point with a [`NodeMix`], active faults
-//!   or an active topology read it — there a phase has no one power level.
+//!   idle power, a straggling wave shows. [`Reading::PerNode`] and
+//!   [`Reading::Traced`], the replication engine and every point with a
+//!   [`NodeMix`], active faults or an active topology read it — there a
+//!   phase has no one power level.
 //!
 //! Both read the same run (equal phase breakdown, slot counters and IPC)
 //! and disagree on its energy — the per-node meter reads a homogeneous
 //! run 8–33 % lower in EDP — so a comparison must keep to one of them.
 
 mod config;
+mod contract;
 mod prep;
 mod run;
 #[cfg(test)]
@@ -55,6 +59,7 @@ mod tests;
 mod timing;
 
 pub use config::{job_class, Measurement, NodeMix, PhaseCost, PlacementKind, SimConfig};
+pub use contract::{ConfigError, Reading, SimError};
 pub(crate) use prep::ClusterPrep;
-pub use run::{simulate, simulate_cluster, simulate_with, try_simulate_cluster_with};
-pub(crate) use run::{try_measure_cluster, Meter, RunScratch};
+pub use run::simulate;
+pub(crate) use run::{recovered, RunScratch};

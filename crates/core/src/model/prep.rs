@@ -10,6 +10,8 @@ use hhsim_hdfs::{
 };
 
 use super::config::{job_class, PlacementKind, Roster, SimConfig};
+use super::contract::Validated;
+use super::run::Meter;
 use super::timing::{cpu_seconds, job_timing, JobTiming};
 use crate::cluster::{
     Cluster, FetchView, KindPreferring, Node, NodeTiming, PhaseLoad, PhaseLocality,
@@ -84,6 +86,9 @@ pub(super) struct KindPrep<'a> {
 /// out over it, instead of re-deriving the whole stack per seed.
 pub(crate) struct ClusterPrep<'a> {
     pub(super) cfg: &'a SimConfig,
+    /// The meter the config was validated for; [`ClusterPrep::run`] reads
+    /// the run with it.
+    pub(super) meter: Meter,
     pub(super) ratios: AppRatios,
     /// The kinds the roster has, `[big, little]`.
     pub(super) kinds: [Option<KindPrep<'a>>; 2],
@@ -148,14 +153,11 @@ fn by_kind<T: Copy>(lead_kind: CoreKind, lead: T, other: Option<T>, absent: T) -
 }
 
 impl<'a> ClusterPrep<'a> {
-    /// Derives everything about `cfg`'s run that depends neither on the
-    /// fault seed nor on the meter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate configuration (no nodes, no data).
-    pub(crate) fn new(cfg: &'a SimConfig, cache: &SimCache) -> Self {
-        assert!(cfg.data_per_node_bytes > 0, "need input data");
+    /// Derives everything about a validated config's run that depends
+    /// neither on the fault seed nor on the meter, and keeps the meter.
+    pub(crate) fn new(valid: Validated<'a>, cache: &SimCache) -> Self {
+        let cfg = valid.cfg();
+        debug_assert!(cfg.data_per_node_bytes > 0, "validated: input data");
         let f = cfg.frequency;
         let ratios = cache.ratios(cfg.app);
         let disk = DiskModel::sata_7200();
@@ -181,7 +183,7 @@ impl<'a> ClusterPrep<'a> {
             let kind = KindPrep {
                 m,
                 nodes,
-                slots: cfg.mappers_per_node.unwrap_or(m.num_cores).max(1),
+                slots: cfg.mappers_per_node.unwrap_or(m.num_cores),
                 overhead,
             };
             (kind, stalls)
@@ -193,7 +195,7 @@ impl<'a> ClusterPrep<'a> {
         let [(n_big, big_slots, big_overhead), (n_little, little_slots, little_overhead)] =
             kinds.map(|k| k.map_or((0, 0, 0.0), |k| (k.nodes, k.slots, k.overhead)));
         let nodes_total = n_big + n_little;
-        assert!(nodes_total > 0, "need at least one node");
+        debug_assert!(nodes_total > 0, "validated: at least one node");
         let cluster = Cluster::mixed(n_big, big_slots, n_little, little_slots);
 
         let preferred = match placement {
@@ -377,6 +379,7 @@ impl<'a> ClusterPrep<'a> {
 
         ClusterPrep {
             cfg,
+            meter: valid.meter(),
             ratios,
             kinds,
             lead,

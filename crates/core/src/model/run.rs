@@ -1,5 +1,5 @@
 //! Running a priced cluster and reading it: the one job/phase loop, both
-//! meters, and the entry points that choose between them.
+//! meters, and [`SimConfig::run`], the one door into them.
 
 use hhsim_arch::ComputeProfile;
 use hhsim_energy::{CostMetrics, MeterReading, StreamingMeter, UtilizationTimeline};
@@ -7,6 +7,7 @@ use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
 use hhsim_mapreduce::PhaseBreakdown;
 
 use super::config::{Measurement, PhaseCost, SimConfig};
+use super::contract::{Reading, SimError};
 use super::prep::{of_kind, ClusterPrep, KindPrep, PhasePrep};
 use crate::cluster::{
     run_phase_fetching, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot, KindPreferring,
@@ -16,7 +17,7 @@ use crate::simcache::{fetch_digest, MaybeShared, PhaseFaultKey, PhaseKey, SimCac
 
 /// How a run's power and energy are read off its phase runs. The paper
 /// has one Wattsup meter; the model has two readings of it, chosen by
-/// entry point and config shape (module docs), never by a setting.
+/// [`Reading`] and config shape (module docs), never by a setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Meter {
     /// One power level per phase on the one machine model, times the node
@@ -87,8 +88,8 @@ impl ClusterPrep<'_> {
     }
 
     /// Runs the prepared cluster under one fault configuration (or none)
-    /// and has `meter` read the measurement off it. Only what the fault
-    /// seed decides happens here — node fates, the phases' fault plans,
+    /// and has the prep's meter read the measurement off it. Only what the
+    /// fault seed decides happens here — node fates, the phases' fault plans,
     /// the engine runs, metering — on loads and labels borrowed from the
     /// prep and in buffers borrowed from `scratch`. With a phase memo
     /// (`phases`) the engine runs route through it, so direct runs that
@@ -101,20 +102,14 @@ impl ClusterPrep<'_> {
     /// # Errors
     ///
     /// Returns the [`PhaseError`] of the first unrecoverable phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-node meter is asked to read an accelerated run
-    /// (offload is not modeled per node).
     pub(crate) fn run(
         &self,
-        meter: Meter,
         faults: Option<&FaultConfig>,
         phases: Option<&SimCache>,
         scratch: &mut RunScratch,
         mut timeline: Option<&mut ClusterTimeline>,
     ) -> Result<Measurement, PhaseError> {
-        let cluster = &self.cluster;
+        let (cluster, meter) = (&self.cluster, self.meter);
         let nodes_total = cluster.nodes.len();
 
         // Node fate (crash times, stragglers) is sampled once per run,
@@ -127,10 +122,7 @@ impl ClusterPrep<'_> {
         let mut node_meters = match meter {
             Meter::PhaseAverage => Vec::new(),
             Meter::PerNode => {
-                assert!(
-                    self.cfg.accel.is_none(),
-                    "accelerator offload is not modeled by the per-node meter"
-                );
+                debug_assert!(self.cfg.accel.is_none(), "validated: no offload per node");
                 vec![StreamingMeter::new(); nodes_total]
             }
         };
@@ -483,110 +475,52 @@ pub(crate) struct RunScratch {
     engine: EngineScratch,
 }
 
-/// Runs the full model for one experiment point, memoizing shared state
-/// (stall splits, functional runs) in the process-wide [`SimCache`]. A
-/// plain homogeneous point is read by the phase-average meter the paper's
-/// tables are built on; a [`NodeMix`](super::NodeMix), active faults or an active topology
-/// by the per-node one ([`simulate_cluster`]'s).
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate (zero nodes or zero data), or
-/// if fault injection makes the run unrecoverable.
-pub fn simulate(cfg: &SimConfig) -> Measurement {
-    simulate_with(cfg, SimCache::global())
-}
-
-/// [`simulate`] against an explicit cache. Passing a fresh
-/// [`SimCache::new`] gives a fully uncached evaluation — the reference
-/// the cache-consistency property tests compare against.
-pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
-    recovered(measure(cfg, cfg.meter(), cache))
-}
-
-/// Prices `cfg`, runs it under its own faults and has `meter` read it; no
-/// timeline to fill.
-fn measure(cfg: &SimConfig, meter: Meter, cache: &SimCache) -> Result<Measurement, PhaseError> {
-    let faults = cfg.active_faults();
-    let scratch = &mut RunScratch::default();
-    // No later point asks for a phase-average point's phase runs again.
-    let phases = match meter {
-        Meter::PhaseAverage => None,
-        Meter::PerNode => Some(cache),
-    };
-    ClusterPrep::new(cfg, cache).run(meter, faults.as_ref(), phases, scratch, None)
-}
-
-/// Simulates `cfg`, reads it with the per-node meter and returns the
-/// measurement together with the per-task trace timeline.
-///
-/// With a [`NodeMix`](super::NodeMix) this is the §3.5 heterogeneous study: Xeon and Atom
-/// preset nodes run side by side at `cfg.frequency`, tasks are placed by
-/// the mix's policy, each task's duration comes from the node it lands
-/// on, and every node's power is metered over its *time-resolved* slot
-/// occupancy (`cfg.machine`/`cfg.nodes` are ignored). Without a mix the
-/// same run is the homogeneous cluster of `cfg.machine` — the one
-/// [`simulate`] prices, with equal phase times, read by the other meter:
-/// the baseline to set against a mix, and the way to export a trace of a
-/// plain run.
-///
-/// # Panics
-///
-/// Panics on a degenerate configuration (no nodes, no data), if an
-/// accelerator is configured (offload is not modeled per node) or if
-/// fault injection makes the run unrecoverable (a task exhausting
-/// `max_attempts`, or crashes leaving no usable slots); use
-/// [`try_simulate_cluster_with`] to handle that as an error.
-pub fn simulate_cluster(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
-    recovered(try_simulate_cluster_with(cfg, SimCache::global()))
-}
-
-/// What the infallible facades make of a run's outcome.
-fn recovered<T>(outcome: Result<T, PhaseError>) -> T {
-    match outcome {
-        Ok(r) => r,
-        // hhsim: allow(panic-in-engine): infallible facade for legacy callers; fault-aware callers use try_simulate_cluster_with
-        Err(e) => panic!("cluster run failed under fault injection: {e}"),
+impl SimConfig {
+    /// Runs this point: checks it against the config contract for
+    /// `reading`, prices it, runs it under its own faults and reads it.
+    /// Shared state (stall splits, functional runs, and the phase runs of
+    /// a per-node reading) is memoized in `cache`. The timeline is `Some`
+    /// exactly under [`Reading::Traced`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Config`] when the config breaks the contract, before
+    /// anything is priced; [`SimError::Unrecoverable`] with the error of
+    /// the first phase fault injection made unrecoverable.
+    pub fn run(
+        &self,
+        cache: &SimCache,
+        reading: Reading,
+    ) -> Result<(Measurement, Option<ClusterTimeline>), SimError> {
+        let prep = ClusterPrep::new(self.validate(reading)?, cache);
+        let mut timeline =
+            (reading == Reading::Traced).then(|| ClusterTimeline::new(&prep.cluster));
+        // No later point asks for a phase-average point's phase runs again.
+        let phases = (prep.meter == Meter::PerNode).then_some(cache);
+        let faults = self.active_faults();
+        let scratch = &mut RunScratch::default();
+        let m = prep.run(faults.as_ref(), phases, scratch, timeline.as_mut())?;
+        Ok((m, timeline))
     }
 }
 
-/// Fallible [`simulate_cluster`] against an explicit cache: with an
-/// active [`FaultConfig`] the run injects the plan's task failures, node
-/// crashes and stragglers, and recovers per the configured policy; an
-/// unrecoverable run (a task out of attempts, or no usable slots left)
-/// surfaces as `Err` — Hadoop's "job failed" — instead of a panic.
-///
-/// # Errors
-///
-/// Returns the [`PhaseError`] of the first unrecoverable phase.
+/// [`SimConfig::run`] read by its own meter against the process-wide
+/// [`SimCache`]: the measurement alone.
 ///
 /// # Panics
 ///
-/// Panics on a degenerate configuration (no nodes, no data) or if an
-/// accelerator is configured (offload is not modeled per node).
-pub fn try_simulate_cluster_with(
-    cfg: &SimConfig,
-    cache: &SimCache,
-) -> Result<(Measurement, ClusterTimeline), PhaseError> {
-    let prep = ClusterPrep::new(cfg, cache);
-    let mut timeline = ClusterTimeline::new(&prep.cluster);
-    let faults = cfg.active_faults();
-    let scratch = &mut RunScratch::default();
-    let m = prep.run(
-        Meter::PerNode,
-        faults.as_ref(),
-        Some(cache),
-        scratch,
-        Some(&mut timeline),
-    )?;
-    Ok((m, timeline))
+/// Panics with the [`SimError`] when the config breaks the contract or
+/// fault injection makes the run unrecoverable.
+pub fn simulate(cfg: &SimConfig) -> Measurement {
+    recovered(cfg.run(SimCache::global(), Reading::Auto)).0
 }
 
-/// The measurement of [`try_simulate_cluster_with`] alone: the same run
-/// with no timeline to fill.
-pub(crate) fn try_measure_cluster(
-    cfg: &SimConfig,
-    cache: &SimCache,
-) -> Result<Measurement, PhaseError> {
-    measure(cfg, Meter::PerNode, cache)
+/// What the infallible wrappers ([`simulate`], the grid and plan runners)
+/// make of a run's outcome.
+pub(crate) fn recovered<T>(outcome: Result<T, SimError>) -> T {
+    match outcome {
+        Ok(r) => r,
+        // hhsim: allow(panic-in-engine): the infallible wrappers' one panic; SimConfig::run returns the same error typed
+        Err(e) => panic!("simulation failed: {e}"),
+    }
 }

@@ -14,6 +14,18 @@ fn base(app: AppId, m: MachineModel) -> SimConfig {
     SimConfig::new(app, m)
 }
 
+/// `cfg` read per node with its timeline, on the process-wide memo.
+fn traced(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
+    let (m, timeline) =
+        (cfg.run(SimCache::global(), Reading::Traced)).expect("a valid run completes");
+    (m, timeline.expect("a traced run fills a timeline"))
+}
+
+/// `cfg` read per node without a timeline, on `cache`.
+fn per_node(cfg: &SimConfig, cache: &SimCache) -> Result<Measurement, SimError> {
+    cfg.run(cache, Reading::PerNode).map(|(m, _)| m)
+}
+
 #[test]
 fn xeon_is_faster_everywhere() {
     for app in AppId::ALL {
@@ -141,7 +153,7 @@ fn mixed_cluster_runs_and_traces() {
         little: 2,
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
-    let (m, tl) = simulate_cluster(&cfg);
+    let (m, tl) = traced(&cfg);
     assert_eq!(m.machine_name, "Mixed(1xXeon+2xAtom)");
     assert_eq!(tl.nodes.len(), 3);
     assert!(!tl.is_empty());
@@ -158,8 +170,8 @@ fn mixed_cluster_is_deterministic() {
         little: 1,
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
-    let (m1, t1) = simulate_cluster(&cfg);
-    let (m2, t2) = simulate_cluster(&cfg);
+    let (m1, t1) = traced(&cfg);
+    let (m2, t2) = traced(&cfg);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
     assert_eq!(
@@ -182,8 +194,8 @@ fn none_faults_config_is_bitwise_identical_to_no_faults() {
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
     let mixed_none = mixed.clone().faults(FaultConfig::none());
-    let (m1, t1) = simulate_cluster(&mixed);
-    let (m2, t2) = simulate_cluster(&mixed_none);
+    let (m1, t1) = traced(&mixed);
+    let (m2, t2) = traced(&mixed_none);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
     assert_eq!(
@@ -206,8 +218,8 @@ fn flat_topology_config_is_bitwise_identical_to_no_topology() {
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
     let mixed_flat = mixed.clone().topology(Topology::flat());
-    let (m1, t1) = simulate_cluster(&mixed);
-    let (m2, t2) = simulate_cluster(&mixed_flat);
+    let (m1, t1) = traced(&mixed);
+    let (m2, t2) = traced(&mixed_flat);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
     assert_eq!(
@@ -225,7 +237,7 @@ fn active_topology_routes_through_the_cluster_engine() {
     let cfg = base(AppId::TeraSort, presets::xeon_e5_2420())
         .data_per_node(4 << 30)
         .topology(Topology::racked(3, 8.0));
-    let (m, tl) = simulate_cluster(&cfg);
+    let (m, tl) = traced(&cfg);
     // simulate() routes topology-active configs through the engine.
     assert_eq!(simulate(&cfg), m);
     // The HDFS-default layout keeps most reads node-local (first
@@ -291,8 +303,8 @@ fn faulty_mixed_run_is_deterministic_and_counts_faults() {
             placement: PlacementKind::PaperClass(MetricKind::Edp),
         })
         .faults(faults);
-    let (m1, t1) = simulate_cluster(&cfg);
-    let (m2, t2) = simulate_cluster(&cfg);
+    let (m1, t1) = traced(&cfg);
+    let (m2, t2) = traced(&cfg);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
     assert!(
@@ -301,7 +313,7 @@ fn faulty_mixed_run_is_deterministic_and_counts_faults() {
     );
     assert!(m1.faults.wasted_slot_s > 0.0);
 
-    let clean = simulate_cluster(&cfg.clone().faults(FaultConfig::none())).0;
+    let clean = traced(&cfg.clone().faults(FaultConfig::none())).0;
     assert!(
         m1.breakdown.total() > clean.breakdown.total(),
         "re-execution and stragglers must cost wall-clock time"
@@ -315,8 +327,10 @@ fn cluster_wide_crash_surfaces_a_clean_error() {
     // finish; the fallible API reports it instead of hanging or panicking.
     let cfg = base(AppId::WordCount, presets::xeon_e5_2420())
         .faults(FaultConfig::none().seed(7).node_mttf(1e-3));
-    match try_simulate_cluster_with(&cfg, SimCache::global()) {
-        Err(PhaseError::NoUsableSlots { pending }) => assert!(pending > 0),
+    match cfg.run(SimCache::global(), Reading::Traced) {
+        Err(SimError::Unrecoverable(PhaseError::NoUsableSlots { pending })) => {
+            assert!(pending > 0)
+        }
         other => panic!("expected NoUsableSlots, got {other:?}"),
     }
 }
@@ -369,28 +383,32 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
     ];
     let pricing = SimCache::new();
     for (shape, cfg) in shapes {
-        let prep = ClusterPrep::new(&cfg, &pricing);
+        let valid = cfg.validate(Reading::PerNode).expect("a valid config");
+        let prep = ClusterPrep::new(valid, &pricing);
         let faults = cfg.active_faults();
         // A cold phase table on either side: both run the engines.
-        let blind = prep.run(
-            Meter::PerNode,
-            faults.as_ref(),
-            Some(&SimCache::new()),
-            &mut RunScratch::default(),
-            None,
-        );
+        let blind = prep
+            .run(
+                faults.as_ref(),
+                Some(&SimCache::new()),
+                &mut RunScratch::default(),
+                None,
+            )
+            .map_err(SimError::from);
         let mut sink = ClusterTimeline::new(&prep.cluster);
-        let seen = prep.run(
-            Meter::PerNode,
-            faults.as_ref(),
-            Some(&SimCache::new()),
-            &mut RunScratch::default(),
-            Some(&mut sink),
-        );
+        let seen = prep
+            .run(
+                faults.as_ref(),
+                Some(&SimCache::new()),
+                &mut RunScratch::default(),
+                Some(&mut sink),
+            )
+            .map_err(SimError::from);
         assert_eq!(blind, seen, "{shape}");
-        assert_eq!(blind, try_measure_cluster(&cfg, &pricing), "{shape}");
-        match try_simulate_cluster_with(&cfg, &pricing) {
+        assert_eq!(blind, per_node(&cfg, &pricing), "{shape}");
+        match cfg.run(&pricing, Reading::Traced) {
             Ok((m, timeline)) => {
+                let timeline = timeline.expect("a traced run fills a timeline");
                 assert_eq!(Ok(m), seen, "{shape}");
                 assert_eq!(timeline, sink, "{shape}");
                 assert!(!timeline.is_empty(), "{shape}");
@@ -407,11 +425,12 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
 fn prep_is_reusable_across_seeds() {
     let fc = crate::figures::fig22_faults(4.0, true);
     let cfg = racked(Some(fc));
-    let prep = ClusterPrep::new(&cfg, &SimCache::new());
+    let valid = cfg.validate(Reading::PerNode).expect("a valid config");
+    let prep = ClusterPrep::new(valid, &SimCache::new());
     let scratch = &mut RunScratch::default();
     let cache = SimCache::new();
     let mut run = |seed: u64, phases: Option<&SimCache>| {
-        prep.run(Meter::PerNode, Some(&fc.seed(seed)), phases, scratch, None)
+        prep.run(Some(&fc.seed(seed)), phases, scratch, None)
     };
     // Seed 5 loses a rack mid-shuffle and recovers; seed 3 loses every
     // replica of a block and dies in the reduce phase.
@@ -438,7 +457,7 @@ fn failed_run_leaves_no_phase_entry() {
     // A run that dies in its first phase leaves the table where it was.
     let doomed = base(AppId::TeraSort, presets::xeon_e5_2420())
         .faults(FaultConfig::none().seed(7).node_mttf(1e-3));
-    assert!(try_measure_cluster(&doomed, &cache).is_err());
+    assert!(per_node(&doomed, &cache).is_err());
     assert_eq!(entries(), 0);
     // Seed 3 of the fig22 rack loses every replica of a block in the
     // reduce phase: the map run it completed is held, the phase that
@@ -446,20 +465,20 @@ fn failed_run_leaves_no_phase_entry() {
     let dying = racked(Some(fc.seed(3)));
     for _ in 0..2 {
         assert!(matches!(
-            try_measure_cluster(&dying, &cache),
-            Err(PhaseError::DataLost { .. })
+            per_node(&dying, &cache),
+            Err(SimError::Unrecoverable(PhaseError::DataLost { .. }))
         ));
         assert_eq!(entries(), 1);
     }
     // The same config at a seed that survives adds both of its phases.
-    assert!(try_measure_cluster(&racked(Some(fc.seed(5))), &cache).is_ok());
+    assert!(per_node(&racked(Some(fc.seed(5))), &cache).is_ok());
     assert_eq!(entries(), 3);
 }
 
 #[test]
 fn homogeneous_trace_covers_cluster() {
     let cfg = base(AppId::Grep, presets::atom_c2758());
-    let (m, tl) = simulate_cluster(&cfg);
+    let (m, tl) = traced(&cfg);
     assert_eq!(tl.nodes.len(), 3);
     assert_eq!(m.machine_name, cfg.machine.name);
     // Grep chains two jobs: phase labels carry the job index.
@@ -480,7 +499,7 @@ fn both_meters_read_the_same_run() {
                         cfg.mappers_per_node = mappers;
                         let point = format!("{app}/{}/{f:?}/{block:?}/{mappers:?}", m.name);
                         let averaged = simulate(&cfg);
-                        let (per_node, _) = simulate_cluster(&cfg);
+                        let (per_node, _) = traced(&cfg);
                         assert_eq!(averaged.breakdown, per_node.breakdown, "{point}");
                         assert_eq!(averaged.map_slots, per_node.map_slots, "{point}");
                         assert_eq!(averaged.reduce_slots, per_node.reduce_slots, "{point}");
@@ -510,8 +529,8 @@ fn zero_sided_mix_is_the_homogeneous_cluster() {
                 little,
                 placement: PlacementKind::FifoAny,
             });
-            let (homogeneous, plain_timeline) = simulate_cluster(&plain);
-            let (mut mixed, mix_timeline) = simulate_cluster(&mix);
+            let (homogeneous, plain_timeline) = traced(&plain);
+            let (mut mixed, mix_timeline) = traced(&mix);
             assert_eq!(
                 mixed.machine_name,
                 format!("Mixed({big}xXeon+{little}xAtom)")

@@ -15,7 +15,8 @@
 //!
 //! The process-wide instance is [`SimCache::global`]; tests that need an
 //! uncached reference can construct private instances with
-//! [`SimCache::new`] and run [`crate::simulate_with`] against them.
+//! [`SimCache::new`] and run [`SimConfig::run`](crate::SimConfig::run)
+//! against them.
 
 // Keyed lookup only — entries are fetched by exact key and never
 // iterated, so hash order cannot reach simulation output. Mirrors the

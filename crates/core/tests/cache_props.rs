@@ -7,8 +7,13 @@
 use hhsim_core::arch::{presets, Frequency, MachineModel};
 use hhsim_core::hdfs::BlockSize;
 use hhsim_core::workloads::AppId;
-use hhsim_core::{simulate_with, SimCache, SimConfig};
+use hhsim_core::{Measurement, Reading, SimCache, SimConfig};
 use hhsim_testkit::{check, Gen};
+
+/// `cfg` through the door on `cache`, read by its own meter.
+fn simulate_on(cfg: &SimConfig, cache: &SimCache) -> Measurement {
+    cfg.run(cache, Reading::Auto).expect("a valid point").0
+}
 
 const APPS: [AppId; 5] = [
     AppId::WordCount,
@@ -53,9 +58,9 @@ fn cached_simulate_equals_uncached() {
     let shared = SimCache::new();
     check(12, |g| {
         let cfg = arb_cfg(g);
-        let uncached = simulate_with(&cfg, &SimCache::new());
-        let cached = simulate_with(&cfg, &shared);
-        let cached_again = simulate_with(&cfg, &shared);
+        let uncached = simulate_on(&cfg, &SimCache::new());
+        let cached = simulate_on(&cfg, &shared);
+        let cached_again = simulate_on(&cfg, &shared);
         assert_eq!(uncached, cached, "cache changed the result for {cfg:?}");
         assert_eq!(cached, cached_again, "warm re-read diverged for {cfg:?}");
     });
@@ -72,18 +77,18 @@ fn concurrent_cache_access_is_consistent() {
         let cfgs: Vec<SimConfig> = (0..3).map(|_| arb_cfg(g)).collect();
         let cache = SimCache::new();
         // 2 threads per config, all racing on the same fresh cache.
-        let results: Vec<(usize, hhsim_core::Measurement)> = std::thread::scope(|s| {
+        let results: Vec<(usize, Measurement)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..6)
                 .map(|i| {
                     let cfgs = &cfgs;
                     let cache = &cache;
-                    s.spawn(move || (i % 3, simulate_with(&cfgs[i % 3], cache)))
+                    s.spawn(move || (i % 3, simulate_on(&cfgs[i % 3], cache)))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (i, meas) in results {
-            let reference = simulate_with(&cfgs[i], &SimCache::new());
+            let reference = simulate_on(&cfgs[i], &SimCache::new());
             assert_eq!(
                 meas, reference,
                 "concurrent result diverged for {:?}",

@@ -13,8 +13,14 @@ use hhsim_core::faults::{
 use hhsim_core::figures::{fig22_faults, FIG22_OVERSUB, MICRO_DATA, TOPO_NODES, TOPO_RACKS};
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{simulate_cluster, try_simulate_cluster_with, SimCache, SimConfig};
+use hhsim_core::{ClusterTimeline, Measurement, Reading, SimCache, SimConfig, SimError};
 use hhsim_testkit::{check, streamed, Gen};
+
+/// `cfg` read per node with its timeline, on the process-wide memo.
+fn traced(cfg: &SimConfig) -> Result<(Measurement, ClusterTimeline), SimError> {
+    let (m, timeline) = cfg.run(SimCache::global(), Reading::Traced)?;
+    Ok((m, timeline.expect("a traced run fills a timeline")))
+}
 
 struct Scenario {
     cluster: Cluster,
@@ -268,10 +274,9 @@ fn all_replicas_lost_surfaces_data_lost_end_to_end() {
         .topology(Topology::racked(TOPO_RACKS, FIG22_OVERSUB))
         .faults(fig22_faults(4.0, true));
     c.nodes = TOPO_NODES;
-    let err = try_simulate_cluster_with(&c, SimCache::global())
-        .expect_err("both replica racks die under this seed");
+    let err = traced(&c).expect_err("both replica racks die under this seed");
     assert!(
-        matches!(err, PhaseError::DataLost { .. }),
+        matches!(err, SimError::Unrecoverable(PhaseError::DataLost { .. })),
         "expected DataLost, got: {err}"
     );
     assert!(
@@ -302,9 +307,9 @@ fn inactive_domains_are_bitwise_invisible_at_model_level() {
     let with_empty = base().faults(faults.domains(DomainConfig::none()));
     // Racks declared but no switch/rack/link hazard: still inactive.
     let with_idle_racks = base().faults(faults.domains(DomainConfig::none().racks(TOPO_RACKS)));
-    let (m0, t0) = simulate_cluster(&without);
+    let (m0, t0) = traced(&without).expect("the run recovers");
     for cfg in [with_empty, with_idle_racks] {
-        let (m, t) = simulate_cluster(&cfg);
+        let (m, t) = traced(&cfg).expect("the run recovers");
         assert_eq!(m0, m, "inactive domains changed the measurement");
         assert_eq!(
             streamed(|w| t0.write_chrome_trace(w)),

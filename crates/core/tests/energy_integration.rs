@@ -13,7 +13,7 @@ use hhsim_core::{figures, FigureData};
 fn engine_exact_energy_tracks_metered_energy() {
     use hhsim_core::arch::presets;
     use hhsim_core::workloads::AppId;
-    use hhsim_core::{simulate_with, SimCache, SimConfig};
+    use hhsim_core::{Reading, SimCache, SimConfig};
 
     let cache = SimCache::new();
     for (app, machine) in [
@@ -21,7 +21,9 @@ fn engine_exact_energy_tracks_metered_energy() {
         (AppId::TeraSort, presets::xeon_e5_2420()),
     ] {
         let cfg = SimConfig::new(app, machine).faults(figures::fig19_faults(0.06, true));
-        let m = simulate_with(&cfg, &cache);
+        let (m, _) = cfg
+            .run(&cache, Reading::Auto)
+            .expect("fig19's fault model recovers");
         assert!(m.exact_energy_j > 0.0, "{app:?}: exact energy present");
         // Long cluster runs sample thousands of 1 Hz points, so the
         // views agree tightly; the exact value is the ground truth.

@@ -7,8 +7,17 @@ use hhsim_core::arch::presets;
 use hhsim_core::energy::MetricKind;
 use hhsim_core::faults::FaultConfig;
 use hhsim_core::workloads::AppId;
-use hhsim_core::{figures, harness, simulate_cluster, NodeMix, PlacementKind, SimConfig};
+use hhsim_core::{
+    figures, harness, ClusterTimeline, Measurement, NodeMix, PlacementKind, Reading, SimCache,
+    SimConfig,
+};
 use hhsim_testkit::streamed;
+
+/// `cfg` read per node with its timeline, on the process-wide memo.
+fn traced(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
+    let (m, timeline) = (cfg.run(SimCache::global(), Reading::Traced)).expect("the run recovers");
+    (m, timeline.expect("a traced run fills a timeline"))
+}
 
 /// A small grid of fault-injected points spanning both phases' failure
 /// rates, stragglers, speculation on/off and homogeneous vs mixed
@@ -66,8 +75,8 @@ fn fault_outputs_are_identical_across_jobs() {
     // schedule itself (who failed, where, which attempt) is pinned by the
     // trace args.
     let cfg = &grid[3];
-    let (m1, t1) = simulate_cluster(cfg);
-    let (m2, t2) = simulate_cluster(cfg);
+    let (m1, t1) = traced(cfg);
+    let (m2, t2) = traced(cfg);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
     assert_eq!(
@@ -82,8 +91,8 @@ fn fault_outputs_are_identical_across_jobs() {
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
     let with_none = clean.clone().faults(FaultConfig::none());
-    let (ma, ta) = simulate_cluster(&clean);
-    let (mb, tb) = simulate_cluster(&with_none);
+    let (ma, ta) = traced(&clean);
+    let (mb, tb) = traced(&with_none);
     assert_eq!(ma, mb);
     assert_eq!(
         streamed(|w| ta.write_chrome_trace(w)),

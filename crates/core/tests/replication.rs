@@ -17,9 +17,14 @@ use hhsim_core::harness::Aggregate;
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
 use hhsim_core::{
-    figures, set_jobs, try_simulate_cluster_with, NodeMix, PlacementKind, ReplicationPlan,
-    SimCache, SimConfig,
+    figures, set_jobs, Measurement, NodeMix, PlacementKind, Reading, ReplicationPlan, SimCache,
+    SimConfig,
 };
+
+/// `cfg` through the door on `cache`, read by its own meter.
+fn simulate_on(cfg: &SimConfig, cache: &SimCache) -> Measurement {
+    cfg.run(cache, Reading::Auto).expect("the run recovers").0
+}
 
 fn faulty_cfg(map_rate: f64, reduce_rate: f64) -> SimConfig {
     // 64 MB blocks (the fig19/fig20 fault-study block size) keep tasks
@@ -94,14 +99,12 @@ fn warm_and_cold_caches_agree() {
 /// reduce phase: one map-phase entry serves the whole sweep.
 #[test]
 fn reduce_only_sweep_computes_map_phase_once() {
-    use hhsim_core::simulate_with;
-
     let cache = SimCache::new();
     let rates = [0.0, 0.15, 0.3, 0.45];
     let mut results = Vec::new();
     let mut entries = Vec::new();
     for &r in &rates {
-        results.push(simulate_with(&faulty_cfg(0.05, r), &cache));
+        results.push(simulate_on(&faulty_cfg(0.05, r), &cache));
         entries.push(cache.stats().phase_entries);
     }
     // First run inserts map + reduce entries; every further rate may
@@ -147,7 +150,7 @@ fn reduce_only_sweep_computes_map_phase_once() {
     }
 }
 
-/// Replications through the plan equal one-at-a-time `simulate_with`
+/// Replications through the plan equal one-at-a-time `SimConfig::run`
 /// calls with the seed spliced into the config — the engine adds
 /// batching, not semantics.
 #[test]
@@ -159,7 +162,7 @@ fn plan_matches_sequential_simulation() {
     for s in seeds {
         let base = faulty_cfg(0.06, 0.06);
         let faults = base.faults.expect("faulty cfg").seed(s);
-        let m = hhsim_core::simulate_with(&base.faults(faults), &cache);
+        let m = simulate_on(&base.faults(faults), &cache);
         makespans.push(m.breakdown.total());
     }
     let mean = makespans.iter().sum::<f64>() / makespans.len() as f64;
@@ -195,7 +198,7 @@ fn rack_cfg() -> SimConfig {
 
 /// The fig22 rack configuration takes the
 /// `FetchPlan` path and kills some seeds outright (`DataLost`). The plan
-/// must agree with one-at-a-time `try_simulate_cluster_with` calls, which
+/// must agree with one-at-a-time traced `SimConfig::run` calls, which
 /// build prep, buffers and timeline per seed, on which seeds die and, to
 /// the bit, on everything the survivors report.
 #[test]
@@ -209,9 +212,9 @@ fn rack_plan_matches_sequential_runs_bit_for_bit() {
     let mut faults = FaultStats::default();
     for seed in seeds.clone() {
         let fc = cfg.faults.expect("faulty cfg").seed(seed);
-        match try_simulate_cluster_with(&cfg.clone().faults(fc), &cache) {
+        match cfg.clone().faults(fc).run(&cache, Reading::Traced) {
             Ok((m, timeline)) => {
-                assert!(!timeline.is_empty());
+                assert!(timeline.is_some_and(|t| !t.is_empty()));
                 faults.absorb(&m.faults);
                 survivors.push(m);
             }
@@ -224,7 +227,7 @@ fn rack_plan_matches_sequential_runs_bit_for_bit() {
     );
     assert!(faults.fetch_failures > 0 && faults.reexecuted_maps > 0);
 
-    let extremes = |of: fn(&hhsim_core::Measurement) -> f64| {
+    let extremes = |of: fn(&Measurement) -> f64| {
         let values = survivors.iter().map(of);
         let min = values.clone().fold(f64::INFINITY, f64::min);
         let max = values.fold(f64::NEG_INFINITY, f64::max);

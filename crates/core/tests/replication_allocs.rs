@@ -6,8 +6,8 @@
 //! one through `ReplicationPlan::run_with` at one worker, 512 rack seeds
 //! more to see that what a plan leaves behind does not grow with what it
 //! ran, then three plain
-//! points through `simulate_with` and one of them through
-//! `try_simulate_cluster_with`, all on a private memo that already holds
+//! points through `SimConfig::run` read by their own meter and one of them
+//! traced, all on a private memo that already holds
 //! everything the point looks up; then `run_phase` with locality on
 //! 2 000 nodes at two task counts, which must cost the same number of
 //! calls; last, `run_phase_faulty_fetch` over 10 k map outputs on 500 and
@@ -31,10 +31,7 @@ use hhsim_core::figures::{
 };
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{
-    simulate_with, try_simulate_cluster_with, NodeMix, PlacementKind, ReplicationPlan, SimCache,
-    SimConfig,
-};
+use hhsim_core::{NodeMix, PlacementKind, Reading, ReplicationPlan, SimCache, SimConfig};
 
 struct Counting;
 
@@ -146,9 +143,9 @@ const MEASURED_RACK: u64 = 44;
 const MEASURED_SMALL: u64 = 14;
 
 /// Three plain points (Atom preset, 512 MB blocks, 1.8 GHz) priced warm
-/// through `simulate_with`: the app, then (allocator calls, requested
-/// bytes) at the parent commit (PR 17), which priced them in
-/// `simulate_with` itself, without a `ClusterPrep`. The one pipeline may
+/// through `SimConfig::run` with `Reading::Auto`: the app, then
+/// (allocator calls, requested bytes) at the parent commit (PR 17), which
+/// priced them without a `ClusterPrep`. The one pipeline may
 /// cost a plain point one call and 450 bytes more than that, no further:
 /// `figures-warm`'s 1 % bounds leave 1.7 calls and 314 bytes per plain
 /// point.
@@ -167,8 +164,8 @@ fn warm_points_allocate_within_the_ratchet() {
     let plain = |app| SimConfig::new(app, presets::atom_c2758());
     for (app, parent_calls, parent_bytes) in PARENT_PLAIN {
         let cfg = plain(app);
-        let cold = simulate_with(&cfg, &cache);
-        let (warm, calls, bytes) = counted(|| simulate_with(&cfg, &cache));
+        let cold = cfg.run(&cache, Reading::Auto);
+        let (warm, calls, bytes) = counted(|| cfg.run(&cache, Reading::Auto));
         assert_eq!(warm, cold);
         println!("warm plain point {app}: {calls} calls, {bytes} bytes");
         assert!(
@@ -177,8 +174,8 @@ fn warm_points_allocate_within_the_ratchet() {
         );
     }
     let cfg = plain(AppId::WordCount);
-    let cold = try_simulate_cluster_with(&cfg, &cache);
-    let (warm, calls, bytes) = counted(|| try_simulate_cluster_with(&cfg, &cache));
+    let cold = cfg.run(&cache, Reading::Traced);
+    let (warm, calls, bytes) = counted(|| cfg.run(&cache, Reading::Traced));
     assert_eq!(warm, cold);
     println!("warm engine-path point with a timeline: {calls} calls, {bytes} bytes");
     assert!(calls <= ENGINE_POINT_MAX, "{calls} calls");
