@@ -6,6 +6,21 @@
 //! accumulates per-level hit/miss statistics, from which misses-per-kilo-
 //! instruction and average stall latencies are derived for the analytical
 //! core model.
+//!
+//! One kernel serves every level: [`Cache::access`] is one body generic
+//! over the way count, picked per level in [`Cache::new`], which finds a
+//! hit as one bit per way of a `u32` match mask. A set is therefore at most
+//! [`MAX_WAYS`] ways wide, and a level at most [`MAX_LINES`] lines large;
+//! [`CacheConfig::check`] is that contract.
+
+/// The widest set a [`Cache`] simulates: its kernel finds a hit as one bit
+/// per way of a `u32` match mask.
+pub const MAX_WAYS: usize = 32;
+
+/// The most lines a [`Cache`] holds. A line costs 16 B of tag and stamp,
+/// so this is 64 MiB of simulator state: a 256 MiB level of 64-byte lines
+/// (the presets' largest, the Xeon's 15 MB L3, is 245 760 lines).
+pub const MAX_LINES: usize = 1 << 22;
 
 /// Replacement policy of a cache level.
 ///
@@ -58,8 +73,8 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any geometry parameter is zero, if the line size is not a
-    /// power of two, or if `size` is not divisible by `assoc * line`.
+    /// Panics with the reason [`CacheConfig::check`] gives if a [`Cache`]
+    /// cannot simulate the level.
     pub fn new(
         name: impl Into<String>,
         size_bytes: usize,
@@ -67,22 +82,44 @@ impl CacheConfig {
         line_bytes: usize,
         latency_cycles: f64,
     ) -> Self {
-        assert!(size_bytes > 0 && associativity > 0 && line_bytes > 0);
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(
-            size_bytes % (associativity * line_bytes) == 0,
-            "size must be divisible by associativity * line size"
-        );
-        CacheConfig {
+        let config = CacheConfig {
             name: name.into(),
             size_bytes,
             associativity,
             line_bytes,
             latency_cycles,
             replacement: Replacement::Lru,
+        };
+        if let Err(why) = config.check() {
+            panic!("{}: {why}", config.name);
+        }
+        config
+    }
+
+    /// Whether a [`Cache`] can simulate this level, or why not: the size
+    /// must be a whole number of sets of at most [`MAX_WAYS`] ways, the
+    /// line size a power of two, the level at most [`MAX_LINES`] lines and
+    /// its latency finite and non-negative.
+    ///
+    /// # Errors
+    ///
+    /// The first of those the level breaks.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let set_bytes = self.associativity.checked_mul(self.line_bytes);
+        if self.size_bytes == 0 {
+            Err("size must be positive")
+        } else if !(1..=MAX_WAYS).contains(&self.associativity) {
+            Err("associativity must be 1 to MAX_WAYS (32) ways")
+        } else if !self.line_bytes.is_power_of_two() {
+            Err("line size must be a power of two")
+        } else if set_bytes.map_or(true, |b| self.size_bytes % b != 0) {
+            Err("size must be divisible by associativity * line size")
+        } else if self.size_bytes / self.line_bytes > MAX_LINES {
+            Err("size must be at most MAX_LINES lines")
+        } else if !(self.latency_cycles.is_finite() && self.latency_cycles >= 0.0) {
+            Err("latency must be finite and non-negative")
+        } else {
+            Ok(())
         }
     }
 
@@ -123,10 +160,24 @@ impl LevelStats {
     }
 }
 
+/// [`Cache::access`] for one way count: `Cache::access_ways::<W>`.
+type Kernel = fn(&mut Cache, u64) -> bool;
+
+macro_rules! kernels {
+    ($($ways:literal)*) => {
+        /// The kernel of each associativity `W`, at index `W - 1`.
+        const KERNELS: [Kernel; MAX_WAYS] = [$(Cache::access_ways::<$ways>),*];
+    };
+}
+
+kernels!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+
 /// One set-associative, true-LRU cache level.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// The kernel of this level's associativity, picked in [`Cache::new`].
+    kernel: Kernel,
     /// `tags[set][way]`; `u64::MAX` marks an empty way.
     tags: Vec<u64>,
     /// LRU stamps parallel to `tags`; larger = more recently used.
@@ -144,10 +195,19 @@ pub struct Cache {
 
 impl Cache {
     /// Builds an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the reason [`CacheConfig::check`] gives if the geometry
+    /// cannot be simulated.
     pub fn new(config: CacheConfig) -> Self {
+        if let Err(why) = config.check() {
+            panic!("cannot simulate {}: {why}", config.name);
+        }
         let num_sets = config.num_sets();
         let slots = num_sets * config.associativity;
         Cache {
+            kernel: KERNELS[config.associativity - 1],
             tags: vec![u64::MAX; slots],
             stamps: vec![0; slots],
             clock: 0,
@@ -174,6 +234,17 @@ impl Cache {
     /// Looks up (and on miss, fills) the line containing `addr`.
     /// Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
+        (self.kernel)(self, addr)
+    }
+
+    /// [`Cache::access`] on sets of `W` ways. The set's tags and stamps are
+    /// read as `[u64; W]`, and a hit is found as one bit per way of a match
+    /// mask rather than by a scan that exits at the hit: which way hits is
+    /// data the branch predictor cannot learn, the mask's one branch is
+    /// hit-or-miss. One body for all three policies; the victim is the
+    /// first way holding the smallest stamp (under FIFO stamps are written
+    /// on fill only, so that is the oldest fill).
+    fn access_ways<const W: usize>(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
@@ -181,26 +252,31 @@ impl Cache {
             Some(shift) => (line & (self.num_sets - 1), line >> shift),
             None => (line % self.num_sets, line / self.num_sets),
         };
-        let ways = self.config.associativity;
-        let base = set as usize * ways;
+        let base = set as usize * W;
+        let ways = base..base + W;
+        let tags: &mut [u64; W] = (&mut self.tags[ways.clone()]).try_into().expect("W ways");
+        let stamps: &mut [u64; W] = (&mut self.stamps[ways]).try_into().expect("W ways");
 
-        // Hits dominate: scan the set's tags alone, and look at the
-        // stamps only when a victim is needed.
-        if let Some(way) = self.tags[base..base + ways].iter().position(|&t| t == tag) {
+        let mut hits = 0u32;
+        for (way, &t) in tags.iter().enumerate() {
+            hits |= u32::from(t == tag) << way;
+        }
+        if hits != 0 {
             if self.config.replacement == Replacement::Lru {
-                self.stamps[base + way] = self.clock;
+                stamps[hits.trailing_zeros() as usize] = self.clock;
             }
             self.stats.hits += 1;
             return true;
         }
         let way = match self.config.replacement {
-            // The first way holding the smallest stamp. Under FIFO,
-            // stamps are only written on fill, so that is the
-            // oldest-filled way — same scan, different maintenance.
             Replacement::Lru | Replacement::Fifo => {
-                let stamps = self.stamps[base..base + ways].iter().enumerate();
-                // `min_by_key` keeps the first of equal minima.
-                stamps.min_by_key(|&(_, &s)| s).map_or(0, |(w, _)| w)
+                let (mut victim, mut oldest) = (0, stamps[0]);
+                for (way, &s) in stamps.iter().enumerate().skip(1) {
+                    if s < oldest {
+                        (victim, oldest) = (way, s);
+                    }
+                }
+                victim
             }
             Replacement::Random => {
                 // xorshift64* over the access counter: deterministic.
@@ -208,17 +284,17 @@ impl Cache {
                 x ^= x >> 12;
                 x ^= x << 25;
                 x ^= x >> 27;
-                x as usize % ways
+                x as usize % W
             }
         };
-        self.tags[base + way] = tag;
-        self.stamps[base + way] = self.clock;
+        tags[way] = tag;
+        stamps[way] = self.clock;
         false
     }
 
-    /// The kernel [`Cache::access`] replaced, kept as the oracle it must
-    /// match access for access: geometry recomputed per call, tags and
-    /// stamps scanned in one loop.
+    /// The oracle every [`Cache::access`] kernel must match access for
+    /// access: geometry recomputed per call, tags and stamps scanned in
+    /// one loop that exits at the hit.
     #[cfg(test)]
     fn access_reference(&mut self, addr: u64) -> bool {
         self.clock += 1;
@@ -469,6 +545,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot simulate wide: associativity must be 1 to MAX_WAYS")]
+    fn rejects_a_set_one_way_wider_than_the_mask() {
+        let ways = MAX_WAYS + 1;
+        let _ = Cache::new(CacheConfig {
+            name: "wide".into(),
+            size_bytes: 4 * ways * 64,
+            associativity: ways,
+            line_bytes: 64,
+            latency_cycles: 1.0,
+            replacement: Replacement::Lru,
+        });
+    }
+
+    #[test]
+    fn check_names_what_cannot_be_simulated() {
+        let good = CacheConfig::new("L1d", 32 * 1024, 8, 64, 4.0);
+        assert_eq!(good.check(), Ok(()));
+        let broken = |edit: fn(&mut CacheConfig)| {
+            let mut c = good.clone();
+            edit(&mut c);
+            c.check().expect_err("a broken level")
+        };
+        assert!(broken(|c| c.size_bytes = 0).contains("positive"));
+        assert!(broken(|c| c.associativity = 0).contains("associativity"));
+        assert!(broken(|c| c.associativity = MAX_WAYS + 1).contains("associativity"));
+        assert!(broken(|c| c.line_bytes = 48).contains("power of two"));
+        assert!(broken(|c| c.line_bytes = 0).contains("power of two"));
+        assert!(broken(|c| c.size_bytes = 1000).contains("divisible"));
+        assert!(broken(|c| c.line_bytes = 1 << 62).contains("divisible"));
+        assert!(broken(|c| c.size_bytes = (MAX_LINES + 8) * 64).contains("MAX_LINES"));
+        assert!(broken(|c| c.latency_cycles = f64::NAN).contains("latency"));
+        assert!(broken(|c| c.latency_cycles = -1.0).contains("latency"));
+        let mut widest = good.clone();
+        (widest.associativity, widest.size_bytes) = (MAX_WAYS, MAX_LINES * 64);
+        assert_eq!(widest.check(), Ok(()), "both limits are inclusive");
+    }
+
+    #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
         assert!(!c.access(0));
@@ -557,11 +671,18 @@ mod tests {
 
         const ACCESSES: usize = 120_000;
         // Power-of-two sets (64), the Xeon L3's 12 288 sets, and the
-        // Atom's 6-way L1 (64 sets, non-power-of-two ways).
+        // Atom's 6-way L1 (64 sets, non-power-of-two ways); then the
+        // kernel table's edges: direct-mapped, 2 ways, 3 ways over 96
+        // sets, 12 ways, and the widest set the match mask holds.
         let geometries = [
             ("L1d", 32 * 1024, 8),
             ("L3", 15 * 1024 * 1024, 20),
             ("L1d6", 24 * 1024, 6),
+            ("direct", 32 * 1024, 1),
+            ("2-way", 16 * 1024, 2),
+            ("3-way", 18 * 1024, 3),
+            ("12-way", 48 * 1024, 12),
+            ("widest", 64 * 1024, MAX_WAYS),
         ];
         let profiles = [
             ComputeProfile::hadoop_average(),

@@ -108,14 +108,25 @@ pub struct MachineModel {
     pub memory_gb: f64,
 }
 
+/// What [`StallKey`] holds of one cache level: size, associativity, line
+/// bytes, latency bits, replacement policy.
+type LevelKey = (usize, usize, usize, u64, Replacement);
+
+/// Cache levels a [`StallKey`] holds inline: the presets have three and
+/// two, so building the key of either for a lookup allocates nothing.
+const INLINE_LEVELS: usize = 4;
+
 /// Everything [`MachineModel::stall_split`] reads and nothing it does
 /// not, as a hashable value: two (machine, profile) pairs with equal keys
 /// have equal splits, whatever they are called.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct StallKey {
-    /// Per cache level: size, associativity, line bytes, latency bits,
-    /// replacement policy.
-    levels: Vec<(usize, usize, usize, u64, Replacement)>,
+    /// The first [`INLINE_LEVELS`] cache levels, innermost first, `None`
+    /// past the last.
+    levels: [Option<LevelKey>; INLINE_LEVELS],
+    /// The levels past those, in order (empty, unallocated, for the
+    /// presets).
+    deeper: Vec<LevelKey>,
     /// DRAM latency bits.
     mem_latency_ns: u64,
     /// The [`MemoryProfile`](crate::MemoryProfile): accesses per
@@ -165,7 +176,7 @@ impl MachineModel {
     /// memoization. Keep the two in step: a field the simulation starts
     /// to read belongs in [`StallKey`].
     pub fn stall_key(&self, profile: &ComputeProfile) -> StallKey {
-        let level = |c: &CacheConfig| {
+        let level = |c: &CacheConfig| -> LevelKey {
             let latency = c.latency_cycles.to_bits();
             (
                 c.size_bytes,
@@ -175,9 +186,19 @@ impl MachineModel {
                 c.replacement,
             )
         };
+        let mut levels = [None; INLINE_LEVELS];
+        for (slot, c) in levels.iter_mut().zip(&self.cache_levels) {
+            *slot = Some(level(c));
+        }
         let mem = &profile.mem;
         StallKey {
-            levels: self.cache_levels.iter().map(level).collect(),
+            levels,
+            deeper: self
+                .cache_levels
+                .iter()
+                .skip(INLINE_LEVELS)
+                .map(level)
+                .collect(),
             mem_latency_ns: self.mem_latency_ns.to_bits(),
             mem: [
                 mem.accesses_per_instr.to_bits(),
@@ -334,6 +355,19 @@ mod tests {
         let mut reseeded = p.clone();
         reseeded.name.push('2');
         assert_ne!(key, atom.stall_key(&reseeded), "the name seeds the trace");
+
+        // Levels past the inline ones are read as well.
+        let mut deep = atom.clone();
+        for size in [8, 16, 32, 64] {
+            let level = CacheConfig::new("L", size << 20, 16, 64, 40.0);
+            deep.cache_levels.push(level);
+        }
+        let mut deeper = deep.clone();
+        assert_eq!(deep.stall_key(&p), deeper.stall_key(&p));
+        deeper.cache_levels[5].latency_cycles += 1.0;
+        assert_ne!(deep.stall_key(&p), deeper.stall_key(&p));
+        deeper.cache_levels.pop();
+        assert_ne!(deep.stall_key(&p), deeper.stall_key(&p));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! measurements in registration order. Output is therefore identical for
 //! any `--jobs` worker count.
 
+use std::borrow::Cow;
+
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, ComputeProfile, Frequency, MachineModel};
 use hhsim_energy::MetricKind;
@@ -21,10 +23,10 @@ use hhsim_workloads::AppId;
 
 use hhsim_faults::{DomainConfig, FaultConfig, RecoveryPolicy};
 
-use crate::harness::{ReplicationPlan, Sweep};
+use crate::harness::{self, ReplicationPlan, Sweep};
 use crate::model::{Measurement, NodeMix, PlacementKind, Reading, SimConfig, SimError};
 use crate::report::FigureData;
-use crate::simcache::SimCache;
+use crate::simcache::{MemoKey, SimCache};
 
 /// Per-node data size used for micro-benchmarks (1 GB, §3).
 pub const MICRO_DATA: u64 = 1 << 30;
@@ -98,7 +100,7 @@ pub fn table2() -> FigureData {
 }
 
 /// The three suite-average profiles Figs. 1 and 2 compare.
-fn suites() -> [(&'static str, ComputeProfile); 3] {
+pub(crate) fn suites() -> [(&'static str, ComputeProfile); 3] {
     [
         ("Avg_Spec", ComputeProfile::spec_average()),
         ("Avg_Parsec", ComputeProfile::parsec_average()),
@@ -106,9 +108,29 @@ fn suites() -> [(&'static str, ComputeProfile); 3] {
     ]
 }
 
+/// The fill-stage keys of the six (machine, suite) stall splits Figs. 1
+/// and 2 read, borrowing the caller's machines and profiles.
+pub(crate) fn suite_keys<'a>(
+    machines: &'a [MachineModel],
+    suites: &'a [(&str, ComputeProfile)],
+) -> impl Iterator<Item = MemoKey<'a>> {
+    machines.iter().flat_map(move |m| {
+        suites
+            .iter()
+            .map(move |(_, p)| MemoKey::Stall(m, Cow::Borrowed(p)))
+    })
+}
+
+/// Fills the process-wide memo with the six (machine, suite) stall splits
+/// across the harness's pool: Figs. 1 and 2 and the calibration report
+/// ask for the same six, and on a warm memo this finds nothing to do.
+fn fill_suites(machines: &[MachineModel], suites: &[(&str, ComputeProfile)]) {
+    let keys = suite_keys(machines, suites);
+    harness::fill_stage(keys, harness::jobs(), SimCache::global());
+}
+
 /// CPI of `p` on `m` at `f`, the trace simulation behind it taken from
-/// the process-wide memo: Figs. 1 and 2 and the calibration report ask
-/// for the same six (machine, suite) pairs.
+/// the process-wide memo.
 fn suite_cpi(m: &MachineModel, p: &ComputeProfile, f: Frequency) -> f64 {
     let (on_chip, dram_ns) = SimCache::global().stall_split(m, p);
     m.cpi_with_stalls(p, f, on_chip, dram_ns)
@@ -116,10 +138,12 @@ fn suite_cpi(m: &MachineModel, p: &ComputeProfile, f: Frequency) -> f64 {
 
 /// Fig. 1: IPC of SPEC, PARSEC and Hadoop suite averages on both cores.
 pub fn fig1() -> FigureData {
+    let (machines, suites) = (machines(), suites());
+    fill_suites(&machines, &suites);
     let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
-    for m in machines() {
-        for (name, p) in &suites() {
-            f.push(label(&m), *name, 1.0 / suite_cpi(&m, p, Frequency::GHZ_1_8));
+    for m in &machines {
+        for (name, p) in &suites {
+            f.push(label(m), *name, 1.0 / suite_cpi(m, p, Frequency::GHZ_1_8));
         }
     }
     f
@@ -133,13 +157,15 @@ pub fn fig2() -> FigureData {
         "ED^xP ratio Xeon/Atom for SPEC, PARSEC, Hadoop",
         "ratio",
     );
-    let [xeon, atom] = machines();
+    let (machines, suites) = (machines(), suites());
+    fill_suites(&machines, &suites);
+    let [xeon, atom] = &machines;
     let freq = Frequency::GHZ_1_8;
     // Fixed-work suite model: N instructions on one core of each machine.
     let n_instr = 2.0e11;
-    for (name, p) in &suites() {
-        let t_x = n_instr * suite_cpi(&xeon, p, freq) / freq.hz();
-        let t_a = n_instr * suite_cpi(&atom, p, freq) / freq.hz();
+    for (name, p) in &suites {
+        let t_x = n_instr * suite_cpi(xeon, p, freq) / freq.hz();
+        let t_a = n_instr * suite_cpi(atom, p, freq) / freq.hz();
         let p_x = xeon
             .power
             .node_power(xeon.operating_point(freq), 1, 1, p.activity, 0.4, 0.0)

@@ -17,13 +17,15 @@
 //! prices every point against a full memo. Neighbouring points share
 //! entries, so workers that discover them lazily queue on each other's
 //! once-cells; workers handed distinct entries do not (DESIGN.md,
-//! "Parallel memoized sweep harness").
+//! "Parallel memoized sweep harness"). Figs. 1 and 2, which price no
+//! point, hand the same stage the six stall splits of their suites.
 //!
 //! The worker count defaults to the machine's available parallelism and
 //! is set process-wide with [`set_jobs`] (the `figures` binary's
 //! `--jobs N` flag). Cumulative counters — points evaluated, grids run,
 //! busy wall time — are exposed via [`snapshot`] for observability.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -148,17 +150,22 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
 }
 
 /// The distinct expensive memo entries pricing `configs` looks up: per
-/// point, those of every machine on its roster — the roster
-/// `ClusterPrep::new` prices, from the same call. An entry missing here
-/// would be computed lazily by the first point that needs it (slower,
-/// never wrong), one nobody asks for is wasted work;
-/// `fill_stage_covers_every_lookup` pins both.
+/// point that holds the config contract, those of every machine on its
+/// roster — the roster `ClusterPrep::new` prices, from the same call. An
+/// entry missing here would be computed lazily by the first point that
+/// needs it (slower, never wrong), one nobody asks for is wasted work;
+/// `fill_stage_covers_every_lookup` pins both. A point that breaks the
+/// contract is priced by nobody, and names nothing: it ends in its
+/// [`SimError`], not inside the simulation of an entry.
 fn memo_keys(configs: &[SimConfig]) -> Vec<MemoKey<'_>> {
     // Profiles own their names: build them once per distinct (machine,
     // app) pair, not once per point.
     let mut priced: Vec<(&MachineModel, AppId)> = Vec::new();
     let mut keys = Vec::new();
     for cfg in configs {
+        if cfg.validate(Reading::Auto).is_err() {
+            continue;
+        }
         let roster = cfg.roster();
         for (m, _) in std::iter::once(roster.lead).chain(roster.other) {
             if priced.iter().any(|&(pm, pa)| pa == cfg.app && pm == m) {
@@ -168,9 +175,9 @@ fn memo_keys(configs: &[SimConfig]) -> Vec<MemoKey<'_>> {
             let of_pair = [
                 MemoKey::Run(cfg.app, AppRatios::reference_config()),
                 MemoKey::Run(cfg.app, AppRatios::small_config()),
-                MemoKey::Stall(m, cfg.app.map_profile()),
-                MemoKey::Stall(m, cfg.app.reduce_profile()),
-                MemoKey::Stall(m, ComputeProfile::hadoop_average()),
+                MemoKey::Stall(m, Cow::Owned(cfg.app.map_profile())),
+                MemoKey::Stall(m, Cow::Owned(cfg.app.reduce_profile())),
+                MemoKey::Stall(m, Cow::Owned(ComputeProfile::hadoop_average())),
             ];
             for key in of_pair {
                 if !keys.contains(&key) {
@@ -182,11 +189,16 @@ fn memo_keys(configs: &[SimConfig]) -> Vec<MemoKey<'_>> {
     keys
 }
 
-/// The fill stage: computes, across the pool, every entry of
-/// [`memo_keys`] the cache does not hold yet.
-fn fill_stage(configs: &[SimConfig], workers: usize, cache: &SimCache) {
-    let mut todo = memo_keys(configs);
-    todo.retain(|key| !cache.holds(key));
+/// The fill stage: computes, across the pool, every one of `keys` the
+/// cache does not hold yet — a grid's [`memo_keys`], or the six stall
+/// splits of fig1/fig2's suites. Keys it holds cost a peek each and
+/// nothing else: a warm fill allocates nothing and spawns nothing.
+pub(crate) fn fill_stage<'a>(
+    keys: impl IntoIterator<Item = MemoKey<'a>>,
+    workers: usize,
+    cache: &SimCache,
+) {
+    let todo: Vec<MemoKey<'a>> = keys.into_iter().filter(|key| !cache.holds(key)).collect();
     pool(&todo, workers, 1, |(), key| cache.fill(key));
 }
 
@@ -216,7 +228,7 @@ pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> V
     // file in analysis.toml.
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
-    fill_stage(configs, workers, cache);
+    fill_stage(memo_keys(configs), workers, cache);
     let out = pool(configs, workers, 1, |(), cfg| {
         recovered(cfg.run(cache, Reading::Auto)).0
     });
@@ -559,7 +571,7 @@ mod tests {
             let shape = format!("{}/{}", cfg.app.short_name(), cfg.machine.name);
             let grid = [cfg];
             let cache = SimCache::new();
-            fill_stage(&grid, 2, &cache);
+            fill_stage(memo_keys(&grid), 2, &cache);
             let filled = cache.stats();
             assert_eq!(
                 filled.misses as usize,
@@ -614,13 +626,117 @@ mod tests {
         }
     }
 
+    /// Allocator calls made on the calling thread, counted for every test
+    /// of this binary and read by the ones that pin "allocates nothing".
+    mod counting {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static CALLS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        fn note() {
+            // A thread being torn down has no counter left to bump.
+            let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        }
+
+        /// Calls to `alloc`, `alloc_zeroed` and `realloc` by `work`.
+        pub(super) fn calls<T>(work: impl FnOnce() -> T) -> (T, u64) {
+            let before = CALLS.with(Cell::get);
+            let out = work();
+            (out, CALLS.with(Cell::get) - before)
+        }
+
+        struct Counting;
+
+        // SAFETY: every method forwards its arguments unchanged to
+        // `System`, which upholds the `GlobalAlloc` contract; the counter
+        // never touches the returned memory.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note();
+                // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note();
+                // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note();
+                // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: Counting = Counting;
+    }
+
+    #[test]
+    fn suite_fill_computes_the_six_splits_once() {
+        let (machines, suites) = (presets::both(), crate::figures::suites());
+        let keys = || crate::figures::suite_keys(&machines, &suites);
+        let cache = SimCache::new();
+        fill_stage(keys(), 2, &cache);
+        let filled = cache.stats();
+        assert_eq!(
+            (
+                filled.misses,
+                filled.hits,
+                filled.stall_entries,
+                filled.run_entries
+            ),
+            (6, 0, 6, 0),
+            "the six (machine, suite) splits and nothing else"
+        );
+        for m in &machines {
+            for (_, p) in &suites {
+                assert!(cache.holds(&MemoKey::Stall(m, Cow::Borrowed(p))));
+                assert_eq!(
+                    cache.stall_split(m, p),
+                    m.stall_split(p),
+                    "filled == uncached"
+                );
+            }
+        }
+        let before = cache.stats();
+        let ((), calls) = counting::calls(|| fill_stage(keys(), 2, &cache));
+        assert_eq!(cache.stats(), before, "a warm fill computes nothing");
+        assert_eq!(calls, 0, "a warm fill allocates nothing");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "simulation failed: invalid config: machine.cache_levels is out of range"
+    )]
+    fn a_hostile_machine_ends_in_its_sim_error_not_in_the_fill() {
+        let mut zero_ways = presets::atom_c2758();
+        zero_ways.cache_levels[0].associativity = 0;
+        let grid = [
+            SimConfig::new(AppId::Sort, presets::xeon_e5_2420()),
+            SimConfig::new(AppId::Sort, zero_ways),
+        ];
+        assert_eq!(memo_keys(&grid).len(), 5, "the Xeon point's keys only");
+        run_grid_on(&grid, 1, &SimCache::new());
+    }
+
     #[test]
     fn warm_grid_has_nothing_to_fill() {
         let g = grid();
         let cache = SimCache::new();
         let cold = run_grid_on(&g, 2, &cache);
         let before = cache.stats();
-        fill_stage(&g, 2, &cache);
+        fill_stage(memo_keys(&g), 2, &cache);
         assert_eq!(cache.stats(), before, "a held key is neither hit nor miss");
         assert_eq!(run_grid_on(&g, 2, &cache), cold);
     }

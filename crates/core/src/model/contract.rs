@@ -242,7 +242,15 @@ impl SimConfig {
             if m.num_cores == 0 {
                 return Err(ConfigError::NoCores);
             }
-            in_range(&[(positive(m.memory_gb), "machine.memory_gb")])?;
+            let levels = &m.cache_levels;
+            in_range(&[
+                (positive(m.memory_gb), "machine.memory_gb"),
+                (
+                    !levels.is_empty() && levels.iter().all(|c| c.check().is_ok()),
+                    "machine.cache_levels",
+                ),
+                (positive(m.mem_latency_ns), "machine.mem_latency_ns"),
+            ])?;
             let per_node = self.mappers_per_node.unwrap_or(m.num_cores);
             if per_node == 0 {
                 return Err(ConfigError::NoSlots);

@@ -185,6 +185,24 @@ impl AppRatios {
 mod tests {
     use super::*;
 
+    /// `hhsim-workloads`' functional pins run the twelve ratio runs at
+    /// scales they restate; their table's `config` lines are these two.
+    #[test]
+    fn ratio_scales_are_the_pinned_functional_scales() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../workloads/tests/golden/functional.txt"
+        );
+        let pins = std::fs::read_to_string(path).expect("the functional pins are checked in");
+        for (scale, cfg) in [
+            ("reference", AppRatios::reference_config()),
+            ("small", AppRatios::small_config()),
+        ] {
+            let line = format!("config {scale} {cfg:?}");
+            assert!(pins.lines().any(|l| l == line), "{path} lacks `{line}`");
+        }
+    }
+
     #[test]
     fn ratios_are_memoized_and_deterministic() {
         let a = AppRatios::of(AppId::WordCount);

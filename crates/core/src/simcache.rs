@@ -23,6 +23,7 @@
 // `nondet-iteration` allow for this file in analysis.toml.
 #![allow(clippy::disallowed_types)]
 
+use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -51,8 +52,9 @@ type RunKey = (AppId, FunctionalConfig);
 pub(crate) enum MemoKey<'a> {
     /// A functional MapReduce run.
     Run(AppId, FunctionalConfig),
-    /// A trace-driven stall split.
-    Stall(&'a MachineModel, ComputeProfile),
+    /// A trace-driven stall split: of a profile a grid's app builds, or of
+    /// one its caller holds (fig1/fig2's suites).
+    Stall(&'a MachineModel, Cow<'a, ComputeProfile>),
 }
 
 /// One memoization table. Values sit behind per-key `OnceLock` cells so
@@ -670,7 +672,7 @@ mod tests {
     fn holds_is_a_peek() {
         let c = SimCache::new();
         let m = presets::atom_c2758();
-        let stall = MemoKey::Stall(&m, ComputeProfile::hadoop_average());
+        let stall = MemoKey::Stall(&m, Cow::Owned(ComputeProfile::hadoop_average()));
         let run = MemoKey::Run(AppId::Sort, AppRatios::small_config());
         assert!(!c.holds(&stall) && !c.holds(&run));
         assert_eq!(c.stats(), CacheStats::default(), "no entry, no count");

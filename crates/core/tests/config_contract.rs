@@ -6,7 +6,8 @@
 use std::mem::discriminant;
 
 use hhsim_core::accel::AccelConfig;
-use hhsim_core::arch::presets;
+use hhsim_core::arch::cache::{MAX_LINES, MAX_WAYS};
+use hhsim_core::arch::{presets, CacheConfig};
 use hhsim_core::faults::{FaultConfig, PhaseError, RecoveryPolicy};
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
@@ -36,6 +37,20 @@ fn with_backoff(base_s: f64) -> SimConfig {
             .recovery(recovery),
     )
     .block_size(BlockSize::MB_64)
+}
+
+/// The base point with its Xeon's L2 (256 KiB, 8 ways, 64-byte lines)
+/// edited.
+fn with_l2(edit: impl FnOnce(&mut CacheConfig)) -> SimConfig {
+    let mut cfg = base();
+    edit(&mut cfg.machine.cache_levels[1]);
+    cfg
+}
+
+fn with_dram_ns(ns: f64) -> SimConfig {
+    let mut cfg = base();
+    cfg.machine.mem_latency_ns = ns;
+    cfg
 }
 
 fn mix(big: usize, little: usize) -> NodeMix {
@@ -83,6 +98,9 @@ fn rows() -> Vec<Row> {
     one_way_merge.job.merge_factor = 1;
     let mut no_sort_buffer = base();
     no_sort_buffer.job.sort_buffer_bytes = 0;
+    let mut no_cache = base();
+    no_cache.machine.cache_levels.clear();
+    let levels = "machine.cache_levels";
     let four_racks = Topology::racked(4, 4.0);
     let per_node = |case, reading| Row {
         case,
@@ -191,6 +209,50 @@ fn rows() -> Vec<Row> {
             out_of_range("topology.racks"),
         ),
         row("NaN memory", no_memory, out_of_range("machine.memory_gb")),
+        row("no cache level", no_cache, out_of_range(levels)),
+        row(
+            "a 0-way L2",
+            with_l2(|c| c.associativity = 0),
+            out_of_range(levels),
+        ),
+        row(
+            "an L2 one way wider than the kernel's mask",
+            with_l2(|c| {
+                c.associativity = MAX_WAYS + 1;
+                c.size_bytes = 128 * (MAX_WAYS + 1) * 64;
+            }),
+            out_of_range(levels),
+        ),
+        row(
+            "48-byte L2 lines",
+            with_l2(|c| c.line_bytes = 48),
+            out_of_range(levels),
+        ),
+        row(
+            "an L2 of 512 and a half sets",
+            with_l2(|c| c.size_bytes = 256 * 1024 + 256),
+            out_of_range(levels),
+        ),
+        row(
+            "an L2 of more lines than the kernel holds",
+            with_l2(|c| c.size_bytes = 2 * MAX_LINES * 64),
+            out_of_range(levels),
+        ),
+        row(
+            "NaN L2 latency",
+            with_l2(|c| c.latency_cycles = f64::NAN),
+            out_of_range(levels),
+        ),
+        row(
+            "no DRAM latency",
+            with_dram_ns(0.0),
+            out_of_range("machine.mem_latency_ns"),
+        ),
+        row(
+            "NaN DRAM latency",
+            with_dram_ns(f64::NAN),
+            out_of_range("machine.mem_latency_ns"),
+        ),
         row(
             "a 1-way merge",
             one_way_merge,

@@ -159,8 +159,9 @@ impl AppId {
                 FunctionalRun::single(res.stats)
             }
             AppId::NaiveBayes => {
-                let res = naive_bayes::train(&input, cfg.block_bytes, job_cfg);
-                FunctionalRun::single(res.result.stats)
+                // The statistics are all a run keeps: no model is assembled.
+                let res = naive_bayes::train_job(&input, cfg.block_bytes, job_cfg);
+                FunctionalRun::single(res.stats)
             }
             AppId::FpGrowth => {
                 let min_support = (cfg.input_bytes / 1200).max(3);

@@ -9,18 +9,46 @@ use rand::distr::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Vocabulary used by the text generators; ~1.1k distinct words with a
-/// Zipf-like rank distribution, mimicking natural-language word frequency.
-fn word(rank: usize) -> String {
-    const COMMON: [&str; 24] = [
-        "the", "of", "and", "to", "in", "a", "is", "that", "data", "for", "it", "as", "was",
-        "with", "be", "by", "on", "not", "he", "this", "are", "or", "his", "from",
-    ];
-    if rank < COMMON.len() {
-        COMMON[rank].to_string()
-    } else {
-        format!("w{rank:05}")
+/// The 24 most frequent words of the text generators' vocabulary, by
+/// rank. Every rank past them is spelled `w` and five digits, for ~1.1k
+/// distinct words with a Zipf-like rank distribution, mimicking
+/// natural-language word frequency.
+const COMMON: [&str; 24] = [
+    "the", "of", "and", "to", "in", "a", "is", "that", "data", "for", "it", "as", "was", "with",
+    "be", "by", "on", "not", "he", "this", "are", "or", "his", "from",
+];
+
+/// Appends the word of Zipf rank `rank`.
+fn push_word(out: &mut String, rank: usize) {
+    match COMMON.get(rank) {
+        Some(word) => out.push_str(word),
+        None => {
+            out.push('w');
+            let (digits, at) = decimal(rank, 5);
+            push_ascii(out, &digits[at..]);
+        }
     }
+}
+
+/// The decimal digits of `n`, zero-padded to at least `width` (at most
+/// 20): the buffer, and the index its digits start at.
+fn decimal(mut n: usize, width: usize) -> ([u8; 20], usize) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    (digits, at.min(digits.len() - width))
+}
+
+/// Appends ASCII bytes.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    out.extend(bytes.iter().map(|&b| char::from(b)));
 }
 
 /// Samples a word rank with probability ∝ 1/(rank+1) over `vocab` ranks.
@@ -42,7 +70,7 @@ pub fn text(bytes: u64, seed: u64) -> Bytes {
             if i > 0 {
                 out.push(' ');
             }
-            out.push_str(&word(zipf_rank(&mut rng, 60_000)));
+            push_word(&mut out, zipf_rank(&mut rng, 60_000));
         }
         out.push('\n');
     }
@@ -54,15 +82,13 @@ pub fn table(bytes: u64, seed: u64) -> Bytes {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = String::with_capacity(bytes as usize + 64);
     while (out.len() as u64) < bytes {
-        let key: String = (0..12)
-            .map(|_| char::from(b'a' + rng.random_range(0..26u8)))
-            .collect();
-        let payload: String = (0..48)
-            .map(|_| char::from(b'A' + rng.random_range(0..26u8)))
-            .collect();
-        out.push_str(&key);
+        for _ in 0..12 {
+            out.push(char::from(b'a' + rng.random_range(0..26u8)));
+        }
         out.push('\t');
-        out.push_str(&payload);
+        for _ in 0..48 {
+            out.push(char::from(b'A' + rng.random_range(0..26u8)));
+        }
         out.push('\n');
     }
     Bytes::from(out)
@@ -95,7 +121,9 @@ pub fn labeled_docs(bytes: u64, classes: usize, seed: u64) -> Bytes {
     let mut out = String::with_capacity(bytes as usize + 64);
     while (out.len() as u64) < bytes {
         let class = rng.random_range(0..classes);
-        out.push_str(&format!("class{class}"));
+        out.push_str("class");
+        let (digits, at) = decimal(class, 1);
+        push_ascii(&mut out, &digits[at..]);
         out.push('\t');
         let words = rng.random_range(8..=16);
         for i in 0..words {
@@ -108,11 +136,39 @@ pub fn labeled_docs(bytes: u64, classes: usize, seed: u64) -> Bytes {
             } else {
                 zipf_rank(&mut rng, 8_000 * classes)
             };
-            out.push_str(&word(rank));
+            push_word(&mut out, rank);
         }
         out.push('\n');
     }
     Bytes::from(out)
+}
+
+/// One transaction item, spelled on the stack: a line's items sort and
+/// dedup as the strings they print as, without a `String` each.
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    len: usize,
+    /// `item` and up to 20 digits, or a bundle member's name.
+    bytes: [u8; 24],
+}
+
+impl Item {
+    /// The item spelled by `parts` in order.
+    fn spell(parts: &[&[u8]]) -> Item {
+        let mut item = Item {
+            len: 0,
+            bytes: [0; 24],
+        };
+        for part in parts {
+            item.bytes[item.len..item.len + part.len()].copy_from_slice(part);
+            item.len += part.len();
+        }
+        item
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 /// Market-basket transactions "item item item ..." with embedded correlated
@@ -128,23 +184,31 @@ pub fn transactions(bytes: u64, seed: u64) -> Bytes {
         ["tea", "sugar", "lemon"],
     ];
     let mut out = String::with_capacity(bytes as usize + 64);
+    let mut items: Vec<Item> = Vec::new();
     while (out.len() as u64) < bytes {
-        let mut items: Vec<String> = Vec::new();
+        items.clear();
         if rng.random::<f64>() < 0.6 {
             let b = &BUNDLES[rng.random_range(0..BUNDLES.len())];
             for it in b.iter() {
                 if rng.random::<f64>() < 0.9 {
-                    items.push((*it).to_string());
+                    items.push(Item::spell(&[it.as_bytes()]));
                 }
             }
         }
         let extras = rng.random_range(1..=5);
         for _ in 0..extras {
-            items.push(format!("item{}", zipf_rank(&mut rng, 2_000)));
+            let (digits, at) = decimal(zipf_rank(&mut rng, 2_000), 1);
+            items.push(Item::spell(&[b"item", &digits[at..]]));
         }
-        items.sort();
-        items.dedup();
-        out.push_str(&items.join(" "));
+        // Equal items are equal bytes, so an unstable sort is the sort.
+        items.sort_unstable_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
+        items.dedup_by(|a, b| a.as_bytes() == b.as_bytes());
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            push_ascii(&mut out, item.as_bytes());
+        }
         out.push('\n');
     }
     Bytes::from(out)
@@ -177,6 +241,19 @@ mod tests {
             assert!(data.len() >= 10_000, "{name} too small: {}", data.len());
             assert!(data.len() < 10_800, "{name} overshoots: {}", data.len());
             assert_eq!(data.last(), Some(&b'\n'), "{name} ends on line boundary");
+        }
+    }
+
+    #[test]
+    fn decimal_spells_what_format_does() {
+        let ns = [0, 7, 42, 1_999, 12_345, 59_999, 100_000, usize::MAX];
+        for n in ns {
+            for width in [1, 5, 20] {
+                let mut spelled = String::new();
+                let (digits, at) = decimal(n, width);
+                push_ascii(&mut spelled, &digits[at..]);
+                assert_eq!(spelled, format!("{n:0width$}"));
+            }
         }
     }
 

@@ -131,13 +131,20 @@ pub struct TrainResult {
     pub result: JobResult<CountKey, u64>,
 }
 
-/// Trains Naive Bayes over labeled documents ("label\tword word ...").
-pub fn train(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> TrainResult {
+/// Runs the training job over labeled documents ("label\tword word ..."):
+/// the counters a model is assembled from, and the job's statistics.
+pub fn train_job(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<CountKey, u64> {
     let splits = text_splits_from_bytes(input, block_bytes);
     let job = JobSpec::new(TrainMapper, CountSumReducer)
         .config(cfg)
         .combiner(|k: &CountKey, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
-    let result = run_job(&job, splits);
+    run_job(&job, splits)
+}
+
+/// Trains Naive Bayes over labeled documents: [`train_job`], then the
+/// model assembled from its counters.
+pub fn train(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> TrainResult {
+    let result = train_job(input, block_bytes, cfg);
     let model = NaiveBayesModel::from_counts(&result.output);
     TrainResult { model, result }
 }
