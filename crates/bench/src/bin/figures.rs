@@ -12,9 +12,11 @@
 //! paper-vs-measured report `calibration.txt` (artifact id `calibration`).
 //! `--jobs N` sets the sweep harness's worker count (default: all
 //! available cores; `--jobs 1` forces serial execution — the output CSVs
-//! are byte-identical either way). Each artifact line reports the grid
-//! size, wall time and simulation-cache hit rate observed while
-//! rendering it.
+//! are byte-identical either way). The selected artifacts and the
+//! calibration claims are declared into one plan, whose distinct runs are
+//! computed in one fill before anything is rendered; each artifact line
+//! reports how many runs it declared, and the `total:` line the fill,
+//! the runs and the memo it left.
 
 // The sweep binary reports wall-clock runtimes per figure; crates/bench
 // is in the wall-clock exempt list of analysis.toml for the same reason.
@@ -26,7 +28,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
 
-use hhsim_core::{harness, SimCache, SimConfig};
+use hhsim_core::{calibration, figures, harness, Plan, SimCache, SimConfig};
 
 /// Streams the trace JSON + utilization CSV pair of `cfg`'s run to disk
 /// through buffered writers, keeping memory flat however many spans the
@@ -76,6 +78,10 @@ fn main() {
     known.push(CALIBRATION);
     let named: Vec<&str> = args.iter().map(String::as_str).collect();
     let wanted = if named.is_empty() { &known } else { &named };
+    if let Some(id) = wanted.iter().find(|id| !known.contains(id)) {
+        eprintln!("unknown artifact `{id}`; known: {known:?}");
+        std::process::exit(2);
+    }
 
     println!(
         "sweep harness: {} worker(s) ({} cores available)",
@@ -86,73 +92,83 @@ fn main() {
     let cache_start = SimCache::global().stats();
     let harness_start = harness::snapshot();
 
-    for &id in wanted {
-        if id == CALIBRATION {
-            let targets = hhsim_core::calibration::check_all();
-            let path = out_dir.join("calibration.txt");
-            fs::write(&path, hhsim_core::calibration::report(&targets))
-                .expect("write calibration report");
-            println!(
-                "wrote {} ({}/{} claims hold)",
-                path.display(),
-                targets.iter().filter(|t| t.holds).count(),
-                targets.len()
-            );
-            continue;
-        }
-        let fig_started = Instant::now();
-        let cache_before = SimCache::global().stats();
-        let harness_before = harness::snapshot();
-        match hhsim_bench::render(id) {
-            Some(Err(e)) => {
+    // Every selected artifact, then the claims that quote them, declared
+    // into one plan: a run is computed once however many cells read it.
+    let mut plan = Plan::new();
+    let renders: Vec<_> = (figures::ARTIFACTS.iter())
+        .filter(|(id, _)| wanted.contains(id))
+        .map(|&(id, declare)| {
+            let before = plan.declared();
+            let render = declare(&mut plan);
+            (id, render, plan.declared() - before)
+        })
+        .collect();
+    let claims = wanted
+        .contains(&CALIBRATION)
+        .then(|| calibration::claims(&mut plan));
+    println!(
+        "plan: {} declarations, {} distinct entries",
+        plan.declared(),
+        plan.len()
+    );
+    let ran = plan.run();
+
+    for (id, render, declared) in renders {
+        let csv = match render(&ran) {
+            Ok(figure) => figure.to_csv(),
+            Err(e) => {
                 // Typed diagnosis instead of a panic: an invalid config, or
                 // a fault sweep lost a job unrecoverably (e.g. every
                 // replica of a block died).
                 eprintln!("{id}: {e}");
                 std::process::exit(1);
             }
-            Some(Ok((id, csv))) => {
-                let path = out_dir.join(format!("{id}.csv"));
-                fs::write(&path, &csv).expect("write figure CSV");
-                if let Some((_, cfg)) = hhsim_bench::TRACES.iter().find(|(tid, _)| *tid == id) {
-                    // A traced figure ships its representative run beside
-                    // the CSV: a Chrome-trace timeline plus per-node
-                    // utilization steps, streamed straight to disk.
-                    let tp = out_dir.join(format!("{id}_trace.json"));
-                    let up = out_dir.join(format!("{id}_util.csv"));
-                    if let Err(e) = stream_trace(&cfg(), &tp, &up) {
-                        eprintln!("{id}: trace: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {} and {}", tp.display(), up.display());
-                }
-                let cache = SimCache::global().stats().since(&cache_before);
-                let grid = harness::snapshot().since(&harness_before);
-                println!(
-                    "wrote {} ({} rows): {} points in {:.2?}, cache {}/{} hits ({:.0}%)",
-                    path.display(),
-                    csv.lines().count() - 2,
-                    grid.points,
-                    fig_started.elapsed(),
-                    cache.hits,
-                    cache.lookups(),
-                    cache.hit_rate() * 100.0,
-                );
+        };
+        let path = out_dir.join(format!("{id}.csv"));
+        fs::write(&path, &csv).expect("write figure CSV");
+        if let Some((_, cfg)) = hhsim_bench::TRACES.iter().find(|(tid, _)| *tid == id) {
+            // A traced figure ships its representative run beside the
+            // CSV: a Chrome-trace timeline plus per-node utilization
+            // steps, streamed straight to disk.
+            let tp = out_dir.join(format!("{id}_trace.json"));
+            let up = out_dir.join(format!("{id}_util.csv"));
+            if let Err(e) = stream_trace(&cfg(), &tp, &up) {
+                eprintln!("{id}: trace: {e}");
+                std::process::exit(1);
             }
-            None => {
-                eprintln!("unknown artifact `{id}`; known: {known:?}");
-                std::process::exit(2);
-            }
+            println!("wrote {} and {}", tp.display(), up.display());
         }
+        println!(
+            "wrote {} ({} rows, {declared} declarations)",
+            path.display(),
+            csv.lines().count() - 2,
+        );
+    }
+    if let Some(claims) = claims {
+        let targets = match claims(&ran) {
+            Ok(targets) => targets,
+            Err(e) => {
+                eprintln!("{CALIBRATION}: {e}");
+                std::process::exit(1);
+            }
+        };
+        let path = out_dir.join("calibration.txt");
+        fs::write(&path, calibration::report(&targets)).expect("write calibration report");
+        println!(
+            "wrote {} ({}/{} claims hold)",
+            path.display(),
+            targets.iter().filter(|t| t.holds).count(),
+            targets.len()
+        );
     }
 
     let cache = SimCache::global().stats().since(&cache_start);
-    let grids = harness::snapshot().since(&harness_start);
+    let fills = harness::snapshot().since(&harness_start);
     println!(
-        "total: {} points over {} grids in {:.2?} ({} workers); \
+        "total: {} fill of {} runs in {:.2?} ({} workers); \
          cache {}/{} hits ({:.1}%), {} stall + {} run + {} phase entries",
-        grids.points,
-        grids.grids,
+        fills.grids,
+        fills.points,
         run_started.elapsed(),
         harness::jobs(),
         cache.hits,

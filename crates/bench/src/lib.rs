@@ -15,24 +15,13 @@ use hhsim_core::figures::{
 };
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{NodeMix, PlacementKind, Reading, SimCache, SimConfig, SimError};
-
-/// Renders one figure, returning `(id, csv)` — or the typed [`SimError`]
-/// when a point breaks the config contract or a fault sweep loses a job
-/// unrecoverably (every replica of a block gone, every node dead), so
-/// callers can print a one-line diagnosis instead of unwinding.
-pub fn render(id: &str) -> Option<Result<(String, String), SimError>> {
-    hhsim_core::figures::all()
-        .into_iter()
-        .find(|(fid, _)| *fid == id)
-        .map(|(fid, f)| Ok((fid.to_string(), f()?.to_csv())))
-}
+use hhsim_core::{NodeMix, PlacementKind, Reading, SimCache, SimConfig};
 
 /// All artifact ids, in paper order.
 pub fn artifact_ids() -> Vec<&'static str> {
-    hhsim_core::figures::all()
-        .into_iter()
-        .map(|(id, _)| id)
+    hhsim_core::figures::ARTIFACTS
+        .iter()
+        .map(|&(id, _)| id)
         .collect()
 }
 
@@ -156,8 +145,9 @@ pub const TRACES: [(&str, fn() -> SimConfig); 4] = [
 ///
 /// # Errors
 ///
-/// The writers' I/O errors, and the run's [`SimError`] (an invalid config,
-/// an unrecoverable run) as [`io::Error::other`].
+/// The writers' I/O errors, and the run's
+/// [`SimError`](hhsim_core::SimError) (an invalid config, an
+/// unrecoverable run) as [`io::Error::other`].
 pub fn write_trace(
     cfg: &SimConfig,
     trace: &mut impl io::Write,
@@ -237,12 +227,6 @@ mod tests {
         let err = write_trace(&cfg, &mut Vec::new(), &mut Vec::new())
             .expect_err("a config without data does not run");
         assert_eq!(err.to_string(), "invalid config: there is no input data");
-    }
-
-    #[test]
-    fn render_known_and_unknown() {
-        assert!(render("fig1").is_some_and(|r| r.is_ok()));
-        assert!(render("fig99").is_none());
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Generators for every table and figure in the paper's evaluation.
 //!
-//! Each function reproduces one artifact as a [`FigureData`] table
-//! (`series`, `x`, `value` rows, CSV-ready). Absolute values are in model
-//! units; the *shapes* — who wins, by what factor, where crossovers fall —
-//! are the reproduction targets, checked against
-//! [`crate::calibration`].
+//! Each artifact is a declaration and a renderer. The declaration
+//! ([`Declare`]) registers the runs the artifact reads into a [`Plan`] —
+//! points with the [`Reading`] each is read by, replication plans, stall
+//! splits — and returns the renderer ([`Render`]), which holds the typed
+//! handles it got back and turns them into a [`FigureData`] table
+//! (`series`, `x`, `value` rows, CSV-ready) or the [`SimError`] of a run
+//! it reads. Absolute values are in model units; the *shapes* — who wins,
+//! by what factor, where crossovers fall — are the reproduction targets,
+//! checked against [`crate::calibration`].
 //!
-//! Every simulation-backed generator flattens its nested loops into a
-//! [`Sweep`] grid: points are registered first (capturing their indices
-//! in row specs), the whole grid runs on the parallel memoized harness
-//! ([`crate::harness`]), and rows are assembled from the returned
-//! measurements in registration order. Output is therefore identical for
-//! any `--jobs` worker count.
-
-use std::borrow::Cow;
+//! The `figures` binary declares every artifact it writes, and the
+//! calibration claims, into one plan, runs it once and renders;
+//! [`generate`] runs a plan of one artifact alone, which is what every
+//! generator of [`all`] is. What a handle reads depends on its entry
+//! alone, so both produce the same bytes, for any `--jobs` worker count.
 
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, ComputeProfile, Frequency, MachineModel};
@@ -23,15 +24,40 @@ use hhsim_workloads::AppId;
 
 use hhsim_faults::{DomainConfig, FaultConfig, RecoveryPolicy};
 
-use crate::harness::{self, ReplicationPlan, Sweep};
-use crate::model::{Measurement, NodeMix, PlacementKind, Reading, SimConfig, SimError};
+use crate::harness::{Outcomes, Plan, Point, ReplicationPlan, Split};
+use crate::model::{NodeMix, PlacementKind, Reading, SimConfig, SimError};
 use crate::report::FigureData;
-use crate::simcache::{MemoKey, SimCache};
 
 /// Per-node data size used for micro-benchmarks (1 GB, §3).
 pub const MICRO_DATA: u64 = 1 << 30;
 /// Per-node data size used for real-world applications (10 GB, §3).
 pub const REAL_DATA: u64 = 10 << 30;
+
+/// What an artifact's declaration returns: the renderer that turns the
+/// handles it holds into the artifact, from the outcomes of the plan.
+pub type Render = Box<dyn FnOnce(&Outcomes) -> Result<FigureData, SimError>>;
+
+/// An artifact's declaration: registers what the artifact reads into the
+/// plan and returns its renderer.
+pub type Declare = fn(&mut Plan) -> Render;
+
+/// A figure/table generator: one artifact from scratch, as a plan of that
+/// artifact alone ([`generate`]), or the typed [`SimError`] of a run it
+/// reads — an invalid config, or a fault configuration that fails the job
+/// ("job failed" diagnosis instead of a panic).
+pub type Generator = Box<dyn Fn() -> Result<FigureData, SimError>>;
+
+/// Renders the artifact `declare` declares from a plan of it alone, run
+/// with the configured worker count against the process-wide memo.
+///
+/// # Errors
+///
+/// The first [`SimError`] of a run the renderer reads.
+pub fn generate(declare: Declare) -> Result<FigureData, SimError> {
+    let mut plan = Plan::new();
+    let render = declare(&mut plan);
+    render(&plan.run())
+}
 
 fn machines() -> [MachineModel; 2] {
     presets::both()
@@ -68,7 +94,7 @@ fn blocks_for(app: AppId) -> &'static [BlockSize] {
 }
 
 /// Table 1: architectural parameters of both machines.
-pub fn table1() -> FigureData {
+pub fn table1(_: &mut Plan) -> Render {
     let mut f = FigureData::new("table1", "Architectural parameters", "value");
     for m in machines() {
         let who = label(&m);
@@ -81,12 +107,12 @@ pub fn table1() -> FigureData {
         f.push(who, "memory_gb", m.memory_gb);
         f.push(who, "area_mm2", m.area_mm2);
     }
-    f
+    Box::new(|_| Ok(f))
 }
 
 /// Table 2: the studied applications (1 row per app, value = class code
 /// 0 = compute, 1 = I/O, 2 = hybrid).
-pub fn table2() -> FigureData {
+pub fn table2(_: &mut Plan) -> Render {
     let mut f = FigureData::new("table2", "Studied Hadoop applications", "class");
     for app in AppId::ALL {
         let class = match app.class() {
@@ -96,7 +122,7 @@ pub fn table2() -> FigureData {
         };
         f.push(app.full_name(), app.domain(), class);
     }
-    f
+    Box::new(|_| Ok(f))
 }
 
 /// The three suite-average profiles Figs. 1 and 2 compare.
@@ -108,100 +134,90 @@ pub(crate) fn suites() -> [(&'static str, ComputeProfile); 3] {
     ]
 }
 
-/// The fill-stage keys of the six (machine, suite) stall splits Figs. 1
-/// and 2 read, borrowing the caller's machines and profiles.
-pub(crate) fn suite_keys<'a>(
-    machines: &'a [MachineModel],
-    suites: &'a [(&str, ComputeProfile)],
-) -> impl Iterator<Item = MemoKey<'a>> {
-    machines.iter().flat_map(move |m| {
-        suites
-            .iter()
-            .map(move |(_, p)| MemoKey::Stall(m, Cow::Borrowed(p)))
-    })
-}
-
-/// Fills the process-wide memo with the six (machine, suite) stall splits
-/// across the harness's pool: Figs. 1 and 2 and the calibration report
-/// ask for the same six, and on a warm memo this finds nothing to do.
-fn fill_suites(machines: &[MachineModel], suites: &[(&str, ComputeProfile)]) {
-    let keys = suite_keys(machines, suites);
-    harness::fill_stage(keys, harness::jobs(), SimCache::global());
-}
-
-/// CPI of `p` on `m` at `f`, the trace simulation behind it taken from
-/// the process-wide memo.
-fn suite_cpi(m: &MachineModel, p: &ComputeProfile, f: Frequency) -> f64 {
-    let (on_chip, dram_ns) = SimCache::global().stall_split(m, p);
-    m.cpi_with_stalls(p, f, on_chip, dram_ns)
+/// Declares the stall split of every suite on both machines: per machine
+/// in Xeon, Atom order, per suite in [`suites`] order.
+pub(crate) fn suite_splits(plan: &mut Plan) -> [[Split; 3]; 2] {
+    machines().map(|m| suites().map(|(_, p)| plan.split(m.clone(), p)))
 }
 
 /// Fig. 1: IPC of SPEC, PARSEC and Hadoop suite averages on both cores.
-pub fn fig1() -> FigureData {
-    let (machines, suites) = (machines(), suites());
-    fill_suites(&machines, &suites);
-    let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
-    for m in &machines {
-        for (name, p) in &suites {
-            f.push(label(m), *name, 1.0 / suite_cpi(m, p, Frequency::GHZ_1_8));
+pub fn fig1(plan: &mut Plan) -> Render {
+    let splits = suite_splits(plan);
+    Box::new(move |ran| {
+        let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
+        for (m, row) in machines().iter().zip(splits) {
+            for ((name, _), s) in suites().iter().zip(row) {
+                f.push(label(m), *name, 1.0 / ran.cpi(s, Frequency::GHZ_1_8));
+            }
         }
-    }
-    f
+        Ok(f)
+    })
+}
+
+/// ED^xP ratio Xeon/Atom of `suite` for x = 1, 2, 3 (>1 means the little
+/// core is the more efficient choice), from its splits on the Xeon and
+/// the Atom: a fixed-work suite model, N instructions on one core of each
+/// machine at 1.8 GHz.
+pub(crate) fn suite_edxp(ran: &Outcomes, suite: &ComputeProfile, [x, a]: [Split; 2]) -> [f64; 3] {
+    let [xeon, atom] = machines();
+    let freq = Frequency::GHZ_1_8;
+    let n_instr = 2.0e11;
+    let t_x = n_instr * ran.cpi(x, freq) / freq.hz();
+    let t_a = n_instr * ran.cpi(a, freq) / freq.hz();
+    let p_x = xeon
+        .power
+        .node_power(xeon.operating_point(freq), 1, 1, suite.activity, 0.4, 0.0)
+        .dynamic();
+    let p_a = atom
+        .power
+        .node_power(atom.operating_point(freq), 1, 1, suite.activity, 0.4, 0.0)
+        .dynamic();
+    [1, 2, 3].map(|x: i32| {
+        let edxp_x = p_x * t_x * t_x.powi(x - 1);
+        let edxp_a = p_a * t_a * t_a.powi(x - 1);
+        edxp_x / edxp_a
+    })
 }
 
 /// Fig. 2: EDP, ED²P, ED³P ratio (Xeon / Atom) per suite — >1 means the
 /// little core is the more efficient choice.
-pub fn fig2() -> FigureData {
-    let mut f = FigureData::new(
-        "fig2",
-        "ED^xP ratio Xeon/Atom for SPEC, PARSEC, Hadoop",
-        "ratio",
-    );
-    let (machines, suites) = (machines(), suites());
-    fill_suites(&machines, &suites);
-    let [xeon, atom] = &machines;
-    let freq = Frequency::GHZ_1_8;
-    // Fixed-work suite model: N instructions on one core of each machine.
-    let n_instr = 2.0e11;
-    for (name, p) in &suites {
-        let t_x = n_instr * suite_cpi(xeon, p, freq) / freq.hz();
-        let t_a = n_instr * suite_cpi(atom, p, freq) / freq.hz();
-        let p_x = xeon
-            .power
-            .node_power(xeon.operating_point(freq), 1, 1, p.activity, 0.4, 0.0)
-            .dynamic();
-        let p_a = atom
-            .power
-            .node_power(atom.operating_point(freq), 1, 1, p.activity, 0.4, 0.0)
-            .dynamic();
-        for x in 1..=3u32 {
-            let edxp_x = p_x * t_x * t_x.powi(x as i32 - 1);
-            let edxp_a = p_a * t_a * t_a.powi(x as i32 - 1);
-            f.push(format!("ED{x}P"), *name, edxp_x / edxp_a);
+pub fn fig2(plan: &mut Plan) -> Render {
+    let [on_xeon, on_atom] = suite_splits(plan);
+    Box::new(move |ran| {
+        let mut f = FigureData::new(
+            "fig2",
+            "ED^xP ratio Xeon/Atom for SPEC, PARSEC, Hadoop",
+            "ratio",
+        );
+        for (((name, p), x), a) in suites().iter().zip(on_xeon).zip(on_atom) {
+            for (n, ratio) in (1..).zip(suite_edxp(ran, p, [x, a])) {
+                f.push(format!("ED{n}P"), *name, ratio);
+            }
         }
-    }
-    f
+        Ok(f)
+    })
 }
 
-/// Shared sweep: execution time over block sizes × frequencies.
+/// Shared declaration: execution time over block sizes × frequencies.
 fn exec_sweep(
-    id: &str,
-    title: &str,
+    plan: &mut Plan,
+    id: &'static str,
+    title: &'static str,
     apps: &[AppId],
     blocks: &[BlockSize],
     data: u64,
-) -> FigureData {
-    let mut sweep = Sweep::new();
+) -> Render {
     let mut rows = Vec::new();
     for m in machines() {
         for app in apps {
             for freq in Frequency::SWEEP {
                 for b in blocks {
-                    let p = sweep.point(
+                    let p = plan.point(
                         cfg(*app, &m)
                             .frequency(freq)
                             .block_size(*b)
                             .data_per_node(data),
+                        Reading::Auto,
                     );
                     rows.push((
                         format!("{}/{}", label(&m), app.short_name()),
@@ -212,18 +228,20 @@ fn exec_sweep(
             }
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new(id, title, "seconds");
-    for (series, x, p) in rows {
-        f.push(series, x, meas[p].breakdown.total());
-    }
-    f
+    Box::new(move |ran| {
+        let mut f = FigureData::new(id, title, "seconds");
+        for (series, x, p) in rows {
+            f.push(series, x, ran.measurement(p)?.breakdown.total());
+        }
+        Ok(f)
+    })
 }
 
 /// Fig. 3: execution time of the micro-benchmarks across HDFS block sizes
 /// and frequencies (1 GB/node).
-pub fn fig3() -> FigureData {
+pub fn fig3(plan: &mut Plan) -> Render {
     exec_sweep(
+        plan,
         "fig3",
         "Execution time, micro-benchmarks vs block size x frequency",
         &AppId::MICRO,
@@ -234,8 +252,9 @@ pub fn fig3() -> FigureData {
 
 /// Fig. 4: execution time of the real-world applications (10 GB/node,
 /// 64–512 MB blocks per §3.1.1).
-pub fn fig4() -> FigureData {
+pub fn fig4(plan: &mut Plan) -> Render {
     exec_sweep(
+        plan,
         "fig4",
         "Execution time, real-world applications vs block size x frequency",
         &AppId::REAL,
@@ -244,40 +263,63 @@ pub fn fig4() -> FigureData {
     )
 }
 
-/// Shared sweep: whole-application EDP vs frequency, normalized to Atom @
-/// 1.2 GHz (the paper's Figs. 5/6 normalization).
-fn edp_sweep(id: &str, title: &str, apps: &[AppId], data: u64) -> FigureData {
-    let mut sweep = Sweep::new();
+/// Declares every app of `apps` on both machines at every DVFS point:
+/// rows of (app, machine, frequency, point, the app's Atom @ 1.2 GHz
+/// point), the last being the Figs. 5–8 normalization.
+fn freq_rows(
+    plan: &mut Plan,
+    apps: &[AppId],
+    data: u64,
+) -> Vec<(AppId, &'static str, Frequency, Point, Point)> {
     let mut rows = Vec::new();
-    for app in apps {
-        let base = sweep.point(
-            cfg(*app, &presets::atom_c2758())
+    for &app in apps {
+        let base = plan.point(
+            cfg(app, &presets::atom_c2758())
                 .frequency(Frequency::GHZ_1_2)
                 .data_per_node(data),
+            Reading::Auto,
         );
         for m in machines() {
             for freq in Frequency::SWEEP {
-                let p = sweep.point(cfg(*app, &m).frequency(freq).data_per_node(data));
-                rows.push((
-                    format!("{}/{}", label(&m), app.short_name()),
-                    format!("{:.1}GHz", freq.ghz()),
-                    p,
-                    base,
-                ));
+                let p = plan.point(
+                    cfg(app, &m).frequency(freq).data_per_node(data),
+                    Reading::Auto,
+                );
+                rows.push((app, label(&m), freq, p, base));
             }
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new(id, title, "edp_norm");
-    for (series, x, p, base) in rows {
-        f.push(series, x, meas[p].cost.edp() / meas[base].cost.edp());
-    }
-    f
+    rows
+}
+
+/// Shared declaration: whole-application EDP vs frequency, normalized to
+/// Atom @ 1.2 GHz (the paper's Figs. 5/6 normalization).
+fn edp_sweep(
+    plan: &mut Plan,
+    id: &'static str,
+    title: &'static str,
+    apps: &[AppId],
+    data: u64,
+) -> Render {
+    let rows = freq_rows(plan, apps, data);
+    Box::new(move |ran| {
+        let edp = |p| ran.measurement(p).map(|m| m.cost.edp());
+        let mut f = FigureData::new(id, title, "edp_norm");
+        for (app, who, freq, p, base) in rows {
+            f.push(
+                format!("{}/{}", who, app.short_name()),
+                format!("{:.1}GHz", freq.ghz()),
+                edp(p)? / edp(base)?,
+            );
+        }
+        Ok(f)
+    })
 }
 
 /// Fig. 5: EDP of the entire real-world applications vs frequency.
-pub fn fig5() -> FigureData {
+pub fn fig5(plan: &mut Plan) -> Render {
     edp_sweep(
+        plan,
         "fig5",
         "EDP of entire real-world apps vs frequency",
         &AppId::REAL,
@@ -286,8 +328,9 @@ pub fn fig5() -> FigureData {
 }
 
 /// Fig. 6: EDP of the entire micro-benchmarks vs frequency.
-pub fn fig6() -> FigureData {
+pub fn fig6(plan: &mut Plan) -> Render {
     edp_sweep(
+        plan,
         "fig6",
         "EDP of entire micro-benchmarks vs frequency",
         &AppId::MICRO,
@@ -295,48 +338,43 @@ pub fn fig6() -> FigureData {
     )
 }
 
-/// Shared sweep: per-phase EDP vs frequency (Figs. 7/8), normalized to the
-/// Atom 1.2 GHz map phase.
-fn phase_edp_sweep(id: &str, title: &str, apps: &[AppId], data: u64) -> FigureData {
-    let mut sweep = Sweep::new();
-    let mut rows = Vec::new();
-    for app in apps {
-        let base = sweep.point(
-            cfg(*app, &presets::atom_c2758())
-                .frequency(Frequency::GHZ_1_2)
-                .data_per_node(data),
-        );
-        for m in machines() {
-            for freq in Frequency::SWEEP {
-                let p = sweep.point(cfg(*app, &m).frequency(freq).data_per_node(data));
-                rows.push((*app, label(&m), freq, p, base));
+/// Shared declaration: per-phase EDP vs frequency (Figs. 7/8), normalized
+/// to the Atom 1.2 GHz map phase.
+fn phase_edp_sweep(
+    plan: &mut Plan,
+    id: &'static str,
+    title: &'static str,
+    apps: &[AppId],
+    data: u64,
+) -> Render {
+    let rows = freq_rows(plan, apps, data);
+    Box::new(move |ran| {
+        let mut f = FigureData::new(id, title, "edp_norm");
+        for (app, who, freq, p, base) in rows {
+            let norm = ran.measurement(base)?.map_cost.edp().max(1e-12);
+            let m = ran.measurement(p)?;
+            let x = format!("{:.1}GHz", freq.ghz());
+            f.push(
+                format!("{}/{} map", who, app.short_name()),
+                x.clone(),
+                m.map_cost.edp() / norm,
+            );
+            if app.has_reduce() {
+                f.push(
+                    format!("{}/{} reduce", who, app.short_name()),
+                    x,
+                    m.reduce_cost.edp() / norm,
+                );
             }
         }
-    }
-    let meas = sweep.run();
-    let mut f = FigureData::new(id, title, "edp_norm");
-    for (app, who, freq, p, base) in rows {
-        let norm = meas[base].map_cost.edp().max(1e-12);
-        let x = format!("{:.1}GHz", freq.ghz());
-        f.push(
-            format!("{}/{} map", who, app.short_name()),
-            x.clone(),
-            meas[p].map_cost.edp() / norm,
-        );
-        if app.has_reduce() {
-            f.push(
-                format!("{}/{} reduce", who, app.short_name()),
-                x,
-                meas[p].reduce_cost.edp() / norm,
-            );
-        }
-    }
-    f
+        Ok(f)
+    })
 }
 
 /// Fig. 7: map/reduce-phase EDP of the micro-benchmarks vs frequency.
-pub fn fig7() -> FigureData {
+pub fn fig7(plan: &mut Plan) -> Render {
     phase_edp_sweep(
+        plan,
         "fig7",
         "Phase EDP, micro-benchmarks",
         &AppId::MICRO,
@@ -345,8 +383,9 @@ pub fn fig7() -> FigureData {
 }
 
 /// Fig. 8: map/reduce-phase EDP of the real-world applications.
-pub fn fig8() -> FigureData {
+pub fn fig8(plan: &mut Plan) -> Render {
     phase_edp_sweep(
+        plan,
         "fig8",
         "Phase EDP, real-world applications",
         &AppId::REAL,
@@ -355,60 +394,72 @@ pub fn fig8() -> FigureData {
 }
 
 /// Fig. 9: EDP ratio (Xeon/Atom) vs HDFS block size at 1.8 GHz.
-pub fn fig9() -> FigureData {
+pub fn fig9(plan: &mut Plan) -> Render {
     let [xeon, atom] = machines();
-    let mut sweep = Sweep::new();
     let mut rows = Vec::new();
     for app in AppId::ALL {
         let data = data_for(app);
         for b in blocks_for(app) {
-            let px = sweep.point(cfg(app, &xeon).block_size(*b).data_per_node(data));
-            let pa = sweep.point(cfg(app, &atom).block_size(*b).data_per_node(data));
+            let mut at = |m| {
+                plan.point(
+                    cfg(app, m).block_size(*b).data_per_node(data),
+                    Reading::Auto,
+                )
+            };
+            let (px, pa) = (at(&xeon), at(&atom));
             rows.push((app, *b, px, pa));
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new("fig9", "EDP ratio Xeon/Atom vs block size @1.8GHz", "ratio");
-    for (app, b, px, pa) in rows {
-        f.push(
-            app.full_name(),
-            format!("{}MB", b.mib()),
-            meas[px].cost.edp() / meas[pa].cost.edp(),
-        );
-    }
-    f
+    Box::new(move |ran| {
+        let edp = |p| ran.measurement(p).map(|m| m.cost.edp());
+        let mut f = FigureData::new("fig9", "EDP ratio Xeon/Atom vs block size @1.8GHz", "ratio");
+        for (app, b, px, pa) in rows {
+            f.push(
+                app.full_name(),
+                format!("{}MB", b.mib()),
+                edp(px)? / edp(pa)?,
+            );
+        }
+        Ok(f)
+    })
 }
 
 /// Data-size labels of §3.3.
 const DATA_SIZES: [(u64, &str); 3] = [(1 << 30, "1GB"), (10 << 30, "10GB"), (20 << 30, "20GB")];
 
-/// Shared sweep: execution-time breakdown and total vs input size.
-fn datasize_breakdown(id: &str, title: &str, apps: &[AppId]) -> FigureData {
-    let mut sweep = Sweep::new();
+/// Shared declaration: execution-time breakdown and total vs input size.
+fn datasize_breakdown(
+    plan: &mut Plan,
+    id: &'static str,
+    title: &'static str,
+    apps: &[AppId],
+) -> Render {
     let mut rows = Vec::new();
     for m in machines() {
         for app in apps {
             for (bytes, lbl) in DATA_SIZES {
-                let p = sweep.point(cfg(*app, &m).data_per_node(bytes));
+                let p = plan.point(cfg(*app, &m).data_per_node(bytes), Reading::Auto);
                 rows.push((format!("{}/{}", label(&m), app.short_name()), lbl, p));
             }
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new(id, title, "seconds");
-    for (s, lbl, p) in rows {
-        let b = &meas[p].breakdown;
-        f.push(format!("{s} map"), lbl, b.map_s);
-        f.push(format!("{s} reduce"), lbl, b.reduce_s);
-        f.push(format!("{s} others"), lbl, b.others_s);
-        f.push(format!("{s} total"), lbl, b.total());
-    }
-    f
+    Box::new(move |ran| {
+        let mut f = FigureData::new(id, title, "seconds");
+        for (s, lbl, p) in rows {
+            let b = &ran.measurement(p)?.breakdown;
+            f.push(format!("{s} map"), lbl, b.map_s);
+            f.push(format!("{s} reduce"), lbl, b.reduce_s);
+            f.push(format!("{s} others"), lbl, b.others_s);
+            f.push(format!("{s} total"), lbl, b.total());
+        }
+        Ok(f)
+    })
 }
 
 /// Fig. 10: execution breakdown vs input size, micro-benchmarks (WC, TS).
-pub fn fig10() -> FigureData {
+pub fn fig10(plan: &mut Plan) -> Render {
     datasize_breakdown(
+        plan,
         "fig10",
         "Execution time breakdown vs data size (micro)",
         &[AppId::WordCount, AppId::TeraSort],
@@ -416,214 +467,183 @@ pub fn fig10() -> FigureData {
 }
 
 /// Fig. 11: execution breakdown vs input size, real-world apps (NB, FP).
-pub fn fig11() -> FigureData {
+pub fn fig11(plan: &mut Plan) -> Render {
     datasize_breakdown(
+        plan,
         "fig11",
         "Execution time breakdown vs data size (real world)",
         &AppId::REAL,
     )
 }
 
-/// Fig. 12: whole-application EDP vs input size (normalized per app to
-/// Atom @ 1 GB).
-pub fn fig12() -> FigureData {
+/// Declares every app at every §3.3 data size on the Atom, then on the
+/// Xeon: rows of (app, machine, size label, point, the app's Atom 1 GB
+/// point), the last being the Figs. 12/13 normalization.
+fn size_rows(plan: &mut Plan) -> Vec<(AppId, &'static str, &'static str, Point, Point)> {
     let [xeon, atom] = machines();
-    let mut sweep = Sweep::new();
     let mut rows = Vec::new();
     for app in AppId::ALL {
-        let base = sweep.point(cfg(app, &atom).data_per_node(1 << 30));
+        let base = plan.point(cfg(app, &atom).data_per_node(1 << 30), Reading::Auto);
         for (m, who) in [(&atom, "Atom"), (&xeon, "Xeon")] {
             for (bytes, lbl) in DATA_SIZES {
-                let p = sweep.point(cfg(app, m).data_per_node(bytes));
-                rows.push((format!("{}/{}", who, app.short_name()), lbl, p, base));
-            }
-        }
-    }
-    let meas = sweep.run();
-    let mut f = FigureData::new(
-        "fig12",
-        "EDP of entire application vs data size",
-        "edp_norm",
-    );
-    for (series, lbl, p, base) in rows {
-        f.push(series, lbl, meas[p].cost.edp() / meas[base].cost.edp());
-    }
-    f
-}
-
-/// Fig. 13: map/reduce-phase EDP vs input size (normalized per app to the
-/// Atom 1 GB map phase).
-pub fn fig13() -> FigureData {
-    let [xeon, atom] = machines();
-    let mut sweep = Sweep::new();
-    let mut rows = Vec::new();
-    for app in AppId::ALL {
-        let base = sweep.point(cfg(app, &atom).data_per_node(1 << 30));
-        for (m, who) in [(&atom, "Atom"), (&xeon, "Xeon")] {
-            for (bytes, lbl) in DATA_SIZES {
-                let p = sweep.point(cfg(app, m).data_per_node(bytes));
+                let p = plan.point(cfg(app, m).data_per_node(bytes), Reading::Auto);
                 rows.push((app, who, lbl, p, base));
             }
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new("fig13", "Phase EDP vs data size", "edp_norm");
-    for (app, who, lbl, p, base) in rows {
-        let norm = meas[base].map_cost.edp().max(1e-12);
-        f.push(
-            format!("{}/{} map", who, app.short_name()),
-            lbl,
-            meas[p].map_cost.edp() / norm,
-        );
-        if app.has_reduce() {
-            f.push(
-                format!("{}/{} reduce", who, app.short_name()),
-                lbl,
-                meas[p].reduce_cost.edp() / norm,
-            );
-        }
-    }
-    f
+    rows
 }
 
-/// Point indices of one Eq. (1) ratio: the Atom→Xeon speedup ratio after
-/// vs before acceleration. `before_*` points may be shared between rows
-/// that sweep only the accelerator.
-struct AccelSpec {
-    before_xeon: usize,
-    before_atom: usize,
-    after_xeon: usize,
-    after_atom: usize,
+/// Fig. 12: whole-application EDP vs input size (normalized per app to
+/// Atom @ 1 GB).
+pub fn fig12(plan: &mut Plan) -> Render {
+    let rows = size_rows(plan);
+    Box::new(move |ran| {
+        let edp = |p| ran.measurement(p).map(|m| m.cost.edp());
+        let mut f = FigureData::new(
+            "fig12",
+            "EDP of entire application vs data size",
+            "edp_norm",
+        );
+        for (app, who, lbl, p, base) in rows {
+            let series = format!("{}/{}", who, app.short_name());
+            f.push(series, lbl, edp(p)? / edp(base)?);
+        }
+        Ok(f)
+    })
+}
+
+/// Fig. 13: map/reduce-phase EDP vs input size (normalized per app to the
+/// Atom 1 GB map phase).
+pub fn fig13(plan: &mut Plan) -> Render {
+    let rows = size_rows(plan);
+    Box::new(move |ran| {
+        let mut f = FigureData::new("fig13", "Phase EDP vs data size", "edp_norm");
+        for (app, who, lbl, p, base) in rows {
+            let norm = ran.measurement(base)?.map_cost.edp().max(1e-12);
+            let m = ran.measurement(p)?;
+            f.push(
+                format!("{}/{} map", who, app.short_name()),
+                lbl,
+                m.map_cost.edp() / norm,
+            );
+            if app.has_reduce() {
+                f.push(
+                    format!("{}/{} reduce", who, app.short_name()),
+                    lbl,
+                    m.reduce_cost.edp() / norm,
+                );
+            }
+        }
+        Ok(f)
+    })
+}
+
+/// The four points of one Eq. (1) ratio: the Atom→Xeon speedup ratio
+/// after vs before acceleration, each as a (Xeon, Atom) pair.
+pub(crate) struct AccelSpec {
+    before: [Point; 2],
+    after: [Point; 2],
 }
 
 impl AccelSpec {
+    /// Declares `app` at `freq` and `block` on both machines, without and
+    /// with `accel`. The unaccelerated pair does not depend on `accel`, so
+    /// the specs of a rate sweep share it.
+    pub(crate) fn new(
+        plan: &mut Plan,
+        app: AppId,
+        freq: Frequency,
+        block: BlockSize,
+        accel: AccelConfig,
+    ) -> Self {
+        let mut pair = |offload| {
+            machines().map(|m| {
+                let mut c = cfg(app, &m)
+                    .frequency(freq)
+                    .block_size(block)
+                    .data_per_node(data_for(app));
+                c.accel = offload;
+                plan.point(c, Reading::Auto)
+            })
+        };
+        AccelSpec {
+            before: pair(None),
+            after: pair(Some(accel)),
+        }
+    }
+
     /// Eq. (1) from the measurements of this spec's four points.
-    fn ratio(&self, meas: &[Measurement]) -> f64 {
-        let t = |p: usize| meas[p].breakdown.total();
-        let before = t(self.before_atom) / t(self.before_xeon);
-        let after = t(self.after_atom) / t(self.after_xeon);
-        after / before
+    pub(crate) fn ratio(&self, ran: &Outcomes) -> Result<f64, SimError> {
+        let t = |p| ran.measurement(p).map(|m| m.breakdown.total());
+        let ([bx, ba], [ax, aa]) = (self.before, self.after);
+        let before = t(ba)? / t(bx)?;
+        let after = t(aa)? / t(ax)?;
+        Ok(after / before)
     }
 }
 
-/// Registers the (xeon, atom) pair for one accelerated-or-not point.
-fn accel_pair(
-    sweep: &mut Sweep,
-    app: AppId,
-    freq: Frequency,
-    block: BlockSize,
-    accel: Option<AccelConfig>,
-) -> (usize, usize) {
-    let [xeon, atom] = machines();
-    let mk = |m: &MachineModel| {
-        let mut c = cfg(app, m)
-            .frequency(freq)
-            .block_size(block)
-            .data_per_node(data_for(app));
-        if let Some(a) = accel {
-            c = c.accelerator(a);
+/// Shared renderer of Figs. 14–16: one Eq. (1) ratio per row.
+fn accel_render(
+    id: &'static str,
+    title: &'static str,
+    rows: Vec<(AppId, String, AccelSpec)>,
+) -> Render {
+    Box::new(move |ran| {
+        let mut f = FigureData::new(id, title, "ratio");
+        for (app, x, spec) in rows {
+            f.push(app.full_name(), x, spec.ratio(ran)?);
         }
-        c
-    };
-    (sweep.point(mk(&xeon)), sweep.point(mk(&atom)))
+        Ok(f)
+    })
+}
+
+/// Declares Fig. 14's Eq. (1) specs: per app, per mapper acceleration
+/// rate of [`AccelConfig::sweep`], at 1.8 GHz with 512 MB blocks.
+pub(crate) fn rate_specs(plan: &mut Plan) -> Vec<(AppId, String, AccelSpec)> {
+    let mut rows = Vec::new();
+    for app in AppId::ALL {
+        for acc in AccelConfig::sweep() {
+            let spec = AccelSpec::new(plan, app, Frequency::GHZ_1_8, BlockSize::MB_512, acc);
+            rows.push((app, format!("{:.0}x", acc.rate), spec));
+        }
+    }
+    rows
 }
 
 /// Fig. 14: speedup ratio (Eq. 1) vs mapper acceleration rate 1–100×.
-pub fn fig14() -> FigureData {
-    let mut sweep = Sweep::new();
-    let mut rows = Vec::new();
-    for app in AppId::ALL {
-        // The unaccelerated baseline is independent of the rate: register
-        // it once per app and share it across the sweep's rows.
-        let (bx, ba) = accel_pair(&mut sweep, app, Frequency::GHZ_1_8, BlockSize::MB_512, None);
-        for acc in AccelConfig::sweep() {
-            let (ax, aa) = accel_pair(
-                &mut sweep,
-                app,
-                Frequency::GHZ_1_8,
-                BlockSize::MB_512,
-                Some(acc),
-            );
-            rows.push((
-                app,
-                format!("{:.0}x", acc.rate),
-                AccelSpec {
-                    before_xeon: bx,
-                    before_atom: ba,
-                    after_xeon: ax,
-                    after_atom: aa,
-                },
-            ));
-        }
-    }
-    let meas = sweep.run();
-    let mut f = FigureData::new(
+pub fn fig14(plan: &mut Plan) -> Render {
+    accel_render(
         "fig14",
         "Atom vs Xeon speedup after/before acceleration vs rate",
-        "ratio",
-    );
-    for (app, x, spec) in rows {
-        f.push(app.full_name(), x, spec.ratio(&meas));
-    }
-    f
+        rate_specs(plan),
+    )
 }
 
 /// Fig. 15: speedup ratio (Eq. 1) at 20× acceleration vs frequency.
-pub fn fig15() -> FigureData {
+pub fn fig15(plan: &mut Plan) -> Render {
     let acc = AccelConfig::fpga(20.0);
-    let mut sweep = Sweep::new();
     let mut rows = Vec::new();
     for app in AppId::ALL {
         for freq in Frequency::SWEEP {
-            let (bx, ba) = accel_pair(&mut sweep, app, freq, BlockSize::MB_512, None);
-            let (ax, aa) = accel_pair(&mut sweep, app, freq, BlockSize::MB_512, Some(acc));
-            rows.push((
-                app,
-                format!("{:.1}GHz", freq.ghz()),
-                AccelSpec {
-                    before_xeon: bx,
-                    before_atom: ba,
-                    after_xeon: ax,
-                    after_atom: aa,
-                },
-            ));
+            let spec = AccelSpec::new(plan, app, freq, BlockSize::MB_512, acc);
+            rows.push((app, format!("{:.1}GHz", freq.ghz()), spec));
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new("fig15", "Acceleration ratio vs frequency", "ratio");
-    for (app, x, spec) in rows {
-        f.push(app.full_name(), x, spec.ratio(&meas));
-    }
-    f
+    accel_render("fig15", "Acceleration ratio vs frequency", rows)
 }
 
 /// Fig. 16: speedup ratio (Eq. 1) at 20× acceleration vs block size.
-pub fn fig16() -> FigureData {
+pub fn fig16(plan: &mut Plan) -> Render {
     let acc = AccelConfig::fpga(20.0);
-    let mut sweep = Sweep::new();
     let mut rows = Vec::new();
     for app in AppId::ALL {
         for b in blocks_for(app) {
-            let (bx, ba) = accel_pair(&mut sweep, app, Frequency::GHZ_1_8, *b, None);
-            let (ax, aa) = accel_pair(&mut sweep, app, Frequency::GHZ_1_8, *b, Some(acc));
-            rows.push((
-                app,
-                format!("{}MB", b.mib()),
-                AccelSpec {
-                    before_xeon: bx,
-                    before_atom: ba,
-                    after_xeon: ax,
-                    after_atom: aa,
-                },
-            ));
+            let spec = AccelSpec::new(plan, app, Frequency::GHZ_1_8, *b, acc);
+            rows.push((app, format!("{}MB", b.mib()), spec));
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new("fig16", "Acceleration ratio vs block size", "ratio");
-    for (app, x, spec) in rows {
-        f.push(app.full_name(), x, spec.ratio(&meas));
-    }
-    f
+    accel_render("fig16", "Acceleration ratio vs block size", rows)
 }
 
 /// Core counts studied in Table 3 / Fig. 17.
@@ -637,74 +657,70 @@ pub const CORE_SWEEP: [usize; 4] = [2, 4, 6, 8];
 /// workload still resembles the large-block configuration).
 pub const SCHED_BLOCK: BlockSize = BlockSize::MB_256;
 
+/// Declares one point of the scheduling study: `app` at its paper data
+/// size on [`SCHED_BLOCK`] blocks with `cores` map slots per node of `m`.
+pub(crate) fn sched_point(plan: &mut Plan, app: AppId, m: &MachineModel, cores: usize) -> Point {
+    plan.point(
+        cfg(app, m)
+            .data_per_node(data_for(app))
+            .block_size(SCHED_BLOCK)
+            .mappers(cores),
+        Reading::Auto,
+    )
+}
+
 /// Table 3: operational (ED^xP) and capital (ED^xAP) cost for 2–8 cores
 /// on both machines, 512 MB blocks @ 1.8 GHz (§3.5).
-pub fn table3() -> FigureData {
-    let mut sweep = Sweep::new();
+pub fn table3(plan: &mut Plan) -> Render {
     let mut rows = Vec::new();
     for m in machines() {
         for app in AppId::ALL {
             for cores in CORE_SWEEP {
-                let p = sweep.point(
-                    cfg(app, &m)
-                        .data_per_node(data_for(app))
-                        .block_size(SCHED_BLOCK)
-                        .mappers(cores),
-                );
+                let p = sched_point(plan, app, &m, cores);
                 rows.push((app, format!("{}/M{}", label(&m), cores), p));
             }
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new("table3", "Operational and capital cost vs cores", "value");
-    for (app, x, p) in rows {
-        let cost = &meas[p].cost;
-        f.push(format!("EDP/{}", app.short_name()), x.clone(), cost.edp());
-        f.push(format!("ED2P/{}", app.short_name()), x.clone(), cost.ed2p());
-        f.push(format!("EDAP/{}", app.short_name()), x.clone(), cost.edap());
-        f.push(format!("ED2AP/{}", app.short_name()), x, cost.ed2ap());
-    }
-    f
+    Box::new(move |ran| {
+        let mut f = FigureData::new("table3", "Operational and capital cost vs cores", "value");
+        for (app, x, p) in rows {
+            let cost = &ran.measurement(p)?.cost;
+            f.push(format!("EDP/{}", app.short_name()), x.clone(), cost.edp());
+            f.push(format!("ED2P/{}", app.short_name()), x.clone(), cost.ed2p());
+            f.push(format!("EDAP/{}", app.short_name()), x.clone(), cost.edap());
+            f.push(format!("ED2AP/{}", app.short_name()), x, cost.ed2ap());
+        }
+        Ok(f)
+    })
 }
 
 /// Fig. 17: spider-chart data — the four cost metrics normalized to the
 /// 8-Xeon-core configuration of each application.
-pub fn fig17() -> FigureData {
+pub fn fig17(plan: &mut Plan) -> Render {
     let [xeon, atom] = machines();
-    let mut sweep = Sweep::new();
     let mut rows = Vec::new();
     for app in AppId::ALL {
-        let data = data_for(app);
-        let base = sweep.point(
-            cfg(app, &xeon)
-                .data_per_node(data)
-                .block_size(SCHED_BLOCK)
-                .mappers(8),
-        );
+        let base = sched_point(plan, app, &xeon, 8);
         for (m, who) in [(&atom, "A"), (&xeon, "X")] {
             for cores in CORE_SWEEP {
-                let p = sweep.point(
-                    cfg(app, m)
-                        .data_per_node(data)
-                        .block_size(SCHED_BLOCK)
-                        .mappers(cores),
-                );
-                rows.push((app, who, cores, p, base));
+                rows.push((app, who, cores, sched_point(plan, app, m, cores), base));
             }
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new("fig17", "Costs normalized to 8 Xeon cores", "norm");
-    for (app, who, cores, p, base) in rows {
-        for k in MetricKind::ALL {
-            f.push(
-                format!("{}/{}{}", app.short_name(), cores, who),
-                k.to_string(),
-                meas[p].cost.get(k) / meas[base].cost.get(k),
-            );
+    Box::new(move |ran| {
+        let mut f = FigureData::new("fig17", "Costs normalized to 8 Xeon cores", "norm");
+        for (app, who, cores, p, base) in rows {
+            let (cost, base) = (&ran.measurement(p)?.cost, &ran.measurement(base)?.cost);
+            for k in MetricKind::ALL {
+                f.push(
+                    format!("{}/{}{}", app.short_name(), cores, who),
+                    k.to_string(),
+                    cost.get(k) / base.get(k),
+                );
+            }
         }
-    }
-    f
+        Ok(f)
+    })
 }
 
 /// Heterogeneous node mixes studied in Fig. 18, as (big, little) counts —
@@ -719,17 +735,16 @@ pub const MIX_SWEEP: [(usize, usize); 2] = [(1, 2), (2, 1)];
 /// cluster's composition, not the 8–33 % the two meters disagree by. On
 /// one meter the 1×Xeon+2×Atom mix beats both baselines on Sort only; the
 /// Atom cluster has the lowest EDP on the other five applications.
-pub fn fig18() -> FigureData {
+pub fn fig18(plan: &mut Plan) -> Render {
     // A mix ignores the configured machine; any preset will do.
     let xeon = presets::xeon_e5_2420();
     // Nothing to prefer on a roster of one kind: first free slot.
     let baselines = [(3, 0), (0, 3)].map(|roster| (roster, PlacementKind::FifoAny));
     let mixes = MIX_SWEEP.map(|roster| (roster, PlacementKind::PaperClass(MetricKind::Edp)));
-    let mut sweep = Sweep::new();
     let mut rows = Vec::new();
     for app in AppId::ALL {
         for ((big, little), placement) in baselines.into_iter().chain(mixes) {
-            let p = sweep.point(
+            let p = plan.point(
                 cfg(app, &xeon)
                     .data_per_node(data_for(app))
                     .block_size(SCHED_BLOCK)
@@ -738,6 +753,7 @@ pub fn fig18() -> FigureData {
                         little,
                         placement,
                     }),
+                Reading::Auto,
             );
             let series = match (big, little) {
                 (_, 0) => format!("Xeon{big}"),
@@ -747,16 +763,41 @@ pub fn fig18() -> FigureData {
             rows.push((series, app, p));
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new(
-        "fig18",
-        "EDP: mixed big+little clusters vs homogeneous baselines",
-        "edp",
-    );
-    for (series, app, p) in rows {
-        f.push(series, app.short_name(), meas[p].cost.edp());
-    }
-    f
+    Box::new(move |ran| {
+        let mut f = FigureData::new(
+            "fig18",
+            "EDP: mixed big+little clusters vs homogeneous baselines",
+            "edp",
+        );
+        for (series, app, p) in rows {
+            f.push(series, app.short_name(), ran.measurement(p)?.cost.edp());
+        }
+        Ok(f)
+    })
+}
+
+/// The three cluster shapes of Figs. 19–22, each as its series label and
+/// the config of `app` on it at the paper's data size: `nodes` Xeons,
+/// `nodes` Atoms, and one Xeon per two Atoms under the §3.5 EDP-driven
+/// placement (Fig. 18's first mix, scaled to `nodes`).
+fn cluster_shapes(app: AppId, nodes: usize) -> [(String, SimConfig); 3] {
+    let [xeon, atom] = machines();
+    let on = |m: &MachineModel| {
+        let mut c = cfg(app, m).data_per_node(data_for(app));
+        c.nodes = nodes;
+        c
+    };
+    let (big, little) = (nodes / 3, nodes - nodes / 3);
+    let mix = cfg(app, &xeon).data_per_node(data_for(app)).mix(NodeMix {
+        big,
+        little,
+        placement: PlacementKind::PaperClass(MetricKind::Edp),
+    });
+    [
+        (format!("Xeon{nodes}"), on(&xeon)),
+        (format!("Atom{nodes}"), on(&atom)),
+        (format!("Mix{big}X{little}A"), mix),
+    ]
 }
 
 /// Per-attempt failure probabilities swept in Fig. 19.
@@ -790,65 +831,42 @@ pub fn fig19_faults(rate: f64, speculation: bool) -> FaultConfig {
 /// Fig. 19 (model extension): makespan and EDP degradation vs per-attempt
 /// failure rate on the Fig. 18 clusters, with and without LATE-style
 /// speculation, normalized to each cluster's fault-free run. Every point —
-/// including the fault-free baselines — uses the event-driven cluster
-/// engine so the ratios isolate the cost of faults, not engine differences.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] of a point: an unrecoverable one is a
-/// typed "job failed" instead of a panic.
-pub fn fig19() -> Result<FigureData, SimError> {
-    let [xeon, atom] = machines();
-    type ClusterSpec<'a> = (&'a str, &'a MachineModel, Option<(usize, usize)>);
-    let clusters: [ClusterSpec; 3] = [
-        ("Xeon3", &xeon, None),
-        ("Atom3", &atom, None),
-        ("Mix1X2A", &xeon, Some((1, 2))),
-    ];
-    let point = |app: AppId, m: &MachineModel, mix: Option<(usize, usize)>| {
-        let mut c = cfg(app, m)
-            .data_per_node(data_for(app))
-            .block_size(FAULT_BLOCK);
-        if let Some((big, little)) = mix {
-            c = c.mix(NodeMix {
-                big,
-                little,
-                placement: PlacementKind::PaperClass(MetricKind::Edp),
-            });
-        }
-        c
-    };
-    let mut f = FigureData::new(
-        "fig19",
-        "Makespan and EDP degradation vs failure rate, with/without speculation",
-        "ratio",
-    );
+/// including the fault-free baselines — is read by the per-node meter of
+/// the event-driven cluster engine, so the ratios isolate the cost of
+/// faults, not meter differences. The renderer returns the first
+/// [`SimError`] of a point: an unrecoverable one is a typed "job failed"
+/// instead of a panic.
+pub fn fig19(plan: &mut Plan) -> Render {
+    let mut rows = Vec::new();
     for app in [AppId::WordCount, AppId::TeraSort] {
-        for (who, m, mix) in clusters {
-            let clean = point(app, m, mix)
-                .run(SimCache::global(), Reading::PerNode)?
-                .0;
+        for (who, c) in cluster_shapes(app, 3) {
+            let c = c.block_size(FAULT_BLOCK);
+            let clean = plan.point(c.clone(), Reading::PerNode);
             for speculation in [true, false] {
                 let mode = if speculation { "spec" } else { "nospec" };
                 for rate in FAULT_RATES {
-                    let c = point(app, m, mix).faults(fig19_faults(rate, speculation));
-                    let meas = c.run(SimCache::global(), Reading::PerNode)?.0;
-                    let x = format!("{rate:.2}");
-                    f.push(
-                        format!("T/{who}/{}/{mode}", app.short_name()),
-                        x.clone(),
-                        meas.breakdown.total() / clean.breakdown.total(),
-                    );
-                    f.push(
-                        format!("EDP/{who}/{}/{mode}", app.short_name()),
-                        x,
-                        meas.cost.edp() / clean.cost.edp(),
-                    );
+                    let faulty = c.clone().faults(fig19_faults(rate, speculation));
+                    let p = plan.point(faulty, Reading::PerNode);
+                    let series = format!("{who}/{}/{mode}", app.short_name());
+                    rows.push((series, format!("{rate:.2}"), p, clean));
                 }
             }
         }
     }
-    Ok(f)
+    Box::new(move |ran| {
+        let mut f = FigureData::new(
+            "fig19",
+            "Makespan and EDP degradation vs failure rate, with/without speculation",
+            "ratio",
+        );
+        for (series, x, p, clean) in rows {
+            let (clean, m) = (ran.measurement(clean)?, ran.measurement(p)?);
+            let t = m.breakdown.total() / clean.breakdown.total();
+            f.push(format!("T/{series}"), x.clone(), t);
+            f.push(format!("EDP/{series}"), x, m.cost.edp() / clean.cost.edp());
+        }
+        Ok(f)
+    })
 }
 
 /// Fault-seed replications behind every Fig. 20 point.
@@ -865,60 +883,45 @@ pub const FIG20_SEED: u64 = 0x00F2_05EE_D000;
 /// makespan and exact-energy EDP with 95% confidence bands (`*lo`/`*hi`
 /// series), normalized to the cluster's fault-free run. Speculation is
 /// on everywhere (the paper's default recovery), and the straggler
-/// population keeps the bands non-degenerate even at rate 0.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] of an unrecoverable baseline run (the
+/// population keeps the bands non-degenerate even at rate 0. The renderer
+/// returns the [`SimError`] of an unrecoverable baseline run (the
 /// replicated points themselves absorb failed seeds as `failed_runs`).
-pub fn fig20() -> Result<FigureData, SimError> {
-    let [xeon, atom] = machines();
-    type ClusterSpec<'a> = (&'a str, &'a MachineModel, Option<(usize, usize)>);
-    let clusters: [ClusterSpec; 3] = [
-        ("Xeon3", &xeon, None),
-        ("Atom3", &atom, None),
-        ("Mix1X2A", &xeon, Some((1, 2))),
-    ];
-    let point = |app: AppId, m: &MachineModel, mix: Option<(usize, usize)>| {
-        let mut c = cfg(app, m)
-            .data_per_node(data_for(app))
-            .block_size(FAULT_BLOCK);
-        if let Some((big, little)) = mix {
-            c = c.mix(NodeMix {
-                big,
-                little,
-                placement: PlacementKind::PaperClass(MetricKind::Edp),
-            });
-        }
-        c
-    };
-    let mut f = FigureData::new(
-        "fig20",
-        "Replicated makespan and EDP vs failure rate, 95% confidence bands",
-        "ratio",
-    );
+pub fn fig20(plan: &mut Plan) -> Render {
+    let mut rows = Vec::new();
     for app in [AppId::WordCount, AppId::TeraSort] {
-        for (who, m, mix) in clusters {
-            let clean = point(app, m, mix)
-                .run(SimCache::global(), Reading::PerNode)?
-                .0;
-            let clean_t = clean.breakdown.total();
-            let clean_edp = clean.exact_energy_j * clean_t;
+        for (who, c) in cluster_shapes(app, 3) {
+            let c = c.block_size(FAULT_BLOCK);
+            let clean = plan.point(c.clone(), Reading::PerNode);
             for rate in FAULT_RATES {
-                let c = point(app, m, mix).faults(fig19_faults(rate, true));
-                let s = ReplicationPlan::new(c, FIG20_SEED..FIG20_SEED + FIG20_SEEDS).run();
-                let x = format!("{rate:.2}");
-                let name = |metric: &str| format!("{metric}/{who}/{}", app.short_name());
-                f.push(name("T"), x.clone(), s.makespan_s.mean / clean_t);
-                f.push(name("Tlo"), x.clone(), s.makespan_s.lo() / clean_t);
-                f.push(name("Thi"), x.clone(), s.makespan_s.hi() / clean_t);
-                f.push(name("EDP"), x.clone(), s.edp.mean / clean_edp);
-                f.push(name("EDPlo"), x.clone(), s.edp.lo() / clean_edp);
-                f.push(name("EDPhi"), x, s.edp.hi() / clean_edp);
+                let faulty = c.clone().faults(fig19_faults(rate, true));
+                let seeds = FIG20_SEED..FIG20_SEED + FIG20_SEEDS;
+                let r = plan.replicate(ReplicationPlan::new(faulty, seeds));
+                let series = format!("{who}/{}", app.short_name());
+                rows.push((series, format!("{rate:.2}"), r, clean));
             }
         }
     }
-    Ok(f)
+    Box::new(move |ran| {
+        let mut f = FigureData::new(
+            "fig20",
+            "Replicated makespan and EDP vs failure rate, 95% confidence bands",
+            "ratio",
+        );
+        for (series, x, r, clean) in rows {
+            let clean = ran.measurement(clean)?;
+            let clean_t = clean.breakdown.total();
+            let clean_edp = clean.exact_energy_j * clean_t;
+            let s = ran.summary(r)?;
+            let name = |metric: &str| format!("{metric}/{series}");
+            f.push(name("T"), x.clone(), s.makespan_s.mean / clean_t);
+            f.push(name("Tlo"), x.clone(), s.makespan_s.lo() / clean_t);
+            f.push(name("Thi"), x.clone(), s.makespan_s.hi() / clean_t);
+            f.push(name("EDP"), x.clone(), s.edp.mean / clean_edp);
+            f.push(name("EDPlo"), x.clone(), s.edp.lo() / clean_edp);
+            f.push(name("EDPhi"), x, s.edp.hi() / clean_edp);
+        }
+        Ok(f)
+    })
 }
 
 /// ToR-uplink oversubscription factors swept in Fig. 21.
@@ -943,60 +946,37 @@ pub const TOPO_NODES: usize = 12;
 /// map reads leave the node (the tier mix shifts with block size), while
 /// oversubscription throttles the cross-rack shuffle (reduce time and
 /// EDP respond monotonically).
-pub fn fig21() -> FigureData {
-    // hhsim: allow(panic-in-engine): irrefutable [_; 2] destructure, not indexing
-    let [xeon, atom] = machines();
-    type ClusterSpec<'a> = (&'a str, &'a MachineModel, Option<(usize, usize)>);
-    let clusters: [ClusterSpec; 3] = [
-        ("Xeon12", &xeon, None),
-        ("Atom12", &atom, None),
-        ("Mix4X8A", &xeon, Some((4, 8))),
-    ];
-    let app = AppId::TeraSort;
-    let mut sweep = Sweep::new();
+pub fn fig21(plan: &mut Plan) -> Render {
     let mut rows = Vec::new();
-    for (who, m, mix) in clusters {
+    for (who, c) in cluster_shapes(AppId::TeraSort, TOPO_NODES) {
         for block in TOPO_BLOCKS {
             for over in OVERSUB_SWEEP {
-                let mut c = cfg(app, m)
-                    .data_per_node(data_for(app))
-                    .block_size(block)
-                    .topology(Topology::racked(TOPO_RACKS, over));
-                match mix {
-                    Some((big, little)) => {
-                        c = c.mix(NodeMix {
-                            big,
-                            little,
-                            placement: PlacementKind::PaperClass(MetricKind::Edp),
-                        });
-                    }
-                    None => c.nodes = TOPO_NODES,
-                }
-                let p = sweep.point(c);
-                rows.push((who, block, over, p));
+                let fabric = Topology::racked(TOPO_RACKS, over);
+                let p = plan.point(c.clone().block_size(block).topology(fabric), Reading::Auto);
+                rows.push((who.clone(), block, over, p));
             }
         }
     }
-    let meas = sweep.run();
-    let mut f = FigureData::new(
-        "fig21",
-        "Locality-tier mix and EDP vs ToR oversubscription and block size",
-        "mixed",
-    );
-    for (who, block, over, p) in rows {
-        let Some(m) = meas.get(p) else { continue };
-        let x = format!("{}MB/{over}x", block.bytes() >> 20);
-        // hhsim: allow(panic-in-engine): irrefutable [_; 3] destructure, not indexing
-        let [nl, rl, of] = m.map_locality_tiers;
-        let total = (nl + rl + of).max(1) as f64;
-        f.push(format!("EDP/{who}"), x.clone(), m.cost.edp());
-        f.push(format!("Tred/{who}"), x.clone(), m.breakdown.reduce_s);
-        f.push(format!("Tmap/{who}"), x.clone(), m.breakdown.map_s);
-        f.push(format!("NL/{who}"), x.clone(), nl as f64 / total);
-        f.push(format!("RL/{who}"), x.clone(), rl as f64 / total);
-        f.push(format!("OF/{who}"), x, of as f64 / total);
-    }
-    f
+    Box::new(move |ran| {
+        let mut f = FigureData::new(
+            "fig21",
+            "Locality-tier mix and EDP vs ToR oversubscription and block size",
+            "mixed",
+        );
+        for (who, block, over, p) in rows {
+            let m = ran.measurement(p)?;
+            let x = format!("{}MB/{over}x", block.bytes() >> 20);
+            let [nl, rl, of] = m.map_locality_tiers;
+            let total = (nl + rl + of).max(1) as f64;
+            f.push(format!("EDP/{who}"), x.clone(), m.cost.edp());
+            f.push(format!("Tred/{who}"), x.clone(), m.breakdown.reduce_s);
+            f.push(format!("Tmap/{who}"), x.clone(), m.breakdown.map_s);
+            f.push(format!("NL/{who}"), x.clone(), nl as f64 / total);
+            f.push(format!("RL/{who}"), x.clone(), rl as f64 / total);
+            f.push(format!("OF/{who}"), x, of as f64 / total);
+        }
+        Ok(f)
+    })
 }
 
 /// Per-rack failure rates (expected ToR-switch crashes per hour) swept
@@ -1049,115 +1029,94 @@ pub fn fig22_faults(per_hour: f64, speculation: bool) -> FaultConfig {
 /// normalized to the cluster's rack-fault-free clean run, and `Pfail`
 /// reports the fraction of seeds whose job died outright (every replica
 /// of some block lost, or no usable node left) — the availability side
-/// of the robustness story.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] of an unrecoverable baseline run (the
-/// replicated points themselves absorb failed seeds as `failed_runs`,
-/// surfaced through the `Pfail` series).
-pub fn fig22() -> Result<FigureData, SimError> {
-    // hhsim: allow(panic-in-engine): irrefutable [_; 2] destructure, not indexing
-    let [xeon, atom] = machines();
-    type ClusterSpec<'a> = (&'a str, &'a MachineModel, Option<(usize, usize)>);
-    let clusters: [ClusterSpec; 3] = [
-        ("Xeon12", &xeon, None),
-        ("Atom12", &atom, None),
-        ("Mix4X8A", &xeon, Some((4, 8))),
-    ];
-    let app = AppId::TeraSort;
-    let point = |m: &MachineModel, mix: Option<(usize, usize)>, rate: f64, spec: bool| {
-        let mut c = cfg(app, m)
-            .data_per_node(data_for(app))
-            .block_size(BlockSize::MB_256)
-            .topology(Topology::racked(TOPO_RACKS, FIG22_OVERSUB))
-            .faults(fig22_faults(rate, spec));
-        match mix {
-            Some((big, little)) => {
-                c = c.mix(NodeMix {
-                    big,
-                    little,
-                    placement: PlacementKind::PaperClass(MetricKind::Edp),
-                });
-            }
-            None => c.nodes = TOPO_NODES,
-        }
-        c
-    };
-    let mut f = FigureData::new(
-        "fig22",
-        "Makespan, EDP and job-failure probability vs rack failure rate",
-        "ratio",
-    );
-    for (who, m, mix) in clusters {
+/// of the robustness story. The renderer returns the [`SimError`] of an
+/// unrecoverable baseline run (the replicated points themselves absorb
+/// failed seeds as `failed_runs`, surfaced through the `Pfail` series).
+pub fn fig22(plan: &mut Plan) -> Render {
+    let fabric = Topology::racked(TOPO_RACKS, FIG22_OVERSUB);
+    let mut rows = Vec::new();
+    for (who, c) in cluster_shapes(AppId::TeraSort, TOPO_NODES) {
+        let c = c.block_size(BlockSize::MB_256).topology(fabric);
+        // The clean anchor has no faults at all: degradation at rate 0
+        // then shows the straggler background, like Fig. 19/20.
+        let clean = plan.point(c.clone(), Reading::PerNode);
         for speculation in [true, false] {
             let mode = if speculation { "spec" } else { "nospec" };
-            // The clean anchor has no faults at all: degradation at rate 0
-            // then shows the straggler background, like Fig. 19/20.
-            let mut clean_cfg = point(m, mix, 0.0, speculation);
-            clean_cfg.faults = None;
-            let clean = clean_cfg.run(SimCache::global(), Reading::PerNode)?.0;
-            let clean_t = clean.breakdown.total();
-            let clean_edp = clean.exact_energy_j * clean_t;
             for rate in FIG22_RATES {
-                let c = point(m, mix, rate, speculation);
-                let s = ReplicationPlan::new(c, FIG22_SEED..FIG22_SEED + FIG22_SEEDS).run();
-                let x = format!("{rate:.0}");
-                let name = |metric: &str| format!("{metric}/{who}/{mode}");
-                f.push(name("T"), x.clone(), s.makespan_s.mean / clean_t);
-                f.push(name("EDP"), x.clone(), s.edp.mean / clean_edp);
-                let p_fail = s.failed_runs as f64 / s.replications.max(1) as f64;
-                f.push(name("Pfail"), x, p_fail);
+                let faulty = c.clone().faults(fig22_faults(rate, speculation));
+                let seeds = FIG22_SEED..FIG22_SEED + FIG22_SEEDS;
+                let r = plan.replicate(ReplicationPlan::new(faulty, seeds));
+                rows.push((format!("{who}/{mode}"), format!("{rate:.0}"), r, clean));
             }
         }
     }
-    Ok(f)
+    Box::new(move |ran| {
+        let mut f = FigureData::new(
+            "fig22",
+            "Makespan, EDP and job-failure probability vs rack failure rate",
+            "ratio",
+        );
+        for (series, x, r, clean) in rows {
+            let clean = ran.measurement(clean)?;
+            let clean_t = clean.breakdown.total();
+            let clean_edp = clean.exact_energy_j * clean_t;
+            let s = ran.summary(r)?;
+            let name = |metric: &str| format!("{metric}/{series}");
+            f.push(name("T"), x.clone(), s.makespan_s.mean / clean_t);
+            f.push(name("EDP"), x.clone(), s.edp.mean / clean_edp);
+            let p_fail = s.failed_runs as f64 / s.replications.max(1) as f64;
+            f.push(name("Pfail"), x, p_fail);
+        }
+        Ok(f)
+    })
 }
 
-/// A figure/table generator: produces one artifact's data from scratch,
-/// or the typed [`SimError`] of a point it runs directly — an invalid
-/// config, or a fault configuration that fails the job ("job failed"
-/// diagnosis instead of a panic).
-pub type Generator = fn() -> Result<FigureData, SimError>;
+/// Every artifact's declaration keyed by id, in paper order.
+pub const ARTIFACTS: [(&str, Declare); 25] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("table3", table3),
+    ("fig17", fig17),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", fig20),
+    ("fig21", fig21),
+    ("fig22", fig22),
+];
 
-/// Every generator keyed by id, for the CLI harness.
+/// Every generator keyed by id, in paper order: each renders its artifact
+/// from a plan of that artifact alone.
 pub fn all() -> Vec<(&'static str, Generator)> {
-    vec![
-        ("table1", (|| Ok(table1())) as Generator),
-        ("table2", || Ok(table2())),
-        ("fig1", || Ok(fig1())),
-        ("fig2", || Ok(fig2())),
-        ("fig3", || Ok(fig3())),
-        ("fig4", || Ok(fig4())),
-        ("fig5", || Ok(fig5())),
-        ("fig6", || Ok(fig6())),
-        ("fig7", || Ok(fig7())),
-        ("fig8", || Ok(fig8())),
-        ("fig9", || Ok(fig9())),
-        ("fig10", || Ok(fig10())),
-        ("fig11", || Ok(fig11())),
-        ("fig12", || Ok(fig12())),
-        ("fig13", || Ok(fig13())),
-        ("fig14", || Ok(fig14())),
-        ("fig15", || Ok(fig15())),
-        ("fig16", || Ok(fig16())),
-        ("table3", || Ok(table3())),
-        ("fig17", || Ok(fig17())),
-        ("fig18", || Ok(fig18())),
-        ("fig19", fig19),
-        ("fig20", fig20),
-        ("fig21", || Ok(fig21())),
-        ("fig22", fig22),
-    ]
+    let alone = |&(id, declare): &(&'static str, Declare)| {
+        (id, Box::new(move || generate(declare)) as Generator)
+    };
+    ARTIFACTS.iter().map(alone).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimCache;
 
     #[test]
     fn fig1_reproduces_paper_relationships() {
-        let f = fig1();
+        let f = generate(fig1).expect("fig1 renders");
         let xh = f.value("Xeon", "Avg_Hadoop").expect("present");
         let xs = f.value("Xeon", "Avg_Spec").expect("present");
         let ah = f.value("Atom", "Avg_Hadoop").expect("present");
@@ -1169,7 +1128,7 @@ mod tests {
 
     #[test]
     fn fig2_gap_narrows_with_delay_pressure() {
-        let f = fig2();
+        let f = generate(fig2).expect("fig2 renders");
         for suite in ["Avg_Spec", "Avg_Hadoop"] {
             let e1 = f.value("ED1P", suite).expect("present");
             let e3 = f.value("ED3P", suite).expect("present");
@@ -1179,7 +1138,7 @@ mod tests {
 
     #[test]
     fn fig9_has_all_apps() {
-        let f = fig9();
+        let f = generate(fig9).expect("fig9 renders");
         for app in AppId::ALL {
             assert!(
                 !f.series(app.full_name()).is_empty(),
@@ -1190,7 +1149,7 @@ mod tests {
 
     #[test]
     fn fig14_ratios_at_most_one() {
-        let f = fig14();
+        let f = generate(fig14).expect("fig14 renders");
         for r in &f.rows {
             assert!(
                 r.value <= 1.05,
@@ -1209,7 +1168,7 @@ mod tests {
 
     #[test]
     fn fig18_mixed_cluster_beats_both_homogeneous_somewhere() {
-        let f = fig18();
+        let f = generate(fig18).expect("fig18 renders");
         let edp = |series: &str, app: AppId| {
             f.rows
                 .iter()
@@ -1232,7 +1191,7 @@ mod tests {
 
     #[test]
     fn fig18_series_share_one_meter() {
-        let f = fig18();
+        let f = generate(fig18).expect("fig18 renders");
         let [xeon, atom] = machines();
         for app in AppId::ALL {
             for (m, series) in [(&xeon, "Xeon3"), (&atom, "Atom3")] {
@@ -1252,7 +1211,7 @@ mod tests {
 
     #[test]
     fn fig19_faults_degrade_and_speculation_recovers() {
-        let f = fig19().expect("fig19 recovers from every injected fault");
+        let f = generate(fig19).expect("fig19 recovers from every injected fault");
         let val = |series: &str, rate: f64| {
             f.rows
                 .iter()
@@ -1297,7 +1256,7 @@ mod tests {
 
     #[test]
     fn fig20_bands_bracket_means_and_widen_with_rate() {
-        let f = fig20().expect("fig20's clean baselines cannot fail");
+        let f = generate(fig20).expect("fig20's clean baselines cannot fail");
         // 2 apps x 3 clusters x 4 rates x 6 series (T/Tlo/Thi, EDP triple).
         assert_eq!(f.rows.len(), 144);
         let val = |series: &str, rate: f64| {
@@ -1340,7 +1299,7 @@ mod tests {
 
     #[test]
     fn fig21_tier_mix_shifts_and_oversubscription_bites() {
-        let f = fig21();
+        let f = generate(fig21).expect("fig21 renders");
         // 3 clusters x 3 blocks x 3 oversubscriptions x 6 series.
         assert_eq!(f.rows.len(), 162);
         let v = |series: String, x: String| {
@@ -1397,7 +1356,7 @@ mod tests {
 
     #[test]
     fn fig22_rack_faults_degrade_and_jobs_start_dying() {
-        let f = fig22().expect("fig22 baselines are fault-free and cannot fail");
+        let f = generate(fig22).expect("fig22 baselines are fault-free and cannot fail");
         // 3 clusters x 2 modes x 4 rates x 3 series (T, EDP, Pfail).
         assert_eq!(f.rows.len(), 72);
         let val = |series: &str, rate: f64| {
@@ -1453,5 +1412,50 @@ mod tests {
                 .any(|mode| val(&format!("Pfail/{who}/{mode}"), worst) > 0.0)
         });
         assert!(dies, "worst rack-failure rate must kill some replications");
+    }
+    #[test]
+    fn an_unrecoverable_point_reaches_its_renderer_as_its_error() {
+        use crate::model::ConfigError;
+        use hhsim_faults::PhaseError;
+
+        let valid = || cfg(AppId::WordCount, &presets::atom_c2758());
+        let mut once = RecoveryPolicy::hadoop();
+        once.max_attempts = 1;
+        let doomed = FaultConfig::none().failure_rates(1.0, 0.0).recovery(once);
+        let mut plan = Plan::new();
+        let auto = plan.point(valid(), Reading::Auto);
+        let failed = plan.point(valid().faults(doomed), Reading::PerNode);
+        let per_node = plan.point(valid(), Reading::PerNode);
+        // Offload is only modeled by the phase-average meter; a plan's
+        // seeds are read per node.
+        let offloaded = valid().accelerator(AccelConfig::fpga(20.0));
+        let invalid = plan.replicate(ReplicationPlan::new(offloaded, 0..2));
+        let render: Render = Box::new(move |ran| {
+            let mut f = FigureData::new("figX", "one doomed point", "seconds");
+            for (x, p) in ["auto", "failed", "per-node"]
+                .into_iter()
+                .zip([auto, failed, per_node])
+            {
+                f.push("WC", x, ran.measurement(p)?.breakdown.total());
+            }
+            Ok(f)
+        });
+        let ran = plan.run_on(2, &SimCache::new());
+
+        assert!(matches!(
+            ran.measurement(failed),
+            Err(SimError::Unrecoverable(
+                PhaseError::AttemptsExhausted { .. }
+            ))
+        ));
+        for (p, reading) in [(auto, Reading::Auto), (per_node, Reading::PerNode)] {
+            let alone = valid()
+                .run(&SimCache::new(), reading)
+                .expect("a valid point");
+            assert_eq!(ran.measurement(p), Ok(&alone.0), "{reading:?}");
+        }
+        let no_offload = SimError::Config(ConfigError::AccelNeedsPhaseAverage);
+        assert_eq!(ran.summary(invalid), Err(no_offload));
+        assert!(matches!(render(&ran), Err(SimError::Unrecoverable(_))));
     }
 }

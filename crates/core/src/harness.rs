@@ -1,28 +1,31 @@
-//! Parallel, memoized sweep harness for the figure generators.
+//! Parallel, memoized harness for the figure generators.
 //!
-//! Every artifact in [`crate::figures`] is a grid of independent
-//! [`SimConfig`] points. A [`Sweep`] flattens the generator's nested
-//! loops into that grid: callers register points with [`Sweep::point`]
-//! (receiving a stable index), then [`Sweep::run`] evaluates all points
-//! on a scoped worker pool and returns measurements **in registration
-//! order** — results land by point index, so the output is byte-identical
-//! whatever the worker count or scheduling interleaving. Shared expensive
-//! state (stall splits, functional runs) goes through
-//! [`SimCache::global`](crate::SimCache::global), whose per-key
-//! once-cells guarantee all workers observe identical values.
+//! Every artifact in [`crate::figures`] reads a set of independent runs:
+//! [`SimConfig`] points, seed-swept [`ReplicationPlan`]s, and for Figs. 1
+//! and 2 the stall splits of suite profiles no point prices. A [`Plan`]
+//! holds one regeneration's worth of them: artifacts (and the calibration
+//! claims) declare what they read and get typed handles back, a
+//! declaration equal to a held entry gets that entry's handle, and
+//! [`Plan::run`] runs every distinct entry once. Results land by entry,
+//! so what a handle reads is byte-identical whatever the worker count or
+//! scheduling interleaving. Shared expensive state (stall splits,
+//! functional runs) goes through [`SimCache::global`](crate::SimCache::global),
+//! whose per-key once-cells guarantee all workers observe identical
+//! values.
 //!
-//! A grid runs in two stages on the same pool: the **fill stage**
-//! enumerates the distinct expensive memo entries the grid will look up
-//! and work-steals the ones not yet computed, then the **point stage**
-//! prices every point against a full memo. Neighbouring points share
-//! entries, so workers that discover them lazily queue on each other's
-//! once-cells; workers handed distinct entries do not (DESIGN.md,
-//! "Parallel memoized sweep harness"). Figs. 1 and 2, which price no
-//! point, hand the same stage the six stall splits of their suites.
+//! A plan runs in stages on one scoped worker pool: the **fill stage**
+//! enumerates the distinct expensive memo entries its entries will look
+//! up and work-steals the ones not yet computed, then the **point stage**
+//! prices every point against a full memo, then each replication plan
+//! spreads its seeds over the pool. Neighbouring points share entries, so
+//! workers that discover them lazily queue on each other's once-cells;
+//! workers handed distinct entries do not (DESIGN.md, "Parallel memoized
+//! sweep harness"). [`run_grid`] is the same two stages over a flat grid
+//! read by [`Reading::Auto`].
 //!
 //! The worker count defaults to the machine's available parallelism and
 //! is set process-wide with [`set_jobs`] (the `figures` binary's
-//! `--jobs N` flag). Cumulative counters — points evaluated, grids run,
+//! `--jobs N` flag). Cumulative counters — runs evaluated, fills run,
 //! busy wall time — are exposed via [`snapshot`] for observability.
 
 use std::borrow::Cow;
@@ -30,22 +33,32 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use hhsim_arch::{ComputeProfile, MachineModel};
+use hhsim_arch::{ComputeProfile, Frequency, MachineModel};
 use hhsim_faults::{FaultConfig, FaultStats};
 use hhsim_workloads::AppId;
 
-use crate::model::{recovered, ClusterPrep, Measurement, Reading, RunScratch, SimConfig, SimError};
+use crate::model::{
+    recovered, ClusterPrep, Measurement, Reading, RunScratch, SimConfig, SimError, Validated,
+};
 use crate::ratios::AppRatios;
 use crate::simcache::{MemoKey, SimCache};
 
 /// Requested worker count; 0 means "auto" (available parallelism).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
-/// Points evaluated by `run_grid` since process start.
+/// Points and seeds evaluated since process start.
 static POINTS: AtomicU64 = AtomicU64::new(0);
-/// Grids executed since process start.
+/// Fills run since process start.
 static GRIDS: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds spent inside `run_grid` since process start.
+/// Nanoseconds spent running fills since process start.
 static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
+
+/// Adds one fill of `runs` points and seeds, started at `started`, to the
+/// process-wide counters.
+fn count_fill(runs: usize, started: Instant) {
+    POINTS.fetch_add(runs as u64, Ordering::Relaxed);
+    GRIDS.fetch_add(1, Ordering::Relaxed);
+    BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
 
 /// The number of workers the harness would use when jobs is "auto".
 pub fn available_jobs() -> usize {
@@ -59,7 +72,7 @@ pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::SeqCst);
 }
 
-/// The effective worker count used by [`Sweep::run`].
+/// The effective worker count used by [`Plan::run`] and [`run_grid`].
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::SeqCst) {
         0 => available_jobs(),
@@ -70,11 +83,13 @@ pub fn jobs() -> usize {
 /// Cumulative harness counters (since process start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HarnessSnapshot {
-    /// Simulation points evaluated through the harness.
+    /// Simulation points and replication seeds evaluated through the
+    /// harness.
     pub points: u64,
-    /// Grids (Sweep::run invocations) executed.
+    /// Fills run: [`Plan::run`], [`run_grid`] and stand-alone
+    /// [`ReplicationPlan::run`] calls.
     pub grids: u64,
-    /// Wall time spent executing grids.
+    /// Wall time spent running fills.
     pub busy: Duration,
 }
 
@@ -102,14 +117,17 @@ pub fn snapshot() -> HarnessSnapshot {
 /// returns the results in item order. Workers claim `batch` contiguous
 /// items per grab from a shared cursor and land each result in its own
 /// slot, so neither the worker count nor the interleaving can reorder or
-/// alias output. One worker (or one item) runs inline, in order.
+/// alias output. One worker (or one item) runs inline, in order, and
+/// drops each item once it is evaluated: a result no larger than its item
+/// is written into the item's own storage, so the inline run holds the
+/// items or their results, not both.
 ///
 /// Every worker owns one `S` from its first item to its last — scratch
 /// `eval` may reuse between items and must not read results out of (`()`
 /// when there is nothing to reuse). It is born and dropped with the
 /// worker, so it outlives no call.
 fn pool<I: Sync, S: Default, T: Send + Sync>(
-    items: &[I],
+    items: Vec<I>,
     workers: usize,
     batch: usize,
     eval: impl Fn(&mut S, &I) -> T + Sync,
@@ -117,7 +135,10 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
     let n = items.len();
     if workers <= 1 || n <= 1 {
         let mut state = S::default();
-        return items.iter().map(|item| eval(&mut state, item)).collect();
+        return items
+            .into_iter()
+            .map(|item| eval(&mut state, &item))
+            .collect();
     }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
@@ -149,21 +170,32 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
         .collect()
 }
 
-/// The distinct expensive memo entries pricing `configs` looks up: per
-/// point that holds the config contract, those of every machine on its
-/// roster — the roster `ClusterPrep::new` prices, from the same call. An
-/// entry missing here would be computed lazily by the first point that
-/// needs it (slower, never wrong), one nobody asks for is wasted work;
-/// `fill_stage_covers_every_lookup` pins both. A point that breaks the
-/// contract is priced by nobody, and names nothing: it ends in its
-/// [`SimError`], not inside the simulation of an entry.
-fn memo_keys(configs: &[SimConfig]) -> Vec<MemoKey<'_>> {
+/// The expensive memo entries a fill computes: those pricing `points`
+/// looks up — per point that holds the config contract for its reading,
+/// those of every machine on its roster, the roster `ClusterPrep::new`
+/// prices, from the same call — and the stall splits of `splits`, each
+/// once, less the ones `cache` already holds (a peek that counts
+/// nothing). An entry missing here would be computed lazily by the first
+/// point that needs it (slower, never wrong), one nobody asks for is
+/// wasted work; `fill_stage_covers_every_lookup` pins both. A point that
+/// breaks the contract is priced by nobody, and names nothing: it ends in
+/// its [`SimError`], not inside the simulation of an entry.
+fn missing_keys<'a>(
+    points: impl IntoIterator<Item = (&'a SimConfig, Reading)>,
+    splits: &'a [(MachineModel, ComputeProfile)],
+    cache: &SimCache,
+) -> Vec<MemoKey<'a>> {
     // Profiles own their names: build them once per distinct (machine,
     // app) pair, not once per point.
     let mut priced: Vec<(&MachineModel, AppId)> = Vec::new();
     let mut keys = Vec::new();
-    for cfg in configs {
-        if cfg.validate(Reading::Auto).is_err() {
+    let mut name = |key: MemoKey<'a>| {
+        if !keys.contains(&key) && !cache.holds(&key) {
+            keys.push(key);
+        }
+    };
+    for (cfg, reading) in points {
+        if cfg.validate(reading).is_err() {
             continue;
         }
         let roster = cfg.roster();
@@ -172,34 +204,34 @@ fn memo_keys(configs: &[SimConfig]) -> Vec<MemoKey<'_>> {
                 continue;
             }
             priced.push((m, cfg.app));
-            let of_pair = [
-                MemoKey::Run(cfg.app, AppRatios::reference_config()),
-                MemoKey::Run(cfg.app, AppRatios::small_config()),
-                MemoKey::Stall(m, Cow::Owned(cfg.app.map_profile())),
-                MemoKey::Stall(m, Cow::Owned(cfg.app.reduce_profile())),
-                MemoKey::Stall(m, Cow::Owned(ComputeProfile::hadoop_average())),
-            ];
-            for key in of_pair {
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-            }
+            name(MemoKey::Run(cfg.app, AppRatios::reference_config()));
+            name(MemoKey::Run(cfg.app, AppRatios::small_config()));
+            name(MemoKey::Stall(m, Cow::Owned(cfg.app.map_profile())));
+            name(MemoKey::Stall(m, Cow::Owned(cfg.app.reduce_profile())));
+            name(MemoKey::Stall(
+                m,
+                Cow::Owned(ComputeProfile::hadoop_average()),
+            ));
         }
+    }
+    for (m, p) in splits {
+        name(MemoKey::Stall(m, Cow::Borrowed(p)));
     }
     keys
 }
 
-/// The fill stage: computes, across the pool, every one of `keys` the
-/// cache does not hold yet — a grid's [`memo_keys`], or the six stall
-/// splits of fig1/fig2's suites. Keys it holds cost a peek each and
-/// nothing else: a warm fill allocates nothing and spawns nothing.
-pub(crate) fn fill_stage<'a>(
-    keys: impl IntoIterator<Item = MemoKey<'a>>,
+/// The fill stage: computes the [`missing_keys`] of `points` and
+/// `splits` across the pool, one entry per claim. With every key held it
+/// computes and spawns nothing, and with no point declared it allocates
+/// nothing either.
+fn fill_stage<'a>(
+    points: impl IntoIterator<Item = (&'a SimConfig, Reading)>,
+    splits: &'a [(MachineModel, ComputeProfile)],
     workers: usize,
     cache: &SimCache,
 ) {
-    let todo: Vec<MemoKey<'a>> = keys.into_iter().filter(|key| !cache.holds(key)).collect();
-    pool(&todo, workers, 1, |(), key| cache.fill(key));
+    let keys = missing_keys(points, splits, cache);
+    pool(keys, workers, 1, |(), key| cache.fill(key));
 }
 
 /// Evaluates a flat grid of points with the configured worker count.
@@ -228,60 +260,196 @@ pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> V
     // file in analysis.toml.
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
-    fill_stage(memo_keys(configs), workers, cache);
-    let out = pool(configs, workers, 1, |(), cfg| {
+    let auto = configs.iter().map(|cfg| (cfg, Reading::Auto));
+    fill_stage(auto, &[], workers, cache);
+    let out = pool(configs.iter().collect(), workers, 1, |(), cfg| {
         recovered(cfg.run(cache, Reading::Auto)).0
     });
-    POINTS.fetch_add(configs.len() as u64, Ordering::Relaxed);
-    GRIDS.fetch_add(1, Ordering::Relaxed);
-    BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    count_fill(configs.len(), started);
     out
 }
 
-/// A grid of simulation points under construction.
-///
-/// ```
-/// use hhsim_core::harness::Sweep;
-/// use hhsim_core::{arch::presets, workloads::AppId, SimConfig};
-///
-/// let mut sweep = Sweep::new();
-/// let a = sweep.point(SimConfig::new(AppId::Sort, presets::atom_c2758()));
-/// let b = sweep.point(SimConfig::new(AppId::Sort, presets::xeon_e5_2420()));
-/// let meas = sweep.run();
-/// assert!(meas[a].breakdown.total() > meas[b].breakdown.total());
-/// ```
-#[derive(Default)]
-pub struct Sweep {
-    configs: Vec<SimConfig>,
+/// Handle of a point declared into a [`Plan`]: read with
+/// [`Outcomes::measurement`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Point(usize);
+
+/// Handle of a [`ReplicationPlan`] declared into a [`Plan`]: read with
+/// [`Outcomes::summary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Replicas(usize);
+
+/// Handle of a stall split declared into a [`Plan`]: read with
+/// [`Outcomes::cpi`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Split(usize);
+
+/// The index of `entry` among `entries`, where it is pushed if it is new.
+fn intern<T: PartialEq>(entries: &mut Vec<T>, entry: T) -> usize {
+    if let Some(i) = entries.iter().position(|held| *held == entry) {
+        return i;
+    }
+    entries.push(entry);
+    entries.len() - 1
 }
 
-impl Sweep {
-    /// An empty grid.
+/// One regeneration's runs, declared before any of them runs.
+///
+/// Artifacts (and the calibration claims) register what they read —
+/// points with the [`Reading`] each is read by, [`ReplicationPlan`]s, and
+/// stall splits of (machine, profile) pairs that no point prices — and
+/// keep the typed handles they get back. A declaration equal to one
+/// already held gets the held entry's handle, so two artifacts that quote
+/// the same run read one entry. [`Plan::run`] then runs every distinct
+/// entry once — one fill stage for all of them, the points on the pool,
+/// each replication plan's seeds on the pool, the splits read back — and
+/// hands the [`Outcomes`] the handles read. What a handle reads does not
+/// depend on the worker count.
+///
+/// ```
+/// use hhsim_core::harness::Plan;
+/// use hhsim_core::{arch::presets, workloads::AppId, Reading, SimConfig};
+///
+/// let atom = SimConfig::new(AppId::Sort, presets::atom_c2758());
+/// let xeon = SimConfig::new(AppId::Sort, presets::xeon_e5_2420());
+/// let mut plan = Plan::new();
+/// let a = plan.point(atom.clone(), Reading::Auto);
+/// let x = plan.point(xeon, Reading::Auto);
+/// assert_eq!(plan.point(atom, Reading::Auto), a, "one entry per run");
+/// let outcomes = plan.run();
+/// let seconds = |p| outcomes.measurement(p).map(|m| m.breakdown.total());
+/// assert!(seconds(a)? > seconds(x)?);
+/// # Ok::<(), hhsim_core::SimError>(())
+/// ```
+#[derive(Default)]
+pub struct Plan {
+    points: Vec<(SimConfig, Reading)>,
+    replications: Vec<ReplicationPlan>,
+    splits: Vec<(MachineModel, ComputeProfile)>,
+    /// Declarations of any kind, repeats included.
+    declared: usize,
+}
+
+impl Plan {
+    /// A plan with nothing declared.
     pub fn new() -> Self {
-        Sweep::default()
+        Plan::default()
     }
 
-    /// Registers one point, returning its index into [`Sweep::run`]'s
-    /// result vector.
-    pub fn point(&mut self, cfg: SimConfig) -> usize {
-        self.configs.push(cfg);
-        self.configs.len() - 1
+    /// Declares `cfg` read by `reading` (a timeline is not kept: read
+    /// [`Reading::Traced`] through [`SimConfig::run`]).
+    pub fn point(&mut self, cfg: SimConfig, reading: Reading) -> Point {
+        self.declared += 1;
+        Point(intern(&mut self.points, (cfg, reading)))
     }
 
-    /// Number of registered points.
+    /// Declares a replication plan.
+    pub fn replicate(&mut self, plan: ReplicationPlan) -> Replicas {
+        self.declared += 1;
+        Replicas(intern(&mut self.replications, plan))
+    }
+
+    /// Declares the trace-driven stall split of `profile` on `machine`.
+    pub fn split(&mut self, machine: MachineModel, profile: ComputeProfile) -> Split {
+        self.declared += 1;
+        Split(intern(&mut self.splits, (machine, profile)))
+    }
+
+    /// Distinct entries of every kind: what a run runs.
     pub fn len(&self) -> usize {
-        self.configs.len()
+        self.points.len() + self.replications.len() + self.splits.len()
     }
 
-    /// Whether the grid is empty.
+    /// Whether nothing is declared.
     pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+        self.len() == 0
     }
 
-    /// Evaluates every point with the configured worker count; result
-    /// `i` corresponds to the `i`-th registered point.
-    pub fn run(self) -> Vec<Measurement> {
-        run_grid(&self.configs)
+    /// Declarations of every kind, each repeat counted.
+    pub fn declared(&self) -> usize {
+        self.declared
+    }
+
+    /// Runs every entry with the configured worker count against the
+    /// process-wide cache.
+    pub fn run(self) -> Outcomes {
+        self.run_on(jobs(), SimCache::global())
+    }
+
+    /// [`Plan::run`] with an explicit worker count and cache (tests). A
+    /// point that breaks the config contract or fails unrecoverably, and
+    /// a replication plan over an invalid config, keep their [`SimError`]
+    /// for the reader; every other entry runs as it would alone.
+    pub fn run_on(self, workers: usize, cache: &SimCache) -> Outcomes {
+        // Operator telemetry only — see the note in `run_grid_on`.
+        #[allow(clippy::disallowed_methods)]
+        let started = Instant::now();
+        let Plan {
+            points,
+            replications,
+            splits,
+            ..
+        } = self;
+        let declared = points.iter().map(|(cfg, reading)| (cfg, *reading));
+        // A plan's seeds are all read per node.
+        let seeded = replications.iter().map(|r| (&r.cfg, Reading::PerNode));
+        fill_stage(declared.chain(seeded), &splits, workers, cache);
+        let runs = points.len() + replications.iter().map(ReplicationPlan::len).sum::<usize>();
+        let measured = pool(points, workers, 1, |(), (cfg, reading)| {
+            cfg.run(cache, *reading).map(|(m, _)| m)
+        });
+        let summaries = (replications.iter())
+            .map(|r| r.summarize(workers, cache))
+            .collect();
+        let stalls = splits
+            .iter()
+            .map(|(m, p)| cache.stall_split(m, p))
+            .collect();
+        count_fill(runs, started);
+        Outcomes {
+            measured,
+            summaries,
+            splits,
+            stalls,
+        }
+    }
+}
+
+/// What a [`Plan`]'s entries ran to, read by the handles it minted.
+///
+/// Every read indexes the outcome its handle names; a handle of another
+/// plan reads that plan's index here, and past the end it panics.
+pub struct Outcomes {
+    measured: Vec<Result<Measurement, SimError>>,
+    summaries: Vec<Result<ReplicationSummary, SimError>>,
+    splits: Vec<(MachineModel, ComputeProfile)>,
+    stalls: Vec<(f64, f64)>,
+}
+
+/// The outcome of entry `i`: the plan's one index.
+fn outcome<T>(outcomes: &[T], i: usize) -> &T {
+    // hhsim: allow(panic-in-engine): a plan mints handles for its own entries only, and its outcomes hold one per entry
+    &outcomes[i]
+}
+
+impl Outcomes {
+    /// What `p`'s point measured, or the [`SimError`] it ended in.
+    pub fn measurement(&self, p: Point) -> Result<&Measurement, SimError> {
+        outcome(&self.measured, p.0).as_ref().map_err(|e| *e)
+    }
+
+    /// The summary of `r`'s replication plan, or the [`SimError`] of its
+    /// invalid config.
+    pub fn summary(&self, r: Replicas) -> Result<&ReplicationSummary, SimError> {
+        outcome(&self.summaries, r.0).as_ref().map_err(|e| *e)
+    }
+
+    /// Cycles per instruction of `s`'s profile on its machine at `f`,
+    /// with the split's on-chip and DRAM stalls.
+    pub fn cpi(&self, s: Split, f: Frequency) -> f64 {
+        let (machine, profile) = outcome(&self.splits, s.0);
+        let &(on_chip, dram_ns) = outcome(&self.stalls, s.0);
+        machine.cpi_with_stalls(profile, f, on_chip, dram_ns)
     }
 }
 
@@ -412,6 +580,7 @@ pub struct ReplicationSummary {
 /// assert!(summary.makespan_s.ci95 >= 0.0);
 /// assert!(summary.edp.lo() <= summary.edp.hi());
 /// ```
+#[derive(PartialEq)]
 pub struct ReplicationPlan {
     cfg: SimConfig,
     seeds: Vec<u64>,
@@ -448,27 +617,38 @@ impl ReplicationPlan {
     /// [`ReplicationPlan::run`] with an explicit worker count and cache
     /// (tests and benches). The cache is asked for the whole plan before
     /// anything is priced; only a plan it has not run runs its seeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SimError`] of an invalid config, as
+    /// [`run_grid_on`] does.
     pub fn run_with(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
-        // Operator telemetry only — see the note in `run_grid_with`.
+        // Operator telemetry only — see the note in `run_grid_on`.
         #[allow(clippy::disallowed_methods)]
         let started = Instant::now();
-        let summary = cache.plan_summary(&self.cfg, &self.seeds, || self.replicate(workers, cache));
-        POINTS.fetch_add(self.seeds.len() as u64, Ordering::Relaxed);
-        GRIDS.fetch_add(1, Ordering::Relaxed);
-        BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let summary = recovered(self.summarize(workers, cache));
+        count_fill(self.seeds.len(), started);
         summary
+    }
+
+    /// The summary, or the config's [`SimError`]: the config is validated
+    /// once, for the per-node meter every seed is read with, before the
+    /// plan memo is asked.
+    fn summarize(&self, workers: usize, cache: &SimCache) -> Result<ReplicationSummary, SimError> {
+        let valid = self.cfg.validate(Reading::PerNode)?;
+        let replicate = || self.replicate(valid, workers, cache);
+        Ok(cache.plan_summary(&self.cfg, &self.seeds, replicate))
     }
 
     /// Runs every seed and folds the summary. `workers` decides who runs
     /// a seed, never what it reports: it is not in the plan memo's key.
-    /// The config is validated once, for the per-node meter every seed
-    /// is read with; an invalid one panics as [`run_grid_on`] does.
-    fn replicate(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
-        let valid = self
-            .cfg
-            .validate(Reading::PerNode)
-            .map_err(SimError::Config);
-        let prep = ClusterPrep::new(recovered(valid), cache);
+    fn replicate(
+        &self,
+        valid: Validated<'_>,
+        workers: usize,
+        cache: &SimCache,
+    ) -> ReplicationSummary {
+        let prep = ClusterPrep::new(valid, cache);
         let base = self.cfg.faults.filter(FaultConfig::active);
         let eval = |scratch: &mut RunScratch, &seed: &u64| -> Option<RepPoint> {
             let seeded = base.map(|f| f.seed(seed));
@@ -486,7 +666,7 @@ impl ReplicationPlan {
         };
 
         let n = self.seeds.len();
-        let points = pool(&self.seeds, workers, SEED_BATCH, eval);
+        let points = pool(self.seeds.clone(), workers, SEED_BATCH, eval);
 
         let ok: Vec<&RepPoint> = points.iter().flatten().collect();
         let mut faults = FaultStats::default();
@@ -514,6 +694,11 @@ mod tests {
     /// One point through the door on `cache`, read by its own meter.
     fn simulate_on(cfg: &SimConfig, cache: &SimCache) -> Measurement {
         cfg.run(cache, Reading::Auto).expect("a valid point").0
+    }
+
+    /// `grid`'s points read by their own meters, as `run_grid` reads them.
+    fn auto(grid: &[SimConfig]) -> impl Iterator<Item = (&SimConfig, Reading)> {
+        grid.iter().map(|cfg| (cfg, Reading::Auto))
     }
 
     fn grid() -> Vec<SimConfig> {
@@ -571,7 +756,7 @@ mod tests {
             let shape = format!("{}/{}", cfg.app.short_name(), cfg.machine.name);
             let grid = [cfg];
             let cache = SimCache::new();
-            fill_stage(memo_keys(&grid), 2, &cache);
+            fill_stage(auto(&grid), &[], 2, &cache);
             let filled = cache.stats();
             assert_eq!(
                 filled.misses as usize,
@@ -684,10 +869,15 @@ mod tests {
 
     #[test]
     fn suite_fill_computes_the_six_splits_once() {
-        let (machines, suites) = (presets::both(), crate::figures::suites());
-        let keys = || crate::figures::suite_keys(&machines, &suites);
+        let declare = || {
+            let mut plan = Plan::new();
+            let splits = crate::figures::suite_splits(&mut plan);
+            (plan, splits)
+        };
+        let (plan, splits) = declare();
+        assert_eq!((plan.len(), plan.declared()), (6, 6));
         let cache = SimCache::new();
-        fill_stage(keys(), 2, &cache);
+        let ran = plan.run_on(2, &cache);
         let filled = cache.stats();
         assert_eq!(
             (
@@ -696,21 +886,22 @@ mod tests {
                 filled.stall_entries,
                 filled.run_entries
             ),
-            (6, 0, 6, 0),
-            "the six (machine, suite) splits and nothing else"
+            (6, 6, 6, 0),
+            "the six (machine, suite) splits and nothing else, each read back once"
         );
-        for m in &machines {
-            for (_, p) in &suites {
-                assert!(cache.holds(&MemoKey::Stall(m, Cow::Borrowed(p))));
-                assert_eq!(
-                    cache.stall_split(m, p),
-                    m.stall_split(p),
-                    "filled == uncached"
-                );
+        let (machines, suites) = (presets::both(), crate::figures::suites());
+        for (m, row) in machines.iter().zip(splits) {
+            for ((_, p), s) in suites.iter().zip(row) {
+                let (on_chip, dram_ns) = m.stall_split(p);
+                let f = Frequency::GHZ_1_8;
+                let uncached = m.cpi_with_stalls(p, f, on_chip, dram_ns);
+                assert_eq!(ran.cpi(s, f), uncached, "filled == uncached");
             }
         }
+        let (again, _) = declare();
         let before = cache.stats();
-        let ((), calls) = counting::calls(|| fill_stage(keys(), 2, &cache));
+        let warm = || fill_stage(std::iter::empty(), &again.splits, 2, &cache);
+        let ((), calls) = counting::calls(warm);
         assert_eq!(cache.stats(), before, "a warm fill computes nothing");
         assert_eq!(calls, 0, "a warm fill allocates nothing");
     }
@@ -726,7 +917,8 @@ mod tests {
             SimConfig::new(AppId::Sort, presets::xeon_e5_2420()),
             SimConfig::new(AppId::Sort, zero_ways),
         ];
-        assert_eq!(memo_keys(&grid).len(), 5, "the Xeon point's keys only");
+        let keys = missing_keys(auto(&grid), &[], &SimCache::new());
+        assert_eq!(keys.len(), 5, "the Xeon point's keys only");
         run_grid_on(&grid, 1, &SimCache::new());
     }
 
@@ -736,24 +928,27 @@ mod tests {
         let cache = SimCache::new();
         let cold = run_grid_on(&g, 2, &cache);
         let before = cache.stats();
-        fill_stage(memo_keys(&g), 2, &cache);
+        assert!(missing_keys(auto(&g), &[], &cache).is_empty());
         assert_eq!(cache.stats(), before, "a held key is neither hit nor miss");
         assert_eq!(run_grid_on(&g, 2, &cache), cold);
     }
 
     #[test]
     fn order_is_registration_order() {
-        let mut sweep = Sweep::new();
-        let mut expect = Vec::new();
-        for cfg in grid() {
-            expect.push((cfg.app, cfg.machine.name.clone()));
-            sweep.point(cfg);
-        }
-        let meas = sweep.run();
-        assert_eq!(meas.len(), expect.len());
-        for (m, (app, machine)) in meas.iter().zip(&expect) {
-            assert_eq!(m.app, *app);
-            assert_eq!(&m.machine_name, machine);
+        let g = grid();
+        let mut plan = Plan::new();
+        let handles: Vec<Point> = (g.iter().chain(&g))
+            .map(|cfg| plan.point(cfg.clone(), Reading::Auto))
+            .collect();
+        assert_eq!(
+            (plan.len(), plan.declared()),
+            (g.len(), 2 * g.len()),
+            "a repeated declaration is the held entry"
+        );
+        let ran = plan.run_on(2, &SimCache::new());
+        let lazy = run_grid_on(&g, 1, &SimCache::new());
+        for (&p, want) in handles.iter().zip(lazy.iter().cycle()) {
+            assert_eq!(ran.measurement(p), Ok(want));
         }
     }
 
@@ -770,7 +965,9 @@ mod tests {
     #[test]
     fn empty_grid_is_fine() {
         assert!(run_grid_with(&[], 4).is_empty());
-        assert!(Sweep::new().is_empty());
+        let plan = Plan::new();
+        assert!(plan.is_empty());
+        plan.run_on(4, &SimCache::new());
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use cluster::{
     KindPreferring, Node, NodeTiming, PhaseLoad, PhaseRun, Placement, SlotStats, TaskSet, TaskSpan,
 };
 pub use harness::{
-    run_grid, run_grid_on, run_grid_with, set_jobs, Aggregate, HarnessSnapshot, ReplicationPlan,
-    ReplicationSummary, Sweep,
+    run_grid, run_grid_on, run_grid_with, set_jobs, Aggregate, HarnessSnapshot, Plan,
+    ReplicationPlan, ReplicationSummary,
 };
 pub use model::{
     job_class, simulate, ConfigError, Measurement, NodeMix, PhaseCost, PlacementKind, Reading,

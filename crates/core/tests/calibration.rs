@@ -1,7 +1,8 @@
 //! End-to-end calibration: every headline claim of the paper must hold in
 //! the simulation. This is the repository's acceptance test.
 
-use hhsim_core::calibration::{check_all, report};
+use hhsim_core::calibration::{check_all, claims, report};
+use hhsim_core::{figures, Plan};
 
 #[test]
 fn all_paper_claims_hold() {
@@ -51,4 +52,21 @@ fn committed_claim_table_is_the_rendered_report() {
         fenced, committed,
         "EXPERIMENTS.md's claim table is not results/calibration.txt"
     );
+}
+
+/// A ledger row quotes the artifact's own run: declared beside the 25
+/// artifacts, the claims make declarations but no entry of their own.
+#[test]
+fn claims_add_no_entry_to_the_artifacts_plan() {
+    let mut plan = Plan::new();
+    for (_, declare) in figures::ARTIFACTS {
+        drop(declare(&mut plan));
+    }
+    let (entries, declared) = (plan.len(), plan.declared());
+    drop(claims(&mut plan));
+    assert!(
+        plan.declared() > declared,
+        "the claims declare what they read"
+    );
+    assert_eq!(plan.len(), entries, "and every run of it is an artifact's");
 }

@@ -144,7 +144,7 @@ fn frequency_and_block_interact_as_the_paper_says() {
 
 #[test]
 fn figures_are_deterministic() {
-    let a = hhsim_core::figures::fig9();
-    let b = hhsim_core::figures::fig9();
+    let a = hhsim_core::figures::generate(hhsim_core::figures::fig9);
+    let b = hhsim_core::figures::generate(hhsim_core::figures::fig9);
     assert_eq!(a, b);
 }

@@ -7,7 +7,7 @@
 //! model level: whole engine runs (exact vs metered agreement) and the
 //! checked-in fig18/fig19 artifacts (byte-identical CSV regeneration).
 
-use hhsim_core::{figures, FigureData};
+use hhsim_core::figures::{self, Declare};
 
 #[test]
 fn engine_exact_energy_tracks_metered_energy() {
@@ -40,8 +40,10 @@ fn checked_in(id: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-fn assert_regenerates_byte_identical(id: &str, generate: fn() -> FigureData) {
-    let got = generate().to_csv();
+fn assert_regenerates_byte_identical(id: &str, declare: Declare) {
+    let got = figures::generate(declare)
+        .expect("the checked-in artifacts render")
+        .to_csv();
     assert_eq!(
         got,
         checked_in(id),
@@ -60,7 +62,5 @@ fn fig18_csv_regenerates_byte_identical() {
 
 #[test]
 fn fig19_csv_regenerates_byte_identical() {
-    assert_regenerates_byte_identical("fig19", || {
-        figures::fig19().expect("fig19 recovers from every injected fault")
-    });
+    assert_regenerates_byte_identical("fig19", figures::fig19);
 }

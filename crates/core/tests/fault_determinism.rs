@@ -65,9 +65,13 @@ fn fault_outputs_are_identical_across_jobs() {
 
     // The full fig19 artifact through the global jobs knob.
     harness::set_jobs(1);
-    let csv_serial = figures::fig19().expect("fig19 recovers").to_csv();
+    let csv_serial = figures::generate(figures::fig19)
+        .expect("fig19 recovers")
+        .to_csv();
     harness::set_jobs(4);
-    let csv_parallel = figures::fig19().expect("fig19 recovers").to_csv();
+    let csv_parallel = figures::generate(figures::fig19)
+        .expect("fig19 recovers")
+        .to_csv();
     harness::set_jobs(0);
     assert_eq!(csv_serial, csv_parallel, "fig19 CSV diverged across --jobs");
 

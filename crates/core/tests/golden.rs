@@ -11,7 +11,7 @@
 //! cp results/{table1,fig1,fig2}.csv crates/core/tests/golden/
 //! ```
 
-use hhsim_core::{figures, FigureData};
+use hhsim_core::figures::{self, Declare};
 
 const REL_TOL: f64 = 1e-6;
 
@@ -39,8 +39,10 @@ fn rows(csv: &str) -> Vec<(String, String, f64)> {
         .collect()
 }
 
-fn assert_matches_golden(id: &str, generate: fn() -> FigureData) {
-    let got_csv = generate().to_csv();
+fn assert_matches_golden(id: &str, declare: Declare) {
+    let got_csv = figures::generate(declare)
+        .expect("the golden artifacts render")
+        .to_csv();
     let want = rows(&golden(id));
     let got = rows(&got_csv);
     assert_eq!(

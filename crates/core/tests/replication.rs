@@ -38,20 +38,20 @@ fn faulty_cfg(map_rate: f64, reduce_rate: f64) -> SimConfig {
         )
 }
 
-/// fig20 runs through `ReplicationPlan::run()` (global cache, global
-/// worker count) — the exact path the figures binary takes. Serial and
+/// fig20 runs as a plan of itself (global cache, global worker count),
+/// the path `figures::all()` takes. Serial and
 /// 4-worker renders must produce the same bytes, and those bytes must
 /// equal the checked-in artifact. The memo is emptied in between, or the
 /// second render would be the first one's 24 plans handed back.
 #[test]
 fn fig20_is_byte_identical_across_jobs_and_matches_checked_in() {
     set_jobs(1);
-    let serial = figures::fig20()
+    let serial = figures::generate(figures::fig20)
         .expect("fig20 baselines cannot fail")
         .to_csv();
     SimCache::global().clear();
     set_jobs(4);
-    let par = figures::fig20()
+    let par = figures::generate(figures::fig20)
         .expect("fig20 baselines cannot fail")
         .to_csv();
     set_jobs(0);
