@@ -42,7 +42,7 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
     // launch order is task order. So the queue is not built, and a span is
     // written once, at the end of `spans`, where its task index puts it.
     let mut spans: Vec<TaskSpan> = Vec::with_capacity(load.tasks);
-    let mut book: SlotBook<usize> = SlotBook::new(cluster, None, std::iter::empty());
+    let mut book: SlotBook<usize> = SlotBook::new(cluster, None);
     book.stats.max_queue_len = load.tasks.saturating_sub(capacity);
     loop {
         // Launch queued tasks while slots are free: at phase start and

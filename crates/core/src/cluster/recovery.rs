@@ -48,31 +48,42 @@ enum RowKind {
 /// row with nothing in flight is ever queued, so an attempt that dies with
 /// a crash can put its idle row straight back in line without asking
 /// whether it is there already.
+///
+/// One row per task, so its columns are `u32`, [`NIL`] for none: 24
+/// bytes a row.
 #[derive(Debug)]
 struct TaskRow {
-    kind: RowKind,
+    /// The map a re-execution row runs again; [`NIL`] for a phase task.
+    map: u32,
     /// Attempts that hit an injected failure (the `max_attempts` count).
     failed: u32,
     /// 1-based number of the next attempt to launch.
     next_attempt: u32,
-    /// A LATE backup has been launched; a row gets at most one, ever.
-    speculated: bool,
     /// Global slot of the oldest attempt in flight.
-    primary: Option<usize>,
+    primary: u32,
     /// Global slot of a second attempt in flight: the LATE backup, until
     /// it outlives the primary and takes its place.
-    backup: Option<usize>,
+    backup: u32,
+    /// A LATE backup has been launched; a row gets at most one, ever.
+    speculated: bool,
+}
+
+const _: () = assert!(size_of::<TaskRow>() == 24);
+
+/// A `u32` column value as an index, `None` for [`NIL`].
+fn unless_nil(v: u32) -> Option<usize> {
+    (v != NIL).then(|| wide(v))
 }
 
 impl TaskRow {
     fn task() -> Self {
         TaskRow {
-            kind: RowKind::Task,
+            map: NIL,
             failed: 0,
             next_attempt: 1,
+            primary: NIL,
+            backup: NIL,
             speculated: false,
-            primary: None,
-            backup: None,
         }
     }
 
@@ -80,36 +91,48 @@ impl TaskRow {
     /// task, and LATE never duplicates them (they are born speculated).
     fn reexec(map: usize) -> Self {
         TaskRow {
-            kind: RowKind::Reexec { map },
+            map: narrow(map),
             next_attempt: 2,
             speculated: true,
             ..TaskRow::task()
         }
     }
 
+    fn kind(&self) -> RowKind {
+        match unless_nil(self.map) {
+            None => RowKind::Task,
+            Some(map) => RowKind::Reexec { map },
+        }
+    }
+
+    fn primary(&self) -> Option<usize> {
+        unless_nil(self.primary)
+    }
+
     fn is_idle(&self) -> bool {
-        self.primary.is_none()
+        self.primary == NIL
     }
 
     /// The most recently launched attempt still in flight.
     fn youngest(&self) -> Option<usize> {
-        self.backup.or(self.primary)
+        unless_nil(self.backup).or(self.primary())
     }
 
     fn attach(&mut self, slot: usize) {
-        debug_assert!(self.backup.is_none(), "more than two live attempts");
-        if self.primary.is_none() {
-            self.primary = Some(slot);
+        debug_assert!(self.backup == NIL, "more than two live attempts");
+        if self.primary == NIL {
+            self.primary = narrow(slot);
         } else {
-            self.backup = Some(slot);
+            self.backup = narrow(slot);
         }
     }
 
     fn detach(&mut self, slot: usize) {
-        if self.primary == Some(slot) {
-            self.primary = self.backup.take();
-        } else if self.backup == Some(slot) {
-            self.backup = None;
+        let slot = narrow(slot);
+        if self.primary == slot {
+            self.primary = std::mem::replace(&mut self.backup, NIL);
+        } else if self.backup == slot {
+            self.backup = NIL;
         }
     }
 }
@@ -166,6 +189,21 @@ impl RunningAttempt {
         }
     }
 }
+
+/// A task's cell of the winners' column until its winner is written
+/// over it. Attempts are 1-based, so attempt 0 names none.
+const UNWON: TaskSpan = TaskSpan {
+    task: 0,
+    node: 0,
+    slot: 0,
+    wave: 0,
+    queued_s: 0.0,
+    launched_s: 0.0,
+    finished_s: 0.0,
+    attempt: 0,
+    outcome: AttemptOutcome::Success,
+    tier: LocalityTier::NodeLocal,
+};
 
 /// Map-output availability context for a reduce phase, enabling
 /// Hadoop's fetch-failure semantics: when a node dies after its map
@@ -386,6 +424,11 @@ struct FetchCtx<'a> {
 /// the cluster or the task count and is done with when it returns. A
 /// caller that runs many phases hands the same one to each, and a run
 /// starts by resetting what it uses, so nothing of the last run is read.
+///
+/// What a run keeps per task is one 24-byte [`TaskRow`] here and one span
+/// in the result's winners' column, which the run writes in place; the
+/// tasks not launched yet are a cursor, not queue entries. A run that
+/// errors leaves its result vectors in `done`, as a recycled run does.
 #[derive(Debug, Default)]
 pub(crate) struct EngineScratch {
     sim: Simulation<FaultEvent>,
@@ -393,7 +436,6 @@ pub(crate) struct EngineScratch {
     node_failures: Vec<u32>,
     rows: Vec<TaskRow>,
     attempts: Vec<Option<RunningAttempt>>,
-    spans: Vec<Option<TaskSpan>>,
     rack_blacklist_count: Vec<u32>,
     rack_blacklisted: Vec<bool>,
     outputs: MapOutputs,
@@ -404,7 +446,8 @@ pub(crate) struct EngineScratch {
     /// `(row, slot)` of the attempts a crash takes down.
     victims: Vec<(usize, usize)>,
     /// The result vectors of a run its caller is done with
-    /// ([`EngineScratch::recycle`]), for the next run to fill.
+    /// ([`EngineScratch::recycle`]) or of a run that errored, for the
+    /// next run to fill.
     done: Option<PhaseRun>,
 }
 
@@ -442,13 +485,18 @@ pub(super) struct FaultState<'a> {
     /// An attempt *is* what occupies a slot, so this table is the running
     /// set: bounded by cluster capacity, whatever the task count.
     attempts: &'a mut Vec<Option<RunningAttempt>>,
+    /// Phase tasks never launched yet: the head of the FIFO queue, ahead
+    /// of everything `book.queue` holds.
+    fresh: std::ops::Range<usize>,
     /// Phase tasks not yet won.
     pending: usize,
     // LATE progress-rate statistics over every attempt launched so far.
     rate_sum: f64,
     rate_count: u64,
     // Outputs.
-    spans: &'a mut Vec<Option<TaskSpan>>,
+    /// The winners' column, by task: [`UNWON`] until the task's winner
+    /// is written over it.
+    spans: Vec<TaskSpan>,
     wasted: Vec<TaskSpan>,
     recovered: Vec<TaskSpan>,
     annotations: Vec<(f64, String)>,
@@ -502,9 +550,22 @@ impl FaultState<'_> {
     /// which is served ahead of the phase's own tasks.
     fn enqueue(&mut self, row: usize, queued: SimTime) {
         let entry = QueueEntry { row, queued };
-        match (self.rows[row].kind, self.fetch.as_mut()) {
+        match (self.rows[row].kind(), self.fetch.as_mut()) {
             (RowKind::Reexec { .. }, Some(f)) => f.queue.push_back(entry),
             _ => self.book.queue.push_back(entry),
+        }
+    }
+
+    /// Takes the head of the phase's FIFO queue: the tasks never launched,
+    /// in task order and queued at phase start, then `book.queue` in push
+    /// order.
+    fn next_in_line(&mut self) -> Option<QueueEntry> {
+        match self.fresh.next() {
+            Some(row) => Some(QueueEntry {
+                row,
+                queued: SimTime::ZERO,
+            }),
+            None => self.book.queue.pop_front(),
         }
     }
 
@@ -601,14 +662,14 @@ fn launch_attempt(
     st.book.note_wait(now.saturating_sub(queued));
     let global = st.book.global_slots(node).start + slot;
     let r = &mut st.rows[row];
-    let (kind, attempt) = (r.kind, r.next_attempt);
+    let (kind, attempt) = (r.kind(), r.next_attempt);
     r.next_attempt += 1;
     r.attach(global);
     if speculative {
         r.speculated = true;
         st.fstats.speculative_launched += 1;
         // With its backup in flight the primary is no candidate any more.
-        if let Some(primary) = r.primary {
+        if let Some(primary) = r.primary() {
             st.late.remove(primary);
         }
     } else if !r.speculated {
@@ -682,10 +743,10 @@ fn attempt_completed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, slot
             if r.speculative {
                 st.fstats.speculative_wins += 1;
             }
-            let won = st.spans[r.row].replace(r.span(now, AttemptOutcome::Success));
-            debug_assert!(won.is_none(), "two winners for task {}", r.row);
+            let won = std::mem::replace(&mut st.spans[r.row], r.span(now, AttemptOutcome::Success));
+            debug_assert_eq!(won.attempt, UNWON.attempt, "two winners for task {}", r.row);
             // With the winner gone, a rival is the row's only attempt.
-            if let Some(rival) = st.rows[r.row].primary.and_then(|s| st.vacate(s)) {
+            if let Some(rival) = st.rows[r.row].primary().and_then(|s| st.vacate(s)) {
                 sim.cancel(rival.event);
                 st.record_wasted(&rival, now, AttemptOutcome::Cancelled);
                 st.fstats.cancelled_attempts += 1;
@@ -888,7 +949,7 @@ fn choose_reexec_node(
     row: usize,
 ) -> Result<Option<(usize, LocalityTier)>, PhaseError> {
     let (Some(f), Some(RowKind::Reexec { map })) =
-        (st.fetch.as_ref(), st.rows.get(row).map(|r| r.kind))
+        (st.fetch.as_ref(), st.rows.get(row).map(TaskRow::kind))
     else {
         return Ok(None);
     };
@@ -1159,8 +1220,11 @@ pub(super) mod oracle {
 ///
 /// # Panics
 ///
-/// Panics if the cluster has no slots, or `load.timing`/the fault
-/// vectors do not match the cluster's node count.
+/// Panics if the cluster has no slots or more than `u32::MAX − 1` (the
+/// engine's `u32` columns reserve `u32::MAX` for "none"), or
+/// `load.timing`/the fault vectors do not match the cluster's node count.
+/// [`SimConfig::run`](crate::SimConfig::run) cannot get here: its
+/// `ConfigError` already bounds the node, slot and map-task columns.
 pub fn run_phase_faulty(
     cluster: &Cluster,
     load: &PhaseLoad,
@@ -1185,7 +1249,8 @@ pub fn run_phase_faulty(
 ///
 /// Same contract as [`run_phase_faulty`]; with faults, also if the plan
 /// does not have one `map_timing` entry per node, one `map_replicas` list
-/// per holder, or holders that are nodes of the cluster.
+/// per holder, or holders that are nodes of the cluster, or if it has
+/// more than `u32::MAX − 1` map outputs.
 pub fn run_phase_faulty_fetch(
     cluster: &Cluster,
     load: &PhaseLoad,
@@ -1219,6 +1284,10 @@ pub(crate) fn run_phase_fetching(
     let nodes = cluster.nodes.len();
     let capacity = cluster.total_slots();
     assert!(capacity > 0, "need at least one slot");
+    assert!(
+        u32::try_from(capacity).is_ok_and(|c| c != NIL),
+        "global slot ids must stay below the NIL column value"
+    );
     assert_eq!(load.timing.len(), nodes, "one timing entry per node");
     assert_eq!(faults.slowdown.len(), nodes, "one slowdown entry per node");
     assert_eq!(faults.crash_at_s.len(), nodes, "one crash entry per node");
@@ -1253,7 +1322,6 @@ pub(crate) fn run_phase_fetching(
         node_failures,
         rows,
         attempts,
-        spans,
         rack_blacklist_count,
         rack_blacklisted,
         outputs,
@@ -1265,19 +1333,15 @@ pub(crate) fn run_phase_fetching(
         done,
     } = scratch;
     let mut out = done.take().unwrap_or_else(|| PhaseRun::idle(capacity));
-    out.spans.clear();
+    // Sized once, and each winner written over its task's cell: grown by
+    // doubling or copied from a table of its own, the winners' column
+    // would peak at twice its size.
+    refill(&mut out.spans, load.tasks, UNWON);
     out.wasted.clear();
     out.recovered.clear();
     out.annotations.clear();
     sim.reset();
-    book.reset(
-        cluster,
-        Some(&faults.dead_at_start),
-        (0..load.tasks).map(|row| QueueEntry {
-            row,
-            queued: SimTime::ZERO,
-        }),
-    );
+    book.reset(cluster, Some(&faults.dead_at_start));
     // A backup's duration on a node is a function of these bits alone.
     book.slots.install_classes(|n| {
         let t = load.timing.get(n);
@@ -1288,7 +1352,6 @@ pub(crate) fn run_phase_fetching(
     rows.clear();
     rows.extend((0..load.tasks).map(|_| TaskRow::task()));
     refill(attempts, capacity, None);
-    refill(spans, load.tasks, None);
     refill(rack_blacklist_count, faults.domains.racks, 0);
     refill(rack_blacklisted, faults.domains.racks, false);
     late.reset(capacity);
@@ -1297,10 +1360,11 @@ pub(crate) fn run_phase_fetching(
         node_failures,
         rows,
         attempts,
+        fresh: 0..load.tasks,
         pending: load.tasks,
         rate_sum: 0.0,
         rate_count: 0,
-        spans,
+        spans: out.spans,
         wasted: out.wasted,
         recovered: out.recovered,
         annotations: out.annotations,
@@ -1382,7 +1446,7 @@ pub(crate) fn run_phase_fetching(
             if st.fetch.as_ref().is_some_and(|f| f.outstanding > 0) {
                 break;
             }
-            if let Some(entry) = st.book.queue.front().copied() {
+            if let Some(entry) = st.next_in_line() {
                 let (node, _tier) = placement.place_local(
                     entry.row,
                     cluster,
@@ -1393,7 +1457,6 @@ pub(crate) fn run_phase_fetching(
                     st.book.slots.free(node) > 0 && st.book.slots.usable(node),
                     "placement chose an unusable node"
                 );
-                st.book.queue.pop_front();
                 let tier = load.tier_for(entry.row, node);
                 launch_attempt(sim, &mut st, load, faults, entry, node, tier, false);
                 continue;
@@ -1409,7 +1472,7 @@ pub(crate) fn run_phase_fetching(
             let tier = load.tier_for(row, node);
             launch_attempt(sim, &mut st, load, faults, entry, node, tier, true);
         }
-        let backlog = st.book.queue.len();
+        let backlog = st.fresh.len() + st.book.queue.len();
         st.book.stats.max_queue_len = st.book.stats.max_queue_len.max(backlog);
 
         let Some(event) = sim.pop() else {
@@ -1431,27 +1494,29 @@ pub(crate) fn run_phase_fetching(
         }
     }
 
-    if let Some(e) = st.error {
-        return Err(e);
-    }
-    if st.pending > 0 {
-        return Err(PhaseError::NoUsableSlots {
+    let error = st
+        .error
+        .or((st.pending > 0).then_some(PhaseError::NoUsableSlots {
             pending: st.pending,
-        });
-    }
-    let mut spans = out.spans;
-    // Sized once: grown by doubling, the winners' column would peak at
-    // its last copy, beside the table it is copied from.
-    spans.reserve_exact(load.tasks);
-    spans.extend(st.spans.drain(..).flatten());
-    debug_assert_eq!(spans.len(), load.tasks, "one winning span per task");
-    Ok(PhaseRun {
+        }));
+    let run = PhaseRun {
         makespan_s: st.book.max_finish.as_secs_f64(),
-        spans,
+        spans: st.spans,
         slots: st.book.stats,
         wasted: st.wasted,
         recovered: st.recovered,
         annotations: st.annotations,
         faults: st.fstats,
-    })
+    };
+    if let Some(e) = error {
+        // A failed seed is one of many: the next run fills these vectors
+        // rather than growing its own.
+        *done = Some(run);
+        return Err(e);
+    }
+    debug_assert!(
+        run.spans.iter().all(|s| s.attempt != UNWON.attempt),
+        "a task without a winner"
+    );
+    Ok(run)
 }

@@ -552,24 +552,16 @@ impl<Q> Default for SlotBook<Q> {
 }
 
 impl<Q> SlotBook<Q> {
-    /// Every slot of `cluster` free (none on `dead` nodes), `queue` waiting.
-    pub(super) fn new(
-        cluster: &Cluster,
-        dead: Option<&[bool]>,
-        queue: impl Iterator<Item = Q>,
-    ) -> Self {
+    /// Every slot of `cluster` free (none on `dead` nodes), nobody
+    /// waiting.
+    pub(super) fn new(cluster: &Cluster, dead: Option<&[bool]>) -> Self {
         let mut book = SlotBook::default();
-        book.reset(cluster, dead, queue);
+        book.reset(cluster, dead);
         book
     }
 
     /// [`SlotBook::new`] in place, in the allocations the last run left.
-    pub(super) fn reset(
-        &mut self,
-        cluster: &Cluster,
-        dead: Option<&[bool]>,
-        queue: impl Iterator<Item = Q>,
-    ) {
+    pub(super) fn reset(&mut self, cluster: &Cluster, dead: Option<&[bool]>) {
         self.slots.reset(cluster, dead);
         self.slot_table.reset(cluster);
         self.slot_base.clear();
@@ -582,7 +574,6 @@ impl<Q> SlotBook<Q> {
         }
         refill(&mut self.slot_waves, total, 0);
         self.queue.clear();
-        self.queue.extend(queue);
         self.in_use = 0;
         self.max_finish = SimTime::ZERO;
         self.stats = SlotStats {

@@ -19,6 +19,14 @@ fn engine_state_is_send() {
     is_send::<(SlotBook<usize>, Simulation<Done>)>();
 }
 
+/// A span is what both engines keep per task (the fault engine a 24-byte
+/// row more): 64 bytes, with or without an `Option` around it.
+#[test]
+fn a_task_span_is_64_bytes() {
+    assert_eq!(size_of::<TaskSpan>(), 64);
+    assert_eq!(size_of::<Option<TaskSpan>>(), 64);
+}
+
 fn set(tasks: usize, secs: f64) -> TaskSet {
     TaskSet {
         tasks,
@@ -776,8 +784,10 @@ fn holder_dead_between_phases_recovers_before_reduces_launch() {
 
 /// One `EngineScratch` through runs of different shapes — a recovery
 /// that appends re-execution rows, a run that dies with its tables
-/// dirty, a smaller cluster with a speculative backup, a failure-ridden
-/// mixed one — twice around: every run equals the run on fresh tables.
+/// dirty, a failure-ridden mixed one with ten times the tasks, the same
+/// one exhausting its attempts, a smaller cluster with a speculative
+/// backup — twice around: every run equals the run on fresh tables, and
+/// one error is followed by a run with more tasks, the other by fewer.
 #[test]
 fn engine_scratch_carries_nothing_between_runs() {
     let (c4, reduce, plan) = fetch_scenario();
@@ -790,16 +800,22 @@ fn engine_scratch_carries_nothing_between_runs() {
     straggler.slowdown[1] = 4.0;
     let mixed = mixed_cluster();
     type Scenario<'a> = (&'a Cluster, PhaseLoad, PhaseFaults, Option<&'a FetchPlan>);
-    let scenarios: [Scenario; 4] = [
+    let scenarios: [Scenario; 5] = [
         (&c4, reduce.clone(), holder_dies, Some(&plan)),
         (&c4, reduce, rack_dies, Some(&plan)),
-        (&c2, PhaseLoad::uniform(&set(4, 10.0), &c2), straggler, None),
         (
             &mixed,
             hetero_load(40, &mixed),
             failure_faults(3, 0.3, 7),
             None,
         ),
+        (
+            &mixed,
+            hetero_load(40, &mixed),
+            failure_faults(3, 1.0, 7),
+            None,
+        ),
+        (&c2, PhaseLoad::uniform(&set(4, 10.0), &c2), straggler, None),
     ];
     let scratch = &mut EngineScratch::default();
     let mut errors = 0;
@@ -819,7 +835,10 @@ fn engine_scratch_carries_nothing_between_runs() {
             errors += usize::from(fresh.is_err());
         }
     }
-    assert_eq!(errors, 2, "the rack crash loses map 0's every replica");
+    assert_eq!(
+        errors, 4,
+        "the rack crash loses map 0's every replica; every attempt fails"
+    );
 }
 
 /// What the per-decision oracle is for, in numbers: on a 200 × 4 cluster

@@ -166,9 +166,9 @@ fn mttf(x: Option<f64>) -> bool {
     x.map_or(true, positive)
 }
 
-/// Whether `n` fits an engine `u32` column.
+/// Whether `n` fits an engine `u32` column, whose `u32::MAX` means none.
 fn fits_u32<T: TryInto<u32>>(n: T) -> bool {
-    n.try_into().is_ok()
+    n.try_into().is_ok_and(|v: u32| v != u32::MAX)
 }
 
 fn check_faults(fc: &FaultConfig) -> Result<(), ConfigError> {

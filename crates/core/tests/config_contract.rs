@@ -118,6 +118,13 @@ fn rows() -> Vec<Row> {
             base().data_per_node(u64::MAX),
             ConfigError::TooLarge,
         ),
+        // Three nodes of these are u32::MAX slots: the one slot id the
+        // engine's u32 columns keep for "none".
+        row(
+            "u32::MAX slots",
+            base().mappers(1_431_655_765),
+            ConfigError::TooLarge,
+        ),
         row("a machine without cores", no_cores, ConfigError::NoCores),
         row("mappers(0)", base().mappers(0), ConfigError::NoSlots),
         row(
