@@ -77,6 +77,14 @@ impl<K: Datum, V: Datum> Emitter<K, V> {
         std::mem::swap(&mut self.buf, recycled);
     }
 
+    /// Removes the buffered records in emission order, keeping the
+    /// buffer's allocation for the next emits (a combiner's emitter is
+    /// reused across every key group of a map task this way).
+    pub(crate) fn drain_kept(&mut self) -> std::vec::Drain<'_, (K, V)> {
+        self.bytes = 0;
+        self.buf.drain(..)
+    }
+
     /// True if nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()

@@ -16,6 +16,11 @@
 //!   stable across equal keys (earlier runs first).
 //! - **Re-sort elision** — combiner output skips the defensive
 //!   per-partition re-sort unless the combiner actually rewrote a key.
+//! - **No allocation per record** — short keys are inline
+//!   [`crate::Text`], and a combiner is a [`Combiner`] cloned once per map
+//!   task that writes every key group into one reused [`Emitter`], so
+//!   emitting, combining and cloning a short-keyed record allocates
+//!   nothing.
 
 use crate::config::JobConfig;
 use crate::emit::Emitter;
@@ -23,13 +28,13 @@ use crate::kv::Datum;
 use crate::merge::{merge_runs, Run};
 use crate::partition::{hash_partition, Partitioner};
 use crate::stats::{JobStats, TaskIo};
-use crate::task::{Mapper, Reducer};
+use crate::task::{Combiner, Mapper, Reducer};
 
 /// A fully specified job: mapper, reducer, optional combiner, partitioner
 /// and engine configuration.
 ///
-/// The combiner is a boxed reduce-like function (`(key, values) → pairs`)
-/// so jobs with and without combining share one type.
+/// The combiner is held behind a pointer so jobs with and without
+/// combining share one type.
 pub struct JobSpec<M, R>
 where
     M: Mapper,
@@ -37,12 +42,34 @@ where
 {
     mapper: M,
     reducer: R,
-    combiner: Option<CombineFn<M::KOut, M::VOut>>,
+    combiner: Option<Box<dyn TaskCombiner<M::KOut, M::VOut>>>,
     partitioner: Partitioner<M::KOut>,
     config: JobConfig,
 }
 
-type CombineFn<K, V> = std::sync::Arc<dyn Fn(&K, &[V]) -> Vec<(K, V)> + Send + Sync>;
+/// A [`Combiner`] with its types fixed, so a job can hold any one.
+trait TaskCombiner<K, V>: Send {
+    /// A fresh copy for one map task.
+    fn fork(&self) -> Box<dyn TaskCombiner<K, V>>;
+    /// Combines one key group into `out`.
+    fn combine(&mut self, key: &K, values: &[V], out: &mut Emitter<K, V>);
+}
+
+impl<C: Combiner + 'static> TaskCombiner<C::KIn, C::VIn> for C {
+    fn fork(&self) -> Box<dyn TaskCombiner<C::KIn, C::VIn>> {
+        Box::new(self.clone())
+    }
+    fn combine(&mut self, key: &C::KIn, values: &[C::VIn], out: &mut Emitter<C::KIn, C::VIn>) {
+        self.reduce(key, values, out);
+    }
+}
+
+/// One map task's combiner and the emitter it writes every key group of
+/// every spill into.
+struct SpillCombiner<K, V> {
+    combiner: Box<dyn TaskCombiner<K, V>>,
+    out: Emitter<K, V>,
+}
 
 impl<M, R> JobSpec<M, R>
 where
@@ -66,13 +93,58 @@ where
         self
     }
 
-    /// Installs a combiner function run over every spill and final merge,
-    /// Hadoop-style. Must be associative/commutative and type-preserving.
-    pub fn combiner<F>(mut self, f: F) -> Self
+    /// Installs a combiner run over every spill of every map task, as
+    /// Hadoop's `job.setCombinerClass(IntSumReducer.class)` does: a
+    /// reducer whose output types are its input types ([`Combiner`]).
+    ///
+    /// It is cloned once per map task, like the mapper, and sees each key
+    /// group of a sorted spill in turn. It may emit any number of records
+    /// per group; one that rewrites a key sends the record to that key's
+    /// partition, which is then re-sorted. Since Hadoop may run a combiner
+    /// any number of times, it must be associative and commutative.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hhsim_mapreduce::{run_job, Emitter, JobSpec, Mapper, Reducer, Text};
+    ///
+    /// #[derive(Clone)]
+    /// struct Words;
+    /// impl Mapper for Words {
+    ///     type KIn = u64;
+    ///     type VIn = String;
+    ///     type KOut = Text;
+    ///     type VOut = u64;
+    ///     fn map(&mut self, _k: &u64, line: &String, out: &mut Emitter<Text, u64>) {
+    ///         for w in line.split_whitespace() {
+    ///             out.emit(Text::from(w), 1);
+    ///         }
+    ///     }
+    /// }
+    ///
+    /// #[derive(Clone)]
+    /// struct SumReducer;
+    /// impl Reducer for SumReducer {
+    ///     type KIn = Text;
+    ///     type VIn = u64;
+    ///     type KOut = Text;
+    ///     type VOut = u64;
+    ///     fn reduce(&mut self, k: &Text, vs: &[u64], out: &mut Emitter<Text, u64>) {
+    ///         out.emit(k.clone(), vs.iter().sum());
+    ///     }
+    /// }
+    ///
+    /// let job = JobSpec::new(Words, SumReducer).combiner(SumReducer);
+    /// let res = run_job(&job, vec![vec![(0, "a b a".to_string())]]);
+    /// assert_eq!(res.stats.combine_input_records, 3);
+    /// assert_eq!(res.stats.combine_output_records, 2);
+    /// assert_eq!(res.output, vec![(Text::from("a"), 2), (Text::from("b"), 1)]);
+    /// ```
+    pub fn combiner<C>(mut self, combiner: C) -> Self
     where
-        F: Fn(&M::KOut, &[M::VOut]) -> Vec<(M::KOut, M::VOut)> + Send + Sync + 'static,
+        C: Combiner<KIn = M::KOut, VIn = M::VOut> + 'static,
     {
-        self.combiner = Some(std::sync::Arc::new(f));
+        self.combiner = Some(Box::new(combiner));
         self
     }
 
@@ -202,6 +274,10 @@ where
     let cfg = job.config;
     let nparts = cfg.num_reducers.max(1);
     let mut mapper = job.mapper.clone();
+    let mut combiner = job.combiner.as_ref().map(|c| SpillCombiner {
+        combiner: c.fork(),
+        out: Emitter::new(),
+    });
     let mut emitter: Emitter<M::KOut, M::VOut> = Emitter::new();
     let mut task_io = TaskIo::default();
 
@@ -215,16 +291,16 @@ where
     #[allow(clippy::type_complexity)]
     let mut segments: Vec<Vec<Run<M::KOut, M::VOut>>> = Vec::new();
 
-    let spill = |emitter: &mut Emitter<M::KOut, M::VOut>,
-                 scratch: &mut Vec<(M::KOut, M::VOut)>,
-                 stats: &mut JobStats,
-                 segments: &mut Vec<_>| {
+    let mut spill = |emitter: &mut Emitter<M::KOut, M::VOut>,
+                     scratch: &mut Vec<(M::KOut, M::VOut)>,
+                     stats: &mut JobStats,
+                     segments: &mut Vec<_>| {
         emitter.drain_reusing(scratch);
         if scratch.is_empty() {
             return;
         }
         let (parts, in_recs, out_recs, out_bytes) =
-            sort_and_combine::<M>(scratch, nparts, &job.partitioner, job.combiner.as_ref());
+            sort_and_combine::<M>(scratch, nparts, &job.partitioner, combiner.as_mut());
         if job.combiner.is_some() {
             stats.combine_input_records += in_recs;
             stats.combine_output_records += out_recs;
@@ -302,7 +378,7 @@ fn sort_and_combine<M: Mapper>(
     records: &mut Vec<(M::KOut, M::VOut)>,
     nparts: usize,
     partitioner: &Partitioner<M::KOut>,
-    combiner: Option<&CombineFn<M::KOut, M::VOut>>,
+    combiner: Option<&mut SpillCombiner<M::KOut, M::VOut>>,
 ) -> (Vec<Run<M::KOut, M::VOut>>, u64, u64, u64) {
     let in_records = records.len() as u64;
     assert!(
@@ -337,22 +413,18 @@ fn sort_and_combine<M: Mapper>(
             // ascending key order and stays where it is.
             let mut dirty = vec![false; nparts];
             for (p, run) in sorted_parts.iter().enumerate() {
-                let mut i = 0;
-                while i < run.len() {
-                    let mut j = i + 1;
-                    while j < run.len() && run.keys[j] == run.keys[i] {
-                        j += 1;
-                    }
-                    for (k, v) in comb(&run.keys[i], &run.vals[i..j]) {
-                        if k == run.keys[i] {
-                            out_parts[p].push(k, v);
+                for (key, vals) in run.groups() {
+                    comb.combiner.combine(key, vals, &mut comb.out);
+                    for (k, v) in comb.out.drain_kept() {
+                        let q = if k == *key {
+                            p
                         } else {
                             let q = partitioner(&k, nparts);
                             dirty[q] = true;
-                            out_parts[q].push(k, v);
-                        }
+                            q
+                        };
+                        out_parts[q].push(k, v);
                     }
-                    i = j;
                 }
             }
             for (p, run) in out_parts.iter_mut().enumerate() {
@@ -405,16 +477,10 @@ fn run_reduce_task<M, R>(
     // Key groups are contiguous ranges of the merged columnar run, so the
     // reducer borrows the key and receives the values as a real slice —
     // no per-group clone.
-    let mut i = 0;
-    while i < merged.len() {
-        let mut j = i + 1;
-        while j < merged.len() && merged.keys[j] == merged.keys[i] {
-            j += 1;
-        }
+    for (key, vals) in merged.groups() {
         stats.reduce_input_groups += 1;
-        stats.reduce_input_records += (j - i) as u64;
-        reducer.reduce(&merged.keys[i], &merged.vals[i..j], &mut emitter);
-        i = j;
+        stats.reduce_input_records += vals.len() as u64;
+        reducer.reduce(key, vals, &mut emitter);
     }
     let records = emitter.drain();
     for (k, v) in records {

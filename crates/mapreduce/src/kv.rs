@@ -54,6 +54,111 @@ impl Datum for String {
     }
 }
 
+/// Bytes a [`Text`] keeps inline: what fits beside its length byte and the
+/// enum tag in the 24 bytes a `String` takes.
+const INLINE: usize = 22;
+
+/// UTF-8 text that keeps up to 22 bytes inline and longer text on the heap:
+/// a key type whose short keys cost no allocation to emit, clone or drop.
+///
+/// It is a drop-in for `String` as far as the engine can tell: [`Ord`] is
+/// byte-lexicographic, [`Datum::stable_hash`] is the same FNV-1a over the
+/// bytes and [`Datum::size_bytes`] is the length, so sort order, partition
+/// index and every byte counter equal those of the `String` it replaces.
+///
+/// # Examples
+///
+/// ```
+/// use hhsim_mapreduce::{Datum, Text};
+///
+/// let short = Text::from("word");
+/// let long = Text::from("a key longer than twenty-two bytes");
+/// assert_eq!(short.as_str(), "word");
+/// assert_eq!(short.size_bytes(), 4);
+/// assert_eq!(short.stable_hash(), "word".to_string().stable_hash());
+/// assert!(long < short, "byte order, whatever the representation");
+/// ```
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the text; `len <= INLINE`.
+    Inline { len: u8, bytes: [u8; INLINE] },
+    /// Text longer than `INLINE` bytes.
+    Heap(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Text>() == std::mem::size_of::<String>());
+
+impl Text {
+    /// The text's bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or_default(),
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// The text as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // Inline bytes are always a whole `&str` copied in, so they are
+            // valid UTF-8 and the fallback is never taken.
+            Repr::Inline { .. } => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        let mut bytes = [0u8; INLINE];
+        match (u8::try_from(s.len()), bytes.get_mut(..s.len())) {
+            (Ok(len), Some(head)) => {
+                head.copy_from_slice(s.as_bytes());
+                Text(Repr::Inline { len, bytes })
+            }
+            _ => Text(Repr::Heap(Box::from(s))),
+        }
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::fmt::Debug for Text {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl Datum for Text {
+    fn size_bytes(&self) -> usize {
+        self.as_bytes().len()
+    }
+    fn stable_hash(&self) -> u64 {
+        fnv1a(self.as_bytes())
+    }
+}
+
 impl Datum for Vec<u8> {
     fn size_bytes(&self) -> usize {
         self.len()
@@ -111,6 +216,9 @@ impl<A: Datum, B: Datum> Datum for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::hash_partition;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sizes_match_serialized_widths() {
@@ -138,6 +246,55 @@ mod tests {
             ("a".to_string(), 1u64).stable_hash(),
             ("b".to_string(), 1u64).stable_hash()
         );
+    }
+
+    /// A string of exactly `len` bytes drawn from one- to four-byte chars.
+    fn utf8_of_len(rng: &mut StdRng, len: usize) -> String {
+        const CHARS: [char; 8] = ['a', 'b', 'z', ' ', '\u{1}', 'é', '€', '𝄞'];
+        let mut s = String::new();
+        while s.len() < len {
+            let c = CHARS[rng.random_range(0..CHARS.len())];
+            if s.len() + c.len_utf8() <= len {
+                s.push(c);
+            }
+        }
+        s
+    }
+
+    /// `Text` is indistinguishable from `String` to the engine: same order,
+    /// hash, size and partition, on both sides of the inline limit.
+    #[test]
+    fn text_matches_string() {
+        let mut rng = StdRng::seed_from_u64(0x7e47);
+        let mut strings: Vec<String> = (0..=40)
+            .flat_map(|len| [0, 1, 2].map(|_| len))
+            .map(|len| utf8_of_len(&mut rng, len))
+            .collect();
+        // Shared prefixes across the 22/23-byte boundary.
+        let base = "x".repeat(22);
+        strings.extend([base.clone(), format!("{base}a"), format!("{base}é")]);
+        strings.push("é".repeat(11));
+        strings.push(format!("{}a", "é".repeat(11)));
+        assert!(strings.iter().any(|s| s.len() == 22 && !s.is_ascii()));
+        assert!(strings.iter().any(|s| s.len() == 23 && !s.is_ascii()));
+        let texts: Vec<Text> = strings.iter().map(|s| Text::from(s.as_str())).collect();
+        let partitions =
+            [1, 2, 4, 7].map(|n| (n, hash_partition::<String>(), hash_partition::<Text>()));
+        for (s, t) in strings.iter().zip(&texts) {
+            assert_eq!(t.as_str(), s);
+            assert_eq!(matches!(t.0, Repr::Inline { .. }), s.len() <= INLINE);
+            assert_eq!(t.as_bytes(), s.as_bytes());
+            assert_eq!(t.size_bytes(), s.size_bytes(), "{s:?}");
+            assert_eq!(t.stable_hash(), s.stable_hash(), "{s:?}");
+            assert_eq!(format!("{t:?}"), format!("{s:?}"));
+            for (n, ps, pt) in &partitions {
+                assert_eq!(pt(t, *n), ps(s, *n), "{s:?} over {n} reducers");
+            }
+            for (s2, t2) in strings.iter().zip(&texts) {
+                assert_eq!(t.cmp(t2), s.cmp(s2), "{s:?} vs {s2:?}");
+                assert_eq!(t == t2, s == s2);
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,20 @@ impl<K: Datum, V: Datum> Run<K, V> {
         k + v
     }
 
+    /// The run's key groups in order: each distinct key with the slice of
+    /// values recorded under it.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (&K, &[V])> {
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let key = self.keys.get(start)?;
+            let rest = self.keys.get(start..)?;
+            let end = start + rest.iter().take_while(|k| *k == key).count();
+            let vals = self.vals.get(start..end)?;
+            start = end;
+            Some((key, vals))
+        })
+    }
+
     /// Consumes the run into `(key, value)` pairs in record order.
     pub(crate) fn into_pairs(self) -> impl Iterator<Item = (K, V)> {
         self.keys.into_iter().zip(self.vals)

@@ -76,6 +76,62 @@ pub struct JobStats {
 }
 
 impl JobStats {
+    /// Adds another job's counters to these and appends its per-task I/O
+    /// (the merged statistics of chained jobs).
+    ///
+    /// The destructure names every field, so a new counter cannot be
+    /// forgotten here: it fails to compile until it is folded.
+    pub fn absorb(&mut self, other: JobStats) {
+        let JobStats {
+            map_tasks,
+            reduce_tasks,
+            map_input_bytes,
+            map_input_records,
+            map_output_records,
+            map_output_bytes,
+            map_materialized_records,
+            map_materialized_bytes,
+            combine_input_records,
+            combine_output_records,
+            spills,
+            spill_write_bytes,
+            map_merge_bytes,
+            map_merge_passes,
+            shuffle_bytes,
+            reduce_merge_bytes,
+            reduce_merge_passes,
+            reduce_input_groups,
+            reduce_input_records,
+            output_records,
+            output_bytes,
+            map_task_io,
+            reduce_task_io,
+        } = other;
+        self.map_tasks += map_tasks;
+        self.reduce_tasks += reduce_tasks;
+        self.map_input_bytes += map_input_bytes;
+        self.map_input_records += map_input_records;
+        self.map_output_records += map_output_records;
+        self.map_output_bytes += map_output_bytes;
+        self.map_materialized_records += map_materialized_records;
+        self.map_materialized_bytes += map_materialized_bytes;
+        self.combine_input_records += combine_input_records;
+        self.combine_output_records += combine_output_records;
+        self.spills += spills;
+        self.spill_write_bytes += spill_write_bytes;
+        self.map_merge_bytes += map_merge_bytes;
+        self.map_merge_passes += map_merge_passes;
+        self.shuffle_bytes += shuffle_bytes;
+        self.reduce_merge_bytes += reduce_merge_bytes;
+        self.reduce_merge_passes += reduce_merge_passes;
+        self.reduce_input_groups += reduce_input_groups;
+        self.reduce_input_records += reduce_input_records;
+        self.output_records += output_records;
+        self.output_bytes += output_bytes;
+        self.map_task_io.extend(map_task_io);
+        self.reduce_task_io.extend(reduce_task_io);
+    }
+
     /// Map selectivity: output bytes per input byte (before combining).
     pub fn map_selectivity(&self) -> f64 {
         if self.map_input_bytes == 0 {
@@ -146,6 +202,44 @@ mod tests {
         assert_eq!(s.map_selectivity(), 1.5);
         assert_eq!(s.combine_ratio(), 0.5);
         assert_eq!(s.shuffle_selectivity(), 0.75);
+    }
+
+    #[test]
+    fn absorb_sums_counters_and_appends_tasks() {
+        let io = |input_bytes| TaskIo {
+            input_bytes,
+            ..TaskIo::default()
+        };
+        let a = JobStats {
+            map_tasks: 2,
+            spills: 3,
+            output_bytes: 10,
+            map_task_io: vec![io(1), io(2)],
+            ..JobStats::default()
+        };
+        let b = JobStats {
+            map_tasks: 1,
+            reduce_tasks: 1,
+            output_bytes: 5,
+            map_task_io: vec![io(3)],
+            reduce_task_io: vec![io(4)],
+            ..JobStats::default()
+        };
+        let mut merged = JobStats::default();
+        merged.absorb(a);
+        merged.absorb(b);
+        assert_eq!(
+            merged,
+            JobStats {
+                map_tasks: 3,
+                reduce_tasks: 1,
+                spills: 3,
+                output_bytes: 15,
+                map_task_io: vec![io(1), io(2), io(3)],
+                reduce_task_io: vec![io(4)],
+                ..JobStats::default()
+            }
+        );
     }
 
     #[test]

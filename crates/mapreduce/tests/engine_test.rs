@@ -80,7 +80,7 @@ fn combiner_shrinks_shuffle_but_not_answer() {
     let comb = run_job(
         &wc_job()
             .config(JobConfig::default().num_reducers(2))
-            .combiner(|k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]),
+            .combiner(Sum),
         splits,
     );
     let (mut a, mut b) = (no_comb.output.clone(), comb.output.clone());
@@ -276,6 +276,19 @@ impl Mapper for LowerCase {
     }
 }
 
+/// Sums under the lower-cased key: a combiner that rewrites keys.
+#[derive(Clone)]
+struct LowerSum;
+impl Reducer for LowerSum {
+    type KIn = String;
+    type VIn = u64;
+    type KOut = String;
+    type VOut = u64;
+    fn reduce(&mut self, k: &String, vs: &[u64], out: &mut Emitter<String, u64>) {
+        out.emit(k.to_lowercase(), vs.iter().sum());
+    }
+}
+
 fn rewrite_splits() -> Vec<Vec<(u64, String)>> {
     (0..6)
         .map(|i| {
@@ -298,12 +311,8 @@ fn key_rewriting_combiner_keeps_partitions_sorted() {
     // Tiny buffer: several spills per task, so rewritten runs also go
     // through the map-side heap merge, which requires sorted inputs.
     let cfg = JobConfig::default().num_reducers(4).sort_buffer_bytes(48);
-    let rewriting = JobSpec::new(MixedCase, Sum)
-        .config(cfg)
-        .combiner(|k: &String, vs: &[u64]| vec![(k.to_lowercase(), vs.iter().sum())]);
-    let reference = JobSpec::new(LowerCase, Sum)
-        .config(cfg)
-        .combiner(|k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
+    let rewriting = JobSpec::new(MixedCase, Sum).config(cfg).combiner(LowerSum);
+    let reference = JobSpec::new(LowerCase, Sum).config(cfg).combiner(Sum);
 
     let got = run_job(&rewriting, rewrite_splits());
     let expect = run_job(&reference, rewrite_splits());
@@ -326,6 +335,100 @@ fn key_rewriting_combiner_keeps_partitions_sorted() {
         start = end;
     }
     assert_eq!(start, got.output.len(), "task IO covers the whole output");
+}
+
+/// Drops the stop word `"the"` and splits every other count of two or
+/// more into two records: a combiner that emits zero records for some
+/// groups and two for others. Summing is unchanged by it, and so is
+/// applying it again, so it is a valid combiner under [`Sum`].
+#[derive(Clone)]
+struct DropOrSplit;
+impl Reducer for DropOrSplit {
+    type KIn = String;
+    type VIn = u64;
+    type KOut = String;
+    type VOut = u64;
+    fn reduce(&mut self, k: &String, vs: &[u64], out: &mut Emitter<String, u64>) {
+        if k == "the" {
+            return;
+        }
+        let n: u64 = vs.iter().sum();
+        if n >= 2 {
+            out.emit(k.clone(), n - n / 2);
+            out.emit(k.clone(), n / 2);
+        } else {
+            out.emit(k.clone(), n);
+        }
+    }
+}
+
+fn drop_or_split_splits() -> Vec<Vec<(u64, String)>> {
+    (0..5)
+        .map(|i| {
+            lines(&[
+                &format!("the cat w{i} the dog"),
+                &format!("cat cat the w{} emu", i % 2),
+                "dog",
+            ])
+        })
+        .collect()
+}
+
+/// A combiner that emits zero records for some groups and two for others
+/// goes through the one reused emitter like any other. The oracle runs
+/// the same combiner as a *reducer*, one job per split (one spill each, as
+/// under the default buffer), which yields exactly the records the
+/// combiner emits and so both `combine_*` counters; reducing those records
+/// with [`Sum`] gives the output.
+#[test]
+fn combiner_emitting_zero_or_two_records_matches_reducer_oracle() {
+    let cfg = JobConfig::default().num_reducers(3);
+    let got = run_job(
+        &JobSpec::new(Tokenize, Sum)
+            .config(cfg)
+            .combiner(DropOrSplit),
+        drop_or_split_splits(),
+    );
+
+    let mut combined: Vec<(String, u64)> = Vec::new();
+    let (mut combine_in, mut combine_out) = (0u64, 0u64);
+    for split in drop_or_split_splits() {
+        let one = run_job(
+            &JobSpec::new(Tokenize, DropOrSplit).config(cfg.num_reducers(1)),
+            vec![split],
+        );
+        combine_in += one.stats.reduce_input_records;
+        combine_out += one.stats.output_records;
+        combined.extend(one.output);
+    }
+    let oracle = run_job(
+        &JobSpec::new(IdentityMapper::<String, u64>::new(), Sum).config(cfg),
+        vec![combined],
+    );
+
+    assert_eq!(got.stats.combine_input_records, combine_in);
+    assert_eq!(got.stats.combine_output_records, combine_out);
+    assert_eq!(got.stats.map_materialized_records, combine_out);
+    assert_eq!(got.output, oracle.output);
+    assert!(
+        got.output.iter().all(|(k, _)| k != "the"),
+        "dropped groups stay dropped"
+    );
+    assert!(
+        combine_out > combine_in / 2,
+        "split groups emit two records"
+    );
+
+    // Spilling every few records runs the combiner on more, smaller
+    // groups; the answer must not move.
+    let spilled = run_job(
+        &JobSpec::new(Tokenize, Sum)
+            .config(cfg.sort_buffer_bytes(40))
+            .combiner(DropOrSplit),
+        drop_or_split_splits(),
+    );
+    assert!(spilled.stats.spills > got.stats.spills);
+    assert_eq!(spilled.output, got.output);
 }
 
 /// Total records are conserved through an identity job: reduce input

@@ -227,29 +227,7 @@ impl FunctionalRun {
         let per_job = all.clone();
         let mut merged = JobStats::default();
         for s in all {
-            merged.map_tasks += s.map_tasks;
-            merged.reduce_tasks += s.reduce_tasks;
-            merged.map_input_bytes += s.map_input_bytes;
-            merged.map_input_records += s.map_input_records;
-            merged.map_output_records += s.map_output_records;
-            merged.map_output_bytes += s.map_output_bytes;
-            merged.map_materialized_records += s.map_materialized_records;
-            merged.map_materialized_bytes += s.map_materialized_bytes;
-            merged.combine_input_records += s.combine_input_records;
-            merged.combine_output_records += s.combine_output_records;
-            merged.spills += s.spills;
-            merged.spill_write_bytes += s.spill_write_bytes;
-            merged.map_merge_bytes += s.map_merge_bytes;
-            merged.map_merge_passes += s.map_merge_passes;
-            merged.shuffle_bytes += s.shuffle_bytes;
-            merged.reduce_merge_bytes += s.reduce_merge_bytes;
-            merged.reduce_merge_passes += s.reduce_merge_passes;
-            merged.reduce_input_groups += s.reduce_input_groups;
-            merged.reduce_input_records += s.reduce_input_records;
-            merged.output_records += s.output_records;
-            merged.output_bytes += s.output_bytes;
-            merged.map_task_io.extend(s.map_task_io);
-            merged.reduce_task_io.extend(s.reduce_task_io);
+            merged.absorb(s);
         }
         FunctionalRun {
             stats: merged,

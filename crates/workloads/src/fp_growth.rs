@@ -18,11 +18,12 @@
 #![allow(clippy::disallowed_types)]
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
     run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Mapper,
-    Reducer,
+    Reducer, Text,
 };
 
 mod fptree;
@@ -35,25 +36,25 @@ pub struct ItemCountMapper;
 impl Mapper for ItemCountMapper {
     type KIn = u64;
     type VIn = String;
-    type KOut = String;
+    type KOut = Text;
     type VOut = u64;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<String, u64>) {
+    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<Text, u64>) {
         for item in line.split_whitespace() {
-            out.emit(item.to_string(), 1);
+            out.emit(Text::from(item), 1);
         }
     }
 }
 
-/// Sums item counts.
+/// Sums item counts; the counting job's combiner and reducer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ItemSumReducer;
 
 impl Reducer for ItemSumReducer {
-    type KIn = String;
+    type KIn = Text;
     type VIn = u64;
-    type KOut = String;
+    type KOut = Text;
     type VOut = u64;
-    fn reduce(&mut self, key: &String, values: &[u64], out: &mut Emitter<String, u64>) {
+    fn reduce(&mut self, key: &Text, values: &[u64], out: &mut Emitter<Text, u64>) {
         out.emit(key.clone(), values.iter().sum());
     }
 }
@@ -70,11 +71,11 @@ pub struct FList {
 
 impl FList {
     /// Builds the F-list from job-1 output, dropping infrequent items.
-    pub fn new(counts: &[(String, u64)], min_support: u64) -> Self {
+    pub fn new(counts: &[(Text, u64)], min_support: u64) -> Self {
         let mut freq: Vec<(String, u64)> = counts
             .iter()
             .filter(|(_, c)| *c >= min_support)
-            .cloned()
+            .map(|(item, c)| (item.as_str().to_owned(), *c))
             .collect();
         // Descending count, ascending name for determinism.
         freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -100,6 +101,28 @@ pub struct GroupMapper {
     pub rank: HashMap<String, u32>,
     /// Number of groups.
     pub groups: u32,
+    /// Per-line scratch: the line's frequent ranks, ascending.
+    ranks: Vec<u32>,
+    /// Per-line scratch: which groups have had their prefix emitted.
+    seen: Vec<bool>,
+    /// Per-line scratch: the ranks in decimal, single-space separated.
+    prefix: String,
+    /// Per-line scratch: where each rank's digits end in `prefix`.
+    ends: Vec<usize>,
+}
+
+impl GroupMapper {
+    /// A mapper sharding `rank`'s items into `groups` groups.
+    pub fn new(rank: HashMap<String, u32>, groups: u32) -> Self {
+        GroupMapper {
+            rank,
+            groups,
+            ranks: Vec::new(),
+            seen: Vec::new(),
+            prefix: String::new(),
+            ends: Vec::new(),
+        }
+    }
 }
 
 impl Mapper for GroupMapper {
@@ -109,20 +132,32 @@ impl Mapper for GroupMapper {
     type VOut = String;
     fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<u32, String>) {
         // Keep frequent items only, sorted by ascending rank.
-        let mut ranks: Vec<u32> = line
-            .split_whitespace()
-            .filter_map(|i| self.rank.get(i).copied())
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
+        self.ranks.clear();
+        self.ranks.extend(
+            line.split_whitespace()
+                .filter_map(|i| self.rank.get(i).copied()),
+        );
+        self.ranks.sort_unstable();
+        self.ranks.dedup();
+        // The longest prefix, written once; every shorter one is a head of it.
+        self.prefix.clear();
+        self.ends.clear();
+        for r in &self.ranks {
+            if !self.prefix.is_empty() {
+                self.prefix.push(' ');
+            }
+            write!(self.prefix, "{r}").expect("writing to a String cannot fail");
+            self.ends.push(self.prefix.len());
+        }
         // Scan right-to-left; emit each group's longest dependent prefix
         // exactly once (Mahout PFP).
-        let mut seen = std::collections::BTreeSet::new();
-        for idx in (0..ranks.len()).rev() {
-            let g = FList::group_of(ranks[idx], self.groups);
-            if seen.insert(g) {
-                let prefix: Vec<String> = ranks[..=idx].iter().map(|r| r.to_string()).collect();
-                out.emit(g, prefix.join(" "));
+        self.seen.clear();
+        self.seen.resize(self.groups as usize, false);
+        for (&r, &end) in self.ranks.iter().zip(&self.ends).rev() {
+            let g = FList::group_of(r, self.groups);
+            if let Some(seen @ false) = self.seen.get_mut(g as usize) {
+                *seen = true;
+                out.emit(g, self.prefix[..end].to_owned());
             }
         }
     }
@@ -199,16 +234,13 @@ pub fn run(
     // Job 1: item counting.
     let count_job = JobSpec::new(ItemCountMapper, ItemSumReducer)
         .config(cfg)
-        .combiner(|k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
-    let count_res: JobResult<String, u64> = run_job(&count_job, splits.clone());
+        .combiner(ItemSumReducer);
+    let count_res: JobResult<Text, u64> = run_job(&count_job, splits.clone());
     let flist = FList::new(&count_res.output, min_support);
 
     // Job 2: group-dependent mining.
     let mine_job = JobSpec::new(
-        GroupMapper {
-            rank: flist.rank.clone(),
-            groups,
-        },
+        GroupMapper::new(flist.rank.clone(), groups),
         MineReducer {
             min_support,
             groups,

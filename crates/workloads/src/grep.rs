@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use hhsim_mapreduce::{
     run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Mapper,
-    Reducer,
+    Reducer, Text,
 };
 
 /// Emits `(matched word, 1)` for every word containing the pattern.
@@ -20,27 +20,28 @@ pub struct MatchMapper {
 impl Mapper for MatchMapper {
     type KIn = u64;
     type VIn = String;
-    type KOut = String;
+    type KOut = Text;
     type VOut = u64;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<String, u64>) {
+    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<Text, u64>) {
         for w in line.split_whitespace() {
             if w.contains(self.pattern.as_str()) {
-                out.emit(w.to_string(), 1);
+                out.emit(Text::from(w), 1);
             }
         }
     }
 }
 
-/// Sums match counts (shared with WordCount semantics).
+/// Sums match counts (shared with WordCount semantics); the search job's
+/// combiner and reducer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountReducer;
 
 impl Reducer for CountReducer {
-    type KIn = String;
+    type KIn = Text;
     type VIn = u64;
-    type KOut = String;
+    type KOut = Text;
     type VOut = u64;
-    fn reduce(&mut self, key: &String, values: &[u64], out: &mut Emitter<String, u64>) {
+    fn reduce(&mut self, key: &Text, values: &[u64], out: &mut Emitter<Text, u64>) {
         out.emit(key.clone(), values.iter().sum());
     }
 }
@@ -50,11 +51,11 @@ impl Reducer for CountReducer {
 pub struct InvertMapper;
 
 impl Mapper for InvertMapper {
-    type KIn = String;
+    type KIn = Text;
     type VIn = u64;
     type KOut = u64;
-    type VOut = String;
-    fn map(&mut self, word: &String, count: &u64, out: &mut Emitter<u64, String>) {
+    type VOut = Text;
+    fn map(&mut self, word: &Text, count: &u64, out: &mut Emitter<u64, Text>) {
         // Descending order via complemented key, like Hadoop's
         // `LongWritable.DecreasingComparator`.
         out.emit(u64::MAX - count, word.clone());
@@ -67,12 +68,12 @@ pub struct EmitSortedReducer;
 
 impl Reducer for EmitSortedReducer {
     type KIn = u64;
-    type VIn = String;
+    type VIn = Text;
     type KOut = String;
     type VOut = u64;
-    fn reduce(&mut self, inv_count: &u64, words: &[String], out: &mut Emitter<String, u64>) {
+    fn reduce(&mut self, inv_count: &u64, words: &[Text], out: &mut Emitter<String, u64>) {
         for w in words {
-            out.emit(w.clone(), u64::MAX - inv_count);
+            out.emit(w.as_str().to_owned(), u64::MAX - inv_count);
         }
     }
 }
@@ -98,8 +99,8 @@ pub fn run(input: &Bytes, pattern: &str, block_bytes: u64, cfg: JobConfig) -> Gr
         CountReducer,
     )
     .config(cfg)
-    .combiner(|k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
-    let search_res: JobResult<String, u64> = run_job(&search, splits);
+    .combiner(CountReducer);
+    let search_res: JobResult<Text, u64> = run_job(&search, splits);
 
     // Second job: single reducer over the (small) match table, one split.
     let sort_cfg = cfg.num_reducers(1);

@@ -13,12 +13,12 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer, Text,
 };
 
 /// Counter key: either a (class, term) pair or a per-class document count
 /// (encoded with the reserved term `"\u{1}doc"`, which cannot tokenize).
-pub type CountKey = (String, String);
+pub type CountKey = (Text, Text);
 
 const DOC_MARK: &str = "\u{1}doc";
 
@@ -35,14 +35,15 @@ impl Mapper for TrainMapper {
         let Some((label, text)) = line.split_once('\t') else {
             return;
         };
-        out.emit((label.to_string(), DOC_MARK.to_string()), 1);
+        let label = Text::from(label);
+        out.emit((label.clone(), Text::from(DOC_MARK)), 1);
         for w in text.split_whitespace() {
-            out.emit((label.to_string(), w.to_string()), 1);
+            out.emit((label.clone(), Text::from(w)), 1);
         }
     }
 }
 
-/// Sums counters.
+/// Sums counters; the training job's combiner and reducer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountSumReducer;
 
@@ -62,7 +63,7 @@ pub struct NaiveBayesModel {
     /// Documents per class.
     pub class_docs: HashMap<String, u64>,
     /// Term counts per (class, term).
-    pub term_counts: HashMap<CountKey, u64>,
+    pub term_counts: HashMap<(String, String), u64>,
     /// Total tokens per class.
     pub class_tokens: HashMap<String, u64>,
     /// Vocabulary size (distinct terms across classes).
@@ -75,14 +76,15 @@ impl NaiveBayesModel {
         let mut model = NaiveBayesModel::default();
         let mut vocab = std::collections::BTreeSet::new();
         for ((class, term), n) in counts {
+            let (class, term) = (class.as_str(), term.as_str());
             if term == DOC_MARK {
-                *model.class_docs.entry(class.clone()).or_insert(0) += n;
+                *model.class_docs.entry(class.to_owned()).or_insert(0) += n;
             } else {
-                vocab.insert(term.clone());
-                *model.class_tokens.entry(class.clone()).or_insert(0) += n;
+                vocab.insert(term);
+                *model.class_tokens.entry(class.to_owned()).or_insert(0) += n;
                 *model
                     .term_counts
-                    .entry((class.clone(), term.clone()))
+                    .entry((class.to_owned(), term.to_owned()))
                     .or_insert(0) += n;
             }
         }
@@ -137,7 +139,7 @@ pub fn train_job(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<C
     let splits = text_splits_from_bytes(input, block_bytes);
     let job = JobSpec::new(TrainMapper, CountSumReducer)
         .config(cfg)
-        .combiner(|k: &CountKey, vs: &[u64]| vec![(k.clone(), vs.iter().sum())]);
+        .combiner(CountSumReducer);
     run_job(&job, splits)
 }
 

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer, Text,
 };
 
 /// Tokenizes lines into `(word, 1)` pairs.
@@ -13,11 +13,11 @@ pub struct TokenizeMapper;
 impl Mapper for TokenizeMapper {
     type KIn = u64;
     type VIn = String;
-    type KOut = String;
+    type KOut = Text;
     type VOut = u64;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<String, u64>) {
+    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<Text, u64>) {
         for w in line.split_whitespace() {
-            out.emit(w.to_string(), 1);
+            out.emit(Text::from(w), 1);
         }
     }
 }
@@ -28,11 +28,11 @@ impl Mapper for TokenizeMapper {
 pub struct SumReducer;
 
 impl Reducer for SumReducer {
-    type KIn = String;
+    type KIn = Text;
     type VIn = u64;
-    type KOut = String;
+    type KOut = Text;
     type VOut = u64;
-    fn reduce(&mut self, key: &String, values: &[u64], out: &mut Emitter<String, u64>) {
+    fn reduce(&mut self, key: &Text, values: &[u64], out: &mut Emitter<Text, u64>) {
         out.emit(key.clone(), values.iter().sum());
     }
 }
@@ -41,11 +41,11 @@ impl Reducer for SumReducer {
 pub fn job(cfg: JobConfig) -> JobSpec<TokenizeMapper, SumReducer> {
     JobSpec::new(TokenizeMapper, SumReducer)
         .config(cfg)
-        .combiner(|k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum())])
+        .combiner(SumReducer)
 }
 
 /// Runs WordCount over `input` split into `block_bytes` blocks.
-pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<String, u64> {
+pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<Text, u64> {
     let splits = text_splits_from_bytes(input, block_bytes);
     run_job(&job(cfg), splits)
 }
@@ -64,9 +64,9 @@ mod tests {
         assert_eq!(
             out,
             vec![
-                ("a".to_string(), 3),
-                ("b".to_string(), 2),
-                ("c".to_string(), 1)
+                (Text::from("a"), 3),
+                (Text::from("b"), 2),
+                (Text::from("c"), 1)
             ]
         );
     }
