@@ -302,8 +302,20 @@ impl ClusterTimeline {
     /// Domain-event annotations are shifted onto the same clock.
     pub fn extend(&mut self, phase: &str, offset_s: f64, run: &PhaseRun) {
         let pix = self.intern(phase);
+        // Every span column grows by the same count; reserving each one
+        // up front keeps it from doubling its way there.
         let extra = run.spans.len() + run.wasted.len() + run.recovered.len();
         self.phase_ix.reserve(extra);
+        self.task.reserve(extra);
+        self.node.reserve(extra);
+        self.slot.reserve(extra);
+        self.wave.reserve(extra);
+        self.queued_s.reserve(extra);
+        self.launched_s.reserve(extra);
+        self.finished_s.reserve(extra);
+        self.attempt.reserve(extra);
+        self.outcome.reserve(extra);
+        self.tier.reserve(extra);
         for (t, label) in &run.annotations {
             self.ann_time_s.push(t + offset_s);
             self.ann_label.push(label.clone());

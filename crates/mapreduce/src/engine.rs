@@ -16,11 +16,12 @@
 //!   stable across equal keys (earlier runs first).
 //! - **Re-sort elision** — combiner output skips the defensive
 //!   per-partition re-sort unless the combiner actually rewrote a key.
-//! - **No allocation per record** — short keys are inline
+//! - **No allocation per record** — input records are [`crate::Line`]
+//!   windows into the shared input buffer, short keys are inline
 //!   [`crate::Text`], and a combiner is a [`Combiner`] cloned once per map
 //!   task that writes every key group into one reused [`Emitter`], so
-//!   emitting, combining and cloning a short-keyed record allocates
-//!   nothing.
+//!   reading a line, emitting, combining and cloning a short-keyed or
+//!   windowed record allocates nothing.
 
 use crate::config::JobConfig;
 use crate::emit::Emitter;

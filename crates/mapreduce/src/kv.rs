@@ -1,5 +1,7 @@
 //! Key/value datum trait: what the engine needs from record types.
 
+use bytes::Bytes;
+
 /// A type usable as a MapReduce key or value.
 ///
 /// Beyond ordering (for the sort phase) and cloning (for spills), the engine
@@ -156,6 +158,85 @@ impl Datum for Text {
     }
     fn stable_hash(&self) -> u64 {
         fnv1a(self.as_bytes())
+    }
+}
+
+/// UTF-8 text that is a window into a shared input buffer: the record type
+/// of [`crate::text_splits`], whose clones bump a reference count and copy
+/// no bytes.
+///
+/// Like [`Text`] it is a drop-in for `String` as far as the engine can
+/// tell: [`Ord`] is byte-lexicographic, [`Datum::stable_hash`] is the same
+/// FNV-1a over the bytes and [`Datum::size_bytes`] is the length.
+/// [`Line::split_key`] cuts a line into key and value windows over the same
+/// buffer, so identity jobs such as Sort key their records without copying.
+///
+/// # Examples
+///
+/// ```
+/// use hhsim_mapreduce::{Datum, Line};
+///
+/// let line = Line::from("key\tvalue");
+/// let (key, value) = line.split_key('\t');
+/// assert_eq!((key.as_str(), value.as_str()), ("key", "value"));
+/// assert_eq!(value.size_bytes(), 5);
+/// assert_eq!(key.stable_hash(), "key".to_string().stable_hash());
+/// ```
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Line(Bytes);
+
+impl Line {
+    /// The window over `bytes`; bytes that are not UTF-8 are decoded
+    /// lossily, as `String::from_utf8_lossy` does, into a buffer of their
+    /// own.
+    pub(crate) fn new(bytes: Bytes) -> Line {
+        match std::str::from_utf8(&bytes) {
+            Ok(_) => Line(bytes),
+            Err(_) => Line::from(String::from_utf8_lossy(&bytes).as_ref()),
+        }
+    }
+
+    /// The text as a string slice.
+    pub fn as_str(&self) -> &str {
+        // Every `Line` is checked UTF-8 when it is made, and a window is
+        // only ever cut at a char boundary, so the fallback is never taken.
+        std::str::from_utf8(&self.0).unwrap_or_default()
+    }
+
+    /// Splits at the first `sep` into key and value windows over the same
+    /// buffer, as Hadoop's `KeyValueTextInputFormat` reads a line: without
+    /// a `sep` the whole line is the key and the value is empty.
+    pub fn split_key(&self, sep: char) -> (Line, Line) {
+        let text = self.as_str();
+        let (key_end, value_start) = match text.find(sep) {
+            Some(at) => (at, at + sep.len_utf8()),
+            None => (text.len(), text.len()),
+        };
+        (
+            Line(self.0.slice(..key_end)),
+            Line(self.0.slice(value_start..)),
+        )
+    }
+}
+
+impl From<&str> for Line {
+    fn from(s: &str) -> Self {
+        Line(Bytes::from(s.to_owned()))
+    }
+}
+
+impl std::fmt::Debug for Line {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl Datum for Line {
+    fn size_bytes(&self) -> usize {
+        self.0.len()
+    }
+    fn stable_hash(&self) -> u64 {
+        fnv1a(&self.0)
     }
 }
 

@@ -19,11 +19,12 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Mapper,
-    Reducer, Text,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Line,
+    Mapper, Reducer, Text,
 };
 
 mod fptree;
@@ -35,11 +36,11 @@ pub struct ItemCountMapper;
 
 impl Mapper for ItemCountMapper {
     type KIn = u64;
-    type VIn = String;
+    type VIn = Line;
     type KOut = Text;
     type VOut = u64;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<Text, u64>) {
-        for item in line.split_whitespace() {
+    fn map(&mut self, _offset: &u64, line: &Line, out: &mut Emitter<Text, u64>) {
+        for item in line.as_str().split_whitespace() {
             out.emit(Text::from(item), 1);
         }
     }
@@ -65,8 +66,8 @@ impl Reducer for ItemSumReducer {
 pub struct FList {
     /// Items ordered by descending support.
     pub items: Vec<String>,
-    /// item → rank.
-    pub rank: HashMap<String, u32>,
+    /// item → rank, shared by every map task of the mining job.
+    pub rank: Arc<HashMap<String, u32>>,
 }
 
 impl FList {
@@ -85,7 +86,10 @@ impl FList {
             .enumerate()
             .map(|(r, i)| (i.clone(), r as u32))
             .collect();
-        FList { items, rank }
+        FList {
+            items,
+            rank: Arc::new(rank),
+        }
     }
 
     /// Group of a rank when sharding into `groups` groups.
@@ -98,7 +102,7 @@ impl FList {
 #[derive(Debug, Clone)]
 pub struct GroupMapper {
     /// Shared frequent-item ranks.
-    pub rank: HashMap<String, u32>,
+    pub rank: Arc<HashMap<String, u32>>,
     /// Number of groups.
     pub groups: u32,
     /// Per-line scratch: the line's frequent ranks, ascending.
@@ -113,7 +117,7 @@ pub struct GroupMapper {
 
 impl GroupMapper {
     /// A mapper sharding `rank`'s items into `groups` groups.
-    pub fn new(rank: HashMap<String, u32>, groups: u32) -> Self {
+    pub fn new(rank: Arc<HashMap<String, u32>>, groups: u32) -> Self {
         GroupMapper {
             rank,
             groups,
@@ -127,14 +131,15 @@ impl GroupMapper {
 
 impl Mapper for GroupMapper {
     type KIn = u64;
-    type VIn = String;
+    type VIn = Line;
     type KOut = u32;
-    type VOut = String;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<u32, String>) {
+    type VOut = Text;
+    fn map(&mut self, _offset: &u64, line: &Line, out: &mut Emitter<u32, Text>) {
         // Keep frequent items only, sorted by ascending rank.
         self.ranks.clear();
         self.ranks.extend(
-            line.split_whitespace()
+            line.as_str()
+                .split_whitespace()
                 .filter_map(|i| self.rank.get(i).copied()),
         );
         self.ranks.sort_unstable();
@@ -157,7 +162,7 @@ impl Mapper for GroupMapper {
             let g = FList::group_of(r, self.groups);
             if let Some(seen @ false) = self.seen.get_mut(g as usize) {
                 *seen = true;
-                out.emit(g, self.prefix[..end].to_owned());
+                out.emit(g, Text::from(&self.prefix[..end]));
             }
         }
     }
@@ -175,29 +180,42 @@ pub struct MineReducer {
 
 impl Reducer for MineReducer {
     type KIn = u32;
-    type VIn = String;
-    type KOut = String;
+    type VIn = Text;
+    type KOut = Text;
     type VOut = u64;
-    fn reduce(&mut self, group: &u32, transactions: &[String], out: &mut Emitter<String, u64>) {
-        let txs: Vec<Vec<u32>> = transactions
-            .iter()
-            .map(|t| {
-                t.split_whitespace()
-                    .map(|r| r.parse::<u32>().expect("ranks serialized by GroupMapper"))
-                    .collect()
-            })
-            .collect();
-        let tree = FpTree::build(&txs);
-        let mut patterns = Vec::new();
-        tree.mine(self.min_support, &mut patterns);
-        for (itemset, support) in patterns {
+    fn reduce(&mut self, group: &u32, transactions: &[Text], out: &mut Emitter<Text, u64>) {
+        // Every transaction's ranks, parsed into one flat buffer.
+        let mut ranks: Vec<u32> = Vec::new();
+        let mut ends = Vec::with_capacity(transactions.len());
+        for t in transactions {
+            ranks.extend(
+                t.as_str()
+                    .split_whitespace()
+                    .map(|r| r.parse::<u32>().expect("ranks serialized by GroupMapper")),
+            );
+            ends.push(ranks.len());
+        }
+        let mut start = 0;
+        let tree = FpTree::build_weighted(ends.iter().map(|&end| {
+            let tx = &ranks[start..end];
+            start = end;
+            (tx, 1)
+        }));
+        let mut key = String::new();
+        tree.mine_each(self.min_support, |itemset, support| {
             // Keep patterns owned by this group: deepest (max-rank) item.
             let deepest = *itemset.iter().max().expect("non-empty pattern");
             if FList::group_of(deepest, self.groups) == *group {
-                let key: Vec<String> = itemset.iter().map(|r| r.to_string()).collect();
-                out.emit(key.join(" "), support);
+                key.clear();
+                for (i, r) in itemset.iter().enumerate() {
+                    if i > 0 {
+                        key.push(' ');
+                    }
+                    write!(key, "{r}").expect("writing to a String cannot fail");
+                }
+                out.emit(Text::from(key.as_str()), support);
             }
-        }
+        });
     }
 }
 
@@ -229,31 +247,32 @@ pub fn run(
 ) -> FpGrowthResult {
     assert!(min_support > 0, "min_support must be positive");
     assert!(groups > 0, "need at least one group");
-    let splits = text_splits_from_bytes(input, block_bytes);
-
     // Job 1: item counting.
     let count_job = JobSpec::new(ItemCountMapper, ItemSumReducer)
         .config(cfg)
         .combiner(ItemSumReducer);
-    let count_res: JobResult<Text, u64> = run_job(&count_job, splits.clone());
+    let splits = text_splits_from_bytes(input, block_bytes);
+    let count_res: JobResult<Text, u64> = run_job(&count_job, splits);
     let flist = FList::new(&count_res.output, min_support);
 
-    // Job 2: group-dependent mining.
+    // Job 2: group-dependent mining, reading the input again as Hadoop's
+    // second job does (its records are windows into the same buffer).
     let mine_job = JobSpec::new(
-        GroupMapper::new(flist.rank.clone(), groups),
+        GroupMapper::new(Arc::clone(&flist.rank), groups),
         MineReducer {
             min_support,
             groups,
         },
     )
     .config(cfg);
-    let mine_res = run_job(&mine_job, splits);
+    let mine_res = run_job(&mine_job, text_splits_from_bytes(input, block_bytes));
 
     let patterns = mine_res
         .output
         .iter()
         .map(|(ranks, support)| {
             let names: Vec<String> = ranks
+                .as_str()
                 .split_whitespace()
                 .map(|r| flist.items[r.parse::<usize>().expect("rank key")].clone())
                 .collect();

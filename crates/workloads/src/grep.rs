@@ -6,8 +6,8 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Mapper,
-    Reducer, Text,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, JobStats, Line,
+    Mapper, Reducer, Text,
 };
 
 /// Emits `(matched word, 1)` for every word containing the pattern.
@@ -19,11 +19,11 @@ pub struct MatchMapper {
 
 impl Mapper for MatchMapper {
     type KIn = u64;
-    type VIn = String;
+    type VIn = Line;
     type KOut = Text;
     type VOut = u64;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<Text, u64>) {
-        for w in line.split_whitespace() {
+    fn map(&mut self, _offset: &u64, line: &Line, out: &mut Emitter<Text, u64>) {
+        for w in line.as_str().split_whitespace() {
             if w.contains(self.pattern.as_str()) {
                 out.emit(Text::from(w), 1);
             }

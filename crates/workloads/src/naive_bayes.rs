@@ -13,7 +13,8 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer, Text,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Line, Mapper, Reducer,
+    Text,
 };
 
 /// Counter key: either a (class, term) pair or a per-class document count
@@ -28,11 +29,11 @@ pub struct TrainMapper;
 
 impl Mapper for TrainMapper {
     type KIn = u64;
-    type VIn = String;
+    type VIn = Line;
     type KOut = CountKey;
     type VOut = u64;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<CountKey, u64>) {
-        let Some((label, text)) = line.split_once('\t') else {
+    fn map(&mut self, _offset: &u64, line: &Line, out: &mut Emitter<CountKey, u64>) {
+        let Some((label, text)) = line.as_str().split_once('\t') else {
             return;
         };
         let label = Text::from(label);

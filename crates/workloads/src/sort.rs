@@ -5,24 +5,22 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Line, Mapper, Reducer,
 };
 
 /// Re-keys each row by its sort key (text up to the first tab), passing the
-/// payload through.
+/// payload through; both are windows into the input, so no row is copied.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KeyByLineMapper;
 
 impl Mapper for KeyByLineMapper {
     type KIn = u64;
-    type VIn = String;
-    type KOut = String;
-    type VOut = String;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<String, String>) {
-        match line.split_once('\t') {
-            Some((k, v)) => out.emit(k.to_string(), v.to_string()),
-            None => out.emit(line.clone(), String::new()),
-        }
+    type VIn = Line;
+    type KOut = Line;
+    type VOut = Line;
+    fn map(&mut self, _offset: &u64, line: &Line, out: &mut Emitter<Line, Line>) {
+        let (key, payload) = line.split_key('\t');
+        out.emit(key, payload);
     }
 }
 
@@ -31,11 +29,11 @@ impl Mapper for KeyByLineMapper {
 pub struct PassThroughReducer;
 
 impl Reducer for PassThroughReducer {
-    type KIn = String;
-    type VIn = String;
-    type KOut = String;
-    type VOut = String;
-    fn reduce(&mut self, key: &String, values: &[String], out: &mut Emitter<String, String>) {
+    type KIn = Line;
+    type VIn = Line;
+    type KOut = Line;
+    type VOut = Line;
+    fn reduce(&mut self, key: &Line, values: &[Line], out: &mut Emitter<Line, Line>) {
         for v in values {
             out.emit(key.clone(), v.clone());
         }
@@ -48,7 +46,7 @@ pub fn job(cfg: JobConfig) -> JobSpec<KeyByLineMapper, PassThroughReducer> {
 }
 
 /// Runs Sort over `input` split into `block_bytes` blocks.
-pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<String, String> {
+pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<Line, Line> {
     let splits = text_splits_from_bytes(input, block_bytes);
     run_job(&job(cfg), splits)
 }
@@ -62,7 +60,7 @@ mod tests {
     fn each_reducers_output_is_sorted() {
         let input = datagen::table(20 << 10, 2);
         let res = run(&input, 4 << 10, JobConfig::default().num_reducers(1));
-        let keys: Vec<&String> = res.output.iter().map(|(k, _)| k).collect();
+        let keys: Vec<&Line> = res.output.iter().map(|(k, _)| k).collect();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(res.output.len() as u64, res.stats.map_input_records);
     }

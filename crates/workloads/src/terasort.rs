@@ -7,24 +7,23 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    range_partition, run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec,
-    Mapper, Reducer,
+    range_partition, run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Line,
+    Mapper, Reducer, TextSplit,
 };
 
-/// Keys each TeraGen row by its 10-character key prefix.
+/// Keys each TeraGen row by its 10-character key prefix; key and filler
+/// are windows into the input, so no row is copied.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TeraKeyMapper;
 
 impl Mapper for TeraKeyMapper {
     type KIn = u64;
-    type VIn = String;
-    type KOut = String;
-    type VOut = String;
-    fn map(&mut self, _offset: &u64, row: &String, out: &mut Emitter<String, String>) {
-        match row.split_once('\t') {
-            Some((k, v)) => out.emit(k.to_string(), v.to_string()),
-            None => out.emit(row.clone(), String::new()),
-        }
+    type VIn = Line;
+    type KOut = Line;
+    type VOut = Line;
+    fn map(&mut self, _offset: &u64, row: &Line, out: &mut Emitter<Line, Line>) {
+        let (key, filler) = row.split_key('\t');
+        out.emit(key, filler);
     }
 }
 
@@ -33,11 +32,11 @@ impl Mapper for TeraKeyMapper {
 pub struct TeraReducer;
 
 impl Reducer for TeraReducer {
-    type KIn = String;
-    type VIn = String;
-    type KOut = String;
-    type VOut = String;
-    fn reduce(&mut self, key: &String, values: &[String], out: &mut Emitter<String, String>) {
+    type KIn = Line;
+    type VIn = Line;
+    type KOut = Line;
+    type VOut = Line;
+    fn reduce(&mut self, key: &Line, values: &[Line], out: &mut Emitter<Line, Line>) {
         for v in values {
             out.emit(key.clone(), v.clone());
         }
@@ -48,11 +47,11 @@ impl Reducer for TeraReducer {
 /// `num_reducers − 1` quantile cut points (TeraInputFormat's partition
 /// file).
 pub fn sample_cut_points(
-    splits: &[Vec<(u64, String)>],
+    splits: &[TextSplit],
     num_reducers: usize,
     samples_per_split: usize,
-) -> Vec<String> {
-    let mut samples: Vec<String> = Vec::new();
+) -> Vec<Line> {
+    let mut samples: Vec<Line> = Vec::new();
     for split in splits {
         let n = split.len();
         if n == 0 {
@@ -60,8 +59,7 @@ pub fn sample_cut_points(
         }
         let step = (n / samples_per_split.max(1)).max(1);
         for (_, row) in split.iter().step_by(step).take(samples_per_split) {
-            let key = row.split_once('\t').map(|(k, _)| k).unwrap_or(row);
-            samples.push(key.to_string());
+            samples.push(row.split_key('\t').0);
         }
     }
     samples.sort();
@@ -78,7 +76,7 @@ pub fn sample_cut_points(
 }
 
 /// Runs TeraSort (sampling + total-order sort) over `input`.
-pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<String, String> {
+pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<Line, Line> {
     let splits = text_splits_from_bytes(input, block_bytes);
     let cuts = sample_cut_points(&splits, cfg.num_reducers, 32);
     let job = JobSpec::new(TeraKeyMapper, TeraReducer)
@@ -96,7 +94,7 @@ mod tests {
     fn output_is_globally_sorted() {
         let input = datagen::teragen(40 << 10, 3);
         let res = run(&input, 8 << 10, JobConfig::default().num_reducers(4));
-        let keys: Vec<&String> = res.output.iter().map(|(k, _)| k).collect();
+        let keys: Vec<&Line> = res.output.iter().map(|(k, _)| k).collect();
         assert!(
             keys.windows(2).all(|w| w[0] <= w[1]),
             "range partitioning must give a total order across reducers"

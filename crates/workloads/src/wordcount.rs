@@ -3,7 +3,8 @@
 
 use bytes::Bytes;
 use hhsim_mapreduce::{
-    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Mapper, Reducer, Text,
+    run_job, text_splits_from_bytes, Emitter, JobConfig, JobResult, JobSpec, Line, Mapper, Reducer,
+    Text,
 };
 
 /// Tokenizes lines into `(word, 1)` pairs.
@@ -12,11 +13,11 @@ pub struct TokenizeMapper;
 
 impl Mapper for TokenizeMapper {
     type KIn = u64;
-    type VIn = String;
+    type VIn = Line;
     type KOut = Text;
     type VOut = u64;
-    fn map(&mut self, _offset: &u64, line: &String, out: &mut Emitter<Text, u64>) {
-        for w in line.split_whitespace() {
+    fn map(&mut self, _offset: &u64, line: &Line, out: &mut Emitter<Text, u64>) {
+        for w in line.as_str().split_whitespace() {
             out.emit(Text::from(w), 1);
         }
     }

@@ -79,15 +79,15 @@ const SCALES: [FunctionalConfig; 2] = [
 ];
 
 /// Allocator calls per app over both scales, in `AppId::ALL` order. The
-/// parent of inline `Text` keys and `Combiner` combiners read WC 387 241,
-/// GP 29 085, NB 663 384 and FP 747 541 here.
+/// parent of shared-buffer `Line` records and the arena FP-tree read WC
+/// 22 914, ST 48 528, GP 18 768, TS 50 633, NB 17 135 and FP 230 193 here.
 const PINS: [(AppId, u64); 6] = [
-    (AppId::WordCount, 22_914),
-    (AppId::Sort, 48_528),
-    (AppId::Grep, 18_768),
-    (AppId::TeraSort, 50_633),
-    (AppId::NaiveBayes, 17_135),
-    (AppId::FpGrowth, 230_193),
+    (AppId::WordCount, 4_692),
+    (AppId::Sort, 957),
+    (AppId::Grep, 546),
+    (AppId::TeraSort, 1_083),
+    (AppId::NaiveBayes, 5_500),
+    (AppId::FpGrowth, 5_471),
 ];
 
 /// Allocator calls of `work`, which runs on this thread alone.
