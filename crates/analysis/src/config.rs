@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// Where a rule fires ([`crate::rules::Rule::default_scope`]). The crate
 /// allowlist (`sim_crates`) and the call-graph reachability engine (entry
-/// points in `[reachability]`) combine in five ways; when no entry points
+/// points in `[reachability]`) combine in four ways; when no entry points
 /// are configured the reachability predicate is unavailable, and every
 /// mode degrades to the crate allowlist so fixture runs keep their meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +32,6 @@ pub enum Scope {
     /// In a sim crate *or* reachable — widens the allowlist with the
     /// call graph (catches hazards in non-listed crates the engine calls).
     SimOrReachable,
-    /// In a sim crate *and* reachable — narrows the allowlist with the
-    /// call graph (skips exporters and helpers the engine never runs).
-    SimAndReachable,
 }
 
 impl Scope {
@@ -45,7 +42,6 @@ impl Scope {
             Scope::SimCrates => "sim-crates",
             Scope::Reachable => "reachable",
             Scope::SimOrReachable => "sim-or-reachable",
-            Scope::SimAndReachable => "sim-and-reachable",
         }
     }
 }
@@ -74,12 +70,9 @@ pub struct Exclude {
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Crates whose event ordering feeds simulation output; the
-    /// `nondet-iteration` and `panic-in-engine` rules only fire here, and
-    /// `wall-clock-in-sim` everywhere *except* the crates listed in
-    /// `wall_clock_exempt_crates`.
+    /// `panic-in-engine` rule only fires here, and the `sim-or-reachable`
+    /// rules start from this list.
     pub sim_crates: Vec<String>,
-    /// Crates allowed to read the wall clock (benchmarks, the linter CLI).
-    pub wall_clock_exempt_crates: Vec<String>,
     /// Path subtrees not analyzed at all.
     pub excludes: Vec<Exclude>,
     /// Per-rule path suppressions.
@@ -199,9 +192,6 @@ pub fn parse(src: &str) -> Result<Config, String> {
         match &section {
             Section::Root => match key {
                 "sim_crates" => cfg.sim_crates = parse_string_array(value, lineno)?,
-                "wall_clock_exempt_crates" => {
-                    cfg.wall_clock_exempt_crates = parse_string_array(value, lineno)?
-                }
                 other => return Err(format!("line {lineno}: unknown root key `{other}`")),
             },
             Section::Allow | Section::Exclude => {
@@ -297,16 +287,15 @@ mod tests {
     const SAMPLE: &str = r#"
 # workspace linter config
 sim_crates = ["crates/des", "crates/core"]  # trailing comment
-wall_clock_exempt_crates = ["crates/bench"]
 
 [[exclude]]
 path = "shims"
 reason = "vendored stand-ins"
 
 [[allow]]
-rule = "nondet-iteration"
+rule = "relaxed-atomic-in-results"
 path = "crates/core/src/simcache.rs"
-reason = "keyed lookup only, never iterated"
+reason = "telemetry counters only, never read into output"
 "#;
 
     #[test]
@@ -316,11 +305,11 @@ reason = "keyed lookup only, never iterated"
         assert!(cfg.is_excluded("shims/rand/src/lib.rs"));
         assert!(!cfg.is_excluded("crates/des/src/sim.rs"));
         let a = cfg
-            .allow_for("nondet-iteration", "crates/core/src/simcache.rs")
+            .allow_for("relaxed-atomic-in-results", "crates/core/src/simcache.rs")
             .expect("allow present");
-        assert!(a.reason.contains("keyed lookup"));
+        assert!(a.reason.contains("telemetry"));
         assert!(cfg
-            .allow_for("nondet-iteration", "crates/core/src/model.rs")
+            .allow_for("relaxed-atomic-in-results", "crates/core/src/model.rs")
             .is_none());
     }
 
@@ -335,6 +324,8 @@ reason = "keyed lookup only, never iterated"
     #[test]
     fn unknown_keys_are_rejected() {
         assert!(parse("typo_key = \"x\"").is_err());
+        // A stale key fails loudly rather than configuring nothing.
+        assert!(parse("wall_clock_exempt_crates = [\"crates/bench\"]").is_err());
         assert!(parse("[unknown]\n").is_err());
         assert!(parse("[[unknown]]\n").is_err());
         assert!(parse("[rules.x]\ntypo = \"y\"").is_err());

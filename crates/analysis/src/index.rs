@@ -477,7 +477,10 @@ fn skip_angles(toks: &[crate::lexer::Token], open: usize) -> Option<usize> {
 /// Parses a `fn` item at keyword index `kw`. Returns
 /// `(name, line, continue_idx, body_range, returns_result)`; `None` for
 /// bodyless declarations (trait method signatures).
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "one private caller destructures the tuple at once; the doc names each field"
+)]
 fn parse_fn(
     toks: &[crate::lexer::Token],
     kw: usize,

@@ -7,11 +7,6 @@
 //!   --root <dir>            workspace root (default: walk up from cwd)
 //!   --config <file>         allowlist/config (default: <root>/analysis.toml)
 //!   --baseline <file>       budgets (default: <root>/analysis-baseline.json)
-//!   --changed <git-ref>     report site findings only for files changed
-//!                           vs <git-ref> (the index and reachability are
-//!                           still built over the whole workspace, so the
-//!                           per-file verdicts agree with a full run;
-//!                           crate-level budget findings are omitted)
 //!   --dump-graph            print the symbol index/call graph as JSON
 //!   --update-baseline       write current budget counters to the baseline
 //!   --list-rules            print the rule catalogue and exit
@@ -31,7 +26,6 @@ struct Options {
     root: Option<PathBuf>,
     config: Option<PathBuf>,
     baseline: Option<PathBuf>,
-    changed: Option<String>,
     dump_graph: bool,
     update_baseline: bool,
     list_rules: bool,
@@ -39,7 +33,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: hhsim-analysis --workspace [--root DIR] [--config FILE] [--baseline FILE] \
-     [--changed GIT_REF] [--dump-graph] [--update-baseline] [--list-rules]"
+     [--dump-graph] [--update-baseline] [--list-rules]"
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -47,7 +41,6 @@ fn parse_args() -> Result<Options, String> {
         root: None,
         config: None,
         baseline: None,
-        changed: None,
         dump_graph: false,
         update_baseline: false,
         list_rules: false,
@@ -59,7 +52,6 @@ fn parse_args() -> Result<Options, String> {
             "--root" => opts.root = Some(next_path(&mut args, "--root")?),
             "--config" => opts.config = Some(next_path(&mut args, "--config")?),
             "--baseline" => opts.baseline = Some(next_path(&mut args, "--baseline")?),
-            "--changed" => opts.changed = Some(args.next().ok_or("--changed needs a git ref")?),
             "--dump-graph" => opts.dump_graph = true,
             "--update-baseline" => opts.update_baseline = true,
             "--list-rules" => opts.list_rules = true,
@@ -79,28 +71,6 @@ fn next_path(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<Path
         .ok_or(format!("{flag} needs a value"))
 }
 
-/// `git diff --name-only <ref>` relative to `root`, filtered to `.rs`.
-fn changed_files(root: &std::path::Path, gitref: &str) -> Result<Vec<String>, String> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", gitref])
-        .output()
-        .map_err(|e| format!("running git diff: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "git diff --name-only {gitref} failed: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    Ok(String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.ends_with(".rs"))
-        .map(str::to_string)
-        .collect())
-}
-
 fn run() -> Result<ExitCode, String> {
     let opts = parse_args()?;
 
@@ -116,10 +86,10 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // The linter reports its own wall-clock runtime (CHANGES.md tracks a
-    // < 5 s budget for the full workspace); `crates/analysis` is in the
-    // config's wall-clock exempt list for the same reason.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the linter reports its own runtime against a < 5 s budget for the full workspace; no finding depends on it"
+    )]
     let started = std::time::Instant::now();
 
     let root = match opts.root {
@@ -179,21 +149,6 @@ fn run() -> Result<ExitCode, String> {
             .report
             .findings
             .retain(|f| !(f.line == 0 && budget_rules.iter().any(|r| r == f.rule)));
-    }
-
-    if let Some(gitref) = &opts.changed {
-        let changed = changed_files(&root, gitref)?;
-        // The index and budgets were computed over the whole workspace;
-        // only the *reporting* narrows. Crate-level (line 0) findings are
-        // dropped: they aggregate over unchanged files too.
-        analysis
-            .report
-            .findings
-            .retain(|f| f.line > 0 && changed.iter().any(|c| c == &f.file));
-        eprintln!(
-            "diff-aware run: {} changed .rs file(s) vs {gitref}",
-            changed.len()
-        );
     }
 
     print!("{}", analysis.report.render_human());

@@ -19,11 +19,11 @@
 //!
 //! This is a heuristic over tokens, not a dataflow analysis: integer
 //! `+=` in a spawned closure also flags (the rule cannot see types), and
-//! such sites document themselves with an allow. The complementary
-//! `nondet-iteration` rule already flags the hash *types* in sim crates;
-//! this rule exists for the scoping modes where hash containers are
-//! tolerated (keyed lookup allows) but folding them still must not happen,
-//! and for the spawn-closure shape no type-based rule can see.
+//! such sites document themselves with an allow. Clippy's
+//! `disallowed-types` already flags the hash *types* in every crate; this
+//! rule exists for the sites where hash containers are tolerated (keyed
+//! lookups under an `#[expect]`) but folding them still must not happen,
+//! and for the spawn-closure shape no type-based lint can see.
 
 use std::collections::BTreeSet;
 
@@ -102,7 +102,6 @@ impl Rule for FloatAccumulationOrder {
                                 let t = &toks[j];
                                 out.push(finding_at(
                                     self.name(),
-                                    self.default_severity(),
                                     file,
                                     t.line,
                                     t.col,
@@ -123,7 +122,6 @@ impl Rule for FloatAccumulationOrder {
                                 let t = &toks[j];
                                 out.push(finding_at(
                                     self.name(),
-                                    self.default_severity(),
                                     file,
                                     t.line,
                                     t.col,
@@ -149,7 +147,6 @@ impl FloatAccumulationOrder {
         let t = &toks[fold_at];
         finding_at(
             self.name(),
-            self.default_severity(),
             file,
             t.line,
             t.col,
@@ -275,12 +272,16 @@ mod tests {
     use super::*;
     use crate::config::Config;
 
-    fn run(src: &str) -> Vec<Finding> {
-        let file = SourceFile::parse("crates/des/src/x.rs", src);
-        let cfg = Config {
+    fn cfg() -> Config {
+        Config {
             sim_crates: vec!["crates/des".into()],
             ..Config::default()
-        };
+        }
+    }
+
+    fn run(src: &str) -> Vec<Finding> {
+        let file = SourceFile::parse("crates/des/src/x.rs", src);
+        let cfg = cfg();
         let mut out = Vec::new();
         FloatAccumulationOrder.check(&file, &RuleCtx::bare(&cfg), &mut out);
         out
@@ -325,11 +326,41 @@ mod tests {
 
     #[test]
     fn hash_lookup_without_fold_is_fine() {
-        // Keyed lookups (the allowlisted simcache pattern) do not fold.
+        // Keyed lookups (the simcache pattern) do not fold.
         let hits = run("use std::collections::HashMap;\n\
              pub fn get(m: &HashMap<u32, f64>, k: u32) -> Option<f64> {\n\
                  m.get(&k).copied()\n\
              }");
         assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn reachability_widens_past_the_crate_allowlist() {
+        // crates/workloads is NOT in sim_crates, but `gen_sizes` is
+        // reachable from the entry point, so the fold inside it flags;
+        // `export_csv` (unreachable) stays silent.
+        let files = [
+            (
+                "crates/core/src/model.rs",
+                "pub fn simulate() { gen_sizes(); }",
+            ),
+            (
+                "crates/workloads/src/x.rs",
+                "use std::collections::HashMap;\n\
+                 pub fn gen_sizes(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }\n\
+                 pub fn export_csv(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }\n",
+            ),
+        ]
+        .map(|(path, text)| (path.to_string(), text.to_string()));
+        let lines = |entry_points: Vec<String>| -> Vec<u32> {
+            let cfg = Config {
+                entry_points,
+                ..cfg()
+            };
+            let a = crate::analyze(&files, &cfg, None).expect("runs");
+            a.report.findings.iter().map(|f| f.line).collect()
+        };
+        assert_eq!(lines(vec!["simulate".into()]), [2]);
+        assert!(lines(vec![]).is_empty(), "no entry points: crate scope");
     }
 }

@@ -46,7 +46,6 @@ impl Rule for FloatTotalOrder {
                 let t = &toks[i];
                 out.push(finding_at(
                     self.name(),
-                    self.default_severity(),
                     file,
                     t.line,
                     t.col,

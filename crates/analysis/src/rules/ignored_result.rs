@@ -100,7 +100,6 @@ impl Rule for IgnoredResult {
             let t = &toks[i];
             out.push(finding_at(
                 self.name(),
-                self.default_severity(),
                 file,
                 t.line,
                 t.col,

@@ -11,12 +11,8 @@ use crate::source::SourceFile;
 mod float_accumulation;
 mod float_total_order;
 mod ignored_result;
-mod nondet_iteration;
 mod panic_budget;
 mod relaxed_atomic;
-mod truncating_cast;
-mod unseeded_random;
-mod wall_clock;
 
 /// Pseudo-rule name used when an inline escape is missing its justification.
 pub const ALLOW_WITHOUT_JUSTIFICATION: &str = "allow-without-justification";
@@ -58,9 +54,6 @@ impl<'a> RuleCtx<'a> {
             Scope::SimOrReachable => {
                 sim || self.reach.is_some_and(|r| r.is_reachable(&file.path, idx))
             }
-            Scope::SimAndReachable => {
-                sim && self.reach.map_or(true, |r| r.is_reachable(&file.path, idx))
-            }
         }
     }
 
@@ -76,9 +69,6 @@ impl<'a> RuleCtx<'a> {
                 None => sim,
             },
             Scope::SimOrReachable => sim || self.reach.is_some_and(|r| r.touches_file(&file.path)),
-            Scope::SimAndReachable => {
-                sim && self.reach.map_or(true, |r| r.touches_file(&file.path))
-            }
         }
     }
 }
@@ -97,10 +87,6 @@ pub trait Rule {
     fn name(&self) -> &'static str;
     /// One-line description for `--list-rules`.
     fn description(&self) -> &'static str;
-    /// Severity of this rule's site findings.
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
     /// Where this rule fires.
     fn default_scope(&self) -> Scope {
         Scope::All
@@ -121,13 +107,9 @@ pub trait Rule {
 /// The shipped rule set, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(nondet_iteration::NondetIteration),
         Box::new(float_total_order::FloatTotalOrder),
-        Box::new(wall_clock::WallClockInSim),
         Box::new(panic_budget::PanicBudget::default()),
-        Box::new(unseeded_random::UnseededRandomness),
         Box::new(float_accumulation::FloatAccumulationOrder),
-        Box::new(truncating_cast::TruncatingCast::default()),
         Box::new(ignored_result::IgnoredResult),
         Box::new(relaxed_atomic::RelaxedAtomicInResults),
     ]
@@ -181,10 +163,10 @@ pub fn inline_allow(file: &SourceFile, rule: &str, line: u32) -> InlineAllow {
     state
 }
 
-/// Builds a site finding with the snippet filled in from the source line.
+/// Builds a site finding (every site finding is an error) with the snippet
+/// filled in from the source line.
 pub fn finding_at(
     rule: &'static str,
-    severity: Severity,
     file: &SourceFile,
     line: u32,
     col: u32,
@@ -192,7 +174,7 @@ pub fn finding_at(
 ) -> Finding {
     Finding {
         rule,
-        severity,
+        severity: Severity::Error,
         file: file.path.clone(),
         line,
         col,
@@ -224,20 +206,20 @@ mod tests {
     #[test]
     fn inline_allow_grammar() {
         let src = "\
-// hhsim: allow(wall-clock-in-sim): harness telemetry, not sim state
+// hhsim: allow(ignored-result): the caller logs the error
 let a = 1;
-let b = 2; // hhsim: allow(nondet-iteration): lookup only
+let b = 2; // hhsim: allow(float-accumulation-order): integer count
 // hhsim: allow(panic-in-engine)
 let c = 3;
 ";
         let f = SourceFile::parse("crates/des/src/x.rs", src);
         assert_eq!(
-            inline_allow(&f, "wall-clock-in-sim", 2),
+            inline_allow(&f, "ignored-result", 2),
             InlineAllow::Justified,
             "comment on preceding line"
         );
         assert_eq!(
-            inline_allow(&f, "nondet-iteration", 3),
+            inline_allow(&f, "float-accumulation-order", 3),
             InlineAllow::Justified,
             "comment on same line"
         );
@@ -246,7 +228,7 @@ let c = 3;
             InlineAllow::Unjustified,
             "missing justification"
         );
-        assert_eq!(inline_allow(&f, "wall-clock-in-sim", 3), InlineAllow::None);
+        assert_eq!(inline_allow(&f, "ignored-result", 3), InlineAllow::None);
         assert_eq!(
             inline_allow(&f, "float-total-order", 2),
             InlineAllow::None,

@@ -13,7 +13,8 @@
 //! escape are not counted at all.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::Scope;
 use crate::diag::{Finding, Severity};
@@ -133,49 +134,36 @@ impl Rule for PanicBudget {
             });
             return;
         };
-        for (crate_root, &count) in counts.iter() {
+        // Every crate counted or budgeted; a budgeted crate with no site
+        // left counts 0.
+        let crates: BTreeSet<&String> = counts.keys().chain(budgets.keys()).collect();
+        for crate_root in crates {
+            let count = counts.get(crate_root).copied().unwrap_or(0);
             let budget = budgets.get(crate_root).copied().unwrap_or(0);
-            if count > budget {
-                out.push(Finding {
-                    rule: self.name(),
-                    severity: Severity::Error,
-                    file: crate_root.clone(),
-                    line: 0,
-                    col: 0,
-                    message: format!(
+            let (severity, message) = match count.cmp(&budget) {
+                Ordering::Greater => (
+                    Severity::Error,
+                    format!(
                         "panic budget exceeded: {count} unwrap/expect/panic!/indexing sites vs budget {budget}; remove sites, justify them with `// hhsim: allow(panic-in-engine): ...`, or (for a genuinely new subsystem) re-baseline with --update-baseline"
                     ),
-                    snippet: None,
-                });
-            } else if count < budget {
-                out.push(Finding {
-                    rule: self.name(),
-                    severity: Severity::Info,
-                    file: crate_root.clone(),
-                    line: 0,
-                    col: 0,
-                    message: format!(
+                ),
+                Ordering::Less => (
+                    Severity::Info,
+                    format!(
                         "panic budget shrank: {count} sites vs budget {budget}; ratchet the baseline down with --update-baseline"
                     ),
-                    snippet: None,
-                });
-            }
-        }
-        // A crate in the baseline that no longer has any counted site.
-        for (crate_root, &budget) in budgets.iter() {
-            if budget > 0 && !counts.contains_key(crate_root) {
-                out.push(Finding {
-                    rule: self.name(),
-                    severity: Severity::Info,
-                    file: crate_root.clone(),
-                    line: 0,
-                    col: 0,
-                    message: format!(
-                        "panic budget shrank: 0 sites vs budget {budget}; ratchet the baseline down with --update-baseline"
-                    ),
-                    snippet: None,
-                });
-            }
+                ),
+                Ordering::Equal => continue,
+            };
+            out.push(Finding {
+                rule: self.name(),
+                severity,
+                file: crate_root.clone(),
+                line: 0,
+                col: 0,
+                message,
+                snippet: None,
+            });
         }
     }
 

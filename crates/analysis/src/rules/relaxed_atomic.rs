@@ -53,7 +53,6 @@ impl Rule for RelaxedAtomicInResults {
             }
             out.push(finding_at(
                 self.name(),
-                self.default_severity(),
                 file,
                 t.line,
                 t.col,

@@ -24,22 +24,9 @@ fn fixture(rule: &str, which: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path}: {e}"))
 }
 
-/// A zero budget for every ratcheting rule in the fixture crate: any
-/// counted site is over budget, which makes the budget rules behave like
-/// the point rules in the generic positive/negative loops below.
-fn zero_budget() -> Baseline {
-    BTreeMap::from([
-        (
-            "panic-in-engine".to_string(),
-            BTreeMap::from([("crates/des".to_string(), 0u64)]),
-        ),
-        (
-            "truncating-cast".to_string(),
-            BTreeMap::from([("crates/des".to_string(), 0u64)]),
-        ),
-    ])
-}
-
+/// A panic budget of `n` in the fixture crate. At 0 any counted site is
+/// over budget, which makes the budget rule behave like the point rules in
+/// the generic positive/negative loops below.
 fn budget(n: u64) -> Baseline {
     BTreeMap::from([(
         "panic-in-engine".to_string(),
@@ -72,7 +59,7 @@ fn every_registered_rule_has_a_fixture_pair() {
 
 #[test]
 fn true_positives_fire_their_rule_as_errors() {
-    let baseline = zero_budget();
+    let baseline = budget(0);
     for rule in all_rules() {
         let name = rule.name();
         let a = run(&fixture(name, "positive"), &baseline);
@@ -93,7 +80,7 @@ fn true_positives_fire_their_rule_as_errors() {
 
 #[test]
 fn true_negatives_are_completely_clean() {
-    let baseline = zero_budget();
+    let baseline = budget(0);
     for rule in all_rules() {
         let name = rule.name();
         let a = run(&fixture(name, "negative"), &baseline);
@@ -108,7 +95,7 @@ fn true_negatives_are_completely_clean() {
 
 #[test]
 fn float_positive_is_span_accurate() {
-    let a = run(&fixture("float-total-order", "positive"), &zero_budget());
+    let a = run(&fixture("float-total-order", "positive"), &budget(0));
     let lines: Vec<u32> = a
         .report
         .findings
@@ -183,7 +170,7 @@ fn panic_budget_over_is_error_under_is_ratchet_hint() {
 
 #[test]
 fn panic_negative_counts_nothing() {
-    let a = run(&fixture("panic-in-engine", "negative"), &zero_budget());
+    let a = run(&fixture("panic-in-engine", "negative"), &budget(0));
     let count = a
         .counters
         .get("panic-in-engine")
@@ -191,29 +178,4 @@ fn panic_negative_counts_nothing() {
         .copied()
         .unwrap_or(0);
     assert_eq!(count, 0, "justified/test-only sites must not count");
-}
-
-#[test]
-fn nondet_positive_is_scoped_to_sim_crates() {
-    // The same hash-collection code outside a sim crate is not a finding.
-    let cfg = Config {
-        sim_crates: vec!["crates/des".into()],
-        ..Config::default()
-    };
-    let text = fixture("nondet-iteration", "positive");
-    let a = analyze(
-        &[("crates/workloads/src/fixture.rs".to_string(), text)],
-        &cfg,
-        None,
-    )
-    .expect("engine runs");
-    assert_eq!(
-        a.report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "nondet-iteration")
-            .count(),
-        0,
-        "non-sim crates may use hash collections"
-    );
 }

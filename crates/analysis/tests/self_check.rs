@@ -23,6 +23,16 @@ fn workspace_is_clean_under_shipped_config() {
         &std::fs::read_to_string(root.join("analysis.toml")).expect("shipped analysis.toml"),
     )
     .expect("shipped config parses");
+    // Clippy holds truncating casts in the non-test code of every sim
+    // crate, so the crate list stays one decision: this config's.
+    let cast_lint = "#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]";
+    for krate in &cfg.sim_crates {
+        let lib = std::fs::read_to_string(root.join(krate).join("src/lib.rs")).expect("sim lib.rs");
+        assert!(
+            lib.lines().any(|l| l.trim() == cast_lint),
+            "{krate}/src/lib.rs lacks `{cast_lint}`"
+        );
+    }
     let baseline = parse_baseline(
         &std::fs::read_to_string(root.join("analysis-baseline.json"))
             .expect("shipped analysis-baseline.json"),

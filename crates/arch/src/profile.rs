@@ -37,8 +37,10 @@ impl MemoryProfile {
     /// be in `[0, 1]` and sum to at most 1, sizes and density positive.
     pub fn validate(&self) -> Result<(), String> {
         let frac_ok = |f: f64| (0.0..=1.0).contains(&f);
-        // `!(x > 0.0)` also rejects NaN; `x <= 0.0` would let NaN through.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        #[expect(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "`!(x > 0.0)` also rejects NaN; `x <= 0.0` would let NaN through"
+        )]
         if !(self.accesses_per_instr > 0.0) {
             return Err("accesses_per_instr must be positive".into());
         }

@@ -129,8 +129,10 @@ pub fn fig22_trace_config() -> SimConfig {
 /// The artifacts that ship a representative run's trace beside their
 /// CSV (`<id>_trace.json`, `<id>_util.csv`), with that run's
 /// configuration.
-// A four-row table of (id, constructor); an alias would only add a name.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "a four-row table of (id, constructor); an alias would only add a name"
+)]
 pub const TRACES: [(&str, fn() -> SimConfig); 4] = [
     ("fig18", fig18_trace_config),
     ("fig19", fig19_trace_config),

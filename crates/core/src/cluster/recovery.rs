@@ -645,7 +645,10 @@ impl FaultState<'_> {
 /// link degradation, the injected-failure draw and the LATE statistics
 /// are the same for both — re-executions can fail, be killed or get
 /// their node blacklisted like any other attempt.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the engine, its state, the phase's load and faults and the attempt's placement come from three call sites in the event loop; a bundle struct would exist only to carry them across this call"
+)]
 fn launch_attempt(
     sim: &mut Simulation<FaultEvent>,
     st: &mut FaultState,

@@ -57,6 +57,10 @@ static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
 fn count_fill(runs: usize, started: Instant) {
     POINTS.fetch_add(runs as u64, Ordering::Relaxed);
     GRIDS.fetch_add(1, Ordering::Relaxed);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "stderr telemetry; u64 nanoseconds hold 584 years of fill time"
+    )]
     BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
@@ -255,10 +259,10 @@ pub fn run_grid_with(configs: &[SimConfig], workers: usize) -> Vec<Measurement> 
 /// Panics with the [`SimError`] of a point that breaks the config contract
 /// or fails unrecoverably, as [`simulate`](crate::simulate) does.
 pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> Vec<Measurement> {
-    // Operator telemetry only (wall-clock spent sweeping); never feeds a
-    // simulated quantity. Mirrors the `wall-clock-in-sim` allow for this
-    // file in analysis.toml.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sweep harness's wall-time counters (points/sec telemetry) are operator-facing metadata printed to stderr; simulated results flow exclusively through virtual SimTime and are pinned byte-identical across --jobs by the determinism tests"
+    )]
     let started = Instant::now();
     let auto = configs.iter().map(|cfg| (cfg, Reading::Auto));
     fill_stage(auto, &[], workers, cache);
@@ -381,8 +385,10 @@ impl Plan {
     /// a replication plan over an invalid config, keep their [`SimError`]
     /// for the reader; every other entry runs as it would alone.
     pub fn run_on(self, workers: usize, cache: &SimCache) -> Outcomes {
-        // Operator telemetry only — see the note in `run_grid_on`.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "operator telemetry only, as in `run_grid_on`"
+        )]
         let started = Instant::now();
         let Plan {
             points,
@@ -623,8 +629,10 @@ impl ReplicationPlan {
     /// Panics with the [`SimError`] of an invalid config, as
     /// [`run_grid_on`] does.
     pub fn run_with(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
-        // Operator telemetry only — see the note in `run_grid_on`.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "operator telemetry only, as in `run_grid_on`"
+        )]
         let started = Instant::now();
         let summary = recovered(self.summarize(workers, cache));
         count_fill(self.seeds.len(), started);

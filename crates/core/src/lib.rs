@@ -37,6 +37,10 @@
 //! assert!(xeon.cost.edp() > atom.cost.edp(), "little core wins WordCount EDP");
 //! ```
 
+// Every lossy `as` cast in shipped code names why it cannot lose bits,
+// in an `#[expect]` at the site (test code is exempt).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 pub mod calibration;
 pub mod cluster;
 pub mod figures;

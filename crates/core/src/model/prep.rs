@@ -291,6 +291,10 @@ impl<'a> ClusterPrep<'a> {
                             .collect()
                     })
                     .collect();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "one map task's input, clamped non-negative and far below u64::MAX; locality is priced in whole bytes"
+                )]
                 let bytes = t.map_task_bytes.max(0.0) as u64;
                 let locality = PhaseLocality {
                     replicas,

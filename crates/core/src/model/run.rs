@@ -313,6 +313,10 @@ impl ClusterPrep<'_> {
                 * (1.0 + primary.map_selectivity.min(1.5)))
                 / nodes as f64
                 / slots as f64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a non-negative byte volume per slot, far below u64::MAX; the accelerator model takes whole bytes"
+            )]
             let hot_accel = hhsim_accel::accelerate(
                 &PhaseBreakdown::new(hotspot_wall, 0.0, 0.0),
                 transfer as u64,
@@ -327,6 +331,10 @@ impl ClusterPrep<'_> {
         let op = m.operating_point(self.cfg.frequency);
         let power = |tasks: usize, prof: &ComputeProfile, io_frac| {
             let util = (tasks as f64 / total_slots as f64).min(1.0);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a share `util` <= 1 of `slots`, rounded back to whole slots"
+            )]
             let active = ((slots as f64 * util).round() as usize).max(usize::from(tasks > 0));
             let mem = mem_intensity(prof);
             m.power

@@ -65,7 +65,10 @@ pub(super) struct JobTiming {
 /// on data volume and cluster shape, never on `m`, so heterogeneous
 /// clusters can price the same task list per node kind. `slots` are the
 /// task slots of a node of the kind being priced.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "nine independent inputs from one caller, `ClusterPrep::new`; a bundle struct would exist only to carry them across this call"
+)]
 pub(super) fn job_timing(
     m: &MachineModel,
     slots: usize,
@@ -88,6 +91,10 @@ pub(super) fn job_timing(
     // Map phase of this job.
     // ------------------------------------------------------------------
     let job_input = (data_total as f64 * job.input_fraction).max(1.0);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a whole number of blocks, positive and far below usize::MAX"
+    )]
     let n_map = ((job_input / block as f64).ceil() as usize).max(1);
     let task_input = job_input / n_map as f64;
 
@@ -97,6 +104,10 @@ pub(super) fn job_timing(
     // more effective at production buffer sizes than at MB scale.
     let emitted = task_input * job.map_selectivity;
     let spills = (emitted / jobcfg.sort_buffer_bytes as f64).ceil().max(1.0);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`spills` is a whole number of spills, at least 1"
+    )]
     let merge_passes = jobcfg.merge_passes(spills as usize) as f64;
     let key_cap_task = job.distinct_key_bytes_at(task_input).max(1.0);
     let (materialized, spill_write) = if job.has_combiner {
@@ -122,15 +133,20 @@ pub(super) fn job_timing(
         task_input * map_prof.instr_per_byte,
     ) + m.core.io_path_seconds(map_io_bytes, f);
 
-    let map_concurrency = slots.min(n_map.div_ceil(nodes)).max(1) as f64;
+    let map_streams = slots.min(n_map.div_ceil(nodes)).max(1);
+    let map_concurrency = map_streams as f64;
     // Concurrent task streams interleave on the node disk: the
     // effective sequential chunk shrinks with concurrency — why small
     // blocks hurt I/O-bound jobs most (§3.1.1).
-    let read_chunk = (block / map_concurrency as u64).max(1 << 20);
-    let write_chunk = ((32 << 20) / map_concurrency as u64).max(1 << 20);
+    let read_chunk = (block / map_streams as u64).max(1 << 20);
+    let write_chunk = ((32 << 20) / map_streams as u64).max(1 << 20);
     let footprint =
         data_per_node_bytes as f64 * job.input_fraction * (1.0 + job.map_selectivity.min(1.5));
     let pressure = memory_pressure(m, footprint);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a non-negative byte volume of one task, far below u64::MAX; the disk model takes whole bytes"
+    )]
     let mut t_disk_map = (disk.read_seconds(task_input as u64, read_chunk)
         + disk.write_seconds((spill_write + merge_io) as u64, write_chunk))
         * map_concurrency
@@ -152,8 +168,12 @@ pub(super) fn job_timing(
     let mut t_cpu_map = t_cpu_map;
     if !job.has_reduce && output_total > 0.0 {
         let out_per_task = output_total / n_map as f64 * OUTPUT_REPLICATION;
-        t_disk_map +=
-            disk.write_seconds(out_per_task as u64, write_chunk) * map_concurrency * pressure;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a non-negative byte volume of one task, far below u64::MAX; the disk model takes whole bytes"
+        )]
+        let t_out = disk.write_seconds(out_per_task as u64, write_chunk);
+        t_disk_map += t_out * map_concurrency * pressure;
         t_cpu_map += m.core.io_path_seconds(out_per_task, f);
     }
     let map_task_s = t_cpu_map + t_disk_map * (1.0 - m.core.io_overlap);
@@ -168,7 +188,8 @@ pub(super) fn job_timing(
     };
     let (red_task_s, t_cpu_red, t_io_red_raw, red_input_bytes) = if n_red > 0 {
         let red_input = shuffle_total / n_red as f64 * job.reduce_skew.min(1.5);
-        let red_concurrency = slots.min(n_red.div_ceil(nodes)).max(1) as f64;
+        let red_streams = slots.min(n_red.div_ceil(nodes)).max(1);
+        let red_concurrency = red_streams as f64;
         // Cross-node shuffle transfer (the local share stays on-node).
         let cross = red_input * (nodes as f64 - 1.0) / nodes as f64;
         let t_net = cross / NET_BYTES_PER_S * red_concurrency;
@@ -192,7 +213,11 @@ pub(super) fn job_timing(
             f,
             red_input * red_prof.instr_per_byte,
         ) + m.core.io_path_seconds(io_bytes, f);
-        let red_chunk = ((32 << 20) / red_concurrency as u64).max(1 << 20);
+        let red_chunk = ((32 << 20) / red_streams as u64).max(1 << 20);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a non-negative byte volume of one task, far below u64::MAX; the disk model takes whole bytes"
+        )]
         let t_disk = (disk.write_seconds((merge_bytes + out_bytes) as u64, red_chunk)
             + disk.read_seconds(red_input as u64, red_chunk))
             * red_concurrency

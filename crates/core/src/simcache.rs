@@ -18,10 +18,10 @@
 //! [`SimCache::new`] and run [`SimConfig::run`](crate::SimConfig::run)
 //! against them.
 
-// Keyed lookup only — entries are fetched by exact key and never
-// iterated, so hash order cannot reach simulation output. Mirrors the
-// `nondet-iteration` allow for this file in analysis.toml.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the memo tables are keyed-lookup-only: each entry is published once per key (behind a OnceLock, or inserted once computed) and read back by key; no code path iterates a HashMap, and the plan table is a Vec searched by equality, so hash order cannot reach simulation output (pinned by cache property tests: cached == uncached)"
+)]
 
 use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, Entry};

@@ -47,6 +47,10 @@
 //! assert_eq!(sim.executed_events(), 5);
 //! ```
 
+// Every lossy `as` cast in shipped code names why it cannot lose bits,
+// in an `#[expect]` at the site (test code is exempt).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 mod calendar;
 mod sim;
 mod time;

@@ -49,6 +49,10 @@ impl SimTime {
 
     /// Creates a time from fractional seconds, saturating at the
     /// representable range and treating NaN or negative input as zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ns` is positive and below u64::MAX where it is cast; rounding to whole nanoseconds is the conversion"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         if s.is_nan() || s <= 0.0 {
             return SimTime::ZERO;

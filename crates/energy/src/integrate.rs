@@ -224,6 +224,10 @@ impl StreamingMeter {
                 segments: self.segments,
             };
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a whole, positive number of sample intervals (`floor().max(1.0)`) in a finite run"
+        )]
         let n = (duration / SAMPLE_INTERVAL_S).floor().max(1.0) as u64;
         let mut sum = self.sample_sum_w;
         let last_w = self.tail.back().map(|&(_, w)| w).unwrap_or(0.0);

@@ -28,6 +28,10 @@
 //! assert_eq!(m.edxp(2), 400_000.0);
 //! ```
 
+// Every lossy `as` cast in shipped code names why it cannot lose bits,
+// in an `#[expect]` at the site (test code is exempt).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 mod integrate;
 mod meter;
 mod metrics;

@@ -14,8 +14,8 @@
 //! anywhere. Every draw is a SplitMix64-style hash of
 //! `(seed, stream tag, identity)` — the same technique as the engine's
 //! per-task duration jitter — so the schedule cannot depend on event
-//! order, thread interleaving or sampling order. The `unseeded-randomness`
-//! linter rule stays trivially satisfied because there is nothing to
+//! order, thread interleaving or sampling order. The unseeded-RNG entries
+//! of `clippy.toml` stay trivially satisfied because there is nothing to
 //! seed at runtime.
 //!
 //! The recovery semantics ([`RecoveryPolicy`]) mirror Hadoop 1.x:
@@ -24,6 +24,10 @@
 //! first finisher wins, loser is cancelled), node blacklisting after
 //! repeated failures, and the KILLED / FAILED distinction (attempts lost
 //! to a node crash do not count against `max_attempts`).
+
+// Every lossy `as` cast in shipped code names why it cannot lose bits,
+// in an `#[expect]` at the site (test code is exempt).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
 fn mix(mut x: u64) -> u64 {

@@ -311,6 +311,10 @@ impl Dfs {
             .clone();
         let mut offset = 0usize;
         for b in &meta.blocks {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a block of `data`, which is in memory, so its length fits in usize"
+            )]
             let end = offset + b.len as usize;
             self.store.insert(b.id, data.slice(offset..end));
             offset = end;
@@ -348,6 +352,10 @@ impl Dfs {
     /// [`DfsError::NotFound`] if the path does not exist.
     pub fn read(&self, path: &str) -> Result<Bytes, DfsError> {
         let meta = self.namenode.lookup(path)?;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the length of a file written from memory, so it fits in usize"
+        )]
         let mut out = Vec::with_capacity(meta.len as usize);
         for b in &meta.blocks {
             out.extend_from_slice(&self.read_block(b.id));

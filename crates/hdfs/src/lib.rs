@@ -39,6 +39,10 @@
 //! # Ok::<(), hhsim_hdfs::DfsError>(())
 //! ```
 
+// Every lossy `as` cast in shipped code names why it cannot lose bits,
+// in an `#[expect]` at the site (test code is exempt).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 mod block;
 mod dfs;
 mod disk;

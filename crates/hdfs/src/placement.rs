@@ -123,6 +123,10 @@ impl HdfsDefault {
         if candidates.is_empty() {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a remainder modulo a usize length is below that length"
+        )]
         let ix = (self.draw(block, k) % candidates.len() as u64) as usize;
         candidates.get(ix).copied()
     }
@@ -194,6 +198,10 @@ impl ReplicaPlacement for HdfsDefault {
                 .copied()
                 .filter(|n| !chosen.contains(n))
                 .collect();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a remainder modulo a usize length is below that length"
+            )]
             let rot = (self.draw(req.block, 3) % rest.len().max(1) as u64) as usize;
             rest.rotate_left(rot);
             for n in rest {

@@ -289,7 +289,6 @@ where
     let mut scratch: Vec<(M::KOut, M::VOut)> = Vec::new();
 
     // Sorted spill segments: each is per-partition sorted runs.
-    #[allow(clippy::type_complexity)]
     let mut segments: Vec<Vec<Run<M::KOut, M::VOut>>> = Vec::new();
 
     let mut spill = |emitter: &mut Emitter<M::KOut, M::VOut>,
@@ -336,7 +335,6 @@ where
     if nsegs > 1 {
         stats.map_merge_passes += cfg.merge_passes(nsegs) as u64;
     }
-    #[allow(clippy::type_complexity)]
     let mut partitions: Vec<Vec<Run<M::KOut, M::VOut>>> = (0..nparts).map(|_| Vec::new()).collect();
     let mut merged_bytes = 0u64;
     for seg in segments {
@@ -374,7 +372,10 @@ where
 /// order — and the runs are then split at partition boundaries without
 /// re-hashing. Only a key-*rewriting* combiner pays for re-partitioning
 /// (of the rewritten records) and a stable per-partition re-sort.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "one private caller destructures the runs and three counters at once; an alias would only add a name"
+)]
 fn sort_and_combine<M: Mapper>(
     records: &mut Vec<(M::KOut, M::VOut)>,
     nparts: usize,
@@ -392,6 +393,10 @@ fn sort_and_combine<M: Mapper>(
         let p = partitioner(&k, nparts);
         // hhsim: allow(panic-in-engine): the partitioner contract returns p < nparts (pinned by partition tests)
         counts[p] += 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "record and partition counts are asserted to fit in u32 above"
+        )]
         decorated.push((p as u32, i as u32, k, v));
     }
     decorated.sort_unstable_by(|a, b| (a.0, &a.2, a.1).cmp(&(b.0, &b.2, b.1)));

@@ -379,8 +379,10 @@ mod tests {
     }
 
     #[test]
-    // Test-only bucket-spread check; set contents are only counted.
-    #[allow(clippy::disallowed_types)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test-only bucket-spread check; set contents are only counted"
+    )]
     fn integer_hash_avalanches() {
         // Consecutive integers should land in different buckets mod small n.
         let buckets: std::collections::HashSet<u64> =

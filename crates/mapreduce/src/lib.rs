@@ -58,6 +58,10 @@
 //! assert_eq!(out, vec![("a".into(), 3), ("b".into(), 2)]);
 //! ```
 
+// Every lossy `as` cast in shipped code names why it cannot lose bits,
+// in an `#[expect]` at the site (test code is exempt).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 mod config;
 mod emit;
 mod engine;

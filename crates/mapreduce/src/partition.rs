@@ -21,6 +21,10 @@ pub type Partitioner<K> = Arc<dyn Fn(&K, usize) -> usize + Send + Sync>;
 /// assert!(idx < 4);
 /// assert_eq!(idx, p(&"key".to_string(), 4), "deterministic");
 /// ```
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a remainder modulo `n: usize` is below `n`"
+)]
 pub fn hash_partition<K: Datum>() -> Partitioner<K> {
     Arc::new(|k: &K, n: usize| {
         debug_assert!(n > 0);
@@ -55,8 +59,10 @@ mod tests {
     use super::*;
 
     #[test]
-    // Test-only coverage check; set contents are only counted.
-    #[allow(clippy::disallowed_types)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test-only coverage check; set contents are only counted"
+    )]
     fn hash_partition_covers_all_buckets() {
         let p = hash_partition::<u64>();
         let mut seen = std::collections::HashSet::new();

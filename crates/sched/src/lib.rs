@@ -26,6 +26,10 @@
 //! assert_eq!(alloc.cores, 8);
 //! ```
 
+// Every lossy `as` cast in shipped code names why it cannot lose bits,
+// in an `#[expect]` at the site (test code is exempt).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use hhsim_arch::CoreKind;
 use hhsim_energy::{CostMetrics, MetricKind};
 

@@ -265,9 +265,10 @@ mod tests {
     }
 
     #[test]
-    // Test-only frequency histogram; only point-queried, never iterated
-    // for ordering.
-    #[allow(clippy::disallowed_types)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test-only frequency histogram; only point-queried, never iterated for ordering"
+    )]
     fn text_is_zipfian() {
         let data = text(200_000, 42);
         let s = String::from_utf8(data.to_vec()).unwrap();

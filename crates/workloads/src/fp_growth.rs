@@ -12,10 +12,10 @@
 //!    shard and mines it recursively. Group-disjoint patterns union to the
 //!    global frequent-itemset collection.
 
-// Workload-internal tables: the MapReduce engine key-sorts all emitted
-// pairs before they reach any simulation output, so hash iteration order
-// cannot leak (crates/workloads is outside the linter's sim-crate set).
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "workload-internal tables: the MapReduce engine key-sorts all emitted pairs before they reach any simulation output, so hash iteration order cannot leak"
+)]
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

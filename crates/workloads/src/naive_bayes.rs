@@ -4,10 +4,10 @@
 //! per-class document counts; the driver assembles a [`NaiveBayesModel`]
 //! that can classify held-out documents.
 
-// Workload-internal tables: the MapReduce engine key-sorts all emitted
-// pairs before they reach any simulation output, so hash iteration order
-// cannot leak (crates/workloads is outside the linter's sim-crate set).
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "workload-internal tables: the MapReduce engine key-sorts all emitted pairs before they reach any simulation output, so hash iteration order cannot leak"
+)]
 
 use std::collections::HashMap;
 
