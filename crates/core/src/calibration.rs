@@ -113,8 +113,8 @@ pub fn claims(plan: &mut Plan) -> impl FnOnce(&Outcomes) -> Result<Vec<Target>, 
         let mut t = Vec::new();
 
         // ---------------- Fig. 1: IPC characterization -------------------
-        let ipc = |s| 1.0 / ran.cpi(s, Frequency::GHZ_1_8);
-        let (xs, xh, as_, ah) = (ipc(x_spec), ipc(x_hadoop), ipc(a_spec), ipc(a_hadoop));
+        let ipc = |s| ran.cpi(s, Frequency::GHZ_1_8).map(|cpi| 1.0 / cpi);
+        let (xs, xh, as_, ah) = (ipc(x_spec)?, ipc(x_hadoop)?, ipc(a_spec)?, ipc(a_hadoop)?);
         t.push(Target::new(
             "fig1",
             "Hadoop IPC drop vs SPEC on big core (x lower)",
@@ -146,8 +146,8 @@ pub fn claims(plan: &mut Plan) -> impl FnOnce(&Outcomes) -> Result<Vec<Target>, 
 
         // ---------------- Fig. 2: suite-level ED^xP ----------------------
         let [(_, spec), _, (_, hadoop)] = figures::suites();
-        let [spec1, _, spec3] = figures::suite_edxp(ran, &spec, [x_spec, a_spec]);
-        let [had1, _, had3] = figures::suite_edxp(ran, &hadoop, [x_hadoop, a_hadoop]);
+        let [spec1, _, spec3] = figures::suite_edxp(ran, &spec, [x_spec, a_spec])?;
+        let [had1, _, had3] = figures::suite_edxp(ran, &hadoop, [x_hadoop, a_hadoop])?;
         t.push(Target::new(
             "fig2",
             "EDP favours Atom for all suites (ratio > 1)",

@@ -147,7 +147,7 @@ pub fn fig1(plan: &mut Plan) -> Render {
         let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
         for (m, row) in machines().iter().zip(splits) {
             for ((name, _), s) in suites().iter().zip(row) {
-                f.push(label(m), *name, 1.0 / ran.cpi(s, Frequency::GHZ_1_8));
+                f.push(label(m), *name, 1.0 / ran.cpi(s, Frequency::GHZ_1_8)?);
             }
         }
         Ok(f)
@@ -157,13 +157,18 @@ pub fn fig1(plan: &mut Plan) -> Render {
 /// ED^xP ratio Xeon/Atom of `suite` for x = 1, 2, 3 (>1 means the little
 /// core is the more efficient choice), from its splits on the Xeon and
 /// the Atom: a fixed-work suite model, N instructions on one core of each
-/// machine at 1.8 GHz.
-pub(crate) fn suite_edxp(ran: &Outcomes, suite: &ComputeProfile, [x, a]: [Split; 2]) -> [f64; 3] {
+/// machine at 1.8 GHz. A split that broke the contract is its
+/// [`SimError`].
+pub(crate) fn suite_edxp(
+    ran: &Outcomes,
+    suite: &ComputeProfile,
+    [x, a]: [Split; 2],
+) -> Result<[f64; 3], SimError> {
     let [xeon, atom] = machines();
     let freq = Frequency::GHZ_1_8;
     let n_instr = 2.0e11;
-    let t_x = n_instr * ran.cpi(x, freq) / freq.hz();
-    let t_a = n_instr * ran.cpi(a, freq) / freq.hz();
+    let t_x = n_instr * ran.cpi(x, freq)? / freq.hz();
+    let t_a = n_instr * ran.cpi(a, freq)? / freq.hz();
     let p_x = xeon
         .power
         .node_power(xeon.operating_point(freq), 1, 1, suite.activity, 0.4, 0.0)
@@ -172,11 +177,11 @@ pub(crate) fn suite_edxp(ran: &Outcomes, suite: &ComputeProfile, [x, a]: [Split;
         .power
         .node_power(atom.operating_point(freq), 1, 1, suite.activity, 0.4, 0.0)
         .dynamic();
-    [1, 2, 3].map(|x: i32| {
+    Ok([1, 2, 3].map(|x: i32| {
         let edxp_x = p_x * t_x * t_x.powi(x - 1);
         let edxp_a = p_a * t_a * t_a.powi(x - 1);
         edxp_x / edxp_a
-    })
+    }))
 }
 
 /// Fig. 2: EDP, ED²P, ED³P ratio (Xeon / Atom) per suite — >1 means the
@@ -190,7 +195,7 @@ pub fn fig2(plan: &mut Plan) -> Render {
             "ratio",
         );
         for (((name, p), x), a) in suites().iter().zip(on_xeon).zip(on_atom) {
-            for (n, ratio) in (1..).zip(suite_edxp(ran, p, [x, a])) {
+            for (n, ratio) in (1..).zip(suite_edxp(ran, p, [x, a])?) {
                 f.push(format!("ED{n}P"), *name, ratio);
             }
         }

@@ -5,6 +5,7 @@
 use std::fmt;
 
 use hhsim_accel::AccelConfig;
+use hhsim_arch::{ComputeProfile, MachineModel};
 use hhsim_faults::{FaultConfig, PhaseError};
 use hhsim_hdfs::Topology;
 
@@ -51,7 +52,9 @@ pub enum ConfigError {
     /// A numeric field is NaN, infinite or outside its domain.
     OutOfRange {
         /// The field's path from the `SimConfig`, e.g.
-        /// `"faults.node_mttf_s"`.
+        /// `"faults.node_mttf_s"`, or from a split declared into a plan:
+        /// `"machine.cache_levels"`, `"machine.mem_latency_ns"` or
+        /// `"profile.mem"`.
         field: &'static str,
     },
 }
@@ -171,6 +174,30 @@ fn fits_u32<T: TryInto<u32>>(n: T) -> bool {
     n.try_into().is_ok_and(|v: u32| v != u32::MAX)
 }
 
+/// What a stall simulation reads of a machine: levels a `Cache` can
+/// simulate, and a DRAM latency.
+fn check_hierarchy(m: &MachineModel) -> Result<(), ConfigError> {
+    let levels = &m.cache_levels;
+    in_range(&[
+        (
+            !levels.is_empty() && levels.iter().all(|c| c.check().is_ok()),
+            "machine.cache_levels",
+        ),
+        (positive(m.mem_latency_ns), "machine.mem_latency_ns"),
+    ])
+}
+
+/// The contract of a stall split declared on its own
+/// ([`Plan::split`](crate::harness::Plan::split)): the machine's cache
+/// levels and DRAM latency, checked as [`SimConfig::validate`] checks a
+/// roster's, and the profile's memory behaviour
+/// ([`MemoryProfile::validate`](hhsim_arch::MemoryProfile::validate)),
+/// named `profile.mem`. Allocates nothing when it holds.
+pub(crate) fn check_split(m: &MachineModel, profile: &ComputeProfile) -> Result<(), ConfigError> {
+    check_hierarchy(m)?;
+    in_range(&[(profile.mem.validate().is_ok(), "profile.mem")])
+}
+
 fn check_faults(fc: &FaultConfig) -> Result<(), ConfigError> {
     let (r, d) = (&fc.recovery, &fc.domains);
     in_range(&[
@@ -242,15 +269,8 @@ impl SimConfig {
             if m.num_cores == 0 {
                 return Err(ConfigError::NoCores);
             }
-            let levels = &m.cache_levels;
-            in_range(&[
-                (positive(m.memory_gb), "machine.memory_gb"),
-                (
-                    !levels.is_empty() && levels.iter().all(|c| c.check().is_ok()),
-                    "machine.cache_levels",
-                ),
-                (positive(m.mem_latency_ns), "machine.mem_latency_ns"),
-            ])?;
+            in_range(&[(positive(m.memory_gb), "machine.memory_gb")])?;
+            check_hierarchy(m)?;
             let per_node = self.mappers_per_node.unwrap_or(m.num_cores);
             if per_node == 0 {
                 return Err(ConfigError::NoSlots);

@@ -59,7 +59,7 @@ mod tests;
 mod timing;
 
 pub use config::{job_class, Measurement, NodeMix, PhaseCost, PlacementKind, SimConfig};
-pub(crate) use contract::Validated;
+pub(crate) use contract::{check_split, Validated};
 pub use contract::{ConfigError, Reading, SimError};
 pub(crate) use prep::ClusterPrep;
 pub use run::simulate;

@@ -1,14 +1,17 @@
 //! The config contract, row by row: every hostile config below used to
 //! panic, abort, hang or price a silently wrong number, and now comes back
 //! from `SimConfig::run` as its typed error. The last row is the control:
-//! every shipped trace config, and a default config per app, runs.
+//! every shipped trace config, and a default config per app, runs. A stall
+//! split declared into a plan on its own is held to the same machine
+//! checks, plus its memory profile's.
 
 use std::mem::discriminant;
 
 use hhsim_core::accel::AccelConfig;
 use hhsim_core::arch::cache::{MAX_LINES, MAX_WAYS};
-use hhsim_core::arch::{presets, CacheConfig};
+use hhsim_core::arch::{presets, CacheConfig, ComputeProfile, MachineModel, MemoryProfile};
 use hhsim_core::faults::{FaultConfig, PhaseError, RecoveryPolicy};
+use hhsim_core::harness::Plan;
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
 use hhsim_core::{ConfigError, NodeMix, PlacementKind, Reading, SimCache, SimConfig, SimError};
@@ -335,4 +338,88 @@ fn hostile_configs_return_their_typed_errors() {
             });
         }
     });
+}
+
+/// A stall split declared into a plan on its own ([`Plan::split`]) meets
+/// the contract a roster's machine does — levels a cache can simulate, a
+/// DRAM latency — plus a valid memory profile. Each row used to panic
+/// inside the fill; now its `cpi` is the typed error, and the plan's
+/// other entries run.
+#[test]
+fn hostile_splits_return_their_typed_errors() {
+    let good = presets::atom_c2758();
+    let profile = ComputeProfile::hadoop_average();
+    let edited = |edit: fn(&mut MachineModel)| {
+        let mut m = good.clone();
+        edit(&mut m);
+        m
+    };
+    let with_mem = |edit: fn(&mut MemoryProfile)| {
+        let mut p = profile.clone();
+        edit(&mut p.mem);
+        p
+    };
+    let levels = out_of_range("machine.cache_levels");
+    let mem = out_of_range("profile.mem");
+    let rows = [
+        (
+            "a 0-way L2",
+            edited(|m| m.cache_levels[1].associativity = 0),
+            profile.clone(),
+            levels,
+        ),
+        (
+            "48-byte L1 lines",
+            edited(|m| m.cache_levels[0].line_bytes = 48),
+            profile.clone(),
+            levels,
+        ),
+        (
+            "no cache level",
+            edited(|m| m.cache_levels.clear()),
+            profile.clone(),
+            levels,
+        ),
+        (
+            "NaN DRAM latency",
+            edited(|m| m.mem_latency_ns = f64::NAN),
+            profile.clone(),
+            out_of_range("machine.mem_latency_ns"),
+        ),
+        (
+            "hot fraction 2",
+            good.clone(),
+            with_mem(|m| m.hot_fraction = 2.0),
+            mem,
+        ),
+        (
+            "no working set",
+            good.clone(),
+            with_mem(|m| m.working_set_bytes = 0),
+            mem,
+        ),
+        (
+            "NaN accesses",
+            good.clone(),
+            with_mem(|m| m.accesses_per_instr = f64::NAN),
+            mem,
+        ),
+    ];
+    let mut plan = Plan::new();
+    let control = plan.split(good.clone(), profile.clone());
+    let hostile: Vec<_> = (rows.into_iter())
+        .map(|(case, m, p, want)| (case, plan.split(m, p), want))
+        .collect();
+    let cache = SimCache::new();
+    let ran = plan.run_on(2, &cache);
+    let f = hhsim_core::arch::Frequency::GHZ_1_8;
+    for (case, split, want) in hostile {
+        assert_eq!(ran.cpi(split, f), Err(want), "{case}");
+    }
+    let (on_chip, dram_ns) = good.stall_split(&profile);
+    assert_eq!(
+        ran.cpi(control, f),
+        Ok(good.cpi_with_stalls(&profile, f, on_chip, dram_ns))
+    );
+    assert_eq!(cache.stats().stall_entries, 1, "the control's entry only");
 }
