@@ -167,7 +167,7 @@ fn main() {
     let fills = harness::snapshot().since(&harness_start);
     println!(
         "total: {} fill of {} runs in {:.2?} ({} workers); \
-         cache {}/{} hits ({:.1}%), {} stall + {} run + {} phase entries",
+         cache {}/{} hits ({:.1}%), {} stall + {} run + {} point entries",
         fills.grids,
         fills.points,
         run_started.elapsed(),

@@ -195,14 +195,39 @@ mod tests {
             .0
     }
 
-    /// `(chrome_trace_json, util_csv)` of a [`TRACES`] entry.
-    fn trace_of(id: &str) -> (String, String) {
+    /// The config of a [`TRACES`] entry.
+    fn traced_config(id: &str) -> SimConfig {
         let (_, cfg) = TRACES
             .iter()
             .find(|(tid, _)| *tid == id)
             .expect("a traced artifact");
+        cfg()
+    }
+
+    /// `(chrome_trace_json, util_csv)` of a [`TRACES`] entry, as
+    /// [`write_trace`] writes them.
+    fn trace_of(id: &str) -> (String, String) {
         let (mut json, mut util) = (Vec::new(), Vec::new());
-        write_trace(&cfg(), &mut json, &mut util).expect("write into a Vec");
+        write_trace(&traced_config(id), &mut json, &mut util).expect("write into a Vec");
+        (
+            String::from_utf8(json).expect("utf-8 trace"),
+            String::from_utf8(util).expect("utf-8 csv"),
+        )
+    }
+
+    /// [`trace_of`] computed afresh, on a memo of its own: what the
+    /// writer's run on the process-wide memo is compared with.
+    fn fresh_trace_of(id: &str) -> (String, String) {
+        let (_, timeline) = (traced_config(id).run(&SimCache::new(), Reading::Traced))
+            .expect("a traced config runs");
+        let timeline = timeline.expect("a traced run fills a timeline");
+        let (mut json, mut util) = (Vec::new(), Vec::new());
+        timeline
+            .write_chrome_trace(&mut json)
+            .expect("write into a Vec");
+        timeline
+            .write_utilization_csv(&mut util)
+            .expect("write into a Vec");
         (
             String::from_utf8(json).expect("utf-8 trace"),
             String::from_utf8(util).expect("utf-8 csv"),
@@ -247,7 +272,7 @@ mod tests {
     #[test]
     fn fig18_trace_is_deterministic_and_well_formed() {
         let (json, csv) = trace_of("fig18");
-        let (json2, csv2) = trace_of("fig18");
+        let (json2, csv2) = fresh_trace_of("fig18");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
@@ -267,7 +292,7 @@ mod tests {
         assert!(m.faults.speculative_wins > 0, "some backups must win");
         assert_eq!(m.faults.blacklisted_nodes, 1, "one node gets blacklisted");
         let (json, csv) = trace_of("fig19");
-        let (json2, csv2) = trace_of("fig19");
+        let (json2, csv2) = fresh_trace_of("fig19");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.contains("\"outcome\":\"killed\""));
@@ -286,7 +311,7 @@ mod tests {
             m.map_locality_tiers
         );
         let (json, csv) = trace_of("fig21");
-        let (json2, csv2) = trace_of("fig21");
+        let (json2, csv2) = fresh_trace_of("fig21");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.contains("\"tier\":\"rack-local\"") || json.contains("\"tier\":\"off-rack\""));
@@ -329,7 +354,7 @@ mod tests {
             "attempt failures must escalate to a rack blacklist"
         );
         let (json, csv) = trace_of("fig22");
-        let (json2, csv2) = trace_of("fig22");
+        let (json2, csv2) = fresh_trace_of("fig22");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         // The correlated-failure vocabulary is all visible in one trace…

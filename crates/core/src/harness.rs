@@ -20,8 +20,8 @@
 //! spreads its seeds over the pool. Neighbouring points share entries, so
 //! workers that discover them lazily queue on each other's once-cells;
 //! workers handed distinct entries do not (DESIGN.md, "Parallel memoized
-//! sweep harness"). [`run_grid`] is the same two stages over a flat grid
-//! read by [`Reading::Auto`].
+//! sweep harness"). [`run_grid_with`] declares a flat grid read by
+//! [`Reading::Auto`] into a plan of its own.
 //!
 //! The worker count defaults to the machine's available parallelism and
 //! is set process-wide with [`set_jobs`] (the `figures` binary's
@@ -77,7 +77,8 @@ pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::SeqCst);
 }
 
-/// The effective worker count used by [`Plan::run`] and [`run_grid`].
+/// The effective worker count used by [`Plan::run`] and
+/// [`ReplicationPlan::run`].
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::SeqCst) {
         0 => available_jobs(),
@@ -91,7 +92,7 @@ pub struct HarnessSnapshot {
     /// Simulation points and replication seeds evaluated through the
     /// harness.
     pub points: u64,
-    /// Fills run: [`Plan::run`], [`run_grid`] and stand-alone
+    /// Fills run: [`Plan::run`] (a grid's included) and stand-alone
     /// [`ReplicationPlan::run`] calls.
     pub grids: u64,
     /// Wall time spent running fills.
@@ -280,39 +281,29 @@ fn fill_stage<'a>(
     });
 }
 
-/// Evaluates a flat grid of points with the configured worker count.
-/// Results are returned in input order regardless of which worker
-/// computed each point.
-pub fn run_grid(configs: &[SimConfig]) -> Vec<Measurement> {
-    run_grid_with(configs, jobs())
-}
-
-/// [`run_grid`] with an explicit worker count (tests and benches).
+/// Evaluates a flat grid of points on `workers` threads against the
+/// process-wide cache. Results are returned in input order regardless of
+/// which worker computed each point.
 pub fn run_grid_with(configs: &[SimConfig], workers: usize) -> Vec<Measurement> {
     run_grid_on(configs, workers, SimCache::global())
 }
 
-/// [`run_grid_with`] against an explicit cache (tests): the fill stage,
-/// then the point stage, on `workers` threads. Every point goes through
-/// [`SimConfig::run`] with [`Reading::Auto`].
+/// [`run_grid_with`] against an explicit cache (tests): the configs
+/// declared into a [`Plan`], each read by [`Reading::Auto`], and run.
 ///
 /// # Panics
 ///
 /// Panics with the [`SimError`] of a point that breaks the config contract
 /// or fails unrecoverably, as [`simulate`](crate::simulate) does.
 pub fn run_grid_on(configs: &[SimConfig], workers: usize, cache: &SimCache) -> Vec<Measurement> {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the sweep harness's wall-time counters (points/sec telemetry) are operator-facing metadata printed to stderr; simulated results flow exclusively through virtual SimTime and are pinned byte-identical across --jobs by the determinism tests"
-    )]
-    let started = Instant::now();
-    let auto = configs.iter().map(|cfg| (cfg, Reading::Auto));
-    fill_stage(auto, &[], workers, cache);
-    let out = pool(configs.iter().collect(), workers, 1, |(), cfg| {
-        recovered(cfg.run(cache, Reading::Auto)).0
-    });
-    count_fill(configs.len(), started);
-    out
+    let mut plan = Plan::new();
+    let points: Vec<Point> = (configs.iter())
+        .map(|cfg| plan.point(cfg.clone(), Reading::Auto))
+        .collect();
+    let ran = plan.run_on(workers, cache);
+    (points.into_iter())
+        .map(|p| recovered(ran.measurement(p).cloned()))
+        .collect()
 }
 
 /// Handle of a point declared into a [`Plan`]: read with
@@ -430,7 +421,7 @@ impl Plan {
     pub fn run_on(self, workers: usize, cache: &SimCache) -> Outcomes {
         #[expect(
             clippy::disallowed_methods,
-            reason = "operator telemetry only, as in `run_grid_on`"
+            reason = "the sweep harness's wall-time counters (points/sec telemetry) are operator-facing metadata printed to stderr; simulated results flow exclusively through virtual SimTime and are pinned byte-identical across --jobs by the determinism tests"
         )]
         let started = Instant::now();
         let Plan {
@@ -568,9 +559,10 @@ impl Aggregate {
 
 /// The scalars one replication contributes to the reduction. A
 /// replication builds no timeline and keeps no phase run (the plan passes
-/// `ClusterPrep::run` neither a sink nor a phase memo) and its 1 Hz meter
-/// views end with the run, so what the plan holds while it runs is
-/// O(replications), not O(replications · trace).
+/// `ClusterPrep::run` no sink, and the run hands its phase runs back to
+/// the worker's scratch) and its 1 Hz meter views end with the run, so
+/// what the plan holds while it runs is O(replications), not
+/// O(replications · trace).
 #[derive(Debug, Clone)]
 struct RepPoint {
     makespan_s: f64,
@@ -606,8 +598,8 @@ pub struct ReplicationSummary {
 /// seeds.
 ///
 /// The seed-independent half of the cluster run (node roster, phase
-/// loads with their replica layout and shuffle extras, memo keys, launch
-/// overheads, protocol time) is prepared **once** and borrowed by every
+/// loads with their replica layout and shuffle extras, launch overheads,
+/// protocol time) is prepared **once** and borrowed by every
 /// worker; each seed then only re-runs the fault sampling, the wave
 /// scheduler and the event-driven energy integration, in buffers its
 /// worker keeps from seed to seed. Workers claim contiguous batches of
@@ -617,9 +609,9 @@ pub struct ReplicationSummary {
 ///
 /// A plan is memoised whole: the cache keeps its [`ReplicationSummary`]
 /// under the plan's config and seed list (full equality, order included),
-/// so a re-render of the same plan prices and runs nothing. A seed's
-/// phase runs are kept nowhere — they would repeat only if the whole plan
-/// did — so what a plan leaves behind does not grow with its seeds.
+/// so a re-render of the same plan prices and runs nothing. A seed's run
+/// is kept nowhere — it would repeat only if the whole plan did — so what
+/// a plan leaves behind does not grow with its seeds.
 ///
 /// Seeds replace the seed of the config's own [`FaultConfig`]; a plan
 /// over a fault-free config runs the same deterministic point once per
@@ -682,7 +674,7 @@ impl ReplicationPlan {
     pub fn run_with(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
         #[expect(
             clippy::disallowed_methods,
-            reason = "operator telemetry only, as in `run_grid_on`"
+            reason = "operator telemetry only, as in `Plan::run_on`"
         )]
         let started = Instant::now();
         let summary = recovered(self.summarize(workers, cache));
@@ -711,9 +703,7 @@ impl ReplicationPlan {
         let base = self.cfg.faults.filter(FaultConfig::active);
         let eval = |scratch: &mut RunScratch, &seed: &u64| -> Option<RepPoint> {
             let seeded = base.map(|f| f.seed(seed));
-            // No phase memo: a seed's phase runs repeat only when the whole
-            // plan does.
-            let m = prep.run(seeded.as_ref(), None, scratch, None).ok()?;
+            let m = prep.run(seeded.as_ref(), scratch, None).ok()?;
             let makespan_s = m.breakdown.total();
             Some(RepPoint {
                 makespan_s,
@@ -755,7 +745,8 @@ mod tests {
         cfg.run(cache, Reading::Auto).expect("a valid point").0
     }
 
-    /// `grid`'s points read by their own meters, as `run_grid` reads them.
+    /// `grid`'s points read by their own meters, as `run_grid_on` reads
+    /// them.
     fn auto(grid: &[SimConfig]) -> impl Iterator<Item = (&SimConfig, Reading)> {
         grid.iter().map(|cfg| (cfg, Reading::Auto))
     }
@@ -774,9 +765,11 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial() {
+        // A memo each: on one, the second grid would be the first one's
+        // points handed back.
         let g = grid();
-        let serial = run_grid_with(&g, 1);
-        let par = run_grid_with(&g, 4);
+        let serial = run_grid_on(&g, 1, &SimCache::new());
+        let par = run_grid_on(&g, 4, &SimCache::new());
         assert_eq!(serial, par, "worker count must not affect results");
     }
 
@@ -859,13 +852,15 @@ mod tests {
             let meas = run_grid_on(&g, workers, &cache);
             let s = cache.stats();
             // 2 machines x (3 apps x {map, reduce} + the Hadoop average),
-            // 3 apps x 2 functional runs, 3 ratio sets.
+            // 3 apps x 2 functional runs, 3 ratio sets, and one point
+            // entry per point of the grid.
             assert_eq!(
                 (s.stall_entries, s.run_entries, s.ratio_entries),
                 (14, 6, 3),
                 "workers={workers}"
             );
-            assert_eq!(s.misses, 14 + 6 + 3, "workers={workers}");
+            assert_eq!(s.phase_entries, g.len(), "workers={workers}");
+            assert_eq!(s.misses, 14 + 6 + 3 + 24, "workers={workers}");
             assert_eq!(meas, lazy, "workers={workers}");
         }
     }

@@ -57,8 +57,8 @@ pub use cluster::{
     KindPreferring, Node, NodeTiming, PhaseLoad, PhaseRun, Placement, SlotStats, TaskSet, TaskSpan,
 };
 pub use harness::{
-    run_grid, run_grid_on, run_grid_with, set_jobs, Aggregate, HarnessSnapshot, Plan,
-    ReplicationPlan, ReplicationSummary,
+    run_grid_on, run_grid_with, set_jobs, Aggregate, HarnessSnapshot, Plan, ReplicationPlan,
+    ReplicationSummary,
 };
 pub use model::{
     job_class, simulate, ConfigError, Measurement, NodeMix, PhaseCost, PlacementKind, Reading,

@@ -63,4 +63,4 @@ pub(crate) use contract::{check_split, Validated};
 pub use contract::{ConfigError, Reading, SimError};
 pub(crate) use prep::ClusterPrep;
 pub use run::simulate;
-pub(crate) use run::{recovered, RunScratch};
+pub(crate) use run::{recovered, Meter, RunScratch};

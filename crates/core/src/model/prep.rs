@@ -18,7 +18,7 @@ use crate::cluster::{
 };
 use crate::ratios::{AppRatios, JobRatios};
 use crate::shuffle;
-use crate::simcache::{fetch_layout_digest, PhaseNetKey, SimCache};
+use crate::simcache::SimCache;
 
 /// Framework instructions charged per task launch (JVM spin-up, split
 /// bookkeeping, heartbeats).
@@ -43,11 +43,6 @@ pub(super) struct PhasePrep {
     pub(super) label: (&'static str, Option<usize>),
     /// What the engine drains, locality layout or shuffle extras inside.
     pub(super) load: PhaseLoad,
-    /// [`PhaseKey::timing`](crate::simcache::PhaseKey::timing): bit patterns of (big task_s, big overhead_s,
-    /// little task_s, little overhead_s), zero for a kind without nodes.
-    pub(super) timing: [u64; 4],
-    /// [`PhaseKey::net`](crate::simcache::PhaseKey::net), on an active rack fabric.
-    pub(super) net: Option<PhaseNetKey>,
     /// Per kind `[big, little]`: I/O share of a task's time, the
     /// disk-power knob.
     pub(super) io_frac: [f64; 2],
@@ -58,9 +53,6 @@ pub(super) struct JobPrep {
     pub(super) map: PhasePrep,
     /// `None` for a map-only job.
     pub(super) reduce: Option<PhasePrep>,
-    /// [`fetch_layout_digest`] of the reduce phase's fetch plan, when the
-    /// map phase has a replica layout to recover lost outputs from.
-    pub(super) fetch_layout: Option<u64>,
     /// The job's tasks priced on the roster's lead kind: what the meters
     /// report per task and count utilization from.
     pub(super) timing: JobTiming,
@@ -79,11 +71,11 @@ pub(super) struct KindPrep<'a> {
 
 /// Seed-independent preparation of one run — the only pricing of it: node
 /// roster, placement, per-job phase loads (replica layout and shuffle
-/// extras inside), what their memo keys are made of, I/O fractions,
-/// labels, protocol time — everything [`ClusterPrep::run`] borrows,
-/// whichever meter reads the run and across fault replications. The
-/// replication engine builds this once per [`SimConfig`] and fans seeds
-/// out over it, instead of re-deriving the whole stack per seed.
+/// extras inside), I/O fractions, labels, protocol time — everything
+/// [`ClusterPrep::run`] borrows, whichever meter reads the run and across
+/// fault replications. The replication engine builds this once per
+/// [`SimConfig`] and fans seeds out over it, instead of re-deriving the
+/// whole stack per seed.
 pub(crate) struct ClusterPrep<'a> {
     pub(super) cfg: &'a SimConfig,
     /// The meter the config was validated for; [`ClusterPrep::run`] reads
@@ -95,8 +87,6 @@ pub(crate) struct ClusterPrep<'a> {
     /// The kind of the first node, which runs the master; the only kind
     /// of a homogeneous cluster.
     pub(super) lead: KindPrep<'a>,
-    /// [`PhaseKey::roster`](crate::simcache::PhaseKey::roster).
-    pub(super) roster: (usize, usize, usize, usize),
     /// The node kind placement prefers; `None` is first-free-slot FIFO.
     pub(super) preferred: Option<CoreKind>,
     pub(super) cluster: Cluster,
@@ -206,9 +196,8 @@ impl<'a> ClusterPrep<'a> {
                 Some(KindPreferring::for_class(job_class(cfg.app), goal).preferred)
             }
         };
-        // One phase's load, what its memo key says of its timing and its
-        // per-kind I/O share, from its (task seconds, I/O seconds) on
-        // either node kind.
+        // One phase's load and its per-kind I/O share, from its (task
+        // seconds, I/O seconds) on either node kind.
         let multi_job = ratios.jobs.len() > 1;
         let phase = |base, ji, tasks, [big, little]: [(f64, f64); 2]| {
             let timing = |(task_seconds, _), overhead_seconds| NodeTiming {
@@ -230,13 +219,6 @@ impl<'a> ClusterPrep<'a> {
                     timing(little, little_overhead),
                     &cluster,
                 ),
-                timing: [
-                    big.0.to_bits(),
-                    big_overhead.to_bits(),
-                    little.0.to_bits(),
-                    little_overhead.to_bits(),
-                ],
-                net: None,
                 io_frac: [io_frac(big), io_frac(little)],
             }
         };
@@ -305,7 +287,6 @@ impl<'a> ClusterPrep<'a> {
                         topo.read_seconds(bytes, LocalityTier::OffRack),
                     ],
                 };
-                map.net = Some(PhaseNetKey::for_map(topo, &locality));
                 map.load.locality = Some(locality);
                 if let Some(red) = &mut reduce {
                     // The same fabric with full bisection and one rack:
@@ -327,20 +308,11 @@ impl<'a> ClusterPrep<'a> {
                     red.load.extra_seconds = (contended.iter().zip(&baseline))
                         .map(|(c, b)| (c - b).max(0.0))
                         .collect();
-                    red.net = Some(PhaseNetKey::for_extras(topo, &red.load.extra_seconds));
                 }
             }
-            // Hadoop fetch-failure semantics need an active topology
-            // (replicas and locality tiers exist) and, per seed, faults
-            // (a holder can die); either alone keeps the legacy reduce
-            // path bitwise intact.
-            let fetch_layout = (reduce.as_ref())
-                .and(map.fetch_view(topology, &[]))
-                .map(|plan| fetch_layout_digest(&plan));
             JobPrep {
                 map,
                 reduce,
-                fetch_layout,
                 timing: t,
             }
         };
@@ -387,7 +359,6 @@ impl<'a> ClusterPrep<'a> {
             ratios,
             kinds,
             lead,
-            roster: (n_big, big_slots, n_little, little_slots),
             preferred,
             cluster,
             map_prof,

@@ -13,12 +13,12 @@ use crate::cluster::{
     run_phase_fetching, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot, KindPreferring,
     PhaseRun, Placement, SlotStats, StepBuffers,
 };
-use crate::simcache::{fetch_digest, MaybeShared, PhaseFaultKey, PhaseKey, SimCache};
+use crate::simcache::SimCache;
 
 /// How a run's power and energy are read off its phase runs. The paper
 /// has one Wattsup meter; the model has two readings of it, chosen by
 /// [`Reading`] and config shape (module docs), never by a setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Meter {
     /// One power level per phase on the one machine model, times the node
     /// count.
@@ -91,13 +91,11 @@ impl ClusterPrep<'_> {
     /// and has the prep's meter read the measurement off it. Only what the
     /// fault seed decides happens here — node fates, the phases' fault plans,
     /// the engine runs, metering — on loads and labels borrowed from the
-    /// prep and in buffers borrowed from `scratch`. With a phase memo
-    /// (`phases`) the engine runs route through it, so direct runs that
-    /// share a phase's exact inputs reuse its `PhaseRun`; without one —
-    /// a seed of a replication plan, a phase-average point — every run is
-    /// this call's own and dies with it, because no later run asks for it.
-    /// `timeline`, when there is one to fill, receives every phase's spans
-    /// on the run's clock; the measurement does not depend on it.
+    /// prep and in buffers borrowed from `scratch`. Every phase run is this
+    /// call's own: once read, a fault-engine run goes back to the scratch
+    /// for the next phase to write into. `timeline`, when there is one to
+    /// fill, receives every phase's spans on the run's clock; the
+    /// measurement does not depend on it.
     ///
     /// # Errors
     ///
@@ -105,7 +103,6 @@ impl ClusterPrep<'_> {
     pub(crate) fn run(
         &self,
         faults: Option<&FaultConfig>,
-        phases: Option<&SimCache>,
         scratch: &mut RunScratch,
         mut timeline: Option<&mut ClusterTimeline>,
     ) -> Result<Measurement, PhaseError> {
@@ -148,55 +145,37 @@ impl ClusterPrep<'_> {
             holders,
             engine,
         } = scratch;
-        // A run that is this call's own goes back to the engine once it
-        // is read, for the next phase to write its result into. Only the
-        // fault engine takes one; a fault-free run would just hold it.
+        // Once read, a run goes back to the engine for the next phase to
+        // write its result into. Only the fault engine takes one; a
+        // fault-free run would just hold it.
         let recycle = |engine: &mut EngineScratch, run| {
-            if let (Some(_), MaybeShared::Own(run)) = (faults, run) {
+            if faults.is_some() {
                 engine.recycle(run);
             }
         };
 
-        // One phase under the seed: its fault plan, the engine run (the
-        // memo's, when there is one), the timeline sink and the node
-        // meters. `fetch` is the reduce phase's recovery plan and its
-        // layout digest. Returns the run and its exact dynamic energy.
+        // One phase under the seed: its fault plan, the engine run, the
+        // timeline sink and the node meters. `fetch` is the reduce phase's
+        // recovery plan. Returns the run and its exact dynamic energy.
         let mut run = |phase: &PhasePrep,
                        reduce: bool,
-                       fetch: Option<(FetchView<'_>, u64)>,
+                       fetch: Option<FetchView<'_>>,
                        engine: &mut EngineScratch| {
             let prof = if reduce {
                 &self.red_prof
             } else {
                 &self.map_prof
             };
-            let seeded = faults.map(|fc| (fc, fc.phase_rate(reduce)));
-            let phase_faults = (seeded.zip(node_faults.as_ref()))
-                .map(|((fc, rate), nf)| nf.phase(fc, phase_idx, rate, offset));
-            let plan = fetch.map(|(plan, _)| plan);
-            let mut engine_run = || {
-                let faults = phase_faults.as_ref();
-                run_phase_fetching(cluster, &phase.load, placement, faults, plan, engine)
-            };
-            let run = match phases {
-                None => MaybeShared::Own(engine_run()?),
-                // The memo key names every input the engine sees; the
-                // placement objects are stateless, so the preference *is*
-                // the behavior.
-                Some(memo) => {
-                    let key = PhaseKey {
-                        placement: self.preferred.map_or(0, |kind| of_kind(kind, 1, 2)),
-                        roster: self.roster,
-                        tasks: phase.load.tasks,
-                        timing: phase.timing,
-                        faults: seeded
-                            .map(|(fc, rate)| PhaseFaultKey::new(fc, phase_idx, rate, offset)),
-                        net: phase.net.clone(),
-                        fetch: fetch.map(|(plan, layout)| fetch_digest(layout, plan.holders)),
-                    };
-                    memo.phase_run(key, engine_run)?
-                }
-            };
+            let phase_faults = (faults.zip(node_faults.as_ref()))
+                .map(|(fc, nf)| nf.phase(fc, phase_idx, fc.phase_rate(reduce), offset));
+            let run = run_phase_fetching(
+                cluster,
+                &phase.load,
+                placement,
+                phase_faults.as_ref(),
+                fetch,
+                engine,
+            )?;
             phase_idx += 1;
             fault_stats.absorb(&run.faults);
             if let Some(timeline) = timeline.as_deref_mut() {
@@ -233,12 +212,15 @@ impl ClusterPrep<'_> {
                 recycle(engine, map_run);
                 continue;
             };
-            // The fetch plan: the prep's layout, held where this seed's
-            // map attempts won.
-            let fetch = faults.and(job.fetch_layout).and_then(|layout| {
+            // Hadoop fetch-failure semantics need a replica layout on an
+            // active topology and, per seed, faults (a holder can die);
+            // either alone keeps the legacy reduce path bitwise intact. The
+            // plan is the map phase's layout, held where this seed's map
+            // attempts won.
+            let fetch = (faults.and(job.map.fetch_view(self.topology, &[]))).and_then(|_| {
                 holders.clear();
                 holders.extend(map_run.spans.iter().map(|s| s.node));
-                Some((job.map.fetch_view(self.topology, holders)?, layout))
+                job.map.fetch_view(self.topology, holders)
             });
             recycle(engine, map_run);
             let (red_run, dyn_j) = run(reduce, true, fetch, engine)?;
@@ -486,9 +468,10 @@ pub(crate) struct RunScratch {
 impl SimConfig {
     /// Runs this point: checks it against the config contract for
     /// `reading`, prices it, runs it under its own faults and reads it.
-    /// Shared state (stall splits, functional runs, and the phase runs of
-    /// a per-node reading) is memoized in `cache`. The timeline is `Some`
-    /// exactly under [`Reading::Traced`].
+    /// The run is memoized in `cache` under the config, the meter `reading`
+    /// resolves to and whether the timeline is kept, an unrecoverable run
+    /// as its error; so is what pricing shares (stall splits, functional
+    /// runs). The timeline is `Some` exactly under [`Reading::Traced`].
     ///
     /// # Errors
     ///
@@ -500,15 +483,16 @@ impl SimConfig {
         cache: &SimCache,
         reading: Reading,
     ) -> Result<(Measurement, Option<ClusterTimeline>), SimError> {
-        let prep = ClusterPrep::new(self.validate(reading)?, cache);
-        let mut timeline =
-            (reading == Reading::Traced).then(|| ClusterTimeline::new(&prep.cluster));
-        // No later point asks for a phase-average point's phase runs again.
-        let phases = (prep.meter == Meter::PerNode).then_some(cache);
-        let faults = self.active_faults();
-        let scratch = &mut RunScratch::default();
-        let m = prep.run(faults.as_ref(), phases, scratch, timeline.as_mut())?;
-        Ok((m, timeline))
+        let valid = self.validate(reading)?;
+        let traced = reading == Reading::Traced;
+        cache.point_run(valid, traced, || {
+            let prep = ClusterPrep::new(valid, cache);
+            let mut timeline = traced.then(|| ClusterTimeline::new(&prep.cluster));
+            let faults = self.active_faults();
+            let scratch = &mut RunScratch::default();
+            let m = prep.run(faults.as_ref(), scratch, timeline.as_mut())?;
+            Ok((m, timeline))
+        })
     }
 }
 

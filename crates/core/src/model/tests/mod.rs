@@ -16,8 +16,12 @@ fn base(app: AppId, m: MachineModel) -> SimConfig {
 
 /// `cfg` read per node with its timeline, on the process-wide memo.
 fn traced(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
-    let (m, timeline) =
-        (cfg.run(SimCache::global(), Reading::Traced)).expect("a valid run completes");
+    traced_on(cfg, SimCache::global())
+}
+
+/// `cfg` read per node with its timeline, on `cache`.
+fn traced_on(cfg: &SimConfig, cache: &SimCache) -> (Measurement, ClusterTimeline) {
+    let (m, timeline) = (cfg.run(cache, Reading::Traced)).expect("a valid run completes");
     (m, timeline.expect("a traced run fills a timeline"))
 }
 
@@ -127,9 +131,12 @@ fn sort_has_no_reduce_time() {
 
 #[test]
 fn measurement_is_deterministic() {
-    let a = simulate(&base(AppId::TeraSort, presets::atom_c2758()));
-    let b = simulate(&base(AppId::TeraSort, presets::atom_c2758()));
-    assert_eq!(a, b);
+    // A memo each: on one, the second run would be the first one's entry.
+    let run = || {
+        let cfg = base(AppId::TeraSort, presets::atom_c2758());
+        cfg.run(&SimCache::new(), Reading::Auto)
+    };
+    assert_eq!(run(), run());
 }
 
 #[test]
@@ -170,8 +177,8 @@ fn mixed_cluster_is_deterministic() {
         little: 1,
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
-    let (m1, t1) = traced(&cfg);
-    let (m2, t2) = traced(&cfg);
+    let (m1, t1) = traced_on(&cfg, &SimCache::new());
+    let (m2, t2) = traced_on(&cfg, &SimCache::new());
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
     assert_eq!(
@@ -303,8 +310,8 @@ fn faulty_mixed_run_is_deterministic_and_counts_faults() {
             placement: PlacementKind::PaperClass(MetricKind::Edp),
         })
         .faults(faults);
-    let (m1, t1) = traced(&cfg);
-    let (m2, t2) = traced(&cfg);
+    let (m1, t1) = traced_on(&cfg, &SimCache::new());
+    let (m2, t2) = traced_on(&cfg, &SimCache::new());
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
     assert!(
@@ -386,23 +393,12 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
         let valid = cfg.validate(Reading::PerNode).expect("a valid config");
         let prep = ClusterPrep::new(valid, &pricing);
         let faults = cfg.active_faults();
-        // A cold phase table on either side: both run the engines.
         let blind = prep
-            .run(
-                faults.as_ref(),
-                Some(&SimCache::new()),
-                &mut RunScratch::default(),
-                None,
-            )
+            .run(faults.as_ref(), &mut RunScratch::default(), None)
             .map_err(SimError::from);
         let mut sink = ClusterTimeline::new(&prep.cluster);
         let seen = prep
-            .run(
-                faults.as_ref(),
-                Some(&SimCache::new()),
-                &mut RunScratch::default(),
-                Some(&mut sink),
-            )
+            .run(faults.as_ref(), &mut RunScratch::default(), Some(&mut sink))
             .map_err(SimError::from);
         assert_eq!(blind, seen, "{shape}");
         assert_eq!(blind, per_node(&cfg, &pricing), "{shape}");
@@ -428,51 +424,58 @@ fn prep_is_reusable_across_seeds() {
     let valid = cfg.validate(Reading::PerNode).expect("a valid config");
     let prep = ClusterPrep::new(valid, &SimCache::new());
     let scratch = &mut RunScratch::default();
-    let cache = SimCache::new();
-    let mut run = |seed: u64, phases: Option<&SimCache>| {
-        prep.run(Some(&fc.seed(seed)), phases, scratch, None)
-    };
+    let mut run = |seed: u64| prep.run(Some(&fc.seed(seed)), scratch, None);
     // Seed 5 loses a rack mid-shuffle and recovers; seed 3 loses every
     // replica of a block and dies in the reduce phase.
-    let first = run(5, Some(&cache));
+    let first = run(5);
     let recovered = first.as_ref().expect("seed 5 recovers").faults;
     assert!(recovered.fetch_failures > 0 && recovered.reexecuted_maps > 0);
-    assert!(matches!(
-        run(3, Some(&cache)),
-        Err(PhaseError::DataLost { .. })
-    ));
-    // Seed 5 again through the same prep and buffers: answered by the
-    // memo, recomputed from a cold one, and run with no memo at all as a
-    // plan runs it.
-    assert_eq!(run(5, Some(&cache)), first);
-    assert_eq!(run(5, Some(&SimCache::new())), first);
-    assert_eq!(run(5, None), first);
+    assert!(matches!(run(3), Err(PhaseError::DataLost { .. })));
+    // Seed 5 again through the same prep and the buffers the failed seed
+    // left behind.
+    assert_eq!(run(5), first);
 }
 
 #[test]
-fn failed_run_leaves_no_phase_entry() {
+fn failed_run_is_held_as_its_error() {
     let fc = crate::figures::fig22_faults(4.0, true);
     let cache = SimCache::new();
-    let entries = || cache.stats().phase_entries;
-    // A run that dies in its first phase leaves the table where it was.
+    // A run that dies in its first phase, and seed 3 of the fig22 rack,
+    // which loses every replica of a block in the reduce phase: each is
+    // computed once, and asked again returns the same error from the
+    // table, a hit and no miss.
     let doomed = base(AppId::TeraSort, presets::xeon_e5_2420())
         .faults(FaultConfig::none().seed(7).node_mttf(1e-3));
-    assert!(per_node(&doomed, &cache).is_err());
-    assert_eq!(entries(), 0);
-    // Seed 3 of the fig22 rack loses every replica of a block in the
-    // reduce phase: the map run it completed is held, the phase that
-    // failed is not, however often it fails.
     let dying = racked(Some(fc.seed(3)));
-    for _ in 0..2 {
-        assert!(matches!(
-            per_node(&dying, &cache),
-            Err(SimError::Unrecoverable(PhaseError::DataLost { .. }))
-        ));
-        assert_eq!(entries(), 1);
+    for (i, cfg) in [doomed, dying].iter().enumerate() {
+        let first = per_node(cfg, &cache);
+        assert!(
+            matches!(first, Err(SimError::Unrecoverable(_))),
+            "{first:?}"
+        );
+        let asked = cache.stats();
+        assert_eq!(asked.phase_entries, i + 1);
+        assert_eq!(per_node(cfg, &cache), first);
+        let again = cache.stats();
+        assert_eq!(
+            (again.hits, again.misses, again.phase_entries),
+            (asked.hits + 1, asked.misses, i + 1)
+        );
+        assert_eq!(per_node(cfg, &SimCache::new()), first, "held == computed");
     }
-    // The same config at a seed that survives adds both of its phases.
-    assert!(per_node(&racked(Some(fc.seed(5))), &cache).is_ok());
-    assert_eq!(entries(), 3);
+    assert!(matches!(
+        per_node(&racked(Some(fc.seed(3))), &cache),
+        Err(SimError::Unrecoverable(PhaseError::DataLost { .. }))
+    ));
+    // A config that breaks the contract is not a run: it never enters
+    // the table.
+    let broken = base(AppId::TeraSort, presets::xeon_e5_2420()).data_per_node(0);
+    let before = cache.stats();
+    assert_eq!(
+        per_node(&broken, &cache),
+        Err(SimError::Config(ConfigError::NoData))
+    );
+    assert_eq!(cache.stats(), before);
 }
 
 #[test]

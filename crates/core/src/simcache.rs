@@ -1,7 +1,7 @@
 //! Unified memoization for the expensive, reusable pieces of a
 //! simulation: trace-driven stall splits and functional MapReduce runs
-//! (plus the dataflow ratios derived from them), the cluster-engine phase
-//! runs of direct cluster runs, and whole replication plans.
+//! (plus the dataflow ratios derived from them), and the two kinds of run
+//! a caller declares — points and whole replication plans.
 //!
 //! The figure generators sweep thousands of [`crate::SimConfig`] points,
 //! but only a handful of distinct (machine, profile) stall splits and
@@ -20,25 +20,23 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "the memo tables are keyed-lookup-only: each entry is published once per key (behind a OnceLock, or inserted once computed) and read back by key; no code path iterates a HashMap, and the plan table is a Vec searched by equality, so hash order cannot reach simulation output (pinned by cache property tests: cached == uncached)"
+    reason = "the memo tables are keyed-lookup-only: each entry is published once per key (behind a OnceLock) and read back by key; no code path iterates a HashMap, and the point and plan tables are Vecs searched by equality, so hash order cannot reach simulation output (pinned by cache property tests: cached == uncached)"
 )]
 
 use std::borrow::Cow;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use hhsim_arch::{ComputeProfile, MachineModel, StallBatch, StallKey};
-use hhsim_faults::{FaultConfig, PhaseError};
-use hhsim_hdfs::Topology;
 use hhsim_workloads::{AppId, FunctionalConfig, FunctionalRun};
 use parking_lot::Mutex;
 
-use crate::cluster::{FetchView, PhaseLocality, PhaseRun};
+use crate::cluster::ClusterTimeline;
 use crate::harness::ReplicationSummary;
-use crate::model::SimConfig;
+use crate::model::{Measurement, Meter, SimConfig, SimError, Validated};
 use crate::ratios::AppRatios;
 
 /// The app plus its [`FunctionalConfig`]: functional runs are
@@ -62,259 +60,38 @@ pub(crate) enum MemoKey<'a> {
 /// misses on one key deduplicate into a single computation.
 type Table<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
-/// One replication plan that has run: the config and the seed list it
-/// ran over, in full, and what they summed to.
-struct PlanEntry {
-    /// [`plan_tag`] of `cfg` and `seeds`.
+/// One entry of a table searched by equality: its key in full, and a
+/// [`tag`] of it compared first.
+struct Tagged<K, V> {
     tag: u64,
-    cfg: SimConfig,
-    seeds: Vec<u64>,
-    summary: ReplicationSummary,
+    key: K,
+    value: V,
 }
 
-/// A hash of a few cheap fields of a plan, compared before anything else,
-/// so a lookup compares a handful of configs in full rather than every
-/// plan held. The key proper is the entry's `(SimConfig, seeds)` equality.
-fn plan_tag(cfg: &SimConfig, seeds: &[u64]) -> u64 {
+/// A table of whole runs, keyed by full equality of what they ran (a
+/// `SimConfig` has no `Hash` and needs none: a lookup compares a handful
+/// of configs that share a tag, not every entry held).
+type Scanned<K, V> = Mutex<Vec<Tagged<K, V>>>;
+
+/// A hash of a few cheap fields of a run's config and `extra`, compared
+/// before anything else. Equal keys have equal tags; the key proper is the
+/// entry's equality.
+fn tag(cfg: &SimConfig, extra: impl Hash) -> u64 {
     let mut h = DefaultHasher::new();
     let mix = cfg.node_mix.map(|mix| (mix.big, mix.little));
-    (cfg.app, &cfg.machine.name, mix, seeds.len(), seeds.first()).hash(&mut h);
+    (cfg.app, &cfg.machine.name, mix, extra).hash(&mut h);
     h.finish()
 }
 
-/// Structural identity of one cluster-engine phase run — every input
-/// `run_phase_faulty` sees, field by field (full equality, no lossy
-/// digest). Sweeps that vary only reduce-side or fault parameters
-/// produce identical map-phase keys and reuse the memoized
-/// [`PhaseRun`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct PhaseKey {
-    /// Resolved placement policy: 0 = FIFO any-slot, 1 = prefer big
-    /// cores, 2 = prefer little cores. The placement objects are
-    /// stateless, so the code *is* the behavior.
-    pub placement: u8,
-    /// (big nodes, big slots/node, little nodes, little slots/node).
-    pub roster: (usize, usize, usize, usize),
-    /// Tasks in the phase.
-    pub tasks: usize,
-    /// Bit patterns of (big task_s, big overhead_s, little task_s,
-    /// little overhead_s).
-    pub timing: [u64; 4],
-    /// Fault-injection identity, when the phase runs under faults.
-    pub faults: Option<PhaseFaultKey>,
-    /// Network-topology identity, when the phase runs on an active rack
-    /// fabric. `None` means the legacy flat network, so every
-    /// pre-topology key keeps its exact equality class.
-    pub net: Option<PhaseNetKey>,
-    /// FNV-1a digest of the fetch-failure recovery plan
-    /// ([`fetch_digest`]), when the phase runs with one. `None` keeps
-    /// every pre-fetch key's exact equality class.
-    pub fetch: Option<u64>,
-}
+/// A point that has run: the config, the meter that read it and whether
+/// its timeline was kept.
+type PointKey = (SimConfig, Meter, bool);
 
-/// FNV-1a digest of every field of a fetch plan but its holders: input
-/// replica sets, fabric parameters, per-tier read penalties and per-node
-/// map timing. None of it depends on the fault seed, so `ClusterPrep`
-/// folds it once per chained job. Same collision argument as
-/// [`PhaseNetKey::digest`].
-pub(crate) fn fetch_layout_digest(plan: &FetchView<'_>) -> u64 {
-    let mut d = FNV_OFFSET;
-    for reps in plan.map_replicas {
-        // Replica-set delimiter: distinguishes [[1],[2]] from [[1,2]].
-        d = fnv(d, u64::MAX);
-        for &r in reps {
-            d = fnv(d, r as u64);
-        }
-    }
-    d = fnv(d, plan.topology.racks as u64);
-    d = fnv(d, plan.topology.node_bytes_per_s.to_bits());
-    d = fnv(d, plan.topology.core_bytes_per_s.to_bits());
-    d = fnv(d, plan.topology.oversubscription.to_bits());
-    for s in plan.read_seconds {
-        d = fnv(d, s.to_bits());
-    }
-    for t in plan.map_timing {
-        d = fnv(d, t.task_seconds.to_bits());
-        d = fnv(d, t.overhead_seconds.to_bits());
-    }
-    d
-}
+/// What [`SimConfig::run`] returns for a valid config.
+pub(crate) type PointRun = Result<(Measurement, Option<ClusterTimeline>), SimError>;
 
-/// [`PhaseKey::fetch`] of a whole fetch plan: the seed's map-output
-/// `holders` folded onto the plan's [`fetch_layout_digest`]. Every FNV
-/// step is a bijection of the accumulator, so two plans that differ in
-/// any field still start or continue apart.
-pub(crate) fn fetch_digest(layout: u64, holders: &[usize]) -> u64 {
-    holders.iter().fold(layout, |d, &h| fnv(d, h as u64))
-}
-
-/// Identity of a phase's network inputs under an active [`Topology`]:
-/// the fabric parameters plus a digest of the per-task locality layout
-/// (map) or contended-shuffle penalties (reduce). A digest rather than
-/// the full layout keeps the key small; collisions would need two
-/// different layouts with equal FNV-1a over every replica id and f64
-/// bit pattern *and* equal fabric parameters, which the deterministic
-/// layout generator cannot produce within one process.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct PhaseNetKey {
-    /// Rack count.
-    pub racks: usize,
-    /// Node-link bandwidth bits.
-    pub node_bw: u64,
-    /// Core-link bandwidth bits.
-    pub core_bw: u64,
-    /// Oversubscription factor bits.
-    pub oversub: u64,
-    /// FNV-1a digest of the per-task network inputs.
-    pub digest: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step over the eight little-endian bytes of `v`.
-fn fnv(acc: u64, v: u64) -> u64 {
-    v.to_le_bytes().iter().fold(acc, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
-impl PhaseNetKey {
-    fn base(t: &Topology) -> Self {
-        PhaseNetKey {
-            racks: t.racks,
-            node_bw: t.node_bytes_per_s.to_bits(),
-            core_bw: t.core_bytes_per_s.to_bits(),
-            oversub: t.oversubscription.to_bits(),
-            digest: FNV_OFFSET,
-        }
-    }
-
-    /// Key for a map phase: digests the replica layout and the per-tier
-    /// read penalties.
-    pub fn for_map(t: &Topology, loc: &PhaseLocality) -> Self {
-        let mut k = Self::base(t);
-        let mut d = k.digest;
-        d = fnv(d, loc.racks as u64);
-        for s in loc.read_seconds {
-            d = fnv(d, s.to_bits());
-        }
-        for reps in &loc.replicas {
-            // Replica-set delimiter: distinguishes [[1],[2]] from [[1,2]].
-            d = fnv(d, u64::MAX);
-            for &r in reps {
-                d = fnv(d, r as u64);
-            }
-        }
-        k.digest = d;
-        k
-    }
-
-    /// Key for a reduce phase: digests the per-task contended-shuffle
-    /// penalty seconds.
-    pub fn for_extras(t: &Topology, extras: &[f64]) -> Self {
-        let mut k = Self::base(t);
-        k.digest = extras.iter().fold(k.digest, |d, e| fnv(d, e.to_bits()));
-        k
-    }
-}
-
-/// The inputs `NodeFaults::sample` + `NodeFaults::phase` derive a
-/// `PhaseFaults` from (node count lives in [`PhaseKey::roster`]): the
-/// fault config's fields plus the per-phase projection parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct PhaseFaultKey {
-    /// Run seed.
-    pub seed: u64,
-    /// Phase index within the run.
-    pub phase_idx: u64,
-    /// Per-attempt failure rate bits for this phase.
-    pub rate: u64,
-    /// Phase start offset bits (node crashes project through it).
-    pub offset: u64,
-    /// Node MTTF bits, if crashes are enabled.
-    pub mttf: Option<u64>,
-    /// Straggler probability bits.
-    pub straggler_rate: u64,
-    /// Straggler slowdown bits.
-    pub straggler_slowdown: u64,
-    /// Recovery policy, field by field.
-    pub max_attempts: u32,
-    /// Backoff base bits.
-    pub backoff: u64,
-    /// Speculative execution enabled.
-    pub speculation: bool,
-    /// Speculation rate threshold bits.
-    pub spec_rate_threshold: u64,
-    /// Speculation minimum runtime bits.
-    pub spec_min_runtime_s: u64,
-    /// Blacklist threshold.
-    pub blacklist_after: u32,
-    /// Rack blacklist escalation threshold.
-    pub rack_blacklist_after: u32,
-    /// Failure-domain identity, when domains are active: (racks,
-    /// switch MTTF bits, rack MTTF bits, link MTTF bits, link factor
-    /// bits, link window bits). `None` keeps every pre-domain key's
-    /// exact equality class.
-    pub domains: Option<(usize, u64, u64, u64, u64, u64)>,
-}
-
-impl PhaseFaultKey {
-    /// Key for the `PhaseFaults` that `NodeFaults::sample(fc, nodes)`
-    /// followed by `.phase(fc, phase_idx, rate, offset_s)` produces.
-    pub fn new(fc: &FaultConfig, phase_idx: u64, rate: f64, offset_s: f64) -> Self {
-        PhaseFaultKey {
-            seed: fc.seed,
-            phase_idx,
-            rate: rate.to_bits(),
-            offset: offset_s.to_bits(),
-            mttf: fc.node_mttf_s.map(f64::to_bits),
-            straggler_rate: fc.straggler_rate.to_bits(),
-            straggler_slowdown: fc.straggler_slowdown.to_bits(),
-            max_attempts: fc.recovery.max_attempts,
-            backoff: fc.recovery.backoff_base_s.to_bits(),
-            speculation: fc.recovery.speculation,
-            spec_rate_threshold: fc.recovery.spec_rate_threshold.to_bits(),
-            spec_min_runtime_s: fc.recovery.spec_min_runtime_s.to_bits(),
-            blacklist_after: fc.recovery.blacklist_after,
-            rack_blacklist_after: fc.recovery.rack_blacklist_after,
-            domains: fc.domains.active().then(|| {
-                let d = &fc.domains;
-                let bits = |m: Option<f64>| m.map_or(0, f64::to_bits);
-                (
-                    d.racks,
-                    bits(d.switch_mttf_s),
-                    bits(d.rack_mttf_s),
-                    bits(d.link_mttf_s),
-                    d.link_factor.to_bits(),
-                    d.link_window_s.to_bits(),
-                )
-            }),
-        }
-    }
-}
-
-/// A memo's shared copy of a value, or the caller's own when the memo was
-/// skipped (no `Arc` to pay for that).
-pub(crate) enum MaybeShared<T> {
-    Shared(Arc<T>),
-    Own(T),
-}
-
-impl<T> std::ops::Deref for MaybeShared<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        match self {
-            MaybeShared::Shared(v) => v,
-            MaybeShared::Own(v) => v,
-        }
-    }
-}
-
-/// Largest phase (in tasks) the phase table memoizes. A `PhaseRun`
-/// retains one span per attempt, so million-task scale runs bypass the
-/// cache rather than pinning hundreds of MB.
-const PHASE_MEMO_MAX_TASKS: usize = 65_536;
+/// A replication plan that has run: the config and the seed list, in full.
+type PlanKey = (SimConfig, Vec<u64>);
 
 /// Counters and sizes describing cache effectiveness at a point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -329,7 +106,9 @@ pub struct CacheStats {
     pub run_entries: usize,
     /// Distinct per-app ratio sets held.
     pub ratio_entries: usize,
-    /// Distinct cluster-engine phase runs held.
+    /// Distinct points held: runs of one config read by one meter, with
+    /// or without their timeline. Named `phase_entries` because the
+    /// benchmark package reads it under that name.
     pub phase_entries: usize,
     /// Distinct replication plans held.
     pub plan_entries: usize,
@@ -362,17 +141,17 @@ impl CacheStats {
 }
 
 /// Thread-safe memo, one table per level at which work repeats: stall
-/// splits, functional runs and app ratios (asked by every pricing), the
-/// engine phase runs of direct cluster runs, and whole replication plans.
-/// A seed of a plan asks the phase table nothing — its phase runs repeat
-/// only when the whole plan does, and then the plan table answers.
+/// splits, functional runs and app ratios (asked by every pricing), and
+/// the runs a caller declares — points and whole replication plans. A
+/// seed of a plan asks the point table nothing: it repeats only when the
+/// whole plan does, and then the plan table answers.
 #[derive(Default)]
 pub struct SimCache {
     stalls: Table<StallKey, (f64, f64)>,
     runs: Table<RunKey, Arc<FunctionalRun>>,
     ratios: Table<AppId, AppRatios>,
-    phases: Mutex<HashMap<PhaseKey, Arc<PhaseRun>>>,
-    plans: Mutex<Vec<PlanEntry>>,
+    points: Scanned<PointKey, PointRun>,
+    plans: Scanned<PlanKey, ReplicationSummary>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -479,75 +258,84 @@ impl SimCache {
         })
     }
 
-    /// Memoized cluster-engine phase run. Unlike [`SimCache::memo`]'s
-    /// `OnceLock` path the computation is fallible, so a miss computes
-    /// first and publishes on success; a failed run leaves nothing
-    /// behind. Identical keys always compute identical runs (the engine
-    /// is a pure function of the key), so a lost publish race costs a
-    /// duplicated computation, never a different value.
-    ///
-    /// An oversized phase skips the table: no entry, no hit or miss, the
-    /// run is the caller's own — as is every run of a caller that asks no
-    /// memo at all (`ClusterPrep::run` without one).
-    pub(crate) fn phase_run(
+    /// Looks a run up in a table searched by equality: the first entry
+    /// tagged `tag` whose key `is` names is a hit and its value is cloned
+    /// out. A miss computes outside the lock and publishes the value under
+    /// `key()`, unless another caller published it first: the value is a
+    /// pure function of the key, so a lost race is a duplicated
+    /// computation, published once.
+    fn scanned<K, V: Clone>(
         &self,
-        key: PhaseKey,
-        compute: impl FnOnce() -> Result<PhaseRun, PhaseError>,
-    ) -> Result<MaybeShared<PhaseRun>, PhaseError> {
-        if key.tasks > PHASE_MEMO_MAX_TASKS {
-            return compute().map(MaybeShared::Own);
-        }
-        if let Some(held) = self.phases.lock().get(&key) {
+        table: &Scanned<K, V>,
+        tag: u64,
+        is: impl Fn(&K) -> bool,
+        key: impl FnOnce() -> K,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let held = |e: &&Tagged<K, V>| e.tag == tag && is(&e.key);
+        if let Some(e) = table.lock().iter().find(held) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(MaybeShared::Shared(Arc::clone(held)));
+            return e.value.clone();
         }
-        let run = Arc::new(compute()?);
-        let run = match self.phases.lock().entry(key) {
-            Entry::Occupied(first) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(first.get())
-            }
-            Entry::Vacant(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(slot.insert(run))
-            }
-        };
-        Ok(MaybeShared::Shared(run))
+        let value = compute();
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut entries = table.lock();
+        if !entries.iter().any(|e| held(&e)) {
+            entries.push(Tagged {
+                tag,
+                key: key(),
+                value: value.clone(),
+            });
+        }
+        value
+    }
+
+    /// Memoized run of a valid point, keyed by full equality of the
+    /// config, the meter its reading resolved to and whether the timeline
+    /// is kept: what [`SimConfig::run`] returns, an unrecoverable run's
+    /// [`SimError`] included. A config that breaks the contract never gets
+    /// here.
+    pub(crate) fn point_run(
+        &self,
+        valid: Validated<'_>,
+        traced: bool,
+        compute: impl FnOnce() -> PointRun,
+    ) -> PointRun {
+        let (cfg, meter) = (valid.cfg(), valid.meter());
+        let extra = (
+            meter,
+            traced,
+            cfg.block_size,
+            cfg.data_per_node_bytes,
+            cfg.nodes,
+            cfg.mappers_per_node,
+        );
+        self.scanned(
+            &self.points,
+            tag(cfg, extra),
+            |(c, m, t)| *m == meter && *t == traced && c == cfg,
+            || (cfg.clone(), meter, traced),
+            compute,
+        )
     }
 
     /// Memoized summary of a whole replication plan, keyed by full
     /// equality of the config and the seed list (order included): what a
     /// re-render of the plan gets back without pricing, sampling or
-    /// charging anything. Computed outside the lock and published after,
-    /// as [`SimCache::phase_run`] does: the summary is a pure function of
-    /// the key, so a lost race is a duplicated computation, published once.
+    /// charging anything.
     pub(crate) fn plan_summary(
         &self,
         cfg: &SimConfig,
         seeds: &[u64],
         compute: impl FnOnce() -> ReplicationSummary,
     ) -> ReplicationSummary {
-        let tag = plan_tag(cfg, seeds);
-        let find = |held: &[PlanEntry]| {
-            let same = |e: &&PlanEntry| e.tag == tag && e.cfg == *cfg && e.seeds == seeds;
-            held.iter().find(same).map(|e| e.summary.clone())
-        };
-        if let Some(summary) = find(&self.plans.lock()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return summary;
-        }
-        let summary = compute();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut held = self.plans.lock();
-        if find(&held).is_none() {
-            held.push(PlanEntry {
-                tag,
-                cfg: cfg.clone(),
-                seeds: seeds.to_vec(),
-                summary: summary.clone(),
-            });
-        }
-        summary
+        self.scanned(
+            &self.plans,
+            tag(cfg, (seeds.len(), seeds.first())),
+            |(c, s)| c == cfg && s == seeds,
+            || (cfg.clone(), seeds.to_vec()),
+            compute,
+        )
     }
 
     /// Current counters and per-table entry counts.
@@ -558,7 +346,7 @@ impl SimCache {
             stall_entries: self.stalls.lock().len(),
             run_entries: self.runs.lock().len(),
             ratio_entries: self.ratios.lock().len(),
-            phase_entries: self.phases.lock().len(),
+            phase_entries: self.points.lock().len(),
             plan_entries: self.plans.lock().len(),
         }
     }
@@ -569,7 +357,7 @@ impl SimCache {
         self.stalls.lock().clear();
         self.runs.lock().clear();
         self.ratios.lock().clear();
-        self.phases.lock().clear();
+        self.points.lock().clear();
         self.plans.lock().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -624,61 +412,6 @@ mod tests {
         reseeded.name = "Hadoop-avg (reseeded)".into();
         c.stall_split(&stock, &reseeded);
         assert_eq!(c.stats().stall_entries, 4);
-    }
-
-    #[test]
-    fn fetch_digest_separates_holders_layout_and_timing() {
-        use crate::cluster::{FetchPlan, NodeTiming};
-
-        let timing = |task_seconds| NodeTiming {
-            task_seconds,
-            overhead_seconds: 0.5,
-        };
-        let base = FetchPlan {
-            holders: vec![0, 1],
-            map_replicas: vec![vec![1], vec![2]],
-            topology: Topology::racked(2, 4.0),
-            read_seconds: [0.0, 0.1, 0.2],
-            map_timing: vec![timing(3.0), timing(4.0), timing(4.0)],
-        };
-        let digest = |plan: &FetchView<'_>| fetch_digest(fetch_layout_digest(plan), plan.holders);
-
-        let mut holder_moved = base.clone();
-        holder_moved.holders = vec![0, 2];
-        let mut replica_moved = base.clone();
-        replica_moved.map_replicas = vec![vec![1], vec![0]];
-        let mut sets_merged = base.clone();
-        sets_merged.map_replicas = vec![vec![1, 2]];
-        let mut timing_flipped = base.clone();
-        timing_flipped.map_timing[2] = timing(f64::from_bits(4.0f64.to_bits() ^ 1));
-        let plans = [
-            &base,
-            &holder_moved,
-            &replica_moved,
-            &sets_merged,
-            &timing_flipped,
-        ];
-        let mut keys: Vec<u64> = plans.iter().map(|p| digest(&p.view())).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), plans.len(), "every perturbation is a new key");
-
-        // The holders are the only seeded field: the part `ClusterPrep`
-        // folds once does not read them.
-        assert_eq!(
-            fetch_layout_digest(&base.view()),
-            fetch_layout_digest(&holder_moved.view())
-        );
-        // An owned plan and the same plan borrowed piecewise key alike.
-        let (replicas, timings) = (base.map_replicas.clone(), base.map_timing.clone());
-        let borrowed = FetchView {
-            holders: &[0, 1],
-            map_replicas: &replicas,
-            topology: base.topology,
-            read_seconds: base.read_seconds,
-            map_timing: &timings,
-        };
-        assert_eq!(digest(&borrowed), digest(&base.view()));
     }
 
     #[test]

@@ -6,16 +6,15 @@
 //! alone, or beside every other artifact and the calibration claims.
 
 use hhsim_core::figures::{self, Declare};
-use hhsim_core::{calibration, harness, Plan, SimCache};
+use hhsim_core::{calibration, Plan, SimCache};
 
 /// Exercised artifacts: an execution-time sweep (fig3), a two-point
 /// ratio figure (fig9) and the scheduling table (table3) — together they
 /// cover shared-base rows, paired points and multi-metric assembly.
 ///
-/// Kept as ONE test function: the jobs setting is process-global, so
-/// flipping it from concurrently running `#[test]`s in this binary would
-/// race. (Other integration-test files are separate processes and are
-/// unaffected.)
+/// Each render runs its own plan on a memo of its own: on a shared one,
+/// every render after the first would be the first one's points handed
+/// back.
 #[test]
 fn jobs_count_never_changes_output_bytes() {
     let generators: [(&str, Declare); 3] = [
@@ -23,17 +22,16 @@ fn jobs_count_never_changes_output_bytes() {
         ("fig9", figures::fig9),
         ("table3", figures::table3),
     ];
-    let csv = |declare| figures::generate(declare).expect("renders").to_csv();
+    let csv = |declare: Declare, workers| {
+        let mut plan = Plan::new();
+        let render = declare(&mut plan);
+        let ran = plan.run_on(workers, &SimCache::new());
+        render(&ran).expect("renders").to_csv()
+    };
     for (id, declare) in generators {
-        harness::set_jobs(1);
-        let serial = csv(declare);
-        harness::set_jobs(4);
-        let parallel = csv(declare);
-        // Re-run serial after parallel: cache population order must not
-        // matter either.
-        harness::set_jobs(1);
-        let serial_again = csv(declare);
-        harness::set_jobs(0);
+        let serial = csv(declare, 1);
+        let parallel = csv(declare, 4);
+        let serial_again = csv(declare, 1);
         assert_eq!(serial, parallel, "{id}: --jobs 4 diverged from --jobs 1");
         assert_eq!(serial, serial_again, "{id}: rerun diverged");
     }
@@ -60,8 +58,8 @@ fn one_plan(workers: usize) -> (Vec<String>, String) {
 /// One plan for everything renders, byte for byte, what each artifact's
 /// stand-alone generator renders and what `check_all` reports — at any
 /// worker count, cold. The stand-alone generators use the global jobs
-/// setting, which no test in this binary leaves anywhere but "auto" for
-/// long; their bytes do not depend on it.
+/// setting, which no test in this binary sets; their bytes do not depend
+/// on it.
 #[test]
 fn one_plan_renders_what_the_standalone_generators_do() {
     let alone: Vec<String> = (figures::all().into_iter())

@@ -144,7 +144,12 @@ fn frequency_and_block_interact_as_the_paper_says() {
 
 #[test]
 fn figures_are_deterministic() {
-    let a = hhsim_core::figures::generate(hhsim_core::figures::fig9);
-    let b = hhsim_core::figures::generate(hhsim_core::figures::fig9);
-    assert_eq!(a, b);
+    // A memo each: on one, the second render would be the first one's
+    // points handed back.
+    let fig9 = || {
+        let mut plan = hhsim_core::Plan::new();
+        let render = hhsim_core::figures::fig9(&mut plan);
+        render(&plan.run_on(2, &hhsim_core::SimCache::new()))
+    };
+    assert_eq!(fig9(), fig9());
 }

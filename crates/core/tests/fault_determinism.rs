@@ -8,14 +8,15 @@ use hhsim_core::energy::MetricKind;
 use hhsim_core::faults::FaultConfig;
 use hhsim_core::workloads::AppId;
 use hhsim_core::{
-    figures, harness, ClusterTimeline, Measurement, NodeMix, PlacementKind, Reading, SimCache,
-    SimConfig,
+    figures, harness, ClusterTimeline, Measurement, NodeMix, PlacementKind, Plan, Reading,
+    SimCache, SimConfig,
 };
 use hhsim_testkit::streamed;
 
-/// `cfg` read per node with its timeline, on the process-wide memo.
+/// `cfg` read per node with its timeline, on a memo of its own: two calls
+/// run it twice.
 fn traced(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
-    let (m, timeline) = (cfg.run(SimCache::global(), Reading::Traced)).expect("the run recovers");
+    let (m, timeline) = (cfg.run(&SimCache::new(), Reading::Traced)).expect("the run recovers");
     (m, timeline.expect("a traced run fills a timeline"))
 }
 
@@ -51,29 +52,25 @@ fn faulty_grid() -> Vec<SimConfig> {
     grid
 }
 
-/// ONE test function: the jobs setting is process-global, so flipping it
-/// from concurrently running `#[test]`s in this binary would race (same
-/// structure as tests/determinism.rs).
+/// Every side of every comparison runs on a memo of its own: on a shared
+/// one, the second side would be the first one's entries handed back.
 #[test]
 fn fault_outputs_are_identical_across_jobs() {
     let grid = faulty_grid();
 
     // Measurements through the worker pool, serial vs 4 workers.
-    let serial = harness::run_grid_with(&grid, 1);
-    let parallel = harness::run_grid_with(&grid, 4);
+    let serial = harness::run_grid_on(&grid, 1, &SimCache::new());
+    let parallel = harness::run_grid_on(&grid, 4, &SimCache::new());
     assert_eq!(serial, parallel, "--jobs 4 diverged from --jobs 1");
 
-    // The full fig19 artifact through the global jobs knob.
-    harness::set_jobs(1);
-    let csv_serial = figures::generate(figures::fig19)
-        .expect("fig19 recovers")
-        .to_csv();
-    harness::set_jobs(4);
-    let csv_parallel = figures::generate(figures::fig19)
-        .expect("fig19 recovers")
-        .to_csv();
-    harness::set_jobs(0);
-    assert_eq!(csv_serial, csv_parallel, "fig19 CSV diverged across --jobs");
+    // The full fig19 artifact, serial vs 4 workers.
+    let fig19 = |workers| {
+        let mut plan = Plan::new();
+        let render = figures::fig19(&mut plan);
+        let ran = plan.run_on(workers, &SimCache::new());
+        render(&ran).expect("fig19 recovers").to_csv()
+    };
+    assert_eq!(fig19(1), fig19(4), "fig19 CSV diverged across --jobs");
 
     // Spans and Chrome traces byte-identical run-to-run, and the fault
     // schedule itself (who failed, where, which attempt) is pinned by the

@@ -1,11 +1,9 @@
 //! Integration tests for the batched Monte Carlo replication engine.
 //!
-//! Five pins: the fig20 artifact is byte-identical to the checked-in
+//! Four pins: the fig20 artifact is byte-identical to the checked-in
 //! CSV for any worker count (`--jobs 1` vs `--jobs 4`); replication
-//! summaries are invariant to the worker count down to the last bit; the
-//! per-phase memo split means a reduce-only parameter sweep of direct
-//! runs computes the shared map phase exactly once; a plan — one prep,
-//! reused buffers, no timeline, no phase memo — reports what
+//! summaries are invariant to the worker count down to the last bit; a
+//! plan — one prep, reused buffers, no timeline — reports what
 //! one-at-a-time runs that build everything afresh report, failed seeds
 //! included; and a plan is memoised whole, under full equality of its
 //! config and seed list.
@@ -92,62 +90,6 @@ fn warm_and_cold_caches_agree() {
     let cold = ReplicationPlan::new(faulty_cfg(0.05, 0.05), 0..8).run_with(2, &SimCache::new());
     assert_eq!(a, b, "re-running on a warm cache");
     assert_eq!(a, cold, "warm vs cold cache");
-}
-
-/// The phase memo keys map and reduce phases independently, so sweeping
-/// a reduce-only parameter (the reduce failure rate) re-prices only the
-/// reduce phase: one map-phase entry serves the whole sweep.
-#[test]
-fn reduce_only_sweep_computes_map_phase_once() {
-    let cache = SimCache::new();
-    let rates = [0.0, 0.15, 0.3, 0.45];
-    let mut results = Vec::new();
-    let mut entries = Vec::new();
-    for &r in &rates {
-        results.push(simulate_on(&faulty_cfg(0.05, r), &cache));
-        entries.push(cache.stats().phase_entries);
-    }
-    // First run inserts map + reduce entries; every further rate may
-    // only add reduce-side entries (the map keys are unchanged), so the
-    // per-rate growth must be strictly below the first run's footprint
-    // and constant across the sweep.
-    let first = entries[0];
-    let growth = entries[1] - first;
-    assert!(growth >= 1, "distinct reduce rates must add phase entries");
-    assert!(
-        growth < first,
-        "reduce-only sweep must reuse the memoized map phase \
-         (first run: {first} entries, per-rate growth: {growth})"
-    );
-    for (i, &e) in entries.iter().enumerate() {
-        assert_eq!(
-            e,
-            first + i * growth,
-            "after rate {}: map phase must be memoized across the sweep",
-            rates[i]
-        );
-    }
-    // The sweep actually exercised distinct reduce phases (every draw
-    // is deterministic, so this is a fixed fact of the seed, not luck)...
-    let mut walls: Vec<u64> = results
-        .iter()
-        .map(|m| m.breakdown.reduce_s.to_bits())
-        .collect();
-    walls.sort_unstable();
-    walls.dedup();
-    let distinct = walls.len();
-    assert!(
-        distinct >= 2,
-        "sweeping the reduce failure rate 0 -> 0.45 must move the reduce wall"
-    );
-    // ...while the shared map phase priced identically everywhere.
-    for m in &results {
-        assert_eq!(
-            m.breakdown.map_s.to_bits(),
-            results[0].breakdown.map_s.to_bits(),
-            "shared map phase must be bit-identical across the sweep"
-        );
-    }
 }
 
 /// Replications through the plan equal one-at-a-time `SimConfig::run`
@@ -262,7 +204,7 @@ fn rack_plan_matches_sequential_runs_bit_for_bit() {
 /// a fresh memo report, failed seeds and summed fault counters included;
 /// the key is full equality of config and seed list, so anything that
 /// could change a seed's run is another plan; and what a plan leaves in
-/// the memo is its summary, never a phase run.
+/// the memo is its summary, never a point.
 #[test]
 fn plan_memo_is_keyed_by_full_equality() {
     let cache = SimCache::new();
