@@ -4,7 +4,7 @@
 //! `Relaxed` atomics guarantee atomicity but no ordering: two threads
 //! incrementing a shared accumulator with relaxed ordering observe each
 //! other's updates in nondeterministic interleavings. That is harmless
-//! for *telemetry* (a busy-nanos counter that never feeds an artifact)
+//! for *telemetry* (a runs-evaluated counter that never feeds an artifact)
 //! and for *unique-index dispensers* (each `fetch_add` result is used
 //! once, so interleaving cannot alias work items), but lethal for any
 //! value folded into simulation output — results must not depend on the

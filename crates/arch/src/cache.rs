@@ -133,7 +133,23 @@ impl CacheConfig {
     pub fn num_sets(&self) -> usize {
         self.size_bytes / (self.associativity * self.line_bytes)
     }
+
+    /// The level as the simulation reads it, whatever it is called: what a
+    /// reused hierarchy ([`CacheHierarchy::simulates`]) and the stall memo's
+    /// key both compare.
+    pub(crate) fn simulated(&self) -> LevelKey {
+        (
+            self.size_bytes,
+            self.associativity,
+            self.line_bytes,
+            self.latency_cycles.to_bits(),
+            self.replacement,
+        )
+    }
 }
+
+/// Size, associativity, line bytes, latency bits and replacement policy.
+pub(crate) type LevelKey = (usize, usize, usize, u64, Replacement);
 
 /// Hit/miss counters for one level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -365,15 +381,6 @@ impl HierarchyStats {
             .map(|(_, s)| s.miss_ratio())
             .unwrap_or(0.0)
     }
-
-    /// Fraction of all accesses that fell through to DRAM.
-    pub fn memory_access_ratio(&self) -> f64 {
-        if self.total_accesses == 0 {
-            0.0
-        } else {
-            self.memory_accesses as f64 / self.total_accesses as f64
-        }
-    }
 }
 
 /// A multi-level inclusive cache hierarchy backed by DRAM.
@@ -504,25 +511,14 @@ impl CacheHierarchy {
     }
 
     /// Whether this hierarchy simulates `levels` over a DRAM latency of
-    /// `mem_latency_ns`: the same number of levels with equal size,
-    /// associativity, line size, latency and replacement each. Names are
-    /// not compared; neither a hit nor a split reads them.
+    /// `mem_latency_ns`: the same number of levels, equal level by level
+    /// as [`CacheConfig::simulated`] reads them.
     pub(crate) fn simulates(&self, levels: &[CacheConfig], mem_latency_ns: f64) -> bool {
-        let key = |c: &CacheConfig| {
-            let latency = c.latency_cycles.to_bits();
-            (
-                c.size_bytes,
-                c.associativity,
-                c.line_bytes,
-                latency,
-                c.replacement,
-            )
-        };
         self.mem_latency_ns.to_bits() == mem_latency_ns.to_bits()
             && self.levels.len() == levels.len()
             && (self.levels.iter())
                 .zip(levels)
-                .all(|(have, want)| key(have.config()) == key(want))
+                .all(|(have, want)| have.config().simulated() == want.simulated())
     }
 
     /// Invalidates everything and zeroes statistics.

@@ -14,7 +14,7 @@
 //! on both machines, and the big core sustains ≈1.4× the little core's IPC
 //! on Hadoop code.
 
-use crate::cache::{CacheConfig, CacheHierarchy, Replacement};
+use crate::cache::{CacheConfig, CacheHierarchy, LevelKey};
 use crate::dvfs::{Frequency, OperatingPoint, VoltageCurve};
 use crate::power::ChipPowerModel;
 use crate::profile::ComputeProfile;
@@ -107,10 +107,6 @@ pub struct MachineModel {
     /// Installed DRAM in GiB (both machines use 8 GB in the paper).
     pub memory_gb: f64,
 }
-
-/// What [`StallKey`] holds of one cache level: size, associativity, line
-/// bytes, latency bits, replacement policy.
-type LevelKey = (usize, usize, usize, u64, Replacement);
 
 /// Cache levels a [`StallKey`] holds inline: the presets have three and
 /// two, so building the key of either for a lookup allocates nothing.
@@ -282,19 +278,9 @@ impl MachineModel {
     /// memoization. Keep the two in step: a field the simulation starts
     /// to read belongs in [`StallKey`].
     pub fn stall_key(&self, profile: &ComputeProfile) -> StallKey {
-        let level = |c: &CacheConfig| -> LevelKey {
-            let latency = c.latency_cycles.to_bits();
-            (
-                c.size_bytes,
-                c.associativity,
-                c.line_bytes,
-                latency,
-                c.replacement,
-            )
-        };
         let mut levels = [None; INLINE_LEVELS];
         for (slot, c) in levels.iter_mut().zip(&self.cache_levels) {
-            *slot = Some(level(c));
+            *slot = Some(c.simulated());
         }
         StallKey {
             levels,
@@ -302,7 +288,7 @@ impl MachineModel {
                 .cache_levels
                 .iter()
                 .skip(INLINE_LEVELS)
-                .map(level)
+                .map(CacheConfig::simulated)
                 .collect(),
             mem_latency_ns: self.mem_latency_ns.to_bits(),
             trace: TraceKey::of(profile),
@@ -371,6 +357,7 @@ fn trace_seed(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Replacement;
     use crate::presets;
 
     #[test]

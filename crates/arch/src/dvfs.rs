@@ -47,11 +47,6 @@ impl Frequency {
     pub fn hz(self) -> f64 {
         self.0 * 1e9
     }
-
-    /// Cycle time in nanoseconds.
-    pub fn cycle_ns(self) -> f64 {
-        1.0 / self.0
-    }
 }
 
 impl fmt::Display for Frequency {
@@ -119,12 +114,6 @@ mod tests {
         }
         assert_eq!(s[0], Frequency::GHZ_1_2);
         assert_eq!(s[3], Frequency::GHZ_1_8);
-    }
-
-    #[test]
-    fn cycle_time_inverts_frequency() {
-        assert!((Frequency::GHZ_1_8.cycle_ns() - 0.5555).abs() < 1e-3);
-        assert_eq!(Frequency::from_ghz(2.0).cycle_ns(), 0.5);
     }
 
     #[test]

@@ -161,7 +161,8 @@ mod tests {
             for _ in 0..200_000 {
                 h.access(gen.next_address());
             }
-            h.stats().memory_access_ratio()
+            let stats = h.stats();
+            stats.memory_accesses as f64 / stats.total_accesses as f64
         };
         let local = run(MemoryProfile {
             accesses_per_instr: 0.3,

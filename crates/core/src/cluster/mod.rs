@@ -335,15 +335,6 @@ impl SlotStats {
         self.tasks_queued += other.tasks_queued;
         self.max_queue_len = self.max_queue_len.max(other.max_queue_len);
     }
-
-    /// Mean queueing delay per task that waited, seconds.
-    pub fn mean_wait_s(&self) -> f64 {
-        if self.tasks_queued == 0 {
-            0.0
-        } else {
-            self.total_wait_s / self.tasks_queued as f64
-        }
-    }
 }
 
 /// One task attempt's structured trace record: plain numbers on its

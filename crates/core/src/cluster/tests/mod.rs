@@ -209,7 +209,6 @@ fn slot_stats_count_queueing() {
     assert_eq!(run.slots.tasks_queued, 3, "tasks beyond the first wave");
     assert_eq!(run.slots.max_queue_len, 3);
     assert!(run.slots.total_wait_s > 0.0);
-    assert!(run.slots.mean_wait_s() > 0.0);
 }
 
 use hhsim_faults::FaultPlan;

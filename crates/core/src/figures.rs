@@ -17,7 +17,7 @@
 //! alone, so both produce the same bytes, for any `--jobs` worker count.
 
 use hhsim_accel::AccelConfig;
-use hhsim_arch::{presets, ComputeProfile, Frequency, MachineModel};
+use hhsim_arch::{presets, ComputeProfile, CoreKind, Frequency, MachineModel};
 use hhsim_energy::MetricKind;
 use hhsim_hdfs::{BlockSize, Topology};
 use hhsim_workloads::AppId;
@@ -28,10 +28,7 @@ use crate::harness::{Outcomes, Plan, Point, ReplicationPlan, Split};
 use crate::model::{NodeMix, PlacementKind, Reading, SimConfig, SimError};
 use crate::report::FigureData;
 
-/// Per-node data size used for micro-benchmarks (1 GB, §3).
-pub const MICRO_DATA: u64 = 1 << 30;
-/// Per-node data size used for real-world applications (10 GB, §3).
-pub const REAL_DATA: u64 = 10 << 30;
+pub use crate::model::{MICRO_DATA, REAL_DATA};
 
 /// What an artifact's declaration returns: the renderer that turns the
 /// handles it holds into the artifact, from the outcomes of the plan.
@@ -67,22 +64,6 @@ fn cfg(app: AppId, m: &MachineModel) -> SimConfig {
     SimConfig::new(app, m.clone())
 }
 
-fn label(m: &MachineModel) -> &'static str {
-    match m.core.kind {
-        hhsim_arch::CoreKind::Big => "Xeon",
-        hhsim_arch::CoreKind::Little => "Atom",
-    }
-}
-
-/// The paper's data size for `app` (1 GB micro / 10 GB real world).
-fn data_for(app: AppId) -> u64 {
-    if app.is_real_world() {
-        REAL_DATA
-    } else {
-        MICRO_DATA
-    }
-}
-
 /// The paper's block-size sweep for `app` (§3.1.1 uses 64–512 MB on the
 /// real-world applications).
 fn blocks_for(app: AppId) -> &'static [BlockSize] {
@@ -97,15 +78,19 @@ fn blocks_for(app: AppId) -> &'static [BlockSize] {
 pub fn table1(_: &mut Plan) -> Render {
     let mut f = FigureData::new("table1", "Architectural parameters", "value");
     for m in machines() {
-        let who = label(&m);
-        f.push(who, "issue_width", m.core.issue_width);
-        f.push(who, "cores", m.num_cores as f64);
-        f.push(who, "cache_levels", m.cache_levels.len() as f64);
+        let who = m.core.kind;
+        f.push(who.to_string(), "issue_width", m.core.issue_width);
+        f.push(who.to_string(), "cores", m.num_cores as f64);
+        f.push(who.to_string(), "cache_levels", m.cache_levels.len() as f64);
         for c in &m.cache_levels {
-            f.push(who, format!("{}_kb", c.name), (c.size_bytes / 1024) as f64);
+            f.push(
+                who.to_string(),
+                format!("{}_kb", c.name),
+                (c.size_bytes / 1024) as f64,
+            );
         }
-        f.push(who, "memory_gb", m.memory_gb);
-        f.push(who, "area_mm2", m.area_mm2);
+        f.push(who.to_string(), "memory_gb", m.memory_gb);
+        f.push(who.to_string(), "area_mm2", m.area_mm2);
     }
     Box::new(|_| Ok(f))
 }
@@ -147,7 +132,11 @@ pub fn fig1(plan: &mut Plan) -> Render {
         let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
         for (m, row) in machines().iter().zip(splits) {
             for ((name, _), s) in suites().iter().zip(row) {
-                f.push(label(m), *name, 1.0 / ran.cpi(s, Frequency::GHZ_1_8)?);
+                f.push(
+                    m.core.kind.to_string(),
+                    *name,
+                    1.0 / ran.cpi(s, Frequency::GHZ_1_8)?,
+                );
             }
         }
         Ok(f)
@@ -225,7 +214,7 @@ fn exec_sweep(
                         Reading::Auto,
                     );
                     rows.push((
-                        format!("{}/{}", label(&m), app.short_name()),
+                        format!("{}/{}", m.core.kind, app.short_name()),
                         format!("{}MB@{:.1}GHz", b.mib(), freq.ghz()),
                         p,
                     ));
@@ -275,7 +264,7 @@ fn freq_rows(
     plan: &mut Plan,
     apps: &[AppId],
     data: u64,
-) -> Vec<(AppId, &'static str, Frequency, Point, Point)> {
+) -> Vec<(AppId, CoreKind, Frequency, Point, Point)> {
     let mut rows = Vec::new();
     for &app in apps {
         let base = plan.point(
@@ -290,7 +279,7 @@ fn freq_rows(
                     cfg(app, &m).frequency(freq).data_per_node(data),
                     Reading::Auto,
                 );
-                rows.push((app, label(&m), freq, p, base));
+                rows.push((app, m.core.kind, freq, p, base));
             }
         }
     }
@@ -403,14 +392,8 @@ pub fn fig9(plan: &mut Plan) -> Render {
     let [xeon, atom] = machines();
     let mut rows = Vec::new();
     for app in AppId::ALL {
-        let data = data_for(app);
         for b in blocks_for(app) {
-            let mut at = |m| {
-                plan.point(
-                    cfg(app, m).block_size(*b).data_per_node(data),
-                    Reading::Auto,
-                )
-            };
+            let mut at = |m| plan.point(cfg(app, m).block_size(*b), Reading::Auto);
             let (px, pa) = (at(&xeon), at(&atom));
             rows.push((app, *b, px, pa));
         }
@@ -444,7 +427,7 @@ fn datasize_breakdown(
         for app in apps {
             for (bytes, lbl) in DATA_SIZES {
                 let p = plan.point(cfg(*app, &m).data_per_node(bytes), Reading::Auto);
-                rows.push((format!("{}/{}", label(&m), app.short_name()), lbl, p));
+                rows.push((format!("{}/{}", m.core.kind, app.short_name()), lbl, p));
             }
         }
     }
@@ -484,15 +467,15 @@ pub fn fig11(plan: &mut Plan) -> Render {
 /// Declares every app at every §3.3 data size on the Atom, then on the
 /// Xeon: rows of (app, machine, size label, point, the app's Atom 1 GB
 /// point), the last being the Figs. 12/13 normalization.
-fn size_rows(plan: &mut Plan) -> Vec<(AppId, &'static str, &'static str, Point, Point)> {
+fn size_rows(plan: &mut Plan) -> Vec<(AppId, CoreKind, &'static str, Point, Point)> {
     let [xeon, atom] = machines();
     let mut rows = Vec::new();
     for app in AppId::ALL {
         let base = plan.point(cfg(app, &atom).data_per_node(1 << 30), Reading::Auto);
-        for (m, who) in [(&atom, "Atom"), (&xeon, "Xeon")] {
+        for m in [&atom, &xeon] {
             for (bytes, lbl) in DATA_SIZES {
                 let p = plan.point(cfg(app, m).data_per_node(bytes), Reading::Auto);
-                rows.push((app, who, lbl, p, base));
+                rows.push((app, m.core.kind, lbl, p, base));
             }
         }
     }
@@ -564,10 +547,7 @@ impl AccelSpec {
     ) -> Self {
         let mut pair = |offload| {
             machines().map(|m| {
-                let mut c = cfg(app, &m)
-                    .frequency(freq)
-                    .block_size(block)
-                    .data_per_node(data_for(app));
+                let mut c = cfg(app, &m).frequency(freq).block_size(block);
                 c.accel = offload;
                 plan.point(c, Reading::Auto)
             })
@@ -666,10 +646,7 @@ pub const SCHED_BLOCK: BlockSize = BlockSize::MB_256;
 /// size on [`SCHED_BLOCK`] blocks with `cores` map slots per node of `m`.
 pub(crate) fn sched_point(plan: &mut Plan, app: AppId, m: &MachineModel, cores: usize) -> Point {
     plan.point(
-        cfg(app, m)
-            .data_per_node(data_for(app))
-            .block_size(SCHED_BLOCK)
-            .mappers(cores),
+        cfg(app, m).block_size(SCHED_BLOCK).mappers(cores),
         Reading::Auto,
     )
 }
@@ -682,7 +659,7 @@ pub fn table3(plan: &mut Plan) -> Render {
         for app in AppId::ALL {
             for cores in CORE_SWEEP {
                 let p = sched_point(plan, app, &m, cores);
-                rows.push((app, format!("{}/M{}", label(&m), cores), p));
+                rows.push((app, format!("{}/M{}", m.core.kind, cores), p));
             }
         }
     }
@@ -750,14 +727,11 @@ pub fn fig18(plan: &mut Plan) -> Render {
     for app in AppId::ALL {
         for ((big, little), placement) in baselines.into_iter().chain(mixes) {
             let p = plan.point(
-                cfg(app, &xeon)
-                    .data_per_node(data_for(app))
-                    .block_size(SCHED_BLOCK)
-                    .mix(NodeMix {
-                        big,
-                        little,
-                        placement,
-                    }),
+                cfg(app, &xeon).block_size(SCHED_BLOCK).mix(NodeMix {
+                    big,
+                    little,
+                    placement,
+                }),
                 Reading::Auto,
             );
             let series = match (big, little) {
@@ -788,12 +762,12 @@ pub fn fig18(plan: &mut Plan) -> Render {
 fn cluster_shapes(app: AppId, nodes: usize) -> [(String, SimConfig); 3] {
     let [xeon, atom] = machines();
     let on = |m: &MachineModel| {
-        let mut c = cfg(app, m).data_per_node(data_for(app));
+        let mut c = cfg(app, m);
         c.nodes = nodes;
         c
     };
     let (big, little) = (nodes / 3, nodes - nodes / 3);
-    let mix = cfg(app, &xeon).data_per_node(data_for(app)).mix(NodeMix {
+    let mix = cfg(app, &xeon).mix(NodeMix {
         big,
         little,
         placement: PlacementKind::PaperClass(MetricKind::Edp),
@@ -1200,9 +1174,7 @@ mod tests {
         let [xeon, atom] = machines();
         for app in AppId::ALL {
             for (m, series) in [(&xeon, "Xeon3"), (&atom, "Atom3")] {
-                let plain = cfg(app, m)
-                    .data_per_node(data_for(app))
-                    .block_size(SCHED_BLOCK);
+                let plain = cfg(app, m).block_size(SCHED_BLOCK);
                 let (per_node, _) = (plain.run(SimCache::global(), Reading::PerNode))
                     .expect("a valid fault-free run completes");
                 assert_eq!(

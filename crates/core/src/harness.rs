@@ -25,21 +25,21 @@
 //!
 //! The worker count defaults to the machine's available parallelism and
 //! is set process-wide with [`set_jobs`] (the `figures` binary's
-//! `--jobs N` flag). Cumulative counters — runs evaluated, fills run,
-//! busy wall time — are exposed via [`snapshot`] for observability.
+//! `--jobs N` flag). Cumulative counters — runs evaluated and fills run —
+//! are exposed via [`snapshot`]. The harness reads no clock: timing a
+//! fill is its caller's business (the `figures` binary times itself).
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 use hhsim_arch::{ComputeProfile, Frequency, MachineModel, StallBatch, TraceKey};
 use hhsim_faults::{FaultConfig, FaultStats};
 use hhsim_workloads::{AppId, FunctionalConfig};
 
 use crate::model::{
-    check_split, recovered, ClusterPrep, Measurement, Reading, RunScratch, SimConfig, SimError,
-    Validated,
+    check_split, priced_profiles, recovered, ClusterPrep, Measurement, Reading, RunScratch,
+    SimConfig, SimError, Validated,
 };
 use crate::ratios::AppRatios;
 use crate::simcache::{MemoKey, SimCache};
@@ -50,19 +50,11 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 static POINTS: AtomicU64 = AtomicU64::new(0);
 /// Fills run since process start.
 static GRIDS: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds spent running fills since process start.
-static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
 
-/// Adds one fill of `runs` points and seeds, started at `started`, to the
-/// process-wide counters.
-fn count_fill(runs: usize, started: Instant) {
+/// Adds one fill of `runs` points and seeds to the process-wide counters.
+fn count_fill(runs: usize) {
     POINTS.fetch_add(runs as u64, Ordering::Relaxed);
     GRIDS.fetch_add(1, Ordering::Relaxed);
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "stderr telemetry; u64 nanoseconds hold 584 years of fill time"
-    )]
-    BUSY_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// The number of workers the harness would use when jobs is "auto".
@@ -95,8 +87,6 @@ pub struct HarnessSnapshot {
     /// Fills run: [`Plan::run`] (a grid's included) and stand-alone
     /// [`ReplicationPlan::run`] calls.
     pub grids: u64,
-    /// Wall time spent running fills.
-    pub busy: Duration,
 }
 
 impl HarnessSnapshot {
@@ -105,7 +95,6 @@ impl HarnessSnapshot {
         HarnessSnapshot {
             points: self.points.saturating_sub(earlier.points),
             grids: self.grids.saturating_sub(earlier.grids),
-            busy: self.busy.saturating_sub(earlier.busy),
         }
     }
 }
@@ -115,7 +104,6 @@ pub fn snapshot() -> HarnessSnapshot {
     HarnessSnapshot {
         points: POINTS.load(Ordering::Relaxed),
         grids: GRIDS.load(Ordering::Relaxed),
-        busy: Duration::from_nanos(BUSY_NANOS.load(Ordering::Relaxed)),
     }
 }
 
@@ -178,8 +166,9 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
 
 /// The expensive memo entries a fill computes: those pricing `points`
 /// looks up — per point that holds the config contract for its reading,
-/// those of every machine on its roster, the roster `ClusterPrep::new`
-/// prices, from the same call — and the stall splits of `splits` that
+/// the app's functional runs and the splits of [`priced_profiles`] on
+/// every machine of its roster, the list and the roster `ClusterPrep::new`
+/// prices from, by the same calls — and the stall splits of `splits` that
 /// hold theirs ([`check_split`]), each entry once, less the ones `cache`
 /// already holds (a peek that counts nothing). An entry missing here would
 /// be computed lazily by the first point that needs it (slower, never
@@ -213,12 +202,9 @@ fn missing_keys<'a>(
             priced.push((m, cfg.app));
             name(MemoKey::Run(cfg.app, AppRatios::reference_config()));
             name(MemoKey::Run(cfg.app, AppRatios::small_config()));
-            name(MemoKey::Stall(m, Cow::Owned(cfg.app.map_profile())));
-            name(MemoKey::Stall(m, Cow::Owned(cfg.app.reduce_profile())));
-            name(MemoKey::Stall(
-                m,
-                Cow::Owned(ComputeProfile::hadoop_average()),
-            ));
+            for p in priced_profiles(cfg.app) {
+                name(MemoKey::Stall(m, Cow::Owned(p)));
+            }
         }
     }
     for (m, p) in splits {
@@ -419,11 +405,6 @@ impl Plan {
     /// the contract keep their [`SimError`] for the reader; every other
     /// entry runs as it would alone.
     pub fn run_on(self, workers: usize, cache: &SimCache) -> Outcomes {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the sweep harness's wall-time counters (points/sec telemetry) are operator-facing metadata printed to stderr; simulated results flow exclusively through virtual SimTime and are pinned byte-identical across --jobs by the determinism tests"
-        )]
-        let started = Instant::now();
         let Plan {
             points,
             replications,
@@ -450,7 +431,7 @@ impl Plan {
                 Err(_) => (f64::NAN, f64::NAN),
             })
             .collect();
-        count_fill(runs, started);
+        count_fill(runs);
         Outcomes {
             measured,
             summaries,
@@ -672,13 +653,8 @@ impl ReplicationPlan {
     /// Panics with the [`SimError`] of an invalid config, as
     /// [`run_grid_on`] does.
     pub fn run_with(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "operator telemetry only, as in `Plan::run_on`"
-        )]
-        let started = Instant::now();
         let summary = recovered(self.summarize(workers, cache));
-        count_fill(self.seeds.len(), started);
+        count_fill(self.seeds.len());
         summary
     }
 
@@ -843,6 +819,34 @@ mod tests {
     }
 
     #[test]
+    fn pricing_reads_each_memo_input_once_per_kind() {
+        let mixed = SimConfig::new(AppId::Grep, presets::xeon_e5_2420()).mix(crate::NodeMix {
+            big: 1,
+            little: 2,
+            placement: crate::PlacementKind::PreferBig,
+        });
+        let plain = SimConfig::new(AppId::WordCount, presets::atom_c2758());
+        // Grep chains two jobs; each kind's splits are still read once.
+        for (cfg, kinds) in [(plain, 1), (mixed, 2)] {
+            let cache = SimCache::new();
+            let grid = [cfg];
+            fill_stage(auto(&grid), &[], 1, &cache);
+            cache.ratios(grid[0].app);
+            let before = cache.stats();
+            simulate_on(&grid[0], &cache);
+            let asked = cache.stats().since(&before);
+            // The ratios, the three priced splits per kind, and the point
+            // entry itself, the one miss.
+            assert_eq!(
+                (asked.hits, asked.misses),
+                (1 + 3 * kinds, 1),
+                "{}",
+                grid[0].app
+            );
+        }
+    }
+
+    #[test]
     fn each_memo_entry_is_computed_once_at_any_worker_count() {
         let g = grid();
         let lazy_cache = SimCache::new();
@@ -865,61 +869,10 @@ mod tests {
         }
     }
 
-    /// Allocator calls made on the calling thread, counted for every test
-    /// of this binary and read by the ones that pin "allocates nothing".
-    mod counting {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::cell::Cell;
-
-        thread_local! {
-            static CALLS: Cell<u64> = const { Cell::new(0) };
-        }
-
-        fn note() {
-            // A thread being torn down has no counter left to bump.
-            let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-        }
-
-        /// Calls to `alloc`, `alloc_zeroed` and `realloc` by `work`.
-        pub(super) fn calls<T>(work: impl FnOnce() -> T) -> (T, u64) {
-            let before = CALLS.with(Cell::get);
-            let out = work();
-            (out, CALLS.with(Cell::get) - before)
-        }
-
-        struct Counting;
-
-        // SAFETY: every method forwards its arguments unchanged to
-        // `System`, which upholds the `GlobalAlloc` contract; the counter
-        // never touches the returned memory.
-        unsafe impl GlobalAlloc for Counting {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                note();
-                // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract.
-                unsafe { System.alloc(layout) }
-            }
-
-            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-                note();
-                // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-                unsafe { System.alloc_zeroed(layout) }
-            }
-
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract.
-                unsafe { System.dealloc(ptr, layout) }
-            }
-
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                note();
-                // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract.
-                unsafe { System.realloc(ptr, layout, new_size) }
-            }
-        }
-
-        #[global_allocator]
-        static GLOBAL: Counting = Counting;
-    }
+    /// Counts what the thread running a closure allocates, for the tests
+    /// that pin "allocates nothing".
+    #[global_allocator]
+    static GLOBAL: hhsim_testkit::Counting = hhsim_testkit::Counting;
 
     #[test]
     fn suite_fill_computes_the_six_splits_once() {
@@ -955,9 +908,9 @@ mod tests {
         let (again, _) = declare();
         let before = cache.stats();
         let warm = || fill_stage(std::iter::empty(), &again.splits, 2, &cache);
-        let ((), calls) = counting::calls(warm);
+        let ((), allocs) = hhsim_testkit::counted(warm);
         assert_eq!(cache.stats(), before, "a warm fill computes nothing");
-        assert_eq!(calls, 0, "a warm fill allocates nothing");
+        assert_eq!(allocs.calls, 0, "a warm fill allocates nothing");
     }
 
     #[test]

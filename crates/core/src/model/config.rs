@@ -81,15 +81,20 @@ pub struct SimConfig {
     pub topology: Option<Topology>,
 }
 
+/// Per-node data size used for micro-benchmarks (1 GB, §3).
+pub const MICRO_DATA: u64 = 1 << 30;
+/// Per-node data size used for real-world applications (10 GB, §3).
+pub const REAL_DATA: u64 = 10 << 30;
+
 impl SimConfig {
-    /// A paper-default configuration: 3 nodes, 1 GB/node for micro-
-    /// benchmarks or 10 GB/node for real-world applications, 512 MB
-    /// blocks, 1.8 GHz.
+    /// A paper-default configuration: 3 nodes, [`MICRO_DATA`] per node for
+    /// micro-benchmarks or [`REAL_DATA`] for real-world applications,
+    /// 512 MB blocks, 1.8 GHz.
     pub fn new(app: AppId, machine: MachineModel) -> Self {
         let data = if app.is_real_world() {
-            10u64 << 30
+            REAL_DATA
         } else {
-            1u64 << 30
+            MICRO_DATA
         };
         SimConfig {
             app,

@@ -58,9 +58,11 @@ mod run;
 mod tests;
 mod timing;
 
-pub use config::{job_class, Measurement, NodeMix, PhaseCost, PlacementKind, SimConfig};
+pub use config::{
+    job_class, Measurement, NodeMix, PhaseCost, PlacementKind, SimConfig, MICRO_DATA, REAL_DATA,
+};
 pub(crate) use contract::{check_split, Validated};
 pub use contract::{ConfigError, Reading, SimError};
-pub(crate) use prep::ClusterPrep;
+pub(crate) use prep::{priced_profiles, ClusterPrep};
 pub use run::simulate;
 pub(crate) use run::{recovered, Meter, RunScratch};

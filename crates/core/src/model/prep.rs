@@ -8,6 +8,7 @@ use hhsim_hdfs::{
     BlockId, DiskModel, HdfsDefault, LocalityTier, NodeId, PlacementRequest, ReplicaPlacement,
     Topology,
 };
+use hhsim_workloads::AppId;
 
 use super::config::{job_class, PlacementKind, Roster, SimConfig};
 use super::contract::Validated;
@@ -67,6 +68,19 @@ pub(super) struct KindPrep<'a> {
     pub(super) slots: usize,
     /// Per-task launch overhead, seconds.
     pub(super) overhead: f64,
+    /// The stall splits of [`priced_profiles`] on `m`, in its order.
+    pub(super) stalls: [(f64, f64); 3],
+}
+
+/// The only list of the profiles whose stall splits pricing reads on a
+/// machine — map, reduce, and the Hadoop average of task launch and the
+/// master — looked up once per roster kind and filled by the fill stage.
+pub(crate) fn priced_profiles(app: AppId) -> [ComputeProfile; 3] {
+    [
+        app.map_profile(),
+        app.reduce_profile(),
+        ComputeProfile::hadoop_average(),
+    ]
 }
 
 /// Seed-independent preparation of one run — the only pricing of it: node
@@ -151,35 +165,35 @@ impl<'a> ClusterPrep<'a> {
         let f = cfg.frequency;
         let ratios = cache.ratios(cfg.app);
         let disk = DiskModel::sata_7200();
-        let map_prof = cfg.app.map_profile();
-        let red_prof = cfg.app.reduce_profile();
-        let hadoop_avg = ComputeProfile::hadoop_average();
+        let profiles = priced_profiles(cfg.app);
+        let [map_prof, red_prof, hadoop_avg] = &profiles;
 
-        // The kinds the roster has: slots per node and task-launch
-        // overhead. The Hadoop-average stall split is frequency-independent
-        // and, on the lead kind, shared with the master's bookkeeping.
+        // The kinds the roster has: slots per node, the stall splits of
+        // the priced profiles (frequency-independent) and task-launch
+        // overhead.
         let Roster {
             lead,
             other,
             placement,
         } = cfg.roster();
         let kind_prep = |(m, nodes): (&'a MachineModel, usize)| {
-            let stalls = cache.stall_split(m, &hadoop_avg);
+            let stalls = profiles.each_ref().map(|p| cache.stall_split(m, p));
+            let [.., launch] = stalls;
             // Task launch (JVM spin-up) penalizes the little core beyond
             // its CPI gap: cold-start code is branchy, serial and
             // cache-hostile.
-            let overhead = cpu_seconds(m, &hadoop_avg, stalls, f, TASK_OVERHEAD_INSTR)
+            let overhead = cpu_seconds(m, hadoop_avg, launch, f, TASK_OVERHEAD_INSTR)
                 * of_kind(m.core.kind, 1.0, 1.8);
-            let kind = KindPrep {
+            KindPrep {
                 m,
                 nodes,
                 slots: cfg.mappers_per_node.unwrap_or(m.num_cores),
                 overhead,
-            };
-            (kind, stalls)
+                stalls,
+            }
         };
-        let (lead, lead_stalls) = kind_prep(lead);
-        let other = other.map(|o| kind_prep(o).0);
+        let lead = kind_prep(lead);
+        let other = other.map(kind_prep);
         let lead_kind = lead.m.core.kind;
         let kinds = by_kind(lead_kind, Some(lead), other.map(Some), None);
         let [(n_big, big_slots, big_overhead), (n_little, little_slots, little_overhead)] =
@@ -231,9 +245,7 @@ impl<'a> ClusterPrep<'a> {
         // One chained job's tasks on one kind. Task counts depend only on
         // data volume and cluster shape, never on the machine.
         let price = |k: KindPrep<'_>, job: &JobRatios| {
-            job_timing(
-                k.m, k.slots, &cluster, cfg, cache, &disk, job, &map_prof, &red_prof,
-            )
+            job_timing(k, &cluster, cfg, &disk, job, map_prof, red_prof)
         };
         let job_prep = |(ji, job): (usize, &JobRatios)| {
             let t = price(lead, job);
@@ -327,11 +339,12 @@ impl<'a> ClusterPrep<'a> {
         let tasks: usize = (std::iter::once(&dominant).chain(&chained))
             .map(|j| j.timing.n_map + j.timing.n_red)
             .sum();
+        let [map_stalls, .., launch_stalls] = lead.stalls;
         let others_wall = ratios.jobs.len() as f64 * (JOB_SETUP_S + JOB_CLEANUP_S)
             + cpu_seconds(
                 lead.m,
-                &hadoop_avg,
-                lead_stalls,
+                hadoop_avg,
+                launch_stalls,
                 f,
                 MASTER_INSTR_PER_TASK * tasks as f64 / nodes_total as f64,
             );
@@ -347,11 +360,8 @@ impl<'a> ClusterPrep<'a> {
             Some(_) => Cow::Owned(format!("Mixed({n_big}xXeon+{n_little}xAtom)")),
             None => Cow::Borrowed(cfg.machine.name.as_str()),
         };
-        let ipc_stalls = cache.stall_split(lead.m, &map_prof);
-        let map_ipc = 1.0
-            / lead
-                .m
-                .cpi_with_stalls(&map_prof, f, ipc_stalls.0, ipc_stalls.1);
+        let map_ipc = 1.0 / (lead.m).cpi_with_stalls(map_prof, f, map_stalls.0, map_stalls.1);
+        let [map_prof, red_prof, _] = profiles;
 
         ClusterPrep {
             cfg,

@@ -5,9 +5,9 @@ use hhsim_arch::{ComputeProfile, CoreKind, Frequency, MachineModel};
 use hhsim_hdfs::DiskModel;
 
 use super::config::SimConfig;
+use super::prep::KindPrep;
 use crate::cluster::Cluster;
 use crate::ratios::JobRatios;
-use crate::simcache::SimCache;
 
 /// NIC bandwidth per node, bytes/s (1 GbE, the paper's era).
 const NET_BYTES_PER_S: f64 = 117.0e6;
@@ -59,22 +59,17 @@ pub(super) struct JobTiming {
     pub(super) red_input_bytes: f64,
 }
 
-/// Prices one chained job's map and reduce tasks on `m` — the analytic
-/// half of the model. Wave scheduling of the resulting tasks is the
-/// cluster engine's job. Task counts (`n_map`, `n_red`) depend only
-/// on data volume and cluster shape, never on `m`, so heterogeneous
-/// clusters can price the same task list per node kind. `slots` are the
-/// task slots of a node of the kind being priced.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "nine independent inputs from one caller, `ClusterPrep::new`; a bundle struct would exist only to carry them across this call"
-)]
+/// Prices one chained job's map and reduce tasks on `kind`'s machine —
+/// the analytic half of the model. Wave scheduling of the resulting tasks
+/// is the cluster engine's job. Task counts (`n_map`, `n_red`) depend
+/// only on data volume and cluster shape, never on the machine, so
+/// heterogeneous clusters can price the same task list per node kind.
+/// The kind's slots per node set the task streams; its stall splits of
+/// `map_prof` and `red_prof` price the CPU time.
 pub(super) fn job_timing(
-    m: &MachineModel,
-    slots: usize,
+    kind: KindPrep<'_>,
     cluster: &Cluster,
     cfg: &SimConfig,
-    cache: &SimCache,
     disk: &DiskModel,
     job: &JobRatios,
     map_prof: &ComputeProfile,
@@ -84,8 +79,8 @@ pub(super) fn job_timing(
     let block = cfg.block_size.bytes();
     let (nodes, total_slots) = (cluster.nodes.len(), cluster.total_slots());
     let data_total = data_per_node_bytes * nodes as u64;
-    let map_stalls = cache.stall_split(m, map_prof);
-    let red_stalls = cache.stall_split(m, red_prof);
+    let KindPrep { m, slots, .. } = kind;
+    let [map_stalls, red_stalls, _] = kind.stalls;
 
     // ------------------------------------------------------------------
     // Map phase of this job.

@@ -168,13 +168,6 @@ impl AppRatios {
         AppRatios::from_runs(&reference, &small)
     }
 
-    /// Ratios of `app`, memoized process-wide in the shared
-    /// [`SimCache`](crate::SimCache) (the functional runs are
-    /// deterministic, so every caller sees identical values).
-    pub fn of(app: AppId) -> AppRatios {
-        crate::SimCache::global().ratios(app)
-    }
-
     /// First (primary) job's ratios.
     pub fn primary(&self) -> &JobRatios {
         &self.jobs[0]
@@ -184,6 +177,7 @@ impl AppRatios {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimCache;
 
     /// `hhsim-workloads`' functional pins run the twelve ratio runs at
     /// scales they restate; their table's `config` lines are these two.
@@ -205,16 +199,16 @@ mod tests {
 
     #[test]
     fn ratios_are_memoized_and_deterministic() {
-        let a = AppRatios::of(AppId::WordCount);
-        let b = AppRatios::of(AppId::WordCount);
+        let a = SimCache::global().ratios(AppId::WordCount);
+        let b = SimCache::global().ratios(AppId::WordCount);
         assert_eq!(a, b);
     }
 
     #[test]
     fn class_signatures_show_in_ratios() {
-        let wc = AppRatios::of(AppId::WordCount);
-        let st = AppRatios::of(AppId::Sort);
-        let gp = AppRatios::of(AppId::Grep);
+        let wc = SimCache::global().ratios(AppId::WordCount);
+        let st = SimCache::global().ratios(AppId::Sort);
+        let gp = SimCache::global().ratios(AppId::Grep);
         assert!(wc.primary().map_selectivity > 1.2);
         assert!(wc.primary().has_combiner);
         assert!(!st.primary().has_reduce, "paper: Sort has no reduce phase");
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn fp_growth_second_job_reads_full_input_and_mines_in_reduce() {
-        let fp = AppRatios::of(AppId::FpGrowth);
+        let fp = SimCache::global().ratios(AppId::FpGrowth);
         assert_eq!(fp.jobs.len(), 2);
         assert!(
             fp.jobs[1].input_fraction > 0.8,
@@ -243,7 +237,7 @@ mod tests {
 
     #[test]
     fn text_apps_have_sublinear_key_growth() {
-        let wc = AppRatios::of(AppId::WordCount);
+        let wc = SimCache::global().ratios(AppId::WordCount);
         let beta = wc.primary().key_beta;
         assert!(
             (0.2..=0.95).contains(&beta),
@@ -259,7 +253,7 @@ mod tests {
     #[test]
     fn all_apps_have_ratios() {
         for app in AppId::ALL {
-            let r = AppRatios::of(app);
+            let r = SimCache::global().ratios(app);
             assert!(!r.jobs.is_empty(), "{app}");
             assert!(r.records_per_byte > 0.0, "{app}");
             for j in &r.jobs {

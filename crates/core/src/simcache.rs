@@ -28,11 +28,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hhsim_arch::{ComputeProfile, MachineModel, StallBatch, StallKey};
 use hhsim_workloads::{AppId, FunctionalConfig, FunctionalRun};
-use parking_lot::Mutex;
 
 use crate::cluster::ClusterTimeline;
 use crate::harness::ReplicationSummary;
@@ -53,6 +52,13 @@ pub(crate) enum MemoKey<'a> {
     /// A trace-driven stall split: of a profile a grid's app builds, or of
     /// one its caller holds (fig1/fig2's suites).
     Stall(&'a MachineModel, Cow<'a, ComputeProfile>),
+}
+
+/// Locks a table, taking a poisoned guard as it is: every update under the
+/// lock is one insert, push or clear, and values are computed outside it,
+/// so a holder that panicked left the table whole.
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One memoization table. Values sit behind per-key `OnceLock` cells so
@@ -178,7 +184,7 @@ impl SimCache {
         K: Eq + Hash,
         V: Clone,
     {
-        let cell = Arc::clone(table.lock().entry(key).or_default());
+        let cell = Arc::clone(lock(table).entry(key).or_default());
         let mut computed = false;
         let value = cell
             .get_or_init(|| {
@@ -217,7 +223,7 @@ impl SimCache {
     ) {
         for (m, h) in machines.iter().zip(batch.run(profile, machines)) {
             let key = m.stall_key(profile);
-            let cell = Arc::clone(self.stalls.lock().entry(key).or_default());
+            let cell = Arc::clone(lock(&self.stalls).entry(key).or_default());
             let counter = match cell.set(h.stall_split_per_access()) {
                 Ok(()) => &self.misses,
                 Err(_) => &self.hits,
@@ -240,7 +246,7 @@ impl SimCache {
     /// entry and counts neither hit nor miss.
     pub(crate) fn holds(&self, key: &MemoKey<'_>) -> bool {
         fn ready<K: Eq + Hash, V>(table: &Table<K, V>, key: &K) -> bool {
-            table.lock().get(key).is_some_and(|c| c.get().is_some())
+            lock(table).get(key).is_some_and(|c| c.get().is_some())
         }
         match key {
             MemoKey::Run(app, cfg) => ready(&self.runs, &(*app, *cfg)),
@@ -273,13 +279,13 @@ impl SimCache {
         compute: impl FnOnce() -> V,
     ) -> V {
         let held = |e: &&Tagged<K, V>| e.tag == tag && is(&e.key);
-        if let Some(e) = table.lock().iter().find(held) {
+        if let Some(e) = lock(table).iter().find(held) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return e.value.clone();
         }
         let value = compute();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = table.lock();
+        let mut entries = lock(table);
         if !entries.iter().any(|e| held(&e)) {
             entries.push(Tagged {
                 tag,
@@ -343,22 +349,22 @@ impl SimCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            stall_entries: self.stalls.lock().len(),
-            run_entries: self.runs.lock().len(),
-            ratio_entries: self.ratios.lock().len(),
-            phase_entries: self.points.lock().len(),
-            plan_entries: self.plans.lock().len(),
+            stall_entries: lock(&self.stalls).len(),
+            run_entries: lock(&self.runs).len(),
+            ratio_entries: lock(&self.ratios).len(),
+            phase_entries: lock(&self.points).len(),
+            plan_entries: lock(&self.plans).len(),
         }
     }
 
     /// Drops every entry and zeroes the counters (benchmarks use this to
     /// measure cold-cache behaviour without a fresh process).
     pub fn clear(&self) {
-        self.stalls.lock().clear();
-        self.runs.lock().clear();
-        self.ratios.lock().clear();
-        self.points.lock().clear();
-        self.plans.lock().clear();
+        lock(&self.stalls).clear();
+        lock(&self.runs).clear();
+        lock(&self.ratios).clear();
+        lock(&self.points).clear();
+        lock(&self.plans).clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }

@@ -12,13 +12,10 @@
 //! calls; last, `run_phase_faulty_fetch` over 10 k map outputs on 500 and
 //! on 2 000 nodes, without crashes and with them, which must too; and
 //! `run_phase_faulty` at two task counts, which must cost the same number
-//! of calls and at most 88 bytes per task more. At one
-//! worker the process runs on this
-//! thread alone, so the counts repeat exactly — which is why a count can
-//! be a gate here.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::SeqCst};
+//! of calls and at most 88 bytes per task more. Counts are of the thread
+//! that runs the work (`hhsim_testkit::counted`), and at one worker the
+//! work runs on that thread alone, so the counts repeat exactly — which is
+//! why a count can be a gate here.
 
 use hhsim_core::arch::{presets, CoreKind};
 use hhsim_core::cluster::{
@@ -33,52 +30,7 @@ use hhsim_core::figures::{
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
 use hhsim_core::{NodeMix, PlacementKind, Reading, ReplicationPlan, SimCache, SimConfig};
-
-struct Counting;
-
-static ON: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed, whether or not a count is on.
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-/// One allocator call asking for `size` bytes in place of `freed`.
-fn note(size: usize, freed: usize) {
-    LIVE.fetch_add(size as i64 - freed as i64, SeqCst);
-    if ON.load(SeqCst) {
-        ALLOCS.fetch_add(1, SeqCst);
-        BYTES.fetch_add(size as u64, SeqCst);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter never touches
-// the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size(), 0);
-        // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size(), 0);
-        // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, SeqCst);
-        // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size, layout.size());
-        // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use hhsim_testkit::{counted, Allocs, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -114,25 +66,12 @@ fn small_config() -> SimConfig {
         .faults(fig19_faults(0.06, true))
 }
 
-/// Allocator calls and requested bytes of `work`, which runs on this
-/// thread alone.
-fn counted<T>(work: impl FnOnce() -> T) -> (T, u64, u64) {
-    ALLOCS.store(0, SeqCst);
-    BYTES.store(0, SeqCst);
-    ON.store(true, SeqCst);
-    let out = work();
-    ON.store(false, SeqCst);
-    (out, ALLOCS.load(SeqCst), BYTES.load(SeqCst))
-}
-
 /// Allocator calls per seed of `plan` at one worker, and the live bytes
 /// the run leaves behind.
 fn allocs_per_seed(plan: &ReplicationPlan, cache: &SimCache) -> (u64, i64) {
-    let before = LIVE.load(SeqCst);
-    let (summary, calls, _) = counted(|| plan.run_with(1, cache));
-    let left = LIVE.load(SeqCst) - before;
+    let (summary, Allocs { calls, live, .. }) = counted(|| plan.run_with(1, cache));
     assert_eq!(summary.replications, plan.len() as u64);
-    (calls / summary.replications, left)
+    (calls / summary.replications, live)
 }
 
 /// What the parent commit (PR 16) allocated per seed on the same two
@@ -163,7 +102,7 @@ fn warm_points_allocate_within_the_ratchet() {
     for app in WARM_PLAIN {
         let cfg = plain(app);
         let cold = cfg.run(&cache, Reading::Auto);
-        let (warm, calls, bytes) = counted(|| cfg.run(&cache, Reading::Auto));
+        let (warm, Allocs { calls, bytes, .. }) = counted(|| cfg.run(&cache, Reading::Auto));
         assert_eq!(warm, cold);
         println!("warm plain point {app}: {calls} calls, {bytes} bytes");
         assert!(
@@ -173,7 +112,7 @@ fn warm_points_allocate_within_the_ratchet() {
     }
     let cfg = plain(AppId::WordCount);
     let cold = cfg.run(&cache, Reading::Traced);
-    let (warm, calls, bytes) = counted(|| cfg.run(&cache, Reading::Traced));
+    let (warm, Allocs { calls, bytes, .. }) = counted(|| cfg.run(&cache, Reading::Traced));
     assert_eq!(warm, cold);
     println!("warm engine-path point with a timeline: {calls} calls, {bytes} bytes");
     assert!(calls <= ENGINE_POINT_MAX, "{calls} calls");
@@ -200,7 +139,8 @@ fn clean_engine_allocates_nothing_per_task() {
             racks: 40,
             read_seconds: [0.0, 0.8, 2.4],
         });
-        let (run, calls, bytes) = counted(|| run_phase(&cluster, &load, &mut FifoAnySlot));
+        let (run, Allocs { calls, bytes, .. }) =
+            counted(|| run_phase(&cluster, &load, &mut FifoAnySlot));
         assert_eq!(run.spans.len(), tasks);
         println!("run_phase, {tasks} tasks with locality: {calls} calls, {bytes} bytes");
         calls
@@ -247,7 +187,7 @@ fn fault_engine_allocates_nothing_per_node_or_crash() {
         for (i, n) in (100..100 + crashes).enumerate() {
             faults.crash_at_s[n] = Some(1.0 + 0.01 * i as f64);
         }
-        let (run, calls, bytes) = counted(|| {
+        let (run, Allocs { calls, bytes, .. }) = counted(|| {
             run_phase_faulty_fetch(
                 &cluster,
                 &load,
@@ -295,7 +235,7 @@ fn fault_engine_keeps_one_span_and_one_row_per_task() {
             overhead_seconds: 0.1,
         };
         let load = PhaseLoad::uniform(&set, &cluster);
-        let (run, calls, bytes) =
+        let (run, Allocs { calls, bytes, .. }) =
             counted(|| run_phase_faulty(&cluster, &load, &mut FifoAnySlot, Some(&faults)));
         assert_eq!(run.expect("inert faults complete").spans.len(), tasks);
         println!("run_phase_faulty, {tasks} tasks, inert: {calls} calls, {bytes} bytes");
@@ -352,7 +292,6 @@ fn seeded_runs_allocate_within_the_ratchet() {
             "{name}: {got} allocations per seed is not below half of the parent's {parent}"
         );
     }
-    // Same test, so that nothing else counts while a plan runs.
     warm_points_allocate_within_the_ratchet();
     clean_engine_allocates_nothing_per_task();
     fault_engine_allocates_nothing_per_node_or_crash();

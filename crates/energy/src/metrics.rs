@@ -113,11 +113,6 @@ impl CostMetrics {
         self.edxp(2)
     }
 
-    /// Energy-Delay³ Product (J·s³).
-    pub fn ed3p(&self) -> f64 {
-        self.edxp(3)
-    }
-
     /// Energy-Delay-Area Product (J·mm²·s).
     pub fn edap(&self) -> f64 {
         self.edxap(1)
@@ -148,7 +143,7 @@ mod tests {
         let m = CostMetrics::new(100.0, 3.0, 200.0);
         assert_eq!(m.edp(), 300.0);
         assert_eq!(m.ed2p(), 900.0);
-        assert_eq!(m.ed3p(), 2700.0);
+        assert_eq!(m.edxp(3), 2700.0);
         assert_eq!(m.edap(), 60_000.0);
         assert_eq!(m.ed2ap(), 180_000.0);
         for k in MetricKind::ALL {
@@ -163,7 +158,7 @@ mod tests {
         let b = CostMetrics::new(100.0, 10.0, 100.0);
         assert!(a.edp() == b.edp(), "EDP ties");
         assert!(a.ed2p() > b.ed2p(), "ED2P prefers the faster machine");
-        assert!(a.ed3p() > b.ed3p());
+        assert!(a.edxp(3) > b.edxp(3));
     }
 
     #[test]

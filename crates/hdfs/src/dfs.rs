@@ -377,25 +377,6 @@ impl Dfs {
         let local = blocks.iter().filter(|b| b.is_local_to(node)).count();
         Ok(local as f64 / blocks.len() as f64)
     }
-
-    /// Fraction of `path`'s blocks reachable from `node` without leaving
-    /// its rack (node-local or rack-local) — the rack-aware counterpart
-    /// of [`Dfs::locality`].
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::NotFound`] if the path does not exist.
-    pub fn rack_locality(&self, path: &str, node: NodeId) -> Result<f64, DfsError> {
-        let blocks = self.blocks(path)?;
-        if blocks.is_empty() {
-            return Ok(1.0);
-        }
-        let near = blocks
-            .iter()
-            .filter(|b| self.namenode.tier(b, node) != LocalityTier::OffRack)
-            .count();
-        Ok(near as f64 / blocks.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -537,12 +518,10 @@ mod tests {
             // Second replica off the writer's rack, third beside it.
             assert!(!topo.same_rack(b.replicas()[1], NodeId(2)));
             assert!(topo.same_rack(b.replicas()[1], b.replicas()[2]));
-        }
-        assert_eq!(dfs.rack_locality("/f", NodeId(2)).unwrap(), 1.0);
-        // Every block keeps a replica in each rack, so no reader is ever
-        // fully off-rack.
-        for n in 0..6 {
-            assert_eq!(dfs.rack_locality("/f", NodeId(n)).unwrap(), 1.0);
+            // A replica in each rack, so no reader is ever off-rack.
+            for n in 0..6 {
+                assert_ne!(nn.tier(b, NodeId(n)), LocalityTier::OffRack);
+            }
         }
     }
 }

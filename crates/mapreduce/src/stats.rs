@@ -151,15 +151,6 @@ impl JobStats {
         }
     }
 
-    /// Shuffle bytes per map input byte.
-    pub fn shuffle_selectivity(&self) -> f64 {
-        if self.map_input_bytes == 0 {
-            0.0
-        } else {
-            self.shuffle_bytes as f64 / self.map_input_bytes as f64
-        }
-    }
-
     /// Largest reduce-task input divided by the mean — the reduce skew
     /// factor (1.0 = perfectly balanced).
     pub fn reduce_skew(&self) -> f64 {
@@ -186,7 +177,6 @@ mod tests {
         let s = JobStats::default();
         assert_eq!(s.map_selectivity(), 0.0);
         assert_eq!(s.combine_ratio(), 1.0);
-        assert_eq!(s.shuffle_selectivity(), 0.0);
         assert_eq!(s.reduce_skew(), 1.0);
     }
 
@@ -201,7 +191,6 @@ mod tests {
         };
         assert_eq!(s.map_selectivity(), 1.5);
         assert_eq!(s.combine_ratio(), 0.5);
-        assert_eq!(s.shuffle_selectivity(), 0.75);
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! against: a reference implementation, so it lives with the test tooling
 //! rather than in the `hhsim-des` kernel.
 //!
+//! And it keeps the one counting allocator of the allocation ratchets:
+//! [`Counting`], installed by each such test binary, and [`counted`],
+//! which reads what the thread running a closure allocated.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,6 +28,7 @@
 //! });
 //! ```
 
+mod alloc;
 mod resource;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -31,6 +36,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+pub use alloc::{counted, Allocs, Counting};
 pub use resource::{PoolStats, SharedSlotPool, SlotGuard, SlotPool};
 
 /// A deterministic random-input generator for one test case.
