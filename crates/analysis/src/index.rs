@@ -67,6 +67,10 @@ pub struct FnDef {
     pub returns_result: bool,
     /// True when the definition sits in test code.
     pub is_test: bool,
+    /// True when the fn is an item of an `impl` or `trait` block: a bare
+    /// `name(..)` call without a `Self::`/`T::` qualifier or a receiver
+    /// cannot reach it.
+    pub associated: bool,
 }
 
 /// One call site inside a function body.
@@ -290,8 +294,9 @@ impl Reachability {
 /// Scans one file for `mod`/`impl`/`trait` scopes and `fn` definitions.
 fn collect_fns(idx: &mut SymbolIndex, fi: usize, file: &SourceFile) {
     let toks = &file.tokens;
-    // (open, close, owner-name) intervals from mod/impl/trait blocks.
-    let mut scopes: Vec<(usize, usize, String)> = Vec::new();
+    // (open, close, owner-name, is impl/trait) intervals from
+    // mod/impl/trait blocks.
+    let mut scopes: Vec<(usize, usize, String, bool)> = Vec::new();
     let module_owners = module_aliases(&file.path);
 
     let mut i = 0usize;
@@ -309,7 +314,7 @@ fn collect_fns(idx: &mut SymbolIndex, fi: usize, file: &SourceFile) {
                     toks.get(i + 2).filter(|t| t.is_punct('{')).map(|_| i + 2),
                 ) {
                     if let Some(close) = matching(toks, open, '{', '}') {
-                        scopes.push((open, close, name.to_string()));
+                        scopes.push((open, close, name.to_string(), false));
                     }
                     i += 3;
                     continue;
@@ -319,7 +324,7 @@ fn collect_fns(idx: &mut SymbolIndex, fi: usize, file: &SourceFile) {
             "impl" | "trait" => {
                 if let Some((owner, open)) = parse_impl_owner(toks, i) {
                     if let Some(close) = matching(toks, open, '{', '}') {
-                        scopes.push((open, close, owner));
+                        scopes.push((open, close, owner, true));
                     }
                     i = open + 1;
                     continue;
@@ -329,11 +334,16 @@ fn collect_fns(idx: &mut SymbolIndex, fi: usize, file: &SourceFile) {
             "fn" => {
                 if let Some(def) = parse_fn(toks, i) {
                     let (name, line, sig_end, body, returns_result) = def;
-                    let owner = scopes
-                        .iter()
-                        .rev()
-                        .find(|&&(lo, hi, _)| i > lo && i < hi)
-                        .map(|(_, _, o)| o.clone());
+                    let scope = scopes.iter().rev().find(|s| i > s.0 && i < s.1);
+                    let owner = scope.map(|s| s.2.clone());
+                    // An item of the block itself, not a fn nested in one
+                    // of its methods' bodies.
+                    let associated = scope.is_some_and(|s| {
+                        s.3 && !idx
+                            .fns
+                            .iter()
+                            .any(|f| f.file == fi && f.body.0 > s.0 && f.body.0 < i && i < f.body.1)
+                    });
                     let mut owners = module_owners.clone();
                     if let Some(o) = &owner {
                         owners.insert(0, o.clone());
@@ -357,6 +367,7 @@ fn collect_fns(idx: &mut SymbolIndex, fi: usize, file: &SourceFile) {
                         body,
                         returns_result,
                         is_test: file.in_test_code(i),
+                        associated,
                     });
                     // Continue *inside* the body (nested items) but past
                     // the signature (`-> impl Trait` must not open a bogus

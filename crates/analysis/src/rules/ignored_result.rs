@@ -9,8 +9,10 @@
 //! binding, an operator, `?`, nor a `return` is a finding. Explicit
 //! discards (`let _ = call();`) are deliberate and stay silent, as do
 //! calls the index cannot resolve (std/shim functions are outside the
-//! workspace's jurisdiction). Without a symbol index (bare unit-test
-//! contexts) the rule is inert.
+//! workspace's jurisdiction). A bare `name(..)`, with no receiver and no
+//! path, resolves to free fns only: it cannot reach an `impl` or `trait`
+//! item, so a local closure named like a method is silent. Without a
+//! symbol index (bare unit-test contexts) the rule is inert.
 //!
 //! Scope: `reachable` — only calls the engine can actually execute are
 //! flagged (degrades to the crate allowlist when no entry points are
@@ -90,7 +92,12 @@ impl Rule for IgnoredResult {
             } else {
                 None
             };
-            let candidates = index.candidates(name, qualifier);
+            // A bare `name(..)` — no receiver, no path — calls a free fn
+            // or a local binding, never an `impl`/`trait` item.
+            let prev = i.checked_sub(1).and_then(|j| toks.get(j));
+            let bare = !prev.is_some_and(|t| t.is_punct('.') || t.is_punct(':'));
+            let mut candidates = index.candidates(name, qualifier);
+            candidates.retain(|&id| !(bare && index.fns[id].associated));
             if candidates.is_empty() {
                 continue;
             }
@@ -231,5 +238,28 @@ mod tests {
              impl B { fn tick(&self) {} }\n\
              pub fn engine(a: &A) { a.tick(); }");
         assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn bare_calls_resolve_to_free_fns_only() {
+        // A local closure named like a `Result` method: no bare call can
+        // reach the method, so the statement is silent.
+        let hits = run("struct W;\n\
+             impl W { fn flush(&mut self) -> Result<(), String> { Ok(()) } }\n\
+             pub fn engine(v: &mut Vec<u32>) {\n\
+                 let flush = |v: &mut Vec<u32>| v.clear();\n\
+                 flush(v);\n\
+             }");
+        assert!(hits.is_empty(), "{hits:?}");
+
+        // A free fn sharing its name with a method is still flagged.
+        let hits = run("struct W;\n\
+             impl W { fn fallible(&self) -> Result<u32, String> { Ok(2) } }\n\
+             fn fallible() -> Result<u32, String> { Ok(1) }\n\
+             pub fn engine() {\n\
+                 fallible();\n\
+             }");
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 5);
     }
 }

@@ -79,7 +79,7 @@ impl<K: Datum, V: Datum> Emitter<K, V> {
 
     /// Removes the buffered records in emission order, keeping the
     /// buffer's allocation for the next emits (a combiner's emitter is
-    /// reused across every key group of a map task this way).
+    /// reused across every key group of a job's map phase this way).
     pub(crate) fn drain_kept(&mut self) -> std::vec::Drain<'_, (K, V)> {
         self.bytes = 0;
         self.buf.drain(..)

@@ -1,5 +1,5 @@
-//! The execution engine: map → spill/sort/combine → merge → shuffle →
-//! merge → reduce, with full dataflow accounting.
+//! The execution engine: map → spill/sort/combine → shuffle → merge →
+//! reduce, with full dataflow accounting.
 //!
 //! Hot-path design (see DESIGN.md for the full story):
 //!
@@ -9,13 +9,23 @@
 //!   sort and once more per record on insertion.
 //! - **Columnar runs** — sorted runs keep keys and values in separate
 //!   contiguous arrays ([`crate::merge::Run`]), so key groups are real
-//!   slices: combiners and reducers receive `&vals[i..j]` with zero
-//!   cloning.
+//!   slices: reducers receive `&vals[i..j]` with zero cloning.
 //! - **Heap merge** — the k-way merge consumes its runs through a
 //!   `BinaryHeap` keyed on `(key, run)`: `O(n log k)` with zero clones,
 //!   stable across equal keys (earlier runs first).
 //! - **Re-sort elision** — combiner output skips the defensive
 //!   per-partition re-sort unless the combiner actually rewrote a key.
+//! - **One workspace per job** — the map phase spills through one set of
+//!   buffers (the emitter and its recycled twin, the decorated sort
+//!   buffer, the combiner's key group and output), reused by every spill
+//!   of every map task and dropped before the reduce phase. A combiner
+//!   reads each key group straight from the sorted buffer into one reused
+//!   `Vec`, and its output runs are sized by a count of the groups.
+//! - **Map outputs stay as spill runs** — a task's spills are not merged
+//!   into one run per partition: each reducer merges every run of every
+//!   map output in task order, spill order, once. The map-side merge is
+//!   still accounted, and a reducer's merge passes count the map outputs
+//!   that reached it, as Hadoop's counters do.
 //! - **No allocation per record** — input records are [`crate::Line`]
 //!   windows into the shared input buffer, short keys are inline
 //!   [`crate::Text`], and a combiner is a [`Combiner`] cloned once per map
@@ -63,13 +73,6 @@ impl<C: Combiner + 'static> TaskCombiner<C::KIn, C::VIn> for C {
     fn combine(&mut self, key: &C::KIn, values: &[C::VIn], out: &mut Emitter<C::KIn, C::VIn>) {
         self.reduce(key, values, out);
     }
-}
-
-/// One map task's combiner and the emitter it writes every key group of
-/// every spill into.
-struct SpillCombiner<K, V> {
-    combiner: Box<dyn TaskCombiner<K, V>>,
-    out: Emitter<K, V>,
 }
 
 impl<M, R> JobSpec<M, R>
@@ -166,30 +169,109 @@ pub struct JobResult<K, V> {
     pub stats: JobStats,
 }
 
-/// Sorted output of one map task: one columnar run per partition.
-struct MapOutput<K, V> {
-    partitions: Vec<Run<K, V>>,
+/// The map phase's reused buffers: one per job, handed to every map task
+/// in turn and dropped before the shuffle, so steady-state spilling
+/// allocates only the runs it keeps.
+struct Workspace<K, V> {
+    /// The running task's output collector.
+    emitter: Emitter<K, V>,
+    /// The emitter's recycled twin: a spill swaps the full buffer out into
+    /// it and drains it in place, so the two allocations ping-pong.
+    recycled: Vec<(K, V)>,
+    /// The spill's sort buffer: `(partition, arrival, key, value)`.
+    sorted: Vec<(u32, u32, K, V)>,
+    /// Records per partition of the spill being sorted, or key groups per
+    /// partition when it is combined.
+    counts: Vec<usize>,
+    /// One key group's values, handed to the combiner as a slice.
+    group: Vec<V>,
+    /// The combiner's output, drained after every key group.
+    combined: Emitter<K, V>,
 }
 
-/// Groups map-output partitions by reducer, accounting shuffle bytes.
-/// Returns one segment list per reduce task.
+impl<K: Datum, V: Datum> Workspace<K, V> {
+    fn new() -> Self {
+        Workspace {
+            emitter: Emitter::new(),
+            recycled: Vec::new(),
+            sorted: Vec::new(),
+            counts: Vec::new(),
+            group: Vec::new(),
+            combined: Emitter::new(),
+        }
+    }
+}
+
+/// Sorted output of one map task: per spill, in spill order, one columnar
+/// run per partition. Hadoop merges a task's spills into one file; here
+/// that merge is only accounted, and the runs travel as they are to the
+/// reducer, whose one merge takes them in task order, then spill order —
+/// the order a per-task merge followed by the reducer's merge gives.
+struct MapOutput<K, V> {
+    spills: Vec<Vec<Run<K, V>>>,
+}
+
+impl<K: Datum, V: Datum> MapOutput<K, V> {
+    /// The task's sorted output per partition, its spills merged.
+    fn into_merged(self, nparts: usize) -> impl Iterator<Item = Run<K, V>> {
+        let mut parts: Vec<Vec<Run<K, V>>> = (0..nparts)
+            .map(|_| Vec::with_capacity(self.spills.len()))
+            .collect();
+        for spill in self.spills {
+            for (run, part) in spill.into_iter().zip(&mut parts) {
+                part.push(run);
+            }
+        }
+        parts.into_iter().map(merge_runs)
+    }
+}
+
+/// What reaches one reduce task: the runs of every map output in task
+/// order, and how many map outputs they came from.
+struct ReduceInput<K, V> {
+    runs: Vec<Run<K, V>>,
+    map_outputs: usize,
+}
+
+/// Groups map-output runs by reducer, accounting shuffle bytes. Returns
+/// one input per reduce task.
 fn shuffle_map_outputs<K: Datum, V: Datum>(
     map_outputs: Vec<MapOutput<K, V>>,
     nred: usize,
     stats: &mut JobStats,
-) -> Vec<Vec<Run<K, V>>> {
-    let mut reduce_inputs: Vec<Vec<Run<K, V>>> = (0..nred).map(|_| Vec::new()).collect();
-    for mo in map_outputs {
-        for (p, segment) in mo.partitions.into_iter().enumerate() {
-            if segment.is_empty() {
-                continue;
+) -> Vec<ReduceInput<K, V>> {
+    let mut inputs: Vec<ReduceInput<K, V>> = (0..nred)
+        .map(|p| {
+            let mut input = ReduceInput {
+                runs: Vec::new(),
+                map_outputs: 0,
+            };
+            let mut runs = 0;
+            for mo in &map_outputs {
+                let n = mo
+                    .spills
+                    .iter()
+                    .filter(|s| s.get(p).is_some_and(|r| !r.is_empty()))
+                    .count();
+                runs += n;
+                input.map_outputs += usize::from(n > 0);
             }
-            stats.shuffle_bytes += segment.data_bytes();
-            // hhsim: allow(panic-in-engine): p enumerates mo.partitions, which spill() sizes to exactly nred
-            reduce_inputs[p].push(segment);
+            input.runs.reserve_exact(runs);
+            input
+        })
+        .collect();
+    for mo in map_outputs {
+        for spill in mo.spills {
+            for (run, input) in spill.into_iter().zip(&mut inputs) {
+                if run.is_empty() {
+                    continue;
+                }
+                stats.shuffle_bytes += run.data_bytes();
+                input.runs.push(run);
+            }
         }
     }
-    reduce_inputs
+    inputs
 }
 
 /// Runs `job` over `splits` (one inner `Vec` per map task) and returns the
@@ -217,18 +299,20 @@ where
     };
 
     // ------------------------------------------------------------------
-    // Map phase: one task per split.
+    // Map phase: one task per split, all spilling through one workspace,
+    // which goes before the reduce phase so it adds nothing to its peak.
     // ------------------------------------------------------------------
+    let mut ws = Workspace::new();
     let mut map_outputs: Vec<MapOutput<M::KOut, M::VOut>> = Vec::with_capacity(splits.len());
     for split in splits {
-        let out = run_map_task(job, split, &mut stats);
-        map_outputs.push(out);
+        map_outputs.push(run_map_task(job, split, &mut ws, &mut stats));
     }
+    drop(ws);
 
     let reduce_inputs = shuffle_map_outputs(map_outputs, nred, &mut stats);
     let mut output = Vec::new();
-    for segments in reduce_inputs {
-        run_reduce_task(job, segments, &mut stats, &mut output);
+    for input in reduce_inputs {
+        run_reduce_task(job, input, &mut stats, &mut output);
     }
     JobResult { output, stats }
 }
@@ -249,10 +333,12 @@ where
         reduce_tasks: 0,
         ..JobStats::default()
     };
+    let nparts = job.config.num_reducers.max(1);
+    let mut ws = Workspace::new();
     let mut output = Vec::new();
     for split in splits {
-        let mo = run_map_task(job, split, &mut stats);
-        for part in mo.partitions {
+        let mo = run_map_task(job, split, &mut ws, &mut stats);
+        for part in mo.into_merged(nparts) {
             for (k, v) in part.into_pairs() {
                 stats.output_records += 1;
                 stats.output_bytes += (k.size_bytes() + v.size_bytes()) as u64;
@@ -266,6 +352,7 @@ where
 fn run_map_task<M, R>(
     job: &JobSpec<M, R>,
     split: Vec<(M::KIn, M::VIn)>,
+    ws: &mut Workspace<M::KOut, M::VOut>,
     stats: &mut JobStats,
 ) -> MapOutput<M::KOut, M::VOut>
 where
@@ -275,180 +362,170 @@ where
     let cfg = job.config;
     let nparts = cfg.num_reducers.max(1);
     let mut mapper = job.mapper.clone();
-    let mut combiner = job.combiner.as_ref().map(|c| SpillCombiner {
-        combiner: c.fork(),
-        out: Emitter::new(),
-    });
-    let mut emitter: Emitter<M::KOut, M::VOut> = Emitter::new();
+    let mut combiner = job.combiner.as_ref().map(|c| c.fork());
     let mut task_io = TaskIo::default();
+    let mut spills: Vec<Vec<Run<M::KOut, M::VOut>>> = Vec::new();
 
-    // Recycled spill buffer: the emitter's full buffer is swapped out here
-    // on every spill and drained in place by `sort_and_combine`, so its
-    // capacity ping-pongs between the emitter and this scratch space and
-    // steady-state mapping stops reallocating.
-    let mut scratch: Vec<(M::KOut, M::VOut)> = Vec::new();
-
-    // Sorted spill segments: each is per-partition sorted runs.
-    let mut segments: Vec<Vec<Run<M::KOut, M::VOut>>> = Vec::new();
-
-    let mut spill = |emitter: &mut Emitter<M::KOut, M::VOut>,
-                     scratch: &mut Vec<(M::KOut, M::VOut)>,
-                     stats: &mut JobStats,
-                     segments: &mut Vec<_>| {
-        emitter.drain_reusing(scratch);
-        if scratch.is_empty() {
+    let mut spill = |ws: &mut Workspace<M::KOut, M::VOut>, stats: &mut JobStats| {
+        stats.map_output_records += ws.emitter.records();
+        stats.map_output_bytes += ws.emitter.bytes();
+        ws.emitter.drain_reusing(&mut ws.recycled);
+        if ws.recycled.is_empty() {
             return;
         }
-        let (parts, in_recs, out_recs, out_bytes) =
-            sort_and_combine::<M>(scratch, nparts, &job.partitioner, combiner.as_mut());
+        let in_records = ws.recycled.len() as u64;
+        let parts = sort_and_combine(ws, nparts, &job.partitioner, combiner.as_deref_mut());
+        let out_records: u64 = parts.iter().map(|p| p.len() as u64).sum();
+        let out_bytes: u64 = parts.iter().map(Run::data_bytes).sum();
         if job.combiner.is_some() {
-            stats.combine_input_records += in_recs;
-            stats.combine_output_records += out_recs;
+            stats.combine_input_records += in_records;
+            stats.combine_output_records += out_records;
         }
         stats.spills += 1;
         stats.spill_write_bytes += out_bytes;
-        stats.map_materialized_records += out_recs;
+        stats.map_materialized_records += out_records;
         stats.map_materialized_bytes += out_bytes;
-        segments.push(parts);
+        spills.push(parts);
     };
 
     for (k, v) in split {
         task_io.input_records += 1;
         task_io.input_bytes += (k.size_bytes() + v.size_bytes()) as u64;
-        mapper.map(&k, &v, &mut emitter);
-        if emitter.bytes() >= cfg.sort_buffer_bytes {
-            stats.map_output_records += emitter.records();
-            stats.map_output_bytes += emitter.bytes();
-            spill(&mut emitter, &mut scratch, stats, &mut segments);
+        mapper.map(&k, &v, &mut ws.emitter);
+        if ws.emitter.bytes() >= cfg.sort_buffer_bytes {
+            spill(ws, stats);
         }
     }
-    mapper.finish(&mut emitter);
-    stats.map_output_records += emitter.records();
-    stats.map_output_bytes += emitter.bytes();
-    spill(&mut emitter, &mut scratch, stats, &mut segments);
+    mapper.finish(&mut ws.emitter);
+    spill(ws, stats);
 
     stats.map_input_records += task_io.input_records;
     stats.map_input_bytes += task_io.input_bytes;
 
-    // Merge spill segments per partition (accounting multi-pass cost).
-    let nsegs = segments.len();
-    if nsegs > 1 {
-        stats.map_merge_passes += cfg.merge_passes(nsegs) as u64;
-    }
-    let mut partitions: Vec<Vec<Run<M::KOut, M::VOut>>> = (0..nparts).map(|_| Vec::new()).collect();
-    let mut merged_bytes = 0u64;
-    for seg in segments {
-        for (p, run) in seg.into_iter().enumerate() {
-            merged_bytes += run.data_bytes();
-            // hhsim: allow(panic-in-engine): p enumerates seg, which holds exactly nparts runs by construction
-            partitions[p].push(run);
-        }
-    }
-    if nsegs > 1 {
-        // Every extra pass rewrites the whole materialized output.
-        stats.map_merge_bytes += merged_bytes * cfg.merge_passes(nsegs) as u64;
-    }
-    let partitions: Vec<Run<M::KOut, M::VOut>> = partitions.into_iter().map(merge_runs).collect();
-
-    for part in &partitions {
-        task_io.output_records += part.len() as u64;
-        task_io.output_bytes += part.data_bytes();
+    // Hadoop merges the spills into one sorted file per partition; that
+    // merge is accounted (every pass rewrites the whole materialized
+    // output), and the runs themselves travel to the reducers unmerged.
+    let runs = spills.iter().flatten();
+    task_io.output_records = runs.clone().map(|r| r.len() as u64).sum();
+    task_io.output_bytes = runs.map(Run::data_bytes).sum();
+    if spills.len() > 1 {
+        let passes = cfg.merge_passes(spills.len()) as u64;
+        stats.map_merge_passes += passes;
+        stats.map_merge_bytes += task_io.output_bytes * passes;
     }
     stats.map_task_io.push(task_io);
-    MapOutput { partitions }
+    MapOutput { spills }
 }
 
-/// Sorts a spill buffer by (partition, key), optionally combining per key
-/// group, and splits it into per-partition sorted columnar runs. Returns
-/// the runs plus (combine-in, combine-out, materialized-bytes) counters.
+/// Sorts the spill in `ws.recycled` by (partition, key), optionally
+/// combining per key group, and splits it into per-partition sorted
+/// columnar runs.
 ///
-/// `records` is drained in place — its (empty) allocation survives for the
-/// caller to recycle into the emitter.
+/// The spill is drained into the workspace's sort buffer, which is
+/// drained in turn, so both allocations survive for the next spill.
 ///
 /// The partitioner runs exactly once per input record: each record is
 /// decorated with its partition index up front, the buffer is
 /// `sort_unstable_by` on `(partition, key, arrival index)` — the arrival
 /// tie-break makes the unstable sort equivalent to the documented stable
 /// order — and the runs are then split at partition boundaries without
-/// re-hashing. Only a key-*rewriting* combiner pays for re-partitioning
-/// (of the rewritten records) and a stable per-partition re-sort.
-#[expect(
-    clippy::type_complexity,
-    reason = "one private caller destructures the runs and three counters at once; an alias would only add a name"
-)]
-fn sort_and_combine<M: Mapper>(
-    records: &mut Vec<(M::KOut, M::VOut)>,
+/// re-hashing. A combiner reads each key group straight from the sorted
+/// buffer; only a key-*rewriting* one pays for re-partitioning (of the
+/// rewritten records) and a stable per-partition re-sort.
+fn sort_and_combine<K: Datum, V: Datum>(
+    ws: &mut Workspace<K, V>,
     nparts: usize,
-    partitioner: &Partitioner<M::KOut>,
-    combiner: Option<&mut SpillCombiner<M::KOut, M::VOut>>,
-) -> (Vec<Run<M::KOut, M::VOut>>, u64, u64, u64) {
-    let in_records = records.len() as u64;
+    partitioner: &Partitioner<K>,
+    combiner: Option<&mut (dyn TaskCombiner<K, V> + 'static)>,
+) -> Vec<Run<K, V>> {
     assert!(
-        records.len() <= u32::MAX as usize && nparts <= u32::MAX as usize,
+        ws.recycled.len() <= u32::MAX as usize && nparts <= u32::MAX as usize,
         "spill buffers and partition counts are bounded by u32"
     );
-    let mut counts = vec![0usize; nparts];
-    let mut decorated: Vec<(u32, u32, M::KOut, M::VOut)> = Vec::with_capacity(records.len());
-    for (i, (k, v)) in records.drain(..).enumerate() {
+    ws.counts.clear();
+    ws.counts.resize(nparts, 0);
+    ws.sorted.reserve_exact(ws.recycled.len());
+    for (i, (k, v)) in ws.recycled.drain(..).enumerate() {
         let p = partitioner(&k, nparts);
         // hhsim: allow(panic-in-engine): the partitioner contract returns p < nparts (pinned by partition tests)
-        counts[p] += 1;
+        ws.counts[p] += 1;
         #[expect(
             clippy::cast_possible_truncation,
             reason = "record and partition counts are asserted to fit in u32 above"
         )]
-        decorated.push((p as u32, i as u32, k, v));
+        ws.sorted.push((p as u32, i as u32, k, v));
     }
-    decorated.sort_unstable_by(|a, b| (a.0, &a.2, a.1).cmp(&(b.0, &b.2, b.1)));
+    ws.sorted
+        .sort_unstable_by(|a, b| (a.0, &a.2, a.1).cmp(&(b.0, &b.2, b.1)));
 
-    // Split the sorted buffer at partition boundaries into columnar runs;
-    // every record's partition is already attached, so no re-hashing.
-    let mut sorted_parts: Vec<Run<M::KOut, M::VOut>> =
-        counts.iter().map(|&c| Run::with_capacity(c)).collect();
-    for (p, _, k, v) in decorated {
-        sorted_parts[p as usize].push(k, v);
-    }
-
-    let parts = match combiner {
-        None => sorted_parts,
-        Some(comb) => {
-            let mut out_parts: Vec<Run<M::KOut, M::VOut>> =
-                (0..nparts).map(|_| Run::new()).collect();
-            // A partition only needs the defensive re-sort if the combiner
-            // rewrote a key into it; key-preserving output arrives in
-            // ascending key order and stays where it is.
-            let mut dirty = vec![false; nparts];
-            for (p, run) in sorted_parts.iter().enumerate() {
-                for (key, vals) in run.groups() {
-                    comb.combiner.combine(key, vals, &mut comb.out);
-                    for (k, v) in comb.out.drain_kept() {
-                        let q = if k == *key {
-                            p
-                        } else {
-                            let q = partitioner(&k, nparts);
-                            dirty[q] = true;
-                            q
-                        };
-                        out_parts[q].push(k, v);
-                    }
+    if combiner.is_some() {
+        // Key groups per partition size the output runs instead: a
+        // key-preserving combiner that folds a group emits one record.
+        ws.counts.fill(0);
+        let mut prev: Option<(u32, &K)> = None;
+        for (p, _, k, _) in &ws.sorted {
+            if prev != Some((*p, k)) {
+                if let Some(c) = ws.counts.get_mut(*p as usize) {
+                    *c += 1;
                 }
+                prev = Some((*p, k));
             }
-            for (p, run) in out_parts.iter_mut().enumerate() {
-                if dirty[p] {
-                    run.sort_stable();
-                }
-            }
-            out_parts
         }
+    }
+    let mut parts: Vec<Run<K, V>> = ws.counts.iter().map(|&c| Run::with_capacity(c)).collect();
+
+    let Some(combiner) = combiner else {
+        // Split the sorted buffer at partition boundaries into columnar
+        // runs; every record's partition is already attached.
+        for (p, _, k, v) in ws.sorted.drain(..) {
+            if let Some(run) = parts.get_mut(p as usize) {
+                run.push(k, v);
+            }
+        }
+        return parts;
     };
-    let out_records: u64 = parts.iter().map(|p| p.len() as u64).sum();
-    let out_bytes: u64 = parts.iter().map(Run::data_bytes).sum();
-    (parts, in_records, out_records, out_bytes)
+
+    // A partition only needs the defensive re-sort if the combiner
+    // rewrote a key into it; key-preserving output arrives in ascending
+    // key order and stays where it is.
+    let mut dirty: Vec<bool> = Vec::new();
+    let mut records = ws.sorted.drain(..).peekable();
+    while let Some((p, _, key, v)) = records.next() {
+        ws.group.push(v);
+        while let Some((_, _, _, v)) = records.next_if(|r| r.0 == p && r.2 == key) {
+            ws.group.push(v);
+        }
+        combiner.combine(&key, &ws.group, &mut ws.combined);
+        ws.group.clear();
+        for (k, v) in ws.combined.drain_kept() {
+            let q = if k == key {
+                p as usize
+            } else {
+                let q = partitioner(&k, nparts);
+                assert!(
+                    q < nparts,
+                    "partitioner returned {q} of {nparts} partitions"
+                );
+                dirty.resize(nparts, false);
+                if let Some(d) = dirty.get_mut(q) {
+                    *d = true;
+                }
+                q
+            };
+            if let Some(run) = parts.get_mut(q) {
+                run.push(k, v);
+            }
+        }
+    }
+    for (run, _) in parts.iter_mut().zip(&dirty).filter(|(_, &d)| d) {
+        run.sort_stable();
+    }
+    parts
 }
 
 fn run_reduce_task<M, R>(
     job: &JobSpec<M, R>,
-    segments: Vec<Run<M::KOut, M::VOut>>,
+    input: ReduceInput<M::KOut, M::VOut>,
     stats: &mut JobStats,
     output: &mut Vec<(R::KOut, R::VOut)>,
 ) where
@@ -457,14 +534,14 @@ fn run_reduce_task<M, R>(
 {
     let cfg = job.config;
     let mut task_io = TaskIo::default();
-    let nsegs = segments.len();
-    let seg_bytes: u64 = segments.iter().map(Run::data_bytes).sum();
+    let seg_bytes: u64 = input.runs.iter().map(Run::data_bytes).sum();
     task_io.input_bytes = seg_bytes;
-    task_io.input_records = segments.iter().map(|s| s.len() as u64).sum();
+    task_io.input_records = input.runs.iter().map(|s| s.len() as u64).sum();
 
     // Extra merge passes beyond the final streaming merge: Hadoop merges
-    // down to `merge_factor` runs on disk, then streams the last merge into
-    // the reducer.
+    // the map outputs that reached it down to `merge_factor` on disk, then
+    // streams the last merge into the reducer.
+    let nsegs = input.map_outputs;
     if nsegs > cfg.merge_factor {
         let mut segs = nsegs;
         let mut passes = 0u64;
@@ -476,7 +553,7 @@ fn run_reduce_task<M, R>(
         stats.reduce_merge_bytes += seg_bytes * passes;
     }
 
-    let merged = merge_runs(segments);
+    let merged = merge_runs(input.runs);
     let mut reducer = job.reducer.clone();
     let mut emitter: Emitter<R::KOut, R::VOut> = Emitter::new();
 

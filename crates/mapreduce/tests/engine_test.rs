@@ -3,7 +3,7 @@
 
 use hhsim_mapreduce::{
     hash_partition, range_partition, run_job, run_map_only_job, Emitter, IdentityMapper,
-    IdentityReducer, JobConfig, JobSpec, Mapper, Reducer,
+    IdentityReducer, JobConfig, JobSpec, JobStats, Mapper, Reducer,
 };
 use hhsim_testkit::check;
 
@@ -115,6 +115,86 @@ fn tiny_sort_buffer_forces_spills() {
     a.sort();
     b.sort();
     assert_eq!(a, b);
+}
+
+/// Twelve map tasks of ten lines of twenty distinct words each: every
+/// task reaches every one of four reducers, and a 200-byte sort buffer
+/// spills it after every line.
+fn spilling_splits() -> Vec<Vec<(u64, String)>> {
+    let line: Vec<String> = (0..20).map(|w| format!("w{w:02}")).collect();
+    let line = line.join(" ");
+    (0..12).map(|_| lines(&[line.as_str(); 10])).collect()
+}
+
+/// Reduce-side merge passes beyond the streaming one for `inputs` sorted
+/// inputs merged `factor` at a time.
+fn extra_passes(inputs: usize, factor: usize) -> u64 {
+    let (mut left, mut passes) = (inputs, 0);
+    while left > factor {
+        left = left.div_ceil(factor);
+        passes += 1;
+    }
+    passes
+}
+
+/// `stats` less the counters the number of spills per task moves: the
+/// spill and map-merge counters, and with a combiner everything that
+/// counts the combiner's output.
+fn spill_free(stats: &JobStats, combined: bool) -> JobStats {
+    let mut s = JobStats {
+        spills: 0,
+        spill_write_bytes: 0,
+        map_merge_passes: 0,
+        map_merge_bytes: 0,
+        ..stats.clone()
+    };
+    if combined {
+        s.map_materialized_records = 0;
+        s.map_materialized_bytes = 0;
+        s.combine_output_records = 0;
+        s.shuffle_bytes = 0;
+        s.reduce_merge_bytes = 0;
+        s.reduce_input_records = 0;
+        s.map_task_io.clear();
+        s.reduce_task_io.clear();
+    }
+    s
+}
+
+/// A reducer's merge passes count the map outputs that reached it, as
+/// Hadoop's counters do, not the spill runs they arrive as: twelve
+/// outputs of ten spills each are one pass at a merge factor of 10 where
+/// 120 runs would be two, and three at a factor of 2 where 120 would be six.
+#[test]
+fn reduce_merge_passes_count_map_outputs_not_spill_runs() {
+    for (combined, factor) in [(true, 10), (false, 2)] {
+        let cfg = JobConfig::default().num_reducers(4).merge_factor(factor);
+        let job = |cfg| {
+            let job = wc_job().config(cfg);
+            if combined {
+                job.combiner(Sum)
+            } else {
+                job
+            }
+        };
+        let spilled = run_job(&job(cfg.sort_buffer_bytes(200)), spilling_splits());
+        let once = run_job(&job(cfg), spilling_splits());
+        let s = &spilled.stats;
+        assert_eq!(s.spills, 120, "ten spills per task");
+        assert_eq!(once.stats.spills, 12, "one spill per task");
+        assert_ne!(extra_passes(12, factor), extra_passes(120, factor));
+
+        let passes = extra_passes(12, factor);
+        let reduce_input: u64 = s.reduce_task_io.iter().map(|t| t.input_bytes).sum();
+        assert_eq!(s.reduce_merge_passes, 4 * passes, "combined: {combined}");
+        assert_eq!(s.reduce_merge_bytes, reduce_input * passes);
+        assert_eq!(spilled.output, once.output, "combined: {combined}");
+        assert_eq!(
+            spill_free(s, combined),
+            spill_free(&once.stats, combined),
+            "combined: {combined}"
+        );
+    }
 }
 
 #[test]

@@ -21,14 +21,29 @@ pub struct Allocs {
     /// Bytes this thread allocated less the bytes it freed: what the
     /// work left behind, when it frees on the thread that allocated.
     pub live: i64,
+    /// The high-water mark of `live` while the work ran, from zero at its
+    /// start: the most it held at once beyond what it found.
+    pub peak: u64,
+}
+
+/// One thread's running totals; `live` and `high` are absolute, and
+/// `high` is the high-water mark of `live` since the innermost running
+/// [`counted`] began.
+#[derive(Clone, Copy)]
+struct Tally {
+    calls: u64,
+    bytes: u64,
+    live: i64,
+    high: i64,
 }
 
 thread_local! {
-    static COUNTS: Cell<Allocs> = const {
-        Cell::new(Allocs {
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally {
             calls: 0,
             bytes: 0,
             live: 0,
+            high: 0,
         })
     };
 }
@@ -37,25 +52,43 @@ thread_local! {
 /// `freed` to this thread's counters.
 fn note(calls: u64, size: usize, freed: usize) {
     // A thread being torn down has no counters left to bump.
-    let _ = COUNTS.try_with(|c| {
+    let _ = TALLY.try_with(|c| {
         let n = c.get();
-        c.set(Allocs {
+        let live = n.live + size as i64 - freed as i64;
+        c.set(Tally {
             calls: n.calls + calls,
             bytes: n.bytes + size as u64,
-            live: n.live + size as i64 - freed as i64,
+            live,
+            high: n.high.max(live),
         });
     });
 }
 
 /// Runs `work` on this thread and returns what it allocated here.
+///
+/// Calls nest: an inner `counted` measures its own peak from where it
+/// starts, and the outer one still sees the inner work's high-water mark.
 pub fn counted<T>(work: impl FnOnce() -> T) -> (T, Allocs) {
-    let before = COUNTS.with(Cell::get);
+    let before = TALLY.with(|c| {
+        let n = c.get();
+        c.set(Tally { high: n.live, ..n });
+        n
+    });
     let out = work();
-    let after = COUNTS.with(Cell::get);
+    let after = TALLY.with(|c| {
+        let n = c.get();
+        c.set(Tally {
+            high: n.high.max(before.high),
+            ..n
+        });
+        n
+    });
     let allocs = Allocs {
         calls: after.calls - before.calls,
         bytes: after.bytes - before.bytes,
         live: after.live - before.live,
+        // `high` started this call at `before.live` and only rose.
+        peak: (after.high - before.live).unsigned_abs(),
     };
     (out, allocs)
 }
@@ -112,7 +145,8 @@ mod tests {
             Allocs {
                 calls: 1,
                 bytes: MIB as u64,
-                live: MIB as i64
+                live: MIB as i64,
+                peak: MIB as u64,
             }
         );
         let ((), freed) = counted(|| drop(v));
@@ -133,5 +167,38 @@ mod tests {
             "{} bytes: another thread's allocation was counted",
             spawned.bytes
         );
+    }
+
+    #[test]
+    fn peak_is_the_high_water_mark_of_the_work() {
+        // Allocate then free: the peak is what was held at once.
+        let ((), a) = counted(|| {
+            let big = black_box(vec![1u8; MIB]);
+            drop(big);
+            drop(black_box(vec![1u8; MIB / 2]));
+        });
+        assert_eq!((a.live, a.peak), (0, MIB as u64));
+
+        // Free older memory, then allocate less: the work never held more
+        // than it found, so its peak is zero.
+        let old = black_box(vec![1u8; MIB]);
+        let (kept, b) = counted(|| {
+            drop(old);
+            black_box(vec![1u8; MIB / 4])
+        });
+        assert_eq!(b.live, -((MIB - MIB / 4) as i64));
+        assert_eq!(b.peak, 0);
+        drop(kept);
+
+        // Nesting: the inner call measures from its own start, and the
+        // outer call keeps the inner work's high-water mark.
+        let ((), outer) = counted(|| {
+            let held = black_box(vec![1u8; MIB / 2]);
+            let ((), inner) = counted(|| drop(black_box(vec![1u8; MIB])));
+            assert_eq!(inner.peak, MIB as u64);
+            drop(held);
+            drop(black_box(vec![1u8; MIB / 8]));
+        });
+        assert_eq!(outer.peak, (MIB + MIB / 2) as u64);
     }
 }

@@ -165,14 +165,16 @@ impl AppId {
             }
             AppId::FpGrowth => {
                 let min_support = (cfg.input_bytes / 1200).max(3);
-                let res = fp_growth::run(
+                // As with NB, the statistics are all a run keeps: the
+                // mined patterns are not decoded into item names.
+                let jobs = fp_growth::run_jobs(
                     &input,
                     min_support,
                     cfg.num_reducers.max(1) as u32,
                     cfg.block_bytes,
                     job_cfg,
                 );
-                FunctionalRun::chained(vec![res.count_stats, res.mine_stats])
+                FunctionalRun::chained(vec![jobs.count_stats, jobs.mine.stats])
             }
         }
     }

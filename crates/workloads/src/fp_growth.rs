@@ -233,18 +233,31 @@ pub struct FpGrowthResult {
     pub mine_stats: JobStats,
 }
 
-/// Runs parallel FP-Growth over transaction lines.
+/// The two jobs' outcome, the mined patterns still keyed by rank.
+#[derive(Debug, Clone)]
+pub struct FpJobs {
+    /// The frequent-item list the mining job ranked items by.
+    pub flist: FList,
+    /// Counting-job statistics.
+    pub count_stats: JobStats,
+    /// The mining job: its patterns keyed by their items' ranks,
+    /// space-separated, and its statistics.
+    pub mine: JobResult<Text, u64>,
+}
+
+/// Runs the two jobs of parallel FP-Growth over transaction lines,
+/// leaving the mined patterns keyed by rank; [`run`] decodes them.
 ///
 /// # Panics
 ///
 /// Panics if `min_support` is zero or `groups` is zero.
-pub fn run(
+pub fn run_jobs(
     input: &Bytes,
     min_support: u64,
     groups: u32,
     block_bytes: u64,
     cfg: JobConfig,
-) -> FpGrowthResult {
+) -> FpJobs {
     assert!(min_support > 0, "min_support must be positive");
     assert!(groups > 0, "need at least one group");
     // Job 1: item counting.
@@ -265,24 +278,46 @@ pub fn run(
         },
     )
     .config(cfg);
-    let mine_res = run_job(&mine_job, text_splits_from_bytes(input, block_bytes));
+    let mine = run_job(&mine_job, text_splits_from_bytes(input, block_bytes));
+    FpJobs {
+        flist,
+        count_stats: count_res.stats,
+        mine,
+    }
+}
 
-    let patterns = mine_res
+/// Runs parallel FP-Growth over transaction lines: [`run_jobs`], then
+/// each pattern decoded into its item names.
+///
+/// # Panics
+///
+/// Panics if `min_support` is zero or `groups` is zero.
+pub fn run(
+    input: &Bytes,
+    min_support: u64,
+    groups: u32,
+    block_bytes: u64,
+    cfg: JobConfig,
+) -> FpGrowthResult {
+    let jobs = run_jobs(input, min_support, groups, block_bytes, cfg);
+    let items = &jobs.flist.items;
+    let patterns = jobs
+        .mine
         .output
         .iter()
         .map(|(ranks, support)| {
             let names: Vec<String> = ranks
                 .as_str()
                 .split_whitespace()
-                .map(|r| flist.items[r.parse::<usize>().expect("rank key")].clone())
+                .map(|r| items[r.parse::<usize>().expect("rank key")].clone())
                 .collect();
             (names, *support)
         })
         .collect();
     FpGrowthResult {
         patterns,
-        count_stats: count_res.stats,
-        mine_stats: mine_res.stats,
+        count_stats: jobs.count_stats,
+        mine_stats: jobs.mine.stats,
     }
 }
 

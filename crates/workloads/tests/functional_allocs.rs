@@ -1,7 +1,8 @@
-//! Allocation ratchet for the functional MapReduce path: allocator calls
-//! of the twelve ratio runs (six apps at the two scales `hhsim-core`'s
-//! `AppRatios` measures them at), per app over both scales, input
-//! generation included.
+//! Allocation ratchet for the functional MapReduce path: allocator calls,
+//! bytes requested and peak live bytes of the twelve ratio runs (six apps
+//! at the two scales `hhsim-core`'s `AppRatios` measures them at), per app
+//! over both scales, input generation included. Calls and bytes are summed
+//! over the two runs; the peak is the larger run's.
 //!
 //! Its own test binary so it may install a counting `#[global_allocator]`
 //! (`hhsim_testkit::Counting`). Counts are of the thread that runs the
@@ -39,16 +40,22 @@ const SCALES: [FunctionalConfig; 2] = [
     },
 ];
 
-/// Allocator calls per app over both scales, in `AppId::ALL` order. The
-/// parent of shared-buffer `Line` records and the arena FP-tree read WC
-/// 22 914, ST 48 528, GP 18 768, TS 50 633, NB 17 135 and FP 230 193 here.
-const PINS: [(AppId, u64); 6] = [
-    (AppId::WordCount, 4_692),
-    (AppId::Sort, 957),
-    (AppId::Grep, 546),
-    (AppId::TeraSort, 1_083),
-    (AppId::NaiveBayes, 5_500),
-    (AppId::FpGrowth, 5_471),
+/// `[calls, bytes, peak]` per app, in `AppId::ALL` order. The parent of
+/// shared-buffer `Line` records and the arena FP-tree read WC 22 914, ST
+/// 48 528, GP 18 768, TS 50 633, NB 17 135 and FP 230 193 calls here. The parent of the job
+/// workspace (one set of spill buffers per job, combiners reading the
+/// sorted buffer, map outputs reaching reducers as their spill runs) read
+/// calls / bytes / peak: WC 4 692 / 45 995 256 / 3 826 344, ST 957 /
+/// 12 698 088 / 2 279 336, GP 546 / 5 361 134 / 1 573 000, TS 1 083 /
+/// 10 360 136 / 1 821 824, NB 5 500 / 66 795 336 / 5 677 128 and FP
+/// 5 471 / 50 933 394 / 3 162 246 (FP still decoding its patterns).
+const PINS: [(AppId, [u64; 3]); 6] = [
+    (AppId::WordCount, [824, 17_812_896, 3_642_824]),
+    (AppId::Sort, [725, 8_886_304, 2_345_512]),
+    (AppId::Grep, [335, 4_211_342, 1_573_000]),
+    (AppId::TeraSort, [555, 7_411_880, 1_822_240]),
+    (AppId::NaiveBayes, [941, 29_550_672, 5_685_608]),
+    (AppId::FpGrowth, [1_708, 24_650_824, 3_180_518]),
 ];
 
 #[test]
@@ -61,15 +68,22 @@ fn functional_runs_stay_within_their_allocation_pins() {
         );
     }
 
-    let mut table = String::from("app  calls      pin\n");
+    let mut table = String::from("app  calls    bytes       peak      pin\n");
     let mut moved = Vec::new();
     for (app, pin) in PINS {
-        let calls: u64 = SCALES
-            .iter()
-            .map(|cfg| counted(|| drop(app.run_functional(cfg))).1.calls)
-            .sum();
-        writeln!(table, "{:<4} {calls:<9} {pin}", app.short_name()).expect("String write");
-        if calls != pin {
+        let mut got = [0u64; 3];
+        for cfg in &SCALES {
+            let ((), a) = counted(|| drop(app.run_functional(cfg)));
+            got = [got[0] + a.calls, got[1] + a.bytes, got[2].max(a.peak)];
+        }
+        let [calls, bytes, peak] = got;
+        writeln!(
+            table,
+            "{:<4} {calls:<8} {bytes:<11} {peak:<9} {pin:?}",
+            app.short_name()
+        )
+        .expect("String write");
+        if got != pin {
             moved.push(app);
         }
     }
