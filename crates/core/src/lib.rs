@@ -61,8 +61,8 @@ pub use harness::{
     ReplicationSummary,
 };
 pub use model::{
-    job_class, simulate, ConfigError, Measurement, NodeMix, PhaseCost, PlacementKind, Reading,
-    SimConfig, SimError,
+    job_class, simulate, ConfigError, Measurement, NodeMix, PlacementKind, Reading, SimConfig,
+    SimError,
 };
 pub use ratios::AppRatios;
 pub use report::{FigureData, Row};

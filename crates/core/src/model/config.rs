@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, Frequency, MachineModel};
-use hhsim_energy::{CostMetrics, MeterReading, MetricKind};
+use hhsim_energy::{CostMetrics, MetricKind};
 use hhsim_faults::{FaultConfig, FaultStats};
 use hhsim_hdfs::{BlockSize, Topology};
 use hhsim_mapreduce::{JobConfig, PhaseBreakdown};
@@ -234,41 +234,16 @@ fn mix_presets() -> &'static [MachineModel; 2] {
     PRESETS.get_or_init(presets::both)
 }
 
-/// Time and power of one phase on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PhaseCost {
-    /// Wall-clock seconds of the phase.
-    pub seconds: f64,
-    /// Dynamic (above idle) node power during the phase, watts.
-    pub dynamic_watts: f64,
-    /// CPU share of one task's time (diagnostics/ablation).
-    pub cpu_seconds_per_task: f64,
-    /// Raw (pre-overlap) disk+network share of one task's time.
-    pub io_seconds_per_task: f64,
-}
-
-impl PhaseCost {
-    /// Dynamic energy of the phase across `nodes` nodes, joules.
-    pub fn energy_j(&self, nodes: usize) -> f64 {
-        self.seconds * self.dynamic_watts * nodes as f64
-    }
-}
-
-/// Everything measured for one experiment point.
+/// Everything measured for one experiment point: what the results read.
+/// The meter decides the five energy fields — `energy_j`,
+/// `exact_energy_j`, `cost`, `map_cost` and `reduce_cost` — and nothing
+/// else; the other five come from the engine and read the same under
+/// either meter. (A §3.4 offload, which only the phase-average meter
+/// reads, shortens `breakdown`'s map time.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
-    /// Configuration echo (app/machine identifiers for reports).
-    pub app: AppId,
-    /// Machine name.
-    pub machine_name: String,
     /// Wall-clock phase breakdown.
     pub breakdown: PhaseBreakdown,
-    /// Map phase detail.
-    pub map: PhaseCost,
-    /// Reduce phase detail.
-    pub reduce: PhaseCost,
-    /// Others (setup/cleanup/master) detail.
-    pub others: PhaseCost,
     /// Map-phase slot admission counters from the cluster engine
     /// (queueing delay, peak occupancy), summed over chained jobs.
     pub map_slots: SlotStats,
@@ -278,12 +253,9 @@ pub struct Measurement {
     /// fault injection).
     pub faults: FaultStats,
     /// Map tasks per locality tier `[node-local, rack-local, off-rack]`
-    /// over all jobs, counted by the per-node meter. Without an active
-    /// topology every map read is node-local, so it reads
-    /// `[n_map, 0, 0]`; the phase-average meter leaves `[0, 0, 0]`.
+    /// over all jobs. Without an active topology every map read is
+    /// node-local, so it reads `[n_map, 0, 0]`.
     pub map_locality_tiers: [u64; 3],
-    /// Simulated Wattsup reading over the whole run (one node).
-    pub reading: MeterReading,
     /// Total dynamic energy over all nodes, joules — the 1 Hz metered
     /// estimate the paper's methodology (and every checked-in figure)
     /// is built on.
@@ -300,8 +272,6 @@ pub struct Measurement {
     pub map_cost: CostMetrics,
     /// Reduce-phase-only cost metrics.
     pub reduce_cost: CostMetrics,
-    /// IPC the core model sustains on this app's map profile (Fig. 1).
-    pub map_ipc: f64,
 }
 
 /// The scheduler-facing class of an application ([`AppClass`] mapped onto

@@ -46,9 +46,11 @@
 //!   [`NodeMix`], active faults or an active topology read it — there a
 //!   phase has no one power level.
 //!
-//! Both read the same run (equal phase breakdown, slot counters and IPC)
-//! and disagree on its energy — the per-node meter reads a homogeneous
-//! run 8–33 % lower in EDP — so a comparison must keep to one of them.
+//! Both read the same run and decide only the five energy fields of its
+//! [`Measurement`] (`energy_j`, `exact_energy_j`, `cost`, `map_cost`,
+//! `reduce_cost`); they disagree on those — the per-node meter reads a
+//! homogeneous run 8–33 % lower in EDP — so a comparison must keep to one
+//! of them.
 
 mod config;
 mod contract;
@@ -59,7 +61,7 @@ mod tests;
 mod timing;
 
 pub use config::{
-    job_class, Measurement, NodeMix, PhaseCost, PlacementKind, SimConfig, MICRO_DATA, REAL_DATA,
+    job_class, Measurement, NodeMix, PlacementKind, SimConfig, MICRO_DATA, REAL_DATA,
 };
 pub(crate) use contract::{check_split, Validated};
 pub use contract::{ConfigError, Reading, SimError};

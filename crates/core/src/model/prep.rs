@@ -1,8 +1,6 @@
 //! The only pricing of a run: everything about it that depends neither on
 //! the fault seed nor on the meter.
 
-use std::borrow::Cow;
-
 use hhsim_arch::{ComputeProfile, CoreKind, MachineModel};
 use hhsim_hdfs::{
     BlockId, DiskModel, HdfsDefault, LocalityTier, NodeId, PlacementRequest, ReplicaPlacement,
@@ -114,11 +112,9 @@ pub(crate) struct ClusterPrep<'a> {
     /// Active rack fabric, when the run models the network topology.
     pub(super) topology: Option<Topology>,
     pub(super) others_wall: f64,
-    /// Per kind `[big, little]`: (total W, dynamic W) of a node during the
-    /// others window.
-    pub(super) oth_power: [(f64, f64); 2],
-    pub(super) machine_name: Cow<'a, str>,
-    pub(super) map_ipc: f64,
+    /// Per kind `[big, little]`: watts a node draws during the others
+    /// window.
+    pub(super) oth_power: [f64; 2],
 }
 
 impl PhasePrep {
@@ -339,7 +335,7 @@ impl<'a> ClusterPrep<'a> {
         let tasks: usize = (std::iter::once(&dominant).chain(&chained))
             .map(|j| j.timing.n_map + j.timing.n_red)
             .sum();
-        let [map_stalls, .., launch_stalls] = lead.stalls;
+        let [.., launch_stalls] = lead.stalls;
         let others_wall = ratios.jobs.len() as f64 * (JOB_SETUP_S + JOB_CLEANUP_S)
             + cpu_seconds(
                 lead.m,
@@ -349,18 +345,13 @@ impl<'a> ClusterPrep<'a> {
                 MASTER_INSTR_PER_TASK * tasks as f64 / nodes_total as f64,
             );
         let oth_power = kinds.map(|k| {
-            k.map_or((0.0, 0.0), |KindPrep { m, .. }| {
+            k.map_or(0.0, |KindPrep { m, .. }| {
                 let op = m.operating_point(f);
-                let p_oth = m.power.node_power(op, 1, m.num_cores, 0.35, 0.2, 0.1);
-                (p_oth.total(), p_oth.dynamic())
+                (m.power)
+                    .node_power(op, 1, m.num_cores, 0.35, 0.2, 0.1)
+                    .total()
             })
         });
-
-        let machine_name = match cfg.node_mix {
-            Some(_) => Cow::Owned(format!("Mixed({n_big}xXeon+{n_little}xAtom)")),
-            None => Cow::Borrowed(cfg.machine.name.as_str()),
-        };
-        let map_ipc = 1.0 / (lead.m).cpi_with_stalls(map_prof, f, map_stalls.0, map_stalls.1);
         let [map_prof, red_prof, _] = profiles;
 
         ClusterPrep {
@@ -378,8 +369,6 @@ impl<'a> ClusterPrep<'a> {
             topology,
             others_wall,
             oth_power,
-            machine_name,
-            map_ipc,
         }
     }
 

@@ -1,12 +1,15 @@
 //! Running a priced cluster and reading it: the one job/phase loop, both
-//! meters, and [`SimConfig::run`], the one door into them.
+//! meters, and [`SimConfig::run`], the one door into them. The engine's
+//! phase runs fill a [`Measurement`]'s times and counters; a meter decides
+//! its five energy fields (`energy_j`, `exact_energy_j`, `cost`,
+//! `map_cost`, `reduce_cost`) and nothing else.
 
 use hhsim_arch::ComputeProfile;
-use hhsim_energy::{CostMetrics, MeterReading, StreamingMeter, UtilizationTimeline};
+use hhsim_energy::{CostMetrics, StreamingMeter, UtilizationTimeline};
 use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
 use hhsim_mapreduce::PhaseBreakdown;
 
-use super::config::{Measurement, PhaseCost, SimConfig};
+use super::config::{Measurement, SimConfig};
 use super::contract::{Reading, SimError};
 use super::prep::{of_kind, ClusterPrep, KindPrep, PhasePrep};
 use crate::cluster::{
@@ -197,11 +200,9 @@ impl ClusterPrep<'_> {
         for job in self.jobs() {
             let (map_run, dyn_j) = run(&job.map, false, None, engine)?;
             map_slots.absorb(&map_run.slots);
-            if meter == Meter::PerNode {
-                for s in &map_run.spans {
-                    if let Some(c) = map_locality_tiers.get_mut(s.tier.idx()) {
-                        *c += 1;
-                    }
+            for s in &map_run.spans {
+                if let Some(c) = map_locality_tiers.get_mut(s.tier.idx()) {
+                    *c += 1;
                 }
             }
             map_wall += map_run.makespan_s;
@@ -231,47 +232,27 @@ impl ClusterPrep<'_> {
         }
 
         let walls = PhaseBreakdown::new(map_wall, reduce_wall, self.others_wall);
-        let read = match meter {
+        let Metered {
+            breakdown,
+            phase_energy_j: (map_j, reduce_j),
+            energy_j,
+            exact_energy_j,
+            area,
+        } = match meter {
             Meter::PhaseAverage => self.phase_average(walls, hotspot_wall),
             Meter::PerNode => self.per_node(walls, node_meters, map_dyn_j, red_dyn_j),
         };
-        let (breakdown, area) = (read.breakdown, read.area);
-        let [map_w, reduce_w, others_w] = read.dynamic_watts;
-        let (map_j, reduce_j) = read.phase_energy_j;
-        let dominant = &self.dominant.timing;
         Ok(Measurement {
-            app: self.cfg.app,
-            machine_name: self.machine_name.to_string(),
             breakdown,
-            map: PhaseCost {
-                seconds: breakdown.map_s,
-                dynamic_watts: map_w,
-                cpu_seconds_per_task: dominant.map_cpu_task,
-                io_seconds_per_task: dominant.map_io_task,
-            },
-            reduce: PhaseCost {
-                seconds: breakdown.reduce_s,
-                dynamic_watts: reduce_w,
-                cpu_seconds_per_task: read.reduce_task_s.0,
-                io_seconds_per_task: read.reduce_task_s.1,
-            },
-            others: PhaseCost {
-                seconds: breakdown.others_s,
-                dynamic_watts: others_w,
-                cpu_seconds_per_task: 0.0,
-                io_seconds_per_task: 0.0,
-            },
             map_slots,
             reduce_slots,
             faults: fault_stats,
             map_locality_tiers,
-            reading: read.reading,
-            energy_j: read.energy_j,
-            exact_energy_j: read.exact_energy_j,
-            cost: CostMetrics::new(read.energy_j, breakdown.total(), area),
+            energy_j,
+            exact_energy_j,
+            cost: CostMetrics::new(energy_j, breakdown.total(), area),
             map_cost: CostMetrics::new(map_j, breakdown.map_s.max(1e-9), area),
             reduce_cost: CostMetrics::new(reduce_j, breakdown.reduce_s.max(1e-9), area),
-            map_ipc: self.map_ipc,
         })
     }
 
@@ -336,7 +317,7 @@ impl ClusterPrep<'_> {
         let n_red_total = self.jobs().map(|j| j.timing.n_red).sum();
         let p_red = power(n_red_total, &self.red_prof, io_frac_red);
         let [big_oth, little_oth] = self.oth_power;
-        let (oth_w, oth_dyn_w) = of_kind(m.core.kind, big_oth, little_oth);
+        let oth_w = of_kind(m.core.kind, big_oth, little_oth);
 
         let mut meter = StreamingMeter::new();
         meter.push(breakdown.map_s, p_map.total());
@@ -346,20 +327,14 @@ impl ClusterPrep<'_> {
         let exact_dynamic_j = (meter.exact_energy_j() - idle * meter.duration_s()).max(0.0);
         let reading = meter.finish().meter;
 
-        // `× nodes` last, as `PhaseCost::energy_j` has it.
+        // One node's phase energy, then `× nodes`: the cluster's.
         let phase_j = |seconds: f64, dynamic_w: f64| seconds * dynamic_w * nodes as f64;
         Metered {
             breakdown,
-            dynamic_watts: [p_map.dynamic(), p_red.dynamic(), oth_dyn_w],
-            reduce_task_s: (
-                self.jobs().map(|j| j.timing.red_cpu_task).sum(),
-                red_io_task,
-            ),
             phase_energy_j: (
                 phase_j(breakdown.map_s, p_map.dynamic()),
                 phase_j(breakdown.reduce_s, p_red.dynamic()),
             ),
-            reading,
             energy_j: reading.dynamic_energy_j(idle) * nodes as f64,
             exact_energy_j: exact_dynamic_j * nodes as f64,
             area: slots as f64 * m.area_mm2,
@@ -376,13 +351,9 @@ impl ClusterPrep<'_> {
         red_dyn_j: f64,
     ) -> Metered {
         let nodes = &self.cluster.nodes;
-        let nodes_total = nodes.len() as f64;
         let [big_oth, little_oth] = self.oth_power;
-        let mut oth_dyn_w_sum = 0.0;
         for (meter, node) in node_meters.iter_mut().zip(nodes) {
-            let (total_w, dyn_w) = of_kind(node.kind, big_oth, little_oth);
-            meter.push(self.others_wall, total_w);
-            oth_dyn_w_sum += dyn_w;
+            meter.push(self.others_wall, of_kind(node.kind, big_oth, little_oth));
         }
 
         // Finish every node's streamed 1 Hz view and exact integral. Engaged
@@ -391,11 +362,6 @@ impl ClusterPrep<'_> {
         let mut energy_j = 0.0;
         let mut exact_energy_j = 0.0;
         let mut area_sum = 0.0;
-        let mut reading = MeterReading {
-            samples: 0,
-            average_watts: 0.0,
-            duration_s: 0.0,
-        };
         for (i, meter) in node_meters.into_iter().enumerate() {
             let Some((node, m)) = self.node(i) else {
                 continue;
@@ -404,48 +370,24 @@ impl ClusterPrep<'_> {
             energy_j += er.meter.dynamic_energy_j(m.power.node_idle_w);
             exact_energy_j += er.exact_dynamic_energy_j(m.power.node_idle_w);
             area_sum += node.slots as f64 * m.area_mm2;
-            if i == 0 {
-                reading = er.meter;
-            }
         }
-
-        let per_node_watts = |dyn_j: f64, seconds: f64| {
-            if seconds > 0.0 {
-                dyn_j / seconds / nodes_total
-            } else {
-                0.0
-            }
-        };
-        let dom = &self.dominant.timing;
         Metered {
             breakdown,
-            dynamic_watts: [
-                per_node_watts(map_dyn_j, breakdown.map_s),
-                per_node_watts(red_dyn_j, breakdown.reduce_s),
-                oth_dyn_w_sum / nodes_total,
-            ],
-            reduce_task_s: (dom.red_cpu_task, dom.red_io_task),
             phase_energy_j: (map_dyn_j, red_dyn_j),
-            reading,
             energy_j,
             exact_energy_j,
-            area: area_sum / nodes_total,
+            area: area_sum / nodes.len() as f64,
         }
     }
 }
 
-/// What a meter makes of a run: what the [`Measurement`] fields that
-/// depend on the meter are put together from.
+/// What a meter makes of a run: the [`Measurement`]'s energy fields are
+/// put together from it, and its breakdown is the run's (with an
+/// accelerated map phase, the offloaded one).
 struct Metered {
     breakdown: PhaseBreakdown,
-    /// Dynamic (above idle) power of a node during the map, reduce and
-    /// others windows, watts.
-    dynamic_watts: [f64; 3],
-    /// (CPU, raw I/O) seconds of one reduce task.
-    reduce_task_s: (f64, f64),
     /// Dynamic energy of the (map, reduce) phases over all nodes, joules.
     phase_energy_j: (f64, f64),
-    reading: MeterReading,
     energy_j: f64,
     exact_energy_j: f64,
     area: f64,

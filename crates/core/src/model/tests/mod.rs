@@ -1,6 +1,6 @@
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, Frequency, MachineModel};
-use hhsim_energy::MetricKind;
+use hhsim_energy::{CostMetrics, MetricKind};
 use hhsim_faults::{FaultConfig, FaultStats, PhaseError};
 use hhsim_hdfs::{BlockSize, Topology};
 use hhsim_testkit::streamed;
@@ -23,6 +23,12 @@ fn traced(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
 fn traced_on(cfg: &SimConfig, cache: &SimCache) -> (Measurement, ClusterTimeline) {
     let (m, timeline) = (cfg.run(cache, Reading::Traced)).expect("a valid run completes");
     (m, timeline.expect("a traced run fills a timeline"))
+}
+
+/// Dynamic power of the map phase over the whole cluster, watts: at equal
+/// node counts, comparing it compares one node's.
+fn map_watts(m: &Measurement) -> f64 {
+    m.map_cost.energy_j / m.breakdown.map_s
 }
 
 /// `cfg` read per node without a timeline, on `cache`.
@@ -50,10 +56,10 @@ fn atom_draws_much_less_power() {
         let x = simulate(&base(app, presets::xeon_e5_2420()));
         let a = simulate(&base(app, presets::atom_c2758()));
         assert!(
-            x.map.dynamic_watts > 3.0 * a.map.dynamic_watts,
+            map_watts(&x) > 3.0 * map_watts(&a),
             "{app}: {} vs {}",
-            x.map.dynamic_watts,
-            a.map.dynamic_watts
+            map_watts(&x),
+            map_watts(&a)
         );
     }
 }
@@ -119,7 +125,7 @@ fn more_mappers_speed_up_compute_bound_apps() {
     let m8 = simulate(&base(AppId::NaiveBayes, presets::atom_c2758()).mappers(8));
     assert!(m8.breakdown.total() < m2.breakdown.total());
     // But power grows with cores.
-    assert!(m8.map.dynamic_watts > m2.map.dynamic_watts);
+    assert!(map_watts(&m8) > map_watts(&m2));
 }
 
 #[test]
@@ -161,7 +167,6 @@ fn mixed_cluster_runs_and_traces() {
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
     let (m, tl) = traced(&cfg);
-    assert_eq!(m.machine_name, "Mixed(1xXeon+2xAtom)");
     assert_eq!(tl.nodes.len(), 3);
     assert!(!tl.is_empty());
     assert!(m.breakdown.total() > 0.0);
@@ -481,9 +486,8 @@ fn failed_run_is_held_as_its_error() {
 #[test]
 fn homogeneous_trace_covers_cluster() {
     let cfg = base(AppId::Grep, presets::atom_c2758());
-    let (m, tl) = traced(&cfg);
+    let (_, tl) = traced(&cfg);
     assert_eq!(tl.nodes.len(), 3);
-    assert_eq!(m.machine_name, cfg.machine.name);
     // Grep chains two jobs: phase labels carry the job index.
     let json = streamed(|w| tl.write_chrome_trace(w));
     assert!(json.contains("\"cat\":\"map0\""));
@@ -503,12 +507,8 @@ fn both_meters_read_the_same_run() {
                         let point = format!("{app}/{}/{f:?}/{block:?}/{mappers:?}", m.name);
                         let averaged = simulate(&cfg);
                         let (per_node, _) = traced(&cfg);
-                        assert_eq!(averaged.breakdown, per_node.breakdown, "{point}");
-                        assert_eq!(averaged.map_slots, per_node.map_slots, "{point}");
-                        assert_eq!(averaged.reduce_slots, per_node.reduce_slots, "{point}");
-                        assert_eq!(averaged.map_ipc, per_node.map_ipc, "{point}");
-                        assert_eq!(averaged.machine_name, per_node.machine_name, "{point}");
                         energy_differs |= averaged.energy_j != per_node.energy_j;
+                        assert_eq!(unmetered(averaged), unmetered(per_node), "{point}");
                     }
                 }
             }
@@ -517,6 +517,20 @@ fn both_meters_read_the_same_run() {
     // The meters differ on purpose; if they stop differing, one of
     // them is dead code.
     assert!(energy_differs);
+}
+
+/// `m` with the five fields a meter decides zeroed: what is left comes
+/// from the engine, and both meters must read it the same.
+fn unmetered(m: Measurement) -> Measurement {
+    let none = CostMetrics::new(0.0, 0.0, 0.0);
+    Measurement {
+        energy_j: 0.0,
+        exact_energy_j: 0.0,
+        cost: none,
+        map_cost: none,
+        reduce_cost: none,
+        ..m
+    }
 }
 
 #[test]
@@ -533,12 +547,7 @@ fn zero_sided_mix_is_the_homogeneous_cluster() {
                 placement: PlacementKind::FifoAny,
             });
             let (homogeneous, plain_timeline) = traced(&plain);
-            let (mut mixed, mix_timeline) = traced(&mix);
-            assert_eq!(
-                mixed.machine_name,
-                format!("Mixed({big}xXeon+{little}xAtom)")
-            );
-            mixed.machine_name.clone_from(&homogeneous.machine_name);
+            let (mixed, mix_timeline) = traced(&mix);
             assert_eq!(mixed, homogeneous, "{app} {big}+{little}");
             assert_eq!(mix_timeline, plain_timeline, "{app} {big}+{little}");
         }

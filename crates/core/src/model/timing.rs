@@ -2,15 +2,13 @@
 //! on one machine model.
 
 use hhsim_arch::{ComputeProfile, CoreKind, Frequency, MachineModel};
-use hhsim_hdfs::DiskModel;
+use hhsim_hdfs::{DiskModel, GIGE_BYTES_PER_S};
 
 use super::config::SimConfig;
 use super::prep::KindPrep;
 use crate::cluster::Cluster;
 use crate::ratios::JobRatios;
 
-/// NIC bandwidth per node, bytes/s (1 GbE, the paper's era).
-const NET_BYTES_PER_S: f64 = 117.0e6;
 /// Replication factor charged on final output writes.
 const OUTPUT_REPLICATION: f64 = 2.0;
 
@@ -45,9 +43,7 @@ pub(super) fn cpu_seconds(
 pub(super) struct JobTiming {
     pub(super) map_task_s: f64,
     pub(super) red_task_s: f64,
-    pub(super) map_cpu_task: f64,
     pub(super) map_io_task: f64,
-    pub(super) red_cpu_task: f64,
     pub(super) red_io_task: f64,
     pub(super) n_map: usize,
     pub(super) n_red: usize,
@@ -181,13 +177,13 @@ pub(super) fn job_timing(
     } else {
         0
     };
-    let (red_task_s, t_cpu_red, t_io_red_raw, red_input_bytes) = if n_red > 0 {
+    let (red_task_s, t_io_red_raw, red_input_bytes) = if n_red > 0 {
         let red_input = shuffle_total / n_red as f64 * job.reduce_skew.min(1.5);
         let red_streams = slots.min(n_red.div_ceil(nodes)).max(1);
         let red_concurrency = red_streams as f64;
         // Cross-node shuffle transfer (the local share stays on-node).
         let cross = red_input * (nodes as f64 - 1.0) / nodes as f64;
-        let t_net = cross / NET_BYTES_PER_S * red_concurrency;
+        let t_net = cross / GIGE_BYTES_PER_S * red_concurrency;
         // Reduce-side merge passes over n_map segments.
         let passes = {
             let mut segs = n_map;
@@ -219,17 +215,15 @@ pub(super) fn job_timing(
             * pressure;
         let t_io_raw = t_disk + t_net;
         let task_s = t_cpu + t_io_raw * (1.0 - m.core.io_overlap);
-        (task_s, t_cpu, t_io_raw, red_input)
+        (task_s, t_io_raw, red_input)
     } else {
-        (0.0, 0.0, 0.0, 0.0)
+        (0.0, 0.0, 0.0)
     };
 
     JobTiming {
         map_task_s,
         red_task_s,
-        map_cpu_task: t_cpu_map,
         map_io_task: t_disk_map,
-        red_cpu_task: t_cpu_red,
         red_io_task: t_io_red_raw,
         n_map,
         n_red,

@@ -3,7 +3,7 @@
 
 use hhsim_core::accel::AccelConfig;
 use hhsim_core::arch::{presets, Frequency};
-use hhsim_core::energy::MetricKind;
+use hhsim_core::energy::{CostMetrics, MetricKind};
 use hhsim_core::figures::SCHED_BLOCK;
 use hhsim_core::hdfs::BlockSize;
 use hhsim_core::sched::{paper_schedule, CoreAllocation, CostTable, JobClass, CORE_COUNTS};
@@ -14,24 +14,22 @@ use hhsim_core::{simulate, SimConfig};
 fn every_app_produces_consistent_measurements() {
     for app in AppId::ALL {
         for m in presets::both() {
-            let r = simulate(&SimConfig::new(app, m.clone()));
+            let cfg = SimConfig::new(app, m.clone());
+            let r = simulate(&cfg);
             assert!(r.breakdown.map_s > 0.0, "{app}/{}", m.name);
             assert!(r.breakdown.others_s > 0.0, "{app}/{}", m.name);
             assert_eq!(app.has_reduce(), r.breakdown.reduce_s > 0.0, "{app}");
             assert!(r.energy_j > 0.0);
-            // Meter consistency: average power within [idle, idle + max dyn].
-            let max_dyn = r.map.dynamic_watts.max(r.reduce.dynamic_watts);
+            // Meter consistency: a node's average dynamic power is at
+            // most its highest phase's, plus 1 W.
+            let nodes = cfg.nodes as f64;
+            let watts = |c: &CostMetrics| c.energy_j / c.delay_s / nodes;
+            let max_dyn = watts(&r.map_cost).max(watts(&r.reduce_cost));
+            let average = r.energy_j / r.breakdown.total() / nodes;
             assert!(
-                r.reading.average_watts >= m.power.node_idle_w * 0.99,
-                "{app}"
-            );
-            assert!(
-                r.reading.average_watts <= m.power.node_idle_w + max_dyn + 1.0,
-                "{app}/{}: {} vs idle {} + {}",
-                m.name,
-                r.reading.average_watts,
-                m.power.node_idle_w,
-                max_dyn
+                average <= max_dyn + 1.0,
+                "{app}/{}: {average} vs {max_dyn}",
+                m.name
             );
             // Cost metrics consistent with the raw measurement.
             assert!((r.cost.energy_j - r.energy_j).abs() < 1e-6);
@@ -43,8 +41,8 @@ fn every_app_produces_consistent_measurements() {
 #[test]
 fn meter_energy_matches_phase_accounting() {
     let r = simulate(&SimConfig::new(AppId::WordCount, presets::xeon_e5_2420()));
-    let phase_sum = r.map.energy_j(3) + r.reduce.energy_j(3) + r.others.energy_j(3);
-    let rel = (r.energy_j - phase_sum).abs() / phase_sum;
+    // The same power segments, sampled at 1 Hz and integrated exactly.
+    let rel = (r.energy_j - r.exact_energy_j).abs() / r.exact_energy_j;
     assert!(rel < 0.05, "1 Hz sampling error should be small: {rel}");
 }
 

@@ -5,7 +5,7 @@
 use hhsim_core::arch::{presets, Frequency};
 use hhsim_core::hdfs::BlockSize;
 use hhsim_core::workloads::AppId;
-use hhsim_core::{simulate, SimConfig};
+use hhsim_core::{simulate, Measurement, SimConfig};
 use hhsim_testkit::{check, Gen};
 
 const APPS: [AppId; 4] = [AppId::WordCount, AppId::Sort, AppId::Grep, AppId::TeraSort];
@@ -60,7 +60,8 @@ fn big_core_always_faster() {
         assert!(x.breakdown.total() < a.breakdown.total());
         assert!(x.energy_j > 0.0 && a.energy_j > 0.0);
         // The big node never draws less dynamic power at equal settings.
-        assert!(x.map.dynamic_watts > a.map.dynamic_watts);
+        let map_watts = |m: &Measurement| m.map_cost.energy_j / m.breakdown.map_s;
+        assert!(map_watts(&x) > map_watts(&a));
     });
 }
 
