@@ -1,26 +1,38 @@
 //! Functional set-associative cache hierarchy simulator.
 //!
-//! The hierarchy is inclusive and write-allocate; each level is a
-//! set-associative array with true-LRU replacement. It is driven by byte
-//! addresses (from [`crate::trace::TraceGenerator`] or any other source) and
-//! accumulates per-level hit/miss statistics, from which misses-per-kilo-
-//! instruction and average stall latencies are derived for the analytical
-//! core model.
+//! The hierarchy is write-allocate and not inclusive: no level
+//! back-invalidates another, so each level fills on its own misses and its
+//! state is a function of the addresses that missed every level before it,
+//! in order. Each level is a set-associative array under one of three
+//! [`Replacement`] policies. It is driven by byte addresses (from
+//! [`crate::trace::TraceGenerator`] or any other source) and accumulates
+//! per-level hit/miss statistics, from which misses-per-kilo-instruction and
+//! average stall latencies are derived for the analytical core model.
 //!
-//! One kernel serves every level: [`Cache::access`] is one body generic
-//! over the way count, picked per level in [`Cache::new`], which finds a
-//! hit as one bit per way of a `u32` match mask. A set is therefore at most
-//! [`MAX_WAYS`] ways wide, and a level at most [`MAX_LINES`] lines large;
+//! One kernel serves every level: one loop over a run of addresses,
+//! generic over the way count and picked per level in [`Cache::new`], which
+//! keeps the addresses that missed; [`Cache::access`] runs it on a run of
+//! one. [`CacheHierarchy::access_all`] runs a chunk of addresses one
+//! level at a time: level 0 takes the whole chunk, the next level its
+//! misses, and so on down to DRAM. Under LRU and FIFO a set holds its tags
+//! in recency order, so a level stores nothing but tags. The kernel table
+//! holds one instance per way count, so a set is at most [`MAX_WAYS`] ways
+//! wide, and a level at most [`MAX_LINES`] lines large;
 //! [`CacheConfig::check`] is that contract.
 
-/// The widest set a [`Cache`] simulates: its kernel finds a hit as one bit
-/// per way of a `u32` match mask.
+/// The widest set a [`Cache`] simulates: its kernel table holds one
+/// instance per way count, up to this one.
 pub const MAX_WAYS: usize = 32;
 
-/// The most lines a [`Cache`] holds. A line costs 16 B of tag and stamp,
-/// so this is 64 MiB of simulator state: a 256 MiB level of 64-byte lines
-/// (the presets' largest, the Xeon's 15 MB L3, is 245 760 lines).
+/// The most lines a [`Cache`] holds. A line costs 8 B of tag, so this is
+/// 32 MiB of simulator state: a 256 MiB level of 64-byte lines (the
+/// presets' largest, the Xeon's 15 MB L3, is 245 760 lines).
 pub const MAX_LINES: usize = 1 << 22;
+
+/// Addresses [`CacheHierarchy::access_all`] takes through the levels at a
+/// time, and [`crate::StallBatch`] draws from its trace at a time (4 KiB on
+/// the stack).
+pub(crate) const CHUNK: usize = 512;
 
 /// Replacement policy of a cache level.
 ///
@@ -98,8 +110,9 @@ impl CacheConfig {
 
     /// Whether a [`Cache`] can simulate this level, or why not: the size
     /// must be a whole number of sets of at most [`MAX_WAYS`] ways, the
-    /// line size a power of two, the level at most [`MAX_LINES`] lines and
-    /// its latency finite and non-negative.
+    /// line size a power of two of at least 2 bytes (so every tag is below
+    /// 2⁶³ and none is `u64::MAX`, the empty-way marker), the level at most
+    /// [`MAX_LINES`] lines and its latency finite and non-negative.
     ///
     /// # Errors
     ///
@@ -112,6 +125,8 @@ impl CacheConfig {
             Err("associativity must be 1 to MAX_WAYS (32) ways")
         } else if !self.line_bytes.is_power_of_two() {
             Err("line size must be a power of two")
+        } else if self.line_bytes < 2 {
+            Err("line size must be at least 2 bytes")
         } else if set_bytes.map_or(true, |b| self.size_bytes % b != 0) {
             Err("size must be divisible by associativity * line size")
         } else if self.size_bytes / self.line_bytes > MAX_LINES {
@@ -176,37 +191,127 @@ impl LevelStats {
     }
 }
 
-/// [`Cache::access`] for one way count: `Cache::access_ways::<W>`.
-type Kernel = fn(&mut Cache, u64) -> bool;
+/// The kernel of one way count `W`, `Cache::misses_ways::<W>`: what
+/// [`Cache::misses`] runs.
+type Kernel = fn(&mut Cache, &mut [u64]) -> usize;
 
 macro_rules! kernels {
     ($($ways:literal)*) => {
         /// The kernel of each associativity `W`, at index `W - 1`.
-        const KERNELS: [Kernel; MAX_WAYS] = [$(Cache::access_ways::<$ways>),*];
+        const KERNELS: [Kernel; MAX_WAYS] = [$(Cache::misses_ways::<$ways>),*];
     };
 }
 
 kernels!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
 
-/// One set-associative, true-LRU cache level.
+/// Where a level keeps a line, derived once in [`Cache::new`] so the
+/// kernel does no division on the (usual) power-of-two set counts: `log2`
+/// of the line size, the set count, and `log2` of the set count when it is
+/// a power of two.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    line_shift: u32,
+    num_sets: u64,
+    set_shift: Option<u32>,
+}
+
+impl Geometry {
+    /// The set and tag of `addr`.
+    #[inline(always)]
+    fn locate(self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let (set, tag) = match self.set_shift {
+            Some(shift) => (line & (self.num_sets - 1), line >> shift),
+            None => (line % self.num_sets, line / self.num_sets),
+        };
+        (set as usize, tag)
+    }
+}
+
+/// The kernel's one body: looks `addr` up in the level's `tags` and
+/// updates its set as `policy` does on the level's `clock`-th access;
+/// returns whether it hit. A set's tags are read as `[u64; W]`; under LRU
+/// and FIFO they are in recency order, so the position of a hit is its
+/// stack distance.
+///
+/// - LRU: a hit in front changes nothing. Otherwise the tag goes in front
+///   and one pass carries each tag after it one way back until it reaches
+///   the hit; on a miss it carries the whole set, so the last tag drops
+///   out.
+/// - FIFO: a miss shifts the set back by one, drops the last tag and puts
+///   the new one in front; a hit does not move.
+/// - Random: a miss overwrites the way an xorshift of the level's access
+///   counter picks; a hit does not move.
+///
+/// Empty ways start at the back of a recency-ordered set, so under LRU and
+/// FIFO they fill before any valid line is evicted.
+#[inline(always)]
+fn lookup<const W: usize>(
+    tags: &mut [u64],
+    at: Geometry,
+    policy: Replacement,
+    clock: u64,
+    addr: u64,
+) -> bool {
+    let (set, tag) = at.locate(addr);
+    let base = set * W;
+    let ways: &mut [u64; W] = (&mut tags[base..base + W]).try_into().expect("W ways");
+    match policy {
+        Replacement::Lru => {
+            let mut carry = ways[0];
+            if carry == tag {
+                return true;
+            }
+            ways[0] = tag;
+            for way in &mut ways[1..] {
+                let t = std::mem::replace(way, carry);
+                if t == tag {
+                    return true;
+                }
+                carry = t;
+            }
+            false
+        }
+        Replacement::Fifo => {
+            let hit = ways.contains(&tag);
+            if !hit {
+                ways.copy_within(..W - 1, 1);
+                ways[0] = tag;
+            }
+            hit
+        }
+        Replacement::Random => {
+            let hit = ways.contains(&tag);
+            if !hit {
+                // xorshift64* over the access counter: deterministic.
+                let mut x = clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                ways[x as usize % W] = tag;
+            }
+            hit
+        }
+    }
+}
+
+/// One set-associative cache level under any of the three [`Replacement`]
+/// policies.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// The kernel of this level's associativity, picked in [`Cache::new`].
     kernel: Kernel,
-    /// `tags[set][way]`; `u64::MAX` marks an empty way.
+    /// `tags[set][way]`; `u64::MAX` marks an empty way. Under LRU and FIFO
+    /// a set is in recency order, the most recently used (LRU) or filled
+    /// (FIFO) tag first and the empty ways last; under Random it is in
+    /// physical way order.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`; larger = more recently used.
-    stamps: Vec<u64>,
+    /// Accesses since the last [`Cache::reset`]; the Random victim is
+    /// drawn from it.
     clock: u64,
     stats: LevelStats,
-    /// Geometry derived once in [`Cache::new`] so [`Cache::access`] does
-    /// no division on the (usual) power-of-two set counts: `log2` of the
-    /// line size, the set count, and `log2` of the set count when it is
-    /// a power of two.
-    line_shift: u32,
-    num_sets: u64,
-    set_shift: Option<u32>,
+    at: Geometry,
 }
 
 impl Cache {
@@ -221,18 +326,18 @@ impl Cache {
             panic!("cannot simulate {}: {why}", config.name);
         }
         let num_sets = config.num_sets();
-        let slots = num_sets * config.associativity;
         Cache {
             kernel: KERNELS[config.associativity - 1],
-            tags: vec![u64::MAX; slots],
-            stamps: vec![0; slots],
+            tags: vec![u64::MAX; num_sets * config.associativity],
             clock: 0,
             stats: LevelStats::default(),
-            line_shift: config.line_bytes.trailing_zeros(),
-            num_sets: num_sets as u64,
-            set_shift: num_sets
-                .is_power_of_two()
-                .then(|| num_sets.trailing_zeros()),
+            at: Geometry {
+                line_shift: config.line_bytes.trailing_zeros(),
+                num_sets: num_sets as u64,
+                set_shift: num_sets
+                    .is_power_of_two()
+                    .then(|| num_sets.trailing_zeros()),
+            },
             config,
         }
     }
@@ -249,113 +354,41 @@ impl Cache {
 
     /// Looks up (and on miss, fills) the line containing `addr`.
     /// Returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
-        (self.kernel)(self, addr)
+    pub fn access(&mut self, mut addr: u64) -> bool {
+        self.misses(std::slice::from_mut(&mut addr)) == 0
     }
 
-    /// [`Cache::access`] on sets of `W` ways. The set's tags and stamps are
-    /// read as `[u64; W]`, and a hit is found as one bit per way of a match
-    /// mask rather than by a scan that exits at the hit: which way hits is
-    /// data the branch predictor cannot learn, the mask's one branch is
-    /// hit-or-miss. One body for all three policies; the victim is the
-    /// first way holding the smallest stamp (under FIFO stamps are written
-    /// on fill only, so that is the oldest fill).
-    fn access_ways<const W: usize>(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        self.stats.accesses += 1;
-        let line = addr >> self.line_shift;
-        let (set, tag) = match self.set_shift {
-            Some(shift) => (line & (self.num_sets - 1), line >> shift),
-            None => (line % self.num_sets, line / self.num_sets),
-        };
-        let base = set as usize * W;
-        let ways = base..base + W;
-        let tags: &mut [u64; W] = (&mut self.tags[ways.clone()]).try_into().expect("W ways");
-        let stamps: &mut [u64; W] = (&mut self.stamps[ways]).try_into().expect("W ways");
-
-        let mut hits = 0u32;
-        for (way, &t) in tags.iter().enumerate() {
-            hits |= u32::from(t == tag) << way;
-        }
-        if hits != 0 {
-            if self.config.replacement == Replacement::Lru {
-                stamps[hits.trailing_zeros() as usize] = self.clock;
-            }
-            self.stats.hits += 1;
-            return true;
-        }
-        let way = match self.config.replacement {
-            Replacement::Lru | Replacement::Fifo => {
-                let (mut victim, mut oldest) = (0, stamps[0]);
-                for (way, &s) in stamps.iter().enumerate().skip(1) {
-                    if s < oldest {
-                        (victim, oldest) = (way, s);
-                    }
-                }
-                victim
-            }
-            Replacement::Random => {
-                // xorshift64* over the access counter: deterministic.
-                let mut x = self.clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                x as usize % W
-            }
-        };
-        tags[way] = tag;
-        stamps[way] = self.clock;
-        false
+    /// Accesses `addrs` in order, as [`Cache::access`] on each would, and
+    /// moves the ones that missed, in order, to the front of `addrs`.
+    /// Returns how many missed.
+    fn misses(&mut self, addrs: &mut [u64]) -> usize {
+        (self.kernel)(self, addrs)
     }
 
-    /// The oracle every [`Cache::access`] kernel must match access for
-    /// access: geometry recomputed per call, tags and stamps scanned in
-    /// one loop that exits at the hit.
-    #[cfg(test)]
-    fn access_reference(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        self.stats.accesses += 1;
-        let line = addr / self.config.line_bytes as u64;
-        let num_sets = self.config.num_sets() as u64;
-        let set = (line % num_sets) as usize;
-        let tag = line / num_sets;
-        let ways = self.config.associativity;
-        let base = set * ways;
-
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for slot in base..base + ways {
-            if self.tags[slot] == tag {
-                if self.config.replacement == Replacement::Lru {
-                    self.stamps[slot] = self.clock;
-                }
-                self.stats.hits += 1;
-                return true;
-            }
-            if self.stamps[slot] < victim_stamp {
-                victim_stamp = self.stamps[slot];
-                victim = slot;
+    /// [`Cache::misses`] on sets of `W` ways: one loop over the run, with
+    /// the counters in locals, written back once.
+    fn misses_ways<const W: usize>(&mut self, addrs: &mut [u64]) -> usize {
+        let (at, policy) = (self.at, self.config.replacement);
+        let mut clock = self.clock;
+        let mut missed = 0;
+        for i in 0..addrs.len() {
+            let addr = addrs[i];
+            clock += 1;
+            if !lookup::<W>(&mut self.tags, at, policy, clock, addr) {
+                addrs[missed] = addr;
+                missed += 1;
             }
         }
-        let victim = match self.config.replacement {
-            Replacement::Lru | Replacement::Fifo => victim,
-            Replacement::Random => {
-                let mut x = self.clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                base + (x as usize % ways)
-            }
-        };
-        self.tags[victim] = tag;
-        self.stamps[victim] = self.clock;
-        false
+        let n = addrs.len() as u64;
+        self.clock = clock;
+        self.stats.accesses += n;
+        self.stats.hits += n - missed as u64;
+        missed
     }
 
     /// Invalidates all lines and zeroes the statistics.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
         self.clock = 0;
         self.stats = LevelStats::default();
     }
@@ -383,7 +416,10 @@ impl HierarchyStats {
     }
 }
 
-/// A multi-level inclusive cache hierarchy backed by DRAM.
+/// A multi-level cache hierarchy backed by DRAM. No level back-invalidates
+/// another: each fills on its own misses, so a level sees exactly the
+/// addresses every level before it missed, in order, which is what lets
+/// [`CacheHierarchy::access_all`] run a chunk one level at a time.
 ///
 /// # Examples
 ///
@@ -452,6 +488,24 @@ impl CacheHierarchy {
         }
         self.memory_accesses += 1;
         None
+    }
+
+    /// Performs `addrs` in order, with the statistics of as many
+    /// [`CacheHierarchy::access`] calls, a chunk at a time: level 0 takes
+    /// the whole chunk and keeps its misses, in order, which the next level
+    /// takes, and so on; what the last level misses goes to DRAM.
+    pub fn access_all(&mut self, addrs: &[u64]) {
+        let mut buf = [0u64; CHUNK];
+        for chunk in addrs.chunks(CHUNK) {
+            let mut missed = &mut buf[..chunk.len()];
+            missed.copy_from_slice(chunk);
+            for level in &mut self.levels {
+                let n = level.misses(missed);
+                missed = &mut missed[..n];
+            }
+            self.memory_accesses += missed.len() as u64;
+        }
+        self.total_accesses += addrs.len() as u64;
     }
 
     /// Snapshot of accumulated statistics.
@@ -590,6 +644,7 @@ mod tests {
         assert!(broken(|c| c.associativity = MAX_WAYS + 1).contains("associativity"));
         assert!(broken(|c| c.line_bytes = 48).contains("power of two"));
         assert!(broken(|c| c.line_bytes = 0).contains("power of two"));
+        assert!(broken(|c| c.line_bytes = 1).contains("at least 2 bytes"));
         assert!(broken(|c| c.size_bytes = 1000).contains("divisible"));
         assert!(broken(|c| c.line_bytes = 1 << 62).contains("divisible"));
         assert!(broken(|c| c.size_bytes = (MAX_LINES + 8) * 64).contains("MAX_LINES"));
@@ -609,6 +664,29 @@ mod tests {
         assert!(!c.access(64)); // next line
         assert_eq!(c.stats().accesses, 4);
         assert_eq!(c.stats().hits, 2);
+    }
+
+    #[test]
+    fn a_cold_access_never_hits() {
+        // An all-ones tag is the empty-way marker: with 1-byte lines and
+        // one set the tag would be the address, and a cold cache would read
+        // `u64::MAX` as a hit. Lines of at least 2 bytes keep every tag
+        // below 2^63, at any geometry.
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            for (size, ways, line) in [(8, 4, 2), (64, 1, 2), (512, 2, 64), (4096, 32, 128)] {
+                let mut c = Cache::new(
+                    CacheConfig::new("x", size, ways, line, 1.0).with_replacement(policy),
+                );
+                for addr in [u64::MAX, u64::MAX - 1, 1 << 63, 0] {
+                    assert!(
+                        !c.access(addr),
+                        "{policy:?} {size}/{ways}/{line}: {addr:#x}"
+                    );
+                    c.reset();
+                }
+                assert_eq!(c.stats().hits, 0);
+            }
+        }
     }
 
     #[test]
@@ -670,16 +748,127 @@ mod tests {
         assert!(!c.access(0), "line gone after reset");
     }
 
-    /// [`CacheHierarchy::access`] over the reference kernel.
-    fn hierarchy_access_reference(h: &mut CacheHierarchy, addr: u64) -> Option<usize> {
-        h.total_accesses += 1;
-        for (i, level) in h.levels.iter_mut().enumerate() {
-            if level.access_reference(addr) {
-                return Some(i);
+    /// The stamp-based level the recency-ordered kernel replaced, kept as
+    /// its oracle: geometry recomputed per call, physical ways, an 8-byte
+    /// stamp per line (larger = more recently used; under FIFO written on
+    /// fill only), and one scan that exits at the hit. The victim is the
+    /// first way holding the smallest stamp, so an empty way (stamp 0)
+    /// fills before any valid line is evicted.
+    struct ReferenceCache {
+        config: CacheConfig,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        stats: LevelStats,
+    }
+
+    impl ReferenceCache {
+        fn new(config: CacheConfig) -> Self {
+            let slots = config.num_sets() * config.associativity;
+            ReferenceCache {
+                config,
+                tags: vec![u64::MAX; slots],
+                stamps: vec![0; slots],
+                clock: 0,
+                stats: LevelStats::default(),
             }
         }
-        h.memory_accesses += 1;
-        None
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let line = addr / self.config.line_bytes as u64;
+            let num_sets = self.config.num_sets() as u64;
+            let set = (line % num_sets) as usize;
+            let tag = line / num_sets;
+            let ways = self.config.associativity;
+            let base = set * ways;
+
+            let mut victim = base;
+            let mut victim_stamp = u64::MAX;
+            for slot in base..base + ways {
+                if self.tags[slot] == tag {
+                    if self.config.replacement == Replacement::Lru {
+                        self.stamps[slot] = self.clock;
+                    }
+                    self.stats.hits += 1;
+                    return true;
+                }
+                if self.stamps[slot] < victim_stamp {
+                    victim_stamp = self.stamps[slot];
+                    victim = slot;
+                }
+            }
+            let victim = match self.config.replacement {
+                Replacement::Lru | Replacement::Fifo => victim,
+                Replacement::Random => {
+                    let mut x = self.clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
+                    x ^= x >> 12;
+                    x ^= x << 25;
+                    x ^= x >> 27;
+                    base + (x as usize % ways)
+                }
+            };
+            self.tags[victim] = tag;
+            self.stamps[victim] = self.clock;
+            false
+        }
+
+        /// The tags as [`Cache`] must hold them: under LRU and FIFO each
+        /// set's tags by descending stamp, the empty ways (stamp 0) last;
+        /// under Random the physical ways.
+        fn kernel_tags(&self) -> Vec<u64> {
+            if self.config.replacement == Replacement::Random {
+                return self.tags.clone();
+            }
+            let ways = self.config.associativity;
+            let mut by_recency = Vec::with_capacity(self.tags.len());
+            for (tags, stamps) in self.tags.chunks(ways).zip(self.stamps.chunks(ways)) {
+                let mut set: Vec<(u64, u64)> =
+                    stamps.iter().copied().zip(tags.iter().copied()).collect();
+                set.sort_by_key(|&(stamp, _)| std::cmp::Reverse(stamp));
+                by_recency.extend(set.into_iter().map(|(_, tag)| tag));
+            }
+            by_recency
+        }
+    }
+
+    /// A [`CacheHierarchy`] of reference levels.
+    struct ReferenceHierarchy {
+        levels: Vec<ReferenceCache>,
+        memory_accesses: u64,
+        total_accesses: u64,
+    }
+
+    impl ReferenceHierarchy {
+        fn new(levels: Vec<CacheConfig>) -> Self {
+            ReferenceHierarchy {
+                levels: levels.into_iter().map(ReferenceCache::new).collect(),
+                memory_accesses: 0,
+                total_accesses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> Option<usize> {
+            self.total_accesses += 1;
+            for (i, level) in self.levels.iter_mut().enumerate() {
+                if level.access(addr) {
+                    return Some(i);
+                }
+            }
+            self.memory_accesses += 1;
+            None
+        }
+
+        fn stats(&self) -> HierarchyStats {
+            HierarchyStats {
+                levels: (self.levels.iter())
+                    .map(|c| (c.config.name.clone(), c.stats))
+                    .collect(),
+                memory_accesses: self.memory_accesses,
+                total_accesses: self.total_accesses,
+            }
+        }
     }
 
     #[test]
@@ -691,7 +880,7 @@ mod tests {
         // Power-of-two sets (64), the Xeon L3's 12 288 sets, and the
         // Atom's 6-way L1 (64 sets, non-power-of-two ways); then the
         // kernel table's edges: direct-mapped, 2 ways, 3 ways over 96
-        // sets, 12 ways, and the widest set the match mask holds.
+        // sets, 12 ways, and the widest set the table holds.
         let geometries = [
             ("L1d", 32 * 1024, 8),
             ("L3", 15 * 1024 * 1024, 20),
@@ -711,20 +900,23 @@ mod tests {
                 for (seed, profile) in profiles.iter().enumerate() {
                     let cfg = CacheConfig::new(name, size, ways, 64, 1.0).with_replacement(policy);
                     let mut fast = Cache::new(cfg.clone());
-                    let mut slow = Cache::new(cfg);
+                    let mut slow = ReferenceCache::new(cfg);
                     let mut gen = TraceGenerator::new(profile.mem, seed as u64 + 7);
                     for i in 0..ACCESSES {
                         let addr = gen.next_address();
                         assert_eq!(
                             fast.access(addr),
-                            slow.access_reference(addr),
+                            slow.access(addr),
                             "{policy:?} {name} {} access {i} (addr {addr:#x})",
                             profile.name
                         );
                     }
-                    assert_eq!(fast.stats(), slow.stats());
-                    assert_eq!(fast.tags, slow.tags, "{policy:?} {name}: same residents");
-                    assert_eq!(fast.stamps, slow.stamps, "{policy:?} {name}: same ages");
+                    assert_eq!(fast.stats(), slow.stats);
+                    assert_eq!(
+                        fast.tags,
+                        slow.kernel_tags(),
+                        "{policy:?} {name}: same residents, in recency order"
+                    );
                 }
             }
             // Whole hierarchies, so fills at one level see the misses of
@@ -736,19 +928,65 @@ mod tests {
                     .map(|c| c.clone().with_replacement(policy))
                     .collect();
                 let mut fast = CacheHierarchy::new(levels.clone(), machine.mem_latency_ns);
-                let mut slow = CacheHierarchy::new(levels, machine.mem_latency_ns);
+                let mut slow = ReferenceHierarchy::new(levels);
                 let mut gen = TraceGenerator::new(profiles[0].mem, 11);
                 for i in 0..ACCESSES {
                     let addr = gen.next_address();
                     assert_eq!(
                         fast.access(addr),
-                        hierarchy_access_reference(&mut slow, addr),
+                        slow.access(addr),
                         "{policy:?} {} access {i}",
                         machine.name
                     );
                 }
                 assert_eq!(fast.stats(), slow.stats());
-                assert_eq!(fast.stall_split_per_access(), slow.stall_split_per_access());
+                for (have, want) in fast.levels.iter().zip(&slow.levels) {
+                    assert_eq!(have.tags, want.kernel_tags(), "{policy:?} {}", machine.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_of_any_length_equal_one_address_at_a_time() {
+        use crate::profile::ComputeProfile;
+        use crate::trace::TraceGenerator;
+
+        const ACCESSES: usize = 60_000;
+        let mut trace = vec![0; ACCESSES];
+        TraceGenerator::new(ComputeProfile::hadoop_average().mem, 5).fill(&mut trace);
+        let bits = |(on_chip, dram_ns): (f64, f64)| (on_chip.to_bits(), dram_ns.to_bits());
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            for machine in crate::presets::both() {
+                let mut levels = machine.cache_levels.clone();
+                for c in &mut levels {
+                    c.replacement = policy;
+                }
+                let hierarchy = || CacheHierarchy::new(levels.clone(), machine.mem_latency_ns);
+                let mut one_at_a_time = hierarchy();
+                for &addr in &trace {
+                    one_at_a_time.access(addr);
+                }
+                for chunk in [1, 7, CHUNK, CHUNK + 1] {
+                    let mut chunked = hierarchy();
+                    for addrs in trace.chunks(chunk) {
+                        chunked.access_all(addrs);
+                    }
+                    let what = format!("{policy:?} {} in chunks of {chunk}", machine.name);
+                    assert_eq!(chunked.stats(), one_at_a_time.stats(), "{what}");
+                    assert_eq!(
+                        bits(chunked.stall_split_per_access()),
+                        bits(one_at_a_time.stall_split_per_access()),
+                        "{what}"
+                    );
+                    for (a, b) in chunked.levels.iter().zip(&one_at_a_time.levels) {
+                        assert_eq!(
+                            (a.tags.as_slice(), a.clock),
+                            (b.tags.as_slice(), b.clock),
+                            "{what}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //! on both machines, and the big core sustains ≈1.4× the little core's IPC
 //! on Hadoop code.
 
-use crate::cache::{CacheConfig, CacheHierarchy, LevelKey};
+use crate::cache::{CacheConfig, CacheHierarchy, LevelKey, CHUNK};
 use crate::dvfs::{Frequency, OperatingPoint, VoltageCurve};
 use crate::power::ChipPowerModel;
 use crate::profile::ComputeProfile;
@@ -163,15 +163,13 @@ impl TraceKey {
 const TRACE_LEN: usize = 400_000;
 /// Addresses discarded as cache warm-up before statistics are kept.
 const TRACE_WARMUP: usize = 80_000;
-/// Addresses [`StallBatch::run`] draws at a time before handing them to
-/// each hierarchy in turn (4 KiB on the stack).
-const TRACE_CHUNK: usize = 512;
 
 /// Stall simulations of one profile on several machines, from one
 /// address trace.
 ///
-/// [`StallBatch::run`] draws the profile's trace once and feeds each
-/// address to every machine's hierarchy in order. The batch keeps the
+/// [`StallBatch::run`] draws the profile's trace once and feeds it, a
+/// chunk at a time, to every machine's hierarchy, which runs each chunk a
+/// level at a time ([`CacheHierarchy::access_all`]). The batch keeps the
 /// hierarchies between runs: a machine that one of them simulates gets it
 /// [`reset`](CacheHierarchy::reset) rather than rebuilt, so a worker that
 /// runs batch after batch of the same machines allocates their caches
@@ -237,15 +235,13 @@ impl StallBatch {
 /// Feeds the next `n` addresses of `gen` to each of `hierarchies`, in
 /// trace order, a chunk at a time.
 fn feed(gen: &mut TraceGenerator, hierarchies: &mut [CacheHierarchy], n: usize) {
-    let mut chunk = [0u64; TRACE_CHUNK];
+    let mut chunk = [0u64; CHUNK];
     let mut left = n;
     while left > 0 {
-        let addrs = &mut chunk[..left.min(TRACE_CHUNK)];
+        let addrs = &mut chunk[..left.min(CHUNK)];
         gen.fill(addrs);
         for h in hierarchies.iter_mut() {
-            for &addr in addrs.iter() {
-                h.access(addr);
-            }
+            h.access_all(addrs);
         }
         left -= addrs.len();
     }

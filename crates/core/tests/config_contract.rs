@@ -226,7 +226,7 @@ fn rows() -> Vec<Row> {
             out_of_range(levels),
         ),
         row(
-            "an L2 one way wider than the kernel's mask",
+            "an L2 one way wider than the kernel table",
             with_l2(|c| {
                 c.associativity = MAX_WAYS + 1;
                 c.size_bytes = 128 * (MAX_WAYS + 1) * 64;
@@ -236,6 +236,11 @@ fn rows() -> Vec<Row> {
         row(
             "48-byte L2 lines",
             with_l2(|c| c.line_bytes = 48),
+            out_of_range(levels),
+        ),
+        row(
+            "1-byte L2 lines, whose all-ones tag is the empty way",
+            with_l2(|c| c.line_bytes = 1),
             out_of_range(levels),
         ),
         row(

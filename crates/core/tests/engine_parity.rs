@@ -290,11 +290,12 @@ fn any_locality(g: &mut Gen, tasks: usize, nodes: usize, scale: f64) -> PhaseLoc
     }
 }
 
-/// ROADMAP item 4: the fault-free loop and the fault engine stay two
-/// engines, so they owe being one differential pair. With nothing to
-/// inject — and nothing for LATE to duplicate: either speculation is off,
-/// or no attempt lives to `spec_min_runtime_s` — the second engine must
-/// return the first one's `PhaseRun`, every span and every counter.
+/// The ROADMAP's settled "Two phase engines stay": the fault-free loop
+/// and the fault engine stay two engines, so they owe being one
+/// differential pair. With nothing to inject — and nothing for LATE to
+/// duplicate: either speculation is off, or no attempt lives to
+/// `spec_min_runtime_s` — the second engine must return the first one's
+/// `PhaseRun`, every span and every counter.
 #[test]
 fn fault_engine_with_nothing_to_inject_is_the_fault_free_engine() {
     hhsim_testkit::check(400, |g: &mut Gen| {
