@@ -197,8 +197,10 @@ impl NameNode {
 pub struct Dfs {
     config: DfsConfig,
     namenode: NameNode,
-    /// Block payloads; `Bytes` slices of the original buffer (zero-copy).
-    store: BTreeMap<BlockId, Bytes>,
+    /// Block payloads, `Bytes` slices of the original buffer (zero-copy),
+    /// indexed by block id: the namenode hands ids out densely from 0 and
+    /// never frees one.
+    store: Vec<Bytes>,
 }
 
 impl Dfs {
@@ -241,7 +243,7 @@ impl Dfs {
         Ok(Dfs {
             config,
             namenode: NameNode::with_placement(placement, topology),
-            store: BTreeMap::new(),
+            store: Vec::new(),
         })
     }
 
@@ -298,17 +300,14 @@ impl Dfs {
         block_size: BlockSize,
         writer: Option<NodeId>,
     ) -> Result<(), DfsError> {
-        let meta = self
-            .namenode
-            .register(
-                path,
-                data.len() as u64,
-                block_size,
-                self.config.replication,
-                self.config.num_nodes,
-                writer,
-            )?
-            .clone();
+        let meta = self.namenode.register(
+            path,
+            data.len() as u64,
+            block_size,
+            self.config.replication,
+            self.config.num_nodes,
+            writer,
+        )?;
         let mut offset = 0usize;
         for b in &meta.blocks {
             #[expect(
@@ -316,7 +315,8 @@ impl Dfs {
                 reason = "a block of `data`, which is in memory, so its length fits in usize"
             )]
             let end = offset + b.len as usize;
-            self.store.insert(b.id, data.slice(offset..end));
+            debug_assert_eq!(b.id.0, self.store.len() as u64, "block ids are dense");
+            self.store.push(data.slice(offset..end));
             offset = end;
         }
         Ok(())
@@ -338,8 +338,9 @@ impl Dfs {
     /// Panics if `id` was never stored (placement and storage are kept in
     /// lockstep by `create`).
     pub fn read_block(&self, id: BlockId) -> Bytes {
-        self.store
-            .get(&id)
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|ix| self.store.get(ix))
             .cloned()
             // hhsim: allow(panic-in-engine): placement and storage are written in lockstep by create_inner; a missing block is a caller bug (forged BlockId), not a recoverable state
             .expect("block registered but not stored")
@@ -398,6 +399,31 @@ mod tests {
         let payload = Bytes::from((0u8..=255).collect::<Vec<u8>>());
         dfs.create("/f", payload.clone()).unwrap();
         assert_eq!(dfs.read("/f").unwrap(), payload);
+    }
+
+    #[test]
+    fn payloads_stay_with_their_blocks_across_files() {
+        let mut dfs = Dfs::new(small_cfg()).unwrap();
+        dfs.create("/a", Bytes::from(vec![1u8; 25])).unwrap();
+        // A rejected create registers no block and stores nothing.
+        assert!(dfs.create("/a", Bytes::from(vec![9u8; 5])).is_err());
+        dfs.create("/b", Bytes::from(vec![2u8; 12])).unwrap();
+        let ids: Vec<u64> = ["/a", "/b"]
+            .iter()
+            .flat_map(|p| dfs.blocks(p).unwrap().iter().map(|b| b.id.0))
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4], "ids are dense across files");
+        for b in dfs.blocks("/b").unwrap() {
+            assert_eq!(dfs.read_block(b.id).len() as u64, b.len);
+            assert!(dfs.read_block(b.id).iter().all(|&x| x == 2));
+        }
+        assert_eq!(dfs.read("/a").unwrap(), Bytes::from(vec![1u8; 25]));
+    }
+
+    #[test]
+    #[should_panic(expected = "block registered but not stored")]
+    fn forged_block_id_panics() {
+        Dfs::new(small_cfg()).unwrap().read_block(BlockId(u64::MAX));
     }
 
     #[test]

@@ -111,7 +111,10 @@ impl Topology {
         self.racks > 1 || self.oversubscription > 1.0
     }
 
-    /// The rack (ToR switch) `node` hangs off.
+    /// The rack (ToR switch) `node` hangs off: racks are assigned
+    /// round-robin, `node % racks`. `HdfsDefault` placement depends on
+    /// this layout: it computes its candidate pools from it instead of
+    /// listing them, and its oracle test catches a change here.
     pub fn rack_of(&self, node: NodeId) -> usize {
         node.0 % self.racks.max(1)
     }
