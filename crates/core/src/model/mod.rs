@@ -12,14 +12,13 @@
 //!   merges (spill counts recomputed analytically at target scale), with
 //!   slot contention on the node's disk;
 //! * **network** — cross-node shuffle at NIC bandwidth;
-//! * **memory pressure** — when a node's working footprint outgrows its
-//!   8 GB of DRAM, page-cache effectiveness collapses and I/O inflates;
-//!   the big core's deeper buffering absorbs this far better (§3.3);
 //! * **overlap** — the out-of-order core hides a large fraction of I/O
 //!   wait behind computation (§3.1.1), the in-order core does not;
 //! * **framework overhead** — per-task launch plus serial master↔slave
 //!   bookkeeping (what makes 32 MB blocks slow), and per-job
-//!   setup/cleanup (what makes Grep's "others" phase big).
+//!   setup/cleanup (what makes Grep's "others" phase big). A launch on
+//!   the little core costs 1.8× its CPI-priced instructions: JVM
+//!   spin-up is branchy, serial, cache-hostile code.
 //!
 //! Every run goes through one pipeline. A [`SimConfig`] resolves to a
 //! node roster — the paper's 3-node single-ISA cluster is the roster with

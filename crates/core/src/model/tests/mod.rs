@@ -110,6 +110,32 @@ fn execution_time_scales_with_data() {
 }
 
 #[test]
+fn memory_gb_changes_no_number() {
+    // Table 1's DRAM size is rendered, not priced: at 20 GB per node, a
+    // node with 1 GB or 64 GB runs exactly as the preset's 8 GB does.
+    for app in AppId::ALL {
+        for m in presets::both() {
+            let run = |memory_gb| {
+                let machine = MachineModel {
+                    memory_gb,
+                    ..m.clone()
+                };
+                simulate(&base(app, machine).data_per_node(20 << 30))
+            };
+            let preset = run(m.memory_gb);
+            for memory_gb in [1.0, 64.0] {
+                assert_eq!(
+                    run(memory_gb),
+                    preset,
+                    "{app} on {} with {memory_gb} GB",
+                    m.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn accelerator_shrinks_map_only() {
     let plain = simulate(&base(AppId::WordCount, presets::atom_c2758()));
     let acc = simulate(

@@ -1,7 +1,7 @@
 //! The analytic half of the model: what one task of one chained job costs
 //! on one machine model.
 
-use hhsim_arch::{ComputeProfile, CoreKind, Frequency, MachineModel};
+use hhsim_arch::{ComputeProfile, Frequency, MachineModel};
 use hhsim_hdfs::{DiskModel, GIGE_BYTES_PER_S};
 
 use super::config::SimConfig;
@@ -11,20 +11,6 @@ use crate::ratios::JobRatios;
 
 /// Replication factor charged on final output writes.
 const OUTPUT_REPLICATION: f64 = 2.0;
-
-/// Memory-pressure multiplier on I/O time: footprint beyond DRAM divides
-/// the page cache's hit rate. The big core's deeper queues and smarter
-/// prefetch absorb pressure far better (§3.3: Atom's execution time grows
-/// much faster with data size).
-fn memory_pressure(machine: &MachineModel, footprint_bytes: f64) -> f64 {
-    let mem = machine.memory_gb * (1u64 << 30) as f64;
-    let over = (footprint_bytes / mem - 0.35).max(0.0);
-    let sensitivity = match machine.core.kind {
-        CoreKind::Big => 0.08,
-        CoreKind::Little => 0.32,
-    };
-    (1.0 + sensitivity * over).min(2.5)
-}
 
 /// Seconds of CPU time for `instructions` of `profile` on `machine` at
 /// `f`, using memoizable stalls.
@@ -131,17 +117,13 @@ pub(super) fn job_timing(
     // blocks hurt I/O-bound jobs most (§3.1.1).
     let read_chunk = (block / map_streams as u64).max(1 << 20);
     let write_chunk = ((32 << 20) / map_streams as u64).max(1 << 20);
-    let footprint =
-        data_per_node_bytes as f64 * job.input_fraction * (1.0 + job.map_selectivity.min(1.5));
-    let pressure = memory_pressure(m, footprint);
     #[expect(
         clippy::cast_possible_truncation,
         reason = "a non-negative byte volume of one task, far below u64::MAX; the disk model takes whole bytes"
     )]
     let mut t_disk_map = (disk.read_seconds(task_input as u64, read_chunk)
         + disk.write_seconds((spill_write + merge_io) as u64, write_chunk))
-        * map_concurrency
-        * pressure;
+        * map_concurrency;
 
     // Shuffle/output volumes.
     let shuffle_total = if job.has_reduce {
@@ -164,7 +146,7 @@ pub(super) fn job_timing(
             reason = "a non-negative byte volume of one task, far below u64::MAX; the disk model takes whole bytes"
         )]
         let t_out = disk.write_seconds(out_per_task as u64, write_chunk);
-        t_disk_map += t_out * map_concurrency * pressure;
+        t_disk_map += t_out * map_concurrency;
         t_cpu_map += m.core.io_path_seconds(out_per_task, f);
     }
     let map_task_s = t_cpu_map + t_disk_map * (1.0 - m.core.io_overlap);
@@ -211,8 +193,7 @@ pub(super) fn job_timing(
         )]
         let t_disk = (disk.write_seconds((merge_bytes + out_bytes) as u64, red_chunk)
             + disk.read_seconds(red_input as u64, red_chunk))
-            * red_concurrency
-            * pressure;
+            * red_concurrency;
         let t_io_raw = t_disk + t_net;
         let task_s = t_cpu + t_io_raw * (1.0 - m.core.io_overlap);
         (task_s, t_io_raw, red_input)
