@@ -97,10 +97,14 @@ impl Flow {
 }
 
 // Flows touched by the solver's loops on this thread: the work measure
-// the oracle tests compare with the reference solver's.
+// the oracle tests compare with the reference solver's. Beside it, what
+// the fast solver's event loop did: its max-min solves, and the
+// completion events it settled, split by whether they finished a flow.
 #[cfg(test)]
 thread_local! {
     static FLOW_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static SOLVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static SETTLED_COMPLETIONS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
 }
 
 /// Adds `n` flows about to be looped over to the test-only work counter;
@@ -108,6 +112,26 @@ thread_local! {
 fn count_visits(_n: usize) {
     #[cfg(test)]
     FLOW_VISITS.with(|c| c.set(c.get() + _n as u64));
+}
+
+/// Counts one max-min solve of the fast solver (test builds only).
+fn count_solve() {
+    #[cfg(test)]
+    SOLVES.with(|c| c.set(c.get() + 1));
+}
+
+/// Counts one completion event settled by the fast solver's loop, by
+/// whether it finished `_finished > 0` flows (test builds only).
+fn count_settled_completion(_finished: usize) {
+    #[cfg(test)]
+    SETTLED_COMPLETIONS.with(|c| {
+        let [some, none] = c.get();
+        c.set(if _finished > 0 {
+            [some + 1, none]
+        } else {
+            [some, none + 1]
+        });
+    });
 }
 
 /// The shared links of a two-tier fabric, flattened into one capacity
@@ -256,9 +280,10 @@ impl Adjacency {
 enum FlowEvent {
     /// `node` dies: every flow it is still sourcing is cancelled.
     Crash(usize),
-    /// The earliest finisher at the rates of the last recomputation
-    /// runs dry.
-    Completion,
+    /// The earliest finisher at the rates of solve number `.0`
+    /// ([`FlowState::solves`]) runs dry. Once a later solve has replaced
+    /// those rates the event is stale, and the loop drops it unread.
+    Completion(usize),
 }
 
 /// [`FlowState::frozen_at`] of a flow that is not (or no longer) on the
@@ -280,6 +305,8 @@ struct FlowState<'a> {
     /// rate, or [`GONE`]: one comparison tells a bottleneck scan that a
     /// flow is already frozen in this call or has left for good.
     frozen_at: Vec<usize>,
+    /// [`FlowState::fair_rates`] calls so far: the stamp of the one
+    /// completion event that is not stale.
     solves: usize,
     /// Scratch of one `fair_rates` call: capacity and unfrozen flows
     /// left per link.
@@ -340,6 +367,7 @@ impl<'a> FlowState<'a> {
     /// so each link's `cap` goes through the same sequence of
     /// subtractions either way.
     fn fair_rates(&mut self) -> Option<f64> {
+        count_solve();
         self.solves += 1;
         let solve = self.solves;
         self.cap.clone_from(&self.links.caps);
@@ -441,13 +469,14 @@ impl<'a> FlowState<'a> {
     }
 
     /// Drains `rate × (now - last_t)` from every live flow and records
-    /// finish times for the ones that ran dry.
-    fn settle(&mut self, now: SimTime) {
+    /// finish times for the ones that ran dry; returns how many did.
+    fn settle(&mut self, now: SimTime) -> usize {
         let dt = now.saturating_sub(self.last_t).as_secs_f64();
         self.last_t = now;
         let now_s = now.as_secs_f64();
         let mut live = std::mem::take(&mut self.live);
-        count_visits(live.len());
+        let before = live.len();
+        count_visits(before);
         live.retain(|&i| {
             let rate = self.rates.get(i).copied().unwrap_or(0.0);
             let left = match self.remaining.get_mut(i) {
@@ -465,7 +494,9 @@ impl<'a> FlowState<'a> {
             }
             !done
         });
+        let finished = before - live.len();
         self.live = live;
+        finished
     }
 
     /// Drops every flow `node` is still sourcing at `now`: the fluid
@@ -561,15 +592,18 @@ pub fn flow_finish_times_with_crashes(
         }
         sim.push_in(SimTime::from_secs_f64(at_s), FlowEvent::Crash(node));
     }
-    // One completion event in flight at a time: recompute fair shares,
-    // schedule the earliest finisher, settle when it fires, repeat.
-    // Crash events may land before a scheduled completion; the stale
-    // completion event then just settles (a no-op drain at the already-
-    // recomputed rates) and the loop schedules the true next finisher.
-    loop {
-        if !st.live.is_empty() {
+    // At most one live completion in flight: recompute fair shares,
+    // schedule the earliest finisher stamped with the solve number,
+    // settle when it fires, repeat. A crash that lands first settles,
+    // cancels and re-solves, which supersedes the pending completion:
+    // when that one pops, its stamp is older than `st.solves`, and it
+    // does nothing — no settle, no solve, no push. Once no flow is live,
+    // the crashes still pending have nothing left to cancel.
+    let mut resolve = true;
+    while !st.live.is_empty() {
+        if resolve {
             if let Some(dt) = st.fair_rates() {
-                sim.push_in(SimTime::from_secs_f64(dt), FlowEvent::Completion);
+                sim.push_in(SimTime::from_secs_f64(dt), FlowEvent::Completion(st.solves));
             }
         }
         let Some(event) = sim.pop() else {
@@ -580,10 +614,17 @@ pub fn flow_finish_times_with_crashes(
         if sim.now() == SimTime::MAX {
             break;
         }
-        match event {
-            FlowEvent::Crash(node) => st.crash(node, sim.now()),
-            FlowEvent::Completion => st.settle(sim.now()),
-        }
+        resolve = match event {
+            FlowEvent::Crash(node) => {
+                st.crash(node, sim.now());
+                true
+            }
+            FlowEvent::Completion(solve) if solve == st.solves => {
+                count_settled_completion(st.settle(sim.now()));
+                true
+            }
+            FlowEvent::Completion(_) => false,
+        };
     }
     st.finish()
 }
@@ -660,8 +701,8 @@ pub(crate) fn reduce_fetch_seconds_on<const N: usize>(
 }
 
 /// The solver this module's [`FlowState`] replaced, kept as the oracle it
-/// must match bit for bit: shares re-derived from scratch at every event,
-/// every progressive-filling round a scan over all flows.
+/// must match bit for bit: shares re-derived from scratch at every crash
+/// and completion, every progressive-filling round a scan over all flows.
 #[cfg(test)]
 mod reference {
     use super::{count_visits, Flow, FlowEvent, FlowOutcomes, Links};
@@ -799,23 +840,35 @@ mod reference {
         };
         let mut sim = Simulation::default();
         for &(node, at_s) in crashes {
-            if at_s < 0.0 {
+            if at_s.is_nan() || at_s < 0.0 {
                 continue;
             }
             sim.push_in(SimTime::from_secs_f64(at_s), FlowEvent::Crash(node));
         }
-        loop {
-            if st.live > 0 {
+        // The fast solver's event semantics, on a counter of its own: a
+        // completion stamped by an older solve does nothing.
+        let mut solves = 0;
+        let mut resolve = true;
+        while st.live > 0 {
+            if resolve {
+                solves += 1;
                 st.rates = fair_rates(&paths, &st.active, &links);
                 if let Some(dt) = st.next_completion_s() {
-                    sim.push_in(SimTime::from_secs_f64(dt), FlowEvent::Completion);
+                    sim.push_in(SimTime::from_secs_f64(dt), FlowEvent::Completion(solves));
                 }
             }
-            match sim.pop() {
-                Some(FlowEvent::Crash(node)) => st.crash(node, flows, sim.now()),
-                Some(FlowEvent::Completion) => st.settle(sim.now()),
+            resolve = match sim.pop() {
+                Some(FlowEvent::Crash(node)) => {
+                    st.crash(node, flows, sim.now());
+                    true
+                }
+                Some(FlowEvent::Completion(solve)) if solve == solves => {
+                    st.settle(sim.now());
+                    true
+                }
+                Some(FlowEvent::Completion(_)) => false,
                 None => break,
-            }
+            };
         }
         FlowOutcomes {
             finish_s: st.finish_s,
@@ -1133,10 +1186,17 @@ mod tests {
                 .finish_s
                 .into_iter()
                 .fold(0.0, f64::max);
-            // At zero, mid-transfer, and after the last completion.
-            let crashes = g.vec(0..4, |g| {
-                let at = *g.pick(&[0.0, 0.25, 0.6, 0.6, 1.5]);
-                (g.usize(0..nodes), at * lasts_s)
+            // At zero, mid-transfer and after the last completion, plus
+            // entries that name nothing: a negative or NaN time, or a
+            // node the fabric does not have.
+            let crashes = g.vec(0..5, |g| {
+                let at = *g.pick(&[0.0, 0.25, 0.6, 0.6, 1.5, -0.5, f64::NAN]);
+                let node = if g.bool(0.15) {
+                    nodes + g.usize(0..3)
+                } else {
+                    g.usize(0..nodes)
+                };
+                (node, at * lasts_s)
             });
             let [(fast, _), (slow, _)] = solve_both(&t, nodes, &flows, &crashes);
             assert_bit_identical(&fast, &slow, &format!("{nodes} nodes, {racks} racks"));
@@ -1178,6 +1238,33 @@ mod tests {
             fast_visits * 10 <= slow_visits,
             "{fast_visits} flow visits against the reference's {slow_visits}"
         );
+    }
+
+    #[test]
+    fn a_crash_leaves_no_stale_completion() {
+        // Regression: a crash re-solved and scheduled a fresh completion
+        // but left the one it superseded on the calendar. That one fired
+        // later, finished nothing, re-solved the whole fabric and pushed
+        // a duplicate, a chain that lasted for the rest of the shuffle.
+        let t = Topology::racked(4, 4.0);
+        let flows = skewed_all_to_all(40);
+        let lasts_s = flow_finish_times(&t, 40, &flows)
+            .into_iter()
+            .fold(0.0, f64::max);
+        let crashes = [3, 17, 29].map(|node| (node, 0.15 * (node % 5 + 1) as f64 * lasts_s));
+        SOLVES.with(|c| c.set(0));
+        SETTLED_COMPLETIONS.with(|c| c.set([0; 2]));
+        let out = flow_finish_times_with_crashes(&t, 40, &flows, &crashes);
+        let solves = SOLVES.with(|c| c.get());
+        let [finishing, idle] = SETTLED_COMPLETIONS.with(|c| c.get());
+        assert!(out.cancelled.iter().any(|&c| c), "the crashes caught flows");
+        assert_eq!(idle, 0, "completions that settled nothing");
+        assert!(
+            solves <= finishing + crashes.len() as u64 + 1,
+            "{solves} solves for {finishing} finishing completions"
+        );
+        let slow = reference::flow_finish_times_with_crashes(&t, 40, &flows, &crashes);
+        assert_bit_identical(&out, &slow, "40-node all-to-all, three crashes");
     }
 
     #[test]
