@@ -13,11 +13,13 @@
 //! whose per-key once-cells guarantee all workers observe identical
 //! values.
 //!
-//! A plan runs in stages on one scoped worker pool: the **fill stage**
-//! enumerates the distinct expensive memo entries its entries will look
-//! up and work-steals the ones not yet computed, then the **point stage**
-//! prices every point against a full memo, then each replication plan
-//! spreads its seeds over the pool. Neighbouring points share entries, so
+//! A plan runs in stages on one scoped worker pool whose worker 0 is the
+//! caller: the **fill stage** enumerates the distinct expensive memo
+//! entries its entries will look up and work-steals the ones not yet
+//! computed, then the **point stage** answers on the caller every point
+//! the memo holds and prices the rest on the pool against a full memo,
+//! then each replication plan the memo lacks spreads its seeds over the
+//! pool; a warm plan spawns nothing. Neighbouring points share entries, so
 //! workers that discover them lazily queue on each other's once-cells;
 //! workers handed distinct entries do not (DESIGN.md, "Parallel memoized
 //! sweep harness"). [`run_grid_with`] declares a flat grid read by
@@ -107,11 +109,15 @@ pub fn snapshot() -> HarnessSnapshot {
     }
 }
 
-/// Evaluates `eval` over `items` on up to `workers` scoped threads and
-/// returns the results in item order. Workers claim `batch` contiguous
+/// Evaluates `eval` over `items` on up to `workers` workers and returns
+/// the results in item order. The caller is worker 0: it spawns
+/// `min(workers, batches) − 1` scoped helpers and works beside them, so a
+/// stage of one batch or less spawns nothing. ([`point_stage`] answers the
+/// points the memo holds on the caller and hands only the rest here, so a
+/// warm plan spawns nothing at all.) Workers claim `batch` contiguous
 /// items per grab from a shared cursor and land each result in its own
 /// slot, so neither the worker count nor the interleaving can reorder or
-/// alias output. One worker (or one item) runs inline, in order, and
+/// alias output. A caller without helpers runs inline, in order, and
 /// drops each item once it is evaluated: a result no larger than its item
 /// is written into the item's own storage, so the inline run holds the
 /// items or their results, not both.
@@ -127,7 +133,8 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
     eval: impl Fn(&mut S, &I) -> T + Sync,
 ) -> Vec<T> {
     let n = items.len();
-    if workers <= 1 || n <= 1 {
+    let helpers = workers.min(n.div_ceil(batch)).saturating_sub(1);
+    if helpers == 0 {
         let mut state = S::default();
         return items
             .into_iter()
@@ -136,27 +143,30 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
     }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n.div_ceil(batch)) {
-            scope.spawn(|| {
-                let mut state = S::default();
-                loop {
-                    let start = next.fetch_add(batch, Ordering::Relaxed);
-                    let end = (start + batch).min(n);
-                    let (Some(claimed), Some(out)) = (items.get(start..end), slots.get(start..end))
-                    else {
-                        break;
-                    };
-                    if claimed.is_empty() {
-                        break;
-                    }
-                    for (item, slot) in claimed.iter().zip(out) {
-                        // A claimed index belongs to this worker alone.
-                        let _ = slot.set(eval(&mut state, item));
-                    }
-                }
-            });
+    let work = || {
+        let mut state = S::default();
+        loop {
+            let start = next.fetch_add(batch, Ordering::Relaxed);
+            let end = (start + batch).min(n);
+            let (Some(claimed), Some(out)) = (items.get(start..end), slots.get(start..end)) else {
+                break;
+            };
+            if claimed.is_empty() {
+                break;
+            }
+            for (item, slot) in claimed.iter().zip(out) {
+                // A claimed index belongs to this worker alone.
+                let _ = slot.set(eval(&mut state, item));
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            #[cfg(test)]
+            tests::HELPERS.with(|c| c.set(c.get() + 1));
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -324,10 +334,11 @@ fn intern<T: PartialEq>(entries: &mut Vec<T>, entry: T) -> usize {
 /// keep the typed handles they get back. A declaration equal to one
 /// already held gets the held entry's handle, so two artifacts that quote
 /// the same run read one entry. [`Plan::run`] then runs every distinct
-/// entry once — one fill stage for all of them, the points on the pool,
-/// each replication plan's seeds on the pool, the splits read back — and
-/// hands the [`Outcomes`] the handles read. What a handle reads does not
-/// depend on the worker count.
+/// entry once — one fill stage for all of them, the points the memo lacks
+/// on the pool (the held ones on the caller), each replication plan's
+/// seeds on the pool, the splits read back — and hands the [`Outcomes`]
+/// the handles read. What a handle reads does not depend on the worker
+/// count.
 ///
 /// ```
 /// use hhsim_core::harness::Plan;
@@ -416,9 +427,7 @@ impl Plan {
         let seeded = replications.iter().map(|r| (&r.cfg, Reading::PerNode));
         fill_stage(declared.chain(seeded), &splits, workers, cache);
         let runs = points.len() + replications.iter().map(ReplicationPlan::len).sum::<usize>();
-        let measured = pool(points, workers, 1, |(), (cfg, reading)| {
-            cfg.run(cache, *reading).map(|(m, _)| m)
-        });
+        let measured = point_stage(points, workers, cache);
         let summaries = (replications.iter())
             .map(|r| r.summarize(workers, cache))
             .collect();
@@ -439,6 +448,58 @@ impl Plan {
             stalls,
         }
     }
+}
+
+/// A point of the point stage: its declaration until it is answered, then
+/// its outcome, in the same storage.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a slot is its declaration's size on purpose: the answer is written over the declaration, and a boxed declaration would cost an allocation per point"
+)]
+enum Slot {
+    Declared(SimConfig, Reading),
+    Answered(Result<Measurement, SimError>),
+}
+
+/// The point stage: every point's outcome, in declaration order. The
+/// caller answers, in order, each point that needs no run — one `cache`
+/// holds, or one that breaks the contract — and writes the answer over
+/// its declaration; only the points `cache` lacks go to the pool, so a
+/// warm plan spawns nothing. One worker is the caller alone: it runs a
+/// missing point where it finds it. What the memo holds decides where a
+/// point is answered, never what it reads.
+fn point_stage(
+    points: Vec<(SimConfig, Reading)>,
+    workers: usize,
+    cache: &SimCache,
+) -> Vec<Result<Measurement, SimError>> {
+    let run = |cfg: &SimConfig, reading| cfg.run(cache, reading).map(|(m, _)| m);
+    let slots: Vec<Slot> = (points.into_iter())
+        .map(|(cfg, reading)| {
+            let answer = match workers {
+                0 | 1 => Some(run(&cfg, reading)),
+                _ => cfg.held(cache, reading).map(|held| held.map(|(m, _)| m)),
+            };
+            match answer {
+                Some(outcome) => Slot::Answered(outcome),
+                None => Slot::Declared(cfg, reading),
+            }
+        })
+        .collect();
+    let missing: Vec<(&SimConfig, Reading)> = (slots.iter())
+        .filter_map(|slot| match slot {
+            Slot::Declared(cfg, reading) => Some((cfg, *reading)),
+            Slot::Answered(_) => None,
+        })
+        .collect();
+    let mut ran = pool(missing, workers, 1, |(), &(cfg, reading)| run(cfg, reading)).into_iter();
+    (slots.into_iter())
+        .map(|slot| match slot {
+            Slot::Answered(outcome) => outcome,
+            // The pool answered every missing point, in order.
+            Slot::Declared(cfg, reading) => ran.next().unwrap_or_else(|| run(&cfg, reading)),
+        })
+        .collect()
 }
 
 /// What a [`Plan`]'s entries ran to, read by the handles it minted.
@@ -715,6 +776,19 @@ mod tests {
     use super::*;
     use crate::simcache::CacheStats;
     use hhsim_arch::{presets, Frequency};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Helpers the `pool` calls of this thread have spawned.
+        pub(super) static HELPERS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `f`'s result and the helpers the pools it calls spawn.
+    fn spawning<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = HELPERS.with(Cell::get);
+        let out = f();
+        (out, HELPERS.with(Cell::get) - before)
+    }
 
     /// One point through the door on `cache`, read by its own meter.
     fn simulate_on(cfg: &SimConfig, cache: &SimCache) -> Measurement {
@@ -956,6 +1030,92 @@ mod tests {
         let lazy = run_grid_on(&g, 1, &SimCache::new());
         for (&p, want) in handles.iter().zip(lazy.iter().cycle()) {
             assert_eq!(ran.measurement(p), Ok(want));
+        }
+    }
+
+    #[test]
+    fn pool_spawns_one_helper_less_than_its_batches() {
+        for batch in [1, 3, 8] {
+            for workers in [1, 2, 4] {
+                for n in 0..=20 {
+                    let items: Vec<usize> = (0..n).collect();
+                    let (out, helpers) = spawning(|| pool(items, workers, batch, |(), &i| 10 * i));
+                    let want = if n <= batch {
+                        0
+                    } else {
+                        workers.min(n.div_ceil(batch)) - 1
+                    };
+                    let case = format!("{n} items, batch {batch}, {workers} workers");
+                    assert_eq!(helpers, want, "{case}");
+                    assert!(out.iter().copied().eq((0..n).map(|i| 10 * i)), "{case}");
+                }
+            }
+        }
+    }
+
+    /// A plan of every kind of entry: the grid's points, a replication
+    /// plan and fig1/fig2's splits, with the handles that read them.
+    fn mixed_plan() -> (Plan, Vec<Point>, Replicas, Vec<Split>) {
+        let mut plan = Plan::new();
+        let points = (grid().into_iter())
+            .map(|cfg| plan.point(cfg, Reading::Auto))
+            .collect();
+        let seeds = plan.replicate(ReplicationPlan::new(faulty_cfg(), 0..12));
+        let splits = crate::figures::suite_splits(&mut plan).concat();
+        (plan, points, seeds, splits)
+    }
+
+    #[test]
+    fn a_warm_plan_spawns_no_thread() {
+        let cache = SimCache::new();
+        let mut runs = Vec::new();
+        for workers in [4, 4, 1] {
+            let (plan, points, seeds, splits) = mixed_plan();
+            let before = cache.stats();
+            let (ran, helpers) = spawning(|| plan.run_on(workers, &cache));
+            let asked = cache.stats().since(&before);
+            let measured: Vec<Result<Measurement, SimError>> = points
+                .iter()
+                .map(|&p| ran.measurement(p).cloned())
+                .collect();
+            let cpi: Vec<Result<f64, SimError>> = (splits.iter())
+                .map(|&s| ran.cpi(s, Frequency::GHZ_1_8))
+                .collect();
+            let read = (measured, ran.summary(seeds).cloned(), cpi);
+            runs.push((read, helpers, asked.hits, asked.misses));
+        }
+        let [cold, warm, serial] = [0, 1, 2].map(|i| &runs[i]);
+        assert!(cold.1 > 0, "a cold plan spreads over the pool");
+        assert_eq!(warm.0, cold.0, "a warm plan reads what the cold one did");
+        assert_eq!(warm.1, 0, "a warm plan spawns no helper");
+        assert_eq!(warm.3, 0, "a warm plan computes nothing");
+        assert_eq!(
+            (&warm.0, warm.2, warm.3),
+            (&serial.0, serial.2, serial.3),
+            "a warm plan at 4 workers asks the memo what one worker does"
+        );
+    }
+
+    #[test]
+    fn held_and_missing_points_keep_declaration_order() {
+        let g = grid();
+        let cold = run_grid_on(&g, 1, &SimCache::new());
+        let every_other: Vec<SimConfig> = g.iter().step_by(2).cloned().collect();
+        for workers in [1, 2, 4] {
+            let cache = SimCache::new();
+            run_grid_on(&every_other, 1, &cache);
+            let before = cache.stats();
+            assert_eq!(run_grid_on(&g, workers, &cache), cold, "workers={workers}");
+            let asked = cache.stats().since(&before);
+            // Every (machine, app) pair is priced by the held half, so the
+            // fill stage finds nothing to do: the 12 held points are one
+            // hit each, the 12 missing ones one miss and four pricing hits
+            // each (the ratios and the three splits of their one machine).
+            assert_eq!(
+                (asked.hits, asked.misses),
+                (12 + 12 * 4, 12),
+                "workers={workers}"
+            );
         }
     }
 

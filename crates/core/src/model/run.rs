@@ -436,6 +436,21 @@ impl SimConfig {
             Ok((m, timeline))
         })
     }
+
+    /// What [`SimConfig::run`] returns when that needs no run: the
+    /// contract's [`SimError`], or the run `cache` holds (a hit). `None`
+    /// for a valid point `cache` does not hold, which it counts as
+    /// nothing.
+    pub(crate) fn held(
+        &self,
+        cache: &SimCache,
+        reading: Reading,
+    ) -> Option<Result<(Measurement, Option<ClusterTimeline>), SimError>> {
+        match self.validate(reading) {
+            Ok(valid) => cache.held_point(valid, reading == Reading::Traced),
+            Err(e) => Some(Err(e.into())),
+        }
+    }
 }
 
 /// [`SimConfig::run`] read by its own meter against the process-wide

@@ -857,18 +857,31 @@ mod reference {
                     sim.push_in(SimTime::from_secs_f64(dt), FlowEvent::Completion(solves));
                 }
             }
-            resolve = match sim.pop() {
-                Some(FlowEvent::Crash(node)) => {
+            let Some(event) = sim.pop() else {
+                break;
+            };
+            // The fast solver's break: at a saturated clock a settle
+            // drains nothing.
+            if sim.now() == SimTime::MAX {
+                break;
+            }
+            resolve = match event {
+                FlowEvent::Crash(node) => {
                     st.crash(node, flows, sim.now());
                     true
                 }
-                Some(FlowEvent::Completion(solve)) if solve == solves => {
+                FlowEvent::Completion(solve) if solve == solves => {
                     st.settle(sim.now());
                     true
                 }
-                Some(FlowEvent::Completion(_)) => false,
-                None => break,
+                FlowEvent::Completion(_) => false,
             };
+        }
+        // What is still live when the calendar runs out never finishes.
+        for (finish, &live) in st.finish_s.iter_mut().zip(&st.active) {
+            if live {
+                *finish = f64::INFINITY;
+            }
         }
         FlowOutcomes {
             finish_s: st.finish_s,
@@ -1182,9 +1195,20 @@ mod tests {
                 }
                 flows.push(twin);
             }
+            // Flows that outlast the calendar's range at any rate the
+            // fabric gives them: they never finish, and they hold their
+            // share until the clock saturates.
+            for _ in 0..g.usize(0..4) {
+                flows.push(Flow {
+                    src: g.usize(0..nodes),
+                    dst: g.usize(0..nodes),
+                    bytes: *g.pick(&[1.0e20, 1.0e30]),
+                });
+            }
             let lasts_s = reference::flow_finish_times_with_crashes(&t, nodes, &flows, &[])
                 .finish_s
                 .into_iter()
+                .filter(|s| s.is_finite())
                 .fold(0.0, f64::max);
             // At zero, mid-transfer and after the last completion, plus
             // entries that name nothing: a negative or NaN time, or a
@@ -1317,6 +1341,8 @@ mod tests {
         // It still holds its fair half of node 0's uplink meanwhile.
         assert!((out.finish_s.get(1).copied().unwrap_or(0.0) - 2.0).abs() < 1e-5);
         assert_eq!(out.cancelled, vec![false, false]);
+        let slow = reference::flow_finish_times_with_crashes(&t, 3, &flows, &[]);
+        assert_bit_identical(&out, &slow, "a flow beyond the calendar");
     }
 
     #[test]

@@ -93,6 +93,36 @@ fn tag(cfg: &SimConfig, extra: impl Hash) -> u64 {
 /// its timeline was kept.
 type PointKey = (SimConfig, Meter, bool);
 
+/// The bits of `x`, equal for equal floats: `-0.0 + 0.0` is `0.0`.
+fn bits(x: f64) -> u64 {
+    (x + 0.0).to_bits()
+}
+
+/// The tag of a [`PointKey`]: besides [`tag`]'s fields, the scalars the
+/// figures sweep (frequency, block size, data, nodes, mappers, offload
+/// rate, failure rate, speculation, racks, oversubscription), so that a hit
+/// compares one config in full.
+fn point_tag(cfg: &SimConfig, meter: Meter, traced: bool) -> u64 {
+    let extra = (
+        (meter, traced),
+        bits(cfg.frequency.ghz()),
+        cfg.block_size,
+        cfg.data_per_node_bytes,
+        cfg.nodes,
+        cfg.mappers_per_node,
+        cfg.accel.map(|a| bits(a.rate)),
+        (cfg.faults).map(|f| (f.seed, bits(f.map_failure_rate), f.recovery.speculation)),
+        (cfg.topology).map(|t| (t.racks, bits(t.oversubscription))),
+    );
+    tag(cfg, extra)
+}
+
+/// Whether a held [`PointKey`] is `cfg` read by `meter`, with or without
+/// its timeline: the point table's equality.
+fn is_point(cfg: &SimConfig, meter: Meter, traced: bool) -> impl Fn(&PointKey) -> bool + '_ {
+    move |(c, m, t)| *m == meter && *t == traced && c == cfg
+}
+
 /// What [`SimConfig::run`] returns for a valid config.
 pub(crate) type PointRun = Result<(Measurement, Option<ClusterTimeline>), SimError>;
 
@@ -264,9 +294,24 @@ impl SimCache {
         })
     }
 
-    /// Looks a run up in a table searched by equality: the first entry
-    /// tagged `tag` whose key `is` names is a hit and its value is cloned
-    /// out. A miss computes outside the lock and publishes the value under
+    /// The value of the first entry of a table searched by equality that
+    /// is tagged `tag` and whose key `is` names, cloned out and counted as
+    /// a hit; `None`, counting nothing, when there is none.
+    fn scan_hit<K, V: Clone>(
+        &self,
+        table: &Scanned<K, V>,
+        tag: u64,
+        is: impl Fn(&K) -> bool,
+    ) -> Option<V> {
+        let value = (lock(table).iter())
+            .find(|e| e.tag == tag && is(&e.key))
+            .map(|e| e.value.clone())?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
+    /// Looks a run up in a table searched by equality ([`Self::scan_hit`]).
+    /// A miss computes outside the lock and publishes the value under
     /// `key()`, unless another caller published it first: the value is a
     /// pure function of the key, so a lost race is a duplicated
     /// computation, published once.
@@ -278,11 +323,10 @@ impl SimCache {
         key: impl FnOnce() -> K,
         compute: impl FnOnce() -> V,
     ) -> V {
-        let held = |e: &&Tagged<K, V>| e.tag == tag && is(&e.key);
-        if let Some(e) = lock(table).iter().find(held) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return e.value.clone();
+        if let Some(value) = self.scan_hit(table, tag, &is) {
+            return value;
         }
+        let held = |e: &&Tagged<K, V>| e.tag == tag && is(&e.key);
         let value = compute();
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut entries = lock(table);
@@ -308,21 +352,22 @@ impl SimCache {
         compute: impl FnOnce() -> PointRun,
     ) -> PointRun {
         let (cfg, meter) = (valid.cfg(), valid.meter());
-        let extra = (
-            meter,
-            traced,
-            cfg.block_size,
-            cfg.data_per_node_bytes,
-            cfg.nodes,
-            cfg.mappers_per_node,
-        );
         self.scanned(
             &self.points,
-            tag(cfg, extra),
-            |(c, m, t)| *m == meter && *t == traced && c == cfg,
+            point_tag(cfg, meter, traced),
+            is_point(cfg, meter, traced),
             || (cfg.clone(), meter, traced),
             compute,
         )
+    }
+
+    /// [`Self::point_run`] when the point is held: the same key, tag and
+    /// equality, a hit counted. A point not held is `None`, computed by
+    /// nobody and counted as nothing.
+    pub(crate) fn held_point(&self, valid: Validated<'_>, traced: bool) -> Option<PointRun> {
+        let (cfg, meter) = (valid.cfg(), valid.meter());
+        let tag = point_tag(cfg, meter, traced);
+        self.scan_hit(&self.points, tag, is_point(cfg, meter, traced))
     }
 
     /// Memoized summary of a whole replication plan, keyed by full
@@ -457,6 +502,51 @@ mod tests {
         c.clear();
         let s = c.stats();
         assert_eq!(s, CacheStats::default());
+    }
+
+    #[test]
+    fn point_tags_tell_swept_fields_apart() {
+        let base = SimConfig::new(AppId::Sort, presets::xeon_e5_2420());
+        let at = |cfg: &SimConfig, meter| point_tag(cfg, meter, false);
+        let plain = at(&base, Meter::PhaseAverage);
+        assert_eq!(
+            at(&base.clone(), Meter::PhaseAverage),
+            plain,
+            "equal keys, equal tags"
+        );
+        let slower = base.clone().frequency(hhsim_arch::Frequency::GHZ_1_2);
+        let smaller = base.clone().block_size(hhsim_hdfs::BlockSize::MB_64);
+        let faster = |rate| {
+            base.clone()
+                .accelerator(hhsim_accel::AccelConfig::fpga(rate))
+        };
+        let failing = |rate| {
+            base.clone()
+                .faults(crate::figures::fig19_faults(rate, true))
+        };
+        let racked = |oversub| {
+            base.clone()
+                .topology(hhsim_hdfs::Topology::racked(4, oversub))
+        };
+        assert_eq!(
+            at(&failing(-0.0), Meter::PerNode),
+            at(&failing(0.0), Meter::PerNode),
+            "-0.0 == 0.0"
+        );
+        for (what, tagged) in [
+            ("frequency", at(&slower, Meter::PhaseAverage)),
+            ("block size", at(&smaller, Meter::PhaseAverage)),
+            ("meter", at(&base, Meter::PerNode)),
+        ] {
+            assert_ne!(tagged, plain, "{what}");
+        }
+        for (what, a, b) in [
+            ("offload rate", faster(2.0), faster(4.0)),
+            ("failure rate", failing(0.02), failing(0.04)),
+            ("oversubscription", racked(2.0), racked(4.0)),
+        ] {
+            assert_ne!(at(&a, Meter::PerNode), at(&b, Meter::PerNode), "{what}");
+        }
     }
 
     #[test]
