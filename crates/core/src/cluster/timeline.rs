@@ -211,18 +211,16 @@ fn fold_steps(events: &mut [(f64, i64)], steps: &mut Vec<(f64, usize)>) {
     steps.clear();
     steps.push((0.0, 0usize));
     let mut active = 0i64;
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
-        while i < events.len() && events[i].0 == t {
-            active += events[i].1;
-            i += 1;
+    let mut it = events.iter().peekable();
+    while let Some(&(t, delta)) = it.next() {
+        active += delta;
+        if it.peek().is_some_and(|&&(next, _)| next == t) {
+            continue;
         }
-        let a = usize::try_from(active.max(0)).expect("active fits usize");
-        if t == 0.0 {
-            steps[0].1 = a;
-        } else {
-            steps.push((t, a));
+        let held = usize::try_from(active).unwrap_or(0);
+        match steps.first_mut() {
+            Some(first) if t == 0.0 => first.1 = held,
+            _ => steps.push((t, held)),
         }
     }
 }

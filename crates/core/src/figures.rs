@@ -20,6 +20,7 @@ use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, ComputeProfile, CoreKind, Frequency, MachineModel};
 use hhsim_energy::MetricKind;
 use hhsim_hdfs::{BlockSize, Topology};
+use hhsim_sched::CORE_COUNTS;
 use hhsim_workloads::AppId;
 
 use hhsim_faults::{DomainConfig, FaultConfig, RecoveryPolicy};
@@ -631,9 +632,6 @@ pub fn fig16(plan: &mut Plan) -> Render {
     accel_render("fig16", "Acceleration ratio vs block size", rows)
 }
 
-/// Core counts studied in Table 3 / Fig. 17.
-pub const CORE_SWEEP: [usize; 4] = [2, 4, 6, 8];
-
 /// Block size for the scheduling study. The paper states 512 MB, but on
 /// 1 GB/node inputs that yields only 2 map tasks per node, so core-count
 /// scaling could never manifest; 128 MB gives 8 tasks/node (≥ the largest
@@ -657,7 +655,7 @@ pub fn table3(plan: &mut Plan) -> Render {
     let mut rows = Vec::new();
     for m in machines() {
         for app in AppId::ALL {
-            for cores in CORE_SWEEP {
+            for cores in CORE_COUNTS {
                 let p = sched_point(plan, app, &m, cores);
                 rows.push((app, format!("{}/M{}", m.core.kind, cores), p));
             }
@@ -684,7 +682,7 @@ pub fn fig17(plan: &mut Plan) -> Render {
     for app in AppId::ALL {
         let base = sched_point(plan, app, &xeon, 8);
         for (m, who) in [(&atom, "A"), (&xeon, "X")] {
-            for cores in CORE_SWEEP {
+            for cores in CORE_COUNTS {
                 rows.push((app, who, cores, sched_point(plan, app, m, cores), base));
             }
         }

@@ -3,8 +3,7 @@
 
 use hhsim_arch::{ComputeProfile, CoreKind, MachineModel};
 use hhsim_hdfs::{
-    BlockId, DiskModel, HdfsDefault, LocalityTier, NodeId, PlacementRequest, ReplicaPlacement,
-    Topology,
+    BlockId, DiskModel, HdfsDefault, LocalityTier, NodeId, PlacementRequest, Topology,
 };
 use hhsim_workloads::AppId;
 
@@ -262,7 +261,7 @@ impl<'a> ClusterPrep<'a> {
                 // is written by node t mod N, like the paper's per-node
                 // data load); the HDFS default policy then spreads the
                 // replicas across racks.
-                let mut policy = HdfsDefault::new(TOPOLOGY_LAYOUT_SEED ^ ji as u64);
+                let policy = HdfsDefault::new(TOPOLOGY_LAYOUT_SEED ^ ji as u64);
                 let replication = HDFS_REPLICATION.min(nodes_total);
                 let replicas: Vec<Vec<usize>> = (0..t.n_map)
                     .map(|task| {

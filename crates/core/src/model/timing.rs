@@ -166,16 +166,9 @@ pub(super) fn job_timing(
         // Cross-node shuffle transfer (the local share stays on-node).
         let cross = red_input * (nodes as f64 - 1.0) / nodes as f64;
         let t_net = cross / GIGE_BYTES_PER_S * red_concurrency;
-        // Reduce-side merge passes over n_map segments.
-        let passes = {
-            let mut segs = n_map;
-            let mut p = 0u32;
-            while segs > jobcfg.merge_factor {
-                segs = segs.div_ceil(jobcfg.merge_factor);
-                p += 1;
-            }
-            p as f64
-        };
+        // Reduce-side merge passes over n_map segments; the final merge
+        // feeds the reducer directly.
+        let passes = jobcfg.merge_passes(n_map).saturating_sub(1) as f64;
         let merge_bytes = red_input * passes * 2.0;
         let out_bytes = output_total / n_red as f64 * OUTPUT_REPLICATION;
         let io_bytes = red_input + merge_bytes + out_bytes;

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::topology::{LocalityTier, Topology};
-
 /// HDFS block size — the paper's central *system-level* tuning knob.
 ///
 /// # Examples
@@ -97,56 +95,27 @@ impl fmt::Display for NodeId {
 }
 
 /// Placement record of one block.
-///
-/// Replicas are kept twice: in placement order (the first entry is the
-/// primary — for HDFS-default placement, the writer's copy) and as a
-/// sorted index so membership tests are a binary search instead of a
-/// linear scan. Construction goes through [`BlockMeta::new`] so the two
-/// views can never drift apart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Block identifier.
     pub id: BlockId,
-    /// Payload length (the last block of a file may be short).
+    /// Block length in bytes (the last block of a file may be short).
     pub len: u64,
     /// Nodes holding a replica, in placement order.
     replicas: Vec<NodeId>,
-    /// The same nodes sorted, for `O(log r)` membership tests.
-    sorted: Vec<NodeId>,
 }
 
 impl BlockMeta {
     /// A placement record; `replicas` is in placement order (primary
     /// first).
     pub fn new(id: BlockId, len: u64, replicas: Vec<NodeId>) -> Self {
-        let mut sorted = replicas.clone();
-        sorted.sort_unstable();
-        BlockMeta {
-            id,
-            len,
-            replicas,
-            sorted,
-        }
+        BlockMeta { id, len, replicas }
     }
 
-    /// Nodes holding a replica, in placement order (primary first).
+    /// Nodes holding a replica, in placement order (primary first: for
+    /// HDFS-default placement, the writer's copy).
     pub fn replicas(&self) -> &[NodeId] {
         &self.replicas
-    }
-
-    /// True if `node` holds a replica of this block (binary search over
-    /// the sorted replica index).
-    pub fn is_local_to(&self, node: NodeId) -> bool {
-        self.sorted.binary_search(&node).is_ok()
-    }
-
-    /// Locality tier of `node` relative to this block's replicas under
-    /// `topology`: node-local beats rack-local beats off-rack.
-    pub fn locality_tier(&self, node: NodeId, topology: &Topology) -> LocalityTier {
-        if self.is_local_to(node) {
-            return LocalityTier::NodeLocal;
-        }
-        topology.tier(node, &self.replicas)
     }
 }
 
@@ -177,36 +146,20 @@ mod tests {
     }
 
     #[test]
-    fn locality_check() {
-        let m = BlockMeta::new(BlockId(0), 10, vec![NodeId(2), NodeId(0)]);
-        assert!(m.is_local_to(NodeId(0)));
-        assert!(m.is_local_to(NodeId(2)));
-        assert!(!m.is_local_to(NodeId(1)));
-        // Placement order survives the sorted index.
-        assert_eq!(m.replicas(), &[NodeId(2), NodeId(0)]);
-    }
-
-    #[test]
-    fn sorted_lookup_matches_linear_scan() {
-        let replicas: Vec<NodeId> = [9usize, 3, 7, 0, 5].into_iter().map(NodeId).collect();
-        let m = BlockMeta::new(BlockId(1), 1, replicas.clone());
-        for n in 0..12 {
-            assert_eq!(m.is_local_to(NodeId(n)), replicas.contains(&NodeId(n)));
-        }
-    }
-
-    #[test]
     fn locality_tier_prefers_closest_replica() {
+        use crate::topology::{LocalityTier, Topology};
         // Racks (round-robin over 2): replicas on node 0 (rack 0) and
-        // node 3 (rack 1).
+        // node 3 (rack 1), kept in placement order.
         let t = Topology::racked(2, 1.0);
-        let m = BlockMeta::new(BlockId(0), 1, vec![NodeId(0), NodeId(3)]);
-        assert_eq!(m.locality_tier(NodeId(0), &t), LocalityTier::NodeLocal);
-        assert_eq!(m.locality_tier(NodeId(3), &t), LocalityTier::NodeLocal);
-        assert_eq!(m.locality_tier(NodeId(2), &t), LocalityTier::RackLocal);
-        assert_eq!(m.locality_tier(NodeId(5), &t), LocalityTier::RackLocal);
+        let m = BlockMeta::new(BlockId(0), 1, vec![NodeId(3), NodeId(0)]);
+        assert_eq!(m.replicas(), &[NodeId(3), NodeId(0)]);
+        let tier = |m: &BlockMeta, n| t.tier(NodeId(n), m.replicas());
+        assert_eq!(tier(&m, 0), LocalityTier::NodeLocal);
+        assert_eq!(tier(&m, 3), LocalityTier::NodeLocal);
+        assert_eq!(tier(&m, 2), LocalityTier::RackLocal);
+        assert_eq!(tier(&m, 5), LocalityTier::RackLocal);
         // A single-replica block in rack 0 is off-rack from rack 1.
         let m = BlockMeta::new(BlockId(1), 1, vec![NodeId(0)]);
-        assert_eq!(m.locality_tier(NodeId(1), &t), LocalityTier::OffRack);
+        assert_eq!(tier(&m, 1), LocalityTier::OffRack);
     }
 }

@@ -1,15 +1,11 @@
-//! Pluggable replica placement policies for the namenode.
+//! HDFS replica placement: [`HdfsDefault`], the real HDFS default policy
+//! — first replica on the writer, second on a different rack, third on
+//! the second's rack.
 //!
-//! Historically the namenode placed replicas round-robin; that stays the
-//! default (and the byte-compatible legacy behaviour), but placement is
-//! now a trait so the real HDFS default policy — first replica on the
-//! writer, second on a different rack, third on the second's rack — can
-//! be swapped in when a [`Topology`](crate::Topology) is in play.
-//!
-//! Policies must be deterministic: [`HdfsDefault`] derives every
-//! "random" choice from a SplitMix64-style hash of `(seed, block id)`,
-//! so the same file written twice lands on the same nodes, on every
-//! platform, under any thread interleaving.
+//! Placement is deterministic: [`HdfsDefault`] derives every "random"
+//! choice from a SplitMix64-style hash of `(seed, block id)`, so the same
+//! file written twice lands on the same nodes, on every platform, under
+//! any thread interleaving.
 //!
 //! [`HdfsDefault`] depends on racks being assigned round-robin
 //! ([`Topology::rack_of`] is `node % racks`): it never lists a candidate
@@ -19,12 +15,10 @@
 //! (`ReferencePlacement`), which holds it to the same node on every pick;
 //! a change to the rack layout or to either policy shows up there.
 
-use std::fmt;
-
 use crate::block::{BlockId, NodeId};
 use crate::topology::Topology;
 
-/// Everything a policy needs to place one block's replicas.
+/// Everything [`HdfsDefault::place`] needs to place one block's replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementRequest {
     /// The block being placed.
@@ -33,70 +27,11 @@ pub struct PlacementRequest {
     /// (HDFS puts the first replica there); `None` for an external
     /// client.
     pub writer: Option<NodeId>,
-    /// Replicas to place. A policy returns `min(replication, num_nodes)`
-    /// of them (the namenode has already validated
-    /// `1 ≤ replication ≤ num_nodes`).
+    /// Replicas to place: [`HdfsDefault::place`] returns
+    /// `min(replication, num_nodes)` of them.
     pub replication: usize,
     /// Number of datanodes.
     pub num_nodes: usize,
-}
-
-/// A replica placement policy. Implementations may keep state (the
-/// round-robin cursor does) but must be deterministic functions of that
-/// state and the request.
-pub trait ReplicaPlacement: Send {
-    /// Chooses the nodes holding `req.replication` replicas. The first
-    /// entry is the primary. Entries must be distinct and in
-    /// `0..req.num_nodes`, and there are exactly
-    /// `min(req.replication, req.num_nodes)` of them: none when either is
-    /// zero.
-    fn place(&mut self, req: &PlacementRequest, topology: &Topology) -> Vec<NodeId>;
-
-    /// Short policy name for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Clones the policy behind the trait object.
-    fn clone_box(&self) -> Box<dyn ReplicaPlacement>;
-}
-
-impl Clone for Box<dyn ReplicaPlacement> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-impl fmt::Debug for dyn ReplicaPlacement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ReplicaPlacement({})", self.name())
-    }
-}
-
-/// The legacy policy: primaries rotate across nodes, replicas follow
-/// consecutively. Rack-oblivious, but perfectly balanced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundRobin {
-    next_node: usize,
-}
-
-impl ReplicaPlacement for RoundRobin {
-    fn place(&mut self, req: &PlacementRequest, _topology: &Topology) -> Vec<NodeId> {
-        if req.num_nodes == 0 {
-            return Vec::new();
-        }
-        let replicas = (0..req.replication.min(req.num_nodes))
-            .map(|r| NodeId((self.next_node + r) % req.num_nodes))
-            .collect();
-        self.next_node = (self.next_node + 1) % req.num_nodes;
-        replicas
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplicaPlacement> {
-        Box::new(*self)
-    }
 }
 
 /// SplitMix64 finalizer — the workspace's standard stateless hash (the
@@ -169,11 +104,16 @@ fn nth_skipping(ix: usize, skip: &[usize; 3]) -> usize {
         .fold(ix, |at, &s| if s <= at { at + 1 } else { at })
 }
 
-impl ReplicaPlacement for HdfsDefault {
+impl HdfsDefault {
+    /// Chooses the nodes holding `req.replication` replicas, the primary
+    /// first: distinct nodes in `0..req.num_nodes`, exactly
+    /// `min(req.replication, req.num_nodes)` of them (none when either is
+    /// zero).
+    ///
     /// Reads every candidate pool by index over the round-robin rack
     /// layout instead of listing it: O(replication) per block, and the
     /// result is the one allocation.
-    fn place(&mut self, req: &PlacementRequest, topology: &Topology) -> Vec<NodeId> {
+    pub fn place(&self, req: &PlacementRequest, topology: &Topology) -> Vec<NodeId> {
         let nodes = req.num_nodes;
         let want = req.replication.min(nodes);
         if want == 0 {
@@ -242,14 +182,6 @@ impl ReplicaPlacement for HdfsDefault {
         }
         chosen
     }
-
-    fn name(&self) -> &'static str {
-        "hdfs-default"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplicaPlacement> {
-        Box::new(*self)
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +206,7 @@ mod tests {
     /// its oracle: every pool listed in full (all nodes, then the off-rack,
     /// same-rack and unused ones) and `pool[draw % len]` picked from it,
     /// with the same draws. Its answers to a zero-node or zero-replica
-    /// request break the trait contract; the oracle tests skip those.
+    /// request break `place`'s contract; the oracle tests skip those.
     struct ReferencePlacement {
         policy: HdfsDefault,
     }
@@ -372,7 +304,7 @@ mod tests {
     fn same_as_reference(seed: u64, nodes: usize, racks: usize, replication: usize, blocks: u64) {
         let topo = Topology::racked(racks, 1.0);
         let reference = ReferencePlacement::new(seed);
-        let mut policy = HdfsDefault::new(seed);
+        let policy = HdfsDefault::new(seed);
         for b in 0..blocks {
             let writers = [
                 None,
@@ -440,54 +372,25 @@ mod tests {
     #[test]
     fn degenerate_requests_keep_the_contract() {
         let topo = Topology::racked(3, 1.0);
-        let policies: [Box<dyn ReplicaPlacement>; 2] = [
-            Box::new(RoundRobin::default()),
-            Box::new(HdfsDefault::new(5)),
-        ];
-        for mut policy in policies {
-            for (replication, nodes) in [(0, 0), (3, 0), (0, 4), (4, 2), (6, 1), (9, 5)] {
-                for writer in [None, Some(NodeId(0)), Some(NodeId(7))] {
-                    let r = req(11, writer.map(|w| w.0), replication, nodes);
-                    let got = policy.place(&r, &topo);
-                    assert_eq!(got.len(), replication.min(nodes), "{} {r:?}", policy.name());
-                    let mut sorted = got.clone();
-                    sorted.sort();
-                    sorted.dedup();
-                    assert_eq!(sorted.len(), got.len(), "{} {r:?}: distinct", policy.name());
-                    assert!(
-                        got.iter().all(|n| n.0 < nodes),
-                        "{} {r:?}: in range",
-                        policy.name()
-                    );
-                }
+        let policy = HdfsDefault::new(5);
+        for (replication, nodes) in [(0, 0), (3, 0), (0, 4), (4, 2), (6, 1), (9, 5)] {
+            for writer in [None, Some(NodeId(0)), Some(NodeId(7))] {
+                let r = req(11, writer.map(|w| w.0), replication, nodes);
+                let got = policy.place(&r, &topo);
+                assert_eq!(got.len(), replication.min(nodes), "{r:?}");
+                let mut sorted = got.clone();
+                sorted.sort();
+                sorted.dedup();
+                assert_eq!(sorted.len(), got.len(), "{r:?}: distinct");
+                assert!(got.iter().all(|n| n.0 < nodes), "{r:?}: in range");
             }
         }
-        // Four over two: the rotation wraps once and stops.
-        let mut rr = RoundRobin::default();
-        let t = Topology::flat();
-        assert_eq!(
-            rr.place(&req(0, None, 4, 2), &t),
-            vec![NodeId(0), NodeId(1)]
-        );
-        assert_eq!(
-            rr.place(&req(1, None, 4, 2), &t),
-            vec![NodeId(1), NodeId(0)]
-        );
-    }
-
-    #[test]
-    fn round_robin_matches_legacy_layout() {
-        let mut p = RoundRobin::default();
-        let t = Topology::flat();
-        assert_eq!(p.place(&req(0, None, 2, 3), &t), vec![NodeId(0), NodeId(1)]);
-        assert_eq!(p.place(&req(1, None, 2, 3), &t), vec![NodeId(1), NodeId(2)]);
-        assert_eq!(p.place(&req(2, None, 2, 3), &t), vec![NodeId(2), NodeId(0)]);
     }
 
     #[test]
     fn hdfs_default_writer_first_then_two_racks() {
         let t = Topology::racked(3, 1.0);
-        let mut p = HdfsDefault::new(7);
+        let p = HdfsDefault::new(7);
         for b in 0..32 {
             let r = p.place(&req(b, Some(4), 3, 9), &t);
             assert_eq!(r.len(), 3);
@@ -501,7 +404,7 @@ mod tests {
     #[test]
     fn hdfs_default_single_rack_degrades_to_distinct_nodes() {
         let t = Topology::flat();
-        let mut p = HdfsDefault::new(1);
+        let p = HdfsDefault::new(1);
         let r = p.place(&req(5, Some(0), 3, 4), &t);
         assert_eq!(r.len(), 3);
         assert_eq!(r[0], NodeId(0));
@@ -515,7 +418,7 @@ mod tests {
     fn hdfs_default_is_deterministic_per_seed() {
         let t = Topology::racked(4, 2.0);
         let place_all = |seed: u64| -> Vec<Vec<NodeId>> {
-            let mut p = HdfsDefault::new(seed);
+            let p = HdfsDefault::new(seed);
             (0..64).map(|b| p.place(&req(b, None, 3, 12), &t)).collect()
         };
         assert_eq!(place_all(9), place_all(9), "same seed, same placement");
@@ -525,7 +428,7 @@ mod tests {
     #[test]
     fn external_writer_spreads_primaries() {
         let t = Topology::racked(2, 1.0);
-        let mut p = HdfsDefault::new(3);
+        let p = HdfsDefault::new(3);
         let primaries: std::collections::BTreeSet<NodeId> = (0..64)
             .map(|b| p.place(&req(b, None, 1, 8), &t)[0])
             .collect();

@@ -11,7 +11,7 @@
 use std::hint::black_box;
 use std::mem::size_of;
 
-use hhsim_hdfs::{BlockId, HdfsDefault, NodeId, PlacementRequest, ReplicaPlacement, Topology};
+use hhsim_hdfs::{BlockId, HdfsDefault, NodeId, PlacementRequest, Topology};
 use hhsim_testkit::{counted, Allocs, Counting};
 
 #[global_allocator]
@@ -23,7 +23,7 @@ const BLOCKS: u64 = 20_000;
 /// the allocator; every result is dropped before the next block.
 fn placement_allocs(nodes: usize, racks: usize, replication: usize, writer: bool) -> Allocs {
     let topo = Topology::racked(racks, 4.0);
-    let mut policy = HdfsDefault::new(7);
+    let policy = HdfsDefault::new(7);
     let ((), allocs) = counted(|| {
         for b in 0..BLOCKS {
             let req = PlacementRequest {

@@ -1,4 +1,4 @@
-//! Text input format over the simulated HDFS.
+//! Text input format: a file's bytes cut into per-block line records.
 //!
 //! Faithful to Hadoop's `TextInputFormat` record-reader contract: one split
 //! per block; a reader whose split does not start at byte 0 skips the first
@@ -15,49 +15,29 @@
 //! oracle.
 
 use bytes::Bytes;
-use hhsim_hdfs::{Dfs, DfsError};
 
 use crate::kv::Line;
 
 /// One input split: records of `(file offset, line)`.
 pub type TextSplit = Vec<(u64, Line)>;
 
-/// Builds per-block text splits for `path` in `dfs`.
+/// Splits a file's bytes into per-block line records, one split per
+/// `block_size` bytes.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`DfsError::NotFound`] if the path does not exist.
+/// Panics if `block_size` is zero.
 ///
 /// # Examples
 ///
 /// ```
 /// use bytes::Bytes;
-/// use hhsim_hdfs::{BlockSize, Dfs, DfsConfig};
-/// use hhsim_mapreduce::text_splits;
+/// use hhsim_mapreduce::text_splits_from_bytes;
 ///
-/// let mut dfs = Dfs::new(DfsConfig {
-///     block_size: BlockSize::from_bytes(8),
-///     replication: 1,
-///     num_nodes: 1,
-/// })?;
-/// dfs.create("/t", Bytes::from_static(b"alpha\nbravo charlie\nx\n"))?;
-/// let splits = text_splits(&dfs, "/t")?;
+/// let splits = text_splits_from_bytes(&Bytes::from_static(b"alpha\nbravo charlie\nx\n"), 8);
 /// let lines: Vec<&str> = splits.iter().flatten().map(|(_, l)| l.as_str()).collect();
 /// assert_eq!(lines, vec!["alpha", "bravo charlie", "x"]);
-/// # Ok::<(), hhsim_hdfs::DfsError>(())
 /// ```
-pub fn text_splits(dfs: &Dfs, path: &str) -> Result<Vec<TextSplit>, DfsError> {
-    let data = dfs.read(path)?;
-    let block_size = dfs.namenode().lookup(path)?.block_size.bytes();
-    Ok(text_splits_from_bytes(&data, block_size))
-}
-
-/// Splits raw bytes into per-block line records (exposed for tests and for
-/// generators that bypass the DFS).
-///
-/// # Panics
-///
-/// Panics if `block_size` is zero.
 pub fn text_splits_from_bytes(data: &Bytes, block_size: u64) -> Vec<TextSplit> {
     let block = usize::try_from(block_size).unwrap_or(usize::MAX);
     (0..data.len())
@@ -279,22 +259,5 @@ mod tests {
         let splits = text_splits_from_bytes(&Bytes::from_static(b"ab\ncd\nef\n"), 3);
         let offsets: Vec<u64> = splits.concat().iter().map(|(o, _)| *o).collect();
         assert_eq!(offsets, vec![0, 3, 6]);
-    }
-
-    #[test]
-    fn dfs_round_trip() {
-        use hhsim_hdfs::{BlockSize, DfsConfig};
-        let mut dfs = Dfs::new(DfsConfig {
-            block_size: BlockSize::from_bytes(16),
-            replication: 1,
-            num_nodes: 3,
-        })
-        .unwrap();
-        let text = "the quick brown fox\njumps over\nthe lazy dog\n";
-        dfs.create("/in", Bytes::from(text.to_string())).unwrap();
-        let splits = text_splits(&dfs, "/in").unwrap();
-        assert_eq!(splits.len(), 3); // 45 bytes / 16
-        let lines: Vec<&str> = splits.iter().flatten().map(|(_, l)| l.as_str()).collect();
-        assert_eq!(lines, text.lines().collect::<Vec<_>>());
     }
 }

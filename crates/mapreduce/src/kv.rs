@@ -162,8 +162,8 @@ impl Datum for Text {
 }
 
 /// UTF-8 text that is a window into a shared input buffer: the record type
-/// of [`crate::text_splits`], whose clones bump a reference count and copy
-/// no bytes.
+/// of [`crate::text_splits_from_bytes`], whose clones bump a reference
+/// count and copy no bytes.
 ///
 /// Like [`Text`] it is a drop-in for `String` as far as the engine can
 /// tell: [`Ord`] is byte-lexicographic, [`Datum::stable_hash`] is the same

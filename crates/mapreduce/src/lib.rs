@@ -76,7 +76,7 @@ mod task;
 pub use config::JobConfig;
 pub use emit::Emitter;
 pub use engine::{run_job, run_map_only_job, JobResult, JobSpec};
-pub use input::{text_splits, text_splits_from_bytes, TextSplit};
+pub use input::{text_splits_from_bytes, TextSplit};
 pub use kv::{Datum, Line, Text};
 pub use partition::{hash_partition, range_partition, Partitioner};
 pub use phase::{Phase, PhaseBreakdown};
