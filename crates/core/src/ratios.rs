@@ -43,8 +43,6 @@ pub struct JobRatios {
     pub has_reduce: bool,
     /// Final output bytes per job-input byte.
     pub output_selectivity: f64,
-    /// Reduce input skew (max/mean across reducers).
-    pub reduce_skew: f64,
     /// Bytes of one copy of the distinct intermediate key space at the
     /// reference input size.
     pub distinct_key_bytes_ref: f64,
@@ -83,7 +81,6 @@ impl JobRatios {
             has_combiner: s.combine_input_records > 0,
             has_reduce: s.reduce_tasks > 0,
             output_selectivity: s.output_bytes as f64 / input,
-            reduce_skew: s.reduce_skew(),
             distinct_key_bytes_ref: keys_ref * rec_bytes,
             key_beta,
             ref_input_bytes: input,
@@ -116,8 +113,6 @@ fn distinct_keys(s: &JobStats) -> u64 {
 pub struct AppRatios {
     /// Per-job ratios in execution order.
     pub jobs: Vec<JobRatios>,
-    /// Input records per input byte (first job).
-    pub records_per_byte: f64,
 }
 
 impl AppRatios {
@@ -131,10 +126,7 @@ impl AppRatios {
             .enumerate()
             .map(|(i, s)| JobRatios::from_stats(s, small.per_job.get(i), app_input))
             .collect();
-        AppRatios {
-            jobs,
-            records_per_byte: reference.stats.map_input_records as f64 / app_input,
-        }
+        AppRatios { jobs }
     }
 
     /// The reference-scale functional configuration the ratios are
@@ -255,9 +247,7 @@ mod tests {
         for app in AppId::ALL {
             let r = SimCache::global().ratios(app);
             assert!(!r.jobs.is_empty(), "{app}");
-            assert!(r.records_per_byte > 0.0, "{app}");
             for j in &r.jobs {
-                assert!(j.reduce_skew >= 1.0, "{app}");
                 assert!(j.input_fraction > 0.0, "{app}");
             }
         }

@@ -38,7 +38,7 @@ use crate::emit::Emitter;
 use crate::kv::Datum;
 use crate::merge::{merge_runs, Run};
 use crate::partition::{hash_partition, Partitioner};
-use crate::stats::{JobStats, TaskIo};
+use crate::stats::JobStats;
 use crate::task::{Combiner, Mapper, Reducer};
 
 /// A fully specified job: mapper, reducer, optional combiner, partitioner
@@ -363,7 +363,6 @@ where
     let nparts = cfg.num_reducers.max(1);
     let mut mapper = job.mapper.clone();
     let mut combiner = job.combiner.as_ref().map(|c| c.fork());
-    let mut task_io = TaskIo::default();
     let mut spills: Vec<Vec<Run<M::KOut, M::VOut>>> = Vec::new();
 
     let mut spill = |ws: &mut Workspace<M::KOut, M::VOut>, stats: &mut JobStats| {
@@ -389,8 +388,8 @@ where
     };
 
     for (k, v) in split {
-        task_io.input_records += 1;
-        task_io.input_bytes += (k.size_bytes() + v.size_bytes()) as u64;
+        stats.map_input_records += 1;
+        stats.map_input_bytes += (k.size_bytes() + v.size_bytes()) as u64;
         mapper.map(&k, &v, &mut ws.emitter);
         if ws.emitter.bytes() >= cfg.sort_buffer_bytes {
             spill(ws, stats);
@@ -399,21 +398,15 @@ where
     mapper.finish(&mut ws.emitter);
     spill(ws, stats);
 
-    stats.map_input_records += task_io.input_records;
-    stats.map_input_bytes += task_io.input_bytes;
-
     // Hadoop merges the spills into one sorted file per partition; that
     // merge is accounted (every pass rewrites the whole materialized
     // output), and the runs themselves travel to the reducers unmerged.
-    let runs = spills.iter().flatten();
-    task_io.output_records = runs.clone().map(|r| r.len() as u64).sum();
-    task_io.output_bytes = runs.map(Run::data_bytes).sum();
     if spills.len() > 1 {
+        let output_bytes: u64 = spills.iter().flatten().map(Run::data_bytes).sum();
         let passes = cfg.merge_passes(spills.len()) as u64;
         stats.map_merge_passes += passes;
-        stats.map_merge_bytes += task_io.output_bytes * passes;
+        stats.map_merge_bytes += output_bytes * passes;
     }
-    stats.map_task_io.push(task_io);
     MapOutput { spills }
 }
 
@@ -532,23 +525,12 @@ fn run_reduce_task<M, R>(
     M: Mapper,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    let cfg = job.config;
-    let mut task_io = TaskIo::default();
-    let seg_bytes: u64 = input.runs.iter().map(Run::data_bytes).sum();
-    task_io.input_bytes = seg_bytes;
-    task_io.input_records = input.runs.iter().map(|s| s.len() as u64).sum();
-
     // Extra merge passes beyond the final streaming merge: Hadoop merges
     // the map outputs that reached it down to `merge_factor` on disk, then
     // streams the last merge into the reducer.
-    let nsegs = input.map_outputs;
-    if nsegs > cfg.merge_factor {
-        let mut segs = nsegs;
-        let mut passes = 0u64;
-        while segs > cfg.merge_factor {
-            segs = segs.div_ceil(cfg.merge_factor);
-            passes += 1;
-        }
+    let passes = job.config.merge_passes(input.map_outputs).saturating_sub(1) as u64;
+    if passes > 0 {
+        let seg_bytes: u64 = input.runs.iter().map(Run::data_bytes).sum();
         stats.reduce_merge_passes += passes;
         stats.reduce_merge_bytes += seg_bytes * passes;
     }
@@ -567,11 +549,8 @@ fn run_reduce_task<M, R>(
     }
     let records = emitter.drain();
     for (k, v) in records {
-        task_io.output_records += 1;
-        task_io.output_bytes += (k.size_bytes() + v.size_bytes()) as u64;
         stats.output_records += 1;
         stats.output_bytes += (k.size_bytes() + v.size_bytes()) as u64;
         output.push((k, v));
     }
-    stats.reduce_task_io.push(task_io);
 }

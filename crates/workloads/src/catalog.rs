@@ -211,31 +211,22 @@ pub struct FunctionalRun {
     pub stats: JobStats,
     /// Statistics of each chained job, in execution order.
     pub per_job: Vec<JobStats>,
-    /// Number of chained MapReduce jobs executed (Grep and FP-Growth run 2).
-    pub jobs: usize,
 }
 
 impl FunctionalRun {
     fn single(stats: JobStats) -> Self {
         FunctionalRun {
-            per_job: vec![stats.clone()],
             stats,
-            jobs: 1,
+            per_job: vec![stats],
         }
     }
 
-    fn chained(all: Vec<JobStats>) -> Self {
-        let jobs = all.len();
-        let per_job = all.clone();
-        let mut merged = JobStats::default();
-        for s in all {
-            merged.absorb(s);
+    fn chained(per_job: Vec<JobStats>) -> Self {
+        let mut stats = JobStats::default();
+        for &s in &per_job {
+            stats.absorb(s);
         }
-        FunctionalRun {
-            stats: merged,
-            per_job,
-            jobs,
-        }
+        FunctionalRun { stats, per_job }
     }
 }
 
@@ -296,9 +287,9 @@ mod tests {
 
     #[test]
     fn chained_apps_report_two_jobs() {
-        assert_eq!(AppId::Grep.run_functional(&cfg()).jobs, 2);
-        assert_eq!(AppId::FpGrowth.run_functional(&cfg()).jobs, 2);
-        assert_eq!(AppId::WordCount.run_functional(&cfg()).jobs, 1);
+        assert_eq!(AppId::Grep.run_functional(&cfg()).per_job.len(), 2);
+        assert_eq!(AppId::FpGrowth.run_functional(&cfg()).per_job.len(), 2);
+        assert_eq!(AppId::WordCount.run_functional(&cfg()).per_job.len(), 1);
     }
 
     #[test]

@@ -89,6 +89,7 @@ pub fn run(input: &Bytes, block_bytes: u64, cfg: JobConfig) -> JobResult<Line, L
 mod tests {
     use super::*;
     use crate::datagen;
+    use hhsim_mapreduce::Datum;
 
     #[test]
     fn output_is_globally_sorted() {
@@ -104,12 +105,20 @@ mod tests {
 
     #[test]
     fn sampling_balances_reducers() {
-        let input = datagen::teragen(100 << 10, 4);
-        let res = run(&input, 20 << 10, JobConfig::default().num_reducers(4));
+        let splits = text_splits_from_bytes(&datagen::teragen(100 << 10, 4), 20 << 10);
+        let part = range_partition(sample_cut_points(&splits, 4, 32));
+        let mut bytes = [0u64; 4];
+        for split in &splits {
+            for (_, row) in split {
+                let (key, filler) = row.split_key('\t');
+                bytes[part(&key, 4)] += (key.size_bytes() + filler.size_bytes()) as u64;
+            }
+        }
+        let max = bytes.iter().max().copied().unwrap_or(0) as f64;
+        let skew = max / (bytes.iter().sum::<u64>() as f64 / 4.0);
         assert!(
-            res.stats.reduce_skew() < 1.6,
-            "quantile cuts should balance partitions, skew {}",
-            res.stats.reduce_skew()
+            skew < 1.6,
+            "quantile cuts should balance partitions, skew {skew}"
         );
     }
 

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use hhsim_mapreduce::{JobStats, TaskIo};
+use hhsim_mapreduce::JobStats;
 use hhsim_workloads::{datagen, AppId, FunctionalConfig};
 
 /// The two scales of `AppRatios::reference_config` and
@@ -50,22 +50,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Every task's I/O of one job, folded into an FNV-64 digest.
-fn fold_tasks(tasks: &[TaskIo]) -> u64 {
-    let mut bytes = Vec::with_capacity(32 * tasks.len());
-    for t in tasks {
-        for v in [
-            t.input_bytes,
-            t.input_records,
-            t.output_bytes,
-            t.output_records,
-        ] {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    fnv64(&bytes)
-}
-
 /// Every counter of one job, by name.
 fn counters(s: &JobStats) -> Vec<(&'static str, u64)> {
     vec![
@@ -90,10 +74,6 @@ fn counters(s: &JobStats) -> Vec<(&'static str, u64)> {
         ("reduce_input_records", s.reduce_input_records),
         ("output_records", s.output_records),
         ("output_bytes", s.output_bytes),
-        ("map_task_io_len", s.map_task_io.len() as u64),
-        ("map_task_io_fnv64", fold_tasks(&s.map_task_io)),
-        ("reduce_task_io_len", s.reduce_task_io.len() as u64),
-        ("reduce_task_io_fnv64", fold_tasks(&s.reduce_task_io)),
     ]
 }
 
