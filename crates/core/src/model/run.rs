@@ -273,7 +273,7 @@ impl ClusterPrep<'_> {
             let primary = self.ratios.primary();
             let transfer = (self.cfg.data_per_node_bytes as f64
                 * nodes as f64
-                * (1.0 + primary.map_selectivity.min(1.5)))
+                * (1.0 + primary.map_selectivity))
                 / nodes as f64
                 / slots as f64;
             #[expect(
