@@ -303,6 +303,17 @@ impl SimConfig {
         self.accel.as_ref().map_or(Ok(()), check_accel)?;
         self.faults.as_ref().map_or(Ok(()), check_faults)?;
         self.topology.as_ref().map_or(Ok(()), check_topology)?;
+        // The fault layer puts node `n` in domain `n % domains.racks`, and
+        // placement, locality and the shuffle put it in rack
+        // `n % topology.racks`: on an active fabric the two must agree, or
+        // a switch crash takes down nodes of several fabric racks.
+        if let (Some(fc), Some(t)) = (&self.faults, &self.topology) {
+            let racks = fc.domains.racks;
+            in_range(&[(
+                racks == 0 || !t.active() || racks == t.racks,
+                "faults.domains.racks",
+            )])?;
+        }
         Ok(Validated { cfg: self, meter })
     }
 }

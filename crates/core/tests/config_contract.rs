@@ -10,7 +10,7 @@ use std::mem::discriminant;
 use hhsim_core::accel::AccelConfig;
 use hhsim_core::arch::cache::{MAX_LINES, MAX_WAYS};
 use hhsim_core::arch::{presets, CacheConfig, ComputeProfile, MachineModel, MemoryProfile};
-use hhsim_core::faults::{FaultConfig, PhaseError, RecoveryPolicy};
+use hhsim_core::faults::{DomainConfig, FaultConfig, PhaseError, RecoveryPolicy};
 use hhsim_core::harness::Plan;
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
@@ -217,6 +217,13 @@ fn rows() -> Vec<Row> {
                 ..four_racks
             }),
             out_of_range("topology.racks"),
+        ),
+        row(
+            "switch crashes over 3 failure domains on a 4-rack fabric",
+            racked(four_racks).faults(
+                FaultConfig::none().domains(DomainConfig::none().racks(3).switch_mttf(3600.0)),
+            ),
+            out_of_range("faults.domains.racks"),
         ),
         row("NaN memory", no_memory, out_of_range("machine.memory_gb")),
         row("no cache level", no_cache, out_of_range(levels)),
