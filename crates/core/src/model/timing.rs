@@ -97,7 +97,7 @@ pub(super) fn job_timing(
         // is again capped by the whole task's key space.
         (emitted.min(key_cap_task), spills * spill_out)
     } else {
-        (emitted * job.combine_ratio, emitted * job.combine_ratio)
+        (emitted, emitted)
     };
     let merge_io = (spill_write + materialized) * merge_passes;
 

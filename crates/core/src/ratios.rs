@@ -34,9 +34,6 @@ pub struct JobRatios {
     pub input_fraction: f64,
     /// Map output bytes per job-input byte (before combining).
     pub map_selectivity: f64,
-    /// Materialized/emitted ratio observed functionally (no-combiner jobs:
-    /// 1.0).
-    pub combine_ratio: f64,
     /// Whether a combiner runs.
     pub has_combiner: bool,
     /// Whether the job has a reduce phase.
@@ -77,7 +74,6 @@ impl JobRatios {
         JobRatios {
             input_fraction: input / app_input,
             map_selectivity: s.map_selectivity(),
-            combine_ratio: s.combine_ratio(),
             has_combiner: s.combine_input_records > 0,
             has_reduce: s.reduce_tasks > 0,
             output_selectivity: s.output_bytes as f64 / input,

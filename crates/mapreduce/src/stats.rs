@@ -117,16 +117,6 @@ impl JobStats {
             self.map_output_bytes as f64 / self.map_input_bytes as f64
         }
     }
-
-    /// Combiner reduction ratio: materialized / emitted bytes (1.0 when no
-    /// combiner ran).
-    pub fn combine_ratio(&self) -> f64 {
-        if self.map_output_bytes == 0 {
-            1.0
-        } else {
-            self.map_materialized_bytes as f64 / self.map_output_bytes as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +127,6 @@ mod tests {
     fn ratios_handle_empty_jobs() {
         let s = JobStats::default();
         assert_eq!(s.map_selectivity(), 0.0);
-        assert_eq!(s.combine_ratio(), 1.0);
     }
 
     #[test]
@@ -150,7 +139,6 @@ mod tests {
             ..JobStats::default()
         };
         assert_eq!(s.map_selectivity(), 1.5);
-        assert_eq!(s.combine_ratio(), 0.5);
     }
 
     #[test]
