@@ -22,7 +22,7 @@ pub struct JobConfig {
     /// §3.1.1 of the paper blames exactly these spills for the 512 MB
     /// WordCount slowdown.
     pub sort_buffer_bytes: u64,
-    /// Fan-in of merge passes (`mapreduce.task.io.sort.factor`).
+    /// Fan-in of merge passes (`mapreduce.task.io.sort.factor`), at least 2.
     pub merge_factor: usize,
 }
 

@@ -280,7 +280,8 @@ fn shuffle_map_outputs<K: Datum, V: Datum>(
 /// # Panics
 ///
 /// Panics if `num_reducers == 0`; use [`run_map_only_job`] for map-only
-/// jobs, whose output carries the *mapper's* output types.
+/// jobs, whose output carries the *mapper's* output types. Panics if
+/// `merge_factor < 2`, which no merge can make progress with.
 pub fn run_job<M, R>(
     job: &JobSpec<M, R>,
     splits: Vec<Vec<(M::KIn, M::VIn)>>,
@@ -292,6 +293,7 @@ where
     let cfg = job.config;
     let nred = cfg.num_reducers;
     assert!(nred > 0, "run_job needs reducers; use run_map_only_job");
+    assert!(cfg.merge_factor >= 2, "merge factor must be at least 2");
     let mut stats = JobStats {
         map_tasks: splits.len(),
         reduce_tasks: nred,
@@ -320,6 +322,10 @@ where
 /// Runs a map-only job (`num_reducers` is ignored): map outputs, sorted
 /// within each task, are the job output — like Hadoop with zero reduces
 /// writing map output straight to HDFS.
+///
+/// # Panics
+///
+/// Panics if `merge_factor < 2`, which no merge can make progress with.
 pub fn run_map_only_job<M, R>(
     job: &JobSpec<M, R>,
     splits: Vec<Vec<(M::KIn, M::VIn)>>,
@@ -328,6 +334,10 @@ where
     M: Mapper,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
+    assert!(
+        job.config.merge_factor >= 2,
+        "merge factor must be at least 2"
+    );
     let mut stats = JobStats {
         map_tasks: splits.len(),
         reduce_tasks: 0,

@@ -194,6 +194,38 @@ fn reduce_merge_passes_count_map_outputs_not_spill_runs() {
     }
 }
 
+/// A spilling job whose `merge_factor` is set through the public field,
+/// past the builder's check.
+fn with_merge_factor(factor: usize) -> JobSpec<Tokenize, Sum> {
+    let cfg = JobConfig {
+        merge_factor: factor,
+        ..JobConfig::default().sort_buffer_bytes(200)
+    };
+    wc_job().config(cfg)
+}
+
+/// A factor of 0 divides by zero in the merge-pass count; the entry
+/// check names the field instead.
+#[test]
+#[should_panic(expected = "merge factor must be at least 2")]
+fn zero_merge_factor_panics_at_entry() {
+    run_job(&with_merge_factor(0), spilling_splits());
+}
+
+/// A 1-way merge never shrinks the segment count: without the entry
+/// check the merge-pass count spins forever.
+#[test]
+#[should_panic(expected = "merge factor must be at least 2")]
+fn unit_merge_factor_panics_at_entry() {
+    run_job(&with_merge_factor(1), spilling_splits());
+}
+
+#[test]
+#[should_panic(expected = "merge factor must be at least 2")]
+fn unit_merge_factor_panics_at_map_only_entry() {
+    run_map_only_job(&with_merge_factor(1), spilling_splits());
+}
+
 #[test]
 fn map_only_job_returns_mapper_output() {
     let splits = vec![lines(&["b a", "c"])];
