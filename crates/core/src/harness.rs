@@ -176,13 +176,13 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
 
 /// The expensive memo entries a fill computes: those pricing `points`
 /// looks up — per point that holds the config contract for its reading,
-/// the app's functional runs and the splits of [`priced_profiles`] on
-/// every machine of its roster, the list and the roster `ClusterPrep::new`
-/// prices from, by the same calls — and the stall splits of `splits` that
-/// hold theirs ([`check_split`]), each entry once, less the ones `cache`
-/// already holds (a peek that counts nothing). An entry missing here would
-/// be computed lazily by the first point that needs it (slower, never
-/// wrong), one nobody asks for is wasted work;
+/// the app's reference functional run and the splits of
+/// [`priced_profiles`] on every machine of its roster, the list and the
+/// roster `ClusterPrep::new` prices from, by the same calls — and the
+/// stall splits of `splits` that hold theirs ([`check_split`]), each entry
+/// once, less the ones `cache` already holds (a peek that counts nothing).
+/// An entry missing here would be computed lazily by the first point that
+/// needs it (slower, never wrong), one nobody asks for is wasted work;
 /// `fill_stage_covers_every_lookup` pins both. A point or split that
 /// breaks the contract is priced by nobody, and names nothing: it ends in
 /// its [`SimError`], not inside the simulation of an entry.
@@ -211,7 +211,6 @@ fn missing_keys<'a>(
             }
             priced.push((m, cfg.app));
             name(MemoKey::Run(cfg.app, AppRatios::reference_config()));
-            name(MemoKey::Run(cfg.app, AppRatios::small_config()));
             for p in priced_profiles(cfg.app) {
                 name(MemoKey::Stall(m, Cow::Owned(p)));
             }
@@ -930,15 +929,15 @@ mod tests {
             let meas = run_grid_on(&g, workers, &cache);
             let s = cache.stats();
             // 2 machines x (3 apps x {map, reduce} + the Hadoop average),
-            // 3 apps x 2 functional runs, 3 ratio sets, and one point
-            // entry per point of the grid.
+            // 3 functional runs, 3 ratio sets (one of each per app), and
+            // one point entry per point of the grid.
             assert_eq!(
                 (s.stall_entries, s.run_entries, s.ratio_entries),
-                (14, 6, 3),
+                (14, 3, 3),
                 "workers={workers}"
             );
             assert_eq!(s.phase_entries, g.len(), "workers={workers}");
-            assert_eq!(s.misses, 14 + 6 + 3 + 24, "workers={workers}");
+            assert_eq!(s.misses, 14 + 3 + 3 + 24, "workers={workers}");
             assert_eq!(meas, lazy, "workers={workers}");
         }
     }
@@ -999,7 +998,7 @@ mod tests {
             SimConfig::new(AppId::Sort, zero_ways),
         ];
         let keys = missing_keys(auto(&grid), &[], &SimCache::new());
-        assert_eq!(keys.len(), 5, "the Xeon point's keys only");
+        assert_eq!(keys.len(), 4, "the Xeon point's keys only");
         run_grid_on(&grid, 1, &SimCache::new());
     }
 

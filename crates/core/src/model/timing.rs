@@ -86,16 +86,12 @@ pub(super) fn job_timing(
         reason = "`spills` is a whole number of spills, at least 1"
     )]
     let merge_passes = jobcfg.merge_passes(spills as usize) as f64;
-    let key_cap_task = job.distinct_key_bytes_at(task_input).max(1.0);
     let (materialized, spill_write) = if job.has_combiner {
+        let key_cap = job.distinct_key_bytes.max(1.0);
         let per_spill = (emitted / spills).min(jobcfg.sort_buffer_bytes as f64);
-        // One spill sees only `task_input / spills` of input, so its
-        // combiner output is capped by *that slice's* key space.
-        let key_cap_spill = job.distinct_key_bytes_at(task_input / spills).max(1.0);
-        let spill_out = per_spill.min(key_cap_spill);
-        // The combiner reruns during the merge: the final task output
-        // is again capped by the whole task's key space.
-        (emitted.min(key_cap_task), spills * spill_out)
+        // The combiner reruns during the merge: the final task output is
+        // capped by the key space too.
+        (emitted.min(key_cap), spills * per_spill.min(key_cap))
     } else {
         (emitted, emitted)
     };
@@ -132,7 +128,7 @@ pub(super) fn job_timing(
         0.0
     };
     let output_total = if job.has_combiner {
-        (job_input * job.output_selectivity).min(job.distinct_key_bytes_at(job_input) * 2.0)
+        (job_input * job.output_selectivity).min(job.distinct_key_bytes * 2.0)
     } else {
         job_input * job.output_selectivity
     };

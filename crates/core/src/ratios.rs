@@ -1,13 +1,14 @@
-//! Scale-invariant dataflow ratios extracted from functional runs.
+//! Scale-invariant dataflow ratios extracted from one functional run.
 //!
 //! The MapReduce engine executes each application for real at MB scale;
-//! per-byte ratios (map selectivity, combiner reduction, output volume)
-//! are scale-invariant for these workloads, so the timing model can
-//! extrapolate them to the paper's 1–20 GB/node runs. Spill and merge
-//! *counts* are recomputed analytically at target scale (they depend on
-//! absolute buffer sizes), and the distinct-key space — which caps what a
-//! combiner can materialize — is extrapolated with a Heaps'-law exponent
-//! *measured* from two functional scales.
+//! per-byte ratios (map selectivity, output volume) are scale-invariant
+//! for these workloads, so the timing model can extrapolate them to the
+//! paper's 1–20 GB/node runs. Spill and merge *counts* are recomputed
+//! analytically at target scale (they depend on absolute buffer sizes).
+//! The distinct-key space — which caps what a combiner can materialize —
+//! is the one the reference run measured, at every input size: the input
+//! generators draw keys from bounded vocabularies (WordCount's text from
+//! 60 000 words), so the key space does not keep growing with input.
 //!
 //! Chained applications (Grep, FP-Growth) keep **per-job** ratios: Grep's
 //! second job consumes a tiny match table, while FP-Growth's second job
@@ -23,7 +24,7 @@ const REF_BLOCK_BYTES: u64 = 96 << 10;
 const REF_SORT_BUFFER: u64 = 64 << 10;
 const REF_REDUCERS: usize = 4;
 const REF_SEED: u64 = 0x5eed;
-/// Secondary (smaller) scale used to fit the key-space growth exponent.
+/// The quarter-size scale of [`AppRatios::small_config`].
 const SMALL_INPUT_BYTES: u64 = 192 << 10;
 
 /// Per-byte dataflow ratios of one MapReduce job within an application.
@@ -40,36 +41,17 @@ pub struct JobRatios {
     pub has_reduce: bool,
     /// Final output bytes per job-input byte.
     pub output_selectivity: f64,
-    /// Bytes of one copy of the distinct intermediate key space at the
-    /// reference input size.
-    pub distinct_key_bytes_ref: f64,
-    /// Heaps'-law exponent: distinct keys ∝ input^beta (0 = fixed
-    /// vocabulary, 1 = all keys unique).
-    pub key_beta: f64,
-    /// Reference input bytes the key space was measured at.
-    pub ref_input_bytes: f64,
+    /// Bytes of one copy of the distinct intermediate key space.
+    pub distinct_key_bytes: f64,
 }
 
 impl JobRatios {
-    fn from_stats(s: &JobStats, small: Option<&JobStats>, app_input: f64) -> Self {
+    fn from_stats(s: &JobStats, app_input: f64) -> Self {
         let input = s.map_input_bytes.max(1) as f64;
         let rec_bytes = if s.map_materialized_records > 0 {
             s.map_materialized_bytes as f64 / s.map_materialized_records as f64
         } else {
             0.0
-        };
-        let keys_ref = distinct_keys(s) as f64;
-        let key_beta = match small {
-            Some(sm) if keys_ref > 0.0 => {
-                let keys_small = distinct_keys(sm).max(1) as f64;
-                let n_ratio = input / (sm.map_input_bytes.max(1) as f64);
-                if n_ratio > 1.0 && keys_ref > keys_small {
-                    ((keys_ref / keys_small).ln() / n_ratio.ln()).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                }
-            }
-            _ => 0.0,
         };
         JobRatios {
             input_fraction: input / app_input,
@@ -77,20 +59,8 @@ impl JobRatios {
             has_combiner: s.combine_input_records > 0,
             has_reduce: s.reduce_tasks > 0,
             output_selectivity: s.output_bytes as f64 / input,
-            distinct_key_bytes_ref: keys_ref * rec_bytes,
-            key_beta,
-            ref_input_bytes: input,
+            distinct_key_bytes: distinct_keys(s) as f64 * rec_bytes,
         }
-    }
-
-    /// Distinct-key-space bytes expected when this job processes
-    /// `input_bytes` of data, via the measured Heaps' exponent.
-    pub fn distinct_key_bytes_at(&self, input_bytes: f64) -> f64 {
-        if self.distinct_key_bytes_ref == 0.0 {
-            return 0.0;
-        }
-        let scale = (input_bytes / self.ref_input_bytes).max(1e-6);
-        self.distinct_key_bytes_ref * scale.powf(self.key_beta)
     }
 }
 
@@ -112,15 +82,11 @@ pub struct AppRatios {
 }
 
 impl AppRatios {
-    /// Computes ratios from a pair of functional runs (reference + small
-    /// scale for the Heaps' fit).
-    pub fn from_runs(reference: &FunctionalRun, small: &FunctionalRun) -> Self {
+    /// Computes ratios from a reference-scale functional run.
+    pub fn from_run(reference: &FunctionalRun) -> Self {
         let app_input = reference.per_job[0].map_input_bytes.max(1) as f64;
-        let jobs = reference
-            .per_job
-            .iter()
-            .enumerate()
-            .map(|(i, s)| JobRatios::from_stats(s, small.per_job.get(i), app_input))
+        let jobs = (reference.per_job.iter())
+            .map(|s| JobRatios::from_stats(s, app_input))
             .collect();
         AppRatios { jobs }
     }
@@ -137,7 +103,10 @@ impl AppRatios {
         }
     }
 
-    /// The secondary (smaller) scale used to fit the Heaps' exponent.
+    /// A quarter-size functional scale. No pricing reads it: the ratios
+    /// come from [`reference_config`](Self::reference_config) alone. The
+    /// functional pins and the benchmark's functional probe run it beside
+    /// the reference scale.
     pub fn small_config() -> FunctionalConfig {
         FunctionalConfig {
             input_bytes: SMALL_INPUT_BYTES,
@@ -149,11 +118,9 @@ impl AppRatios {
     }
 
     /// Computes `app`'s ratios from scratch (no memoization): executes
-    /// both reference functional runs and derives the ratios.
+    /// the reference functional run and derives the ratios.
     pub fn compute(app: AppId) -> AppRatios {
-        let reference = app.run_functional(&Self::reference_config());
-        let small = app.run_functional(&Self::small_config());
-        AppRatios::from_runs(&reference, &small)
+        AppRatios::from_run(&app.run_functional(&Self::reference_config()))
     }
 
     /// First (primary) job's ratios.
@@ -167,8 +134,8 @@ mod tests {
     use super::*;
     use crate::SimCache;
 
-    /// `hhsim-workloads`' functional pins run the twelve ratio runs at
-    /// scales they restate; their table's `config` lines are these two.
+    /// `hhsim-workloads`' functional pins run every app at both scales,
+    /// which they restate; their table's `config` lines are these two.
     #[test]
     fn ratio_scales_are_the_pinned_functional_scales() {
         let path = concat!(
@@ -221,21 +188,6 @@ mod tests {
         );
         assert!(!fp.jobs[1].has_combiner);
         assert!(fp.jobs[1].has_reduce);
-    }
-
-    #[test]
-    fn text_apps_have_sublinear_key_growth() {
-        let wc = SimCache::global().ratios(AppId::WordCount);
-        let beta = wc.primary().key_beta;
-        assert!(
-            (0.2..=0.95).contains(&beta),
-            "zipf text must show Heaps'-law growth, beta={beta}"
-        );
-        // Extrapolation grows monotonically and sublinearly.
-        let k1 = wc.primary().distinct_key_bytes_at(1e9);
-        let k10 = wc.primary().distinct_key_bytes_at(1e10);
-        assert!(k10 > k1);
-        assert!(k10 < 10.0 * k1);
     }
 
     #[test]

@@ -284,13 +284,11 @@ impl SimCache {
         }
     }
 
-    /// Memoized dataflow ratios of `app`, built from the two reference
-    /// functional runs (which are themselves cached individually).
+    /// Memoized dataflow ratios of `app`, built from its reference
+    /// functional run (which is itself cached).
     pub fn ratios(&self, app: AppId) -> AppRatios {
         self.memo(&self.ratios, app, || {
-            let reference = self.functional_run(app, &AppRatios::reference_config());
-            let small = self.functional_run(app, &AppRatios::small_config());
-            AppRatios::from_runs(&reference, &small)
+            AppRatios::from_run(&self.functional_run(app, &AppRatios::reference_config()))
         })
     }
 
@@ -490,8 +488,8 @@ mod tests {
         let cached = c.ratios(AppId::WordCount);
         let direct = AppRatios::compute(AppId::WordCount);
         assert_eq!(cached, direct);
-        // The two reference runs landed in the run table.
-        assert_eq!(c.stats().run_entries, 2);
+        // The reference run landed in the run table.
+        assert_eq!(c.stats().run_entries, 1);
         assert_eq!(c.stats().ratio_entries, 1);
     }
 

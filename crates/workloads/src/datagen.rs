@@ -10,9 +10,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The 24 most frequent words of the text generators' vocabulary, by
-/// rank. Every rank past them is spelled `w` and five digits, for ~1.1k
-/// distinct words with a Zipf-like rank distribution, mimicking
-/// natural-language word frequency.
+/// rank. Every rank past them is spelled `w` and five digits, for the
+/// 60 000 distinct words `text` draws from with a Zipf-like rank
+/// distribution, mimicking natural-language word frequency.
 const COMMON: [&str; 24] = [
     "the", "of", "and", "to", "in", "a", "is", "that", "data", "for", "it", "as", "was", "with",
     "be", "by", "on", "not", "he", "this", "are", "or", "his", "from",
