@@ -3,8 +3,8 @@
 //! The hierarchy is write-allocate and not inclusive: no level
 //! back-invalidates another, so each level fills on its own misses and its
 //! state is a function of the addresses that missed every level before it,
-//! in order. Each level is a set-associative array under one of three
-//! [`Replacement`] policies. It is driven by byte addresses (from
+//! in order. Each level is a set-associative array under true LRU
+//! replacement. It is driven by byte addresses (from
 //! [`crate::trace::TraceGenerator`] or any other source) and accumulates
 //! per-level hit/miss statistics, from which misses-per-kilo-instruction and
 //! average stall latencies are derived for the analytical core model.
@@ -14,8 +14,8 @@
 //! keeps the addresses that missed; [`Cache::access`] runs it on a run of
 //! one. [`CacheHierarchy::access_all`] runs a chunk of addresses one
 //! level at a time: level 0 takes the whole chunk, the next level its
-//! misses, and so on down to DRAM. Under LRU and FIFO a set holds its tags
-//! in recency order, so a level stores nothing but tags. The kernel table
+//! misses, and so on down to DRAM. A set holds its tags in recency order,
+//! so a level stores nothing but tags. The kernel table
 //! holds one instance per way count, so a set is at most [`MAX_WAYS`] ways
 //! wide, and a level at most [`MAX_LINES`] lines large;
 //! [`CacheConfig::check`] is that contract.
@@ -33,24 +33,6 @@ pub const MAX_LINES: usize = 1 << 22;
 /// time, and [`crate::StallBatch`] draws from its trace at a time (4 KiB on
 /// the stack).
 pub(crate) const CHUNK: usize = 512;
-
-/// Replacement policy of a cache level.
-///
-/// True LRU is the default (and what the machine presets use); FIFO and a
-/// deterministic pseudo-random policy exist for ablation studies of how
-/// much the miss rates — and therefore Fig. 1's IPC — depend on the
-/// replacement choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Replacement {
-    /// Evict the least-recently-used way.
-    #[default]
-    Lru,
-    /// Evict the oldest-filled way regardless of reuse.
-    Fifo,
-    /// Evict a deterministically pseudo-random way (xorshift over the
-    /// access counter — reproducible across runs).
-    Random,
-}
 
 /// Geometry and timing of one cache level.
 ///
@@ -76,8 +58,6 @@ pub struct CacheConfig {
     /// previous level misses and this one hits). On-chip latencies are
     /// cycle-based so they scale with DVFS; only DRAM is wall-clock.
     pub latency_cycles: f64,
-    /// Replacement policy (LRU unless overridden).
-    pub replacement: Replacement,
 }
 
 impl CacheConfig {
@@ -100,7 +80,6 @@ impl CacheConfig {
             associativity,
             line_bytes,
             latency_cycles,
-            replacement: Replacement::Lru,
         };
         if let Err(why) = config.check() {
             panic!("{}: {why}", config.name);
@@ -138,12 +117,6 @@ impl CacheConfig {
         }
     }
 
-    /// Returns this configuration with a different replacement policy.
-    pub fn with_replacement(mut self, replacement: Replacement) -> Self {
-        self.replacement = replacement;
-        self
-    }
-
     /// Number of sets implied by the geometry.
     pub fn num_sets(&self) -> usize {
         self.size_bytes / (self.associativity * self.line_bytes)
@@ -158,13 +131,12 @@ impl CacheConfig {
             self.associativity,
             self.line_bytes,
             self.latency_cycles.to_bits(),
-            self.replacement,
         )
     }
 }
 
-/// Size, associativity, line bytes, latency bits and replacement policy.
-pub(crate) type LevelKey = (usize, usize, usize, u64, Replacement);
+/// Size, associativity, line bytes and latency bits.
+pub(crate) type LevelKey = (usize, usize, usize, u64);
 
 /// Hit/miss counters for one level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -229,87 +201,45 @@ impl Geometry {
 }
 
 /// The kernel's one body: looks `addr` up in the level's `tags` and
-/// updates its set as `policy` does on the level's `clock`-th access;
-/// returns whether it hit. A set's tags are read as `[u64; W]`; under LRU
-/// and FIFO they are in recency order, so the position of a hit is its
-/// stack distance.
+/// updates its set as LRU does; returns whether it hit. A set's tags are
+/// read as `[u64; W]` in recency order, so the position of a hit is its
+/// stack distance. A hit in front changes nothing. Otherwise the tag goes
+/// in front and one pass carries each tag after it one way back until it
+/// reaches the hit; on a miss it carries the whole set, so the last tag
+/// drops out.
 ///
-/// - LRU: a hit in front changes nothing. Otherwise the tag goes in front
-///   and one pass carries each tag after it one way back until it reaches
-///   the hit; on a miss it carries the whole set, so the last tag drops
-///   out.
-/// - FIFO: a miss shifts the set back by one, drops the last tag and puts
-///   the new one in front; a hit does not move.
-/// - Random: a miss overwrites the way an xorshift of the level's access
-///   counter picks; a hit does not move.
-///
-/// Empty ways start at the back of a recency-ordered set, so under LRU and
-/// FIFO they fill before any valid line is evicted.
+/// Empty ways start at the back of a set, so they fill before any valid
+/// line is evicted.
 #[inline(always)]
-fn lookup<const W: usize>(
-    tags: &mut [u64],
-    at: Geometry,
-    policy: Replacement,
-    clock: u64,
-    addr: u64,
-) -> bool {
+fn lookup<const W: usize>(tags: &mut [u64], at: Geometry, addr: u64) -> bool {
     let (set, tag) = at.locate(addr);
     let base = set * W;
     let ways: &mut [u64; W] = (&mut tags[base..base + W]).try_into().expect("W ways");
-    match policy {
-        Replacement::Lru => {
-            let mut carry = ways[0];
-            if carry == tag {
-                return true;
-            }
-            ways[0] = tag;
-            for way in &mut ways[1..] {
-                let t = std::mem::replace(way, carry);
-                if t == tag {
-                    return true;
-                }
-                carry = t;
-            }
-            false
-        }
-        Replacement::Fifo => {
-            let hit = ways.contains(&tag);
-            if !hit {
-                ways.copy_within(..W - 1, 1);
-                ways[0] = tag;
-            }
-            hit
-        }
-        Replacement::Random => {
-            let hit = ways.contains(&tag);
-            if !hit {
-                // xorshift64* over the access counter: deterministic.
-                let mut x = clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                ways[x as usize % W] = tag;
-            }
-            hit
-        }
+    let mut carry = ways[0];
+    if carry == tag {
+        return true;
     }
+    ways[0] = tag;
+    for way in &mut ways[1..] {
+        let t = std::mem::replace(way, carry);
+        if t == tag {
+            return true;
+        }
+        carry = t;
+    }
+    false
 }
 
-/// One set-associative cache level under any of the three [`Replacement`]
-/// policies.
+/// One set-associative cache level under LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// The kernel of this level's associativity, picked in [`Cache::new`].
     kernel: Kernel,
-    /// `tags[set][way]`; `u64::MAX` marks an empty way. Under LRU and FIFO
-    /// a set is in recency order, the most recently used (LRU) or filled
-    /// (FIFO) tag first and the empty ways last; under Random it is in
-    /// physical way order.
+    /// `tags[set][way]`; `u64::MAX` marks an empty way. A set is in
+    /// recency order, the most recently used tag first and the empty ways
+    /// last.
     tags: Vec<u64>,
-    /// Accesses since the last [`Cache::reset`]; the Random victim is
-    /// drawn from it.
-    clock: u64,
     stats: LevelStats,
     at: Geometry,
 }
@@ -329,7 +259,6 @@ impl Cache {
         Cache {
             kernel: KERNELS[config.associativity - 1],
             tags: vec![u64::MAX; num_sets * config.associativity],
-            clock: 0,
             stats: LevelStats::default(),
             at: Geometry {
                 line_shift: config.line_bytes.trailing_zeros(),
@@ -368,19 +297,16 @@ impl Cache {
     /// [`Cache::misses`] on sets of `W` ways: one loop over the run, with
     /// the counters in locals, written back once.
     fn misses_ways<const W: usize>(&mut self, addrs: &mut [u64]) -> usize {
-        let (at, policy) = (self.at, self.config.replacement);
-        let mut clock = self.clock;
+        let at = self.at;
         let mut missed = 0;
         for i in 0..addrs.len() {
             let addr = addrs[i];
-            clock += 1;
-            if !lookup::<W>(&mut self.tags, at, policy, clock, addr) {
+            if !lookup::<W>(&mut self.tags, at, addr) {
                 addrs[missed] = addr;
                 missed += 1;
             }
         }
         let n = addrs.len() as u64;
-        self.clock = clock;
         self.stats.accesses += n;
         self.stats.hits += n - missed as u64;
         missed
@@ -389,7 +315,6 @@ impl Cache {
     /// Invalidates all lines and zeroes the statistics.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.clock = 0;
         self.stats = LevelStats::default();
     }
 }
@@ -626,7 +551,6 @@ mod tests {
             associativity: ways,
             line_bytes: 64,
             latency_cycles: 1.0,
-            replacement: Replacement::Lru,
         });
     }
 
@@ -672,20 +596,13 @@ mod tests {
         // one set the tag would be the address, and a cold cache would read
         // `u64::MAX` as a hit. Lines of at least 2 bytes keep every tag
         // below 2^63, at any geometry.
-        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-            for (size, ways, line) in [(8, 4, 2), (64, 1, 2), (512, 2, 64), (4096, 32, 128)] {
-                let mut c = Cache::new(
-                    CacheConfig::new("x", size, ways, line, 1.0).with_replacement(policy),
-                );
-                for addr in [u64::MAX, u64::MAX - 1, 1 << 63, 0] {
-                    assert!(
-                        !c.access(addr),
-                        "{policy:?} {size}/{ways}/{line}: {addr:#x}"
-                    );
-                    c.reset();
-                }
-                assert_eq!(c.stats().hits, 0);
+        for (size, ways, line) in [(8, 4, 2), (64, 1, 2), (512, 2, 64), (4096, 32, 128)] {
+            let mut c = Cache::new(CacheConfig::new("x", size, ways, line, 1.0));
+            for addr in [u64::MAX, u64::MAX - 1, 1 << 63, 0] {
+                assert!(!c.access(addr), "{size}/{ways}/{line}: {addr:#x}");
+                c.reset();
             }
+            assert_eq!(c.stats().hits, 0);
         }
     }
 
@@ -702,44 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_reuse() {
-        // 2-way set: fill A, B; touch A; insert C. LRU keeps A, FIFO
-        // evicts A (oldest fill) despite the touch.
-        let run = |policy: Replacement| {
-            let mut c = Cache::new(CacheConfig::new("t", 512, 2, 64, 1.0).with_replacement(policy));
-            c.access(0); // A
-            c.access(256); // B
-            c.access(0); // touch A
-            c.access(512); // C evicts
-            c.access(0) // is A still resident?
-        };
-        assert!(run(Replacement::Lru), "LRU must keep the reused line");
-        assert!(!run(Replacement::Fifo), "FIFO must evict the oldest fill");
-    }
-
-    #[test]
-    fn random_policy_is_deterministic_and_functional() {
-        let mk = || {
-            let mut c = Cache::new(
-                CacheConfig::new("r", 1024, 4, 64, 1.0).with_replacement(Replacement::Random),
-            );
-            let hits: Vec<bool> = (0..200u64).map(|i| c.access((i * 192) % 4096)).collect();
-            hits
-        };
-        assert_eq!(mk(), mk(), "same trace, same evictions");
-        // Still caches: re-touching a small working set mostly hits.
-        let mut c = Cache::new(
-            CacheConfig::new("r", 1024, 4, 64, 1.0).with_replacement(Replacement::Random),
-        );
-        for _ in 0..4 {
-            for a in (0..512u64).step_by(64) {
-                c.access(a);
-            }
-        }
-        assert!(c.stats().miss_ratio() < 0.5);
-    }
-
-    #[test]
     fn reset_clears_contents() {
         let mut c = tiny();
         c.access(0);
@@ -750,10 +629,10 @@ mod tests {
 
     /// The stamp-based level the recency-ordered kernel replaced, kept as
     /// its oracle: geometry recomputed per call, physical ways, an 8-byte
-    /// stamp per line (larger = more recently used; under FIFO written on
-    /// fill only), and one scan that exits at the hit. The victim is the
-    /// first way holding the smallest stamp, so an empty way (stamp 0)
-    /// fills before any valid line is evicted.
+    /// stamp per line (larger = more recently used), and one scan that
+    /// exits at the hit. The victim is the first way holding the smallest
+    /// stamp, so an empty way (stamp 0) fills before any valid line is
+    /// evicted.
     struct ReferenceCache {
         config: CacheConfig,
         tags: Vec<u64>,
@@ -788,9 +667,7 @@ mod tests {
             let mut victim_stamp = u64::MAX;
             for slot in base..base + ways {
                 if self.tags[slot] == tag {
-                    if self.config.replacement == Replacement::Lru {
-                        self.stamps[slot] = self.clock;
-                    }
+                    self.stamps[slot] = self.clock;
                     self.stats.hits += 1;
                     return true;
                 }
@@ -799,28 +676,14 @@ mod tests {
                     victim = slot;
                 }
             }
-            let victim = match self.config.replacement {
-                Replacement::Lru | Replacement::Fifo => victim,
-                Replacement::Random => {
-                    let mut x = self.clock.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
-                    x ^= x >> 12;
-                    x ^= x << 25;
-                    x ^= x >> 27;
-                    base + (x as usize % ways)
-                }
-            };
             self.tags[victim] = tag;
             self.stamps[victim] = self.clock;
             false
         }
 
-        /// The tags as [`Cache`] must hold them: under LRU and FIFO each
-        /// set's tags by descending stamp, the empty ways (stamp 0) last;
-        /// under Random the physical ways.
+        /// The tags as [`Cache`] must hold them: each set's tags by
+        /// descending stamp, the empty ways (stamp 0) last.
         fn kernel_tags(&self) -> Vec<u64> {
-            if self.config.replacement == Replacement::Random {
-                return self.tags.clone();
-            }
             let ways = self.config.associativity;
             let mut by_recency = Vec::with_capacity(self.tags.len());
             for (tags, stamps) in self.tags.chunks(ways).zip(self.stamps.chunks(ways)) {
@@ -895,54 +758,48 @@ mod tests {
             ComputeProfile::hadoop_average(),
             ComputeProfile::spec_average(),
         ];
-        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-            for (name, size, ways) in geometries {
-                for (seed, profile) in profiles.iter().enumerate() {
-                    let cfg = CacheConfig::new(name, size, ways, 64, 1.0).with_replacement(policy);
-                    let mut fast = Cache::new(cfg.clone());
-                    let mut slow = ReferenceCache::new(cfg);
-                    let mut gen = TraceGenerator::new(profile.mem, seed as u64 + 7);
-                    for i in 0..ACCESSES {
-                        let addr = gen.next_address();
-                        assert_eq!(
-                            fast.access(addr),
-                            slow.access(addr),
-                            "{policy:?} {name} {} access {i} (addr {addr:#x})",
-                            profile.name
-                        );
-                    }
-                    assert_eq!(fast.stats(), slow.stats);
-                    assert_eq!(
-                        fast.tags,
-                        slow.kernel_tags(),
-                        "{policy:?} {name}: same residents, in recency order"
-                    );
-                }
-            }
-            // Whole hierarchies, so fills at one level see the misses of
-            // the level before: both presets under every policy.
-            for machine in crate::presets::both() {
-                let levels: Vec<CacheConfig> = machine
-                    .cache_levels
-                    .iter()
-                    .map(|c| c.clone().with_replacement(policy))
-                    .collect();
-                let mut fast = CacheHierarchy::new(levels.clone(), machine.mem_latency_ns);
-                let mut slow = ReferenceHierarchy::new(levels);
-                let mut gen = TraceGenerator::new(profiles[0].mem, 11);
+        for (name, size, ways) in geometries {
+            for (seed, profile) in profiles.iter().enumerate() {
+                let cfg = CacheConfig::new(name, size, ways, 64, 1.0);
+                let mut fast = Cache::new(cfg.clone());
+                let mut slow = ReferenceCache::new(cfg);
+                let mut gen = TraceGenerator::new(profile.mem, seed as u64 + 7);
                 for i in 0..ACCESSES {
                     let addr = gen.next_address();
                     assert_eq!(
                         fast.access(addr),
                         slow.access(addr),
-                        "{policy:?} {} access {i}",
-                        machine.name
+                        "{name} {} access {i} (addr {addr:#x})",
+                        profile.name
                     );
                 }
-                assert_eq!(fast.stats(), slow.stats());
-                for (have, want) in fast.levels.iter().zip(&slow.levels) {
-                    assert_eq!(have.tags, want.kernel_tags(), "{policy:?} {}", machine.name);
-                }
+                assert_eq!(fast.stats(), slow.stats);
+                assert_eq!(
+                    fast.tags,
+                    slow.kernel_tags(),
+                    "{name}: same residents, in recency order"
+                );
+            }
+        }
+        // Whole hierarchies, so fills at one level see the misses of the
+        // level before: both presets.
+        for machine in crate::presets::both() {
+            let levels = machine.cache_levels.clone();
+            let mut fast = CacheHierarchy::new(levels.clone(), machine.mem_latency_ns);
+            let mut slow = ReferenceHierarchy::new(levels);
+            let mut gen = TraceGenerator::new(profiles[0].mem, 11);
+            for i in 0..ACCESSES {
+                let addr = gen.next_address();
+                assert_eq!(
+                    fast.access(addr),
+                    slow.access(addr),
+                    "{} access {i}",
+                    machine.name
+                );
+            }
+            assert_eq!(fast.stats(), slow.stats());
+            for (have, want) in fast.levels.iter().zip(&slow.levels) {
+                assert_eq!(have.tags, want.kernel_tags(), "{}", machine.name);
             }
         }
     }
@@ -956,36 +813,25 @@ mod tests {
         let mut trace = vec![0; ACCESSES];
         TraceGenerator::new(ComputeProfile::hadoop_average().mem, 5).fill(&mut trace);
         let bits = |(on_chip, dram_ns): (f64, f64)| (on_chip.to_bits(), dram_ns.to_bits());
-        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-            for machine in crate::presets::both() {
-                let mut levels = machine.cache_levels.clone();
-                for c in &mut levels {
-                    c.replacement = policy;
+        for machine in crate::presets::both() {
+            let mut one_at_a_time = machine.hierarchy();
+            for &addr in &trace {
+                one_at_a_time.access(addr);
+            }
+            for chunk in [1, 7, CHUNK, CHUNK + 1] {
+                let mut chunked = machine.hierarchy();
+                for addrs in trace.chunks(chunk) {
+                    chunked.access_all(addrs);
                 }
-                let hierarchy = || CacheHierarchy::new(levels.clone(), machine.mem_latency_ns);
-                let mut one_at_a_time = hierarchy();
-                for &addr in &trace {
-                    one_at_a_time.access(addr);
-                }
-                for chunk in [1, 7, CHUNK, CHUNK + 1] {
-                    let mut chunked = hierarchy();
-                    for addrs in trace.chunks(chunk) {
-                        chunked.access_all(addrs);
-                    }
-                    let what = format!("{policy:?} {} in chunks of {chunk}", machine.name);
-                    assert_eq!(chunked.stats(), one_at_a_time.stats(), "{what}");
-                    assert_eq!(
-                        bits(chunked.stall_split_per_access()),
-                        bits(one_at_a_time.stall_split_per_access()),
-                        "{what}"
-                    );
-                    for (a, b) in chunked.levels.iter().zip(&one_at_a_time.levels) {
-                        assert_eq!(
-                            (a.tags.as_slice(), a.clock),
-                            (b.tags.as_slice(), b.clock),
-                            "{what}"
-                        );
-                    }
+                let what = format!("{} in chunks of {chunk}", machine.name);
+                assert_eq!(chunked.stats(), one_at_a_time.stats(), "{what}");
+                assert_eq!(
+                    bits(chunked.stall_split_per_access()),
+                    bits(one_at_a_time.stall_split_per_access()),
+                    "{what}"
+                );
+                for (a, b) in chunked.levels.iter().zip(&one_at_a_time.levels) {
+                    assert_eq!(a.tags, b.tags, "{what}");
                 }
             }
         }

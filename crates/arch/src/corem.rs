@@ -353,7 +353,6 @@ fn trace_seed(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::Replacement;
     use crate::presets;
 
     #[test]
@@ -455,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_one_machine_at_a_time_under_every_policy() {
+    fn batch_equals_one_machine_at_a_time() {
         let profiles = [
             ComputeProfile::hadoop_average(),
             ComputeProfile::spec_average(),
@@ -465,44 +464,37 @@ mod tests {
         // machines fit them, in whichever order, and rebuilt when not — a
         // machine of equal geometry and other latencies included.
         let mut batch = StallBatch::default();
-        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-            let [xeon, atom] = presets::both().map(|mut m| {
-                for c in &mut m.cache_levels {
-                    c.replacement = policy;
+        let [xeon, atom] = presets::both();
+        let mut slower = atom.clone();
+        slower.mem_latency_ns *= 1.05;
+        slower.cache_levels[1].latency_cycles *= 1.05;
+        let machines = [&xeon, &atom, &slower];
+        for p in &profiles {
+            // A fresh hierarchy per machine, one trace each.
+            let alone = machines.map(|m| {
+                let mut h = m.hierarchy();
+                let mut gen = TraceGenerator::new(p.mem, trace_seed(&p.name));
+                for _ in 0..TRACE_WARMUP {
+                    h.access(gen.next_address());
                 }
-                m
+                h.reset_stats_keep_contents();
+                for _ in 0..(TRACE_LEN - TRACE_WARMUP) {
+                    h.access(gen.next_address());
+                }
+                (h.stats(), bits(h.stall_split_per_access()))
             });
-            let mut slower = atom.clone();
-            slower.mem_latency_ns *= 1.05;
-            slower.cache_levels[1].latency_cycles *= 1.05;
-            let machines = [&xeon, &atom, &slower];
-            for p in &profiles {
-                // A fresh hierarchy per machine, one trace each.
-                let alone = machines.map(|m| {
-                    let mut h = m.hierarchy();
-                    let mut gen = TraceGenerator::new(p.mem, trace_seed(&p.name));
-                    for _ in 0..TRACE_WARMUP {
-                        h.access(gen.next_address());
-                    }
-                    h.reset_stats_keep_contents();
-                    for _ in 0..(TRACE_LEN - TRACE_WARMUP) {
-                        h.access(gen.next_address());
-                    }
-                    (h.stats(), bits(h.stall_split_per_access()))
-                });
-                for (m, (_, split)) in machines.iter().zip(&alone) {
-                    assert_eq!(bits(m.stall_split(p)), *split, "{policy:?} {}", p.name);
-                }
-                for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2]] {
-                    let ran = batch.run(p, &order.map(|i| machines[i]));
-                    for (h, i) in ran.iter().zip(order) {
-                        let split = bits(h.stall_split_per_access());
-                        assert_eq!((h.stats(), split), alone[i], "{policy:?} {order:?}");
-                    }
-                }
-                assert_ne!(alone[1].1, alone[2].1, "latencies price the split");
-                assert_eq!(batch.run(p, &[&atom]).len(), 1);
+            for (m, (_, split)) in machines.iter().zip(&alone) {
+                assert_eq!(bits(m.stall_split(p)), *split, "{}", p.name);
             }
+            for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2]] {
+                let ran = batch.run(p, &order.map(|i| machines[i]));
+                for (h, i) in ran.iter().zip(order) {
+                    let split = bits(h.stall_split_per_access());
+                    assert_eq!((h.stats(), split), alone[i], "{order:?}");
+                }
+            }
+            assert_ne!(alone[1].1, alone[2].1, "latencies price the split");
+            assert_eq!(batch.run(p, &[&atom]).len(), 1);
         }
         assert!(batch.run(&profiles[0], &[]).is_empty());
         assert!(

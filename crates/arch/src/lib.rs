@@ -46,7 +46,7 @@ pub mod presets;
 pub mod profile;
 pub mod trace;
 
-pub use cache::{Cache, CacheConfig, CacheHierarchy, HierarchyStats, LevelStats, Replacement};
+pub use cache::{Cache, CacheConfig, CacheHierarchy, HierarchyStats, LevelStats};
 pub use corem::{CoreKind, CoreModel, MachineModel, StallBatch, StallKey, TraceKey};
 pub use dvfs::{Frequency, OperatingPoint, VoltageCurve};
 pub use power::{ChipPowerModel, PowerBreakdown};

@@ -69,12 +69,7 @@ pub struct TaskSet {
 /// the exact durations the engine uses.
 #[inline]
 pub fn jitter(task_index: usize) -> f64 {
-    // SplitMix-style scramble for a platform-independent pseudo-random.
-    let mut x = task_index as u64 + 0x9e37_79b9;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    let u = ((x >> 11) as f64) / ((1u64 << 53) as f64);
-    0.92 + 0.16 * u
+    attempt_jitter(task_index, 1)
 }
 
 /// Deterministic per-attempt jitter: attempt 1 is exactly [`jitter`]
@@ -82,6 +77,7 @@ pub fn jitter(task_index: usize) -> f64 {
 /// factor from the same `[0.92, 1.08]` distribution.
 #[inline]
 pub fn attempt_jitter(task_index: usize, attempt: u32) -> f64 {
+    // SplitMix-style scramble for a platform-independent pseudo-random.
     let shift = u64::from(attempt.saturating_sub(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let mut x = (task_index as u64)
         .wrapping_add(shift)

@@ -775,6 +775,7 @@ mod tests {
     use super::*;
     use crate::simcache::CacheStats;
     use hhsim_arch::{presets, Frequency};
+    use hhsim_energy::MetricKind;
     use std::cell::Cell;
 
     thread_local! {
@@ -830,7 +831,7 @@ mod tests {
         let mix = |big, little| crate::NodeMix {
             big,
             little,
-            placement: crate::PlacementKind::PreferBig,
+            placement: crate::PlacementKind::PaperClass(MetricKind::Edp),
         };
         let mut racked = SimConfig::new(AppId::TeraSort, presets::xeon_e5_2420())
             .topology(hhsim_hdfs::Topology::racked(4, 4.0));
@@ -896,7 +897,7 @@ mod tests {
         let mixed = SimConfig::new(AppId::Grep, presets::xeon_e5_2420()).mix(crate::NodeMix {
             big: 1,
             little: 2,
-            placement: crate::PlacementKind::PreferBig,
+            placement: crate::PlacementKind::PaperClass(MetricKind::Edp),
         });
         let plain = SimConfig::new(AppId::WordCount, presets::atom_c2758());
         // Grep chains two jobs; each kind's splits are still read once.

@@ -23,10 +23,6 @@ pub enum PlacementKind {
     /// The paper's §3.5 class-driven procedure optimizing the given goal
     /// ([`hhsim_sched::paper_schedule`] via [`KindPreferring`](crate::cluster::KindPreferring)).
     PaperClass(MetricKind),
-    /// Pin the preference to big nodes.
-    PreferBig,
-    /// Pin the preference to little nodes.
-    PreferLittle,
 }
 
 /// An explicit heterogeneous cluster composition: `big` Xeon nodes plus

@@ -222,7 +222,6 @@ fn check_faults(fc: &FaultConfig) -> Result<(), ConfigError> {
             "faults.recovery.spec_min_runtime_s",
         ),
         (mttf(d.switch_mttf_s), "faults.domains.switch_mttf_s"),
-        (mttf(d.rack_mttf_s), "faults.domains.rack_mttf_s"),
         (mttf(d.link_mttf_s), "faults.domains.link_mttf_s"),
         (at_least(d.link_factor, 1.0), "faults.domains.link_factor"),
         (

@@ -199,8 +199,6 @@ impl<'a> ClusterPrep<'a> {
 
         let preferred = match placement {
             PlacementKind::FifoAny => None,
-            PlacementKind::PreferBig => Some(CoreKind::Big),
-            PlacementKind::PreferLittle => Some(CoreKind::Little),
             PlacementKind::PaperClass(goal) => {
                 Some(KindPreferring::for_class(job_class(cfg.app), goal).preferred)
             }

@@ -397,7 +397,7 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
     let mix = NodeMix {
         big: 1,
         little: 2,
-        placement: PlacementKind::PreferBig,
+        placement: PlacementKind::PaperClass(MetricKind::Edp),
     };
     let shapes = [
         (

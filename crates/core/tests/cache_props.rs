@@ -46,11 +46,10 @@ fn arb_machine(g: &mut Gen) -> MachineModel {
     }
 }
 
-const PLACEMENTS: [PlacementKind; 4] = [
+const PLACEMENTS: [PlacementKind; 3] = [
     PlacementKind::FifoAny,
-    PlacementKind::PreferBig,
-    PlacementKind::PreferLittle,
     PlacementKind::PaperClass(MetricKind::Edp),
+    PlacementKind::PaperClass(MetricKind::Ed2p),
 ];
 const READINGS: [Reading; 3] = [Reading::Auto, Reading::PerNode, Reading::Traced];
 
@@ -195,7 +194,7 @@ fn one_field_edit_is_another_entry() {
             rack(true).mix(NodeMix {
                 big: 4,
                 little: 8,
-                placement: PlacementKind::PreferLittle,
+                placement: PlacementKind::FifoAny,
             }),
         ),
     ];

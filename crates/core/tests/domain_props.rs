@@ -31,10 +31,10 @@ struct Scenario {
     tasks: usize,
 }
 
-/// A random cluster under the full fault mix of this PR: stragglers,
-/// per-attempt failures, node-level crashes AND rack-correlated crash
-/// draws from an active failure-domain config. MTTFs are hot enough
-/// that racks really do die mid-phase across the grid.
+/// A random cluster under the full fault mix: stragglers, per-attempt
+/// failures, node-level crashes AND ToR-switch crash draws from an
+/// active failure-domain config. MTTFs are hot enough that racks really
+/// do die mid-phase across the grid.
 fn scenario(g: &mut Gen) -> Scenario {
     let racks = g.usize(2..5);
     let per_rack = g.usize(1..3);
@@ -57,9 +57,6 @@ fn scenario(g: &mut Gen) -> Scenario {
     let mut domains = DomainConfig::none().racks(racks);
     if g.bool(0.7) {
         domains = domains.switch_mttf(40.0 + g.f64() * 400.0);
-    }
-    if g.bool(0.5) {
-        domains = domains.rack_mttf(40.0 + g.f64() * 400.0);
     }
     if g.bool(0.4) {
         domains = domains.link_degradation(30.0 + g.f64() * 100.0, 2.0 + g.f64() * 4.0, 25.0);

@@ -54,7 +54,6 @@ const TAG_FRAC: u64 = 0x4652_4143; // "FRAC"
 const TAG_CRASH: u64 = 0x4352_5348; // "CRSH"
 const TAG_STRAG: u64 = 0x5354_5247; // "STRG"
 const TAG_SWCH: u64 = 0x5357_4348; // "SWCH"
-const TAG_RACK: u64 = 0x5241_434b; // "RACK"
 const TAG_LINK: u64 = 0x4c49_4e4b; // "LINK"
 
 /// Hadoop-style recovery knobs applied by the cluster engine when a
@@ -135,11 +134,6 @@ pub struct DomainConfig {
     /// never crash). A switch crash takes its whole rack offline at
     /// one instant.
     pub switch_mttf_s: Option<f64>,
-    /// Mean time to a rack-correlated crash event, seconds (`None` =
-    /// no shared-domain term). Acts as a competing hazard on top of
-    /// each node's individual `node_mttf_s` draw: every node of the
-    /// rack shares the domain's crash candidate.
-    pub rack_mttf_s: Option<f64>,
     /// Mean time to a link-degradation event on a rack uplink, seconds
     /// (`None` = links never degrade).
     pub link_mttf_s: Option<f64>,
@@ -151,12 +145,11 @@ pub struct DomainConfig {
 }
 
 impl DomainConfig {
-    /// No failure domains: zero racks, no switch/rack/link events.
+    /// No failure domains: zero racks, no switch or link events.
     pub fn none() -> Self {
         DomainConfig {
             racks: 0,
             switch_mttf_s: None,
-            rack_mttf_s: None,
             link_mttf_s: None,
             link_factor: 1.0,
             link_window_s: 0.0,
@@ -175,12 +168,6 @@ impl DomainConfig {
         self
     }
 
-    /// Enables the rack-correlated crash term.
-    pub fn rack_mttf(mut self, mttf_s: f64) -> Self {
-        self.rack_mttf_s = Some(mttf_s);
-        self
-    }
-
     /// Enables link degradation: windows of `window_s` seconds during
     /// which a rack's remote reads slow by `factor`.
     pub fn link_degradation(mut self, mttf_s: f64, factor: f64, window_s: f64) -> Self {
@@ -194,7 +181,6 @@ impl DomainConfig {
     pub fn active(&self) -> bool {
         self.racks > 0
             && (self.switch_mttf_s.is_some()
-                || self.rack_mttf_s.is_some()
                 || (self.link_mttf_s.is_some()
                     && self.link_factor > 1.0
                     && self.link_window_s > 0.0))
@@ -363,8 +349,8 @@ pub struct NodeDomains {
     /// Number of racks (0 = no domain structure; node `n` is in rack
     /// `n % racks` otherwise).
     pub racks: usize,
-    /// Absolute time each rack goes down as a whole (ToR-switch crash
-    /// or correlated rack event), `None` = never.
+    /// Absolute time each rack goes down as a whole (its ToR switch
+    /// crashes), `None` = never.
     pub rack_crash_at_s: Vec<Option<f64>>,
     /// Absolute link-degradation window per rack, `None` = healthy.
     pub link_windows: Vec<Option<LinkWindow>>,
@@ -378,8 +364,8 @@ pub struct NodeFaults {
     /// Absolute crash time per node, seconds from run start (`None` =
     /// never crashes). May exceed the run's makespan, in which case the
     /// crash simply never fires. When failure domains are active this
-    /// already folds in the node's rack fate (switch crash or
-    /// correlated rack event) as a competing hazard.
+    /// already folds in the node's rack fate (its switch crash) as a
+    /// competing hazard.
     pub crash_at_s: Vec<Option<f64>>,
     /// Whole-run duration multiplier per node (1.0 = healthy).
     pub slowdown: Vec<f64>,
@@ -411,17 +397,10 @@ impl NodeFaults {
             let racks = cfg.domains.racks;
             let rack_crash_at_s = (0..racks)
                 .map(|r| {
-                    let switch = cfg
-                        .domains
+                    cfg.domains
                         .switch_mttf_s
                         .filter(valid)
-                        .map(|mttf| exp_draw(cfg.seed, TAG_SWCH, r as u64, mttf));
-                    let shared = cfg
-                        .domains
-                        .rack_mttf_s
-                        .filter(valid)
-                        .map(|mttf| exp_draw(cfg.seed, TAG_RACK, r as u64, mttf));
-                    min_opt(switch, shared)
+                        .map(|mttf| exp_draw(cfg.seed, TAG_SWCH, r as u64, mttf))
                 })
                 .collect();
             let degrading = cfg.domains.link_factor > 1.0 && cfg.domains.link_window_s > 0.0;
@@ -675,8 +654,8 @@ pub struct FaultStats {
     pub node_crashes: u64,
     /// Nodes blacklisted after repeated failures.
     pub blacklisted_nodes: u64,
-    /// Whole-rack failure events (ToR-switch crash or correlated rack
-    /// event) that fired mid-phase.
+    /// Whole-rack failure events (ToR-switch crashes) that fired
+    /// mid-phase.
     pub rack_crashes: u64,
     /// Racks blacklisted after too many of their nodes went bad.
     pub racks_blacklisted: u64,
@@ -880,7 +859,6 @@ mod tests {
         // MTTFs without racks inject nothing.
         assert!(!DomainConfig::none().switch_mttf(100.0).active());
         assert!(DomainConfig::none().racks(4).switch_mttf(100.0).active());
-        assert!(DomainConfig::none().racks(4).rack_mttf(100.0).active());
         assert!(DomainConfig::none()
             .racks(4)
             .link_degradation(100.0, 4.0, 30.0)
@@ -916,13 +894,13 @@ mod tests {
         let cfg = FaultConfig::none()
             .seed(21)
             .node_mttf(500.0)
-            .domains(DomainConfig::none().racks(2).rack_mttf(800.0));
+            .domains(DomainConfig::none().racks(2).switch_mttf(800.0));
         let solo = FaultConfig::none().seed(21).node_mttf(500.0);
         let nf = NodeFaults::sample(&cfg, 8);
         let base = NodeFaults::sample(&solo, 8);
         for n in 0..8 {
             let own = base.crash_at_s[n].expect("node mttf draws for all");
-            let rack = nf.domains.rack_crash_at_s[n % 2].expect("rack term draws");
+            let rack = nf.domains.rack_crash_at_s[n % 2].expect("switch term draws");
             assert_eq!(nf.crash_at_s[n], Some(own.min(rack)), "node {n}");
         }
     }
@@ -962,10 +940,7 @@ mod tests {
 
     #[test]
     fn domain_sampling_is_deterministic_and_seed_sensitive() {
-        let dom = DomainConfig::none()
-            .racks(4)
-            .switch_mttf(200.0)
-            .rack_mttf(400.0);
+        let dom = DomainConfig::none().racks(4).switch_mttf(200.0);
         let a = NodeFaults::sample(&FaultConfig::none().seed(7).domains(dom), 12);
         let b = NodeFaults::sample(&FaultConfig::none().seed(7).domains(dom), 12);
         let c = NodeFaults::sample(&FaultConfig::none().seed(8).domains(dom), 12);

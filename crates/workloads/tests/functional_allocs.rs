@@ -1,6 +1,7 @@
 //! Allocation ratchet for the functional MapReduce path: allocator calls,
-//! bytes requested and peak live bytes of the twelve ratio runs (six apps
-//! at the two scales `hhsim-core`'s `AppRatios` measures them at), per app
+//! bytes requested and peak live bytes of the twelve pinned functional runs
+//! (six apps at the reference scale `hhsim-core`'s `AppRatios` reads and at
+//! the small scale the benchmark's `mapreduce_counts` probe runs), per app
 //! over both scales, input generation included. Calls and bytes are summed
 //! over the two runs; the peak is the larger run's.
 //!
@@ -21,8 +22,9 @@ use hhsim_workloads::{AppId, FunctionalConfig};
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The two ratio scales; held to the `config` lines of the golden table
-/// `functional_pins` checks, so the two tests run the same twelve runs.
+/// The reference and small scales; held to the `config` lines of the
+/// golden table `functional_pins` checks, so the two tests run the same
+/// twelve runs.
 const SCALES: [FunctionalConfig; 2] = [
     FunctionalConfig {
         input_bytes: 768 << 10,

@@ -1,6 +1,7 @@
 //! Pins the functional path below `results/`: every `JobStats` counter of
-//! the twelve ratio runs (six apps at the two scales `hhsim-core`'s
-//! `AppRatios` measures them at) and an FNV-64 digest of each input
+//! twelve functional runs (six apps at two scales: the reference scale
+//! `hhsim-core`'s `AppRatios` reads, and the small scale the benchmark's
+//! `mapreduce_counts` probe runs) and an FNV-64 digest of each input
 //! generator's bytes at both scales, against the checked-in table
 //! `tests/golden/functional.txt`. A datagen or job-path change that moves
 //! one byte fails here, naming the generator or the counter, before any
@@ -15,8 +16,9 @@ use std::fmt::Write as _;
 use hhsim_mapreduce::JobStats;
 use hhsim_workloads::{datagen, AppId, FunctionalConfig};
 
-/// The two scales of `AppRatios::reference_config` and
-/// `AppRatios::small_config`. `hhsim-core`'s ratio tests hold those to the
+/// The two scales of `AppRatios::reference_config` (what the ratios read)
+/// and `AppRatios::small_config` (what the benchmark's `mapreduce_counts`
+/// probe runs beside it). `hhsim-core`'s ratio tests hold those to the
 /// `config` lines of the golden table, so neither side can drift alone.
 const SCALES: [(&str, FunctionalConfig); 2] = [
     (
