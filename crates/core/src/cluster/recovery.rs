@@ -642,8 +642,8 @@ impl FaultState<'_> {
 /// the phase's timing and pays `load`'s extras at `tier`; a re-executed
 /// map runs at map speed (not the surrounding reduce phase's) and pays
 /// the surviving-replica tier's read. The slot, the jitter and slowdown,
-/// link degradation, the injected-failure draw and the LATE statistics
-/// are the same for both — re-executions can fail, be killed or get
+/// the injected-failure draw and the LATE statistics are the same for
+/// both — re-executions can fail, be killed or get
 /// their node blacklisted like any other attempt.
 #[expect(
     clippy::too_many_arguments,
@@ -687,16 +687,9 @@ fn launch_attempt(
         _ => (row, load.timing.as_slice(), load.extra_for(row, tier)),
     };
     let t = timing[node];
-    // A degraded rack uplink multiplies only the network-borne extras
-    // (remote reads, shuffle fetch); ×1.0 on healthy links keeps the
-    // legacy duration bitwise identical.
-    let link = faults.domains.link_factor_at(node, now.as_secs_f64());
-    if link > 1.0 && extra > 0.0 {
-        st.fstats.link_degraded_attempts += 1;
-    }
     let dur_s = t.task_seconds * attempt_jitter(jitter_key, attempt) * faults.slowdown[node]
         + t.overhead_seconds
-        + extra * link;
+        + extra;
     let dur = SimTime::from_secs_f64(dur_s);
     let rate = 1.0 / dur_s.max(1e-12);
     st.rate_sum += rate;

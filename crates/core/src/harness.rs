@@ -451,10 +451,6 @@ impl Plan {
 
 /// A point of the point stage: its declaration until it is answered, then
 /// its outcome, in the same storage.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "a slot is its declaration's size on purpose: the answer is written over the declaration, and a boxed declaration would cost an allocation per point"
-)]
 enum Slot {
     Declared(SimConfig, Reading),
     Answered(Result<Measurement, SimError>),

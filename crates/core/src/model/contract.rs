@@ -210,10 +210,6 @@ fn check_faults(fc: &FaultConfig) -> Result<(), ConfigError> {
             "faults.straggler_slowdown",
         ),
         (
-            at_least(r.backoff_base_s, 0.0),
-            "faults.recovery.backoff_base_s",
-        ),
-        (
             at_least(r.spec_rate_threshold, 0.0),
             "faults.recovery.spec_rate_threshold",
         ),
@@ -222,12 +218,6 @@ fn check_faults(fc: &FaultConfig) -> Result<(), ConfigError> {
             "faults.recovery.spec_min_runtime_s",
         ),
         (mttf(d.switch_mttf_s), "faults.domains.switch_mttf_s"),
-        (mttf(d.link_mttf_s), "faults.domains.link_mttf_s"),
-        (at_least(d.link_factor, 1.0), "faults.domains.link_factor"),
-        (
-            at_least(d.link_window_s, 0.0),
-            "faults.domains.link_window_s",
-        ),
     ])
 }
 

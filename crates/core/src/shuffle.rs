@@ -22,8 +22,6 @@
 //! (DESIGN.md, "Flow-fair shuffle contention") cannot move a bit of the
 //! result.
 
-use std::fmt;
-
 use hhsim_des::{SimTime, Simulation};
 use hhsim_hdfs::{NodeId, Topology};
 
@@ -40,59 +38,13 @@ pub struct Flow {
     pub bytes: f64,
 }
 
-/// Why a fabric cannot carry a [`Flow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowError {
-    /// An endpoint is not one of the fabric's nodes. (Routed anyway, it
-    /// would land on another node's link and slow that node's flows.)
-    NodeOutOfRange {
-        /// Index of the offending flow in the input.
-        flow: usize,
-        /// The endpoint that is out of range.
-        node: usize,
-        /// Node count of the fabric.
-        nodes: usize,
-    },
-    /// `bytes` is NaN or infinite: the flow has no finish time.
-    NonFiniteBytes {
-        /// Index of the offending flow in the input.
-        flow: usize,
-    },
-}
-
-impl fmt::Display for FlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowError::NodeOutOfRange { flow, node, nodes } => write!(
-                f,
-                "flow {flow}: node {node} is outside the fabric's {nodes} node(s)"
-            ),
-            FlowError::NonFiniteBytes { flow } => {
-                write!(f, "flow {flow}: byte count is not finite")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlowError {}
-
 impl Flow {
-    /// `Ok` when a fabric of `nodes` nodes can carry this flow, the
-    /// `index`-th of its input.
-    fn check(&self, index: usize, nodes: usize) -> Result<(), FlowError> {
-        for node in [self.src, self.dst] {
-            if node >= nodes {
-                return Err(FlowError::NodeOutOfRange {
-                    flow: index,
-                    node,
-                    nodes,
-                });
-            }
-        }
-        if !self.bytes.is_finite() {
-            return Err(FlowError::NonFiniteBytes { flow: index });
-        }
-        Ok(())
+    /// True when a fabric of `nodes` nodes can carry this flow: both
+    /// endpoints are its nodes and the byte count is finite. (Routed
+    /// anyway, an out-of-range endpoint would land on another node's
+    /// link and slow that node's flows.)
+    fn fits(&self, nodes: usize) -> bool {
+        self.src < nodes && self.dst < nodes && self.bytes.is_finite()
     }
 }
 
@@ -319,7 +271,7 @@ struct FlowState<'a> {
 
 impl<'a> FlowState<'a> {
     /// Every flow at time zero. A flow the fabric cannot carry
-    /// ([`Flow::check`]) never enters it and never finishes.
+    /// ([`Flow::fits`]) never enters it and never finishes.
     fn new(topology: &Topology, nodes: usize, flows: &'a [Flow]) -> Self {
         let nodes = nodes.max(1);
         let links = Links::new(topology, nodes);
@@ -331,7 +283,7 @@ impl<'a> FlowState<'a> {
             .zip(finish_s.iter_mut().zip(frozen_at.iter_mut()))
             .enumerate()
         {
-            if f.check(i, nodes).is_err() {
+            if !f.fits(nodes) {
                 *finish = f64::INFINITY;
             } else if f.src != f.dst && f.bytes > 0.0 {
                 live.push(i);
@@ -572,9 +524,9 @@ pub fn flow_finish_times(topology: &Topology, nodes: usize, flows: &[Flow]) -> V
 /// nothing.
 ///
 /// A flow that never finishes reports `f64::INFINITY`, uncancelled:
-/// * one [`try_flow_finish_times_with_crashes`] would reject (an
-///   endpoint `>= nodes`, NaN or infinite bytes) — it is kept off the
-///   fabric altogether and takes no bandwidth from the others;
+/// * one the fabric cannot carry (an endpoint `>= nodes`, NaN or
+///   infinite bytes) — it is kept off the fabric altogether and takes
+///   no bandwidth from the others;
 /// * one still transferring when the calendar's range (about 584
 ///   simulated years) runs out, or whose path has no capacity.
 pub fn flow_finish_times_with_crashes(
@@ -627,23 +579,6 @@ pub fn flow_finish_times_with_crashes(
         };
     }
     st.finish()
-}
-
-/// [`flow_finish_times_with_crashes`] behind a check of its input: the
-/// first flow the fabric cannot carry is an error instead of an
-/// `INFINITY` in the result.
-pub fn try_flow_finish_times_with_crashes(
-    topology: &Topology,
-    nodes: usize,
-    flows: &[Flow],
-    crashes: &[(usize, f64)],
-) -> Result<FlowOutcomes, FlowError> {
-    for (i, f) in flows.iter().enumerate() {
-        f.check(i, nodes.max(1))?;
-    }
-    Ok(flow_finish_times_with_crashes(
-        topology, nodes, flows, crashes,
-    ))
 }
 
 /// Contended shuffle-fetch time per reduce task.
@@ -1224,12 +1159,6 @@ mod tests {
             });
             let [(fast, _), (slow, _)] = solve_both(&t, nodes, &flows, &crashes);
             assert_bit_identical(&fast, &slow, &format!("{nodes} nodes, {racks} racks"));
-            let ok = try_flow_finish_times_with_crashes(&t, nodes, &flows, &crashes);
-            assert_eq!(
-                ok,
-                Ok(fast),
-                "valid input passes the checked entry unchanged"
-            );
         });
     }
 
@@ -1292,7 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn infinite_and_nan_bytes_end_in_an_error_or_infinity_not_a_hang() {
+    fn infinite_and_nan_bytes_end_in_infinity_not_a_hang() {
         let t = one_rack();
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             let flows = [
@@ -1307,12 +1236,8 @@ mod tests {
                     bytes: 117.0e6,
                 },
             ];
-            assert_eq!(
-                try_flow_finish_times_with_crashes(&t, 3, &flows, &[]),
-                Err(FlowError::NonFiniteBytes { flow: 0 })
-            );
-            // Unchecked, the flow is kept off the fabric: it never
-            // finishes and its neighbour keeps node 1's whole downlink.
+            // The flow is kept off the fabric: it never finishes and its
+            // neighbour keeps node 1's whole downlink.
             let times = flow_finish_times(&t, 3, &flows);
             assert_eq!(times.first().copied(), Some(f64::INFINITY));
             assert!((times.get(1).copied().unwrap_or(0.0) - 1.0).abs() < 1e-6);
@@ -1321,8 +1246,8 @@ mod tests {
 
     #[test]
     fn bytes_beyond_the_calendar_range_never_finish_and_never_hang() {
-        // Finite, so the checked entry lets it through — but at line rate
-        // it outlasts the calendar's 584 years, where the clock saturates.
+        // Finite, so the fabric carries it — but at line rate it outlasts
+        // the calendar's 584 years, where the clock saturates.
         let t = one_rack();
         let flows = [
             Flow {
@@ -1336,7 +1261,7 @@ mod tests {
                 bytes: 117.0e6,
             },
         ];
-        let out = try_flow_finish_times_with_crashes(&t, 3, &flows, &[]).expect("finite input");
+        let out = flow_finish_times_with_crashes(&t, 3, &flows, &[]);
         assert_eq!(out.finish_s.first().copied(), Some(f64::INFINITY));
         // It still holds its fair half of node 0's uplink meanwhile.
         assert!((out.finish_s.get(1).copied().unwrap_or(0.0) - 2.0).abs() < 1e-5);
@@ -1364,7 +1289,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_node_is_an_error_and_never_aliases_a_link() {
+    fn out_of_range_node_never_finishes_and_never_aliases_a_link() {
         // Node 5's uplink id used to equal node 1's downlink id on a
         // 4-node fabric: the stray flow slowed 0 → 1 from 0.855 s to
         // 2.564 s.
@@ -1390,15 +1315,6 @@ mod tests {
             let out = flow_finish_times_with_crashes(&t, 4, &[good, stray], &[]);
             assert_eq!(out.finish_s.first(), alone.first(), "{stray:?}");
             assert_eq!(out.finish_s.get(1).copied(), Some(f64::INFINITY));
-            let node = stray.src.max(stray.dst);
-            assert_eq!(
-                try_flow_finish_times_with_crashes(&t, 4, &[good, stray], &[]),
-                Err(FlowError::NodeOutOfRange {
-                    flow: 1,
-                    node,
-                    nodes: 4
-                })
-            );
         }
         assert!((alone.first().copied().unwrap_or(0.0) - 0.8547).abs() < 1e-3);
     }

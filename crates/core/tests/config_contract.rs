@@ -10,9 +10,9 @@ use std::mem::discriminant;
 use hhsim_core::accel::AccelConfig;
 use hhsim_core::arch::cache::{MAX_LINES, MAX_WAYS};
 use hhsim_core::arch::{presets, CacheConfig, ComputeProfile, MachineModel, MemoryProfile};
-use hhsim_core::faults::{DomainConfig, FaultConfig, PhaseError, RecoveryPolicy};
+use hhsim_core::faults::{DomainConfig, FaultConfig, PhaseError};
 use hhsim_core::harness::Plan;
-use hhsim_core::hdfs::{BlockSize, Topology};
+use hhsim_core::hdfs::Topology;
 use hhsim_core::workloads::AppId;
 use hhsim_core::{ConfigError, NodeMix, PlacementKind, Reading, SimCache, SimConfig, SimError};
 
@@ -27,19 +27,6 @@ fn faulty(fc: FaultConfig) -> SimConfig {
 
 fn racked(t: Topology) -> SimConfig {
     base().topology(t)
-}
-
-/// Enough failed attempts (28 of them) that the backoff shows: 1 s of
-/// backoff base makes this run 6 s longer than 0 s.
-fn with_backoff(base_s: f64) -> SimConfig {
-    let mut recovery = RecoveryPolicy::hadoop();
-    recovery.backoff_base_s = base_s;
-    faulty(
-        FaultConfig::none()
-            .failure_rates(0.3, 0.0)
-            .recovery(recovery),
-    )
-    .block_size(BlockSize::MB_64)
 }
 
 /// The base point with its Xeon's L2 (256 KiB, 8 ways, 64-byte lines)
@@ -183,16 +170,6 @@ fn rows() -> Vec<Row> {
             "negative node MTTF",
             faulty(FaultConfig::none().node_mttf(-1.0)),
             out_of_range("faults.node_mttf_s"),
-        ),
-        row(
-            "NaN backoff",
-            with_backoff(f64::NAN),
-            out_of_range("faults.recovery.backoff_base_s"),
-        ),
-        row(
-            "negative backoff",
-            with_backoff(-5.0),
-            out_of_range("faults.recovery.backoff_base_s"),
         ),
         row(
             "node links without bandwidth",

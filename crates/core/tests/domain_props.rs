@@ -58,9 +58,6 @@ fn scenario(g: &mut Gen) -> Scenario {
     if g.bool(0.7) {
         domains = domains.switch_mttf(40.0 + g.f64() * 400.0);
     }
-    if g.bool(0.4) {
-        domains = domains.link_degradation(30.0 + g.f64() * 100.0, 2.0 + g.f64() * 4.0, 25.0);
-    }
     let cfg = FaultConfig::none()
         .seed(g.u64(0..u64::MAX))
         .failure_rates(rate, rate)
@@ -302,7 +299,7 @@ fn inactive_domains_are_bitwise_invisible_at_model_level() {
         .stragglers(0.4, 2.0);
     let without = base().faults(faults);
     let with_empty = base().faults(faults.domains(DomainConfig::none()));
-    // Racks declared but no switch/rack/link hazard: still inactive.
+    // Racks declared but no switch hazard: still inactive.
     let with_idle_racks = base().faults(faults.domains(DomainConfig::none().racks(TOPO_RACKS)));
     let (m0, t0) = traced(&without).expect("the run recovers");
     for cfg in [with_empty, with_idle_racks] {

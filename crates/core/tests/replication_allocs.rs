@@ -79,7 +79,7 @@ fn allocs_per_seed(plan: &ReplicationPlan, cache: &SimCache) -> (u64, i64) {
 const PARENT_RACK: u64 = 485;
 const PARENT_SMALL: u64 = 203;
 /// What this commit measures; the gate allows 10 % on top.
-const MEASURED_RACK: u64 = 41;
+const MEASURED_RACK: u64 = 30;
 const MEASURED_SMALL: u64 = 13;
 
 /// Three plain points (Atom preset, 512 MB blocks, 1.8 GHz) run warm

@@ -54,7 +54,10 @@ const TAG_FRAC: u64 = 0x4652_4143; // "FRAC"
 const TAG_CRASH: u64 = 0x4352_5348; // "CRSH"
 const TAG_STRAG: u64 = 0x5354_5247; // "STRG"
 const TAG_SWCH: u64 = 0x5357_4348; // "SWCH"
-const TAG_LINK: u64 = 0x4c49_4e4b; // "LINK"
+
+/// Base of the exponential re-execution backoff: attempt `k` is requeued
+/// `BACKOFF_BASE_S * 2^(k-1)` seconds after its failure (Hadoop 1.x).
+pub const BACKOFF_BASE_S: f64 = 1.0;
 
 /// Hadoop-style recovery knobs applied by the cluster engine when a
 /// [`FaultConfig`] is active.
@@ -64,9 +67,6 @@ pub struct RecoveryPolicy {
     /// (Hadoop's `mapred.map.max.attempts`, default 4). Killed attempts
     /// (node crash) do not count.
     pub max_attempts: u32,
-    /// Base of the exponential re-execution backoff: attempt `k` is
-    /// requeued `backoff_base_s * 2^(k-1)` seconds after its failure.
-    pub backoff_base_s: f64,
     /// Launch LATE-style speculative backup tasks.
     pub speculation: bool,
     /// A running attempt becomes a speculation candidate when its
@@ -95,7 +95,6 @@ impl RecoveryPolicy {
     pub fn hadoop() -> Self {
         RecoveryPolicy {
             max_attempts: 4,
-            backoff_base_s: 1.0,
             speculation: true,
             spec_rate_threshold: 0.8,
             spec_min_runtime_s: 5.0,
@@ -107,7 +106,7 @@ impl RecoveryPolicy {
     /// Backoff delay before re-queueing after the `failures`-th failure.
     pub fn backoff_s(&self, failures: u32) -> f64 {
         let exp = failures.saturating_sub(1).min(16);
-        self.backoff_base_s * f64::from(1u32 << exp)
+        BACKOFF_BASE_S * f64::from(1u32 << exp)
     }
 }
 
@@ -128,31 +127,20 @@ impl Default for RecoveryPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainConfig {
     /// Number of failure domains (racks). 0 disables every domain
-    /// fault regardless of the MTTF knobs below.
+    /// fault regardless of the switch MTTF below.
     pub racks: usize,
     /// Mean time to ToR-switch failure, seconds (`None` = switches
     /// never crash). A switch crash takes its whole rack offline at
     /// one instant.
     pub switch_mttf_s: Option<f64>,
-    /// Mean time to a link-degradation event on a rack uplink, seconds
-    /// (`None` = links never degrade).
-    pub link_mttf_s: Option<f64>,
-    /// Multiplier (> 1) on remote-read / shuffle extra seconds for
-    /// tasks launched in a degradation window on an affected rack.
-    pub link_factor: f64,
-    /// Duration of one link-degradation window, seconds.
-    pub link_window_s: f64,
 }
 
 impl DomainConfig {
-    /// No failure domains: zero racks, no switch or link events.
+    /// No failure domains: zero racks, no switch crashes.
     pub fn none() -> Self {
         DomainConfig {
             racks: 0,
             switch_mttf_s: None,
-            link_mttf_s: None,
-            link_factor: 1.0,
-            link_window_s: 0.0,
         }
     }
 
@@ -168,22 +156,9 @@ impl DomainConfig {
         self
     }
 
-    /// Enables link degradation: windows of `window_s` seconds during
-    /// which a rack's remote reads slow by `factor`.
-    pub fn link_degradation(mut self, mttf_s: f64, factor: f64, window_s: f64) -> Self {
-        self.link_mttf_s = Some(mttf_s);
-        self.link_factor = factor;
-        self.link_window_s = window_s;
-        self
-    }
-
     /// True if this configuration can inject any domain fault at all.
     pub fn active(&self) -> bool {
-        self.racks > 0
-            && (self.switch_mttf_s.is_some()
-                || (self.link_mttf_s.is_some()
-                    && self.link_factor > 1.0
-                    && self.link_window_s > 0.0))
+        self.racks > 0 && self.switch_mttf_s.is_some()
     }
 }
 
@@ -211,7 +186,7 @@ pub struct FaultConfig {
     pub straggler_slowdown: f64,
     /// How the engine recovers from the injected faults.
     pub recovery: RecoveryPolicy,
-    /// Correlated failure domains (rack/switch/link faults). The
+    /// Correlated failure domains (rack-wide ToR-switch crashes). The
     /// default ([`DomainConfig::none`]) injects nothing.
     pub domains: DomainConfig,
 }
@@ -265,7 +240,7 @@ impl FaultConfig {
         self
     }
 
-    /// Installs correlated failure domains (rack/switch/link faults).
+    /// Installs correlated failure domains (rack-wide switch crashes).
     pub fn domains(mut self, domains: DomainConfig) -> Self {
         self.domains = domains;
         self
@@ -325,22 +300,17 @@ impl FaultPlan {
     }
 }
 
-/// One rack-uplink degradation window, phase- or run-relative.
+/// One rack-uplink degradation window. Nothing draws or reads one any
+/// more; it survives only as the element type of
+/// [`PhaseDomains::link_degraded`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkWindow {
     /// Window start, seconds.
     pub start_s: f64,
     /// Window end, seconds.
     pub end_s: f64,
-    /// Multiplier (> 1) on remote-read extras inside the window.
+    /// Multiplier on remote-read extras inside the window.
     pub factor: f64,
-}
-
-impl LinkWindow {
-    /// True if `t` falls inside the window.
-    pub fn covers(&self, t: f64) -> bool {
-        t >= self.start_s && t < self.end_s
-    }
 }
 
 /// Run-level failure-domain fate: one entry per rack.
@@ -352,8 +322,6 @@ pub struct NodeDomains {
     /// Absolute time each rack goes down as a whole (its ToR switch
     /// crashes), `None` = never.
     pub rack_crash_at_s: Vec<Option<f64>>,
-    /// Absolute link-degradation window per rack, `None` = healthy.
-    pub link_windows: Vec<Option<LinkWindow>>,
 }
 
 /// Run-level node fate: absolute crash times and straggler slowdowns,
@@ -403,27 +371,9 @@ impl NodeFaults {
                         .map(|mttf| exp_draw(cfg.seed, TAG_SWCH, r as u64, mttf))
                 })
                 .collect();
-            let degrading = cfg.domains.link_factor > 1.0 && cfg.domains.link_window_s > 0.0;
-            let link_windows = (0..racks)
-                .map(|r| {
-                    cfg.domains
-                        .link_mttf_s
-                        .filter(valid)
-                        .filter(|_| degrading)
-                        .map(|mttf| {
-                            let start = exp_draw(cfg.seed, TAG_LINK, r as u64, mttf);
-                            LinkWindow {
-                                start_s: start,
-                                end_s: start + cfg.domains.link_window_s,
-                                factor: cfg.domains.link_factor,
-                            }
-                        })
-                })
-                .collect();
             NodeDomains {
                 racks,
                 rack_crash_at_s,
-                link_windows,
             }
         } else {
             NodeDomains::default()
@@ -505,19 +455,7 @@ impl NodeFaults {
                     None => None,
                 })
                 .collect(),
-            link_degraded: self
-                .domains
-                .link_windows
-                .iter()
-                .map(|w| match w {
-                    Some(w) if w.end_s > offset_s => Some(LinkWindow {
-                        start_s: (w.start_s - offset_s).max(0.0),
-                        end_s: w.end_s - offset_s,
-                        factor: w.factor,
-                    }),
-                    _ => None,
-                })
-                .collect(),
+            link_degraded: Vec::new(),
         };
         PhaseFaults {
             plan: FaultPlan::new(cfg.seed, phase, failure_rate),
@@ -531,8 +469,7 @@ impl NodeFaults {
 }
 
 /// One phase's view of the failure domains: phase-relative rack crash
-/// times and link-degradation windows. The default (zero racks) carries
-/// no domain structure at all.
+/// times. The default (zero racks) carries no domain structure at all.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseDomains {
     /// Number of racks (0 = no domain structure).
@@ -540,7 +477,10 @@ pub struct PhaseDomains {
     /// Phase-relative time each rack goes down as a whole (`None` = not
     /// during this phase).
     pub rack_crash_at_s: Vec<Option<f64>>,
-    /// Phase-relative link-degradation window per rack.
+    /// Unread: no code reads this column, and [`NodeFaults::phase`]
+    /// leaves it empty. It stays only because the benchmark package
+    /// (`perf/`) still assigns it; ROADMAP item 10(a) drops that write,
+    /// and item 17 then drops the column with [`LinkWindow`].
     pub link_degraded: Vec<Option<LinkWindow>>,
 }
 
@@ -552,20 +492,6 @@ impl PhaseDomains {
         } else {
             node % self.racks
         }
-    }
-
-    /// The degradation factor on remote reads for a task launched on
-    /// `node` at phase-relative time `t` (1.0 = healthy uplink).
-    pub fn link_factor_at(&self, node: usize, t: f64) -> f64 {
-        if self.racks == 0 {
-            return 1.0;
-        }
-        self.link_degraded
-            .get(node % self.racks)
-            .copied()
-            .flatten()
-            .filter(|w| w.covers(t))
-            .map_or(1.0, |w| w.factor)
     }
 }
 
@@ -582,7 +508,7 @@ pub struct PhaseFaults {
     pub slowdown: Vec<f64>,
     /// Recovery semantics.
     pub policy: RecoveryPolicy,
-    /// Phase-projected failure domains (rack crashes, link windows).
+    /// Phase-projected failure domains (rack crashes).
     pub domains: PhaseDomains,
 }
 
@@ -665,9 +591,6 @@ pub struct FaultStats {
     /// Completed map tasks re-executed on surviving nodes after fetch
     /// failures.
     pub reexecuted_maps: u64,
-    /// Attempts whose remote reads were priced through a degraded rack
-    /// uplink.
-    pub link_degraded_attempts: u64,
     /// Slot-seconds spent on attempts that did not win (failed, killed
     /// or cancelled) — work the energy model still has to charge.
     pub wasted_slot_s: f64,
@@ -687,7 +610,6 @@ impl FaultStats {
         self.racks_blacklisted += other.racks_blacklisted;
         self.fetch_failures += other.fetch_failures;
         self.reexecuted_maps += other.reexecuted_maps;
-        self.link_degraded_attempts += other.link_degraded_attempts;
         self.wasted_slot_s += other.wasted_slot_s;
     }
 
@@ -856,18 +778,9 @@ mod tests {
     #[test]
     fn domain_activation_flags() {
         assert!(!DomainConfig::none().active());
-        // MTTFs without racks inject nothing.
+        // A switch MTTF without racks injects nothing.
         assert!(!DomainConfig::none().switch_mttf(100.0).active());
         assert!(DomainConfig::none().racks(4).switch_mttf(100.0).active());
-        assert!(DomainConfig::none()
-            .racks(4)
-            .link_degradation(100.0, 4.0, 30.0)
-            .active());
-        // A "degradation" that does not degrade injects nothing.
-        assert!(!DomainConfig::none()
-            .racks(4)
-            .link_degradation(100.0, 1.0, 30.0)
-            .active());
         assert!(!DomainConfig::none().racks(4).active());
         assert!(FaultConfig::none()
             .domains(DomainConfig::none().racks(4).switch_mttf(100.0))
@@ -906,39 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn link_windows_project_onto_phases() {
-        let cfg = FaultConfig::none().seed(2).domains(
-            DomainConfig::none()
-                .racks(2)
-                .link_degradation(100.0, 4.0, 50.0),
-        );
-        let mut nf = NodeFaults::sample(&cfg, 4);
-        nf.domains.link_windows = vec![
-            Some(LinkWindow {
-                start_s: 30.0,
-                end_s: 80.0,
-                factor: 4.0,
-            }),
-            None,
-        ];
-        // Phase starting at 60 s sees the tail of rack 0's window.
-        let pf = nf.phase(&cfg, 0, 0.0, 60.0);
-        let w = pf.domains.link_degraded[0].expect("window overlaps phase");
-        assert_eq!(w.start_s, 0.0);
-        assert!((w.end_s - 20.0).abs() < 1e-12);
-        assert_eq!(pf.domains.link_factor_at(0, 10.0), 4.0);
-        assert_eq!(pf.domains.link_factor_at(0, 25.0), 1.0, "after the window");
-        assert_eq!(
-            pf.domains.link_factor_at(1, 10.0),
-            1.0,
-            "other rack healthy"
-        );
-        // Phase starting after the window sees nothing.
-        let pf = nf.phase(&cfg, 0, 0.0, 90.0);
-        assert_eq!(pf.domains.link_degraded[0], None);
-    }
-
-    #[test]
     fn domain_sampling_is_deterministic_and_seed_sensitive() {
         let dom = DomainConfig::none().racks(4).switch_mttf(200.0);
         let a = NodeFaults::sample(&FaultConfig::none().seed(7).domains(dom), 12);
@@ -956,7 +836,7 @@ mod tests {
             NodeFaults::sample(&plain, 6),
             NodeFaults::sample(&with_none, 6)
         );
-        // Racks alone (no MTTFs) stay inactive too.
+        // Racks alone (no switch MTTF) stay inactive too.
         let racks_only = plain.domains(DomainConfig::none().racks(4));
         let nf = NodeFaults::sample(&racks_only, 6);
         assert_eq!(nf, NodeFaults::sample(&plain, 6));
