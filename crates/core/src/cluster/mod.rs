@@ -364,6 +364,35 @@ pub struct TaskSpan {
     pub tier: LocalityTier,
 }
 
+/// A failure-domain event that is not a task span. A timeline exports it
+/// as an instant event named by its [`Display`](std::fmt::Display) form,
+/// `"rack-crash:<r>"` or `"rack-blacklisted:<r>"`; the engine records only
+/// the event, so a run that keeps no timeline renders no label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DomainEvent {
+    /// Rack `r` went down as a whole (its ToR switch crashed).
+    RackCrash(usize),
+    /// Blacklisting escalated to rack `r`.
+    RackBlacklisted(usize),
+}
+
+impl DomainEvent {
+    /// The label's name part and its rack.
+    pub(crate) fn parts(self) -> (&'static str, usize) {
+        match self {
+            DomainEvent::RackCrash(r) => ("rack-crash", r),
+            DomainEvent::RackBlacklisted(r) => ("rack-blacklisted", r),
+        }
+    }
+}
+
+impl std::fmt::Display for DomainEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (name, rack) = self.parts();
+        write!(f, "{name}:{rack}")
+    }
+}
+
 /// Result of draining one [`PhaseLoad`] through the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRun {
@@ -386,11 +415,10 @@ pub struct PhaseRun {
     /// [`FetchPlan`]. These feed the timeline so the energy model
     /// charges recovery work.
     pub recovered: Vec<TaskSpan>,
-    /// Phase-relative `(seconds, label)` annotations for domain events
-    /// that are not task spans: `"rack-crash:<r>"` when a whole rack
-    /// went down, `"rack-blacklisted:<r>"` when blacklisting escalated
-    /// to rack granularity. Empty without active failure domains.
-    pub annotations: Vec<(f64, String)>,
+    /// Phase-relative `(seconds, event)` annotations for domain events
+    /// that are not task spans, in the order they fired. Empty without
+    /// active failure domains.
+    pub annotations: Vec<(f64, DomainEvent)>,
     /// Fault and recovery counters (all zero without fault injection).
     pub faults: FaultStats,
 }

@@ -18,8 +18,8 @@ use super::late::LateIndex;
 use super::slots::{count_probes, refill, wide, SlotBook, NIL};
 use super::timeline::narrow;
 use super::{
-    attempt_jitter, run_phase, Cluster, LocalityTier, NodeTiming, PhaseLoad, PhaseRun, Placement,
-    TaskSpan,
+    attempt_jitter, run_phase, Cluster, DomainEvent, LocalityTier, NodeTiming, PhaseLoad, PhaseRun,
+    Placement, TaskSpan,
 };
 
 /// A row waiting for a slot, remembering when it (re-)entered the queue.
@@ -499,7 +499,7 @@ pub(super) struct FaultState<'a> {
     spans: Vec<TaskSpan>,
     wasted: Vec<TaskSpan>,
     recovered: Vec<TaskSpan>,
-    annotations: Vec<(f64, String)>,
+    annotations: Vec<(f64, DomainEvent)>,
     fstats: FaultStats,
     policy: RecoveryPolicy,
     error: Option<PhaseError>,
@@ -627,7 +627,7 @@ impl FaultState<'_> {
         }
         self.fstats.racks_blacklisted += 1;
         self.annotations
-            .push((now.as_secs_f64(), format!("rack-blacklisted:{rack}")));
+            .push((now.as_secs_f64(), DomainEvent::RackBlacklisted(rack)));
     }
 
     /// Records a losing attempt's span and its wasted slot-seconds.
@@ -845,7 +845,7 @@ fn rack_crashed(sim: &mut Simulation<FaultEvent>, st: &mut FaultState, rack: usi
     }
     st.fstats.rack_crashes += 1;
     st.annotations
-        .push((sim.now().as_secs_f64(), format!("rack-crash:{rack}")));
+        .push((sim.now().as_secs_f64(), DomainEvent::RackCrash(rack)));
 }
 
 /// Fetch-failure handler, run right after [`crash_node`] for the same

@@ -565,7 +565,7 @@ fn rack_crash_markers_count_and_annotate() {
     assert_eq!(run.faults.node_crashes, 2);
     assert_eq!(
         run.annotations,
-        vec![(6.0, String::from("rack-crash:1"))],
+        vec![(6.0, DomainEvent::RackCrash(1))],
         "the outage is annotated once, at crash time"
     );
     for s in &run.spans {
@@ -615,8 +615,10 @@ fn rack_blacklisting_never_strands_the_last_rack() {
     let dead_rack = run
         .annotations
         .iter()
-        .find_map(|(_, a)| a.strip_prefix("rack-blacklisted:"))
-        .and_then(|r| r.parse::<usize>().ok())
+        .find_map(|&(_, event)| match event {
+            DomainEvent::RackBlacklisted(r) => Some(r),
+            DomainEvent::RackCrash(_) => None,
+        })
         .expect("rack blacklist is annotated");
     let (t_black, _) = run.annotations[0];
     for s in run.spans.iter().chain(&run.wasted) {

@@ -3,7 +3,7 @@
 use hhsim_faults::AttemptOutcome;
 use std::io;
 
-use super::{Cluster, LocalityTier, PhaseRun};
+use super::{Cluster, DomainEvent, LocalityTier, PhaseRun};
 
 /// Node metadata echoed into exports.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,12 +42,11 @@ pub struct ClusterTimeline {
     attempt: Vec<u32>,
     outcome: Vec<AttemptOutcome>,
     tier: Vec<LocalityTier>,
-    /// Absolute-time domain-event annotations (`"rack-crash:<r>"`,
-    /// `"rack-blacklisted:<r>"`), exported as instant events. Empty —
-    /// and bitwise invisible in every export — without active failure
-    /// domains.
+    /// Absolute-time domain events, exported as instant events labelled
+    /// `"rack-crash:<r>"` / `"rack-blacklisted:<r>"`. Empty — and bitwise
+    /// invisible in every export — without active failure domains.
     ann_time_s: Vec<f64>,
-    ann_label: Vec<String>,
+    ann_event: Vec<DomainEvent>,
 }
 
 /// Narrows an engine-side index (task/node/slot/wave) to its column type.
@@ -314,9 +313,9 @@ impl ClusterTimeline {
         self.attempt.reserve(extra);
         self.outcome.reserve(extra);
         self.tier.reserve(extra);
-        for (t, label) in &run.annotations {
+        for &(t, event) in &run.annotations {
             self.ann_time_s.push(t + offset_s);
-            self.ann_label.push(label.clone());
+            self.ann_event.push(event);
         }
         for s in run.spans.iter().chain(&run.wasted).chain(&run.recovered) {
             self.phase_ix.push(pix);
@@ -413,8 +412,8 @@ impl ClusterTimeline {
     /// deterministic: spans are emitted in append order with fixed
     /// 3-decimal microsecond formatting. Written incrementally to `w`, one
     /// `write_all` per event (wrap files in a `BufWriter`), so exporting a
-    /// million-span trace needs no trace-sized `String`. Node names, phase
-    /// labels and annotation labels are escaped as JSON strings.
+    /// million-span trace needs no trace-sized `String`. Node names and phase
+    /// labels are escaped as JSON strings.
     pub fn write_chrome_trace<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
         let mut row: Vec<u8> = Vec::new();
@@ -493,12 +492,15 @@ impl ClusterTimeline {
         }
         // Domain events (rack crashes, rack blacklists) as global
         // instant events; absent without active failure domains.
-        for (t, label) in self.ann_time_s.iter().zip(&self.ann_label) {
+        for (t, event) in self.ann_time_s.iter().zip(&self.ann_event) {
+            let (name, rack) = event.parts();
             row.clear();
             row.extend_from_slice(b"{\"ph\":\"i\",\"pid\":0,\"ts\":");
             push_fixed(&mut row, t * 1e6, 3);
             row.extend_from_slice(b",\"name\":\"");
-            push_json_escaped(&mut row, label);
+            row.extend_from_slice(name.as_bytes());
+            row.push(b':');
+            push_usize(&mut row, rack);
             row.extend_from_slice(b"\",\"s\":\"g\"},\n");
             w.write_all(&row)?;
         }
@@ -608,11 +610,11 @@ mod reference {
                 tl.node[i], tl.slot[i], tl.task[i], tl.task[i], tl.wave[i],
             )?;
         }
-        for (t, label) in tl.ann_time_s.iter().zip(&tl.ann_label) {
+        for (t, event) in tl.ann_time_s.iter().zip(&tl.ann_event) {
             let ts = t * 1e6;
             writeln!(
                 w,
-                "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{label}\",\"s\":\"g\"}},"
+                "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{event}\",\"s\":\"g\"}},"
             )?;
         }
         w.write_all(b"{\"ph\":\"M\",\"pid\":0,\"name\":\"trace_end\",\"args\":{}}\n]}\n")
@@ -864,7 +866,13 @@ mod tests {
                 }
                 if annotated {
                     run.annotations = g.vec(0..3, |g| {
-                        (g.u64(0..90_000_000_000) as f64 / 1e9, "rack-crash:1".into())
+                        let rack = g.usize(0..40);
+                        let event = if g.bool(0.5) {
+                            DomainEvent::RackCrash(rack)
+                        } else {
+                            DomainEvent::RackBlacklisted(rack)
+                        };
+                        (g.u64(0..90_000_000_000) as f64 / 1e9, event)
                     });
                 }
                 tl.extend(phase, g.u64(0..3) as f64 * 101.125, &run);
@@ -1134,16 +1142,33 @@ mod tests {
         assert_eq!(span.get("ts"), Some(&Json::Number(500_000.0)));
     }
 
+    /// Each typed domain event exports the bytes its `String` label did:
+    /// one instant event named `rack-crash:<r>` / `rack-blacklisted:<r>`,
+    /// on the run's clock.
     #[test]
-    fn hostile_annotation_label_stays_a_json_string() {
-        let mut tl = ClusterTimeline::new(&nodes(&["xeon0"]));
-        let mut run = one_task_run();
-        run.annotations.push((1.25, HOSTILE.to_string()));
-        tl.extend("map", 0.0, &run);
-        let events = trace_events(&tl);
-        let instant = &events[2];
-        assert_eq!(instant.get("ph").and_then(Json::str), Some("i"));
-        assert_eq!(instant.get("name").and_then(Json::str), Some(HOSTILE));
+    fn domain_events_export_their_old_labels() {
+        for rack in [0, 7, 39, 1_000_003] {
+            for (event, label) in [
+                (DomainEvent::RackCrash(rack), format!("rack-crash:{rack}")),
+                (
+                    DomainEvent::RackBlacklisted(rack),
+                    format!("rack-blacklisted:{rack}"),
+                ),
+            ] {
+                let mut tl = ClusterTimeline::new(&nodes(&["xeon0"]));
+                let mut run = one_task_run();
+                run.annotations.push((1.25, event));
+                tl.extend("map", 0.5, &run);
+                let row = format!(
+                    "{{\"ph\":\"i\",\"pid\":0,\"ts\":1750000.000,\"name\":\"{label}\",\"s\":\"g\"}},\n"
+                );
+                let trace = streamed(|w| tl.write_chrome_trace(w));
+                assert_eq!(trace.matches(&row).count(), 1, "{row} in {trace}");
+                assert_eq!(event.to_string(), label);
+                let instant = &trace_events(&tl)[2];
+                assert_eq!(instant.get("name").and_then(Json::str), Some(&*label));
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use hhsim_arch::ComputeProfile;
 use hhsim_energy::{CostMetrics, StreamingMeter, UtilizationTimeline};
-use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
+use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError, PhaseFaults};
 use hhsim_mapreduce::PhaseBreakdown;
 
 use super::config::{Measurement, SimConfig};
@@ -94,7 +94,9 @@ impl ClusterPrep<'_> {
     /// and has the prep's meter read the measurement off it. Only what the
     /// fault seed decides happens here — node fates, the phases' fault plans,
     /// the engine runs, metering — on loads and labels borrowed from the
-    /// prep and in buffers borrowed from `scratch`. Every phase run is this
+    /// prep and in buffers borrowed from `scratch`: once `scratch` has run
+    /// the prep, a run of another seed makes no allocator call short of a
+    /// buffer outgrowing its high-water mark. Every phase run is this
     /// call's own: once read, a fault-engine run goes back to the scratch
     /// for the next phase to write into. `timeline`, when there is one to
     /// fill, receives every phase's spans on the run's clock; the
@@ -111,21 +113,29 @@ impl ClusterPrep<'_> {
     ) -> Result<Measurement, PhaseError> {
         let (cluster, meter) = (&self.cluster, self.meter);
         let nodes_total = cluster.nodes.len();
+        let RunScratch {
+            steps,
+            holders,
+            engine,
+            fates,
+            phase_faults,
+            meters,
+        } = scratch;
 
         // Node fate (crash times, stragglers) is sampled once per run,
         // so a node that dies in one phase stays dead for every later
         // phase.
-        let node_faults = faults.map(|fc| NodeFaults::sample(fc, nodes_total));
+        if let Some(fc) = faults {
+            fates.sample_into(fc, nodes_total);
+        }
         let mut fault_stats = FaultStats::default();
         let mut phase_idx: u64 = 0;
 
-        let mut node_meters = match meter {
-            Meter::PhaseAverage => Vec::new(),
-            Meter::PerNode => {
-                debug_assert!(self.cfg.accel.is_none(), "validated: no offload per node");
-                vec![StreamingMeter::new(); nodes_total]
-            }
-        };
+        if meter == Meter::PerNode {
+            debug_assert!(self.cfg.accel.is_none(), "validated: no offload per node");
+            meters.resize_with(nodes_total, StreamingMeter::new);
+            meters.iter_mut().for_each(StreamingMeter::reset);
+        }
         let mut map_slots = SlotStats::default();
         let mut reduce_slots = SlotStats::default();
         let mut map_wall = 0.0;
@@ -143,11 +153,6 @@ impl ClusterPrep<'_> {
             Some(kind_preferring) => kind_preferring,
             None => &mut fifo,
         };
-        let RunScratch {
-            steps,
-            holders,
-            engine,
-        } = scratch;
         // Once read, a run goes back to the engine for the next phase to
         // write its result into. Only the fault engine takes one; a
         // fault-free run would just hold it.
@@ -169,16 +174,13 @@ impl ClusterPrep<'_> {
             } else {
                 &self.map_prof
             };
-            let phase_faults = (faults.zip(node_faults.as_ref()))
-                .map(|(fc, nf)| nf.phase(fc, phase_idx, fc.phase_rate(reduce), offset));
-            let run = run_phase_fetching(
-                cluster,
-                &phase.load,
-                placement,
-                phase_faults.as_ref(),
-                fetch,
-                engine,
-            )?;
+            let phase_faults = faults.map(|fc| {
+                let rate = fc.phase_rate(reduce);
+                fates.phase_into(fc, phase_idx, rate, offset, phase_faults);
+                &*phase_faults
+            });
+            let run =
+                run_phase_fetching(cluster, &phase.load, placement, phase_faults, fetch, engine)?;
             phase_idx += 1;
             fault_stats.absorb(&run.faults);
             if let Some(timeline) = timeline.as_deref_mut() {
@@ -190,9 +192,7 @@ impl ClusterPrep<'_> {
             offset += run.makespan_s;
             let dyn_j = match meter {
                 Meter::PhaseAverage => 0.0,
-                Meter::PerNode => {
-                    self.charge_phase(&run, prof, phase.io_frac, &mut node_meters, steps)
-                }
+                Meter::PerNode => self.charge_phase(&run, prof, phase.io_frac, meters, steps),
             };
             Ok((run, dyn_j))
         };
@@ -240,7 +240,7 @@ impl ClusterPrep<'_> {
             area,
         } = match meter {
             Meter::PhaseAverage => self.phase_average(walls, hotspot_wall),
-            Meter::PerNode => self.per_node(walls, node_meters, map_dyn_j, red_dyn_j),
+            Meter::PerNode => self.per_node(walls, meters, map_dyn_j, red_dyn_j),
         };
         Ok(Measurement {
             breakdown,
@@ -346,7 +346,7 @@ impl ClusterPrep<'_> {
     fn per_node(
         &self,
         breakdown: PhaseBreakdown,
-        mut node_meters: Vec<StreamingMeter>,
+        node_meters: &mut [StreamingMeter],
         map_dyn_j: f64,
         red_dyn_j: f64,
     ) -> Metered {
@@ -362,7 +362,7 @@ impl ClusterPrep<'_> {
         let mut energy_j = 0.0;
         let mut exact_energy_j = 0.0;
         let mut area_sum = 0.0;
-        for (i, meter) in node_meters.into_iter().enumerate() {
+        for (i, meter) in node_meters.iter().enumerate() {
             let Some((node, m)) = self.node(i) else {
                 continue;
             };
@@ -405,6 +405,13 @@ pub(crate) struct RunScratch {
     holders: Vec<usize>,
     /// The fault engine's tables.
     engine: EngineScratch,
+    /// The seed's node fates.
+    fates: NodeFaults,
+    /// The fault plan of the phase being run.
+    phase_faults: PhaseFaults,
+    /// One meter per node, reset at the start of a run (the per-node
+    /// reading only).
+    meters: Vec<StreamingMeter>,
 }
 
 impl SimConfig {

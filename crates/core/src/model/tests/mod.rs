@@ -420,6 +420,9 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
         ),
     ];
     let pricing = SimCache::new();
+    // One scratch through every shape in turn: node counts, racks and
+    // faults change under buffers another shape filled.
+    let reused = &mut RunScratch::default();
     for (shape, cfg) in shapes {
         let valid = cfg.validate(Reading::PerNode).expect("a valid config");
         let prep = ClusterPrep::new(valid, &pricing);
@@ -427,6 +430,11 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
         let blind = prep
             .run(faults.as_ref(), &mut RunScratch::default(), None)
             .map_err(SimError::from);
+        // Debug prints every float with its sign: bit for bit, -0.0 too.
+        let again = prep
+            .run(faults.as_ref(), reused, None)
+            .map_err(SimError::from);
+        assert_eq!(format!("{again:?}"), format!("{blind:?}"), "{shape}");
         let mut sink = ClusterTimeline::new(&prep.cluster);
         let seen = prep
             .run(faults.as_ref(), &mut RunScratch::default(), Some(&mut sink))

@@ -47,12 +47,10 @@ impl SimTime {
         SimTime(s * 1_000_000_000)
     }
 
-    /// Creates a time from fractional seconds, saturating at the
-    /// representable range and treating NaN or negative input as zero.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "`ns` is positive and below u64::MAX where it is cast; rounding to whole nanoseconds is the conversion"
-    )]
+    /// Creates a time from fractional seconds, rounded to the nearest
+    /// nanosecond (halves away from zero, as [`f64::round`]), saturating
+    /// at the representable range and treating NaN or negative input as
+    /// zero.
     pub fn from_secs_f64(s: f64) -> Self {
         if s.is_nan() || s <= 0.0 {
             return SimTime::ZERO;
@@ -61,7 +59,7 @@ impl SimTime {
         if ns >= u64::MAX as f64 {
             SimTime::MAX
         } else {
-            SimTime(ns.round() as u64)
+            SimTime(round_positive(ns))
         }
     }
 
@@ -84,6 +82,20 @@ impl SimTime {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// `ns.round() as u64` for `0 < ns < 2^64`, without the call `f64::round`
+/// is on a target without SSE4.1. The remainder `ns - whole` is exact:
+/// below 2^52 `whole` lies within a factor of two of `ns` (or is zero),
+/// so the subtraction is exact (Sterbenz), and from 2^52 up `ns` is
+/// already whole.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`ns` is positive and below u64::MAX; truncation toward zero is the first half of rounding"
+)]
+fn round_positive(ns: f64) -> u64 {
+    let whole = ns as u64;
+    whole + u64::from(ns - whole as f64 >= 0.5)
 }
 
 impl Add for SimTime {
@@ -174,6 +186,56 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
+    }
+
+    /// `x` and the doubles one ulp below and above it.
+    fn neighbours(x: f64) -> [f64; 3] {
+        [
+            f64::from_bits(x.to_bits() - 1),
+            x,
+            f64::from_bits(x.to_bits() + 1),
+        ]
+    }
+
+    /// `round_positive` is `f64::round` on every class of positive
+    /// nanosecond count it can meet: halves and their bit neighbours at
+    /// every magnitude, the integers around 2^52 and 2^53, the largest
+    /// values below `u64::MAX as f64`, subnormals; and `from_secs_f64` is
+    /// the `round` form on the seconds behind them.
+    #[test]
+    fn rounding_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        let mut values = vec![
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+        ];
+        for k in (0..64).flat_map(|e| [(1u64 << e) - 1, 1 << e, (1 << e) + 1]) {
+            values.extend(neighbours(k as f64 + 0.5));
+        }
+        for x in [two52, 2.0 * two52, 4.0 * two52] {
+            values.extend(neighbours(x));
+        }
+        let below_max = (u64::MAX as f64).to_bits();
+        values.extend((1..5).map(|d| f64::from_bits(below_max - d)));
+        let mut x = 1e-9_f64;
+        while x < 1e19 {
+            values.extend(neighbours(x));
+            x *= 1.37;
+        }
+        for ns in values {
+            if ns > 0.0 && ns < u64::MAX as f64 {
+                assert_eq!(round_positive(ns), ns.round() as u64, "{ns:e}");
+            }
+            for s in [ns, ns / 1e9] {
+                let want = if s * 1e9 >= u64::MAX as f64 {
+                    u64::MAX
+                } else {
+                    (s * 1e9).round() as u64
+                };
+                assert_eq!(SimTime::from_secs_f64(s).as_nanos(), want, "{s:e} s");
+            }
+        }
     }
 
     #[test]

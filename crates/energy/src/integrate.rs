@@ -118,6 +118,18 @@ impl StreamingMeter {
         }
     }
 
+    /// Empties the meter back to the state of [`StreamingMeter::new`],
+    /// keeping its tail's capacity, so a meter reused across runs reads
+    /// each exactly as a fresh one would.
+    pub fn reset(&mut self) {
+        self.tail.clear();
+        let tail = std::mem::take(&mut self.tail);
+        *self = StreamingMeter {
+            tail,
+            ..StreamingMeter::new()
+        };
+    }
+
     /// Appends a segment of `duration_s` seconds at `watts`, resolving
     /// every 1 Hz sample the new running duration proves safe.
     ///
@@ -211,7 +223,7 @@ impl StreamingMeter {
     /// midpoints inside the final `1e-6` relative clamp window) use the
     /// clamp `min(t, 0.999_999 × duration)` and the past-the-end
     /// fall-through to the last segment's power.
-    pub fn finish(self) -> EnergyReading {
+    pub fn finish(&self) -> EnergyReading {
         let duration = self.acc_s;
         if duration == 0.0 {
             return EnergyReading {
@@ -428,6 +440,42 @@ mod tests {
                 assert_matches_batch(segments, &format!("seed {seed}, phase shape {shape}"));
             }
         }
+    }
+
+    /// Every value a meter reports, as bits: a `-0.0` fold seed and a
+    /// `0.0` read as different.
+    fn bits(meter: &StreamingMeter) -> [u64; 7] {
+        let r = meter.finish();
+        [
+            r.meter.samples,
+            r.meter.average_watts.to_bits(),
+            r.meter.duration_s.to_bits(),
+            r.exact_energy_j.to_bits(),
+            r.segments,
+            meter.exact_energy_j().to_bits(),
+            meter.duration_s().to_bits(),
+        ]
+    }
+
+    /// A meter that metered (and finished) another trace and was reset
+    /// reads every trace, the empty one included, bit for bit as a fresh
+    /// one does.
+    #[test]
+    fn a_reset_meter_reads_as_a_fresh_one() {
+        hhsim_testkit::check(300, |g| {
+            let mut reused = StreamingMeter::new();
+            for (d, w) in random_trace(g.u64(0..u64::MAX)) {
+                reused.push(d, w);
+            }
+            let _ = reused.finish();
+            reused.reset();
+            let mut fresh = StreamingMeter::new();
+            for (d, w) in random_trace(g.u64(0..u64::MAX)) {
+                reused.push(d, w);
+                fresh.push(d, w);
+            }
+            assert_eq!(bits(&reused), bits(&fresh));
+        });
     }
 
     #[test]

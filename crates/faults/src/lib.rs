@@ -326,8 +326,9 @@ pub struct NodeDomains {
 
 /// Run-level node fate: absolute crash times and straggler slowdowns,
 /// sampled once per run so a node crashed in the map phase stays dead in
-/// the reduce phase.
-#[derive(Debug, Clone, PartialEq)]
+/// the reduce phase. The default is the fate of zero nodes, a buffer for
+/// [`NodeFaults::sample_into`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeFaults {
     /// Absolute crash time per node, seconds from run start (`None` =
     /// never crashes). May exceed the run's makespan, in which case the
@@ -360,56 +361,59 @@ fn min_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 impl NodeFaults {
     /// Samples every node's fate from the config seed.
     pub fn sample(cfg: &FaultConfig, nodes: usize) -> Self {
+        let mut fates = NodeFaults::default();
+        fates.sample_into(cfg, nodes);
+        fates
+    }
+
+    /// [`NodeFaults::sample`] written over `self`: every column is cleared
+    /// and refilled, so what a previous sample left (of any config or node
+    /// count) shows only as capacity.
+    pub fn sample_into(&mut self, cfg: &FaultConfig, nodes: usize) {
         let valid = |m: &f64| m.is_finite() && *m > 0.0;
-        let domains = if cfg.domains.active() {
-            let racks = cfg.domains.racks;
-            let rack_crash_at_s = (0..racks)
-                .map(|r| {
-                    cfg.domains
-                        .switch_mttf_s
-                        .filter(valid)
-                        .map(|mttf| exp_draw(cfg.seed, TAG_SWCH, r as u64, mttf))
-                })
-                .collect();
-            NodeDomains {
-                racks,
-                rack_crash_at_s,
-            }
-        } else {
-            NodeDomains::default()
-        };
-        let crash_at_s = (0..nodes)
-            .map(|n| {
-                let own = cfg
-                    .node_mttf_s
-                    .filter(valid)
-                    .map(|mttf| exp_draw(cfg.seed, TAG_CRASH, n as u64, mttf));
-                let rack = if domains.racks > 0 {
-                    domains
-                        .rack_crash_at_s
-                        .get(n % domains.racks)
-                        .copied()
-                        .flatten()
-                } else {
-                    None
-                };
-                min_opt(own, rack)
-            })
-            .collect();
-        let slowdown = (0..nodes)
-            .map(|n| {
-                if unit(draw(cfg.seed, TAG_STRAG, n as u64, 0)) < cfg.straggler_rate {
-                    cfg.straggler_slowdown.max(1.0)
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        NodeFaults {
+        // Named field by field, as in `phase_into`.
+        let NodeFaults {
             crash_at_s,
             slowdown,
-            domains,
-        }
+            domains:
+                NodeDomains {
+                    racks,
+                    rack_crash_at_s,
+                },
+        } = self;
+        *racks = if cfg.domains.active() {
+            cfg.domains.racks
+        } else {
+            0
+        };
+        rack_crash_at_s.clear();
+        rack_crash_at_s.extend((0..*racks).map(|r| {
+            cfg.domains
+                .switch_mttf_s
+                .filter(valid)
+                .map(|mttf| exp_draw(cfg.seed, TAG_SWCH, r as u64, mttf))
+        }));
+        crash_at_s.clear();
+        crash_at_s.extend((0..nodes).map(|n| {
+            let own = cfg
+                .node_mttf_s
+                .filter(valid)
+                .map(|mttf| exp_draw(cfg.seed, TAG_CRASH, n as u64, mttf));
+            let rack = if *racks > 0 {
+                rack_crash_at_s.get(n % *racks).copied().flatten()
+            } else {
+                None
+            };
+            min_opt(own, rack)
+        }));
+        slowdown.clear();
+        slowdown.extend((0..nodes).map(|n| {
+            if unit(draw(cfg.seed, TAG_STRAG, n as u64, 0)) < cfg.straggler_rate {
+                cfg.straggler_slowdown.max(1.0)
+            } else {
+                1.0
+            }
+        }));
     }
 
     /// Projects the run-level fate onto one phase starting at absolute
@@ -422,49 +426,57 @@ impl NodeFaults {
         failure_rate: f64,
         offset_s: f64,
     ) -> PhaseFaults {
-        let mut dead_at_start = Vec::with_capacity(self.crash_at_s.len());
-        let mut crash_at_s = Vec::with_capacity(self.crash_at_s.len());
-        for c in &self.crash_at_s {
-            match c {
-                Some(t) if *t <= offset_s => {
-                    dead_at_start.push(true);
-                    crash_at_s.push(None);
-                }
-                Some(t) => {
-                    dead_at_start.push(false);
-                    crash_at_s.push(Some(t - offset_s));
-                }
-                None => {
-                    dead_at_start.push(false);
-                    crash_at_s.push(None);
-                }
-            }
-        }
-        let domains = PhaseDomains {
-            racks: self.domains.racks,
-            rack_crash_at_s: self
-                .domains
-                .rack_crash_at_s
-                .iter()
-                .map(|c| match c {
-                    // A rack event before this phase shows up as
-                    // `dead_at_start` nodes; it was counted (if at all)
-                    // by the phase it landed in.
-                    Some(t) if *t <= offset_s => None,
-                    Some(t) => Some(t - offset_s),
-                    None => None,
-                })
-                .collect(),
-            link_degraded: Vec::new(),
-        };
-        PhaseFaults {
-            plan: FaultPlan::new(cfg.seed, phase, failure_rate),
+        let mut out = PhaseFaults::default();
+        self.phase_into(cfg, phase, failure_rate, offset_s, &mut out);
+        out
+    }
+
+    /// [`NodeFaults::phase`] written over `out`: every field is replaced
+    /// and every column cleared and refilled, so what `out` held before
+    /// (another phase, config or node count) shows only as capacity.
+    pub fn phase_into(
+        &self,
+        cfg: &FaultConfig,
+        phase: u64,
+        failure_rate: f64,
+        offset_s: f64,
+        out: &mut PhaseFaults,
+    ) {
+        // Named field by field, so a field added later cannot be left
+        // holding the previous phase's value.
+        let PhaseFaults {
+            plan,
             crash_at_s,
             dead_at_start,
-            slowdown: self.slowdown.clone(),
-            policy: cfg.recovery,
-            domains,
-        }
+            slowdown,
+            policy,
+            domains:
+                PhaseDomains {
+                    racks,
+                    rack_crash_at_s,
+                    link_degraded,
+                },
+        } = out;
+        *plan = FaultPlan::new(cfg.seed, phase, failure_rate);
+        *policy = cfg.recovery;
+        dead_at_start.clear();
+        dead_at_start
+            .extend((self.crash_at_s.iter()).map(|c| matches!(c, Some(t) if *t <= offset_s)));
+        // A crash before this phase shows up as `dead_at_start`; so does
+        // a rack event, which was counted (if at all) by the phase it
+        // landed in.
+        let relative = |c: &Option<f64>| match c {
+            Some(t) if *t <= offset_s => None,
+            Some(t) => Some(t - offset_s),
+            None => None,
+        };
+        crash_at_s.clear();
+        crash_at_s.extend(self.crash_at_s.iter().map(relative));
+        slowdown.clone_from(&self.slowdown);
+        *racks = self.domains.racks;
+        rack_crash_at_s.clear();
+        rack_crash_at_s.extend(self.domains.rack_crash_at_s.iter().map(relative));
+        link_degraded.clear();
     }
 }
 
@@ -477,7 +489,7 @@ pub struct PhaseDomains {
     /// Phase-relative time each rack goes down as a whole (`None` = not
     /// during this phase).
     pub rack_crash_at_s: Vec<Option<f64>>,
-    /// Unread: no code reads this column, and [`NodeFaults::phase`]
+    /// Unread: no code reads this column, and [`NodeFaults::phase_into`]
     /// leaves it empty. It stays only because the benchmark package
     /// (`perf/`) still assigns it; ROADMAP item 10(a) drops that write,
     /// and item 17 then drops the column with [`LinkWindow`].
@@ -524,6 +536,14 @@ impl PhaseFaults {
             policy: RecoveryPolicy::hadoop(),
             domains: PhaseDomains::default(),
         }
+    }
+}
+
+impl Default for PhaseFaults {
+    /// The inert phase of zero nodes, a buffer for
+    /// [`NodeFaults::phase_into`].
+    fn default() -> Self {
+        PhaseFaults::inert(0)
     }
 }
 
@@ -670,6 +690,7 @@ impl std::error::Error for PhaseError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhsim_testkit::{check, Gen};
 
     #[test]
     fn none_is_inactive_and_sampling_is_empty() {
@@ -889,6 +910,67 @@ mod tests {
         assert!(e.to_string().contains("task 3"));
         let e = PhaseError::NoUsableSlots { pending: 2 };
         assert!(e.to_string().contains("2 task(s)"));
+    }
+
+    /// A fault config with node crashes, stragglers and racks each on or
+    /// off.
+    fn random_config(g: &mut Gen) -> FaultConfig {
+        let mut cfg = FaultConfig::none()
+            .seed(g.u64(0..u64::MAX))
+            .failure_rates(0.2 * g.f64(), 0.2 * g.f64());
+        if g.bool(0.6) {
+            cfg = cfg.node_mttf(50.0 + 500.0 * g.f64());
+        }
+        if g.bool(0.5) {
+            cfg = cfg.stragglers(0.5 * g.f64(), 1.0 + 3.0 * g.f64());
+        }
+        if g.bool(0.5) {
+            let racks = DomainConfig::none().racks(g.usize(1..6));
+            cfg = cfg.domains(racks.switch_mttf(50.0 + 400.0 * g.f64()));
+        }
+        cfg
+    }
+
+    /// `sample_into` and `phase_into` over buffers another config filled
+    /// equal `sample` and `phase` on fresh ones, field for field: more
+    /// or fewer nodes, racks turned on or off, rack crashes before and
+    /// after the phase offset (each seen, and counted, at least once).
+    #[test]
+    fn in_place_forms_equal_the_allocating_ones() {
+        let mut seen = [0u32; 6];
+        check(500, |g| {
+            let (old, new) = (random_config(g), random_config(g));
+            let (old_nodes, nodes) = (g.usize(0..40), g.usize(0..40));
+            let mut fates = NodeFaults::default();
+            let mut phase = PhaseFaults::default();
+            fates.sample_into(&old, old_nodes);
+            fates.phase_into(&old, 0, old.map_failure_rate, 300.0 * g.f64(), &mut phase);
+            phase.domains.link_degraded = vec![None; g.usize(0..4)];
+
+            fates.sample_into(&new, nodes);
+            assert_eq!(fates, NodeFaults::sample(&new, nodes));
+            let offset = 300.0 * g.f64();
+            let rate = new.reduce_failure_rate;
+            fates.phase_into(&new, 1, rate, offset, &mut phase);
+            assert_eq!(phase, fates.phase(&new, 1, rate, offset));
+
+            let racks = |c: &FaultConfig| c.domains.active();
+            let rack_crashes = &fates.domains.rack_crash_at_s;
+            for (i, hit) in [
+                nodes > old_nodes,
+                nodes < old_nodes,
+                racks(&old) && !racks(&new),
+                !racks(&old) && racks(&new),
+                rack_crashes.iter().flatten().any(|&t| t <= offset),
+                rack_crashes.iter().flatten().any(|&t| t > offset),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                seen[i] += u32::from(hit);
+            }
+        });
+        assert!(seen.iter().all(|&n| n > 0), "cases seen: {seen:?}");
     }
 
     #[test]
