@@ -2,7 +2,7 @@
 //! has no fault layer.
 
 use hhsim_des::{SimTime, Simulation};
-use hhsim_faults::{AttemptOutcome, FaultStats};
+use hhsim_faults::AttemptOutcome;
 
 use super::slots::SlotBook;
 use super::{jitter, Cluster, PhaseLoad, PhaseRun, Placement, TaskSpan};
@@ -15,6 +15,16 @@ pub(super) struct Done {
     slot: usize,
 }
 
+/// The fault-free loop's working state between runs: its calendar and
+/// slot book. A caller that runs many phases hands the same one to each,
+/// and a run resets both before it reads them, so nothing of the last
+/// run is read.
+#[derive(Debug, Default)]
+pub(crate) struct CleanScratch {
+    sim: Simulation<Done>,
+    book: SlotBook<usize>,
+}
+
 /// Drains `load` over `cluster` under `placement`, recording a span per
 /// task. All tasks are queued at phase start (time zero) in task order;
 /// a freed slot always goes to the head of the queue (FIFO admission,
@@ -25,6 +35,24 @@ pub(super) struct Done {
 /// Panics if the cluster has no slots or `load.timing` does not match
 /// the cluster's node count.
 pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placement) -> PhaseRun {
+    run_phase_in(cluster, load, placement, &mut CleanScratch::default(), None)
+}
+
+/// [`run_phase`] on the calendar and slot book of `scratch`, writing its
+/// result into the vectors of `recycled`, a run its caller is done with:
+/// once both have held a run of this size, a run makes no allocator call.
+/// A phase without tasks hands `recycled`'s vectors back cleared.
+///
+/// # Panics
+///
+/// Same contract as [`run_phase`].
+pub(crate) fn run_phase_in(
+    cluster: &Cluster,
+    load: &PhaseLoad,
+    placement: &mut dyn Placement,
+    scratch: &mut CleanScratch,
+    recycled: Option<PhaseRun>,
+) -> PhaseRun {
     let capacity = cluster.total_slots();
     assert!(capacity > 0, "need at least one slot");
     assert_eq!(
@@ -32,17 +60,20 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
         cluster.nodes.len(),
         "one timing entry per node"
     );
+    let mut out = PhaseRun::idle(capacity, recycled);
     if load.tasks == 0 {
-        return PhaseRun::idle(capacity);
+        return out;
     }
 
-    let mut sim = Simulation::default();
+    let CleanScratch { sim, book } = scratch;
+    sim.reset();
     // The queue is `0..tasks`, served from the front and never re-entered:
     // the task at its head is the number of tasks launched so far, and
     // launch order is task order. So the queue is not built, and a span is
     // written once, at the end of `spans`, where its task index puts it.
-    let mut spans: Vec<TaskSpan> = Vec::with_capacity(load.tasks);
-    let mut book: SlotBook<usize> = SlotBook::new(cluster, None);
+    let spans = &mut out.spans;
+    spans.reserve_exact(load.tasks);
+    book.reset(cluster, None);
     book.stats.max_queue_len = load.tasks.saturating_sub(capacity);
     loop {
         // Launch queued tasks while slots are free: at phase start and
@@ -81,13 +112,7 @@ pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placem
         book.release_slot(node, slot);
         book.note_finish(sim.now());
     }
-    PhaseRun {
-        makespan_s: book.max_finish.as_secs_f64(),
-        spans,
-        slots: book.stats,
-        wasted: Vec::new(),
-        recovered: Vec::new(),
-        annotations: Vec::new(),
-        faults: FaultStats::default(),
-    }
+    out.makespan_s = book.max_finish.as_secs_f64();
+    out.slots = book.stats;
+    out
 }

@@ -424,18 +424,28 @@ pub struct PhaseRun {
 }
 
 impl PhaseRun {
-    /// The run of a phase without tasks on `capacity` slots.
-    fn idle(capacity: usize) -> Self {
+    /// The run of a phase without tasks on `capacity` slots, in the
+    /// vectors of `recycled` (cleared) when there is one: what a phase
+    /// run is written over.
+    fn idle(capacity: usize, recycled: Option<PhaseRun>) -> Self {
+        let (mut spans, mut wasted, mut recovered, mut annotations) = match recycled {
+            Some(run) => (run.spans, run.wasted, run.recovered, run.annotations),
+            None => Default::default(),
+        };
+        spans.clear();
+        wasted.clear();
+        recovered.clear();
+        annotations.clear();
         PhaseRun {
             makespan_s: 0.0,
-            spans: Vec::new(),
+            spans,
             slots: SlotStats {
                 capacity,
                 ..SlotStats::default()
             },
-            wasted: Vec::new(),
-            recovered: Vec::new(),
-            annotations: Vec::new(),
+            wasted,
+            recovered,
+            annotations,
             faults: FaultStats::default(),
         }
     }

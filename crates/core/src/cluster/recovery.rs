@@ -14,12 +14,13 @@ use hhsim_faults::{AttemptOutcome, FaultStats, PhaseError, PhaseFaults, Recovery
 use hhsim_hdfs::Topology;
 use std::collections::VecDeque;
 
+use super::engine::{run_phase_in, CleanScratch};
 use super::late::LateIndex;
 use super::slots::{count_probes, refill, wide, SlotBook, NIL};
 use super::timeline::narrow;
 use super::{
-    attempt_jitter, run_phase, Cluster, DomainEvent, LocalityTier, NodeTiming, PhaseLoad, PhaseRun,
-    Placement, TaskSpan,
+    attempt_jitter, Cluster, DomainEvent, LocalityTier, NodeTiming, PhaseLoad, PhaseRun, Placement,
+    TaskSpan,
 };
 
 /// A row waiting for a slot, remembering when it (re-)entered the queue.
@@ -420,17 +421,20 @@ struct FetchCtx<'a> {
     gated: &'a mut Vec<QueueEntry>,
 }
 
-/// The engine's working state between runs: every table a run sizes by
+/// Both engines' working state between runs: every table a run sizes by
 /// the cluster or the task count and is done with when it returns. A
 /// caller that runs many phases hands the same one to each, and a run
 /// starts by resetting what it uses, so nothing of the last run is read.
 ///
-/// What a run keeps per task is one 24-byte [`TaskRow`] here and one span
-/// in the result's winners' column, which the run writes in place; the
-/// tasks not launched yet are a cursor, not queue entries. A run that
-/// errors leaves its result vectors in `done`, as a recycled run does.
+/// What a fault-engine run keeps per task is one 24-byte [`TaskRow`] here
+/// and one span in the result's winners' column, which the run writes in
+/// place; the tasks not launched yet are a cursor, not queue entries. A
+/// run that errors leaves its result vectors in `done`, as a recycled run
+/// does.
 #[derive(Debug, Default)]
 pub(crate) struct EngineScratch {
+    /// The fault-free loop's calendar and slot book.
+    pub(super) clean: CleanScratch,
     sim: Simulation<FaultEvent>,
     book: SlotBook<QueueEntry>,
     node_failures: Vec<u32>,
@@ -447,8 +451,8 @@ pub(crate) struct EngineScratch {
     victims: Vec<(usize, usize)>,
     /// The result vectors of a run its caller is done with
     /// ([`EngineScratch::recycle`]) or of a run that errored, for the
-    /// next run to fill.
-    done: Option<PhaseRun>,
+    /// next run of either engine to fill.
+    pub(super) done: Option<PhaseRun>,
 }
 
 impl EngineScratch {
@@ -1207,9 +1211,9 @@ pub(super) mod oracle {
     }
 }
 
-/// [`run_phase`] with optional fault injection: `None` (or an inert
-/// [`PhaseFaults`]) reproduces the fault-free engine exactly; with
-/// faults, tasks are re-executed per the plan's failures, node crashes
+/// [`run_phase`](super::run_phase) with optional fault injection: `None`
+/// (or an inert [`PhaseFaults`]) reproduces the fault-free engine exactly;
+/// with faults, tasks are re-executed per the plan's failures, node crashes
 /// and the policy's speculation/blacklisting, and the run either
 /// completes with attempt-level spans (wasted work included) or errors
 /// cleanly.
@@ -1275,7 +1279,14 @@ pub(crate) fn run_phase_fetching(
     scratch: &mut EngineScratch,
 ) -> Result<PhaseRun, PhaseError> {
     let Some(faults) = faults else {
-        return Ok(run_phase(cluster, load, placement));
+        let recycled = scratch.done.take();
+        return Ok(run_phase_in(
+            cluster,
+            load,
+            placement,
+            &mut scratch.clean,
+            recycled,
+        ));
     };
     let nodes = cluster.nodes.len();
     let capacity = cluster.total_slots();
@@ -1309,10 +1320,11 @@ pub(crate) fn run_phase_fetching(
         );
     }
     if load.tasks == 0 {
-        return Ok(PhaseRun::idle(capacity));
+        return Ok(PhaseRun::idle(capacity, scratch.done.take()));
     }
 
     let EngineScratch {
+        clean: _,
         sim,
         book,
         node_failures,
@@ -1328,14 +1340,11 @@ pub(crate) fn run_phase_fetching(
         victims,
         done,
     } = scratch;
-    let mut out = done.take().unwrap_or_else(|| PhaseRun::idle(capacity));
+    let mut out = PhaseRun::idle(capacity, done.take());
     // Sized once, and each winner written over its task's cell: grown by
     // doubling or copied from a table of its own, the winners' column
     // would peak at twice its size.
     refill(&mut out.spans, load.tasks, UNWON);
-    out.wasted.clear();
-    out.recovered.clear();
-    out.annotations.clear();
     sim.reset();
     book.reset(cluster, Some(&faults.dead_at_start));
     // A backup's duration on a node is a function of these bits alone.

@@ -553,14 +553,7 @@ impl<Q> Default for SlotBook<Q> {
 
 impl<Q> SlotBook<Q> {
     /// Every slot of `cluster` free (none on `dead` nodes), nobody
-    /// waiting.
-    pub(super) fn new(cluster: &Cluster, dead: Option<&[bool]>) -> Self {
-        let mut book = SlotBook::default();
-        book.reset(cluster, dead);
-        book
-    }
-
-    /// [`SlotBook::new`] in place, in the allocations the last run left.
+    /// waiting, in the allocations the last run left.
     pub(super) fn reset(&mut self, cluster: &Cluster, dead: Option<&[bool]>) {
         self.slots.reset(cluster, dead);
         self.slot_table.reset(cluster);

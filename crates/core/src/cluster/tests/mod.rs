@@ -5,7 +5,7 @@ use hhsim_hdfs::Topology;
 use hhsim_sched::JobClass;
 use hhsim_testkit::streamed;
 
-use super::engine::Done;
+use super::engine::{run_phase_in, Done};
 use super::recovery::{oracle, run_phase_fetching, EngineScratch, FaultEvent, FaultState};
 use super::slots::SlotBook;
 use super::*;
@@ -840,6 +840,105 @@ fn engine_scratch_carries_nothing_between_runs() {
         errors, 4,
         "the rack crash loses map 0's every replica; every attempt fails"
     );
+}
+
+/// An engine scratch as a fault-free phase of a pricing run finds it:
+/// its clean calendar and slot book left by a longer run on a larger
+/// cluster (8 nodes x 3 slots, 300 tasks), then a fault-engine reduce
+/// phase on 8 nodes whose rack 1 dies mid-shuffle, recycled with its
+/// wasted and recovered spans and its rack-crash annotation in `done`.
+fn dirty_engine_scratch() -> EngineScratch {
+    let mut scratch = EngineScratch::default();
+    let big = Cluster::homogeneous(CoreKind::Big, 8, 3);
+    let long = PhaseLoad::uniform(&set(300, 4.0), &big);
+    let clean = run_phase_fetching(&big, &long, &mut FifoAnySlot, None, None, &mut scratch)
+        .expect("a fault-free phase completes");
+    scratch.recycle(clean);
+
+    let c = Cluster::homogeneous(CoreKind::Big, 8, 1);
+    let load = PhaseLoad::uniform(&set(8, 10.0), &c);
+    // Rack r = nodes n with n % 2 == r. Every output on rack 1 has its
+    // input's second replica on rack 0.
+    let holders = vec![1, 3, 5, 7, 0, 2, 4, 6];
+    let plan = FetchPlan {
+        map_replicas: holders.iter().map(|&h| vec![h, h ^ 1]).collect(),
+        holders,
+        topology: Topology::racked(2, 1.0),
+        read_seconds: [0.0, 2.0, 6.0],
+        map_timing: vec![
+            NodeTiming {
+                task_seconds: 3.0,
+                overhead_seconds: 0.1,
+            };
+            8
+        ],
+    };
+    let mut faults = PhaseFaults::inert(8);
+    faults.domains = PhaseDomains {
+        racks: 2,
+        rack_crash_at_s: vec![None, Some(5.0)],
+        link_degraded: vec![None, None],
+    };
+    for node in [1, 3, 5, 7] {
+        faults.crash_at_s[node] = Some(5.0);
+    }
+    let run = run_phase_fetching(
+        &c,
+        &load,
+        &mut FifoAnySlot,
+        Some(&faults),
+        Some(plan.view()),
+        &mut scratch,
+    )
+    .expect("rack 0 holds a replica of every lost output");
+    assert!(!run.wasted.is_empty(), "the crash kills running reduces");
+    assert!(!run.recovered.is_empty(), "the lost outputs are re-run");
+    assert!(!run.annotations.is_empty(), "the rack crash is annotated");
+    scratch.recycle(run);
+    scratch
+}
+
+/// The clean loop in an engine scratch another run left dirty — a
+/// calendar and slot book sized by a larger cluster, a recycled fault run
+/// with wasted, recovered and annotated entries — returns, field for
+/// field, what `run_phase` returns on fresh tables: FIFO on a
+/// homogeneous cluster, kind preference on a mixed one, a locality load
+/// with extra seconds per task, and a phase without tasks, which hands
+/// the recycled vectors back cleared.
+#[test]
+fn clean_loop_on_a_dirty_engine_scratch_equals_run_phase() {
+    let c3 = Cluster::homogeneous(CoreKind::Big, 3, 2);
+    let mixed = mixed_cluster();
+    let locality = PhaseLoad::uniform(&set(20, 5.0), &c3)
+        .with_locality(PhaseLocality {
+            replicas: (0..20).map(|t| vec![t % 3, (t + 1) % 3]).collect(),
+            racks: 2,
+            read_seconds: [0.0, 0.8, 2.4],
+        })
+        .with_extra_seconds((0..20).map(|t| 0.1 * t as f64).collect());
+    let little = || KindPreferring {
+        preferred: CoreKind::Little,
+    };
+    let cases: [(&Cluster, PhaseLoad, bool); 4] = [
+        (&c3, PhaseLoad::uniform(&set(17, 3.3), &c3), false),
+        (&mixed, hetero_load(9, &mixed), true),
+        (&c3, locality, false),
+        (&mixed, hetero_load(0, &mixed), true),
+    ];
+    for (cluster, load, by_kind) in &cases {
+        let (mut fifo, mut kind) = (FifoAnySlot, little());
+        let placement: &mut dyn Placement = if *by_kind { &mut kind } else { &mut fifo };
+        let mut scratch = dirty_engine_scratch();
+        let recycled = scratch.done.take();
+        let reused = run_phase_in(cluster, load, placement, &mut scratch.clean, recycled);
+        let (mut fifo, mut kind) = (FifoAnySlot, little());
+        let placement: &mut dyn Placement = if *by_kind { &mut kind } else { &mut fifo };
+        let fresh = run_phase(cluster, load, placement);
+        assert_eq!(reused, fresh, "{} tasks", load.tasks);
+        if load.tasks == 0 {
+            assert!(reused.spans.capacity() > 0, "the recycled spans came back");
+        }
+    }
 }
 
 /// What the per-decision oracle is for, in numbers: on a 200 × 4 cluster

@@ -122,29 +122,33 @@ pub fn snapshot() -> HarnessSnapshot {
 /// is written into the item's own storage, so the inline run holds the
 /// items or their results, not both.
 ///
-/// Every worker owns one `S` from its first item to its last — scratch
-/// `eval` may reuse between items and must not read results out of (`()`
-/// when there is nothing to reuse). It is born and dropped with the
-/// worker, so it outlives no call.
-fn pool<I: Sync, S: Default, T: Send + Sync>(
+/// Every worker works in its own state of `states` — scratch `eval` may
+/// reuse between items and must not read results out of (`()` when there
+/// is nothing to reuse). The caller owns the states and may hand the same
+/// ones to several calls; a call adds the helpers' states it lacks.
+fn pool<I: Sync, S: Default + Send, T: Send + Sync>(
     items: Vec<I>,
     workers: usize,
     batch: usize,
+    states: &mut WorkerStates<S>,
     eval: impl Fn(&mut S, &I) -> T + Sync,
 ) -> Vec<T> {
     let n = items.len();
     let helpers = workers.min(n.div_ceil(batch)).saturating_sub(1);
+    let WorkerStates {
+        caller,
+        helpers: helper_states,
+    } = states;
     if helpers == 0 {
-        let mut state = S::default();
-        return items
-            .into_iter()
-            .map(|item| eval(&mut state, &item))
-            .collect();
+        return items.into_iter().map(|item| eval(caller, &item)).collect();
+    }
+    if let Some(lacking) = helpers.checked_sub(helper_states.len()) {
+        helper_states.reserve_exact(lacking);
+        helper_states.resize_with(helpers, S::default);
     }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    let work = || {
-        let mut state = S::default();
+    let work = |state: &mut S| {
         loop {
             let start = next.fetch_add(batch, Ordering::Relaxed);
             let end = (start + batch).min(n);
@@ -156,22 +160,30 @@ fn pool<I: Sync, S: Default, T: Send + Sync>(
             }
             for (item, slot) in claimed.iter().zip(out) {
                 // A claimed index belongs to this worker alone.
-                let _ = slot.set(eval(&mut state, item));
+                let _ = slot.set(eval(state, item));
             }
         }
     };
     std::thread::scope(|scope| {
-        for _ in 0..helpers {
+        for state in helper_states.iter_mut().take(helpers) {
             #[cfg(test)]
             tests::HELPERS.with(|c| c.set(c.get() + 1));
-            scope.spawn(work);
+            scope.spawn(move || work(state));
         }
-        work();
+        work(caller);
     });
     slots
         .into_iter()
         .map(|s| s.into_inner().expect("worker pool covered every item"))
         .collect()
+}
+
+/// The states of a [`pool`]'s workers: the caller's, held in place, and
+/// its helpers', made when a call first spawns them.
+#[derive(Default)]
+struct WorkerStates<S> {
+    caller: S,
+    helpers: Vec<S>,
 }
 
 /// The expensive memo entries a fill computes: those pricing `points`
@@ -241,7 +253,8 @@ enum FillJob<'a> {
 /// across the pool, in one claim per address trace and one per
 /// functional run. A trace claim draws its trace once for every machine
 /// that misses it, through the hierarchies of the worker's [`StallBatch`]
-/// (`pool`'s per-worker state, reused from claim to claim). The traces
+/// (its `pool` state, reused from claim to claim and dropped with the
+/// stage). The traces
 /// are claimed first; a worker drops its batch before its first
 /// functional run, so no hierarchy outlives its stall claims into a run.
 /// With every key held it computes and spawns nothing, and with no point
@@ -267,7 +280,8 @@ fn fill_stage<'a>(
         }
     }
     let jobs: Vec<FillJob<'a>> = traces.into_iter().map(FillJob::Trace).chain(runs).collect();
-    pool(jobs, workers, 1, |batch: &mut StallBatch, job| match job {
+    let batches: &mut WorkerStates<StallBatch> = &mut WorkerStates::default();
+    pool(jobs, workers, 1, batches, |batch, job| match job {
         FillJob::Trace(t) => cache.fill_stalls(&t.0, &t.1, batch),
         FillJob::Run(app, cfg) => {
             *batch = StallBatch::default();
@@ -413,7 +427,9 @@ impl Plan {
     /// point that breaks the config contract or fails unrecoverably, a
     /// replication plan over an invalid config and a split that breaks
     /// the contract keep their [`SimError`] for the reader; every other
-    /// entry runs as it would alone.
+    /// entry runs as it would alone. The points and every replication
+    /// plan's seeds run in one set of run scratches, one per worker, made
+    /// after the fill stage and dropped when this call returns.
     pub fn run_on(self, workers: usize, cache: &SimCache) -> Outcomes {
         let Plan {
             points,
@@ -426,9 +442,13 @@ impl Plan {
         let seeded = replications.iter().map(|r| (&r.cfg, Reading::PerNode));
         fill_stage(declared.chain(seeded), &splits, workers, cache);
         let runs = points.len() + replications.iter().map(ReplicationPlan::len).sum::<usize>();
-        let measured = point_stage(points, workers, cache);
+        // One run scratch per worker from here to the end of the plan,
+        // each empty until its worker's first point or seed: none holds a
+        // buffer beside a functional run, and a warm plan fills none.
+        let scratches = &mut WorkerStates::default();
+        let measured = point_stage(points, workers, cache, scratches);
         let summaries = (replications.iter())
-            .map(|r| r.summarize(workers, cache))
+            .map(|r| r.summarize(workers, cache, scratches))
             .collect();
         // A split that breaks the contract is not simulated: its slot is
         // never read, `Outcomes::cpi` returns its error first.
@@ -461,20 +481,25 @@ enum Slot {
 /// holds, or one that breaks the contract — and writes the answer over
 /// its declaration; only the points `cache` lacks go to the pool, so a
 /// warm plan spawns nothing. One worker is the caller alone: it runs a
-/// missing point where it finds it. What the memo holds decides where a
-/// point is answered, never what it reads.
+/// missing point where it finds it. A point runs in its worker's run
+/// scratch of `scratches`, which the plan's replications run in next, so
+/// a worker's points after its first allocate only what their pricing
+/// does. What the memo holds decides where a point is answered, never
+/// what it reads.
 fn point_stage(
     points: Vec<(SimConfig, Reading)>,
     workers: usize,
     cache: &SimCache,
+    scratches: &mut WorkerStates<RunScratch>,
 ) -> Vec<Result<Measurement, SimError>> {
-    let run = |cfg: &SimConfig, reading| cfg.run(cache, reading).map(|(m, _)| m);
+    let run = |cfg: &SimConfig, reading, scratch: &mut RunScratch| {
+        cfg.run_in(cache, reading, scratch).map(|(m, _)| m)
+    };
+    let held = |cfg: &SimConfig, reading| cfg.held(cache, reading).map(|h| h.map(|(m, _)| m));
     let slots: Vec<Slot> = (points.into_iter())
         .map(|(cfg, reading)| {
-            let answer = match workers {
-                0 | 1 => Some(run(&cfg, reading)),
-                _ => cfg.held(cache, reading).map(|held| held.map(|(m, _)| m)),
-            };
+            let answer = held(&cfg, reading)
+                .or_else(|| (workers <= 1).then(|| run(&cfg, reading, &mut scratches.caller)));
             match answer {
                 Some(outcome) => Slot::Answered(outcome),
                 None => Slot::Declared(cfg, reading),
@@ -487,12 +512,17 @@ fn point_stage(
             Slot::Answered(_) => None,
         })
         .collect();
-    let mut ran = pool(missing, workers, 1, |(), &(cfg, reading)| run(cfg, reading)).into_iter();
+    let eval = |scratch: &mut RunScratch, &(cfg, reading): &(&SimConfig, Reading)| {
+        run(cfg, reading, scratch)
+    };
+    let mut ran = pool(missing, workers, 1, scratches, eval).into_iter();
     (slots.into_iter())
         .map(|slot| match slot {
             Slot::Answered(outcome) => outcome,
             // The pool answered every missing point, in order.
-            Slot::Declared(cfg, reading) => ran.next().unwrap_or_else(|| run(&cfg, reading)),
+            Slot::Declared(cfg, reading) => ran
+                .next()
+                .unwrap_or_else(|| run(&cfg, reading, &mut RunScratch::default())),
         })
         .collect()
 }
@@ -709,17 +739,22 @@ impl ReplicationPlan {
     /// Panics with the [`SimError`] of an invalid config, as
     /// [`run_grid_on`] does.
     pub fn run_with(&self, workers: usize, cache: &SimCache) -> ReplicationSummary {
-        let summary = recovered(self.summarize(workers, cache));
+        let summary = recovered(self.summarize(workers, cache, &mut WorkerStates::default()));
         count_fill(self.seeds.len());
         summary
     }
 
     /// The summary, or the config's [`SimError`]: the config is validated
     /// once, for the per-node meter every seed is read with, before the
-    /// plan memo is asked.
-    fn summarize(&self, workers: usize, cache: &SimCache) -> Result<ReplicationSummary, SimError> {
+    /// plan memo is asked. The seeds run in `scratches`, one per worker.
+    fn summarize(
+        &self,
+        workers: usize,
+        cache: &SimCache,
+        scratches: &mut WorkerStates<RunScratch>,
+    ) -> Result<ReplicationSummary, SimError> {
         let valid = self.cfg.validate(Reading::PerNode)?;
-        let replicate = || self.replicate(valid, workers, cache);
+        let replicate = || self.replicate(valid, workers, cache, scratches);
         Ok(cache.plan_summary(&self.cfg, &self.seeds, replicate))
     }
 
@@ -730,6 +765,7 @@ impl ReplicationPlan {
         valid: Validated<'_>,
         workers: usize,
         cache: &SimCache,
+        scratches: &mut WorkerStates<RunScratch>,
     ) -> ReplicationSummary {
         let prep = ClusterPrep::new(valid, cache);
         let base = self.cfg.faults.filter(FaultConfig::active);
@@ -747,7 +783,7 @@ impl ReplicationPlan {
         };
 
         let n = self.seeds.len();
-        let points = pool(self.seeds.clone(), workers, SEED_BATCH, eval);
+        let points = pool(self.seeds.clone(), workers, SEED_BATCH, scratches, eval);
 
         let ok: Vec<&RepPoint> = points.iter().flatten().collect();
         let mut faults = FaultStats::default();
@@ -1035,7 +1071,15 @@ mod tests {
             for workers in [1, 2, 4] {
                 for n in 0..=20 {
                     let items: Vec<usize> = (0..n).collect();
-                    let (out, helpers) = spawning(|| pool(items, workers, batch, |(), &i| 10 * i));
+                    let (out, helpers) = spawning(|| {
+                        pool(
+                            items,
+                            workers,
+                            batch,
+                            &mut WorkerStates::default(),
+                            |(), &i| 10 * i,
+                        )
+                    });
                     let want = if n <= batch {
                         0
                     } else {

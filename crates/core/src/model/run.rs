@@ -97,9 +97,9 @@ impl ClusterPrep<'_> {
     /// prep and in buffers borrowed from `scratch`: once `scratch` has run
     /// the prep, a run of another seed makes no allocator call short of a
     /// buffer outgrowing its high-water mark. Every phase run is this
-    /// call's own: once read, a fault-engine run goes back to the scratch
-    /// for the next phase to write into. `timeline`, when there is one to
-    /// fill, receives every phase's spans on the run's clock; the
+    /// call's own: once read, it goes back to the scratch for the next
+    /// phase of either engine to write into. `timeline`, when there is one
+    /// to fill, receives every phase's spans on the run's clock; the
     /// measurement does not depend on it.
     ///
     /// # Errors
@@ -153,15 +153,6 @@ impl ClusterPrep<'_> {
             Some(kind_preferring) => kind_preferring,
             None => &mut fifo,
         };
-        // Once read, a run goes back to the engine for the next phase to
-        // write its result into. Only the fault engine takes one; a
-        // fault-free run would just hold it.
-        let recycle = |engine: &mut EngineScratch, run| {
-            if faults.is_some() {
-                engine.recycle(run);
-            }
-        };
-
         // One phase under the seed: its fault plan, the engine run, the
         // timeline sink and the node meters. `fetch` is the reduce phase's
         // recovery plan. Returns the run and its exact dynamic energy.
@@ -210,7 +201,7 @@ impl ClusterPrep<'_> {
             map_dyn_j += dyn_j;
 
             let Some(reduce) = &job.reduce else {
-                recycle(engine, map_run);
+                engine.recycle(map_run);
                 continue;
             };
             // Hadoop fetch-failure semantics need a replica layout on an
@@ -223,12 +214,12 @@ impl ClusterPrep<'_> {
                 holders.extend(map_run.spans.iter().map(|s| s.node));
                 job.map.fetch_view(self.topology, holders)
             });
-            recycle(engine, map_run);
+            engine.recycle(map_run);
             let (red_run, dyn_j) = run(reduce, true, fetch, engine)?;
             reduce_slots.absorb(&red_run.slots);
             reduce_wall += red_run.makespan_s;
             red_dyn_j += dyn_j;
-            recycle(engine, red_run);
+            engine.recycle(red_run);
         }
 
         let walls = PhaseBreakdown::new(map_wall, reduce_wall, self.others_wall);
@@ -393,17 +384,17 @@ struct Metered {
     area: f64,
 }
 
-/// Buffers one seeded cluster run fills and the next reuses: owned by a
-/// harness worker across its seeds, or by a single call, and freed with
-/// it. Nothing a run leaves here is read by the next (each user clears
-/// before it fills).
+/// Buffers one cluster run fills and the next reuses: owned by a harness
+/// worker across the points and seeds of a plan, or by a single call, and
+/// freed with it. Nothing a run leaves here is read by the next (each user
+/// clears before it fills).
 #[derive(Debug, Default)]
 pub(crate) struct RunScratch {
     /// Per-node step functions of the phase being charged.
     steps: StepBuffers,
     /// Map-output holders of the reduce phase's fetch plan.
     holders: Vec<usize>,
-    /// The fault engine's tables.
+    /// Both engines' tables and the last phase run.
     engine: EngineScratch,
     /// The seed's node fates.
     fates: NodeFaults,
@@ -421,6 +412,9 @@ impl SimConfig {
     /// resolves to and whether the timeline is kept, an unrecoverable run
     /// as its error; so is what pricing shares (stall splits, functional
     /// runs). The timeline is `Some` exactly under [`Reading::Traced`].
+    /// The engines run in buffers of this call's own, freed when it
+    /// returns; a [`Plan`](crate::harness::Plan) runs its points in one
+    /// set of buffers per worker instead.
     ///
     /// # Errors
     ///
@@ -432,13 +426,24 @@ impl SimConfig {
         cache: &SimCache,
         reading: Reading,
     ) -> Result<(Measurement, Option<ClusterTimeline>), SimError> {
+        self.run_in(cache, reading, &mut RunScratch::default())
+    }
+
+    /// [`SimConfig::run`] in the buffers of `scratch`, which a harness
+    /// worker keeps from point to point (a point `cache` holds reads
+    /// none of them).
+    pub(crate) fn run_in(
+        &self,
+        cache: &SimCache,
+        reading: Reading,
+        scratch: &mut RunScratch,
+    ) -> Result<(Measurement, Option<ClusterTimeline>), SimError> {
         let valid = self.validate(reading)?;
         let traced = reading == Reading::Traced;
         cache.point_run(valid, traced, || {
             let prep = ClusterPrep::new(valid, cache);
             let mut timeline = traced.then(|| ClusterTimeline::new(&prep.cluster));
             let faults = self.active_faults();
-            let scratch = &mut RunScratch::default();
             let m = prep.run(faults.as_ref(), scratch, timeline.as_mut())?;
             Ok((m, timeline))
         })

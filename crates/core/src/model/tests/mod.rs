@@ -456,6 +456,75 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
     }
 }
 
+/// Points of every shape through one `RunScratch`, as a harness worker
+/// runs them — clean on the phase-average meter, faulty, traced on the
+/// rack cluster, per node on a mix, a seed that fails, and 3, 5 and 12
+/// nodes in turn — each equal to the same point on a scratch of its own:
+/// the same `Measurement` (or error) and the same timeline bytes.
+#[test]
+fn one_run_scratch_through_mixed_points_equals_fresh_scratches() {
+    let app = AppId::TeraSort;
+    let mut five = base(app, presets::xeon_e5_2420());
+    five.nodes = 5;
+    let mix = NodeMix {
+        big: 1,
+        little: 2,
+        placement: PlacementKind::PaperClass(MetricKind::Edp),
+    };
+    let points = [
+        (base(app, presets::atom_c2758()), Reading::Auto),
+        (
+            base(app, presets::atom_c2758()).faults(crate::figures::fig19_faults(0.08, true)),
+            Reading::Auto,
+        ),
+        (
+            racked(Some(crate::figures::fig22_faults(4.0, true))),
+            Reading::Traced,
+        ),
+        (
+            base(app, presets::xeon_e5_2420()).mix(mix),
+            Reading::PerNode,
+        ),
+        (
+            base(app, presets::xeon_e5_2420()).faults(FaultConfig::none().seed(7).node_mttf(1e-3)),
+            Reading::Auto,
+        ),
+        (five.clone(), Reading::Auto),
+        (five, Reading::Traced),
+        (racked(None), Reading::PerNode),
+        (base(app, presets::atom_c2758()), Reading::Traced),
+    ];
+    // Two memos, so that each side runs every point rather than reading
+    // the other's.
+    let (reusing, fresh) = (SimCache::new(), SimCache::new());
+    let scratch = &mut RunScratch::default();
+    let mut failed = 0;
+    let bytes = |t: &Option<ClusterTimeline>| {
+        t.as_ref().map(|t| {
+            (
+                streamed(|w| t.write_chrome_trace(w)),
+                streamed(|w| t.write_utilization_csv(w)),
+            )
+        })
+    };
+    for (i, (cfg, reading)) in points.iter().enumerate() {
+        let reused = cfg.run_in(&reusing, *reading, scratch);
+        let alone = cfg.run(&fresh, *reading);
+        match (&reused, &alone) {
+            (Ok((m, t)), Ok((m_alone, t_alone))) => {
+                assert_eq!(m, m_alone, "point {i}");
+                assert_eq!(t.is_some(), *reading == Reading::Traced, "point {i}");
+                assert_eq!(bytes(t), bytes(t_alone), "point {i}");
+            }
+            _ => {
+                assert_eq!(reused, alone, "point {i}");
+                failed += 1;
+            }
+        }
+    }
+    assert_eq!(failed, 1, "only the node-killing seed fails");
+}
+
 #[test]
 fn prep_is_reusable_across_seeds() {
     let fc = crate::figures::fig22_faults(4.0, true);

@@ -1,5 +1,5 @@
-//! Allocation ratchet for the seeded replication hot path, for one warm
-//! point through the pricing pipeline and for both phase engines.
+//! Allocation ratchet for the seeded replication hot path, for warm and
+//! cold points through the pricing pipeline and for both phase engines.
 //!
 //! Its own test binary so it may install a counting `#[global_allocator]`:
 //! 64 and 512 seeds of the fig22 rack configuration and of the fig20
@@ -7,8 +7,10 @@
 //! that a seed past the first costs no allocator call and that what a
 //! plan leaves behind does not grow with what it ran, then three plain
 //! points through `SimConfig::run` read by their own meter and one of them
-//! traced, each asked again of a private memo that holds its run; then `run_phase` with locality on
-//! 2 000 nodes at two task counts, which must cost the same number of
+//! traced, each asked again of a private memo that holds its run; then
+//! plans of 40 and of 80 cold plain points through `run_grid_on`, whose
+//! difference is what one more point costs; then `run_phase` with
+//! locality on 2 000 nodes at two task counts, which must cost the same number of
 //! calls; last, `run_phase_faulty_fetch` over 10 k map outputs on 500 and
 //! on 2 000 nodes, without crashes and with them, which must too; and
 //! `run_phase_faulty` at two task counts, which must cost the same number
@@ -17,7 +19,7 @@
 //! work runs on that thread alone, so the counts repeat exactly — which is
 //! why a count can be a gate here.
 
-use hhsim_core::arch::{presets, CoreKind};
+use hhsim_core::arch::{presets, CoreKind, Frequency};
 use hhsim_core::cluster::{
     run_phase, run_phase_faulty, run_phase_faulty_fetch, Cluster, FetchPlan, FifoAnySlot,
     PhaseLoad, PhaseLocality, TaskSet,
@@ -27,6 +29,7 @@ use hhsim_core::faults::PhaseFaults;
 use hhsim_core::figures::{
     fig19_faults, fig22_faults, FAULT_BLOCK, FIG22_OVERSUB, MICRO_DATA, TOPO_RACKS,
 };
+use hhsim_core::harness::run_grid_on;
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
 use hhsim_core::{NodeMix, PlacementKind, Reading, ReplicationPlan, SimCache, SimConfig};
@@ -123,6 +126,75 @@ fn warm_points_allocate_within_the_ratchet() {
     assert_eq!(warm, cold);
     println!("warm engine-path point with a timeline: {calls} calls, {bytes} bytes");
     assert!(calls <= ENGINE_POINT_MAX, "{calls} calls");
+}
+
+/// Distinct plain points of both presets, the micro apps and every block
+/// size at `f`: 40 points, each priced from the same memo entries.
+fn plain_points(f: Frequency) -> Vec<SimConfig> {
+    let blocks = [
+        BlockSize::MB_32,
+        BlockSize::MB_64,
+        BlockSize::MB_128,
+        BlockSize::MB_256,
+        BlockSize::MB_512,
+    ];
+    let mut points = Vec::new();
+    for m in presets::both() {
+        for app in AppId::MICRO {
+            for block in blocks {
+                points.push(
+                    SimConfig::new(app, m.clone())
+                        .frequency(f)
+                        .block_size(block),
+                );
+            }
+        }
+    }
+    points
+}
+
+/// What the parent commit allocated per cold plain point through a plan
+/// at one worker, measured with this file: the change must stay below
+/// half. Each point built its engines' tables, step buffers and meters
+/// afresh.
+const PARENT_POINT: u64 = 62;
+/// Allocator calls per cold plain point this commit measures,
+/// (calls over 2K points − calls over K) / K; the gate allows 10 % on
+/// top. A point's runs reuse its worker's run scratch; what is left is
+/// its pricing (`ClusterPrep::new`) and its memo entry.
+const MEASURED_POINT: u64 = 21;
+
+/// The cold-point half: with the memo's functional runs and stall splits
+/// filled by a warm-up grid at 1.2 GHz, a plan of the 40 points at 1.4 GHz
+/// and one of the 80 at 1.6 and 1.8 GHz, every point cold, at one worker.
+/// The second plan runs twice the first's shapes, so the difference of
+/// their counts over 40 is what one more point costs.
+fn cold_points_allocate_within_the_ratchet() {
+    let cache = SimCache::new();
+    run_grid_on(&plain_points(Frequency::GHZ_1_2), 1, &cache);
+    let once = plain_points(Frequency::GHZ_1_4);
+    let mut twice = plain_points(Frequency::GHZ_1_6);
+    twice.extend(plain_points(Frequency::GHZ_1_8));
+    let calls_of = |grid: &[SimConfig]| {
+        let (ran, Allocs { calls, .. }) = counted(|| run_grid_on(grid, 1, &cache));
+        assert_eq!(ran.len(), grid.len());
+        calls
+    };
+    let (k, k2) = (calls_of(&once), calls_of(&twice));
+    let got = k2.saturating_sub(k) / once.len() as u64;
+    println!(
+        "allocator calls of a cold plan: {k} over {} points, {k2} over {}; {got} per point",
+        once.len(),
+        twice.len()
+    );
+    assert!(
+        got <= MEASURED_POINT + MEASURED_POINT / 10,
+        "{got} allocations per cold point, ratchet is {MEASURED_POINT} + 10 %"
+    );
+    assert!(
+        2 * got < PARENT_POINT,
+        "{got} allocations per cold point is not below half of the parent's {PARENT_POINT}"
+    );
 }
 
 /// The fault-free engine's half: `engine-clean`'s locality run (2 000
@@ -319,6 +391,7 @@ fn seeded_runs_allocate_within_the_ratchet() {
         );
     }
     warm_points_allocate_within_the_ratchet();
+    cold_points_allocate_within_the_ratchet();
     clean_engine_allocates_nothing_per_task();
     fault_engine_allocates_nothing_per_node_or_crash();
     fault_engine_keeps_one_span_and_one_row_per_task();
