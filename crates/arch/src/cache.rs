@@ -20,6 +20,8 @@
 //! wide, and a level at most [`MAX_LINES`] lines large;
 //! [`CacheConfig::check`] is that contract.
 
+use std::borrow::Cow;
+
 /// The widest set a [`Cache`] simulates: its kernel table holds one
 /// instance per way count, up to this one.
 pub const MAX_WAYS: usize = 32;
@@ -46,8 +48,9 @@ pub(crate) const CHUNK: usize = 512;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
-    /// Human-readable level name ("L1d", "L2", "L3").
-    pub name: String,
+    /// Human-readable level name ("L1d", "L2", "L3"): borrowed for the
+    /// presets' static levels, owned for a level built from a `String`.
+    pub name: Cow<'static, str>,
     /// Total capacity in bytes.
     pub size_bytes: usize,
     /// Associativity (ways per set).
@@ -68,7 +71,7 @@ impl CacheConfig {
     /// Panics with the reason [`CacheConfig::check`] gives if a [`Cache`]
     /// cannot simulate the level.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         size_bytes: usize,
         associativity: usize,
         line_bytes: usize,
@@ -322,8 +325,8 @@ impl Cache {
 /// Per-level and memory statistics of a hierarchy run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HierarchyStats {
-    /// Statistics per level, outermost last.
-    pub levels: Vec<(String, LevelStats)>,
+    /// Statistics per level, outermost last, under the level's name.
+    pub levels: Vec<(Cow<'static, str>, LevelStats)>,
     /// Accesses that fell through every level to DRAM.
     pub memory_accesses: u64,
     /// Total accesses presented to the hierarchy.
@@ -784,7 +787,7 @@ mod tests {
         // Whole hierarchies, so fills at one level see the misses of the
         // level before: both presets.
         for machine in crate::presets::both() {
-            let levels = machine.cache_levels.clone();
+            let levels = machine.cache_levels.to_vec();
             let mut fast = CacheHierarchy::new(levels.clone(), machine.mem_latency_ns);
             let mut slow = ReferenceHierarchy::new(levels);
             let mut gen = TraceGenerator::new(profiles[0].mem, 11);

@@ -14,6 +14,8 @@
 //! on both machines, and the big core sustains ≈1.4× the little core's IPC
 //! on Hadoop code.
 
+use std::borrow::Cow;
+
 use crate::cache::{CacheConfig, CacheHierarchy, LevelKey, CHUNK};
 use crate::dvfs::{Frequency, OperatingPoint, VoltageCurve};
 use crate::power::ChipPowerModel;
@@ -77,6 +79,13 @@ impl CoreModel {
 
 /// A complete machine: core, cache hierarchy, DVFS curve, power and area.
 ///
+/// The name and the cache levels are borrowed static data for the
+/// [`presets`](crate::presets), so building, cloning or comparing a preset
+/// allocates nothing. A custom machine owns what it changes: assign an
+/// owned value (`m.name = format!(..).into()`) or edit in place through
+/// [`Cow::to_mut`] (`m.cache_levels.to_mut().push(level)`), which copies a
+/// borrowed list once.
+///
 /// # Examples
 ///
 /// ```
@@ -89,11 +98,11 @@ impl CoreModel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineModel {
     /// Marketing name ("Intel Xeon E5-2420").
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Core pipeline parameters.
     pub core: CoreModel,
     /// Cache hierarchy, innermost first.
-    pub cache_levels: Vec<CacheConfig>,
+    pub cache_levels: Cow<'static, [CacheConfig]>,
     /// DRAM access latency in nanoseconds.
     pub mem_latency_ns: f64,
     /// Voltage/frequency curve for DVFS.
@@ -250,7 +259,7 @@ fn feed(gen: &mut TraceGenerator, hierarchies: &mut [CacheHierarchy], n: usize) 
 impl MachineModel {
     /// Builds this machine's (empty) cache hierarchy.
     pub fn hierarchy(&self) -> CacheHierarchy {
-        CacheHierarchy::new(self.cache_levels.clone(), self.mem_latency_ns)
+        CacheHierarchy::new(self.cache_levels.to_vec(), self.mem_latency_ns)
     }
 
     /// Operating point on this machine's curve at frequency `f`.
@@ -275,7 +284,7 @@ impl MachineModel {
     /// to read belongs in [`StallKey`].
     pub fn stall_key(&self, profile: &ComputeProfile) -> StallKey {
         let mut levels = [None; INLINE_LEVELS];
-        for (slot, c) in levels.iter_mut().zip(&self.cache_levels) {
+        for (slot, c) in levels.iter_mut().zip(self.cache_levels.iter()) {
             *slot = Some(c.simulated());
         }
         StallKey {
@@ -424,7 +433,7 @@ mod tests {
         assert_eq!(key, renamed.stall_key(&p), "neither is read");
 
         let mut edited = atom.clone();
-        edited.cache_levels[1].latency_cycles += 1.0;
+        edited.cache_levels.to_mut()[1].latency_cycles += 1.0;
         assert_ne!(key, edited.stall_key(&p));
         let mut slower_dram = atom.clone();
         slower_dram.mem_latency_ns += 1.0;
@@ -434,7 +443,7 @@ mod tests {
         streaming.mem.streaming_fraction += 0.01;
         assert_ne!(key, atom.stall_key(&streaming));
         let mut reseeded = p.clone();
-        reseeded.name.push('2');
+        reseeded.name.to_mut().push('2');
         assert_ne!(key, atom.stall_key(&reseeded), "the name seeds the trace");
         assert_eq!(key.trace, TraceKey::of(&p));
         assert_ne!(TraceKey::of(&p), TraceKey::of(&reseeded));
@@ -443,13 +452,13 @@ mod tests {
         let mut deep = atom.clone();
         for size in [8, 16, 32, 64] {
             let level = CacheConfig::new("L", size << 20, 16, 64, 40.0);
-            deep.cache_levels.push(level);
+            deep.cache_levels.to_mut().push(level);
         }
         let mut deeper = deep.clone();
         assert_eq!(deep.stall_key(&p), deeper.stall_key(&p));
-        deeper.cache_levels[5].latency_cycles += 1.0;
+        deeper.cache_levels.to_mut()[5].latency_cycles += 1.0;
         assert_ne!(deep.stall_key(&p), deeper.stall_key(&p));
-        deeper.cache_levels.pop();
+        deeper.cache_levels.to_mut().pop();
         assert_ne!(deep.stall_key(&p), deeper.stall_key(&p));
     }
 
@@ -467,7 +476,7 @@ mod tests {
         let [xeon, atom] = presets::both();
         let mut slower = atom.clone();
         slower.mem_latency_ns *= 1.05;
-        slower.cache_levels[1].latency_cycles *= 1.05;
+        slower.cache_levels.to_mut()[1].latency_cycles *= 1.05;
         let machines = [&xeon, &atom, &slower];
         for p in &profiles {
             // A fresh hierarchy per machine, one trace each.

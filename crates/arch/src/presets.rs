@@ -10,10 +10,43 @@
 //! | DRAM | 8 GB DDR3-1600 | 8 GB DDR3-1600 |
 //! | Die area (§1.2) | 160 mm² | 216 mm² |
 
+use std::borrow::Cow;
+
 use crate::cache::CacheConfig;
 use crate::corem::{CoreKind, CoreModel, MachineModel};
 use crate::dvfs::VoltageCurve;
 use crate::power::ChipPowerModel;
+
+/// A preset level, built where a `static` can hold it. It skips
+/// [`CacheConfig::new`]'s check; the tests below run that check on every
+/// level of both presets.
+const fn level(
+    name: &'static str,
+    size_bytes: usize,
+    associativity: usize,
+    latency_cycles: f64,
+) -> CacheConfig {
+    CacheConfig {
+        name: Cow::Borrowed(name),
+        size_bytes,
+        associativity,
+        line_bytes: 64,
+        latency_cycles,
+    }
+}
+
+/// The Xeon's levels: 32 KB L1d, 256 KB L2, 15 MB L3.
+static XEON_LEVELS: [CacheConfig; 3] = [
+    level("L1d", 32 * 1024, 8, 4.0),
+    level("L2", 256 * 1024, 8, 12.0),
+    level("L3", 15 * 1024 * 1024, 20, 30.0),
+];
+
+/// The Atom's levels: 24 KB L1d, 4 MB L2.
+static ATOM_LEVELS: [CacheConfig; 2] = [
+    level("L1d", 24 * 1024, 6, 3.0),
+    level("L2", 4 * 1024 * 1024, 16, 17.0),
+];
 
 /// The big core: the paper's Xeon node encloses *two* Intel E5-2420
 /// processors (§1.1), so the node model exposes 12 cores; die area stays
@@ -29,7 +62,7 @@ pub fn xeon_e5_2420() -> MachineModel {
         v * v * 1.8
     };
     MachineModel {
-        name: "Intel Xeon E5-2420".into(),
+        name: Cow::Borrowed("Intel Xeon E5-2420"),
         core: CoreModel {
             kind: CoreKind::Big,
             issue_width: 4.0,
@@ -38,11 +71,7 @@ pub fn xeon_e5_2420() -> MachineModel {
             io_overlap: 0.82,
             copy_bytes_per_cycle: 0.16,
         },
-        cache_levels: vec![
-            CacheConfig::new("L1d", 32 * 1024, 8, 64, 4.0),
-            CacheConfig::new("L2", 256 * 1024, 8, 64, 12.0),
-            CacheConfig::new("L3", 15 * 1024 * 1024, 20, 64, 30.0),
-        ],
+        cache_levels: Cow::Borrowed(&XEON_LEVELS),
         mem_latency_ns: 52.0,
         voltage_curve,
         power: ChipPowerModel {
@@ -71,7 +100,7 @@ pub fn atom_c2758() -> MachineModel {
         v * v * 1.8
     };
     MachineModel {
-        name: "Intel Atom C2758".into(),
+        name: Cow::Borrowed("Intel Atom C2758"),
         core: CoreModel {
             kind: CoreKind::Little,
             issue_width: 2.0,
@@ -80,10 +109,7 @@ pub fn atom_c2758() -> MachineModel {
             io_overlap: 0.35,
             copy_bytes_per_cycle: 0.055,
         },
-        cache_levels: vec![
-            CacheConfig::new("L1d", 24 * 1024, 6, 64, 3.0),
-            CacheConfig::new("L2", 4 * 1024 * 1024, 16, 64, 17.0),
-        ],
+        cache_levels: Cow::Borrowed(&ATOM_LEVELS),
         mem_latency_ns: 74.0,
         voltage_curve,
         power: ChipPowerModel {
@@ -101,7 +127,7 @@ pub fn atom_c2758() -> MachineModel {
     }
 }
 
-/// Both machines, big first — convenient for sweeps.
+/// Both machines, big first — convenient for sweeps. Allocates nothing.
 pub fn both() -> [MachineModel; 2] {
     [xeon_e5_2420(), atom_c2758()]
 }
@@ -129,6 +155,56 @@ mod tests {
         assert_eq!(a.area_mm2, 160.0);
         assert_eq!(a.num_cores, 8);
         assert_eq!(a.memory_gb, 8.0);
+    }
+
+    /// Table 1's levels through the checked constructor, owned, Xeon
+    /// first.
+    fn checked_levels() -> [Vec<CacheConfig>; 2] {
+        [
+            vec![
+                CacheConfig::new("L1d".to_string(), 32 * 1024, 8, 64, 4.0),
+                CacheConfig::new("L2".to_string(), 256 * 1024, 8, 64, 12.0),
+                CacheConfig::new("L3".to_string(), 15 * 1024 * 1024, 20, 64, 30.0),
+            ],
+            vec![
+                CacheConfig::new("L1d".to_string(), 24 * 1024, 6, 64, 3.0),
+                CacheConfig::new("L2".to_string(), 4 * 1024 * 1024, 16, 64, 17.0),
+            ],
+        ]
+    }
+
+    #[test]
+    fn static_levels_pass_the_check_and_equal_checked_machines() {
+        for (m, levels) in both().into_iter().zip(checked_levels()) {
+            assert!(matches!(m.cache_levels, Cow::Borrowed(_)), "{}", m.name);
+            for c in m.cache_levels.iter() {
+                c.check()
+                    .unwrap_or_else(|why| panic!("{} {}: {why}", m.name, c.name));
+            }
+            assert_eq!(m.cache_levels.len(), levels.len(), "{}", m.name);
+            for (have, want) in m.cache_levels.iter().zip(&levels) {
+                let CacheConfig {
+                    name,
+                    size_bytes,
+                    associativity,
+                    line_bytes,
+                    latency_cycles,
+                } = have;
+                assert_eq!(*name, want.name);
+                assert_eq!(*size_bytes, want.size_bytes, "{name}");
+                assert_eq!(*associativity, want.associativity, "{name}");
+                assert_eq!(*line_bytes, want.line_bytes, "{name}");
+                assert_eq!(latency_cycles.to_bits(), want.latency_cycles.to_bits());
+            }
+            // The same machine built of owned parts compares equal.
+            let owned = MachineModel {
+                name: Cow::Owned(m.name.to_string()),
+                cache_levels: Cow::Owned(levels),
+                ..m.clone()
+            };
+            assert!(matches!(owned.cache_levels, Cow::Owned(_)));
+            assert_eq!(owned, m);
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! is reproduced by giving Hadoop phases low-ILP, large-working-set profiles
 //! and traditional SPEC/PARSEC workloads high-ILP, cache-resident ones.
 
+use std::borrow::Cow;
+
 /// Memory-access behaviour driving the synthetic trace generator.
 ///
 /// The generator mixes three streams: sequential strided accesses (scan-like
@@ -73,8 +75,9 @@ impl MemoryProfile {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComputeProfile {
-    /// Label for reports.
-    pub name: String,
+    /// Label for reports, which also seeds the profile's synthetic trace:
+    /// borrowed for the built-in profiles, so making one allocates nothing.
+    pub name: Cow<'static, str>,
     /// Dynamic instructions executed per byte of input processed.
     pub instr_per_byte: f64,
     /// Intrinsic instruction-level parallelism (upper bound on sustained

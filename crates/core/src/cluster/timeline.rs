@@ -1,7 +1,8 @@
 //! A whole run's spans on one absolute clock, and its exports.
 
+use hhsim_arch::CoreKind;
 use hhsim_faults::AttemptOutcome;
-use std::io;
+use std::io::{self, Write as _};
 
 use super::{Cluster, DomainEvent, LocalityTier, PhaseRun};
 
@@ -10,8 +11,8 @@ use super::{Cluster, DomainEvent, LocalityTier, PhaseRun};
 pub struct NodeMeta {
     /// Node display name.
     pub name: String,
-    /// "Xeon" or "Atom".
-    pub kind: String,
+    /// Big or little, printed "Xeon" or "Atom".
+    pub kind: CoreKind,
     /// Slot count.
     pub slots: usize,
 }
@@ -275,7 +276,7 @@ impl ClusterTimeline {
                 .iter()
                 .map(|n| NodeMeta {
                     name: n.name.clone(),
-                    kind: n.kind.to_string(),
+                    kind: n.kind,
                     slots: n.slots,
                 })
                 .collect(),
@@ -424,8 +425,8 @@ impl ClusterTimeline {
             row.extend_from_slice(b",\"name\":\"process_name\",\"args\":{\"name\":\"");
             push_json_escaped(&mut row, &n.name);
             row.extend_from_slice(b" (");
-            push_json_escaped(&mut row, &n.kind);
-            row.extend_from_slice(b" x");
+            // "Xeon" or "Atom": nothing to escape.
+            write!(row, "{} x", n.kind)?;
             push_usize(&mut row, n.slots);
             row.extend_from_slice(b")\"}},\n");
             w.write_all(&row)?;

@@ -83,7 +83,7 @@ pub fn table1(_: &mut Plan) -> Render {
         f.push(who.to_string(), "issue_width", m.core.issue_width);
         f.push(who.to_string(), "cores", m.num_cores as f64);
         f.push(who.to_string(), "cache_levels", m.cache_levels.len() as f64);
-        for c in &m.cache_levels {
+        for c in m.cache_levels.iter() {
             f.push(
                 who.to_string(),
                 format!("{}_kb", c.name),

@@ -1025,7 +1025,7 @@ mod tests {
     )]
     fn a_hostile_machine_ends_in_its_sim_error_not_in_the_fill() {
         let mut zero_ways = presets::atom_c2758();
-        zero_ways.cache_levels[0].associativity = 0;
+        zero_ways.cache_levels.to_mut()[0].associativity = 0;
         let grid = [
             SimConfig::new(AppId::Sort, presets::xeon_e5_2420()),
             SimConfig::new(AppId::Sort, zero_ways),

@@ -1,5 +1,7 @@
 //! Tabular figure data and CSV emission.
 
+use std::fmt::Write as _;
+
 /// One data point of a figure: a named series, an x label and a value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
@@ -57,14 +59,15 @@ impl FigureData {
             .map(|r| r.value)
     }
 
-    /// Renders as CSV (`series,x,value` with a header).
+    /// Renders as CSV (`series,x,value` with a header), every row written
+    /// in place into the one buffer.
     pub fn to_csv(&self) -> String {
-        let mut out = format!(
-            "# {} — {}\nseries,x,{}\n",
-            self.id, self.title, self.value_label
-        );
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "# {} — {}", self.id, self.title);
+        let _ = writeln!(out, "series,x,{}", self.value_label);
         for r in &self.rows {
-            out.push_str(&format!("{},{},{:.6}\n", r.series, r.x, r.value));
+            let _ = writeln!(out, "{},{},{:.6}", r.series, r.x, r.value);
         }
         out
     }

@@ -440,7 +440,7 @@ mod tests {
 
         // Same name, smaller L2: a different hierarchy, a different split.
         let mut small_l2 = stock.clone();
-        small_l2.cache_levels[1].size_bytes /= 4;
+        small_l2.cache_levels.to_mut()[1].size_bytes /= 4;
         let b = c.stall_split(&small_l2, &p);
         assert_ne!(a, b, "an edited hierarchy must not get the stale split");
         assert_eq!(b, small_l2.stall_split(&p), "cached == uncached");

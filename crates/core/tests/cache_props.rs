@@ -186,7 +186,7 @@ fn one_field_edit_is_another_entry() {
         ("mappers", base.clone().mappers(4)),
         (
             "L2 latency",
-            edit(&|c| c.machine.cache_levels[1].latency_cycles += 1.0),
+            edit(&|c| c.machine.cache_levels.to_mut()[1].latency_cycles += 1.0),
         ),
         ("a mix", rack(true)),
         (

@@ -33,7 +33,7 @@ fn racked(t: Topology) -> SimConfig {
 /// edited.
 fn with_l2(edit: impl FnOnce(&mut CacheConfig)) -> SimConfig {
     let mut cfg = base();
-    edit(&mut cfg.machine.cache_levels[1]);
+    edit(&mut cfg.machine.cache_levels.to_mut()[1]);
     cfg
 }
 
@@ -89,7 +89,7 @@ fn rows() -> Vec<Row> {
     let mut no_sort_buffer = base();
     no_sort_buffer.job.sort_buffer_bytes = 0;
     let mut no_cache = base();
-    no_cache.machine.cache_levels.clear();
+    no_cache.machine.cache_levels.to_mut().clear();
     let levels = "machine.cache_levels";
     let four_racks = Topology::racked(4, 4.0);
     let per_node = |case, reading| Row {
@@ -353,19 +353,19 @@ fn hostile_splits_return_their_typed_errors() {
     let rows = [
         (
             "a 0-way L2",
-            edited(|m| m.cache_levels[1].associativity = 0),
+            edited(|m| m.cache_levels.to_mut()[1].associativity = 0),
             profile.clone(),
             levels,
         ),
         (
             "48-byte L1 lines",
-            edited(|m| m.cache_levels[0].line_bytes = 48),
+            edited(|m| m.cache_levels.to_mut()[0].line_bytes = 48),
             profile.clone(),
             levels,
         ),
         (
             "no cache level",
-            edited(|m| m.cache_levels.clear()),
+            edited(|m| m.cache_levels.to_mut().clear()),
             profile.clone(),
             levels,
         ),

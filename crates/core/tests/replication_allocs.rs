@@ -14,12 +14,15 @@
 //! calls; last, `run_phase_faulty_fetch` over 10 k map outputs on 500 and
 //! on 2 000 nodes, without crashes and with them, which must too; and
 //! `run_phase_faulty` at two task counts, which must cost the same number
-//! of calls and at most 88 bytes per task more. Counts are of the thread
+//! of calls and at most 88 bytes per task more. Two tests of their own
+//! count the static machine and profile descriptions (zero calls to build
+//! or clone a preset) and a warm render of every artifact and the
+//! calibration report on a private memo. Counts are of the thread
 //! that runs the work (`hhsim_testkit::counted`), and at one worker the
 //! work runs on that thread alone, so the counts repeat exactly — which is
 //! why a count can be a gate here.
 
-use hhsim_core::arch::{presets, CoreKind, Frequency};
+use hhsim_core::arch::{presets, ComputeProfile, CoreKind, Frequency};
 use hhsim_core::cluster::{
     run_phase, run_phase_faulty, run_phase_faulty_fetch, Cluster, FetchPlan, FifoAnySlot,
     PhaseLoad, PhaseLocality, TaskSet,
@@ -27,12 +30,14 @@ use hhsim_core::cluster::{
 use hhsim_core::energy::MetricKind;
 use hhsim_core::faults::PhaseFaults;
 use hhsim_core::figures::{
-    fig19_faults, fig22_faults, FAULT_BLOCK, FIG22_OVERSUB, MICRO_DATA, TOPO_RACKS,
+    self, fig19_faults, fig22_faults, FAULT_BLOCK, FIG22_OVERSUB, MICRO_DATA, TOPO_RACKS,
 };
 use hhsim_core::harness::run_grid_on;
 use hhsim_core::hdfs::{BlockSize, Topology};
 use hhsim_core::workloads::AppId;
-use hhsim_core::{NodeMix, PlacementKind, Reading, ReplicationPlan, SimCache, SimConfig};
+use hhsim_core::{
+    calibration, NodeMix, PlacementKind, Plan, Reading, ReplicationPlan, SimCache, SimConfig,
+};
 use hhsim_testkit::{counted, Allocs, Counting};
 
 #[global_allocator]
@@ -328,6 +333,89 @@ fn fault_engine_keeps_one_span_and_one_row_per_task() {
     assert!(
         per_task <= FAULT_BYTES_PER_TASK,
         "{per_task} bytes per task, ratchet is {FAULT_BYTES_PER_TASK}"
+    );
+}
+
+/// Runs `work`, which must hold, and asserts it called the allocator
+/// zero times.
+fn allocates_nothing(what: &str, work: impl FnOnce() -> bool) {
+    let (held, Allocs { calls, .. }) = counted(work);
+    assert!(held, "{what}");
+    assert_eq!(calls, 0, "{what} called the allocator");
+}
+
+/// Table 1 and the profiles are borrowed static data: building, cloning
+/// or comparing a preset machine, a preset config or a built-in profile
+/// calls the allocator zero times.
+#[test]
+fn static_descriptions_allocate_nothing() {
+    let [xeon, atom] = presets::both();
+    let configs = [
+        SimConfig::new(APP, presets::xeon_e5_2420()),
+        rack_config(),
+        small_config(),
+    ];
+    allocates_nothing("presets::both()", || presets::both()[1] == atom);
+    allocates_nothing("MachineModel::clone", || xeon.clone() == xeon);
+    allocates_nothing("SimConfig::clone", || {
+        configs.iter().all(|c| c.clone() == *c)
+    });
+    for app in AppId::ALL {
+        allocates_nothing("AppId::map_profile", || {
+            app.map_profile().name.ends_with("-map")
+        });
+        allocates_nothing("AppId::reduce_profile", || {
+            app.reduce_profile().name.ends_with("-reduce")
+        });
+    }
+    allocates_nothing("ComputeProfile::hadoop_average()", || {
+        ComputeProfile::hadoop_average().name == "Hadoop-avg"
+    });
+}
+
+/// What the parent commit allocated on a warm render of every artifact
+/// and the calibration report at one worker, measured with this file in a
+/// clone of it: the change must stay below half. Each point cloned or
+/// rebuilt both machines and named its profiles with `format!`, and each
+/// CSV row was a `format!` of its own.
+const PARENT_WARM_RENDER: u64 = 20_319;
+/// Allocator calls this commit measures on the same render; the gate
+/// allows 10 % on top. What is left is mostly the figures' own labels.
+const MEASURED_WARM_RENDER: u64 = 5_347;
+
+/// Every artifact and the calibration claims declared into one plan, run
+/// on `cache` at one worker and rendered: the CSVs in
+/// [`figures::ARTIFACTS`] order and the report.
+fn render_all(cache: &SimCache) -> (Vec<String>, String) {
+    let mut plan = Plan::new();
+    let renders: Vec<_> = (figures::ARTIFACTS.iter())
+        .map(|(_, declare)| declare(&mut plan))
+        .collect();
+    let claims = calibration::claims(&mut plan);
+    let ran = plan.run_on(1, cache);
+    let csvs = (renders.into_iter())
+        .map(|render| render(&ran).expect("renders").to_csv())
+        .collect();
+    let report = calibration::report(&claims(&ran).expect("the claims' runs complete"));
+    (csvs, report)
+}
+
+/// A warm regeneration: one render fills a private memo, and a second,
+/// counted, is answered from it.
+#[test]
+fn warm_render_allocates_within_the_ratchet() {
+    let cache = SimCache::new();
+    let cold = render_all(&cache);
+    let (warm, Allocs { calls, .. }) = counted(|| render_all(&cache));
+    assert_eq!(warm, cold);
+    println!("allocator calls of a warm render: {calls}");
+    assert!(
+        calls <= MEASURED_WARM_RENDER + MEASURED_WARM_RENDER / 10,
+        "{calls} allocations per warm render, ratchet is {MEASURED_WARM_RENDER} + 10 %"
+    );
+    assert!(
+        2 * calls < PARENT_WARM_RENDER,
+        "{calls} allocations per warm render is not below half of the parent's {PARENT_WARM_RENDER}"
     );
 }
 

@@ -256,7 +256,7 @@ fn pairs() -> Vec<(MachineModel, ComputeProfile, &'static Row)> {
         .collect();
     assert_eq!(pairs.len(), GOLDEN.len());
     for (m, p, &(machine, profile, ..)) in &pairs {
-        assert_eq!((m.name.as_str(), p.name.as_str()), (machine, profile));
+        assert_eq!((&*m.name, &*p.name), (machine, profile));
     }
     pairs
 }

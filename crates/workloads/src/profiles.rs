@@ -14,14 +14,17 @@
 //!   exactly why the paper sees reduce-phase EDP *rise* with frequency for
 //!   NB and GP.
 
+use std::borrow::Cow;
+
 use hhsim_arch::{ComputeProfile, MemoryProfile};
 
 use crate::catalog::AppId;
 
 /// Map-phase compute profile of `app`.
 pub fn map_profile(app: AppId) -> ComputeProfile {
-    let (ipb, ilp, activity, mem) = match app {
+    let (name, ipb, ilp, activity, mem) = match app {
         AppId::WordCount => (
+            "WC-map",
             78.0,
             1.55,
             0.78,
@@ -34,6 +37,7 @@ pub fn map_profile(app: AppId) -> ComputeProfile {
             },
         ),
         AppId::Sort => (
+            "ST-map",
             9.0,
             1.8,
             0.55,
@@ -46,6 +50,7 @@ pub fn map_profile(app: AppId) -> ComputeProfile {
             },
         ),
         AppId::Grep => (
+            "GP-map",
             24.0,
             1.45,
             0.74,
@@ -58,6 +63,7 @@ pub fn map_profile(app: AppId) -> ComputeProfile {
             },
         ),
         AppId::TeraSort => (
+            "TS-map",
             19.0,
             1.5,
             0.62,
@@ -70,6 +76,7 @@ pub fn map_profile(app: AppId) -> ComputeProfile {
             },
         ),
         AppId::NaiveBayes => (
+            "NB-map",
             90.0,
             1.45,
             0.80,
@@ -82,6 +89,7 @@ pub fn map_profile(app: AppId) -> ComputeProfile {
             },
         ),
         AppId::FpGrowth => (
+            "FP-map",
             170.0,
             1.35,
             0.82,
@@ -95,7 +103,7 @@ pub fn map_profile(app: AppId) -> ComputeProfile {
         ),
     };
     ComputeProfile {
-        name: format!("{}-map", app.short_name()),
+        name: Cow::Borrowed(name),
         instr_per_byte: ipb,
         ilp,
         activity,
@@ -106,16 +114,16 @@ pub fn map_profile(app: AppId) -> ComputeProfile {
 /// Reduce-phase compute profile of `app` (memory intensive: large merge
 /// working sets, pointer-chasing group iterators).
 pub fn reduce_profile(app: AppId) -> ComputeProfile {
-    let (ipb, ilp, activity, mem) = match app {
-        AppId::WordCount => (24.0, 1.3, 0.66, reduce_mem(128 << 20, 0.62)),
-        AppId::Sort => (8.0, 1.5, 0.52, reduce_mem(512 << 20, 0.50)),
-        AppId::Grep => (55.0, 1.25, 0.64, reduce_mem(192 << 20, 0.55)),
-        AppId::TeraSort => (22.0, 1.35, 0.58, reduce_mem(384 << 20, 0.58)),
-        AppId::NaiveBayes => (34.0, 1.25, 0.68, reduce_mem(256 << 20, 0.52)),
-        AppId::FpGrowth => (130.0, 1.3, 0.75, reduce_mem(512 << 20, 0.60)),
+    let (name, ipb, ilp, activity, mem) = match app {
+        AppId::WordCount => ("WC-reduce", 24.0, 1.3, 0.66, reduce_mem(128 << 20, 0.62)),
+        AppId::Sort => ("ST-reduce", 8.0, 1.5, 0.52, reduce_mem(512 << 20, 0.50)),
+        AppId::Grep => ("GP-reduce", 55.0, 1.25, 0.64, reduce_mem(192 << 20, 0.55)),
+        AppId::TeraSort => ("TS-reduce", 22.0, 1.35, 0.58, reduce_mem(384 << 20, 0.58)),
+        AppId::NaiveBayes => ("NB-reduce", 34.0, 1.25, 0.68, reduce_mem(256 << 20, 0.52)),
+        AppId::FpGrowth => ("FP-reduce", 130.0, 1.3, 0.75, reduce_mem(512 << 20, 0.60)),
     };
     ComputeProfile {
-        name: format!("{}-reduce", app.short_name()),
+        name: Cow::Borrowed(name),
         instr_per_byte: ipb,
         ilp,
         activity,
@@ -173,6 +181,17 @@ mod tests {
                 "{app:?}"
             );
             assert!(r.ilp <= m.ilp, "{app:?}");
+        }
+    }
+
+    /// The names seed the synthetic traces, so the literals must spell
+    /// the short name and the phase, as they always have.
+    #[test]
+    fn profile_names_are_the_short_name_and_the_phase() {
+        for app in AppId::ALL {
+            assert_eq!(map_profile(app).name, format!("{}-map", app.short_name()));
+            let reduce = format!("{}-reduce", app.short_name());
+            assert_eq!(reduce_profile(app).name, reduce);
         }
     }
 
