@@ -49,8 +49,8 @@ pub use placement::{FifoAnySlot, KindPreferring, Placement};
 pub use recovery::{run_phase_faulty, run_phase_faulty_fetch, FetchPlan};
 pub(crate) use recovery::{run_phase_fetching, EngineScratch, FetchView};
 pub use slots::{placement_probes, reset_placement_probes, FreeSlots};
+pub use timeline::ClusterTimeline;
 pub(crate) use timeline::StepBuffers;
-pub use timeline::{ClusterTimeline, NodeMeta};
 
 /// A batch of identically-shaped tasks to schedule on the cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,11 +88,10 @@ pub fn attempt_jitter(task_index: usize, attempt: u32) -> f64 {
     0.92 + 0.16 * u
 }
 
-/// One machine of the cluster.
-#[derive(Debug, Clone, PartialEq)]
+/// One machine of the cluster. Exports label it by its kind and its index
+/// among the nodes of that kind (`xeon0`, `atom1`, ...).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
-    /// Display name ("xeon0", "atom1", ...).
-    pub name: String,
     /// Which side of the big/little divide this node is on.
     pub kind: CoreKind,
     /// Concurrent task slots on this node.
@@ -114,18 +113,8 @@ impl Cluster {
     /// Panics if the cluster would have zero slots.
     pub fn homogeneous(kind: CoreKind, nodes: usize, slots: usize) -> Self {
         assert!(nodes > 0 && slots > 0, "need at least one slot");
-        let name = match kind {
-            CoreKind::Big => "xeon",
-            CoreKind::Little => "atom",
-        };
         Cluster {
-            nodes: (0..nodes)
-                .map(|i| Node {
-                    name: format!("{name}{i}"),
-                    kind,
-                    slots,
-                })
-                .collect(),
+            nodes: vec![Node { kind, slots }; nodes],
         }
     }
 
@@ -136,21 +125,20 @@ impl Cluster {
     ///
     /// Panics if the cluster would have zero slots.
     pub fn mixed(big: usize, big_slots: usize, little: usize, little_slots: usize) -> Self {
-        let mut nodes = Vec::with_capacity(big + little);
-        for i in 0..big {
-            nodes.push(Node {
-                name: format!("xeon{i}"),
-                kind: CoreKind::Big,
-                slots: big_slots,
-            });
-        }
-        for i in 0..little {
-            nodes.push(Node {
-                name: format!("atom{i}"),
-                kind: CoreKind::Little,
-                slots: little_slots,
-            });
-        }
+        Cluster::mixed_in(Vec::new(), [(big, big_slots), (little, little_slots)])
+    }
+
+    /// [`Cluster::mixed`] of `[(big, big_slots), (little, little_slots)]`,
+    /// written over `nodes`.
+    pub(crate) fn mixed_in(
+        mut nodes: Vec<Node>,
+        [(big, big_slots), (little, little_slots)]: [(usize, usize); 2],
+    ) -> Self {
+        let node = |kind, slots| Node { kind, slots };
+        nodes.clear();
+        nodes.reserve(big + little);
+        nodes.resize(big, node(CoreKind::Big, big_slots));
+        nodes.resize(big + little, node(CoreKind::Little, little_slots));
         let c = Cluster { nodes };
         assert!(c.total_slots() > 0, "need at least one slot");
         c
@@ -251,16 +239,25 @@ impl PhaseLoad {
 
     /// Timing chosen per node kind — the heterogeneous case.
     pub fn by_kind(tasks: usize, big: NodeTiming, little: NodeTiming, cluster: &Cluster) -> Self {
+        PhaseLoad::by_kind_in(Vec::new(), tasks, [big, little], cluster)
+    }
+
+    /// [`PhaseLoad::by_kind`] of `[big, little]`, its timing written over
+    /// `timing`.
+    pub(crate) fn by_kind_in(
+        mut timing: Vec<NodeTiming>,
+        tasks: usize,
+        [big, little]: [NodeTiming; 2],
+        cluster: &Cluster,
+    ) -> Self {
+        timing.clear();
+        timing.extend(cluster.nodes.iter().map(|n| match n.kind {
+            CoreKind::Big => big,
+            CoreKind::Little => little,
+        }));
         PhaseLoad {
             tasks,
-            timing: cluster
-                .nodes
-                .iter()
-                .map(|n| match n.kind {
-                    CoreKind::Big => big,
-                    CoreKind::Little => little,
-                })
-                .collect(),
+            timing,
             locality: None,
             extra_seconds: Vec::new(),
         }

@@ -4,18 +4,7 @@ use hhsim_arch::CoreKind;
 use hhsim_faults::AttemptOutcome;
 use std::io::{self, Write as _};
 
-use super::{Cluster, DomainEvent, LocalityTier, PhaseRun};
-
-/// Node metadata echoed into exports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeMeta {
-    /// Node display name.
-    pub name: String,
-    /// Big or little, printed "Xeon" or "Atom".
-    pub kind: CoreKind,
-    /// Slot count.
-    pub slots: usize,
-}
+use super::{Cluster, DomainEvent, LocalityTier, Node, PhaseRun};
 
 /// The per-task timeline of a whole run: successive phases' spans
 /// shifted onto one absolute clock.
@@ -28,7 +17,7 @@ pub struct NodeMeta {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterTimeline {
     /// The cluster's nodes (index = `TaskSpan::node`).
-    pub nodes: Vec<NodeMeta>,
+    pub nodes: Vec<Node>,
     /// Interned phase labels, in first-appearance order.
     phases: Vec<String>,
     /// Per-span phase label index into `phases`.
@@ -151,22 +140,18 @@ fn push_json_escaped(out: &mut Vec<u8>, s: &str) {
     }
 }
 
-/// Appends `s` as one CSV field: as it is unless it holds a separator, a
-/// quote or a line break, in which case it is quoted and its quotes
-/// doubled (RFC 4180).
-fn push_csv_field(out: &mut Vec<u8>, s: &str) {
-    if !s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
-        out.extend_from_slice(s.as_bytes());
-        return;
-    }
-    out.push(b'"');
-    for &b in s.as_bytes() {
-        if b == b'"' {
-            out.push(b'"');
-        }
-        out.push(b);
-    }
-    out.push(b'"');
+/// Each node's label in the exports, `xeon{i}` or `atom{i}`: its kind's
+/// stem and its index among the nodes of that kind.
+fn labels(nodes: &[Node]) -> impl Iterator<Item = (&'static str, usize)> + '_ {
+    nodes.iter().scan((0, 0), |(xeon, atom), n| {
+        let (stem, seen) = match n.kind {
+            CoreKind::Big => ("xeon", xeon),
+            CoreKind::Little => ("atom", atom),
+        };
+        let ix = *seen;
+        *seen += 1;
+        Some((stem, ix))
+    })
 }
 
 /// One slot-occupancy change on a node: `(time, ±1, tier of the span)`.
@@ -271,15 +256,7 @@ impl ClusterTimeline {
     /// An empty timeline over `cluster`.
     pub fn new(cluster: &Cluster) -> Self {
         ClusterTimeline {
-            nodes: cluster
-                .nodes
-                .iter()
-                .map(|n| NodeMeta {
-                    name: n.name.clone(),
-                    kind: n.kind,
-                    slots: n.slots,
-                })
-                .collect(),
+            nodes: cluster.nodes.clone(),
             ..ClusterTimeline::default()
         }
     }
@@ -413,20 +390,18 @@ impl ClusterTimeline {
     /// deterministic: spans are emitted in append order with fixed
     /// 3-decimal microsecond formatting. Written incrementally to `w`, one
     /// `write_all` per event (wrap files in a `BufWriter`), so exporting a
-    /// million-span trace needs no trace-sized `String`. Node names and phase
-    /// labels are escaped as JSON strings.
+    /// million-span trace needs no trace-sized `String`. Phase labels are
+    /// escaped as JSON strings; a node is named by its label (`xeon0`).
     pub fn write_chrome_trace<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
         let mut row: Vec<u8> = Vec::new();
-        for (pid, n) in self.nodes.iter().enumerate() {
+        for (pid, (n, (stem, ix))) in self.nodes.iter().zip(labels(&self.nodes)).enumerate() {
             row.clear();
             row.extend_from_slice(b"{\"ph\":\"M\",\"pid\":");
             push_usize(&mut row, pid);
             row.extend_from_slice(b",\"name\":\"process_name\",\"args\":{\"name\":\"");
-            push_json_escaped(&mut row, &n.name);
-            row.extend_from_slice(b" (");
-            // "Xeon" or "Atom": nothing to escape.
-            write!(row, "{} x", n.kind)?;
+            // "xeon0 (Xeon x": nothing to escape.
+            write!(row, "{stem}{ix} ({} x", n.kind)?;
             push_usize(&mut row, n.slots);
             row.extend_from_slice(b")\"}},\n");
             w.write_all(&row)?;
@@ -517,8 +492,7 @@ impl ClusterTimeline {
     /// the locality mix; flat (all node-local) runs keep the four-column
     /// format byte-for-byte. The two are one fold whose last three columns
     /// are printed or not. Streamed node by node — one node's events and
-    /// steps are all that is held, one `write_all` per row. A node name
-    /// that would break a row is quoted.
+    /// steps are all that is held, one `write_all` per row.
     pub fn write_utilization_csv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         let tiered = self.has_remote_tiers();
         w.write_all(b"node,name,time_s,active_slots")?;
@@ -531,7 +505,7 @@ impl ClusterTimeline {
         let mut steps: Vec<TierStep> = Vec::new();
         let mut row: Vec<u8> = Vec::new();
         let ranges = start.iter().zip(start.iter().skip(1));
-        for (node, (n, (&lo, &hi))) in self.nodes.iter().zip(ranges).enumerate() {
+        for (node, ((stem, ix), (&lo, &hi))) in labels(&self.nodes).zip(ranges).enumerate() {
             events.clear();
             for &id in ids.get(lo..hi).unwrap_or_default() {
                 let tier = self.tier.get(id).copied().unwrap_or_default();
@@ -540,10 +514,7 @@ impl ClusterTimeline {
             }
             fold_tier_steps(&mut events, &mut steps);
             row.clear();
-            push_usize(&mut row, node);
-            row.push(b',');
-            push_csv_field(&mut row, &n.name);
-            row.push(b',');
+            write!(row, "{node},{stem}{ix},")?;
             let prefix = row.len();
             for &(t, active, per_tier) in &steps {
                 row.truncate(prefix);
@@ -566,24 +537,35 @@ impl ClusterTimeline {
 
 /// The `fmt`-driven exporters the row builders above replaced, kept as
 /// their oracle: `{:.3}` / `{:.6}` through `write!`, one step-function
-/// table per format, every node's steps held at once. Names are printed
-/// raw, as they were — the oracle is for timelines whose names need no
-/// escaping.
+/// table per format, every node's steps held at once, and each node's
+/// name a `format!` of its kind's prefix and a count, as `Cluster::mixed`
+/// once built it.
 #[cfg(test)]
 mod reference {
     use std::fmt::Write as _;
     use std::io::{self, Write};
 
-    use super::{AttemptOutcome, ClusterTimeline, LocalityTier};
+    use super::{AttemptOutcome, ClusterTimeline, CoreKind, LocalityTier};
+
+    /// The name each node of `tl` was given when nodes carried one.
+    fn names(tl: &ClusterTimeline) -> Vec<String> {
+        let (mut xeons, mut atoms) = (0.., 0..);
+        (tl.nodes.iter())
+            .map(|n| match n.kind {
+                CoreKind::Big => format!("xeon{}", xeons.next().unwrap_or_default()),
+                CoreKind::Little => format!("atom{}", atoms.next().unwrap_or_default()),
+            })
+            .collect()
+    }
 
     pub(super) fn write_chrome_trace<W: Write>(tl: &ClusterTimeline, w: &mut W) -> io::Result<()> {
         w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
-        for (pid, n) in tl.nodes.iter().enumerate() {
+        for (pid, (n, name)) in tl.nodes.iter().zip(names(tl)).enumerate() {
             writeln!(
                 w,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{} ({} x{})\"}}}},",
-                n.name, n.kind, n.slots
+                 \"args\":{{\"name\":\"{name} ({} x{})\"}}}},",
+                n.kind, n.slots
             )?;
         }
         let mut extra = String::new();
@@ -665,17 +647,17 @@ mod reference {
     ) -> io::Result<()> {
         if tl.has_remote_tiers() {
             w.write_all(b"node,name,time_s,active_slots,node_local,rack_local,off_rack\n")?;
-            for (i, (n, steps)) in tl.nodes.iter().zip(steps_by_node(tl)).enumerate() {
+            for (i, (name, steps)) in names(tl).iter().zip(steps_by_node(tl)).enumerate() {
                 for (t, a, [nl, rl, of]) in steps {
-                    writeln!(w, "{i},{},{t:.6},{a},{nl},{rl},{of}", n.name)?;
+                    writeln!(w, "{i},{name},{t:.6},{a},{nl},{rl},{of}")?;
                 }
             }
             return Ok(());
         }
         w.write_all(b"node,name,time_s,active_slots\n")?;
-        for (i, (n, steps)) in tl.nodes.iter().zip(tl.active_steps_all()).enumerate() {
+        for (i, (name, steps)) in names(tl).iter().zip(tl.active_steps_all()).enumerate() {
             for (t, a) in steps {
-                writeln!(w, "{i},{},{t:.6},{a}", n.name)?;
+                writeln!(w, "{i},{name},{t:.6},{a}")?;
             }
         }
         Ok(())
@@ -777,17 +759,13 @@ mod tests {
         });
     }
 
-    fn nodes(names: &[&str]) -> Cluster {
+    /// `n` nodes of 4 slots, Xeon and Atom in turn.
+    fn nodes(n: usize) -> Cluster {
         Cluster {
-            nodes: (names
-                .iter()
-                .zip([CoreKind::Big, CoreKind::Little].iter().cycle()))
-            .map(|(name, &kind)| Node {
-                name: (*name).to_string(),
-                kind,
-                slots: 4,
-            })
-            .collect(),
+            nodes: ([CoreKind::Big, CoreKind::Little].into_iter().cycle())
+                .map(|kind| Node { kind, slots: 4 })
+                .take(n)
+                .collect(),
         }
     }
 
@@ -856,7 +834,7 @@ mod tests {
     fn row_builders_match_the_reference_writers() {
         check(120, |g| {
             let (tiered, faulty, annotated) = (g.bool(0.5), g.bool(0.5), g.bool(0.5));
-            let cluster = nodes(&["xeon0", "atom0", "atom1", "xeon1", "idle"][..g.usize(1..6)]);
+            let cluster = nodes(g.usize(1..6));
             let n = cluster.nodes.len();
             let mut tl = ClusterTimeline::new(&cluster);
             for phase in ["map", "reduce", "map#2", "map"].iter().take(g.usize(0..5)) {
@@ -1063,31 +1041,8 @@ mod tests {
         }
     }
 
-    /// Splits CSV text into records of fields (RFC 4180 quoting).
-    fn csv_records(text: &str) -> Vec<Vec<String>> {
-        let mut records = vec![vec![String::new()]];
-        let mut quoted = false;
-        let mut chars = text.chars().peekable();
-        while let Some(c) = chars.next() {
-            let record = records.last_mut().expect("one record is open");
-            let field = record.last_mut().expect("one field is open");
-            match c {
-                '"' if quoted && chars.peek() == Some(&'"') => {
-                    chars.next();
-                    field.push('"');
-                }
-                '"' => quoted = !quoted,
-                ',' if !quoted => record.push(String::new()),
-                '\n' if !quoted => records.push(vec![String::new()]),
-                _ => field.push(c),
-            }
-        }
-        records.pop(); // the text ends in a line break
-        records
-    }
-
-    /// What a name must survive: the two JSON metacharacters, the CSV
-    /// ones, control characters and non-ASCII text.
+    /// What a phase label must survive: the two JSON metacharacters, the
+    /// CSV ones, control characters and non-ASCII text.
     const HOSTILE: &str = "rack \"7\"\\node,a\n\tb\u{1}\u{1f} é–✓ 'x'";
 
     fn one_task_run() -> PhaseRun {
@@ -1118,20 +1073,8 @@ mod tests {
     }
 
     #[test]
-    fn hostile_node_name_stays_a_json_string() {
-        let mut tl = ClusterTimeline::new(&nodes(&[HOSTILE, "atom0"]));
-        tl.extend("map", 0.0, &one_task_run());
-        let events = trace_events(&tl);
-        let name = events[0].get("args").and_then(|a| a.get("name"));
-        assert_eq!(
-            name.and_then(Json::str),
-            Some(format!("{HOSTILE} (Xeon x4)").as_str())
-        );
-    }
-
-    #[test]
     fn hostile_phase_label_stays_a_json_string() {
-        let mut tl = ClusterTimeline::new(&nodes(&["xeon0"]));
+        let mut tl = ClusterTimeline::new(&nodes(1));
         tl.extend(HOSTILE, 0.0, &one_task_run());
         let events = trace_events(&tl);
         let span = &events[1];
@@ -1156,7 +1099,7 @@ mod tests {
                     format!("rack-blacklisted:{rack}"),
                 ),
             ] {
-                let mut tl = ClusterTimeline::new(&nodes(&["xeon0"]));
+                let mut tl = ClusterTimeline::new(&nodes(1));
                 let mut run = one_task_run();
                 run.annotations.push((1.25, event));
                 tl.extend("map", 0.5, &run);
@@ -1172,28 +1115,75 @@ mod tests {
         }
     }
 
+    /// Each node's name in both exports, in node order: the `process_name`
+    /// event's (less the ` (Xeon x4)` after it) and the second field of
+    /// the node's utilization rows.
+    fn exported_names(cluster: &Cluster) -> [Vec<String>; 2] {
+        let tl = ClusterTimeline::new(cluster);
+        let events = trace_events(&tl);
+        let traced = (events.iter().take(cluster.nodes.len()))
+            .filter_map(|e| e.get("args")?.get("name")?.str()?.split(" (").next())
+            .map(str::to_string)
+            .collect();
+        // Without spans every node has exactly its one (0, 0) row.
+        let csv = streamed(|w| tl.write_utilization_csv(w));
+        let rows = (csv.lines().skip(1))
+            .filter_map(|row| row.split(',').nth(1))
+            .map(str::to_string)
+            .collect();
+        [traced, rows]
+    }
+
+    /// The exports name each node `xeon{i}` / `atom{i}` by its index among
+    /// its kind: the names `Cluster::homogeneous` and `Cluster::mixed` gave
+    /// their nodes with `format!`, and the names a hand-built cluster that
+    /// interleaves the kinds would have given them by the same rule.
     #[test]
-    fn hostile_node_name_stays_one_csv_field() {
-        for tier in [LocalityTier::NodeLocal, LocalityTier::OffRack] {
-            let mut tl = ClusterTimeline::new(&nodes(&[HOSTILE, "atom0"]));
-            let mut run = one_task_run();
-            run.spans[0].tier = tier;
-            tl.extend("map", 0.0, &run);
-            let records = csv_records(&streamed(|w| tl.write_utilization_csv(w)));
-            let columns = records[0].len();
-            assert_eq!(
-                columns,
-                if tier == LocalityTier::NodeLocal {
-                    4
-                } else {
-                    7
-                }
-            );
-            assert!(records.iter().all(|r| r.len() == columns), "{records:?}");
-            // Header, node 0's (0, 0) / launch / finish steps, node 1's (0, 0).
-            assert_eq!(records.len(), 5);
-            assert_eq!(records[2][..4], ["0", HOSTILE, "0.500000", "1"]);
-            assert_eq!(records[4][..2], ["1", "atom0"]);
+    fn node_labels_are_the_names_nodes_were_given() {
+        let old_mixed = |big: usize, little: usize| -> Vec<String> {
+            ((0..big).map(|i| format!("xeon{i}")))
+                .chain((0..little).map(|i| format!("atom{i}")))
+                .collect()
+        };
+        let old_homogeneous = |name: &str, nodes: usize| -> Vec<String> {
+            (0..nodes).map(|i| format!("{name}{i}")).collect()
+        };
+        let interleaved = Cluster {
+            nodes: [
+                CoreKind::Little,
+                CoreKind::Big,
+                CoreKind::Big,
+                CoreKind::Little,
+                CoreKind::Big,
+                CoreKind::Little,
+                CoreKind::Little,
+            ]
+            .map(|kind| Node { kind, slots: 2 })
+            .to_vec(),
+        };
+        let cases = [
+            (Cluster::mixed(3, 4, 12, 2), old_mixed(3, 12)),
+            (Cluster::mixed(0, 4, 1, 2), old_mixed(0, 1)),
+            (Cluster::mixed(11, 4, 0, 2), old_mixed(11, 0)),
+            (
+                Cluster::homogeneous(CoreKind::Big, 12, 4),
+                old_homogeneous("xeon", 12),
+            ),
+            (
+                Cluster::homogeneous(CoreKind::Little, 3, 8),
+                old_homogeneous("atom", 3),
+            ),
+            (
+                interleaved,
+                [
+                    "atom0", "xeon0", "xeon1", "atom1", "xeon2", "atom2", "atom3",
+                ]
+                .map(str::to_string)
+                .to_vec(),
+            ),
+        ];
+        for (cluster, old) in cases {
+            assert_eq!(exported_names(&cluster), [old.clone(), old]);
         }
     }
 }

@@ -767,7 +767,7 @@ impl ReplicationPlan {
         cache: &SimCache,
         scratches: &mut WorkerStates<RunScratch>,
     ) -> ReplicationSummary {
-        let prep = ClusterPrep::new(valid, cache);
+        let prep = ClusterPrep::new(valid, cache, &mut scratches.caller);
         let base = self.cfg.faults.filter(FaultConfig::active);
         let eval = |scratch: &mut RunScratch, &seed: &u64| -> Option<RepPoint> {
             let seeded = base.map(|f| f.seed(seed));
@@ -784,6 +784,7 @@ impl ReplicationPlan {
 
         let n = self.seeds.len();
         let points = pool(self.seeds.clone(), workers, SEED_BATCH, scratches, eval);
+        prep.recycle(&mut scratches.caller);
 
         let ok: Vec<&RepPoint> = points.iter().flatten().collect();
         let mut faults = FaultStats::default();

@@ -1,6 +1,8 @@
 //! The only pricing of a run: everything about it that depends neither on
 //! the fault seed nor on the meter.
 
+use std::sync::Arc;
+
 use hhsim_arch::{ComputeProfile, CoreKind, MachineModel};
 use hhsim_hdfs::{
     BlockId, DiskModel, HdfsDefault, LocalityTier, NodeId, PlacementRequest, Topology,
@@ -9,7 +11,7 @@ use hhsim_workloads::AppId;
 
 use super::config::{job_class, PlacementKind, Roster, SimConfig};
 use super::contract::Validated;
-use super::run::Meter;
+use super::run::{Meter, RunScratch};
 use super::timing::{cpu_seconds, job_timing, JobTiming};
 use crate::cluster::{
     Cluster, FetchView, KindPreferring, Node, NodeTiming, PhaseLoad, PhaseLocality,
@@ -35,6 +37,7 @@ const HDFS_REPLICATION: usize = 3;
 const TOPOLOGY_LAYOUT_SEED: u64 = 0x0048_4446_534C_4159;
 
 /// One phase of one chained job, as far as a fault seed cannot change it.
+#[derive(Debug)]
 pub(super) struct PhasePrep {
     /// Timeline label: "map" / "reduce", and the job index when jobs
     /// chain. Put together only for a timeline.
@@ -47,6 +50,7 @@ pub(super) struct PhasePrep {
 }
 
 /// One chained job's phases.
+#[derive(Debug)]
 pub(super) struct JobPrep {
     pub(super) map: PhasePrep,
     /// `None` for a map-only job.
@@ -80,19 +84,45 @@ pub(crate) fn priced_profiles(app: AppId) -> [ComputeProfile; 3] {
     ]
 }
 
+/// The vectors of a [`ClusterPrep`], kept in a [`RunScratch`] from point to
+/// point: a prep is written over them and hands them back after its run
+/// ([`ClusterPrep::recycle`]), so a point allocates only where it outgrows
+/// every prep before it. Each pool is a stack of spare vectors; replica
+/// rows a smaller layout does not use stay in `rows`.
+#[derive(Debug, Default)]
+pub(crate) struct PrepScratch {
+    nodes: Vec<Node>,
+    /// Phase loads' per-node timing.
+    timings: Vec<Vec<NodeTiming>>,
+    /// Reduce loads' per-task shuffle seconds.
+    extras: Vec<Vec<f64>>,
+    /// Replica layouts, emptied of their rows.
+    layouts: Vec<Vec<Vec<usize>>>,
+    /// Replica rows, one block's holders each.
+    rows: Vec<Vec<usize>>,
+    chained: Vec<JobPrep>,
+}
+
+/// A spare vector of `pool`, or a new one; whatever it holds is the
+/// taker's to clear (the `_in` constructors clear what they write over).
+fn spare<T: Default>(pool: &mut Vec<T>) -> T {
+    pool.pop().unwrap_or_default()
+}
+
 /// Seed-independent preparation of one run — the only pricing of it: node
 /// roster, placement, per-job phase loads (replica layout and shuffle
 /// extras inside), I/O fractions, labels, protocol time — everything
 /// [`ClusterPrep::run`] borrows, whichever meter reads the run and across
 /// fault replications. The replication engine builds this once per
 /// [`SimConfig`] and fans seeds out over it, instead of re-deriving the
-/// whole stack per seed.
+/// whole stack per seed. Its vectors come from a [`RunScratch`] and go
+/// back to it ([`ClusterPrep::recycle`]).
 pub(crate) struct ClusterPrep<'a> {
     pub(super) cfg: &'a SimConfig,
     /// The meter the config was validated for; [`ClusterPrep::run`] reads
     /// the run with it.
     pub(super) meter: Meter,
-    pub(super) ratios: AppRatios,
+    pub(super) ratios: Arc<AppRatios>,
     /// The kinds the roster has, `[big, little]`.
     pub(super) kinds: [Option<KindPrep<'a>>; 2],
     /// The kind of the first node, which runs the master; the only kind
@@ -153,8 +183,18 @@ fn by_kind<T: Copy>(lead_kind: CoreKind, lead: T, other: Option<T>, absent: T) -
 
 impl<'a> ClusterPrep<'a> {
     /// Derives everything about a validated config's run that depends
-    /// neither on the fault seed nor on the meter, and keeps the meter.
-    pub(crate) fn new(valid: Validated<'a>, cache: &SimCache) -> Self {
+    /// neither on the fault seed nor on the meter, and keeps the meter:
+    /// written over the vectors `scratch` keeps for a prep, which
+    /// [`ClusterPrep::recycle`] hands back.
+    pub(crate) fn new(valid: Validated<'a>, cache: &SimCache, scratch: &mut RunScratch) -> Self {
+        let PrepScratch {
+            nodes,
+            timings,
+            extras,
+            layouts,
+            rows,
+            chained,
+        } = &mut scratch.prep;
         let cfg = valid.cfg();
         debug_assert!(cfg.data_per_node_bytes > 0, "validated: input data");
         let f = cfg.frequency;
@@ -195,7 +235,10 @@ impl<'a> ClusterPrep<'a> {
             kinds.map(|k| k.map_or((0, 0, 0.0), |k| (k.nodes, k.slots, k.overhead)));
         let nodes_total = n_big + n_little;
         debug_assert!(nodes_total > 0, "validated: at least one node");
-        let cluster = Cluster::mixed(n_big, big_slots, n_little, little_slots);
+        let cluster = Cluster::mixed_in(
+            std::mem::take(nodes),
+            [(n_big, big_slots), (n_little, little_slots)],
+        );
 
         let preferred = match placement {
             PlacementKind::FifoAny => None,
@@ -206,7 +249,7 @@ impl<'a> ClusterPrep<'a> {
         // One phase's load and its per-kind I/O share, from its (task
         // seconds, I/O seconds) on either node kind.
         let multi_job = ratios.jobs.len() > 1;
-        let phase = |base, ji, tasks, [big, little]: [(f64, f64); 2]| {
+        let mut phase = |base, ji, tasks, [big, little]: [(f64, f64); 2]| {
             let timing = |(task_seconds, _), overhead_seconds| NodeTiming {
                 task_seconds,
                 overhead_seconds,
@@ -220,10 +263,10 @@ impl<'a> ClusterPrep<'a> {
             };
             PhasePrep {
                 label: (base, multi_job.then_some(ji)),
-                load: PhaseLoad::by_kind(
+                load: PhaseLoad::by_kind_in(
+                    spare(timings),
                     tasks,
-                    timing(big, big_overhead),
-                    timing(little, little_overhead),
+                    [timing(big, big_overhead), timing(little, little_overhead)],
                     &cluster,
                 ),
                 io_frac: [io_frac(big), io_frac(little)],
@@ -240,7 +283,7 @@ impl<'a> ClusterPrep<'a> {
         let price = |k: KindPrep<'_>, job: &JobRatios| {
             job_timing(k, &cluster, cfg, &disk, job, map_prof, red_prof)
         };
-        let job_prep = |(ji, job): (usize, &JobRatios)| {
+        let mut job_prep = |(ji, job): (usize, &JobRatios)| {
             let t = price(lead, job);
             let on_other = other.map(|o| price(o, job));
             if let Some(o) = &on_other {
@@ -261,23 +304,19 @@ impl<'a> ClusterPrep<'a> {
                 // replicas across racks.
                 let policy = HdfsDefault::new(TOPOLOGY_LAYOUT_SEED ^ ji as u64);
                 let replication = HDFS_REPLICATION.min(nodes_total);
-                let replicas: Vec<Vec<usize>> = (0..t.n_map)
-                    .map(|task| {
-                        policy
-                            .place(
-                                &PlacementRequest {
-                                    block: BlockId(task as u64),
-                                    writer: Some(NodeId(task % nodes_total)),
-                                    replication,
-                                    num_nodes: nodes_total,
-                                },
-                                topo,
-                            )
-                            .into_iter()
-                            .map(|n| n.0)
-                            .collect()
-                    })
-                    .collect();
+                let mut replicas = spare(layouts);
+                replicas.clear();
+                replicas.extend((0..t.n_map).map(|task| {
+                    let mut row = spare(rows);
+                    let block = PlacementRequest {
+                        block: BlockId(task as u64),
+                        writer: Some(NodeId(task % nodes_total)),
+                        replication,
+                        num_nodes: nodes_total,
+                    };
+                    policy.place_into(&block, topo, &mut row);
+                    row
+                }));
                 #[expect(
                     clippy::cast_possible_truncation,
                     reason = "one map task's input, clamped non-negative and far below u64::MAX; locality is priced in whole bytes"
@@ -310,9 +349,10 @@ impl<'a> ClusterPrep<'a> {
                         t.n_red,
                         t.red_input_bytes,
                     );
-                    red.load.extra_seconds = (contended.iter().zip(&baseline))
-                        .map(|(c, b)| (c - b).max(0.0))
-                        .collect();
+                    let mut extra = spare(extras);
+                    extra.clear();
+                    extra.extend((contended.iter().zip(&baseline)).map(|(c, b)| (c - b).max(0.0)));
+                    red.load.extra_seconds = extra;
                 }
             }
             JobPrep {
@@ -322,9 +362,8 @@ impl<'a> ClusterPrep<'a> {
             }
         };
         let dominant = job_prep((0, ratios.primary()));
-        let chained: Vec<JobPrep> = (ratios.jobs.iter().enumerate().skip(1))
-            .map(&job_prep)
-            .collect();
+        let mut chained = std::mem::take(chained);
+        chained.extend((ratios.jobs.iter().enumerate().skip(1)).map(job_prep));
 
         // Others: setup/cleanup protocol time plus serial master
         // bookkeeping (scales with task count and core speed), run by the
@@ -367,6 +406,32 @@ impl<'a> ClusterPrep<'a> {
             others_wall,
             oth_power,
         }
+    }
+
+    /// Hands the prep's vectors back to `scratch`, for the next prep it
+    /// runs to be written over.
+    pub(crate) fn recycle(self, scratch: &mut RunScratch) {
+        let ClusterPrep {
+            cluster,
+            dominant,
+            mut chained,
+            ..
+        } = self;
+        let pools = &mut scratch.prep;
+        pools.nodes = cluster.nodes;
+        for job in std::iter::once(dominant).chain(chained.drain(..)) {
+            for PhasePrep { load, .. } in std::iter::once(job.map).chain(job.reduce) {
+                pools.timings.push(load.timing);
+                if load.extra_seconds.capacity() > 0 {
+                    pools.extras.push(load.extra_seconds);
+                }
+                if let Some(mut layout) = load.locality.map(|l| l.replicas) {
+                    pools.rows.append(&mut layout);
+                    pools.layouts.push(layout);
+                }
+            }
+        }
+        pools.chained = chained;
     }
 
     /// The jobs in execution order.

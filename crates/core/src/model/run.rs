@@ -4,6 +4,8 @@
 //! its five energy fields (`energy_j`, `exact_energy_j`, `cost`,
 //! `map_cost`, `reduce_cost`) and nothing else.
 
+use std::sync::Arc;
+
 use hhsim_arch::ComputeProfile;
 use hhsim_energy::{CostMetrics, StreamingMeter, UtilizationTimeline};
 use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError, PhaseFaults};
@@ -11,12 +13,12 @@ use hhsim_mapreduce::PhaseBreakdown;
 
 use super::config::{Measurement, SimConfig};
 use super::contract::{Reading, SimError};
-use super::prep::{of_kind, ClusterPrep, KindPrep, PhasePrep};
+use super::prep::{of_kind, ClusterPrep, KindPrep, PhasePrep, PrepScratch};
 use crate::cluster::{
     run_phase_fetching, ClusterTimeline, EngineScratch, FetchView, FifoAnySlot, KindPreferring,
     PhaseRun, Placement, SlotStats, StepBuffers,
 };
-use crate::simcache::SimCache;
+use crate::simcache::{PointRun, SimCache};
 
 /// How a run's power and energy are read off its phase runs. The paper
 /// has one Wattsup meter; the model has two readings of it, chosen by
@@ -114,11 +116,13 @@ impl ClusterPrep<'_> {
         let (cluster, meter) = (&self.cluster, self.meter);
         let nodes_total = cluster.nodes.len();
         let RunScratch {
+            prep: _,
             steps,
             holders,
             engine,
             fates,
             phase_faults,
+            meter: phase_meter,
             meters,
         } = scratch;
 
@@ -230,7 +234,7 @@ impl ClusterPrep<'_> {
             exact_energy_j,
             area,
         } = match meter {
-            Meter::PhaseAverage => self.phase_average(walls, hotspot_wall),
+            Meter::PhaseAverage => self.phase_average(walls, hotspot_wall, phase_meter),
             Meter::PerNode => self.per_node(walls, meters, map_dyn_j, red_dyn_j),
         };
         Ok(Measurement {
@@ -253,8 +257,14 @@ impl ClusterPrep<'_> {
     /// only reader of an accelerated run (§3.4): just the hotspot map (the
     /// chained job with the largest map wall) is offloaded — the paper
     /// profiles for the hotspot region and assumes *those* map tasks move
-    /// to the FPGA; auxiliary jobs' maps stay on the CPU.
-    fn phase_average(&self, walls: PhaseBreakdown, hotspot_wall: f64) -> Metered {
+    /// to the FPGA; auxiliary jobs' maps stay on the CPU. The meter is
+    /// `meter`, reset.
+    fn phase_average(
+        &self,
+        walls: PhaseBreakdown,
+        hotspot_wall: f64,
+        meter: &mut StreamingMeter,
+    ) -> Metered {
         let KindPrep { m, slots, .. } = self.lead;
         let nodes = self.cluster.nodes.len();
         let total_slots = slots * nodes;
@@ -310,7 +320,7 @@ impl ClusterPrep<'_> {
         let [big_oth, little_oth] = self.oth_power;
         let oth_w = of_kind(m.core.kind, big_oth, little_oth);
 
-        let mut meter = StreamingMeter::new();
+        meter.reset();
         meter.push(breakdown.map_s, p_map.total());
         meter.push(breakdown.reduce_s, p_red.total());
         meter.push(breakdown.others_s, oth_w);
@@ -390,6 +400,8 @@ struct Metered {
 /// clears before it fills).
 #[derive(Debug, Default)]
 pub(crate) struct RunScratch {
+    /// The vectors of the point's [`ClusterPrep`], between its runs.
+    pub(super) prep: PrepScratch,
     /// Per-node step functions of the phase being charged.
     steps: StepBuffers,
     /// Map-output holders of the reduce phase's fetch plan.
@@ -400,6 +412,8 @@ pub(crate) struct RunScratch {
     fates: NodeFaults,
     /// The fault plan of the phase being run.
     phase_faults: PhaseFaults,
+    /// The phase-average meter, reset at the start of its reading.
+    meter: StreamingMeter,
     /// One meter per node, reset at the start of a run (the per-node
     /// reading only).
     meters: Vec<StreamingMeter>,
@@ -411,7 +425,8 @@ impl SimConfig {
     /// The run is memoized in `cache` under the config, the meter `reading`
     /// resolves to and whether the timeline is kept, an unrecoverable run
     /// as its error; so is what pricing shares (stall splits, functional
-    /// runs). The timeline is `Some` exactly under [`Reading::Traced`].
+    /// runs). The timeline is `Some` exactly under [`Reading::Traced`],
+    /// shared with the memo: a hit costs a reference count.
     /// The engines run in buffers of this call's own, freed when it
     /// returns; a [`Plan`](crate::harness::Plan) runs its points in one
     /// set of buffers per worker instead.
@@ -425,27 +440,28 @@ impl SimConfig {
         &self,
         cache: &SimCache,
         reading: Reading,
-    ) -> Result<(Measurement, Option<ClusterTimeline>), SimError> {
+    ) -> Result<(Measurement, Option<Arc<ClusterTimeline>>), SimError> {
         self.run_in(cache, reading, &mut RunScratch::default())
     }
 
     /// [`SimConfig::run`] in the buffers of `scratch`, which a harness
     /// worker keeps from point to point (a point `cache` holds reads
-    /// none of them).
+    /// none of them): the point is priced and run in them.
     pub(crate) fn run_in(
         &self,
         cache: &SimCache,
         reading: Reading,
         scratch: &mut RunScratch,
-    ) -> Result<(Measurement, Option<ClusterTimeline>), SimError> {
+    ) -> PointRun {
         let valid = self.validate(reading)?;
         let traced = reading == Reading::Traced;
         cache.point_run(valid, traced, || {
-            let prep = ClusterPrep::new(valid, cache);
+            let prep = ClusterPrep::new(valid, cache, scratch);
             let mut timeline = traced.then(|| ClusterTimeline::new(&prep.cluster));
             let faults = self.active_faults();
-            let m = prep.run(faults.as_ref(), scratch, timeline.as_mut())?;
-            Ok((m, timeline))
+            let m = prep.run(faults.as_ref(), scratch, timeline.as_mut());
+            prep.recycle(scratch);
+            Ok((m?, timeline.map(Arc::new)))
         })
     }
 
@@ -453,11 +469,7 @@ impl SimConfig {
     /// contract's [`SimError`], or the run `cache` holds (a hit). `None`
     /// for a valid point `cache` does not hold, which it counts as
     /// nothing.
-    pub(crate) fn held(
-        &self,
-        cache: &SimCache,
-        reading: Reading,
-    ) -> Option<Result<(Measurement, Option<ClusterTimeline>), SimError>> {
+    pub(crate) fn held(&self, cache: &SimCache, reading: Reading) -> Option<PointRun> {
         match self.validate(reading) {
             Ok(valid) => cache.held_point(valid, reading == Reading::Traced),
             Err(e) => Some(Err(e.into())),

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, Frequency, MachineModel};
 use hhsim_energy::{CostMetrics, MetricKind};
@@ -15,12 +17,12 @@ fn base(app: AppId, m: MachineModel) -> SimConfig {
 }
 
 /// `cfg` read per node with its timeline, on the process-wide memo.
-fn traced(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
+fn traced(cfg: &SimConfig) -> (Measurement, Arc<ClusterTimeline>) {
     traced_on(cfg, SimCache::global())
 }
 
 /// `cfg` read per node with its timeline, on `cache`.
-fn traced_on(cfg: &SimConfig, cache: &SimCache) -> (Measurement, ClusterTimeline) {
+fn traced_on(cfg: &SimConfig, cache: &SimCache) -> (Measurement, Arc<ClusterTimeline>) {
     let (m, timeline) = (cfg.run(cache, Reading::Traced)).expect("a valid run completes");
     (m, timeline.expect("a traced run fills a timeline"))
 }
@@ -421,11 +423,11 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
     ];
     let pricing = SimCache::new();
     // One scratch through every shape in turn: node counts, racks and
-    // faults change under buffers another shape filled.
+    // faults change under buffers another shape filled, the prep's too.
     let reused = &mut RunScratch::default();
     for (shape, cfg) in shapes {
         let valid = cfg.validate(Reading::PerNode).expect("a valid config");
-        let prep = ClusterPrep::new(valid, &pricing);
+        let prep = ClusterPrep::new(valid, &pricing, reused);
         let faults = cfg.active_faults();
         let blind = prep
             .run(faults.as_ref(), &mut RunScratch::default(), None)
@@ -445,7 +447,7 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
             Ok((m, timeline)) => {
                 let timeline = timeline.expect("a traced run fills a timeline");
                 assert_eq!(Ok(m), seen, "{shape}");
-                assert_eq!(timeline, sink, "{shape}");
+                assert_eq!(*timeline, sink, "{shape}");
                 assert!(!timeline.is_empty(), "{shape}");
             }
             Err(e) => {
@@ -453,6 +455,7 @@ fn measurement_does_not_depend_on_the_timeline_sink() {
                 assert_eq!(Err(e), seen, "{shape}");
             }
         }
+        prep.recycle(reused);
     }
 }
 
@@ -499,7 +502,7 @@ fn one_run_scratch_through_mixed_points_equals_fresh_scratches() {
     let (reusing, fresh) = (SimCache::new(), SimCache::new());
     let scratch = &mut RunScratch::default();
     let mut failed = 0;
-    let bytes = |t: &Option<ClusterTimeline>| {
+    let bytes = |t: &Option<Arc<ClusterTimeline>>| {
         t.as_ref().map(|t| {
             (
                 streamed(|w| t.write_chrome_trace(w)),
@@ -530,8 +533,8 @@ fn prep_is_reusable_across_seeds() {
     let fc = crate::figures::fig22_faults(4.0, true);
     let cfg = racked(Some(fc));
     let valid = cfg.validate(Reading::PerNode).expect("a valid config");
-    let prep = ClusterPrep::new(valid, &SimCache::new());
     let scratch = &mut RunScratch::default();
+    let prep = ClusterPrep::new(valid, &SimCache::new(), scratch);
     let mut run = |seed: u64| prep.run(Some(&fc.seed(seed)), scratch, None);
     // Seed 5 loses a rack mid-shuffle and recovers; seed 3 loses every
     // replica of a block and dies in the reduce phase.

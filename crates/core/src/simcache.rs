@@ -124,7 +124,7 @@ fn is_point(cfg: &SimConfig, meter: Meter, traced: bool) -> impl Fn(&PointKey) -
 }
 
 /// What [`SimConfig::run`] returns for a valid config.
-pub(crate) type PointRun = Result<(Measurement, Option<ClusterTimeline>), SimError>;
+pub(crate) type PointRun = Result<(Measurement, Option<Arc<ClusterTimeline>>), SimError>;
 
 /// A replication plan that has run: the config and the seed list, in full.
 type PlanKey = (SimConfig, Vec<u64>);
@@ -185,7 +185,7 @@ impl CacheStats {
 pub struct SimCache {
     stalls: Table<StallKey, (f64, f64)>,
     runs: Table<RunKey, Arc<FunctionalRun>>,
-    ratios: Table<AppId, AppRatios>,
+    ratios: Table<AppId, Arc<AppRatios>>,
     points: Scanned<PointKey, PointRun>,
     plans: Scanned<PlanKey, ReplicationSummary>,
     hits: AtomicU64,
@@ -285,10 +285,13 @@ impl SimCache {
     }
 
     /// Memoized dataflow ratios of `app`, built from its reference
-    /// functional run (which is itself cached).
-    pub fn ratios(&self, app: AppId) -> AppRatios {
+    /// functional run (which is itself cached); behind an `Arc`, as the
+    /// run is, so a hit copies nothing.
+    pub fn ratios(&self, app: AppId) -> Arc<AppRatios> {
         self.memo(&self.ratios, app, || {
-            AppRatios::from_run(&self.functional_run(app, &AppRatios::reference_config()))
+            Arc::new(AppRatios::from_run(
+                &self.functional_run(app, &AppRatios::reference_config()),
+            ))
         })
     }
 
@@ -487,7 +490,7 @@ mod tests {
         let c = SimCache::new();
         let cached = c.ratios(AppId::WordCount);
         let direct = AppRatios::compute(AppId::WordCount);
-        assert_eq!(cached, direct);
+        assert_eq!(*cached, direct);
         // The reference run landed in the run table.
         assert_eq!(c.stats().run_entries, 1);
         assert_eq!(c.stats().ratio_entries, 1);

@@ -15,8 +15,13 @@ use hhsim_core::{NodeMix, PlacementKind, Reading, SimCache, SimConfig};
 use hhsim_testkit::{check, Gen};
 
 /// What `cfg.run` returns.
-type Run =
-    Result<(hhsim_core::Measurement, Option<hhsim_core::ClusterTimeline>), hhsim_core::SimError>;
+type Run = Result<
+    (
+        hhsim_core::Measurement,
+        Option<std::sync::Arc<hhsim_core::ClusterTimeline>>,
+    ),
+    hhsim_core::SimError,
+>;
 
 const APPS: [AppId; 5] = [
     AppId::WordCount,

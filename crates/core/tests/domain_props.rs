@@ -3,6 +3,8 @@
 //! preserve the engine's scheduling contract, and an inactive domain
 //! configuration must be bitwise invisible end to end.
 
+use std::sync::Arc;
+
 use hhsim_core::arch::{presets, CoreKind};
 use hhsim_core::cluster::{
     run_phase_faulty_fetch, Cluster, FetchPlan, FifoAnySlot, NodeTiming, PhaseLoad,
@@ -17,7 +19,7 @@ use hhsim_core::{ClusterTimeline, Measurement, Reading, SimCache, SimConfig, Sim
 use hhsim_testkit::{check, streamed, Gen};
 
 /// `cfg` read per node with its timeline, on the process-wide memo.
-fn traced(cfg: &SimConfig) -> Result<(Measurement, ClusterTimeline), SimError> {
+fn traced(cfg: &SimConfig) -> Result<(Measurement, Arc<ClusterTimeline>), SimError> {
     let (m, timeline) = cfg.run(SimCache::global(), Reading::Traced)?;
     Ok((m, timeline.expect("a traced run fills a timeline")))
 }

@@ -246,8 +246,7 @@ fn tiny_instances_match_trace_recomputation_and_brute_force_bound() {
 /// none), at least one slot in all.
 fn any_cluster(g: &mut Gen) -> Cluster {
     let mut nodes: Vec<Node> = (0..g.usize(1..41))
-        .map(|i| Node {
-            name: format!("n{i}"),
+        .map(|_| Node {
             kind: *g.pick(&[CoreKind::Big, CoreKind::Little]),
             slots: g.usize(0..5),
         })

@@ -3,6 +3,8 @@
 //! traces whatever the `--jobs` worker count, and `FaultConfig::none()`
 //! leaves the fault-free outputs untouched.
 
+use std::sync::Arc;
+
 use hhsim_core::arch::presets;
 use hhsim_core::energy::MetricKind;
 use hhsim_core::faults::FaultConfig;
@@ -15,7 +17,7 @@ use hhsim_testkit::streamed;
 
 /// `cfg` read per node with its timeline, on a memo of its own: two calls
 /// run it twice.
-fn traced(cfg: &SimConfig) -> (Measurement, ClusterTimeline) {
+fn traced(cfg: &SimConfig) -> (Measurement, Arc<ClusterTimeline>) {
     let (m, timeline) = (cfg.run(&SimCache::new(), Reading::Traced)).expect("the run recovers");
     (m, timeline.expect("a traced run fills a timeline"))
 }

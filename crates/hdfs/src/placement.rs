@@ -108,20 +108,28 @@ impl HdfsDefault {
     /// Chooses the nodes holding `req.replication` replicas, the primary
     /// first: distinct nodes in `0..req.num_nodes`, exactly
     /// `min(req.replication, req.num_nodes)` of them (none when either is
-    /// zero).
+    /// zero). [`HdfsDefault::place_into`] into a vector of its own.
+    pub fn place(&self, req: &PlacementRequest, topology: &Topology) -> Vec<NodeId> {
+        let mut chosen = Vec::with_capacity(req.replication.min(req.num_nodes));
+        self.place_into(req, topology, &mut chosen);
+        // `NodeId` wraps a `usize`: the collect reuses `chosen`'s buffer.
+        chosen.into_iter().map(NodeId).collect()
+    }
+
+    /// [`HdfsDefault::place`]'s nodes, as node indices, written over
+    /// `chosen`: no allocator call once `chosen` holds a block's replicas.
     ///
     /// Reads every candidate pool by index over the round-robin rack
-    /// layout instead of listing it: O(replication) per block, and the
-    /// result is the one allocation.
-    pub fn place(&self, req: &PlacementRequest, topology: &Topology) -> Vec<NodeId> {
+    /// layout instead of listing it: O(replication) per block.
+    pub fn place_into(&self, req: &PlacementRequest, topology: &Topology, chosen: &mut Vec<usize>) {
+        chosen.clear();
         let nodes = req.num_nodes;
         let want = req.replication.min(nodes);
         if want == 0 {
-            return Vec::new();
+            return;
         }
         let racks = topology.racks.max(1);
         let block = req.block;
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(want);
 
         // First replica: the writer if it is a datanode, else hashed.
         let first = req
@@ -130,7 +138,7 @@ impl HdfsDefault {
             .filter(|&w| w < nodes)
             .or_else(|| self.pick(block, 0, nodes))
             .unwrap_or(0);
-        chosen.push(NodeId(first));
+        chosen.push(first);
 
         // Second replica: a different rack when one exists, otherwise
         // any other node. Off the first's rack, the nodes run in rows of
@@ -147,7 +155,7 @@ impl HdfsDefault {
                 self.pick(block, 1, nodes - 1)
                     .map(|ix| ix + usize::from(ix >= first))
             };
-            chosen.extend(second.map(NodeId));
+            chosen.extend(second);
         }
 
         // Third replica: the second's rack (rack s holds s, s + racks,
@@ -156,31 +164,30 @@ impl HdfsDefault {
         // all, e.g. a one-node cluster).
         if chosen.len() < want {
             let same_rack = chosen.get(1).and_then(|second| {
-                let rack = second.0 % racks;
-                let in_rack = chosen.iter().filter(|c| c.0 % racks == rack);
-                let taken = ascending(in_rack.clone().map(|c| c.0 / racks));
+                let rack = second % racks;
+                let in_rack = chosen.iter().filter(|&c| c % racks == rack);
+                let taken = ascending(in_rack.clone().map(|c| c / racks));
                 let free = rack_len(nodes, racks, rack) - in_rack.count();
                 self.pick(block, 2, free)
                     .map(|ix| rack + nth_skipping(ix, &taken) * racks)
             });
             let third = same_rack.or_else(|| {
-                let skip = ascending(chosen.iter().map(|c| c.0));
+                let skip = ascending(chosen.iter().copied());
                 self.pick(block, 2, nodes - chosen.len())
                     .map(|ix| nth_skipping(ix, &skip))
             });
-            chosen.extend(third.map(NodeId));
+            chosen.extend(third);
         }
 
         // Further replicas: the remaining nodes in hash-rotated order.
         if chosen.len() < want {
-            let skip = ascending(chosen.iter().map(|c| c.0));
+            let skip = ascending(chosen.iter().copied());
             let rest = nodes - chosen.len();
             let rot = self.pick(block, 3, rest).unwrap_or(0);
             for i in 0..want - chosen.len() {
-                chosen.push(NodeId(nth_skipping((rot + i) % rest, &skip)));
+                chosen.push(nth_skipping((rot + i) % rest, &skip));
             }
         }
-        chosen
     }
 }
 

@@ -1,5 +1,6 @@
 //! Allocation ratchet for `HdfsDefault::place`: the replica list it
-//! returns is the one allocation a block costs, at any cluster size.
+//! returns is the one allocation a block costs, at any cluster size; and
+//! `HdfsDefault::place_into` a reused list costs none.
 //!
 //! Its own test binary so it may install a counting `#[global_allocator]`.
 //! Each shape places the same blocks on 1 000 and on 2 000 nodes and must
@@ -58,6 +59,36 @@ fn one_allocation_per_block_at_any_cluster_size() {
                 assert_eq!(small.bytes, large.bytes, "{shape}: bytes grow with nodes");
                 assert_eq!(small.live, 0, "{shape}: nothing kept");
             }
+        }
+    }
+}
+
+/// `place_into` one reused list: after the first block, no allocator call
+/// at 1 000 or at 2 000 nodes, and each block's replicas are `place`'s.
+#[test]
+fn placing_into_a_reused_list_allocates_nothing() {
+    let policy = HdfsDefault::new(7);
+    for nodes in [1_000, 2_000] {
+        let topo = Topology::racked(40, 4.0);
+        let req = |b: u64| PlacementRequest {
+            block: BlockId(b),
+            writer: Some(NodeId(b as usize % nodes)),
+            replication: 3,
+            num_nodes: nodes,
+        };
+        let mut chosen = Vec::new();
+        policy.place_into(&req(0), &topo, &mut chosen);
+        let ((), allocs) = counted(|| {
+            for b in 1..BLOCKS {
+                policy.place_into(&req(b), &topo, &mut chosen);
+                black_box(&chosen);
+            }
+        });
+        assert_eq!(allocs.calls, 0, "{nodes} nodes");
+        for b in [1, 17, BLOCKS - 1] {
+            policy.place_into(&req(b), &topo, &mut chosen);
+            let placed: Vec<usize> = policy.place(&req(b), &topo).iter().map(|n| n.0).collect();
+            assert_eq!(chosen, placed, "block {b} on {nodes} nodes");
         }
     }
 }
