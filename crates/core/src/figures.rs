@@ -16,6 +16,8 @@
 //! generator of [`all`] is. What a handle reads depends on its entry
 //! alone, so both produce the same bytes, for any `--jobs` worker count.
 
+use std::borrow::Cow;
+
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, ComputeProfile, CoreKind, Frequency, MachineModel};
 use hhsim_energy::MetricKind;
@@ -27,7 +29,7 @@ use hhsim_faults::{DomainConfig, FaultConfig, RecoveryPolicy};
 
 use crate::harness::{Outcomes, Plan, Point, ReplicationPlan, Split};
 use crate::model::{NodeMix, PlacementKind, Reading, SimConfig, SimError};
-use crate::report::FigureData;
+use crate::report::{FigureData, Key, Mode, Phase, Shape, Stat};
 
 pub use crate::model::{MICRO_DATA, REAL_DATA};
 
@@ -77,21 +79,24 @@ fn blocks_for(app: AppId) -> &'static [BlockSize] {
 
 /// Table 1: architectural parameters of both machines.
 pub fn table1(_: &mut Plan) -> Render {
-    let mut f = FigureData::new("table1", "Architectural parameters", "value");
-    for m in machines() {
-        let who = m.core.kind;
-        f.push(who.to_string(), "issue_width", m.core.issue_width);
-        f.push(who.to_string(), "cores", m.num_cores as f64);
-        f.push(who.to_string(), "cache_levels", m.cache_levels.len() as f64);
+    let machines = machines();
+    let rows = machines.iter().map(|m| 5 + m.cache_levels.len()).sum();
+    let mut f = FigureData::new("table1", "Architectural parameters", "value", rows);
+    for m in machines {
+        let who = Key::Kind(m.core.kind);
+        f.push(who, "issue_width", m.core.issue_width);
+        f.push(who, "cores", m.num_cores as f64);
+        f.push(who, "cache_levels", m.cache_levels.len() as f64);
         for c in m.cache_levels.iter() {
-            f.push(
-                who.to_string(),
-                format!("{}_kb", c.name),
-                (c.size_bytes / 1024) as f64,
-            );
+            // A preset names its levels with literals.
+            let name = match c.name {
+                Cow::Borrowed(name) => name,
+                Cow::Owned(_) => "cache",
+            };
+            f.push(who, Key::Kb(name), (c.size_bytes / 1024) as f64);
         }
-        f.push(who.to_string(), "memory_gb", m.memory_gb);
-        f.push(who.to_string(), "area_mm2", m.area_mm2);
+        f.push(who, "memory_gb", m.memory_gb);
+        f.push(who, "area_mm2", m.area_mm2);
     }
     Box::new(|_| Ok(f))
 }
@@ -99,7 +104,12 @@ pub fn table1(_: &mut Plan) -> Render {
 /// Table 2: the studied applications (1 row per app, value = class code
 /// 0 = compute, 1 = I/O, 2 = hybrid).
 pub fn table2(_: &mut Plan) -> Render {
-    let mut f = FigureData::new("table2", "Studied Hadoop applications", "class");
+    let mut f = FigureData::new(
+        "table2",
+        "Studied Hadoop applications",
+        "class",
+        AppId::ALL.len(),
+    );
     for app in AppId::ALL {
         let class = match app.class() {
             hhsim_workloads::AppClass::Compute => 0.0,
@@ -130,14 +140,16 @@ pub(crate) fn suite_splits(plan: &mut Plan) -> [[Split; 3]; 2] {
 pub fn fig1(plan: &mut Plan) -> Render {
     let splits = suite_splits(plan);
     Box::new(move |ran| {
-        let mut f = FigureData::new("fig1", "IPC of SPEC/PARSEC/Hadoop on big and little", "ipc");
+        let mut f = FigureData::new(
+            "fig1",
+            "IPC of SPEC/PARSEC/Hadoop on big and little",
+            "ipc",
+            6,
+        );
         for (m, row) in machines().iter().zip(splits) {
             for ((name, _), s) in suites().iter().zip(row) {
-                f.push(
-                    m.core.kind.to_string(),
-                    *name,
-                    1.0 / ran.cpi(s, Frequency::GHZ_1_8)?,
-                );
+                let ipc = 1.0 / ran.cpi(s, Frequency::GHZ_1_8)?;
+                f.push(Key::Kind(m.core.kind), *name, ipc);
             }
         }
         Ok(f)
@@ -183,10 +195,12 @@ pub fn fig2(plan: &mut Plan) -> Render {
             "fig2",
             "ED^xP ratio Xeon/Atom for SPEC, PARSEC, Hadoop",
             "ratio",
+            9,
         );
         for (((name, p), x), a) in suites().iter().zip(on_xeon).zip(on_atom) {
-            for (n, ratio) in (1..).zip(suite_edxp(ran, p, [x, a])?) {
-                f.push(format!("ED{n}P"), *name, ratio);
+            let ratios = suite_edxp(ran, p, [x, a])?;
+            for (metric, ratio) in ["ED1P", "ED2P", "ED3P"].into_iter().zip(ratios) {
+                f.push(metric, *name, ratio);
             }
         }
         Ok(f)
@@ -214,17 +228,13 @@ fn exec_sweep(
                             .data_per_node(data),
                         Reading::Auto,
                     );
-                    rows.push((
-                        format!("{}/{}", m.core.kind, app.short_name()),
-                        format!("{}MB@{:.1}GHz", b.mib(), freq.ghz()),
-                        p,
-                    ));
+                    rows.push((Key::Run(m.core.kind, *app, None), Key::BlockAt(*b, freq), p));
                 }
             }
         }
     }
     Box::new(move |ran| {
-        let mut f = FigureData::new(id, title, "seconds");
+        let mut f = FigureData::new(id, title, "seconds", rows.len());
         for (series, x, p) in rows {
             f.push(series, x, ran.measurement(p)?.breakdown.total());
         }
@@ -299,11 +309,11 @@ fn edp_sweep(
     let rows = freq_rows(plan, apps, data);
     Box::new(move |ran| {
         let edp = |p| ran.measurement(p).map(|m| m.cost.edp());
-        let mut f = FigureData::new(id, title, "edp_norm");
+        let mut f = FigureData::new(id, title, "edp_norm", rows.len());
         for (app, who, freq, p, base) in rows {
             f.push(
-                format!("{}/{}", who, app.short_name()),
-                format!("{:.1}GHz", freq.ghz()),
+                Key::Run(who, app, None),
+                Key::Ghz(freq),
                 edp(p)? / edp(base)?,
             );
         }
@@ -344,22 +354,14 @@ fn phase_edp_sweep(
 ) -> Render {
     let rows = freq_rows(plan, apps, data);
     Box::new(move |ran| {
-        let mut f = FigureData::new(id, title, "edp_norm");
+        let mut f = FigureData::new(id, title, "edp_norm", 2 * rows.len());
         for (app, who, freq, p, base) in rows {
             let norm = ran.measurement(base)?.map_cost.edp().max(1e-12);
             let m = ran.measurement(p)?;
-            let x = format!("{:.1}GHz", freq.ghz());
-            f.push(
-                format!("{}/{} map", who, app.short_name()),
-                x.clone(),
-                m.map_cost.edp() / norm,
-            );
+            let (phase, x) = (|phase| Key::Run(who, app, Some(phase)), Key::Ghz(freq));
+            f.push(phase(Phase::Map), x, m.map_cost.edp() / norm);
             if app.has_reduce() {
-                f.push(
-                    format!("{}/{} reduce", who, app.short_name()),
-                    x,
-                    m.reduce_cost.edp() / norm,
-                );
+                f.push(phase(Phase::Reduce), x, m.reduce_cost.edp() / norm);
             }
         }
         Ok(f)
@@ -401,13 +403,14 @@ pub fn fig9(plan: &mut Plan) -> Render {
     }
     Box::new(move |ran| {
         let edp = |p| ran.measurement(p).map(|m| m.cost.edp());
-        let mut f = FigureData::new("fig9", "EDP ratio Xeon/Atom vs block size @1.8GHz", "ratio");
+        let mut f = FigureData::new(
+            "fig9",
+            "EDP ratio Xeon/Atom vs block size @1.8GHz",
+            "ratio",
+            rows.len(),
+        );
         for (app, b, px, pa) in rows {
-            f.push(
-                app.full_name(),
-                format!("{}MB", b.mib()),
-                edp(px)? / edp(pa)?,
-            );
+            f.push(app.full_name(), Key::Block(b), edp(px)? / edp(pa)?);
         }
         Ok(f)
     })
@@ -428,18 +431,19 @@ fn datasize_breakdown(
         for app in apps {
             for (bytes, lbl) in DATA_SIZES {
                 let p = plan.point(cfg(*app, &m).data_per_node(bytes), Reading::Auto);
-                rows.push((format!("{}/{}", m.core.kind, app.short_name()), lbl, p));
+                rows.push((m.core.kind, *app, lbl, p));
             }
         }
     }
     Box::new(move |ran| {
-        let mut f = FigureData::new(id, title, "seconds");
-        for (s, lbl, p) in rows {
+        let mut f = FigureData::new(id, title, "seconds", 4 * rows.len());
+        for (who, app, lbl, p) in rows {
             let b = &ran.measurement(p)?.breakdown;
-            f.push(format!("{s} map"), lbl, b.map_s);
-            f.push(format!("{s} reduce"), lbl, b.reduce_s);
-            f.push(format!("{s} others"), lbl, b.others_s);
-            f.push(format!("{s} total"), lbl, b.total());
+            let phase = |phase| Key::Run(who, app, Some(phase));
+            f.push(phase(Phase::Map), lbl, b.map_s);
+            f.push(phase(Phase::Reduce), lbl, b.reduce_s);
+            f.push(phase(Phase::Others), lbl, b.others_s);
+            f.push(phase(Phase::Total), lbl, b.total());
         }
         Ok(f)
     })
@@ -493,10 +497,10 @@ pub fn fig12(plan: &mut Plan) -> Render {
             "fig12",
             "EDP of entire application vs data size",
             "edp_norm",
+            rows.len(),
         );
         for (app, who, lbl, p, base) in rows {
-            let series = format!("{}/{}", who, app.short_name());
-            f.push(series, lbl, edp(p)? / edp(base)?);
+            f.push(Key::Run(who, app, None), lbl, edp(p)? / edp(base)?);
         }
         Ok(f)
     })
@@ -507,21 +511,19 @@ pub fn fig12(plan: &mut Plan) -> Render {
 pub fn fig13(plan: &mut Plan) -> Render {
     let rows = size_rows(plan);
     Box::new(move |ran| {
-        let mut f = FigureData::new("fig13", "Phase EDP vs data size", "edp_norm");
+        let mut f = FigureData::new(
+            "fig13",
+            "Phase EDP vs data size",
+            "edp_norm",
+            2 * rows.len(),
+        );
         for (app, who, lbl, p, base) in rows {
             let norm = ran.measurement(base)?.map_cost.edp().max(1e-12);
             let m = ran.measurement(p)?;
-            f.push(
-                format!("{}/{} map", who, app.short_name()),
-                lbl,
-                m.map_cost.edp() / norm,
-            );
+            let phase = |phase| Key::Run(who, app, Some(phase));
+            f.push(phase(Phase::Map), lbl, m.map_cost.edp() / norm);
             if app.has_reduce() {
-                f.push(
-                    format!("{}/{} reduce", who, app.short_name()),
-                    lbl,
-                    m.reduce_cost.edp() / norm,
-                );
+                f.push(phase(Phase::Reduce), lbl, m.reduce_cost.edp() / norm);
             }
         }
         Ok(f)
@@ -573,10 +575,10 @@ impl AccelSpec {
 fn accel_render(
     id: &'static str,
     title: &'static str,
-    rows: Vec<(AppId, String, AccelSpec)>,
+    rows: Vec<(AppId, Key, AccelSpec)>,
 ) -> Render {
     Box::new(move |ran| {
-        let mut f = FigureData::new(id, title, "ratio");
+        let mut f = FigureData::new(id, title, "ratio", rows.len());
         for (app, x, spec) in rows {
             f.push(app.full_name(), x, spec.ratio(ran)?);
         }
@@ -586,12 +588,12 @@ fn accel_render(
 
 /// Declares Fig. 14's Eq. (1) specs: per app, per mapper acceleration
 /// rate of [`AccelConfig::sweep`], at 1.8 GHz with 512 MB blocks.
-pub(crate) fn rate_specs(plan: &mut Plan) -> Vec<(AppId, String, AccelSpec)> {
+pub(crate) fn rate_specs(plan: &mut Plan) -> Vec<(AppId, Key, AccelSpec)> {
     let mut rows = Vec::new();
     for app in AppId::ALL {
         for acc in AccelConfig::sweep() {
             let spec = AccelSpec::new(plan, app, Frequency::GHZ_1_8, BlockSize::MB_512, acc);
-            rows.push((app, format!("{:.0}x", acc.rate), spec));
+            rows.push((app, Key::Times(acc.rate), spec));
         }
     }
     rows
@@ -613,7 +615,7 @@ pub fn fig15(plan: &mut Plan) -> Render {
     for app in AppId::ALL {
         for freq in Frequency::SWEEP {
             let spec = AccelSpec::new(plan, app, freq, BlockSize::MB_512, acc);
-            rows.push((app, format!("{:.1}GHz", freq.ghz()), spec));
+            rows.push((app, Key::Ghz(freq), spec));
         }
     }
     accel_render("fig15", "Acceleration ratio vs frequency", rows)
@@ -626,7 +628,7 @@ pub fn fig16(plan: &mut Plan) -> Render {
     for app in AppId::ALL {
         for b in blocks_for(app) {
             let spec = AccelSpec::new(plan, app, Frequency::GHZ_1_8, *b, acc);
-            rows.push((app, format!("{}MB", b.mib()), spec));
+            rows.push((app, Key::Block(*b), spec));
         }
     }
     accel_render("fig16", "Acceleration ratio vs block size", rows)
@@ -657,18 +659,22 @@ pub fn table3(plan: &mut Plan) -> Render {
         for app in AppId::ALL {
             for cores in CORE_COUNTS {
                 let p = sched_point(plan, app, &m, cores);
-                rows.push((app, format!("{}/M{}", m.core.kind, cores), p));
+                rows.push((app, Key::Mappers(m.core.kind, cores), p));
             }
         }
     }
     Box::new(move |ran| {
-        let mut f = FigureData::new("table3", "Operational and capital cost vs cores", "value");
+        let mut f = FigureData::new(
+            "table3",
+            "Operational and capital cost vs cores",
+            "value",
+            MetricKind::ALL.len() * rows.len(),
+        );
         for (app, x, p) in rows {
             let cost = &ran.measurement(p)?.cost;
-            f.push(format!("EDP/{}", app.short_name()), x.clone(), cost.edp());
-            f.push(format!("ED2P/{}", app.short_name()), x.clone(), cost.ed2p());
-            f.push(format!("EDAP/{}", app.short_name()), x.clone(), cost.edap());
-            f.push(format!("ED2AP/{}", app.short_name()), x, cost.ed2ap());
+            for k in MetricKind::ALL {
+                f.push(Key::Cost(k, app), x, cost.get(k));
+            }
         }
         Ok(f)
     })
@@ -681,22 +687,24 @@ pub fn fig17(plan: &mut Plan) -> Render {
     let mut rows = Vec::new();
     for app in AppId::ALL {
         let base = sched_point(plan, app, &xeon, 8);
-        for (m, who) in [(&atom, "A"), (&xeon, "X")] {
+        for m in [&atom, &xeon] {
             for cores in CORE_COUNTS {
-                rows.push((app, who, cores, sched_point(plan, app, m, cores), base));
+                let p = sched_point(plan, app, m, cores);
+                rows.push((Key::AppCores(app, cores, m.core.kind), p, base));
             }
         }
     }
     Box::new(move |ran| {
-        let mut f = FigureData::new("fig17", "Costs normalized to 8 Xeon cores", "norm");
-        for (app, who, cores, p, base) in rows {
+        let mut f = FigureData::new(
+            "fig17",
+            "Costs normalized to 8 Xeon cores",
+            "norm",
+            MetricKind::ALL.len() * rows.len(),
+        );
+        for (series, p, base) in rows {
             let (cost, base) = (&ran.measurement(p)?.cost, &ran.measurement(base)?.cost);
             for k in MetricKind::ALL {
-                f.push(
-                    format!("{}/{}{}", app.short_name(), cores, who),
-                    k.to_string(),
-                    cost.get(k) / base.get(k),
-                );
+                f.push(series, Key::Metric(k), cost.get(k) / base.get(k));
             }
         }
         Ok(f)
@@ -732,12 +740,7 @@ pub fn fig18(plan: &mut Plan) -> Render {
                 }),
                 Reading::Auto,
             );
-            let series = match (big, little) {
-                (_, 0) => format!("Xeon{big}"),
-                (0, _) => format!("Atom{little}"),
-                _ => format!("Mix{big}X{little}A"),
-            };
-            rows.push((series, app, p));
+            rows.push((Shape { big, little }, app, p));
         }
     }
     Box::new(move |ran| {
@@ -745,19 +748,24 @@ pub fn fig18(plan: &mut Plan) -> Render {
             "fig18",
             "EDP: mixed big+little clusters vs homogeneous baselines",
             "edp",
+            rows.len(),
         );
-        for (series, app, p) in rows {
-            f.push(series, app.short_name(), ran.measurement(p)?.cost.edp());
+        for (who, app, p) in rows {
+            f.push(
+                Key::Shape(who),
+                app.short_name(),
+                ran.measurement(p)?.cost.edp(),
+            );
         }
         Ok(f)
     })
 }
 
-/// The three cluster shapes of Figs. 19–22, each as its series label and
-/// the config of `app` on it at the paper's data size: `nodes` Xeons,
-/// `nodes` Atoms, and one Xeon per two Atoms under the §3.5 EDP-driven
-/// placement (Fig. 18's first mix, scaled to `nodes`).
-fn cluster_shapes(app: AppId, nodes: usize) -> [(String, SimConfig); 3] {
+/// The three cluster shapes of Figs. 19–22, each with the config of `app`
+/// on it at the paper's data size: `nodes` Xeons, `nodes` Atoms, and one
+/// Xeon per two Atoms under the §3.5 EDP-driven placement (Fig. 18's first
+/// mix, scaled to `nodes`).
+fn cluster_shapes(app: AppId, nodes: usize) -> [(Shape, SimConfig); 3] {
     let [xeon, atom] = machines();
     let on = |m: &MachineModel| {
         let mut c = cfg(app, m);
@@ -771,9 +779,21 @@ fn cluster_shapes(app: AppId, nodes: usize) -> [(String, SimConfig); 3] {
         placement: PlacementKind::PaperClass(MetricKind::Edp),
     });
     [
-        (format!("Xeon{nodes}"), on(&xeon)),
-        (format!("Atom{nodes}"), on(&atom)),
-        (format!("Mix{big}X{little}A"), mix),
+        (
+            Shape {
+                big: nodes,
+                little: 0,
+            },
+            on(&xeon),
+        ),
+        (
+            Shape {
+                big: 0,
+                little: nodes,
+            },
+            on(&atom),
+        ),
+        (Shape { big, little }, mix),
     ]
 }
 
@@ -819,13 +839,11 @@ pub fn fig19(plan: &mut Plan) -> Render {
         for (who, c) in cluster_shapes(app, 3) {
             let c = c.block_size(FAULT_BLOCK);
             let clean = plan.point(c.clone(), Reading::PerNode);
-            for speculation in [true, false] {
-                let mode = if speculation { "spec" } else { "nospec" };
+            for mode in [Mode::Spec, Mode::NoSpec] {
                 for rate in FAULT_RATES {
-                    let faulty = c.clone().faults(fig19_faults(rate, speculation));
+                    let faulty = c.clone().faults(fig19_faults(rate, mode == Mode::Spec));
                     let p = plan.point(faulty, Reading::PerNode);
-                    let series = format!("{who}/{}/{mode}", app.short_name());
-                    rows.push((series, format!("{rate:.2}"), p, clean));
+                    rows.push((who, app, mode, rate, p, clean));
                 }
             }
         }
@@ -835,12 +853,17 @@ pub fn fig19(plan: &mut Plan) -> Render {
             "fig19",
             "Makespan and EDP degradation vs failure rate, with/without speculation",
             "ratio",
+            2 * rows.len(),
         );
-        for (series, x, p, clean) in rows {
+        for (who, app, mode, rate, p, clean) in rows {
             let (clean, m) = (ran.measurement(clean)?, ran.measurement(p)?);
+            let (series, x) = (
+                |stat| Key::Stat(stat, who, Some(app), Some(mode)),
+                Key::Fixed(rate, 2),
+            );
             let t = m.breakdown.total() / clean.breakdown.total();
-            f.push(format!("T/{series}"), x.clone(), t);
-            f.push(format!("EDP/{series}"), x, m.cost.edp() / clean.cost.edp());
+            f.push(series(Stat::T), x, t);
+            f.push(series(Stat::Edp), x, m.cost.edp() / clean.cost.edp());
         }
         Ok(f)
     })
@@ -873,8 +896,7 @@ pub fn fig20(plan: &mut Plan) -> Render {
                 let faulty = c.clone().faults(fig19_faults(rate, true));
                 let seeds = FIG20_SEED..FIG20_SEED + FIG20_SEEDS;
                 let r = plan.replicate(ReplicationPlan::new(faulty, seeds));
-                let series = format!("{who}/{}", app.short_name());
-                rows.push((series, format!("{rate:.2}"), r, clean));
+                rows.push((who, app, rate, r, clean));
             }
         }
     }
@@ -883,19 +905,23 @@ pub fn fig20(plan: &mut Plan) -> Render {
             "fig20",
             "Replicated makespan and EDP vs failure rate, 95% confidence bands",
             "ratio",
+            6 * rows.len(),
         );
-        for (series, x, r, clean) in rows {
+        for (who, app, rate, r, clean) in rows {
             let clean = ran.measurement(clean)?;
             let clean_t = clean.breakdown.total();
             let clean_edp = clean.exact_energy_j * clean_t;
             let s = ran.summary(r)?;
-            let name = |metric: &str| format!("{metric}/{series}");
-            f.push(name("T"), x.clone(), s.makespan_s.mean / clean_t);
-            f.push(name("Tlo"), x.clone(), s.makespan_s.lo() / clean_t);
-            f.push(name("Thi"), x.clone(), s.makespan_s.hi() / clean_t);
-            f.push(name("EDP"), x.clone(), s.edp.mean / clean_edp);
-            f.push(name("EDPlo"), x.clone(), s.edp.lo() / clean_edp);
-            f.push(name("EDPhi"), x, s.edp.hi() / clean_edp);
+            let (name, x) = (
+                |stat| Key::Stat(stat, who, Some(app), None),
+                Key::Fixed(rate, 2),
+            );
+            f.push(name(Stat::T), x, s.makespan_s.mean / clean_t);
+            f.push(name(Stat::Tlo), x, s.makespan_s.lo() / clean_t);
+            f.push(name(Stat::Thi), x, s.makespan_s.hi() / clean_t);
+            f.push(name(Stat::Edp), x, s.edp.mean / clean_edp);
+            f.push(name(Stat::EdpLo), x, s.edp.lo() / clean_edp);
+            f.push(name(Stat::EdpHi), x, s.edp.hi() / clean_edp);
         }
         Ok(f)
     })
@@ -930,7 +956,7 @@ pub fn fig21(plan: &mut Plan) -> Render {
             for over in OVERSUB_SWEEP {
                 let fabric = Topology::racked(TOPO_RACKS, over);
                 let p = plan.point(c.clone().block_size(block).topology(fabric), Reading::Auto);
-                rows.push((who.clone(), block, over, p));
+                rows.push((who, block, over, p));
             }
         }
     }
@@ -939,18 +965,22 @@ pub fn fig21(plan: &mut Plan) -> Render {
             "fig21",
             "Locality-tier mix and EDP vs ToR oversubscription and block size",
             "mixed",
+            6 * rows.len(),
         );
         for (who, block, over, p) in rows {
             let m = ran.measurement(p)?;
-            let x = format!("{}MB/{over}x", block.bytes() >> 20);
+            let (name, x) = (
+                |stat| Key::Stat(stat, who, None, None),
+                Key::BlockOver(block, over),
+            );
             let [nl, rl, of] = m.map_locality_tiers;
             let total = (nl + rl + of).max(1) as f64;
-            f.push(format!("EDP/{who}"), x.clone(), m.cost.edp());
-            f.push(format!("Tred/{who}"), x.clone(), m.breakdown.reduce_s);
-            f.push(format!("Tmap/{who}"), x.clone(), m.breakdown.map_s);
-            f.push(format!("NL/{who}"), x.clone(), nl as f64 / total);
-            f.push(format!("RL/{who}"), x.clone(), rl as f64 / total);
-            f.push(format!("OF/{who}"), x, of as f64 / total);
+            f.push(name(Stat::Edp), x, m.cost.edp());
+            f.push(name(Stat::Tred), x, m.breakdown.reduce_s);
+            f.push(name(Stat::Tmap), x, m.breakdown.map_s);
+            f.push(name(Stat::Nl), x, nl as f64 / total);
+            f.push(name(Stat::Rl), x, rl as f64 / total);
+            f.push(name(Stat::Of), x, of as f64 / total);
         }
         Ok(f)
     })
@@ -1017,13 +1047,12 @@ pub fn fig22(plan: &mut Plan) -> Render {
         // The clean anchor has no faults at all: degradation at rate 0
         // then shows the straggler background, like Fig. 19/20.
         let clean = plan.point(c.clone(), Reading::PerNode);
-        for speculation in [true, false] {
-            let mode = if speculation { "spec" } else { "nospec" };
+        for mode in [Mode::Spec, Mode::NoSpec] {
             for rate in FIG22_RATES {
-                let faulty = c.clone().faults(fig22_faults(rate, speculation));
+                let faulty = c.clone().faults(fig22_faults(rate, mode == Mode::Spec));
                 let seeds = FIG22_SEED..FIG22_SEED + FIG22_SEEDS;
                 let r = plan.replicate(ReplicationPlan::new(faulty, seeds));
-                rows.push((format!("{who}/{mode}"), format!("{rate:.0}"), r, clean));
+                rows.push((who, mode, rate, r, clean));
             }
         }
     }
@@ -1032,17 +1061,21 @@ pub fn fig22(plan: &mut Plan) -> Render {
             "fig22",
             "Makespan, EDP and job-failure probability vs rack failure rate",
             "ratio",
+            3 * rows.len(),
         );
-        for (series, x, r, clean) in rows {
+        for (who, mode, rate, r, clean) in rows {
             let clean = ran.measurement(clean)?;
             let clean_t = clean.breakdown.total();
             let clean_edp = clean.exact_energy_j * clean_t;
             let s = ran.summary(r)?;
-            let name = |metric: &str| format!("{metric}/{series}");
-            f.push(name("T"), x.clone(), s.makespan_s.mean / clean_t);
-            f.push(name("EDP"), x.clone(), s.edp.mean / clean_edp);
+            let (name, x) = (
+                |stat| Key::Stat(stat, who, None, Some(mode)),
+                Key::Fixed(rate, 0),
+            );
+            f.push(name(Stat::T), x, s.makespan_s.mean / clean_t);
+            f.push(name(Stat::Edp), x, s.edp.mean / clean_edp);
             let p_fail = s.failed_runs as f64 / s.replications.max(1) as f64;
-            f.push(name("Pfail"), x, p_fail);
+            f.push(name(Stat::Pfail), x, p_fail);
         }
         Ok(f)
     })
@@ -1091,13 +1124,32 @@ mod tests {
     use super::*;
     use crate::SimCache;
 
+    use AppId::{TeraSort, WordCount};
+
+    const MODES: [Mode; 2] = [Mode::Spec, Mode::NoSpec];
+
+    /// Figs. 19/20's clusters, then Figs. 21/22's.
+    const SHAPES: [[Shape; 3]; 2] = [
+        [
+            Shape { big: 3, little: 0 },
+            Shape { big: 0, little: 3 },
+            Shape { big: 1, little: 2 },
+        ],
+        [
+            Shape { big: 12, little: 0 },
+            Shape { big: 0, little: 12 },
+            Shape { big: 4, little: 8 },
+        ],
+    ];
+
     #[test]
     fn fig1_reproduces_paper_relationships() {
         let f = generate(fig1).expect("fig1 renders");
-        let xh = f.value("Xeon", "Avg_Hadoop").expect("present");
-        let xs = f.value("Xeon", "Avg_Spec").expect("present");
-        let ah = f.value("Atom", "Avg_Hadoop").expect("present");
-        let as_ = f.value("Atom", "Avg_Spec").expect("present");
+        let ipc = |kind, suite| f.value(Key::Kind(kind), suite).expect("present");
+        let xh = ipc(CoreKind::Big, "Avg_Hadoop");
+        let xs = ipc(CoreKind::Big, "Avg_Spec");
+        let ah = ipc(CoreKind::Little, "Avg_Hadoop");
+        let as_ = ipc(CoreKind::Little, "Avg_Spec");
         assert!(xs / xh > 1.6, "Hadoop IPC far below SPEC on big core");
         assert!(as_ / ah > 1.2, "Hadoop IPC below SPEC on little core");
         assert!((1.2..=1.8).contains(&(xh / ah)), "paper: 1.43x");
@@ -1118,7 +1170,7 @@ mod tests {
         let f = generate(fig9).expect("fig9 renders");
         for app in AppId::ALL {
             assert!(
-                !f.series(app.full_name()).is_empty(),
+                f.rows.iter().any(|r| r.series == app.full_name().into()),
                 "{app} missing from fig9"
             );
         }
@@ -1143,21 +1195,32 @@ mod tests {
         assert_eq!(all().len(), 25, "3 tables + 22 figure artifacts");
     }
 
+    /// No two rows of an artifact share a cell, so the typed lookup finds
+    /// the one row and no CSV writes a label pair twice.
+    #[test]
+    fn every_artifact_has_unique_cells() {
+        for (id, generate) in all() {
+            let f = generate().expect("renders");
+            let mut cells: Vec<_> = (f.rows.iter())
+                .map(|r| (r.series.to_string(), r.x.to_string()))
+                .collect();
+            cells.sort_unstable();
+            for pair in cells.windows(2) {
+                assert_ne!(pair[0], pair[1], "{id} writes a cell twice");
+            }
+        }
+    }
+
     #[test]
     fn fig18_mixed_cluster_beats_both_homogeneous_somewhere() {
         let f = generate(fig18).expect("fig18 renders");
-        let edp = |series: &str, app: AppId| {
-            f.rows
-                .iter()
-                .find(|r| r.series == series && r.x == app.short_name())
-                .map(|r| r.value)
-                .expect("fig18 row")
+        let edp = |(big, little), app: AppId| {
+            (f.value(Key::Shape(Shape { big, little }), app.short_name())).expect("fig18 row")
         };
         let wins = AppId::ALL.into_iter().any(|app| {
-            let (x, a) = (edp("Xeon3", app), edp("Atom3", app));
-            MIX_SWEEP
-                .iter()
-                .map(|(b, l)| edp(&format!("Mix{b}X{l}A"), app))
+            let (x, a) = (edp((3, 0), app), edp((0, 3), app));
+            (MIX_SWEEP.into_iter())
+                .map(|mix| edp(mix, app))
                 .any(|m| m < x && m < a)
         });
         assert!(
@@ -1170,13 +1233,14 @@ mod tests {
     fn fig18_series_share_one_meter() {
         let f = generate(fig18).expect("fig18 renders");
         let [xeon, atom] = machines();
+        let [xeon3, atom3, _] = SHAPES[0];
         for app in AppId::ALL {
-            for (m, series) in [(&xeon, "Xeon3"), (&atom, "Atom3")] {
+            for (m, series) in [(&xeon, xeon3), (&atom, atom3)] {
                 let plain = cfg(app, m).block_size(SCHED_BLOCK);
                 let (per_node, _) = (plain.run(SimCache::global(), Reading::PerNode))
                     .expect("a valid fault-free run completes");
                 assert_eq!(
-                    f.value(series, app.short_name()),
+                    f.value(Key::Shape(series), app.short_name()),
                     Some(per_node.cost.edp()),
                     "{series}/{app}"
                 );
@@ -1187,24 +1251,21 @@ mod tests {
     #[test]
     fn fig19_faults_degrade_and_speculation_recovers() {
         let f = generate(fig19).expect("fig19 recovers from every injected fault");
-        let val = |series: &str, rate: f64| {
-            f.rows
-                .iter()
-                .find(|r| r.series == series && r.x == format!("{rate:.2}"))
-                .map(|r| r.value)
-                .expect("fig19 row")
+        let t = |who, app, mode, rate| {
+            let series = Key::Stat(Stat::T, who, Some(app), Some(mode));
+            f.value(series, Key::Fixed(rate, 2)).expect("fig19 row")
         };
         // 2 apps x 3 clusters x 2 modes x 4 rates x 2 metrics.
         assert_eq!(f.rows.len(), 96);
         let (mut low, mut high, mut n) = (0.0, 0.0, 0.0);
-        for app in ["WC", "TS"] {
-            for who in ["Xeon3", "Atom3", "Mix1X2A"] {
-                for mode in ["spec", "nospec"] {
-                    let t = format!("T/{who}/{app}/{mode}");
+        for app in [WordCount, TeraSort] {
+            for who in SHAPES[0] {
+                for mode in MODES {
                     // Stragglers alone already cost makespan at rate 0.
-                    assert!(val(&t, 0.0) > 1.0, "{t}: stragglers must hurt");
-                    low += val(&t, 0.0);
-                    high += val(&t, 0.12);
+                    let at_0 = t(who, app, mode, 0.0);
+                    assert!(at_0 > 1.0, "T/{who}/{app}/{mode}: stragglers must hurt");
+                    low += at_0;
+                    high += t(who, app, mode, 0.12);
                     n += 1.0;
                 }
             }
@@ -1220,11 +1281,9 @@ mod tests {
         );
         // The headline claim: on at least one workload, speculation claws
         // back part of the straggler-induced makespan loss.
-        let recovered = ["WC", "TS"].iter().any(|app| {
-            ["Xeon3", "Atom3", "Mix1X2A"].iter().any(|who| {
-                val(&format!("T/{who}/{app}/spec"), 0.0)
-                    < val(&format!("T/{who}/{app}/nospec"), 0.0)
-            })
+        let recovered = [WordCount, TeraSort].into_iter().any(|app| {
+            (SHAPES[0].into_iter())
+                .any(|who| t(who, app, Mode::Spec, 0.0) < t(who, app, Mode::NoSpec, 0.0))
         });
         assert!(recovered, "speculation must beat no-speculation somewhere");
     }
@@ -1234,24 +1293,20 @@ mod tests {
         let f = generate(fig20).expect("fig20's clean baselines cannot fail");
         // 2 apps x 3 clusters x 4 rates x 6 series (T/Tlo/Thi, EDP triple).
         assert_eq!(f.rows.len(), 144);
-        let val = |series: &str, rate: f64| {
-            f.rows
-                .iter()
-                .find(|r| r.series == series && r.x == format!("{rate:.2}"))
-                .map(|r| r.value)
-                .expect("fig20 row")
+        let val = |stat, who, app, rate| {
+            let series = Key::Stat(stat, who, Some(app), None);
+            f.value(series, Key::Fixed(rate, 2)).expect("fig20 row")
         };
         let (mut w0, mut w12) = (0.0, 0.0);
-        for app in ["WC", "TS"] {
-            for who in ["Xeon3", "Atom3", "Mix1X2A"] {
-                for metric in ["T", "EDP"] {
-                    let s = format!("{metric}/{who}/{app}");
+        for app in [WordCount, TeraSort] {
+            for who in SHAPES[0] {
+                for [lo, mean, hi] in [
+                    [Stat::Tlo, Stat::T, Stat::Thi],
+                    [Stat::EdpLo, Stat::Edp, Stat::EdpHi],
+                ] {
                     for rate in FAULT_RATES {
-                        let (lo, mid, hi) = (
-                            val(&format!("{metric}lo/{who}/{app}"), rate),
-                            val(&s, rate),
-                            val(&format!("{metric}hi/{who}/{app}"), rate),
-                        );
+                        let [lo, mid, hi] = [lo, mean, hi].map(|stat| val(stat, who, app, rate));
+                        let s = Key::Stat(mean, who, Some(app), None);
                         assert!(lo <= mid && mid <= hi, "{s}@{rate}: band must bracket mean");
                         assert!(
                             mid > 0.9,
@@ -1261,9 +1316,9 @@ mod tests {
                 }
                 // Confidence bands reflect seed spread: injected failures add
                 // variance over the straggler-only baseline at rate 0.
-                w0 += val(&format!("Thi/{who}/{app}"), 0.0) - val(&format!("Tlo/{who}/{app}"), 0.0);
-                w12 +=
-                    val(&format!("Thi/{who}/{app}"), 0.12) - val(&format!("Tlo/{who}/{app}"), 0.12);
+                let width = |rate| val(Stat::Thi, who, app, rate) - val(Stat::Tlo, who, app, rate);
+                w0 += width(0.0);
+                w12 += width(0.12);
             }
         }
         assert!(
@@ -1277,29 +1332,28 @@ mod tests {
         let f = generate(fig21).expect("fig21 renders");
         // 3 clusters x 3 blocks x 3 oversubscriptions x 6 series.
         assert_eq!(f.rows.len(), 162);
-        let v = |series: String, x: String| {
-            f.rows
-                .iter()
-                .find(|r| r.series == series && r.x == x)
-                .map(|r| r.value)
+        let v = |stat, who, block, over| {
+            let series = Key::Stat(stat, who, None, None);
+            f.value(series, Key::BlockOver(block, over))
                 .expect("fig21 row")
         };
-        for who in ["Xeon12", "Atom12", "Mix4X8A"] {
+        for who in SHAPES[1] {
             // Tier fractions are a partition of the map tasks.
-            for blk in ["64", "256", "512"] {
-                for over in ["1", "4", "16"] {
-                    let x = format!("{blk}MB/{over}x");
-                    let sum = v(format!("NL/{who}"), x.clone())
-                        + v(format!("RL/{who}"), x.clone())
-                        + v(format!("OF/{who}"), x.clone());
+            for block in TOPO_BLOCKS {
+                for over in OVERSUB_SWEEP {
+                    let sum = [Stat::Nl, Stat::Rl, Stat::Of]
+                        .map(|tier| v(tier, who, block, over))
+                        .iter()
+                        .sum::<f64>();
+                    let x = Key::BlockOver(block, over);
                     assert!((sum - 1.0).abs() < 1e-9, "{who}@{x}: tier mix sums to 1");
                 }
             }
             // Locality-tier mix shifts with block size: 64 MB floods the
             // slots and pushes reads off-node, 512 MB fits in waves that
             // keep every read on a replica holder.
-            let nl_small = v(format!("NL/{who}"), "64MB/1x".into());
-            let nl_large = v(format!("NL/{who}"), "512MB/1x".into());
+            let nl_small = v(Stat::Nl, who, BlockSize::MB_64, 1.0);
+            let nl_large = v(Stat::Nl, who, BlockSize::MB_512, 1.0);
             assert!(
                 nl_small < nl_large,
                 "{who}: node-local fraction must grow with block size \
@@ -1307,19 +1361,20 @@ mod tests {
             );
             assert!(nl_small < 1.0, "{who}: small blocks must leave the node");
             // Reduce time and EDP respond monotonically to oversubscription.
-            for blk in ["64", "256", "512"] {
-                let at = |metric: &str, over: &str| {
-                    v(format!("{metric}/{who}"), format!("{blk}MB/{over}x"))
-                };
-                for m in ["Tred", "EDP"] {
-                    let (a, b, c) = (at(m, "1"), at(m, "4"), at(m, "16"));
+            for block in TOPO_BLOCKS {
+                let blk = block.mib();
+                for stat in [Stat::Tred, Stat::Edp] {
+                    let [a, b, c] = OVERSUB_SWEEP.map(|over| v(stat, who, block, over));
                     assert!(
                         a <= b + 1e-9 && b <= c + 1e-9,
-                        "{m}/{who}@{blk}MB must be monotone in oversubscription \
+                        "{stat}/{who}@{blk}MB must be monotone in oversubscription \
                          ({a} / {b} / {c})"
                     );
                 }
-                let (t1, t16) = (at("Tred", "1"), at("Tred", "16"));
+                let (t1, t16) = (
+                    v(Stat::Tred, who, block, 1.0),
+                    v(Stat::Tred, who, block, 16.0),
+                );
                 assert!(
                     t16 > t1,
                     "Tred/{who}@{blk}MB: 16x oversubscription must slow the \
@@ -1334,29 +1389,26 @@ mod tests {
         let f = generate(fig22).expect("fig22 baselines are fault-free and cannot fail");
         // 3 clusters x 2 modes x 4 rates x 3 series (T, EDP, Pfail).
         assert_eq!(f.rows.len(), 72);
-        let val = |series: &str, rate: f64| {
-            f.rows
-                .iter()
-                .find(|r| r.series == series && r.x == format!("{rate:.0}"))
-                .map(|r| r.value)
-                .expect("fig22 row")
+        let val = |stat, who, mode, rate| {
+            let series = Key::Stat(stat, who, None, Some(mode));
+            f.value(series, Key::Fixed(rate, 0)).expect("fig22 row")
         };
         let worst = *FIG22_RATES.last().expect("rates are non-empty");
         let (mut low, mut high, mut n) = (0.0, 0.0, 0.0);
-        for who in ["Xeon12", "Atom12", "Mix4X8A"] {
-            for mode in ["spec", "nospec"] {
-                let t = format!("T/{who}/{mode}");
+        for who in SHAPES[1] {
+            for mode in MODES {
                 // Stragglers alone already cost makespan at rate 0, and the
                 // straggler-only sweep never loses a replica set.
-                assert!(val(&t, 0.0) > 1.0, "{t}: stragglers must hurt");
+                let t = |rate| val(Stat::T, who, mode, rate);
+                assert!(t(0.0) > 1.0, "T/{who}/{mode}: stragglers must hurt");
                 assert!(
-                    val(&format!("Pfail/{who}/{mode}"), 0.0) == 0.0,
+                    val(Stat::Pfail, who, mode, 0.0) == 0.0,
                     "Pfail/{who}/{mode}: no rack faults, no dead jobs"
                 );
                 // Job-failure probability is monotone in the rack rate.
                 let mut prev = 0.0;
                 for rate in FIG22_RATES {
-                    let p = val(&format!("Pfail/{who}/{mode}"), rate);
+                    let p = val(Stat::Pfail, who, mode, rate);
                     assert!(
                         (0.0..=1.0).contains(&p) && p >= prev,
                         "Pfail/{who}/{mode}@{rate}: must be a monotone probability"
@@ -1366,8 +1418,8 @@ mod tests {
                 // Enough seeds must survive the worst rate for the
                 // survivor-conditional means to stay meaningful.
                 assert!(prev < 0.9, "Pfail/{who}/{mode}: worst rate drowns the mean");
-                low += val(&t, 0.0);
-                high += val(&t, worst);
+                low += t(0.0);
+                high += t(worst);
                 n += 1.0;
             }
         }
@@ -1381,13 +1433,14 @@ mod tests {
         );
         // The availability story has to actually show up somewhere: at the
         // worst rate some cluster loses jobs to dead replica sets.
-        let dies = ["Xeon12", "Atom12", "Mix4X8A"].iter().any(|who| {
-            ["spec", "nospec"]
-                .iter()
-                .any(|mode| val(&format!("Pfail/{who}/{mode}"), worst) > 0.0)
+        let dies = (SHAPES[1].into_iter()).any(|who| {
+            MODES
+                .into_iter()
+                .any(|mode| val(Stat::Pfail, who, mode, worst) > 0.0)
         });
         assert!(dies, "worst rack-failure rate must kill some replications");
     }
+
     #[test]
     fn an_unrecoverable_point_reaches_its_renderer_as_its_error() {
         use crate::model::ConfigError;
@@ -1406,7 +1459,7 @@ mod tests {
         let offloaded = valid().accelerator(AccelConfig::fpga(20.0));
         let invalid = plan.replicate(ReplicationPlan::new(offloaded, 0..2));
         let render: Render = Box::new(move |ran| {
-            let mut f = FigureData::new("figX", "one doomed point", "seconds");
+            let mut f = FigureData::new("figX", "one doomed point", "seconds", 3);
             for (x, p) in ["auto", "failed", "per-node"]
                 .into_iter()
                 .zip([auto, failed, per_node])

@@ -65,7 +65,7 @@ pub use model::{
     SimError,
 };
 pub use ratios::AppRatios;
-pub use report::{FigureData, Row};
+pub use report::{FigureData, Key, Row};
 pub use shuffle::{flow_finish_times, reduce_fetch_seconds, Flow};
 pub use simcache::{CacheStats, SimCache};
 

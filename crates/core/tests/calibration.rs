@@ -25,6 +25,47 @@ fn all_paper_claims_hold() {
     );
 }
 
+/// The fidelity ledger: every claim's log error within the budget and its
+/// margin above the floor checked in beside it, each rounded outward from
+/// the values they were set at. A claim with a paper number has a budget,
+/// and a claim with a threshold on its measured value has a floor.
+#[test]
+fn every_claim_is_within_its_ledger_budget() {
+    let targets = check_all();
+    for t in &targets {
+        let at = format!("[{}] {}", t.artifact, t.claim);
+        assert_eq!(
+            t.log_err.is_nan(),
+            t.max_log_err.is_nan(),
+            "{at}: log error vs budget"
+        );
+        assert_eq!(
+            t.margin.is_nan(),
+            t.min_margin.is_nan(),
+            "{at}: margin vs floor"
+        );
+        assert!(
+            t.log_err.is_nan() || t.log_err <= t.max_log_err,
+            "{at}: log error {} exceeds its budget {}",
+            t.log_err,
+            t.max_log_err
+        );
+        assert!(
+            t.margin.is_nan() || t.margin >= t.min_margin,
+            "{at}: margin {} fell below its floor {}",
+            t.margin,
+            t.min_margin
+        );
+    }
+    let budgets = targets.iter().filter(|t| !t.max_log_err.is_nan()).count();
+    let floors = targets.iter().filter(|t| !t.min_margin.is_nan()).count();
+    assert_eq!(
+        (budgets, floors),
+        (20, 27),
+        "the ledger's numeric and threshold claims"
+    );
+}
+
 /// The committed claim table is the one the code renders: `figures
 /// calibration` is not part of any gate, so without this the file — and the
 /// copy of it in EXPERIMENTS.md — can drift from the model unnoticed.
